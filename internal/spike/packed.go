@@ -75,9 +75,10 @@ func PackedUniform(count, window int) PackedTrain {
 
 // AppendUniform OR-s the spikes of UniformTrain(count, window) into dst,
 // placing cycle t at bit (t*stride+offset)%64 of word (t*stride+offset)/64.
-// With offset 0, stride 1 this fills a single packed train; the xbar
-// kernels use stride = lanes-per-timestep layouts to build timestep-major
-// masks. count must already be clamped to [0, window].
+// With offset 0, stride 1 this fills a single packed train — how xbar
+// builds its per-window table of uniform trains; other offsets and strides
+// interleave several trains in one buffer. count must already be clamped
+// to [0, window].
 func AppendUniform(dst []uint64, count, window, offset, stride int) {
 	if count <= 0 {
 		return

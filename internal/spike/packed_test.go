@@ -125,8 +125,8 @@ func TestPackedTrainCanonical(t *testing.T) {
 
 func TestAppendUniformStride(t *testing.T) {
 	// The strided variant places cycle t of unit u at bit t*stride+u —
-	// the timestep-major mask layout the packed kernels build. Check a
-	// two-unit layout against the per-unit packed trains.
+	// a timestep-major mask layout. Check a two-unit layout against the
+	// per-unit packed trains.
 	const window, units = 64, 2
 	stride := 64 * Lanes(units)
 	dst := make([]uint64, Lanes(units)*window)

@@ -237,3 +237,39 @@ func TestRunBatchValidation(t *testing.T) {
 		t.Errorf("Program.RunBatch(empty) = %v", err)
 	}
 }
+
+// TestRunBatchResultsShareOneBackingArray pins the result layout: a warm
+// RunBatch allocates the slice of results and one flat backing array — two
+// allocations at any batch size — and each result's capacity stops at its
+// own end, so appending to one cannot overwrite the next.
+func TestRunBatchResultsShareOneBackingArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(406))
+	g, ws := buildTestMLP(rng, []int{16, 12, 4})
+	opts := DefaultOptions()
+	opts.Weights = ws
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 16, 64} {
+		inputs := batchInputs(rng, batch, 16, opts.Params.SamplingWindow())
+		var outs [][]int
+		allocs := testing.AllocsPerRun(5, func() {
+			if outs, err = ex.RunBatch(inputs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("batch %d: %v allocs per warm RunBatch, want 2", batch, allocs)
+		}
+		for b, out := range outs {
+			if cap(out) != len(out) {
+				t.Fatalf("batch %d item %d: result cap %d exceeds len %d", batch, b, cap(out), len(out))
+			}
+		}
+	}
+}

@@ -157,7 +157,8 @@ func (e *Executor) Run(input []int) ([]int, error) {
 }
 
 // RunBatch executes the program on a micro-batch of input vectors and
-// returns one freshly allocated output-count slice per input, positionally.
+// returns one output-count slice per input, positionally; the slices are
+// freshly allocated views into one backing array (see gatherOutputs).
 // The whole batch advances through the stage list together: each stage's
 // crossbar evaluates every item (one batched kernel call) before the next
 // stage runs, so a weight group's programmed state is touched once per
@@ -222,17 +223,28 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, p.Graph.Groups[st.GroupID].Name, err)
 		}
 	}
-	results := make([][]int, B)
+	return gatherOutputs(p, inputs, e.outs, e.stageCols), nil
+}
+
+// gatherOutputs reads the program's output refs out of the per-stage
+// output tables into one result slice per batch item. The slices are
+// capacity-capped views into a single flat backing array, so a batch costs
+// two allocations however large it is, and appending to one result cannot
+// reach its neighbour.
+func gatherOutputs(p *Program, inputs, outs [][]int, stageCols []int) [][]int {
+	n := len(p.OutputRefs)
+	flat := make([]int, len(inputs)*n)
+	results := make([][]int, len(inputs))
 	for b := range results {
-		res := make([]int, len(p.OutputRefs))
+		res := flat[b*n : (b+1)*n : (b+1)*n]
 		for i, ref := range p.OutputRefs {
 			if ref.Stage == ExternalStage {
 				res[i] = inputs[b][ref.Col]
 				continue
 			}
-			res[i] = e.outs[ref.Stage][b*e.stageCols[ref.Stage]+ref.Col]
+			res[i] = outs[ref.Stage][b*stageCols[ref.Stage]+ref.Col]
 		}
 		results[b] = res
 	}
-	return results, nil
+	return results
 }

@@ -381,7 +381,7 @@ func (pe *PipelineExecutor) runChip(chip *pipeChip, next chan *pipeJob) {
 			continue
 		}
 		if job.err == nil {
-			job.results = pe.gather(job)
+			job.results = gatherOutputs(pe.prog, job.inputs, job.outs, pe.stageCols)
 		}
 		close(job.done)
 	}
@@ -431,22 +431,4 @@ func (pe *PipelineExecutor) runStages(chip *pipeChip, job *pipeJob) error {
 		}
 	}
 	return nil
-}
-
-// gather reads the job's output refs into per-item result slices.
-func (pe *PipelineExecutor) gather(job *pipeJob) [][]int {
-	p := pe.prog
-	results := make([][]int, len(job.inputs))
-	for b := range results {
-		res := make([]int, len(p.OutputRefs))
-		for i, ref := range p.OutputRefs {
-			if ref.Stage == ExternalStage {
-				res[i] = job.inputs[b][ref.Col]
-				continue
-			}
-			res[i] = job.outs[ref.Stage][b*pe.stageCols[ref.Stage]+ref.Col]
-		}
-		results[b] = res
-	}
-	return results
 }

@@ -58,45 +58,65 @@ func FuzzVMMBatchPackedVsDense(f *testing.F) {
 }
 
 // FuzzSimulateCountsPackedVsDense fuzzes the full spiking kernel pair:
-// arbitrary count bytes against a fixed ideal and a fixed noisy crossbar,
-// requiring element-identical outputs. This is the deepest bit-exactness
-// check — it exercises count grouping, dead-cycle skipping, hot tails,
-// and the column skip list together.
+// arbitrary count bytes against fixed ideal and noisy crossbars, requiring
+// element-identical outputs. This is the deepest bit-exactness check — it
+// exercises count grouping, dead-cycle skipping, hot tails, the unit-major
+// drive accumulation and column tabulation together. Each input runs
+// against a dense random crossbar (with one all-zero column) and against
+// the structured ones whose columns are tabulated: the block-diagonal
+// pairwise-max diff crossbar and the mixed crossbar when ideal, a two-row
+// crossbar (small support survives noisy zero cells) when noisy.
 func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	rng := rand.New(rand.NewSource(76))
 	ideal, _ := newFuzzCrossbar(rng, false)
 	noisy, _ := newFuzzCrossbar(rng, true)
+	cfg := testConfig(0)
+	maxW := cfg.Rep.MaxWeight()
+	structured := func(weights [][]int, prng *rand.Rand) *Crossbar {
+		c := cfg
+		c.Eta = float64(maxW)
+		if prng != nil {
+			c.Spec = device.Cell4BitMeasured
+		}
+		xb, err := Program(c, weights, prng)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return xb
+	}
+	xbars := map[bool][]*Crossbar{
+		false: {ideal, structured(pairwiseWeights(8, -maxW, maxW), nil), structured(mixedWeights(rng, maxW), nil)},
+		true:  {noisy, structured([][]int{{maxW, -3, 1}, {-2, maxW, -maxW}}, rand.New(rand.NewSource(98)))},
+	}
 	f.Add([]byte{}, false)
 	f.Add([]byte{0, 0, 0, 0}, true)
 	f.Add([]byte{64, 64, 64, 64, 64}, false)
 	f.Add([]byte{1, 2, 3, 250, 130, 0, 7}, true)
 	f.Fuzz(func(t *testing.T, countBytes []byte, useNoisy bool) {
-		xb := ideal
-		if useNoisy {
-			xb = noisy
-		}
-		rows, cols := xb.Rows(), xb.Cols()
-		batch := len(countBytes)/rows + 1
-		if batch > 6 {
-			batch = 6
-		}
-		src := make([]int, batch*rows)
-		for k := range src {
-			if len(countBytes) > 0 {
-				src[k] = int(countBytes[k%len(countBytes)]) // >window exercises clamping
+		for xi, xb := range xbars[useNoisy] {
+			rows, cols := xb.Rows(), xb.Cols()
+			batch := len(countBytes)/rows + 1
+			if batch > 6 {
+				batch = 6
 			}
-		}
-		dense := make([]int, batch*cols)
-		packed := make([]int, batch*cols)
-		if err := xb.SimulateCountsBatchDense(dense, src, batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := xb.SimulateCountsBatchPacked(packed, src, batch); err != nil {
-			t.Fatal(err)
-		}
-		for k := range dense {
-			if dense[k] != packed[k] {
-				t.Fatalf("noisy=%v out[%d]: dense %d packed %d", useNoisy, k, dense[k], packed[k])
+			src := make([]int, batch*rows)
+			for k := range src {
+				if len(countBytes) > 0 {
+					src[k] = int(countBytes[k%len(countBytes)]) // >window exercises clamping
+				}
+			}
+			dense := make([]int, batch*cols)
+			packed := make([]int, batch*cols)
+			if err := xb.SimulateCountsBatchDense(dense, src, batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := xb.SimulateCountsBatchPacked(packed, src, batch); err != nil {
+				t.Fatal(err)
+			}
+			for k := range dense {
+				if dense[k] != packed[k] {
+					t.Fatalf("noisy=%v crossbar %d out[%d]: dense %d packed %d", useNoisy, xi, k, dense[k], packed[k])
+				}
 			}
 		}
 	})
@@ -111,7 +131,7 @@ func newFuzzCrossbar(rng *rand.Rand, noisy bool) (*Crossbar, [][]int) {
 		prng = rand.New(rand.NewSource(99))
 	}
 	weights := randomWeights(rng, 33, 9, cfg.Rep.MaxWeight())
-	for i := range weights { // an all-zero column for the skip list
+	for i := range weights { // an all-zero column: empty support
 		weights[i][4] = 0
 	}
 	xb, err := Program(cfg, weights, prng)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"os"
 	"strconv"
+	"sync"
 
 	"fpsa/internal/spike"
 )
@@ -217,12 +218,75 @@ func (c *Crossbar) probeDensity(src []int, batch int) float64 {
 	return float64(total) / float64(slots)
 }
 
-// simulateCountsPacked is the sparsity-aware spiking kernel: the same
+// A column is tabulated when its support is at most maxSupport rows — what
+// the synthesizer's pairwise-max and residual-add columns have — and its
+// key space (Γ+1)^k is at most maxTabulated entries: k ≤ 2 up to Γ = 64
+// (65² = 4225 keys), k ≤ 1 at Γ = 128. Both are constants, not knobs: the
+// key space must stay small enough to enumerate, so that a table's hit
+// rate is a property of the crossbar and not of the input stream.
+const (
+	maxSupport   = 2
+	maxTabulated = 1 << 13
+)
+
+// tabCol is one tabulated column: its support rows (the rows with a nonzero
+// conductance in either polarity, ascending) and the lazily filled table
+// over the clamped counts on those rows.
+type tabCol struct {
+	col  int
+	k    int
+	rows [maxSupport]int
+	// table has (Γ+1)^k entries keyed by the support counts, most
+	// significant row first; 0 means not yet computed, otherwise output+1.
+	// It is nil until the packed kernel first runs and after SetEta.
+	table []int32
+}
+
+// trainTables memoizes uniformTrains per window. The content is a pure
+// function of the key, so sharing it across crossbars, executors and
+// goroutines cannot couple them.
+var trainTables sync.Map // window → []uint64
+
+// uniformTrains returns the (Γ+1)×Lanes(Γ) table of packed uniform trains
+// for the window: words [count·lanes, (count+1)·lanes) hold
+// spike.PackedUniform(count, Γ). UniformTrain depends only on (count, Γ),
+// so the table is built once per window for the whole process — not per
+// crossbar (noisy executors re-program on every call) and not per item.
+func uniformTrains(window int) []uint64 {
+	if t, ok := trainTables.Load(window); ok {
+		return t.([]uint64)
+	}
+	lanes := spike.Lanes(window)
+	tab := make([]uint64, (window+1)*lanes)
+	for count := 1; count <= window; count++ {
+		spike.AppendUniform(tab[count*lanes:(count+1)*lanes], count, window, 0, 1)
+	}
+	t, _ := trainTables.LoadOrStore(window, tab)
+	return t.([]uint64)
+}
+
+// simulateCountsPacked is the structure-aware spiking kernel: the same
 // cycle-level integrate-and-fire/subtracter semantics as the dense kernel,
-// restructured around bit-packed firing masks so that work scales with
-// spike events instead of with rows×Γ×cols.
+// restructured around the structure the crossbar was programmed with and
+// around bit-packed firing masks, so that work scales with spike events on
+// the columns that need a cycle walk instead of with rows×Γ×cols.
 //
-// Per batch item it
+// A column's output count is a pure function of the counts on its support
+// rows — the rows where it has a nonzero conductance. Every other row adds
+// +0.0 to a non-negative drive, which is bitwise a no-op, so it cannot
+// change any value the column's neuron ever sees. classifyProgramming
+// therefore splits the columns in two:
+//
+//   - tabulated columns (support small enough for maxTabulated: the ±maxW
+//     columns of the pairwise-max and residual-add constructions, and
+//     all-zero columns) are answered from a per-column table over their
+//     entire key space, filled on first use by walkSupport — the real
+//     colNeuron.step walk with drives summed in ascending row order, i.e.
+//     the dense kernel restricted to the support. A crossbar whose columns
+//     are all tabulated never builds units or drives at all;
+//   - walked columns go through the cycle walk below.
+//
+// For the walked columns, per batch item the kernel
 //
 //  1. collapses the input rows into drive units — every row with a zero
 //     count drops out; when the programmed conductances are exact-sum
@@ -233,105 +297,144 @@ func (c *Crossbar) probeDensity(src []int, batch int) float64 {
 //     way. With inexact (noisy) conductances every firing row stays its
 //     own unit in ascending row order, preserving the dense float
 //     accumulation order exactly;
-//  2. builds a timestep-major firing mask (Γ × Lanes(units) words) with
-//     the jump-Bresenham generator and flattens it into an event list:
-//     the live cycles and, per live cycle, the firing units in ascending
-//     order;
-//  3. accumulates the drive rows of each live cycle into a live×2·cols
-//     drive matrix — row-major streaming adds over the firing units in
-//     ascending order, exactly the dense kernel's accumulation order per
-//     column — and then walks each column independently: live cycles step
-//     the membrane/threshold/subtracter statements with the
-//     pre-accumulated drive, and the dead cycles between them are skipped
-//     wholesale once the column's membranes are below threshold. While a
-//     membrane is still at or above η the column steps through the
-//     zero-drive cycles one by one, because each such cycle really fires
-//     (the "hot drain"); adding a drive of 0.0 to a membrane is bit-exactly
-//     a no-op, so skipping cold cycles changes nothing. Columns whose
-//     conductances are zero in both polarities never accumulate drive and
-//     (for η > 0) never fire, so they are skipped entirely.
+//  2. reads each unit's packed train from the shared uniformTrains table,
+//     OR-s them into the item's live-cycle mask, and accumulates unit-major
+//     — for each unit ascending, for each cycle t it fires in, add its
+//     conductance row into row rank(t) of a zeroed live×2·cols drive
+//     matrix. For any fixed (t, column) the adds still arrive in ascending
+//     unit order on top of +0.0, exactly the dense kernel's accumulation
+//     order per column;
+//  3. walks each column independently: live cycles step the
+//     membrane/threshold/subtracter statements with the pre-accumulated
+//     drive, and the dead cycles between them are skipped wholesale once
+//     the column's membranes are below threshold. While a membrane is still
+//     at or above η the column steps through the zero-drive cycles one by
+//     one, because each such cycle really fires (the "hot drain"); adding a
+//     drive of 0.0 to a membrane is bit-exactly a no-op, so skipping cold
+//     cycles changes nothing.
 //
 // Every floating-point operation the dense kernel performs on a value that
 // could differ is performed here, per column, in the same order; every
 // skipped operation is provably a no-op. That is the sparse/dense
-// bit-exactness invariant the property and fuzz suites pin.
+// bit-exactness invariant the property and fuzz suites pin. Nothing is
+// keyed on a whole input vector, stage or sample: the tables' hit rate
+// depends on the crossbar's structure, not on inputs repeating.
 func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 	window, cols := c.window, c.cols
-	// Column skip list only applies while η > 0; with η ≤ 0 every column
-	// fires every cycle, so all columns must be stepped.
-	eta := c.eta
-	colIdx := c.activeCols
-	if eta <= 0 {
-		colIdx = nil
+	if c.trainTab == nil {
+		c.trainTab = uniformTrains(window)
+	}
+	if c.rowG == nil && len(c.walkCols) > 0 {
+		// The walk adds whole conductance rows, both polarities at once.
+		c.rowG = make([]float64, 0, 2*len(c.posG))
+		for i := 0; i < c.rows; i++ {
+			c.rowG = append(c.rowG, c.posG[i*cols:(i+1)*cols]...)
+			c.rowG = append(c.rowG, c.negG[i*cols:(i+1)*cols]...)
+		}
 	}
 	for b := 0; b < batch; b++ {
 		counts := src[b*c.rows : (b+1)*c.rows]
 		out := dst[b*cols : (b+1)*cols]
-		units := c.buildUnits(counts)
-		ulanes := spike.Lanes(units)
-		stride := 64 * ulanes
-		c.masks = grow(c.masks, window*ulanes)
-		for k := range c.masks {
-			c.masks[k] = 0
+		for i := range c.tabCols {
+			tc := &c.tabCols[i]
+			out[tc.col] = c.tabulated(tc, counts)
 		}
-		for u := 0; u < units; u++ {
-			spike.AppendUniform(c.masks, c.unitCount[u], window, u, stride)
+		if len(c.walkCols) == 0 {
+			continue
 		}
-		// Flatten the masks into the event list: evCycles holds the live
-		// cycles ascending, evUnits the firing units of each live cycle
-		// (ascending unit order), evStart the per-cycle offsets into it.
-		c.evCycles = c.evCycles[:0]
-		c.evStart = c.evStart[:0]
-		c.evUnits = c.evUnits[:0]
-		for t := 0; t < window; t++ {
-			m := c.masks[t*ulanes : (t+1)*ulanes]
-			live := false
-			for l, word := range m {
-				base := l << 6
-				for word != 0 {
-					u := base + bits.TrailingZeros64(word)
-					word &= word - 1
-					if !live {
-						c.evCycles = append(c.evCycles, t)
-						c.evStart = append(c.evStart, len(c.evUnits))
-						live = true
-					}
-					c.evUnits = append(c.evUnits, u)
+		c.buildUnits(counts)
+		c.accumulateDrives()
+		for _, j := range c.walkCols {
+			out[j] = c.runColumnPacked(j, window, cols, c.eta)
+		}
+	}
+}
+
+// tabulated answers one tabulated column for one item: the key is the
+// clamped counts on the column's support rows, and a miss runs the real
+// walk once and remembers it.
+func (c *Crossbar) tabulated(tc *tabCol, counts []int) int {
+	base := c.window + 1
+	key := 0
+	for _, r := range tc.rows[:tc.k] {
+		key = key*base + spike.Clamp(counts[r], c.window)
+	}
+	if tc.table == nil {
+		size := 1
+		for range tc.k {
+			size *= base
+		}
+		tc.table = make([]int32, size)
+	}
+	if v := tc.table[key]; v != 0 {
+		return int(v - 1)
+	}
+	out := c.walkSupport(tc, counts)
+	tc.table[key] = int32(out + 1)
+	return out
+}
+
+// walkSupport is the dense kernel restricted to one column's support: every
+// cycle of the window sums the conductances of the firing support rows in
+// ascending row order on top of +0.0 and steps the column's neuron pair. It
+// never skips a cycle, so it is right for any η, ideal or noisy.
+func (c *Crossbar) walkSupport(tc *tabCol, counts []int) int {
+	lanes := spike.Lanes(c.window)
+	n := colNeuron{eta: c.eta}
+	for t := 0; t < c.window; t++ {
+		var dP, dN float64
+		for _, r := range tc.rows[:tc.k] {
+			count := spike.Clamp(counts[r], c.window)
+			if c.trainTab[count*lanes+t>>6]&(1<<uint(t&63)) != 0 {
+				dP += c.posG[r*c.cols+tc.col]
+				dN += c.negG[r*c.cols+tc.col]
+			}
+		}
+		n.step(dP, dN)
+	}
+	return n.out
+}
+
+// accumulateDrives turns the current units into the event list and drive
+// matrix runColumnPacked reads: evCycles holds the live cycles ascending
+// (the union of the units' trains), and row li of drvAll the drives of live
+// cycle li — positive at [li·2c, li·2c+c), negative at [li·2c+c, (li+1)·2c).
+// Accumulation is unit-major; see simulateCountsPacked for why that keeps
+// the dense per-column float order.
+func (c *Crossbar) accumulateDrives() {
+	window := c.window
+	lanes := spike.Lanes(window)
+	c.live = grow(c.live, lanes)
+	for l := range c.live {
+		c.live[l] = 0
+	}
+	for _, count := range c.unitCount {
+		for l, word := range c.trainTab[count*lanes : (count+1)*lanes] {
+			c.live[l] |= word
+		}
+	}
+	c.rank = grow(c.rank, window)
+	c.evCycles = c.evCycles[:0]
+	for l, word := range c.live {
+		for ; word != 0; word &= word - 1 {
+			t := l<<6 + bits.TrailingZeros64(word)
+			c.rank[t] = len(c.evCycles)
+			c.evCycles = append(c.evCycles, t)
+		}
+	}
+	c.drvAll = grow(c.drvAll, len(c.evCycles)*2*c.cols)
+	for k := range c.drvAll {
+		c.drvAll[k] = 0
+	}
+	for u, count := range c.unitCount {
+		g := c.unitG[u]
+		for l, word := range c.trainTab[count*lanes : (count+1)*lanes] {
+			for ; word != 0; word &= word - 1 {
+				li := c.rank[l<<6+bits.TrailingZeros64(word)]
+				row := c.drvAll[li*len(g):][:len(g)]
+				for j, gv := range g {
+					row[j] += gv
 				}
-			}
-		}
-		c.evStart = append(c.evStart, len(c.evUnits))
-		// Accumulate each live cycle's drives: positive at [li·2c, li·2c+c),
-		// negative at [li·2c+c, (li+1)·2c). The first firing unit writes,
-		// the rest add — 0 + g equals g bitwise, so the per-column sum
-		// order is exactly the dense kernel's.
-		c.drvAll = grow(c.drvAll, len(c.evCycles)*2*cols)
-		for li := range c.evCycles {
-			row := c.drvAll[li*2*cols : (li+1)*2*cols]
-			us := c.evUnits[c.evStart[li]:c.evStart[li+1]]
-			up, un := c.unitPos[us[0]], c.unitNeg[us[0]]
-			for j := 0; j < cols; j++ {
-				row[j] = up[j]
-				row[cols+j] = un[j]
-			}
-			for _, u := range us[1:] {
-				up, un = c.unitPos[u], c.unitNeg[u]
-				for j := 0; j < cols; j++ {
-					row[j] += up[j]
-					row[cols+j] += un[j]
-				}
-			}
-		}
-		for j := 0; j < cols; j++ {
-			out[j] = 0
-		}
-		if colIdx == nil {
-			for j := 0; j < cols; j++ {
-				out[j] = c.runColumnPacked(j, window, cols, eta)
-			}
-		} else {
-			for _, j := range colIdx {
-				out[j] = c.runColumnPacked(j, window, cols, eta)
 			}
 		}
 	}
@@ -399,12 +502,11 @@ func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
 }
 
 // buildUnits collapses one item's input counts into drive units (see
-// simulateCountsPacked) and returns the unit count. Unit conductance rows
-// land in c.unitPos/c.unitNeg, firing counts in c.unitCount.
-func (c *Crossbar) buildUnits(counts []int) int {
-	window, cols := c.window, c.cols
-	c.unitPos = c.unitPos[:0]
-	c.unitNeg = c.unitNeg[:0]
+// simulateCountsPacked). Unit conductance rows (positive then negative
+// polarity, 2·cols wide) land in c.unitG, firing counts in c.unitCount.
+func (c *Crossbar) buildUnits(counts []int) {
+	window, w := c.window, 2*c.cols
+	c.unitG = c.unitG[:0]
 	c.unitCount = c.unitCount[:0]
 	if !c.exactSums {
 		// Inexact conductances: one unit per firing row, ascending row
@@ -414,11 +516,10 @@ func (c *Crossbar) buildUnits(counts []int) int {
 			if cnt == 0 {
 				continue
 			}
-			c.unitPos = append(c.unitPos, c.posG[i*cols:(i+1)*cols])
-			c.unitNeg = append(c.unitNeg, c.negG[i*cols:(i+1)*cols])
+			c.unitG = append(c.unitG, c.rowG[i*w:(i+1)*w])
 			c.unitCount = append(c.unitCount, cnt)
 		}
-		return len(c.unitCount)
+		return
 	}
 	// Exact-sum conductances: group rows by firing count. Equal counts
 	// fire on identical cycles, and integer-valued conductances sum
@@ -446,7 +547,10 @@ func (c *Crossbar) buildUnits(counts []int) int {
 			grouped++
 		}
 	}
-	c.groupBuf = grow(c.groupBuf, grouped*2*cols)
+	c.groupBuf = grow(c.groupBuf, grouped*w)
+	for k := range c.groupBuf {
+		c.groupBuf[k] = 0
+	}
 	gi := 0
 	for cnt := 1; cnt <= window; cnt++ {
 		mult := c.slotMult[cnt]
@@ -456,17 +560,10 @@ func (c *Crossbar) buildUnits(counts []int) int {
 		c.slotUnit[cnt] = len(c.unitCount)
 		if mult == 1 {
 			i := c.slotRow[cnt]
-			c.unitPos = append(c.unitPos, c.posG[i*cols:(i+1)*cols])
-			c.unitNeg = append(c.unitNeg, c.negG[i*cols:(i+1)*cols])
+			c.unitG = append(c.unitG, c.rowG[i*w:(i+1)*w])
 		} else {
-			pos := c.groupBuf[gi*2*cols : gi*2*cols+cols]
-			neg := c.groupBuf[gi*2*cols+cols : (gi+1)*2*cols]
-			for j := range pos {
-				pos[j], neg[j] = 0, 0
-			}
+			c.unitG = append(c.unitG, c.groupBuf[gi*w:(gi+1)*w])
 			gi++
-			c.unitPos = append(c.unitPos, pos)
-			c.unitNeg = append(c.unitNeg, neg)
 		}
 		c.unitCount = append(c.unitCount, cnt)
 	}
@@ -475,29 +572,26 @@ func (c *Crossbar) buildUnits(counts []int) int {
 		if cnt == 0 || c.slotMult[cnt] < 2 {
 			continue
 		}
-		up := c.unitPos[c.slotUnit[cnt]]
-		un := c.unitNeg[c.slotUnit[cnt]]
-		pg := c.posG[i*cols : (i+1)*cols]
-		ng := c.negG[i*cols : (i+1)*cols]
-		for j := range up {
-			up[j] += pg[j]
-			un[j] += ng[j]
+		sum := c.unitG[c.slotUnit[cnt]]
+		for j, g := range c.rowG[i*w : (i+1)*w] {
+			sum[j] += g
 		}
 	}
-	return len(c.unitCount)
 }
 
 // classifyProgramming scans the programmed conductances and precomputes
-// the sparse kernel's structural facts: whether conductance sums are
+// the packed kernel's structural facts: whether conductance sums are
 // exact in any order (every value integer and the worst-case window-long
 // column accumulation far below 2^53 — true for ideal programming, where
 // conductances are integer level counts; false as soon as programming
-// noise produces fractional values), and which columns carry any nonzero
-// conductance at all.
+// noise produces fractional values), and each column's support — the rows
+// where it carries a nonzero conductance in either polarity. Columns whose
+// support fits a table (see maxTabulated; all-zero columns have the empty
+// support and a one-entry table) become tabCols, the rest walkCols.
 func (c *Crossbar) classifyProgramming() {
 	exact := true
-	var maxColSum float64
 	colSum := make([]float64, c.cols)
+	tabs := make([]tabCol, c.cols)
 	for i := 0; i < c.rows; i++ {
 		for j := 0; j < c.cols; j++ {
 			k := i*c.cols + j
@@ -506,21 +600,36 @@ func (c *Crossbar) classifyProgramming() {
 				exact = false
 			}
 			colSum[j] += math.Abs(pg) + math.Abs(ng)
+			if pg != 0 || ng != 0 {
+				if tc := &tabs[j]; tc.k < maxSupport {
+					tc.rows[tc.k] = i
+					tc.k++
+				} else {
+					tc.k = maxSupport + 1
+				}
+			}
 		}
 	}
-	active := make([]int, 0, c.cols)
-	for j, s := range colSum {
+	var maxColSum float64
+	for _, s := range colSum {
 		if s > maxColSum {
 			maxColSum = s
 		}
-		if s != 0 {
-			active = append(active, j)
-		}
 	}
 	c.exactSums = exact && float64(c.window)*maxColSum < 1<<52
-	if len(active) == c.cols {
-		c.activeCols = nil // all columns live: use the contiguous loop
-	} else {
-		c.activeCols = active
+	// maxK is the largest support whose key space (Γ+1)^k fits a table.
+	maxK := 0
+	for size := c.window + 1; maxK < maxSupport && size <= maxTabulated; size *= c.window + 1 {
+		maxK++
+	}
+	// Filter tabs in place: tabCols never outruns the read position j.
+	c.tabCols, c.walkCols = tabs[:0], make([]int, 0, c.cols)
+	for j := range tabs {
+		if tabs[j].k <= maxK {
+			tabs[j].col = j
+			c.tabCols = append(c.tabCols, tabs[j])
+		} else {
+			c.walkCols = append(c.walkCols, j)
+		}
 	}
 }

@@ -54,3 +54,69 @@ func BenchmarkSimulateCounts(b *testing.B) {
 		}
 	}
 }
+
+// pairwiseWeights builds the synthesizer's two-row block-diagonal
+// structure (internal/synth/poolexec.go): column c reads rows 2c and 2c+1
+// with weights a and b. (−maxW, maxW) is the pairwise-max diff crossbar,
+// (maxW, maxW) its comb crossbar and the residual add.
+func pairwiseWeights(width, a, b int) [][]int {
+	w := make([][]int, 2*width)
+	for i := range w {
+		w[i] = make([]int, width)
+	}
+	for c := 0; c < width; c++ {
+		w[2*c][c] = a
+		w[2*c+1][c] = b
+	}
+	return w
+}
+
+// BenchmarkSimulateCountsStructured times SimulateCountsBatch per item on
+// the two crossbar shapes that split offline_conv_spiking's kernel time:
+// the 16×8 pairwise-max diff crossbar (every column reads two rows) and a
+// dense 18×8 conv crossbar, both ideally programmed. Every item is a fresh
+// random count vector drawn inside the loop (an inline xorshift, a few ns
+// per item), so no input vector ever repeats: whatever the kernel gains
+// here it gains from the crossbar's structure, not from input reuse. It
+// uses only Program and SimulateCountsBatch, so the same file runs on
+// older commits for comparison.
+func BenchmarkSimulateCountsStructured(b *testing.B) {
+	const batch = 16
+	cfg := testConfig(0)
+	maxW := cfg.Rep.MaxWeight()
+	shapes := []struct {
+		name    string
+		weights [][]int
+		eta     float64
+	}{
+		{"pmax16x8", pairwiseWeights(8, -maxW, maxW), float64(maxW)},
+		{"conv18x8", randomWeights(rand.New(rand.NewSource(83)), 18, 8, maxW), float64(4 * maxW)},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			c := cfg
+			c.Eta = sh.eta
+			xb, err := Program(c, sh.weights, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows, window := xb.Rows(), uint64(xb.Window())
+			src := make([]int, batch*rows)
+			dst := make([]int, batch*xb.Cols())
+			state := uint64(0x9e3779b97f4a7c15)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range src {
+					state ^= state << 13
+					state ^= state >> 7
+					state ^= state << 17
+					src[k] = int(state % (window + 1))
+				}
+				if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/item")
+		})
+	}
+}

@@ -2,9 +2,12 @@
 // functional execution stack (internal/pe, internal/synth,
 // internal/serve). It models one programmed ReRAM crossbar — the PE's
 // compute core (paper §4.2) — as flat row-major []float64 buffers and
-// evaluates whole micro-batches of input vectors per call, which is where
-// ReRAM throughput actually comes from: the programming cost of a weight
-// matrix is amortized across every vector that streams through it.
+// evaluates whole micro-batches of input vectors per call: the programming
+// cost of a weight matrix — and of everything derived from it once, such as
+// the packed kernel's column supports and tables — is amortized across
+// every vector that streams through it. Per-item cost in the spiking
+// kernels does not fall with batch size; what a batch saves is the
+// per-call overhead above the kernel.
 //
 // Three views of the same computation are provided, from fastest to most
 // circuit-faithful, and the callers' test suites prove they agree with the
@@ -134,11 +137,15 @@ type Crossbar struct {
 
 	// Spiking-kernel selection (see packed.go): the resolved path and
 	// auto threshold, plus the structural facts classifyProgramming
-	// derives from the conductances.
-	path       Path
-	threshold  float64
-	exactSums  bool  // conductance sums exact in any order (integer values)
-	activeCols []int // columns with any nonzero conductance; nil = all
+	// derives from the conductances. trainTab and rowG are fetched/built
+	// when the packed kernel first needs them.
+	path      Path
+	threshold float64
+	exactSums bool      // conductance sums exact in any order (integer values)
+	tabCols   []tabCol  // columns answered from a table over their support counts
+	walkCols  []int     // columns the cycle walk must step, ascending
+	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
+	rowG      []float64 // rows×2·cols conductances, posG row then negG row per row
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
@@ -158,17 +165,15 @@ type Crossbar struct {
 	trains     []bool    // rows×window spike trains for one item
 
 	// Packed-kernel scratch (see simulateCountsPacked).
-	masks     []uint64    // window×Lanes(units) timestep-major firing masks
-	unitPos   [][]float64 // per-unit positive conductance rows
-	unitNeg   [][]float64 // per-unit negative conductance rows
+	unitG     [][]float64 // per-unit conductance rows, 2·cols wide
 	unitCount []int       // per-unit firing counts
 	groupBuf  []float64   // backing store for pre-summed group rows
 	slotMult  []int       // window+1: rows sharing each count
 	slotRow   []int       // window+1: first row with each count
 	slotUnit  []int       // window+1: count → unit index
+	live      []uint64    // Lanes(window) union of the current item's unit trains
 	evCycles  []int       // live cycles of the current item, ascending
-	evStart   []int       // per-live-cycle offsets into evUnits
-	evUnits   []int       // firing units per live cycle, ascending
+	rank      []int       // window: live cycle t → its index in evCycles
 	drvAll    []float64   // live×2·cols accumulated drives (P then N per cycle)
 }
 
@@ -303,8 +308,14 @@ func (c *Crossbar) Eta() float64 { return c.eta }
 // Window returns the sampling window Γ.
 func (c *Crossbar) Window() int { return c.window }
 
-// SetEta overrides the neuron threshold η.
-func (c *Crossbar) SetEta(eta float64) { c.eta = eta }
+// SetEta overrides the neuron threshold η and drops everything derived
+// from the old one: the tabulated columns' tables are refilled on demand.
+func (c *Crossbar) SetEta(eta float64) {
+	c.eta = eta
+	for i := range c.tabCols {
+		c.tabCols[i].table = nil
+	}
+}
 
 // grow returns buf resized to n, reusing capacity.
 func grow[T float64 | bool | int | uint64](buf []T, n int) []T {
@@ -363,18 +374,19 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // the programmed — possibly noisy — conductances drive the column
 // neurons cycle by cycle, and dst receives the subtracter output counts.
 // src is flat batch×rows, dst flat batch×cols. Per item it reproduces
-// UniformTrain → Simulate → Count on the historical PE bit for bit; the
-// batch win is locality (one crossbar's conductances stay hot across the
-// whole batch).
+// UniformTrain → Simulate → Count on the historical PE bit for bit. Items
+// are independent and cost the same at any batch size; one call per
+// micro-batch saves only the call overhead.
 //
 // Two bit-identical kernels back it: the dense cycle walk and the
-// bit-packed sparse walk (simulateCountsPacked). The configured Path picks
-// one; PathAuto (the default) probes the micro-batch's input spike density
-// and takes the packed kernel at or below the sparse threshold, where
-// skipping dead cycles and zero rows wins. Ideally programmed crossbars
-// (integer conductances, exact in any summation order) always take the
-// packed kernel under PathAuto: count grouping collapses equal-count rows
-// there, so it measures faster than the dense walk at every density.
+// structure-aware bit-packed walk (simulateCountsPacked). The configured
+// Path picks one; PathAuto (the default) probes the micro-batch's input
+// spike density and takes the packed kernel at or below the sparse
+// threshold, where skipping dead cycles and zero rows wins. Ideally
+// programmed crossbars (integer conductances, exact in any summation
+// order) always take the packed kernel under PathAuto: count grouping
+// collapses equal-count rows and small-support columns are answered from
+// tables there, so it measures faster than the dense walk at every density.
 // Selection counts and the observed density are exposed through
 // KernelStats.
 func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
