@@ -269,6 +269,12 @@ type Deployment struct {
 	plan   *shard.Plan
 	shards []*deployShard
 
+	// inv memoizes inventory: the whole-model block counts the
+	// performance model charges.
+	invOnce sync.Once
+	inv     perf.Inventory
+	invErr  error
+
 	// weights is the WithWeights/WithWeightSource registration; net
 	// memoizes the SpikingNet NewNet derives from it so every engine of
 	// this deployment shares one synthesized program.
@@ -610,6 +616,24 @@ func (p PerfSummary) String() string {
 	return out
 }
 
+// inventory returns the block counts of the whole-model netlist — what
+// the performance model charges area and controller energy for. A
+// single-chip deployment holds that netlist. A sharded one holds only its
+// per-chip netlists, which drop the cross-chip edges and pack controllers
+// per chip, so it builds the whole-model netlist once, on first use.
+func (d *Deployment) inventory() (perf.Inventory, error) {
+	d.invOnce.Do(func() {
+		nl := d.nl
+		if nl == nil {
+			if nl, d.invErr = mapper.BuildNetlist(d.coreop, d.alloc, d.params, nil); d.invErr != nil {
+				return
+			}
+		}
+		d.inv.PEs, d.inv.SMBs, d.inv.CLBs = nl.Counts()
+	})
+	return d.inv, d.invErr
+}
+
 // Performance evaluates the deployment with the calibrated mean routed hop
 // count; PerformanceWithHops substitutes a measured value (see
 // PlaceAndRoute).
@@ -620,13 +644,18 @@ func (d *Deployment) Performance() (PerfSummary, error) { return d.PerformanceWi
 // model also charges each inter-chip link's per-sample transfer (see
 // PerfSummary.LinkNSPerSample).
 func (d *Deployment) PerformanceWithHops(hops int) (PerfSummary, error) {
+	inv, err := d.inventory()
+	if err != nil {
+		return PerfSummary{}, err
+	}
 	in := perf.Input{
-		Model:   d.model.graph,
-		CoreOps: d.coreop,
-		Params:  d.params,
-		Dup:     d.cfg.Duplication,
-		Assign:  d.alloc.Dup,
-		Hops:    hops,
+		Model:     d.model.graph,
+		CoreOps:   d.coreop,
+		Params:    d.params,
+		Dup:       d.cfg.Duplication,
+		Assign:    d.alloc.Dup,
+		Inventory: inv,
+		Hops:      hops,
 	}
 	if d.plan != nil {
 		in.CutWidths = d.plan.CutTraffic
@@ -635,6 +664,11 @@ func (d *Deployment) PerformanceWithHops(hops int) (PerfSummary, error) {
 	if err != nil {
 		return PerfSummary{}, err
 	}
+	return summarize(r), nil
+}
+
+// summarize lifts a performance-model report into the public summary.
+func summarize(r perf.Report) PerfSummary {
 	return PerfSummary{
 		ThroughputSPS:    r.ThroughputSPS,
 		LatencyUS:        r.LatencyUS,
@@ -649,7 +683,7 @@ func (d *Deployment) PerformanceWithHops(hops int) (PerfSummary, error) {
 		PowerMW:          r.PowerMW,
 		Chips:            r.Chips,
 		LinkNSPerSample:  r.LinkNSPerSample,
-	}, nil
+	}
 }
 
 // PRStats reports a placement & routing run.

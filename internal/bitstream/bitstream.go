@@ -153,88 +153,95 @@ func (c *Config) TrackOccupancy() int {
 // Verify interprets the programmed cells only — no routing data — and
 // checks electrical correctness:
 //
-//  1. no two nets share a (channel node, track) — no shorts;
+//  1. every cell sits on a (channel node, track) of the fabric that its
+//     own net owns — a track has one owner, so no two nets are shorted;
 //  2. for every net, every listening CB cell is reachable from a driving
 //     CB cell through programmed SB cells (per-net connectivity);
 //  3. every net has at least one driver and the expected listener count.
 func (c *Config) Verify(nl *netlist.Netlist) error {
-	type slot struct{ node, track int }
-	owner := make(map[slot]int)
+	width := c.Chip.Tracks
 	for node, tracks := range c.tracks {
-		for t, netPlus := range tracks {
-			if netPlus == 0 {
-				continue
-			}
-			s := slot{node, t}
-			if prev, ok := owner[s]; ok && prev != int(netPlus-1) {
-				return fmt.Errorf("bitstream: short at node %d track %d", node, t)
-			}
-			owner[s] = int(netPlus - 1)
+		if len(tracks) != width {
+			return fmt.Errorf("bitstream: node %d has %d tracks, chip has %d", node, len(tracks), width)
 		}
 	}
-	// own reports a slot's net, or −1 when the slot is unprogrammed.
-	own := func(s slot) int {
-		if o, ok := owner[s]; ok {
-			return o
+	// slot returns the flat index node·width + track of a cell's end after
+	// checking that the end is on the fabric and owned by the cell's net.
+	slot := func(kind string, node, track, net int) (int, error) {
+		if net < 0 || net >= len(nl.Nets) {
+			return 0, fmt.Errorf("bitstream: %s cell of net %d, netlist has %d nets", kind, net, len(nl.Nets))
 		}
-		return -1
-	}
-	// Per-net union-find over slots, seeded by SB cells; all driver
-	// slots of a net are additionally merged (they share the source
-	// block's output pin through its CB).
-	parent := make(map[slot]slot)
-	var find func(s slot) slot
-	find = func(s slot) slot {
-		p, ok := parent[s]
-		if !ok || p == s {
-			parent[s] = s
-			return s
+		if node < 0 || node >= len(c.tracks) || track < 0 || track >= width {
+			return 0, fmt.Errorf("bitstream: %s cell of net %d at node %d track %d is off the fabric", kind, net, node, track)
 		}
-		r := find(p)
-		parent[s] = r
-		return r
+		if owner := int(c.tracks[node][track]) - 1; owner != net {
+			return 0, fmt.Errorf("bitstream: %s cell of net %d on foreign track (owner %d)", kind, net, owner)
+		}
+		return node*width + track, nil
 	}
-	union := func(a, b slot) { parent[find(a)] = find(b) }
+	// Union-find over slots, seeded by SB cells; all driver slots of a net
+	// are additionally merged (they share the source block's output pin
+	// through its CB).
+	parent := make([]int, len(c.tracks)*width)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
 	for _, cell := range c.SBCells {
-		if got := own(slot{cell.NodeA, cell.TrackA}); got != cell.Net {
-			return fmt.Errorf("bitstream: SB cell of net %d drives foreign track (owner %d)", cell.Net, got)
+		a, err := slot("SB", cell.NodeA, cell.TrackA, cell.Net)
+		if err != nil {
+			return err
 		}
-		if got := own(slot{cell.NodeB, cell.TrackB}); got != cell.Net {
-			return fmt.Errorf("bitstream: SB cell of net %d reaches foreign track (owner %d)", cell.Net, got)
+		b, err := slot("SB", cell.NodeB, cell.TrackB, cell.Net)
+		if err != nil {
+			return err
 		}
-		union(slot{cell.NodeA, cell.TrackA}, slot{cell.NodeB, cell.TrackB})
+		parent[find(a)] = find(b)
 	}
-	drivers := make(map[int][]slot)
-	listeners := make(map[int][]slot)
+	driver := make([]int, len(nl.Nets)) // net → its first driving slot, −1 none
+	for i := range driver {
+		driver[i] = -1
+	}
 	for _, cell := range c.CBCells {
-		s := slot{cell.Node, cell.Track}
-		if got := own(s); got != cell.Net {
-			return fmt.Errorf("bitstream: CB cell of net %d attached to foreign track (owner %d)", cell.Net, got)
+		s, err := slot("CB", cell.Node, cell.Track, cell.Net)
+		if err != nil {
+			return err
 		}
-		if cell.Source {
-			drivers[cell.Net] = append(drivers[cell.Net], s)
+		if !cell.Source {
+			continue
+		}
+		if driver[cell.Net] < 0 {
+			driver[cell.Net] = s
 		} else {
-			listeners[cell.Net] = append(listeners[cell.Net], s)
+			parent[find(driver[cell.Net])] = find(s) // joined at the source block's pins
 		}
+	}
+	listeners := make([]int, len(nl.Nets)) // net → listening cells seen
+	for _, cell := range c.CBCells {
+		if cell.Source {
+			continue
+		}
+		if driver[cell.Net] < 0 {
+			return fmt.Errorf("bitstream: net %d has no driver", cell.Net)
+		}
+		if find(cell.Node*width+cell.Track) != find(driver[cell.Net]) {
+			return fmt.Errorf("bitstream: net %d listener at node %d track %d unreachable from source",
+				cell.Net, cell.Node, cell.Track)
+		}
+		listeners[cell.Net]++
 	}
 	for ni := range nl.Nets {
-		ds := drivers[ni]
-		if len(ds) == 0 {
+		if driver[ni] < 0 {
 			return fmt.Errorf("bitstream: net %d has no driver", ni)
 		}
-		for _, d := range ds[1:] {
-			union(ds[0], d) // joined at the source block's pins
-		}
-		want := len(nl.Nets[ni].Sinks) * nl.Nets[ni].Signals
-		if got := len(listeners[ni]); got != want {
-			return fmt.Errorf("bitstream: net %d has %d listener cells, want %d", ni, got, want)
-		}
-		root := find(ds[0])
-		for _, l := range listeners[ni] {
-			if find(l) != root {
-				return fmt.Errorf("bitstream: net %d listener at node %d track %d unreachable from source",
-					ni, l.node, l.track)
-			}
+		if want := len(nl.Nets[ni].Sinks) * nl.Nets[ni].Signals; listeners[ni] != want {
+			return fmt.Errorf("bitstream: net %d has %d listener cells, want %d", ni, listeners[ni], want)
 		}
 	}
 	return nil

@@ -8,9 +8,12 @@ import (
 
 	"fpsa/internal/device"
 	"fpsa/internal/fabric"
+	"fpsa/internal/mapper"
+	"fpsa/internal/models"
 	"fpsa/internal/netlist"
 	"fpsa/internal/place"
 	"fpsa/internal/route"
+	"fpsa/internal/synth"
 )
 
 // routedFixture builds, places and routes a small random netlist.
@@ -131,5 +134,89 @@ func TestCellCountScalesWithSignals(t *testing.T) {
 	}
 	if cfgB.CellCount() <= cfgA.CellCount() {
 		t.Errorf("wider buses did not grow the configuration: %d vs %d", cfgA.CellCount(), cfgB.CellCount())
+	}
+}
+
+// TestVerifyRejectsOutOfRangeCells: Verify indexes flat per-slot and
+// per-net tables, so a cell naming a node, track or net outside them must
+// come back as an error, never as an index panic.
+func TestVerifyRejectsOutOfRangeCells(t *testing.T) {
+	nl, pl, res, chip := routedFixture(t, 26, 16, 16, 4)
+	nodes := 2 * chip.W * chip.H
+	cases := []struct {
+		name    string
+		corrupt func(c *Config)
+	}{
+		{"SB node past the fabric", func(c *Config) { c.SBCells[0].NodeA = nodes }},
+		{"SB node negative", func(c *Config) { c.SBCells[0].NodeB = -1 }},
+		{"SB track past the channel", func(c *Config) { c.SBCells[0].TrackB = c.Chip.Tracks }},
+		{"SB track negative", func(c *Config) { c.SBCells[0].TrackA = -1 }},
+		{"SB net past the netlist", func(c *Config) { c.SBCells[0].Net = len(nl.Nets) }},
+		{"SB net negative", func(c *Config) { c.SBCells[0].Net = -1 }},
+		{"CB node past the fabric", func(c *Config) { c.CBCells[0].Node = nodes + 7 }},
+		{"CB node negative", func(c *Config) { c.CBCells[0].Node = -3 }},
+		{"CB track past the channel", func(c *Config) { c.CBCells[0].Track = c.Chip.Tracks + 1 }},
+		{"CB track negative", func(c *Config) { c.CBCells[0].Track = -1 }},
+		{"CB net past the netlist", func(c *Config) { c.CBCells[0].Net = len(nl.Nets) + 5 }},
+		{"CB net negative", func(c *Config) { c.CBCells[0].Net = -1 }},
+		{"chip narrower than the track table", func(c *Config) { c.Chip.Tracks-- }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := Generate(nl, pl, res, chip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cfg.SBCells) == 0 || len(cfg.CBCells) == 0 {
+				t.Skip("fixture has no cells to corrupt")
+			}
+			if err := cfg.Verify(nl); err != nil {
+				t.Fatalf("clean configuration rejected: %v", err)
+			}
+			tc.corrupt(cfg)
+			if err := cfg.Verify(nl); err == nil {
+				t.Error("out-of-range cell verified clean")
+			}
+		})
+	}
+}
+
+// BenchmarkBitstreamVerify verifies the CIFAR-VGG17 duplication-1
+// configuration, the largest design the compile_zoo workload routes.
+func BenchmarkBitstreamVerify(b *testing.B) {
+	ctx := context.Background()
+	co, err := synth.Synthesize(models.CIFARVGG17(), synth.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc, err := mapper.Allocate(co, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := mapper.BuildNetlist(co, alloc, device.Params45nm, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chip, err := fabric.SizeFor(len(nl.Blocks), 0, device.Params45nm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, _, err := place.Portfolio(ctx, nl, chip, 1, place.PortfolioOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := route.Route(ctx, nl, pl, chip, route.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := Generate(nl, pl, res, chip)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := cfg.Verify(nl); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,8 +12,11 @@ import (
 
 // BuildNetlist emits the function-block netlist for a core-op graph under
 // an allocation: one PE per group copy, SMB buffers on buffered edges, and
-// CLB control logic sized by actually synthesizing the per-group schedule
-// controllers.
+// CLB control logic sized by actually synthesizing the schedule
+// controllers — one synthesis per distinct iteration count, which is all a
+// group's controller depends on. Block and net order, IDs and names are a
+// pure function of the arguments: they feed the netlist fingerprint and
+// the placement trajectory.
 //
 // bufferedEdges may carry op-scheduler decisions lifted to group pairs
 // (Schedule.BufferedGroupEdges); if nil, the steady-state pipeline rule
@@ -95,8 +98,20 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 		return ids
 	}
 
-	// Data connections.
+	// Data connections. Directly chained edges dominate the net count (one
+	// net per producer copy per edge — hundreds of thousands on the large
+	// models), so size the net table for them and the control nets up front.
+	netsHint := len(g.Groups)
+	for vi, grp := range g.Groups {
+		for _, ui := range grp.Deps {
+			if !needsBuffer(ui, vi) {
+				netsHint += a.Dup[ui]
+			}
+		}
+	}
+	nl.Nets = make([]netlist.Net, 0, netsHint)
 	groupInBufs := make(map[int][]int) // consumer group → SMB block IDs on its inputs
+	var sinks []int                    // one net's sinks; AddNet copies them
 	for vi, grp := range g.Groups {
 		for _, ui := range grp.Deps {
 			src := g.Groups[ui]
@@ -109,42 +124,37 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 				}
 				continue
 			}
-			// Direct spike-train chaining: rate-matched copy pairing.
+			// Direct spike-train chaining: rate-matched copy pairing. Pair
+			// k of max(du, dv) joins source copy k%du to sink copy k%dv, so
+			// source copy c drives the pairs k = c, c+du, … Nets are
+			// emitted in copy order: net order feeds the netlist
+			// fingerprint and the place/route trajectory. A copy's sinks
+			// are distinct — either du ≥ dv and it has one pair, or k < dv
+			// and k%dv = k.
 			du, dv := a.Dup[ui], a.Dup[vi]
 			pairs := du
 			if dv > pairs {
 				pairs = dv
 			}
-			sinksOf := make(map[int][]int)
-			for c := 0; c < pairs; c++ {
-				sinksOf[c%du] = append(sinksOf[c%du], peIDs[vi][c%dv])
-			}
-			// Emit nets in copy order, not map order: net order feeds
-			// the netlist fingerprint and the place/route trajectory,
-			// which must be bit-identical run to run.
 			for c := 0; c < du; c++ {
-				if sinks, ok := sinksOf[c]; ok {
-					nl.AddNet(peIDs[ui][c], dedupe(sinks), signals)
+				sinks = sinks[:0]
+				for k := c; k < pairs; k += du {
+					sinks = append(sinks, peIDs[vi][k%dv])
 				}
+				nl.AddNet(peIDs[ui][c], sinks, signals)
 			}
 		}
 	}
 
 	// Control logic: synthesize the real per-group controllers to obtain
 	// LUT counts, then pack them into CLBs.
-	totalLUTs := 0
-	type domain struct {
-		group int
-		luts  int
+	groupLUTs, err := groupControllerLUTs(params, window, a.Iterations)
+	if err != nil {
+		return nil, err
 	}
-	var domains []domain
-	for gi := range g.Groups {
-		luts, err := controllerLUTs(params, window, a.Iterations[gi])
-		if err != nil {
-			return nil, err
-		}
+	totalLUTs := 0
+	for _, luts := range groupLUTs {
 		totalLUTs += luts
-		domains = append(domains, domain{group: gi, luts: luts})
 	}
 	clbCount := clb.BlocksNeeded(params, totalLUTs)
 	clbIDs := make([]int, clbCount)
@@ -155,14 +165,13 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 	if clbCount > 0 {
 		free := params.CLBLUTs
 		cur := 0
-		for _, d := range domains {
-			if d.luts > free && cur < clbCount-1 {
+		for gi, luts := range groupLUTs {
+			if luts > free && cur < clbCount-1 {
 				cur++
 				free = params.CLBLUTs
 			}
-			free -= d.luts
-			sinks := append([]int(nil), peIDs[d.group]...)
-			sinks = append(sinks, groupInBufs[d.group]...)
+			free -= luts
+			sinks = append(append(sinks[:0], peIDs[gi]...), groupInBufs[gi]...)
 			nl.AddNet(clbIDs[cur], sinks, 2) // reset + iteration-select strobes
 		}
 	}
@@ -170,6 +179,26 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 		return nil, err
 	}
 	return nl, nil
+}
+
+// groupControllerLUTs returns every group's controllerLUTs. A controller
+// depends only on (params, window, iterations), so each distinct iteration
+// count is synthesized once.
+func groupControllerLUTs(params device.Params, window int, iterations []int) ([]int, error) {
+	out := make([]int, len(iterations))
+	memo := make(map[int]int) // iterations → LUTs
+	for gi, it := range iterations {
+		luts, ok := memo[it]
+		if !ok {
+			var err error
+			if luts, err = controllerLUTs(params, window, it); err != nil {
+				return nil, err
+			}
+			memo[it] = luts
+		}
+		out[gi] = luts
+	}
+	return out, nil
 }
 
 // controllerLUTs synthesizes the schedule controllers one group needs — a
@@ -189,16 +218,4 @@ func controllerLUTs(params device.Params, window, iterations int) (int, error) {
 		luts += iter.LUTCount()
 	}
 	return luts, nil
-}
-
-func dedupe(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -123,8 +123,8 @@ func netHPWL(p *Placement, net *netlist.Net) int {
 // bounded below 2, so fault pressure shortens routes through degraded
 // hardware without ever dominating the wirelength objective; unfaulted
 // netlists (every Block.Fault zero) keep the classic Signals weight bit
-// for bit. The weight depends only on the netlist, never the placement,
-// so incremental cost deltas stay exact during annealing.
+// for bit. The weight depends only on the netlist, never the placement:
+// an annealing run computes it once per net and keeps it.
 func netWeight(nl *netlist.Netlist, net *netlist.Net) float64 {
 	f := nl.Blocks[net.Src].Fault
 	for _, b := range net.Sinks {
@@ -199,11 +199,31 @@ type annealer struct {
 	cost   float64
 	stats  Stats
 
+	// Move-evaluation scratch, owned by this run and never shared (the
+	// portfolio steps annealers on different goroutines). weight[i] is
+	// net i's netWeight, fixed by the netlist; netCost[i] is
+	// float64(HPWL_i)·weight[i] under the current placement — the same
+	// product Cost sums, so a stored value equals a recomputed one bit for
+	// bit. stamp[i] == gen marks net i as already listed for the move
+	// being evaluated; nets and costs hold that move's affected nets and
+	// their costs with the move applied.
+	weight  []float64
+	netCost []float64
+	stamp   []int
+	gen     int
+	nets    []int
+	costs   []float64
+
 	moves   int
 	temp    float64
 	minTemp float64
 	done    bool
 }
+
+// move is one proposed move: block b goes from site index from to site
+// index target, and the block that was there (other, −1 for a free site)
+// takes from.
+type move struct{ b, other, from, target int }
 
 // newAnnealer builds the initial random placement, probes the starting
 // temperature (VPR's recipe: the cost deviation of a sample of random
@@ -213,21 +233,35 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	a := &annealer{nl: nl, rng: rng, p: p}
-	// Index nets by block for incremental cost evaluation.
-	a.netsOf = make([][]int, len(nl.Blocks))
+	a := &annealer{
+		nl:      nl,
+		rng:     rng,
+		p:       p,
+		netsOf:  make([][]int, len(nl.Blocks)),
+		weight:  make([]float64, len(nl.Nets)),
+		netCost: make([]float64, len(nl.Nets)),
+		stamp:   make([]int, len(nl.Nets)),
+		// A move touches each net at most once, so neither buffer grows.
+		nets:  make([]int, 0, len(nl.Nets)),
+		costs: make([]float64, 0, len(nl.Nets)),
+	}
+	// Index nets by block, each net once per block it touches, and total
+	// the cost in net order exactly as Cost does.
+	lastNet := make([]int, len(nl.Blocks)) // block → 1 + the last net listed under it
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
-		blocks := append([]int{net.Src}, net.Sinks...)
-		seen := make(map[int]bool)
-		for _, b := range blocks {
-			if !seen[b] {
-				seen[b] = true
+		a.netsOf[net.Src] = append(a.netsOf[net.Src], i)
+		lastNet[net.Src] = i + 1
+		for _, b := range net.Sinks {
+			if lastNet[b] != i+1 {
+				lastNet[b] = i + 1
 				a.netsOf[b] = append(a.netsOf[b], i)
 			}
 		}
+		a.weight[i] = netWeight(nl, net)
+		a.netCost[i] = float64(netHPWL(p, net)) * a.weight[i]
+		a.cost += a.netCost[i]
 	}
-	a.cost = Cost(p, nl)
 	a.stats = Stats{InitialCost: a.cost}
 	if len(nl.Nets) == 0 || len(nl.Blocks) < 2 {
 		a.done = true
@@ -248,7 +282,9 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 	var sumSq, sum float64
 	const probes = 64
 	for i := 0; i < probes; i++ {
-		d := p.probeMove(nl, a.netsOf, rng)
+		mv, delta := a.propose()
+		a.undo(mv) // measure only
+		d := math.Abs(delta)
 		sum += d
 		sumSq += d * d
 	}
@@ -261,6 +297,63 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 	return a, nil
 }
 
+// propose draws a random block and a random target site (occupied → swap,
+// free → relocate), applies the move and returns it with its cost delta;
+// the caller keeps it with commit or reverts it with undo. The affected
+// nets are netsOf[b] in order, then the nets of netsOf[other] not already
+// listed, in order: before and after are float sums over that list, so
+// its order is part of every accept/reject decision and must not change.
+func (a *annealer) propose() (move, float64) {
+	p := a.p
+	b := a.rng.Intn(len(p.Pos))
+	target := a.rng.Intn(len(p.occ)) // one occ entry per site
+	mv := move{b: b, other: p.occ[target], from: p.index(p.Pos[b]), target: target}
+	a.nets = a.nets[:0]
+	if mv.other == b {
+		return mv, 0 // b already sits on target: applying changes nothing
+	}
+	a.gen++
+	for _, i := range a.netsOf[b] {
+		a.stamp[i] = a.gen
+		a.nets = append(a.nets, i)
+	}
+	if mv.other >= 0 {
+		for _, i := range a.netsOf[mv.other] {
+			if a.stamp[i] != a.gen {
+				a.stamp[i] = a.gen
+				a.nets = append(a.nets, i)
+			}
+		}
+	}
+	var before, after float64
+	for _, i := range a.nets {
+		before += a.netCost[i]
+	}
+	p.apply(mv.b, mv.target, mv.other, mv.from)
+	a.costs = a.costs[:len(a.nets)]
+	for k, i := range a.nets {
+		c := float64(netHPWL(p, &a.nl.Nets[i])) * a.weight[i]
+		a.costs[k] = c
+		after += c
+	}
+	return mv, after - before
+}
+
+// commit keeps the move propose left applied.
+func (a *annealer) commit(delta float64) {
+	for k, i := range a.nets {
+		a.netCost[i] = a.costs[k]
+	}
+	a.cost += delta
+}
+
+// undo reverts the move propose left applied.
+func (a *annealer) undo(mv move) {
+	if mv.other != mv.b {
+		a.p.apply(mv.b, mv.from, mv.other, mv.target)
+	}
+}
+
 // step runs one temperature: a full move batch plus adaptive cooling.
 func (a *annealer) step() {
 	if a.done {
@@ -268,12 +361,13 @@ func (a *annealer) step() {
 	}
 	accepted := 0
 	for m := 0; m < a.moves; m++ {
-		delta, commit := a.p.proposeMove(a.nl, a.netsOf, a.rng)
+		mv, delta := a.propose()
 		if delta <= 0 || a.rng.Float64() < math.Exp(-delta/a.temp) {
-			commit()
-			a.cost += delta
+			a.commit(delta)
 			accepted++
 			a.stats.Accepted++
+		} else {
+			a.undo(mv)
 		}
 		a.stats.Moves++
 	}
@@ -309,8 +403,9 @@ func (a *annealer) run(ctx context.Context, maxSteps int) {
 	}
 }
 
-// CurrentCost recomputes the exact current cost (the incrementally
-// maintained value drifts) — the checkpoint metric Portfolio ranks runs by.
+// CurrentCost recomputes the exact current cost from the placement — the
+// checkpoint metric Portfolio ranks runs by. The running total a.cost
+// accumulates one rounded delta per accepted move and drifts from it.
 func (a *annealer) CurrentCost() float64 { return Cost(a.p, a.nl) }
 
 // finish returns the placement with final statistics.
@@ -319,70 +414,24 @@ func (a *annealer) finish() (*Placement, Stats) {
 	return a.p, a.stats
 }
 
-// proposeMove picks a random block and a random target site (occupied →
-// swap, free → relocate), returning the cost delta and a commit closure.
-func (p *Placement) proposeMove(nl *netlist.Netlist, netsOf [][]int, rng *rand.Rand) (float64, func()) {
-	b := rng.Intn(len(p.Pos))
-	target := rng.Intn(p.Chip.Sites())
-	other := p.occ[target]
-	from := p.Pos[b]
-	fromIdx := p.Chip.Index(from)
-	if other == b {
-		return 0, func() {}
-	}
-	affected := netsOf[b]
-	if other >= 0 {
-		affected = union(netsOf[b], netsOf[other])
-	}
-	before := p.partialCost(nl, affected)
-	p.apply(b, target, other, fromIdx)
-	after := p.partialCost(nl, affected)
-	p.apply(b, fromIdx, other, target) // undo
-	delta := after - before
-	return delta, func() { p.apply(b, target, other, fromIdx) }
-}
+// index and siteAt are Chip.Index and Chip.SiteAt for the annealer's inner
+// loop: Chip's value-receiver methods copy the whole chip, device
+// parameter table included, on every call.
+func (p *Placement) index(s fabric.Site) int { return s.Y*p.Chip.W + s.X }
 
-// probeMove measures |Δcost| of a random move without keeping it.
-func (p *Placement) probeMove(nl *netlist.Netlist, netsOf [][]int, rng *rand.Rand) float64 {
-	d, _ := p.proposeMove(nl, netsOf, rng)
-	return math.Abs(d)
+func (p *Placement) siteAt(i int) fabric.Site {
+	return fabric.Site{X: i % p.Chip.W, Y: i / p.Chip.W}
 }
 
 // apply moves block b to site index target; if other ≥ 0 it takes b's old
 // site (index fromIdx).
 func (p *Placement) apply(b, target, other, fromIdx int) {
-	p.Pos[b] = p.Chip.SiteAt(target)
+	p.Pos[b] = p.siteAt(target)
 	p.occ[target] = b
 	if other >= 0 {
-		p.Pos[other] = p.Chip.SiteAt(fromIdx)
+		p.Pos[other] = p.siteAt(fromIdx)
 		p.occ[fromIdx] = other
 	} else {
 		p.occ[fromIdx] = -1
 	}
-}
-
-func (p *Placement) partialCost(nl *netlist.Netlist, nets []int) float64 {
-	var total float64
-	for _, i := range nets {
-		total += float64(netHPWL(p, &nl.Nets[i])) * netWeight(nl, &nl.Nets[i])
-	}
-	return total
-}
-
-func union(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
-	for _, x := range a {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	for _, x := range b {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }
