@@ -9,54 +9,8 @@ import (
 	"fpsa/internal/serve"
 )
 
-// TestCompileOptionsMatchConfig: the option-based Compile and the legacy
-// Config-literal entry point are the same compile — identical netlists
-// and bit-identical place & route.
-func TestCompileOptionsMatchConfig(t *testing.T) {
-	ctx := context.Background()
-	m, err := LoadBenchmark("MLP-500-100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dn, err := Compile(ctx, m, WithDuplication(1), WithSeed(3), WithPlacementSeeds(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	do, err := CompileConfig(m, Config{Duplication: 1, Seed: 3, PlacementSeeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, ns, nc := dn.Blocks()
-	op, os, oc := do.Blocks()
-	if np != op || ns != os || nc != oc {
-		t.Fatalf("blocks differ: new %d/%d/%d, old %d/%d/%d", np, ns, nc, op, os, oc)
-	}
-	sn, err := dn.PlaceAndRoute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, err := do.PlaceAndRoute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sn, so) {
-		t.Fatalf("place&route stats differ:\nnew %+v\nold %+v", sn, so)
-	}
-	bn, err := dn.Bitstream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bo, err := do.Bitstream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bn != bo {
-		t.Fatalf("bitstreams differ: new %+v, old %+v", bn, bo)
-	}
-}
-
-// trainedDeployment compiles the shared test MLP through the new
-// surface, registering the trained weights and any extra options.
+// trainedDeployment compiles the shared test MLP, registering the
+// trained weights and any extra options.
 func trainedDeployment(t testing.TB, opts ...Option) (*Deployment, *TrainedMLP, Dataset) {
 	t.Helper()
 	ds := SyntheticDataset(5, 300, 12, 3, 0.08)
@@ -65,28 +19,48 @@ func trainedDeployment(t testing.TB, opts ...Option) (*Deployment, *TrainedMLP, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return compileMLP(t, net, opts...), net, test
+}
+
+// compileMLP compiles a trained MLP with its weights registered, so
+// NewNet(nil) and NewEngine derive from the one handle.
+func compileMLP(t testing.TB, net *TrainedMLP, opts ...Option) *Deployment {
+	t.Helper()
 	opts = append([]Option{WithWeightSource(net.WeightSource())}, opts...)
 	d, err := Compile(context.Background(), net.Model(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, net, test
+	return d
 }
 
-// TestNewNetMatchesOldDeploy: nets derived from the Deployment are
-// bit-identical to the old TrainedMLP.Deploy path in every exec mode —
-// including the noisy programming-variation sequence under a shared
-// seed.
+// mustNet derives the deployment's compile-registered (memoized) net.
+func mustNet(t testing.TB, d *Deployment) *SpikingNet {
+	t.Helper()
+	sn, err := d.NewNet(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// deployMLP is compileMLP followed by NewNet(nil).
+func deployMLP(t testing.TB, net *TrainedMLP, opts ...Option) *SpikingNet {
+	t.Helper()
+	return mustNet(t, compileMLP(t, net, opts...))
+}
+
+// TestNewNetMatchesOldDeploy: the net derived from a Deployment is
+// bit-identical to the net of a second, independent compile of the same
+// trained model in every exec mode — including the noisy
+// programming-variation sequence under a shared seed.
 func TestNewNetMatchesOldDeploy(t *testing.T) {
 	d, net, test := trainedDeployment(t)
 	sn, err := d.NewNet(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := net.Deploy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := deployMLP(t, net)
 	for _, mode := range []ExecMode{ModeReference, ModeSpiking} {
 		for i := 0; i < 12; i++ {
 			a, err := sn.Outputs(test.X[i], mode)
@@ -206,8 +180,8 @@ func TestEngineInheritsDeploymentChips(t *testing.T) {
 // TestSingleHandleMatchesTwoStackPath is the acceptance criterion: one
 // handle compiles, shards and serves — Compile(ctx, m, WithChips(4),
 // WithCache(c)) then d.NewEngine(ctx) — with outputs bit-identical to
-// the old two-stack path (TrainedMLP.Deploy → NewEngine(sn, cfg)) in
-// all three exec modes.
+// the two-stack path (a plain single-chip compile whose engine
+// re-declares the chip count by hand) in all three exec modes.
 func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 	ctx := context.Background()
 	cache := NewCompileCache(0)
@@ -233,15 +207,10 @@ func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 		}
 		eng.Close()
 
-		// The old two-stack path: deploy the net functionally, then
-		// re-declare the serving partition by hand.
-		sn, err := net.Deploy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := NewEngine(sn, EngineConfig{
-			Workers: 1, MaxBatch: 4, Mode: mode, Chips: d.Chips(),
-		})
+		// The two-stack path: compile single-chip, then re-declare the
+		// serving partition by hand.
+		old, err := compileMLP(t, net).NewEngine(ctx,
+			WithWorkers(1), WithMaxBatch(4), WithMode(mode), WithEngineChips(d.Chips()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,9 +274,6 @@ func TestEngineClosedTyped(t *testing.T) {
 	}
 	if !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("ErrClosed does not wrap the internal sentinel: %v", err)
-	}
-	if !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("deprecated alias no longer matches: %v", err)
 	}
 	if _, err := eng.Classify(ctx, test.X[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Classify after Close: %v, want ErrClosed", err)

@@ -80,7 +80,7 @@ func (o Objective) value(p PerfSummary) float64 {
 
 // AutotuneReport records what one Autotune search did and found. Every
 // field is deterministic for a fixed seed at any worker count; wall-clock
-// is measured by AutotuneBench, not here.
+// is measured by fpsa-bench -exp autotune, not here.
 type AutotuneReport struct {
 	Objective Objective
 	// PEBudget is the resolved PE envelope the search spent within.
@@ -414,7 +414,7 @@ func layerRuns(co *coreop.Graph) []layerRun {
 // Dominated candidates — same cuts, no better iteration bound, no
 // cheaper spend — are dropped for the throughput objective, where the
 // oracle provably cannot rank them higher.
-func generateCandidates(co *coreop.Graph, cfg Config, objective Objective, budget int) []*tuneCandidate {
+func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budget int) []*tuneCandidate {
 	maxReuse := co.MaxReuse()
 	runs := layerRuns(co)
 	var cands []*tuneCandidate

@@ -97,7 +97,7 @@ func BenchmarkCompileVGG16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompileConfig(m, Config{Duplication: 64}); err != nil {
+		if _, err := Compile(context.Background(), m, WithDuplication(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,8 +116,8 @@ func BenchmarkPlaceAndRoute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, cfg Config) {
-		d, err := CompileConfig(m, cfg)
+	run := func(b *testing.B, opts ...Option) {
+		d, err := Compile(context.Background(), m, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,10 +133,10 @@ func BenchmarkPlaceAndRoute(b *testing.B) {
 		b.ReportMetric(cost, "wirelength-cost")
 	}
 	b.Run("serial", func(b *testing.B) {
-		run(b, Config{Duplication: 4, Seed: 2, Parallelism: 1})
+		run(b, WithDuplication(4), WithSeed(2), WithParallelism(1))
 	})
 	b.Run("portfolio4", func(b *testing.B) {
-		run(b, Config{Duplication: 4, Seed: 2, PlacementSeeds: 4, Parallelism: 4})
+		run(b, WithDuplication(4), WithSeed(2), WithPlacementSeeds(4), WithParallelism(4))
 	})
 }
 
@@ -149,9 +149,9 @@ func TestPortfolioPlacementAtLeastAsGood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := func(cfg Config) PRStats {
+	pr := func(opts ...Option) PRStats {
 		t.Helper()
-		d, err := CompileConfig(m, cfg)
+		d, err := Compile(context.Background(), m, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +161,8 @@ func TestPortfolioPlacementAtLeastAsGood(t *testing.T) {
 		}
 		return s
 	}
-	serial := pr(Config{Duplication: 4, Seed: 2, Parallelism: 1})
-	portfolio := pr(Config{Duplication: 4, Seed: 2, PlacementSeeds: 4, Parallelism: 4})
+	serial := pr(WithDuplication(4), WithSeed(2), WithParallelism(1))
+	portfolio := pr(WithDuplication(4), WithSeed(2), WithPlacementSeeds(4), WithParallelism(4))
 	if portfolio.WirelengthCost > serial.WirelengthCost {
 		t.Errorf("portfolio cost %.0f worse than serial %.0f", portfolio.WirelengthCost, serial.WirelengthCost)
 	}
@@ -172,7 +172,8 @@ func TestPortfolioPlacementAtLeastAsGood(t *testing.T) {
 }
 
 func BenchmarkSpikingInference(b *testing.B) {
-	sn, train := deployBenchNet(b)
+	d, train := deployBenchNet(b)
+	sn := mustNet(b, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sn.Classify(train.X[i%len(train.X)], ModeSpiking); err != nil {
@@ -184,7 +185,7 @@ func BenchmarkSpikingInference(b *testing.B) {
 // deployBenchNet builds the shared MLP serving workload: the serial
 // BenchmarkSpikingInference loop and the BenchmarkEngine variants all
 // classify the same deployed network, so samples/op compare directly.
-func deployBenchNet(b *testing.B) (*SpikingNet, Dataset) {
+func deployBenchNet(b *testing.B) (*Deployment, Dataset) {
 	b.Helper()
 	ds := SyntheticDataset(5, 300, 16, 4, 0.08)
 	train, _ := ds.Split(0.9)
@@ -192,11 +193,7 @@ func deployBenchNet(b *testing.B) (*SpikingNet, Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sn, err := net.Deploy()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sn, train
+	return compileMLP(b, net), train
 }
 
 // deployConvBenchNet builds a small convolutional workload
@@ -226,14 +223,14 @@ func deployConvBenchNet(b *testing.B) *SpikingNet {
 		return w
 	}
 	layers := m.WeightLayers()
-	sn, err := DeployModel(m, map[string][][]float64{
+	d, err := Compile(context.Background(), m, WithWeights(map[string][][]float64{
 		layers[0]: mk(2*3*3, 8),
 		layers[1]: mk(8, 4),
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sn
+	return mustNet(b, d)
 }
 
 // benchmarkRunBatch measures one executor consuming fixed micro-batches
@@ -276,7 +273,8 @@ func benchmarkRunBatch(b *testing.B, sn *SpikingNet, mode synth.ExecMode, batch 
 // both deterministic modes; compare the samples/s metric within one
 // workload+mode group to read the batched-vs-serial throughput ratio.
 func BenchmarkRunBatch(b *testing.B) {
-	mlp, _ := deployBenchNet(b)
+	d, _ := deployBenchNet(b)
+	mlp := mustNet(b, d)
 	conv := deployConvBenchNet(b)
 	for _, wl := range []struct {
 		name string
@@ -299,8 +297,8 @@ func BenchmarkRunBatch(b *testing.B) {
 // goroutines — the concurrent-serving counterpart of the serial
 // BenchmarkSpikingInference loop above.
 func benchmarkEngine(b *testing.B, workers, maxBatch int) {
-	sn, train := deployBenchNet(b)
-	eng, err := NewEngine(sn, EngineConfig{Workers: workers, MaxBatch: maxBatch, Mode: ModeSpiking})
+	d, train := deployBenchNet(b)
+	eng, err := d.NewEngine(context.Background(), WithWorkers(workers), WithMaxBatch(maxBatch), WithMode(ModeSpiking))
 	if err != nil {
 		b.Fatal(err)
 	}

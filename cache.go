@@ -4,8 +4,8 @@ import "fpsa/internal/compilecache"
 
 // CompileCache is the content-addressed deployment cache: placement,
 // routing and bitstream artifacts keyed by the SHA-256 of the model's
-// structure and the compile Config, bounded by LRU eviction. Pass one via
-// Config.Cache so every Compile of the same (model, Config) pays for
+// structure and the compile options, bounded by LRU eviction. Pass one via
+// WithCache so every Compile of the same (model, options) pays for
 // placement and routing exactly once per process — concurrent deploys of
 // one key block on a single computation, distinct keys compute in
 // parallel, and because the annealing portfolio and the router are

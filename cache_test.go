@@ -19,14 +19,15 @@ func cacheTestModel(t *testing.T, hidden int) Model {
 
 func TestCompileCacheHitSkipsPlaceAndRoute(t *testing.T) {
 	cache := NewCompileCache(0)
-	cfg := Config{Duplication: 1, Seed: 5, PlacementSeeds: 2, Cache: cache}
+	ctx := context.Background()
+	opts := []Option{WithDuplication(1), WithSeed(5), WithPlacementSeeds(2), WithCache(cache)}
 	m := cacheTestModel(t, 24)
 
-	d1, err := CompileConfig(m, cfg)
+	d1, err := Compile(ctx, m, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := d1.PlaceAndRoute(context.Background())
+	s1, err := d1.PlaceAndRoute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +39,8 @@ func TestCompileCacheHitSkipsPlaceAndRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh Compile of the same model and config must hit.
-	d2, err := CompileConfig(cacheTestModel(t, 24), cfg)
+	// A fresh Compile of the same model and options must hit.
+	d2, err := Compile(ctx, cacheTestModel(t, 24), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCompileCacheHitSkipsPlaceAndRoute(t *testing.T) {
 
 	// And the cached artifacts must equal an uncached recompute
 	// byte-for-byte (the determinism the cache's correctness rests on).
-	d3, err := CompileConfig(cacheTestModel(t, 24), Config{Duplication: 1, Seed: 5, PlacementSeeds: 2})
+	d3, err := Compile(ctx, cacheTestModel(t, 24), WithDuplication(1), WithSeed(5), WithPlacementSeeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,11 @@ func TestCompileCacheHitSkipsPlaceAndRoute(t *testing.T) {
 
 func TestCompileCacheInvalidation(t *testing.T) {
 	cache := NewCompileCache(0)
-	base := Config{Duplication: 1, Seed: 5, Cache: cache}
-	warm := func(m Model, cfg Config) PRStats {
+	// Options apply in order, so each variant appends its override to base.
+	base := []Option{WithDuplication(1), WithSeed(5), WithCache(cache)}
+	warm := func(m Model, extra ...Option) PRStats {
 		t.Helper()
-		d, err := CompileConfig(m, cfg)
+		d, err := Compile(context.Background(), m, append(base[:len(base):len(base)], extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,34 +108,28 @@ func TestCompileCacheInvalidation(t *testing.T) {
 		}
 		return s
 	}
-	if s := warm(cacheTestModel(t, 24), base); s.FromCache {
+	if s := warm(cacheTestModel(t, 24)); s.FromCache {
 		t.Fatal("cold cache hit")
 	}
 
 	// Changed weights (a wider hidden layer) must miss.
-	if s := warm(cacheTestModel(t, 32), base); s.FromCache {
+	if s := warm(cacheTestModel(t, 32)); s.FromCache {
 		t.Error("model with different weights hit the cache")
 	}
 	// Changed channel width must miss.
-	narrower := base
-	narrower.Tracks = 1024
-	if s := warm(cacheTestModel(t, 24), narrower); s.FromCache {
+	if s := warm(cacheTestModel(t, 24), WithTracks(1024)); s.FromCache {
 		t.Error("different Tracks hit the cache")
 	}
 	// Changed portfolio size must miss (it changes the winning placement).
-	portfolio := base
-	portfolio.PlacementSeeds = 3
-	if s := warm(cacheTestModel(t, 24), portfolio); s.FromCache {
+	if s := warm(cacheTestModel(t, 24), WithPlacementSeeds(3)); s.FromCache {
 		t.Error("different PlacementSeeds hit the cache")
 	}
 	// Parallelism is excluded from the key by design.
-	jobs := base
-	jobs.Parallelism = 4
-	if s := warm(cacheTestModel(t, 24), jobs); !s.FromCache {
+	if s := warm(cacheTestModel(t, 24), WithParallelism(4)); !s.FromCache {
 		t.Error("Parallelism changed the content address")
 	}
 	// The original key must still be cached.
-	if s := warm(cacheTestModel(t, 24), base); !s.FromCache {
+	if s := warm(cacheTestModel(t, 24)); !s.FromCache {
 		t.Error("original deployment evicted or invalidated")
 	}
 }
@@ -143,7 +139,7 @@ func TestCompileCacheConcurrent(t *testing.T) {
 	// one must compute, and everyone must observe identical artifacts.
 	// Run under -race in CI.
 	cache := NewCompileCache(0)
-	cfg := Config{Duplication: 1, Seed: 7, PlacementSeeds: 2, Parallelism: 2, Cache: cache}
+	opts := []Option{WithDuplication(1), WithSeed(7), WithPlacementSeeds(2), WithParallelism(2), WithCache(cache)}
 	const goroutines = 12
 	// Build the (equal but distinct) models on the test goroutine:
 	// cacheTestModel may t.Fatal, which must not run inside a spawned
@@ -159,7 +155,7 @@ func TestCompileCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := CompileConfig(models[i], cfg)
+			d, err := Compile(context.Background(), models[i], opts...)
 			if err != nil {
 				t.Error(err)
 				return

@@ -54,8 +54,6 @@ func main() {
 	modeName := flag.String("mode", "spiking", "exec mode: reference, spiking, or noisy")
 	epochs := flag.Int("epochs", 40, "training epochs")
 	chips := flag.Int("chips", 1, "serve as a sharded deployment pipelined across this many chips (1 = single chip)")
-	spikePathName := flag.String("spikepath", "auto", "spiking kernel: auto, dense, or sparse (bit-identical; perf only)")
-	sparseThresh := flag.Float64("sparsethresh", 0, "auto-path spike-density cutoff in (0,1] for the sparse kernel (0 = built-in default)")
 	fleetCfg := flag.String("fleet", "", "serve a multi-model fleet from this JSON config file instead of a single engine")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline on SIGINT/SIGTERM")
 	flag.Parse()
@@ -68,10 +66,6 @@ func main() {
 	}
 
 	mode, err := parseMode(*modeName)
-	if err != nil {
-		fail(err)
-	}
-	spikePath, err := fpsa.ParseSpikePath(*spikePathName)
 	if err != nil {
 		fail(err)
 	}
@@ -110,8 +104,6 @@ func main() {
 		fpsa.WithFlushInterval(*flush),
 		fpsa.WithQueueDepth(*queue),
 		fpsa.WithMode(mode),
-		fpsa.WithSpikePath(spikePath),
-		fpsa.WithSparseThreshold(*sparseThresh),
 	)
 	if err != nil {
 		fail(err)

@@ -24,13 +24,9 @@ import (
 	"fpsa/internal/synth"
 )
 
-// Config controls compilation.
-//
-// Deprecated: new code passes functional options to Compile
-// (WithDuplication, WithChips, WithCache, …) instead of a Config
-// literal; the struct remains as the carrier behind those options and
-// the legacy CompileConfig entry point.
-type Config struct {
+// config is what Compile's functional options (WithDuplication,
+// WithChips, WithCache, …) fill in.
+type config struct {
 	// Duplication is the model duplication degree (§5.2 of the paper);
 	// 0 means 1×.
 	Duplication int
@@ -67,13 +63,12 @@ type Config struct {
 	// therefore excluded from the deployment-cache key.
 	Parallelism int
 	// Cache, when non-nil, memoizes placement/routing/bitstream artifacts
-	// content-addressed by the model structure and this Config: a
+	// content-addressed by the model structure and this config: a
 	// cache-hit PlaceAndRoute skips both phases entirely and Bitstream is
 	// generated at most once per deployment key. Share one cache across
-	// every Compile in the process (see NewCompileCache and
-	// DeployCache.Artifacts). Each shard of a multi-chip deployment is a
-	// separate cache entry, so shards compile, cache and revalidate
-	// independently.
+	// every Compile in the process (see NewCompileCache). Each shard of a
+	// multi-chip deployment is a separate cache entry, so shards compile,
+	// cache and revalidate independently.
 	Cache *CompileCache
 	// MaxChips allows the deployment to span up to this many chips
 	// (0 or 1 = the classic single-chip compile). A model whose PE
@@ -100,18 +95,12 @@ type Config struct {
 	Faults *FaultMap
 }
 
-// DefaultConfig returns a 1× deployment on the default fabric.
-//
-// Deprecated: Compile without options compiles a 1× deployment on the
-// default fabric; there is nothing left to construct.
-func DefaultConfig() Config { return Config{Duplication: 1} }
-
 // validate rejects option inputs that cannot mean anything — negative
 // knobs, non-positive per-layer assignments, non-increasing cut lists —
 // before they flow silently into allocation or partitioning. Zero stays
 // "use the default" everywhere, as the option docs promise. Every
 // rejection wraps ErrInvalidArgument.
-func (c Config) validate() error {
+func (c config) validate() error {
 	for _, k := range []struct {
 		name string
 		v    int
@@ -222,7 +211,7 @@ func (f *FaultMap) cacheSegment() string {
 // checkLayerNames rejects per-layer assignments naming layers the
 // synthesized model does not have — a silent no-op otherwise, which for
 // an autotuned assignment would mean silently compiling the wrong thing.
-func checkLayerNames(co *coreop.Graph, cfg Config) error {
+func checkLayerNames(co *coreop.Graph, cfg config) error {
 	var layerSeeds map[string]int64
 	if cfg.Faults != nil {
 		layerSeeds = cfg.Faults.LayerSeeds
@@ -258,7 +247,7 @@ func checkLayerNames(co *coreop.Graph, cfg Config) error {
 // Deployment is a model mapped onto the FPSA fabric.
 type Deployment struct {
 	model  Model
-	cfg    Config
+	cfg    config
 	coreop *coreop.Graph
 	alloc  mapper.Allocation
 	nl     *netlist.Netlist
@@ -330,15 +319,7 @@ func Compile(ctx context.Context, m Model, opts ...Option) (*Deployment, error) 
 	return compile(ctx, m, set)
 }
 
-// CompileConfig is the legacy struct-literal entry point.
-//
-// Deprecated: use Compile with functional options (WithConfig bridges an
-// existing Config).
-func CompileConfig(m Model, cfg Config) (*Deployment, error) {
-	return Compile(context.Background(), m, WithConfig(cfg))
-}
-
-// compile is the shared back end of Compile and the deprecated wrappers.
+// compile is the shared back end of Compile and Autotune.
 func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -85,14 +85,9 @@ func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engi
 			o(&set)
 		}
 	}
-	cfg := set.cfg
-	if set.chipsSet {
-		if d.Chips() > 1 && cfg.Chips != d.Chips() {
-			return nil, fmt.Errorf("%w: deployment of %s compiled across %d chips but the engine requested %d; drop WithEngineChips to inherit the compiled partition",
-				ErrChipConflict, d.model.Name(), d.Chips(), cfg.Chips)
-		}
-	} else {
-		cfg.Chips = d.Chips()
+	cfg, err := d.engineConfigFor(set)
+	if err != nil {
+		return nil, err
 	}
 	sn, err := d.NewNet(nil)
 	if err != nil {
@@ -102,4 +97,19 @@ func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engi
 		return nil, err
 	}
 	return newEngine(sn, cfg, d.cfg.ShardPolicy.servePolicy())
+}
+
+// engineConfigFor resolves an engine's settings against the compiled
+// chip partition — the one rule NewEngine and fleet replicas share:
+// without WithEngineChips the engine inherits d.Chips(); an explicit
+// count that disagrees with a multi-chip deployment is ErrChipConflict.
+func (d *Deployment) engineConfigFor(set engineSettings) (engineConfig, error) {
+	cfg := set.cfg
+	if !set.chipsSet {
+		cfg.Chips = d.Chips()
+	} else if d.Chips() > 1 && cfg.Chips != d.Chips() {
+		return engineConfig{}, fmt.Errorf("%w: deployment of %s compiled across %d chips but WithEngineChips requested %d; drop WithEngineChips to inherit the compiled partition",
+			ErrChipConflict, d.model.Name(), d.Chips(), cfg.Chips)
+	}
+	return cfg, nil
 }

@@ -4,20 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"fpsa/internal/serve"
 	"fpsa/internal/synth"
 )
 
-// EngineConfig shapes a serving engine.
-//
-// Deprecated: new code derives engines from a compiled Deployment with
-// Deployment.NewEngine and functional options (WithWorkers,
-// WithMaxBatch, WithMode, …); the struct remains as the carrier behind
-// those options and the legacy NewEngine entry point.
-type EngineConfig struct {
+// engineConfig is what Deployment.NewEngine's functional options
+// (WithWorkers, WithMaxBatch, WithMode, …) fill in.
+type engineConfig struct {
 	// Workers is the number of parallel execution replicas; each holds
 	// its own programmed simulation state. 0 means 1.
 	Workers int
@@ -40,62 +35,32 @@ type EngineConfig struct {
 	// ModeSpikingNoisy the sharded deployment is one physical set of
 	// chips with a single variation draw. 0 or 1 serves single-chip.
 	Chips int
-	// Spike selects the spiking kernel (default SpikeAuto: pick dense or
-	// bit-packed sparse per micro-batch from its observed spike density).
-	// The kernels are bit-identical, so this is purely a performance
-	// knob; FPSA_SPIKE_PATH overrides it at deploy time.
-	Spike SpikePath
-	// SparseThreshold is the auto-path density cutoff in (0, 1]; 0 means
-	// the built-in default (0.30). FPSA_SPIKE_DENSITY overrides it.
-	SparseThreshold float64
 }
 
 // defaultEngineConfig is the serving sweet spot every engine starts
 // from: 4 workers, micro-batches of 8, spiking mode.
-func defaultEngineConfig() EngineConfig {
-	return EngineConfig{Workers: 4, MaxBatch: 8, Mode: ModeSpiking}
+func defaultEngineConfig() engineConfig {
+	return engineConfig{Workers: 4, MaxBatch: 8, Mode: ModeSpiking}
 }
-
-// DefaultEngineConfig returns a spiking-mode engine sized like the
-// paper's serving sweet spot: 4 workers, micro-batches of 8.
-//
-// Deprecated: Deployment.NewEngine starts from these defaults; there is
-// nothing left to construct.
-func DefaultEngineConfig() EngineConfig { return defaultEngineConfig() }
 
 // Engine serves a deployed SpikingNet concurrently: requests queue into
 // micro-batches (flushed on size or deadline) and a worker pool of
 // per-replica execution states classifies them in parallel. Construct
-// with NewEngine and Close when done. All methods are safe for
-// concurrent use.
+// with Deployment.NewEngine and Close when done. All methods are safe
+// for concurrent use.
 type Engine struct {
 	eng    *serve.Engine
 	window int
 }
 
-// NewEngine builds a serving engine over a deployed network.
-//
-// Deprecated: derive the engine from the compiled deployment instead —
-// Deployment.NewEngine — so the chip partition and seed flow from the
-// compile; WithEngineConfig bridges an existing EngineConfig.
-func NewEngine(sn *SpikingNet, cfg EngineConfig) (*Engine, error) {
-	return newEngine(sn, cfg, ShardAuto.servePolicy())
-}
-
 // newEngine builds the serving engine over a deployed network. The
 // SpikingNet itself remains usable (and independent) afterwards. policy
 // is the stage-partitioning objective of a sharded engine (carried from
-// the deployment's ShardPolicy on the Deployment.NewEngine path).
-func newEngine(sn *SpikingNet, cfg EngineConfig, policy serve.StagePolicy) (*Engine, error) {
-	// A nonsensical density cutoff would otherwise flow silently into the
-	// kernel auto-selection (which treats out-of-range as "default") —
-	// reject it here where the caller can still see which option was
-	// wrong. 0 remains "use the built-in default".
-	if t := cfg.SparseThreshold; math.IsNaN(t) || t < 0 || t > 1 {
-		return nil, fmt.Errorf("%w: WithSparseThreshold(%v): density cutoff must be in (0, 1] (0 = default)", ErrInvalidArgument, t)
-	}
-	// Same treatment for the integer serving knobs: negative values are
-	// caller bugs, not requests for the default.
+// the deployment's ShardPolicy).
+func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Engine, error) {
+	// Negative serving knobs are caller bugs, not requests for the
+	// default: reject them here where the caller can still see which
+	// option was wrong. 0 remains "use the built-in default".
 	for _, k := range []struct {
 		name string
 		v    int
@@ -116,22 +81,16 @@ func newEngine(sn *SpikingNet, cfg EngineConfig, policy serve.StagePolicy) (*Eng
 	if err != nil {
 		return nil, err
 	}
-	spike, err := cfg.Spike.xbarPath()
-	if err != nil {
-		return nil, err
-	}
 	eng, err := serve.New(sn.prog, serve.Options{
-		Workers:         cfg.Workers,
-		MaxBatch:        cfg.MaxBatch,
-		FlushInterval:   cfg.FlushInterval,
-		QueueDepth:      cfg.QueueDepth,
-		Mode:            mode,
-		Seed:            sn.currentSeed() + 7,
-		Chips:           cfg.Chips,
-		Policy:          policy,
-		Spike:           spike,
-		SparseThreshold: cfg.SparseThreshold,
-		Faults:          sn.faults,
+		Workers:       cfg.Workers,
+		MaxBatch:      cfg.MaxBatch,
+		FlushInterval: cfg.FlushInterval,
+		QueueDepth:    cfg.QueueDepth,
+		Mode:          mode,
+		Seed:          sn.currentSeed() + 7,
+		Chips:         cfg.Chips,
+		Policy:        policy,
+		Faults:        sn.faults,
 	})
 	if err != nil {
 		return nil, err
@@ -154,14 +113,6 @@ func (e *Engine) Classify(ctx context.Context, features []float64) (int, error) 
 	return synth.Argmax(out), nil
 }
 
-// ClassifyCtx is the old name of Classify from when the package carried
-// ctx-less/ctx-ful method pairs.
-//
-// Deprecated: use Classify.
-func (e *Engine) ClassifyCtx(ctx context.Context, features []float64) (int, error) {
-	return e.Classify(ctx, features)
-}
-
 // Outputs queues one feature vector and returns the raw output spike
 // counts, bounded by ctx as in Classify.
 func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error) {
@@ -170,13 +121,6 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	}
 	out, err := e.eng.Infer(ctx, synth.QuantizeInput(features, e.window))
 	return out, wrapServeErr(err)
-}
-
-// OutputsCtx is the old name of Outputs.
-//
-// Deprecated: use Outputs.
-func (e *Engine) OutputsCtx(ctx context.Context, features []float64) ([]int, error) {
-	return e.Outputs(ctx, features)
 }
 
 // ClassifyBatch queues every sample at once — one call fills whole
@@ -266,63 +210,3 @@ func wrapServeErr(err error) error {
 	}
 	return err
 }
-
-// DeployKey identifies one deployment for caching: a model (or trained
-// network) name, its duplication/config fingerprint, and the variation
-// seed.
-type DeployKey struct {
-	Model string
-	Dup   int
-	Seed  int64
-}
-
-func (k DeployKey) String() string {
-	return fmt.Sprintf("%s|dup=%d|seed=%d", k.Model, k.Dup, k.Seed)
-}
-
-// DeployCache memoizes deployed spiking networks by DeployKey so every
-// engine serving the same (model, config, seed) shares one synthesis.
-// Concurrent requests for the same key block on a single deploy; failed
-// deploys are retried. It also carries a CompileCache (see Artifacts) so
-// a serving stack shares one place-and-route artifact store as well. The
-// zero value is not usable; call NewDeployCache.
-type DeployCache struct {
-	progs     *serve.Cache
-	artifacts *CompileCache
-}
-
-// NewDeployCache returns an empty cache.
-func NewDeployCache() *DeployCache {
-	return &DeployCache{progs: serve.NewCache(), artifacts: NewCompileCache(0)}
-}
-
-// Artifacts returns the cache's compiled-deployment store. Pass it as
-// Config.Cache to every Compile backing this cache's deployments so
-// placement, routing and bitstream generation also run at most once per
-// (model, Config) across the serving fleet.
-func (c *DeployCache) Artifacts() *CompileCache { return c.artifacts }
-
-// GetOrDeploy returns the cached SpikingNet for key, calling deploy at
-// most once per key. The returned net has its variation seed set from
-// the key.
-func (c *DeployCache) GetOrDeploy(key DeployKey, deploy func() (*SpikingNet, error)) (*SpikingNet, error) {
-	prog, err := c.progs.GetOrCompile(key.String(), func() (*synth.Program, error) {
-		sn, err := deploy()
-		if err != nil {
-			return nil, err
-		}
-		return sn.prog, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sn := &SpikingNet{prog: prog}
-	sn.SetSeed(key.Seed)
-	return sn, nil
-}
-
-// Len reports the number of cached deployments.
-func (c *DeployCache) Len() int { return c.progs.Len() }
-
-// Counters reports cache hits and misses since construction.
-func (c *DeployCache) Counters() (hits, misses int64) { return c.progs.Counters() }

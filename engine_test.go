@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// deployTestNet trains and deploys the small MLP workload shared by the
-// engine tests.
-func deployTestNet(t testing.TB) (*SpikingNet, Dataset) {
+// deployTestNet trains and compiles the small MLP workload shared by the
+// engine tests, returning the deployment and its memoized net (the one
+// every engine derived from d serves).
+func deployTestNet(t testing.TB) (*Deployment, *SpikingNet, Dataset) {
 	t.Helper()
 	ds := SyntheticDataset(21, 400, 12, 3, 0.08)
 	train, test := ds.Split(0.8)
@@ -19,17 +20,14 @@ func deployTestNet(t testing.TB) (*SpikingNet, Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := net.Deploy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sn, test
+	d := compileMLP(t, net)
+	return d, mustNet(t, d), test
 }
 
 // TestEngineMatchesSerialClassify races N goroutines through one Engine
 // and requires every result to equal the serial Classify path.
 func TestEngineMatchesSerialClassify(t *testing.T) {
-	sn, test := deployTestNet(t)
+	d, sn, test := deployTestNet(t)
 	const samples = 16
 	want := make([]int, samples)
 	for i := range want {
@@ -39,7 +37,7 @@ func TestEngineMatchesSerialClassify(t *testing.T) {
 		}
 		want[i] = label
 	}
-	eng, err := NewEngine(sn, EngineConfig{Workers: 4, MaxBatch: 4, Mode: ModeSpiking})
+	eng, err := d.NewEngine(context.Background(), WithWorkers(4), WithMaxBatch(4), WithMode(ModeSpiking))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +80,8 @@ func TestEngineMatchesSerialClassify(t *testing.T) {
 }
 
 func TestEngineClassifyBatch(t *testing.T) {
-	sn, test := deployTestNet(t)
-	eng, err := NewEngine(sn, EngineConfig{Workers: 2, MaxBatch: 4, Mode: ModeReference})
+	d, sn, test := deployTestNet(t)
+	eng, err := d.NewEngine(context.Background(), WithWorkers(2), WithMaxBatch(4), WithMode(ModeReference))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,71 +103,28 @@ func TestEngineClassifyBatch(t *testing.T) {
 }
 
 func TestEngineFlushDeadline(t *testing.T) {
-	sn, test := deployTestNet(t)
-	eng, err := NewEngine(sn, EngineConfig{
-		Workers:       1,
-		MaxBatch:      128, // a lone request can only leave via the deadline
-		FlushInterval: 2 * time.Millisecond,
-		Mode:          ModeReference,
-	})
+	d, _, test := deployTestNet(t)
+	eng, err := d.NewEngine(context.Background(),
+		WithWorkers(1),
+		WithMaxBatch(128), // a lone request can only leave via the deadline
+		WithFlushInterval(2*time.Millisecond),
+		WithMode(ModeReference),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := eng.ClassifyCtx(ctx, test.X[0]); err != nil {
+	if _, err := eng.Classify(ctx, test.X[0]); err != nil {
 		t.Fatalf("deadline flush never released the request: %v", err)
 	}
 }
 
 func TestNewEngineRejectsBadMode(t *testing.T) {
-	sn, _ := deployTestNet(t)
-	if _, err := NewEngine(sn, EngineConfig{Mode: ExecMode(9)}); err == nil {
+	d, _, _ := deployTestNet(t)
+	if _, err := d.NewEngine(context.Background(), WithMode(ExecMode(9))); err == nil {
 		t.Error("unknown mode accepted")
-	}
-}
-
-func TestDeployCache(t *testing.T) {
-	cache := NewDeployCache()
-	deploys := 0
-	key := DeployKey{Model: "mlp-test", Dup: 1, Seed: 5}
-	deploy := func() (*SpikingNet, error) {
-		deploys++
-		sn, _ := deployTestNet(t)
-		return sn, nil
-	}
-	a, err := cache.GetOrDeploy(key, deploy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cache.GetOrDeploy(key, deploy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deploys != 1 {
-		t.Errorf("deploy ran %d times, want 1", deploys)
-	}
-	if hits, misses := cache.Counters(); hits != 1 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d", hits, misses)
-	}
-	if cache.Len() != 1 {
-		t.Errorf("Len = %d", cache.Len())
-	}
-	// Both handles run the shared program and agree.
-	ds := SyntheticDataset(22, 4, 12, 3, 0.08)
-	for _, x := range ds.X {
-		la, err := a.Classify(x, ModeReference)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, err := b.Classify(x, ModeReference)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la != lb {
-			t.Errorf("cached deployments disagree: %d vs %d", la, lb)
-		}
 	}
 }
 
@@ -178,7 +133,7 @@ func TestDeployCache(t *testing.T) {
 // variation (a Monte-Carlo loop measures distinct trials), while
 // re-seeding replays the exact sequence.
 func TestNoisySequenceAdvances(t *testing.T) {
-	sn, test := deployTestNet(t)
+	_, sn, test := deployTestNet(t)
 	x := test.X[0]
 	const trials = 6
 	sn.SetSeed(5)

@@ -61,8 +61,3 @@ var (
 	// runs it) first.
 	ErrNotPlaced = errors.New("fpsa: deployment not placed-and-routed")
 )
-
-// ErrEngineClosed is the old name of the closed-engine sentinel.
-//
-// Deprecated: use ErrClosed.
-var ErrEngineClosed = ErrClosed

@@ -11,17 +11,16 @@ import (
 )
 
 // ExperimentIDs lists the reproducible paper artifacts plus the ablation
-// studies grounded in the paper's §7 discussion, the measured serving
-// artifacts ("serving", "sharding" and "sparsity", tunable via
-// fpsa-bench -batch), the compilation-autotuner sweep ("autotune"), the
-// fault-injection reliability study ("faults"), and the multi-model
-// fleet serving load test ("fleet").
+// studies grounded in the paper's §7 discussion, the
+// compilation-autotuner sweep ("autotune") and the fault-injection
+// reliability study ("faults"). Host wall-clock measurements are not
+// experiments: they live in the repo benchmark (go run ./bench).
 func ExperimentIDs() []string {
 	ids := []string{
 		"table1", "table2", "table3",
 		"figure2", "figure6", "figure7", "figure8", "figure9",
 		"ablation-transmission", "ablation-channels", "ablation-heteropes",
-		"serving", "sharding", "sparsity", "autotune", "faults", "fleet",
+		"autotune", "faults",
 	}
 	sort.Strings(ids)
 	return ids
@@ -29,7 +28,7 @@ func ExperimentIDs() []string {
 
 // RunExperiment regenerates one paper table or figure and returns its text
 // rendering. "all" runs everything. ctx bounds the long-running
-// experiments (place-and-route sweeps, the serving benchmarks).
+// experiments (the place-and-route sweeps and the two studies).
 func RunExperiment(ctx context.Context, id string) (string, error) {
 	switch strings.ToLower(id) {
 	case "table1":
@@ -84,18 +83,14 @@ func RunExperiment(ctx context.Context, id string) (string, error) {
 			return "", err
 		}
 		return experiments.RenderAblationChannelWidth(r), nil
-	case "serving":
-		return RunServingExperiment(ctx, 0)
-	case "sharding":
-		return RunShardingExperiment(ctx, 0)
-	case "sparsity":
-		return RunSparsityExperiment(ctx, 0)
 	case "autotune":
-		return RunAutotuneExperiment(ctx)
+		return autotuneStudy(ctx)
 	case "faults":
-		return RunFaultsExperiment(ctx)
-	case "fleet":
-		return RunFleetExperiment(ctx)
+		r, err := faultStudy(ctx)
+		if err != nil {
+			return "", err
+		}
+		return r.String(), nil
 	case "ablation-heteropes":
 		rows, err := experiments.AblationHeteroPEs(64)
 		if err != nil {

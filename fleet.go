@@ -130,11 +130,11 @@ func WithModelQueueDepth(n int) FleetModelOption {
 }
 
 // WithModelEngine shapes each replica's serving engine with the usual
-// engine options (WithMode, WithMaxBatch, WithFlushInterval,
-// WithSpikePath, …). A fleet replica is always a one-worker engine —
-// the pool, not the engine, is the parallelism — so WithWorkers is
-// overridden; use WithModelReplicas. Prefer WithModelQueueDepth over
-// WithQueueDepth here so admission stays in step with the queue.
+// engine options (WithMode, WithMaxBatch, WithFlushInterval, …). A fleet
+// replica is always a one-worker engine — the pool, not the engine, is
+// the parallelism — so WithWorkers is overridden; use WithModelReplicas.
+// Prefer WithModelQueueDepth over WithQueueDepth here so admission stays
+// in step with the queue.
 func WithModelEngine(opts ...EngineOption) FleetModelOption {
 	return func(s *fleetModelSettings) {
 		for _, o := range opts {
@@ -150,7 +150,7 @@ func WithModelEngine(opts ...EngineOption) FleetModelOption {
 type fleetModel struct {
 	chipsPerReplica int
 	chipsOverride   bool // WithEngineChips pinned the count explicitly
-	cfg             EngineConfig
+	cfg             engineConfig
 }
 
 // Fleet serves many compiled Deployments onto a bounded pool of
@@ -208,7 +208,7 @@ func (f *Fleet) Cache() *CompileCache { return f.cache }
 // ModeSpikingNoisy each factory call re-derives the same variation
 // stream from the deployment seed), which is what makes fleet outputs
 // bit-identical to a fresh single-engine serve of the same deployment.
-func replicaSource(d *Deployment, cfg EngineConfig) (fleet.Source, error) {
+func replicaSource(d *Deployment, cfg engineConfig) (fleet.Source, error) {
 	sn, err := d.NewNet(nil)
 	if err != nil {
 		return fleet.Source{}, err
@@ -243,22 +243,17 @@ func realizeBitstream(ctx context.Context, d *Deployment) error {
 }
 
 // resolveReplicaConfig turns a model's engine template into the concrete
-// per-replica EngineConfig for deployment d, applying the same
-// chip-partition rules as Deployment.NewEngine.
-func resolveReplicaConfig(d *Deployment, set fleetModelSettings) (EngineConfig, error) {
-	cfg := set.eng.cfg
-	if set.eng.chipsSet {
-		if d.Chips() > 1 && cfg.Chips != d.Chips() {
-			return EngineConfig{}, fmt.Errorf("%w: deployment of %s compiled across %d chips but the fleet model requested %d; drop WithEngineChips to inherit the compiled partition",
-				ErrChipConflict, d.model.Name(), d.Chips(), cfg.Chips)
-		}
-	} else {
-		cfg.Chips = d.Chips()
+// per-replica engine config for deployment d, under the same
+// chip-partition rule as Deployment.NewEngine.
+func resolveReplicaConfig(d *Deployment, set fleetModelSettings) (engineConfig, error) {
+	cfg, err := d.engineConfigFor(set.eng)
+	if err != nil {
+		return engineConfig{}, err
 	}
 	// The pool, not the engine, is the parallelism.
 	cfg.Workers = 1
 	if set.queueDepth < 0 {
-		return EngineConfig{}, fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
+		return engineConfig{}, fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
 	}
 	if set.queueDepth > 0 {
 		cfg.QueueDepth = set.queueDepth

@@ -48,10 +48,6 @@
 // and an engine derived from the sharded deployment serves it as a
 // chip-level pipeline with bit-identical outputs — see ShardPolicy,
 // Deployment.Shards and docs/SERVING.md.
-//
-// The pre-redesign struct-based entry points (Config, EngineConfig,
-// NewEngine, DeployModel, …) remain as deprecated thin wrappers;
-// docs/API.md maps every old call to its new form.
 package fpsa
 
 import (
@@ -92,7 +88,7 @@ func (m Model) Ops() int64 { return m.graph.TotalOps() }
 func (m Model) Layers() int { return m.graph.Len() }
 
 // WeightLayers returns the names of the MAC-bearing layers (convolutions
-// and FC layers) in topological order — the keys DeployModel expects.
+// and FC layers) in topological order — the keys WithWeights expects.
 func (m Model) WeightLayers() []string {
 	var names []string
 	for _, n := range m.graph.Nodes() {

@@ -1,7 +1,6 @@
 package fpsa
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"fpsa/internal/device"
 	"fpsa/internal/synth"
 	"fpsa/internal/trainer"
-	"fpsa/internal/xbar"
 )
 
 // Dataset is a labeled feature set with features in [0, 1].
@@ -34,26 +32,6 @@ func (d Dataset) Split(frac float64) (train, test Dataset) {
 
 func (d Dataset) internal() trainer.Dataset {
 	return trainer.Dataset{X: d.X, Y: d.Y, Classes: d.Classes}
-}
-
-// DeployModel synthesizes a custom model functionally and returns a
-// runnable spiking network. Weights are supplied per MAC layer (see
-// Model.WeightLayers for the names): FC layers take [in][out] matrices;
-// ungrouped convolutions take [K²·Cin][OutC] matrices with rows ordered
-// (channel, ky, kx). Pooling, residual adds, flatten and ReLU need no
-// weights; grouped convolutions and LRN are not supported functionally.
-// Tensors flatten CHW: signal (c, y, x) is input index (c·H + y)·W + x.
-//
-// Deprecated: compile the model and derive the net from the one
-// deployment handle instead — Compile(ctx, m, WithWeights(weights))
-// followed by Deployment.NewNet(nil) — so the execution configuration
-// flows from the compile.
-func DeployModel(m Model, weights map[string][][]float64) (*SpikingNet, error) {
-	d, err := Compile(context.Background(), m, WithWeights(weights))
-	if err != nil {
-		return nil, err
-	}
-	return d.NewNet(nil)
 }
 
 // TrainedMLP is a trained bias-free ReLU network, deployable onto FPSA.
@@ -87,20 +65,6 @@ func (t *TrainedMLP) Model() Model { return Model{graph: t.net.Graph("deployed-m
 // the layer names of Model().WeightLayers.
 func (t *TrainedMLP) WeightSource() WeightSource { return WeightSource(t.net.WeightSource()) }
 
-// Deploy synthesizes the trained network onto FPSA PEs and returns a
-// runnable spiking network.
-//
-// Deprecated: compile the trained model and derive the net from the one
-// deployment handle instead — Compile(ctx, t.Model(),
-// WithWeightSource(t.WeightSource())) followed by Deployment.NewNet(nil).
-func (t *TrainedMLP) Deploy() (*SpikingNet, error) {
-	d, err := Compile(context.Background(), t.Model(), WithWeightSource(t.WeightSource()))
-	if err != nil {
-		return nil, err
-	}
-	return d.NewNet(nil)
-}
-
 // ExecMode selects how a SpikingNet evaluates.
 type ExecMode int
 
@@ -126,69 +90,6 @@ func (m ExecMode) String() string {
 		return "noisy"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-// SpikePath selects which spiking kernel evaluates each crossbar's
-// micro-batches. The dense kernel walks every cycle of every column; the
-// sparse kernel works on bit-packed spike trains and skips dead cycles
-// (and, with ideal programming, collapses equal-count rows). The two are
-// bit-identical in every execution mode — the choice changes wall-clock,
-// never outputs — so SpikeAuto, which probes each micro-batch's spike
-// density and picks per batch, is the right default. The FPSA_SPIKE_PATH
-// and FPSA_SPIKE_DENSITY environment variables override the configured
-// path and auto threshold at deploy time.
-type SpikePath int
-
-// Spiking-kernel paths.
-const (
-	// SpikeAuto probes each micro-batch's input spike density and takes
-	// the sparse kernel at or below the configured threshold (and always
-	// on ideally programmed crossbars, where it measures faster at every
-	// density).
-	SpikeAuto SpikePath = iota
-	// SpikeDense forces the dense cycle-walk kernel.
-	SpikeDense
-	// SpikeSparse forces the bit-packed sparse kernel.
-	SpikeSparse
-)
-
-// String names the path the way the CLIs spell it.
-func (p SpikePath) String() string {
-	switch p {
-	case SpikeAuto:
-		return "auto"
-	case SpikeDense:
-		return "dense"
-	case SpikeSparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("spikepath(%d)", int(p))
-}
-
-// ParseSpikePath parses a CLI spelling of a SpikePath.
-func ParseSpikePath(name string) (SpikePath, error) {
-	switch name {
-	case "auto", "":
-		return SpikeAuto, nil
-	case "dense":
-		return SpikeDense, nil
-	case "sparse":
-		return SpikeSparse, nil
-	}
-	return 0, fmt.Errorf("%w: unknown spike path %q (want auto, dense, or sparse)", ErrInvalidArgument, name)
-}
-
-// xbarPath maps the public path onto the kernel layer's.
-func (p SpikePath) xbarPath() (xbar.Path, error) {
-	switch p {
-	case SpikeAuto:
-		return xbar.PathAuto, nil
-	case SpikeDense:
-		return xbar.PathDense, nil
-	case SpikeSparse:
-		return xbar.PathSparse, nil
-	}
-	return 0, fmt.Errorf("%w: unknown spike path %d", ErrInvalidArgument, p)
 }
 
 // SpikingNet is a network deployed onto simulated FPSA processing

@@ -74,15 +74,6 @@ type Options struct {
 	// Policy selects the stage-partitioning objective of a sharded
 	// engine (default StageBalanced).
 	Policy StagePolicy
-	// Spike selects the spiking kernel every worker's crossbars run:
-	// xbar.PathAuto (zero value) picks dense or bit-packed sparse per
-	// micro-batch from its observed spike density, PathDense/PathSparse
-	// force one kernel. Purely a performance knob — the kernels are
-	// bit-identical.
-	Spike xbar.Path
-	// SparseThreshold is the auto-path density cutoff (0 means
-	// xbar.DefaultSparseThreshold).
-	SparseThreshold float64
 	// Faults, when active, injects the deployment's device fault
 	// scenario into every worker's executor (and the shared pipeline of
 	// a sharded engine). Fault maps are a deterministic function of the
@@ -188,7 +179,7 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: partitioning across %d chips: %w", opts.Chips, err)
 		}
-		ropts := synth.RunOptions{Mode: opts.Mode, Spike: opts.Spike, SparseThreshold: opts.SparseThreshold, Faults: opts.Faults}
+		ropts := synth.RunOptions{Mode: opts.Mode, Faults: opts.Faults}
 		if opts.Mode == synth.ModeSpikingNoisy {
 			ropts.Rng = rand.New(rand.NewSource(seeds.Int63()))
 		}
@@ -203,7 +194,7 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 		}
 	} else {
 		for w := range runners {
-			ropts := synth.RunOptions{Mode: opts.Mode, Spike: opts.Spike, SparseThreshold: opts.SparseThreshold, Faults: opts.Faults}
+			ropts := synth.RunOptions{Mode: opts.Mode, Faults: opts.Faults}
 			if opts.Mode == synth.ModeSpikingNoisy {
 				ropts.Rng = rand.New(rand.NewSource(seeds.Int63()))
 			}

@@ -84,9 +84,6 @@ type RunOptions struct {
 	// kernels are bit-identical in every mode, so this is purely a
 	// performance knob.
 	Spike xbar.Path
-	// SparseThreshold is the auto-path density cutoff; zero means
-	// xbar.DefaultSparseThreshold.
-	SparseThreshold float64
 	// Faults, when active, injects the device fault scenario into every
 	// crossbar the program runs on: each weight group's stuck-cell map is
 	// a deterministic function of (Faults, group ID), so every worker

@@ -56,11 +56,10 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 	}
 	opts.Spec = spec
 	cfg := xbar.Config{
-		Params:          p.Params,
-		Spec:            spec,
-		Rep:             device.NewAdd(spec, p.Params.CellsPerWeight),
-		Path:            opts.Spike,
-		SparseThreshold: opts.SparseThreshold,
+		Params: p.Params,
+		Spec:   spec,
+		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
+		Path:   opts.Spike,
 	}
 	ex := &Executor{
 		prog:      p,

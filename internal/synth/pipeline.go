@@ -188,11 +188,10 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Pipeli
 	}
 	opts.Spec = spec
 	cfg := xbar.Config{
-		Params:          p.Params,
-		Spec:            spec,
-		Rep:             device.NewAdd(spec, p.Params.CellsPerWeight),
-		Path:            opts.Spike,
-		SparseThreshold: opts.SparseThreshold,
+		Params: p.Params,
+		Spec:   spec,
+		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
+		Path:   opts.Spike,
 	}
 
 	pe := &PipelineExecutor{

@@ -3,10 +3,11 @@
 // class the equivalence tests only caught after the fact.
 //
 //   - determinism: the bit-exact compile/execute packages must not
-//     iterate maps, draw from the global math/rand source, or read the
-//     wall clock — the exact nondeterminism class behind the PR 2
-//     Dijkstra-seeding and PR 1 frozen-RNG bugs. Audited exceptions are
-//     annotated //fpsa:nondet <reason>.
+//     iterate maps, draw from the global math/rand source, read the
+//     wall clock, or read the process environment — the exact
+//     nondeterminism class behind the PR 2 Dijkstra-seeding and PR 1
+//     frozen-RNG bugs. Audited exceptions are annotated
+//     //fpsa:nondet <reason>.
 //   - ctxflow: context flows from the caller. Library code must not
 //     synthesize context.Background()/TODO(), and a function that
 //     receives a ctx must pass it on rather than detach its callees —
@@ -16,9 +17,6 @@
 //     into another error uses %w so errors.Is still sees the sentinel,
 //     and the public fpsa package never mints a sentinel-free error
 //     inside a function body.
-//   - deprecation: no in-repo consumer under cmd/ or examples/ may use a
-//     symbol the root package marks "Deprecated:" (migrated from the
-//     retired docscheck binary).
 package checks
 
 import (
@@ -30,7 +28,7 @@ import (
 )
 
 // RootPath is the import path of the repository's public package — the
-// boundary the errwrap and deprecation analyzers guard.
+// boundary the errwrap analyzer guards.
 const RootPath = "fpsa"
 
 // isContextType reports whether t is context.Context.
@@ -67,12 +65,6 @@ func calleeObj(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 		return pass.TypesInfo.Uses[fun.Sel]
 	}
 	return nil
-}
-
-// isDeprecated reports whether a doc comment carries the standard
-// "Deprecated:" marker.
-func isDeprecated(doc *ast.CommentGroup) bool {
-	return doc != nil && strings.Contains(doc.Text(), "Deprecated:")
 }
 
 // underPath reports whether pkgPath is prefix itself or below it.

@@ -1,7 +1,6 @@
 package checks_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"fpsa/internal/tools/fpsavet/analysis"
@@ -25,10 +24,4 @@ func TestErrwrap(t *testing.T) {
 
 func TestDetaxonomy(t *testing.T) {
 	analysis.RunTest(t, "testdata/detaxonomy", checks.Detaxonomy, "fpsa")
-}
-
-func TestDeprecation(t *testing.T) {
-	rootDir := filepath.Join("testdata", "deprecation", "src", "fpsa")
-	analysis.RunTest(t, "testdata/deprecation", checks.Deprecation(rootDir, checks.RootPath),
-		"fpsa/cmd/tool", "fpsa/examples/demo", "fpsa/internal/lib")
 }

@@ -18,11 +18,9 @@ import (
 //     context.Background()/TODO() while a ctx parameter is in scope
 //     detaches the callee from the caller's cancellation.
 //
-// Two idioms are deliberately exempt: the nil-guard default
+// One idiom is deliberately exempt: the nil-guard default
 // (`ctx = context.Background()` assigned to an existing ctx variable,
-// the documented nil-tolerant entry pattern of the public API) and
-// functions marked Deprecated: (the PR 5 compatibility wrappers exist
-// precisely to bridge ctx-less call sites onto the ctx-first stack).
+// the documented nil-tolerant entry pattern of the public API).
 var Ctxflow = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "flags context.Background()/TODO() in library code and in any " +
@@ -58,9 +56,6 @@ func runCtxflow(pass *analysis.Pass) error {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
-				continue
-			}
-			if isDeprecated(fd.Doc) {
 				continue
 			}
 			// Track the function stack so a ctx parameter on any

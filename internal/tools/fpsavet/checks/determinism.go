@@ -36,14 +36,15 @@ var globalRandFuncs = map[string]bool{
 	"Uint": true, "UintN": true, "Uint32N": true, "Uint64N": true,
 }
 
-// Determinism flags the three nondeterminism sources inside the
+// Determinism flags the four nondeterminism sources inside the
 // bit-exact packages: ranging over a map, drawing from the global
-// math/rand source, and reading time.Now. An audited site is excused
-// with a //fpsa:nondet <reason> directive on the same line or the line
-// above; a directive without a reason is itself a finding.
+// math/rand source, reading time.Now, and reading the process
+// environment (os.Getenv, os.LookupEnv, os.Environ). An audited site is
+// excused with a //fpsa:nondet <reason> directive on the same line or
+// the line above; a directive without a reason is itself a finding.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "flags map iteration, global math/rand and time.Now inside the " +
+	Doc: "flags map iteration, global math/rand, time.Now and environment reads inside the " +
 		"bit-exact packages (internal/{place,route,shard,mapper,synth,xbar,spike,device})",
 	Run: runDeterminism,
 }
@@ -94,6 +95,11 @@ func runDeterminism(pass *analysis.Pass) error {
 				case "time":
 					if fn.Name() == "Now" {
 						report(node, "time.Now in a bit-exact package makes results time-dependent; plumb timings in (or annotate //fpsa:nondet <reason>)")
+					}
+				case "os":
+					switch fn.Name() {
+					case "Getenv", "LookupEnv", "Environ":
+						report(node, "os.%s in a bit-exact package makes results depend on the process environment; take the value as a parameter (or annotate //fpsa:nondet <reason>)", fn.Name())
 					}
 				}
 			}

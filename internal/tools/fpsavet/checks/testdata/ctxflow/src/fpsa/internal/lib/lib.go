@@ -37,11 +37,6 @@ func nilGuard(ctx context.Context) {
 	use(ctx)
 }
 
-// Deprecated: use a ctx-first API; this wrapper bridges old call sites.
-func Compat() {
-	use(context.Background())
-}
-
 func passesCtx(ctx context.Context) {
 	use(ctx)
 }

@@ -5,6 +5,7 @@ package synth
 import (
 	"math/rand"
 	v2 "math/rand/v2"
+	"os"
 	"time"
 )
 
@@ -48,6 +49,17 @@ func seeded(rng *rand.Rand) int {
 
 func wallClock() time.Time {
 	return time.Now() // want `time.Now in a bit-exact package`
+}
+
+func envKnob() (string, bool, int) {
+	path := os.Getenv("FPSA_KERNEL")      // want `os.Getenv in a bit-exact package`
+	_, set := os.LookupEnv("FPSA_KERNEL") // want `os.LookupEnv in a bit-exact package`
+	return path, set, len(os.Environ())   // want `os.Environ in a bit-exact package`
+}
+
+func envAudited() string {
+	//fpsa:nondet names a scratch directory; never reaches a result
+	return os.Getenv("TMPDIR")
 }
 
 func sliceRange(xs []int) int {

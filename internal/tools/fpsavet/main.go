@@ -2,9 +2,9 @@
 // enforces, at compile time, the three invariant classes the equivalence
 // tests can only catch after the fact — determinism of the bit-exact
 // packages, unbroken context flow, and the closed error taxonomy — plus
-// the deprecation and README-flag-table passes migrated from the retired
-// docscheck binary. See docs/INVARIANTS.md for the rules and the
-// //fpsa:nondet escape hatch.
+// the README-flag-table pass migrated from the retired docscheck binary.
+// See docs/INVARIANTS.md for the rules and the //fpsa:nondet escape
+// hatch.
 //
 // It is shaped like a golang.org/x/tools/go/analysis multichecker, but
 // built entirely on the standard library (go/ast, go/types, and `go list
@@ -52,7 +52,6 @@ func main() {
 		checks.Ctxflow,
 		checks.Errwrap,
 		checks.Detaxonomy,
-		checks.Deprecation(moduleDir, checks.RootPath),
 	}
 
 	var diags []analysis.Diagnostic

@@ -3,8 +3,6 @@ package xbar
 import (
 	"math"
 	"math/bits"
-	"os"
-	"strconv"
 	"sync"
 
 	"fpsa/internal/spike"
@@ -27,8 +25,7 @@ const (
 	PathSparse
 )
 
-// String renders the path the way the FPSA_SPIKE_PATH env var and the
-// -spikepath flag spell it.
+// String renders the path as "auto", "dense" or "sparse".
 func (p Path) String() string {
 	switch p {
 	case PathDense:
@@ -40,47 +37,13 @@ func (p Path) String() string {
 	}
 }
 
-// DefaultSparseThreshold is the auto-selection density cutoff: micro-
-// batches whose input spike density (Σ counts / (batch·rows·Γ)) is at or
-// below it take the packed kernel. The value is tuned on the fpsa-bench
-// sparsity sweep (BENCH_PR7.json): at the crossover the kernels are within
-// noise of each other, well below it the packed path wins by >2×.
+// DefaultSparseThreshold is the PathAuto density cutoff: a micro-batch
+// whose input spike density (Σ counts / (batch·rows·Γ)) is at or below it
+// takes the packed kernel on a crossbar whose sums are not exact (noisy
+// programming); above it the dense walk runs. Among the benchmark's
+// workloads only offline_mlp_noisy_sparse programs such crossbars, so it
+// is the one whose kernel choice this constant decides.
 const DefaultSparseThreshold = 0.30
-
-// Environment overrides for the spike-path selection, read once per
-// Program call. They outrank the Config/engine options so an operator can
-// flip a deployed binary without a rebuild:
-//
-//	FPSA_SPIKE_PATH=auto|dense|sparse   force the kernel choice
-//	FPSA_SPIKE_DENSITY=0.15             auto-selection density threshold
-const (
-	EnvSpikePath     = "FPSA_SPIKE_PATH"
-	EnvSparseDensity = "FPSA_SPIKE_DENSITY"
-)
-
-// ResolvePath applies the default threshold and the environment overrides
-// to a configured path/threshold pair. Unknown env values are ignored
-// rather than failing: kernel selection must never take down a serving
-// process, and the paths are semantically identical anyway.
-func ResolvePath(path Path, threshold float64) (Path, float64) {
-	if threshold <= 0 || threshold > 1 {
-		threshold = DefaultSparseThreshold
-	}
-	switch os.Getenv(EnvSpikePath) {
-	case "auto":
-		path = PathAuto
-	case "dense":
-		path = PathDense
-	case "sparse":
-		path = PathSparse
-	}
-	if v := os.Getenv(EnvSparseDensity); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 && f <= 1 {
-			threshold = f
-		}
-	}
-	return path, threshold
-}
 
 // KernelStats counts spiking-kernel selections and the observed input
 // spike density. Counters accumulate across a Crossbar's lifetime and are

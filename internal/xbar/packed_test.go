@@ -164,27 +164,31 @@ func TestPackedDegenerateCases(t *testing.T) {
 }
 
 // TestAutoSelection pins the density probe on a noisy crossbar (no count
-// grouping, so the threshold decides): below it the packed kernel runs,
-// above it the dense kernel, and KernelStats records both the choices and
-// the observed density.
+// grouping, so DefaultSparseThreshold decides): at the last per-row count
+// whose density is still at or below it the packed kernel runs, one spike
+// per row more and the dense kernel does, and KernelStats records both
+// the choices and the observed density.
 func TestAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	cfg := testConfig(0)
 	cfg.Spec = device.Cell4BitMeasured
-	cfg.SparseThreshold = 0.25
 	weights := randomWeights(rng, 32, 8, cfg.Rep.MaxWeight())
 	xb, err := Program(cfg, weights, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	window := xb.Window()
-	sparseSrc := make([]int, 32) // density 1/window ≈ 0.016
-	for i := range sparseSrc {
-		sparseSrc[i] = 1
+	below := int(DefaultSparseThreshold * float64(window)) // density below/window ≤ 0.30
+	if below < 1 || below >= window {
+		t.Fatalf("window %d leaves no count either side of the threshold", window)
 	}
-	denseSrc := make([]int, 32) // density 1.0
+	sparseSrc := make([]int, 32)
+	for i := range sparseSrc {
+		sparseSrc[i] = below
+	}
+	denseSrc := make([]int, 32) // density (below+1)/window > 0.30
 	for i := range denseSrc {
-		denseSrc[i] = window
+		denseSrc[i] = below + 1
 	}
 	dst := make([]int, 8)
 	if err := xb.SimulateCountsBatch(dst, sparseSrc, 1); err != nil {
@@ -197,16 +201,14 @@ func TestAutoSelection(t *testing.T) {
 	if st.SparseBatches != 1 || st.DenseBatches != 1 {
 		t.Fatalf("selections = %d sparse / %d dense, want 1/1", st.SparseBatches, st.DenseBatches)
 	}
-	wantDensity := float64(32+32*window) / float64(2*32*window)
+	wantDensity := float64(2*below+1) / float64(2*window)
 	if math.Abs(st.Density()-wantDensity) > 1e-12 {
 		t.Fatalf("Density() = %g, want %g", st.Density(), wantDensity)
 	}
 
 	// An ideally programmed crossbar always takes the packed kernel under
 	// PathAuto — count grouping makes it the faster walk at every density.
-	icfg := testConfig(0)
-	icfg.SparseThreshold = 0.25
-	ixb, err := Program(icfg, weights, nil)
+	ixb, err := Program(testConfig(0), weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,39 +220,7 @@ func TestAutoSelection(t *testing.T) {
 	}
 }
 
-// TestPathEnvOverride pins the operator escape hatch: FPSA_SPIKE_PATH and
-// FPSA_SPIKE_DENSITY outrank the configured path and threshold at Program
-// time, and garbage values are ignored.
-func TestPathEnvOverride(t *testing.T) {
-	t.Setenv(EnvSpikePath, "sparse")
-	t.Setenv(EnvSparseDensity, "0.75")
-	p, th := ResolvePath(PathDense, 0.2)
-	if p != PathSparse || th != 0.75 {
-		t.Fatalf("ResolvePath = %v/%g, want sparse/0.75", p, th)
-	}
-	t.Setenv(EnvSpikePath, "bogus")
-	t.Setenv(EnvSparseDensity, "2.5")
-	p, th = ResolvePath(PathDense, 0.2)
-	if p != PathDense || th != 0.2 {
-		t.Fatalf("ResolvePath with garbage env = %v/%g, want dense/0.2", p, th)
-	}
-	t.Setenv(EnvSpikePath, "dense")
-	rng := rand.New(rand.NewSource(74))
-	cfg := testConfig(0)
-	cfg.Path = PathSparse
-	xb, err := Program(cfg, randomWeights(rng, 8, 4, cfg.Rep.MaxWeight()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := xb.SimulateCountsBatch(make([]int, 4), []int{1, 0, 0, 0, 0, 0, 0, 0}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := xb.KernelStats(); st.DenseBatches != 1 || st.SparseBatches != 0 {
-		t.Fatalf("env dense override ignored: %+v", st)
-	}
-}
-
-// TestPathString pins the flag/env spellings.
+// TestPathString pins the path spellings.
 func TestPathString(t *testing.T) {
 	for p, want := range map[Path]string{PathAuto: "auto", PathDense: "dense", PathSparse: "sparse", Path(99): "auto"} {
 		if got := p.String(); got != want {

@@ -98,10 +98,6 @@ type Config struct {
 	// density-probed auto — the zero value). The kernels are
 	// bit-identical; see SimulateCountsBatch.
 	Path Path
-	// SparseThreshold is the auto-selection density cutoff; ≤ 0 (or > 1)
-	// means DefaultSparseThreshold. FPSA_SPIKE_PATH / FPSA_SPIKE_DENSITY
-	// in the environment override both fields (see ResolvePath).
-	SparseThreshold float64
 	// Faults, when non-nil and active, is the device fault state Program
 	// applies: stuck logical cells override the weight matrix before the
 	// polarity split (stuck-low reads 0, stuck-high +Rep.MaxWeight()), so
@@ -135,12 +131,11 @@ type Crossbar struct {
 	// possibly with variation), row-major rows×cols.
 	posG, negG []float64
 
-	// Spiking-kernel selection (see packed.go): the resolved path and
-	// auto threshold, plus the structural facts classifyProgramming
-	// derives from the conductances. trainTab and rowG are fetched/built
-	// when the packed kernel first needs them.
+	// Spiking-kernel selection (see packed.go): the configured path plus
+	// the structural facts classifyProgramming derives from the
+	// conductances. trainTab and rowG are fetched/built when the packed
+	// kernel first needs them.
 	path      Path
-	threshold float64
 	exactSums bool      // conductance sums exact in any order (integer values)
 	tabCols   []tabCol  // columns answered from a table over their support counts
 	walkCols  []int     // columns the cycle walk must step, ascending
@@ -221,12 +216,12 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		cols:   cols,
 		eta:    eta,
 		window: cfg.Params.SamplingWindow(),
+		path:   cfg.Path,
 		posW:   make([]float64, rows*cols),
 		negW:   make([]float64, rows*cols),
 		posG:   make([]float64, rows*cols),
 		negG:   make([]float64, rows*cols),
 	}
-	c.path, c.threshold = ResolvePath(cfg.Path, cfg.SparseThreshold)
 	var mask *device.FaultMask
 	if cfg.Faults.Active() {
 		mask = cfg.Faults
@@ -397,7 +392,7 @@ func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 		return err
 	}
 	density := c.probeDensity(src, batch)
-	if c.path == PathSparse || (c.path == PathAuto && (c.exactSums || density <= c.threshold)) {
+	if c.path == PathSparse || (c.path == PathAuto && (c.exactSums || density <= DefaultSparseThreshold)) {
 		c.sparseN.Add(1)
 		c.simulateCountsPacked(dst, src, batch)
 		return nil

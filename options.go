@@ -9,14 +9,17 @@ import (
 // WeightSource supplies trained float weights per MAC layer name (see
 // Model.WeightLayers): FC layers are [in][out] matrices, ungrouped
 // convolutions [K²·Cin][OutC] with rows ordered (channel, ky, kx). A nil
-// return for a layer means no weights for it.
+// return for a layer means no weights for it. Pooling, residual adds,
+// flatten and ReLU need no weights; grouped convolutions and LRN are not
+// supported functionally. Tensors flatten CHW: signal (c, y, x) is input
+// index (c·H + y)·W + x.
 type WeightSource func(layer string) [][]float64
 
-// compileSettings is what the compile Options assemble: the classic
-// Config plus everything that flows from compile to execution but never
-// entered the old struct (the functional weights).
+// compileSettings is what the compile Options assemble: the config plus
+// everything that flows from compile to execution beside it (the
+// functional weights).
 type compileSettings struct {
-	cfg     Config
+	cfg     config
 	weights WeightSource
 
 	// Autotune-only knobs (ignored by a plain Compile): the PE envelope
@@ -218,7 +221,9 @@ func WithSeed(seed int64) Option {
 }
 
 // WithPlacementSeeds sets the multi-seed annealing portfolio size
-// PlaceAndRoute runs (≤ 1 = a single run). See Config.PlacementSeeds.
+// PlaceAndRoute runs (≤ 1 = a single run): portfolio run i anneals
+// independently with seed WithSeed+1+i and the cheapest placement wins
+// deterministically.
 func WithPlacementSeeds(n int) Option {
 	return func(s *compileSettings) { s.cfg.PlacementSeeds = n }
 }
@@ -233,7 +238,7 @@ func WithParallelism(n int) Option {
 // WithCache memoizes placement/routing/bitstream artifacts in the given
 // content-addressed cache: a cache-hit PlaceAndRoute skips both phases
 // entirely. Share one cache across every Compile in the process (see
-// NewCompileCache and DeployCache.Artifacts).
+// NewCompileCache).
 func WithCache(c *CompileCache) Option {
 	return func(s *compileSettings) { s.cfg.Cache = c }
 }
@@ -281,18 +286,11 @@ func WithWeightSource(src WeightSource) Option {
 	return func(s *compileSettings) { s.weights = src }
 }
 
-// WithConfig applies a whole legacy Config at once. It exists so the
-// deprecated Config-struct entry points stay thin; new code should use
-// the individual options.
-func WithConfig(cfg Config) Option {
-	return func(s *compileSettings) { s.cfg = cfg }
-}
-
 // engineSettings is what the EngineOptions assemble. chipsSet records an
 // explicit chip override so Deployment.NewEngine can distinguish "serve
 // the compiled partition" (the default) from a conflicting request.
 type engineSettings struct {
-	cfg      EngineConfig
+	cfg      engineConfig
 	chipsSet bool
 }
 
@@ -327,22 +325,6 @@ func WithMode(m ExecMode) EngineOption {
 	return func(s *engineSettings) { s.cfg.Mode = m }
 }
 
-// WithSpikePath selects the spiking kernel the engine's crossbars run
-// (default SpikeAuto: dense or bit-packed sparse per micro-batch, by
-// observed spike density). The kernels are bit-identical in every mode,
-// so this is purely a performance knob; the FPSA_SPIKE_PATH environment
-// variable overrides it at deploy time.
-func WithSpikePath(p SpikePath) EngineOption {
-	return func(s *engineSettings) { s.cfg.Spike = p }
-}
-
-// WithSparseThreshold sets the SpikeAuto density cutoff in (0, 1] below
-// which a micro-batch takes the sparse kernel (0 = the built-in default,
-// 0.30). FPSA_SPIKE_DENSITY overrides it at deploy time.
-func WithSparseThreshold(d float64) EngineOption {
-	return func(s *engineSettings) { s.cfg.SparseThreshold = d }
-}
-
 // WithEngineChips explicitly overrides the engine's chip count. An
 // engine derived from a sharded Deployment inherits the compiled chip
 // count by default; an override that disagrees with a multi-chip
@@ -352,15 +334,4 @@ func WithSparseThreshold(d float64) EngineOption {
 // outputs stay bit-identical).
 func WithEngineChips(n int) EngineOption {
 	return func(s *engineSettings) { s.cfg.Chips = n; s.chipsSet = true }
-}
-
-// WithEngineConfig applies a whole legacy EngineConfig at once, keeping
-// the deprecated struct entry points thin; new code should use the
-// individual options. The Chips field counts as an explicit override
-// only when non-zero.
-func WithEngineConfig(cfg EngineConfig) EngineOption {
-	return func(s *engineSettings) {
-		s.cfg = cfg
-		s.chipsSet = cfg.Chips != 0
-	}
 }

@@ -64,9 +64,8 @@ func TestCompileOptionValidation(t *testing.T) {
 	}
 }
 
-// TestEngineOptionValidation: serving knobs with nonsensical values —
-// including NaN and out-of-range sparse thresholds — are rejected with
-// ErrInvalidArgument before a worker pool spins up.
+// TestEngineOptionValidation: serving knobs with nonsensical values are
+// rejected with ErrInvalidArgument before a worker pool spins up.
 func TestEngineOptionValidation(t *testing.T) {
 	d, _, _ := trainedDeployment(t)
 	ctx := context.Background()
@@ -74,9 +73,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		name string
 		opts []EngineOption
 	}{
-		{"NaN sparse threshold", []EngineOption{WithSparseThreshold(math.NaN())}},
-		{"negative sparse threshold", []EngineOption{WithSparseThreshold(-0.5)}},
-		{"sparse threshold above 1", []EngineOption{WithSparseThreshold(1.5)}},
 		{"negative workers", []EngineOption{WithWorkers(-1)}},
 		{"negative batch", []EngineOption{WithMaxBatch(-2)}},
 		{"negative queue depth", []EngineOption{WithQueueDepth(-4)}},
@@ -89,15 +85,5 @@ func TestEngineOptionValidation(t *testing.T) {
 				t.Errorf("NewEngine(%s) = %v, want ErrInvalidArgument", tc.name, err)
 			}
 		})
-	}
-	// Boundary values of the sparse threshold are legal: 0 means default,
-	// 1 disables the dense fallback entirely.
-	for _, thr := range []float64{0, 1} {
-		eng, err := d.NewEngine(ctx, WithSparseThreshold(thr))
-		if err != nil {
-			t.Errorf("WithSparseThreshold(%v): %v, want success", thr, err)
-			continue
-		}
-		eng.Close()
 	}
 }

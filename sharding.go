@@ -8,8 +8,8 @@ import (
 )
 
 // ShardPolicy selects the objective the multi-chip partitioner optimizes
-// when Config.MaxChips (or EngineConfig.Chips) splits a model across
-// chips. See internal/shard for the partitioning algorithm.
+// when WithChips (or WithEngineChips) splits a model across chips. See
+// internal/shard for the partitioning algorithm.
 type ShardPolicy int
 
 // Sharding policies.

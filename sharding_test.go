@@ -3,7 +3,6 @@ package fpsa
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,7 +21,7 @@ func shardTestModel(t *testing.T) Model {
 // hard error at MaxChips 1 — and the error names the fix.
 func TestCompileExceedsCapacityErrors(t *testing.T) {
 	m := shardTestModel(t)
-	d, err := CompileConfig(m, DefaultConfig())
+	d, err := Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func TestCompileExceedsCapacityErrors(t *testing.T) {
 	if pes < 2 {
 		t.Fatalf("test model occupies %d PEs, cannot exercise capacity", pes)
 	}
-	_, err = CompileConfig(m, Config{Duplication: 1, ChipCapacity: pes - 1})
+	_, err = Compile(context.Background(), m, WithDuplication(1), WithChipCapacity(pes-1))
 	if err == nil {
 		t.Fatal("over-capacity compile succeeded on one chip")
 	}
@@ -47,7 +46,7 @@ func TestCompileExceedsCapacityErrors(t *testing.T) {
 // the PE inventory.
 func TestCompileSharded(t *testing.T) {
 	m := shardTestModel(t)
-	single, err := CompileConfig(m, DefaultConfig())
+	single, err := Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestCompileSharded(t *testing.T) {
 	}
 
 	capacity := wantPEs - 1
-	d, err := CompileConfig(m, Config{Duplication: 1, ChipCapacity: capacity, MaxChips: 4})
+	d, err := Compile(context.Background(), m, WithDuplication(1), WithChipCapacity(capacity), WithChips(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestCompileSharded(t *testing.T) {
 // for exactly that many chips.
 func TestCompileShardedExactChips(t *testing.T) {
 	m := shardTestModel(t)
-	d, err := CompileConfig(m, Config{Duplication: 1, MaxChips: 3})
+	d, err := Compile(context.Background(), m, WithDuplication(1), WithChips(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestCompileShardedExactChips(t *testing.T) {
 // capacity cannot shard at any chip count.
 func TestCompileInfeasibleSharding(t *testing.T) {
 	m := shardTestModel(t)
-	if _, err := CompileConfig(m, Config{Duplication: 1, ChipCapacity: 1, MaxChips: 2}); err == nil {
+	if _, err := Compile(context.Background(), m, WithDuplication(1), WithChipCapacity(1), WithChips(2)); err == nil {
 		t.Fatal("infeasible sharding accepted (capacity 1 cannot hold the model at 2 chips)")
 	}
 }
@@ -124,7 +123,7 @@ func TestCompileInfeasibleSharding(t *testing.T) {
 // chip.
 func TestShardedPlaceAndRoute(t *testing.T) {
 	m := shardTestModel(t)
-	d, err := CompileConfig(m, Config{Duplication: 1, MaxChips: 2, Seed: 3})
+	d, err := Compile(context.Background(), m, WithDuplication(1), WithChips(2), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +157,8 @@ func TestShardedPlaceAndRoute(t *testing.T) {
 func TestShardedPlaceAndRouteCached(t *testing.T) {
 	m := shardTestModel(t)
 	cache := NewCompileCache(0)
-	cfg := Config{Duplication: 1, MaxChips: 2, Seed: 3, Cache: cache}
-	d, err := CompileConfig(m, cfg)
+	opts := []Option{WithDuplication(1), WithChips(2), WithSeed(3), WithCache(cache)}
+	d, err := Compile(context.Background(), m, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestShardedPlaceAndRouteCached(t *testing.T) {
 	if cold.FromCache {
 		t.Fatal("first sharded PlaceAndRoute reported FromCache")
 	}
-	d2, err := CompileConfig(m, cfg)
+	d2, err := Compile(context.Background(), m, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestShardedPlaceAndRouteCached(t *testing.T) {
 // chips reported, link time > 0, latency above the single-chip figure.
 func TestShardedPerformance(t *testing.T) {
 	m := shardTestModel(t)
-	single, err := CompileConfig(m, DefaultConfig())
+	single, err := Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestShardedPerformance(t *testing.T) {
 	if sp.Chips != 1 || sp.LinkNSPerSample != 0 {
 		t.Fatalf("single-chip perf reports %d chips, link %g", sp.Chips, sp.LinkNSPerSample)
 	}
-	d, err := CompileConfig(m, Config{Duplication: 1, MaxChips: 2})
+	d, err := Compile(context.Background(), m, WithDuplication(1), WithChips(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +236,8 @@ func TestShardedEngineServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := net.Deploy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewEngine(sn, EngineConfig{Workers: 1, MaxBatch: 4, Mode: ModeSpiking})
+	d := compileMLP(t, net)
+	single, err := d.NewEngine(context.Background(), WithWorkers(1), WithMaxBatch(4), WithMode(ModeSpiking))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +247,7 @@ func TestShardedEngineServes(t *testing.T) {
 	}
 	single.Close()
 
-	sharded, err := NewEngine(sn, EngineConfig{Workers: 3, MaxBatch: 4, Mode: ModeSpiking, Chips: 2})
+	sharded, err := d.NewEngine(context.Background(), WithWorkers(3), WithMaxBatch(4), WithMode(ModeSpiking), WithEngineChips(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,61 +269,13 @@ func TestShardedEngineServes(t *testing.T) {
 	}
 }
 
-// TestShardingBench: the experiment runs end to end at small scale and
-// reports one row per chip count with consistent stage splits.
-func TestShardingBench(t *testing.T) {
-	r, err := ShardingBench(context.Background(), ShardingBenchOptions{Samples: 48, Batch: 8, ChipCounts: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(r.Rows))
-	}
-	if r.Rows[0].RealChips != 1 || r.Rows[1].RealChips != 2 {
-		t.Fatalf("realized chips %d/%d, want 1/2", r.Rows[0].RealChips, r.Rows[1].RealChips)
-	}
-	for _, row := range r.Rows {
-		if row.ThroughputSPS <= 0 || row.BatchLatencyUS <= 0 {
-			t.Errorf("row %+v has empty measurements", row)
-		}
-		total := 0
-		for _, s := range row.StageSplit {
-			total += s
-		}
-		if total != r.Stages {
-			t.Errorf("chips=%d stage split %v does not cover %d stages", row.RealChips, row.StageSplit, r.Stages)
-		}
-	}
-	if len(r.Rows[1].CutSignals) != 1 || r.Rows[1].CutSignals[0] <= 0 {
-		t.Errorf("2-chip row cut signals = %v", r.Rows[1].CutSignals)
-	}
-	out := r.String()
-	if !strings.Contains(out, "sharded serving") || !strings.Contains(out, "2+2") {
-		t.Errorf("render missing expected content:\n%s", out)
-	}
-	if r.GoMaxProcs != runtime.GOMAXPROCS(0) || r.NumCPU != runtime.NumCPU() {
-		t.Errorf("host parallelism GoMaxProcs=%d NumCPU=%d, want %d/%d",
-			r.GoMaxProcs, r.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
-	// The pipeline can only overlap chips when the host gives it cores:
-	// with GOMAXPROCS < chips the per-chip goroutines time-slice, the
-	// multi-chip row legitimately measures ~1.0x, and the report must say
-	// so instead of looking like a silent regression.
-	if r.GoMaxProcs < 2 && !strings.Contains(out, "time-slice") {
-		t.Errorf("1-core render missing the GOMAXPROCS caveat:\n%s", out)
-	}
-	// Wall-clock speed is not asserted in tier-1 (a shared 2-core host
-	// measured 0.62–0.76x here); the bench gates own it.
-	t.Logf("2-chip speedup %.2fx with GOMAXPROCS=%d", r.Rows[1].Speedup, r.GoMaxProcs)
-}
-
 // TestReshardingReusesUnchangedShards: shard cache keys address the
 // shard's group range, not the chip count, so re-partitioning at a
 // different MaxChips re-uses every chip whose content is unchanged.
 func TestReshardingReusesUnchangedShards(t *testing.T) {
 	m := shardTestModel(t)
 	cache := NewCompileCache(0)
-	d2, err := CompileConfig(m, Config{Duplication: 1, MaxChips: 2, Seed: 3, Cache: cache})
+	d2, err := Compile(context.Background(), m, WithDuplication(1), WithChips(2), WithSeed(3), WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +286,7 @@ func TestReshardingReusesUnchangedShards(t *testing.T) {
 	for _, sh := range d2.shards {
 		ranges2[[2]int{sh.lo, sh.hi}] = true
 	}
-	d3, err := CompileConfig(m, Config{Duplication: 1, MaxChips: 3, Seed: 3, Cache: cache})
+	d3, err := Compile(context.Background(), m, WithDuplication(1), WithChips(3), WithSeed(3), WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
