@@ -48,9 +48,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 7, "data/train/programming seed")
 	workers := flag.Int("workers", 4, "engine worker replicas")
-	batch := flag.Int("batch", 8, "micro-batch flush size")
-	flush := flag.Duration("flush", 500*time.Microsecond, "micro-batch flush deadline")
-	queue := flag.Int("queue", 1024, "request queue depth")
+	batch := flag.Int("batch", 8, "most samples a worker takes from the queue at once")
+	queue := flag.Int("queue", 1024, "request queue depth, in entries")
 	modeName := flag.String("mode", "spiking", "exec mode: reference, spiking, or noisy")
 	epochs := flag.Int("epochs", 40, "training epochs")
 	chips := flag.Int("chips", 1, "serve as a sharded deployment pipelined across this many chips (1 = single chip)")
@@ -101,7 +100,6 @@ func main() {
 	eng, err := d.NewEngine(ctx,
 		fpsa.WithWorkers(*workers),
 		fpsa.WithMaxBatch(*batch),
-		fpsa.WithFlushInterval(*flush),
 		fpsa.WithQueueDepth(*queue),
 		fpsa.WithMode(mode),
 	)
@@ -176,7 +174,7 @@ func main() {
 			log.Printf("engine close: %v", err)
 		}
 	}()
-	log.Printf("serving on %s (%d workers, batch %d, flush %v)", *addr, *workers, *batch, *flush)
+	log.Printf("serving on %s (%d workers, batch %d)", *addr, *workers, *batch)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fail(err)
 	}

@@ -65,13 +65,12 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 // count only on a single-chip deployment (a serving-side pipelining
 // experiment); an override that disagrees with a multi-chip deployment
 // returns ErrChipConflict.
-// Defaults are the serving sweet spot (4 workers, micro-batches of 8,
-// ModeSpiking); shape them with WithWorkers, WithMaxBatch,
-// WithFlushInterval, WithQueueDepth and WithMode. ctx is checked
-// before and after the net is derived — a cancelled context fails with
-// ctx.Err() instead of starting workers (synthesis itself is quick and
-// runs to completion; only PlaceAndRoute carries checkpointed
-// cancellation). Close the engine when done.
+// Defaults are the serving sweet spot (4 workers, batches of up to 8,
+// ModeSpiking); shape them with WithWorkers, WithMaxBatch, WithQueueDepth
+// and WithMode. ctx is checked before and after the net is derived — a
+// cancelled context fails with ctx.Err() instead of starting workers
+// (synthesis itself is quick and runs to completion; only PlaceAndRoute
+// carries checkpointed cancellation). Close the engine when done.
 func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engine, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"fpsa/internal/serve"
 	"fpsa/internal/synth"
@@ -16,11 +15,10 @@ type engineConfig struct {
 	// Workers is the number of parallel execution replicas; each holds
 	// its own programmed simulation state. 0 means 1.
 	Workers int
-	// MaxBatch is the micro-batch flush size (0 = 8); FlushInterval is
-	// the micro-batch flush deadline (0 = 500µs).
-	MaxBatch      int
-	FlushInterval time.Duration
-	// QueueDepth bounds the request queue (0 = 1024).
+	// MaxBatch caps the samples a worker takes at once and is the chunk
+	// size ClassifyBatch calls are queued in (0 = 8).
+	MaxBatch int
+	// QueueDepth bounds the request queue, in entries (0 = 1024).
 	QueueDepth int
 	// Mode selects the execution semantics (default ModeReference). In
 	// ModeSpikingNoisy each worker replica is programmed with its own
@@ -43,11 +41,12 @@ func defaultEngineConfig() engineConfig {
 	return engineConfig{Workers: 4, MaxBatch: 8, Mode: ModeSpiking}
 }
 
-// Engine serves a deployed SpikingNet concurrently: requests queue into
-// micro-batches (flushed on size or deadline) and a worker pool of
-// per-replica execution states classifies them in parallel. Construct
-// with Deployment.NewEngine and Close when done. All methods are safe
-// for concurrent use.
+// Engine serves a deployed SpikingNet concurrently: requests enter one
+// queue and a worker pool of per-replica execution states pulls from it,
+// each idle worker taking whatever is waiting (up to MaxBatch samples)
+// as one batched kernel pass — nothing waits for a batch to fill.
+// Construct with Deployment.NewEngine and Close when done. All methods
+// are safe for concurrent use.
 type Engine struct {
 	eng    *serve.Engine
 	window int
@@ -74,23 +73,19 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 			return nil, fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
 		}
 	}
-	if cfg.FlushInterval < 0 {
-		return nil, fmt.Errorf("%w: WithFlushInterval(%v): interval must be ≥ 0 (0 = default)", ErrInvalidArgument, cfg.FlushInterval)
-	}
 	mode, err := cfg.Mode.synthMode()
 	if err != nil {
 		return nil, err
 	}
 	eng, err := serve.New(sn.prog, serve.Options{
-		Workers:       cfg.Workers,
-		MaxBatch:      cfg.MaxBatch,
-		FlushInterval: cfg.FlushInterval,
-		QueueDepth:    cfg.QueueDepth,
-		Mode:          mode,
-		Seed:          sn.currentSeed() + 7,
-		Chips:         cfg.Chips,
-		Policy:        policy,
-		Faults:        sn.faults,
+		Workers:    cfg.Workers,
+		MaxBatch:   cfg.MaxBatch,
+		QueueDepth: cfg.QueueDepth,
+		Mode:       mode,
+		Seed:       sn.currentSeed() + 7,
+		Chips:      cfg.Chips,
+		Policy:     policy,
+		Faults:     sn.faults,
 	})
 	if err != nil {
 		return nil, err
@@ -123,17 +118,14 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	return out, wrapServeErr(err)
 }
 
-// ClassifyBatch queues every sample at once — one call fills whole
-// micro-batches — and returns the positional argmax classes.
+// ClassifyBatch queues the whole call at once, in chunks of MaxBatch
+// samples that spread over the workers, and returns the positional
+// argmax classes.
 func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ins := make([][]int, len(batch))
-	for i, f := range batch {
-		ins[i] = synth.QuantizeInput(f, e.window)
-	}
-	outs, err := e.eng.InferBatch(ctx, ins)
+	outs, err := e.eng.InferBatch(ctx, synth.QuantizeBatch(batch, e.window))
 	if err != nil {
 		return nil, wrapServeErr(err)
 	}
@@ -147,16 +139,16 @@ func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, e
 // EngineStats is a snapshot of an engine's serving counters — the
 // served-traffic counterpart of PerfSummary.
 type EngineStats struct {
-	Requests  uint64
-	Errors    uint64
-	Shed      uint64
-	Batches   uint64
-	MeanBatch float64
+	// Requests, Errors and Shed count samples (a ClassifyBatch call of n
+	// counts n).
+	Requests uint64
+	Errors   uint64
+	Shed     uint64
 	// ExecBatches, MeanExecBatch and MaxExecBatch describe the
 	// executor-level batched kernel passes: how many RunBatch calls the
-	// workers issued and how many live requests each carried after
+	// workers issued and how many live samples each carried after
 	// shedding — the kernel batching actually achieved, as opposed to
-	// the MaxBatch configured ceiling.
+	// the MaxBatch configured ceiling (MaxExecBatch never exceeds it).
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int
@@ -176,8 +168,10 @@ type EngineStats struct {
 	FaultedCells  int
 	ThroughputSPS float64
 	// P50LatencyUS, P99LatencyUS and P999LatencyUS are queue-to-completion
-	// latency percentiles over a sliding window of recent requests; the
-	// fleet layer reports the same three through the same implementation.
+	// latency percentiles over a sliding window of recent queue entries
+	// (one per Classify call or ≤ MaxBatch chunk of a ClassifyBatch call);
+	// the fleet layer reports the same three through the same
+	// implementation. QueueDepth counts waiting entries likewise.
 	P50LatencyUS  float64
 	P99LatencyUS  float64
 	P999LatencyUS float64

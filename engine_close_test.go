@@ -34,7 +34,7 @@ func TestEngineCloseVsInflight(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		eng, err := d.NewEngine(context.Background(), WithWorkers(2), WithFlushInterval(50*time.Microsecond))
+		eng, err := d.NewEngine(context.Background(), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}

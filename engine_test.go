@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // deployTestNet trains and compiles the small MLP workload shared by the
@@ -102,22 +101,24 @@ func TestEngineClassifyBatch(t *testing.T) {
 	}
 }
 
-func TestEngineFlushDeadline(t *testing.T) {
+// TestEngineLoneRequest: a lone request on an idle engine runs at once
+// as a batch of one; nothing waits for MaxBatch to fill.
+func TestEngineLoneRequest(t *testing.T) {
 	d, _, test := deployTestNet(t)
 	eng, err := d.NewEngine(context.Background(),
 		WithWorkers(1),
-		WithMaxBatch(128), // a lone request can only leave via the deadline
-		WithFlushInterval(2*time.Millisecond),
+		WithMaxBatch(128), // never reached by one request
 		WithMode(ModeReference),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := eng.Classify(ctx, test.X[0]); err != nil {
-		t.Fatalf("deadline flush never released the request: %v", err)
+	if _, err := eng.Classify(context.Background(), test.X[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.ExecBatches != 1 || st.MaxExecBatch != 1 || st.Requests != 1 {
+		t.Errorf("stats = %+v, want 1 batch of 1 / 1 request", st)
 	}
 }
 

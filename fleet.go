@@ -130,7 +130,7 @@ func WithModelQueueDepth(n int) FleetModelOption {
 }
 
 // WithModelEngine shapes each replica's serving engine with the usual
-// engine options (WithMode, WithMaxBatch, WithFlushInterval, …). A fleet
+// engine options (WithMode, WithMaxBatch, …). A fleet
 // replica is always a one-worker engine — the pool, not the engine, is
 // the parallelism — so WithWorkers is overridden; use WithModelReplicas.
 // Prefer WithModelQueueDepth over WithQueueDepth here so admission stays

@@ -71,7 +71,7 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 			defer f.Close()
 			if err := f.AddModel(context.Background(), "m", d1,
 				WithModelReplicas(2), WithModelQueueDepth(4096),
-				WithModelEngine(WithMode(mode), WithFlushInterval(50*time.Microsecond))); err != nil {
+				WithModelEngine(WithMode(mode))); err != nil {
 				t.Fatal(err)
 			}
 

@@ -205,11 +205,7 @@ func (s *SpikingNet) OutputsBatch(features [][]float64, mode ExecMode) ([][]int,
 	if len(features) == 0 {
 		return nil, nil
 	}
-	window := s.prog.Params.SamplingWindow()
-	ins := make([][]int, len(features))
-	for i, f := range features {
-		ins[i] = synth.QuantizeInput(f, window)
-	}
+	ins := synth.QuantizeBatch(features, s.prog.Params.SamplingWindow())
 	m, err := mode.synthMode()
 	if err != nil {
 		return nil, err

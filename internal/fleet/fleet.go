@@ -8,8 +8,11 @@
 // The swap protocol is the heart of the package. Every model points at a
 // version — an immutable bitstream generation carrying its replica pool
 // and input quantization window — through an atomic pointer. A request
-// pins the version it will run on (acquire/release with a pending count),
-// so Swap can atomically re-point the route to a freshly built pool and
+// pins the version it will run on (acquire/release with a pending count)
+// and is dispatched to the replica with the fewest pinned requests — what
+// a replica actually has outstanding, queued or executing, so nothing
+// queues behind a busy replica while a sibling sits idle. Because of the
+// pin, Swap can atomically re-point the route to a freshly built pool and
 // then wait for the old version to drain: no in-flight request is ever
 // dropped, every response is attributable to exactly one version, and a
 // request never sees the new version's window with the old version's
@@ -52,7 +55,9 @@ var (
 )
 
 // Replica is one serving replica of a model version: a programmed
-// execution engine. *serve.Engine satisfies it.
+// execution engine. *serve.Engine satisfies it. QueueDepth is the
+// replica's waiting backlog (what the autoscaler reads); routing does not
+// use it — a replica that drains its queue eagerly reads 0 while busy.
 type Replica interface {
 	Infer(ctx context.Context, input []int) ([]int, error)
 	QueueDepth() int
@@ -233,37 +238,46 @@ type version struct {
 	pending  int
 	retired  bool
 	drained  chan struct{}
-	replicas []Replica
+	replicas []*slot
+}
+
+// slot is one replica of a version's pool and the number of requests
+// currently pinned to it (under version.mu).
+type slot struct {
+	Replica
+	pinned int
 }
 
 func newVersion(id, window int) *version {
 	return &version{id: id, window: window, drained: make(chan struct{})}
 }
 
-// acquire pins the version and picks its least-loaded replica. It fails
-// once the version is retired (a swap has re-pointed the route) or its
-// pool is empty; the caller retries on the model's current version.
-func (v *version) acquire() (Replica, bool) {
+// acquire pins the version and its replica with the fewest pinned
+// requests (the first such, so an idle pool fills from replica 0). It
+// fails once the version is retired (a swap has re-pointed the route) or
+// its pool is empty; the caller retries on the model's current version.
+func (v *version) acquire() (*slot, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.retired || len(v.replicas) == 0 {
 		return nil, false
 	}
 	best := v.replicas[0]
-	depth := best.QueueDepth()
-	for _, r := range v.replicas[1:] {
-		if d := r.QueueDepth(); d < depth {
-			best, depth = r, d
+	for _, s := range v.replicas[1:] {
+		if s.pinned < best.pinned {
+			best = s
 		}
 	}
+	best.pinned++
 	v.pending++
 	return best, true
 }
 
-// release unpins the version; the last release of a retired version
-// signals the drain.
-func (v *version) release() {
+// release unpins the version and the replica acquire returned; the last
+// release of a retired version signals the drain.
+func (v *version) release(s *slot) {
 	v.mu.Lock()
+	s.pinned--
 	v.pending--
 	if v.retired && v.pending == 0 {
 		close(v.drained)
@@ -287,7 +301,7 @@ func (v *version) retire() <-chan struct{} {
 
 // takeReplicas empties the pool (after drain) so the caller can close
 // the replicas outside the lock.
-func (v *version) takeReplicas() []Replica {
+func (v *version) takeReplicas() []*slot {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	rs := v.replicas
@@ -303,7 +317,7 @@ func (v *version) addReplica(r Replica) bool {
 	if v.retired {
 		return false
 	}
-	v.replicas = append(v.replicas, r)
+	v.replicas = append(v.replicas, &slot{Replica: r})
 	return true
 }
 
@@ -319,10 +333,11 @@ func (v *version) removeReplica(min int) Replica {
 	}
 	r := v.replicas[len(v.replicas)-1]
 	v.replicas = v.replicas[:len(v.replicas)-1]
-	return r
+	return r.Replica
 }
 
-// count reports the pool size and summed replica queue depth.
+// count reports the pool size and summed replica queue depth (the
+// waiting backlog the autoscaler and the stats read).
 func (v *version) count() (replicas, depth int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -346,6 +361,13 @@ type model struct {
 	swapMu sync.Mutex
 	src    Source // current version's source, for scale-up (under swapMu)
 	closed atomic.Bool
+
+	// replicas is the live pool size of the current version, written
+	// under swapMu by registration and the autoscaler (a swap rebuilds
+	// the pool at the same size). Admission reads it instead of the
+	// route's pool, which a swap may be tearing down under a request that
+	// loaded the route just before it was re-pointed.
+	replicas atomic.Int64
 
 	inflight   atomic.Int64
 	requests   atomic.Uint64
@@ -450,10 +472,11 @@ func (f *Fleet) AddModel(name string, src Source, cfg ModelConfig) error {
 			closeAll(v.takeReplicas())
 			return fmt.Errorf("fleet: model %q: building replica %d: %w", name, i, err)
 		}
-		v.replicas = append(v.replicas, r)
+		v.replicas = append(v.replicas, &slot{Replica: r})
 	}
 	f.chipsUsed += need
 	m := &model{name: name, cfg: cfg, src: src, start: time.Now()}
+	m.replicas.Store(int64(cfg.Replicas))
 	m.cur.Store(v)
 	f.models[name] = m
 	return nil
@@ -484,6 +507,18 @@ func admitLimit(c Class, replicas, queueDepth int) int64 {
 	return l
 }
 
+// admit claims one of the model's in-flight places for a request of
+// class c, against the limit the live replica count allows; the caller
+// gives the place back with m.inflight.Add(-1).
+func (m *model) admit(c Class) (limit int64, ok bool) {
+	limit = admitLimit(c, int(m.replicas.Load()), m.cfg.QueueDepth)
+	if m.inflight.Add(1) > limit {
+		m.inflight.Add(-1)
+		return limit, false
+	}
+	return limit, true
+}
+
 // Infer serves one request for (model, tenant): admission (tenant quota,
 // then class-weighted model capacity), then version pinning and replica
 // dispatch. The response carries the id of the exact version that ran
@@ -511,10 +546,7 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			defer ts.inflight.Add(-1)
 		}
 	}
-	replicas, _ := m.cur.Load().count()
-	limit := admitLimit(cls, replicas, m.cfg.QueueDepth)
-	if m.inflight.Add(1) > limit {
-		m.inflight.Add(-1)
+	if limit, ok := m.admit(cls); !ok {
 		m.overload.Add(1)
 		return Result{}, fmt.Errorf("%w: model %q at %s-class admission limit %d",
 			ErrOverloaded, name, cls, limit)
@@ -535,7 +567,7 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			continue
 		}
 		out, err := rep.Infer(ctx, synth.QuantizeInput(features, v.window))
-		v.release()
+		v.release(rep)
 		if err != nil && errors.Is(err, serve.ErrClosed) {
 			if m.closed.Load() {
 				return Result{}, ErrClosed
@@ -596,7 +628,7 @@ func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, e
 			f.releaseChips(need)
 			return SwapEvent{}, fmt.Errorf("fleet: swap %q: building replica %d: %w", name, i, err)
 		}
-		next.replicas = append(next.replicas, r)
+		next.replicas = append(next.replicas, &slot{Replica: r})
 	}
 	m.src = src
 	m.cur.Store(next)
@@ -684,7 +716,7 @@ func (f *Fleet) Close() error {
 
 // closeAll closes replicas, dropping errors: the route has already moved
 // on, and a simulated chip's teardown has nothing actionable to report.
-func closeAll(rs []Replica) {
+func closeAll(rs []*slot) {
 	for _, r := range rs {
 		_ = r.Close()
 	}

@@ -16,18 +16,20 @@ import (
 // made to block on a gate, and QueueDepth can be faked to steer the
 // autoscaler.
 type fakeReplica struct {
-	marker int
-	gate   chan struct{} // when non-nil, Infer blocks until closed
-	start  chan struct{} // when non-nil, Infer signals entry (buffered)
-	depth  atomic.Int64  // fake queue depth
-	closed atomic.Bool
-	served atomic.Uint64
+	marker  int
+	gate    chan struct{} // when non-nil, Infer blocks until closed
+	start   chan struct{} // when non-nil, Infer signals entry (buffered)
+	depth   atomic.Int64  // fake queue depth
+	closed  atomic.Bool
+	entered atomic.Uint64 // Infer calls that reached this replica
+	served  atomic.Uint64
 }
 
 func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
 	if r.closed.Load() {
 		return nil, serve.ErrClosed
 	}
+	r.entered.Add(1)
 	if r.start != nil {
 		r.start <- struct{}{}
 	}
@@ -219,6 +221,91 @@ func TestClassWeightedAdmission(t *testing.T) {
 	st := f.Stats().Models["m"]
 	if st.Overload != 2 {
 		t.Fatalf("overload sheds = %d, want 2", st.Overload)
+	}
+}
+
+// TestDispatchSkipsBusyReplica: routing follows what a replica has
+// outstanding, not its waiting queue — a replica that drains its queue
+// eagerly reads depth 0 while it is busy (as these fakes always do), and
+// the next request must still go to its idle sibling.
+func TestDispatchSkipsBusyReplica(t *testing.T) {
+	f := New(slowTestOptions())
+	defer f.Close()
+	gate := make(chan struct{})
+	src := &fakeSource{window: 4, gate: gate, start: make(chan struct{}, 64)}
+	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 2, QueueDepth: 8}); err != nil {
+		t.Fatal(err)
+	}
+	// fillInflight waits for each request to be inside a replica before
+	// sending the next: replica 0 is held busy when the second arrives.
+	errs := fillInflight(t, f, "m", "t", src, 2)
+	reps := src.replicas()
+	if a, b := reps[0].entered.Load(), reps[1].entered.Load(); a != 1 || b != 1 {
+		t.Errorf("requests per replica = %d/%d, want 1/1 (second request queued behind the busy replica)", a, b)
+	}
+	// A third has nowhere idle to go and lands behind one of them; once
+	// everything drains the pool is even again and fills from replica 0.
+	errs3 := fillInflight(t, f, "m", "t", src, 1)
+	close(gate)
+	for _, c := range []chan error{errs, errs, errs3} {
+		if err := <-c; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Infer(context.Background(), "m", "t", []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := reps[0].entered.Load(), reps[1].entered.Load(); a != 3 || b != 1 {
+		t.Errorf("requests per replica after drain = %d/%d, want 3/1", a, b)
+	}
+}
+
+// TestAdmissionSurvivesRetiredRoute is the regression test for the shed
+// during hot-swap: a request that loaded the route just before Swap
+// re-pointed it used to size its admission limit from that version's
+// pool — which the swap empties — and shed at "limit 1" on a model with
+// three live replicas. Admission now reads the model's live replica
+// count; the stale route only ever costs a retry.
+func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
+	f := New(slowTestOptions())
+	defer f.Close()
+	if err := f.AddModel("m", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{Replicas: 3, QueueDepth: 4}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := m.cur.Load() // the route a request loaded just before the swap
+	gate := make(chan struct{})
+	next := &fakeSource{marker: 2, window: 4, gate: gate, start: make(chan struct{}, 64)}
+	if _, err := f.Swap(context.Background(), "m", next.Source()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := stale.count(); n != 0 {
+		t.Fatalf("retired version still holds %d replicas", n)
+	}
+	if _, ok := stale.acquire(); ok {
+		t.Fatal("retired version still pins requests")
+	}
+	// Two requests in flight: the limit of 1 an emptied pool yields would
+	// shed the next one; three replicas × depth 4 at batch class admit 6.
+	errs := fillInflight(t, f, "m", "t", next, 2)
+	limit, ok := m.admit(ClassBatch)
+	if !ok || limit != 6 {
+		t.Errorf("admit with a retired route in hand = limit %d, ok %v; want 6, true", limit, ok)
+	}
+	if ok {
+		m.inflight.Add(-1)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := f.Stats().Models["m"]; st.Overload != 0 || st.Replicas != 3 {
+		t.Errorf("overload sheds/replicas = %d/%d, want 0/3", st.Overload, st.Replicas)
 	}
 }
 

@@ -72,6 +72,7 @@ func (f *Fleet) scaleModel(m *model) {
 			f.releaseChips(m.cfg.ChipsPerReplica)
 			return
 		}
+		m.replicas.Add(1)
 		m.scaleUps.Add(1)
 	case depth == 0 && m.inflight.Load() == 0:
 		m.backlogTicks = 0
@@ -86,6 +87,7 @@ func (f *Fleet) scaleModel(m *model) {
 			// Close drains the replica's queued requests; a request that
 			// pinned it but loses the race to submit retries on a live
 			// replica (see Infer).
+			m.replicas.Add(-1)
 			_ = r.Close()
 			f.releaseChips(m.cfg.ChipsPerReplica)
 			m.scaleDowns.Add(1)

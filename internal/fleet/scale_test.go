@@ -61,6 +61,11 @@ func TestScaleUpOnBacklogThenDownOnIdle(t *testing.T) {
 	if _, used := f.Chips(); used != 3 {
 		t.Fatalf("chips used at peak = %d, want 3", used)
 	}
+	m, err := f.lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "admission's replica count to follow the pool up", func() bool { return m.replicas.Load() == 3 })
 	// Go idle: zero depth, nothing in flight.
 	setDepths(0)
 	waitFor(t, "scale-down to MinReplicas", func() bool {
@@ -69,6 +74,7 @@ func TestScaleUpOnBacklogThenDownOnIdle(t *testing.T) {
 	if _, used := f.Chips(); used != 1 {
 		t.Fatalf("chips used after idle = %d, want 1", used)
 	}
+	waitFor(t, "admission's replica count to follow the pool down", func() bool { return m.replicas.Load() == 1 })
 	st := f.Stats().Models["m"]
 	if st.ScaleUps < 2 || st.ScaleDowns < 2 {
 		t.Fatalf("scale counters = up %d / down %d, want ≥ 2 each", st.ScaleUps, st.ScaleDowns)

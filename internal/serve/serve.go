@@ -1,14 +1,15 @@
-// Package serve implements a concurrent, micro-batched inference engine
+// Package serve implements a concurrent, work-conserving inference engine
 // over deployed spiking-network programs (synth.Program). The engine owns
-// a request queue, a batcher that flushes on batch size or deadline, and
-// a pool of workers each holding its own programmed synth.Executor —
-// cycle-level simulation state is never shared across goroutines, exactly
-// as each replica chip carries its own programmed crossbars. Workers
-// execute each flushed micro-batch as ONE Executor.RunBatch call, so
-// MaxBatch is a throughput knob (every stage's crossbar evaluates the
-// whole batch through the shared internal/xbar kernel), not just a
-// latency/queueing knob. It is the serving substrate behind the public
-// fpsa.Engine API and cmd/fpsa-serve.
+// one request queue and a pool of workers each holding its own programmed
+// synth.Executor — cycle-level simulation state is never shared across
+// goroutines, exactly as each replica chip carries its own programmed
+// crossbars. Workers pull from the queue themselves: an idle worker
+// blocks for one entry, takes whatever else is already queued (up to
+// MaxBatch samples, never waiting for more) and runs it as ONE
+// Executor.RunBatch call. Nothing sits between an arriving request and an
+// idle worker, and batching is whatever piled up while the workers were
+// busy. It is the serving substrate behind the public fpsa.Engine API and
+// cmd/fpsa-serve.
 //
 // With Options.Chips ≥ 2 the engine serves a sharded deployment instead:
 // one synth.PipelineExecutor whose program is partitioned across that
@@ -46,17 +47,13 @@ type Options struct {
 	// Workers is the worker-pool size; each worker programs its own
 	// Executor. 0 means 1.
 	Workers int
-	// MaxBatch flushes the accumulating micro-batch when it reaches this
-	// many requests; a flushed batch is executed in one batched kernel
-	// pass, so larger values trade queueing latency for per-stage
-	// throughput. 0 means 8.
+	// MaxBatch caps the samples a worker takes from the queue for one
+	// batched kernel pass, and is the size InferBatch chunks a call into
+	// (so one call spreads over the workers). 0 means 8.
 	MaxBatch int
-	// FlushInterval flushes a non-empty micro-batch this long after its
-	// first request arrived, bounding queueing latency under light load.
-	// 0 means 500µs.
-	FlushInterval time.Duration
-	// QueueDepth bounds the request queue; Infer blocks (or honors its
-	// context) when the queue is full. 0 means 1024.
+	// QueueDepth bounds the request queue, counted in entries: one Infer
+	// call or one ≤ MaxBatch chunk of an InferBatch call. Infer blocks
+	// (or honors its context) when the queue is full. 0 means 1024.
 	QueueDepth int
 	// Mode selects the execution semantics for every worker.
 	Mode synth.ExecMode
@@ -115,9 +112,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 500 * time.Microsecond
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
 	}
@@ -127,25 +121,27 @@ func (o Options) withDefaults() Options {
 // ErrClosed is returned by Infer after Close.
 var ErrClosed = fmt.Errorf("serve: engine closed")
 
-// request is one queued classification. ctx lets workers shed requests
-// whose callers have already given up.
-type request struct {
-	ctx   context.Context
-	input []int
-	enq   time.Time
-	out   []int
-	err   error
-	done  chan struct{}
+// entry is one queue element: a single Infer call, or one ≤ MaxBatch
+// chunk of an InferBatch call. A worker never splits an entry. inputs and
+// outs are the entry's own slice headers (never the caller's outer
+// slice), so an entry abandoned by a cancelled call still runs safely.
+// ctx lets workers shed entries whose callers have already given up.
+type entry struct {
+	ctx    context.Context
+	inputs [][]int
+	outs   [][]int
+	enq    time.Time
+	err    error
+	done   chan struct{}
 }
 
-// Engine is a concurrent, micro-batched inference engine. Construct with
-// New, submit with Infer/InferBatch, and Close when done.
+// Engine is a concurrent, work-conserving inference engine. Construct
+// with New, submit with Infer/InferBatch, and Close when done.
 type Engine struct {
-	opts    Options
-	reqs    chan *request
-	batches chan []*request
-	wg      sync.WaitGroup
-	stats   tracker
+	opts  Options
+	queue chan *entry
+	wg    sync.WaitGroup
+	stats tracker
 	// pipe is the shared multi-chip pipeline of a sharded engine (nil
 	// for the per-worker single-chip layout); chips is the realized
 	// pipeline depth (1 when unsharded). runners keeps every execution
@@ -160,8 +156,8 @@ type Engine struct {
 }
 
 // New builds the engine: it programs the execution state over prog
-// (surfacing programming errors synchronously) and starts the batcher and
-// worker goroutines. With opts.Chips ≤ 1 each worker programs a private
+// (surfacing programming errors synchronously) and starts the worker
+// goroutines. With opts.Chips ≤ 1 each worker programs a private
 // single-chip executor; with opts.Chips ≥ 2 one pipelined multi-chip
 // executor is programmed and shared by every worker.
 func New(prog *synth.Program, opts Options) (*Engine, error) {
@@ -206,11 +202,9 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 		}
 	}
 	e.runners = runners
-	e.reqs = make(chan *request, opts.QueueDepth)
-	e.batches = make(chan []*request, opts.Workers)
+	e.queue = make(chan *entry, opts.QueueDepth)
 	e.stats.start = time.Now()
-	e.wg.Add(1 + opts.Workers)
-	go e.batcher()
+	e.wg.Add(opts.Workers)
 	for _, r := range runners {
 		go e.worker(r)
 	}
@@ -228,42 +222,47 @@ func (e *Engine) Chips() int { return e.chips }
 // classifies it or ctx is done. The returned slice is the program's raw
 // output counts.
 func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
-	r := &request{ctx: ctx, input: input, enq: time.Now(), done: make(chan struct{})}
-	if err := e.submit(ctx, r); err != nil {
+	io := [][]int{input, nil}
+	en := &entry{ctx: ctx, inputs: io[:1:1], outs: io[1:], enq: time.Now(), done: make(chan struct{})}
+	if err := e.submit(ctx, en); err != nil {
 		return nil, err
 	}
 	select {
-	case <-r.done:
-		return r.out, r.err
+	case <-en.done:
+		return en.outs[0], en.err
 	case <-ctx.Done():
-		// The request is already queued; a worker will still run it, but
+		// The entry is already queued; a worker will still run it, but
 		// the caller has moved on.
 		return nil, ctx.Err()
 	}
 }
 
-// InferBatch queues every input and waits for all results, so one call
-// naturally fills micro-batches. Results are positional; the first
-// request error (if any) is returned after all requests settle.
+// InferBatch queues inputs as ⌈n/MaxBatch⌉ entries of at most MaxBatch
+// samples each and waits for all of them, so one call spreads over the
+// workers in whole kernel batches. Results are positional; the first
+// entry error (if any) is returned after all entries settle.
 func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
-	rs := make([]*request, len(inputs))
-	for i, in := range inputs {
-		r := &request{ctx: ctx, input: in, enq: time.Now(), done: make(chan struct{})}
-		if err := e.submit(ctx, r); err != nil {
-			// Already-queued requests still run to completion; the
+	n, step := len(inputs), e.opts.MaxBatch
+	// Entries outlive a cancelled call, so they view copies of the slice
+	// headers, not the caller's outer slice.
+	ins := append([][]int(nil), inputs...)
+	outs := make([][]int, n)
+	entries := make([]entry, (n+step-1)/step)
+	for i := range entries {
+		lo, hi := i*step, min((i+1)*step, n)
+		entries[i] = entry{ctx: ctx, inputs: ins[lo:hi:hi], outs: outs[lo:hi:hi], enq: time.Now(), done: make(chan struct{})}
+		if err := e.submit(ctx, &entries[i]); err != nil {
+			// Already-queued entries still run to completion; the
 			// caller has moved on, as in Infer's cancellation path.
 			return nil, err
 		}
-		rs[i] = r
 	}
-	outs := make([][]int, len(rs))
 	var firstErr error
-	for i, r := range rs {
+	for i := range entries {
 		select {
-		case <-r.done:
-			outs[i] = r.out
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
+		case <-entries[i].done:
+			if err := entries[i].err; err != nil && firstErr == nil {
+				firstErr = err
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -275,16 +274,16 @@ func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error
 	return outs, nil
 }
 
-// submit enqueues r, blocking while the queue is full. The RLock pairs
+// submit enqueues en, blocking while the queue is full. The RLock pairs
 // with Close's exclusive lock so no send can race the channel close.
-func (e *Engine) submit(ctx context.Context, r *request) error {
+func (e *Engine) submit(ctx context.Context, en *entry) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrClosed
 	}
 	select {
-	case e.reqs <- r:
+	case e.queue <- en:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -292,7 +291,7 @@ func (e *Engine) submit(ctx context.Context, r *request) error {
 }
 
 // Close drains the queue, stops the workers (and, on a sharded engine,
-// the chip pipeline), and releases the engine. Queued requests still
+// the chip pipeline), and releases the engine. Queued entries still
 // complete; subsequent Infer calls return ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
@@ -301,7 +300,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	close(e.reqs)
+	close(e.queue)
 	e.mu.Unlock()
 	e.wg.Wait()
 	if e.pipe != nil {
@@ -310,121 +309,115 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// batcher accumulates requests into micro-batches and flushes on size or
-// deadline. The deadline timer starts at each batch's first request, so a
-// lone request under light load waits at most FlushInterval.
-func (e *Engine) batcher() {
-	defer e.wg.Done()
-	defer close(e.batches)
-	timer := time.NewTimer(e.opts.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var batch []*request
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		e.stats.recordBatch()
-		e.batches <- batch
-		batch = nil
-	}
-	for {
-		if len(batch) == 0 {
-			r, ok := <-e.reqs
-			if !ok {
-				return
-			}
-			batch = append(batch, r)
-			timer.Reset(e.opts.FlushInterval)
-			if len(batch) >= e.opts.MaxBatch {
-				stopTimer(timer)
-				flush()
-			}
-			continue
-		}
-		select {
-		case r, ok := <-e.reqs:
-			if !ok {
-				stopTimer(timer)
-				flush()
-				return
-			}
-			batch = append(batch, r)
-			if len(batch) >= e.opts.MaxBatch {
-				stopTimer(timer)
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		}
-	}
-}
-
-// stopTimer stops t and drains a pending fire so the next Reset arms
-// cleanly.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// worker runs whole micro-batches on its runner until the batch channel
-// closes: each flushed batch becomes one RunBatch call — on a private
-// single-chip executor, or on the shared chip pipeline, where concurrent
-// workers are exactly what keeps every chip busy. Requests whose callers
-// already gave up (context done while queued) are shed without
-// simulating, so client timeouts actually relieve load, and malformed
-// requests fail individually in pre-flight validation so they cannot
-// poison the rest of the batch.
+// worker pulls from the queue until it closes: block for one entry, take
+// whatever else is already queued while it fits in MaxBatch samples —
+// never waiting for more — and run the lot as one RunBatch call, on a
+// private single-chip executor or on the shared chip pipeline, where
+// concurrent workers are exactly what keeps every chip busy. An entry
+// that does not fit is carried over to head this worker's next batch
+// (entries are never split), so it still runs before the worker exits on
+// Close.
 func (e *Engine) worker(ex runner) {
 	defer e.wg.Done()
-	var live []*request
-	var inputs [][]int
-	for batch := range e.batches {
-		live, inputs = live[:0], inputs[:0]
-		for _, r := range batch {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				e.stats.shed.Add(1)
-				close(r.done)
-				continue
+	var (
+		batch  []*entry
+		inputs [][]int
+		carry  *entry
+	)
+	for {
+		first := carry
+		carry = nil
+		if first == nil {
+			var ok bool
+			if first, ok = <-e.queue; !ok {
+				return
 			}
-			if err := ex.Validate(r.input); err != nil {
-				r.err = err
-				e.stats.errors.Add(1)
-				e.stats.recordDone(time.Since(r.enq))
-				close(r.done)
-				continue
+		}
+		batch = append(batch[:0], first)
+		n := len(first.inputs)
+	fill:
+		for n < e.opts.MaxBatch {
+			select {
+			case next, ok := <-e.queue:
+				if !ok {
+					break fill
+				}
+				if n+len(next.inputs) > e.opts.MaxBatch {
+					carry = next
+					break fill
+				}
+				batch = append(batch, next)
+				n += len(next.inputs)
+			default:
+				break fill
 			}
-			live = append(live, r)
-			inputs = append(inputs, r.input)
 		}
-		if len(live) == 0 {
-			continue
-		}
-		outs, err := ex.RunBatch(inputs)
-		e.stats.recordExecBatch(len(live))
-		for i, r := range live {
-			if err != nil {
-				r.err = err
-				e.stats.errors.Add(1)
-			} else {
-				r.out = outs[i]
-			}
-			e.stats.recordDone(time.Since(r.enq))
-			close(r.done)
-		}
+		inputs = e.run(ex, batch, inputs[:0])
 	}
 }
 
-// QueueDepth reports how many requests are waiting in the queue right
-// now.
-func (e *Engine) QueueDepth() int { return len(e.reqs) }
+// run executes one batch of entries as a single RunBatch call over
+// inputs' backing array (returned for reuse). Entries whose callers
+// already gave up (context done while queued) are shed without
+// simulating, so client timeouts actually relieve load, and an entry with
+// a malformed input fails alone in pre-flight validation so it cannot
+// poison another caller's entry.
+func (e *Engine) run(ex runner, batch []*entry, inputs [][]int) [][]int {
+	live := batch[:0]
+	for _, en := range batch {
+		if err := en.ctx.Err(); err != nil {
+			en.err = err
+			e.stats.shed.Add(uint64(len(en.inputs)))
+			close(en.done)
+			continue
+		}
+		if err := validate(ex, en.inputs); err != nil {
+			e.finish(en, err)
+			continue
+		}
+		live = append(live, en)
+		inputs = append(inputs, en.inputs...)
+	}
+	if len(live) == 0 {
+		return inputs
+	}
+	outs, err := ex.RunBatch(inputs)
+	e.stats.recordExecBatch(len(inputs))
+	off := 0
+	for _, en := range live {
+		if err == nil {
+			off += copy(en.outs, outs[off:])
+		}
+		e.finish(en, err)
+	}
+	return inputs
+}
+
+// validate pre-flights every input of one entry.
+func validate(ex runner, inputs [][]int) error {
+	for _, in := range inputs {
+		if err := ex.Validate(in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish settles an executed (or rejected) entry: counters by sample,
+// one latency observation per entry, then the caller's wake-up.
+func (e *Engine) finish(en *entry, err error) {
+	en.err = err
+	if err != nil {
+		e.stats.errors.Add(uint64(len(en.inputs)))
+	}
+	e.stats.recordDone(len(en.inputs), time.Since(en.enq))
+	close(en.done)
+}
+
+// QueueDepth reports how many entries (Infer calls and InferBatch
+// chunks) are waiting in the queue right now; entries a worker has taken
+// are not counted.
+func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Stats snapshots the engine's counters and latency percentiles,
 // including the spiking-kernel selection counters aggregated across every
@@ -434,7 +427,7 @@ func (e *Engine) Stats() Stats {
 	s.Workers = e.opts.Workers
 	s.MaxBatch = e.opts.MaxBatch
 	s.Chips = e.chips
-	s.QueueDepth = len(e.reqs)
+	s.QueueDepth = len(e.queue)
 	ks := e.kernelStats()
 	s.SparseKernels = ks.SparseBatches
 	s.DenseKernels = ks.DenseBatches

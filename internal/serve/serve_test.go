@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +106,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 	if s.Errors != 0 {
 		t.Errorf("stats.Errors = %d", s.Errors)
 	}
-	if s.Batches == 0 || s.MeanBatch <= 0 {
+	if s.ExecBatches == 0 || s.MeanExecBatch <= 0 {
 		t.Errorf("batch stats empty: %+v", s)
 	}
 	if s.P99LatencyUS < s.P50LatencyUS {
@@ -113,64 +114,97 @@ func TestEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFlushDeadline proves a lone request under light load is released by
-// the deadline, not held hostage for a full batch.
-func TestFlushDeadline(t *testing.T) {
+// gatedCtx is a context whose Err blocks until gate closes. A worker
+// checks an entry's ctx just before simulating it, so an entry carrying
+// one parks the worker that took it — with the queue filling behind it —
+// until the test lets go. No wall clock involved.
+type gatedCtx struct {
+	context.Context
+	once          *sync.Once
+	entered, gate chan struct{}
+}
+
+func newGatedCtx() gatedCtx {
+	return gatedCtx{Context: context.Background(), once: new(sync.Once), entered: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (g gatedCtx) Err() error {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return nil
+}
+
+// holdWorker parks one worker of eng inside a gated single-sample entry
+// and returns once it is held; release lets it go and waits for the
+// gated request to finish. With a one-worker engine everything submitted
+// in between sits in the queue, in submission order.
+func holdWorker(t *testing.T, eng *Engine, input []int) (release func()) {
+	t.Helper()
+	g := newGatedCtx()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := eng.Infer(g, input)
+		errc <- err
+	}()
+	<-g.entered
+	return func() {
+		t.Helper()
+		close(g.gate)
+		if err := <-errc; err != nil {
+			t.Errorf("gated request: %v", err)
+		}
+	}
+}
+
+// waitQueued spins until eng's queue holds n entries (callers blocked in
+// Infer give no other signal that they have enqueued).
+func waitQueued(eng *Engine, n int) {
+	for eng.QueueDepth() < n {
+		runtime.Gosched()
+	}
+}
+
+// TestLoneRequestRunsAlone proves a lone request on an idle engine runs
+// at once as a batch of one: nothing waits for MaxBatch to fill.
+func TestLoneRequestRunsAlone(t *testing.T) {
 	prog := buildProgram(t, 3, []int{8, 6, 2})
 	eng, err := New(prog, Options{
-		Workers:       1,
-		MaxBatch:      64, // never reached by one request
-		FlushInterval: 2 * time.Millisecond,
-		Mode:          synth.ModeReference,
+		Workers:  1,
+		MaxBatch: 64, // never reached by one request
+		Mode:     synth.ModeReference,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	in := randomInputs(prog, 4, 1)[0]
-	start := time.Now()
 	if _, err := eng.Infer(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("lone request took %v; deadline flush broken", d)
-	}
 	s := eng.Stats()
-	if s.Batches != 1 || s.Requests != 1 {
-		t.Errorf("stats = %+v, want 1 batch / 1 request", s)
+	if s.ExecBatches != 1 || s.MaxExecBatch != 1 || s.Requests != 1 {
+		t.Errorf("stats = %+v, want 1 batch of 1 / 1 request", s)
 	}
 }
 
-// TestFlushOnBatchSize proves a full micro-batch flushes without waiting
-// for the deadline.
-func TestFlushOnBatchSize(t *testing.T) {
+// TestInferBatchChunks proves InferBatch enqueues whole MaxBatch chunks
+// and workers never split or merge full ones: 8 samples at MaxBatch 4 run
+// as exactly 4+4, whichever workers take them.
+func TestInferBatchChunks(t *testing.T) {
 	prog := buildProgram(t, 5, []int{8, 6, 2})
-	eng, err := New(prog, Options{
-		Workers:       2,
-		MaxBatch:      4,
-		FlushInterval: time.Minute, // deadline effectively disabled
-		Mode:          synth.ModeReference,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	inputs := randomInputs(prog, 6, 8)
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.InferBatch(context.Background(), inputs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	for _, workers := range []int{1, 2} {
+		eng, err := New(prog, Options{Workers: workers, MaxBatch: 4, Mode: synth.ModeReference})
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("size-based flush never fired; requests stuck behind the deadline")
-	}
-	if s := eng.Stats(); s.Batches < 2 {
-		t.Errorf("Batches = %d, want ≥ 2 for 8 requests at MaxBatch 4", s.Batches)
+		if _, err := eng.InferBatch(context.Background(), randomInputs(prog, 6, 8)); err != nil {
+			t.Fatal(err)
+		}
+		s := eng.Stats()
+		eng.Close()
+		if s.ExecBatches != 2 || s.MeanExecBatch != 4 || s.MaxExecBatch != 4 || s.Requests != 8 {
+			t.Errorf("workers=%d: stats = %+v, want 2 batches of 4 / 8 requests", workers, s)
+		}
 	}
 }
 
@@ -235,35 +269,29 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestAbandonedRequestShed: a request whose caller gave up while it sat
-// in the batcher is dropped by the worker without simulating.
+// TestAbandonedRequestShed: an entry whose caller has given up by the
+// time a worker takes it is dropped without simulating, and Shed counts
+// its samples.
 func TestAbandonedRequestShed(t *testing.T) {
 	prog := buildProgram(t, 14, []int{8, 6, 2})
-	eng, err := New(prog, Options{
-		Workers:       1,
-		MaxBatch:      64,
-		FlushInterval: time.Minute, // parks the request until Close flushes
-		Mode:          synth.ModeReference,
-	})
+	eng, err := New(prog, Options{Workers: 1, MaxBatch: 64, Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &request{ctx: ctx, input: make([]int, prog.InputSize), enq: time.Now(), done: make(chan struct{})}
-	if err := eng.submit(context.Background(), r); err != nil {
+	cancel() // abandoned before any worker can see it
+	en := &entry{ctx: ctx, inputs: randomInputs(prog, 15, 3), outs: make([][]int, 3), enq: time.Now(), done: make(chan struct{})}
+	if err := eng.submit(context.Background(), en); err != nil {
 		t.Fatal(err)
 	}
-	cancel() // abandon it while parked behind the one-minute deadline
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-r.done
-	if r.err != context.Canceled {
-		t.Fatalf("request err = %v, want context.Canceled", r.err)
+	<-en.done
+	if en.err != context.Canceled {
+		t.Fatalf("entry err = %v, want context.Canceled", en.err)
 	}
 	s := eng.Stats()
-	if s.Shed != 1 || s.Requests != 0 {
-		t.Errorf("shed/requests = %d/%d, want 1/0: %s", s.Shed, s.Requests, s)
+	if s.Shed != 3 || s.Requests != 0 || s.ExecBatches != 0 {
+		t.Errorf("shed/requests/batches = %d/%d/%d, want 3/0/0: %s", s.Shed, s.Requests, s.ExecBatches, s)
 	}
 }
 
@@ -308,7 +336,7 @@ func TestNoisyWorkersDeterministic(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := Stats{Requests: 10, Batches: 2, MeanBatch: 5, Workers: 4}
+	s := Stats{Requests: 10, ExecBatches: 2, MeanExecBatch: 5, Workers: 4}
 	for _, want := range []string{"served 10 requests", "2 batches", "4 workers"} {
 		if !strings.Contains(s.String(), want) {
 			t.Errorf("Stats.String() = %q missing %q", s.String(), want)
@@ -316,9 +344,8 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestExecBatchStats: workers execute flushed micro-batches as single
-// RunBatch calls, and the Stats surface reports the executed batch
-// sizes.
+// TestExecBatchStats: workers execute what they take as single RunBatch
+// calls, and the Stats surface reports the executed batch sizes.
 func TestExecBatchStats(t *testing.T) {
 	prog := buildProgram(t, 13, []int{10, 8, 3})
 	inputs := randomInputs(prog, 14, 12)
@@ -381,8 +408,8 @@ func TestAutoPathKernelStats(t *testing.T) {
 	}
 }
 
-// TestInvalidItemDoesNotPoisonBatch: a malformed request sharing a
-// micro-batch with healthy ones fails alone; the rest of the batch still
+// TestInvalidItemDoesNotPoisonBatch: a malformed request coalesced into
+// one batch with healthy ones fails alone; the rest of the batch still
 // executes and matches the serial path.
 func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 	prog := buildProgram(t, 15, []int{10, 8, 3})
@@ -391,13 +418,14 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker and a batch size covering all four requests, with a
-	// generous flush deadline so they land in one micro-batch.
-	eng, err := New(prog, Options{Workers: 1, MaxBatch: 4, FlushInterval: 50 * time.Millisecond, Mode: synth.ModeReference})
+	eng, err := New(prog, Options{Workers: 1, MaxBatch: 4, Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	// All four queue up behind the held worker, so it takes them as one
+	// batch.
+	release := holdWorker(t, eng, good[0])
 	var wg sync.WaitGroup
 	outs := make([][]int, 3)
 	errs := make([]error, 4)
@@ -413,6 +441,8 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 		defer wg.Done()
 		_, errs[3] = eng.Infer(context.Background(), make([]int, prog.InputSize+2))
 	}()
+	waitQueued(eng, 4)
+	release()
 	wg.Wait()
 	if errs[3] == nil {
 		t.Error("malformed request accepted")
@@ -431,8 +461,9 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 			}
 		}
 	}
-	if s := eng.Stats(); s.Errors != 1 {
-		t.Errorf("stats.Errors = %d, want 1", s.Errors)
+	// The gated batch of 1, then the three healthy requests in one pass.
+	if s := eng.Stats(); s.Errors != 1 || s.ExecBatches != 2 || s.MaxExecBatch != 3 {
+		t.Errorf("errors/batches/max = %d/%d/%d, want 1/2/3", s.Errors, s.ExecBatches, s.MaxExecBatch)
 	}
 }
 

@@ -13,20 +13,17 @@ import (
 // actually sustained rather than what the perf model predicts.
 type Stats struct {
 	// Requests is the number of completed classifications; Errors counts
-	// those that returned an error; Shed counts requests dropped without
-	// simulating because their caller's context was already done.
+	// those that returned an error; Shed counts those dropped without
+	// simulating because their caller's context was already done. All
+	// three count samples, not queue entries.
 	Requests uint64
 	Errors   uint64
 	Shed     uint64
-	// Batches is the number of flushed micro-batches; MeanBatch is
-	// Requests/Batches.
-	Batches   uint64
-	MeanBatch float64
 	// ExecBatches counts executor-level batched kernel invocations (one
-	// RunBatch per flushed batch that still had live requests);
-	// MeanExecBatch and MaxExecBatch describe the executed batch sizes
-	// after context shedding and validation — the degree of kernel-level
-	// batching actually achieved.
+	// RunBatch per batch a worker took that still had live entries);
+	// MeanExecBatch and MaxExecBatch describe the executed batch sizes in
+	// samples, after context shedding and validation — the degree of
+	// kernel-level batching actually achieved. MaxExecBatch ≤ MaxBatch.
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int
@@ -47,15 +44,16 @@ type Stats struct {
 	// ThroughputSPS is completed requests per second of engine uptime.
 	ThroughputSPS float64
 	// P50LatencyUS, P99LatencyUS and P999LatencyUS are queue-to-completion
-	// latency percentiles over a sliding window of recent requests (see
-	// LatencyRing — the one percentile implementation the fleet layer
-	// shares).
+	// latency percentiles over a sliding window of recent queue entries,
+	// one observation per Infer call or InferBatch chunk (see LatencyRing
+	// — the one percentile implementation the fleet layer shares).
 	P50LatencyUS  float64
 	P99LatencyUS  float64
 	P999LatencyUS float64
 	// QueueDepth, Workers, MaxBatch and Chips describe the engine's
-	// current shape. Chips is the realized pipeline depth of a sharded
-	// engine (1 when the model runs whole on per-worker executors).
+	// current shape. QueueDepth counts waiting queue entries; Chips is
+	// the realized pipeline depth of a sharded engine (1 when the model
+	// runs whole on per-worker executors).
 	QueueDepth int
 	Workers    int
 	MaxBatch   int
@@ -65,9 +63,8 @@ type Stats struct {
 
 // String renders the snapshot.
 func (s Stats) String() string {
-	out := fmt.Sprintf("served %d requests (%d errors, %d shed) in %d batches (mean %.1f, exec mean %.1f / max %d), throughput %.4g samples/s, latency p50 %.4g us / p99 %.4g us / p999 %.4g us, queue %d, %d workers",
-		s.Requests, s.Errors, s.Shed, s.Batches, s.MeanBatch,
-		s.MeanExecBatch, s.MaxExecBatch,
+	out := fmt.Sprintf("served %d requests (%d errors, %d shed) in %d batches (exec mean %.1f / max %d), throughput %.4g samples/s, latency p50 %.4g us / p99 %.4g us / p999 %.4g us, queue %d, %d workers",
+		s.Requests, s.Errors, s.Shed, s.ExecBatches, s.MeanExecBatch, s.MaxExecBatch,
 		s.ThroughputSPS, s.P50LatencyUS, s.P99LatencyUS, s.P999LatencyUS, s.QueueDepth, s.Workers)
 	if s.Chips > 1 {
 		out += fmt.Sprintf(", %d pipelined chips", s.Chips)
@@ -147,7 +144,6 @@ type tracker struct {
 	done        atomic.Uint64
 	errors      atomic.Uint64
 	shed        atomic.Uint64
-	batches     atomic.Uint64
 	execBatches atomic.Uint64
 	execItems   atomic.Uint64
 	execMax     atomic.Int64
@@ -155,11 +151,7 @@ type tracker struct {
 	lat LatencyRing
 }
 
-func (t *tracker) recordBatch() {
-	t.batches.Add(1)
-}
-
-// recordExecBatch records one executed micro-batch of n live requests.
+// recordExecBatch records one executed batch of n live samples.
 func (t *tracker) recordExecBatch(n int) {
 	t.execBatches.Add(1)
 	t.execItems.Add(uint64(n))
@@ -171,8 +163,10 @@ func (t *tracker) recordExecBatch(n int) {
 	}
 }
 
-func (t *tracker) recordDone(d time.Duration) {
-	t.done.Add(1)
+// recordDone records one settled entry of n samples: the ring (and its
+// mutex) is touched once per entry, not once per sample.
+func (t *tracker) recordDone(n int, d time.Duration) {
+	t.done.Add(uint64(n))
 	t.lat.Record(d)
 }
 
@@ -181,10 +175,6 @@ func (t *tracker) snapshot() Stats {
 		Requests: t.done.Load(),
 		Errors:   t.errors.Load(),
 		Shed:     t.shed.Load(),
-		Batches:  t.batches.Load(),
-	}
-	if s.Batches > 0 {
-		s.MeanBatch = float64(s.Requests) / float64(s.Batches)
 	}
 	s.ExecBatches = t.execBatches.Load()
 	if s.ExecBatches > 0 {

@@ -221,7 +221,27 @@ func ArgmaxFloat(v []float64) int {
 
 // QuantizeInput maps real-valued features in [0,1] to window counts.
 func QuantizeInput(features []float64, window int) []int {
-	counts := make([]int, len(features))
+	return quantizeInto(make([]int, len(features)), features, window)
+}
+
+// QuantizeBatch is QuantizeInput over a batch, into one flat slab: each
+// row is a capacity-capped view of it (as gatherOutputs' rows are), so an
+// append through one row can never spill into the next.
+func QuantizeBatch(batch [][]float64, window int) [][]int {
+	total := 0
+	for _, f := range batch {
+		total += len(f)
+	}
+	slab := make([]int, total)
+	rows := make([][]int, len(batch))
+	for i, f := range batch {
+		rows[i] = quantizeInto(slab[:len(f):len(f)], f, window)
+		slab = slab[len(f):]
+	}
+	return rows
+}
+
+func quantizeInto(counts []int, features []float64, window int) []int {
 	for i, f := range features {
 		c := int(math.Round(f * float64(window)))
 		counts[i] = spike.Clamp(c, window)

@@ -203,6 +203,32 @@ func TestQuantizeInput(t *testing.T) {
 	}
 }
 
+// TestQuantizeBatch: each row of the slab equals QuantizeInput of its
+// sample (ragged rows included), and rows are capacity-capped so an
+// append through one cannot write into the next.
+func TestQuantizeBatch(t *testing.T) {
+	batch := [][]float64{{0, 0.5, 1}, {}, {1.5, -0.2}, {0.25}}
+	rows := QuantizeBatch(batch, 64)
+	if len(rows) != len(batch) {
+		t.Fatalf("%d rows, want %d", len(rows), len(batch))
+	}
+	for i, f := range batch {
+		want := QuantizeInput(f, 64)
+		if len(rows[i]) != len(want) || cap(rows[i]) != len(want) {
+			t.Fatalf("row %d: len/cap = %d/%d, want %d/%d", i, len(rows[i]), cap(rows[i]), len(want), len(want))
+		}
+		for j := range want {
+			if rows[i][j] != want[j] {
+				t.Errorf("row %d[%d] = %d, want %d", i, j, rows[i][j], want[j])
+			}
+		}
+	}
+	_ = append(rows[0], 99)
+	if rows[2][0] != 64 {
+		t.Errorf("append through row 0 spilled into row 2: %v", rows[2])
+	}
+}
+
 func TestArgmax(t *testing.T) {
 	if got := Argmax([]int{1, 5, 3, 5}); got != 1 {
 		t.Errorf("Argmax = %d, want 1", got)

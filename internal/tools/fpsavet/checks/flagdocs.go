@@ -10,7 +10,7 @@ import (
 )
 
 // flagDecl matches flag declarations like flag.String("model", …),
-// flag.IntVar(&v, "model", …) and flag.Duration("flush", …). The first
+// flag.IntVar(&v, "model", …) and flag.Duration("drain", …). The first
 // quoted argument is the flag name.
 var flagDecl = regexp.MustCompile(`flag\.[A-Za-z]+\((?:&[A-Za-z0-9_.]+,\s*)?"([^"]+)"`)
 

@@ -1,8 +1,6 @@
 package fpsa
 
 import (
-	"time"
-
 	"fpsa/internal/device"
 )
 
@@ -304,17 +302,16 @@ func WithWorkers(n int) EngineOption {
 	return func(s *engineSettings) { s.cfg.Workers = n }
 }
 
-// WithMaxBatch sets the micro-batch flush size (default 8).
+// WithMaxBatch caps how many samples a worker takes from the queue for
+// one batched kernel pass, and sets the chunk size ClassifyBatch calls
+// are queued in (default 8). Workers never wait for a batch to fill.
 func WithMaxBatch(n int) EngineOption {
 	return func(s *engineSettings) { s.cfg.MaxBatch = n }
 }
 
-// WithFlushInterval sets the micro-batch flush deadline (default 500µs).
-func WithFlushInterval(d time.Duration) EngineOption {
-	return func(s *engineSettings) { s.cfg.FlushInterval = d }
-}
-
-// WithQueueDepth bounds the request queue (default 1024).
+// WithQueueDepth bounds the request queue, counted in entries — one
+// Classify call or one ≤ MaxBatch chunk of a ClassifyBatch call
+// (default 1024).
 func WithQueueDepth(n int) EngineOption {
 	return func(s *engineSettings) { s.cfg.QueueDepth = n }
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 )
 
 // TestCompileOptionValidation: every compile knob rejects nonsensical
@@ -77,7 +76,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"negative batch", []EngineOption{WithMaxBatch(-2)}},
 		{"negative queue depth", []EngineOption{WithQueueDepth(-4)}},
 		{"negative chips", []EngineOption{WithEngineChips(-1)}},
-		{"negative flush interval", []EngineOption{WithFlushInterval(-time.Millisecond)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
