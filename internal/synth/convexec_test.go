@@ -285,3 +285,116 @@ func TestFunctionalLRNUnsupported(t *testing.T) {
 		t.Error("functional LRN accepted")
 	}
 }
+
+// columnDrives returns a signed integer tile's largest per-polarity column
+// sum — the most any neuron of it can be driven by in one cycle — and the
+// largest number of nonzero rows in a column.
+func columnDrives(m [][]int) (drive float64, support int) {
+	for j := range m[0] {
+		pos, neg, rows := 0, 0, 0
+		for i := range m {
+			w := m[i][j]
+			if w != 0 {
+				rows++
+			}
+			if w >= 0 {
+				pos += w
+			} else {
+				neg -= w
+			}
+		}
+		drive = math.Max(drive, float64(max(pos, neg)))
+		support = max(support, rows)
+	}
+	return drive, support
+}
+
+// TestSafeEtaBoundsColumnDrive pins what the crossbar kernel's choice of
+// walk relies on (internal/xbar, walkLanes): the thresholds the synthesizer
+// hands out are integers ≥ 1 that no column's per-polarity drive can exceed,
+// so an ideally programmed neuron never saturates and the integer-lane walk
+// applies. A change to the η rule that breaks this would not break any
+// result — it would silently send every crossbar back to the float walk —
+// so it fails here instead. The two constructions that do saturate by design
+// (pairwise-max comb and residual add: two +maxW rows against η = maxW) read
+// two rows per column, which the kernel answers from tables.
+func TestSafeEtaBoundsColumnDrive(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(12)
+		maxW := []int{0, 1, 120}[trial%3]
+		var tiles [][][]int
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			m := make([][]int, rows)
+			for i := range m {
+				m[i] = make([]int, cols)
+				for j := range m[i] {
+					m[i][j] = rng.Intn(2*maxW+1) - maxW
+				}
+			}
+			tiles = append(tiles, m)
+		}
+		eta := safeEta(tiles...)
+		if eta < 1 || eta != math.Trunc(eta) {
+			t.Fatalf("safeEta = %g, want an integer ≥ 1", eta)
+		}
+		for _, m := range tiles {
+			if drive, _ := columnDrives(m); drive > eta {
+				t.Fatalf("safeEta = %g below a column drive of %g", eta, drive)
+			}
+		}
+	}
+
+	// Every group of a network using the whole structural vocabulary,
+	// including a row-split layer and its reduction.
+	g := cgraph.New("vocab")
+	in := g.MustAdd("input", cgraph.Input{Shape: cgraph.Shape{C: 40, H: 4, W: 4}})
+	c1 := g.MustAdd("conv1", cgraph.Conv2D{OutC: 6, Kernel: 3, Stride: 1, Pad: 1}, in)
+	r1 := g.MustAdd("relu1", cgraph.ReLU{}, c1)
+	sum := g.MustAdd("sum", cgraph.Add{}, r1, r1)
+	mp := g.MustAdd("maxpool", cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: 2, Stride: 2}, sum)
+	ap := g.MustAdd("avgpool", cgraph.Pool{PoolKind: cgraph.AvgPoolKind, Kernel: 2, Stride: 1}, mp)
+	gap := g.MustAdd("gap", cgraph.GlobalAvgPool{}, ap)
+	fc := g.MustAdd("fc", cgraph.FC{Out: 3}, gap)
+	g.MustAdd("relu2", cgraph.ReLU{}, fc)
+	opts := DefaultOptions()
+	shapes := map[string][2]int{"conv1": {9 * 40, 6}, "fc": {6, 3}} // conv1 exceeds the crossbar's 256 rows
+	opts.Weights = func(l string) [][]float64 {
+		shape, ok := shapes[l]
+		if !ok {
+			return nil
+		}
+		w := make([][]float64, shape[0])
+		for i := range w {
+			w[i] = make([]float64, shape[1])
+			for j := range w[i] {
+				w[i][j] = rng.Float64()*2 - 1
+			}
+		}
+		return w
+	}
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturating := 0
+	for _, grp := range prog.Graph.Groups {
+		if grp.Weights == nil {
+			continue
+		}
+		if grp.Eta < 1 || grp.Eta != math.Trunc(grp.Eta) {
+			t.Errorf("group %s: η = %g, want an integer ≥ 1", grp.Name, grp.Eta)
+		}
+		drive, support := columnDrives(grp.Weights)
+		switch {
+		case drive <= grp.Eta:
+		case support <= 2:
+			saturating++
+		default:
+			t.Errorf("group %s: η = %g below a column drive of %g over %d rows", grp.Name, grp.Eta, drive, support)
+		}
+	}
+	if saturating != 2 {
+		t.Errorf("%d two-row groups saturate, want 2 (pairwise-max comb and residual add)", saturating)
+	}
+}

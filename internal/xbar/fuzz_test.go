@@ -65,16 +65,19 @@ func FuzzVMMBatchPackedVsDense(f *testing.F) {
 // against a dense random crossbar (with one all-zero column) and against
 // the structured ones whose columns are tabulated: the block-diagonal
 // pairwise-max diff crossbar and the mixed crossbar when ideal, a two-row
-// crossbar (small support survives noisy zero cells) when noisy.
+// crossbar (small support survives noisy zero cells) when noisy. Those all
+// saturate; the ideal list also holds a dense 18×8 and a mixed crossbar at
+// the synthesizer's η, whose walked columns take the integer-lane walk.
 func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	rng := rand.New(rand.NewSource(76))
+	lrng := rand.New(rand.NewSource(77)) // its own stream: the older crossbars keep their weights
 	ideal, _ := newFuzzCrossbar(rng, false)
 	noisy, _ := newFuzzCrossbar(rng, true)
 	cfg := testConfig(0)
 	maxW := cfg.Rep.MaxWeight()
-	structured := func(weights [][]int, prng *rand.Rand) *Crossbar {
+	programmed := func(weights [][]int, eta float64, prng *rand.Rand) *Crossbar {
 		c := cfg
-		c.Eta = float64(maxW)
+		c.Eta = eta
 		if prng != nil {
 			c.Spec = device.Cell4BitMeasured
 		}
@@ -84,9 +87,17 @@ func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 		}
 		return xb
 	}
+	lanes := func(weights [][]int) *Crossbar {
+		xb := programmed(weights, synthEta(weights), nil)
+		if len(xb.walkCols) == 0 || !xb.laneEligible() {
+			f.Fatalf("synth-η crossbar walks %v, lane eligible %v", xb.walkCols, xb.laneEligible())
+		}
+		return xb
+	}
 	xbars := map[bool][]*Crossbar{
-		false: {ideal, structured(pairwiseWeights(8, -maxW, maxW), nil), structured(mixedWeights(rng, maxW), nil)},
-		true:  {noisy, structured([][]int{{maxW, -3, 1}, {-2, maxW, -maxW}}, rand.New(rand.NewSource(98)))},
+		false: {ideal, programmed(pairwiseWeights(8, -maxW, maxW), float64(maxW), nil), programmed(mixedWeights(rng, maxW), float64(maxW), nil),
+			lanes(randomWeights(lrng, 18, 8, maxW)), lanes(mixedWeights(lrng, maxW))},
+		true: {noisy, programmed([][]int{{maxW, -3, 1}, {-2, maxW, -maxW}}, float64(maxW), rand.New(rand.NewSource(98)))},
 	}
 	f.Add([]byte{}, false)
 	f.Add([]byte{0, 0, 0, 0}, true)

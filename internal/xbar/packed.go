@@ -247,9 +247,14 @@ func uniformTrains(window int) []uint64 {
 //     colNeuron.step walk with drives summed in ascending row order, i.e.
 //     the dense kernel restricted to the support. A crossbar whose columns
 //     are all tabulated never builds units or drives at all;
-//   - walked columns go through the cycle walk below.
+//   - walked columns go through a cycle walk.
 //
-// For the walked columns, per batch item the kernel
+// Which walk is decided at entry from what the crossbar is, never by an
+// option: ideally programmed conductances under an integer η that no
+// column drive exceeds (laneEligible — every crossbar the synthesizer emits,
+// until noise, drift, a fault or SetEta says otherwise) step all walked
+// columns at once in integer lanes (walkLanes). Anything else takes the
+// float walk, which per batch item
 //
 //  1. collapses the input rows into drive units — every row with a zero
 //     count drops out; when the programmed conductances are exact-sum
@@ -287,7 +292,10 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 	if c.trainTab == nil {
 		c.trainTab = uniformTrains(window)
 	}
-	if c.rowG == nil && len(c.walkCols) > 0 {
+	lanes := len(c.walkCols) > 0 && c.laneEligible()
+	if lanes {
+		c.packLanes()
+	} else if c.rowG == nil && len(c.walkCols) > 0 {
 		// The walk adds whole conductance rows, both polarities at once.
 		c.rowG = make([]float64, 0, 2*len(c.posG))
 		for i := 0; i < c.rows; i++ {
@@ -305,10 +313,173 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 		if len(c.walkCols) == 0 {
 			continue
 		}
+		if lanes {
+			c.walkLanes(out, counts)
+			continue
+		}
 		c.buildUnits(counts)
 		c.accumulateDrives()
 		for _, j := range c.walkCols {
 			out[j] = c.runColumnPacked(j, window, cols, c.eta)
+		}
+	}
+}
+
+// The integer-lane walk keeps four columns per uint64, 16 bits each.
+const (
+	laneBits = 16
+	laneOnes = 0x0001_0001_0001_0001 // 1 in every lane
+	laneTops = 0x8000_8000_8000_8000 // bit 15 of every lane
+	// maxLaneEta bounds η so that membrane + drive < 2η stays below bit 15.
+	maxLaneEta = 1 << 14
+)
+
+// lanePair is the positive- and negative-polarity lane words of the same
+// four walked columns.
+type lanePair [2]uint64
+
+// laneEligible reports whether the walked columns can take walkLanes under
+// the current η: every conductance is a non-negative integer (maxDrive is
+// finite), η is an integer in [1, 2^14), and no walked column can be driven
+// past η in one cycle — so a membrane below η before a cycle is below 2η
+// after the drive and below η again after one subtraction. The window bound
+// keeps the debt and output lanes, which count up to Γ, within 15 bits.
+// Everything else — noisy or drifted conductances, a stuck-high cell lifting
+// a column over η, a fractional or saturating η from SetEta — keeps the
+// float walk.
+func (c *Crossbar) laneEligible() bool {
+	eta := c.eta
+	return eta >= 1 && eta < maxLaneEta && eta == math.Trunc(eta) && c.maxDrive <= eta && c.window <= 1<<15
+}
+
+// packLanes builds laneG, once per crossbar, and sizes walkLanes' scratch:
+// row i's walk-column conductances as 16-bit lanes, lane l of pair w holding
+// column walkCols[4w+l] (unused lanes of the last pair stay zero).
+func (c *Crossbar) packLanes() {
+	if c.laneG != nil {
+		return
+	}
+	nw := (len(c.walkCols) + 3) / 4
+	c.laneG = make([]lanePair, c.rows*nw)
+	c.present = make([]uint64, spike.Lanes(c.window))
+	c.countG = make([]lanePair, nw*c.window)
+	c.denseG = make([]lanePair, nw)
+	c.laneDrv = make([]lanePair, nw*c.window)
+	for i := 0; i < c.rows; i++ {
+		for n, j := range c.walkCols {
+			pair := &c.laneG[i*nw+n/4]
+			shift := uint(n%4) * laneBits
+			pair[0] |= uint64(c.posG[i*c.cols+j]) << shift
+			pair[1] |= uint64(c.negG[i*c.cols+j]) << shift
+		}
+	}
+}
+
+// walkLanes runs one item over the walked columns of a laneEligible
+// crossbar, four columns per step and entirely in integers. On such a
+// crossbar every value the float walk computes is an integer below 2^15, so
+// the same arithmetic in 16-bit lanes yields the same numbers; and because no
+// neuron ends a cycle at or above η (see laneEligible), a zero-drive cycle
+// changes nothing and is skipped without looking at the membranes — there
+// is no hot drain. docs/INVARIANTS.md has the argument in full, including
+// why no lane operation below can carry or borrow across lanes.
+//
+//  1. Rows are summed by firing count into countG: equal counts fire on
+//     identical cycles, and a lane sum is at most the column's total ≤ η.
+//  2. The per-cycle drives are accumulated unit-major into laneDrv. A count
+//     of at most Γ/2 adds its row on the cycles its train fires in. A count
+//     above Γ/2 is silent on fewer cycles than it fires in, so it is
+//     added to every cycle at once — the rows start from denseG, the sum of
+//     all such counts — and subtracted from its silent cycles: a lane holds
+//     denseG minus some of its own summands plus other rows, never less
+//     than what is subtracted from it, so adding the two's complement is
+//     that subtraction.
+//  3. Each group of four columns steps through the cycles with its state in
+//     registers: both neurons, then the subtracter, in colNeuron.step's
+//     statement order.
+func (c *Crossbar) walkLanes(out, counts []int) {
+	window := c.window
+	present, denseG := c.present, c.denseG
+	nw, tl := len(denseG), len(present)
+	clear(present)
+	clear(denseG)
+	for i, cnt := range counts {
+		k := spike.Clamp(cnt, window) - 1
+		if k < 0 {
+			continue
+		}
+		bit := uint64(1) << uint(k&63)
+		seen := present[k>>6]&bit != 0
+		present[k>>6] |= bit
+		for w, g := range c.laneG[i*nw : (i+1)*nw] {
+			if k >= window/2 {
+				denseG[w][0] += g[0]
+				denseG[w][1] += g[1]
+			}
+			sum := &c.countG[w*window+k]
+			if seen {
+				g[0] += sum[0]
+				g[1] += sum[1]
+			}
+			*sum = g
+		}
+	}
+	for w, g := range denseG {
+		drv := c.laneDrv[w*window : (w+1)*window]
+		for t := range drv {
+			drv[t] = g
+		}
+	}
+	tail := ^uint64(0) >> uint(-window&63) // the cycles of a train's last word
+	for l, p := range present {
+		for ; p != 0; p &= p - 1 {
+			k := l<<6 + bits.TrailingZeros64(p)
+			train := c.trainTab[(k+1)*tl : (k+2)*tl]
+			dense := k >= window/2
+			for w := 0; w < nw; w++ {
+				g := c.countG[w*window+k]
+				if dense {
+					g[0], g[1] = -g[0], -g[1]
+				}
+				drv := c.laneDrv[w*window : (w+1)*window]
+				for tw, cycles := range train {
+					if dense {
+						cycles = ^cycles
+						if tw == tl-1 {
+							cycles &= tail
+						}
+					}
+					for ; cycles != 0; cycles &= cycles - 1 {
+						d := &drv[tw<<6+bits.TrailingZeros64(cycles)]
+						d[0] += g[0]
+						d[1] += g[1]
+					}
+				}
+			}
+		}
+	}
+	eta := uint64(c.eta)
+	// A lane holding v < 2η has bit 15 set after adding bias exactly when v ≥ η.
+	bias := (1<<15 - eta) * laneOnes
+	for w := 0; w < nw; w++ {
+		var memP, memN, debt, fired uint64
+		for _, d := range c.laneDrv[w*window : (w+1)*window] {
+			if d[0]|d[1] == 0 {
+				continue
+			}
+			memP += d[0]
+			sp := (memP + bias) & laneTops >> 15
+			memP -= sp * eta
+			memN += d[1]
+			sn := (memN + bias) & laneTops >> 15
+			memN -= sn * eta
+			debt += sn
+			cancel := sp & ((debt + (1<<15-1)*laneOnes) & laneTops >> 15) // sp where debt > 0
+			debt -= cancel
+			fired += sp ^ cancel
+		}
+		for l, j := range c.walkCols[4*w : min(4*w+4, len(c.walkCols))] {
+			out[j] = int(fired >> (uint(l) * laneBits) & (1<<laneBits - 1))
 		}
 	}
 }
@@ -550,10 +721,13 @@ func (c *Crossbar) buildUnits(counts []int) {
 // noise produces fractional values), and each column's support — the rows
 // where it carries a nonzero conductance in either polarity. Columns whose
 // support fits a table (see maxTabulated; all-zero columns have the empty
-// support and a one-entry table) become tabCols, the rest walkCols.
+// support and a one-entry table) become tabCols, the rest walkCols, and
+// maxDrive the most one cycle can add to a walked column's membrane (see
+// laneEligible). Program runs this on every call of a noisy executor, so it
+// allocates nothing beyond its three slices (TestProgramAllocs).
 func (c *Crossbar) classifyProgramming() {
-	exact := true
-	colSum := make([]float64, c.cols)
+	exact, nonneg := true, true
+	colSum := make([]float64, 2*c.cols) // column j: positive at 2j, negative at 2j+1
 	tabs := make([]tabCol, c.cols)
 	for i := 0; i < c.rows; i++ {
 		for j := 0; j < c.cols; j++ {
@@ -562,7 +736,11 @@ func (c *Crossbar) classifyProgramming() {
 			if pg != math.Trunc(pg) || ng != math.Trunc(ng) {
 				exact = false
 			}
-			colSum[j] += math.Abs(pg) + math.Abs(ng)
+			if pg < 0 || ng < 0 {
+				nonneg = false
+			}
+			colSum[2*j] += math.Abs(pg)
+			colSum[2*j+1] += math.Abs(ng)
 			if pg != 0 || ng != 0 {
 				if tc := &tabs[j]; tc.k < maxSupport {
 					tc.rows[tc.k] = i
@@ -574,10 +752,8 @@ func (c *Crossbar) classifyProgramming() {
 		}
 	}
 	var maxColSum float64
-	for _, s := range colSum {
-		if s > maxColSum {
-			maxColSum = s
-		}
+	for j := 0; j < c.cols; j++ {
+		maxColSum = max(maxColSum, colSum[2*j]+colSum[2*j+1])
 	}
 	c.exactSums = exact && float64(c.window)*maxColSum < 1<<52
 	// maxK is the largest support whose key space (Γ+1)^k fits a table.
@@ -593,6 +769,13 @@ func (c *Crossbar) classifyProgramming() {
 			c.tabCols = append(c.tabCols, tabs[j])
 		} else {
 			c.walkCols = append(c.walkCols, j)
+		}
+	}
+	c.maxDrive = math.Inf(1)
+	if c.exactSums && nonneg {
+		c.maxDrive = 0
+		for _, j := range c.walkCols {
+			c.maxDrive = max(c.maxDrive, colSum[2*j], colSum[2*j+1])
 		}
 	}
 }

@@ -71,10 +71,32 @@ func pairwiseWeights(width, a, b int) [][]int {
 	return w
 }
 
+// synthEta is the threshold internal/synth's safeEta gives a weight tile:
+// the largest per-polarity column sum, at least 1. A neuron under it can
+// never be driven past η in one cycle.
+func synthEta(weights [][]int) float64 {
+	worst := 1
+	for j := range weights[0] {
+		pos, neg := 0, 0
+		for i := range weights {
+			if w := weights[i][j]; w >= 0 {
+				pos += w
+			} else {
+				neg -= w
+			}
+		}
+		worst = max(worst, pos, neg)
+	}
+	return float64(worst)
+}
+
 // BenchmarkSimulateCountsStructured times SimulateCountsBatch per item on
-// the two crossbar shapes that split offline_conv_spiking's kernel time:
-// the 16×8 pairwise-max diff crossbar (every column reads two rows) and a
-// dense 18×8 conv crossbar, both ideally programmed. Every item is a fresh
+// the crossbar shapes that split offline_conv_spiking's kernel time, all
+// ideally programmed: the 16×8 pairwise-max diff crossbar (every column
+// reads two rows — tabulated) and a dense 18×8 conv crossbar, once at
+// η = 4·maxW, where columns saturate and the float walk runs (its
+// regression guard), and once at the synthesizer's η, the integer-lane walk
+// the workload actually takes. Every item is a fresh
 // random count vector drawn inside the loop (an inline xorshift, a few ns
 // per item), so no input vector ever repeats: whatever the kernel gains
 // here it gains from the crossbar's structure, not from input reuse. It
@@ -84,13 +106,15 @@ func BenchmarkSimulateCountsStructured(b *testing.B) {
 	const batch = 16
 	cfg := testConfig(0)
 	maxW := cfg.Rep.MaxWeight()
+	conv := randomWeights(rand.New(rand.NewSource(83)), 18, 8, maxW)
 	shapes := []struct {
 		name    string
 		weights [][]int
 		eta     float64
 	}{
 		{"pmax16x8", pairwiseWeights(8, -maxW, maxW), float64(maxW)},
-		{"conv18x8", randomWeights(rand.New(rand.NewSource(83)), 18, 8, maxW), float64(4 * maxW)},
+		{"conv18x8", conv, float64(4 * maxW)},
+		{"conv18x8-syntheta", conv, synthEta(conv)},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {

@@ -60,7 +60,8 @@ func newTestCrossbar(t *testing.T, rng *rand.Rand, rows, cols int, noisy bool, z
 // columns, threshold η) configurations where the packed kernel must equal
 // the dense kernel element for element. Shapes straddle the 64-bit lane
 // boundary; zeroCols exercises the column skip list; noisy programming
-// disables count grouping and pins the float accumulation order.
+// disables count grouping and pins the float accumulation order; each
+// crossbar runs at a saturating η and at the synthesizer's.
 func TestPackedMatchesDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cases := []struct {
@@ -72,29 +73,38 @@ func TestPackedMatchesDenseProperty(t *testing.T) {
 	densities := []float64{0, 0.02, 0.05, 0.1, 0.3, 0.7, 1}
 	for _, noisy := range []bool{false, true} {
 		for _, tc := range cases {
-			xb, _ := newTestCrossbar(t, rng, tc.rows, tc.cols, noisy, tc.zeroCols)
+			xb, weights := newTestCrossbar(t, rng, tc.rows, tc.cols, noisy, tc.zeroCols)
 			if xb.exactSums == noisy {
 				t.Fatalf("noisy=%v: exactSums=%v, want %v", noisy, xb.exactSums, !noisy)
 			}
-			// A mid-range η so both sub- and super-threshold drives occur.
-			xb.SetEta(float64(testConfig(0).Rep.MaxWeight()) * float64(tc.rows) / 8)
-			for _, d := range densities {
-				src := make([]int, 0, tc.batch*tc.rows)
-				for b := 0; b < tc.batch; b++ {
-					src = append(src, countsAtDensity(rng, tc.rows, xb.Window(), d)...)
+			// A mid-range η so both sub- and super-threshold drives occur
+			// (columns saturate: the float walk and its hot drain), then the
+			// synthesizer's never-saturating η (the integer-lane walk, when
+			// programming is ideal).
+			mid := float64(testConfig(0).Rep.MaxWeight()) * float64(tc.rows) / 8
+			for _, eta := range []float64{mid, synthEta(weights)} {
+				xb.SetEta(eta)
+				if lanes := len(xb.walkCols) > 0 && xb.laneEligible(); lanes != (!noisy && eta != mid && tc.rows > maxSupport) {
+					t.Fatalf("noisy=%v %+v η=%g: lane walk = %v", noisy, tc, eta, lanes)
 				}
-				dense := make([]int, tc.batch*tc.cols)
-				packed := make([]int, tc.batch*tc.cols)
-				if err := xb.SimulateCountsBatchDense(dense, src, tc.batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := xb.SimulateCountsBatchPacked(packed, src, tc.batch); err != nil {
-					t.Fatal(err)
-				}
-				for k := range dense {
-					if dense[k] != packed[k] {
-						t.Fatalf("noisy=%v %+v d=%g: out[%d] dense %d packed %d",
-							noisy, tc, d, k, dense[k], packed[k])
+				for _, d := range densities {
+					src := make([]int, 0, tc.batch*tc.rows)
+					for b := 0; b < tc.batch; b++ {
+						src = append(src, countsAtDensity(rng, tc.rows, xb.Window(), d)...)
+					}
+					dense := make([]int, tc.batch*tc.cols)
+					packed := make([]int, tc.batch*tc.cols)
+					if err := xb.SimulateCountsBatchDense(dense, src, tc.batch); err != nil {
+						t.Fatal(err)
+					}
+					if err := xb.SimulateCountsBatchPacked(packed, src, tc.batch); err != nil {
+						t.Fatal(err)
+					}
+					for k := range dense {
+						if dense[k] != packed[k] {
+							t.Fatalf("noisy=%v %+v η=%g d=%g: out[%d] dense %d packed %d",
+								noisy, tc, eta, d, k, dense[k], packed[k])
+						}
 					}
 				}
 			}
@@ -282,5 +292,28 @@ func TestKernelStatsAdd(t *testing.T) {
 	}
 	if (KernelStats{}).Density() != 0 {
 		t.Fatal("empty Density != 0")
+	}
+}
+
+// TestProgramAllocs pins Program's allocation count on a noisy 16×24
+// crossbar — the shape and programming offline_mlp_noisy_sparse pays for on
+// every call. What classifyProgramming records for the kernel choice (column
+// supports, per-polarity column sums) must ride in the scan's existing
+// buffers: per cell ProgramWeight allocates twice per polarity, and the
+// crossbar, its four matrices and the three classification slices are the
+// other eight.
+func TestProgramAllocs(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Spec = device.Cell4BitMeasured
+	const rows, cols = 16, 24
+	weights := randomWeights(rand.New(rand.NewSource(77)), rows, cols, cfg.Rep.MaxWeight())
+	prng := rand.New(rand.NewSource(78))
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Program(cfg, weights, prng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(rows*cols*4 + 8); got != want {
+		t.Fatalf("Program allocates %v times per call, want %v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -136,7 +137,10 @@ func structuredCounts(rng *rand.Rand, batch, rows, window int) []int {
 // 128 (two lanes, where two-row supports no longer fit a table), ideal and
 // noisy, with and without an active fault mask (stuck cells change a
 // column's support; drift makes ideal conductances fractional), at the
-// synthesizer's η, a tiny η and η ≤ 0.
+// shape's own η, a tiny η, η ≤ 0 and the never-saturating synthEta — under
+// which the ideal unfaulted crossbars step their walked columns in integer
+// lanes (avgpool, pmax-diff at Γ = 128, and mixed beside its tabulated
+// columns).
 func TestStructuredPackedMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, ioBits := range []int{4, 6, 7} {
@@ -172,14 +176,70 @@ func TestStructuredPackedMatchesDense(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, eta := range []float64{sh.eta, 0.5, 0, -1} {
-						if eta != sh.eta {
-							xb.SetEta(eta)
-						}
+					etas := []float64{sh.eta, 0.5, 0, -1}
+					if se := synthEta(sh.weights); se != sh.eta {
+						etas = append(etas, se)
+					}
+					for _, eta := range etas {
+						xb.SetEta(eta)
 						label := fmt.Sprintf("Γ=%d noisy=%v faulted=%v %s η=%g", xb.Window(), noisy, faulted, sh.name, eta)
 						const batch = 12
 						assertPackedMatchesDense(t, label, xb, structuredCounts(rng, batch, rows, xb.Window()), batch)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestLaneWalkMatchesDense drives the integer-lane walk where the other
+// suites do not reach: dense ideal crossbars at the synthesizer's η, at
+// Γ = 16, 64 and 128 (two-word present set and trains), with column counts
+// that leave the last lane word full, partial and single. Column 0 is all
+// negative, so with every row at Γ its debt climbs to Γ and the output is 0;
+// the heaviest column is then driven by exactly η on every cycle. Counts
+// above Γ are clamped, and the all-zero item must leave every output 0.
+func TestLaneWalkMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	const rows = 18
+	for _, ioBits := range []int{4, 6, 7} {
+		for _, cols := range []int{1, 4, 5, 9, 30} {
+			cfg := structuredConfig(ioBits, false)
+			maxW := cfg.Rep.MaxWeight()
+			weights := randomWeights(rng, rows, cols, maxW)
+			for i := range weights {
+				weights[i][0] = -1 - rng.Intn(maxW)
+			}
+			cfg.Eta = synthEta(weights)
+			xb, err := Program(cfg, weights, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(xb.walkCols) != cols || !xb.laneEligible() {
+				t.Fatalf("Γ=%d cols=%d: walked %v eligible %v, want every column in lanes", xb.Window(), cols, xb.walkCols, xb.laneEligible())
+			}
+			window := xb.Window()
+			const batch = 24
+			src := structuredCounts(rng, batch, rows, window)
+			for i := 0; i < rows; i++ {
+				src[0*rows+i] = window     // every neuron driven at its column's full sum
+				src[1*rows+i] = window + 3 // the same after clamping
+				src[2*rows+i] = 0
+				src[3*rows+i] = window / 2 // the last count still added, not subtracted
+				src[4*rows+i] = window/2 + 1
+			}
+			label := fmt.Sprintf("Γ=%d cols=%d", window, cols)
+			assertPackedMatchesDense(t, label, xb, src, batch)
+			dst := make([]int, batch*cols)
+			if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
+				t.Fatal(err)
+			}
+			if dst[0] != 0 || dst[cols] != 0 {
+				t.Errorf("%s: negative column fired %d / %d times at full input", label, dst[0], dst[cols])
+			}
+			for j := 0; j < cols; j++ {
+				if dst[2*cols+j] != 0 {
+					t.Errorf("%s: column %d fired %d times on all-zero input", label, j, dst[2*cols+j])
 				}
 			}
 		}
@@ -233,10 +293,39 @@ func TestClassifyProgrammingSupport(t *testing.T) {
 	}
 }
 
-// TestSetEtaInvalidatesTables: a table filled under one η must not answer
-// under another. Program → fill → SetEta → run must equal the dense kernel
-// (which reads η live) and the train-level path chipsim's PE takes, for
-// SetEta before the first run and between runs.
+// assertMatchesTrains requires SimulateCountsBatch to equal the dense kernel
+// and the train-level path chipsim's PE takes, item by item.
+func assertMatchesTrains(t *testing.T, label string, xb *Crossbar, src []int, batch int) {
+	t.Helper()
+	assertPackedMatchesDense(t, label, xb, src, batch)
+	rows, cols, window := xb.Rows(), xb.Cols(), xb.Window()
+	got := make([]int, batch*cols)
+	if err := xb.SimulateCountsBatch(got, src, batch); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < batch; b++ {
+		ins := make([]spike.Train, rows)
+		for i := range ins {
+			ins[i] = spike.UniformTrain(src[b*rows+i], window)
+		}
+		outs, err := xb.SimulateTrains(ins, func(eta float64) Stepper { return &spike.Neuron{Eta: eta} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, tr := range outs {
+			if got[b*cols+j] != tr.Count() {
+				t.Fatalf("%s item %d col %d: counts %d, trains %d", label, b, j, got[b*cols+j], tr.Count())
+			}
+		}
+	}
+}
+
+// TestSetEtaInvalidatesTables: nothing derived under one η may answer under
+// another. Program → fill → SetEta → run must equal the dense kernel (which
+// reads η live) and the train-level path, for SetEta before the first run
+// and between runs — for the tabulated columns' tables, and for the choice
+// between the integer-lane walk and the float walk, which is re-made from
+// the current η on every call.
 func TestSetEtaInvalidatesTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	cfg := testConfig(0)
@@ -246,29 +335,84 @@ func TestSetEtaInvalidatesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batch = 32
-	rows, cols, window := xb.Rows(), xb.Cols(), xb.Window()
-	src := structuredCounts(rng, batch, rows, window)
+	src := structuredCounts(rng, batch, xb.Rows(), xb.Window())
 	for _, eta := range []float64{float64(maxW) / 2, float64(3 * maxW), float64(maxW)} {
 		xb.SetEta(eta)
-		assertPackedMatchesDense(t, fmt.Sprintf("η=%g", eta), xb, src, batch)
-		got := make([]int, batch*cols)
-		if err := xb.SimulateCountsBatch(got, src, batch); err != nil {
+		assertMatchesTrains(t, fmt.Sprintf("η=%g", eta), xb, src, batch)
+	}
+
+	// A dense crossbar: every column walked, in lanes exactly while η is an
+	// integer no column drive can exceed.
+	// Column 0 sets η: every cell one level short of +maxW.
+	weights := randomWeights(rng, 18, 8, maxW)
+	for i := range weights {
+		weights[i][0] = maxW - 1
+	}
+	se := synthEta(weights)
+	xb, err = Program(cfg, weights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = structuredCounts(rng, batch, xb.Rows(), xb.Window())
+	for _, step := range []struct {
+		eta   float64
+		lanes bool
+	}{
+		{se, true}, {se / 4, false}, {se + 0.5, false}, {0, false}, {-1, false},
+		{se, true}, {se + 1, true}, {se - 1, false}, {math.NaN(), false}, {se, true},
+	} {
+		xb.SetEta(step.eta)
+		if got := xb.laneEligible(); got != step.lanes {
+			t.Fatalf("η=%g (synth η %g): lane walk eligible = %v, want %v", step.eta, se, got, step.lanes)
+		}
+		assertMatchesTrains(t, fmt.Sprintf("dense η=%g", step.eta), xb, src, batch)
+	}
+	if xb.laneG == nil || xb.rowG == nil {
+		t.Fatalf("after both kinds of η: lanes packed %v, float rows built %v, want both", xb.laneG != nil, xb.rowG != nil)
+	}
+
+	// η = 2^14 − 1 is the last threshold the 16-bit lanes hold.
+	for _, top := range []int{maxLaneEta - 1, maxLaneEta} {
+		var col [][]int
+		for left := top; left > 0; left -= maxW {
+			col = append(col, []int{min(left, maxW), -1})
+		}
+		c := cfg
+		c.Eta = float64(top)
+		xb, err := Program(c, col, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for b := 0; b < batch; b++ {
-			ins := make([]spike.Train, rows)
-			for i := range ins {
-				ins[i] = spike.UniformTrain(src[b*rows+i], window)
-			}
-			outs, err := xb.SimulateTrains(ins, func(eta float64) Stepper { return &spike.Neuron{Eta: eta} })
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, tr := range outs {
-				if got[b*cols+j] != tr.Count() {
-					t.Fatalf("η=%g item %d col %d: counts %d, trains %d", eta, b, j, got[b*cols+j], tr.Count())
-				}
-			}
+		if got, want := xb.laneEligible(), top < maxLaneEta; got != want {
+			t.Fatalf("η=%d: lane walk eligible = %v, want %v", top, got, want)
 		}
+		src := structuredCounts(rng, 4, xb.Rows(), xb.Window())
+		for i := 0; i < xb.Rows(); i++ {
+			src[i] = xb.Window() // membrane and drive both at their largest
+		}
+		assertMatchesTrains(t, fmt.Sprintf("η=%d", top), xb, src, 4)
+	}
+
+	// One stuck-high cell that lifts a column's drive above η sends the
+	// whole crossbar to the float walk; a stuck-low cell does not.
+	for _, tc := range []struct {
+		kind  device.FaultKind
+		lanes bool
+	}{{device.FaultStuckLow, true}, {device.FaultStuckHigh, false}} {
+		fm := device.FaultMap{Rows: 18, Cols: 8, Cells: []device.FaultCell{{Row: 3, Col: 0, Kind: tc.kind}}}
+		if err := fm.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		mask := fm.MaskFor(18, 8, false)
+		c := cfg
+		c.Eta, c.Faults = se, &mask
+		xb, err := Program(c, weights, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := xb.laneEligible(); got != tc.lanes {
+			t.Fatalf("stuck kind %v in the heaviest column: lane walk eligible = %v, want %v", tc.kind, got, tc.lanes)
+		}
+		assertMatchesTrains(t, fmt.Sprintf("stuck kind %v", tc.kind), xb, src, batch)
 	}
 }

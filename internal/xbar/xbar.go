@@ -4,10 +4,10 @@
 // compute core (paper §4.2) — as flat row-major []float64 buffers and
 // evaluates whole micro-batches of input vectors per call: the programming
 // cost of a weight matrix — and of everything derived from it once, such as
-// the packed kernel's column supports and tables — is amortized across
-// every vector that streams through it. Per-item cost in the spiking
-// kernels does not fall with batch size; what a batch saves is the
-// per-call overhead above the kernel.
+// the packed kernel's column supports, tables and lane-packed conductances —
+// is amortized across every vector that streams through it. Per-item cost
+// in the spiking kernels does not fall with batch size; what a batch saves
+// is the per-call overhead above the kernel.
 //
 // Three views of the same computation are provided, from fastest to most
 // circuit-faithful, and the callers' test suites prove they agree with the
@@ -133,14 +133,16 @@ type Crossbar struct {
 
 	// Spiking-kernel selection (see packed.go): the configured path plus
 	// the structural facts classifyProgramming derives from the
-	// conductances. trainTab and rowG are fetched/built when the packed
-	// kernel first needs them.
+	// conductances. trainTab, rowG and laneG are fetched/built when
+	// the packed kernel first needs them.
 	path      Path
-	exactSums bool      // conductance sums exact in any order (integer values)
-	tabCols   []tabCol  // columns answered from a table over their support counts
-	walkCols  []int     // columns the cycle walk must step, ascending
-	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
-	rowG      []float64 // rows×2·cols conductances, posG row then negG row per row
+	exactSums bool       // conductance sums exact in any order (integer values)
+	maxDrive  float64    // largest per-polarity walk-column sum; +Inf unless exactSums and no value < 0
+	tabCols   []tabCol   // columns answered from a table over their support counts
+	walkCols  []int      // columns the cycle walk must step, ascending
+	trainTab  []uint64   // shared (window+1)×Lanes(window) uniform trains
+	rowG      []float64  // rows×2·cols conductances, posG row then negG row per row
+	laneG     []lanePair // rows×⌈walkCols/4⌉ walk-column conductances in 16-bit lanes
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
@@ -159,7 +161,13 @@ type Crossbar struct {
 	debt       []int     // cols subtracter debts
 	trains     []bool    // rows×window spike trains for one item
 
-	// Packed-kernel scratch (see simulateCountsPacked).
+	// Integer-lane walk scratch, sized with laneG (see walkLanes).
+	present []uint64   // Lanes(window): bit k set when some row fires k+1 times
+	countG  []lanePair // ⌈walkCols/4⌉×window: lane rows summed per firing count
+	denseG  []lanePair // ⌈walkCols/4⌉: sum of countG over the counts above Γ/2
+	laneDrv []lanePair // ⌈walkCols/4⌉×window: per-cycle drives
+
+	// Float-walk scratch (see simulateCountsPacked).
 	unitG     [][]float64 // per-unit conductance rows, 2·cols wide
 	unitCount []int       // per-unit firing counts
 	groupBuf  []float64   // backing store for pre-summed group rows
@@ -374,16 +382,17 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // micro-batch saves only the call overhead.
 //
 // Two bit-identical kernels back it: the dense cycle walk and the
-// structure-aware bit-packed walk (simulateCountsPacked). The configured
+// structure-aware bit-packed kernel (simulateCountsPacked). The configured
 // Path picks one; PathAuto (the default) probes the micro-batch's input
 // spike density and takes the packed kernel at or below the sparse
 // threshold, where skipping dead cycles and zero rows wins. Ideally
 // programmed crossbars (integer conductances, exact in any summation
-// order) always take the packed kernel under PathAuto: count grouping
-// collapses equal-count rows and small-support columns are answered from
-// tables there, so it measures faster than the dense walk at every density.
-// Selection counts and the observed density are exposed through
-// KernelStats.
+// order) always take the packed kernel under PathAuto: small-support
+// columns are answered from tables there, and the rest are stepped four to
+// a word in integer lanes when η is one no column can saturate (as the
+// synthesizer's always is), or else by the count-grouped float walk — each
+// faster than the dense walk at every density. Selection counts and the
+// observed density are exposed through KernelStats.
 func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
