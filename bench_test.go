@@ -182,18 +182,62 @@ func BenchmarkSpikingInference(b *testing.B) {
 	}
 }
 
+// deployNoisyFaultedNet builds the shape offline_mlp_noisy_sparse runs:
+// the bench MLP compiled under a 1 % stuck-cell model, and a batch of 64
+// to classify in ModeSpikingNoisy, where every call re-programs both
+// crossbars with a fresh variation draw.
+func deployNoisyFaultedNet(tb testing.TB) (*SpikingNet, [][]float64) {
+	tb.Helper()
+	d, train := deployBenchNet(tb, WithFaultModel(0.01, 1))
+	return mustNet(tb, d), train.X[:64]
+}
+
+// BenchmarkClassifyBatchNoisyFaulted is the re-program-per-call path as the
+// public API runs it. Its allocs/op is the number to watch: it is constant
+// in the weight count because the fault masks are derived once per
+// deployment and programming a weight allocates nothing.
+func BenchmarkClassifyBatchNoisyFaulted(b *testing.B) {
+	sn, batch := deployNoisyFaultedNet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sn.ClassifyBatch(batch, ModeSpikingNoisy); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// TestClassifyBatchNoisyFaultedAllocs bounds what one noisy call allocates.
+// A make per weight would cost (16·24 + 24·4)·4 ≈ 2,000 allocations a call
+// and a fault-map derivation per call a few dozen more, so either creeping
+// in fails here — on a count that repeats exactly — rather than in a noisy
+// wall-clock gate.
+func TestClassifyBatchNoisyFaultedAllocs(t *testing.T) {
+	sn, batch := deployNoisyFaultedNet(t)
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := sn.ClassifyBatch(batch, ModeSpikingNoisy); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const limit = 100
+	if got > limit {
+		t.Fatalf("ClassifyBatch(noisy, faulted) allocates %v times per call, want ≤ %d", got, limit)
+	}
+}
+
 // deployBenchNet builds the shared MLP serving workload: the serial
 // BenchmarkSpikingInference loop and the BenchmarkEngine variants all
 // classify the same deployed network, so samples/op compare directly.
-func deployBenchNet(b *testing.B) (*Deployment, Dataset) {
-	b.Helper()
+func deployBenchNet(tb testing.TB, opts ...Option) (*Deployment, Dataset) {
+	tb.Helper()
 	ds := SyntheticDataset(5, 300, 16, 4, 0.08)
 	train, _ := ds.Split(0.9)
 	net, err := TrainMLP(5, []int{16, 24, 4}, train, 20)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return compileMLP(b, net), train
+	return compileMLP(tb, net, opts...), train
 }
 
 // deployConvBenchNet builds a small convolutional workload

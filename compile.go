@@ -246,8 +246,12 @@ func checkLayerNames(co *coreop.Graph, cfg config) error {
 
 // Deployment is a model mapped onto the FPSA fabric.
 type Deployment struct {
-	model  Model
-	cfg    config
+	model Model
+	cfg   config
+	// faults is cfg.Faults lowered once (nil when inactive): netlist
+	// construction and every net, engine and fleet replica derived from
+	// this deployment share the one model, and so the masks it remembers.
+	faults *device.FaultModel
 	coreop *coreop.Graph
 	alloc  mapper.Allocation
 	nl     *netlist.Netlist
@@ -364,7 +368,7 @@ func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, er
 		// (duplication beyond the maximum reuse degree).
 		return nil, fmt.Errorf("%w: %w", ErrCapacity, err)
 	}
-	d := &Deployment{model: m, cfg: cfg, coreop: co, alloc: alloc, params: params, weights: set.weights}
+	d := &Deployment{model: m, cfg: cfg, faults: cfg.Faults.deviceModel(), coreop: co, alloc: alloc, params: params, weights: set.weights}
 	if cfg.ChipCapacity > 0 && alloc.TotalPEs > cfg.ChipCapacity && cfg.MaxChips <= 1 {
 		return nil, fmt.Errorf("%w: model %s needs %d PEs, exceeding one chip's capacity of %d; compile with WithChips(n ≥ 2) to shard it",
 			ErrCapacity, m.Name(), alloc.TotalPEs, cfg.ChipCapacity)
@@ -378,7 +382,7 @@ func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, er
 		}
 	}
 	if len(d.shards) == 0 {
-		nl, err := mapper.BuildNetlistFaulted(co, alloc, params, nil, cfg.Faults.deviceModel(), 0)
+		nl, err := mapper.BuildNetlistFaulted(co, alloc, params, nil, d.faults, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -482,7 +486,7 @@ func (d *Deployment) shardify() error {
 		}
 		// unitBase = lo: the sub-graph renumbers its groups from 0, but
 		// fault maps key on the global group ID the executor programs.
-		nl, err := mapper.BuildNetlistFaulted(sub, alloc, d.params, nil, d.cfg.Faults.deviceModel(), lo)
+		nl, err := mapper.BuildNetlistFaulted(sub, alloc, d.params, nil, d.faults, lo)
 		if err != nil {
 			return fmt.Errorf("fpsa: shard %d: %w", k, err)
 		}

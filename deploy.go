@@ -47,8 +47,9 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 	}
 	// The compiled fault scenario rides along so every net and engine of
 	// this deployment programs the same faulted hardware the mapper
-	// steered placement around.
-	sn := &SpikingNet{prog: prog, faults: d.cfg.Faults.deviceModel()}
+	// steered placement around — the one lowered model, so they also
+	// share its derived masks (which do not depend on the weights).
+	sn := &SpikingNet{prog: prog, faults: d.faults}
 	sn.SetSeed(d.cfg.Seed)
 	return sn, nil
 }

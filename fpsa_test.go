@@ -3,6 +3,7 @@ package fpsa
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -388,5 +389,65 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 	}
 	if _, err := sn.ClassifyBatch(batch, ExecMode(9)); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// TestRejectedCallKeepsVariationStream: a call that is rejected — a
+// wrong-length sample, an unknown mode — draws nothing from the SetSeed
+// stream, so the noisy calls after it replay exactly as if it had never
+// been made, batched and single-sample alike.
+func TestRejectedCallKeepsVariationStream(t *testing.T) {
+	ds := SyntheticDataset(21, 300, 10, 3, 0.08)
+	train, _ := ds.Split(0.8)
+	net, err := TrainMLP(21, []int{10, 12, 3}, train, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := deployMLP(t, net)
+	batch := train.X[:9]
+	short := batch[0][:4]
+	// trial runs one batched and one single-sample noisy call from
+	// SetSeed(3), after whatever reject does.
+	trial := func(reject func()) [][]int {
+		t.Helper()
+		sn.SetSeed(3)
+		reject()
+		outs, err := sn.OutputsBatch(batch, ModeSpikingNoisy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := sn.Outputs(batch[0], ModeSpikingNoisy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(outs, one)
+	}
+	want := trial(func() {})
+	for name, reject := range map[string]func() error{
+		"batch with a wrong-length sample": func() error {
+			_, err := sn.OutputsBatch([][]float64{batch[0], short}, ModeSpikingNoisy)
+			return err
+		},
+		"wrong-length sample": func() error {
+			_, err := sn.Outputs(short, ModeSpikingNoisy)
+			return err
+		},
+		"batch in an unknown mode": func() error {
+			_, err := sn.OutputsBatch(batch, ExecMode(9))
+			return err
+		},
+		"sample in an unknown mode": func() error {
+			_, err := sn.Outputs(batch[0], ExecMode(9))
+			return err
+		},
+	} {
+		got := trial(func() {
+			if reject() == nil {
+				t.Fatalf("%s accepted", name)
+			}
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("a rejected %s advanced the variation stream: the calls after it differ from the clean replay", name)
+		}
 	}
 }

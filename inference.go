@@ -163,17 +163,31 @@ func (m ExecMode) synthMode() (synth.ExecMode, error) {
 	return 0, fmt.Errorf("%w: unknown exec mode %d", ErrInvalidArgument, m)
 }
 
-// Outputs returns the raw output spike counts.
-func (s *SpikingNet) Outputs(features []float64, mode ExecMode) ([]int, error) {
-	window := s.prog.Params.SamplingWindow()
-	in := synth.QuantizeInput(features, window)
+// runOptions resolves one call's executor options. invalid is whatever
+// input validation found: with the mode it is everything that can reject
+// the call, and both are checked before the noisy draw, so a rejected
+// call leaves the SetSeed stream where it was.
+func (s *SpikingNet) runOptions(mode ExecMode, invalid error) (synth.RunOptions, error) {
 	m, err := mode.synthMode()
+	if err == nil {
+		err = invalid
+	}
 	if err != nil {
-		return nil, err
+		return synth.RunOptions{}, err
 	}
 	opts := synth.RunOptions{Mode: m, Faults: s.faults}
 	if mode == ModeSpikingNoisy {
 		opts.Rng = s.noisyRng()
+	}
+	return opts, nil
+}
+
+// Outputs returns the raw output spike counts.
+func (s *SpikingNet) Outputs(features []float64, mode ExecMode) ([]int, error) {
+	in := synth.QuantizeInput(features, s.prog.Params.SamplingWindow())
+	opts, err := s.runOptions(mode, s.prog.Validate(in))
+	if err != nil {
+		return nil, err
 	}
 	return s.prog.Run(in, opts)
 }
@@ -185,7 +199,11 @@ func (s *SpikingNet) Outputs(features []float64, mode ExecMode) ([]int, error) {
 // kernel path), so this is substantially faster than looping Classify.
 // In ModeSpikingNoisy the batch shares a single programming-variation
 // draw — one physical chip serving the batch — advancing the SetSeed
-// stream by one draw per batch rather than one per sample.
+// stream by one draw per batch rather than one per sample; a batch that
+// is rejected (wrong-length sample, unknown mode) advances it not at all.
+// Every call re-programs, and that costs one variation draw per cell and
+// the kernel: the deployment's fault masks are derived once, not per
+// call. An Engine programs once and is the way to serve.
 func (s *SpikingNet) ClassifyBatch(features [][]float64, mode ExecMode) ([]int, error) {
 	outs, err := s.OutputsBatch(features, mode)
 	if err != nil {
@@ -206,13 +224,9 @@ func (s *SpikingNet) OutputsBatch(features [][]float64, mode ExecMode) ([][]int,
 		return nil, nil
 	}
 	ins := synth.QuantizeBatch(features, s.prog.Params.SamplingWindow())
-	m, err := mode.synthMode()
+	opts, err := s.runOptions(mode, s.prog.ValidateBatch(ins))
 	if err != nil {
 		return nil, err
-	}
-	opts := synth.RunOptions{Mode: m, Faults: s.faults}
-	if mode == ModeSpikingNoisy {
-		opts.Rng = s.noisyRng()
 	}
 	return s.prog.RunBatch(ins, opts)
 }

@@ -11,6 +11,9 @@
 // splitmix-derived rand.Source, so two workers — or two chips of a
 // pipelined deployment — programming the same unit always see identical
 // faults, unlike programming variation, which is per-replica by design.
+// Being pure, the projected masks are derived once per model and shared
+// (FaultModel.MaskForUnit): re-programming a crossbar pays for its
+// variation draws, never for re-deriving its faults.
 package device
 
 import (
@@ -19,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // FaultKind classifies a stuck logical weight cell.
@@ -54,6 +58,11 @@ type FaultCell struct {
 // and seed, the analog aging knobs, optional per-layer seed overrides
 // (chip binning: different dies age differently), and whether the mapper
 // remaps logical regions around known-bad cells.
+//
+// A model is immutable after first use: MaskForUnit remembers every mask
+// it derives, so changing a field afterwards would leave stale masks
+// behind. Build a new model instead. Because of the memo a model is
+// handled by pointer only, never copied.
 type FaultModel struct {
 	// Rate is the per-cell stuck probability in [0, 1].
 	Rate float64
@@ -76,6 +85,22 @@ type FaultModel struct {
 	// Remap steers logical regions around known-bad cells using the
 	// crossbar's spare rows and columns (see FaultMap.Remap).
 	Remap bool
+
+	// masks memoises MaskForUnit. A mask is a pure function of the fields
+	// above and the key, so the memo can never change a result and needs
+	// no eviction: it holds one mask per weight group the model has
+	// programmed.
+	mu    sync.Mutex
+	masks map[maskKey]*FaultMask
+}
+
+// maskKey is everything besides the model's own fields that a unit's
+// projected mask depends on. The layer enters through its resolved seed.
+type maskKey struct {
+	seed               int64
+	unit               int
+	physRows, physCols int
+	rows, cols         int
 }
 
 // Active reports whether the model perturbs anything at all: an inactive
@@ -109,7 +134,9 @@ func mixSeed(seed int64, unit int) int64 {
 // crossbar: unit is a stable global identifier (the weight-group ID), and
 // rows×cols the physical crossbar geometry (spares included — remapping
 // needs them). The same (model, unit, geometry) always yields the same
-// map, regardless of which worker or chip asks.
+// map, regardless of which worker or chip asks. Every call redraws the
+// whole map (two draws per stuck cell, one per healthy one); code that
+// programs crossbars wants MaskForUnit, which derives a unit once.
 func (m *FaultModel) MapForUnit(layer string, unit, rows, cols int) FaultMap {
 	fm := FaultMap{Rows: rows, Cols: cols}
 	if m == nil {
@@ -145,6 +172,53 @@ func (m *FaultModel) MapForUnit(layer string, unit, rows, cols int) FaultMap {
 		}
 	}
 	return fm
+}
+
+// deriveMask is the one derivation the mapper's residual counts and the
+// executors' programmed faults both come from: the unit's map at physical
+// geometry physRows×physCols, projected onto the rows×cols logical region
+// under the model's remap policy.
+func (m *FaultModel) deriveMask(layer string, unit, physRows, physCols, rows, cols int) FaultMask {
+	return m.MapForUnit(layer, unit, physRows, physCols).MaskFor(rows, cols, m.Remap)
+}
+
+// MaskForUnit returns the mask xbar.Program applies to one weight group:
+// derived the first time the group is asked for and the same shared,
+// read-only mask ever after, so a path that re-programs its crossbars on
+// every call (synth.Program.Run) derives each group's faults once per
+// model rather than once per call. A nil or inactive model returns nil,
+// which programs bit-identically to no fault model. Safe for concurrent
+// use.
+func (m *FaultModel) MaskForUnit(layer string, unit, physRows, physCols, rows, cols int) *FaultMask {
+	if !m.Active() {
+		return nil
+	}
+	key := maskKey{m.seedFor(layer), unit, physRows, physCols, rows, cols}
+	// Derived under the lock: workers starting together ask for the same
+	// groups, and the first derives each while the rest wait for it.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mask := m.masks[key]
+	if mask == nil {
+		derived := m.deriveMask(layer, unit, physRows, physCols, rows, cols)
+		mask = &derived
+		if m.masks == nil {
+			m.masks = make(map[maskKey]*FaultMask)
+		}
+		m.masks[key] = mask
+	}
+	return mask
+}
+
+// ResidualForUnit is MaskForUnit(...).Faulted — the stuck cells left
+// inside the logical region after any remapping — without remembering the
+// mask: place-and-route needs each group's count once, and a compile-only
+// flow over a large model must not keep a byte per weight alive for it.
+func (m *FaultModel) ResidualForUnit(layer string, unit, physRows, physCols, rows, cols int) int {
+	if !m.Active() {
+		return 0
+	}
+	return m.deriveMask(layer, unit, physRows, physCols, rows, cols).Faulted
 }
 
 // FaultMap is one physical crossbar's fault state: its stuck cells in

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -192,4 +193,130 @@ func FuzzFaultMapRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// memoModels are the scenarios the MaskForUnit memo is pinned on: stuck
+// cells at moderate, heavy and saturated rates, both stuck-kind splits,
+// per-layer seeds, and the analog-only models that carry no cells at all.
+func memoModels(remap bool) map[string]*FaultModel {
+	return map[string]*FaultModel{
+		"rate":        {Rate: 0.05, Seed: 11, Remap: remap},
+		"layer-seeds": {Rate: 0.05, Seed: 11, Seeds: map[string]int64{"fc2": 99}, Remap: remap},
+		"high-frac":   {Rate: 0.05, Seed: 12, HighFrac: 0.9, Remap: remap},
+		"rate-half":   {Rate: 0.5, Seed: 13, Drift: 0.1, Remap: remap},
+		"rate-over-1": {Rate: 1.5, Seed: 14, Remap: remap},
+		"drift-only":  {Drift: 0.2, Seed: 15, Remap: remap},
+		"sigma-only":  {ReadSigma: 0.3, Seed: 16, Remap: remap},
+	}
+}
+
+// TestMaskForUnitMatchesDerivation: the memoised mask is exactly the
+// MapForUnit→MaskFor projection, the second ask returns the same shared
+// mask, and the mapper's unretained residual is its Faulted count.
+func TestMaskForUnitMatchesDerivation(t *testing.T) {
+	for _, remap := range []bool{false, true} {
+		for name, fm := range memoModels(remap) {
+			for _, layer := range []string{"fc1", "fc2"} {
+				for unit := 0; unit < 3; unit++ {
+					want := fm.MapForUnit(layer, unit, 32, 24).MaskFor(20, 16, remap)
+					got := fm.MaskForUnit(layer, unit, 32, 24, 20, 16)
+					if !reflect.DeepEqual(*got, want) {
+						t.Fatalf("%s remap=%v %s/%d: memoised mask differs from MapForUnit→MaskFor", name, remap, layer, unit)
+					}
+					if again := fm.MaskForUnit(layer, unit, 32, 24, 20, 16); again != got {
+						t.Fatalf("%s remap=%v %s/%d: second call derived a new mask", name, remap, layer, unit)
+					}
+					if res := fm.ResidualForUnit(layer, unit, 32, 24, 20, 16); res != want.Faulted {
+						t.Fatalf("%s remap=%v %s/%d: residual %d, mask has %d faulted", name, remap, layer, unit, res, want.Faulted)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaskForUnitKeys: every component of the key — unit, layer seed,
+// physical geometry, logical region — selects its own mask, each equal to
+// its own fresh derivation however the asks interleave.
+func TestMaskForUnitKeys(t *testing.T) {
+	fm := &FaultModel{Rate: 0.2, Seed: 5, Seeds: map[string]int64{"b": 9}}
+	type ask struct {
+		layer                                string
+		unit, physRows, physCols, rows, cols int
+	}
+	asks := []ask{
+		{"a", 0, 32, 24, 20, 16},
+		{"a", 1, 32, 24, 20, 16}, // unit
+		{"b", 0, 32, 24, 20, 16}, // layer seed
+		{"a", 0, 40, 24, 20, 16}, // physical rows
+		{"a", 0, 32, 30, 20, 16}, // physical cols
+		{"a", 0, 32, 24, 16, 16}, // logical rows
+		{"a", 0, 32, 24, 20, 20}, // logical cols
+	}
+	seen := make(map[*FaultMask]int)
+	for round := 0; round < 2; round++ {
+		for i, a := range asks {
+			got := fm.MaskForUnit(a.layer, a.unit, a.physRows, a.physCols, a.rows, a.cols)
+			want := fm.MapForUnit(a.layer, a.unit, a.physRows, a.physCols).MaskFor(a.rows, a.cols, false)
+			if !reflect.DeepEqual(*got, want) {
+				t.Fatalf("round %d ask %d (%+v): mask differs from its own derivation", round, i, a)
+			}
+			if prev, ok := seen[got]; ok && prev != i {
+				t.Fatalf("asks %d and %d share one mask", prev, i)
+			}
+			seen[got] = i
+		}
+	}
+	if len(seen) != len(asks) {
+		t.Fatalf("%d distinct masks for %d distinct keys", len(seen), len(asks))
+	}
+}
+
+// TestMaskForUnitInactive: nil and inactive models mask nothing and never
+// touch the memo, so the unfaulted path stays lock- and allocation-free.
+func TestMaskForUnitInactive(t *testing.T) {
+	var nilModel *FaultModel
+	if nilModel.MaskForUnit("l", 0, 8, 8, 4, 4) != nil || nilModel.ResidualForUnit("l", 0, 8, 8, 4, 4) != 0 {
+		t.Fatal("nil model produced a mask")
+	}
+	zero := &FaultModel{Seed: 5, Remap: true}
+	if zero.MaskForUnit("l", 0, 8, 8, 4, 4) != nil || zero.ResidualForUnit("l", 0, 8, 8, 4, 4) != 0 {
+		t.Fatal("inactive model produced a mask")
+	}
+	if zero.masks != nil {
+		t.Fatal("inactive model populated its memo")
+	}
+	if n := testing.AllocsPerRun(10, func() { zero.MaskForUnit("l", 0, 8, 8, 4, 4) }); n != 0 {
+		t.Fatalf("inactive MaskForUnit allocates %v times", n)
+	}
+}
+
+// TestMaskForUnitConcurrent: goroutines racing on the same keys all get
+// the one shared mask per key (run under -race in CI).
+func TestMaskForUnitConcurrent(t *testing.T) {
+	fm := &FaultModel{Rate: 0.1, Seed: 21, Remap: true}
+	const workers, units = 8, 4
+	got := make([][units]*FaultMask, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for u := 0; u < units; u++ {
+				got[w][u] = fm.MaskForUnit("l", u, 32, 24, 20, 16)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for u := 0; u < units; u++ {
+		want := fm.MapForUnit("l", u, 32, 24).MaskFor(20, 16, true)
+		for w := 0; w < workers; w++ {
+			if got[w][u] != got[0][u] {
+				t.Fatalf("unit %d: workers 0 and %d hold different masks", u, w)
+			}
+		}
+		if !reflect.DeepEqual(*got[0][u], want) {
+			t.Fatalf("unit %d: shared mask differs from its derivation", u)
+		}
+	}
 }

@@ -164,14 +164,41 @@ func (a Add) NormalizedDeviation(spec CellSpec) float64 {
 // ProgramWeight encodes w with rep, programs each cell with variation from
 // rng, and returns the decoded (noisy) weight value. It is the single code
 // path both the Monte-Carlo accuracy study (Figure 9) and the functional
-// crossbar model use.
+// crossbar model use — once per weight per polarity on every programming
+// pass, so for the two built-in methods it folds Encode, CellSpec.Program
+// and Decode into one allocation-free loop: cell i's level is computed,
+// programmed (one draw from rng, in cell order) and accumulated exactly as
+// the composition would, so the value and the draws consumed are bit-
+// identical to it (TestProgramWeightMatchesComposition).
 func ProgramWeight(rep Representation, spec CellSpec, w int, rng *rand.Rand) float64 {
-	levels := rep.Encode(w)
-	gs := make([]float64, len(levels))
-	for i, l := range levels {
-		gs[i] = spec.Program(l, rng)
+	var v float64
+	switch r := rep.(type) {
+	case Add:
+		w = clampWeight(w, r.MaxWeight())
+		base, rem := w/r.NumCells, w%r.NumCells
+		for i := 0; i < r.NumCells; i++ {
+			level := base
+			if i < rem {
+				level++
+			}
+			v += spec.Program(level, rng)
+		}
+	case Splice:
+		w = clampWeight(w, r.MaxWeight())
+		mask := r.Spec.Levels() - 1
+		for i := 0; i < r.NumCells; i++ {
+			v += spec.Program(w&mask, rng) * math.Pow(2, float64(r.Spec.Bits*i))
+			w >>= uint(r.Spec.Bits)
+		}
+	default:
+		levels := rep.Encode(w)
+		gs := make([]float64, len(levels))
+		for i, l := range levels {
+			gs[i] = spec.Program(l, rng)
+		}
+		v = rep.Decode(gs)
 	}
-	return rep.Decode(gs)
+	return v
 }
 
 func clampWeight(w, max int) int {

@@ -201,3 +201,73 @@ func TestQuickRoundTripBothMethods(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// programWeightOracle is the Encode → per-cell CellSpec.Program → Decode
+// composition ProgramWeight is defined by, written out.
+func programWeightOracle(rep Representation, spec CellSpec, w int, rng *rand.Rand) float64 {
+	levels := rep.Encode(w)
+	gs := make([]float64, len(levels))
+	for i, l := range levels {
+		gs[i] = spec.Program(l, rng)
+	}
+	return rep.Decode(gs)
+}
+
+// TestProgramWeightMatchesComposition: for both methods at 1…8 cells, over
+// the whole weight range (sampled where splicing makes it astronomically
+// wide) plus out-of-range weights, ideal and noisy, ProgramWeight returns
+// the composition's value bit for bit and leaves rng exactly where the
+// composition leaves it. The pointer forms take the generic fallback.
+func TestProgramWeightMatchesComposition(t *testing.T) {
+	sample := rand.New(rand.NewSource(3))
+	for cells := 1; cells <= 8; cells++ {
+		for _, sigma := range []float64{0, 1.6} {
+			spec := CellSpec{Bits: 4, Sigma: sigma}
+			add, splice := NewAdd(spec, cells), NewSplice(spec, cells)
+			for _, rep := range []Representation{add, splice, &add, &splice} {
+				maxW := rep.MaxWeight()
+				ws := []int{-7, -1, maxW + 1, maxW + 1000}
+				if maxW < 1<<12 {
+					for w := 0; w <= maxW; w++ {
+						ws = append(ws, w)
+					}
+				} else {
+					ws = append(ws, 0, 1, maxW-1, maxW)
+					for i := 0; i < 1<<12; i++ {
+						ws = append(ws, sample.Intn(maxW+1))
+					}
+				}
+				for _, noisy := range []bool{false, true} {
+					var want, got *rand.Rand
+					if noisy {
+						want, got = rand.New(rand.NewSource(41)), rand.New(rand.NewSource(41))
+					}
+					for _, w := range ws {
+						a := programWeightOracle(rep, spec, w, want)
+						b := ProgramWeight(rep, spec, w, got)
+						if math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("%s×%d σ=%v noisy=%v w=%d: ProgramWeight %v, composition %v", rep.Name(), cells, sigma, noisy, w, b, a)
+						}
+						if noisy && want.Int63() != got.Int63() {
+							t.Fatalf("%s×%d σ=%v w=%d: rng streams diverged", rep.Name(), cells, sigma, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProgramWeightAllocs: programming a weight allocates nothing for
+// either built-in method — xbar.Program calls it twice per cell on every
+// programming pass.
+func TestProgramWeightAllocs(t *testing.T) {
+	spec := Cell4BitMeasured
+	rng := rand.New(rand.NewSource(9))
+	for _, rep := range []Representation{NewAdd(spec, 8), NewSplice(spec, 2)} {
+		w := rep.MaxWeight() / 3
+		if n := testing.AllocsPerRun(100, func() { ProgramWeight(rep, spec, w, rng) }); n != 0 {
+			t.Errorf("%s: ProgramWeight allocates %v times per call, want 0", rep.Name(), n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -111,5 +112,68 @@ func TestBuildNetlistFaultedUnitBase(t *testing.T) {
 	}
 	if same {
 		t.Fatal("unit base 7 stamped the same fault population as base 0")
+	}
+}
+
+// TestBuildNetlistFaultedMatchesExecutor: the residuals the netlist
+// stamps and the faults an executor programs come from one derivation on
+// one model, so per group they agree — summed over first copies, the
+// netlist's stamps are exactly the executor's FaultedCells — whichever of
+// the two asks the model first.
+func TestBuildNetlistFaultedMatchesExecutor(t *testing.T) {
+	dims := map[string][2]int{"fc1": {784, 500}, "fc2": {500, 100}, "fc3": {100, 10}}
+	rng := rand.New(rand.NewSource(8))
+	weights := make(map[string][][]float64)
+	for _, layer := range []string{"fc1", "fc2", "fc3"} {
+		w := make([][]float64, dims[layer][0])
+		for r := range w {
+			w[r] = make([]float64, dims[layer][1])
+			for c := range w[r] {
+				w[r][c] = (rng.Float64()*2 - 1) / float64(len(w))
+			}
+		}
+		weights[layer] = w
+	}
+	opts := synth.DefaultOptions()
+	opts.Weights = func(layer string) [][]float64 { return weights[layer] }
+	co, prog, err := synth.Compile(models.MLP500_100(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Allocate(co, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := func(fm *device.FaultModel) int {
+		nl, err := BuildNetlistFaulted(co, a, opts.Params, nil, fm, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for i := range nl.Blocks {
+			if nl.Blocks[i].Copy == 0 {
+				sum += nl.Blocks[i].Fault
+			}
+		}
+		return sum
+	}
+	programmed := func(fm *device.FaultModel) int {
+		ex, err := synth.NewExecutor(prog, synth.RunOptions{Mode: synth.ModeReference, Faults: fm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex.FaultedCells()
+	}
+	for _, remap := range []bool{false, true} {
+		fm := &device.FaultModel{Rate: 0.03, Seed: 29, Seeds: map[string]int64{"fc2": 4}, Remap: remap}
+		before := stamped(fm)
+		cells := programmed(fm)
+		after := stamped(fm)
+		if before == 0 {
+			t.Fatalf("remap=%v: 3%% fault rate stamped no residuals", remap)
+		}
+		if before != cells || after != cells {
+			t.Fatalf("remap=%v: netlist stamps %d (before programming) / %d (after), executor programmed %d faulted cells", remap, before, after, cells)
+		}
 	}
 }

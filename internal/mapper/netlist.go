@@ -51,17 +51,13 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 	// PE instances.
 	peIDs := make([][]int, len(g.Groups))
 	for gi, grp := range g.Groups {
-		residual := 0
-		if faults.Active() {
-			// Same primitive the executor programs with (FaultMap.MaskFor
-			// keyed on the global group ID), so the netlist's penalty
-			// weights and the runtime's faulted conductances agree by
-			// construction. Every copy of a group shares the map: the
-			// copies are one logical unit's duplicated programming.
-			fm := faults.MapForUnit(grp.Layer, unitBase+grp.ID, params.CrossbarRows, params.LogicalColumns())
-			mask := fm.MaskFor(grp.Rows, grp.Cols, faults.Remap)
-			residual = mask.Faulted
-		}
+		// The same derivation the executors' masks come from
+		// (FaultModel.MaskForUnit, keyed on the global group ID), so the
+		// netlist's penalty weights and the runtime's faulted
+		// conductances agree by construction — but only the count is
+		// kept. Every copy of a group shares it: the copies are one
+		// logical unit's duplicated programming.
+		residual := faults.ResidualForUnit(grp.Layer, unitBase+grp.ID, params.CrossbarRows, params.LogicalColumns(), grp.Rows, grp.Cols)
 		peIDs[gi] = make([]int, a.Dup[gi])
 		for c := 0; c < a.Dup[gi]; c++ {
 			id := nl.AddBlock(netlist.BlockPE, fmt.Sprintf("%s#%d", grp.Name, c), gi, c)

@@ -98,13 +98,17 @@ type RunOptions struct {
 // Run executes the program on one input vector of spike counts in [0, Γ]
 // and returns the output counts at the network's output refs. Each call
 // programs a fresh set of crossbars (in ModeSpikingNoisy, drawing fresh
-// variation from opts.Rng); serving loops that classify many samples
-// should build one Executor instead and reuse its programmed state.
+// variation from opts.Rng) — which costs the variation draws and the
+// conductance buffers, nothing derived from the compile: fault masks are
+// remembered by opts.Faults. Serving loops that classify many samples
+// should still build one Executor and reuse its programmed state.
 func (p *Program) Run(input []int, opts RunOptions) ([]int, error) {
 	// Validate before programming so a bad input neither costs a full
-	// programming pass nor advances opts.Rng's variation stream.
-	if err := p.validateInput(input); err != nil {
-		return nil, fmt.Errorf("synth: %w", err)
+	// programming pass nor advances opts.Rng's variation stream. (A caller
+	// that derives opts.Rng from a stream of its own calls Validate
+	// before drawing, for the same reason.)
+	if err := p.Validate(input); err != nil {
+		return nil, err
 	}
 	ex, err := NewExecutor(p, opts)
 	if err != nil {
@@ -118,14 +122,14 @@ func (p *Program) Run(input []int, opts RunOptions) ([]int, error) {
 // drawing one set of variation from opts.Rng that every item shares — one
 // physical chip serving the batch) and streaming all items through each
 // stage together. Results are positional and bit-identical to per-item
-// Run calls on an equally programmed Executor. Serving loops should build
-// one Executor and call its RunBatch instead, amortizing programming
-// across batches as well.
+// Run calls on an equally programmed Executor. Like Run, a call pays for
+// its programming pass but not for re-deriving fault masks, and a batch
+// with a bad item is rejected before anything is programmed or drawn.
+// Serving loops should build one Executor and call its RunBatch instead,
+// amortizing programming across batches as well.
 func (p *Program) RunBatch(inputs [][]int, opts RunOptions) ([][]int, error) {
-	for b, in := range inputs {
-		if err := p.validateInput(in); err != nil {
-			return nil, fmt.Errorf("synth: batch item %d: %w", b, err)
-		}
+	if err := p.ValidateBatch(inputs); err != nil {
+		return nil, err
 	}
 	if len(inputs) == 0 {
 		return nil, nil
@@ -135,6 +139,28 @@ func (p *Program) RunBatch(inputs [][]int, opts RunOptions) ([][]int, error) {
 		return nil, err
 	}
 	return ex.runBatch(inputs)
+}
+
+// Validate checks one input vector's length and window range without
+// programming or executing anything — the pre-flight for callers that must
+// reject a bad input before spending anything on it (the serving engine,
+// so one bad request cannot fail a micro-batch; SpikingNet, so a rejected
+// call does not advance its variation stream).
+func (p *Program) Validate(input []int) error {
+	if err := p.validateInput(input); err != nil {
+		return fmt.Errorf("synth: %w", err)
+	}
+	return nil
+}
+
+// ValidateBatch is Validate over a micro-batch, naming the first bad item.
+func (p *Program) ValidateBatch(inputs [][]int) error {
+	for b, in := range inputs {
+		if err := p.validateInput(in); err != nil {
+			return fmt.Errorf("synth: batch item %d: %w", b, err)
+		}
+	}
+	return nil
 }
 
 // validateInput checks the input vector's length and window range.

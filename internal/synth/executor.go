@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 
-	"fpsa/internal/coreop"
 	"fpsa/internal/device"
 	"fpsa/internal/xbar"
 )
@@ -43,7 +42,11 @@ type Executor struct {
 // reusable execution state. In ModeSpikingNoisy the supplied Rng draws
 // each cell's programming variation once, in stage order — the same draw
 // order Program.Run uses, so a fresh Executor reproduces a single Run
-// bit for bit.
+// bit for bit. What construction costs is the programming itself: fault
+// masks come from opts.Faults' memo (derived once per model, not per
+// executor) and programming a weight allocates nothing, so the
+// per-call executors Program.Run builds pay for their variation draws and
+// little else.
 func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 	spec := opts.Spec
 	if spec.Bits == 0 {
@@ -80,7 +83,9 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 		}
 		c := cfg
 		c.Eta = grp.Eta
-		c.Faults = faultMaskFor(opts.Faults, p.Params, grp, st.GroupID)
+		// The model derives a group's mask once and shares it read-only:
+		// nil when inactive, keeping the unfaulted path untouched.
+		c.Faults = opts.Faults.MaskForUnit(grp.Layer, st.GroupID, p.Params.CrossbarRows, p.Params.LogicalColumns(), grp.Rows, grp.Cols)
 		u, err := xbar.Program(c, grp.Weights, opts.Rng)
 		if err != nil {
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, grp.Name, err)
@@ -88,20 +93,6 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 		ex.units[st.GroupID] = u
 	}
 	return ex, nil
-}
-
-// faultMaskFor derives one weight group's fault mask: the model's
-// deterministic per-unit map at physical crossbar geometry, projected
-// (with or without spare-row/column remapping) onto the group's logical
-// region. Returns nil for an inactive model, keeping the unfaulted path
-// structurally untouched.
-func faultMaskFor(fm *device.FaultModel, params device.Params, grp *coreop.Group, unit int) *device.FaultMask {
-	if !fm.Active() {
-		return nil
-	}
-	m := fm.MapForUnit(grp.Layer, unit, params.CrossbarRows, params.LogicalColumns())
-	mask := m.MaskFor(grp.Rows, grp.Cols, fm.Remap)
-	return &mask
 }
 
 // Mode returns the execution mode the Executor was programmed for.
@@ -133,12 +124,7 @@ func (e *Executor) KernelStats() xbar.KernelStats {
 // Validate checks one input vector's length and window range without
 // executing anything — the pre-flight the serving engine runs so one bad
 // request cannot fail a whole micro-batch.
-func (e *Executor) Validate(input []int) error {
-	if err := e.prog.validateInput(input); err != nil {
-		return fmt.Errorf("synth: %w", err)
-	}
-	return nil
-}
+func (e *Executor) Validate(input []int) error { return e.prog.Validate(input) }
 
 // Run executes the program on one input vector of spike counts in [0, Γ]
 // and returns the output counts at the network's output refs. The
@@ -164,10 +150,8 @@ func (e *Executor) Run(input []int) ([]int, error) {
 // batch rather than once per item. Outputs are bit-identical to len(inputs)
 // independent Run calls in every execution mode.
 func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
-	for b, in := range inputs {
-		if err := e.prog.validateInput(in); err != nil {
-			return nil, fmt.Errorf("synth: batch item %d: %w", b, err)
-		}
+	if err := e.prog.ValidateBatch(inputs); err != nil {
+		return nil, err
 	}
 	return e.runBatch(inputs)
 }

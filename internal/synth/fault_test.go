@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"fpsa/internal/device"
@@ -182,5 +183,58 @@ func TestFaultsRemapReducesResidual(t *testing.T) {
 	// should fully clean this model; if it does, outputs match baseline.
 	if with == 0 {
 		assertSameOutputs(t, "remapped-clean", base, faulted)
+	}
+}
+
+// TestFaultsSharedModelConcurrent: executors and per-call RunBatch passes
+// on many goroutines share one fault model — and so one mask memo — as
+// engine workers, fleet replicas and concurrent ClassifyBatch callers do.
+// Every output equals the single-goroutine run on a model of its own (run
+// under -race in CI).
+func TestFaultsSharedModelConcurrent(t *testing.T) {
+	prog, inputs := faultTestProgram(t)
+	noisy := func(fm *device.FaultModel) RunOptions {
+		return RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(23)), Faults: fm}
+	}
+	model := func() *device.FaultModel {
+		return &device.FaultModel{Rate: 0.04, Seed: 17, Drift: 0.03, ReadSigma: 0.05, Remap: true}
+	}
+	want, wantCells := runFaulted(t, prog, noisy(model()), inputs)
+
+	shared := model()
+	const workers = 8
+	type result struct {
+		viaExecutor, viaProgram [][]int
+		cells                   int
+		err                     error
+	}
+	results := make([]result, workers)
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func(r *result) {
+			defer wg.Done()
+			ex, err := NewExecutor(prog, noisy(shared))
+			if err != nil {
+				r.err = err
+				return
+			}
+			r.cells = ex.FaultedCells()
+			if r.viaExecutor, r.err = ex.RunBatch(inputs); r.err != nil {
+				return
+			}
+			r.viaProgram, r.err = prog.RunBatch(inputs, noisy(shared))
+		}(&results[w])
+	}
+	wg.Wait()
+	for w, r := range results {
+		if r.err != nil {
+			t.Fatalf("worker %d: %v", w, r.err)
+		}
+		if r.cells != wantCells {
+			t.Fatalf("worker %d programmed %d faulted cells, single-goroutine run %d", w, r.cells, wantCells)
+		}
+		assertSameOutputs(t, "shared-model executor", want, r.viaExecutor)
+		assertSameOutputs(t, "shared-model Program.RunBatch", want, r.viaProgram)
 	}
 }

@@ -232,7 +232,7 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Pipeli
 		// Fault maps key on the global group ID, so a group lands on the
 		// same stuck cells regardless of which chip owns it — pipelined
 		// deployments see exactly the single-chip faults.
-		c.Faults = faultMaskFor(opts.Faults, p.Params, grp, st.GroupID)
+		c.Faults = opts.Faults.MaskForUnit(grp.Layer, st.GroupID, p.Params.CrossbarRows, p.Params.LogicalColumns(), grp.Rows, grp.Cols)
 		u, err := xbar.Program(c, grp.Weights, opts.Rng)
 		if err != nil {
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, grp.Name, err)
@@ -298,12 +298,7 @@ func (pe *PipelineExecutor) FaultedCells() int {
 }
 
 // Validate checks one input vector without executing anything.
-func (pe *PipelineExecutor) Validate(input []int) error {
-	if err := pe.prog.validateInput(input); err != nil {
-		return fmt.Errorf("synth: %w", err)
-	}
-	return nil
-}
+func (pe *PipelineExecutor) Validate(input []int) error { return pe.prog.Validate(input) }
 
 // Run executes one input vector through the chip pipeline.
 func (pe *PipelineExecutor) Run(input []int) ([]int, error) {
@@ -321,10 +316,8 @@ func (pe *PipelineExecutor) Run(input []int) ([]int, error) {
 // keep: while a later chip finishes batch N, earlier chips are already
 // working on batches N+1, N+2, …
 func (pe *PipelineExecutor) RunBatch(inputs [][]int) ([][]int, error) {
-	for b, in := range inputs {
-		if err := pe.prog.validateInput(in); err != nil {
-			return nil, fmt.Errorf("synth: batch item %d: %w", b, err)
-		}
+	if err := pe.prog.ValidateBatch(inputs); err != nil {
+		return nil, err
 	}
 	if len(inputs) == 0 {
 		return nil, nil

@@ -723,7 +723,8 @@ func (c *Crossbar) buildUnits(counts []int) {
 // support fits a table (see maxTabulated; all-zero columns have the empty
 // support and a one-entry table) become tabCols, the rest walkCols, and
 // maxDrive the most one cycle can add to a walked column's membrane (see
-// laneEligible). Program runs this on every call of a noisy executor, so it
+// laneEligible). Program runs this on every programming pass — one per call
+// on the SpikingNet noisy path, which builds an executor per call — so it
 // allocates nothing beyond its three slices (TestProgramAllocs).
 func (c *Crossbar) classifyProgramming() {
 	exact, nonneg := true, true

@@ -295,25 +295,28 @@ func TestKernelStatsAdd(t *testing.T) {
 	}
 }
 
-// TestProgramAllocs pins Program's allocation count on a noisy 16×24
-// crossbar — the shape and programming offline_mlp_noisy_sparse pays for on
-// every call. What classifyProgramming records for the kernel choice (column
-// supports, per-polarity column sums) must ride in the scan's existing
-// buffers: per cell ProgramWeight allocates twice per polarity, and the
-// crossbar, its four matrices and the three classification slices are the
-// other eight.
+// TestProgramAllocs pins Program's allocation count on noisy crossbars — the
+// 16×24 and 24×4 shapes and the programming offline_mlp_noisy_sparse pays
+// for on every call — at a constant, whatever rows·cols is: programming a
+// weight allocates nothing (device.ProgramWeight), and what
+// classifyProgramming records for the kernel choice (column supports,
+// per-polarity column sums) rides in the scan's existing buffers, so the
+// crossbar, its four matrices and the three classification slices are all
+// there is.
 func TestProgramAllocs(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.Spec = device.Cell4BitMeasured
-	const rows, cols = 16, 24
-	weights := randomWeights(rand.New(rand.NewSource(77)), rows, cols, cfg.Rep.MaxWeight())
-	prng := rand.New(rand.NewSource(78))
-	got := testing.AllocsPerRun(20, func() {
-		if _, err := Program(cfg, weights, prng); err != nil {
-			t.Fatal(err)
+	for _, shape := range [][2]int{{16, 24}, {24, 4}} {
+		rows, cols := shape[0], shape[1]
+		weights := randomWeights(rand.New(rand.NewSource(77)), rows, cols, cfg.Rep.MaxWeight())
+		prng := rand.New(rand.NewSource(78))
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := Program(cfg, weights, prng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := 8.0; got != want {
+			t.Errorf("Program(%dx%d) allocates %v times per call, want %v", rows, cols, got, want)
 		}
-	})
-	if want := float64(rows*cols*4 + 8); got != want {
-		t.Fatalf("Program allocates %v times per call, want %v", got, want)
 	}
 }

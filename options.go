@@ -148,7 +148,9 @@ func (f *FaultMap) active() bool {
 }
 
 // deviceModel lowers the public FaultMap to the internal fault model the
-// mapper and executors share. Inactive maps lower to nil.
+// mapper and executors share. Inactive maps lower to nil. Compile calls it
+// once per Deployment: the model remembers the masks it derives, so a
+// second lowering would be a second memo.
 func (f *FaultMap) deviceModel() *device.FaultModel {
 	if !f.active() {
 		return nil
