@@ -131,9 +131,9 @@ func TestNewNetRequiresWeights(t *testing.T) {
 	}
 }
 
-// TestEngineInheritsDeploymentChips: the engine derived from a sharded
-// deployment serves the compiled partition; a conflicting explicit
-// override is the typed error, a matching one is accepted.
+// TestEngineInheritsDeploymentChips: an engine serves exactly the chip
+// count its deployment was compiled across — two for a sharded
+// deployment, one otherwise; there is no serving-side way to change it.
 func TestEngineInheritsDeploymentChips(t *testing.T) {
 	ctx := context.Background()
 	d, _, test := trainedDeployment(t, WithChips(2))
@@ -152,36 +152,22 @@ func TestEngineInheritsDeploymentChips(t *testing.T) {
 	}
 	eng.Close()
 
-	if _, err := d.NewEngine(ctx, WithEngineChips(3)); !errors.Is(err, ErrChipConflict) {
-		t.Fatalf("conflicting chip override: %v, want ErrChipConflict", err)
-	}
-	if _, err := d.NewEngine(ctx, WithEngineChips(1)); !errors.Is(err, ErrChipConflict) {
-		t.Fatalf("single-chip override of sharded deployment: %v, want ErrChipConflict", err)
-	}
-	match, err := d.NewEngine(ctx, WithEngineChips(2), WithMode(ModeReference))
-	if err != nil {
-		t.Fatalf("matching chip override rejected: %v", err)
-	}
-	match.Close()
-
-	// On a single-chip deployment an explicit override is a serving-side
-	// pipelining experiment, not a conflict.
 	single, _, _ := trainedDeployment(t)
-	eng2, err := single.NewEngine(ctx, WithEngineChips(2), WithMode(ModeReference))
+	eng1, err := single.NewEngine(ctx, WithMode(ModeReference))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng2.Close()
-	if eng2.Chips() != 2 {
-		t.Errorf("explicit pipelining realized %d chips, want 2", eng2.Chips())
+	defer eng1.Close()
+	if eng1.Chips() != 1 || eng1.Stats().Chips != 1 {
+		t.Errorf("single-chip deployment served on %d chips (stats %d), want 1", eng1.Chips(), eng1.Stats().Chips)
 	}
 }
 
 // TestSingleHandleMatchesTwoStackPath is the acceptance criterion: one
 // handle compiles, shards and serves — Compile(ctx, m, WithChips(4),
 // WithCache(c)) then d.NewEngine(ctx) — with outputs bit-identical to
-// the two-stack path (a plain single-chip compile whose engine
-// re-declares the chip count by hand) in all three exec modes.
+// a plain single-chip compile of the same network served on one chip, in
+// all three exec modes.
 func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 	ctx := context.Background()
 	cache := NewCompileCache(0)
@@ -207,20 +193,19 @@ func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 		}
 		eng.Close()
 
-		// The two-stack path: compile single-chip, then re-declare the
-		// serving partition by hand.
-		old, err := compileMLP(t, net).NewEngine(ctx,
-			WithWorkers(1), WithMaxBatch(4), WithMode(mode), WithEngineChips(d.Chips()))
+		// The oracle: the same network on one chip, nothing sharded at
+		// compile or at serve time.
+		single, err := compileMLP(t, net).NewEngine(ctx, WithWorkers(1), WithMaxBatch(4), WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := old.ClassifyBatch(ctx, batch)
+		want, err := single.ClassifyBatch(ctx, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old.Close()
+		single.Close()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: single-handle %v, two-stack %v", mode, got, want)
+			t.Fatalf("mode %v: %d-chip handle %v, single-chip %v", mode, d.Chips(), got, want)
 		}
 	}
 }

@@ -210,7 +210,7 @@ func TestLayerDupUniformEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(d1.alloc.Dup, d2.alloc.Dup) || !reflect.DeepEqual(d1.alloc.Iterations, d2.alloc.Iterations) {
 			t.Fatalf("dup %d: allocations differ: %v vs %v", dup, d1.alloc, d2.alloc)
 		}
-		if !reflect.DeepEqual(d1.nl, d2.nl) {
+		if !reflect.DeepEqual(d1.shards[0].nl, d2.shards[0].nl) {
 			t.Fatalf("dup %d: netlists differ", dup)
 		}
 		p1, err := d1.Performance()

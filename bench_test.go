@@ -348,8 +348,8 @@ func benchmarkEngine(b *testing.B, workers, maxBatch int) {
 	}
 	defer eng.Close()
 	// Serving benchmarks need real concurrent load: enough in-flight
-	// clients that micro-batches fill on size rather than idling until
-	// the flush deadline.
+	// clients that requests pile up behind busy workers and micro-batches
+	// actually form (workers never wait for one to fill).
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

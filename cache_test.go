@@ -53,7 +53,7 @@ func TestCompileCacheHitSkipsPlaceAndRoute(t *testing.T) {
 	}
 	// Pointer identity of the artifacts proves placement and routing were
 	// skipped, not just equal.
-	if d2.lastPlacement != d1.lastPlacement || d2.lastRoute != d1.lastRoute {
+	if d2.shards[0].artifacts != d1.shards[0].artifacts {
 		t.Error("cache hit recomputed artifacts")
 	}
 	s2.FromCache = false
@@ -85,9 +85,10 @@ func TestCompileCacheHitSkipsPlaceAndRoute(t *testing.T) {
 	if s3 != s1 {
 		t.Errorf("uncached recompute %+v differs from cached run %+v", s3, s1)
 	}
-	for b := range d3.lastPlacement.Pos {
-		if d3.lastPlacement.Pos[b] != d1.lastPlacement.Pos[b] {
-			t.Fatalf("block %d placed at %v uncached, %v cached", b, d3.lastPlacement.Pos[b], d1.lastPlacement.Pos[b])
+	uncached, cached := d3.shards[0].artifacts.Placement.Pos, d1.shards[0].artifacts.Placement.Pos
+	for b := range uncached {
+		if uncached[b] != cached[b] {
+			t.Fatalf("block %d placed at %v uncached, %v cached", b, uncached[b], cached[b])
 		}
 	}
 }

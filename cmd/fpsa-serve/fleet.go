@@ -159,8 +159,7 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 			Tenant   string    `json:"tenant"`
 			Features []float64 `json:"features"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		if req.Features == nil {
@@ -179,8 +178,7 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 			Model string `json:"model"`
 			Seed  int64  `json:"seed"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		mu.Lock()

@@ -133,8 +133,7 @@ func main() {
 			Features []float64   `json:"features"`
 			Batch    [][]float64 `json:"batch"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		switch {
@@ -201,6 +200,27 @@ func parseMode(name string) (fpsa.ExecMode, error) {
 		return fpsa.ModeSpikingNoisy, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q (want reference, spiking, or noisy)", name)
+}
+
+// maxBodyBytes bounds a POST body: the largest legitimate request is a
+// classify batch of a few hundred 16-feature vectors, far below it.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes a POST body of at most maxBodyBytes into v. On
+// failure it writes the response itself — 413 for an oversized body, 400
+// for anything else — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

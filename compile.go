@@ -254,13 +254,14 @@ type Deployment struct {
 	faults *device.FaultModel
 	coreop *coreop.Graph
 	alloc  mapper.Allocation
-	nl     *netlist.Netlist
 	params device.Params
 
-	// Multi-chip partition (MaxChips ≥ 2): the group-chain plan and one
-	// compiled sub-deployment per chip. Empty for single-chip.
-	plan   *shard.Plan
-	shards []*deployShard
+	// shards is the chip partition, one entry per chip and never empty: a
+	// single-chip deployment is the one shard [0, groups). cutTraffic[k]
+	// is the per-sample signal traffic on the link from chip k to k+1
+	// (empty on one chip).
+	shards     []*deployShard
+	cutTraffic []int
 
 	// inv memoizes inventory: the whole-model block counts the
 	// performance model charges.
@@ -275,28 +276,27 @@ type Deployment struct {
 	netMu   sync.Mutex
 	net     *SpikingNet
 
-	// Last place & route artifacts (set by PlaceAndRoute), consumed by
-	// Bitstream. lastArtifacts additionally memoizes the generated
-	// bitstream — per deployment when uncached, shared across every
-	// deployment of the key when a cache supplied the artifacts.
-	// Generation is deterministic, so repeat Bitstream calls returning
-	// the memo are indistinguishable from regeneration.
-	lastChip      fabric.Chip
-	lastPlacement *place.Placement
-	lastRoute     *route.Result
-	lastArtifacts *compilecache.Artifacts
+	// prMu guards every shard's artifacts slot: PlaceAndRoute stores
+	// there and Bitstream reads, possibly from several goroutines (a
+	// deployment registered in two fleets, or under two names).
+	prMu sync.Mutex
 }
 
-// deployShard is one chip's slice of a sharded deployment: the sub
-// core-op graph (cross-chip dependencies lifted to chip I/O), its slice
-// of the global allocation, its netlist, and — after PlaceAndRoute — its
-// own artifacts.
+// deployShard is one chip of a deployment: its core-op graph (the
+// deployment's own on a single chip; otherwise the sub-graph of its group
+// range with cross-chip dependencies lifted to chip I/O), its slice of the
+// global allocation, its netlist, and — after PlaceAndRoute — its
+// artifacts. The artifacts also memoize the generated bitstream — per
+// deployment when uncached, shared across every deployment of the key
+// when a cache supplied them. Generation is deterministic, so repeat
+// Bitstream calls returning the memo are indistinguishable from
+// regeneration.
 type deployShard struct {
 	lo, hi    int // global group ID range [lo, hi)
 	co        *coreop.Graph
 	alloc     mapper.Allocation
 	nl        *netlist.Netlist
-	artifacts *compilecache.Artifacts
+	artifacts *compilecache.Artifacts // guarded by Deployment.prMu
 }
 
 // Compile synthesizes, allocates and maps a model, returning the
@@ -306,8 +306,8 @@ type deployShard struct {
 // WithCache, WithPlacementSeeds, WithParallelism, WithWeights, … — so
 // the chip partition, duplication and cache chosen here flow through to
 // execution instead of being re-declared per subsystem. With WithChips
-// ≥ 2 (or when WithChipCapacity forces it) the model is additionally
-// partitioned into per-chip shards, each with its own netlist.
+// ≥ 2 the model is partitioned into per-chip shards, each with its own
+// netlist; otherwise it is the one shard covering every group.
 //
 // ctx bounds the compile; cancellation or deadline expiry aborts between
 // phases and returns ctx.Err(). Errors wrap the package's taxonomy:
@@ -376,31 +376,29 @@ func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	bounds := []int{0, len(co.Groups)}
 	if cfg.MaxChips > 1 {
-		if err := d.shardify(); err != nil {
-			return nil, err
-		}
-	}
-	if len(d.shards) == 0 {
-		nl, err := mapper.BuildNetlistFaulted(co, alloc, params, nil, d.faults, 0)
+		plan, err := d.partition()
 		if err != nil {
 			return nil, err
 		}
-		d.nl = nl
+		bounds, d.cutTraffic = plan.Bounds, plan.CutTraffic
+	}
+	if err := d.buildShards(bounds); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
-// shardify partitions the core-op group chain across chips and builds
-// one netlist per shard. Groups are in topological order, so contiguous
-// segments always yield a feed-forward chip pipeline; per-group load is
-// its allocated PE copies and a producer's per-sample output traffic
-// (reuse × columns) is charged on every link it crosses.
-func (d *Deployment) shardify() error {
-	groups := d.coreop.Groups
-	n := len(groups)
-	weights, signals := shardChain(groups, d.alloc.Dup)
-	var plan *shard.Plan
+// partition cuts the core-op group chain across up to MaxChips chips (one
+// group, or a count clamped to 1, yields the one-chip plan). Groups are
+// in topological order, so contiguous segments always yield a
+// feed-forward chip pipeline; per-group load is its allocated PE copies
+// and a producer's per-sample output traffic (reuse × columns) is charged
+// on every link it crosses.
+func (d *Deployment) partition() (*shard.Plan, error) {
+	n := len(d.coreop.Groups)
+	weights, signals := shardChain(d.coreop.Groups, d.alloc.Dup)
 	if cuts := d.cfg.ShardCuts; len(cuts) > 0 {
 		// Pinned partition: the caller (typically the autotuner) chose the
 		// cut positions; only validate and account them.
@@ -409,90 +407,108 @@ func (d *Deployment) shardify() error {
 		bounds = append(bounds, cuts...)
 		bounds = append(bounds, n)
 		if cuts[len(cuts)-1] >= n {
-			return fmt.Errorf("%w: WithShardCuts: cut %d outside the %d-group chain", ErrInvalidArgument, cuts[len(cuts)-1], n)
+			return nil, fmt.Errorf("%w: WithShardCuts: cut %d outside the %d-group chain", ErrInvalidArgument, cuts[len(cuts)-1], n)
 		}
-		var err error
-		plan, err = shard.PlanFromBounds(weights, signals, bounds, d.cfg.ChipCapacity)
+		plan, err := shard.PlanFromBounds(weights, signals, bounds, d.cfg.ChipCapacity)
 		if err != nil {
-			return fmt.Errorf("%w: cannot shard %s at cuts %v: %w", ErrCapacity, d.model.Name(), cuts, err)
+			return nil, fmt.Errorf("%w: cannot shard %s at cuts %v: %w", ErrCapacity, d.model.Name(), cuts, err)
+		}
+		return plan, nil
+	}
+	policy, err := d.cfg.ShardPolicy.compilePolicy()
+	if err != nil {
+		return nil, err
+	}
+	maxChips := d.cfg.MaxChips
+	if maxChips > n {
+		maxChips = n
+	}
+	minChips := 1
+	if cap := d.cfg.ChipCapacity; cap > 0 {
+		minChips = (d.alloc.TotalPEs + cap - 1) / cap
+		if minChips > maxChips {
+			return nil, fmt.Errorf("%w: model %s needs %d PEs — at least %d chips of capacity %d — but WithChips allows %d",
+				ErrCapacity, d.model.Name(), d.alloc.TotalPEs, minChips, d.cfg.ChipCapacity, d.cfg.MaxChips)
 		}
 	} else {
-		policy, err := d.cfg.ShardPolicy.compilePolicy()
-		if err != nil {
-			return err
-		}
-		maxChips := d.cfg.MaxChips
-		if maxChips > n {
-			maxChips = n
-		}
-		minChips := 1
-		if cap := d.cfg.ChipCapacity; cap > 0 {
-			minChips = (d.alloc.TotalPEs + cap - 1) / cap
-			if minChips > maxChips {
-				return fmt.Errorf("%w: model %s needs %d PEs — at least %d chips of capacity %d — but WithChips allows %d",
-					ErrCapacity, d.model.Name(), d.alloc.TotalPEs, minChips, d.cfg.ChipCapacity, d.cfg.MaxChips)
-			}
-		} else {
-			// No capacity bound: the user asked for this many chips.
-			minChips = maxChips
-		}
-		for k := minChips; k <= maxChips; k++ {
-			plan, err = shard.Partition(weights, signals, nil, shard.Options{
-				Chips:    k,
-				Capacity: d.cfg.ChipCapacity,
-				Policy:   policy,
-			})
-			if err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("%w: cannot shard %s across ≤ %d chips: %w", ErrCapacity, d.model.Name(), maxChips, err)
+		// No capacity bound: the user asked for this many chips.
+		minChips = maxChips
+	}
+	var plan *shard.Plan
+	for k := minChips; k <= maxChips; k++ {
+		plan, err = shard.Partition(weights, signals, nil, shard.Options{
+			Chips:    k,
+			Capacity: d.cfg.ChipCapacity,
+			Policy:   policy,
+		})
+		if err == nil {
+			break
 		}
 	}
-	if plan.Chips() == 1 {
-		// Degenerate request (one group, or MaxChips clamped to 1):
-		// stay on the classic single-chip path.
-		return nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: cannot shard %s across ≤ %d chips: %w", ErrCapacity, d.model.Name(), maxChips, err)
 	}
+	return plan, nil
+}
 
-	d.plan = plan
-	d.shards = make([]*deployShard, plan.Chips())
+// buildShards builds one deployShard and netlist per chip of the
+// partition. A single chip is the deployment's own graph and allocation;
+// several get a sub-graph each, renumbered from 0.
+func (d *Deployment) buildShards(bounds []int) error {
+	d.shards = make([]*deployShard, len(bounds)-1)
 	for k := range d.shards {
-		lo, hi := plan.Bounds[k], plan.Bounds[k+1]
-		sub := &coreop.Graph{Name: fmt.Sprintf("%s.chip%d", d.coreop.Name, k)}
-		for _, grp := range groups[lo:hi] {
-			g := *grp // shallow copy; weights/deps slices re-pointed below
-			g.Deps = nil
-			for _, dep := range grp.Deps {
-				if dep >= lo {
-					g.Deps = append(g.Deps, dep-lo)
-				}
-				// Cross-chip dependencies become chip inputs, fed over
-				// the inter-chip link; they are no longer nets of this
-				// chip's netlist.
-			}
-			sub.AddGroup(&g)
+		sh := &deployShard{lo: bounds[k], hi: bounds[k+1], co: d.coreop, alloc: d.alloc}
+		if len(d.shards) > 1 {
+			sh.co, sh.alloc = d.subGraph(k, sh.lo, sh.hi)
 		}
-		sum := 0
-		for _, w := range weights[lo:hi] {
-			sum += w
-		}
-		alloc := mapper.Allocation{
-			ModelDup:   d.alloc.ModelDup,
-			Dup:        d.alloc.Dup[lo:hi],
-			Iterations: d.alloc.Iterations[lo:hi],
-			TotalPEs:   sum,
-		}
-		// unitBase = lo: the sub-graph renumbers its groups from 0, but
+		// unitBase = lo: a sub-graph renumbers its groups from 0, but
 		// fault maps key on the global group ID the executor programs.
-		nl, err := mapper.BuildNetlistFaulted(sub, alloc, d.params, nil, d.faults, lo)
+		nl, err := mapper.BuildNetlistFaulted(sh.co, sh.alloc, d.params, nil, d.faults, sh.lo)
 		if err != nil {
-			return fmt.Errorf("fpsa: shard %d: %w", k, err)
+			return d.shardErr(k, err)
 		}
-		d.shards[k] = &deployShard{lo: lo, hi: hi, co: sub, alloc: alloc, nl: nl}
+		sh.nl = nl
+		d.shards[k] = sh
 	}
 	return nil
+}
+
+// subGraph extracts chip k's groups [lo, hi) as a core-op graph of their
+// own, with its slice of the allocation.
+func (d *Deployment) subGraph(k, lo, hi int) (*coreop.Graph, mapper.Allocation) {
+	sub := &coreop.Graph{Name: fmt.Sprintf("%s.chip%d", d.coreop.Name, k)}
+	for _, grp := range d.coreop.Groups[lo:hi] {
+		g := *grp // shallow copy; deps re-pointed below
+		g.Deps = nil
+		for _, dep := range grp.Deps {
+			if dep >= lo {
+				g.Deps = append(g.Deps, dep-lo)
+			}
+			// Cross-chip dependencies become chip inputs, fed over
+			// the inter-chip link; they are no longer nets of this
+			// chip's netlist.
+		}
+		sub.AddGroup(&g)
+	}
+	pes := 0
+	for _, dup := range d.alloc.Dup[lo:hi] {
+		pes += dup
+	}
+	return sub, mapper.Allocation{
+		ModelDup:   d.alloc.ModelDup,
+		Dup:        d.alloc.Dup[lo:hi],
+		Iterations: d.alloc.Iterations[lo:hi],
+		TotalPEs:   pes,
+	}
+}
+
+// shardErr names the failing chip of a multi-chip deployment; on a single
+// chip there is nothing to name and the error passes through.
+func (d *Deployment) shardErr(k int, err error) error {
+	if len(d.shards) == 1 {
+		return err
+	}
+	return fmt.Errorf("fpsa: shard %d: %w", k, err)
 }
 
 // shardChain derives the chain partitioner's inputs from a core-op group
@@ -500,7 +516,7 @@ func (d *Deployment) shardify() error {
 // signal chain — a producer's per-sample output traffic (reuse × columns)
 // charged on every link it crosses, external model input reaching the
 // first consumer's chip, consumer-less outputs carried off the last chip.
-// Shared by shardify and the autotuner's cut candidates so a searched cut
+// Shared by partition and the autotuner's cut candidates so a searched cut
 // is accounted exactly like a compiled one.
 func shardChain(groups []*coreop.Group, dup []int) (weights []int, signals []shard.Signal) {
 	n := len(groups)
@@ -538,9 +554,6 @@ func shardChain(groups []*coreop.Group, dup []int) (weights []int, signals []sha
 // Blocks returns the function-block inventory (summed over every chip of
 // a sharded deployment).
 func (d *Deployment) Blocks() (pes, smbs, clbs int) {
-	if len(d.shards) == 0 {
-		return d.nl.Counts()
-	}
 	for _, sh := range d.shards {
 		p, s, c := sh.nl.Counts()
 		pes, smbs, clbs = pes+p, smbs+s, clbs+c
@@ -551,9 +564,6 @@ func (d *Deployment) Blocks() (pes, smbs, clbs int) {
 // AreaMM2 returns the chip area (blocks; the mrFPGA routing fabric stacks
 // above them), summed over every chip of a sharded deployment.
 func (d *Deployment) AreaMM2() float64 {
-	if len(d.shards) == 0 {
-		return d.nl.AreaUM2(d.params) * 1e-6
-	}
 	total := 0.0
 	for _, sh := range d.shards {
 		total += sh.nl.AreaUM2(d.params) * 1e-6
@@ -602,14 +612,14 @@ func (p PerfSummary) String() string {
 }
 
 // inventory returns the block counts of the whole-model netlist — what
-// the performance model charges area and controller energy for. A
-// single-chip deployment holds that netlist. A sharded one holds only its
-// per-chip netlists, which drop the cross-chip edges and pack controllers
-// per chip, so it builds the whole-model netlist once, on first use.
+// the performance model charges area and controller energy for. On a
+// single chip that is the one shard's netlist. Per-chip netlists of a
+// sharded deployment drop the cross-chip edges and pack controllers per
+// chip, so it builds the whole-model netlist once, on first use.
 func (d *Deployment) inventory() (perf.Inventory, error) {
 	d.invOnce.Do(func() {
-		nl := d.nl
-		if nl == nil {
+		nl := d.shards[0].nl
+		if len(d.shards) > 1 {
 			if nl, d.invErr = mapper.BuildNetlist(d.coreop, d.alloc, d.params, nil); d.invErr != nil {
 				return
 			}
@@ -641,9 +651,7 @@ func (d *Deployment) PerformanceWithHops(hops int) (PerfSummary, error) {
 		Assign:    d.alloc.Dup,
 		Inventory: inv,
 		Hops:      hops,
-	}
-	if d.plan != nil {
-		in.CutWidths = d.plan.CutTraffic
+		CutWidths: d.cutTraffic,
 	}
 	r, err := perf.Evaluate(in, perf.TargetFPSA)
 	if err != nil {
@@ -733,148 +741,76 @@ func (b BitstreamInfo) String() string {
 // Bitstream generates and verifies the FPSA configuration — the final
 // artifact of the stack (Figure 5) — for the last PlaceAndRoute run. The
 // verification interprets only the programmed ReRAM cells and proves every
-// net's source reaches every sink with no shorts. A sharded deployment
-// generates and verifies one configuration per chip; the info sums the
-// programmed cells and reports the busiest chip's track occupancy. ctx
-// bounds the generation: cancellation aborts between chips and returns
-// ctx.Err().
+// net's source reaches every sink with no shorts. Each chip gets its own
+// configuration, generated and verified at most once per artifacts (so at
+// most once per cache key); the info sums the programmed cells and reports
+// the busiest chip's track occupancy. ctx bounds the generation:
+// cancellation aborts between chips and returns ctx.Err().
 func (d *Deployment) Bitstream(ctx context.Context) (BitstreamInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return BitstreamInfo{}, err
-	}
-	if len(d.shards) > 0 {
-		var total BitstreamInfo
-		for k, sh := range d.shards {
-			if err := ctx.Err(); err != nil {
-				return BitstreamInfo{}, err
-			}
-			if sh.artifacts == nil {
-				return BitstreamInfo{}, fmt.Errorf("%w: run PlaceAndRoute before Bitstream", ErrNotPlaced)
-			}
-			cfg, err := sh.artifacts.Bitstream(func() (*bitstream.Config, error) {
-				return generateBitstream(sh.nl, sh.artifacts)
-			})
+	var total BitstreamInfo
+	for k, sh := range d.shards {
+		if err := ctx.Err(); err != nil {
+			return BitstreamInfo{}, err
+		}
+		d.prMu.Lock()
+		art := sh.artifacts
+		d.prMu.Unlock()
+		if art == nil {
+			return BitstreamInfo{}, fmt.Errorf("%w: run PlaceAndRoute before Bitstream", ErrNotPlaced)
+		}
+		cfg, err := art.Bitstream(func() (*bitstream.Config, error) {
+			cfg, err := bitstream.Generate(sh.nl, art.Placement, art.Route, art.Chip)
 			if err != nil {
-				return BitstreamInfo{}, fmt.Errorf("fpsa: shard %d: %w", k, err)
+				return nil, err
 			}
-			total.ProgrammedCells += cfg.CellCount()
-			total.SBCells += len(cfg.SBCells)
-			total.CBCells += len(cfg.CBCells)
-			if occ := cfg.TrackOccupancy(); occ > total.TrackOccupancy {
-				total.TrackOccupancy = occ
+			if err := cfg.Verify(sh.nl); err != nil {
+				return nil, fmt.Errorf("generated configuration failed verification: %w", err)
 			}
-		}
-		return total, nil
-	}
-	if d.lastRoute == nil {
-		return BitstreamInfo{}, fmt.Errorf("%w: run PlaceAndRoute before Bitstream", ErrNotPlaced)
-	}
-	gen := func() (*bitstream.Config, error) {
-		cfg, err := bitstream.Generate(d.nl, d.lastPlacement, d.lastRoute, d.lastChip)
+			return cfg, nil
+		})
 		if err != nil {
-			return nil, err
+			return BitstreamInfo{}, d.shardErr(k, err)
 		}
-		if err := cfg.Verify(d.nl); err != nil {
-			return nil, fmt.Errorf("fpsa: generated configuration failed verification: %w", err)
+		total.ProgrammedCells += cfg.CellCount()
+		total.SBCells += len(cfg.SBCells)
+		total.CBCells += len(cfg.CBCells)
+		if occ := cfg.TrackOccupancy(); occ > total.TrackOccupancy {
+			total.TrackOccupancy = occ
 		}
-		return cfg, nil
 	}
-	var cfg *bitstream.Config
-	var err error
-	if d.lastArtifacts != nil {
-		// Cached deployments generate (and verify) the configuration at
-		// most once per key; every later Bitstream call shares it.
-		cfg, err = d.lastArtifacts.Bitstream(gen)
-	} else {
-		cfg, err = gen()
-	}
-	if err != nil {
-		return BitstreamInfo{}, err
-	}
-	return BitstreamInfo{
-		ProgrammedCells: cfg.CellCount(),
-		SBCells:         len(cfg.SBCells),
-		CBCells:         len(cfg.CBCells),
-		TrackOccupancy:  cfg.TrackOccupancy(),
-	}, nil
-}
-
-// generateBitstream produces one chip's verified configuration from its
-// netlist and artifacts.
-func generateBitstream(nl *netlist.Netlist, art *compilecache.Artifacts) (*bitstream.Config, error) {
-	cfg, err := bitstream.Generate(nl, art.Placement, art.Route, art.Chip)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Verify(nl); err != nil {
-		return nil, fmt.Errorf("generated configuration failed verification: %w", err)
-	}
-	return cfg, nil
+	return total, nil
 }
 
 // PlaceAndRoute runs multi-seed simulated-annealing placement and
-// parallel PathFinder routing on the deployment's netlist and reports the
-// measured communication geometry. WithPlacementSeeds sets the annealing
-// portfolio size and WithParallelism the worker count; the result is
-// deterministic for a fixed (seed, portfolio size) regardless of
-// parallelism. With WithCache, the artifacts are served
-// content-addressed — a repeat deployment of the same model and options
-// skips placement and routing entirely (PRStats.FromCache). A sharded
-// deployment places and routes every chip concurrently, each shard a
-// separate cache entry; the stats aggregate the per-chip runs (see
-// PRStats.Chips). Intended for small and medium deployments (hundreds of
-// blocks); the large zoo models use the calibrated hop estimate instead.
+// parallel PathFinder routing on every chip's netlist — concurrently, each
+// chip being an independent netlist — and reports the measured
+// communication geometry, aggregated over chips (see PRStats.Chips).
+// WithPlacementSeeds sets the annealing portfolio size and WithParallelism
+// the worker count; the result is deterministic for a fixed (seed,
+// portfolio size) regardless of parallelism. With WithCache, the artifacts
+// are served content-addressed, each chip a separate entry — a repeat
+// deployment of the same model and options skips placement and routing
+// entirely (PRStats.FromCache), and re-sharding at a different WithChips
+// only recompiles the chips whose content actually changed. Intended for
+// small and medium deployments (hundreds of blocks); the large zoo models
+// use the calibrated hop estimate instead.
 //
 // ctx bounds the run: cancellation or deadline expiry aborts the
 // annealing portfolio at its next cost checkpoint and the router at its
 // next negotiation checkpoint, returning ctx.Err(). An uncancelled run
 // is unaffected — results are bit-identical with or without a deadline.
 // A cancelled run caches nothing, so a later call recomputes.
+//
+// Safe for concurrent use with itself and Bitstream: callers racing on one
+// deployment may each compute (results are deterministic), and each stores
+// a complete set of artifacts.
 func (d *Deployment) PlaceAndRoute(ctx context.Context) (PRStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(d.shards) > 0 {
-		return d.placeAndRouteShards(ctx)
-	}
-	var art *compilecache.Artifacts
-	var hit bool
-	var err error
-	tracks := d.tracksForRange(0, len(d.coreop.Groups))
-	if d.cfg.Cache != nil {
-		art, hit, err = getOrComputeCtx(ctx, d.cfg.Cache, d.cacheKey(-1), func() (*compilecache.Artifacts, error) {
-			return d.placeAndRoute(ctx, d.nl, tracks)
-		})
-	} else {
-		art, err = d.placeAndRoute(ctx, d.nl, tracks)
-	}
-	if err != nil {
-		return PRStats{}, err
-	}
-	d.lastChip, d.lastPlacement, d.lastRoute, d.lastArtifacts = art.Chip, art.Placement, art.Route, art
-	return PRStats{
-		ChipSide:       art.Chip.W,
-		Converged:      art.Route.Converged,
-		Iterations:     art.Route.Iterations,
-		MeanHops:       art.Route.MeanHops(),
-		MaxHops:        art.Route.MaxHops(),
-		ChannelsNeeded: art.Route.MaxOccupancy,
-		PlacementMoves: art.PlacementMoves,
-		WirelengthCost: art.WirelengthCost,
-		Restarts:       art.Restarts,
-		FromCache:      hit,
-		Chips:          1,
-	}, nil
-}
-
-// placeAndRouteShards compiles every shard concurrently — each chip is an
-// independent netlist — and aggregates the per-chip stats. Shards hit the
-// deployment cache independently, so re-sharding at a different MaxChips
-// only recompiles the chips whose content actually changed.
-func (d *Deployment) placeAndRouteShards(ctx context.Context) (PRStats, error) {
 	type result struct {
 		art *compilecache.Artifacts
 		hit bool
@@ -886,7 +822,7 @@ func (d *Deployment) placeAndRouteShards(ctx context.Context) (PRStats, error) {
 		wg.Add(1)
 		go func(k int, sh *deployShard) {
 			defer wg.Done()
-			var r result
+			r := &results[k]
 			tracks := d.tracksForRange(sh.lo, sh.hi)
 			if d.cfg.Cache != nil {
 				r.art, r.hit, r.err = getOrComputeCtx(ctx, d.cfg.Cache, d.cacheKey(k), func() (*compilecache.Artifacts, error) {
@@ -895,43 +831,40 @@ func (d *Deployment) placeAndRouteShards(ctx context.Context) (PRStats, error) {
 			} else {
 				r.art, r.err = d.placeAndRoute(ctx, sh.nl, tracks)
 			}
-			results[k] = r
 		}(k, sh)
 	}
 	wg.Wait()
 	stats := PRStats{Converged: true, FromCache: true, Chips: len(d.shards)}
-	var hopSum float64
-	var hopNets int
+	// Integer hop total over total nets: exactly one chip's MeanHops when
+	// there is one chip.
+	var hops, nets int
 	for k, r := range results {
 		if r.err != nil {
-			return PRStats{}, fmt.Errorf("fpsa: shard %d: %w", k, r.err)
+			return PRStats{}, d.shardErr(k, r.err)
 		}
-		d.shards[k].artifacts = r.art
 		art := r.art
-		if art.Chip.W > stats.ChipSide {
-			stats.ChipSide = art.Chip.W
-		}
+		stats.ChipSide = max(stats.ChipSide, art.Chip.W)
 		stats.Converged = stats.Converged && art.Route.Converged
 		stats.Iterations += art.Route.Iterations
-		nets := len(art.Route.NetHops)
-		hopSum += art.Route.MeanHops() * float64(nets)
-		hopNets += nets
-		if h := art.Route.MaxHops(); h > stats.MaxHops {
-			stats.MaxHops = h
+		for _, h := range art.Route.NetHops {
+			hops += h
 		}
-		if art.Route.MaxOccupancy > stats.ChannelsNeeded {
-			stats.ChannelsNeeded = art.Route.MaxOccupancy
-		}
+		nets += len(art.Route.NetHops)
+		stats.MaxHops = max(stats.MaxHops, art.Route.MaxHops())
+		stats.ChannelsNeeded = max(stats.ChannelsNeeded, art.Route.MaxOccupancy)
 		stats.PlacementMoves += art.PlacementMoves
 		stats.WirelengthCost += art.WirelengthCost
-		if art.Restarts > stats.Restarts {
-			stats.Restarts = art.Restarts
-		}
+		stats.Restarts = max(stats.Restarts, art.Restarts)
 		stats.FromCache = stats.FromCache && r.hit
 	}
-	if hopNets > 0 {
-		stats.MeanHops = hopSum / float64(hopNets)
+	if nets > 0 {
+		stats.MeanHops = float64(hops) / float64(nets)
 	}
+	d.prMu.Lock()
+	for k, r := range results {
+		d.shards[k].artifacts = r.art
+	}
+	d.prMu.Unlock()
 	return stats, nil
 }
 
@@ -956,11 +889,11 @@ func getOrComputeCtx(ctx context.Context, cache *CompileCache, key compilecache.
 	}
 }
 
-// placeAndRoute is the uncached compile back end for one netlist (the
-// whole deployment, or one shard of it): portfolio placement then
-// routing, packaged as cacheable artifacts. tracks is the chip's routing
-// channel width (0 = default; see tracksForRange for the per-layer
-// resolution). ctx aborts either phase at its next checkpoint.
+// placeAndRoute is the uncached compile back end for one chip's netlist:
+// portfolio placement then routing, packaged as cacheable artifacts.
+// tracks is the chip's routing channel width (0 = default; see
+// tracksForRange for the per-layer resolution). ctx aborts either phase at
+// its next checkpoint.
 func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist, tracks int) (*compilecache.Artifacts, error) {
 	chip, err := fabric.SizeFor(len(nl.Blocks), tracks, d.params)
 	if err != nil {
@@ -1034,13 +967,9 @@ func (d *Deployment) tracksForRange(lo, hi int) int {
 // ShardCuts): the netlist is fully determined by the group range and its
 // duplication vector, so two compiles that land on the same per-chip
 // assignment — a uniform knob, an explicit per-layer map, or two
-// autotuner candidates sharing a shard — hit the same entry. shardIdx < 0
-// addresses a single-chip deployment.
+// autotuner candidates sharing a shard — hit the same entry.
 func (d *Deployment) cacheKey(shardIdx int) compilecache.Key {
-	lo, hi := 0, len(d.coreop.Groups)
-	if shardIdx >= 0 {
-		lo, hi = d.shards[shardIdx].lo, d.shards[shardIdx].hi
-	}
+	lo, hi := d.shards[shardIdx].lo, d.shards[shardIdx].hi
 	var b strings.Builder
 	fmt.Fprintf(&b, "dups=")
 	for i, v := range d.alloc.Dup[lo:hi] {
@@ -1049,10 +978,7 @@ func (d *Deployment) cacheKey(shardIdx int) compilecache.Key {
 		}
 		fmt.Fprintf(&b, "%d", v)
 	}
-	fmt.Fprintf(&b, "|tracks=%d|seed=%d|pseeds=%d", d.tracksForRange(lo, hi), d.cfg.Seed, d.cfg.PlacementSeeds)
-	if shardIdx >= 0 {
-		fmt.Fprintf(&b, "|shardgroups=%d:%d", lo, hi)
-	}
+	fmt.Fprintf(&b, "|tracks=%d|seed=%d|pseeds=%d|shardgroups=%d:%d", d.tracksForRange(lo, hi), d.cfg.Seed, d.cfg.PlacementSeeds, lo, hi)
 	if seg := d.cfg.Faults.cacheSegment(); seg != "" {
 		// Fault penalties shift placement costs, so a faulted deployment's
 		// artifacts must never collide with the ideal-device entry.

@@ -154,12 +154,12 @@ func TestCacheJoinerRetriesOthersCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	art, _, err := getOrComputeCtx(context.Background(), cache, d.cacheKey(-1), func() (*compilecache.Artifacts, error) {
+	art, _, err := getOrComputeCtx(context.Background(), cache, d.cacheKey(0), func() (*compilecache.Artifacts, error) {
 		calls++
 		if calls == 1 {
 			return nil, context.DeadlineExceeded // another caller's expiry
 		}
-		return d.placeAndRoute(context.Background(), d.nl, d.cfg.Tracks)
+		return d.placeAndRoute(context.Background(), d.shards[0].nl, d.cfg.Tracks)
 	})
 	if err != nil || art == nil {
 		t.Fatalf("joiner inherited a foreign cancellation: %v", err)

@@ -56,16 +56,12 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 
 // NewEngine derives a serving engine from the compiled deployment: the
 // net comes from NewNet (compile-registered weights), and the chip
-// partition flows from the compile — an engine over a sharded
-// deployment pipelines across the compiled chip count under the
-// compiled WithShardPolicy, so Compile is the single source of truth
-// for how many chips serve and which objective cuts them. (The stage
-// boundaries themselves are re-derived on the program's stage list —
-// the serving-side twin of the compile's group chain — and outputs are
-// bit-identical under every cut.) WithEngineChips may override the
-// count only on a single-chip deployment (a serving-side pipelining
-// experiment); an override that disagrees with a multi-chip deployment
-// returns ErrChipConflict.
+// partition flows from the compile — the engine serves d.Chips() chips,
+// pipelining a sharded deployment under the compiled WithShardPolicy, so
+// Compile is the single source of truth for how many chips serve and
+// which objective cuts them. (The stage boundaries themselves are
+// re-derived on the program's stage list — the serving-side twin of the
+// compile's group chain — and outputs are bit-identical under every cut.)
 // Defaults are the serving sweet spot (4 workers, batches of up to 8,
 // ModeSpiking); shape them with WithWorkers, WithMaxBatch, WithQueueDepth
 // and WithMode. ctx is checked before and after the net is derived — a
@@ -79,16 +75,13 @@ func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	set := engineSettings{cfg: defaultEngineConfig()}
+	cfg := defaultEngineConfig()
 	for _, o := range opts {
 		if o != nil {
-			o(&set)
+			o(&cfg)
 		}
 	}
-	cfg, err := d.engineConfigFor(set)
-	if err != nil {
-		return nil, err
-	}
+	cfg.Chips = d.Chips()
 	sn, err := d.NewNet(nil)
 	if err != nil {
 		return nil, err
@@ -97,19 +90,4 @@ func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engi
 		return nil, err
 	}
 	return newEngine(sn, cfg, d.cfg.ShardPolicy.servePolicy())
-}
-
-// engineConfigFor resolves an engine's settings against the compiled
-// chip partition — the one rule NewEngine and fleet replicas share:
-// without WithEngineChips the engine inherits d.Chips(); an explicit
-// count that disagrees with a multi-chip deployment is ErrChipConflict.
-func (d *Deployment) engineConfigFor(set engineSettings) (engineConfig, error) {
-	cfg := set.cfg
-	if !set.chipsSet {
-		cfg.Chips = d.Chips()
-	} else if d.Chips() > 1 && cfg.Chips != d.Chips() {
-		return engineConfig{}, fmt.Errorf("%w: deployment of %s compiled across %d chips but WithEngineChips requested %d; drop WithEngineChips to inherit the compiled partition",
-			ErrChipConflict, d.model.Name(), d.Chips(), cfg.Chips)
-	}
-	return cfg, nil
 }

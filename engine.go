@@ -24,14 +24,14 @@ type engineConfig struct {
 	// ModeSpikingNoisy each worker replica is programmed with its own
 	// deterministic variation derived from the SpikingNet seed.
 	Mode ExecMode
-	// Chips, when ≥ 2, serves the network as a sharded multi-chip
+	// Chips is the deployment's compiled chip count (Deployment.Chips;
+	// never an option). At ≥ 2 the network is served as a sharded
 	// deployment: the program's stages are partitioned across that many
-	// pipelined chips (balanced load; clamped to what the program
-	// supports) and all workers feed the one shared pipeline, so
-	// consecutive micro-batches overlap chip-by-chip. Outputs are
-	// bit-identical to the single-chip engine in every mode; in
-	// ModeSpikingNoisy the sharded deployment is one physical set of
-	// chips with a single variation draw. 0 or 1 serves single-chip.
+	// pipelined chips (clamped to what the program supports) and all
+	// workers feed the one shared pipeline, so consecutive micro-batches
+	// overlap chip-by-chip. Outputs are bit-identical to the single-chip
+	// engine in every mode; in ModeSpikingNoisy the sharded deployment is
+	// one physical set of chips with a single variation draw.
 	Chips int
 }
 
@@ -67,7 +67,6 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 		{"WithWorkers", cfg.Workers},
 		{"WithMaxBatch", cfg.MaxBatch},
 		{"WithQueueDepth", cfg.QueueDepth},
-		{"WithEngineChips", cfg.Chips},
 	} {
 		if k.v < 0 {
 			return nil, fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)

@@ -30,9 +30,9 @@ var (
 	// net's source cannot reach a sink on the routing fabric.
 	ErrUnroutable = errors.New("fpsa: netlist unroutable")
 
-	// ErrChipConflict marks an engine whose explicit chip override
-	// disagrees with the chip partition its Deployment was compiled
-	// with (see Deployment.NewEngine and WithEngineChips).
+	// ErrChipConflict marks a replacement Deployment compiled across a
+	// different chip count than the fleet model it would replace (see
+	// Fleet.Swap): a model keeps its chip footprint across hot-swaps.
 	ErrChipConflict = errors.New("fpsa: engine chip count conflicts with compiled deployment")
 
 	// ErrClosed is returned by Engine methods once Close has begun. It

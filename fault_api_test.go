@@ -121,21 +121,21 @@ func TestFaultModelZeroRateNetIdentical(t *testing.T) {
 // inactive model shares it — bit-identical hardware, same artifacts.
 func TestFaultModelCacheKeySeparation(t *testing.T) {
 	d, _, _ := trainedDeployment(t)
-	ideal := d.cacheKey(-1)
+	ideal := d.cacheKey(0)
 	zero, _, _ := trainedDeployment(t, WithFaultModel(0, 5))
-	if zero.cacheKey(-1) != ideal {
+	if zero.cacheKey(0) != ideal {
 		t.Fatal("inactive fault model changed the cache key")
 	}
 	faulted, _, _ := trainedDeployment(t, WithFaultModel(0.02, 5))
-	if faulted.cacheKey(-1) == ideal {
+	if faulted.cacheKey(0) == ideal {
 		t.Fatal("active fault model kept the ideal-device cache key")
 	}
 	reseed, _, _ := trainedDeployment(t, WithFaultModel(0.02, 6))
-	if reseed.cacheKey(-1) == faulted.cacheKey(-1) {
+	if reseed.cacheKey(0) == faulted.cacheKey(0) {
 		t.Fatal("different fault seeds share a cache key")
 	}
 	norm, _, _ := trainedDeployment(t, WithFaultMap(FaultMap{Rate: 0.02, Seed: 5, NoRemap: true}))
-	if norm.cacheKey(-1) == faulted.cacheKey(-1) {
+	if norm.cacheKey(0) == faulted.cacheKey(0) {
 		t.Fatal("remap and no-remap deployments share a cache key")
 	}
 }

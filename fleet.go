@@ -102,7 +102,7 @@ type fleetModelSettings struct {
 	minReplicas int
 	maxReplicas int
 	queueDepth  int
-	eng         engineSettings
+	eng         engineConfig
 }
 
 // FleetModelOption configures Fleet.AddModel. Options are applied in
@@ -145,14 +145,6 @@ func WithModelEngine(opts ...EngineOption) FleetModelOption {
 	}
 }
 
-// fleetModel is the public layer's per-model record: everything needed
-// to mint replicas for a replacement deployment at Swap time.
-type fleetModel struct {
-	chipsPerReplica int
-	chipsOverride   bool // WithEngineChips pinned the count explicitly
-	cfg             engineConfig
-}
-
 // Fleet serves many compiled Deployments onto a bounded pool of
 // simulated chips, concurrently and multi-tenant: per-model replica
 // pools with queue-driven autoscaling, class-weighted admission with
@@ -164,8 +156,11 @@ type Fleet struct {
 	fl    *fleet.Fleet
 	cache *CompileCache
 
+	// models is each model's replica engine config, kept to mint a
+	// replacement deployment's replicas at Swap time; its Chips is the
+	// model's chip footprint per replica.
 	mu     sync.Mutex
-	models map[string]*fleetModel
+	models map[string]engineConfig
 }
 
 // NewFleet builds an empty fleet and starts its autoscaler.
@@ -193,7 +188,7 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 	return &Fleet{
 		fl:     fleet.New(set.opts),
 		cache:  set.cache,
-		models: make(map[string]*fleetModel),
+		models: make(map[string]engineConfig),
 	}, nil
 }
 
@@ -243,13 +238,11 @@ func realizeBitstream(ctx context.Context, d *Deployment) error {
 }
 
 // resolveReplicaConfig turns a model's engine template into the concrete
-// per-replica engine config for deployment d, under the same
-// chip-partition rule as Deployment.NewEngine.
+// per-replica engine config for deployment d: like Deployment.NewEngine,
+// a replica serves the compiled chip count.
 func resolveReplicaConfig(d *Deployment, set fleetModelSettings) (engineConfig, error) {
-	cfg, err := d.engineConfigFor(set.eng)
-	if err != nil {
-		return engineConfig{}, err
-	}
+	cfg := set.eng
+	cfg.Chips = d.Chips()
 	// The pool, not the engine, is the parallelism.
 	cfg.Workers = 1
 	if set.queueDepth < 0 {
@@ -279,7 +272,7 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 	if d == nil {
 		return fmt.Errorf("%w: AddModel(%q): nil deployment", ErrInvalidArgument, name)
 	}
-	set := fleetModelSettings{eng: engineSettings{cfg: defaultEngineConfig()}}
+	set := fleetModelSettings{eng: defaultEngineConfig()}
 	for _, o := range opts {
 		if o != nil {
 			o(&set)
@@ -303,22 +296,18 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 	if err != nil {
 		return err
 	}
-	chipsPer := cfg.Chips
-	if chipsPer < 1 {
-		chipsPer = 1
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.fl.AddModel(name, src, fleet.ModelConfig{
 		Replicas:        set.replicas,
 		MinReplicas:     set.minReplicas,
 		MaxReplicas:     set.maxReplicas,
-		ChipsPerReplica: chipsPer,
+		ChipsPerReplica: cfg.Chips,
 		QueueDepth:      cfg.QueueDepth,
 	}); err != nil {
 		return wrapFleetErr(err)
 	}
-	f.models[name] = &fleetModel{chipsPerReplica: chipsPer, chipsOverride: set.eng.chipsSet, cfg: cfg}
+	f.models[name] = cfg
 	return nil
 }
 
@@ -362,22 +351,14 @@ func (f *Fleet) Swap(ctx context.Context, model string, d *Deployment) (FleetSwa
 		return FleetSwapEvent{}, fmt.Errorf("%w: Swap(%q): nil deployment", ErrInvalidArgument, model)
 	}
 	f.mu.Lock()
-	fm, ok := f.models[model]
+	cfg, ok := f.models[model]
 	f.mu.Unlock()
 	if !ok {
 		return FleetSwapEvent{}, fmt.Errorf("%w: unknown fleet model %q", ErrInvalidArgument, model)
 	}
-	cfg := fm.cfg
-	if !fm.chipsOverride {
-		cfg.Chips = d.Chips()
-	}
-	chips := cfg.Chips
-	if chips < 1 {
-		chips = 1
-	}
-	if chips != fm.chipsPerReplica {
+	if d.Chips() != cfg.Chips {
 		return FleetSwapEvent{}, fmt.Errorf("%w: model %q serves %d chip(s) per replica but the replacement deployment needs %d; recompile the replacement with the same chip partition",
-			ErrChipConflict, model, fm.chipsPerReplica, chips)
+			ErrChipConflict, model, cfg.Chips, d.Chips())
 	}
 	if err := realizeBitstream(ctx, d); err != nil {
 		return FleetSwapEvent{}, err

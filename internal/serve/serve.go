@@ -1,22 +1,23 @@
 // Package serve implements a concurrent, work-conserving inference engine
 // over deployed spiking-network programs (synth.Program). The engine owns
-// one request queue and a pool of workers each holding its own programmed
-// synth.Executor — cycle-level simulation state is never shared across
-// goroutines, exactly as each replica chip carries its own programmed
-// crossbars. Workers pull from the queue themselves: an idle worker
-// blocks for one entry, takes whatever else is already queued (up to
-// MaxBatch samples, never waiting for more) and runs it as ONE
-// Executor.RunBatch call. Nothing sits between an arriving request and an
-// idle worker, and batching is whatever piled up while the workers were
-// busy. It is the serving substrate behind the public fpsa.Engine API and
-// cmd/fpsa-serve.
+// one request queue, a pool of workers and the synth.Executors they drive.
+// Workers pull from the queue themselves: an idle worker blocks for one
+// entry, takes whatever else is already queued (up to MaxBatch samples,
+// never waiting for more) and runs it as ONE Executor.RunBatch call.
+// Nothing sits between an arriving request and an idle worker, and
+// batching is whatever piled up while the workers were busy. It is the
+// serving substrate behind the public fpsa.Engine API and cmd/fpsa-serve.
 //
-// With Options.Chips ≥ 2 the engine serves a sharded deployment instead:
-// one synth.PipelineExecutor whose program is partitioned across that
-// many simulated chips, shared by every worker. Workers then act as
-// concurrent feeders keeping the chip pipeline full — micro-batch N+1
-// enters chip 0 while micro-batch N is still on a later chip — which is
-// where a model too big for one fabric gets its throughput back.
+// How many executors there are follows from the realized chip count. On
+// one chip each worker holds its own programmed executor — cycle-level
+// simulation state is never shared across goroutines, exactly as each
+// replica chip carries its own programmed crossbars. With Options.Chips
+// ≥ 2 the engine serves a sharded deployment: one executor whose program
+// is partitioned across that many simulated chips, shared by every
+// worker. Workers then act as concurrent feeders keeping the chip
+// pipeline full — micro-batch N+1 enters chip 0 while micro-batch N is
+// still on a later chip — which is where a model too big for one fabric
+// gets its throughput back.
 package serve
 
 import (
@@ -31,16 +32,6 @@ import (
 	"fpsa/internal/synth"
 	"fpsa/internal/xbar"
 )
-
-// runner is the execution surface a worker drives: a private single-chip
-// synth.Executor, or the engine's shared multi-chip pipeline. KernelStats
-// exposes the spiking-kernel selection counters for Stats aggregation.
-type runner interface {
-	Validate(input []int) error
-	RunBatch(inputs [][]int) ([][]int, error)
-	KernelStats() xbar.KernelStats
-	FaultedCells() int
-}
 
 // Options configures an Engine.
 type Options struct {
@@ -142,14 +133,11 @@ type Engine struct {
 	queue chan *entry
 	wg    sync.WaitGroup
 	stats tracker
-	// pipe is the shared multi-chip pipeline of a sharded engine (nil
-	// for the per-worker single-chip layout); chips is the realized
-	// pipeline depth (1 when unsharded). runners keeps every execution
-	// surface so Stats can aggregate kernel-selection counters (their
-	// counters are atomic, so reads race nothing).
-	pipe    *synth.PipelineExecutor
-	chips   int
-	runners []runner
+	// execs is every programmed executor: one per worker on a single
+	// chip, one shared by all workers when sharded. Worker w drives
+	// execs[w%len(execs)]; Stats and Close visit each exactly once
+	// (kernel counters are atomic, so reads race nothing).
+	execs []*synth.Executor
 
 	mu     sync.RWMutex
 	closed bool
@@ -157,56 +145,46 @@ type Engine struct {
 
 // New builds the engine: it programs the execution state over prog
 // (surfacing programming errors synchronously) and starts the worker
-// goroutines. With opts.Chips ≤ 1 each worker programs a private
-// single-chip executor; with opts.Chips ≥ 2 one pipelined multi-chip
+// goroutines. The program is partitioned across opts.Chips chips (clamped
+// to what it supports); when that realizes a single chip each worker
+// programs a private executor, otherwise one pipelined multi-chip
 // executor is programmed and shared by every worker.
 func New(prog *synth.Program, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	e := &Engine{
-		opts:  opts,
-		chips: 1,
-	}
-	runners := make([]runner, opts.Workers)
-	// Worker seeds come from one stream rather than Seed+w so engines
-	// with adjacent seeds never share replica programming variation.
-	seeds := rand.New(rand.NewSource(opts.Seed))
+	e := &Engine{opts: opts}
+	// A nil plan is a single chip; only a sharded request pays for the
+	// partition search.
+	var plan *shard.Plan
 	if opts.Chips >= 2 {
-		plan, err := prog.PartitionStages(opts.Chips, opts.Policy.shardPolicy())
-		if err != nil {
+		var err error
+		if plan, err = prog.PartitionStages(opts.Chips, opts.Policy.shardPolicy()); err != nil {
 			return nil, fmt.Errorf("serve: partitioning across %d chips: %w", opts.Chips, err)
 		}
+	}
+	execs := opts.Workers
+	if plan != nil && plan.Chips() >= 2 {
+		execs = 1
+	}
+	e.execs = make([]*synth.Executor, execs)
+	// Executor seeds come from one stream rather than Seed+w so engines
+	// with adjacent seeds never share replica programming variation.
+	seeds := rand.New(rand.NewSource(opts.Seed))
+	for i := range e.execs {
 		ropts := synth.RunOptions{Mode: opts.Mode, Faults: opts.Faults}
 		if opts.Mode == synth.ModeSpikingNoisy {
 			ropts.Rng = rand.New(rand.NewSource(seeds.Int63()))
 		}
-		pipe, err := synth.NewPipelineExecutor(prog, plan, ropts)
+		ex, err := synth.NewPipelineExecutor(prog, plan, ropts)
 		if err != nil {
-			return nil, fmt.Errorf("serve: sharded executor: %w", err)
+			return nil, fmt.Errorf("serve: executor %d: %w", i, err)
 		}
-		e.pipe = pipe
-		e.chips = pipe.Chips()
-		for w := range runners {
-			runners[w] = pipe
-		}
-	} else {
-		for w := range runners {
-			ropts := synth.RunOptions{Mode: opts.Mode, Faults: opts.Faults}
-			if opts.Mode == synth.ModeSpikingNoisy {
-				ropts.Rng = rand.New(rand.NewSource(seeds.Int63()))
-			}
-			ex, err := synth.NewExecutor(prog, ropts)
-			if err != nil {
-				return nil, fmt.Errorf("serve: worker %d: %w", w, err)
-			}
-			runners[w] = ex
-		}
+		e.execs[i] = ex
 	}
-	e.runners = runners
 	e.queue = make(chan *entry, opts.QueueDepth)
 	e.stats.start = time.Now()
 	e.wg.Add(opts.Workers)
-	for _, r := range runners {
-		go e.worker(r)
+	for w := 0; w < opts.Workers; w++ {
+		go e.worker(e.execs[w%len(e.execs)])
 	}
 	return e, nil
 }
@@ -216,7 +194,7 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Chips returns the realized pipeline depth: 1 for the per-worker
 // single-chip layout, the sharded chip count otherwise.
-func (e *Engine) Chips() int { return e.chips }
+func (e *Engine) Chips() int { return e.execs[0].Chips() }
 
 // Infer queues one input vector of spike counts and blocks until a worker
 // classifies it or ctx is done. The returned slice is the program's raw
@@ -303,8 +281,8 @@ func (e *Engine) Close() error {
 	close(e.queue)
 	e.mu.Unlock()
 	e.wg.Wait()
-	if e.pipe != nil {
-		return e.pipe.Close()
+	for _, ex := range e.execs {
+		ex.Close() // a pipeline's chip goroutines; never fails
 	}
 	return nil
 }
@@ -317,7 +295,7 @@ func (e *Engine) Close() error {
 // that does not fit is carried over to head this worker's next batch
 // (entries are never split), so it still runs before the worker exits on
 // Close.
-func (e *Engine) worker(ex runner) {
+func (e *Engine) worker(ex *synth.Executor) {
 	defer e.wg.Done()
 	var (
 		batch  []*entry
@@ -362,7 +340,7 @@ func (e *Engine) worker(ex runner) {
 // simulating, so client timeouts actually relieve load, and an entry with
 // a malformed input fails alone in pre-flight validation so it cannot
 // poison another caller's entry.
-func (e *Engine) run(ex runner, batch []*entry, inputs [][]int) [][]int {
+func (e *Engine) run(ex *synth.Executor, batch []*entry, inputs [][]int) [][]int {
 	live := batch[:0]
 	for _, en := range batch {
 		if err := en.ctx.Err(); err != nil {
@@ -394,7 +372,7 @@ func (e *Engine) run(ex runner, batch []*entry, inputs [][]int) [][]int {
 }
 
 // validate pre-flights every input of one entry.
-func validate(ex runner, inputs [][]int) error {
+func validate(ex *synth.Executor, inputs [][]int) error {
 	for _, in := range inputs {
 		if err := ex.Validate(in); err != nil {
 			return err
@@ -420,47 +398,26 @@ func (e *Engine) finish(en *entry, err error) {
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Stats snapshots the engine's counters and latency percentiles,
-// including the spiking-kernel selection counters aggregated across every
-// execution replica (or the one shared pipeline of a sharded engine).
+// including the spiking-kernel selection counters summed over every
+// executor — each worker's own on a single chip, the one shared pipeline
+// (counted once, not per worker) when sharded. FaultedCells is one
+// executor's count: every replica programs identical fault maps (they key
+// on the model and the global group IDs, not the replica), so it IS the
+// deployment's — summing replicas would overcount chip state that exists
+// once.
 func (e *Engine) Stats() Stats {
 	s := e.stats.snapshot()
 	s.Workers = e.opts.Workers
 	s.MaxBatch = e.opts.MaxBatch
-	s.Chips = e.chips
+	s.Chips = e.Chips()
 	s.QueueDepth = len(e.queue)
-	ks := e.kernelStats()
+	var ks xbar.KernelStats
+	for _, ex := range e.execs {
+		ks = ks.Add(ex.KernelStats())
+	}
 	s.SparseKernels = ks.SparseBatches
 	s.DenseKernels = ks.DenseBatches
 	s.SpikeDensity = ks.Density()
-	s.FaultedCells = e.faultedCells()
+	s.FaultedCells = e.execs[0].FaultedCells()
 	return s
-}
-
-// faultedCells reports the deployment's residual stuck-cell count. Every
-// replica programs identical fault maps (they key on the model and the
-// global group IDs, not the replica), so one executor's count IS the
-// deployment's — summing replicas would overcount chip state that exists
-// once.
-func (e *Engine) faultedCells() int {
-	if e.pipe != nil {
-		return e.pipe.FaultedCells()
-	}
-	if len(e.runners) > 0 {
-		return e.runners[0].FaultedCells()
-	}
-	return 0
-}
-
-// kernelStats aggregates kernel-selection counters. A sharded engine's
-// workers all share the one pipeline, so it is counted once, not per
-// worker.
-func (e *Engine) kernelStats() xbar.KernelStats {
-	if e.pipe != nil {
-		return e.pipe.KernelStats()
-	}
-	var st xbar.KernelStats
-	for _, r := range e.runners {
-		st = st.Add(r.KernelStats())
-	}
-	return st
 }

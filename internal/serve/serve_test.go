@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fpsa/internal/device"
 	"fpsa/internal/synth"
 	"fpsa/internal/trainer"
 )
@@ -404,6 +405,47 @@ func TestAutoPathKernelStats(t *testing.T) {
 		}
 		if !strings.Contains(st.String(), "kernels") {
 			t.Errorf("Stats.String() = %q missing kernel counters", st.String())
+		}
+	}
+}
+
+// TestStatsCountEachExecutorOnce: however the workers share executors —
+// one each on a single chip, one pipeline between them when sharded —
+// Stats counts every kernel call exactly once (one per stage per executed
+// batch) and reports the deployment's stuck cells once, not per worker.
+func TestStatsCountEachExecutorOnce(t *testing.T) {
+	prog := buildProgram(t, 27, []int{10, 8, 6, 3})
+	inputs := randomInputs(prog, 28, 24)
+	faults := &device.FaultModel{Rate: 0.05, Seed: 9}
+	ex, err := synth.NewExecutor(prog, synth.RunOptions{Mode: synth.ModeSpiking, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFaulted := ex.FaultedCells()
+	if wantFaulted == 0 {
+		t.Fatal("fixture has no stuck cells")
+	}
+	for _, workers := range []int{1, 3} {
+		for _, chips := range []int{1, 2} {
+			eng, err := New(prog, Options{Workers: workers, MaxBatch: 4, Mode: synth.ModeSpiking, Chips: chips, Faults: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Chips() != chips {
+				t.Fatalf("workers=%d: realized %d chips, want %d", workers, eng.Chips(), chips)
+			}
+			if _, err := eng.InferBatch(context.Background(), inputs); err != nil {
+				t.Fatal(err)
+			}
+			st := eng.Stats()
+			eng.Close()
+			if st.FaultedCells != wantFaulted {
+				t.Errorf("workers=%d chips=%d: FaultedCells = %d, one executor has %d", workers, chips, st.FaultedCells, wantFaulted)
+			}
+			if got, want := st.SparseKernels+st.DenseKernels, st.ExecBatches*uint64(len(prog.Stages)); got != want {
+				t.Errorf("workers=%d chips=%d: %d kernel calls over %d batches of %d stages, want %d",
+					workers, chips, got, st.ExecBatches, len(prog.Stages), want)
+			}
 		}
 	}
 }

@@ -2,10 +2,12 @@ package synth
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fpsa/internal/cgraph"
+	"fpsa/internal/shard"
 )
 
 // batchInputs draws B random in-window input vectors.
@@ -241,7 +243,9 @@ func TestRunBatchValidation(t *testing.T) {
 // TestRunBatchResultsShareOneBackingArray pins the result layout: a warm
 // RunBatch allocates the slice of results and one flat backing array — two
 // allocations at any batch size — and each result's capacity stops at its
-// own end, so appending to one cannot overwrite the next.
+// own end, so appending to one cannot overwrite the next. Every way of
+// asking for one chip takes that same inline path: construction starts no
+// goroutine, Close is a harmless no-op and RunBatch keeps working after it.
 func TestRunBatchResultsShareOneBackingArray(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
 	g, ws := buildTestMLP(rng, []int{16, 12, 4})
@@ -251,25 +255,55 @@ func TestRunBatchResultsShareOneBackingArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking})
+	onePlan, err := prog.PartitionStages(1, shard.PolicyBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{1, 16, 64} {
-		inputs := batchInputs(rng, batch, 16, opts.Params.SamplingWindow())
-		var outs [][]int
-		allocs := testing.AllocsPerRun(5, func() {
-			if outs, err = ex.RunBatch(inputs); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 2 {
-			t.Errorf("batch %d: %v allocs per warm RunBatch, want 2", batch, allocs)
+	ropts := RunOptions{Mode: ModeSpiking}
+	for _, tc := range []struct {
+		name string
+		mk   func() (*Executor, error)
+	}{
+		{"NewExecutor", func() (*Executor, error) { return NewExecutor(prog, ropts) }},
+		{"nil plan", func() (*Executor, error) { return NewPipelineExecutor(prog, nil, ropts) }},
+		{"one-chip plan", func() (*Executor, error) { return NewPipelineExecutor(prog, onePlan, ropts) }},
+	} {
+		name := tc.name
+		before := runtime.NumGoroutine()
+		ex, err := tc.mk()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for b, out := range outs {
-			if cap(out) != len(out) {
-				t.Fatalf("batch %d item %d: result cap %d exceeds len %d", batch, b, cap(out), len(out))
+		if ex.Chips() != 1 {
+			t.Fatalf("%s: %d chips, want 1", name, ex.Chips())
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: construction started goroutines (%d → %d)", name, before, after)
+		}
+		for _, batch := range []int{1, 16, 64} {
+			inputs := batchInputs(rng, batch, 16, opts.Params.SamplingWindow())
+			var outs [][]int
+			allocs := testing.AllocsPerRun(5, func() {
+				if outs, err = ex.RunBatch(inputs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 2 {
+				t.Errorf("%s: batch %d: %v allocs per warm RunBatch, want 2", name, batch, allocs)
 			}
+			for b, out := range outs {
+				if cap(out) != len(out) {
+					t.Fatalf("%s: batch %d item %d: result cap %d exceeds len %d", name, batch, b, cap(out), len(out))
+				}
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if err := ex.Close(); err != nil {
+				t.Fatalf("%s: Close #%d: %v", name, i+1, err)
+			}
+		}
+		if _, err := ex.RunBatch(batchInputs(rng, 2, 16, opts.Params.SamplingWindow())); err != nil {
+			t.Errorf("%s: RunBatch after Close: %v", name, err)
 		}
 	}
 }

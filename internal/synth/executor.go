@@ -2,17 +2,19 @@ package synth
 
 import (
 	"fmt"
+	"sync"
 
 	"fpsa/internal/device"
+	"fpsa/internal/shard"
 	"fpsa/internal/xbar"
 )
 
-// Executor is a reusable execution context over a Program: every weight
-// group's crossbar is programmed exactly once, at construction, and reused
-// across Run/RunBatch calls — the way the physical chip programs its
-// crossbars once at deployment and then streams samples through them.
-// Program.Run re-programs on every call; for a serving loop the Executor
-// amortizes that away.
+// Executor is a reusable execution context over a Program on one or more
+// simulated chips: every weight group's crossbar is programmed exactly
+// once, at construction, and reused across Run/RunBatch calls — the way
+// the physical chips program their crossbars once at deployment and then
+// stream samples through them. Program.Run re-programs on every call; for
+// a serving loop the Executor amortizes that away.
 //
 // Execution is batched end to end: RunBatch walks the stage list once per
 // micro-batch, evaluating every batch item on a stage's crossbar before
@@ -20,34 +22,89 @@ import (
 // of re-walking all stages per item. Run is the batch-of-one special
 // case.
 //
-// An Executor is NOT safe for concurrent use: the per-stage input and
-// output tables are reused between runs, and in noisy mode the programmed
-// variation is the executor's identity. Concurrent callers must hold one
-// Executor per goroutine (see internal/serve), which also matches the
-// hardware — each replica chip carries its own programming variation.
+// Each chip owns a contiguous stage range (see PartitionStages), the
+// crossbars of the groups those stages use and its gather scratch. How
+// many chips there are decides how a batch runs and who may call:
+//
+//   - Chips() == 1 (NewExecutor, or a nil or one-chip plan) walks the
+//     stages inline on the caller's goroutine and reuses the per-stage
+//     output tables between runs, so it is single-caller: concurrent
+//     callers hold one Executor each (see internal/serve), which also
+//     matches the hardware — each replica chip carries its own
+//     programming variation. Close is a no-op and RunBatch keeps working
+//     after it.
+//   - Chips() ≥ 2 runs one goroutine per chip: while chip 1 evaluates
+//     micro-batch N, chip 0 is already evaluating micro-batch N+1. RunBatch
+//     is safe for concurrent use — jobs enqueue and the chips process them
+//     in order, each job carrying its own output tables — and concurrent
+//     calls are where the pipeline's throughput comes from. Close releases
+//     the chip goroutines; RunBatch afterwards returns ErrPipelineClosed.
+//
+// Programming and the stage walk are the same code at every chip count,
+// so outputs are bit-identical across chip counts in all three modes.
 type Executor struct {
 	prog  *Program
 	opts  RunOptions
-	units map[int]*xbar.Crossbar
+	chips []chip
 	// stageCols[si] is the output width of stage si's weight group.
 	stageCols []int
-	// ins[si] is stage si's flat batch×rows input buffer; outs[si] its
-	// flat batch×cols output, read by downstream refs. Both are grown on
-	// demand and reused across runs.
-	ins  [][]int
+	// outs[si] is stage si's flat batch×cols output on a one-chip
+	// executor, grown on demand and reused across runs. (A pipeline's
+	// tables travel with each job instead.)
 	outs [][]int
+
+	// Pipeline lifecycle (Chips() ≥ 2 only).
+	mu     sync.RWMutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
-// NewExecutor programs every weight group of p under opts and returns the
-// reusable execution state. In ModeSpikingNoisy the supplied Rng draws
-// each cell's programming variation once, in stage order — the same draw
-// order Program.Run uses, so a fresh Executor reproduces a single Run
-// bit for bit. What construction costs is the programming itself: fault
-// masks come from opts.Faults' memo (derived once per model, not per
-// executor) and programming a weight allocates nothing, so the
-// per-call executors Program.Run builds pay for their variation draws and
-// little else.
+// chip is one simulated chip: the contiguous stage range [lo, hi) and the
+// crossbars programmed for the groups those stages own. On a pipeline its
+// goroutine consumes jobs in FIFO order, so the gather scratch and the
+// crossbars' own scratch are single-threaded even while different chips
+// work on different jobs concurrently.
+type chip struct {
+	lo, hi int
+	units  map[int]*xbar.Crossbar
+	// ins[si-lo] is stage si's flat batch×rows input buffer, grown on
+	// demand and reused across runs.
+	ins [][]int
+	in  chan *pipeJob // nil on a one-chip executor
+}
+
+// NewExecutor programs every weight group of p under opts onto a single
+// chip and returns the reusable execution state.
 func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
+	return NewPipelineExecutor(p, nil, opts)
+}
+
+// NewPipelineExecutor programs p's weight groups under opts and
+// distributes them over the plan's chips; with two or more it also starts
+// one goroutine per chip. A nil plan is a single chip. The plan must come
+// from p.PartitionStages: segment boundaries may not split a shared weight
+// group — a physical crossbar lives on exactly one die.
+//
+// Every group is programmed once, in global first-use stage order,
+// whatever the plan. In ModeSpikingNoisy the supplied Rng draws each
+// cell's programming variation in that order — the same draw order
+// Program.Run uses — so a fresh Executor reproduces a single Run bit for
+// bit, and a sharded deployment carries identically noisy conductances to
+// the single-chip deployment it replaces. What construction costs is the
+// programming itself: fault masks come from opts.Faults' memo (derived
+// once per model, not per executor, and keyed on the global group ID, so
+// a group lands on the same stuck cells whichever chip owns it) and
+// programming a weight allocates nothing, so the per-call executors
+// Program.Run builds pay for their variation draws and little else.
+func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Executor, error) {
+	n := len(p.Stages)
+	bounds := []int{0, n}
+	if plan != nil {
+		bounds = plan.Bounds
+		if first, last := bounds[0], bounds[len(bounds)-1]; first != 0 || last != n {
+			return nil, fmt.Errorf("synth: plan covers stages %d to %d, program has %d", first, last, n)
+		}
+	}
 	spec := opts.Spec
 	if spec.Bits == 0 {
 		spec = device.Cell4Bit
@@ -64,22 +121,34 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
 		Path:   opts.Spike,
 	}
-	ex := &Executor{
+	e := &Executor{
 		prog:      p,
 		opts:      opts,
-		units:     make(map[int]*xbar.Crossbar, len(p.Graph.Groups)),
-		stageCols: make([]int, len(p.Stages)),
-		ins:       make([][]int, len(p.Stages)),
-		outs:      make([][]int, len(p.Stages)),
+		chips:     make([]chip, len(bounds)-1),
+		stageCols: make([]int, n),
+	}
+	for k := range e.chips {
+		lo, hi := bounds[k], bounds[k+1]
+		e.chips[k] = chip{lo: lo, hi: hi, units: make(map[int]*xbar.Crossbar), ins: make([][]int, hi-lo)}
 	}
 	// Weight groups are shared across stages (conv positions): program
-	// each group's crossbar once, in first-use stage order, exactly as
-	// the chip holds one physical crossbar per group copy.
+	// each group's crossbar once, at its first use, on the chip whose
+	// range holds that stage — exactly as the chip holds one physical
+	// crossbar per group copy.
+	k := 0
 	for si, st := range p.Stages {
+		for si >= e.chips[k].hi {
+			k++
+		}
 		grp := p.Graph.Groups[st.GroupID]
-		ex.stageCols[si] = grp.Cols
-		if _, ok := ex.units[st.GroupID]; ok {
+		e.stageCols[si] = grp.Cols
+		if _, ok := e.chips[k].units[st.GroupID]; ok {
 			continue
+		}
+		for _, prev := range e.chips[:k] {
+			if _, ok := prev.units[st.GroupID]; ok {
+				return nil, fmt.Errorf("synth: plan splits weight group %q across chips (stage %d)", grp.Name, si)
+			}
 		}
 		c := cfg
 		c.Eta = grp.Eta
@@ -90,21 +159,41 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, grp.Name, err)
 		}
-		ex.units[st.GroupID] = u
+		e.chips[k].units[st.GroupID] = u
 	}
-	return ex, nil
+	if len(e.chips) == 1 {
+		e.outs = make([][]int, n)
+		return e, nil
+	}
+	for k := range e.chips {
+		e.chips[k].in = make(chan *pipeJob, 1)
+	}
+	e.wg.Add(len(e.chips))
+	for k := range e.chips {
+		var next chan *pipeJob
+		if k+1 < len(e.chips) {
+			next = e.chips[k+1].in
+		}
+		go e.runChip(&e.chips[k], next)
+	}
+	return e, nil
 }
+
+// Chips returns the number of chips the program is spread over.
+func (e *Executor) Chips() int { return len(e.chips) }
 
 // Mode returns the execution mode the Executor was programmed for.
 func (e *Executor) Mode() ExecMode { return e.opts.Mode }
 
 // FaultedCells sums the stuck logical cells pinned across every crossbar
 // the Executor programmed — the residual faults execution actually sees
-// after any remapping.
+// after any remapping, and the same count at every chip count.
 func (e *Executor) FaultedCells() int {
 	n := 0
-	for _, u := range e.units { //fpsa:nondet summing int counters; order-free
-		n += u.FaultedCells()
+	for _, c := range e.chips {
+		for _, u := range c.units { //fpsa:nondet summing int counters; order-free
+			n += u.FaultedCells()
+		}
 	}
 	return n
 }
@@ -112,11 +201,15 @@ func (e *Executor) FaultedCells() int {
 // KernelStats sums the spiking-kernel selection counters over every
 // crossbar the Executor programmed: how many micro-batch kernel calls took
 // the packed sparse path versus the dense path, and the aggregate observed
-// input spike density.
+// input spike density. The counters are atomics, so reading them while
+// chip goroutines are mid-batch is safe (each count lands before the
+// batch's results are delivered).
 func (e *Executor) KernelStats() xbar.KernelStats {
 	var st xbar.KernelStats
-	for _, u := range e.units { //fpsa:nondet summing uint64 counters; order-free
-		st = st.Add(u.KernelStats())
+	for _, c := range e.chips {
+		for _, u := range c.units { //fpsa:nondet summing uint64 counters; order-free
+			st = st.Add(u.KernelStats())
+		}
 	}
 	return st
 }
@@ -128,8 +221,8 @@ func (e *Executor) Validate(input []int) error { return e.prog.Validate(input) }
 
 // Run executes the program on one input vector of spike counts in [0, Γ]
 // and returns the output counts at the network's output refs. The
-// returned slice is freshly allocated; per-stage buffers are reused
-// across runs. Run is RunBatch with a batch of one.
+// returned slice is freshly allocated. Run is RunBatch with a batch of
+// one.
 func (e *Executor) Run(input []int) ([]int, error) {
 	if err := e.Validate(input); err != nil {
 		return nil, err
@@ -148,7 +241,7 @@ func (e *Executor) Run(input []int) ([]int, error) {
 // crossbar evaluates every item (one batched kernel call) before the next
 // stage runs, so a weight group's programmed state is touched once per
 // batch rather than once per item. Outputs are bit-identical to len(inputs)
-// independent Run calls in every execution mode.
+// independent Run calls in every execution mode and at every chip count.
 func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
 	if err := e.prog.ValidateBatch(inputs); err != nil {
 		return nil, err
@@ -164,17 +257,48 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// runBatch is the validated batch execution path.
+// runBatch is the validated batch execution path: inline over the one
+// chip's stages and the executor's own output tables, or as a job handed
+// to the first chip of the pipeline.
 func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
-	p := e.prog
-	B := len(inputs)
-	if B == 0 {
+	if len(inputs) == 0 {
 		return nil, nil
 	}
-	for si, st := range p.Stages {
+	if len(e.chips) == 1 {
+		if err := e.runStages(&e.chips[0], inputs, e.outs); err != nil {
+			return nil, err
+		}
+		return gatherOutputs(e.prog, inputs, e.outs, e.stageCols), nil
+	}
+	job := &pipeJob{
+		inputs: inputs,
+		outs:   make([][]int, len(e.prog.Stages)),
+		done:   make(chan struct{}),
+	}
+	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return nil, ErrPipelineClosed
+	}
+	e.chips[0].in <- job
+	e.mu.RUnlock()
+	<-job.done
+	return job.results, job.err
+}
+
+// runStages evaluates a batch over c's stage range — the one stage walk
+// every chip count shares. outs is the per-stage output table (batch×cols
+// flat, indexed by global stage): stages before c.lo are read, c's own are
+// written, reusing whatever capacity an entry already has (a one-chip
+// executor's tables persist; a pipeline job's start empty).
+func (e *Executor) runStages(c *chip, inputs, outs [][]int) error {
+	p := e.prog
+	B := len(inputs)
+	for si := c.lo; si < c.hi; si++ {
+		st := p.Stages[si]
 		n := len(st.InRefs)
-		x := growInts(e.ins[si], B*n)
-		e.ins[si] = x
+		x := growInts(c.ins[si-c.lo], B*n)
+		c.ins[si-c.lo] = x
 		for b, in := range inputs {
 			row := x[b*n : (b+1)*n]
 			for r, ref := range st.InRefs {
@@ -184,15 +308,15 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 				case ref.Stage == ZeroStage:
 					row[r] = 0
 				case ref.Stage >= 0 && ref.Stage < si:
-					row[r] = e.outs[ref.Stage][b*e.stageCols[ref.Stage]+ref.Col]
+					row[r] = outs[ref.Stage][b*e.stageCols[ref.Stage]+ref.Col]
 				default:
-					return nil, fmt.Errorf("synth: stage %d row %d references stage %d", si, r, ref.Stage)
+					return fmt.Errorf("synth: stage %d row %d references stage %d", si, r, ref.Stage)
 				}
 			}
 		}
-		out := growInts(e.outs[si], B*e.stageCols[si])
-		e.outs[si] = out
-		unit := e.units[st.GroupID]
+		out := growInts(outs[si], B*e.stageCols[si])
+		outs[si] = out
+		unit := c.units[st.GroupID]
 		var err error
 		switch e.opts.Mode {
 		case ModeReference:
@@ -203,10 +327,10 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 			err = fmt.Errorf("unknown exec mode %d", e.opts.Mode)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, p.Graph.Groups[st.GroupID].Name, err)
+			return fmt.Errorf("synth: stage %d (%s): %w", si, p.Graph.Groups[st.GroupID].Name, err)
 		}
 	}
-	return gatherOutputs(p, inputs, e.outs, e.stageCols), nil
+	return nil
 }
 
 // gatherOutputs reads the program's output refs out of the per-stage

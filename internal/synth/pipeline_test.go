@@ -10,7 +10,7 @@ import (
 
 // pipelineAt builds a pipeline executor over prog cut into (up to) chips
 // segments, failing the test on any construction error.
-func pipelineAt(t *testing.T, prog *Program, chips int, opts RunOptions) *PipelineExecutor {
+func pipelineAt(t *testing.T, prog *Program, chips int, opts RunOptions) *Executor {
 	t.Helper()
 	plan, err := prog.PartitionStages(chips, shard.PolicyBalanced)
 	if err != nil {

@@ -19,7 +19,10 @@
 //
 // For fully connected networks with supplied trained weights, synthesis
 // additionally produces an executable Program whose stages run on actual
-// PE models (integer reference or cycle-level spiking simulation).
+// PE models (integer reference or cycle-level spiking simulation). One
+// type runs it: an Executor over one or more simulated chips, inline on
+// one chip and as a goroutine-per-chip pipeline on several, with the same
+// programming loop and stage walk at every chip count.
 package synth
 
 import (

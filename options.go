@@ -286,51 +286,33 @@ func WithWeightSource(src WeightSource) Option {
 	return func(s *compileSettings) { s.weights = src }
 }
 
-// engineSettings is what the EngineOptions assemble. chipsSet records an
-// explicit chip override so Deployment.NewEngine can distinguish "serve
-// the compiled partition" (the default) from a conflicting request.
-type engineSettings struct {
-	cfg      engineConfig
-	chipsSet bool
-}
-
 // EngineOption configures Deployment.NewEngine. Options are applied in
-// order; a nil EngineOption is ignored.
-type EngineOption func(*engineSettings)
+// order; a nil EngineOption is ignored. How many chips the engine serves
+// is not an option: it is the deployment's compiled count (see WithChips).
+type EngineOption func(*engineConfig)
 
 // WithWorkers sets the number of parallel execution replicas, each
 // holding its own programmed simulation state (default 4).
 func WithWorkers(n int) EngineOption {
-	return func(s *engineSettings) { s.cfg.Workers = n }
+	return func(c *engineConfig) { c.Workers = n }
 }
 
 // WithMaxBatch caps how many samples a worker takes from the queue for
 // one batched kernel pass, and sets the chunk size ClassifyBatch calls
 // are queued in (default 8). Workers never wait for a batch to fill.
 func WithMaxBatch(n int) EngineOption {
-	return func(s *engineSettings) { s.cfg.MaxBatch = n }
+	return func(c *engineConfig) { c.MaxBatch = n }
 }
 
 // WithQueueDepth bounds the request queue, counted in entries — one
 // Classify call or one ≤ MaxBatch chunk of a ClassifyBatch call
 // (default 1024).
 func WithQueueDepth(n int) EngineOption {
-	return func(s *engineSettings) { s.cfg.QueueDepth = n }
+	return func(c *engineConfig) { c.QueueDepth = n }
 }
 
 // WithMode selects the execution semantics (default ModeSpiking, the
 // serving default).
 func WithMode(m ExecMode) EngineOption {
-	return func(s *engineSettings) { s.cfg.Mode = m }
-}
-
-// WithEngineChips explicitly overrides the engine's chip count. An
-// engine derived from a sharded Deployment inherits the compiled chip
-// count by default; an override that disagrees with a multi-chip
-// deployment returns ErrChipConflict rather than silently serving a
-// different partition. On a single-chip deployment, n ≥ 2 pipelines the
-// program's stages across n simulated chips (a serving-side experiment;
-// outputs stay bit-identical).
-func WithEngineChips(n int) EngineOption {
-	return func(s *engineSettings) { s.cfg.Chips = n; s.chipsSet = true }
+	return func(c *engineConfig) { c.Mode = m }
 }

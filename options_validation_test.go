@@ -75,7 +75,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"negative workers", []EngineOption{WithWorkers(-1)}},
 		{"negative batch", []EngineOption{WithMaxBatch(-2)}},
 		{"negative queue depth", []EngineOption{WithQueueDepth(-4)}},
-		{"negative chips", []EngineOption{WithEngineChips(-1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

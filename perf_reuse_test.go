@@ -41,15 +41,13 @@ func TestPerformanceReusesNetlist(t *testing.T) {
 			}
 			for _, hops := range []int{0, 3} {
 				in := perf.Input{
-					Model:   d.model.graph,
-					CoreOps: d.coreop,
-					Params:  d.params,
-					Dup:     d.cfg.Duplication,
-					Assign:  d.alloc.Dup,
-					Hops:    hops,
-				}
-				if d.plan != nil {
-					in.CutWidths = d.plan.CutTraffic
+					Model:     d.model.graph,
+					CoreOps:   d.coreop,
+					Params:    d.params,
+					Dup:       d.cfg.Duplication,
+					Assign:    d.alloc.Dup,
+					Hops:      hops,
+					CutWidths: d.cutTraffic,
 				}
 				r, err := perf.Evaluate(in, perf.TargetFPSA) // no Inventory: builds the netlist
 				if err != nil {

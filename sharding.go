@@ -8,7 +8,7 @@ import (
 )
 
 // ShardPolicy selects the objective the multi-chip partitioner optimizes
-// when WithChips (or WithEngineChips) splits a model across chips. See
+// when WithChips splits a model across chips. See
 // internal/shard for the partitioning algorithm.
 type ShardPolicy int
 
@@ -100,17 +100,12 @@ func (s ShardInfo) String() string {
 
 // Chips returns the number of chips the deployment occupies (1 when the
 // model fits a single fabric or MaxChips was not set).
-func (d *Deployment) Chips() int {
-	if len(d.shards) == 0 {
-		return 1
-	}
-	return len(d.shards)
-}
+func (d *Deployment) Chips() int { return len(d.shards) }
 
 // Shards describes the per-chip partition of a sharded deployment; it
 // returns nil for a single-chip deployment.
 func (d *Deployment) Shards() []ShardInfo {
-	if len(d.shards) == 0 {
+	if len(d.shards) == 1 {
 		return nil
 	}
 	infos := make([]ShardInfo, len(d.shards))
@@ -118,11 +113,11 @@ func (d *Deployment) Shards() []ShardInfo {
 		pes, smbs, clbs := sh.nl.Counts()
 		in := 0
 		if i > 0 {
-			in = d.plan.CutTraffic[i-1]
+			in = d.cutTraffic[i-1]
 		}
 		infos[i] = ShardInfo{
 			Chip:      i,
-			Groups:    len(sh.co.Groups),
+			Groups:    sh.hi - sh.lo,
 			PEs:       pes,
 			SMBs:      smbs,
 			CLBs:      clbs,

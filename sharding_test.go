@@ -227,8 +227,9 @@ func TestShardedPerformance(t *testing.T) {
 }
 
 // TestShardedEngineServes is the public serving path of the acceptance
-// criterion: a network served with Chips ≥ 2 returns the same classes as
-// the single-chip engine.
+// criterion: a network compiled across two chips and served by three
+// workers feeding the one pipeline returns the same classes as the
+// single-chip engine.
 func TestShardedEngineServes(t *testing.T) {
 	ds := SyntheticDataset(5, 300, 12, 3, 0.08)
 	train, test := ds.Split(0.7)
@@ -247,7 +248,7 @@ func TestShardedEngineServes(t *testing.T) {
 	}
 	single.Close()
 
-	sharded, err := d.NewEngine(context.Background(), WithWorkers(3), WithMaxBatch(4), WithMode(ModeSpiking), WithEngineChips(2))
+	sharded, err := compileMLP(t, net, WithChips(2)).NewEngine(context.Background(), WithWorkers(3), WithMaxBatch(4), WithMode(ModeSpiking))
 	if err != nil {
 		t.Fatal(err)
 	}
