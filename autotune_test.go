@@ -210,7 +210,15 @@ func TestLayerDupUniformEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(d1.alloc.Dup, d2.alloc.Dup) || !reflect.DeepEqual(d1.alloc.Iterations, d2.alloc.Iterations) {
 			t.Fatalf("dup %d: allocations differ: %v vs %v", dup, d1.alloc, d2.alloc)
 		}
-		if !reflect.DeepEqual(d1.shards[0].nl, d2.shards[0].nl) {
+		nl1, err := d1.shardNetlist(d1.shards[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl2, err := d2.shardNetlist(d2.shards[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(nl1, nl2) {
 			t.Fatalf("dup %d: netlists differ", dup)
 		}
 		p1, err := d1.Performance()

@@ -103,6 +103,37 @@ func BenchmarkCompileVGG16(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileFrontEndZoo is the front-end pass of the compile
+// benchmark: the seven zoo models at duplication 16, each compiled,
+// evaluated and inventoried without being placed — so no netlist is built
+// (445,530 nets on VGG16 alone); allocs/op is what shows if one comes back.
+func BenchmarkCompileFrontEndZoo(b *testing.B) {
+	ctx := context.Background()
+	var zoo []Model
+	for _, name := range BenchmarkModels() {
+		m, err := LoadBenchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zoo = append(zoo, m)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, m := range zoo {
+			d, err := Compile(ctx, m, WithDuplication(16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.Performance(); err != nil {
+				b.Fatal(err)
+			}
+			if pes, _, _ := d.Blocks(); pes == 0 {
+				b.Fatal("empty inventory")
+			}
+		}
+	}
+}
+
 // BenchmarkPlaceAndRoute compares the classic single-seed annealer with
 // the multi-seed portfolio on the CNN example deployment (LeNet at 4×
 // duplication, as in examples/cnn_compile). The four portfolio runs

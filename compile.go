@@ -263,12 +263,6 @@ type Deployment struct {
 	shards     []*deployShard
 	cutTraffic []int
 
-	// inv memoizes inventory: the whole-model block counts the
-	// performance model charges.
-	invOnce sync.Once
-	inv     perf.Inventory
-	invErr  error
-
 	// weights is the WithWeights/WithWeightSource registration; net
 	// memoizes the SpikingNet NewNet derives from it so every engine of
 	// this deployment shares one synthesized program.
@@ -285,17 +279,28 @@ type Deployment struct {
 // deployShard is one chip of a deployment: its core-op graph (the
 // deployment's own on a single chip; otherwise the sub-graph of its group
 // range with cross-chip dependencies lifted to chip I/O), its slice of the
-// global allocation, its netlist, and — after PlaceAndRoute — its
+// global allocation, its block inventory, and — after PlaceAndRoute — its
 // artifacts. The artifacts also memoize the generated bitstream — per
 // deployment when uncached, shared across every deployment of the key
 // when a cache supplied them. Generation is deterministic, so repeat
 // Bitstream calls returning the memo are indistinguishable from
 // regeneration.
 type deployShard struct {
-	lo, hi    int // global group ID range [lo, hi)
-	co        *coreop.Graph
-	alloc     mapper.Allocation
-	nl        *netlist.Netlist
+	lo, hi int // global group ID range [lo, hi)
+	co     *coreop.Graph
+	alloc  mapper.Allocation
+	// pes, smbs and clbs are the chip's function-block inventory, counted
+	// at Compile (mapper.CountBlocks) — all that Blocks, AreaMM2 and Shards
+	// need of the netlist.
+	pes, smbs, clbs int
+	// nl is the chip's netlist, which only placement, routing and
+	// bitstream generation read: Deployment.shardNetlist builds it the
+	// first time one of them has work to do, so a deployment that is only
+	// evaluated, or whose artifacts all come from the cache, never holds one.
+	nlOnce sync.Once
+	nl     *netlist.Netlist
+	nlErr  error
+
 	artifacts *compilecache.Artifacts // guarded by Deployment.prMu
 }
 
@@ -306,8 +311,10 @@ type deployShard struct {
 // WithCache, WithPlacementSeeds, WithParallelism, WithWeights, … — so
 // the chip partition, duplication and cache chosen here flow through to
 // execution instead of being re-declared per subsystem. With WithChips
-// ≥ 2 the model is partitioned into per-chip shards, each with its own
-// netlist; otherwise it is the one shard covering every group.
+// ≥ 2 the model is partitioned into per-chip shards; otherwise it is the
+// one shard covering every group. Compile counts each chip's function
+// blocks but builds no netlist — the first PlaceAndRoute that has to place
+// a chip does.
 //
 // ctx bounds the compile; cancellation or deadline expiry aborts between
 // phases and returns ctx.Err(). Errors wrap the package's taxonomy:
@@ -451,8 +458,8 @@ func (d *Deployment) partition() (*shard.Plan, error) {
 	return plan, nil
 }
 
-// buildShards builds one deployShard and netlist per chip of the
-// partition. A single chip is the deployment's own graph and allocation;
+// buildShards builds one deployShard per chip of the partition and counts
+// its blocks. A single chip is the deployment's own graph and allocation;
 // several get a sub-graph each, renumbered from 0.
 func (d *Deployment) buildShards(bounds []int) error {
 	d.shards = make([]*deployShard, len(bounds)-1)
@@ -461,16 +468,24 @@ func (d *Deployment) buildShards(bounds []int) error {
 		if len(d.shards) > 1 {
 			sh.co, sh.alloc = d.subGraph(k, sh.lo, sh.hi)
 		}
-		// unitBase = lo: a sub-graph renumbers its groups from 0, but
-		// fault maps key on the global group ID the executor programs.
-		nl, err := mapper.BuildNetlistFaulted(sh.co, sh.alloc, d.params, nil, d.faults, sh.lo)
-		if err != nil {
+		var err error
+		if sh.pes, sh.smbs, sh.clbs, err = mapper.CountBlocks(sh.co, sh.alloc, d.params, nil); err != nil {
 			return d.shardErr(k, err)
 		}
-		sh.nl = nl
 		d.shards[k] = sh
 	}
 	return nil
+}
+
+// shardNetlist returns a chip's netlist, building it on first use — the
+// one place a deployment builds a netlist.
+func (d *Deployment) shardNetlist(sh *deployShard) (*netlist.Netlist, error) {
+	sh.nlOnce.Do(func() {
+		// unitBase = lo: a sub-graph renumbers its groups from 0, but
+		// fault maps key on the global group ID the executor programs.
+		sh.nl, sh.nlErr = mapper.BuildNetlistFaulted(sh.co, sh.alloc, d.params, nil, d.faults, sh.lo)
+	})
+	return sh.nl, sh.nlErr
 }
 
 // subGraph extracts chip k's groups [lo, hi) as a core-op graph of their
@@ -555,8 +570,7 @@ func shardChain(groups []*coreop.Group, dup []int) (weights []int, signals []sha
 // a sharded deployment).
 func (d *Deployment) Blocks() (pes, smbs, clbs int) {
 	for _, sh := range d.shards {
-		p, s, c := sh.nl.Counts()
-		pes, smbs, clbs = pes+p, smbs+s, clbs+c
+		pes, smbs, clbs = pes+sh.pes, smbs+sh.smbs, clbs+sh.clbs
 	}
 	return pes, smbs, clbs
 }
@@ -566,7 +580,7 @@ func (d *Deployment) Blocks() (pes, smbs, clbs int) {
 func (d *Deployment) AreaMM2() float64 {
 	total := 0.0
 	for _, sh := range d.shards {
-		total += sh.nl.AreaUM2(d.params) * 1e-6
+		total += netlist.BlockAreaUM2(d.params, sh.pes, sh.smbs, sh.clbs) * 1e-6
 	}
 	return total
 }
@@ -611,45 +625,24 @@ func (p PerfSummary) String() string {
 	return out
 }
 
-// inventory returns the block counts of the whole-model netlist — what
-// the performance model charges area and controller energy for. On a
-// single chip that is the one shard's netlist. Per-chip netlists of a
-// sharded deployment drop the cross-chip edges and pack controllers per
-// chip, so it builds the whole-model netlist once, on first use.
-func (d *Deployment) inventory() (perf.Inventory, error) {
-	d.invOnce.Do(func() {
-		nl := d.shards[0].nl
-		if len(d.shards) > 1 {
-			if nl, d.invErr = mapper.BuildNetlist(d.coreop, d.alloc, d.params, nil); d.invErr != nil {
-				return
-			}
-		}
-		d.inv.PEs, d.inv.SMBs, d.inv.CLBs = nl.Counts()
-	})
-	return d.inv, d.invErr
-}
-
 // Performance evaluates the deployment with the calibrated mean routed hop
 // count; PerformanceWithHops substitutes a measured value (see
 // PlaceAndRoute).
 func (d *Deployment) Performance() (PerfSummary, error) { return d.PerformanceWithHops(0) }
 
 // PerformanceWithHops evaluates the deployment using the given mean routed
-// hop count (0 = the calibrated default). For a sharded deployment the
-// model also charges each inter-chip link's per-sample transfer (see
+// hop count (0 = the calibrated default). The model charges the
+// whole-model block inventory — per-chip netlists of a sharded deployment
+// drop the cross-chip edges and pack controllers per chip — plus, for a
+// sharded deployment, each inter-chip link's per-sample transfer (see
 // PerfSummary.LinkNSPerSample).
 func (d *Deployment) PerformanceWithHops(hops int) (PerfSummary, error) {
-	inv, err := d.inventory()
-	if err != nil {
-		return PerfSummary{}, err
-	}
 	in := perf.Input{
 		Model:     d.model.graph,
 		CoreOps:   d.coreop,
 		Params:    d.params,
 		Dup:       d.cfg.Duplication,
 		Assign:    d.alloc.Dup,
-		Inventory: inv,
 		Hops:      hops,
 		CutWidths: d.cutTraffic,
 	}
@@ -762,11 +755,15 @@ func (d *Deployment) Bitstream(ctx context.Context) (BitstreamInfo, error) {
 			return BitstreamInfo{}, fmt.Errorf("%w: run PlaceAndRoute before Bitstream", ErrNotPlaced)
 		}
 		cfg, err := art.Bitstream(func() (*bitstream.Config, error) {
-			cfg, err := bitstream.Generate(sh.nl, art.Placement, art.Route, art.Chip)
+			nl, err := d.shardNetlist(sh)
 			if err != nil {
 				return nil, err
 			}
-			if err := cfg.Verify(sh.nl); err != nil {
+			cfg, err := bitstream.Generate(nl, art.Placement, art.Route, art.Chip)
+			if err != nil {
+				return nil, err
+			}
+			if err := cfg.Verify(nl); err != nil {
 				return nil, fmt.Errorf("generated configuration failed verification: %w", err)
 			}
 			return cfg, nil
@@ -785,8 +782,9 @@ func (d *Deployment) Bitstream(ctx context.Context) (BitstreamInfo, error) {
 }
 
 // PlaceAndRoute runs multi-seed simulated-annealing placement and
-// parallel PathFinder routing on every chip's netlist — concurrently, each
-// chip being an independent netlist — and reports the measured
+// parallel PathFinder routing on every chip's netlist — built here, the
+// first time a chip has to be placed; concurrently, each chip being an
+// independent netlist — and reports the measured
 // communication geometry, aggregated over chips (see PRStats.Chips).
 // WithPlacementSeeds sets the annealing portfolio size and WithParallelism
 // the worker count; the result is deterministic for a fixed (seed,
@@ -823,13 +821,19 @@ func (d *Deployment) PlaceAndRoute(ctx context.Context) (PRStats, error) {
 		go func(k int, sh *deployShard) {
 			defer wg.Done()
 			r := &results[k]
-			tracks := d.tracksForRange(sh.lo, sh.hi)
+			// Only a chip that is actually placed needs its netlist; a
+			// cache hit never builds it.
+			compute := func() (*compilecache.Artifacts, error) {
+				nl, err := d.shardNetlist(sh)
+				if err != nil {
+					return nil, err
+				}
+				return d.placeAndRoute(ctx, nl, d.tracksForRange(sh.lo, sh.hi))
+			}
 			if d.cfg.Cache != nil {
-				r.art, r.hit, r.err = getOrComputeCtx(ctx, d.cfg.Cache, d.cacheKey(k), func() (*compilecache.Artifacts, error) {
-					return d.placeAndRoute(ctx, sh.nl, tracks)
-				})
+				r.art, r.hit, r.err = getOrComputeCtx(ctx, d.cfg.Cache, d.cacheKey(k), compute)
 			} else {
-				r.art, r.err = d.placeAndRoute(ctx, sh.nl, tracks)
+				r.art, r.err = compute()
 			}
 		}(k, sh)
 	}

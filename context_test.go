@@ -159,7 +159,11 @@ func TestCacheJoinerRetriesOthersCancellation(t *testing.T) {
 		if calls == 1 {
 			return nil, context.DeadlineExceeded // another caller's expiry
 		}
-		return d.placeAndRoute(context.Background(), d.shards[0].nl, d.cfg.Tracks)
+		nl, err := d.shardNetlist(d.shards[0])
+		if err != nil {
+			return nil, err
+		}
+		return d.placeAndRoute(context.Background(), nl, d.cfg.Tracks)
 	})
 	if err != nil || art == nil {
 		t.Fatalf("joiner inherited a foreign cancellation: %v", err)

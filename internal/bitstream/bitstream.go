@@ -45,42 +45,78 @@ type Config struct {
 	Nets    int
 	SBCells []SBCell
 	CBCells []CBCell
-	// tracks[node][track] = net index + 1 (0 = free); retained for
-	// verification and occupancy stats.
-	tracks [][]int32
+	// tracks[node·Chip.Tracks + track] = net index + 1 (0 = free); retained
+	// for verification and occupancy stats.
+	tracks []int32
 }
 
-// Generate programs the fabric for a converged routing result.
+// Generate programs the fabric for a converged routing result. Cells are
+// emitted net by net — a net's switch-box cells in tree-edge order, then
+// its driving connection-box cells in tree-node order, then one listening
+// group per sink — into tables sized exactly beforehand; the per-net track
+// picks live in scratch reused across nets, so the allocation count does
+// not grow with the netlist.
 func Generate(nl *netlist.Netlist, pl *place.Placement, res *route.Result, chip fabric.Chip) (*Config, error) {
 	if !res.Converged {
 		return nil, fmt.Errorf("bitstream: routing did not converge; no legal configuration exists at %d tracks", chip.Tracks)
 	}
 	nodes := 2 * chip.W * chip.H
-	cfg := &Config{Chip: chip, Nets: len(nl.Nets), tracks: make([][]int32, nodes)}
-	for i := range cfg.tracks {
-		cfg.tracks[i] = make([]int32, chip.Tracks)
-	}
+	width := chip.Tracks
+	// Exact table sizes: one SB cell per tree hop and signal; one CB cell
+	// per signal for every tree node at the source's site and for every
+	// sink. maxPicks is the largest net's (tree nodes × signals).
+	var sbCells, cbCells, maxPicks int
 	for ni := range nl.Nets {
 		net := &nl.Nets[ni]
-		// Assign `signals` tracks on every tree node, first-fit.
-		assigned := make(map[int][]int, len(res.NetRoutes[ni]))
+		srcSite := pl.Pos[net.Src]
+		atSource := 0
 		for _, node := range res.NetRoutes[ni] {
-			picks := make([]int, 0, net.Signals)
-			for t := 0; t < chip.Tracks && len(picks) < net.Signals; t++ {
-				if cfg.tracks[node][t] == 0 {
-					cfg.tracks[node][t] = int32(ni + 1)
-					picks = append(picks, t)
+			if _, s := route.NodeSite(chip, node); s == srcSite {
+				atSource++
+			}
+		}
+		sbCells += len(res.NetEdges[ni]) * net.Signals
+		cbCells += (atSource + len(net.Sinks)) * net.Signals
+		maxPicks = max(maxPicks, len(res.NetRoutes[ni])*net.Signals)
+	}
+	cfg := &Config{
+		Chip:    chip,
+		Nets:    len(nl.Nets),
+		SBCells: make([]SBCell, 0, sbCells),
+		CBCells: make([]CBCell, 0, cbCells),
+		tracks:  make([]int32, nodes*width),
+	}
+	// picks holds the current net's assigned tracks, Signals per tree node
+	// in NetRoutes order; slot[node] is the node's position in that order
+	// plus one, cleared again once the net is done.
+	picks := make([]int, maxPicks)
+	slot := make([]int32, nodes)
+	for ni := range nl.Nets {
+		net := &nl.Nets[ni]
+		tree := res.NetRoutes[ni]
+		assigned := func(node int) []int {
+			at := int(slot[node]-1) * net.Signals
+			return picks[at : at+net.Signals]
+		}
+		// Assign `signals` tracks on every tree node, first-fit.
+		for k, node := range tree {
+			row := cfg.tracks[node*width : (node+1)*width]
+			got := picks[k*net.Signals : k*net.Signals : (k+1)*net.Signals]
+			for t := 0; t < width && len(got) < net.Signals; t++ {
+				if row[t] == 0 {
+					row[t] = int32(ni + 1)
+					got = append(got, t)
 				}
 			}
-			if len(picks) < net.Signals {
+			if len(got) < net.Signals {
 				return nil, fmt.Errorf("bitstream: net %d needs %d tracks on node %d, found %d free",
-					ni, net.Signals, node, len(picks))
+					ni, net.Signals, node, len(got))
 			}
-			assigned[node] = picks
+			slot[node] = int32(k + 1)
 		}
 		// Switch-box cells along every tree hop, one per signal.
 		for _, e := range res.NetEdges[ni] {
-			ta, tb := assigned[e.A], assigned[e.B]
+			ta, tb := assigned(e.A), assigned(e.B)
 			for s := 0; s < net.Signals; s++ {
 				cfg.SBCells = append(cfg.SBCells, SBCell{
 					NodeA: e.A, TrackA: ta[s],
@@ -94,9 +130,9 @@ func Generate(nl *netlist.Netlist, pl *place.Placement, res *route.Result, chip 
 		// its site.
 		srcSite := pl.Pos[net.Src]
 		srcDone := false
-		for _, node := range res.NetRoutes[ni] {
+		for _, node := range tree {
 			if _, s := route.NodeSite(chip, node); s == srcSite {
-				for k, t := range assigned[node] {
+				for k, t := range assigned(node) {
 					cfg.CBCells = append(cfg.CBCells, CBCell{
 						Block: net.Src, Node: node, Track: t, Net: ni, Signal: k, Source: true,
 					})
@@ -110,9 +146,9 @@ func Generate(nl *netlist.Netlist, pl *place.Placement, res *route.Result, chip 
 		for _, sink := range net.Sinks {
 			site := pl.Pos[sink]
 			attached := false
-			for _, node := range res.NetRoutes[ni] {
+			for _, node := range tree {
 				if _, s := route.NodeSite(chip, node); s == site {
-					for k, t := range assigned[node] {
+					for k, t := range assigned(node) {
 						cfg.CBCells = append(cfg.CBCells, CBCell{
 							Block: sink, Node: node, Track: t, Net: ni, Signal: k, Source: false,
 						})
@@ -125,6 +161,9 @@ func Generate(nl *netlist.Netlist, pl *place.Placement, res *route.Result, chip 
 				return nil, fmt.Errorf("bitstream: net %d has no tree node at sink block %d's site", ni, sink)
 			}
 		}
+		for _, node := range tree {
+			slot[node] = 0
+		}
 	}
 	return cfg, nil
 }
@@ -135,19 +174,21 @@ func (c *Config) CellCount() int { return len(c.SBCells) + len(c.CBCells) }
 
 // TrackOccupancy returns the busiest channel's used-track count.
 func (c *Config) TrackOccupancy() int {
-	max := 0
-	for _, node := range c.tracks {
+	width := c.Chip.Tracks
+	if width <= 0 {
+		return 0
+	}
+	busiest := 0
+	for at := 0; at+width <= len(c.tracks); at += width {
 		used := 0
-		for _, t := range node {
+		for _, t := range c.tracks[at : at+width] {
 			if t != 0 {
 				used++
 			}
 		}
-		if used > max {
-			max = used
-		}
+		busiest = max(busiest, used)
 	}
-	return max
+	return busiest
 }
 
 // Verify interprets the programmed cells only — no routing data — and
@@ -160,10 +201,9 @@ func (c *Config) TrackOccupancy() int {
 //  3. every net has at least one driver and the expected listener count.
 func (c *Config) Verify(nl *netlist.Netlist) error {
 	width := c.Chip.Tracks
-	for node, tracks := range c.tracks {
-		if len(tracks) != width {
-			return fmt.Errorf("bitstream: node %d has %d tracks, chip has %d", node, len(tracks), width)
-		}
+	nodes := 2 * c.Chip.W * c.Chip.H
+	if len(c.tracks) != nodes*width {
+		return fmt.Errorf("bitstream: track table has %d slots, chip has %d nodes of %d tracks", len(c.tracks), nodes, width)
 	}
 	// slot returns the flat index node·width + track of a cell's end after
 	// checking that the end is on the fabric and owned by the cell's net.
@@ -171,10 +211,10 @@ func (c *Config) Verify(nl *netlist.Netlist) error {
 		if net < 0 || net >= len(nl.Nets) {
 			return 0, fmt.Errorf("bitstream: %s cell of net %d, netlist has %d nets", kind, net, len(nl.Nets))
 		}
-		if node < 0 || node >= len(c.tracks) || track < 0 || track >= width {
+		if node < 0 || node >= nodes || track < 0 || track >= width {
 			return 0, fmt.Errorf("bitstream: %s cell of net %d at node %d track %d is off the fabric", kind, net, node, track)
 		}
-		if owner := int(c.tracks[node][track]) - 1; owner != net {
+		if owner := int(c.tracks[node*width+track]) - 1; owner != net {
 			return 0, fmt.Errorf("bitstream: %s cell of net %d on foreign track (owner %d)", kind, net, owner)
 		}
 		return node*width + track, nil
@@ -182,7 +222,7 @@ func (c *Config) Verify(nl *netlist.Netlist) error {
 	// Union-find over slots, seeded by SB cells; all driver slots of a net
 	// are additionally merged (they share the source block's output pin
 	// through its CB).
-	parent := make([]int, len(c.tracks)*width)
+	parent := make([]int, len(c.tracks))
 	for i := range parent {
 		parent[i] = i
 	}

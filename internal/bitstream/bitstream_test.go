@@ -121,6 +121,48 @@ func TestVerifyDetectsForeignTrackSwitch(t *testing.T) {
 	}
 }
 
+// TestVerifyDetectsDoubleBookedTrack: a cell moved onto a track another
+// net already owns — one track carrying two nets, a short — must fail
+// verification.
+func TestVerifyDetectsDoubleBookedTrack(t *testing.T) {
+	nl, pl, res, chip := routedFixture(t, 27, 24, 30, 8)
+	cfg, err := Generate(nl, pl, res, chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfg.SBCells {
+		cell := &cfg.SBCells[i]
+		for track, owner := range cfg.tracks[cell.NodeA*chip.Tracks : (cell.NodeA+1)*chip.Tracks] {
+			if owner != 0 && int(owner)-1 != cell.Net {
+				cell.TrackA = track
+				if err := cfg.Verify(nl); err == nil {
+					t.Error("double-booked track verified clean")
+				}
+				return
+			}
+		}
+	}
+	t.Skip("no channel node shared by two nets in this fixture")
+}
+
+// TestGenerateAllocs: Generate allocates its tables and its scratch — a
+// handful of slices — however many nets it configures, not a track map per
+// net and a pick list per tree node.
+func TestGenerateAllocs(t *testing.T) {
+	var perRun []float64
+	for _, nets := range []int{8, 60} {
+		nl, pl, res, chip := routedFixture(t, 28, 24, nets, 8)
+		perRun = append(perRun, testing.AllocsPerRun(5, func() {
+			if _, err := Generate(nl, pl, res, chip); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if perRun[0] != perRun[1] || perRun[1] > 8 {
+		t.Errorf("allocations per Generate: %v for 8 nets, %v for 60; want the same handful", perRun[0], perRun[1])
+	}
+}
+
 func TestCellCountScalesWithSignals(t *testing.T) {
 	nlA, plA, resA, chipA := routedFixture(t, 25, 12, 10, 2)
 	cfgA, err := Generate(nlA, plA, resA, chipA)

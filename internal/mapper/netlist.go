@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"fmt"
+	"strconv"
 
 	"fpsa/internal/clb"
 	"fpsa/internal/coreop"
@@ -28,6 +29,100 @@ func BuildNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedE
 	return BuildNetlistFaulted(g, a, params, bufferedEdges, nil, 0)
 }
 
+// edgeBuffered reports whether the edge u→v goes through an SMB bank: the
+// op scheduler's decision when bufferedEdges carries one, the steady-state
+// pipeline rule (see BuildNetlist) otherwise.
+func edgeBuffered(a Allocation, bufferedEdges map[Edge]bool, u, v int) bool {
+	if bufferedEdges != nil {
+		return bufferedEdges[Edge{From: u, To: v}]
+	}
+	return a.Iterations[u] > 1 || a.Iterations[v] > 1
+}
+
+// netlistSize is what BuildNetlistFaulted will emit, counted without
+// emitting it: blocks per type, nets, and sinks summed over every net.
+// groupLUTs is the per-group controller cost the CLB count came from, kept
+// so the build does not synthesize the controllers a second time.
+type netlistSize struct {
+	pes, smbs, clbs int
+	nets, sinks     int
+	groupLUTs       []int
+}
+
+// sizeNetlist counts the netlist of (g, a, params, bufferedEdges) from the
+// inputs that decide which blocks and nets exist: Σ a.Dup PEs; one SMB bank
+// of smb.BlocksNeeded(2·cols, Γ) blocks per producer with at least one
+// buffered edge; clb.BlocksNeeded of the synthesized controllers' LUTs.
+func sizeNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool) (netlistSize, error) {
+	if len(a.Dup) != len(g.Groups) {
+		return netlistSize{}, fmt.Errorf("mapper: allocation covers %d groups, graph has %d", len(a.Dup), len(g.Groups))
+	}
+	window := params.SamplingWindow()
+	var sz netlistSize
+	for _, dup := range a.Dup {
+		sz.pes += dup
+	}
+	bank := make([]int, len(g.Groups)) // producer → its bank's block count; −1 no bank yet
+	for i := range bank {
+		bank[i] = -1
+	}
+	bankReads := 0 // Σ over buffered edges of the producer's bank size
+	for vi, grp := range g.Groups {
+		for _, ui := range grp.Deps {
+			du, dv := a.Dup[ui], a.Dup[vi]
+			if !edgeBuffered(a, bufferedEdges, ui, vi) {
+				// One net per producer copy, one sink per copy pair.
+				sz.nets += du
+				sz.sinks += max(du, dv)
+				continue
+			}
+			if bank[ui] < 0 {
+				// Every producer copy writes every block of the bank.
+				bank[ui] = smb.BlocksNeeded(params, 2*g.Groups[ui].Cols, window)
+				sz.smbs += bank[ui]
+				sz.nets += du
+				sz.sinks += du * bank[ui]
+			}
+			// Every block of the bank feeds every consumer copy.
+			sz.nets += bank[ui]
+			sz.sinks += bank[ui] * dv
+			bankReads += bank[ui]
+		}
+	}
+	var err error
+	if sz.groupLUTs, err = groupControllerLUTs(params, window, a.Iterations); err != nil {
+		return netlistSize{}, err
+	}
+	sz.clbs = controllerCLBs(params, sz.groupLUTs)
+	if sz.clbs > 0 {
+		// One control net per group, to its PE copies and input banks.
+		sz.nets += len(g.Groups)
+		sz.sinks += sz.pes + bankReads
+	}
+	return sz, nil
+}
+
+// controllerCLBs packs the groups' controllers into CLBs.
+func controllerCLBs(params device.Params, groupLUTs []int) int {
+	total := 0
+	for _, luts := range groupLUTs {
+		total += luts
+	}
+	return clb.BlocksNeeded(params, total)
+}
+
+// CountBlocks returns the function-block inventory of the netlist
+// BuildNetlist emits for the same arguments, without building it — what a
+// caller that only charges area and energy needs. It fails exactly where
+// the build's own sizing would: an allocation that does not cover the
+// graph, or a schedule controller that cannot be synthesized.
+// BuildNetlistFaulted checks what it emitted against this count, so the
+// two cannot drift apart.
+func CountBlocks(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool) (pes, smbs, clbs int, err error) {
+	sz, err := sizeNetlist(g, a, params, bufferedEdges)
+	return sz.pes, sz.smbs, sz.clbs, err
+}
+
 // BuildNetlistFaulted is BuildNetlist under a device fault model: each
 // group's PE blocks are stamped with the residual stuck-cell count of its
 // crossbar's deterministic fault map (after spare-row/column remapping
@@ -42,14 +137,32 @@ func BuildNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedE
 // chip's global group offset to keep the netlist keyed on the same
 // units the executor programs.
 func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool, faults *device.FaultModel, unitBase int) (*netlist.Netlist, error) {
-	if len(a.Dup) != len(g.Groups) {
-		return nil, fmt.Errorf("mapper: allocation covers %d groups, graph has %d", len(a.Dup), len(g.Groups))
+	want, err := sizeNetlist(g, a, params, bufferedEdges)
+	if err != nil {
+		return nil, err
 	}
-	nl := &netlist.Netlist{Name: g.Name}
-	window := params.SamplingWindow()
+	return emitNetlist(g, a, params, bufferedEdges, faults, unitBase, want)
+}
 
-	// PE instances.
-	peIDs := make([][]int, len(g.Groups))
+// emitNetlist builds the netlist into tables sized by want — the block and
+// net tables exactly, every net's sinks carved out of one backing array —
+// and fails if what it emitted is not what want counted.
+func emitNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool, faults *device.FaultModel, unitBase int, want netlistSize) (*netlist.Netlist, error) {
+	nl := &netlist.Netlist{
+		Name:   g.Name,
+		Blocks: make([]netlist.Block, 0, want.pes+want.smbs+want.clbs),
+		Nets:   make([]netlist.Net, 0, want.nets),
+	}
+	window := params.SamplingWindow()
+	// arena backs every net's Sinks. A net is the arena's tail since
+	// `from`, capped so appending to one net's sinks cannot reach the next.
+	arena := make([]int, 0, want.sinks)
+	addNet := func(src, from, signals int) {
+		nl.Nets = append(nl.Nets, netlist.Net{ID: len(nl.Nets), Src: src, Sinks: arena[from:len(arena):len(arena)], Signals: signals})
+	}
+
+	// PE instances: group gi's copy c is block peBase[gi]+c.
+	peBase := make([]int, len(g.Groups))
 	for gi, grp := range g.Groups {
 		// The same derivation the executors' masks come from
 		// (FaultModel.MaskForUnit, keyed on the global group ID), so the
@@ -58,65 +171,58 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 		// kept. Every copy of a group shares it: the copies are one
 		// logical unit's duplicated programming.
 		residual := faults.ResidualForUnit(grp.Layer, unitBase+grp.ID, params.CrossbarRows, params.LogicalColumns(), grp.Rows, grp.Cols)
-		peIDs[gi] = make([]int, a.Dup[gi])
+		peBase[gi] = len(nl.Blocks)
 		for c := 0; c < a.Dup[gi]; c++ {
-			id := nl.AddBlock(netlist.BlockPE, fmt.Sprintf("%s#%d", grp.Name, c), gi, c)
+			id := nl.AddBlock(netlist.BlockPE, grp.Name+"#"+strconv.Itoa(c), gi, c)
 			nl.Blocks[id].Fault = residual
-			peIDs[gi][c] = id
 		}
-	}
-
-	needsBuffer := func(u, v int) bool {
-		if bufferedEdges != nil {
-			return bufferedEdges[Edge{From: u, To: v}]
-		}
-		return a.Iterations[u] > 1 || a.Iterations[v] > 1
 	}
 
 	// Buffered producers get one double-buffered SMB bank each, shared
 	// by every consumer (the bank stores the producer's output counts
 	// once; each reader has its own port schedule — the BC constraint).
-	bankOf := make(map[int][]int)
-	bank := func(ui int) []int {
-		if ids, ok := bankOf[ui]; ok {
-			return ids
+	// Producer ui's bank is blocks bankBase[ui] … bankBase[ui]+bankLen[ui]−1.
+	bankBase := make([]int, len(g.Groups))
+	bankLen := make([]int, len(g.Groups))
+	for i := range bankBase {
+		bankBase[i] = -1
+	}
+	appendBank := func(ui int) {
+		for b := 0; b < bankLen[ui]; b++ {
+			arena = append(arena, bankBase[ui]+b)
 		}
+	}
+	addBank := func(ui int) {
 		src := g.Groups[ui]
-		blocks := smb.BlocksNeeded(params, 2*src.Cols, window)
-		ids := make([]int, blocks)
-		for b := 0; b < blocks; b++ {
-			ids[b] = nl.AddBlock(netlist.BlockSMB, fmt.Sprintf("%s.buf%d", src.Name, b), ui, b)
+		bankBase[ui] = len(nl.Blocks)
+		bankLen[ui] = smb.BlocksNeeded(params, 2*src.Cols, window)
+		for b := 0; b < bankLen[ui]; b++ {
+			nl.AddBlock(netlist.BlockSMB, src.Name+".buf"+strconv.Itoa(b), ui, b)
 		}
-		for _, p := range peIDs[ui] {
-			nl.AddNet(p, ids, src.Cols)
+		for c := 0; c < a.Dup[ui]; c++ {
+			from := len(arena)
+			appendBank(ui)
+			addNet(peBase[ui]+c, from, src.Cols)
 		}
-		bankOf[ui] = ids
-		return ids
 	}
 
 	// Data connections. Directly chained edges dominate the net count (one
 	// net per producer copy per edge — hundreds of thousands on the large
-	// models), so size the net table for them and the control nets up front.
-	netsHint := len(g.Groups)
+	// models).
 	for vi, grp := range g.Groups {
 		for _, ui := range grp.Deps {
-			if !needsBuffer(ui, vi) {
-				netsHint += a.Dup[ui]
-			}
-		}
-	}
-	nl.Nets = make([]netlist.Net, 0, netsHint)
-	groupInBufs := make(map[int][]int) // consumer group → SMB block IDs on its inputs
-	var sinks []int                    // one net's sinks; AddNet copies them
-	for vi, grp := range g.Groups {
-		for _, ui := range grp.Deps {
-			src := g.Groups[ui]
-			signals := src.Cols
-			if needsBuffer(ui, vi) {
-				bufIDs := bank(ui)
-				groupInBufs[vi] = append(groupInBufs[vi], bufIDs...)
-				for _, b := range bufIDs {
-					nl.AddNet(b, peIDs[vi], signals)
+			signals := g.Groups[ui].Cols
+			du, dv := a.Dup[ui], a.Dup[vi]
+			if edgeBuffered(a, bufferedEdges, ui, vi) {
+				if bankBase[ui] < 0 {
+					addBank(ui)
+				}
+				for b := 0; b < bankLen[ui]; b++ {
+					from := len(arena)
+					for c := 0; c < dv; c++ {
+						arena = append(arena, peBase[vi]+c)
+					}
+					addNet(bankBase[ui]+b, from, signals)
 				}
 				continue
 			}
@@ -127,52 +233,55 @@ func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bu
 			// fingerprint and the place/route trajectory. A copy's sinks
 			// are distinct — either du ≥ dv and it has one pair, or k < dv
 			// and k%dv = k.
-			du, dv := a.Dup[ui], a.Dup[vi]
-			pairs := du
-			if dv > pairs {
-				pairs = dv
-			}
+			pairs := max(du, dv)
 			for c := 0; c < du; c++ {
-				sinks = sinks[:0]
+				from := len(arena)
 				for k := c; k < pairs; k += du {
-					sinks = append(sinks, peIDs[vi][k%dv])
+					arena = append(arena, peBase[vi]+k%dv)
 				}
-				nl.AddNet(peIDs[ui][c], sinks, signals)
+				addNet(peBase[ui]+c, from, signals)
 			}
 		}
 	}
 
-	// Control logic: synthesize the real per-group controllers to obtain
-	// LUT counts, then pack them into CLBs.
-	groupLUTs, err := groupControllerLUTs(params, window, a.Iterations)
-	if err != nil {
-		return nil, err
+	// Control logic: the real per-group controllers' LUT counts, packed
+	// into CLBs.
+	clbCount := controllerCLBs(params, want.groupLUTs)
+	clbBase := len(nl.Blocks)
+	for i := 0; i < clbCount; i++ {
+		nl.AddBlock(netlist.BlockCLB, "ctl"+strconv.Itoa(i), -1, i)
 	}
-	totalLUTs := 0
-	for _, luts := range groupLUTs {
-		totalLUTs += luts
-	}
-	clbCount := clb.BlocksNeeded(params, totalLUTs)
-	clbIDs := make([]int, clbCount)
-	for i := range clbIDs {
-		clbIDs[i] = nl.AddBlock(netlist.BlockCLB, fmt.Sprintf("ctl%d", i), -1, i)
-	}
-	// Assign control domains to CLBs first-fit and emit control nets.
+	// Assign control domains to CLBs first-fit and emit control nets: each
+	// group's controller strobes its PE copies and the banks on its
+	// buffered inputs, in dependency order.
 	if clbCount > 0 {
 		free := params.CLBLUTs
 		cur := 0
-		for gi, luts := range groupLUTs {
+		for gi, luts := range want.groupLUTs {
 			if luts > free && cur < clbCount-1 {
 				cur++
 				free = params.CLBLUTs
 			}
 			free -= luts
-			sinks = append(append(sinks[:0], peIDs[gi]...), groupInBufs[gi]...)
-			nl.AddNet(clbIDs[cur], sinks, 2) // reset + iteration-select strobes
+			from := len(arena)
+			for c := 0; c < a.Dup[gi]; c++ {
+				arena = append(arena, peBase[gi]+c)
+			}
+			for _, ui := range g.Groups[gi].Deps {
+				if edgeBuffered(a, bufferedEdges, ui, gi) {
+					appendBank(ui)
+				}
+			}
+			addNet(clbBase+cur, from, 2) // reset + iteration-select strobes
 		}
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, err
+	}
+	if pes, smbs, clbs := nl.Counts(); pes != want.pes || smbs != want.smbs || clbs != want.clbs ||
+		len(nl.Nets) != want.nets || len(arena) != want.sinks {
+		return nil, fmt.Errorf("mapper: emitted %d PEs, %d SMBs, %d CLBs, %d nets, %d sinks; counted %d, %d, %d, %d, %d",
+			pes, smbs, clbs, len(nl.Nets), len(arena), want.pes, want.smbs, want.clbs, want.nets, want.sinks)
 	}
 	return nl, nil
 }

@@ -96,12 +96,18 @@ func (n *Netlist) Counts() (pes, smbs, clbs int) {
 	return
 }
 
-// AreaUM2 returns the total function-block area. The mrFPGA routing fabric
-// is stacked above the blocks in metal layers M5-M9 and occupies less area
-// than the blocks (paper §6.1), so block area is chip area.
+// BlockAreaUM2 returns the total area of a function-block inventory. The
+// mrFPGA routing fabric is stacked above the blocks in metal layers M5-M9
+// and occupies less area than the blocks (paper §6.1), so block area is
+// chip area.
+func BlockAreaUM2(p device.Params, pes, smbs, clbs int) float64 {
+	return float64(pes)*p.PETotal.AreaUM2 + float64(smbs)*p.SMB.AreaUM2 + float64(clbs)*p.CLB.AreaUM2
+}
+
+// AreaUM2 returns the netlist's total function-block area.
 func (n *Netlist) AreaUM2(p device.Params) float64 {
 	pes, smbs, clbs := n.Counts()
-	return float64(pes)*p.PETotal.AreaUM2 + float64(smbs)*p.SMB.AreaUM2 + float64(clbs)*p.CLB.AreaUM2
+	return BlockAreaUM2(p, pes, smbs, clbs)
 }
 
 // Validate checks referential integrity.

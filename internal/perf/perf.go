@@ -55,9 +55,6 @@ func (t Target) String() string {
 	}
 }
 
-// Inventory is a netlist's function-block count per type.
-type Inventory struct{ PEs, SMBs, CLBs int }
-
 // Input bundles everything one evaluation needs.
 type Input struct {
 	// Model supplies per-sample op counts (Table 3 accounting).
@@ -75,12 +72,6 @@ type Input struct {
 	// feeds the whole-model replication rule below. Empty keeps the
 	// classic uniform allocation bit-exact.
 	Assign []int
-	// Inventory, when set (PEs > 0), is the Counts() of the netlist
-	// mapper.BuildNetlist emits for CoreOps under this allocation: a
-	// caller that already holds that netlist passes its counts and the
-	// FPSA-fabric targets skip building it again. Fault stamping does not
-	// change counts. Zero builds the netlist.
-	Inventory Inventory
 	// Hops is the mean routed hop count for FPSA-fabric targets; 0 uses
 	// Params.TypicalRouteHops (annealed pipeline placements keep
 	// connected blocks adjacent, so the value is size-independent — the
@@ -197,15 +188,14 @@ func Evaluate(in Input, target Target) (Report, error) {
 	// Block inventory and area.
 	switch target {
 	case TargetFPSA, TargetFPPRIME:
-		inv := in.Inventory
-		if inv.PEs <= 0 {
-			nl, err := mapper.BuildNetlist(in.CoreOps, alloc, p, nil)
-			if err != nil {
-				return Report{}, err
-			}
-			inv.PEs, inv.SMBs, inv.CLBs = nl.Counts()
+		// The inventory of the whole-model netlist, counted rather than
+		// built: area and controller energy need how many blocks there
+		// are, not how they are wired.
+		pes, smbs, clbs, err := mapper.CountBlocks(in.CoreOps, alloc, p, nil)
+		if err != nil {
+			return Report{}, err
 		}
-		rep.PEs, rep.SMBs, rep.CLBs = inv.PEs*replicas, inv.SMBs*replicas, inv.CLBs*replicas
+		rep.PEs, rep.SMBs, rep.CLBs = pes*replicas, smbs*replicas, clbs*replicas
 		peArea := p.PETotal.AreaUM2
 		if target == TargetFPPRIME {
 			peArea = prime.PE.AreaUM2
@@ -214,7 +204,7 @@ func Evaluate(in Input, target Target) (Report, error) {
 			float64(rep.SMBs)*p.SMB.AreaUM2 +
 			float64(rep.CLBs)*p.CLB.AreaUM2) * 1e-6
 		if target == TargetFPSA {
-			rep.Energy = energyPerSample(in.CoreOps, alloc, inv.CLBs, p)
+			rep.Energy = energyPerSample(in.CoreOps, alloc, clbs, p)
 		}
 	case TargetPRIME:
 		rep.PEs = alloc.TotalPEs * replicas
@@ -331,7 +321,7 @@ func allocFor(in Input) (mapper.Allocation, error) {
 	return mapper.Allocate(in.CoreOps, in.Dup)
 }
 
-// NetlistFor exposes the netlist the report's inventory came from, for
+// NetlistFor builds the netlist whose inventory Evaluate reports, for
 // callers that also place & route it.
 func NetlistFor(in Input) (*netlist.Netlist, mapper.Allocation, error) {
 	alloc, err := allocFor(in)

@@ -152,3 +152,27 @@ func TestPrimeDensityConstant(t *testing.T) {
 		t.Errorf("PRIME density = %v, want %v", got, prime.DensityPRIME)
 	}
 }
+
+// TestEvaluateBuildsNoNetlist: the model counts the block inventory
+// (mapper.CountBlocks) instead of building the netlist to read it off. On
+// VGG16 at duplication 16 an evaluation allocates 996 times, nearly all of
+// it controller synthesis; the netlist alone has 3,181 block names.
+func TestEvaluateBuildsNoNetlist(t *testing.T) {
+	g, err := models.ByName("VGG16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := synth.Synthesize(g, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Input{Model: g, CoreOps: co, Params: device.Params45nm, Dup: 16}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Evaluate(in, TargetFPSA); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Errorf("Evaluate(VGG16@16) allocates %v times, want ≤ 2000: is it building the netlist?", allocs)
+	}
+}

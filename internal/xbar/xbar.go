@@ -50,6 +50,14 @@ const rowBlock = 32
 // and accumulates in float64; for integer-valued operands below 2^53 the
 // result is exact regardless of blocking, which is what lets the integer
 // reference semantics ride on the float kernel unchanged.
+//
+// Within a panel, eight (then four, then single) output columns at a time
+// are carried in registers down the panel's rows: each output element still
+// adds the same products — the non-zero inputs', in ascending row order —
+// so the result is bit-identical to the plain row-by-row o[j] += x·w loop,
+// but no sum is stored and reloaded between rows. That chain through
+// memory made the loop's speed depend on where the linker happened to
+// place it (docs/ARCHITECTURE.md, "VMMBatch and code alignment").
 func VMMBatch(out, weights, in []float64, batch, rows, cols int) {
 	if batch == 0 || rows == 0 || cols == 0 {
 		return
@@ -61,22 +69,57 @@ func VMMBatch(out, weights, in []float64, batch, rows, cols int) {
 		out[k] = 0
 	}
 	for i0 := 0; i0 < rows; i0 += rowBlock {
-		i1 := i0 + rowBlock
-		if i1 > rows {
-			i1 = rows
-		}
+		i1 := min(i0+rowBlock, rows)
 		for b := 0; b < batch; b++ {
-			x := in[b*rows : (b+1)*rows]
+			x := in[b*rows+i0 : b*rows+i1]
 			o := out[b*cols : (b+1)*cols]
-			for i := i0; i < i1; i++ {
-				xv := x[i]
-				if xv == 0 {
-					continue
+			j := 0
+			for ; j+8 <= cols; j += 8 {
+				acc := o[j : j+8 : j+8]
+				a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+				at := i0*cols + j
+				for _, xv := range x {
+					if xv != 0 {
+						w := weights[at : at+8 : at+8]
+						a0 += xv * w[0]
+						a1 += xv * w[1]
+						a2 += xv * w[2]
+						a3 += xv * w[3]
+						a4 += xv * w[4]
+						a5 += xv * w[5]
+						a6 += xv * w[6]
+						a7 += xv * w[7]
+					}
+					at += cols
 				}
-				w := weights[i*cols : (i+1)*cols]
-				for j, wv := range w {
-					o[j] += xv * wv
+				acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
+			}
+			for ; j+4 <= cols; j += 4 {
+				acc := o[j : j+4 : j+4]
+				a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+				at := i0*cols + j
+				for _, xv := range x {
+					if xv != 0 {
+						w := weights[at : at+4 : at+4]
+						a0 += xv * w[0]
+						a1 += xv * w[1]
+						a2 += xv * w[2]
+						a3 += xv * w[3]
+					}
+					at += cols
 				}
+				acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+			}
+			for ; j < cols; j++ {
+				a := o[j]
+				at := i0*cols + j
+				for _, xv := range x {
+					if xv != 0 {
+						a += xv * weights[at]
+					}
+					at += cols
+				}
+				o[j] = a
 			}
 		}
 	}

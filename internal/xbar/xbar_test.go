@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,7 +41,11 @@ func randomCounts(rng *rand.Rand, n, window int) []int {
 }
 
 // TestVMMBatchMatchesNaive checks the blocked kernel against a plain
-// triple loop across shapes that straddle the row-block boundary.
+// triple loop across shapes that straddle the row-block boundary, then —
+// bit for bit, on non-integer operands where a reordered sum would show —
+// against the row-by-row o[j] += x·w loop it replaced, on column counts
+// either side of the 8- and 4-wide register blocks, with zero inputs of
+// both signs (skipped) and ±0 weights (added).
 func TestVMMBatchMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ batch, rows, cols int }{
@@ -64,6 +69,59 @@ func TestVMMBatchMatchesNaive(t *testing.T) {
 				}
 				if got[b*tc.cols+j] != want {
 					t.Fatalf("%+v: out[%d,%d] = %g, want %g", tc, b, j, got[b*tc.cols+j], want)
+				}
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, cols := range []int{1, 3, 4, 5, 7, 8, 24} {
+		for _, rows := range []int{1, rowBlock - 1, rowBlock, rowBlock + 1, 2*rowBlock + 1} {
+			const batch = 3
+			in := make([]float64, batch*rows)
+			for i := range in {
+				switch rng.Intn(6) {
+				case 0:
+					in[i] = 0
+				case 1:
+					in[i] = negZero
+				default:
+					in[i] = rng.NormFloat64()
+				}
+			}
+			for i := 0; i < rows; i++ {
+				in[rows+i] = 0 // the middle item: nothing fires
+			}
+			w := make([]float64, rows*cols)
+			for i := range w {
+				switch rng.Intn(8) {
+				case 0:
+					w[i] = 0
+				case 1:
+					w[i] = negZero
+				default:
+					w[i] = rng.NormFloat64()
+				}
+			}
+			got := make([]float64, batch*cols)
+			for k := range got {
+				got[k] = math.NaN() // out is overwritten, not accumulated into
+			}
+			VMMBatch(got, w, in, batch, rows, cols)
+			want := make([]float64, batch*cols)
+			for b := 0; b < batch; b++ {
+				for i := 0; i < rows; i++ {
+					xv := in[b*rows+i]
+					if xv == 0 {
+						continue
+					}
+					for j := 0; j < cols; j++ {
+						want[b*cols+j] += xv * w[i*cols+j]
+					}
+				}
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("rows %d cols %d: out[%d] = %x, row-by-row loop %x", rows, cols, k, got[k], want[k])
 				}
 			}
 		}
@@ -242,5 +300,32 @@ func TestProgramValidation(t *testing.T) {
 	}
 	if _, err := xb.SimulateTrains(make([]spike.Train, 2), nil); err == nil {
 		t.Error("wrong train count accepted")
+	}
+}
+
+// BenchmarkVMMBatch times the dense reference kernel on the shapes that
+// matter: the two layers of the serve_mlp_reference MLP (16×24 and 24×4 at
+// batch 8 — rows short enough that per-row overhead dominates), a mid-size
+// panel, and a zoo-MLP layer that spans many row panels.
+func BenchmarkVMMBatch(b *testing.B) {
+	for _, tc := range []struct{ batch, rows, cols int }{
+		{8, 16, 24}, {8, 24, 4}, {8, 128, 64}, {64, 500, 100},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d", tc.batch, tc.rows, tc.cols), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			in := make([]float64, tc.batch*tc.rows)
+			for i := range in {
+				in[i] = float64(rng.Intn(65)) // spike counts; a few are zero
+			}
+			w := make([]float64, tc.rows*tc.cols)
+			for i := range w {
+				w[i] = float64(rng.Intn(31) - 15)
+			}
+			out := make([]float64, tc.batch*tc.cols)
+			for b.Loop() {
+				VMMBatch(out, w, in, tc.batch, tc.rows, tc.cols)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.batch), "ns/sample")
+		})
 	}
 }

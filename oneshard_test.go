@@ -7,6 +7,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"fpsa/internal/netlist"
 )
 
 // deploymentPin is everything a compiled, placed and configured
@@ -138,8 +140,10 @@ func TestOneShardDeploymentPinned(t *testing.T) {
 // routed and configured from several goroutines at once — Fleet.AddModel
 // and Swap do exactly that when a deployment is registered in two fleets
 // or under two names. Every caller must see the serial run's stats and
-// bitstream, on one chip and on two, with and without a compile cache.
-// Run under -race this is the guard on the per-shard artifact slots.
+// bitstream, on one chip and on two, with and without a compile cache,
+// and every caller must have placed and configured the same netlist: each
+// chip's is built once, by whichever caller needs it first. Run under
+// -race this is the guard on the per-shard netlist and artifact slots.
 func TestDeploymentConcurrentPlaceAndRoute(t *testing.T) {
 	ctx := context.Background()
 	const callers = 4
@@ -170,6 +174,10 @@ func TestDeploymentConcurrentPlaceAndRoute(t *testing.T) {
 					t.Fatal(err)
 				}
 				d := compile()
+				if holdsNetlist(d) {
+					t.Fatal("Compile built a netlist")
+				}
+				var netlists [callers][]*netlist.Netlist // caller → chip → the netlist it saw
 				var wg sync.WaitGroup
 				for c := 0; c < callers; c++ {
 					wg.Add(1)
@@ -194,9 +202,23 @@ func TestDeploymentConcurrentPlaceAndRoute(t *testing.T) {
 						if bits != wantBits {
 							t.Errorf("caller %d: bitstream %+v, serial run %+v", c, bits, wantBits)
 						}
+						for _, sh := range d.shards {
+							nl, err := d.shardNetlist(sh)
+							if err != nil {
+								t.Errorf("caller %d: netlist: %v", c, err)
+							}
+							netlists[c] = append(netlists[c], nl)
+						}
 					}(c)
 				}
 				wg.Wait()
+				for c := range netlists {
+					for k, nl := range netlists[c] {
+						if nl == nil || nl != netlists[0][k] {
+							t.Errorf("caller %d chip %d: netlist %p, caller 0 saw %p — built more than once", c, k, nl, netlists[0][k])
+						}
+					}
+				}
 			})
 		}
 		t.Run(fmt.Sprintf("chips%d/two fleets", chips), func(t *testing.T) {

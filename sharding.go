@@ -110,7 +110,6 @@ func (d *Deployment) Shards() []ShardInfo {
 	}
 	infos := make([]ShardInfo, len(d.shards))
 	for i, sh := range d.shards {
-		pes, smbs, clbs := sh.nl.Counts()
 		in := 0
 		if i > 0 {
 			in = d.cutTraffic[i-1]
@@ -118,9 +117,9 @@ func (d *Deployment) Shards() []ShardInfo {
 		infos[i] = ShardInfo{
 			Chip:      i,
 			Groups:    sh.hi - sh.lo,
-			PEs:       pes,
-			SMBs:      smbs,
-			CLBs:      clbs,
+			PEs:       sh.pes,
+			SMBs:      sh.smbs,
+			CLBs:      sh.clbs,
 			InSignals: in,
 		}
 	}
