@@ -46,8 +46,8 @@ type fleetModelConfig struct {
 	Layers []int `json:"layers"`
 	Epochs int   `json:"epochs"`
 	// Replicas / MinReplicas / MaxReplicas bound the autoscaled engine
-	// pool; QueueDepth is the per-replica queue; Mode is the exec mode
-	// (empty = spiking).
+	// pool; QueueDepth is the per-replica admission depth; Mode is the
+	// exec mode (empty = spiking).
 	Replicas    int    `json:"replicas"`
 	MinReplicas int    `json:"min_replicas"`
 	MaxReplicas int    `json:"max_replicas"`
@@ -230,12 +230,13 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 }
 
 // fleetStatus maps fleet errors onto HTTP: sheds are 429 (retryable),
-// draining is 503, unknown models and bad input are the client's fault.
+// draining or an ended request context is 503, unknown models and bad
+// input are the client's fault.
 func fleetStatus(err error) int {
 	switch {
 	case errors.Is(err, fpsa.ErrOverloaded), errors.Is(err, fpsa.ErrTenantQuota):
 		return http.StatusTooManyRequests
-	case errors.Is(err, fpsa.ErrClosed):
+	case errors.Is(err, fpsa.ErrClosed), isContextErr(err):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, fpsa.ErrCapacity):
 		return http.StatusInsufficientStorage

@@ -1,6 +1,6 @@
 // Command fpsa-serve trains a small network, deploys it onto simulated
 // FPSA processing elements, and serves classifications over HTTP through
-// the concurrent batched inference engine.
+// the concurrent inference engine.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@
 // In fleet mode (-fleet) the server instead exposes:
 //
 //	GET  /healthz     liveness probe
-//	GET  /fleetz      fleet statistics: per-model QPS, queue depth,
+//	GET  /fleetz      fleet statistics: per-model QPS, backlog,
 //	                  replica count, shed counts, swap history (JSON)
 //	POST /v1/classify {"model":"...","tenant":"...","features":[...]}
 //	POST /v1/swap     {"model":"...","seed":N} — retrain and hot-swap
@@ -47,9 +47,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 7, "data/train/programming seed")
-	workers := flag.Int("workers", 4, "engine worker replicas")
-	batch := flag.Int("batch", 8, "most samples a worker takes from the queue at once")
-	queue := flag.Int("queue", 1024, "request queue depth, in entries")
+	workers := flag.Int("workers", 4, "programmed executors a request can borrow")
+	batch := flag.Int("batch", 8, "chunk size a batch request is cut into, one kernel pass each")
 	modeName := flag.String("mode", "spiking", "exec mode: reference, spiking, or noisy")
 	epochs := flag.Int("epochs", 40, "training epochs")
 	chips := flag.Int("chips", 1, "serve as a sharded deployment pipelined across this many chips (1 = single chip)")
@@ -100,7 +99,6 @@ func main() {
 	eng, err := d.NewEngine(ctx,
 		fpsa.WithWorkers(*workers),
 		fpsa.WithMaxBatch(*batch),
-		fpsa.WithQueueDepth(*queue),
 		fpsa.WithMode(mode),
 	)
 	if err != nil {
@@ -128,33 +126,7 @@ func main() {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, eng.Stats())
 	})
-	mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Features []float64   `json:"features"`
-			Batch    [][]float64 `json:"batch"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		switch {
-		case req.Batch != nil:
-			labels, err := eng.ClassifyBatch(r.Context(), req.Batch)
-			if err != nil {
-				http.Error(w, err.Error(), classifyStatus(err))
-				return
-			}
-			writeJSON(w, map[string]any{"classes": labels})
-		case req.Features != nil:
-			label, err := eng.Classify(r.Context(), req.Features)
-			if err != nil {
-				http.Error(w, err.Error(), classifyStatus(err))
-				return
-			}
-			writeJSON(w, map[string]any{"class": label})
-		default:
-			http.Error(w, `want "features" or "batch"`, http.StatusBadRequest)
-		}
-	})
+	mux.HandleFunc("POST /v1/classify", classifyHandler(eng))
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	done := make(chan struct{})
@@ -173,21 +145,62 @@ func main() {
 			log.Printf("engine close: %v", err)
 		}
 	}()
-	log.Printf("serving on %s (%d workers, batch %d)", *addr, *workers, *batch)
+	log.Printf("serving on %s (%d executors, batch %d)", *addr, *workers, *batch)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fail(err)
 	}
 	<-done
 }
 
-// classifyStatus maps classification errors: a draining engine is the
-// server's fault, everything else (wrong length, bad values) the
-// client's.
+// classifyHandler serves POST /v1/classify on a single engine: one
+// feature vector, or a batch of at most maxBatchItems.
+func classifyHandler(eng *fpsa.Engine) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Features []float64   `json:"features"`
+			Batch    [][]float64 `json:"batch"`
+		}
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		switch {
+		case len(req.Batch) > maxBatchItems:
+			http.Error(w, fmt.Sprintf("batch of %d samples exceeds the limit of %d", len(req.Batch), maxBatchItems),
+				http.StatusRequestEntityTooLarge)
+		case req.Batch != nil:
+			labels, err := eng.ClassifyBatch(r.Context(), req.Batch)
+			if err != nil {
+				http.Error(w, err.Error(), classifyStatus(err))
+				return
+			}
+			writeJSON(w, map[string]any{"classes": labels})
+		case req.Features != nil:
+			label, err := eng.Classify(r.Context(), req.Features)
+			if err != nil {
+				http.Error(w, err.Error(), classifyStatus(err))
+				return
+			}
+			writeJSON(w, map[string]any{"class": label})
+		default:
+			http.Error(w, `want "features" or "batch"`, http.StatusBadRequest)
+		}
+	}
+}
+
+// classifyStatus maps classification errors: a draining engine, or a
+// request whose context ended while it waited for an executor, is the
+// server's fault; everything else (wrong length, bad values) the client's.
 func classifyStatus(err error) int {
-	if errors.Is(err, fpsa.ErrClosed) {
+	if errors.Is(err, fpsa.ErrClosed) || isContextErr(err) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
+}
+
+// isContextErr reports a request that ended with its context — the client
+// went away or a deadline passed — rather than with a verdict on its input.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func parseMode(name string) (fpsa.ExecMode, error) {
@@ -204,7 +217,13 @@ func parseMode(name string) (fpsa.ExecMode, error) {
 
 // maxBodyBytes bounds a POST body: the largest legitimate request is a
 // classify batch of a few hundred 16-feature vectors, far below it.
-const maxBodyBytes = 1 << 20
+// maxBatchItems bounds the batch by length as well: a batch request holds
+// executors until its last chunk has run, and 1 MiB of short vectors is
+// tens of thousands of samples.
+const (
+	maxBodyBytes  = 1 << 20
+	maxBatchItems = 1024
+)
 
 // decodeJSON decodes a POST body of at most maxBodyBytes into v. On
 // failure it writes the response itself — 413 for an oversized body, 400

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -28,9 +29,10 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// TestStatusMapping: sheds are 429, a draining server 503, an exhausted
-// chip pool 507, and anything else is the client's 400 — also when the
-// sentinel arrives wrapped.
+// TestStatusMapping: sheds are 429, a draining server 503, a request whose
+// context ended before it got an executor 503, an exhausted chip pool 507,
+// and anything else is the client's 400 — also when the sentinel arrives
+// wrapped.
 func TestStatusMapping(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("model %q: %w", "m", err) }
 	for _, tc := range []struct {
@@ -41,6 +43,8 @@ func TestStatusMapping(t *testing.T) {
 		{wrap(fpsa.ErrTenantQuota), 400, 429},
 		{fpsa.ErrClosed, 503, 503},
 		{wrap(fpsa.ErrClosed), 503, 503},
+		{context.Canceled, 503, 503},
+		{wrap(context.DeadlineExceeded), 503, 503},
 		{wrap(fpsa.ErrCapacity), 400, 507},
 		{fpsa.ErrInvalidArgument, 400, 400},
 		{errors.New("input length 3, want 16"), 400, 400},
@@ -89,5 +93,56 @@ func TestDecodeJSON(t *testing.T) {
 		if req.Features != nil {
 			t.Errorf("%s: rejected body was decoded into the request (%d features)", tc.name, len(req.Features))
 		}
+	}
+}
+
+// TestClassifyHandler drives POST /v1/classify against a real engine: a
+// vector and a batch classify; a batch longer than maxBatchItems is 413
+// without reaching the engine, however few bytes it takes; a request whose
+// context has ended is 503, not the client's 400.
+func TestClassifyHandler(t *testing.T) {
+	ctx := context.Background()
+	train, _ := fpsa.SyntheticDataset(7, 120, 16, 4, 0.08).Split(2.0 / 3)
+	net, err := fpsa.TrainMLP(7, []int{16, 8, 4}, train, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := fpsa.Compile(ctx, net.Model(), fpsa.WithWeightSource(net.WeightSource()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := d.NewEngine(ctx, fpsa.WithMode(fpsa.ModeReference))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := classifyHandler(eng)
+
+	vec := "[" + strings.Repeat("0.5,", 15) + "0.5]"
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		name, body string
+		ctx        context.Context
+		status     int
+		reply      string
+	}{
+		{"vector", `{"features":` + vec + `}`, ctx, http.StatusOK, `"class"`},
+		{"batch", `{"batch":[` + vec + `,` + vec + `]}`, ctx, http.StatusOK, `"classes"`},
+		{"batch at the limit", `{"batch":[` + strings.Repeat(vec+",", maxBatchItems-1) + vec + `]}`, ctx, http.StatusOK, `"classes"`},
+		{"batch over the limit", `{"batch":[` + strings.Repeat("[],", maxBatchItems) + `[]]}`, ctx, http.StatusRequestEntityTooLarge, "exceeds the limit"},
+		{"wrong length", `{"features":[0.5]}`, ctx, http.StatusBadRequest, "input length"},
+		{"cancelled vector", `{"features":` + vec + `}`, cancelled, http.StatusServiceUnavailable, "context canceled"},
+		{"cancelled batch", `{"batch":[` + vec + `]}`, cancelled, http.StatusServiceUnavailable, "context canceled"},
+	} {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(tc.body)).WithContext(tc.ctx)
+		h(w, r)
+		if w.Code != tc.status || !strings.Contains(w.Body.String(), tc.reply) {
+			t.Errorf("%s: %d %q, want %d with %q", tc.name, w.Code, w.Body.String(), tc.status, tc.reply)
+		}
+	}
+	if st := eng.Stats(); st.Requests != 1+2+maxBatchItems+1 || st.Shed != 2 {
+		t.Errorf("engine saw %d samples / %d shed, want %d / 2: the over-length batch must not reach it", st.Requests, st.Shed, 1+2+maxBatchItems+1)
 	}
 }

@@ -62,10 +62,10 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 // which objective cuts them. (The stage boundaries themselves are
 // re-derived on the program's stage list — the serving-side twin of the
 // compile's group chain — and outputs are bit-identical under every cut.)
-// Defaults are the serving sweet spot (4 workers, batches of up to 8,
-// ModeSpiking); shape them with WithWorkers, WithMaxBatch, WithQueueDepth
-// and WithMode. ctx is checked before and after the net is derived — a
-// cancelled context fails with ctx.Err() instead of starting workers
+// Defaults are the serving sweet spot (4 executors, batches of up to 8,
+// ModeSpiking); shape them with WithWorkers, WithMaxBatch and WithMode.
+// ctx is checked before and after the net is derived — a cancelled
+// context fails with ctx.Err() instead of programming executors
 // (synthesis itself is quick and runs to completion; only PlaceAndRoute
 // carries checkpointed cancellation). Close the engine when done.
 func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engine, error) {

@@ -12,23 +12,21 @@ import (
 // engineConfig is what Deployment.NewEngine's functional options
 // (WithWorkers, WithMaxBatch, WithMode, …) fill in.
 type engineConfig struct {
-	// Workers is the number of parallel execution replicas; each holds
+	// Workers is the number of executors requests can borrow; each holds
 	// its own programmed simulation state. 0 means 1.
 	Workers int
-	// MaxBatch caps the samples a worker takes at once and is the chunk
-	// size ClassifyBatch calls are queued in (0 = 8).
+	// MaxBatch is the chunk size ClassifyBatch calls are cut into, the
+	// most one kernel pass carries (0 = 8).
 	MaxBatch int
-	// QueueDepth bounds the request queue, in entries (0 = 1024).
-	QueueDepth int
 	// Mode selects the execution semantics (default ModeReference). In
-	// ModeSpikingNoisy each worker replica is programmed with its own
+	// ModeSpikingNoisy each executor is programmed with its own
 	// deterministic variation derived from the SpikingNet seed.
 	Mode ExecMode
 	// Chips is the deployment's compiled chip count (Deployment.Chips;
 	// never an option). At ≥ 2 the network is served as a sharded
 	// deployment: the program's stages are partitioned across that many
 	// pipelined chips (clamped to what the program supports) and all
-	// workers feed the one shared pipeline, so consecutive micro-batches
+	// borrowers feed the one shared pipeline, so consecutive micro-batches
 	// overlap chip-by-chip. Outputs are bit-identical to the single-chip
 	// engine in every mode; in ModeSpikingNoisy the sharded deployment is
 	// one physical set of chips with a single variation draw.
@@ -36,17 +34,18 @@ type engineConfig struct {
 }
 
 // defaultEngineConfig is the serving sweet spot every engine starts
-// from: 4 workers, micro-batches of 8, spiking mode.
+// from: 4 executors, micro-batches of 8, spiking mode.
 func defaultEngineConfig() engineConfig {
 	return engineConfig{Workers: 4, MaxBatch: 8, Mode: ModeSpiking}
 }
 
-// Engine serves a deployed SpikingNet concurrently: requests enter one
-// queue and a worker pool of per-replica execution states pulls from it,
-// each idle worker taking whatever is waiting (up to MaxBatch samples)
-// as one batched kernel pass — nothing waits for a batch to fill.
-// Construct with Deployment.NewEngine and Close when done. All methods
-// are safe for concurrent use.
+// Engine serves a deployed SpikingNet concurrently: a pool of programmed
+// execution states that requests borrow. A request runs on the goroutine
+// that made it — no queue, no hand-off — and waits only when every
+// executor is lent out; a batch call is cut into MaxBatch-sized kernel
+// passes and spreads over whatever executors are idle. Construct with
+// Deployment.NewEngine and Close when done. All methods are safe for
+// concurrent use.
 type Engine struct {
 	eng    *serve.Engine
 	window int
@@ -66,7 +65,6 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 	}{
 		{"WithWorkers", cfg.Workers},
 		{"WithMaxBatch", cfg.MaxBatch},
-		{"WithQueueDepth", cfg.QueueDepth},
 	} {
 		if k.v < 0 {
 			return nil, fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
@@ -77,14 +75,13 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 		return nil, err
 	}
 	eng, err := serve.New(sn.prog, serve.Options{
-		Workers:    cfg.Workers,
-		MaxBatch:   cfg.MaxBatch,
-		QueueDepth: cfg.QueueDepth,
-		Mode:       mode,
-		Seed:       sn.currentSeed() + 7,
-		Chips:      cfg.Chips,
-		Policy:     policy,
-		Faults:     sn.faults,
+		Workers:  cfg.Workers,
+		MaxBatch: cfg.MaxBatch,
+		Mode:     mode,
+		Seed:     sn.currentSeed() + 7,
+		Chips:    cfg.Chips,
+		Policy:   policy,
+		Faults:   sn.faults,
 	})
 	if err != nil {
 		return nil, err
@@ -96,9 +93,10 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 // count, or 1 for a single-chip engine.
 func (e *Engine) Chips() int { return e.eng.Chips() }
 
-// Classify queues one feature vector (values in [0, 1]) and blocks until
-// a worker returns its argmax class or ctx is done; queue admission and
-// completion are both bounded by ctx. After Close it returns ErrClosed.
+// Classify runs one feature vector (values in [0, 1]) on the calling
+// goroutine and returns its argmax class. ctx bounds only the wait for an
+// executor; once one is held the sample runs to completion. After Close it
+// returns ErrClosed.
 func (e *Engine) Classify(ctx context.Context, features []float64) (int, error) {
 	out, err := e.Outputs(ctx, features)
 	if err != nil {
@@ -107,7 +105,7 @@ func (e *Engine) Classify(ctx context.Context, features []float64) (int, error) 
 	return synth.Argmax(out), nil
 }
 
-// Outputs queues one feature vector and returns the raw output spike
+// Outputs runs one feature vector and returns the raw output spike
 // counts, bounded by ctx as in Classify.
 func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error) {
 	if ctx == nil {
@@ -117,9 +115,10 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	return out, wrapServeErr(err)
 }
 
-// ClassifyBatch queues the whole call at once, in chunks of MaxBatch
-// samples that spread over the workers, and returns the positional
-// argmax classes.
+// ClassifyBatch runs the call in chunks of MaxBatch samples spread over
+// the executors idle at that moment and returns the positional argmax
+// classes. When ctx ends it starts no further chunk, waits for the ones in
+// flight and returns ctx's error; batch is not read after it returns.
 func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,10 +143,10 @@ type EngineStats struct {
 	Errors   uint64
 	Shed     uint64
 	// ExecBatches, MeanExecBatch and MaxExecBatch describe the
-	// executor-level batched kernel passes: how many RunBatch calls the
-	// workers issued and how many live samples each carried after
-	// shedding — the kernel batching actually achieved, as opposed to
-	// the MaxBatch configured ceiling (MaxExecBatch never exceeds it).
+	// executor-level batched kernel passes: how many RunBatch calls ran
+	// and how many samples each carried — the kernel batching actually
+	// achieved, as opposed to the MaxBatch configured ceiling
+	// (MaxExecBatch never exceeds it).
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int
@@ -166,11 +165,12 @@ type EngineStats struct {
 	// replica programs identical faults — and 0 without a fault model.
 	FaultedCells  int
 	ThroughputSPS float64
-	// P50LatencyUS, P99LatencyUS and P999LatencyUS are queue-to-completion
-	// latency percentiles over a sliding window of recent queue entries
-	// (one per Classify call or ≤ MaxBatch chunk of a ClassifyBatch call);
-	// the fleet layer reports the same three through the same
-	// implementation. QueueDepth counts waiting entries likewise.
+	// P50LatencyUS, P99LatencyUS and P999LatencyUS are arrival-to-completion
+	// latency percentiles (wait for an executor plus run) over a sliding
+	// window of recent observations, one per Classify call or ≤ MaxBatch
+	// chunk of a ClassifyBatch call; the fleet layer reports the same three
+	// through the same implementation. QueueDepth is the number of calls
+	// waiting for an executor right now.
 	P50LatencyUS  float64
 	P99LatencyUS  float64
 	P999LatencyUS float64
@@ -178,7 +178,7 @@ type EngineStats struct {
 	Workers       int
 	MaxBatch      int
 	// Chips is the realized pipeline depth of a sharded engine (1 when
-	// the model is served whole on per-worker executors).
+	// the model is served whole on private executors).
 	Chips   int
 	UptimeS float64
 }
@@ -189,8 +189,9 @@ func (s EngineStats) String() string { return serve.Stats(s).String() }
 // Stats snapshots the engine's counters and latency percentiles.
 func (e *Engine) Stats() EngineStats { return EngineStats(e.eng.Stats()) }
 
-// Close drains queued requests, stops the workers and releases the
-// engine. Idempotent; Classify afterwards returns ErrClosed.
+// Close waits for every call already inside the engine — running or
+// waiting for an executor — and releases it. Idempotent; Classify
+// afterwards returns ErrClosed.
 func (e *Engine) Close() error { return wrapServeErr(e.eng.Close()) }
 
 // wrapServeErr lifts internal serving sentinels into the package's

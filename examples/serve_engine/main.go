@@ -1,7 +1,9 @@
 // Serve a deployed spiking network under concurrent load: train a small
-// MLP, deploy it, wrap it in the batched inference engine, and fire
-// classifications from many goroutines — then compare the engine's
-// answers and measured throughput against the serial Classify loop.
+// MLP, deploy it, derive the inference engine — a pool of programmed
+// executors that each request borrows and runs on from its own goroutine —
+// and fire classifications from many goroutines; then compare the engine's
+// answers and measured throughput against the serial Classify loop, which
+// re-programs its crossbars on every call.
 package main
 
 import (

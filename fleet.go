@@ -83,11 +83,11 @@ func WithScaleInterval(d time.Duration) FleetOption {
 	return func(s *fleetSettings) { s.opts.ScaleInterval = d }
 }
 
-// WithScalePolicy shapes the autoscaler: backlog is the per-replica
-// queue depth that counts as pressure (default 4), sustain how many
-// consecutive ticks of pressure add a replica (default 2), and idle how
-// many consecutive empty ticks drop one (default 40). Zero keeps a
-// field's default.
+// WithScalePolicy shapes the autoscaler: backlog is the per-replica count
+// of requests waiting for the executor that counts as pressure (default
+// 4), sustain how many consecutive ticks of pressure add a replica
+// (default 2), and idle how many consecutive empty ticks drop one
+// (default 40). Zero keeps a field's default.
 func WithScalePolicy(backlog, sustain, idle int) FleetOption {
 	return func(s *fleetSettings) {
 		s.opts.ScaleUpBacklog = backlog
@@ -121,20 +121,19 @@ func WithModelReplicaRange(min, max int) FleetModelOption {
 	return func(s *fleetModelSettings) { s.minReplicas, s.maxReplicas = min, max }
 }
 
-// WithModelQueueDepth sets the per-replica queue depth (default 64), on
-// both sides at once: each replica engine's request queue and the
-// admission ceiling (replicas × depth, scaled by the caller's QoS
-// share).
+// WithModelQueueDepth sets the model's per-replica admission depth
+// (default 64): the fleet admits up to replicas × depth requests in
+// flight, scaled by the caller's QoS share, and sheds past that. The
+// replica engines themselves have no queue to size — an admitted request
+// waits in its replica only for the executor.
 func WithModelQueueDepth(n int) FleetModelOption {
 	return func(s *fleetModelSettings) { s.queueDepth = n }
 }
 
 // WithModelEngine shapes each replica's serving engine with the usual
 // engine options (WithMode, WithMaxBatch, …). A fleet
-// replica is always a one-worker engine — the pool, not the engine, is
+// replica is always a one-executor engine — the pool, not the engine, is
 // the parallelism — so WithWorkers is overridden; use WithModelReplicas.
-// Prefer WithModelQueueDepth over WithQueueDepth here so admission stays
-// in step with the queue.
 func WithModelEngine(opts ...EngineOption) FleetModelOption {
 	return func(s *fleetModelSettings) {
 		for _, o := range opts {
@@ -147,7 +146,7 @@ func WithModelEngine(opts ...EngineOption) FleetModelOption {
 
 // Fleet serves many compiled Deployments onto a bounded pool of
 // simulated chips, concurrently and multi-tenant: per-model replica
-// pools with queue-driven autoscaling, class-weighted admission with
+// pools with backlog-driven autoscaling, class-weighted admission with
 // typed shed errors (ErrOverloaded, ErrTenantQuota), and zero-downtime
 // bitstream hot-swap (Swap, CompileAndSwap). Construct with NewFleet,
 // register models with AddModel, and Close when done. All methods are
@@ -197,7 +196,7 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 func (f *Fleet) Cache() *CompileCache { return f.cache }
 
 // replicaSource lowers a deployment to the internal fleet's replica
-// source: a factory minting one-worker engines over the deployment's
+// source: a factory minting one-executor engines over the deployment's
 // memoized net, plus the input quantization window those engines expect.
 // Every replica of one version programs identical state (in
 // ModeSpikingNoisy each factory call re-derives the same variation
@@ -237,26 +236,6 @@ func realizeBitstream(ctx context.Context, d *Deployment) error {
 	return err
 }
 
-// resolveReplicaConfig turns a model's engine template into the concrete
-// per-replica engine config for deployment d: like Deployment.NewEngine,
-// a replica serves the compiled chip count.
-func resolveReplicaConfig(d *Deployment, set fleetModelSettings) (engineConfig, error) {
-	cfg := set.eng
-	cfg.Chips = d.Chips()
-	// The pool, not the engine, is the parallelism.
-	cfg.Workers = 1
-	if set.queueDepth < 0 {
-		return engineConfig{}, fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
-	}
-	if set.queueDepth > 0 {
-		cfg.QueueDepth = set.queueDepth
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 64
-	}
-	return cfg, nil
-}
-
 // AddModel registers a compiled deployment under name and builds its
 // initial replica pool; requests route to it by name via Classify and
 // Outputs. The pool's chips are reserved from the fleet (each replica
@@ -285,10 +264,15 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 		return fmt.Errorf("%w: AddModel(%q): WithModelReplicaRange(%d, %d): min exceeds max",
 			ErrInvalidArgument, name, set.minReplicas, set.maxReplicas)
 	}
-	cfg, err := resolveReplicaConfig(d, set)
-	if err != nil {
-		return err
+	if set.queueDepth < 0 {
+		return fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
 	}
+	// The model's engine template becomes the per-replica config: like
+	// Deployment.NewEngine a replica serves the compiled chip count, and
+	// the pool, not the engine, is the parallelism.
+	cfg := set.eng
+	cfg.Chips = d.Chips()
+	cfg.Workers = 1
 	if err := realizeBitstream(ctx, d); err != nil {
 		return err
 	}
@@ -303,7 +287,7 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 		MinReplicas:     set.minReplicas,
 		MaxReplicas:     set.maxReplicas,
 		ChipsPerReplica: cfg.Chips,
-		QueueDepth:      cfg.QueueDepth,
+		QueueDepth:      set.queueDepth,
 	}); err != nil {
 		return wrapFleetErr(err)
 	}
@@ -404,9 +388,9 @@ type FleetModelStats struct {
 	Errors       uint64 `json:"errors"`
 	ShedOverload uint64 `json:"shed_overload"`
 	ShedQuota    uint64 `json:"shed_quota"`
-	// Replicas is the current pool size; QueueDepth the summed depth of
-	// the replicas' request queues; InFlight the admitted-but-uncompleted
-	// count.
+	// Replicas is the current pool size; QueueDepth how many admitted
+	// requests are waiting for a replica's executor right now, summed over
+	// the pool; InFlight the admitted-but-uncompleted count.
 	Replicas   int `json:"replicas"`
 	QueueDepth int `json:"queue_depth"`
 	InFlight   int `json:"in_flight"`

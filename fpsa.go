@@ -22,9 +22,10 @@
 //	sn, _ := d.NewNet(nil)
 //	label, _ := sn.Classify(x, fpsa.ModeSpiking)
 //
-// or serve it under concurrent load through the batched engine — the
-// engine derives from the same deployment, so the chip partition,
-// weights and seed flow from the compile:
+// or serve it under concurrent load through the engine, a pool of
+// programmed executors that requests borrow — the engine derives from the
+// same deployment, so the chip partition, weights and seed flow from the
+// compile:
 //
 //	eng, _ := d.NewEngine(ctx)
 //	defer eng.Close()

@@ -2,7 +2,7 @@
 // of simulated chips and serves them concurrently — the layer above one
 // serve.Engine that a production FPSA installation would run: per-model
 // replica pools (each replica a programmed execution engine occupying
-// chips), admission control with per-tenant QoS classes, queue-driven
+// chips), admission control with per-tenant QoS classes, backlog-driven
 // autoscaling, and zero-downtime bitstream hot-swap.
 //
 // The swap protocol is the heart of the package. Every model points at a
@@ -10,8 +10,8 @@
 // and input quantization window — through an atomic pointer. A request
 // pins the version it will run on (acquire/release with a pending count)
 // and is dispatched to the replica with the fewest pinned requests — what
-// a replica actually has outstanding, queued or executing, so nothing
-// queues behind a busy replica while a sibling sits idle. Because of the
+// a replica actually has outstanding, waiting or executing, so nothing
+// waits behind a busy replica while a sibling sits idle. Because of the
 // pin, Swap can atomically re-point the route to a freshly built pool and
 // then wait for the old version to drain: no in-flight request is ever
 // dropped, every response is attributable to exactly one version, and a
@@ -56,8 +56,10 @@ var (
 
 // Replica is one serving replica of a model version: a programmed
 // execution engine. *serve.Engine satisfies it. QueueDepth is the
-// replica's waiting backlog (what the autoscaler reads); routing does not
-// use it — a replica that drains its queue eagerly reads 0 while busy.
+// replica's backlog — requests dispatched to it that are waiting for its
+// executor right now, not counting the one running — and is what the
+// autoscaler reads. Routing balances on pinned counts instead, which
+// include the running request.
 type Replica interface {
 	Infer(ctx context.Context, input []int) ([]int, error)
 	QueueDepth() int
@@ -150,13 +152,13 @@ type Options struct {
 	// are made per tick from sustained observations, so the thresholds
 	// below are counted in ticks.
 	ScaleInterval time.Duration
-	// ScaleUpBacklog is the per-replica queue depth that counts as
+	// ScaleUpBacklog is the per-replica waiting count that counts as
 	// backlog (0 = 4); sustained for ScaleUpTicks consecutive ticks
 	// (0 = 2), the model gains a replica (chips permitting, up to its
 	// MaxReplicas).
 	ScaleUpBacklog int
 	ScaleUpTicks   int
-	// IdleTicks is how many consecutive ticks with an empty queue and no
+	// IdleTicks is how many consecutive ticks with nothing waiting and no
 	// in-flight requests drop one replica (0 = 40), down to MinReplicas.
 	IdleTicks int
 }
@@ -193,8 +195,8 @@ type ModelConfig struct {
 	ChipsPerReplica int
 	// QueueDepth is the per-replica admission depth: a model's in-flight
 	// capacity is replicas × QueueDepth, scaled by each class's share
-	// (0 = 64). Keep it equal to the replica engines' queue depth so
-	// admission mirrors what the engines can actually hold.
+	// (0 = 64). It is the only bound on how many requests wait in a
+	// replica: the engines themselves hold any number of waiters.
 	QueueDepth int
 }
 
@@ -336,8 +338,8 @@ func (v *version) removeReplica(min int) Replica {
 	return r.Replica
 }
 
-// count reports the pool size and summed replica queue depth (the
-// waiting backlog the autoscaler and the stats read).
+// count reports the pool size and the summed replica backlog (requests
+// waiting for an executor — what the autoscaler and the stats read).
 func (v *version) count() (replicas, depth int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -497,7 +499,7 @@ func (f *Fleet) lookup(name string) (*model, error) {
 }
 
 // admitLimit is the in-flight ceiling a class may occupy on a model:
-// its share of replicas × per-replica queue depth, never below 1 so a
+// its share of replicas × per-replica admission depth, never below 1 so a
 // one-replica model still serves every class.
 func admitLimit(c Class, replicas, queueDepth int) int64 {
 	l := int64(c.fraction() * float64(replicas*queueDepth))
@@ -566,14 +568,18 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			runtime.Gosched()
 			continue
 		}
-		out, err := rep.Infer(ctx, synth.QuantizeInput(features, v.window))
-		v.release(rep)
+		// The pin comes off by defer: a request that panics under its
+		// replica must not leave Swap waiting on it for ever.
+		out, err := func() ([]int, error) {
+			defer v.release(rep)
+			return rep.Infer(ctx, synth.QuantizeInput(features, v.window))
+		}()
 		if err != nil && errors.Is(err, serve.ErrClosed) {
 			if m.closed.Load() {
 				return Result{}, ErrClosed
 			}
 			// The replica was scaled away between acquire and dispatch;
-			// the request is intact — requeue it on a live replica.
+			// the request is intact — retry it on a live replica.
 			continue
 		}
 		m.requests.Add(1)

@@ -13,13 +13,14 @@ import (
 
 // fakeReplica is a controllable Replica: outputs carry its source's
 // marker (so tests can attribute responses to versions), Infer can be
-// made to block on a gate, and QueueDepth can be faked to steer the
-// autoscaler.
+// made to block on a gate or to panic once, and QueueDepth can be faked to
+// steer the autoscaler.
 type fakeReplica struct {
 	marker  int
 	gate    chan struct{} // when non-nil, Infer blocks until closed
 	start   chan struct{} // when non-nil, Infer signals entry (buffered)
 	depth   atomic.Int64  // fake queue depth
+	poison  atomic.Bool   // when set, the next Infer panics (and clears it)
 	closed  atomic.Bool
 	entered atomic.Uint64 // Infer calls that reached this replica
 	served  atomic.Uint64
@@ -30,6 +31,9 @@ func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
 		return nil, serve.ErrClosed
 	}
 	r.entered.Add(1)
+	if r.poison.CompareAndSwap(true, false) {
+		panic("fakeReplica: poisoned request")
+	}
 	if r.start != nil {
 		r.start <- struct{}{}
 	}

@@ -84,8 +84,8 @@ func (f *Fleet) scaleModel(m *model) {
 		// step down.
 		m.idleTicks = 0
 		if r := v.removeReplica(m.cfg.MinReplicas); r != nil {
-			// Close drains the replica's queued requests; a request that
-			// pinned it but loses the race to submit retries on a live
+			// Close waits for the requests already inside the replica; one
+			// that pinned it but arrives after Close began retries on a live
 			// replica (see Infer).
 			m.replicas.Add(-1)
 			_ = r.Close()

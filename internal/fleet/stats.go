@@ -13,8 +13,9 @@ type ModelStats struct {
 	Overload uint64
 	Quota    uint64
 	// Replicas and QueueDepth describe the current pool: its size and
-	// the summed depth of its replicas' request queues; InFlight is the
-	// model's admitted-but-uncompleted count.
+	// how many requests are waiting for a replica's executor right now,
+	// summed over it; InFlight is the model's admitted-but-uncompleted
+	// count.
 	Replicas   int
 	QueueDepth int
 	InFlight   int

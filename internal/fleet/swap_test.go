@@ -190,3 +190,46 @@ func TestSwapReplicaFactoryFailure(t *testing.T) {
 		t.Fatalf("old version not serving after aborted swap: %+v, %v", res, err)
 	}
 }
+
+// TestSwapAfterPanickingRequest: a request that panics under its replica
+// gives back everything it held on the way out — its pin on the version
+// above all — so a later Swap, which waits for every request pinned to the
+// old version, still completes, and the model keeps serving.
+func TestSwapAfterPanickingRequest(t *testing.T) {
+	f := New(Options{Chips: 16, ScaleInterval: time.Hour, Tenants: map[string]Tenant{"t": {Quota: 1}}})
+	defer f.Close()
+	old := &fakeSource{marker: 1, window: 4}
+	if err := f.AddModel("m", old.Source(), ModelConfig{Replicas: 1, QueueDepth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	old.replicas()[0].poison.Store(true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the replica's panic did not reach the caller")
+			}
+		}()
+		f.Infer(context.Background(), "m", "t", []float64{0.5})
+	}()
+	m, err := f.lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := m.cur.Load()
+	v.mu.Lock()
+	pending, pinned := v.pending, v.replicas[0].pinned
+	v.mu.Unlock()
+	if pending != 0 || pinned != 0 || m.inflight.Load() != 0 {
+		t.Fatalf("after the panic: version pending %d, replica pinned %d, model in flight %d; want all 0",
+			pending, pinned, m.inflight.Load())
+	}
+	// With a leaked pin this Swap would wait for ever.
+	ev, err := f.Swap(context.Background(), "m", (&fakeSource{marker: 2, window: 4}).Source())
+	if err != nil || ev.To != 2 {
+		t.Fatalf("Swap after a panicking request = %+v, %v", ev, err)
+	}
+	// Quota 1 and admission depth 1: a leaked place would shed this one.
+	if res, err := f.Infer(context.Background(), "m", "t", []float64{0.5}); err != nil || res.Version != 2 {
+		t.Fatalf("request after the swap = %+v, %v", res, err)
+	}
+}

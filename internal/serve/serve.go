@@ -1,22 +1,23 @@
-// Package serve implements a concurrent, work-conserving inference engine
-// over deployed spiking-network programs (synth.Program). The engine owns
-// one request queue, a pool of workers and the synth.Executors they drive.
-// Workers pull from the queue themselves: an idle worker blocks for one
-// entry, takes whatever else is already queued (up to MaxBatch samples,
-// never waiting for more) and runs it as ONE Executor.RunBatch call.
-// Nothing sits between an arriving request and an idle worker, and
-// batching is whatever piled up while the workers were busy. It is the
+// Package serve implements a concurrent inference engine over deployed
+// spiking-network programs (synth.Program): a pool of programmed
+// synth.Executors that callers borrow. A request runs where it arrives —
+// Infer takes an idle executor, runs the sample on the calling goroutine
+// and puts the executor back; there is no queue, no worker goroutine and
+// no hand-off between caller and kernel. A batch call is cut into
+// MaxBatch-sized chunks and also takes other executors idle at that
+// moment, so a lone caller still spreads over the pool. A caller that finds
+// the pool empty waits for the next executor to come back. It is the
 // serving substrate behind the public fpsa.Engine API and cmd/fpsa-serve.
 //
 // How many executors there are follows from the realized chip count. On
-// one chip each worker holds its own programmed executor — cycle-level
-// simulation state is never shared across goroutines, exactly as each
-// replica chip carries its own programmed crossbars. With Options.Chips
-// ≥ 2 the engine serves a sharded deployment: one executor whose program
-// is partitioned across that many simulated chips, shared by every
-// worker. Workers then act as concurrent feeders keeping the chip
-// pipeline full — micro-batch N+1 enters chip 0 while micro-batch N is
-// still on a later chip — which is where a model too big for one fabric
+// one chip the pool holds Workers privately programmed executors —
+// cycle-level simulation state is never shared across goroutines, exactly
+// as each replica chip carries its own programmed crossbars. With
+// Options.Chips ≥ 2 the engine serves a sharded deployment: one executor
+// whose program is partitioned across that many simulated chips, lent out
+// Workers times at once. Its borrowers are concurrent feeders keeping the
+// chip pipeline full — micro-batch N+1 enters chip 0 while micro-batch N
+// is still on a later chip — which is where a model too big for one fabric
 // gets its throughput back.
 package serve
 
@@ -24,7 +25,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fpsa/internal/device"
@@ -35,38 +38,34 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the worker-pool size; each worker programs its own
-	// Executor. 0 means 1.
+	// Workers is how many requests can hold an executor at once: the
+	// number of privately programmed executors on one chip, of concurrent
+	// feeders of the shared pipeline when sharded. 0 means 1.
 	Workers int
-	// MaxBatch caps the samples a worker takes from the queue for one
-	// batched kernel pass, and is the size InferBatch chunks a call into
-	// (so one call spreads over the workers). 0 means 8.
+	// MaxBatch is the size InferBatch cuts a call into, and so the most
+	// samples one batched kernel pass carries. 0 means 8.
 	MaxBatch int
-	// QueueDepth bounds the request queue, counted in entries: one Infer
-	// call or one ≤ MaxBatch chunk of an InferBatch call. Infer blocks
-	// (or honors its context) when the queue is full. 0 means 1024.
-	QueueDepth int
-	// Mode selects the execution semantics for every worker.
+	// Mode selects the execution semantics for every executor.
 	Mode synth.ExecMode
-	// Seed derives each worker's programming-variation RNG in
-	// ModeSpikingNoisy; each worker draws an independent sub-seed from
+	// Seed derives each executor's programming-variation RNG in
+	// ModeSpikingNoisy; each executor draws an independent sub-seed from
 	// one stream seeded here. A sharded engine (Chips ≥ 2) is one
 	// physical set of chips and draws a single variation stream.
 	Seed int64
 	// Chips, when ≥ 2, serves the program as a sharded deployment: the
 	// stage list is partitioned across that many pipelined chips
 	// (per Policy, clamped to what the program supports) and every
-	// worker feeds the one shared pipeline. 0 or 1 keeps the classic
-	// per-worker single-chip executors.
+	// borrower feeds the one shared pipeline. 0 or 1 keeps the classic
+	// private single-chip executors.
 	Chips int
 	// Policy selects the stage-partitioning objective of a sharded
 	// engine (default StageBalanced).
 	Policy StagePolicy
 	// Faults, when active, injects the deployment's device fault
-	// scenario into every worker's executor (and the shared pipeline of
-	// a sharded engine). Fault maps are a deterministic function of the
-	// model and each weight group's global ID, so every replica sees
-	// identical faults at any worker count.
+	// scenario into every executor (and the shared pipeline of a sharded
+	// engine). Fault maps are a deterministic function of the model and
+	// each weight group's global ID, so every replica sees identical
+	// faults at any executor count.
 	Faults *device.FaultModel
 }
 
@@ -103,55 +102,44 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
 	return o
 }
 
 // ErrClosed is returned by Infer after Close.
 var ErrClosed = fmt.Errorf("serve: engine closed")
 
-// entry is one queue element: a single Infer call, or one ≤ MaxBatch
-// chunk of an InferBatch call. A worker never splits an entry. inputs and
-// outs are the entry's own slice headers (never the caller's outer
-// slice), so an entry abandoned by a cancelled call still runs safely.
-// ctx lets workers shed entries whose callers have already given up.
-type entry struct {
-	ctx    context.Context
-	inputs [][]int
-	outs   [][]int
-	enq    time.Time
-	err    error
-	done   chan struct{}
-}
-
-// Engine is a concurrent, work-conserving inference engine. Construct
-// with New, submit with Infer/InferBatch, and Close when done.
+// Engine is a concurrent inference engine: a pool of programmed executors
+// that requests borrow and drive from their own goroutine. Construct with
+// New, call Infer/InferBatch, and Close when done.
 type Engine struct {
 	opts  Options
-	queue chan *entry
-	wg    sync.WaitGroup
 	stats tracker
-	// execs is every programmed executor: one per worker on a single
-	// chip, one shared by all workers when sharded. Worker w drives
-	// execs[w%len(execs)]; Stats and Close visit each exactly once
+	// execs is every programmed executor: Workers of them on a single
+	// chip, one when sharded. Stats and Close visit each exactly once
 	// (kernel counters are atomic, so reads race nothing).
 	execs []*synth.Executor
+	// idle holds Workers tokens, each naming the executor its holder may
+	// drive. A one-chip executor is named by exactly one token, so it is
+	// used by one goroutine at a time by possession; the shared pipeline
+	// is named by every token and takes concurrent callers.
+	idle    chan *synth.Executor
+	waiting atomic.Int64 // callers blocked on an empty pool
+	procs   int          // GOMAXPROCS when the engine was built
 
 	mu     sync.RWMutex
 	closed bool
+	calls  sync.WaitGroup // calls that entered and have not returned
 }
 
 // New builds the engine: it programs the execution state over prog
-// (surfacing programming errors synchronously) and starts the worker
-// goroutines. The program is partitioned across opts.Chips chips (clamped
-// to what it supports); when that realizes a single chip each worker
-// programs a private executor, otherwise one pipelined multi-chip
-// executor is programmed and shared by every worker.
+// (surfacing programming errors synchronously) and fills the pool. The
+// program is partitioned across opts.Chips chips (clamped to what it
+// supports); when that realizes a single chip the pool holds opts.Workers
+// private executors, otherwise one pipelined multi-chip executor is
+// programmed and lent to opts.Workers callers at a time.
 func New(prog *synth.Program, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	e := &Engine{opts: opts}
+	e := &Engine{opts: opts, procs: runtime.GOMAXPROCS(0)}
 	// A nil plan is a single chip; only a sharded request pays for the
 	// partition search.
 	var plan *shard.Plan
@@ -180,97 +168,213 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 		}
 		e.execs[i] = ex
 	}
-	e.queue = make(chan *entry, opts.QueueDepth)
-	e.stats.start = time.Now()
-	e.wg.Add(opts.Workers)
+	e.idle = make(chan *synth.Executor, opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
-		go e.worker(e.execs[w%len(e.execs)])
+		e.idle <- e.execs[w%len(e.execs)]
 	}
+	e.stats.start = time.Now()
 	return e, nil
 }
 
-// Workers returns the worker-pool size.
+// Workers returns how many requests can hold an executor at once.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Chips returns the realized pipeline depth: 1 for the per-worker
+// Chips returns the realized pipeline depth: 1 for the private
 // single-chip layout, the sharded chip count otherwise.
 func (e *Engine) Chips() int { return e.execs[0].Chips() }
 
-// Infer queues one input vector of spike counts and blocks until a worker
-// classifies it or ctx is done. The returned slice is the program's raw
-// output counts.
-func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
-	io := [][]int{input, nil}
-	en := &entry{ctx: ctx, inputs: io[:1:1], outs: io[1:], enq: time.Now(), done: make(chan struct{})}
-	if err := e.submit(ctx, en); err != nil {
-		return nil, err
-	}
-	select {
-	case <-en.done:
-		return en.outs[0], en.err
-	case <-ctx.Done():
-		// The entry is already queued; a worker will still run it, but
-		// the caller has moved on.
-		return nil, ctx.Err()
-	}
-}
-
-// InferBatch queues inputs as ⌈n/MaxBatch⌉ entries of at most MaxBatch
-// samples each and waits for all of them, so one call spreads over the
-// workers in whole kernel batches. Results are positional; the first
-// entry error (if any) is returned after all entries settle.
-func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
-	n, step := len(inputs), e.opts.MaxBatch
-	// Entries outlive a cancelled call, so they view copies of the slice
-	// headers, not the caller's outer slice.
-	ins := append([][]int(nil), inputs...)
-	outs := make([][]int, n)
-	entries := make([]entry, (n+step-1)/step)
-	for i := range entries {
-		lo, hi := i*step, min((i+1)*step, n)
-		entries[i] = entry{ctx: ctx, inputs: ins[lo:hi:hi], outs: outs[lo:hi:hi], enq: time.Now(), done: make(chan struct{})}
-		if err := e.submit(ctx, &entries[i]); err != nil {
-			// Already-queued entries still run to completion; the
-			// caller has moved on, as in Infer's cancellation path.
-			return nil, err
-		}
-	}
-	var firstErr error
-	for i := range entries {
-		select {
-		case <-entries[i].done:
-			if err := entries[i].err; err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return outs, nil
-}
-
-// submit enqueues en, blocking while the queue is full. The RLock pairs
-// with Close's exclusive lock so no send can race the channel close.
-func (e *Engine) submit(ctx context.Context, en *entry) error {
+// enter admits one call unless the engine is closed; the caller owes
+// e.calls.Done. The RLock keeps a call from slipping in behind Close's wait.
+func (e *Engine) enter() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrClosed
 	}
-	select {
-	case e.queue <- en:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	e.calls.Add(1)
+	return nil
+}
+
+// borrow takes an executor out of the pool for a call of n samples: one
+// that is idle right now, else the next to come back. A caller whose ctx
+// ends first leaves at once, its samples counted as shed. The caller owes
+// the executor back to e.idle.
+func (e *Engine) borrow(ctx context.Context, n int) (*synth.Executor, error) {
+	err := ctx.Err()
+	if err == nil {
+		select {
+		case ex := <-e.idle:
+			return ex, nil
+		default:
+		}
+		e.waiting.Add(1)
+		defer e.waiting.Add(-1)
+		select {
+		case ex := <-e.idle:
+			return ex, nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	e.stats.shed.Add(uint64(n))
+	return nil, err
+}
+
+// runChunk is the engine's one kernel call: at most MaxBatch inputs as a
+// single RunBatch on a borrowed executor, results copied into outs
+// positionally. RunBatch validates every sample and a chunk never mixes
+// callers, so a malformed sample fails only its own call. start is when
+// the call arrived: the latency recorded is wait plus run.
+func (e *Engine) runChunk(ex *synth.Executor, inputs, outs [][]int, start time.Time) error {
+	res, err := ex.RunBatch(inputs)
+	if err != nil {
+		e.stats.errors.Add(uint64(len(inputs)))
+	} else {
+		e.stats.recordExecBatch(len(inputs))
+		copy(outs, res)
+	}
+	e.stats.recordDone(len(inputs), time.Since(start))
+	return err
+}
+
+// Infer runs one input vector of spike counts on the calling goroutine and
+// returns the program's raw output counts. It waits (for an executor, or
+// for ctx to end) only when every executor is lent out; once it holds one
+// the sample runs to completion whatever happens to ctx.
+func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
+	if err := e.enter(); err != nil {
+		return nil, err
+	}
+	defer e.calls.Done()
+	start := time.Now()
+	ex, err := e.borrow(ctx, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { e.idle <- ex }() // also when the kernel panics
+	var out [1][]int
+	err = e.runChunk(ex, [][]int{input}, out[:], start)
+	return out[0], err
+}
+
+// batchCall is what the pieces of one InferBatch call share; a piece is
+// one borrowed executor working through chunks of the call.
+type batchCall struct {
+	e            *Engine
+	ctx          context.Context
+	inputs, outs [][]int
+	start        time.Time
+	chunks       int
+	claimed      atomic.Int64 // chunks handed out so far
+
+	mu       sync.Mutex
+	err      error // of the lowest-numbered chunk that failed
+	errChunk int
+	panicked atomic.Pointer[any] // a panic under a spawned piece
+}
+
+// run is one piece: chunk first, then whatever it can still claim, one
+// pass on ex each; ex goes back to the pool on every path, a panic under
+// the kernel included. Every chunk is claimed exactly once and either
+// runs or, once ctx has ended, is shed.
+func (c *batchCall) run(ex *synth.Executor, first int) {
+	e := c.e
+	defer func() { e.idle <- ex }()
+	step := e.opts.MaxBatch
+	for i := first; i < c.chunks; i = int(c.claimed.Add(1)) - 1 {
+		lo, hi := i*step, min((i+1)*step, len(c.inputs))
+		err := c.ctx.Err()
+		if err != nil {
+			e.stats.shed.Add(uint64(hi - lo))
+		} else if err = e.runChunk(ex, c.inputs[lo:hi], c.outs[lo:hi], c.start); err != nil {
+			err = fmt.Errorf("serve: batch samples %d to %d: %w", lo, hi-1, err)
+		}
+		if err != nil {
+			c.mu.Lock()
+			if c.err == nil || i < c.errChunk {
+				c.err, c.errChunk = err, i
+			}
+			c.mu.Unlock()
+		}
 	}
 }
 
-// Close drains the queue, stops the workers (and, on a sharded engine,
-// the chip pipeline), and releases the engine. Queued entries still
-// complete; subsequent Infer calls return ErrClosed. Close is idempotent.
+// InferBatch runs inputs as ⌈n/MaxBatch⌉ chunks of at most MaxBatch
+// samples, one kernel pass each, and returns positional results once every
+// chunk has settled. It borrows one executor as Infer does, then takes —
+// never waiting — one more per further chunk from those idle right now, so
+// a lone call still spreads over the pool. When ctx ends it starts no more
+// chunks, waits for the passes in flight and returns ctx's error;
+// otherwise it returns the error of the first chunk that failed, if any.
+// Nothing of the call runs, or reads inputs, after it returns.
+func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
+	if err := e.enter(); err != nil {
+		return nil, err
+	}
+	defer e.calls.Done()
+	n, step := len(inputs), e.opts.MaxBatch
+	if n == 0 {
+		return [][]int{}, nil
+	}
+	c := &batchCall{e: e, ctx: ctx, inputs: inputs, outs: make([][]int, n), start: time.Now(), chunks: (n + step - 1) / step}
+	own, err := e.borrow(ctx, n)
+	if err != nil {
+		return nil, err
+	}
+	// Fanning out pays only onto an idle processor: once as many executors
+	// are lent out as there are processors, another piece would share a
+	// core with this one while a later caller found the pool empty.
+	var extra []*synth.Executor
+take:
+	for len(extra) < c.chunks-1 && e.opts.Workers-len(e.idle) < e.procs {
+		select {
+		case ex := <-e.idle:
+			extra = append(extra, ex)
+		default:
+			break take
+		}
+	}
+	// Piece k starts on chunk k, reserved before any piece runs so that
+	// every borrowed executor has work, and claims the rest one at a time.
+	c.claimed.Store(int64(1 + len(extra)))
+	if len(extra) == 0 {
+		c.run(own, 0)
+	} else {
+		// A call that fans out runs every piece — its own executor's too —
+		// on a spawned goroutine and blocks. Running one inline leaves the
+		// helper in this P's runnext slot, which another P steals only
+		// after a timer-driven back-off: a lone caller's second chunk then
+		// starts most of a millisecond late (numbers in ARCHITECTURE.md).
+		var wg sync.WaitGroup
+		for k, ex := range append(extra, own) {
+			wg.Add(1)
+			go func(ex *synth.Executor, first int) {
+				defer wg.Done()
+				// Left alone, a panic here would kill the process from a
+				// goroutine no caller can recover on; the caller re-raises it.
+				defer func() {
+					if r := recover(); r != nil {
+						c.panicked.Store(&r)
+					}
+				}()
+				c.run(ex, first)
+			}(ex, k)
+		}
+		wg.Wait()
+		if r := c.panicked.Load(); r != nil {
+			panic(*r)
+		}
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.outs, nil
+}
+
+// Close stops admitting calls, waits for every call already inside —
+// running or still waiting for an executor — to return, then releases the
+// executors (a sharded engine's chip pipeline). Subsequent calls return
+// ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -278,129 +382,22 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	close(e.queue)
 	e.mu.Unlock()
-	e.wg.Wait()
+	e.calls.Wait()
 	for _, ex := range e.execs {
 		ex.Close() // a pipeline's chip goroutines; never fails
 	}
 	return nil
 }
 
-// worker pulls from the queue until it closes: block for one entry, take
-// whatever else is already queued while it fits in MaxBatch samples —
-// never waiting for more — and run the lot as one RunBatch call, on a
-// private single-chip executor or on the shared chip pipeline, where
-// concurrent workers are exactly what keeps every chip busy. An entry
-// that does not fit is carried over to head this worker's next batch
-// (entries are never split), so it still runs before the worker exits on
-// Close.
-func (e *Engine) worker(ex *synth.Executor) {
-	defer e.wg.Done()
-	var (
-		batch  []*entry
-		inputs [][]int
-		carry  *entry
-	)
-	for {
-		first := carry
-		carry = nil
-		if first == nil {
-			var ok bool
-			if first, ok = <-e.queue; !ok {
-				return
-			}
-		}
-		batch = append(batch[:0], first)
-		n := len(first.inputs)
-	fill:
-		for n < e.opts.MaxBatch {
-			select {
-			case next, ok := <-e.queue:
-				if !ok {
-					break fill
-				}
-				if n+len(next.inputs) > e.opts.MaxBatch {
-					carry = next
-					break fill
-				}
-				batch = append(batch, next)
-				n += len(next.inputs)
-			default:
-				break fill
-			}
-		}
-		inputs = e.run(ex, batch, inputs[:0])
-	}
-}
-
-// run executes one batch of entries as a single RunBatch call over
-// inputs' backing array (returned for reuse). Entries whose callers
-// already gave up (context done while queued) are shed without
-// simulating, so client timeouts actually relieve load, and an entry with
-// a malformed input fails alone in pre-flight validation so it cannot
-// poison another caller's entry.
-func (e *Engine) run(ex *synth.Executor, batch []*entry, inputs [][]int) [][]int {
-	live := batch[:0]
-	for _, en := range batch {
-		if err := en.ctx.Err(); err != nil {
-			en.err = err
-			e.stats.shed.Add(uint64(len(en.inputs)))
-			close(en.done)
-			continue
-		}
-		if err := validate(ex, en.inputs); err != nil {
-			e.finish(en, err)
-			continue
-		}
-		live = append(live, en)
-		inputs = append(inputs, en.inputs...)
-	}
-	if len(live) == 0 {
-		return inputs
-	}
-	outs, err := ex.RunBatch(inputs)
-	e.stats.recordExecBatch(len(inputs))
-	off := 0
-	for _, en := range live {
-		if err == nil {
-			off += copy(en.outs, outs[off:])
-		}
-		e.finish(en, err)
-	}
-	return inputs
-}
-
-// validate pre-flights every input of one entry.
-func validate(ex *synth.Executor, inputs [][]int) error {
-	for _, in := range inputs {
-		if err := ex.Validate(in); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// finish settles an executed (or rejected) entry: counters by sample,
-// one latency observation per entry, then the caller's wake-up.
-func (e *Engine) finish(en *entry, err error) {
-	en.err = err
-	if err != nil {
-		e.stats.errors.Add(uint64(len(en.inputs)))
-	}
-	e.stats.recordDone(len(en.inputs), time.Since(en.enq))
-	close(en.done)
-}
-
-// QueueDepth reports how many entries (Infer calls and InferBatch
-// chunks) are waiting in the queue right now; entries a worker has taken
-// are not counted.
-func (e *Engine) QueueDepth() int { return len(e.queue) }
+// QueueDepth reports how many calls are waiting for an executor right
+// now; calls that hold one are not counted.
+func (e *Engine) QueueDepth() int { return int(e.waiting.Load()) }
 
 // Stats snapshots the engine's counters and latency percentiles,
 // including the spiking-kernel selection counters summed over every
-// executor — each worker's own on a single chip, the one shared pipeline
-// (counted once, not per worker) when sharded. FaultedCells is one
+// executor — each private one on a single chip, the one shared pipeline
+// (counted once, not per borrower) when sharded. FaultedCells is one
 // executor's count: every replica programs identical fault maps (they key
 // on the model and the global group IDs, not the replica), so it IS the
 // deployment's — summing replicas would overcount chip state that exists
@@ -410,7 +407,7 @@ func (e *Engine) Stats() Stats {
 	s.Workers = e.opts.Workers
 	s.MaxBatch = e.opts.MaxBatch
 	s.Chips = e.Chips()
-	s.QueueDepth = len(e.queue)
+	s.QueueDepth = e.QueueDepth()
 	var ks xbar.KernelStats
 	for _, ex := range e.execs {
 		ks = ks.Add(ex.KernelStats())

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fpsa/internal/device"
 	"fpsa/internal/synth"
@@ -26,6 +25,12 @@ func buildProgram(t testing.TB, seed int64, dims []int) *synth.Program {
 	}
 	ds := trainer.SyntheticClusters(rng, 200, dims[0], dims[len(dims)-1], 0.08)
 	net.Train(rng, ds, trainer.TrainOptions{Epochs: 10})
+	return compileMLP(t, net)
+}
+
+// compileMLP compiles net, trained or not, to an executable program.
+func compileMLP(t testing.TB, net *trainer.MLP) *synth.Program {
+	t.Helper()
 	opts := synth.DefaultOptions()
 	opts.Weights = net.WeightSource()
 	_, prog, err := synth.Compile(net.Graph("serve-test"), opts)
@@ -115,58 +120,8 @@ func TestEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// gatedCtx is a context whose Err blocks until gate closes. A worker
-// checks an entry's ctx just before simulating it, so an entry carrying
-// one parks the worker that took it — with the queue filling behind it —
-// until the test lets go. No wall clock involved.
-type gatedCtx struct {
-	context.Context
-	once          *sync.Once
-	entered, gate chan struct{}
-}
-
-func newGatedCtx() gatedCtx {
-	return gatedCtx{Context: context.Background(), once: new(sync.Once), entered: make(chan struct{}), gate: make(chan struct{})}
-}
-
-func (g gatedCtx) Err() error {
-	g.once.Do(func() { close(g.entered) })
-	<-g.gate
-	return nil
-}
-
-// holdWorker parks one worker of eng inside a gated single-sample entry
-// and returns once it is held; release lets it go and waits for the
-// gated request to finish. With a one-worker engine everything submitted
-// in between sits in the queue, in submission order.
-func holdWorker(t *testing.T, eng *Engine, input []int) (release func()) {
-	t.Helper()
-	g := newGatedCtx()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := eng.Infer(g, input)
-		errc <- err
-	}()
-	<-g.entered
-	return func() {
-		t.Helper()
-		close(g.gate)
-		if err := <-errc; err != nil {
-			t.Errorf("gated request: %v", err)
-		}
-	}
-}
-
-// waitQueued spins until eng's queue holds n entries (callers blocked in
-// Infer give no other signal that they have enqueued).
-func waitQueued(eng *Engine, n int) {
-	for eng.QueueDepth() < n {
-		runtime.Gosched()
-	}
-}
-
 // TestLoneRequestRunsAlone proves a lone request on an idle engine runs
-// at once as a batch of one: nothing waits for MaxBatch to fill.
+// at once as a batch of one, whatever MaxBatch is.
 func TestLoneRequestRunsAlone(t *testing.T) {
 	prog := buildProgram(t, 3, []int{8, 6, 2})
 	eng, err := New(prog, Options{
@@ -188,23 +143,23 @@ func TestLoneRequestRunsAlone(t *testing.T) {
 	}
 }
 
-// TestInferBatchChunks proves InferBatch enqueues whole MaxBatch chunks
-// and workers never split or merge full ones: 8 samples at MaxBatch 4 run
-// as exactly 4+4, whichever workers take them.
+// TestInferBatchChunks proves InferBatch runs whole MaxBatch chunks and
+// never splits or merges them: 20 samples at MaxBatch 8 run as exactly
+// 8+8+4, whichever executors take them.
 func TestInferBatchChunks(t *testing.T) {
 	prog := buildProgram(t, 5, []int{8, 6, 2})
-	for _, workers := range []int{1, 2} {
-		eng, err := New(prog, Options{Workers: workers, MaxBatch: 4, Mode: synth.ModeReference})
+	for _, workers := range []int{1, 2, 4} {
+		eng, err := New(prog, Options{Workers: workers, MaxBatch: 8, Mode: synth.ModeReference})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.InferBatch(context.Background(), randomInputs(prog, 6, 8)); err != nil {
+		if _, err := eng.InferBatch(context.Background(), randomInputs(prog, 6, 20)); err != nil {
 			t.Fatal(err)
 		}
 		s := eng.Stats()
 		eng.Close()
-		if s.ExecBatches != 2 || s.MeanExecBatch != 4 || s.MaxExecBatch != 4 || s.Requests != 8 {
-			t.Errorf("workers=%d: stats = %+v, want 2 batches of 4 / 8 requests", workers, s)
+		if s.ExecBatches != 3 || s.MeanExecBatch != 20.0/3 || s.MaxExecBatch != 8 || s.Requests != 20 {
+			t.Errorf("workers=%d: stats = %+v, want batches of 8+8+4 / 20 requests", workers, s)
 		}
 	}
 }
@@ -270,29 +225,40 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestAbandonedRequestShed: an entry whose caller has given up by the
-// time a worker takes it is dropped without simulating, and Shed counts
-// its samples.
+// TestAbandonedRequestShed: a caller whose ctx ends while it waits for an
+// executor leaves at once with ctx's error; Shed counts its samples,
+// nothing was simulated for it, and the pool is whole when the executors
+// come back.
 func TestAbandonedRequestShed(t *testing.T) {
 	prog := buildProgram(t, 14, []int{8, 6, 2})
-	eng, err := New(prog, Options{Workers: 1, MaxBatch: 64, Mode: synth.ModeReference})
+	eng, err := New(prog, Options{Workers: 2, MaxBatch: 64, Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	held := park(eng, 2)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // abandoned before any worker can see it
-	en := &entry{ctx: ctx, inputs: randomInputs(prog, 15, 3), outs: make([][]int, 3), enq: time.Now(), done: make(chan struct{})}
-	if err := eng.submit(context.Background(), en); err != nil {
-		t.Fatal(err)
+	errs := make(chan error, 2)
+	go func() {
+		_, err := eng.Infer(ctx, randomInputs(prog, 15, 1)[0])
+		errs <- err
+	}()
+	go func() {
+		_, err := eng.InferBatch(ctx, randomInputs(prog, 15, 3))
+		errs <- err
+	}()
+	waitWaiting(eng, 2)
+	cancel() // both abandoned while the executors are still out
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != context.Canceled {
+			t.Errorf("abandoned call = %v, want context.Canceled", err)
+		}
 	}
-	<-en.done
-	if en.err != context.Canceled {
-		t.Fatalf("entry err = %v, want context.Canceled", en.err)
-	}
+	unpark(eng, held)
+	checkPool(t, eng)
 	s := eng.Stats()
-	if s.Shed != 3 || s.Requests != 0 || s.ExecBatches != 0 {
-		t.Errorf("shed/requests/batches = %d/%d/%d, want 3/0/0: %s", s.Shed, s.Requests, s.ExecBatches, s)
+	if s.Shed != 4 || s.Requests != 0 || s.ExecBatches != 0 || s.QueueDepth != 0 {
+		t.Errorf("shed/requests/batches/waiting = %d/%d/%d/%d, want 4/0/0/0: %s", s.Shed, s.Requests, s.ExecBatches, s.QueueDepth, s)
 	}
 }
 
@@ -310,9 +276,9 @@ func TestInferHonorsContext(t *testing.T) {
 	}
 }
 
-// TestNoisyWorkersDeterministic: the engine programs each worker's
-// variation from Seed + worker index, so a one-worker noisy engine is a
-// deterministic function of its seed.
+// TestNoisyWorkersDeterministic: the engine programs each executor's
+// variation from one stream seeded by Seed, so a one-executor noisy engine
+// is a deterministic function of its seed.
 func TestNoisyWorkersDeterministic(t *testing.T) {
 	prog := buildProgram(t, 15, []int{8, 6, 2})
 	in := randomInputs(prog, 16, 1)[0]
@@ -345,8 +311,8 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestExecBatchStats: workers execute what they take as single RunBatch
-// calls, and the Stats surface reports the executed batch sizes.
+// TestExecBatchStats: every chunk runs as a single RunBatch call, and the
+// Stats surface reports the executed batch sizes.
 func TestExecBatchStats(t *testing.T) {
 	prog := buildProgram(t, 13, []int{10, 8, 3})
 	inputs := randomInputs(prog, 14, 12)
@@ -409,10 +375,11 @@ func TestAutoPathKernelStats(t *testing.T) {
 	}
 }
 
-// TestStatsCountEachExecutorOnce: however the workers share executors —
-// one each on a single chip, one pipeline between them when sharded —
-// Stats counts every kernel call exactly once (one per stage per executed
-// batch) and reports the deployment's stuck cells once, not per worker.
+// TestStatsCountEachExecutorOnce: however the pool is made up — private
+// executors on a single chip, one pipeline lent out several times when
+// sharded — Stats counts every kernel call exactly once (one per stage per
+// executed batch) and reports the deployment's stuck cells once, not per
+// executor.
 func TestStatsCountEachExecutorOnce(t *testing.T) {
 	prog := buildProgram(t, 27, []int{10, 8, 6, 3})
 	inputs := randomInputs(prog, 28, 24)
@@ -450,69 +417,68 @@ func TestStatsCountEachExecutorOnce(t *testing.T) {
 	}
 }
 
-// TestInvalidItemDoesNotPoisonBatch: a malformed request coalesced into
-// one batch with healthy ones fails alone; the rest of the batch still
-// executes and matches the serial path.
+// TestInvalidItemDoesNotPoisonBatch: a chunk never mixes callers, so a
+// malformed sample fails only the call that brought it — named by its
+// position in that call — while a concurrent caller's batches keep
+// matching the serial path.
 func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
+	const maxBatch, rounds = 4, 20
 	prog := buildProgram(t, 15, []int{10, 8, 3})
-	good := randomInputs(prog, 16, 3)
+	good := randomInputs(prog, 16, 2*maxBatch)
 	ex, err := synth.NewExecutor(prog, synth.RunOptions{Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(prog, Options{Workers: 1, MaxBatch: 4, Mode: synth.ModeReference})
+	want, err := ex.RunBatch(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(prog, Options{Workers: 2, MaxBatch: maxBatch, Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// All four queue up behind the held worker, so it takes them as one
-	// batch.
-	release := holdWorker(t, eng, good[0])
+	// The malformed sample sits in the second chunk.
+	bad := append([][]int(nil), good...)
+	bad[maxBatch+1] = make([]int, prog.InputSize+2)
 	var wg sync.WaitGroup
-	outs := make([][]int, 3)
-	errs := make([]error, 4)
-	for i, in := range good {
-		wg.Add(1)
-		go func(i int, in []int) {
-			defer wg.Done()
-			outs[i], errs[i] = eng.Infer(context.Background(), in)
-		}(i, in)
-	}
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, errs[3] = eng.Infer(context.Background(), make([]int, prog.InputSize+2))
-	}()
-	waitQueued(eng, 4)
-	release()
-	wg.Wait()
-	if errs[3] == nil {
-		t.Error("malformed request accepted")
-	}
-	for i, in := range good {
-		if errs[i] != nil {
-			t.Fatalf("good request %d: %v", i, errs[i])
-		}
-		want, err := ex.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if outs[i][j] != want[j] {
-				t.Fatalf("good[%d][%d] = %d, want %d", i, j, outs[i][j], want[j])
+		for r := 0; r < rounds; r++ {
+			outs, err := eng.InferBatch(context.Background(), bad)
+			if err == nil || outs != nil || !strings.Contains(err.Error(), "samples 4 to 7: synth: batch item 1") {
+				t.Errorf("malformed call = %v, %v; want an error naming sample 5", outs, err)
+			}
+			if _, err := eng.Infer(context.Background(), bad[maxBatch+1]); err == nil {
+				t.Error("malformed request accepted")
 			}
 		}
-	}
-	// The gated batch of 1, then the three healthy requests in one pass.
-	if s := eng.Stats(); s.Errors != 1 || s.ExecBatches != 2 || s.MaxExecBatch != 3 {
-		t.Errorf("errors/batches/max = %d/%d/%d, want 1/2/3", s.Errors, s.ExecBatches, s.MaxExecBatch)
+	}()
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			outs, err := eng.InferBatch(context.Background(), good)
+			if err != nil || !reflect.DeepEqual(outs, want) {
+				t.Errorf("healthy call beside a malformed one = %v, %v; want %v", outs, err, want)
+			}
+		}
+	}()
+	wg.Wait()
+	checkPool(t, eng)
+	// A malformed call's healthy chunk still runs; its bad chunk and the
+	// lone bad request complete with an error and never reach the kernel.
+	s := eng.Stats()
+	if s.Errors != rounds*(maxBatch+1) || s.Requests != rounds*(4*maxBatch+1) || s.ExecBatches != rounds*3 {
+		t.Errorf("errors/requests/batches = %d/%d/%d, want %d/%d/%d", s.Errors, s.Requests, s.ExecBatches,
+			rounds*(maxBatch+1), rounds*(4*maxBatch+1), rounds*3)
 	}
 }
 
 // TestShardedEngineMatchesSingleChip: an engine serving a sharded
 // deployment (Chips ≥ 2) must reproduce the single-chip engine bit for
 // bit under concurrent load, in spiking and noisy modes. Run under -race
-// in CI: all workers share one chip pipeline.
+// in CI: all borrowers share one chip pipeline.
 func TestShardedEngineMatchesSingleChip(t *testing.T) {
 	prog := buildProgram(t, 21, []int{14, 12, 8, 3})
 	inputs := randomInputs(prog, 22, 12)
@@ -595,8 +561,8 @@ func TestShardedEngineClampsChips(t *testing.T) {
 	}
 }
 
-// TestShardedEngineBadInput: pre-flight validation still isolates a bad
-// request on the shared pipeline.
+// TestShardedEngineBadInput: a bad request fails alone on the shared
+// pipeline too, and the engine keeps serving.
 func TestShardedEngineBadInput(t *testing.T) {
 	prog := buildProgram(t, 25, []int{8, 5, 2})
 	eng, err := New(prog, Options{Workers: 2, MaxBatch: 4, Chips: 2, Mode: synth.ModeReference})

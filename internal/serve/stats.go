@@ -14,16 +14,17 @@ import (
 type Stats struct {
 	// Requests is the number of completed classifications; Errors counts
 	// those that returned an error; Shed counts those dropped without
-	// simulating because their caller's context was already done. All
-	// three count samples, not queue entries.
+	// simulating because their caller's context ended first — while the
+	// call waited for an executor, or before a batch call reached them.
+	// All three count samples, not calls.
 	Requests uint64
 	Errors   uint64
 	Shed     uint64
 	// ExecBatches counts executor-level batched kernel invocations (one
-	// RunBatch per batch a worker took that still had live entries);
+	// RunBatch per Infer call or InferBatch chunk that passed validation);
 	// MeanExecBatch and MaxExecBatch describe the executed batch sizes in
-	// samples, after context shedding and validation — the degree of
-	// kernel-level batching actually achieved. MaxExecBatch ≤ MaxBatch.
+	// samples — the degree of kernel-level batching actually achieved.
+	// MaxExecBatch ≤ MaxBatch.
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int
@@ -39,21 +40,23 @@ type Stats struct {
 	// logical weight cells the fault model pinned across the program's
 	// crossbars, after any spare-row/column remapping. Every replica
 	// programs identical faults, so this is per-deployment, not
-	// per-worker; 0 without a fault model.
+	// per-executor; 0 without a fault model.
 	FaultedCells int
 	// ThroughputSPS is completed requests per second of engine uptime.
 	ThroughputSPS float64
-	// P50LatencyUS, P99LatencyUS and P999LatencyUS are queue-to-completion
-	// latency percentiles over a sliding window of recent queue entries,
-	// one observation per Infer call or InferBatch chunk (see LatencyRing
-	// — the one percentile implementation the fleet layer shares).
+	// P50LatencyUS, P99LatencyUS and P999LatencyUS are arrival-to-completion
+	// latency percentiles — the wait for an executor plus the run — over a
+	// sliding window of recent observations, one per Infer call or
+	// InferBatch chunk (see LatencyRing — the one percentile implementation
+	// the fleet layer shares).
 	P50LatencyUS  float64
 	P99LatencyUS  float64
 	P999LatencyUS float64
 	// QueueDepth, Workers, MaxBatch and Chips describe the engine's
-	// current shape. QueueDepth counts waiting queue entries; Chips is
-	// the realized pipeline depth of a sharded engine (1 when the model
-	// runs whole on per-worker executors).
+	// current shape. QueueDepth counts calls waiting for an executor right
+	// now; Workers is the pool size; Chips is the realized pipeline depth
+	// of a sharded engine (1 when the model runs whole on private
+	// executors).
 	QueueDepth int
 	Workers    int
 	MaxBatch   int
@@ -63,7 +66,7 @@ type Stats struct {
 
 // String renders the snapshot.
 func (s Stats) String() string {
-	out := fmt.Sprintf("served %d requests (%d errors, %d shed) in %d batches (exec mean %.1f / max %d), throughput %.4g samples/s, latency p50 %.4g us / p99 %.4g us / p999 %.4g us, queue %d, %d workers",
+	out := fmt.Sprintf("served %d requests (%d errors, %d shed) in %d batches (exec mean %.1f / max %d), throughput %.4g samples/s, latency p50 %.4g us / p99 %.4g us / p999 %.4g us, %d waiting, %d workers",
 		s.Requests, s.Errors, s.Shed, s.ExecBatches, s.MeanExecBatch, s.MaxExecBatch,
 		s.ThroughputSPS, s.P50LatencyUS, s.P99LatencyUS, s.P999LatencyUS, s.QueueDepth, s.Workers)
 	if s.Chips > 1 {
@@ -151,7 +154,7 @@ type tracker struct {
 	lat LatencyRing
 }
 
-// recordExecBatch records one executed batch of n live samples.
+// recordExecBatch records one executed batch of n samples.
 func (t *tracker) recordExecBatch(n int) {
 	t.execBatches.Add(1)
 	t.execItems.Add(uint64(n))
@@ -163,8 +166,8 @@ func (t *tracker) recordExecBatch(n int) {
 	}
 }
 
-// recordDone records one settled entry of n samples: the ring (and its
-// mutex) is touched once per entry, not once per sample.
+// recordDone records one settled chunk of n samples: the ring (and its
+// mutex) is touched once per chunk, not once per sample.
 func (t *tracker) recordDone(n int, d time.Duration) {
 	t.done.Add(uint64(n))
 	t.lat.Record(d)

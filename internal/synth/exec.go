@@ -143,9 +143,8 @@ func (p *Program) RunBatch(inputs [][]int, opts RunOptions) ([][]int, error) {
 
 // Validate checks one input vector's length and window range without
 // programming or executing anything — the pre-flight for callers that must
-// reject a bad input before spending anything on it (the serving engine,
-// so one bad request cannot fail a micro-batch; SpikingNet, so a rejected
-// call does not advance its variation stream).
+// reject a bad input before spending anything on it (SpikingNet, so a
+// rejected call does not advance its variation stream).
 func (p *Program) Validate(input []int) error {
 	if err := p.validateInput(input); err != nil {
 		return fmt.Errorf("synth: %w", err)

@@ -215,8 +215,7 @@ func (e *Executor) KernelStats() xbar.KernelStats {
 }
 
 // Validate checks one input vector's length and window range without
-// executing anything — the pre-flight the serving engine runs so one bad
-// request cannot fail a whole micro-batch.
+// executing anything.
 func (e *Executor) Validate(input []int) error { return e.prog.Validate(input) }
 
 // Run executes the program on one input vector of spike counts in [0, Γ]

@@ -291,24 +291,17 @@ func WithWeightSource(src WeightSource) Option {
 // is not an option: it is the deployment's compiled count (see WithChips).
 type EngineOption func(*engineConfig)
 
-// WithWorkers sets the number of parallel execution replicas, each
-// holding its own programmed simulation state (default 4).
+// WithWorkers sets how many programmed executors requests can borrow at
+// once — each holds its own simulation state — and so how many requests
+// run in parallel (default 4).
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.Workers = n }
 }
 
-// WithMaxBatch caps how many samples a worker takes from the queue for
-// one batched kernel pass, and sets the chunk size ClassifyBatch calls
-// are queued in (default 8). Workers never wait for a batch to fill.
+// WithMaxBatch sets the chunk size a ClassifyBatch call is cut into, and
+// so the most samples one batched kernel pass carries (default 8).
 func WithMaxBatch(n int) EngineOption {
 	return func(c *engineConfig) { c.MaxBatch = n }
-}
-
-// WithQueueDepth bounds the request queue, counted in entries — one
-// Classify call or one ≤ MaxBatch chunk of a ClassifyBatch call
-// (default 1024).
-func WithQueueDepth(n int) EngineOption {
-	return func(c *engineConfig) { c.QueueDepth = n }
 }
 
 // WithMode selects the execution semantics (default ModeSpiking, the

@@ -64,7 +64,7 @@ func TestCompileOptionValidation(t *testing.T) {
 }
 
 // TestEngineOptionValidation: serving knobs with nonsensical values are
-// rejected with ErrInvalidArgument before a worker pool spins up.
+// rejected with ErrInvalidArgument before any executor is programmed.
 func TestEngineOptionValidation(t *testing.T) {
 	d, _, _ := trainedDeployment(t)
 	ctx := context.Background()
@@ -74,7 +74,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	}{
 		{"negative workers", []EngineOption{WithWorkers(-1)}},
 		{"negative batch", []EngineOption{WithMaxBatch(-2)}},
-		{"negative queue depth", []EngineOption{WithQueueDepth(-4)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
