@@ -213,14 +213,15 @@ func BenchmarkSpikingInference(b *testing.B) {
 	}
 }
 
-// deployNoisyFaultedNet builds the shape offline_mlp_noisy_sparse runs:
-// the bench MLP compiled under a 1 % stuck-cell model, and a batch of 64
-// to classify in ModeSpikingNoisy, where every call re-programs both
-// crossbars with a fresh variation draw.
-func deployNoisyFaultedNet(tb testing.TB) (*SpikingNet, [][]float64) {
+// deployNoisyFaulted builds the shape offline_mlp_noisy_sparse runs: the
+// bench MLP compiled under a 1 % stuck-cell model, and a batch of 64 to
+// classify in ModeSpikingNoisy — on a SpikingNet, where every call
+// re-programs both crossbars with a fresh variation draw, or on an Engine,
+// which programs once.
+func deployNoisyFaulted(tb testing.TB) (*Deployment, [][]float64) {
 	tb.Helper()
 	d, train := deployBenchNet(tb, WithFaultModel(0.01, 1))
-	return mustNet(tb, d), train.X[:64]
+	return d, train.X[:64]
 }
 
 // BenchmarkClassifyBatchNoisyFaulted is the re-program-per-call path as the
@@ -228,7 +229,8 @@ func deployNoisyFaultedNet(tb testing.TB) (*SpikingNet, [][]float64) {
 // in the weight count because the fault masks are derived once per
 // deployment and programming a weight allocates nothing.
 func BenchmarkClassifyBatchNoisyFaulted(b *testing.B) {
-	sn, batch := deployNoisyFaultedNet(b)
+	d, batch := deployNoisyFaulted(b)
+	sn := mustNet(b, d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,13 +241,37 @@ func BenchmarkClassifyBatchNoisyFaulted(b *testing.B) {
 	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
+// BenchmarkEngineNoisyDense serves the same deployment and the same 64
+// samples from a noisy one-executor Engine: programmed once, so a call
+// costs the spiking kernel alone, on noisy crossbars whose first layer sees
+// an input density above 0.30 — the traffic a per-call density threshold
+// used to send to the dense cycle walk (docs/ARCHITECTURE.md, "Decision
+// recorded: the kernel does not choose").
+func BenchmarkEngineNoisyDense(b *testing.B) {
+	d, batch := deployNoisyFaulted(b)
+	ctx := context.Background()
+	eng, err := d.NewEngine(ctx, WithWorkers(1), WithMode(ModeSpikingNoisy))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.ClassifyBatch(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/call")
+}
+
 // TestClassifyBatchNoisyFaultedAllocs bounds what one noisy call allocates.
 // A make per weight would cost (16·24 + 24·4)·4 ≈ 2,000 allocations a call
 // and a fault-map derivation per call a few dozen more, so either creeping
 // in fails here — on a count that repeats exactly — rather than in a noisy
 // wall-clock gate.
 func TestClassifyBatchNoisyFaultedAllocs(t *testing.T) {
-	sn, batch := deployNoisyFaultedNet(t)
+	d, batch := deployNoisyFaulted(t)
+	sn := mustNet(t, d)
 	got := testing.AllocsPerRun(10, func() {
 		if _, err := sn.ClassifyBatch(batch, ModeSpikingNoisy); err != nil {
 			t.Fatal(err)

@@ -145,7 +145,10 @@ func main() {
 			log.Printf("engine close: %v", err)
 		}
 	}()
-	log.Printf("serving on %s (%d executors, batch %d)", *addr, *workers, *batch)
+	// The realized shape, not the flags: -workers 0 and -batch 0 mean the
+	// engine's defaults.
+	shape := eng.Stats()
+	log.Printf("serving on %s (%d executors, batch %d)", *addr, shape.Workers, shape.MaxBatch)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fail(err)
 	}

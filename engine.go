@@ -13,12 +13,12 @@ import (
 // (WithWorkers, WithMaxBatch, WithMode, …) fill in.
 type engineConfig struct {
 	// Workers is the number of executors requests can borrow; each holds
-	// its own programmed simulation state. 0 means 1.
+	// its own programmed simulation state (0 = 4).
 	Workers int
 	// MaxBatch is the chunk size ClassifyBatch calls are cut into, the
 	// most one kernel pass carries (0 = 8).
 	MaxBatch int
-	// Mode selects the execution semantics (default ModeReference). In
+	// Mode selects the execution semantics (default ModeSpiking). In
 	// ModeSpikingNoisy each executor is programmed with its own
 	// deterministic variation derived from the SpikingNet seed.
 	Mode ExecMode
@@ -69,6 +69,15 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 		if k.v < 0 {
 			return nil, fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
 		}
+	}
+	// The default is the one NewEngine starts from, not serve's own: an
+	// explicit WithWorkers(0) must build what no option at all builds.
+	def := defaultEngineConfig()
+	if cfg.Workers == 0 {
+		cfg.Workers = def.Workers
+	}
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = def.MaxBatch
 	}
 	mode, err := cfg.Mode.synthMode()
 	if err != nil {
@@ -150,13 +159,12 @@ type EngineStats struct {
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int
-	// SparseKernels and DenseKernels count per-crossbar spiking-kernel
-	// invocations that took the bit-packed sparse path versus the dense
-	// cycle walk, across every execution replica; SpikeDensity is the
-	// aggregate observed input spike density over those calls. All zero
-	// under ModeReference, which runs neither kernel.
+	// SparseKernels counts spiking-kernel calls — one per crossbar stage
+	// per executed batch — across every execution replica; SpikeDensity is
+	// the aggregate observed input spike density over those calls. Both
+	// zero under ModeReference, which runs no spiking kernel. (There is one
+	// kernel, no dense counterpart; the field keeps its published name.)
 	SparseKernels uint64
-	DenseKernels  uint64
 	SpikeDensity  float64
 	// FaultedCells is the deployment's residual stuck-cell count under
 	// its compiled fault model (WithFaultModel / WithFaultMap): stuck

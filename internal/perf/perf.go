@@ -26,7 +26,6 @@ import (
 	"fpsa/internal/coreop"
 	"fpsa/internal/device"
 	"fpsa/internal/mapper"
-	"fpsa/internal/netlist"
 	"fpsa/internal/prime"
 	"fpsa/internal/shard"
 )
@@ -319,15 +318,4 @@ func allocFor(in Input) (mapper.Allocation, error) {
 		return mapper.AllocateVector(in.CoreOps, in.Assign)
 	}
 	return mapper.Allocate(in.CoreOps, in.Dup)
-}
-
-// NetlistFor builds the netlist whose inventory Evaluate reports, for
-// callers that also place & route it.
-func NetlistFor(in Input) (*netlist.Netlist, mapper.Allocation, error) {
-	alloc, err := allocFor(in)
-	if err != nil {
-		return nil, mapper.Allocation{}, err
-	}
-	nl, err := mapper.BuildNetlist(in.CoreOps, alloc, in.Params, nil)
-	return nl, alloc, err
 }

@@ -395,7 +395,7 @@ func (e *Engine) Close() error {
 func (e *Engine) QueueDepth() int { return int(e.waiting.Load()) }
 
 // Stats snapshots the engine's counters and latency percentiles,
-// including the spiking-kernel selection counters summed over every
+// including the spiking-kernel call counters summed over every
 // executor — each private one on a single chip, the one shared pipeline
 // (counted once, not per borrower) when sharded. FaultedCells is one
 // executor's count: every replica programs identical fault maps (they key
@@ -413,7 +413,6 @@ func (e *Engine) Stats() Stats {
 		ks = ks.Add(ex.KernelStats())
 	}
 	s.SparseKernels = ks.SparseBatches
-	s.DenseKernels = ks.DenseBatches
 	s.SpikeDensity = ks.Density()
 	s.FaultedCells = e.execs[0].FaultedCells()
 	return s

@@ -28,13 +28,13 @@ type Stats struct {
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int
-	// SparseKernels and DenseKernels count per-crossbar spiking-kernel
-	// invocations that took the bit-packed sparse path versus the dense
-	// cycle walk, summed over every execution replica; SpikeDensity is
-	// the aggregate observed input spike density across those calls.
-	// All zero under ModeReference, which runs neither kernel.
+	// SparseKernels counts spiking-kernel calls — one per crossbar stage
+	// per executed batch — summed over every execution replica, and
+	// SpikeDensity is the aggregate observed input spike density across
+	// those calls. Both zero under ModeReference, which runs no spiking
+	// kernel. (There is one kernel, no dense counterpart; the name follows
+	// xbar.KernelStats.SparseBatches, which is frozen.)
 	SparseKernels uint64
-	DenseKernels  uint64
 	SpikeDensity  float64
 	// FaultedCells is the deployment's residual stuck-cell count: stuck
 	// logical weight cells the fault model pinned across the program's
@@ -72,9 +72,8 @@ func (s Stats) String() string {
 	if s.Chips > 1 {
 		out += fmt.Sprintf(", %d pipelined chips", s.Chips)
 	}
-	if s.SparseKernels+s.DenseKernels > 0 {
-		out += fmt.Sprintf(", kernels %d sparse / %d dense (density %.3f)",
-			s.SparseKernels, s.DenseKernels, s.SpikeDensity)
+	if s.SparseKernels > 0 {
+		out += fmt.Sprintf(", %d spiking-kernel calls (density %.3f)", s.SparseKernels, s.SpikeDensity)
 	}
 	if s.FaultedCells > 0 {
 		out += fmt.Sprintf(", %d faulted cells", s.FaultedCells)

@@ -2,12 +2,15 @@ package spike
 
 import "testing"
 
-// FuzzPackRoundTrip drives the packed codec with arbitrary spike patterns
-// and window widths: Pack must round-trip through Unpack bit-exactly, stay
-// canonical (no stray bits past the window), agree with the boolean train
-// on Count, and PackedUniform must match Pack(UniformTrain(...)) lane for
-// lane. Seed corpus under testdata/fuzz/FuzzPackRoundTrip; CI runs a short
-// -fuzztime smoke pass.
+// FuzzPackRoundTrip drives AppendUniform with arbitrary counts and window
+// widths: filling Lanes(window) words at offset 0, stride 1 must reproduce
+// UniformTrain(count, window) bit for bit and set nothing at or beyond the
+// window. The count is the number of bits the pattern sets within the
+// window, as it was when this target round-tripped the packed-train codec
+// (deleted with its last caller; the name and the seed corpus under
+// testdata/fuzz/FuzzPackRoundTrip stay, so the committed seeds — windows 1,
+// 64 and 65, the lane boundaries — keep running). CI runs a short -fuzztime
+// smoke pass.
 func FuzzPackRoundTrip(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0x01}, 1)
@@ -17,40 +20,14 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if window < 0 || window > 1<<12 {
 			t.Skip()
 		}
-		tr := NewTrain(window)
 		count := 0
-		for i := range tr {
+		for i := 0; i < window; i++ {
 			if len(pattern) > 0 && pattern[i%len(pattern)]&(1<<uint(i&7)) != 0 {
-				tr[i] = true
 				count++
 			}
 		}
-		p := Pack(tr)
-		if len(p) != Lanes(window) {
-			t.Fatalf("Pack: %d lanes, want %d", len(p), Lanes(window))
-		}
-		if p.Count() != count {
-			t.Fatalf("Pack: Count %d, want %d", p.Count(), count)
-		}
-		for i := window; i < p.Capacity(); i++ {
-			if p.Get(i) {
-				t.Fatalf("Pack: stray bit at cycle %d past window %d", i, window)
-			}
-		}
-		back := p.Unpack(window)
-		for i := range tr {
-			if back[i] != tr[i] {
-				t.Fatalf("round trip: cycle %d = %v, want %v", i, back[i], tr[i])
-			}
-		}
-		// The jump-Bresenham generator must agree with the reference
-		// generator for this train's count at this window.
-		want := Pack(UniformTrain(count, window))
-		got := PackedUniform(count, window)
-		for l := range want {
-			if got[l] != want[l] {
-				t.Fatalf("PackedUniform(%d,%d): lane %d = %#x, want %#x", count, window, l, got[l], want[l])
-			}
-		}
+		lanes := make([]uint64, Lanes(window))
+		AppendUniform(lanes, count, window, 0, 1)
+		assertUniformLanes(t, lanes, count, window)
 	})
 }

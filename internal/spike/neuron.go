@@ -6,7 +6,7 @@ import "math"
 // models: advance one pipeline cycle with a conductance drive, report
 // whether a spike is emitted, and Reset between sampling windows ("a reset
 // signal will be sent to clear internal states before a new sampling window
-// begins", §4.2). The packed kernels in internal/xbar inline this contract,
+// begins", §4.2). The spiking kernel in internal/xbar inlines this contract,
 // so tests pin that Reset restores every implementation to its
 // freshly-constructed behavior.
 type Stepper interface {

@@ -77,13 +77,6 @@ type RunOptions struct {
 	Rng *rand.Rand
 	// Spec overrides the cell spec (default device.Cell4Bit).
 	Spec device.CellSpec
-	// Spike selects the spiking kernel for every crossbar the program
-	// runs on: xbar.PathAuto (zero value) probes each micro-batch's spike
-	// density and picks dense or bit-packed sparse per batch;
-	// xbar.PathDense and xbar.PathSparse force one kernel. The two
-	// kernels are bit-identical in every mode, so this is purely a
-	// performance knob.
-	Spike xbar.Path
 	// Faults, when active, injects the device fault scenario into every
 	// crossbar the program runs on: each weight group's stuck-cell map is
 	// a deterministic function of (Faults, group ID), so every worker
@@ -93,6 +86,12 @@ type RunOptions struct {
 	// cells using the crossbar's spare rows and columns. An inactive (or
 	// nil) model is bit-identical to no faults at all.
 	Faults *device.FaultModel
+	// spikeKernel, when set, stands in for (*xbar.Crossbar).SimulateCountsBatch
+	// at runStages' one spiking call site (through Executor.kernel). Only
+	// this package's tests can set it: they pass SimulateCountsBatchDense,
+	// the kernel's oracle, to get an oracle executor to compare the
+	// production one against.
+	spikeKernel func(c *xbar.Crossbar, dst, src []int, batch int) error
 }
 
 // Run executes the program on one input vector of spike counts in [0, Γ]

@@ -43,9 +43,13 @@ import (
 // Programming and the stage walk are the same code at every chip count,
 // so outputs are bit-identical across chip counts in all three modes.
 type Executor struct {
-	prog  *Program
-	opts  RunOptions
-	chips []chip
+	prog *Program
+	opts RunOptions
+	// kernel runs one spiking stage: (*xbar.Crossbar).SimulateCountsBatch on
+	// every executor built outside this package's tests (see
+	// RunOptions.spikeKernel).
+	kernel func(c *xbar.Crossbar, dst, src []int, batch int) error
+	chips  []chip
 	// stageCols[si] is the output width of stage si's weight group.
 	stageCols []int
 	// outs[si] is stage si's flat batch×cols output on a one-chip
@@ -119,13 +123,16 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		Params: p.Params,
 		Spec:   spec,
 		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
-		Path:   opts.Spike,
 	}
 	e := &Executor{
 		prog:      p,
 		opts:      opts,
+		kernel:    (*xbar.Crossbar).SimulateCountsBatch,
 		chips:     make([]chip, len(bounds)-1),
 		stageCols: make([]int, n),
+	}
+	if opts.spikeKernel != nil {
+		e.kernel = opts.spikeKernel
 	}
 	for k := range e.chips {
 		lo, hi := bounds[k], bounds[k+1]
@@ -198,11 +205,11 @@ func (e *Executor) FaultedCells() int {
 	return n
 }
 
-// KernelStats sums the spiking-kernel selection counters over every
-// crossbar the Executor programmed: how many micro-batch kernel calls took
-// the packed sparse path versus the dense path, and the aggregate observed
-// input spike density. The counters are atomics, so reading them while
-// chip goroutines are mid-batch is safe (each count lands before the
+// KernelStats sums the spiking-kernel counters over every crossbar the
+// Executor programmed: how many micro-batch kernel calls ran and the
+// aggregate observed input spike density (DenseBatches stays 0 unless a
+// test swapped the oracle in). The counters are atomics, so reading them
+// while chip goroutines are mid-batch is safe (each count lands before the
 // batch's results are delivered).
 func (e *Executor) KernelStats() xbar.KernelStats {
 	var st xbar.KernelStats
@@ -321,7 +328,7 @@ func (e *Executor) runStages(c *chip, inputs, outs [][]int) error {
 		case ModeReference:
 			err = unit.ReferenceBatch(out, x, B)
 		case ModeSpiking, ModeSpikingNoisy:
-			err = unit.SimulateCountsBatch(out, x, B)
+			err = e.kernel(unit, out, x, B)
 		default:
 			err = fmt.Errorf("unknown exec mode %d", e.opts.Mode)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fpsa/internal/device"
-	"fpsa/internal/xbar"
 )
 
 // faultTestProgram compiles the standard little MLP the fault properties
@@ -42,78 +41,70 @@ func runFaulted(t *testing.T, prog *Program, opts RunOptions, inputs [][]int) ([
 // TestFaultsZeroRateBitIdentical pins the zero-rate-equivalence
 // invariant: a nil fault model, an all-zero model, and a zero-rate model
 // with remap enabled are bit-identical to each other across all three
-// execution modes and both spiking kernels. The masked-weights fault
-// construction guarantees this — an empty mask changes no weight and
-// draws nothing from any RNG stream.
+// execution modes. The masked-weights fault construction guarantees this —
+// an empty mask changes no weight and draws nothing from any RNG stream.
 func TestFaultsZeroRateBitIdentical(t *testing.T) {
 	prog, inputs := faultTestProgram(t)
 	for mode, mkOpts := range pipelineModes() {
-		for _, path := range []xbar.Path{xbar.PathDense, xbar.PathSparse} {
-			base := mkOpts()
-			base.Spike = path
-			want, _ := runFaulted(t, prog, base, inputs)
-			for name, fm := range map[string]*device.FaultModel{
-				"zero-value": {},
-				"zero-rate":  {Rate: 0, Seed: 42, Remap: true},
-			} {
-				opts := mkOpts()
-				opts.Spike = path
-				opts.Faults = fm
-				got, cells := runFaulted(t, prog, opts, inputs)
-				if cells != 0 {
-					t.Fatalf("%s/%v/%s: %d faulted cells from an inactive model", mode, path, name, cells)
-				}
-				assertSameOutputs(t, mode+"/"+name, want, got)
+		want, _ := runFaulted(t, prog, mkOpts(), inputs)
+		for name, fm := range map[string]*device.FaultModel{
+			"zero-value": {},
+			"zero-rate":  {Rate: 0, Seed: 42, Remap: true},
+		} {
+			opts := mkOpts()
+			opts.Faults = fm
+			got, cells := runFaulted(t, prog, opts, inputs)
+			if cells != 0 {
+				t.Fatalf("%s/%s: %d faulted cells from an inactive model", mode, name, cells)
 			}
+			assertSameOutputs(t, mode+"/"+name, want, got)
 		}
 	}
 }
 
 // TestFaultsDeterministicSameSeed: the same fault model on two fresh
 // executors programs identical faulted hardware — identical outputs and
-// identical residual counts — in every mode and on both kernels.
+// identical residual counts — in every mode.
 func TestFaultsDeterministicSameSeed(t *testing.T) {
 	prog, inputs := faultTestProgram(t)
 	fm := func() *device.FaultModel {
 		return &device.FaultModel{Rate: 0.03, Seed: 11, Drift: 0.05, ReadSigma: 1e-7, Remap: true}
 	}
 	for mode, mkOpts := range pipelineModes() {
-		for _, path := range []xbar.Path{xbar.PathDense, xbar.PathSparse} {
-			a := mkOpts()
-			a.Spike, a.Faults = path, fm()
-			b := mkOpts()
-			b.Spike, b.Faults = path, fm()
-			outA, cellsA := runFaulted(t, prog, a, inputs)
-			outB, cellsB := runFaulted(t, prog, b, inputs)
-			if cellsA != cellsB {
-				t.Fatalf("%s/%v: faulted cells %d vs %d from the same seed", mode, path, cellsA, cellsB)
-			}
-			assertSameOutputs(t, mode+"/same-seed", outA, outB)
+		a := mkOpts()
+		a.Faults = fm()
+		b := mkOpts()
+		b.Faults = fm()
+		outA, cellsA := runFaulted(t, prog, a, inputs)
+		outB, cellsB := runFaulted(t, prog, b, inputs)
+		if cellsA != cellsB {
+			t.Fatalf("%s: faulted cells %d vs %d from the same seed", mode, cellsA, cellsB)
 		}
+		assertSameOutputs(t, mode+"/same-seed", outA, outB)
 	}
 }
 
 // TestFaultsDenseVsPackedBitIdentical: with an active fault model — stuck
-// cells, drift and read variation together — the dense and bit-packed
-// kernels still agree bit for bit. Drift makes column sums non-integer,
-// so this exercises the packed kernel's non-exact-sums path under faults.
+// cells, drift and read variation together — the kernel still agrees with
+// its dense oracle bit for bit. Drift makes column sums non-integer, so
+// this exercises the float walk under faults.
 func TestFaultsDenseVsPackedBitIdentical(t *testing.T) {
 	prog, inputs := faultTestProgram(t)
 	fm := &device.FaultModel{Rate: 0.05, Seed: 5, Drift: 0.08, ReadSigma: 2e-7, Remap: false}
 	for mode, mkOpts := range pipelineModes() {
-		dense := mkOpts()
-		dense.Spike, dense.Faults = xbar.PathDense, fm
+		dense := denseOracle(mkOpts())
+		dense.Faults = fm
 		sparse := mkOpts()
-		sparse.Spike, sparse.Faults = xbar.PathSparse, fm
+		sparse.Faults = fm
 		outD, cellsD := runFaulted(t, prog, dense, inputs)
 		outS, cellsS := runFaulted(t, prog, sparse, inputs)
 		if cellsD == 0 {
 			t.Fatalf("%s: unremapped 5%% fault rate left no faulted cells", mode)
 		}
 		if cellsD != cellsS {
-			t.Fatalf("%s: dense sees %d faulted cells, packed %d", mode, cellsD, cellsS)
+			t.Fatalf("%s: oracle sees %d faulted cells, kernel %d", mode, cellsD, cellsS)
 		}
-		assertSameOutputs(t, mode+"/dense-vs-packed", outD, outS)
+		assertSameOutputs(t, mode+"/oracle-vs-kernel", outD, outS)
 	}
 }
 

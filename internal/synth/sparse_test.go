@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -37,23 +38,32 @@ func densityInputs(rng *rand.Rand, b, n, window int, d float64) [][]int {
 }
 
 // sparseModes enumerates the three execution modes as fresh RunOptions
-// factories parameterized by spiking path, with identical noisy seeds so
-// every executor programs the same conductances.
-func sparseModes(path xbar.Path) map[string]func() RunOptions {
+// factories, with identical noisy seeds so every executor programs the same
+// conductances.
+func sparseModes() map[string]func() RunOptions {
 	return map[string]func() RunOptions{
-		"reference": func() RunOptions { return RunOptions{Mode: ModeReference, Spike: path} },
-		"spiking":   func() RunOptions { return RunOptions{Mode: ModeSpiking, Spike: path} },
+		"reference": func() RunOptions { return RunOptions{Mode: ModeReference} },
+		"spiking":   func() RunOptions { return RunOptions{Mode: ModeSpiking} },
 		"noisy": func() RunOptions {
-			return RunOptions{Mode: ModeSpikingNoisy, Spike: path, Rng: rand.New(rand.NewSource(1741))}
+			return RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(1741))}
 		},
 	}
 }
 
-// TestSparseMatchesDenseProperty is the end-to-end bit-exactness property
-// the ISSUE pins: for random programs and inputs at densities from 0 to 1,
-// the forced-sparse, forced-dense, and auto paths produce identical
-// outputs in all three execution modes, on a single-chip Executor and on
-// 2- and 4-chip pipelines.
+// denseOracle returns opts for the oracle executor: the same programming,
+// with every spiking stage run by the dense cycle walk
+// (xbar.SimulateCountsBatchDense) instead of the kernel. The field is
+// unexported, so nothing outside this package's tests can build one.
+func denseOracle(opts RunOptions) RunOptions {
+	opts.spikeKernel = (*xbar.Crossbar).SimulateCountsBatchDense
+	return opts
+}
+
+// TestSparseMatchesDenseProperty is the end-to-end bit-exactness property:
+// for random programs and inputs at densities from 0 to 1, the production
+// executor produces the oracle executor's outputs in all three execution
+// modes, on a single chip and on 2- and 4-chip pipelines — and never makes
+// an oracle call itself.
 func TestSparseMatchesDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	g, ws := buildTestMLP(rng, []int{20, 14, 10, 8, 6})
@@ -69,47 +79,31 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 	window := opts.Params.SamplingWindow()
 	for _, d := range []float64{0, 0.03, 0.1, 0.4, 1.0} {
 		inputs := densityInputs(rng, 5, 20, window, d)
-		for mode, mkDense := range sparseModes(xbar.PathDense) {
-			dense, err := NewExecutor(prog, mkDense())
+		for mode, mkOpts := range sparseModes() {
+			spiking := mode != "reference"
+			oracle, err := NewExecutor(prog, denseOracle(mkOpts()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := dense.RunBatch(inputs)
+			want, err := oracle.RunBatch(inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := dense.KernelStats(); st.SparseBatches != 0 {
-				t.Fatalf("d=%g %s: forced-dense executor took %d sparse batches", d, mode, st.SparseBatches)
+			if st := oracle.KernelStats(); st.SparseBatches != 0 || (st.DenseBatches == 0) == spiking {
+				t.Fatalf("d=%g %s: oracle executor ran %d kernel / %d oracle batches", d, mode, st.SparseBatches, st.DenseBatches)
 			}
-			for variant, mkOpts := range map[string]func() RunOptions{
-				"sparse": sparseModes(xbar.PathSparse)[mode],
-				"auto":   sparseModes(xbar.PathAuto)[mode],
-			} {
-				ex, err := NewExecutor(prog, mkOpts())
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, chips := range []int{1, 2, 4} {
+				ex := pipelineAt(t, prog, chips, mkOpts())
 				got, err := ex.RunBatch(inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameOutputs(t, "d/"+mode+"/"+variant+"/1-chip", want, got)
-				if variant == "sparse" && mode != "reference" {
-					if st := ex.KernelStats(); st.DenseBatches != 0 || st.SparseBatches == 0 {
-						t.Fatalf("d=%g %s: forced-sparse executor ran %d dense / %d sparse batches",
-							d, mode, st.DenseBatches, st.SparseBatches)
-					}
+				assertSameOutputs(t, fmt.Sprintf("d=%g/%s/%d-chip", d, mode, chips), want, got)
+				if st := ex.KernelStats(); st.DenseBatches != 0 || (st.SparseBatches == 0) == spiking {
+					t.Fatalf("d=%g %s on %d chips: executor ran %d kernel / %d oracle batches", d, mode, chips, st.SparseBatches, st.DenseBatches)
 				}
-				for _, chips := range []int{2, 4} {
-					pe := pipelineAt(t, prog, chips, mkOpts())
-					got, err := pe.RunBatch(inputs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameOutputs(t, "d/"+mode+"/"+variant+"/pipelined", want, got)
-					if err := pe.Close(); err != nil {
-						t.Fatal(err)
-					}
+				if err := ex.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -131,9 +125,9 @@ func assertSameOutputs(t *testing.T, label string, want, got [][]int) {
 	}
 }
 
-// TestSparseDegenerateInputs covers the degenerate windows the ISSUE
-// calls out at the program level: the all-zero batch, the all-ones
-// (full-window) batch, and a single-item batch, on both kernels.
+// TestSparseDegenerateInputs covers the degenerate windows at the program
+// level: the all-zero batch, the all-ones (full-window) batch, and a
+// single-item batch, kernel against oracle.
 func TestSparseDegenerateInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	g, ws := buildTestMLP(rng, []int{12, 8, 4})
@@ -156,11 +150,11 @@ func TestSparseDegenerateInputs(t *testing.T) {
 		"mixed":       {zero, full, randomInput(rng, 12, window)},
 	}
 	for name, inputs := range cases {
-		dense, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking, Spike: xbar.PathDense})
+		dense, err := NewExecutor(prog, denseOracle(RunOptions{Mode: ModeSpiking}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking, Spike: xbar.PathSparse})
+		sparse, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,10 +171,10 @@ func TestSparseDegenerateInputs(t *testing.T) {
 }
 
 // TestSparsePipelineRaceStress drives concurrent micro-batches through a
-// sharded pipeline on the packed path while another goroutine polls
-// KernelStats — the exact overlap the serving engine produces. Run with
-// -race this pins the atomicity of the kernel-selection counters and the
-// single-writer discipline of the packed scratch buffers.
+// sharded pipeline while another goroutine polls KernelStats — the exact
+// overlap the serving engine produces. Run with -race this pins the
+// atomicity of the kernel counters and the single-writer discipline of the
+// kernel's scratch buffers.
 func TestSparsePipelineRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(603))
 	g, ws := buildTestMLP(rng, []int{16, 12, 8, 4})
@@ -190,7 +184,7 @@ func TestSparsePipelineRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := pipelineAt(t, prog, 4, RunOptions{Mode: ModeSpiking, Spike: xbar.PathAuto})
+	pe := pipelineAt(t, prog, 4, RunOptions{Mode: ModeSpiking})
 	defer pe.Close()
 	window := opts.Params.SamplingWindow()
 
@@ -245,7 +239,7 @@ func TestSparsePipelineRaceStress(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	pollWG.Wait()
-	if st := pe.KernelStats(); st.SparseBatches+st.DenseBatches == 0 {
+	if st := pe.KernelStats(); st.SparseBatches == 0 {
 		t.Error("race stress ran no kernel batches")
 	}
 }

@@ -8,55 +8,20 @@ import (
 	"fpsa/internal/spike"
 )
 
-// Path selects which spiking kernel SimulateCountsBatch runs. The sparse
-// and dense kernels are bit-identical (pinned by the property/fuzz suite
-// and documented in docs/INVARIANTS.md), so Path is purely a performance
-// knob.
-type Path int
-
-const (
-	// PathAuto probes each micro-batch's spike density and takes the
-	// packed kernel when it is at or below the sparse threshold. This is
-	// the default everywhere.
-	PathAuto Path = iota
-	// PathDense always runs the dense cycle-level kernel.
-	PathDense
-	// PathSparse always runs the bit-packed kernel.
-	PathSparse
-)
-
-// String renders the path as "auto", "dense" or "sparse".
-func (p Path) String() string {
-	switch p {
-	case PathDense:
-		return "dense"
-	case PathSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
-
-// DefaultSparseThreshold is the PathAuto density cutoff: a micro-batch
-// whose input spike density (Σ counts / (batch·rows·Γ)) is at or below it
-// takes the packed kernel on a crossbar whose sums are not exact (noisy
-// programming); above it the dense walk runs. Among the benchmark's
-// workloads only offline_mlp_noisy_sparse programs such crossbars, so it
-// is the one whose kernel choice this constant decides.
-const DefaultSparseThreshold = 0.30
-
-// KernelStats counts spiking-kernel selections and the observed input
-// spike density. Counters accumulate across a Crossbar's lifetime and are
-// safe to read while other goroutines execute (serve.Engine reads them
-// live); executors sum them across their crossbars.
+// KernelStats counts spiking-kernel calls and the observed input spike
+// density. Counters accumulate across a Crossbar's lifetime and are safe to
+// read while other goroutines execute (serve.Engine reads them live);
+// executors sum them across their crossbars.
 type KernelStats struct {
-	// SparseBatches / DenseBatches count SimulateCountsBatch calls that
-	// took the packed and the dense kernel respectively.
+	// SparseBatches counts SimulateCountsBatch calls — every spiking-kernel
+	// call a deployment makes. DenseBatches counts SimulateCountsBatchDense
+	// calls: oracle calls, 0 in every deployment. (The field names are
+	// frozen: bench/ compiles against them.)
 	SparseBatches uint64
 	DenseBatches  uint64
 	// Spikes and SpikeSlots accumulate the observed input spike counts
 	// and the capacity (batch·rows·Γ) they were observed over; their
-	// ratio is the density the auto-probe saw.
+	// ratio is the input density the kernel saw.
 	Spikes     uint64
 	SpikeSlots uint64
 }
@@ -79,8 +44,7 @@ func (s KernelStats) Add(o KernelStats) KernelStats {
 	return s
 }
 
-// KernelStats returns the crossbar's accumulated kernel-selection
-// counters.
+// KernelStats returns the crossbar's accumulated kernel counters.
 func (c *Crossbar) KernelStats() KernelStats {
 	return KernelStats{
 		SparseBatches: c.sparseN.Load(),
@@ -90,54 +54,10 @@ func (c *Crossbar) KernelStats() KernelStats {
 	}
 }
 
-// VMMBatchPacked computes the batched binary vector-matrix product over a
-// bit-packed input: masks is batch×Lanes(rows) words where bit i of item
-// b's lane group reports input i firing, and
-//
-//	out[b*cols+j] = Σ_{i: bit i set} weights[i*cols+j]
-//
-// It is the packed analog of VMMBatch with 0/1 inputs and is bit-identical
-// to it: set rows are visited in ascending order and 1·w adds are exactly
-// w adds, so the float accumulation order matches (pinned by
-// FuzzVMMBatchPackedVsDense). Stray bits at or beyond rows in the last
-// lane are ignored.
-func VMMBatchPacked(out, weights []float64, masks []uint64, batch, rows, cols int) {
-	if batch == 0 || rows == 0 || cols == 0 {
-		return
-	}
-	lanes := spike.Lanes(rows)
-	_ = out[batch*cols-1]
-	_ = masks[batch*lanes-1]
-	_ = weights[rows*cols-1]
-	for k := range out[:batch*cols] {
-		out[k] = 0
-	}
-	tail := uint64(0)
-	if r := rows & 63; r != 0 {
-		tail = 1<<uint(r) - 1
-	}
-	for b := 0; b < batch; b++ {
-		o := out[b*cols : (b+1)*cols]
-		m := masks[b*lanes : (b+1)*lanes]
-		for l, word := range m {
-			if l == lanes-1 && tail != 0 {
-				word &= tail
-			}
-			base := l << 6
-			for word != 0 {
-				i := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				w := weights[i*cols : (i+1)*cols]
-				for j, wv := range w {
-					o[j] += wv
-				}
-			}
-		}
-	}
-}
-
-// SimulateCountsBatchDense forces the dense cycle-level kernel regardless
-// of the configured path — the benchmark and property-test baseline.
+// SimulateCountsBatchDense runs the dense cycle-level walk — every row's
+// train materialized, every cycle stepping every column — instead of the
+// kernel. It is the oracle the property, fuzz and benchmark suites hold
+// SimulateCountsBatch to; nothing that serves calls it.
 func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
@@ -150,35 +70,15 @@ func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 	return nil
 }
 
-// SimulateCountsBatchPacked forces the bit-packed sparse kernel regardless
-// of the configured path. Output is bit-identical to the dense kernel.
-func (c *Crossbar) SimulateCountsBatchPacked(dst, src []int, batch int) error {
-	if batch == 0 {
-		return nil
-	}
-	if err := c.checkBatch(dst, src, batch); err != nil {
-		return err
-	}
-	c.sparseN.Add(1)
-	c.simulateCountsPacked(dst, src, batch)
-	return nil
-}
-
-// probeDensity sums the clamped input spike counts of a micro-batch and
-// records them in the stats counters; the returned density drives the
-// auto-selection.
-func (c *Crossbar) probeDensity(src []int, batch int) float64 {
+// probeDensity sums the clamped input spike counts of a micro-batch into
+// the stats counters, beside the capacity they were observed over.
+func (c *Crossbar) probeDensity(src []int, batch int) {
 	total := 0
 	for _, v := range src {
 		total += spike.Clamp(v, c.window)
 	}
-	slots := batch * c.rows * c.window
 	c.spikeN.Add(uint64(total))
-	c.slotN.Add(uint64(slots))
-	if slots == 0 {
-		return 0
-	}
-	return float64(total) / float64(slots)
+	c.slotN.Add(uint64(batch * c.rows * c.window))
 }
 
 // A column is tabulated when its support is at most maxSupport rows — what
@@ -212,9 +112,10 @@ var trainTables sync.Map // window → []uint64
 
 // uniformTrains returns the (Γ+1)×Lanes(Γ) table of packed uniform trains
 // for the window: words [count·lanes, (count+1)·lanes) hold
-// spike.PackedUniform(count, Γ). UniformTrain depends only on (count, Γ),
-// so the table is built once per window for the whole process — not per
-// crossbar (noisy executors re-program on every call) and not per item.
+// spike.UniformTrain(count, Γ), cycle t at bit t%64 of word t/64.
+// UniformTrain depends only on (count, Γ), so the table is built once per
+// window for the whole process — not per crossbar (noisy executors
+// re-program on every call) and not per item.
 func uniformTrains(window int) []uint64 {
 	if t, ok := trainTables.Load(window); ok {
 		return t.([]uint64)
@@ -256,15 +157,9 @@ func uniformTrains(window int) []uint64 {
 // columns at once in integer lanes (walkLanes). Anything else takes the
 // float walk, which per batch item
 //
-//  1. collapses the input rows into drive units — every row with a zero
-//     count drops out; when the programmed conductances are exact-sum
-//     (integer-valued and bounded, see Program) rows with equal counts
-//     share one unit whose conductance rows are pre-summed, because equal
-//     counts produce identical Bresenham trains and integer sums are
-//     order-independent, so the per-cycle drive is bit-identical either
-//     way. With inexact (noisy) conductances every firing row stays its
-//     own unit in ascending row order, preserving the dense float
-//     accumulation order exactly;
+//  1. collapses the input rows into drive units: every row with a zero
+//     count drops out, and every firing row is one unit, in ascending row
+//     order — the dense float accumulation order, preserved exactly;
 //  2. reads each unit's packed train from the shared uniformTrains table,
 //     OR-s them into the item's live-cycle mask, and accumulates unit-major
 //     — for each unit ascending, for each cycle t it fires in, add its
@@ -283,7 +178,7 @@ func uniformTrains(window int) []uint64 {
 //
 // Every floating-point operation the dense kernel performs on a value that
 // could differ is performed here, per column, in the same order; every
-// skipped operation is provably a no-op. That is the sparse/dense
+// skipped operation is provably a no-op. That is the kernel ≡ dense-oracle
 // bit-exactness invariant the property and fuzz suites pin. Nothing is
 // keyed on a whole input vector, stage or sample: the tables' hit rate
 // depends on the crossbar's structure, not on inputs repeating.
@@ -636,96 +531,38 @@ func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
 }
 
 // buildUnits collapses one item's input counts into drive units (see
-// simulateCountsPacked). Unit conductance rows (positive then negative
-// polarity, 2·cols wide) land in c.unitG, firing counts in c.unitCount.
+// simulateCountsPacked): one unit per firing row, in ascending row order —
+// the dense accumulation order, preserved bit for bit whether or not the
+// conductances would sum exactly in another. Unit conductance rows (positive
+// then negative polarity, 2·cols wide) land in c.unitG, firing counts in
+// c.unitCount.
 func (c *Crossbar) buildUnits(counts []int) {
 	window, w := c.window, 2*c.cols
 	c.unitG = c.unitG[:0]
 	c.unitCount = c.unitCount[:0]
-	if !c.exactSums {
-		// Inexact conductances: one unit per firing row, ascending row
-		// order — the dense accumulation order, preserved bit for bit.
-		for i, cnt := range counts {
-			cnt = spike.Clamp(cnt, window)
-			if cnt == 0 {
-				continue
-			}
-			c.unitG = append(c.unitG, c.rowG[i*w:(i+1)*w])
-			c.unitCount = append(c.unitCount, cnt)
-		}
-		return
-	}
-	// Exact-sum conductances: group rows by firing count. Equal counts
-	// fire on identical cycles, and integer-valued conductances sum
-	// exactly in any order, so a pre-summed group row drives the column
-	// bit-identically to its member rows added one by one.
-	c.slotMult = grow(c.slotMult, window+1)
-	c.slotRow = grow(c.slotRow, window+1)
-	c.slotUnit = grow(c.slotUnit, window+1)
-	for k := range c.slotMult {
-		c.slotMult[k] = 0
-	}
 	for i, cnt := range counts {
 		cnt = spike.Clamp(cnt, window)
 		if cnt == 0 {
 			continue
 		}
-		if c.slotMult[cnt] == 0 {
-			c.slotRow[cnt] = i
-		}
-		c.slotMult[cnt]++
-	}
-	grouped := 0
-	for cnt := 1; cnt <= window; cnt++ {
-		if c.slotMult[cnt] > 1 {
-			grouped++
-		}
-	}
-	c.groupBuf = grow(c.groupBuf, grouped*w)
-	for k := range c.groupBuf {
-		c.groupBuf[k] = 0
-	}
-	gi := 0
-	for cnt := 1; cnt <= window; cnt++ {
-		mult := c.slotMult[cnt]
-		if mult == 0 {
-			continue
-		}
-		c.slotUnit[cnt] = len(c.unitCount)
-		if mult == 1 {
-			i := c.slotRow[cnt]
-			c.unitG = append(c.unitG, c.rowG[i*w:(i+1)*w])
-		} else {
-			c.unitG = append(c.unitG, c.groupBuf[gi*w:(gi+1)*w])
-			gi++
-		}
+		c.unitG = append(c.unitG, c.rowG[i*w:(i+1)*w])
 		c.unitCount = append(c.unitCount, cnt)
-	}
-	for i, cnt := range counts {
-		cnt = spike.Clamp(cnt, window)
-		if cnt == 0 || c.slotMult[cnt] < 2 {
-			continue
-		}
-		sum := c.unitG[c.slotUnit[cnt]]
-		for j, g := range c.rowG[i*w : (i+1)*w] {
-			sum[j] += g
-		}
 	}
 }
 
 // classifyProgramming scans the programmed conductances and precomputes
-// the packed kernel's structural facts: whether conductance sums are
-// exact in any order (every value integer and the worst-case window-long
-// column accumulation far below 2^53 — true for ideal programming, where
-// conductances are integer level counts; false as soon as programming
-// noise produces fractional values), and each column's support — the rows
-// where it carries a nonzero conductance in either polarity. Columns whose
-// support fits a table (see maxTabulated; all-zero columns have the empty
-// support and a one-entry table) become tabCols, the rest walkCols, and
-// maxDrive the most one cycle can add to a walked column's membrane (see
-// laneEligible). Program runs this on every programming pass — one per call
-// on the SpikingNet noisy path, which builds an executor per call — so it
-// allocates nothing beyond its three slices (TestProgramAllocs).
+// the kernel's structural facts. Each column's support is the rows where it
+// carries a nonzero conductance in either polarity: columns whose support
+// fits a table (see maxTabulated; all-zero columns have the empty support
+// and a one-entry table) become tabCols, the rest walkCols. maxDrive is the
+// most one cycle can add to a walked column's membrane (see laneEligible),
+// finite only when conductance sums are exact in any order — every value a
+// non-negative integer and the worst-case window-long column accumulation
+// far below 2^53: true for ideal programming, where conductances are integer
+// level counts; false as soon as programming noise produces fractional
+// values. Program runs this on every programming pass — one per call on the
+// SpikingNet noisy path, which builds an executor per call — so it allocates
+// nothing beyond its three slices (TestProgramAllocs).
 func (c *Crossbar) classifyProgramming() {
 	exact, nonneg := true, true
 	colSum := make([]float64, 2*c.cols) // column j: positive at 2j, negative at 2j+1
@@ -756,7 +593,7 @@ func (c *Crossbar) classifyProgramming() {
 	for j := 0; j < c.cols; j++ {
 		maxColSum = max(maxColSum, colSum[2*j]+colSum[2*j+1])
 	}
-	c.exactSums = exact && float64(c.window)*maxColSum < 1<<52
+	exactSums := exact && float64(c.window)*maxColSum < 1<<52
 	// maxK is the largest support whose key space (Γ+1)^k fits a table.
 	maxK := 0
 	for size := c.window + 1; maxK < maxSupport && size <= maxTabulated; size *= c.window + 1 {
@@ -773,7 +610,7 @@ func (c *Crossbar) classifyProgramming() {
 		}
 	}
 	c.maxDrive = math.Inf(1)
-	if c.exactSums && nonneg {
+	if exactSums && nonneg {
 		c.maxDrive = 0
 		for _, j := range c.walkCols {
 			c.maxDrive = max(c.maxDrive, colSum[2*j], colSum[2*j+1])

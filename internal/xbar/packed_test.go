@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,8 +32,8 @@ func countsAtDensity(rng *rand.Rand, n, window int, d float64) []int {
 }
 
 // newTestCrossbar programs a crossbar with random weights; noisy selects
-// Gaussian programming variation (inexact conductance sums, forcing the
-// packed kernel's order-preserving row iteration).
+// Gaussian programming variation (inexact conductance sums: the float walk,
+// whose row order is the dense accumulation order).
 func newTestCrossbar(t *testing.T, rng *rand.Rand, rows, cols int, noisy bool, zeroCols int) (*Crossbar, [][]int) {
 	t.Helper()
 	cfg := testConfig(0)
@@ -55,13 +56,35 @@ func newTestCrossbar(t *testing.T, rng *rand.Rand, rows, cols int, noisy bool, z
 	return xb, weights
 }
 
+// repeatedCounts is a three-item batch of the count vectors a walk that
+// merged rows by firing count would treat differently: every row at one
+// count, two counts alternating down the rows, and counts that differ from
+// row to row (all distinct up to Γ+1 rows).
+func repeatedCounts(rows, window int) []int {
+	src := make([]int, 0, 3*rows)
+	for i := 0; i < rows; i++ {
+		src = append(src, window/3+1)
+	}
+	for i := 0; i < rows; i++ {
+		src = append(src, []int{window / 4, window - 1}[i%2])
+	}
+	for i := 0; i < rows; i++ {
+		src = append(src, (i*37+5)%(window+1)) // 37 is coprime to Γ+1 = 17, 65, 129
+	}
+	return src
+}
+
 // TestPackedMatchesDenseProperty is the core bit-exactness property test:
 // randomized (rows, cols, batch, density, programming noise, zero
-// columns, threshold η) configurations where the packed kernel must equal
-// the dense kernel element for element. Shapes straddle the 64-bit lane
+// columns, threshold η) configurations where the kernel must equal the
+// dense oracle element for element. Shapes straddle the 64-bit lane
 // boundary; zeroCols exercises the column skip list; noisy programming
-// disables count grouping and pins the float accumulation order; each
-// crossbar runs at a saturating η and at the synthesizer's.
+// pins the float accumulation order; each crossbar runs at a saturating η
+// and at the synthesizer's. Every ideal crossbar is also programmed with
+// column 0 stuck high, which lifts that column's drive over the
+// synthesizer's η: exact sums, but no longer lane-eligible — the float walk
+// on integer conductances, which used to merge equal-count rows into one
+// unit. Besides the density sweep every crossbar is fed repeatedCounts.
 func TestPackedMatchesDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cases := []struct {
@@ -74,38 +97,57 @@ func TestPackedMatchesDenseProperty(t *testing.T) {
 	for _, noisy := range []bool{false, true} {
 		for _, tc := range cases {
 			xb, weights := newTestCrossbar(t, rng, tc.rows, tc.cols, noisy, tc.zeroCols)
-			if xb.exactSums == noisy {
-				t.Fatalf("noisy=%v: exactSums=%v, want %v", noisy, xb.exactSums, !noisy)
+			if exact := !math.IsInf(xb.maxDrive, 1); exact == noisy {
+				t.Fatalf("noisy=%v: exact sums = %v, want %v", noisy, exact, !noisy)
 			}
 			// A mid-range η so both sub- and super-threshold drives occur
 			// (columns saturate: the float walk and its hot drain), then the
 			// synthesizer's never-saturating η (the integer-lane walk, when
 			// programming is ideal).
 			mid := float64(testConfig(0).Rep.MaxWeight()) * float64(tc.rows) / 8
-			for _, eta := range []float64{mid, synthEta(weights)} {
-				xb.SetEta(eta)
-				if lanes := len(xb.walkCols) > 0 && xb.laneEligible(); lanes != (!noisy && eta != mid && tc.rows > maxSupport) {
-					t.Fatalf("noisy=%v %+v η=%g: lane walk = %v", noisy, tc, eta, lanes)
+			se := synthEta(weights)
+			type run struct {
+				name string
+				xb   *Crossbar
+				etas []float64
+			}
+			runs := []run{{"plain", xb, []float64{mid, se}}}
+			if walked := tc.rows > maxSupport; walked && !noisy {
+				fm := device.FaultMap{Rows: tc.rows, Cols: tc.cols}
+				for i := 0; i < tc.rows; i++ {
+					fm.Cells = append(fm.Cells, device.FaultCell{Row: i, Col: 0, Kind: device.FaultStuckHigh})
 				}
-				for _, d := range densities {
-					src := make([]int, 0, tc.batch*tc.rows)
-					for b := 0; b < tc.batch; b++ {
-						src = append(src, countsAtDensity(rng, tc.rows, xb.Window(), d)...)
+				if err := fm.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				mask := fm.MaskFor(tc.rows, tc.cols, false)
+				cfg := testConfig(se)
+				cfg.Faults = &mask
+				stuck, err := Program(cfg, weights, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.IsInf(stuck.maxDrive, 1) || stuck.laneEligible() {
+					t.Fatalf("%+v stuck-high column at η=%g: maxDrive %g, lane-eligible %v, want exact sums over η", tc, se, stuck.maxDrive, stuck.laneEligible())
+				}
+				runs = append(runs, run{"stuck-high", stuck, []float64{se}})
+			}
+			for _, run := range runs {
+				for _, eta := range run.etas {
+					xb := run.xb
+					xb.SetEta(eta)
+					label := fmt.Sprintf("noisy=%v %+v %s η=%g", noisy, tc, run.name, eta)
+					if lanes := len(xb.walkCols) > 0 && xb.laneEligible(); lanes != (!noisy && run.name == "plain" && eta != mid && tc.rows > maxSupport) {
+						t.Fatalf("%s: lane walk = %v", label, lanes)
 					}
-					dense := make([]int, tc.batch*tc.cols)
-					packed := make([]int, tc.batch*tc.cols)
-					if err := xb.SimulateCountsBatchDense(dense, src, tc.batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := xb.SimulateCountsBatchPacked(packed, src, tc.batch); err != nil {
-						t.Fatal(err)
-					}
-					for k := range dense {
-						if dense[k] != packed[k] {
-							t.Fatalf("noisy=%v %+v η=%g d=%g: out[%d] dense %d packed %d",
-								noisy, tc, eta, d, k, dense[k], packed[k])
+					for _, d := range densities {
+						src := make([]int, 0, tc.batch*tc.rows)
+						for b := 0; b < tc.batch; b++ {
+							src = append(src, countsAtDensity(rng, tc.rows, xb.Window(), d)...)
 						}
+						assertPackedMatchesDense(t, fmt.Sprintf("%s d=%g", label, d), xb, src, tc.batch)
 					}
+					assertPackedMatchesDense(t, label+" repeated counts", xb, repeatedCounts(tc.rows, xb.Window()), 3)
 				}
 			}
 		}
@@ -117,25 +159,9 @@ func TestPackedMatchesDenseProperty(t *testing.T) {
 // IOBits=0), tiny η (every cycle fires), and η ≤ 0 after SetEta.
 func TestPackedDegenerateCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	check := func(t *testing.T, xb *Crossbar, src []int, batch int) {
-		t.Helper()
-		dense := make([]int, batch*xb.Cols())
-		packed := make([]int, batch*xb.Cols())
-		if err := xb.SimulateCountsBatchDense(dense, src, batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := xb.SimulateCountsBatchPacked(packed, src, batch); err != nil {
-			t.Fatal(err)
-		}
-		for k := range dense {
-			if dense[k] != packed[k] {
-				t.Fatalf("out[%d]: dense %d packed %d", k, dense[k], packed[k])
-			}
-		}
-	}
 	t.Run("all-zero", func(t *testing.T) {
 		xb, _ := newTestCrossbar(t, rng, 40, 8, false, 0)
-		check(t, xb, make([]int, 3*40), 3)
+		assertPackedMatchesDense(t, t.Name(), xb, make([]int, 3*40), 3)
 	})
 	t.Run("all-ones", func(t *testing.T) {
 		xb, _ := newTestCrossbar(t, rng, 40, 8, true, 0)
@@ -143,7 +169,7 @@ func TestPackedDegenerateCases(t *testing.T) {
 		for i := range src {
 			src[i] = xb.Window()
 		}
-		check(t, xb, src, 2)
+		assertPackedMatchesDense(t, t.Name(), xb, src, 2)
 	})
 	t.Run("single-timestep-window", func(t *testing.T) {
 		cfg := testConfig(0)
@@ -157,124 +183,72 @@ func TestPackedDegenerateCases(t *testing.T) {
 			t.Fatalf("window = %d, want 1", xb.Window())
 		}
 		src := []int{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1}
-		check(t, xb, src, 1)
+		assertPackedMatchesDense(t, t.Name(), xb, src, 1)
 	})
 	t.Run("tiny-eta", func(t *testing.T) {
 		xb, _ := newTestCrossbar(t, rng, 30, 7, false, 0)
 		xb.SetEta(0.5) // far below single-row drive: long hot tails
 		src := countsAtDensity(rng, 30, xb.Window(), 0.05)
-		check(t, xb, src, 1)
+		assertPackedMatchesDense(t, t.Name(), xb, src, 1)
 	})
 	t.Run("nonpositive-eta", func(t *testing.T) {
 		xb, _ := newTestCrossbar(t, rng, 16, 5, false, 2)
 		xb.SetEta(0) // every column fires every cycle, zero columns included
 		src := countsAtDensity(rng, 16, xb.Window(), 0.1)
-		check(t, xb, src, 1)
+		assertPackedMatchesDense(t, t.Name(), xb, src, 1)
 	})
 }
 
-// TestAutoSelection pins the density probe on a noisy crossbar (no count
-// grouping, so DefaultSparseThreshold decides): at the last per-row count
-// whose density is still at or below it the packed kernel runs, one spike
-// per row more and the dense kernel does, and KernelStats records both
-// the choices and the observed density.
+// TestAutoSelection pins that there is no selection left to make: on a
+// noisy crossbar — the one kind a density threshold (0.30) used to split
+// between two kernels — a batch at the last per-row count at or below that
+// density and a batch one spike per row above it both run the kernel and
+// equal the dense oracle (run on an identically programmed twin, so the
+// counters read the kernel's calls alone): two kernel calls, no oracle call,
+// and the observed density.
 func TestAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	cfg := testConfig(0)
 	cfg.Spec = device.Cell4BitMeasured
 	weights := randomWeights(rng, 32, 8, cfg.Rep.MaxWeight())
-	xb, err := Program(cfg, weights, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
+	var xb, oracle *Crossbar
+	for _, c := range []**Crossbar{&xb, &oracle} {
+		var err error
+		if *c, err = Program(cfg, weights, rand.New(rand.NewSource(5))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	window := xb.Window()
-	below := int(DefaultSparseThreshold * float64(window)) // density below/window ≤ 0.30
+	below := int(0.30 * float64(window)) // density below/window ≤ 0.30
 	if below < 1 || below >= window {
-		t.Fatalf("window %d leaves no count either side of the threshold", window)
+		t.Fatalf("window %d leaves no count either side of 0.30", window)
 	}
-	sparseSrc := make([]int, 32)
-	for i := range sparseSrc {
-		sparseSrc[i] = below
-	}
-	denseSrc := make([]int, 32) // density (below+1)/window > 0.30
-	for i := range denseSrc {
-		denseSrc[i] = below + 1
-	}
-	dst := make([]int, 8)
-	if err := xb.SimulateCountsBatch(dst, sparseSrc, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := xb.SimulateCountsBatch(dst, denseSrc, 1); err != nil {
-		t.Fatal(err)
+	for _, count := range []int{below, below + 1} {
+		src := make([]int, 32)
+		for i := range src {
+			src[i] = count
+		}
+		got, want := make([]int, 8), make([]int, 8)
+		if err := xb.SimulateCountsBatch(got, src, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.SimulateCountsBatchDense(want, src, 1); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("count %d: kernel %v, oracle %v", count, got, want)
+		}
 	}
 	st := xb.KernelStats()
-	if st.SparseBatches != 1 || st.DenseBatches != 1 {
-		t.Fatalf("selections = %d sparse / %d dense, want 1/1", st.SparseBatches, st.DenseBatches)
+	if st.SparseBatches != 2 || st.DenseBatches != 0 {
+		t.Fatalf("calls = %d kernel / %d oracle, want 2/0", st.SparseBatches, st.DenseBatches)
 	}
 	wantDensity := float64(2*below+1) / float64(2*window)
 	if math.Abs(st.Density()-wantDensity) > 1e-12 {
 		t.Fatalf("Density() = %g, want %g", st.Density(), wantDensity)
 	}
-
-	// An ideally programmed crossbar always takes the packed kernel under
-	// PathAuto — count grouping makes it the faster walk at every density.
-	ixb, err := Program(testConfig(0), weights, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ixb.SimulateCountsBatch(dst, denseSrc, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := ixb.KernelStats(); st.SparseBatches != 1 || st.DenseBatches != 0 {
-		t.Fatalf("ideal selections = %d sparse / %d dense, want 1/0", st.SparseBatches, st.DenseBatches)
-	}
-}
-
-// TestPathString pins the path spellings.
-func TestPathString(t *testing.T) {
-	for p, want := range map[Path]string{PathAuto: "auto", PathDense: "dense", PathSparse: "sparse", Path(99): "auto"} {
-		if got := p.String(); got != want {
-			t.Errorf("Path(%d).String() = %q, want %q", int(p), got, want)
-		}
-	}
-}
-
-// TestVMMBatchPackedMatchesDense checks the packed binary kernel against
-// VMMBatch with the equivalent 0/1 float input — bit for bit, including
-// a last lane with stray bits past rows, which must be ignored.
-func TestVMMBatchPackedMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	for _, tc := range []struct{ batch, rows, cols int }{
-		{1, 1, 1}, {2, 63, 5}, {3, 64, 7}, {4, 65, 6}, {2, 100, 12}, {1, 256, 20},
-	} {
-		lanes := spike.Lanes(tc.rows)
-		masks := make([]uint64, tc.batch*lanes)
-		in := make([]float64, tc.batch*tc.rows)
-		for b := 0; b < tc.batch; b++ {
-			for i := 0; i < tc.rows; i++ {
-				if rng.Intn(3) == 0 {
-					masks[b*lanes+i>>6] |= 1 << uint(i&63)
-					in[b*tc.rows+i] = 1
-				}
-			}
-			// Stray bits past rows in the final lane must not contribute.
-			if r := tc.rows & 63; r != 0 {
-				masks[b*lanes+lanes-1] |= ^(uint64(1)<<uint(r) - 1)
-			}
-		}
-		w := make([]float64, tc.rows*tc.cols)
-		for i := range w {
-			w[i] = rng.NormFloat64()
-		}
-		want := make([]float64, tc.batch*tc.cols)
-		got := make([]float64, tc.batch*tc.cols)
-		VMMBatch(want, w, in, tc.batch, tc.rows, tc.cols)
-		VMMBatchPacked(got, w, masks, tc.batch, tc.rows, tc.cols)
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("%+v: out[%d] = %x, want %x", tc, k, got[k], want[k])
-			}
-		}
+	if ost := oracle.KernelStats(); ost.SparseBatches != 0 || ost.DenseBatches != 2 || ost.SpikeSlots != 0 {
+		t.Fatalf("oracle twin: %+v, want 2 oracle calls and nothing else", ost)
 	}
 }
 
@@ -299,7 +273,7 @@ func TestKernelStatsAdd(t *testing.T) {
 // 16×24 and 24×4 shapes and the programming offline_mlp_noisy_sparse pays
 // for on every call — at a constant, whatever rows·cols is: programming a
 // weight allocates nothing (device.ProgramWeight), and what
-// classifyProgramming records for the kernel choice (column supports,
+// classifyProgramming records for the kernel (column supports,
 // per-polarity column sums) rides in the scan's existing buffers, so the
 // crossbar, its four matrices and the three classification slices are all
 // there is.

@@ -78,9 +78,9 @@ func structuredConfig(ioBits int, noisy bool) Config {
 	return cfg
 }
 
-// assertPackedMatchesDense runs one batch through the dense kernel, the
-// packed kernel twice (the second pass reads the tables the first filled)
-// and the auto path, and requires item-by-item equality.
+// assertPackedMatchesDense runs one batch through the dense oracle and
+// through the kernel twice (the second pass reads the tables the first
+// filled) and requires item-by-item equality.
 func assertPackedMatchesDense(t *testing.T, label string, xb *Crossbar, src []int, batch int) {
 	t.Helper()
 	dense := make([]int, batch*xb.Cols())
@@ -91,9 +91,8 @@ func assertPackedMatchesDense(t *testing.T, label string, xb *Crossbar, src []in
 		name string
 		run  func(dst, src []int, batch int) error
 	}{
-		{"packed cold", xb.SimulateCountsBatchPacked},
-		{"packed warm", xb.SimulateCountsBatchPacked},
-		{"auto", xb.SimulateCountsBatch},
+		{"kernel cold", xb.SimulateCountsBatch},
+		{"kernel warm", xb.SimulateCountsBatch},
 	}
 	for _, k := range kernels {
 		got := make([]int, len(dense))

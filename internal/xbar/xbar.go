@@ -6,7 +6,7 @@
 // cost of a weight matrix — and of everything derived from it once, such as
 // the packed kernel's column supports, tables and lane-packed conductances —
 // is amortized across every vector that streams through it. Per-item cost
-// in the spiking kernels does not fall with batch size; what a batch saves
+// in the spiking kernel does not fall with batch size; what a batch saves
 // is the per-call overhead above the kernel.
 //
 // Three views of the same computation are provided, from fastest to most
@@ -137,16 +137,12 @@ type Config struct {
 	// Eta is the neuron threshold η in conductance units; zero means
 	// "use Rep.MaxWeight()".
 	Eta float64
-	// Path selects the spiking kernel (dense, bit-packed sparse, or
-	// density-probed auto — the zero value). The kernels are
-	// bit-identical; see SimulateCountsBatch.
-	Path Path
 	// Faults, when non-nil and active, is the device fault state Program
 	// applies: stuck logical cells override the weight matrix before the
 	// polarity split (stuck-low reads 0, stuck-high +Rep.MaxWeight()), so
 	// the ideal weights and the programmed conductances both see the same
 	// faults — which is what keeps the reference, spiking and noisy modes,
-	// and the dense and bit-packed kernels, on identical faulted state.
+	// and the spiking kernel and its dense oracle, on identical faulted state.
 	// Drift and static read offsets then perturb the conductances alone.
 	// An inactive mask is bit-identical to no mask at all.
 	Faults *device.FaultMask
@@ -174,25 +170,23 @@ type Crossbar struct {
 	// possibly with variation), row-major rows×cols.
 	posG, negG []float64
 
-	// Spiking-kernel selection (see packed.go): the configured path plus
-	// the structural facts classifyProgramming derives from the
-	// conductances. trainTab, rowG and laneG are fetched/built when
-	// the packed kernel first needs them.
-	path      Path
-	exactSums bool       // conductance sums exact in any order (integer values)
-	maxDrive  float64    // largest per-polarity walk-column sum; +Inf unless exactSums and no value < 0
-	tabCols   []tabCol   // columns answered from a table over their support counts
-	walkCols  []int      // columns the cycle walk must step, ascending
-	trainTab  []uint64   // shared (window+1)×Lanes(window) uniform trains
-	rowG      []float64  // rows×2·cols conductances, posG row then negG row per row
-	laneG     []lanePair // rows×⌈walkCols/4⌉ walk-column conductances in 16-bit lanes
+	// What the spiking kernel does is decided by the structural facts
+	// classifyProgramming derives from the conductances (see packed.go).
+	// trainTab, rowG and laneG are fetched/built when the kernel first
+	// needs them.
+	maxDrive float64    // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
+	tabCols  []tabCol   // columns answered from a table over their support counts
+	walkCols []int      // columns the cycle walk must step, ascending
+	trainTab []uint64   // shared (window+1)×Lanes(window) uniform trains
+	rowG     []float64  // rows×2·cols conductances, posG row then negG row per row
+	laneG    []lanePair // rows×⌈walkCols/4⌉ walk-column conductances in 16-bit lanes
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
 	faulted int
 
-	// Kernel-selection counters, atomic because serve.Engine reads them
-	// while executor goroutines run.
+	// Kernel counters (see KernelStats), atomic because serve.Engine reads
+	// them while executor goroutines run.
 	sparseN, denseN atomic.Uint64
 	spikeN, slotN   atomic.Uint64
 
@@ -213,10 +207,6 @@ type Crossbar struct {
 	// Float-walk scratch (see simulateCountsPacked).
 	unitG     [][]float64 // per-unit conductance rows, 2·cols wide
 	unitCount []int       // per-unit firing counts
-	groupBuf  []float64   // backing store for pre-summed group rows
-	slotMult  []int       // window+1: rows sharing each count
-	slotRow   []int       // window+1: first row with each count
-	slotUnit  []int       // window+1: count → unit index
 	live      []uint64    // Lanes(window) union of the current item's unit trains
 	evCycles  []int       // live cycles of the current item, ascending
 	rank      []int       // window: live cycle t → its index in evCycles
@@ -267,7 +257,6 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		cols:   cols,
 		eta:    eta,
 		window: cfg.Params.SamplingWindow(),
-		path:   cfg.Path,
 		posW:   make([]float64, rows*cols),
 		negW:   make([]float64, rows*cols),
 		posG:   make([]float64, rows*cols),
@@ -424,18 +413,16 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // are independent and cost the same at any batch size; one call per
 // micro-batch saves only the call overhead.
 //
-// Two bit-identical kernels back it: the dense cycle walk and the
-// structure-aware bit-packed kernel (simulateCountsPacked). The configured
-// Path picks one; PathAuto (the default) probes the micro-batch's input
-// spike density and takes the packed kernel at or below the sparse
-// threshold, where skipping dead cycles and zero rows wins. Ideally
-// programmed crossbars (integer conductances, exact in any summation
-// order) always take the packed kernel under PathAuto: small-support
-// columns are answered from tables there, and the rest are stepped four to
-// a word in integer lanes when η is one no column can saturate (as the
-// synthesizer's always is), or else by the count-grouped float walk — each
-// faster than the dense walk at every density. Selection counts and the
-// observed density are exposed through KernelStats.
+// One kernel backs it, the structure-aware simulateCountsPacked, and what
+// that kernel does is a function of the programmed crossbar alone — never of
+// the batch's density or of an option: small-support columns are answered
+// from tables; the rest are stepped four to a word in integer lanes when the
+// conductances are ideal and η is one no column can saturate (as the
+// synthesizer's always is), or else by the float walk over one drive unit
+// per firing row. Its output is bit-identical to the dense cycle walk
+// (SimulateCountsBatchDense), which the test suites keep as its oracle.
+// Call counts and the observed input density are exposed through
+// KernelStats.
 func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
@@ -443,14 +430,9 @@ func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 	if err := c.checkBatch(dst, src, batch); err != nil {
 		return err
 	}
-	density := c.probeDensity(src, batch)
-	if c.path == PathSparse || (c.path == PathAuto && (c.exactSums || density <= DefaultSparseThreshold)) {
-		c.sparseN.Add(1)
-		c.simulateCountsPacked(dst, src, batch)
-		return nil
-	}
-	c.denseN.Add(1)
-	c.simulateCountsDense(dst, src, batch)
+	c.probeDensity(src, batch)
+	c.sparseN.Add(1)
+	c.simulateCountsPacked(dst, src, batch)
 	return nil
 }
 

@@ -82,4 +82,25 @@ func TestEngineOptionValidation(t *testing.T) {
 			}
 		})
 	}
+	// Zero is "use the default", and the default is NewEngine's own: an
+	// explicit 0 builds the engine that no option at all builds.
+	for _, tc := range []struct {
+		name string
+		opts []EngineOption
+	}{
+		{"no options", nil},
+		{"zero workers", []EngineOption{WithWorkers(0)}},
+		{"zero batch", []EngineOption{WithMaxBatch(0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := d.NewEngine(ctx, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if st := eng.Stats(); st.Workers != 4 || st.MaxBatch != 8 {
+				t.Errorf("NewEngine(%s): %d workers, batches of %d, want the defaults 4 and 8", tc.name, st.Workers, st.MaxBatch)
+			}
+		})
+	}
 }
