@@ -8,9 +8,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"sync"
-	"syscall"
 	"time"
 
 	"fpsa"
@@ -61,28 +58,21 @@ type fleetModel struct {
 	layers []int
 	epochs int
 	train  fpsa.Dataset
-	mode   fpsa.ExecMode
 }
 
-// runFleet serves a multi-model fleet described by the -fleet config
-// file: per-model autoscaled replica pools, tenant-aware admission, a
-// /fleetz stats endpoint, and a /v1/swap endpoint that retrains and
-// hot-swaps a model with zero downtime. On SIGINT/SIGTERM it stops
-// admitting, drains in-flight work within the drain deadline, and
-// returns nil so the process exits 0.
-func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) error {
-	raw, err := os.ReadFile(cfgPath)
-	if err != nil {
-		return err
-	}
+// buildFleet decodes a -fleet config, then trains, compiles and registers
+// every model in it, returning the fleet with each model's swap state. A
+// config no fleet can be built from — no models, an unknown class, an MLP
+// without input and output dims, an unknown mode — fails before its model
+// is trained. The caller closes the fleet.
+func buildFleet(ctx context.Context, raw []byte) (*fpsa.Fleet, map[string]*fleetModel, error) {
 	var cfg fleetConfig
 	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return fmt.Errorf("parsing fleet config %s: %w", cfgPath, err)
+		return nil, nil, err
 	}
 	if len(cfg.Models) == 0 {
-		return fmt.Errorf("fleet config %s declares no models", cfgPath)
+		return nil, nil, errors.New("no models declared")
 	}
-
 	opts := []fpsa.FleetOption{fpsa.WithFleetCache(fpsa.NewCompileCache(0))}
 	if cfg.Chips > 0 {
 		opts = append(opts, fpsa.WithFleetChips(cfg.Chips))
@@ -90,62 +80,84 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 	for _, t := range cfg.Tenants {
 		class, err := fpsa.ParseQoSClass(t.Class)
 		if err != nil {
-			return err
+			return nil, nil, fmt.Errorf("tenant %q: %w", t.Name, err)
 		}
 		opts = append(opts, fpsa.WithTenant(t.Name, class, t.Quota))
 	}
 	f, err := fpsa.NewFleet(opts...)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer f.Close()
-
-	// models guards the swap state; swaps retrain with a caller-supplied
-	// seed and recompile through the fleet's cache.
-	var mu sync.Mutex
 	models := make(map[string]*fleetModel, len(cfg.Models))
 	for _, mc := range cfg.Models {
-		if len(mc.Layers) < 2 {
-			return fmt.Errorf("model %q: layers must name at least input and output dims", mc.Name)
-		}
-		mode := fpsa.ModeSpiking
-		if mc.Mode != "" {
-			if mode, err = parseMode(mc.Mode); err != nil {
-				return fmt.Errorf("model %q: %w", mc.Name, err)
-			}
-		}
-		if mc.Epochs <= 0 {
-			mc.Epochs = 40
-		}
-		in, classes := mc.Layers[0], mc.Layers[len(mc.Layers)-1]
-		train, test := fpsa.SyntheticDataset(mc.Seed, 900, in, classes, 0.08).Split(2.0 / 3)
-		net, err := fpsa.TrainMLP(mc.Seed, mc.Layers, train, mc.Epochs)
+		m, err := addFleetModel(ctx, f, mc)
 		if err != nil {
-			return fmt.Errorf("model %q: %w", mc.Name, err)
+			f.Close()
+			return nil, nil, fmt.Errorf("model %q: %w", mc.Name, err)
 		}
-		log.Printf("model %q: trained MLP %v, float accuracy %.3f", mc.Name, mc.Layers, net.Accuracy(test))
-		d, err := fpsa.Compile(ctx, net.Model(),
-			fpsa.WithWeightSource(net.WeightSource()), fpsa.WithSeed(mc.Seed), fpsa.WithCache(f.Cache()))
-		if err != nil {
-			return fmt.Errorf("model %q: %w", mc.Name, err)
-		}
-		var modelOpts []fpsa.FleetModelOption
-		if mc.Replicas > 0 {
-			modelOpts = append(modelOpts, fpsa.WithModelReplicas(mc.Replicas))
-		}
-		if mc.MinReplicas > 0 || mc.MaxReplicas > 0 {
-			modelOpts = append(modelOpts, fpsa.WithModelReplicaRange(mc.MinReplicas, mc.MaxReplicas))
-		}
-		if mc.QueueDepth > 0 {
-			modelOpts = append(modelOpts, fpsa.WithModelQueueDepth(mc.QueueDepth))
-		}
-		modelOpts = append(modelOpts, fpsa.WithModelEngine(fpsa.WithMode(mode)))
-		if err := f.AddModel(ctx, mc.Name, d, modelOpts...); err != nil {
-			return fmt.Errorf("model %q: %w", mc.Name, err)
-		}
-		models[mc.Name] = &fleetModel{layers: mc.Layers, epochs: mc.Epochs, train: train, mode: mode}
+		models[mc.Name] = m
 	}
+	return f, models, nil
+}
 
+// addFleetModel trains one configured MLP, compiles it through the
+// fleet's cache and registers it.
+func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fleetModel, error) {
+	if len(mc.Layers) < 2 {
+		return nil, errors.New("layers must name at least input and output dims")
+	}
+	mode := fpsa.ModeSpiking
+	if mc.Mode != "" {
+		var err error
+		if mode, err = parseMode(mc.Mode); err != nil {
+			return nil, err
+		}
+	}
+	if mc.Epochs <= 0 {
+		mc.Epochs = 40
+	}
+	in, classes := mc.Layers[0], mc.Layers[len(mc.Layers)-1]
+	train, test := fpsa.SyntheticDataset(mc.Seed, 900, in, classes, 0.08).Split(2.0 / 3)
+	net, err := fpsa.TrainMLP(mc.Seed, mc.Layers, train, mc.Epochs)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("model %q: trained MLP %v, float accuracy %.3f", mc.Name, mc.Layers, net.Accuracy(test))
+	d, err := fpsa.Compile(ctx, net.Model(),
+		fpsa.WithWeightSource(net.WeightSource()), fpsa.WithSeed(mc.Seed), fpsa.WithCache(f.Cache()))
+	if err != nil {
+		return nil, err
+	}
+	var modelOpts []fpsa.FleetModelOption
+	if mc.Replicas > 0 {
+		modelOpts = append(modelOpts, fpsa.WithModelReplicas(mc.Replicas))
+	}
+	if mc.MinReplicas > 0 || mc.MaxReplicas > 0 {
+		modelOpts = append(modelOpts, fpsa.WithModelReplicaRange(mc.MinReplicas, mc.MaxReplicas))
+	}
+	if mc.QueueDepth > 0 {
+		modelOpts = append(modelOpts, fpsa.WithModelQueueDepth(mc.QueueDepth))
+	}
+	modelOpts = append(modelOpts, fpsa.WithModelEngine(fpsa.WithMode(mode)))
+	if err := f.AddModel(ctx, mc.Name, d, modelOpts...); err != nil {
+		return nil, err
+	}
+	return &fleetModel{layers: mc.Layers, epochs: mc.Epochs, train: train}, nil
+}
+
+// fleetClassifyRequest is the body of fleet mode's POST /v1/classify.
+type fleetClassifyRequest struct {
+	Model    string    `json:"model"`
+	Tenant   string    `json:"tenant"`
+	Features []float64 `json:"features"`
+}
+
+// fleetMux is fleet mode's handler set: /healthz, the /fleetz stats
+// endpoint, /v1/classify with tenant-aware admission, and /v1/swap, which
+// retrains a model with a caller-supplied seed, recompiles it through the
+// fleet's cache and hot-swaps it with zero downtime. models is read-only
+// from here on.
+func fleetMux(f *fpsa.Fleet, models map[string]*fleetModel) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -154,11 +166,7 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 		writeJSON(w, f.Stats())
 	})
 	mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Model    string    `json:"model"`
-			Tenant   string    `json:"tenant"`
-			Features []float64 `json:"features"`
-		}
+		var req fleetClassifyRequest
 		if !decodeJSON(w, r, &req) {
 			return
 		}
@@ -181,9 +189,7 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		mu.Lock()
 		m := models[req.Model]
-		mu.Unlock()
 		if m == nil {
 			http.Error(w, fmt.Sprintf("unknown model %q", req.Model), http.StatusNotFound)
 			return
@@ -202,36 +208,31 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 		log.Printf("swapped %q v%d -> v%d in %.1f ms", ev.Model, ev.FromVersion, ev.ToVersion, ev.DurationMS)
 		writeJSON(w, ev)
 	})
-
-	srv := &http.Server{Addr: addr, Handler: mux}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		// Stop admitting first, then drain in-flight work to the deadline.
-		log.Printf("shutting down fleet (drain deadline %v)", drain)
-		sctx, cancel := context.WithTimeout(ctx, drain)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Printf("fleet close: %v", err)
-		}
-	}()
-	log.Printf("fleet serving %d models on %s", len(models), addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		return err
-	}
-	<-done
-	return nil
+	return mux
 }
 
-// fleetStatus maps fleet errors onto HTTP: sheds are 429 (retryable),
-// draining or an ended request context is 503, unknown models and bad
-// input are the client's fault.
+// runFleet serves the multi-model fleet described by the -fleet config
+// file until SIGINT/SIGTERM (see serveUntilSignal).
+func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) error {
+	raw, err := os.ReadFile(cfgPath)
+	if err != nil {
+		return err
+	}
+	f, models, err := buildFleet(ctx, raw)
+	if err != nil {
+		return fmt.Errorf("fleet config %s: %w", cfgPath, err)
+	}
+	defer f.Close()
+	log.Printf("fleet serving %d models on %s", len(models), addr)
+	return serveUntilSignal(&http.Server{Addr: addr, Handler: fleetMux(f, models)}, drain, f.Close)
+}
+
+// fleetStatus maps serving errors onto HTTP, in both modes: sheds are 429
+// (retryable), a draining server or a request whose context ended while it
+// waited for an executor is 503, an exhausted chip pool 507, and anything
+// else — unknown model, wrong length, bad values — the client's 400. A
+// single engine never sheds or runs out of chips: for it this is 503 or
+// 400.
 func fleetStatus(err error) int {
 	switch {
 	case errors.Is(err, fpsa.ErrOverloaded), errors.Is(err, fpsa.ErrTenantQuota):

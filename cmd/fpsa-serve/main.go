@@ -128,31 +128,46 @@ func main() {
 	})
 	mux.HandleFunc("POST /v1/classify", classifyHandler(eng))
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	// The realized shape, not the flags: -workers 0 and -batch 0 mean the
+	// engine's defaults.
+	shape := eng.Stats()
+	log.Printf("serving on %s (%d executors, batch %d)", *addr, shape.Workers, shape.MaxBatch)
+	err = serveUntilSignal(&http.Server{Addr: *addr, Handler: mux}, *drain, func() error {
+		log.Printf("final stats: %s", eng.Stats())
+		return eng.Close()
+	})
+	if err != nil {
+		fail(err)
+	}
+}
+
+// serveUntilSignal runs srv until SIGINT/SIGTERM, then shuts down in the
+// one order both serving modes want: stop admitting and let in-flight
+// requests finish within the drain deadline, then release what served
+// them with closeFn. It returns nil after a clean drain, so the process
+// exits 0.
+func serveUntilSignal(srv *http.Server, drain time.Duration, closeFn func() error) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		log.Printf("shutting down: %s", eng.Stats())
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		log.Printf("shutting down (drain deadline %v)", drain)
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
-		if err := eng.Close(); err != nil {
-			log.Printf("engine close: %v", err)
+		if err := closeFn(); err != nil {
+			log.Printf("close: %v", err)
 		}
 	}()
-	// The realized shape, not the flags: -workers 0 and -batch 0 mean the
-	// engine's defaults.
-	shape := eng.Stats()
-	log.Printf("serving on %s (%d executors, batch %d)", *addr, shape.Workers, shape.MaxBatch)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fail(err)
+		return err
 	}
 	<-done
+	return nil
 }
 
 // classifyHandler serves POST /v1/classify on a single engine: one
@@ -173,14 +188,14 @@ func classifyHandler(eng *fpsa.Engine) http.HandlerFunc {
 		case req.Batch != nil:
 			labels, err := eng.ClassifyBatch(r.Context(), req.Batch)
 			if err != nil {
-				http.Error(w, err.Error(), classifyStatus(err))
+				http.Error(w, err.Error(), fleetStatus(err))
 				return
 			}
 			writeJSON(w, map[string]any{"classes": labels})
 		case req.Features != nil:
 			label, err := eng.Classify(r.Context(), req.Features)
 			if err != nil {
-				http.Error(w, err.Error(), classifyStatus(err))
+				http.Error(w, err.Error(), fleetStatus(err))
 				return
 			}
 			writeJSON(w, map[string]any{"class": label})
@@ -188,16 +203,6 @@ func classifyHandler(eng *fpsa.Engine) http.HandlerFunc {
 			http.Error(w, `want "features" or "batch"`, http.StatusBadRequest)
 		}
 	}
-}
-
-// classifyStatus maps classification errors: a draining engine, or a
-// request whose context ended while it waited for an executor, is the
-// server's fault; everything else (wrong length, bad values) the client's.
-func classifyStatus(err error) int {
-	if errors.Is(err, fpsa.ErrClosed) || isContextErr(err) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
 }
 
 // isContextErr reports a request that ended with its context — the client

@@ -32,28 +32,26 @@ func TestParseMode(t *testing.T) {
 // TestStatusMapping: sheds are 429, a draining server 503, a request whose
 // context ended before it got an executor 503, an exhausted chip pool 507,
 // and anything else is the client's 400 — also when the sentinel arrives
-// wrapped.
+// wrapped. One map serves both modes; an engine returns only the 503 and
+// 400 rows.
 func TestStatusMapping(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("model %q: %w", "m", err) }
 	for _, tc := range []struct {
-		err             error
-		classify, fleet int
+		err  error
+		want int
 	}{
-		{fpsa.ErrOverloaded, 400, 429},
-		{wrap(fpsa.ErrTenantQuota), 400, 429},
-		{fpsa.ErrClosed, 503, 503},
-		{wrap(fpsa.ErrClosed), 503, 503},
-		{context.Canceled, 503, 503},
-		{wrap(context.DeadlineExceeded), 503, 503},
-		{wrap(fpsa.ErrCapacity), 400, 507},
-		{fpsa.ErrInvalidArgument, 400, 400},
-		{errors.New("input length 3, want 16"), 400, 400},
+		{fpsa.ErrOverloaded, 429},
+		{wrap(fpsa.ErrTenantQuota), 429},
+		{fpsa.ErrClosed, 503},
+		{wrap(fpsa.ErrClosed), 503},
+		{context.Canceled, 503},
+		{wrap(context.DeadlineExceeded), 503},
+		{wrap(fpsa.ErrCapacity), 507},
+		{fpsa.ErrInvalidArgument, 400},
+		{errors.New("input length 3, want 16"), 400},
 	} {
-		if got := classifyStatus(tc.err); got != tc.classify {
-			t.Errorf("classifyStatus(%v) = %d, want %d", tc.err, got, tc.classify)
-		}
-		if got := fleetStatus(tc.err); got != tc.fleet {
-			t.Errorf("fleetStatus(%v) = %d, want %d", tc.err, got, tc.fleet)
+		if got := fleetStatus(tc.err); got != tc.want {
+			t.Errorf("fleetStatus(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }

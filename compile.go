@@ -37,11 +37,6 @@ type config struct {
 	// each group's reuse degree). The autotuner's output; nil keeps the
 	// uniform Duplication policy bit-exact. See WithLayerDuplication.
 	LayerDup map[string]int
-	// LayerTracks maps model layer names to per-layer routing channel
-	// requirements. Each chip's channel width is the maximum requirement
-	// among the layers it hosts; a chip hosting any unassigned layer also
-	// honors the global Tracks (or its default). See WithLayerTracks.
-	LayerTracks map[string]int
 	// ShardCuts pins the multi-chip partition at exactly these group-chain
 	// cut positions (strictly increasing, each in (0, groups)), bypassing
 	// the partition search; len(ShardCuts)+1 chips result. The autotuner's
@@ -119,11 +114,6 @@ func (c config) validate() error {
 	for layer, dup := range c.LayerDup {
 		if dup < 1 {
 			return fmt.Errorf("%w: WithLayerDuplication: layer %q degree %d must be ≥ 1", ErrInvalidArgument, layer, dup)
-		}
-	}
-	for layer, tracks := range c.LayerTracks {
-		if tracks < 1 {
-			return fmt.Errorf("%w: WithLayerTracks: layer %q channel width %d must be ≥ 1", ErrInvalidArgument, layer, tracks)
 		}
 	}
 	for i, cut := range c.ShardCuts {
@@ -216,24 +206,16 @@ func checkLayerNames(co *coreop.Graph, cfg config) error {
 	if cfg.Faults != nil {
 		layerSeeds = cfg.Faults.LayerSeeds
 	}
-	if len(cfg.LayerDup) == 0 && len(cfg.LayerTracks) == 0 && len(layerSeeds) == 0 {
+	if len(cfg.LayerDup) == 0 && len(layerSeeds) == 0 {
 		return nil
 	}
 	layers := make(map[string]bool, len(co.Groups))
 	for _, grp := range co.Groups {
 		layers[grp.Layer] = true
 	}
-	for _, m := range []struct {
-		opt string
-		kv  map[string]int
-	}{
-		{"WithLayerDuplication", cfg.LayerDup},
-		{"WithLayerTracks", cfg.LayerTracks},
-	} {
-		for layer := range m.kv {
-			if !layers[layer] {
-				return fmt.Errorf("%w: %s: layer %q not in model", ErrInvalidArgument, m.opt, layer)
-			}
+	for layer := range cfg.LayerDup {
+		if !layers[layer] {
+			return fmt.Errorf("%w: WithLayerDuplication: layer %q not in model", ErrInvalidArgument, layer)
 		}
 	}
 	for layer := range layerSeeds {
@@ -828,7 +810,7 @@ func (d *Deployment) PlaceAndRoute(ctx context.Context) (PRStats, error) {
 				if err != nil {
 					return nil, err
 				}
-				return d.placeAndRoute(ctx, nl, d.tracksForRange(sh.lo, sh.hi))
+				return d.placeAndRoute(ctx, nl, d.cfg.Tracks)
 			}
 			if d.cfg.Cache != nil {
 				r.art, r.hit, r.err = getOrComputeCtx(ctx, d.cfg.Cache, d.cacheKey(k), compute)
@@ -895,9 +877,8 @@ func getOrComputeCtx(ctx context.Context, cache *CompileCache, key compilecache.
 
 // placeAndRoute is the uncached compile back end for one chip's netlist:
 // portfolio placement then routing, packaged as cacheable artifacts.
-// tracks is the chip's routing channel width (0 = default; see
-// tracksForRange for the per-layer resolution). ctx aborts either phase at
-// its next checkpoint.
+// tracks is the chip's routing channel width (0 = default). ctx aborts
+// either phase at its next checkpoint.
 func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist, tracks int) (*compilecache.Artifacts, error) {
 	chip, err := fabric.SizeFor(len(nl.Blocks), tracks, d.params)
 	if err != nil {
@@ -927,44 +908,9 @@ func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist, tra
 	}, nil
 }
 
-// tracksForRange resolves the routing channel width for the chip hosting
-// groups [lo, hi): the maximum per-layer requirement among its layers,
-// and — when the chip hosts any layer without an assignment, or no
-// per-layer tracks were given at all — at least the global Tracks
-// (0 = the fabric default). A chip whose layers are all assigned is
-// sized purely by them, which is how the autotuner narrows channels
-// below the generous default.
-func (d *Deployment) tracksForRange(lo, hi int) int {
-	if len(d.cfg.LayerTracks) == 0 {
-		return d.cfg.Tracks
-	}
-	t := 0
-	uncovered := false
-	for _, grp := range d.coreop.Groups[lo:hi] {
-		v, ok := d.cfg.LayerTracks[grp.Layer]
-		if !ok {
-			uncovered = true
-			continue
-		}
-		if v > t {
-			t = v
-		}
-	}
-	if uncovered || t == 0 {
-		base := d.cfg.Tracks
-		if base <= 0 {
-			base = fabric.DefaultTracks
-		}
-		if base > t {
-			t = base
-		}
-	}
-	return t
-}
-
 // cacheKey is one chip's content address: the model-structure
-// fingerprint, the per-group duplication sub-vector and resolved channel
-// width of that chip, and the annealing seed knobs. Parallelism is
+// fingerprint, the per-group duplication sub-vector of that chip, the
+// channel width, and the annealing seed knobs. Parallelism is
 // deliberately absent — it never changes results — so one cache serves
 // machines of any size; so are the knobs that merely *selected* the
 // assignment (Duplication, LayerDup, MaxChips, ChipCapacity, ShardPolicy,
@@ -982,7 +928,7 @@ func (d *Deployment) cacheKey(shardIdx int) compilecache.Key {
 		}
 		fmt.Fprintf(&b, "%d", v)
 	}
-	fmt.Fprintf(&b, "|tracks=%d|seed=%d|pseeds=%d|shardgroups=%d:%d", d.tracksForRange(lo, hi), d.cfg.Seed, d.cfg.PlacementSeeds, lo, hi)
+	fmt.Fprintf(&b, "|tracks=%d|seed=%d|pseeds=%d|shardgroups=%d:%d", d.cfg.Tracks, d.cfg.Seed, d.cfg.PlacementSeeds, lo, hi)
 	if seg := d.cfg.Faults.cacheSegment(); seg != "" {
 		// Fault penalties shift placement costs, so a faulted deployment's
 		// artifacts must never collide with the ideal-device entry.

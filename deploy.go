@@ -57,11 +57,10 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 // NewEngine derives a serving engine from the compiled deployment: the
 // net comes from NewNet (compile-registered weights), and the chip
 // partition flows from the compile — the engine serves d.Chips() chips,
-// pipelining a sharded deployment under the compiled WithShardPolicy, so
-// Compile is the single source of truth for how many chips serve and
-// which objective cuts them. (The stage boundaries themselves are
-// re-derived on the program's stage list — the serving-side twin of the
-// compile's group chain — and outputs are bit-identical under every cut.)
+// so Compile is the single source of truth for how many chips serve. (The
+// stage boundaries themselves are re-derived on the program's stage list —
+// the serving-side twin of the compile's group chain — always balanced;
+// outputs are bit-identical under every cut.)
 // Defaults are the serving sweet spot (4 executors, batches of up to 8,
 // ModeSpiking); shape them with WithWorkers, WithMaxBatch and WithMode.
 // ctx is checked before and after the net is derived — a cancelled
@@ -89,5 +88,5 @@ func (d *Deployment) NewEngine(ctx context.Context, opts ...EngineOption) (*Engi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return newEngine(sn, cfg, d.cfg.ShardPolicy.servePolicy())
+	return newEngine(sn, cfg)
 }

@@ -52,10 +52,8 @@ type Engine struct {
 }
 
 // newEngine builds the serving engine over a deployed network. The
-// SpikingNet itself remains usable (and independent) afterwards. policy
-// is the stage-partitioning objective of a sharded engine (carried from
-// the deployment's ShardPolicy).
-func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Engine, error) {
+// SpikingNet itself remains usable (and independent) afterwards.
+func newEngine(sn *SpikingNet, cfg engineConfig) (*Engine, error) {
 	// Negative serving knobs are caller bugs, not requests for the
 	// default: reject them here where the caller can still see which
 	// option was wrong. 0 remains "use the built-in default".
@@ -79,17 +77,15 @@ func newEngine(sn *SpikingNet, cfg engineConfig, policy serve.StagePolicy) (*Eng
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = def.MaxBatch
 	}
-	mode, err := cfg.Mode.synthMode()
-	if err != nil {
+	if err := checkMode(cfg.Mode); err != nil {
 		return nil, err
 	}
 	eng, err := serve.New(sn.prog, serve.Options{
 		Workers:  cfg.Workers,
 		MaxBatch: cfg.MaxBatch,
-		Mode:     mode,
+		Mode:     cfg.Mode,
 		Seed:     sn.currentSeed() + 7,
 		Chips:    cfg.Chips,
-		Policy:   policy,
 		Faults:   sn.faults,
 	})
 	if err != nil {
@@ -144,58 +140,12 @@ func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, e
 }
 
 // EngineStats is a snapshot of an engine's serving counters — the
-// served-traffic counterpart of PerfSummary.
-type EngineStats struct {
-	// Requests, Errors and Shed count samples (a ClassifyBatch call of n
-	// counts n).
-	Requests uint64
-	Errors   uint64
-	Shed     uint64
-	// ExecBatches, MeanExecBatch and MaxExecBatch describe the
-	// executor-level batched kernel passes: how many RunBatch calls ran
-	// and how many samples each carried — the kernel batching actually
-	// achieved, as opposed to the MaxBatch configured ceiling
-	// (MaxExecBatch never exceeds it).
-	ExecBatches   uint64
-	MeanExecBatch float64
-	MaxExecBatch  int
-	// SparseKernels counts spiking-kernel calls — one per crossbar stage
-	// per executed batch — across every execution replica; SpikeDensity is
-	// the aggregate observed input spike density over those calls. Both
-	// zero under ModeReference, which runs no spiking kernel. (There is one
-	// kernel, no dense counterpart; the field keeps its published name.)
-	SparseKernels uint64
-	SpikeDensity  float64
-	// FaultedCells is the deployment's residual stuck-cell count under
-	// its compiled fault model (WithFaultModel / WithFaultMap): stuck
-	// logical weight cells across the program's crossbars after
-	// spare-row/column remapping. Per-deployment — every execution
-	// replica programs identical faults — and 0 without a fault model.
-	FaultedCells  int
-	ThroughputSPS float64
-	// P50LatencyUS, P99LatencyUS and P999LatencyUS are arrival-to-completion
-	// latency percentiles (wait for an executor plus run) over a sliding
-	// window of recent observations, one per Classify call or ≤ MaxBatch
-	// chunk of a ClassifyBatch call; the fleet layer reports the same three
-	// through the same implementation. QueueDepth is the number of calls
-	// waiting for an executor right now.
-	P50LatencyUS  float64
-	P99LatencyUS  float64
-	P999LatencyUS float64
-	QueueDepth    int
-	Workers       int
-	MaxBatch      int
-	// Chips is the realized pipeline depth of a sharded engine (1 when
-	// the model is served whole on private executors).
-	Chips   int
-	UptimeS float64
-}
-
-// String renders the snapshot.
-func (s EngineStats) String() string { return serve.Stats(s).String() }
+// served-traffic counterpart of PerfSummary. It is declared where it is
+// filled: see serve.Stats for the fields.
+type EngineStats = serve.Stats
 
 // Stats snapshots the engine's counters and latency percentiles.
-func (e *Engine) Stats() EngineStats { return EngineStats(e.eng.Stats()) }
+func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 
 // Close waits for every call already inside the engine — running or
 // waiting for an executor — and releases it. Idempotent; Classify

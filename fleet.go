@@ -17,17 +17,14 @@ import (
 // requests shed with ErrOverloaded: gold rides to the full limit, silver
 // to three quarters, batch to half. The zero value is QoSBatch, so an
 // unconfigured tenant gets the most conservative share.
-type QoSClass int
+type QoSClass = fleet.Class
 
 // QoS classes, in ascending admission share.
 const (
-	QoSBatch QoSClass = iota
-	QoSSilver
-	QoSGold
+	QoSBatch  = fleet.ClassBatch
+	QoSSilver = fleet.ClassSilver
+	QoSGold   = fleet.ClassGold
 )
-
-// String names the class ("batch", "silver", "gold").
-func (c QoSClass) String() string { return fleet.Class(c).String() }
 
 // ParseQoSClass parses a class name as it appears in fleet config files:
 // "gold", "silver" or "batch" (empty means batch). Anything else is
@@ -37,7 +34,7 @@ func ParseQoSClass(s string) (QoSClass, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
-	return QoSClass(c), nil
+	return c, nil
 }
 
 // fleetSettings is what the FleetOptions assemble.
@@ -66,7 +63,7 @@ func WithTenant(name string, class QoSClass, quota int) FleetOption {
 		if s.opts.Tenants == nil {
 			s.opts.Tenants = make(map[string]fleet.Tenant)
 		}
-		s.opts.Tenants[name] = fleet.Tenant{Class: fleet.Class(class), Quota: quota}
+		s.opts.Tenants[name] = fleet.Tenant{Class: class, Quota: quota}
 	}
 }
 
@@ -81,19 +78,6 @@ func WithFleetCache(c *CompileCache) FleetOption {
 // WithScaleInterval sets the autoscaler tick (default 50ms).
 func WithScaleInterval(d time.Duration) FleetOption {
 	return func(s *fleetSettings) { s.opts.ScaleInterval = d }
-}
-
-// WithScalePolicy shapes the autoscaler: backlog is the per-replica count
-// of requests waiting for the executor that counts as pressure (default
-// 4), sustain how many consecutive ticks of pressure add a replica
-// (default 2), and idle how many consecutive empty ticks drop one
-// (default 40). Zero keeps a field's default.
-func WithScalePolicy(backlog, sustain, idle int) FleetOption {
-	return func(s *fleetSettings) {
-		s.opts.ScaleUpBacklog = backlog
-		s.opts.ScaleUpTicks = sustain
-		s.opts.IdleTicks = idle
-	}
 }
 
 // fleetModelSettings is what the FleetModelOptions assemble.
@@ -173,11 +157,14 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 	if set.opts.Chips < 0 {
 		return nil, fmt.Errorf("%w: WithFleetChips(%d): chip pool must be ≥ 0 (0 = default)", ErrInvalidArgument, set.opts.Chips)
 	}
+	if set.opts.ScaleInterval < 0 {
+		return nil, fmt.Errorf("%w: WithScaleInterval(%v): tick must be ≥ 0 (0 = default)", ErrInvalidArgument, set.opts.ScaleInterval)
+	}
 	for name, t := range set.opts.Tenants {
 		if t.Quota < 0 {
 			return nil, fmt.Errorf("%w: WithTenant(%q): quota %d must be ≥ 0 (0 = unlimited)", ErrInvalidArgument, name, t.Quota)
 		}
-		if t.Class < fleet.ClassBatch || t.Class > fleet.ClassGold {
+		if t.Class < QoSBatch || t.Class > QoSGold {
 			return nil, fmt.Errorf("%w: WithTenant(%q): unknown QoS class %d", ErrInvalidArgument, name, t.Class)
 		}
 	}
@@ -207,11 +194,10 @@ func replicaSource(d *Deployment, cfg engineConfig) (fleet.Source, error) {
 	if err != nil {
 		return fleet.Source{}, err
 	}
-	policy := d.cfg.ShardPolicy.servePolicy()
 	return fleet.Source{
 		Window: sn.Window(),
 		New: func() (fleet.Replica, error) {
-			e, err := newEngine(sn, cfg, policy)
+			e, err := newEngine(sn, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -352,10 +338,7 @@ func (f *Fleet) Swap(ctx context.Context, model string, d *Deployment) (FleetSwa
 		return FleetSwapEvent{}, err
 	}
 	ev, err := f.fl.Swap(ctx, model, src)
-	if err != nil {
-		return FleetSwapEvent{}, wrapFleetErr(err)
-	}
-	return publicSwapEvent(ev), nil
+	return ev, wrapFleetErr(err)
 }
 
 // CompileAndSwap compiles a replacement for the named model through the
@@ -378,102 +361,23 @@ func (f *Fleet) CompileAndSwap(ctx context.Context, model string, m Model, opts 
 // replicas. Idempotent; requests afterwards return ErrClosed.
 func (f *Fleet) Close() error { return wrapFleetErr(f.fl.Close()) }
 
-// FleetModelStats is one fleet model's serving snapshot, shaped for the
-// /fleetz endpoint.
-type FleetModelStats struct {
-	// Requests counts completed inferences (successes and errors, not
-	// sheds); Errors the subset that failed. ShedOverload and ShedQuota
-	// count sheds by cause.
-	Requests     uint64 `json:"requests"`
-	Errors       uint64 `json:"errors"`
-	ShedOverload uint64 `json:"shed_overload"`
-	ShedQuota    uint64 `json:"shed_quota"`
-	// Replicas is the current pool size; QueueDepth how many admitted
-	// requests are waiting for a replica's executor right now, summed over
-	// the pool; InFlight the admitted-but-uncompleted count.
-	Replicas   int `json:"replicas"`
-	QueueDepth int `json:"queue_depth"`
-	InFlight   int `json:"in_flight"`
-	// Version is the current bitstream generation (1 at registration,
-	// +1 per swap); Window its input quantization window.
-	Version int `json:"version"`
-	Window  int `json:"window"`
-	// ScaleUps and ScaleDowns count autoscaler pool moves.
-	ScaleUps   uint64 `json:"scale_ups"`
-	ScaleDowns uint64 `json:"scale_downs"`
-	// QPS is completed requests per second since registration; the
-	// latency percentiles are over a sliding window of recent requests
-	// (the same implementation behind EngineStats).
-	QPS           float64 `json:"qps"`
-	P50LatencyUS  float64 `json:"p50_latency_us"`
-	P99LatencyUS  float64 `json:"p99_latency_us"`
-	P999LatencyUS float64 `json:"p999_latency_us"`
-}
-
-// FleetSwapEvent records one completed hot-swap.
-type FleetSwapEvent struct {
-	Model       string    `json:"model"`
-	FromVersion int       `json:"from_version"`
-	ToVersion   int       `json:"to_version"`
-	Replicas    int       `json:"replicas"`
-	At          time.Time `json:"at"`
-	DurationMS  float64   `json:"duration_ms"`
-}
-
-// FleetStats is a point-in-time snapshot of the whole fleet: the chip
-// pool, every model's counters, and the swap history. It is the payload
-// of fpsa-serve's /fleetz endpoint.
-type FleetStats struct {
-	Chips     int                        `json:"chips"`
-	ChipsUsed int                        `json:"chips_used"`
-	Models    map[string]FleetModelStats `json:"models"`
-	Swaps     []FleetSwapEvent           `json:"swaps"`
-}
+// The fleet's snapshot types are declared where they are filled
+// (internal/fleet, which carries the field docs and the /fleetz JSON tags).
+type (
+	// FleetStats is a point-in-time snapshot of the whole fleet: the chip
+	// pool, every model's counters, and the swap history. It is the
+	// payload of fpsa-serve's /fleetz endpoint.
+	FleetStats = fleet.Stats
+	// FleetModelStats is one fleet model's serving snapshot: requests,
+	// sheds by cause (ShedOverload, ShedQuota), pool shape, version,
+	// autoscaler moves, QPS and latency percentiles.
+	FleetModelStats = fleet.ModelStats
+	// FleetSwapEvent records one completed hot-swap.
+	FleetSwapEvent = fleet.SwapEvent
+)
 
 // Stats snapshots the fleet.
-func (f *Fleet) Stats() FleetStats {
-	s := f.fl.Stats()
-	out := FleetStats{
-		Chips:     s.Chips,
-		ChipsUsed: s.ChipsUsed,
-		Models:    make(map[string]FleetModelStats, len(s.Models)),
-		Swaps:     make([]FleetSwapEvent, 0, len(s.Swaps)),
-	}
-	for name, m := range s.Models {
-		out.Models[name] = FleetModelStats{
-			Requests:      m.Requests,
-			Errors:        m.Errors,
-			ShedOverload:  m.Overload,
-			ShedQuota:     m.Quota,
-			Replicas:      m.Replicas,
-			QueueDepth:    m.QueueDepth,
-			InFlight:      m.InFlight,
-			Version:       m.Version,
-			Window:        m.Window,
-			ScaleUps:      m.ScaleUps,
-			ScaleDowns:    m.ScaleDowns,
-			QPS:           m.QPS,
-			P50LatencyUS:  m.P50LatencyUS,
-			P99LatencyUS:  m.P99LatencyUS,
-			P999LatencyUS: m.P999LatencyUS,
-		}
-	}
-	for _, ev := range s.Swaps {
-		out.Swaps = append(out.Swaps, publicSwapEvent(ev))
-	}
-	return out
-}
-
-func publicSwapEvent(ev fleet.SwapEvent) FleetSwapEvent {
-	return FleetSwapEvent{
-		Model:       ev.Model,
-		FromVersion: ev.From,
-		ToVersion:   ev.To,
-		Replicas:    ev.Replicas,
-		At:          ev.At,
-		DurationMS:  float64(ev.Duration) / float64(time.Millisecond),
-	}
-}
+func (f *Fleet) Stats() FleetStats { return f.fl.Stats() }
 
 // wrapFleetErr lifts internal fleet sentinels into the package taxonomy:
 // overload and quota sheds surface as their public sentinels, a closed

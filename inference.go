@@ -66,30 +66,25 @@ func (t *TrainedMLP) Model() Model { return Model{graph: t.net.Graph("deployed-m
 func (t *TrainedMLP) WeightSource() WeightSource { return WeightSource(t.net.WeightSource()) }
 
 // ExecMode selects how a SpikingNet evaluates.
-type ExecMode int
+type ExecMode = synth.ExecMode
 
 // Execution modes.
 const (
 	// ModeReference uses the integer reference semantics of the PE.
-	ModeReference ExecMode = iota
+	ModeReference = synth.ModeReference
 	// ModeSpiking runs the full cycle-level spiking simulation.
-	ModeSpiking
+	ModeSpiking = synth.ModeSpiking
 	// ModeSpikingNoisy additionally programs the ReRAM cells with
 	// device variation (deterministic per SpikingNet seed).
-	ModeSpikingNoisy
+	ModeSpikingNoisy = synth.ModeSpikingNoisy
 )
 
-// String names the mode the way the CLIs spell it.
-func (m ExecMode) String() string {
-	switch m {
-	case ModeReference:
-		return "reference"
-	case ModeSpiking:
-		return "spiking"
-	case ModeSpikingNoisy:
-		return "noisy"
+// checkMode rejects a mode outside the declared range.
+func checkMode(m ExecMode) error {
+	if m < ModeReference || m > ModeSpikingNoisy {
+		return fmt.Errorf("%w: unknown exec mode %d", ErrInvalidArgument, int(m))
 	}
-	return fmt.Sprintf("mode(%d)", int(m))
+	return nil
 }
 
 // SpikingNet is a network deployed onto simulated FPSA processing
@@ -150,32 +145,19 @@ func (s *SpikingNet) Classify(features []float64, mode ExecMode) (int, error) {
 	return synth.Argmax(out), nil
 }
 
-// synthMode maps the public mode onto the executor's.
-func (m ExecMode) synthMode() (synth.ExecMode, error) {
-	switch m {
-	case ModeReference:
-		return synth.ModeReference, nil
-	case ModeSpiking:
-		return synth.ModeSpiking, nil
-	case ModeSpikingNoisy:
-		return synth.ModeSpikingNoisy, nil
-	}
-	return 0, fmt.Errorf("%w: unknown exec mode %d", ErrInvalidArgument, m)
-}
-
 // runOptions resolves one call's executor options. invalid is whatever
 // input validation found: with the mode it is everything that can reject
 // the call, and both are checked before the noisy draw, so a rejected
 // call leaves the SetSeed stream where it was.
 func (s *SpikingNet) runOptions(mode ExecMode, invalid error) (synth.RunOptions, error) {
-	m, err := mode.synthMode()
+	err := checkMode(mode)
 	if err == nil {
 		err = invalid
 	}
 	if err != nil {
 		return synth.RunOptions{}, err
 	}
-	opts := synth.RunOptions{Mode: m, Faults: s.faults}
+	opts := synth.RunOptions{Mode: mode, Faults: s.faults}
 	if mode == ModeSpikingNoisy {
 		opts.Rng = s.noisyRng()
 	}

@@ -4,8 +4,10 @@
 // SMB instances store counts (with their n-bit saturation) on buffered
 // edges, and a synthesized CLB controller sequences every PE's sampling
 // windows. It is the integration point of the whole repository: synth ×
-// mapper × pe × smb × clb, cross-validated in tests against the
-// program-level simulation (synth.Program.Run).
+// mapper × xbar × smb × clb, cross-validated in tests against the
+// program-level simulation (synth.Program.Run). A PE here is what it is in
+// the paper (§4.2): one programmed crossbar whose columns drive ideal
+// integrate-and-fire neurons.
 package chipsim
 
 import (
@@ -15,10 +17,10 @@ import (
 	"fpsa/internal/clb"
 	"fpsa/internal/device"
 	"fpsa/internal/mapper"
-	"fpsa/internal/pe"
 	"fpsa/internal/smb"
 	"fpsa/internal/spike"
 	"fpsa/internal/synth"
+	"fpsa/internal/xbar"
 )
 
 // Options configures a chip run.
@@ -94,7 +96,8 @@ func Run(prog *synth.Program, input []int, opts Options) (*Result, error) {
 	}
 
 	res := &Result{MakespanCycles: sched.Makespan}
-	cfg := pe.Config{Params: prog.Params, Spec: spec, Rep: device.NewAdd(spec, prog.Params.CellsPerWeight)}
+	rep := device.NewAdd(spec, prog.Params.CellsPerWeight)
+	ifNeuron := func(eta float64) xbar.Stepper { return &spike.Neuron{Eta: eta} }
 
 	// Execute groups in topological (schedule) order. NBD edges hand
 	// the producer's train over directly (one-cycle skew preserves the
@@ -131,12 +134,11 @@ func Run(prog *synth.Program, input []int, opts Options) (*Result, error) {
 				}
 			}
 		}
-		unit := pe.New(cfg)
-		unit.SetEta(grp.Eta)
-		if err := unit.Program(grp.Weights, opts.Rng); err != nil {
+		unit, err := xbar.Program(xbar.Config{Params: prog.Params, Spec: spec, Rep: rep, Eta: grp.Eta}, grp.Weights, opts.Rng)
+		if err != nil {
 			return nil, fmt.Errorf("chipsim: group %s: %w", grp.Name, err)
 		}
-		outs, err := unit.Simulate(inputs)
+		outs, err := unit.SimulateTrains(inputs, ifNeuron)
 		if err != nil {
 			return nil, fmt.Errorf("chipsim: group %s: %w", grp.Name, err)
 		}
@@ -165,8 +167,7 @@ func Run(prog *synth.Program, input []int, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("chipsim: controller fired %d resets per window", resets)
 		}
 	}
-	for e, buf := range sched.Buffered {
-		_ = e
+	for _, buf := range sched.Buffered {
 		if buf {
 			res.BufferedEdges++
 		}

@@ -646,12 +646,12 @@ func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, e
 	closeAll(olds)
 	f.releaseChips(len(olds) * m.cfg.ChipsPerReplica)
 	ev := SwapEvent{
-		Model:    name,
-		From:     old.id,
-		To:       next.id,
-		Replicas: count,
-		At:       start,
-		Duration: time.Since(start),
+		Model:       name,
+		FromVersion: old.id,
+		ToVersion:   next.id,
+		Replicas:    count,
+		At:          start,
+		DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	f.recordSwap(ev)
 	return ev, nil

@@ -223,8 +223,8 @@ func TestClassWeightedAdmission(t *testing.T) {
 		}
 	}
 	st := f.Stats().Models["m"]
-	if st.Overload != 2 {
-		t.Fatalf("overload sheds = %d, want 2", st.Overload)
+	if st.ShedOverload != 2 {
+		t.Fatalf("overload sheds = %d, want 2", st.ShedOverload)
 	}
 }
 
@@ -308,8 +308,8 @@ func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := f.Stats().Models["m"]; st.Overload != 0 || st.Replicas != 3 {
-		t.Errorf("overload sheds/replicas = %d/%d, want 0/3", st.Overload, st.Replicas)
+	if st := f.Stats().Models["m"]; st.ShedOverload != 0 || st.Replicas != 3 {
+		t.Errorf("overload sheds/replicas = %d/%d, want 0/3", st.ShedOverload, st.Replicas)
 	}
 }
 
@@ -335,8 +335,8 @@ func TestTenantQuota(t *testing.T) {
 			t.Fatalf("blocked request failed: %v", err)
 		}
 	}
-	if st := f.Stats().Models["m"]; st.Quota != 1 {
-		t.Fatalf("quota sheds = %d, want 1", st.Quota)
+	if st := f.Stats().Models["m"]; st.ShedQuota != 1 {
+		t.Fatalf("quota sheds = %d, want 1", st.ShedQuota)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestSwapZeroLoss(t *testing.T) {
 		if err != nil {
 			t.Fatalf("swap to v%d: %v", v, err)
 		}
-		if ev.From != v-1 || ev.To != v || ev.Replicas != 3 {
+		if ev.FromVersion != v-1 || ev.ToVersion != v || ev.Replicas != 3 {
 			t.Fatalf("swap event = %+v", ev)
 		}
 	}
@@ -77,7 +77,7 @@ func TestSwapZeroLoss(t *testing.T) {
 	}
 	st := f.Stats()
 	ms := st.Models["m"]
-	if ms.Requests != loaders*perLoad || ms.Errors != 0 || ms.Overload != 0 || ms.Quota != 0 {
+	if ms.Requests != loaders*perLoad || ms.Errors != 0 || ms.ShedOverload != 0 || ms.ShedQuota != 0 {
 		t.Fatalf("model stats = %+v", ms)
 	}
 	if ms.Version != swaps+1 {
@@ -225,7 +225,7 @@ func TestSwapAfterPanickingRequest(t *testing.T) {
 	}
 	// With a leaked pin this Swap would wait for ever.
 	ev, err := f.Swap(context.Background(), "m", (&fakeSource{marker: 2, window: 4}).Source())
-	if err != nil || ev.To != 2 {
+	if err != nil || ev.ToVersion != 2 {
 		t.Fatalf("Swap after a panicking request = %+v, %v", ev, err)
 	}
 	// Quota 1 and admission depth 1: a leaked place would shed this one.

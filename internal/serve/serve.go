@@ -54,45 +54,16 @@ type Options struct {
 	Seed int64
 	// Chips, when ≥ 2, serves the program as a sharded deployment: the
 	// stage list is partitioned across that many pipelined chips
-	// (per Policy, clamped to what the program supports) and every
-	// borrower feeds the one shared pipeline. 0 or 1 keeps the classic
-	// private single-chip executors.
+	// (clamped to what the program supports) and every borrower feeds
+	// the one shared pipeline. 0 or 1 keeps the classic private
+	// single-chip executors.
 	Chips int
-	// Policy selects the stage-partitioning objective of a sharded
-	// engine (default StageBalanced).
-	Policy StagePolicy
 	// Faults, when active, injects the deployment's device fault
 	// scenario into every executor (and the shared pipeline of a sharded
 	// engine). Fault maps are a deterministic function of the model and
 	// each weight group's global ID, so every replica sees identical
 	// faults at any executor count.
 	Faults *device.FaultModel
-}
-
-// StagePolicy selects how a sharded engine (Chips ≥ 2) cuts the
-// program's stage list across chips. The zero value is the serving
-// default: balanced per-chip load, since pipeline throughput is set by
-// the slowest chip. Outputs are bit-identical under every policy — the
-// cut changes where wall-clock goes, never results.
-type StagePolicy int
-
-// Stage-partitioning policies.
-const (
-	// StageBalanced minimizes the heaviest chip's load (the serving
-	// default).
-	StageBalanced StagePolicy = iota
-	// StageMinCut minimizes the signal traffic crossing the inter-chip
-	// links — for callers whose deployment was compiled min-cut and
-	// whose links are the scarce resource.
-	StageMinCut
-)
-
-// shardPolicy maps the serving policy onto the partitioner's.
-func (p StagePolicy) shardPolicy() shard.Policy {
-	if p == StageMinCut {
-		return shard.PolicyMinCut
-	}
-	return shard.PolicyBalanced
 }
 
 func (o Options) withDefaults() Options {
@@ -141,11 +112,12 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts, procs: runtime.GOMAXPROCS(0)}
 	// A nil plan is a single chip; only a sharded request pays for the
-	// partition search.
+	// partition search. The cut is always balanced: pipeline throughput is
+	// set by the slowest chip, and no cut can change an output.
 	var plan *shard.Plan
 	if opts.Chips >= 2 {
 		var err error
-		if plan, err = prog.PartitionStages(opts.Chips, opts.Policy.shardPolicy()); err != nil {
+		if plan, err = prog.PartitionStages(opts.Chips, shard.PolicyBalanced); err != nil {
 			return nil, fmt.Errorf("serve: partitioning across %d chips: %w", opts.Chips, err)
 		}
 	}

@@ -70,6 +70,17 @@ const (
 	ModeSpikingNoisy
 )
 
+// modeNames spells the modes the way the CLIs do.
+var modeNames = [...]string{ModeReference: "reference", ModeSpiking: "spiking", ModeSpikingNoisy: "noisy"}
+
+// String names the mode the way the CLIs spell it.
+func (m ExecMode) String() string {
+	if m < 0 || int(m) >= len(modeNames) {
+		return fmt.Sprintf("mode(%d)", int(m))
+	}
+	return modeNames[m]
+}
+
 // RunOptions configures Program execution.
 type RunOptions struct {
 	Mode ExecMode

@@ -1,13 +1,14 @@
 // Package xbar is the shared batched crossbar kernel behind the
-// functional execution stack (internal/pe, internal/synth,
-// internal/serve). It models one programmed ReRAM crossbar — the PE's
-// compute core (paper §4.2) — as flat row-major []float64 buffers and
-// evaluates whole micro-batches of input vectors per call: the programming
-// cost of a weight matrix — and of everything derived from it once, such as
-// the packed kernel's column supports, tables and lane-packed conductances —
-// is amortized across every vector that streams through it. Per-item cost
-// in the spiking kernel does not fall with batch size; what a batch saves
-// is the per-call overhead above the kernel.
+// functional execution stack (internal/synth, internal/serve,
+// internal/chipsim). It models one programmed ReRAM crossbar — with the
+// neurons of internal/spike on its columns, the paper's PE (§4.2) — as
+// flat row-major []float64 buffers and evaluates whole micro-batches of
+// input vectors per call: the programming cost of a weight matrix — and
+// of everything derived from it once, such as the packed kernel's column
+// supports, tables and lane-packed conductances — is amortized across
+// every vector that streams through it. Per-item cost in the spiking
+// kernel does not fall with batch size; what a batch saves is the
+// per-call overhead above the kernel.
 //
 // Three views of the same computation are provided, from fastest to most
 // circuit-faithful, and the callers' test suites prove they agree with the
@@ -125,8 +126,8 @@ func VMMBatch(out, weights, in []float64, batch, rows, cols int) {
 	}
 }
 
-// Config parameterizes crossbar programming. It mirrors pe.Config so the
-// PE model and the executor program identical devices.
+// Config parameterizes crossbar programming: the one description of a
+// PE's devices, shared by the executor and the chip-level simulation.
 type Config struct {
 	// Params supplies crossbar geometry and the sampling window.
 	Params device.Params
@@ -521,7 +522,7 @@ func (c *Crossbar) simulateCountsDense(dst, src []int, batch int) {
 // SimulateTrains runs the cycle-level simulation over one sampling window
 // of explicit input spike trains with a caller-supplied neuron model,
 // returning the output spike trains of the subtracters. This is the
-// train-level single-shot path behind pe.Simulate and pe.SimulateRC; the
+// train-level single-shot path internal/chipsim runs each PE on; the
 // drive accumulation order matches SimulateCountsBatch.
 func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float64) Stepper) ([]spike.Train, error) {
 	if len(inputs) != c.rows {

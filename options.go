@@ -60,17 +60,6 @@ func WithLayerDuplication(layerDup map[string]int) Option {
 	return func(s *compileSettings) { s.cfg.LayerDup = copyIntMap(layerDup) }
 }
 
-// WithLayerTracks assigns per-layer routing channel requirements, keyed
-// by model layer name. Each chip's channel width becomes the maximum
-// requirement among the layers it hosts (a chip hosting any unassigned
-// layer also honors the global WithTracks or its default), which lets the
-// autotuner narrow channels below the generous 2048 default where routing
-// demand allows. Widths must be ≥ 1 and name layers the model has;
-// Compile rejects anything else with ErrInvalidArgument.
-func WithLayerTracks(layerTracks map[string]int) Option {
-	return func(s *compileSettings) { s.cfg.LayerTracks = copyIntMap(layerTracks) }
-}
-
 // WithShardCuts pins the multi-chip partition at exactly these group-chain
 // cut positions (strictly increasing, each inside the group chain),
 // bypassing the partition search; len(cuts)+1 chips result and WithChips
@@ -260,12 +249,12 @@ func WithChipCapacity(n int) Option {
 	return func(s *compileSettings) { s.cfg.ChipCapacity = n }
 }
 
-// WithShardPolicy selects the multi-chip partitioning objective, on
-// both sides of the stack: the compiled chip partition and the stage
-// cut of engines derived with Deployment.NewEngine. ShardAuto (the
-// default) picks each side's natural objective — minimal inter-chip
-// traffic for compilation, balanced per-chip load for the serving
-// pipeline; an explicit ShardMinCut or ShardBalanced governs both.
+// WithShardPolicy selects the objective of the compiled chip partition:
+// ShardAuto (the default) and ShardMinCut minimize inter-chip traffic,
+// ShardBalanced the heaviest chip's load. Engines derived with
+// Deployment.NewEngine serve the compiled chip count and always cut
+// their stage list balanced — pipeline throughput is set by the slowest
+// chip, and outputs are bit-identical under every cut.
 func WithShardPolicy(p ShardPolicy) Option {
 	return func(s *compileSettings) { s.cfg.ShardPolicy = p }
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 // TestCompileOptionValidation: every compile knob rejects nonsensical
@@ -27,13 +28,11 @@ func TestCompileOptionValidation(t *testing.T) {
 		{"negative parallelism", []Option{WithParallelism(-8)}},
 		{"zero layer dup", []Option{WithLayerDuplication(map[string]int{"fc1": 0})}},
 		{"negative layer dup", []Option{WithLayerDuplication(map[string]int{"fc1": -3})}},
-		{"zero layer tracks", []Option{WithLayerTracks(map[string]int{"fc1": 0})}},
 		{"zero shard cut", []Option{WithShardCuts(0)}},
 		{"negative shard cut", []Option{WithShardCuts(-1, 2)}},
 		{"non-increasing cuts", []Option{WithShardCuts(3, 3)}},
 		{"decreasing cuts", []Option{WithShardCuts(4, 2)}},
 		{"unknown layer dup", []Option{WithLayerDuplication(map[string]int{"no-such-layer": 2})}},
-		{"unknown layer tracks", []Option{WithLayerTracks(map[string]int{"no-such-layer": 2})}},
 		{"cut beyond chain", []Option{WithShardCuts(9999), WithChips(2)}},
 		{"negative fault rate", []Option{WithFaultModel(-0.1, 1)}},
 		{"fault rate above 1", []Option{WithFaultModel(1.5, 1)}},
@@ -100,6 +99,31 @@ func TestEngineOptionValidation(t *testing.T) {
 			defer eng.Close()
 			if st := eng.Stats(); st.Workers != 4 || st.MaxBatch != 8 {
 				t.Errorf("NewEngine(%s): %d workers, batches of %d, want the defaults 4 and 8", tc.name, st.Workers, st.MaxBatch)
+			}
+		})
+	}
+}
+
+// TestFleetOptionValidation: fleet knobs with nonsensical values are
+// ErrInvalidArgument from NewFleet, not silently the default — a negative
+// autoscaler tick included (it used to become 50ms).
+func TestFleetOptionValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  FleetOption
+	}{
+		{"negative chips", WithFleetChips(-1)},
+		{"negative scale interval", WithScaleInterval(-time.Second)},
+		{"negative quota", WithTenant("t", QoSGold, -1)},
+		{"unknown class", WithTenant("t", QoSClass(7), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFleet(tc.opt)
+			if !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("NewFleet(%s) = %v, want ErrInvalidArgument", tc.name, err)
+			}
+			if f != nil {
+				f.Close()
 			}
 		})
 	}

@@ -3,21 +3,19 @@ package fpsa
 import (
 	"fmt"
 
-	"fpsa/internal/serve"
 	"fpsa/internal/shard"
 )
 
 // ShardPolicy selects the objective the multi-chip partitioner optimizes
-// when WithChips splits a model across chips. See
-// internal/shard for the partitioning algorithm.
+// when WithChips splits a model across chips at compile time. See
+// internal/shard for the partitioning algorithm. An engine cuts its own
+// stage list and always balances it (outputs are identical under any cut).
 type ShardPolicy int
 
 // Sharding policies.
 const (
-	// ShardAuto picks the context's natural objective: minimal
-	// inter-chip traffic for compilation (link wires and transfer energy
-	// are the scarce resource), balanced per-chip load for the serving
-	// pipeline (throughput is set by the slowest chip).
+	// ShardAuto is the compiler's natural objective, minimal inter-chip
+	// traffic: link wires and transfer energy are the scarce resource.
 	ShardAuto ShardPolicy = iota
 	// ShardMinCut minimizes the total signal traffic crossing inter-chip
 	// links, breaking ties toward balanced loads.
@@ -63,18 +61,6 @@ func (p ShardPolicy) compilePolicy() (shard.Policy, error) {
 		return shard.PolicyBalanced, nil
 	}
 	return 0, fmt.Errorf("%w: unknown shard policy %d", ErrInvalidArgument, int(p))
-}
-
-// servePolicy maps the public policy onto the serving engine's
-// stage-partitioning objective (Auto = balanced: pipeline throughput is
-// set by the slowest chip). An engine derived from a deployment carries
-// the deployment's policy here, so an explicit ShardMinCut or
-// ShardBalanced governs both the compiled partition and the served one.
-func (p ShardPolicy) servePolicy() serve.StagePolicy {
-	if p == ShardMinCut {
-		return serve.StageMinCut
-	}
-	return serve.StageBalanced
 }
 
 // ShardInfo describes one chip of a sharded deployment.
