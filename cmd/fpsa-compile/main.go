@@ -22,8 +22,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -31,37 +33,58 @@ import (
 	"fpsa"
 )
 
+// errUsage marks an error the flag set has already reported on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	model := flag.String("model", "LeNet", "benchmark model name")
-	dup := flag.Int("dup", 1, "duplication degree")
-	pnr := flag.Bool("pnr", false, "run simulated-annealing placement and PathFinder routing")
-	seed := flag.Int64("seed", 1, "placement seed")
-	seeds := flag.Int("seeds", 1, "annealing portfolio size (independent placement seeds)")
-	jobs := flag.Int("jobs", 0, "worker goroutines for placement and routing (0 = all cores)")
-	cache := flag.Bool("cache", false, "deploy through a content-addressed cache and show a second, cached deployment (implies -pnr)")
-	chips := flag.Int("chips", 1, "maximum chips to shard the deployment across (1 = single chip)")
-	chipcap := flag.Int("chipcap", 0, "per-chip PE capacity (0 = unbounded; with -chips, shards onto the fewest chips that fit)")
-	policyName := flag.String("policy", "auto", "shard partitioning policy: auto, mincut, or balanced")
-	autotune := flag.String("autotune", "", "search per-layer duplication and shard cuts for this objective (latency, energy, or throughput) instead of compiling -dup as given")
-	pebudget := flag.Int("pebudget", 0, "PE envelope for -autotune (0 = derive from -chipcap x -chips, else the uniform -dup spend)")
-	faultrate := flag.Float64("faultrate", 0, "stuck-cell fault rate per crossbar cell in [0,1] (0 = ideal devices); faults are drawn deterministically from -faultseed and remapped around spare rows/columns")
-	faultseed := flag.Int64("faultseed", 1, "fault-map seed for -faultrate")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "fpsa-compile:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args (without the program name) and
+// prints the deployment to stdout. A bad flag is reported by the flag set
+// and comes back as an error instead of ending the process.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fpsa-compile", flag.ContinueOnError)
+	model := fs.String("model", "LeNet", "benchmark model name")
+	dup := fs.Int("dup", 1, "duplication degree")
+	pnr := fs.Bool("pnr", false, "run simulated-annealing placement and PathFinder routing")
+	seed := fs.Int64("seed", 1, "placement seed")
+	seeds := fs.Int("seeds", 1, "annealing portfolio size (independent placement seeds)")
+	jobs := fs.Int("jobs", 0, "worker goroutines for placement and routing (0 = all cores)")
+	cache := fs.Bool("cache", false, "deploy through a content-addressed cache and show a second, cached deployment (implies -pnr)")
+	chips := fs.Int("chips", 1, "maximum chips to shard the deployment across (1 = single chip)")
+	chipcap := fs.Int("chipcap", 0, "per-chip PE capacity (0 = unbounded; with -chips, shards onto the fewest chips that fit)")
+	policyName := fs.String("policy", "auto", "shard partitioning policy: auto, mincut, or balanced")
+	autotune := fs.String("autotune", "", "search per-layer duplication and shard cuts for this objective (latency, energy, or throughput) instead of compiling -dup as given")
+	pebudget := fs.Int("pebudget", 0, "PE envelope for -autotune (0 = derive from -chipcap x -chips, else the uniform -dup spend)")
+	faultrate := fs.Float64("faultrate", 0, "stuck-cell fault rate per crossbar cell in [0,1] (0 = ideal devices); faults are drawn deterministically from -faultseed and remapped around spare rows/columns")
+	faultseed := fs.Int64("faultseed", 1, "fault-map seed for -faultrate")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 	if *cache {
 		*pnr = true
 	}
 	policy, err := fpsa.ParseShardPolicy(*policyName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	m, err := fpsa.LoadBenchmark(*model)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("model %s: %d weights, %d ops/sample, %d graph nodes\n",
+	fmt.Fprintf(stdout, "model %s: %d weights, %d ops/sample, %d graph nodes\n",
 		m.Name(), m.Weights(), m.Ops(), m.Layers())
 
 	opts := []fpsa.Option{
@@ -72,7 +95,7 @@ func main() {
 	}
 	if *faultrate != 0 {
 		opts = append(opts, fpsa.WithFaultModel(*faultrate, *faultseed))
-		fmt.Printf("fault model: stuck-cell rate %g, seed %d, spare-row/column remapping on\n", *faultrate, *faultseed)
+		fmt.Fprintf(stdout, "fault model: stuck-cell rate %g, seed %d, spare-row/column remapping on\n", *faultrate, *faultseed)
 	}
 	var artifacts *fpsa.CompileCache
 	if *cache {
@@ -83,56 +106,56 @@ func main() {
 	if *autotune != "" {
 		objective, err := fpsa.ParseObjective(*autotune)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		start := time.Now()
 		tuned, report, err := fpsa.Autotune(ctx, m, objective,
 			append(opts, fpsa.WithPEBudget(*pebudget))...)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("%s  (search %.2fs)\n", report, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "%s  (search %.2fs)\n", report, time.Since(start).Seconds())
 		d = tuned
 	} else {
 		if *pebudget != 0 {
-			fmt.Fprintln(os.Stderr, "fpsa-compile: -pebudget only applies with -autotune")
-			os.Exit(1)
+			return errors.New("-pebudget only applies with -autotune")
 		}
 		compiled, err := fpsa.Compile(ctx, m, opts...)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		d = compiled
 	}
 	groups, coreOps := d.CoreOps()
 	pes, smbs, clbs := d.Blocks()
-	fmt.Printf("synthesized: %d weight groups, %d core-ops/sample\n", groups, coreOps)
-	fmt.Printf("netlist: %d PEs, %d SMBs, %d CLBs; chip area %.2f mm2\n", pes, smbs, clbs, d.AreaMM2())
+	fmt.Fprintf(stdout, "synthesized: %d weight groups, %d core-ops/sample\n", groups, coreOps)
+	fmt.Fprintf(stdout, "netlist: %d PEs, %d SMBs, %d CLBs; chip area %.2f mm2\n", pes, smbs, clbs, d.AreaMM2())
 	if shards := d.Shards(); shards != nil {
-		fmt.Printf("sharded across %d chips (%v policy):\n", d.Chips(), policy)
+		fmt.Fprintf(stdout, "sharded across %d chips (%v policy):\n", d.Chips(), policy)
 		for _, sh := range shards {
-			fmt.Printf("  %s\n", sh)
+			fmt.Fprintf(stdout, "  %s\n", sh)
 		}
 	}
 
 	p, err := d.Performance()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("modeled: %s\n", p)
+	fmt.Fprintf(stdout, "modeled: %s\n", p)
 
 	if *pnr {
 		start := time.Now()
 		stats, err := d.PlaceAndRoute(ctx)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("place&route: %s (%.2fs)\n", stats, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "place&route: %s (%.2fs)\n", stats, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "placement: %d annealing moves, wirelength cost %g\n", stats.PlacementMoves, stats.WirelengthCost)
 		routed, err := d.PerformanceWithHops(int(stats.MeanHops + 0.5))
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("with routed hops: %s\n", routed)
+		fmt.Fprintf(stdout, "with routed hops: %s\n", routed)
 
 		if *cache && *autotune == "" {
 			// Redeploy the same model and options: the cache must serve
@@ -140,21 +163,17 @@ func main() {
 			// -autotune the search already reports its own cache traffic.)
 			d2, err := fpsa.Compile(ctx, m, opts...)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			start = time.Now()
 			cached, err := d2.PlaceAndRoute(ctx)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			hits, misses := artifacts.Counters()
-			fmt.Printf("redeploy:    %s (%.4fs, cache %d hit / %d miss)\n",
+			fmt.Fprintf(stdout, "redeploy:    %s (%.4fs, cache %d hit / %d miss)\n",
 				cached, time.Since(start).Seconds(), hits, misses)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "fpsa-compile:", err)
-	os.Exit(1)
+	return nil
 }

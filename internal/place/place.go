@@ -170,16 +170,16 @@ type Stats struct {
 
 // Anneal improves a random placement with simulated annealing and returns
 // it with run statistics. ctx bounds the run: cancellation stops at the
-// next temperature step and returns ctx.Err(). An uncancelled run is
-// bit-identical for any ctx.
+// next temperature step and returns ctx.Err(); a run that finished before
+// ctx ended is returned. An uncancelled run is bit-identical for any ctx.
 func Anneal(ctx context.Context, nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Options) (*Placement, Stats, error) {
 	a, err := newAnnealer(nl, chip, rng, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	a.run(ctx, -1)
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+	if !a.done {
+		return nil, Stats{}, ctx.Err()
 	}
 	p, stats := a.finish()
 	return p, stats, nil
@@ -192,27 +192,36 @@ func Anneal(ctx context.Context, nl *netlist.Netlist, chip fabric.Chip, rng *ran
 // its segments execute — the property the multi-seed Portfolio relies on
 // for determinism.
 type annealer struct {
-	nl     *netlist.Netlist
-	rng    *rand.Rand
-	netsOf [][]int
-	p      *Placement
-	cost   float64
-	stats  Stats
+	nl    *netlist.Netlist
+	rng   *rand.Rand
+	p     *Placement
+	cost  float64
+	stats Stats
 
-	// Move-evaluation scratch, owned by this run and never shared (the
-	// portfolio steps annealers on different goroutines). weight[i] is
-	// net i's netWeight, fixed by the netlist; netCost[i] is
-	// float64(HPWL_i)·weight[i] under the current placement — the same
-	// product Cost sums, so a stored value equals a recomputed one bit for
-	// bit. stamp[i] == gen marks net i as already listed for the move
-	// being evaluated; nets and costs hold that move's affected nets and
-	// their costs with the move applied.
-	weight  []float64
-	netCost []float64
-	stamp   []int
-	gen     int
-	nets    []int
-	costs   []float64
+	// The netlist and the placement in flat form, built once, owned by this
+	// run and never shared (the portfolio steps annealers on different
+	// goroutines). pos[b] is block b's coordinates — the run's own: p.Pos
+	// catches up at the end of every temperature step, p.occ is live — and
+	// site[i] those of site index i.
+	// refs[refStart[b]:refStart[b+1]] lists the nets touching block b in
+	// netlist order, each once. A net that is not two distinct pins (a wide
+	// net, k) has its pins in pins[pinStart[k]:pinStart[k+1]] and wideCost[k] caches
+	// float64(HPWL)·weight under the current placement — the same product
+	// Cost sums, so a stored value equals a recomputed one bit for bit.
+	// stamp[k] == gen marks wide net k as already listed for the move being
+	// evaluated; nets and costs hold that move's wide nets and their costs
+	// with the move applied.
+	pos      []xy
+	site     []xy
+	refs     []netRef
+	refStart []int32
+	pins     []int32
+	pinStart []int32
+	wideCost []float64
+	stamp    []int
+	gen      int
+	nets     []int32
+	costs    []float64
 
 	moves   int
 	temp    float64
@@ -220,48 +229,91 @@ type annealer struct {
 	done    bool
 }
 
+// xy is a grid position in the annealer's flat form.
+type xy struct{ x, y int32 }
+
+// netRef is one net on a block's list, with the net's weight. partner ≥ 0
+// is the other end of a two-pin net, priced from the two positions alone;
+// otherwise net indexes the wide-net tables.
+type netRef struct {
+	net, partner int32
+	w            float64
+}
+
 // move is one proposed move: block b goes from site index from to site
 // index target, and the block that was there (other, −1 for a free site)
 // takes from.
 type move struct{ b, other, from, target int }
 
-// newAnnealer builds the initial random placement, probes the starting
-// temperature (VPR's recipe: the cost deviation of a sample of random
-// moves) and leaves the run ready to step.
+// newAnnealer builds the initial random placement and its flat form, probes
+// the starting temperature (VPR's recipe: the cost deviation of a sample of
+// random moves) and leaves the run ready to step.
 func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Options) (*annealer, error) {
+	pins := 0
+	for i := range nl.Nets {
+		pins += 1 + len(nl.Nets[i].Sinks)
+	}
+	if len(nl.Blocks) > math.MaxInt32 || len(nl.Nets) > math.MaxInt32 || pins > math.MaxInt32 || chip.W > math.MaxInt32 || chip.H > math.MaxInt32 {
+		return nil, fmt.Errorf("place: %d blocks, %d nets, %d pins on a %dx%d chip exceed the annealer's 32-bit tables", len(nl.Blocks), len(nl.Nets), pins, chip.W, chip.H)
+	}
 	p, err := Random(nl, chip, rng)
 	if err != nil {
 		return nil, err
 	}
 	a := &annealer{
-		nl:      nl,
-		rng:     rng,
-		p:       p,
-		netsOf:  make([][]int, len(nl.Blocks)),
-		weight:  make([]float64, len(nl.Nets)),
-		netCost: make([]float64, len(nl.Nets)),
-		stamp:   make([]int, len(nl.Nets)),
-		// A move touches each net at most once, so neither buffer grows.
-		nets:  make([]int, 0, len(nl.Nets)),
-		costs: make([]float64, 0, len(nl.Nets)),
+		nl:       nl,
+		rng:      rng,
+		p:        p,
+		pos:      make([]xy, len(nl.Blocks)),
+		site:     make([]xy, chip.Sites()),
+		refs:     make([]netRef, 0, pins), // a pin lists its net at most once
+		refStart: make([]int32, 1, len(nl.Blocks)+1),
+		pinStart: make([]int32, 1),
 	}
-	// Index nets by block, each net once per block it touches, and total
-	// the cost in net order exactly as Cost does.
+	for i := range a.site {
+		a.site[i] = xy{int32(i % chip.W), int32(i / chip.W)}
+	}
+	for b, s := range p.Pos {
+		a.pos[b] = xy{int32(s.X), int32(s.Y)}
+	}
+	// List nets by block, each net once per block it touches, and total the
+	// cost in net order exactly as Cost does.
+	byBlock := make([][]netRef, len(nl.Blocks))
 	lastNet := make([]int, len(nl.Blocks)) // block → 1 + the last net listed under it
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
-		a.netsOf[net.Src] = append(a.netsOf[net.Src], i)
-		lastNet[net.Src] = i + 1
-		for _, b := range net.Sinks {
+		w := netWeight(nl, net)
+		c := float64(netHPWL(p, net)) * w
+		a.cost += c
+		if src := net.Src; len(net.Sinks) == 1 && net.Sinks[0] != src {
+			sink := net.Sinks[0]
+			byBlock[src] = append(byBlock[src], netRef{net: -1, partner: int32(sink), w: w})
+			byBlock[sink] = append(byBlock[sink], netRef{net: -1, partner: int32(src), w: w})
+			continue
+		}
+		k := int32(len(a.wideCost))
+		a.wideCost = append(a.wideCost, c)
+		pin := func(b int) {
+			a.pins = append(a.pins, int32(b))
 			if lastNet[b] != i+1 {
 				lastNet[b] = i + 1
-				a.netsOf[b] = append(a.netsOf[b], i)
+				byBlock[b] = append(byBlock[b], netRef{net: k, partner: -1, w: w})
 			}
 		}
-		a.weight[i] = netWeight(nl, net)
-		a.netCost[i] = float64(netHPWL(p, net)) * a.weight[i]
-		a.cost += a.netCost[i]
+		pin(net.Src)
+		for _, b := range net.Sinks {
+			pin(b)
+		}
+		a.pinStart = append(a.pinStart, int32(len(a.pins)))
 	}
+	for _, refs := range byBlock {
+		a.refs = append(a.refs, refs...)
+		a.refStart = append(a.refStart, int32(len(a.refs)))
+	}
+	a.stamp = make([]int, len(a.wideCost))
+	// A move touches each wide net at most once, so neither buffer grows.
+	a.nets = make([]int32, 0, len(a.wideCost))
+	a.costs = make([]float64, 0, len(a.wideCost))
 	a.stats = Stats{InitialCost: a.cost}
 	if len(nl.Nets) == 0 || len(nl.Blocks) < 2 {
 		a.done = true
@@ -300,49 +352,99 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 // propose draws a random block and a random target site (occupied → swap,
 // free → relocate), applies the move and returns it with its cost delta;
 // the caller keeps it with commit or reverts it with undo. The affected
-// nets are netsOf[b] in order, then the nets of netsOf[other] not already
-// listed, in order: before and after are float sums over that list, so
+// nets are b's list in order, then the nets on other's list not already
+// listed, in order: before and after are float sums over that sequence, so
 // its order is part of every accept/reject decision and must not change.
 func (a *annealer) propose() (move, float64) {
-	p := a.p
-	b := a.rng.Intn(len(p.Pos))
-	target := a.rng.Intn(len(p.occ)) // one occ entry per site
-	mv := move{b: b, other: p.occ[target], from: p.index(p.Pos[b]), target: target}
-	a.nets = a.nets[:0]
+	b := a.rng.Intn(len(a.pos))
+	target := a.rng.Intn(len(a.site))
+	from, to := a.pos[b], a.site[target]
+	mv := move{b: b, other: a.p.occ[target], from: int(from.y)*a.p.Chip.W + int(from.x), target: target}
+	a.nets, a.costs = a.nets[:0], a.costs[:0]
 	if mv.other == b {
 		return mv, 0 // b already sits on target: applying changes nothing
 	}
+	a.apply(mv.b, mv.target, mv.other, mv.from)
 	a.gen++
-	for _, i := range a.netsOf[b] {
-		a.stamp[i] = a.gen
-		a.nets = append(a.nets, i)
-	}
+	before, after := a.price(b, mv.other, false, from, to, 0, 0)
 	if mv.other >= 0 {
-		for _, i := range a.netsOf[mv.other] {
-			if a.stamp[i] != a.gen {
-				a.stamp[i] = a.gen
-				a.nets = append(a.nets, i)
-			}
-		}
-	}
-	var before, after float64
-	for _, i := range a.nets {
-		before += a.netCost[i]
-	}
-	p.apply(mv.b, mv.target, mv.other, mv.from)
-	a.costs = a.costs[:len(a.nets)]
-	for k, i := range a.nets {
-		c := float64(netHPWL(p, &a.nl.Nets[i])) * a.weight[i]
-		a.costs[k] = c
-		after += c
+		before, after = a.price(mv.other, b, true, to, from, before, after)
 	}
 	return mv, after - before
+}
+
+// price adds the nets on block blk's list to a move's before and after
+// sums; the move, already applied, took blk from old to new and, on a swap,
+// peer the other way. A two-pin net is priced on the spot, both times from
+// positions, and keeps no state: float64(h)·w recomputed is the double a
+// cache would hold. The two-pin net joining the swapped pair is listed once,
+// under the first block priced (peerListed says blk is the second); a wide
+// net is listed once by its stamp, read from its cache and rescanned.
+func (a *annealer) price(blk, peer int, peerListed bool, old, new xy, before, after float64) (float64, float64) {
+	for _, r := range a.refs[a.refStart[blk]:a.refStart[blk+1]] {
+		if r.partner >= 0 {
+			q := a.pos[r.partner]
+			was := q
+			if int(r.partner) == peer {
+				if peerListed {
+					continue
+				}
+				was = new // peer sat where blk now sits
+			}
+			before += float64(dist(old, was)) * r.w
+			after += float64(dist(new, q)) * r.w
+			continue
+		}
+		if a.stamp[r.net] == a.gen {
+			continue
+		}
+		a.stamp[r.net] = a.gen
+		before += a.wideCost[r.net]
+		first := a.pos[a.pins[a.pinStart[r.net]]]
+		lo, hi := first, first
+		for _, pin := range a.pins[a.pinStart[r.net]+1 : a.pinStart[r.net+1]] {
+			q := a.pos[pin]
+			lo.x, hi.x = min(lo.x, q.x), max(hi.x, q.x)
+			lo.y, hi.y = min(lo.y, q.y), max(hi.y, q.y)
+		}
+		c := float64(dist(lo, hi)) * r.w
+		a.nets = append(a.nets, r.net)
+		a.costs = append(a.costs, c)
+		after += c
+	}
+	return before, after
+}
+
+// dist is the Manhattan distance between two positions: the half-perimeter
+// of a two-pin net, or of a bounding box from its corners.
+func dist(p, q xy) int32 {
+	dx, dy := p.x-q.x, p.y-q.y
+	if dx < 0 {
+		dx = -dx
+	}
+	if dy < 0 {
+		dy = -dy
+	}
+	return dx + dy
+}
+
+// apply moves block b to site index target; if other ≥ 0 it takes b's old
+// site (index from).
+func (a *annealer) apply(b, target, other, from int) {
+	a.pos[b] = a.site[target]
+	a.p.occ[target] = b
+	if other >= 0 {
+		a.pos[other] = a.site[from]
+		a.p.occ[from] = other
+	} else {
+		a.p.occ[from] = -1
+	}
 }
 
 // commit keeps the move propose left applied.
 func (a *annealer) commit(delta float64) {
 	for k, i := range a.nets {
-		a.netCost[i] = a.costs[k]
+		a.wideCost[i] = a.costs[k]
 	}
 	a.cost += delta
 }
@@ -350,8 +452,28 @@ func (a *annealer) commit(delta float64) {
 // undo reverts the move propose left applied.
 func (a *annealer) undo(mv move) {
 	if mv.other != mv.b {
-		a.p.apply(mv.b, mv.from, mv.other, mv.target)
+		a.apply(mv.b, mv.from, mv.other, mv.target)
 	}
+}
+
+// metropolis reports u < exp(−t) for t ≥ 0, with the same answer as that
+// expression on every input but without the exponential when the cubic
+// Taylor bounds 1−t+t²/2−t³/6 ≤ e^−t ≤ 1/(1+t+t²/2+t³/6) already decide it.
+// The margin is many orders above the rounding of either bound and of
+// math.Exp: a bound rounds by under 1e-10 wherever it lies in [0, 1] (the
+// lower one only for t < 100, past which it is far below zero), so a u the
+// margin lets through is on the same side of math.Exp(−t).
+func metropolis(u, t float64) bool {
+	const margin = 1e-9
+	sq := t * t / 2
+	cube := sq * t / 3
+	if u < 1-t+sq-cube-margin {
+		return true
+	}
+	if u > 1/(1+t+sq+cube)+margin {
+		return false
+	}
+	return u < math.Exp(-t)
 }
 
 // step runs one temperature: a full move batch plus adaptive cooling.
@@ -362,7 +484,7 @@ func (a *annealer) step() {
 	accepted := 0
 	for m := 0; m < a.moves; m++ {
 		mv, delta := a.propose()
-		if delta <= 0 || a.rng.Float64() < math.Exp(-delta/a.temp) {
+		if delta <= 0 || metropolis(a.rng.Float64(), delta/a.temp) {
 			a.commit(delta)
 			accepted++
 			a.stats.Accepted++
@@ -370,6 +492,9 @@ func (a *annealer) step() {
 			a.undo(mv)
 		}
 		a.stats.Moves++
+	}
+	for b, at := range a.pos {
+		a.p.Pos[b] = fabric.Site{X: int(at.x), Y: int(at.y)}
 	}
 	// VPR-style adaptive cooling: cool faster when acceptance is
 	// extreme, slower in the productive 15-95% band.
@@ -412,26 +537,4 @@ func (a *annealer) CurrentCost() float64 { return Cost(a.p, a.nl) }
 func (a *annealer) finish() (*Placement, Stats) {
 	a.stats.FinalCost = Cost(a.p, a.nl) // recompute exactly (incremental drift)
 	return a.p, a.stats
-}
-
-// index and siteAt are Chip.Index and Chip.SiteAt for the annealer's inner
-// loop: Chip's value-receiver methods copy the whole chip, device
-// parameter table included, on every call.
-func (p *Placement) index(s fabric.Site) int { return s.Y*p.Chip.W + s.X }
-
-func (p *Placement) siteAt(i int) fabric.Site {
-	return fabric.Site{X: i % p.Chip.W, Y: i / p.Chip.W}
-}
-
-// apply moves block b to site index target; if other ≥ 0 it takes b's old
-// site (index fromIdx).
-func (p *Placement) apply(b, target, other, fromIdx int) {
-	p.Pos[b] = p.siteAt(target)
-	p.occ[target] = b
-	if other >= 0 {
-		p.Pos[other] = p.siteAt(fromIdx)
-		p.occ[fromIdx] = other
-	} else {
-		p.occ[fromIdx] = -1
-	}
 }

@@ -2,11 +2,14 @@ package place
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fpsa/internal/cgraph"
 	"fpsa/internal/device"
 	"fpsa/internal/fabric"
 	"fpsa/internal/mapper"
@@ -15,15 +18,15 @@ import (
 	"fpsa/internal/synth"
 )
 
-// lenetNetlist builds the LeNet duplication-4 netlist through the mapper,
-// optionally with fault residuals stamped on its PE blocks.
-func lenetNetlist(t testing.TB, faults *device.FaultModel) *netlist.Netlist {
+// zooNetlist builds a zoo model's netlist through the mapper at a uniform
+// duplication, optionally with fault residuals stamped on its PE blocks.
+func zooNetlist(t testing.TB, g *cgraph.Graph, dup int, faults *device.FaultModel) *netlist.Netlist {
 	t.Helper()
-	co, err := synth.Synthesize(models.LeNet(), synth.DefaultOptions())
+	co, err := synth.Synthesize(g, synth.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := mapper.Allocate(co, 4)
+	alloc, err := mapper.Allocate(co, dup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +35,22 @@ func lenetNetlist(t testing.TB, faults *device.FaultModel) *netlist.Netlist {
 		t.Fatal(err)
 	}
 	return nl
+}
+
+// lenetNetlist is the LeNet duplication-4 netlist.
+func lenetNetlist(t testing.TB, faults *device.FaultModel) *netlist.Netlist {
+	t.Helper()
+	return zooNetlist(t, models.LeNet(), 4, faults)
+}
+
+// productionChip sizes the chip the compiler would place nl on.
+func productionChip(t testing.TB, nl *netlist.Netlist) fabric.Chip {
+	t.Helper()
+	chip, err := fabric.SizeFor(len(nl.Blocks), 0, device.Params45nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip
 }
 
 // posHash is an FNV-1a hash of every block's site, in block order.
@@ -48,14 +67,18 @@ func posHash(p *Placement) uint64 {
 }
 
 // TestAnnealTrajectoryPinned pins the annealing trajectory — a function of
-// (netlist, chip, seed) only — on three shapes × two seeds: a mapper-built
+// (netlist, chip, seed) only. Three LeNet shapes × two seeds: a mapper-built
 // netlist on its production chip, the same netlist with fault residuals
 // (non-integer net weights, where the float summation order of a move's
 // affected nets decides accept/reject), and a chip with three times the
-// sites the blocks need (most moves relocate to a free site). The values
-// were recorded at the commit before move evaluation was made incremental
-// (PR 13's parent, bef6e5c) and must never be re-recorded to make a change
-// to the annealer pass: see docs/INVARIANTS.md "Placement trajectory
+// sites the blocks need (most moves relocate to a free site); recorded at
+// the commit before move evaluation was made incremental (PR 13's parent,
+// bef6e5c). Then the shapes LeNet does not reach: CIFAR-VGG17@1 clean and
+// faulted (214 blocks, nets of up to ten pins among 81 % two-pin ones) and AlexNet@1 stopped after
+// three temperatures (about 210 nets on every block, 99.5 % of them
+// two-pin); recorded at the commit before two-pin nets were priced inline
+// (PR 24's parent, 6c5e434). The values must never be re-recorded to make a
+// change to the annealer pass: see docs/INVARIANTS.md "Placement trajectory
 // identity".
 func TestAnnealTrajectoryPinned(t *testing.T) {
 	clean := lenetNetlist(t, nil)
@@ -69,40 +92,46 @@ func TestAnnealTrajectoryPinned(t *testing.T) {
 	if !nonInteger {
 		t.Fatal("faulted fixture has no non-integer net weight")
 	}
-	tight, err := fabric.SizeFor(len(clean.Blocks), 0, device.Params45nm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tight := productionChip(t, clean)
 	roomy, err := fabric.SizeFor(3*len(clean.Blocks), 0, device.Params45nm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vgg := zooNetlist(t, models.CIFARVGG17(), 1, nil)
+	vggFaulted := zooNetlist(t, models.CIFARVGG17(), 1, &device.FaultModel{Rate: 0.02, Seed: 5})
+	alexnet := zooNetlist(t, models.AlexNet(), 1, nil)
 	type pin struct {
 		stats              Stats
 		initBits, costBits uint64
 		pos                uint64
 	}
 	cases := []struct {
-		name string
-		nl   *netlist.Netlist
-		chip fabric.Chip
-		seed int64
-		want pin
+		name  string
+		nl    *netlist.Netlist
+		chip  fabric.Chip
+		seed  int64
+		temps int // stop after this many temperatures; negative = run to completion
+		want  pin
 	}{
-		{"clean/seed1", clean, tight, 1, pin{Stats{Temps: 105, Moves: 252105, Accepted: 113893}, 0x40e50a4000000000, 0x40c3f90000000000, 0xab44d2871813d70}},
-		{"clean/seed2", clean, tight, 2, pin{Stats{Temps: 104, Moves: 249704, Accepted: 113744}, 0x40e4504000000000, 0x40c4320000000000, 0x37a2ca5aec35e847}},
-		{"faulted/seed1", faulted, tight, 1, pin{Stats{Temps: 109, Moves: 261709, Accepted: 121646}, 0x40f3dac37344dcd2, 0x40d2b831dbea31dd, 0xe3784935d5936a1d}},
-		{"faulted/seed2", faulted, tight, 2, pin{Stats{Temps: 109, Moves: 261709, Accepted: 120167}, 0x40f2ff2f1780c8d5, 0x40d2a0a805d2234d, 0xea9e774527059955}},
-		{"roomy/seed1", clean, roomy, 1, pin{Stats{Temps: 106, Moves: 254506, Accepted: 111649}, 0x40eb1dc000000000, 0x40c4870000000000, 0xfee29b079609807a}},
-		{"roomy/seed2", clean, roomy, 2, pin{Stats{Temps: 106, Moves: 254506, Accepted: 119805}, 0x40f274c000000000, 0x40c4330000000000, 0x91e38735aaf34091}},
+		{"clean/seed1", clean, tight, 1, -1, pin{Stats{Temps: 105, Moves: 252105, Accepted: 113893}, 0x40e50a4000000000, 0x40c3f90000000000, 0xab44d2871813d70}},
+		{"clean/seed2", clean, tight, 2, -1, pin{Stats{Temps: 104, Moves: 249704, Accepted: 113744}, 0x40e4504000000000, 0x40c4320000000000, 0x37a2ca5aec35e847}},
+		{"faulted/seed1", faulted, tight, 1, -1, pin{Stats{Temps: 109, Moves: 261709, Accepted: 121646}, 0x40f3dac37344dcd2, 0x40d2b831dbea31dd, 0xe3784935d5936a1d}},
+		{"faulted/seed2", faulted, tight, 2, -1, pin{Stats{Temps: 109, Moves: 261709, Accepted: 120167}, 0x40f2ff2f1780c8d5, 0x40d2a0a805d2234d, 0xea9e774527059955}},
+		{"roomy/seed1", clean, roomy, 1, -1, pin{Stats{Temps: 106, Moves: 254506, Accepted: 111649}, 0x40eb1dc000000000, 0x40c4870000000000, 0xfee29b079609807a}},
+		{"roomy/seed2", clean, roomy, 2, -1, pin{Stats{Temps: 106, Moves: 254506, Accepted: 119805}, 0x40f274c000000000, 0x40c4330000000000, 0x91e38735aaf34091}},
+		{"vgg17/seed2", vgg, productionChip(t, vgg), 2, -1, pin{Stats{Temps: 92, Moves: 1177600, Accepted: 469053}, 0x4118cfd800000000, 0x40f3a48000000000, 0x62b849f941d6c5a2}},
+		{"vgg17-faulted/seed2", vggFaulted, productionChip(t, vggFaulted), 2, -1, pin{Stats{Temps: 92, Moves: 1177600, Accepted: 480378}, 0x41271e33eb42467f, 0x41022a2d78391697, 0xc4aa5dd93c1a07e9}},
+		{"alexnet-3temps/seed1", alexnet, productionChip(t, alexnet), 1, 3, pin{Stats{Temps: 3, Moves: 60000, Accepted: 57601}, 0x41d33f5059000000, 0x41d2980368000000, 0xedf7e9f4aa1f9e2b}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			p, st, err := Anneal(context.Background(), tc.nl, tc.chip, rand.New(rand.NewSource(tc.seed)), Options{})
+			a, err := newAnnealer(tc.nl, tc.chip, rand.New(rand.NewSource(tc.seed)), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			a.run(context.Background(), tc.temps)
+			p, st := a.finish()
 			got := pin{
 				stats:    Stats{Temps: st.Temps, Moves: st.Moves, Accepted: st.Accepted},
 				initBits: math.Float64bits(st.InitialCost),
@@ -123,39 +152,161 @@ func TestAnnealTrajectoryPinned(t *testing.T) {
 func lenetAnnealer(t testing.TB, faults *device.FaultModel, seed int64) *annealer {
 	t.Helper()
 	nl := lenetNetlist(t, faults)
-	chip, err := fabric.SizeFor(len(nl.Blocks), 0, device.Params45nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := newAnnealer(nl, chip, rand.New(rand.NewSource(seed)), Options{})
+	a, err := newAnnealer(nl, productionChip(t, nl), rand.New(rand.NewSource(seed)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
 }
 
-// TestAnnealerCachedNetCostsStayExact: after any number of temperature
-// steps every cached net cost equals a fresh float64(HPWL)·netWeight bit
-// for bit — a move's before-sum reads stored products in place of
-// recomputing them — and the placement stays legal.
+// checkFlatForm fails unless the run's flat form agrees with its netlist
+// and placement: every cached wide-net cost equals a fresh
+// float64(HPWL)·netWeight bit for bit (a move's before-sum reads the stored
+// product in place of recomputing it; two-pin nets cache nothing), and
+// Placement.Pos and its occupancy table are where the run's own coordinates
+// say the blocks are.
+func checkFlatForm(t *testing.T, a *annealer, when string) {
+	t.Helper()
+	k := 0
+	for i := range a.nl.Nets {
+		net := &a.nl.Nets[i]
+		if len(net.Sinks) == 1 && net.Sinks[0] != net.Src {
+			continue
+		}
+		if want := float64(netHPWL(a.p, net)) * netWeight(a.nl, net); a.wideCost[k] != want {
+			t.Fatalf("%s: net %d cached cost %v, recomputed %v", when, i, a.wideCost[k], want)
+		}
+		k++
+	}
+	if k != len(a.wideCost) || k == 0 || k == len(a.nl.Nets) {
+		t.Fatalf("%s: %d cached nets, %d nets of three or more pins among %d", when, len(a.wideCost), k, len(a.nl.Nets))
+	}
+	for b, at := range a.pos {
+		if got := (fabric.Site{X: int(at.x), Y: int(at.y)}); a.p.Pos[b] != got {
+			t.Fatalf("%s: block %d is at %v, Placement.Pos says %v", when, b, got, a.p.Pos[b])
+		}
+	}
+	if err := a.p.Validate(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// TestAnnealerCachedNetCostsStayExact: the flat form holds after every
+// temperature step of a whole run, and after a run the context stopped
+// part-way — the placement a cancelled portfolio member is ranked by.
 func TestAnnealerCachedNetCostsStayExact(t *testing.T) {
 	for name, faults := range map[string]*device.FaultModel{"clean": nil, "faulted": {Rate: 0.02, Seed: 5}} {
 		a := lenetAnnealer(t, faults, 3)
 		for !a.done {
-			for i := range a.nl.Nets {
-				net := &a.nl.Nets[i]
-				if want := float64(netHPWL(a.p, net)) * netWeight(a.nl, net); a.netCost[i] != want {
-					t.Fatalf("%s, %d temperatures in: net %d cached cost %v, recomputed %v", name, a.stats.Temps, i, a.netCost[i], want)
-				}
-			}
-			if err := a.p.Validate(); err != nil {
-				t.Fatalf("%s, %d temperatures in: %v", name, a.stats.Temps, err)
-			}
+			checkFlatForm(t, a, fmt.Sprintf("%s, %d temperatures in", name, a.stats.Temps))
 			a.step()
 		}
+		checkFlatForm(t, a, name+", finished")
 		if a.stats.Temps == 0 {
 			t.Fatalf("%s: the run never stepped", name)
 		}
+
+		a = lenetAnnealer(t, faults, 3)
+		ctx := &expiringCtx{Context: context.Background(), checks: 5}
+		a.run(ctx, -1)
+		if a.done || a.stats.Temps != 5 {
+			t.Fatalf("%s: cancelled run took %d temperatures (done=%v), want 5", name, a.stats.Temps, a.done)
+		}
+		checkFlatForm(t, a, name+", cancelled after 5 temperatures")
+	}
+}
+
+// TestAnnealerPricesOddNetsExactly: the netlists the mapper builds never
+// hold a net that names a block twice, but nothing forbids one. With
+// integer weights every sum is exact, so the running cost — the initial
+// cost plus every accepted move's delta — must equal a recomputation from
+// the placement after every temperature, whatever the nets look like: a
+// self-loop, a repeated sink, a source among its own sinks, a net with no
+// sink, parallel and anti-parallel two-pin nets, a wide net.
+func TestAnnealerPricesOddNetsExactly(t *testing.T) {
+	nl := ringNetlist(12)
+	nl.AddNet(0, []int{0}, 3)
+	nl.AddNet(1, []int{2, 2}, 5)
+	nl.AddNet(3, []int{3, 4}, 7)
+	nl.AddNet(5, nil, 2)
+	nl.AddNet(6, []int{7}, 4)
+	nl.AddNet(6, []int{7}, 9)
+	nl.AddNet(7, []int{6}, 11)
+	nl.AddNet(8, []int{9, 10, 11, 0, 9}, 6)
+	for _, sites := range []int{len(nl.Blocks), 3 * len(nl.Blocks)} {
+		chip, err := fabric.SizeFor(sites, 0, device.Params45nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := newAnnealer(nl, chip, rand.New(rand.NewSource(4)), Options{MovesPerTemp: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !a.done {
+			a.step()
+			when := fmt.Sprintf("%d sites, %d temperatures in", chip.Sites(), a.stats.Temps)
+			checkFlatForm(t, a, when)
+			if want := Cost(a.p, nl); a.cost != want {
+				t.Fatalf("%s: running cost %v, recomputed %v", when, a.cost, want)
+			}
+		}
+		if a.stats.Accepted == 0 {
+			t.Fatal("no move was accepted")
+		}
+	}
+}
+
+// expiringCtx is a context that reports no error for its first `checks`
+// calls to Err and context.Canceled from then on: a cancellation landing
+// at an exact point of a run, since the annealer calls Err once per
+// temperature.
+type expiringCtx struct {
+	context.Context
+	checks int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.checks == 0 {
+		return context.Canceled
+	}
+	c.checks--
+	return nil
+}
+
+// TestAnnealReturnsRunFinishedBeforeCancel: a context that ends after the
+// last temperature has run does not discard the finished placement; one
+// that ends a temperature earlier still does.
+func TestAnnealReturnsRunFinishedBeforeCancel(t *testing.T) {
+	nl := ringNetlist(16)
+	chip := productionChip(t, nl)
+	anneal := func(ctx context.Context) (*Placement, Stats, error) {
+		return Anneal(ctx, nl, chip, rand.New(rand.NewSource(9)), Options{MovesPerTemp: 100})
+	}
+	want, stats, err := anneal(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := anneal(&expiringCtx{Context: context.Background(), checks: stats.Temps})
+	if err != nil {
+		t.Fatalf("context ended after the run finished: %v", err)
+	}
+	if posHash(got) != posHash(want) {
+		t.Error("placement differs from the uncancelled run's")
+	}
+	if _, _, err := anneal(&expiringCtx{Context: context.Background(), checks: stats.Temps - 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("context ended one temperature early: %v, want context.Canceled", err)
+	}
+}
+
+// TestNewAnnealerRejectsOversizedChip: a chip side beyond the flat form's
+// 32-bit coordinates is an error, reported before any table is sized by it.
+func TestNewAnnealerRejectsOversizedChip(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("no int exceeds int32 on this platform")
+	}
+	chip := fabric.Chip{W: math.MaxInt32 + 1, H: 1, Tracks: 4, Params: device.Params45nm}
+	if _, err := newAnnealer(ringNetlist(4), chip, rand.New(rand.NewSource(1)), Options{}); err == nil {
+		t.Error("a chip 2^31 sites wide was accepted")
 	}
 }
 
@@ -173,36 +324,27 @@ func TestAnnealStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkAnneal times whole single-seed annealing runs — one iteration
-// builds the annealer and runs it to completion; ns/move is the figure to
-// compare — on the LeNet duplication-4 netlist and on CIFAR-VGG17 at
-// duplication 1, the 214-block design that is most of a compile_zoo round.
+// BenchmarkAnneal times single-seed annealing runs — one iteration builds
+// the annealer and runs it; ns/move is the figure to compare — on the LeNet
+// duplication-4 netlist, on CIFAR-VGG17 at duplication 1 (the 214-block
+// design that is most of a compile_zoo round) and on AlexNet at duplication
+// 1 (1,654 blocks on about 210 nets each), stopped after three of its
+// temperatures so the case takes about a second, not a minute.
 // Nothing stops or restarts the timer inside the loop: on go1.24 StartTimer
 // resets the clock b.Loop measures -benchtime against, so a benchmark that
 // calls it once per anneal never finishes under a time-based -benchtime.
 func BenchmarkAnneal(b *testing.B) {
-	lenet := lenetNetlist(b, nil)
-	co, err := synth.Synthesize(models.CIFARVGG17(), synth.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	alloc, err := mapper.Allocate(co, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vgg17, err := mapper.BuildNetlist(co, alloc, device.Params45nm, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name string
-		nl   *netlist.Netlist
-	}{{"LeNet@4", lenet}, {"CIFAR-VGG17@1", vgg17}} {
+		name  string
+		nl    *netlist.Netlist
+		temps int // negative = run to completion
+	}{
+		{"LeNet@4", lenetNetlist(b, nil), -1},
+		{"CIFAR-VGG17@1", zooNetlist(b, models.CIFARVGG17(), 1, nil), -1},
+		{"AlexNet@1", zooNetlist(b, models.AlexNet(), 1, nil), 3},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			chip, err := fabric.SizeFor(len(tc.nl.Blocks), 0, device.Params45nm)
-			if err != nil {
-				b.Fatal(err)
-			}
+			chip := productionChip(b, tc.nl)
 			moves := 0
 			b.ReportAllocs()
 			for b.Loop() {
@@ -210,7 +352,7 @@ func BenchmarkAnneal(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				a.run(context.Background(), -1)
+				a.run(context.Background(), tc.temps)
 				moves += a.stats.Moves
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moves), "ns/move")
