@@ -673,11 +673,7 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 	// Energy has no useful cheap bound (the PE term is
 	// assignment-independent and the rest needs the netlist) — those
 	// candidates always evaluate.
-	gamma := float64(params.SamplingWindow())
-	stageNS := gamma * params.PipelineClockNS()
-	if comm := gamma * float64(params.TypicalRouteHops) * params.WireDelayPerHopNS; comm > stageNS {
-		stageNS = comm
-	}
+	_, _, stageNS := perf.FPSAStageNS(params, params.TypicalRouteHops)
 	link := shard.Link{SignalBits: params.IOBits}
 	bound := func(c *tuneCandidate) (float64, bool) {
 		bottleneck := float64(c.maxIter) * stageNS

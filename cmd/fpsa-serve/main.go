@@ -211,14 +211,13 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// parseMode returns the declared mode whose String is name: the mode names
+// are spelled once, in internal/synth.
 func parseMode(name string) (fpsa.ExecMode, error) {
-	switch name {
-	case "reference":
-		return fpsa.ModeReference, nil
-	case "spiking":
-		return fpsa.ModeSpiking, nil
-	case "noisy":
-		return fpsa.ModeSpikingNoisy, nil
+	for _, m := range []fpsa.ExecMode{fpsa.ModeReference, fpsa.ModeSpiking, fpsa.ModeSpikingNoisy} {
+		if m.String() == name {
+			return m, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown mode %q (want reference, spiking, or noisy)", name)
 }

@@ -22,7 +22,13 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("parseMode(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "Spiking", "dense"} {
+	// Every declared mode's own spelling parses back to it.
+	for _, m := range []fpsa.ExecMode{fpsa.ModeReference, fpsa.ModeSpiking, fpsa.ModeSpikingNoisy} {
+		if got, err := parseMode(m.String()); err != nil || got != m {
+			t.Errorf("parseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "Spiking", "dense", "bogus"} {
 		if _, err := parseMode(name); err == nil {
 			t.Errorf("parseMode(%q) accepted", name)
 		}

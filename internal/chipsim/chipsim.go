@@ -97,7 +97,7 @@ func Run(prog *synth.Program, input []int, opts Options) (*Result, error) {
 
 	res := &Result{MakespanCycles: sched.Makespan}
 	rep := device.NewAdd(spec, prog.Params.CellsPerWeight)
-	ifNeuron := func(eta float64) xbar.Stepper { return &spike.Neuron{Eta: eta} }
+	ifNeuron := func(eta float64) spike.Stepper { return &spike.Neuron{Eta: eta} }
 
 	// Execute groups in topological (schedule) order. NBD edges hand
 	// the producer's train over directly (one-cycle skew preserves the

@@ -64,10 +64,6 @@ type Group struct {
 	Eta float64
 }
 
-// PEsForWeights returns how many PEs the group's single copy occupies
-// (always 1: a group is one tile by construction).
-func (g *Group) PEsForWeights() int { return 1 }
-
 // Footprint returns Rows×Cols.
 func (g *Group) Footprint() int64 { return int64(g.Rows) * int64(g.Cols) }
 

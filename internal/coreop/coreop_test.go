@@ -120,7 +120,4 @@ func TestFootprint(t *testing.T) {
 	if grp.Footprint() != 64 {
 		t.Errorf("Footprint = %d", grp.Footprint())
 	}
-	if grp.PEsForWeights() != 1 {
-		t.Errorf("PEsForWeights = %d", grp.PEsForWeights())
-	}
 }

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -402,115 +400,4 @@ func (m *FaultMask) Stuck(i, j int) FaultKind {
 		return 0
 	}
 	return m.stuck[i*m.Cols+j]
-}
-
-// encodeVersion tags the canonical FaultMap wire format.
-const encodeVersion = "fm1"
-
-// Encode renders the map in its canonical wire form:
-//
-//	fm1|<rows>x<cols>|d=<drift>|s=<readsigma>|rs=<readseed>|r.cK;r.cK;...
-//
-// Floats use Go's shortest round-tripping formatting and cells appear in
-// canonical row-major order, so Encode∘Decode is the identity on valid
-// maps (fuzz-pinned by FuzzFaultMapRoundTrip).
-func (m FaultMap) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%dx%d|d=%s|s=%s|rs=%d|", encodeVersion, m.Rows, m.Cols,
-		strconv.FormatFloat(m.Drift, 'g', -1, 64),
-		strconv.FormatFloat(m.ReadSigma, 'g', -1, 64),
-		m.ReadSeed)
-	for i, c := range m.Cells {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%d.%d%s", c.Row, c.Col, c.Kind)
-	}
-	return b.String()
-}
-
-// DecodeFaultMap parses the canonical wire form, rejecting anything
-// non-canonical (bad geometry, out-of-range cells, duplicate or
-// out-of-order cells) so Decode∘Encode round-trips exactly.
-func DecodeFaultMap(s string) (FaultMap, error) {
-	var m FaultMap
-	parts := strings.Split(s, "|")
-	if len(parts) != 6 || parts[0] != encodeVersion {
-		return m, fmt.Errorf("device: fault map encoding wants 6 %q-delimited fields starting %q", "|", encodeVersion)
-	}
-	if _, err := fmt.Sscanf(parts[1], "%dx%d", &m.Rows, &m.Cols); err != nil {
-		return m, fmt.Errorf("device: fault map geometry %q: %w", parts[1], err)
-	}
-	var err error
-	if m.Drift, err = decodeFloatField(parts[2], "d="); err != nil {
-		return m, err
-	}
-	if m.ReadSigma, err = decodeFloatField(parts[3], "s="); err != nil {
-		return m, err
-	}
-	rs, ok := strings.CutPrefix(parts[4], "rs=")
-	if !ok {
-		return m, fmt.Errorf("device: fault map field %q wants prefix rs=", parts[4])
-	}
-	if m.ReadSeed, err = strconv.ParseInt(rs, 10, 64); err != nil {
-		return m, fmt.Errorf("device: fault map read seed %q: %w", rs, err)
-	}
-	if parts[5] != "" {
-		for _, cell := range strings.Split(parts[5], ";") {
-			c, err := decodeCell(cell)
-			if err != nil {
-				return m, err
-			}
-			m.Cells = append(m.Cells, c)
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return m, err
-	}
-	if got := m.Encode(); got != s {
-		return m, fmt.Errorf("device: fault map encoding %q not canonical (want %q)", s, got)
-	}
-	return m, nil
-}
-
-// decodeFloatField parses one "<prefix><float>" field with round-trip
-// canonical formatting.
-func decodeFloatField(field, prefix string) (float64, error) {
-	v, ok := strings.CutPrefix(field, prefix)
-	if !ok {
-		return 0, fmt.Errorf("device: fault map field %q wants prefix %q", field, prefix)
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("device: fault map field %q: %w", field, err)
-	}
-	return f, nil
-}
-
-// decodeCell parses one "row.colKind" cell.
-func decodeCell(s string) (FaultCell, error) {
-	var c FaultCell
-	if len(s) < 4 {
-		return c, fmt.Errorf("device: fault cell %q too short", s)
-	}
-	switch s[len(s)-1] {
-	case 'L':
-		c.Kind = FaultStuckLow
-	case 'H':
-		c.Kind = FaultStuckHigh
-	default:
-		return c, fmt.Errorf("device: fault cell %q wants trailing L or H", s)
-	}
-	row, col, ok := strings.Cut(s[:len(s)-1], ".")
-	if !ok {
-		return c, fmt.Errorf("device: fault cell %q wants row.col", s)
-	}
-	var err error
-	if c.Row, err = strconv.Atoi(row); err != nil {
-		return c, fmt.Errorf("device: fault cell row %q: %w", row, err)
-	}
-	if c.Col, err = strconv.Atoi(col); err != nil {
-		return c, fmt.Errorf("device: fault cell col %q: %w", col, err)
-	}
-	return c, nil
 }

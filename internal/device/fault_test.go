@@ -3,7 +3,6 @@ package device
 import (
 	"math"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -111,8 +110,9 @@ func TestFaultMapRemapSteersAroundFaults(t *testing.T) {
 	}
 }
 
-// TestFaultMapValidateRejects covers the malformed maps Decode and the
-// fuzzers rely on Validate to reject.
+// TestFaultMapValidateRejects covers the malformed maps Validate rejects:
+// bad geometry or analog parameters, out-of-range or unknown-kind cells,
+// and cells out of canonical row-major order or duplicated.
 func TestFaultMapValidateRejects(t *testing.T) {
 	for name, m := range map[string]FaultMap{
 		"zero-geometry": {},
@@ -130,67 +130,31 @@ func TestFaultMapValidateRejects(t *testing.T) {
 	}
 }
 
-// TestFaultMapEncodeDecode: the canonical wire form round-trips exactly,
-// and Decode rejects near-miss non-canonical spellings.
-func TestFaultMapEncodeDecode(t *testing.T) {
-	m := FaultMap{Rows: 16, Cols: 8, Drift: 0.125, ReadSigma: 2.5e-7, ReadSeed: 901,
-		Cells: []FaultCell{{Row: 0, Col: 7, Kind: FaultStuckLow}, {Row: 3, Col: 0, Kind: FaultStuckHigh}}}
-	enc := m.Encode()
-	dec, err := DecodeFaultMap(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dec, m) {
-		t.Fatalf("decoded %+v, want %+v", dec, m)
-	}
-	for name, s := range map[string]string{
-		"version":       strings.Replace(enc, "fm1", "fm2", 1),
-		"reordered":     "fm1|16x8|d=0.125|s=2.5e-07|rs=901|3.0H;0.7L",
-		"float-form":    strings.Replace(enc, "0.125", "0.1250", 1),
-		"trailing-semi": enc + ";",
-		"empty":         "",
-	} {
-		if _, err := DecodeFaultMap(s); err == nil {
-			t.Errorf("%s: Decode accepted %q", name, s)
-		}
-	}
-}
-
-// FuzzFaultMapRoundTrip fuzzes the canonical wire format from both ends:
-// generated maps must survive Encode → Decode → Encode bit-exactly, and
-// any arbitrary string Decode accepts must already be canonical (its
-// re-encoding is itself). Seed corpus under
-// testdata/fuzz/FuzzFaultMapRoundTrip; CI runs a short smoke pass.
+// FuzzFaultMapRoundTrip fuzzes the generator: for any fault model and
+// geometry, MapForUnit's map passes Validate — canonical row-major cells,
+// in range, of a known kind — and generating it again yields the same map.
+// The trailing string argument is unused; it keeps the signature of the
+// committed seed corpus under testdata/fuzz/FuzzFaultMapRoundTrip, which
+// dates from a wire format nothing wrote or read. CI runs a short smoke
+// pass.
 func FuzzFaultMapRoundTrip(f *testing.F) {
-	f.Add(0.1, int64(7), 3, 16, 8, 0.05, 1e-7, "fm1|2x2|d=0|s=0|rs=1|0.0H")
-	f.Add(1.0, int64(-3), 0, 4, 4, 0.0, 0.0, "fm1|2x2|d=0|s=0|rs=1|0.1L;0.0H")
-	f.Add(0.0, int64(0), 11, 64, 1, 0.999, 5.5, "not a map")
-	f.Fuzz(func(t *testing.T, rate float64, seed int64, unit, rows, cols int, drift, sigma float64, raw string) {
-		if rows >= 1 && cols >= 1 && rows*cols >= 1 && rows*cols <= 4096 &&
-			!math.IsNaN(rate) &&
-			drift >= 0 && drift < 1 && !math.IsNaN(drift) &&
-			sigma >= 0 && !math.IsNaN(sigma) && !math.IsInf(sigma, 0) {
-			fm := &FaultModel{Rate: rate, Seed: seed, Drift: drift, ReadSigma: sigma}
-			m := fm.MapForUnit("fuzz", unit, rows, cols)
-			if err := m.Validate(); err != nil {
-				t.Fatalf("generated map invalid: %v", err)
-			}
-			enc := m.Encode()
-			dec, err := DecodeFaultMap(enc)
-			if err != nil {
-				t.Fatalf("decode of own encoding %q: %v", enc, err)
-			}
-			if !reflect.DeepEqual(dec, m) {
-				t.Fatalf("round trip changed the map: %+v != %+v", dec, m)
-			}
-			if got := dec.Encode(); got != enc {
-				t.Fatalf("re-encoding drifted: %q != %q", got, enc)
-			}
+	f.Add(0.1, int64(7), 3, 16, 8, 0.05, 1e-7, "")
+	f.Add(1.0, int64(-3), 0, 4, 4, 0.0, 0.0, "")
+	f.Add(0.0, int64(0), 11, 64, 1, 0.999, 5.5, "")
+	f.Fuzz(func(t *testing.T, rate float64, seed int64, unit, rows, cols int, drift, sigma float64, _ string) {
+		if rows < 1 || cols < 1 || rows*cols < 1 || rows*cols > 4096 ||
+			math.IsNaN(rate) ||
+			drift < 0 || drift >= 1 || math.IsNaN(drift) ||
+			sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+			t.Skip()
 		}
-		if dec, err := DecodeFaultMap(raw); err == nil {
-			if got := dec.Encode(); got != raw {
-				t.Fatalf("Decode accepted non-canonical %q (canonical %q)", raw, got)
-			}
+		fm := &FaultModel{Rate: rate, Seed: seed, Drift: drift, ReadSigma: sigma}
+		m := fm.MapForUnit("fuzz", unit, rows, cols)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("generated map invalid: %v", err)
+		}
+		if again := fm.MapForUnit("fuzz", unit, rows, cols); !reflect.DeepEqual(again, m) {
+			t.Fatalf("regenerating changed the map: %+v != %+v", again, m)
 		}
 	})
 }

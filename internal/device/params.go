@@ -149,11 +149,6 @@ func (p Params) ComputationalDensityOPSmm2() float64 {
 	return float64(p.OpsPerVMM()) / latencyS / areaMM2
 }
 
-// PeakOPSPerPE returns the peak throughput of one PE.
-func (p Params) PeakOPSPerPE() float64 {
-	return float64(p.OpsPerVMM()) / (p.VMMLatencyNS() * 1e-9)
-}
-
 // WireDelayNS returns the signal-transition delay across a routed path of
 // the given hop count.
 func (p Params) WireDelayNS(hops int) float64 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -132,7 +131,3 @@ func RenderFigure9(r Figure9Result) string {
 	fmt.Fprintf(&b, "FPSA config (add, 16 cells):    %.3f (paper ~1.00, predicted)\n", r.FPSAConfig.AddAcc)
 	return b.String()
 }
-
-// BitsForLevels converts a level count to equivalent bits (Figure 9's
-// level-bound annotations).
-func BitsForLevels(levels int) float64 { return math.Log2(float64(levels)) }

@@ -79,15 +79,3 @@ func (c Chip) RoutingAreaUM2() float64 {
 	cbCells := 4 * c.Tracks
 	return float64(c.Sites()) * float64(sbCells+cbCells) * cellArea
 }
-
-// ChipAreaUM2 returns max(block area, routing area): the fabric is stacked.
-func (c Chip) ChipAreaUM2(blockAreaUM2 float64) float64 {
-	if r := c.RoutingAreaUM2(); r > blockAreaUM2 {
-		return r
-	}
-	return blockAreaUM2
-}
-
-// HopDelayNS is the per-hop signal delay through one wire segment plus its
-// mrFPGA switch.
-func (c Chip) HopDelayNS() float64 { return c.Params.WireDelayPerHopNS }

@@ -47,14 +47,4 @@ func TestRoutingStackedBelowBlockArea(t *testing.T) {
 	if r := c.RoutingAreaUM2(); r > blockArea {
 		t.Errorf("routing area %v exceeds all-SMB block area %v", r, blockArea)
 	}
-	if got := c.ChipAreaUM2(blockArea); got != blockArea {
-		t.Errorf("ChipAreaUM2 = %v, want block-dominated %v", got, blockArea)
-	}
-}
-
-func TestHopDelay(t *testing.T) {
-	c := Chip{W: 2, H: 2, Tracks: 4, Params: device.Params45nm}
-	if got := c.HopDelayNS(); got != device.Params45nm.WireDelayPerHopNS {
-		t.Errorf("HopDelayNS = %v", got)
-	}
 }

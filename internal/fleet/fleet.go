@@ -143,11 +143,8 @@ type Options struct {
 	// and registration/scale-up fail when it is exhausted. 0 means 64.
 	Chips int
 	// Tenants maps tenant names to their admission config. Unknown
-	// tenants are admitted at DefaultClass with no quota.
+	// tenants are admitted at ClassBatch with no quota.
 	Tenants map[string]Tenant
-	// DefaultClass is the class of tenants absent from Tenants (zero
-	// value: ClassBatch).
-	DefaultClass Class
 	// ScaleInterval is the autoscaler tick (0 = 50ms). Scale decisions
 	// are made per tick from sustained observations, so the thresholds
 	// below are counted in ticks.
@@ -535,7 +532,7 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 	if err != nil {
 		return Result{}, err
 	}
-	cls := f.opts.DefaultClass
+	cls := ClassBatch
 	if ts := f.tenants[tenant]; ts != nil {
 		cls = ts.class
 		if ts.quota > 0 {

@@ -193,7 +193,7 @@ func TestClassWeightedAdmission(t *testing.T) {
 		ScaleInterval: time.Hour,
 		Tenants: map[string]Tenant{
 			"gold": {Class: ClassGold},
-			// batch is the DefaultClass for unknown tenants
+			// unknown tenants are admitted at ClassBatch
 		},
 	})
 	defer f.Close()

@@ -139,4 +139,13 @@ func (a Allocation) MaxIterations() int {
 	return max
 }
 
+// Buffered is the steady-state pipeline rule for the edge u→v (§5.2): it
+// chains bufferlessly (NBD, the paper's direct spike-train chaining) only
+// when neither side time-multiplexes its weights; every
+// time-division-multiplexed connection needs an SMB to hold intermediate
+// counts. The netlist, the energy model and the latency model all ask it.
+func (a Allocation) Buffered(u, v int) bool {
+	return a.Iterations[u] > 1 || a.Iterations[v] > 1
+}
+
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

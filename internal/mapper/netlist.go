@@ -21,22 +21,19 @@ import (
 //
 // bufferedEdges may carry op-scheduler decisions lifted to group pairs
 // (Schedule.BufferedGroupEdges); if nil, the steady-state pipeline rule
-// applies: an edge chains bufferlessly (NBD) only when neither side
-// time-multiplexes its weights (both iteration counts are 1), which is the
-// paper's direct spike-train chaining; every time-division-multiplexed
-// connection needs an SMB to hold intermediate counts (§5.2).
+// Allocation.Buffered applies.
 func BuildNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool) (*netlist.Netlist, error) {
 	return BuildNetlistFaulted(g, a, params, bufferedEdges, nil, 0)
 }
 
 // edgeBuffered reports whether the edge u→v goes through an SMB bank: the
 // op scheduler's decision when bufferedEdges carries one, the steady-state
-// pipeline rule (see BuildNetlist) otherwise.
+// pipeline rule (Allocation.Buffered) otherwise.
 func edgeBuffered(a Allocation, bufferedEdges map[Edge]bool, u, v int) bool {
 	if bufferedEdges != nil {
 		return bufferedEdges[Edge{From: u, To: v}]
 	}
-	return a.Iterations[u] > 1 || a.Iterations[v] > 1
+	return a.Buffered(u, v)
 }
 
 // netlistSize is what BuildNetlistFaulted will emit, counted without

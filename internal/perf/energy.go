@@ -39,7 +39,7 @@ func energyPerSample(g *coreop.Graph, a mapper.Allocation, clbs int, p device.Pa
 		// Buffered inputs: every consumed count is written once and
 		// read once from a 16 Kb SMB.
 		for _, ui := range grp.Deps {
-			if a.Iterations[ui] > 1 || a.Iterations[gi] > 1 {
+			if a.Buffered(ui, gi) {
 				counts := float64(g.Groups[ui].Cols) * float64(g.Groups[ui].Reuse)
 				e.SMBuJ += 2 * counts * p.SMB.EnergyPJ * 1e-6
 			}

@@ -145,16 +145,10 @@ func Evaluate(in Input, target Target) (Report, error) {
 		bus = prime.DefaultBus
 	}
 
-	gamma := float64(p.SamplingWindow())
 	var compNS, commNS, stageNS float64 // per-VMM latencies
 	switch target {
 	case TargetFPSA:
-		compNS = gamma * p.PipelineClockNS()
-		commNS = gamma * float64(hops) * p.WireDelayPerHopNS
-		stageNS = compNS
-		if commNS > stageNS {
-			stageNS = commNS
-		}
+		compNS, commNS, stageNS = FPSAStageNS(p, hops)
 	case TargetFPPRIME:
 		compNS = prime.PE.VMMLatencyNS
 		commNS = float64(p.IOBits*hops) * p.WireDelayPerHopNS
@@ -247,7 +241,7 @@ func Evaluate(in Input, target Target) (Report, error) {
 	rep.ThroughputSPS = float64(replicas) / (bottleneckNS * 1e-9)
 	fillCycleNS := stageNS
 	if target == TargetFPSA {
-		fillCycleNS = stageNS / gamma // one effective pipeline cycle
+		fillCycleNS = stageNS / float64(p.SamplingWindow()) // one effective pipeline cycle
 	}
 	rep.LatencyUS = (criticalFillNS(in.CoreOps, alloc, stageNS, fillCycleNS) + bottleneckNS + rep.LinkNSPerSample) * 1e-3
 	rep.PerfOPS = float64(in.Model.TotalOps()) * rep.ThroughputSPS
@@ -269,6 +263,19 @@ func Evaluate(in Input, target Target) (Report, error) {
 	return rep, nil
 }
 
+// FPSAStageNS is FPSA's per-VMM stage time for a routed path of hops
+// wire segments: Γ pipeline cycles of computation, Γ cycles of hop delay
+// of communication, and — spike trains streaming through both at once — a
+// stage as long as the slower of the two. Evaluate and the autotuner's
+// pruning bound both take it from here, which is what keeps the bound
+// sound.
+func FPSAStageNS(p device.Params, hops int) (comp, comm, stage float64) {
+	gamma := float64(p.SamplingWindow())
+	comp = gamma * p.PipelineClockNS()
+	comm = gamma * float64(hops) * p.WireDelayPerHopNS
+	return comp, comm, max(comp, comm)
+}
+
 // activePEs returns the duty-cycle-weighted number of PEs communicating
 // concurrently: a group's copies are busy iterations/maxIterations of the
 // pipeline period.
@@ -282,8 +289,8 @@ func activePEs(g *coreop.Graph, a mapper.Allocation) float64 {
 }
 
 // criticalFillNS returns the longest dependency chain's pipeline-fill
-// time: an NBD-chained stage (it and all its producers execute once per
-// sample) adds one effective cycle, a buffered stage adds a full stage
+// time: an NBD-chained stage (it executes once per sample and no input edge
+// is buffered) adds one effective cycle, a buffered stage adds a full stage
 // time.
 func criticalFillNS(g *coreop.Graph, a mapper.Allocation, stageNS, fillCycleNS float64) float64 {
 	longest := make([]float64, len(g.Groups))
@@ -295,7 +302,7 @@ func criticalFillNS(g *coreop.Graph, a mapper.Allocation, stageNS, fillCycleNS f
 			if longest[d] > pred {
 				pred = longest[d]
 			}
-			if a.Iterations[d] > 1 {
+			if a.Buffered(d, gi) {
 				nbd = false
 			}
 		}

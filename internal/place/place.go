@@ -154,10 +154,11 @@ type Options struct {
 	// MovesPerTemp is the number of proposed moves at each temperature;
 	// 0 selects the VPR default 10·n^{4/3}.
 	MovesPerTemp int
-	// InitialTempFactor scales the starting temperature relative to the
-	// cost standard deviation of random moves (default 20).
-	InitialTempFactor float64
 }
+
+// initialTempFactor scales the starting temperature relative to the cost
+// standard deviation of random moves.
+const initialTempFactor = 20
 
 // Stats reports what the annealer did.
 type Stats struct {
@@ -327,10 +328,6 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 			a.moves = 20000
 		}
 	}
-	tempFactor := opts.InitialTempFactor
-	if tempFactor <= 0 {
-		tempFactor = 20
-	}
 	var sumSq, sum float64
 	const probes = 64
 	for i := 0; i < probes; i++ {
@@ -341,7 +338,7 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 		sumSq += d * d
 	}
 	std := math.Sqrt(math.Max(0, sumSq/probes-(sum/probes)*(sum/probes)))
-	a.temp = tempFactor * (std + 1)
+	a.temp = initialTempFactor * (std + 1)
 	a.minTemp = 0.001 * (a.cost/float64(len(nl.Nets)) + 1)
 	if a.temp <= a.minTemp {
 		a.done = true

@@ -21,7 +21,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -36,13 +35,6 @@ import (
 type Options struct {
 	// MaxIters bounds the negotiation iterations (default 30).
 	MaxIters int
-	// PresFacFirst/PresFacGrowth control the present-congestion penalty
-	// schedule (defaults 0.5, ×1.8 per iteration).
-	PresFacFirst  float64
-	PresFacGrowth float64
-	// HistGain is added to the history cost of each overused node per
-	// iteration (default 1).
-	HistGain float64
 	// Workers is the number of goroutines routing nets concurrently
 	// within each negotiation iteration (0 = GOMAXPROCS). The Result is
 	// bit-identical for every worker count: the concurrent phase routes
@@ -51,18 +43,18 @@ type Options struct {
 	Workers int
 }
 
+// The negotiation schedule: the present-congestion penalty starts at
+// presFacFirst and grows ×presFacGrowth per iteration, and each overused
+// node's history cost grows by histGain per iteration.
+const (
+	presFacFirst  = 0.5
+	presFacGrowth = 1.8
+	histGain      = 1
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 30
-	}
-	if o.PresFacFirst <= 0 {
-		o.PresFacFirst = 0.5
-	}
-	if o.PresFacGrowth <= 1 {
-		o.PresFacGrowth = 1.8
-	}
-	if o.HistGain <= 0 {
-		o.HistGain = 1
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -241,7 +233,7 @@ func Route(ctx context.Context, nl *netlist.Netlist, pl *place.Placement, chip f
 		nodes: 2 * chip.W * chip.H,
 	}
 	r.hist = make([]float64, r.nodes)
-	r.presFac = opts.PresFacFirst
+	r.presFac = presFacFirst
 
 	// Wide nets first: they are hardest to place.
 	order := make([]int, len(nl.Nets))
@@ -368,14 +360,14 @@ func Route(ctx context.Context, nl *netlist.Netlist, pl *place.Placement, chip f
 			}
 			if r.occ[n] > chip.Tracks {
 				res.Overused++
-				r.hist[n] += opts.HistGain
+				r.hist[n] += histGain
 			}
 		}
 		if res.Overused == 0 {
 			res.Converged = true
 			return res, nil
 		}
-		r.presFac *= opts.PresFacGrowth
+		r.presFac *= presFacGrowth
 		prevOcc, r.occ = r.occ, prevOcc
 	}
 	return res, nil
@@ -492,54 +484,5 @@ func (h *nodeHeap) Pop() interface{} {
 	n := len(old)
 	x := old[n-1]
 	*h = old[:n-1]
-	return x
-}
-
-// EstimateHops predicts per-net hop counts from placement alone (HPWL+1),
-// for netlists too large to route exhaustively; the full router reports
-// exact values on small and medium designs and the estimate tracks it.
-func EstimateHops(nl *netlist.Netlist, pl *place.Placement) []int {
-	hops := make([]int, len(nl.Nets))
-	for i := range nl.Nets {
-		net := &nl.Nets[i]
-		s := pl.Pos[net.Src]
-		maxD := 0
-		for _, b := range net.Sinks {
-			q := pl.Pos[b]
-			d := abs(q.X-s.X) + abs(q.Y-s.Y)
-			if d > maxD {
-				maxD = d
-			}
-		}
-		hops[i] = maxD + 1
-	}
-	return hops
-}
-
-// RandomizedEstimate is a helper for perf models: mean hops over nets of a
-// synthetic placement with the given block count and fan-out (used when no
-// concrete netlist exists, e.g. baseline sweeps).
-func RandomizedEstimate(blocks int, rng *rand.Rand) float64 {
-	if blocks < 2 {
-		return 1
-	}
-	side := 1
-	for side*side < blocks {
-		side++
-	}
-	const samples = 256
-	total := 0
-	for i := 0; i < samples; i++ {
-		x1, y1 := rng.Intn(side), rng.Intn(side)
-		x2, y2 := rng.Intn(side), rng.Intn(side)
-		total += abs(x1-x2) + abs(y1-y2) + 1
-	}
-	return float64(total) / samples
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
 	return x
 }

@@ -110,11 +110,6 @@ func (s *SMB) EmitTrain(slot int) (spike.Train, error) {
 // Cost returns the published 16 Kb SMB cost triple.
 func (s *SMB) Cost() device.BlockCost { return s.params.SMB }
 
-// SlotsNeeded returns how many count slots a signal bundle of the given
-// width needs; BlocksNeeded converts that into SMB instances for a given
-// window — the sizing rule the mapper uses when it inserts buffers.
-func SlotsNeeded(signals int) int { return signals }
-
 // BlocksNeeded returns the number of 16 Kb SMBs required to buffer the
 // given number of count signals at the given window.
 func BlocksNeeded(params device.Params, signals, window int) int {

@@ -51,7 +51,7 @@ func sparseModes() map[string]func() RunOptions {
 }
 
 // denseOracle returns opts for the oracle executor: the same programming,
-// with every spiking stage run by the dense cycle walk
+// with every spiking stage run by the paper's PE item by item
 // (xbar.SimulateCountsBatchDense) instead of the kernel. The field is
 // unexported, so nothing outside this package's tests can build one.
 func denseOracle(opts RunOptions) RunOptions {

@@ -259,10 +259,3 @@ func (s *synthesizer) tileRowSplitExact(name, layer string, rows, cols, reuse in
 	}
 	return outIDs, outRefs, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

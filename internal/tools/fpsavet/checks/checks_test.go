@@ -21,7 +21,3 @@ func TestErrwrap(t *testing.T) {
 	analysis.RunTest(t, "testdata/errwrap", checks.Errwrap,
 		"fpsa", "fpsa/internal/lib")
 }
-
-func TestDetaxonomy(t *testing.T) {
-	analysis.RunTest(t, "testdata/detaxonomy", checks.Detaxonomy, "fpsa")
-}

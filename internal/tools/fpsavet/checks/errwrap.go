@@ -19,12 +19,15 @@ import (
 //     error with errors.New, or with fmt.Errorf carrying no %w at all,
 //     sends a sentinel-free error across the public boundary; every
 //     error the root package returns must wrap one of its Err*
-//     sentinels. Package-level declarations are exempt — that is where
-//     the sentinels themselves are defined.
+//     sentinels. A non-constant fmt.Errorf format is reported there too:
+//     it proves nothing, so the rule could not be checked. Package-level
+//     declarations are exempt — that is where the sentinels themselves
+//     are defined.
 var Errwrap = &analysis.Analyzer{
 	Name: "errwrap",
 	Doc: "flags fmt.Errorf calls that format an error without %w, and " +
-		"sentinel-free errors minted inside the public fpsa package",
+		"sentinel-free or dynamically formatted errors minted inside the " +
+		"public fpsa package",
 	Run: runErrwrap,
 }
 
@@ -48,7 +51,10 @@ func runErrwrap(pass *analysis.Pass) error {
 				case analysis.IsNamed(obj, "fmt", "Errorf"):
 					format, known := constFormat(pass, call)
 					if !known {
-						return true // dynamic format string: nothing to prove
+						if isRoot {
+							pass.Report(call.Pos(), "dynamic fmt.Errorf format in the public fpsa package; use a constant format with %%w so the error provably wraps an Err* sentinel")
+						}
+						return true // below the boundary a dynamic format proves nothing either way
 					}
 					hasW := strings.Contains(format, "%w")
 					errArgs := 0

@@ -28,5 +28,5 @@ func minted() error {
 }
 
 func dynamic(format string, err error) error {
-	return fmt.Errorf(format, err)
+	return fmt.Errorf(format, err) // want `dynamic fmt.Errorf format in the public fpsa package`
 }

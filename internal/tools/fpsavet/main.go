@@ -51,7 +51,6 @@ func main() {
 		checks.Determinism,
 		checks.Ctxflow,
 		checks.Errwrap,
-		checks.Detaxonomy,
 	}
 
 	var diags []analysis.Diagnostic

@@ -54,10 +54,12 @@ func (c *Crossbar) KernelStats() KernelStats {
 	}
 }
 
-// SimulateCountsBatchDense runs the dense cycle-level walk — every row's
-// train materialized, every cycle stepping every column — instead of the
-// kernel. It is the oracle the property, fuzz and benchmark suites hold
-// SimulateCountsBatch to; nothing that serves calls it.
+// SimulateCountsBatchDense runs the paper's PE item by item instead of the
+// kernel: each input count becomes a spike.UniformTrain, SimulateTrains
+// drives ideal spike.Neuron pairs and subtracters with them, and each
+// column's output train is counted. It is the oracle the property, fuzz and
+// benchmark suites hold SimulateCountsBatch to; nothing that serves calls
+// it.
 func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
@@ -66,7 +68,20 @@ func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 		return err
 	}
 	c.denseN.Add(1)
-	c.simulateCountsDense(dst, src, batch)
+	ideal := func(eta float64) spike.Stepper { return &spike.Neuron{Eta: eta} }
+	trains := make([]spike.Train, c.rows)
+	for b := 0; b < batch; b++ {
+		for i, count := range src[b*c.rows : (b+1)*c.rows] {
+			trains[i] = spike.UniformTrain(count, c.window)
+		}
+		outs, err := c.SimulateTrains(trains, ideal)
+		if err != nil {
+			return err
+		}
+		for j, tr := range outs {
+			dst[b*c.cols+j] = tr.Count()
+		}
+	}
 	return nil
 }
 

@@ -16,9 +16,9 @@ import (
 // internal/pe, which wrapped a Crossbar and added nothing they need; they
 // drive Program, ReferenceBatch and SimulateTrains directly.
 
-func ifNeuron(eta float64) Stepper { return &spike.Neuron{Eta: eta} }
+func ifNeuron(eta float64) spike.Stepper { return &spike.Neuron{Eta: eta} }
 
-func rcNeuron(eta float64) Stepper { return spike.DefaultRCNeuron(eta) }
+func rcNeuron(eta float64) spike.Stepper { return spike.DefaultRCNeuron(eta) }
 
 // programSafe programs weights on ideal devices (or with cfg's variation
 // when rng is non-nil) at the synthesizer's saturation-safe η.

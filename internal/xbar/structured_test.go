@@ -307,7 +307,7 @@ func assertMatchesTrains(t *testing.T, label string, xb *Crossbar, src []int, ba
 		for i := range ins {
 			ins[i] = spike.UniformTrain(src[b*rows+i], window)
 		}
-		outs, err := xb.SimulateTrains(ins, func(eta float64) Stepper { return &spike.Neuron{Eta: eta} })
+		outs, err := xb.SimulateTrains(ins, func(eta float64) spike.Stepper { return &spike.Neuron{Eta: eta} })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,13 @@
 //     buffers — the hot loop everything else is built from.
 //  2. Crossbar.ReferenceBatch: the integer reference semantics
 //     Y_j = clamp(max(0, floor(P_j/η) − floor(N_j/η)), Γ) over a batch.
-//  3. Crossbar.SimulateCountsBatch / SimulateTrains: the cycle-level
-//     spiking simulation (ideal accumulate-and-fire neurons and spike
-//     subtracters, or a caller-supplied neuron model).
+//  3. Crossbar.SimulateCountsBatch: the cycle-level spiking simulation
+//     (ideal accumulate-and-fire neurons and spike subtracters) by the
+//     structure-aware kernel. Its oracle, SimulateCountsBatchDense, is
+//     SimulateTrains — the paper's PE built from internal/spike's
+//     UniformTrain, Neuron and Subtracter, or a caller-supplied neuron
+//     model — run one item at a time; the spiking semantics are written
+//     once, there.
 //
 // A Crossbar's batch methods reuse internal scratch buffers and are NOT
 // safe for concurrent use — hold one Crossbar (or one synth.Executor) per
@@ -149,13 +153,6 @@ type Config struct {
 	Faults *device.FaultMask
 }
 
-// Stepper is the common surface of the neuron models SimulateTrains can
-// drive (the ideal accumulate-and-fire neuron or the RC voltage neuron).
-type Stepper interface {
-	Step(drive float64) bool
-	Reset()
-}
-
 // Crossbar is one programmed crossbar: the ideal integer weights split by
 // polarity (reference path) and the programmed — possibly noisy —
 // conductances (spiking path), all in flat row-major buffers.
@@ -194,10 +191,6 @@ type Crossbar struct {
 	// Scratch reused across batch calls (not concurrency-safe).
 	xf         []float64 // batch×rows float inputs
 	accP, accN []float64 // batch×cols reference accumulators
-	drvP, drvN []float64 // cols per-cycle drives
-	memP, memN []float64 // cols neuron membrane accumulators
-	debt       []int     // cols subtracter debts
-	trains     []bool    // rows×window spike trains for one item
 
 	// Integer-lane walk scratch, sized with laneG (see walkLanes).
 	present []uint64   // Lanes(window): bit k set when some row fires k+1 times
@@ -354,7 +347,7 @@ func (c *Crossbar) SetEta(eta float64) {
 }
 
 // grow returns buf resized to n, reusing capacity.
-func grow[T float64 | bool | int | uint64](buf []T, n int) []T {
+func grow[T float64 | int | uint64](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
@@ -420,8 +413,8 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // from tables; the rest are stepped four to a word in integer lanes when the
 // conductances are ideal and η is one no column can saturate (as the
 // synthesizer's always is), or else by the float walk over one drive unit
-// per firing row. Its output is bit-identical to the dense cycle walk
-// (SimulateCountsBatchDense), which the test suites keep as its oracle.
+// per firing row. Its output is bit-identical to the paper's PE run item by
+// item (SimulateCountsBatchDense), which the test suites keep as its oracle.
 // Call counts and the observed input density are exposed through
 // KernelStats.
 func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
@@ -437,94 +430,15 @@ func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 	return nil
 }
 
-// simulateCountsDense is the dense cycle-level kernel: every row's train
-// is materialized and every cycle steps every column.
-func (c *Crossbar) simulateCountsDense(dst, src []int, batch int) {
-	window := c.window
-	c.trains = grow(c.trains, c.rows*window)
-	c.drvP = grow(c.drvP, c.cols)
-	c.drvN = grow(c.drvN, c.cols)
-	c.memP = grow(c.memP, c.cols)
-	c.memN = grow(c.memN, c.cols)
-	c.debt = grow(c.debt, c.cols)
-	for b := 0; b < batch; b++ {
-		counts := src[b*c.rows : (b+1)*c.rows]
-		out := dst[b*c.cols : (b+1)*c.cols]
-		// Bresenham-style even spacing, exactly spike.UniformTrain.
-		for i, count := range counts {
-			count = spike.Clamp(count, window)
-			tr := c.trains[i*window : (i+1)*window]
-			acc := 0
-			for t := range tr {
-				acc += count
-				if acc >= window {
-					acc -= window
-					tr[t] = true
-				} else {
-					tr[t] = false
-				}
-			}
-		}
-		for j := 0; j < c.cols; j++ {
-			out[j] = 0
-			c.memP[j], c.memN[j] = 0, 0
-			c.debt[j] = 0
-		}
-		for t := 0; t < window; t++ {
-			for j := range c.drvP {
-				c.drvP[j], c.drvN[j] = 0, 0
-			}
-			// Row-major accumulation: for each firing row, add its
-			// conductance row across all columns. For any fixed column
-			// this sums the same conductances in the same (ascending
-			// row) order as the historical column-major loop, so the
-			// float results are identical.
-			for i := 0; i < c.rows; i++ {
-				if !c.trains[i*window+t] {
-					continue
-				}
-				pg := c.posG[i*c.cols : (i+1)*c.cols]
-				ng := c.negG[i*c.cols : (i+1)*c.cols]
-				for j := range c.drvP {
-					c.drvP[j] += pg[j]
-					c.drvN[j] += ng[j]
-				}
-			}
-			for j := 0; j < c.cols; j++ {
-				// Ideal accumulate-and-fire (spike.Neuron.Step) on both
-				// polarities, then the spike subtracter
-				// (spike.Subtracter.Step) inline.
-				sp := false
-				if c.memP[j] += c.drvP[j]; c.memP[j] >= c.eta {
-					c.memP[j] -= c.eta
-					sp = true
-				}
-				sn := false
-				if c.memN[j] += c.drvN[j]; c.memN[j] >= c.eta {
-					c.memN[j] -= c.eta
-					sn = true
-				}
-				if sn {
-					c.debt[j]++
-				}
-				if sp {
-					if c.debt[j] > 0 {
-						c.debt[j]--
-					} else {
-						out[j]++
-					}
-				}
-			}
-		}
-	}
-}
-
 // SimulateTrains runs the cycle-level simulation over one sampling window
 // of explicit input spike trains with a caller-supplied neuron model,
-// returning the output spike trains of the subtracters. This is the
-// train-level single-shot path internal/chipsim runs each PE on; the
-// drive accumulation order matches SimulateCountsBatch.
-func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float64) Stepper) ([]spike.Train, error) {
+// returning the output spike trains of the subtracters: the paper's PE
+// (§4.2) composed from internal/spike's parts. Each cycle sums the firing
+// rows' conductances per column in ascending row order — the order the
+// kernel's float walk keeps. internal/chipsim runs each PE on it, and with
+// ideal neurons and uniform trains it is SimulateCountsBatchDense, the
+// kernel's oracle.
+func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float64) spike.Stepper) ([]spike.Train, error) {
 	if len(inputs) != c.rows {
 		return nil, fmt.Errorf("xbar: %d input trains, want %d", len(inputs), c.rows)
 	}
@@ -534,8 +448,8 @@ func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float
 			return nil, fmt.Errorf("xbar: input %d window %d, want %d", i, tr.Window(), window)
 		}
 	}
-	posN := make([]Stepper, c.cols)
-	negN := make([]Stepper, c.cols)
+	posN := make([]spike.Stepper, c.cols)
+	negN := make([]spike.Stepper, c.cols)
 	subs := make([]spike.Subtracter, c.cols)
 	outs := make([]spike.Train, c.cols)
 	for j := range outs {
@@ -543,11 +457,11 @@ func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float
 		negN[j] = newNeuron(c.eta)
 		outs[j] = spike.NewTrain(window)
 	}
-	c.drvP = grow(c.drvP, c.cols)
-	c.drvN = grow(c.drvN, c.cols)
+	drvP := make([]float64, c.cols)
+	drvN := make([]float64, c.cols)
 	for t := 0; t < window; t++ {
-		for j := range c.drvP {
-			c.drvP[j], c.drvN[j] = 0, 0
+		for j := range drvP {
+			drvP[j], drvN[j] = 0, 0
 		}
 		for i := 0; i < c.rows; i++ {
 			if !inputs[i][t] {
@@ -555,14 +469,14 @@ func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float
 			}
 			pg := c.posG[i*c.cols : (i+1)*c.cols]
 			ng := c.negG[i*c.cols : (i+1)*c.cols]
-			for j := range c.drvP {
-				c.drvP[j] += pg[j]
-				c.drvN[j] += ng[j]
+			for j := range drvP {
+				drvP[j] += pg[j]
+				drvN[j] += ng[j]
 			}
 		}
 		for j := 0; j < c.cols; j++ {
-			sp := posN[j].Step(c.drvP[j])
-			sn := negN[j].Step(c.drvN[j])
+			sp := posN[j].Step(drvP[j])
+			sn := negN[j].Step(drvN[j])
 			outs[j][t] = subs[j].Step(sp, sn)
 		}
 	}

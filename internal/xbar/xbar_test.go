@@ -224,7 +224,7 @@ func TestSimulateCountsBatchMatchesTrains(t *testing.T) {
 			for i := range ins {
 				ins[i] = spike.UniformTrain(src[b*48+i], xb.Window())
 			}
-			outs, err := xb.SimulateTrains(ins, func(eta float64) Stepper { return &spike.Neuron{Eta: eta} })
+			outs, err := xb.SimulateTrains(ins, func(eta float64) spike.Stepper { return &spike.Neuron{Eta: eta} })
 			if err != nil {
 				t.Fatal(err)
 			}
