@@ -50,8 +50,10 @@ type Executor struct {
 	// RunOptions.spikeKernel).
 	kernel func(c *xbar.Crossbar, dst, src []int, batch int) error
 	chips  []chip
-	// stageCols[si] is the output width of stage si's weight group.
-	stageCols []int
+	// stages[si] is stage si's output width and gather plan, fixed at
+	// construction and only read afterwards, so every chip of a pipeline
+	// reads it without a lock.
+	stages []stagePlan
 	// outs[si] is stage si's flat batch×cols output on a one-chip
 	// executor, grown on demand and reused across runs. (A pipeline's
 	// tables travel with each job instead.)
@@ -75,6 +77,61 @@ type chip struct {
 	// demand and reused across runs.
 	ins [][]int
 	in  chan *pipeJob // nil on a one-chip executor
+}
+
+// stagePlan is what runStages needs to know about one stage besides its
+// crossbar: the width of its output and how to gather its input row.
+type stagePlan struct {
+	cols int
+	// runs cover the stage's InRefs in order, each the longest stretch of
+	// consecutive columns read from one source.
+	runs []gatherRun
+}
+
+// gatherRun fills row[at : at+n] of a stage's input with columns
+// [col, col+n) of one source: the external input (stage ExternalStage), an
+// earlier stage's output, or zeros (ZeroStage, col unused).
+type gatherRun struct {
+	stage, col, at, n int
+}
+
+// extends reports whether ref continues a run whose last ref is prev.
+func extends(prev, ref ExecRef) bool {
+	return ref.Stage == prev.Stage && (ref.Stage == ZeroStage || ref.Col == prev.Col+1)
+}
+
+// planStages records every stage's output width and compiles its InRefs
+// into maximal gather runs, all in one backing array (sized for the worst
+// case, a run per ref). A ref to a stage at or after its reader, or to a
+// column its source does not have, is an error here rather than in the
+// middle of a batch.
+func planStages(p *Program) ([]stagePlan, error) {
+	stages := make([]stagePlan, len(p.Stages))
+	refs := 0
+	for si, st := range p.Stages {
+		stages[si].cols = p.Graph.Groups[st.GroupID].Cols
+		refs += len(st.InRefs)
+	}
+	runs := make([]gatherRun, 0, refs)
+	for si, st := range p.Stages {
+		lo := len(runs)
+		for r, ref := range st.InRefs {
+			switch {
+			case ref.Stage == ZeroStage:
+			case ref.Stage == ExternalStage && ref.Col >= 0 && ref.Col < p.InputSize:
+			case ref.Stage >= 0 && ref.Stage < si && ref.Col >= 0 && ref.Col < stages[ref.Stage].cols:
+			default:
+				return nil, fmt.Errorf("synth: stage %d row %d references stage %d column %d", si, r, ref.Stage, ref.Col)
+			}
+			if r > 0 && extends(st.InRefs[r-1], ref) {
+				runs[len(runs)-1].n++
+				continue
+			}
+			runs = append(runs, gatherRun{stage: ref.Stage, col: ref.Col, at: r, n: 1})
+		}
+		stages[si].runs = runs[lo:len(runs):len(runs)]
+	}
+	return stages, nil
 }
 
 // NewExecutor programs every weight group of p under opts onto a single
@@ -119,17 +176,21 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		return nil, fmt.Errorf("synth: ModeSpikingNoisy requires RunOptions.Rng")
 	}
 	opts.Spec = spec
+	stages, err := planStages(p)
+	if err != nil {
+		return nil, err
+	}
 	cfg := xbar.Config{
 		Params: p.Params,
 		Spec:   spec,
 		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
 	}
 	e := &Executor{
-		prog:      p,
-		opts:      opts,
-		kernel:    (*xbar.Crossbar).SimulateCountsBatch,
-		chips:     make([]chip, len(bounds)-1),
-		stageCols: make([]int, n),
+		prog:   p,
+		opts:   opts,
+		kernel: (*xbar.Crossbar).SimulateCountsBatch,
+		chips:  make([]chip, len(bounds)-1),
+		stages: stages,
 	}
 	if opts.spikeKernel != nil {
 		e.kernel = opts.spikeKernel
@@ -148,7 +209,6 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 			k++
 		}
 		grp := p.Graph.Groups[st.GroupID]
-		e.stageCols[si] = grp.Cols
 		if _, ok := e.chips[k].units[st.GroupID]; ok {
 			continue
 		}
@@ -274,7 +334,7 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 		if err := e.runStages(&e.chips[0], inputs, e.outs); err != nil {
 			return nil, err
 		}
-		return gatherOutputs(e.prog, inputs, e.outs, e.stageCols), nil
+		return gatherOutputs(e.prog, inputs, e.outs, e.stages), nil
 	}
 	job := &pipeJob{
 		inputs: inputs,
@@ -305,22 +365,8 @@ func (e *Executor) runStages(c *chip, inputs, outs [][]int) error {
 		n := len(st.InRefs)
 		x := growInts(c.ins[si-c.lo], B*n)
 		c.ins[si-c.lo] = x
-		for b, in := range inputs {
-			row := x[b*n : (b+1)*n]
-			for r, ref := range st.InRefs {
-				switch {
-				case ref.Stage == ExternalStage:
-					row[r] = in[ref.Col]
-				case ref.Stage == ZeroStage:
-					row[r] = 0
-				case ref.Stage >= 0 && ref.Stage < si:
-					row[r] = outs[ref.Stage][b*e.stageCols[ref.Stage]+ref.Col]
-				default:
-					return fmt.Errorf("synth: stage %d row %d references stage %d", si, r, ref.Stage)
-				}
-			}
-		}
-		out := growInts(outs[si], B*e.stageCols[si])
+		e.gather(x, n, e.stages[si].runs, inputs, outs)
+		out := growInts(outs[si], B*e.stages[si].cols)
 		outs[si] = out
 		unit := c.units[st.GroupID]
 		var err error
@@ -339,12 +385,64 @@ func (e *Executor) runStages(c *chip, inputs, outs [][]int) error {
 	return nil
 }
 
+// gather fills x, a stage's flat batch×n input rows, one run at a time:
+// each run is copied for every item before the next, so what it reads is
+// decided once per run and batch rather than once per element. (A gather
+// of its own keeps the hot loops' registers apart from runStages'.)
+func (e *Executor) gather(x []int, n int, runs []gatherRun, inputs, outs [][]int) {
+	for _, g := range runs {
+		switch g.stage {
+		case ExternalStage:
+			for b, in := range inputs {
+				copyRun(x[b*n+g.at:b*n+g.at+g.n], in[g.col:g.col+g.n])
+			}
+		case ZeroStage:
+			for b := range inputs {
+				clear(x[b*n+g.at : b*n+g.at+g.n])
+			}
+		default:
+			copyStrided(x, n, g.at, outs[g.stage], e.stages[g.stage].cols, g.col, g.n, len(inputs))
+		}
+	}
+}
+
+// copyStrided copies columns [col, col+cnt) of each of the batch's rows of
+// src (w wide) to columns [at, at+cnt) of the same row of dst (n wide). A
+// one-column run — a convolution reading an earlier layer's per-position
+// stages channel by channel — is a plain strided loop.
+func copyStrided(dst []int, n, at int, src []int, w, col, cnt, batch int) {
+	if cnt == 1 {
+		for b := 0; b < batch; b++ {
+			dst[b*n+at] = src[b*w+col]
+		}
+		return
+	}
+	for b := 0; b < batch; b++ {
+		copyRun(dst[b*n+at:b*n+at+cnt], src[b*w+col:b*w+col+cnt])
+	}
+}
+
+// shortRun is the longest run copied element by element: an im2col run is
+// a kernel width long (3), where a loop beats a call into memmove.
+const shortRun = 4
+
+// copyRun copies src into dst, which has its length.
+func copyRun(dst, src []int) {
+	if len(dst) > shortRun {
+		copy(dst, src)
+		return
+	}
+	for k := range dst {
+		dst[k] = src[k]
+	}
+}
+
 // gatherOutputs reads the program's output refs out of the per-stage
 // output tables into one result slice per batch item. The slices are
 // capacity-capped views into a single flat backing array, so a batch costs
 // two allocations however large it is, and appending to one result cannot
 // reach its neighbour.
-func gatherOutputs(p *Program, inputs, outs [][]int, stageCols []int) [][]int {
+func gatherOutputs(p *Program, inputs, outs [][]int, stages []stagePlan) [][]int {
 	n := len(p.OutputRefs)
 	flat := make([]int, len(inputs)*n)
 	results := make([][]int, len(inputs))
@@ -355,7 +453,7 @@ func gatherOutputs(p *Program, inputs, outs [][]int, stageCols []int) [][]int {
 				res[i] = inputs[b][ref.Col]
 				continue
 			}
-			res[i] = outs[ref.Stage][b*stageCols[ref.Stage]+ref.Col]
+			res[i] = outs[ref.Stage][b*stages[ref.Stage].cols+ref.Col]
 		}
 		results[b] = res
 	}

@@ -156,7 +156,7 @@ func (e *Executor) runChip(c *chip, next chan *pipeJob) {
 			continue
 		}
 		if job.err == nil {
-			job.results = gatherOutputs(e.prog, job.inputs, job.outs, e.stageCols)
+			job.results = gatherOutputs(e.prog, job.inputs, job.outs, e.stages)
 		}
 		close(job.done)
 	}

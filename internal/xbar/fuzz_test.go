@@ -102,3 +102,87 @@ func newFuzzCrossbar(rng *rand.Rand, noisy bool) (*Crossbar, [][]int) {
 	xb.SetEta(float64(cfg.Rep.MaxWeight()) * 4)
 	return xb, weights
 }
+
+// FuzzReferenceBatchVsNaive fuzzes the packed reference kernel against
+// referenceNaive, the per-item integer semantics written out with plain
+// int sums, run on the clamped input: shapes up to the full 256 rows
+// (either side of every row panel and register block), weights anywhere in
+// ±maxW, stuck-low and stuck-high cells folded into the naive side's
+// weights by hand, ideal or noisy drifting programming (neither may reach
+// the ideal weights), Γ = 16, 64 or 128, any η set with SetEta (0 keeps
+// the programmed maxW), and counts below 0 and above Γ. Seed corpus under
+// testdata/fuzz/FuzzReferenceBatchVsNaive; CI runs a short -fuzztime smoke
+// pass.
+func FuzzReferenceBatchVsNaive(f *testing.F) {
+	f.Add(int64(1), uint8(15), uint8(7), uint8(0), uint8(0), false, []byte{}, 0.0, []byte{0, 64, 255, 254})
+	f.Add(int64(2), uint8(255), uint8(99), uint8(7), uint8(1), true, []byte{0, 1, 2}, 37.3, []byte{3, 200, 9})
+	f.Add(int64(3), uint8(32), uint8(8), uint8(63), uint8(2), false, []byte{2, 0, 0, 1}, 2.5, []byte{128, 0, 70})
+	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, batch8, io8 uint8, noisy bool, faultBytes []byte, eta float64, countBytes []byte) {
+		rows, cols, batch := int(rows8)+1, int(cols8)%40+1, int(batch8)%64+1
+		cfg := structuredConfig([]int{4, 6, 7}[io8%3], noisy)
+		maxW := cfg.Rep.MaxWeight()
+		weights := randomWeights(rand.New(rand.NewSource(seed)), rows, cols, maxW)
+		masked := make([][]int, rows)
+		fm := device.FaultMap{Rows: rows, Cols: cols}
+		if noisy {
+			fm.Drift, fm.ReadSigma, fm.ReadSeed = 0.1, 0.05, seed
+		}
+		for i := range masked {
+			masked[i] = append([]int(nil), weights[i]...)
+			for j := 0; j < cols && len(faultBytes) > 0; j++ {
+				switch faultBytes[(i*cols+j)%len(faultBytes)] % 5 {
+				case 1:
+					fm.Cells = append(fm.Cells, device.FaultCell{Row: i, Col: j, Kind: device.FaultStuckLow})
+					masked[i][j] = 0
+				case 2:
+					fm.Cells = append(fm.Cells, device.FaultCell{Row: i, Col: j, Kind: device.FaultStuckHigh})
+					masked[i][j] = maxW
+				}
+			}
+		}
+		if err := fm.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		mask := fm.MaskFor(rows, cols, false)
+		cfg.Faults = &mask
+		var prng *rand.Rand
+		if noisy {
+			prng = rand.New(rand.NewSource(seed + 1))
+		}
+		xb, err := Program(cfg, weights, prng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eta != 0 {
+			xb.SetEta(eta)
+		}
+		window := xb.Window()
+		src := make([]int, batch*rows)
+		for k := range src {
+			if len(countBytes) == 0 {
+				break
+			}
+			switch b := countBytes[k%len(countBytes)]; b {
+			case 255:
+				src[k] = 1 << 40
+			case 254:
+				src[k] = -1 << 40
+			default:
+				src[k] = int(b)%(window+9) - 4 // up to 4 either side of [0, Γ]
+			}
+		}
+		dst := make([]int, batch*cols)
+		if err := xb.ReferenceBatch(dst, src, batch); err != nil {
+			t.Fatal(err)
+		}
+		clamped := clampedCopy(src, window)
+		for b := 0; b < batch; b++ {
+			want := referenceNaive(masked, clamped[b*rows:(b+1)*rows], xb.Eta(), window)
+			for j, w := range want {
+				if got := dst[b*cols+j]; got != w {
+					t.Fatalf("%dx%d batch %d Γ %d η %g: out[%d,%d] = %d, naive %d", rows, cols, batch, window, xb.Eta(), b, j, got, w)
+				}
+			}
+		}
+	})
+}

@@ -275,8 +275,8 @@ func TestKernelStatsAdd(t *testing.T) {
 // weight allocates nothing (device.ProgramWeight), and what
 // classifyProgramming records for the kernel (column supports,
 // per-polarity column sums) rides in the scan's existing buffers, so the
-// crossbar, its four matrices and the three classification slices are all
-// there is.
+// crossbar, its packed ideal weights, its two conductance matrices and the
+// three classification slices are all there is.
 func TestProgramAllocs(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.Spec = device.Cell4BitMeasured
@@ -289,7 +289,7 @@ func TestProgramAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if want := 8.0; got != want {
+		if want := 7.0; got != want {
 			t.Errorf("Program(%dx%d) allocates %v times per call, want %v", rows, cols, got, want)
 		}
 	}

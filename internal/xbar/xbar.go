@@ -2,7 +2,7 @@
 // functional execution stack (internal/synth, internal/serve,
 // internal/chipsim). It models one programmed ReRAM crossbar — with the
 // neurons of internal/spike on its columns, the paper's PE (§4.2) — as
-// flat row-major []float64 buffers and evaluates whole micro-batches of
+// flat row-major buffers and evaluates whole micro-batches of
 // input vectors per call: the programming cost of a weight matrix — and
 // of everything derived from it once, such as the packed kernel's column
 // supports, tables and lane-packed conductances — is amortized across
@@ -10,15 +10,17 @@
 // kernel does not fall with batch size; what a batch saves is the
 // per-call overhead above the kernel.
 //
-// Three views of the same computation are provided, from fastest to most
+// Two views of the same computation are provided, from fastest to most
 // circuit-faithful, and the callers' test suites prove they agree with the
 // historical per-item paths bit for bit:
 //
-//  1. VMMBatch: the raw blocked batched vector-matrix product on flat
-//     buffers — the hot loop everything else is built from.
-//  2. Crossbar.ReferenceBatch: the integer reference semantics
-//     Y_j = clamp(max(0, floor(P_j/η) − floor(N_j/η)), Γ) over a batch.
-//  3. Crossbar.SimulateCountsBatch: the cycle-level spiking simulation
+//  1. Crossbar.ReferenceBatch: the integer reference semantics
+//     Y_j = clamp(max(0, floor(P_j/η) − floor(N_j/η)), Γ) over a batch,
+//     read the way the PE reads it — a positive and a negative column in
+//     one shot: each cell's two ideal magnitudes share one 64-bit word, so
+//     one integer multiply-add per cell accumulates P in the high half and
+//     N in the low half of the same sum.
+//  2. Crossbar.SimulateCountsBatch: the cycle-level spiking simulation
 //     (ideal accumulate-and-fire neurons and spike subtracters) by the
 //     structure-aware kernel. Its oracle, SimulateCountsBatchDense, is
 //     SimulateTrains — the paper's PE built from internal/spike's
@@ -41,90 +43,96 @@ import (
 	"fpsa/internal/spike"
 )
 
-// rowBlock is the VMMBatch tile height: a rowBlock×cols weight panel is
-// streamed against every batch item before moving to the next panel, so
-// the panel stays cache-hot across the whole batch.
+// rowBlock is the reference kernel's tile height: a rowBlock×cols weight
+// panel is streamed against every batch item before moving to the next
+// panel, so the panel stays cache-hot across the whole batch.
 const rowBlock = 32
 
-// VMMBatch computes the batched vector-matrix product
+// polarityShift places a cell's positive magnitude above its negative one
+// in a packW word; lowHalf masks the negative half back out.
+const (
+	polarityShift = 32
+	lowHalf       = 1<<polarityShift - 1
+)
+
+// referenceVMM is the reference kernel: for every item b and column j it
+// leaves in dst[b*cols+j] the packed drive sum
 //
-//	out[b*cols+j] = Σ_i in[b*rows+i] · weights[i*cols+j]
+//	Σ_i clamp(src[b*rows+i], Γ) · packW[i*cols+j] = P<<32 | N
 //
-// over flat row-major buffers: in is batch×rows, weights is rows×cols,
-// out is batch×cols (overwritten). The loop is blocked over weight rows
-// and accumulates in float64; for integer-valued operands below 2^53 the
-// result is exact regardless of blocking, which is what lets the integer
-// reference semantics ride on the float kernel unchanged.
+// over flat row-major buffers — src is batch×rows, packW rows×cols, dst
+// batch×cols (overwritten; the int holds the uint64's bits). One integer
+// multiply-add per cell computes both polarities: a clamped count is at
+// most Γ and a magnitude at most maxW, so N ≤ rows·Γ·maxW < 2^32 (Program
+// refuses anything larger) and the low half never carries into the high
+// one. Integer sums are exact in any order, so the result does not depend
+// on the blocking and a zero count needs no branch.
 //
-// Within a panel, eight (then four, then single) output columns at a time
-// are carried in registers down the panel's rows: each output element still
-// adds the same products — the non-zero inputs', in ascending row order —
-// so the result is bit-identical to the plain row-by-row o[j] += x·w loop,
-// but no sum is stored and reloaded between rows. That chain through
-// memory made the loop's speed depend on where the linker happened to
-// place it (docs/ARCHITECTURE.md, "VMMBatch and code alignment").
-func VMMBatch(out, weights, in []float64, batch, rows, cols int) {
-	if batch == 0 || rows == 0 || cols == 0 {
-		return
-	}
-	_ = out[batch*cols-1]
-	_ = in[batch*rows-1]
-	_ = weights[rows*cols-1]
-	for k := range out[:batch*cols] {
-		out[k] = 0
-	}
+// The loop is blocked over weight rows; within a panel eight (then four,
+// then single) output columns at a time are carried in registers down the
+// panel's rows, so no sum is stored and reloaded between rows — a chain
+// through memory that once made the kernel's speed depend on where the
+// linker placed it (docs/ARCHITECTURE.md, "The reference kernel and code
+// alignment"). Each item's panel counts are clamped once, into a stack
+// array, before the column blocks read them.
+func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, window int) {
+	_ = dst[batch*cols-1]
+	_ = src[batch*rows-1]
+	_ = packW[rows*cols-1]
+	clear(dst[:batch*cols])
+	var xs [rowBlock]uint64
 	for i0 := 0; i0 < rows; i0 += rowBlock {
 		i1 := min(i0+rowBlock, rows)
 		for b := 0; b < batch; b++ {
-			x := in[b*rows+i0 : b*rows+i1]
-			o := out[b*cols : (b+1)*cols]
+			in := src[b*rows+i0 : b*rows+i1]
+			x := xs[:len(in)]
+			for i, v := range in {
+				x[i] = uint64(min(max(v, 0), window))
+			}
+			o := dst[b*cols : (b+1)*cols]
 			j := 0
 			for ; j+8 <= cols; j += 8 {
 				acc := o[j : j+8 : j+8]
-				a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+				a0, a1, a2, a3 := uint64(acc[0]), uint64(acc[1]), uint64(acc[2]), uint64(acc[3])
+				a4, a5, a6, a7 := uint64(acc[4]), uint64(acc[5]), uint64(acc[6]), uint64(acc[7])
 				at := i0*cols + j
 				for _, xv := range x {
-					if xv != 0 {
-						w := weights[at : at+8 : at+8]
-						a0 += xv * w[0]
-						a1 += xv * w[1]
-						a2 += xv * w[2]
-						a3 += xv * w[3]
-						a4 += xv * w[4]
-						a5 += xv * w[5]
-						a6 += xv * w[6]
-						a7 += xv * w[7]
-					}
+					w := packW[at : at+8 : at+8]
+					a0 += xv * w[0]
+					a1 += xv * w[1]
+					a2 += xv * w[2]
+					a3 += xv * w[3]
+					a4 += xv * w[4]
+					a5 += xv * w[5]
+					a6 += xv * w[6]
+					a7 += xv * w[7]
 					at += cols
 				}
-				acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
+				acc[0], acc[1], acc[2], acc[3] = int(a0), int(a1), int(a2), int(a3)
+				acc[4], acc[5], acc[6], acc[7] = int(a4), int(a5), int(a6), int(a7)
 			}
 			for ; j+4 <= cols; j += 4 {
 				acc := o[j : j+4 : j+4]
-				a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+				a0, a1, a2, a3 := uint64(acc[0]), uint64(acc[1]), uint64(acc[2]), uint64(acc[3])
 				at := i0*cols + j
 				for _, xv := range x {
-					if xv != 0 {
-						w := weights[at : at+4 : at+4]
-						a0 += xv * w[0]
-						a1 += xv * w[1]
-						a2 += xv * w[2]
-						a3 += xv * w[3]
-					}
+					w := packW[at : at+4 : at+4]
+					a0 += xv * w[0]
+					a1 += xv * w[1]
+					a2 += xv * w[2]
+					a3 += xv * w[3]
 					at += cols
 				}
-				acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+				acc[0], acc[1], acc[2], acc[3] = int(a0), int(a1), int(a2), int(a3)
 			}
 			for ; j < cols; j++ {
-				a := o[j]
+				a := uint64(o[j])
 				at := i0*cols + j
 				for _, xv := range x {
-					if xv != 0 {
-						a += xv * weights[at]
-					}
+					a += xv * packW[at]
 					at += cols
 				}
-				o[j] = a
+				o[j] = int(a)
 			}
 		}
 	}
@@ -153,17 +161,18 @@ type Config struct {
 	Faults *device.FaultMask
 }
 
-// Crossbar is one programmed crossbar: the ideal integer weights split by
-// polarity (reference path) and the programmed — possibly noisy —
+// Crossbar is one programmed crossbar: the ideal integer weights of both
+// polarities (reference path) and the programmed — possibly noisy —
 // conductances (spiking path), all in flat row-major buffers.
 type Crossbar struct {
 	rows, cols int
 	eta        float64
 	window     int
 
-	// posW/negW hold the ideal |weight| magnitudes by polarity,
-	// row-major rows×cols, as exact float64 integers.
-	posW, negW []float64
+	// packW holds the ideal |weight| magnitudes, row-major rows×cols, one
+	// word per cell: the positive polarity's above polarityShift, the
+	// negative one's below.
+	packW []uint64
 	// posG/negG hold the programmed conductance sums (level units,
 	// possibly with variation), row-major rows×cols.
 	posG, negG []float64
@@ -189,9 +198,7 @@ type Crossbar struct {
 	spikeN, slotN   atomic.Uint64
 
 	// Scratch reused across batch calls (not concurrency-safe).
-	xf         []float64 // batch×rows float inputs
-	accP, accN []float64 // batch×cols reference accumulators
-
+	//
 	// Integer-lane walk scratch, sized with laneG (see walkLanes).
 	present []uint64   // Lanes(window): bit k set when some row fires k+1 times
 	countG  []lanePair // ⌈walkCols/4⌉×window: lane rows summed per firing count
@@ -210,7 +217,10 @@ type Crossbar struct {
 // Program writes a logical weight matrix weights[i][j] (row-major,
 // rows × cols, integers in [−Rep.MaxWeight(), Rep.MaxWeight()]) into a
 // fresh crossbar. Positive parts go to the positive polarity, negative
-// magnitudes to the negative one. A nil rng programs ideal conductances;
+// magnitudes to the negative one. The reference kernel sums both
+// polarities in one 64-bit word, which is exact only while a column's
+// largest drive, rows·Γ·MaxWeight, stays below 2^32; Program refuses a
+// crossbar whose bound reaches it. A nil rng programs ideal conductances;
 // otherwise each cell draws Gaussian programming variation from rng in
 // column-major (j, then i, positive before negative) order — the draw
 // order the historical PE model used, so seeded variation streams
@@ -237,6 +247,12 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		return nil, fmt.Errorf("xbar: %d cols exceed logical columns %d", cols, cfg.Params.LogicalColumns())
 	}
 	maxW := cfg.Rep.MaxWeight()
+	window := cfg.Params.SamplingWindow()
+	// The largest drive one polarity can sum; Γ is a power of two, so the
+	// float64 product is exact.
+	if drive := float64(rows) * float64(window) * float64(maxW); drive >= 1<<polarityShift {
+		return nil, fmt.Errorf("xbar: drive bound %d rows × Γ %d × max weight %d = %.0f does not fit the reference kernel's 32-bit polarity half", rows, window, maxW, drive)
+	}
 	for i := range weights {
 		if len(weights[i]) != cols {
 			return nil, fmt.Errorf("xbar: ragged weight matrix at row %d", i)
@@ -250,9 +266,8 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		rows:   rows,
 		cols:   cols,
 		eta:    eta,
-		window: cfg.Params.SamplingWindow(),
-		posW:   make([]float64, rows*cols),
-		negW:   make([]float64, rows*cols),
+		window: window,
+		packW:  make([]uint64, rows*cols),
 		posG:   make([]float64, rows*cols),
 		negG:   make([]float64, rows*cols),
 	}
@@ -285,15 +300,14 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 				neg = -w
 			}
 			k := i*cols + j
-			c.posW[k] = float64(pos)
-			c.negW[k] = float64(neg)
+			c.packW[k] = uint64(pos)<<polarityShift | uint64(neg)
 			c.posG[k] = device.ProgramWeight(cfg.Rep, cfg.Spec, pos, rng)
 			c.negG[k] = device.ProgramWeight(cfg.Rep, cfg.Spec, neg, rng)
 		}
 	}
 	if mask != nil && (mask.Drift > 0 || mask.ReadSigma > 0) {
 		// Analog aging, applied to the programmed conductances only (the
-		// ideal posW/negW stay exact): multiplicative drift relaxation,
+		// ideal packW stays exact): multiplicative drift relaxation,
 		// then a static per-cell read offset from the mask's own seeded
 		// stream — row-major, positive before negative per cell — so the
 		// main programming-variation stream rng is never advanced.
@@ -369,9 +383,13 @@ func (c *Crossbar) checkBatch(dst, src []int, batch int) error {
 // spike-count vectors: dst[b*cols+j] = clamp(max(0, floor(P/η) −
 // floor(N/η)), Γ), with P/N the positive and negative drive sums of item
 // b's inputs against the ideal logical weights. src is flat batch×rows,
-// dst flat batch×cols. The per-element semantics equal the historical
-// one-vector reference path exactly: all intermediate values are integers
-// far below 2^53, so the float accumulation is exact.
+// dst flat batch×cols. Each count is first clamped to [0, Γ], as
+// SimulateCountsBatch clamps it, so both kernels answer a batch exactly as
+// they answer its clamped copy. P and N are exact integers (see
+// referenceVMM), and the epilogue divides their float64 values by η, so
+// on counts in [0, Γ] the per-element semantics equal the historical
+// one-vector reference path bit for bit at every η, fractional ones
+// included.
 func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
@@ -379,19 +397,10 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 	if err := c.checkBatch(dst, src, batch); err != nil {
 		return err
 	}
-	c.xf = grow(c.xf, batch*c.rows)
-	for k, v := range src {
-		c.xf[k] = float64(v)
-	}
-	c.accP = grow(c.accP, batch*c.cols)
-	c.accN = grow(c.accN, batch*c.cols)
-	VMMBatch(c.accP, c.posW, c.xf, batch, c.rows, c.cols)
-	VMMBatch(c.accN, c.negW, c.xf, batch, c.rows, c.cols)
-	for k := range dst {
-		y := int(c.accP[k]/c.eta) - int(c.accN[k]/c.eta)
-		if y < 0 {
-			y = 0
-		}
+	referenceVMM(dst, c.packW, src, batch, c.rows, c.cols, c.window)
+	for k, a := range dst {
+		p, n := uint64(a)>>polarityShift, uint64(a)&lowHalf
+		y := int(float64(p)/c.eta) - int(float64(n)/c.eta)
 		dst[k] = spike.Clamp(y, c.window)
 	}
 	return nil

@@ -2,7 +2,6 @@ package xbar
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -38,94 +37,6 @@ func randomCounts(rng *rand.Rand, n, window int) []int {
 		x[i] = rng.Intn(window + 1)
 	}
 	return x
-}
-
-// TestVMMBatchMatchesNaive checks the blocked kernel against a plain
-// triple loop across shapes that straddle the row-block boundary, then —
-// bit for bit, on non-integer operands where a reordered sum would show —
-// against the row-by-row o[j] += x·w loop it replaced, on column counts
-// either side of the 8- and 4-wide register blocks, with zero inputs of
-// both signs (skipped) and ±0 weights (added).
-func TestVMMBatchMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, tc := range []struct{ batch, rows, cols int }{
-		{1, 1, 1}, {1, 31, 7}, {3, 32, 5}, {4, 33, 9}, {2, 100, 64}, {7, 256, 17},
-	} {
-		in := make([]float64, tc.batch*tc.rows)
-		for i := range in {
-			in[i] = math.Round(rng.Float64()*20 - 10)
-		}
-		w := make([]float64, tc.rows*tc.cols)
-		for i := range w {
-			w[i] = math.Round(rng.Float64()*10 - 5)
-		}
-		got := make([]float64, tc.batch*tc.cols)
-		VMMBatch(got, w, in, tc.batch, tc.rows, tc.cols)
-		for b := 0; b < tc.batch; b++ {
-			for j := 0; j < tc.cols; j++ {
-				var want float64
-				for i := 0; i < tc.rows; i++ {
-					want += in[b*tc.rows+i] * w[i*tc.cols+j]
-				}
-				if got[b*tc.cols+j] != want {
-					t.Fatalf("%+v: out[%d,%d] = %g, want %g", tc, b, j, got[b*tc.cols+j], want)
-				}
-			}
-		}
-	}
-	negZero := math.Copysign(0, -1)
-	for _, cols := range []int{1, 3, 4, 5, 7, 8, 24} {
-		for _, rows := range []int{1, rowBlock - 1, rowBlock, rowBlock + 1, 2*rowBlock + 1} {
-			const batch = 3
-			in := make([]float64, batch*rows)
-			for i := range in {
-				switch rng.Intn(6) {
-				case 0:
-					in[i] = 0
-				case 1:
-					in[i] = negZero
-				default:
-					in[i] = rng.NormFloat64()
-				}
-			}
-			for i := 0; i < rows; i++ {
-				in[rows+i] = 0 // the middle item: nothing fires
-			}
-			w := make([]float64, rows*cols)
-			for i := range w {
-				switch rng.Intn(8) {
-				case 0:
-					w[i] = 0
-				case 1:
-					w[i] = negZero
-				default:
-					w[i] = rng.NormFloat64()
-				}
-			}
-			got := make([]float64, batch*cols)
-			for k := range got {
-				got[k] = math.NaN() // out is overwritten, not accumulated into
-			}
-			VMMBatch(got, w, in, batch, rows, cols)
-			want := make([]float64, batch*cols)
-			for b := 0; b < batch; b++ {
-				for i := 0; i < rows; i++ {
-					xv := in[b*rows+i]
-					if xv == 0 {
-						continue
-					}
-					for j := 0; j < cols; j++ {
-						want[b*cols+j] += xv * w[i*cols+j]
-					}
-				}
-			}
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("rows %d cols %d: out[%d] = %x, row-by-row loop %x", rows, cols, k, got[k], want[k])
-				}
-			}
-		}
-	}
 }
 
 // referenceNaive replicates the historical per-item integer reference
@@ -185,6 +96,128 @@ func TestReferenceBatchMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// clampedCopy returns src with every count limited to [0, window].
+func clampedCopy(src []int, window int) []int {
+	out := make([]int, len(src))
+	for k, v := range src {
+		out[k] = spike.Clamp(v, window)
+	}
+	return out
+}
+
+// TestKernelsClampOutOfRangeCounts: both kernels — and the spiking
+// kernel's oracle — answer a batch holding counts below 0 and above Γ
+// exactly as they answer its clamped copy, on an ideal crossbar at the
+// synthesizer's η (the spiking kernel's integer lanes), at a saturating η
+// (its float walk) and on a noisy crossbar.
+func TestKernelsClampOutOfRangeCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(2602))
+	cfg := testConfig(0)
+	maxW := cfg.Rep.MaxWeight()
+	const rows, cols, batch = 40, 9, 4
+	weights := randomWeights(rng, rows, cols, maxW)
+	ideal, err := Program(cfg, weights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisyCfg := cfg
+	noisyCfg.Spec = device.Cell4BitMeasured
+	noisy, err := Program(noisyCfg, weights, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := ideal.Window()
+	wild := []int{-3, -1, -1 << 40, window + 1, window + 5, 1 << 40}
+	src := randomCounts(rng, batch*rows, window)
+	for k := range src {
+		if k%3 == 0 {
+			src[k] = wild[rng.Intn(len(wild))]
+		}
+	}
+	clamped := clampedCopy(src, window)
+	for _, run := range []struct {
+		name string
+		xb   *Crossbar
+		eta  float64
+	}{
+		{"ideal synth-η", ideal, synthEta(weights)},
+		{"ideal saturating η", ideal, float64(maxW) * 4},
+		{"noisy", noisy, float64(maxW) * 4},
+	} {
+		run.xb.SetEta(run.eta)
+		for _, k := range []struct {
+			name string
+			run  func(dst, src []int, batch int) error
+		}{
+			{"ReferenceBatch", run.xb.ReferenceBatch},
+			{"SimulateCountsBatch", run.xb.SimulateCountsBatch},
+			{"SimulateCountsBatchDense", run.xb.SimulateCountsBatchDense},
+		} {
+			got, want := make([]int, batch*cols), make([]int, batch*cols)
+			if err := k.run(got, src, batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.run(want, clamped, batch); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s %s: K(src) = %v, K(clamp(src)) = %v", run.name, k.name, got, want)
+			}
+		}
+	}
+}
+
+// TestReferenceDriveBound pins the packed kernel's no-carry argument at
+// its edge: at Γ = 2^17 a 256-row crossbar's largest drive, 256·Γ·120, is
+// just below 2^32, and every count at Γ against columns of ±maxW must
+// still split into the exact P and N sums; one more I/O bit and Program
+// refuses the crossbar.
+func TestReferenceDriveBound(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Params.IOBits = 17
+	maxW := cfg.Rep.MaxWeight()
+	rows := cfg.Params.CrossbarRows
+	weights := make([][]int, rows)
+	for i := range weights {
+		weights[i] = []int{maxW, -maxW, maxW - 2*(i%2)*maxW, 0, i%(2*maxW+1) - maxW}
+	}
+	xb, err := Program(cfg, weights, nil)
+	if err != nil {
+		t.Fatalf("drive %d·2^17·%d < 2^32 refused: %v", rows, maxW, err)
+	}
+	window := xb.Window()
+	src := make([]int, rows)
+	for i := range src {
+		src[i] = window
+	}
+	src[3] = window + 9 // clamped to Γ before it multiplies
+	dst := make([]int, xb.Cols())
+	referenceVMM(dst, xb.packW, src, 1, rows, xb.Cols(), window)
+	for j := range dst {
+		var p, n uint64
+		for i := range weights {
+			if w := weights[i][j]; w >= 0 {
+				p += uint64(w) * uint64(window)
+			} else {
+				n += uint64(-w) * uint64(window)
+			}
+		}
+		if n >= 1<<32 || p >= 1<<32 {
+			t.Fatalf("col %d: P %d / N %d not below 2^32", j, p, n)
+		}
+		if got := uint64(dst[j]); got>>polarityShift != p || got&lowHalf != n {
+			t.Fatalf("col %d: packed sum splits into P %d N %d, want %d %d", j, got>>polarityShift, got&lowHalf, p, n)
+		}
+	}
+	cfg.Params.IOBits = 18
+	if _, err := Program(cfg, weights, nil); err == nil {
+		t.Fatal("Program accepted a crossbar whose drive reaches 2^32")
+	}
+	if _, err := Program(cfg, weights[:rows/2], nil); err != nil {
+		t.Fatalf("half the rows at Γ = 2^18 stay below 2^32, but Program refused: %v", err)
 	}
 }
 
@@ -303,27 +336,30 @@ func TestProgramValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkVMMBatch times the dense reference kernel on the shapes that
-// matter: the two layers of the serve_mlp_reference MLP (16×24 and 24×4 at
-// batch 8 — rows short enough that per-row overhead dominates), a mid-size
-// panel, and a zoo-MLP layer that spans many row panels.
-func BenchmarkVMMBatch(b *testing.B) {
+// BenchmarkReferenceBatch times the reference kernel through Program on
+// the shapes that matter: the two layers of the serve_mlp_reference MLP
+// (16×24 and 24×4 at batch 8 — rows short enough that per-row overhead
+// dominates), a mid-size panel, and a full-height crossbar that spans
+// eight row panels at a serving batch.
+func BenchmarkReferenceBatch(b *testing.B) {
 	for _, tc := range []struct{ batch, rows, cols int }{
-		{8, 16, 24}, {8, 24, 4}, {8, 128, 64}, {64, 500, 100},
+		{8, 16, 24}, {8, 24, 4}, {8, 128, 64}, {64, 256, 100},
 	} {
 		b.Run(fmt.Sprintf("%dx%dx%d", tc.batch, tc.rows, tc.cols), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
-			in := make([]float64, tc.batch*tc.rows)
-			for i := range in {
-				in[i] = float64(rng.Intn(65)) // spike counts; a few are zero
+			cfg := testConfig(0)
+			weights := randomWeights(rng, tc.rows, tc.cols, cfg.Rep.MaxWeight())
+			xb, err := Program(cfg, weights, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			w := make([]float64, tc.rows*tc.cols)
-			for i := range w {
-				w[i] = float64(rng.Intn(31) - 15)
-			}
-			out := make([]float64, tc.batch*tc.cols)
+			xb.SetEta(synthEta(weights))
+			src := randomCounts(rng, tc.batch*tc.rows, xb.Window()) // a few are zero
+			dst := make([]int, tc.batch*tc.cols)
 			for b.Loop() {
-				VMMBatch(out, w, in, tc.batch, tc.rows, tc.cols)
+				if err := xb.ReferenceBatch(dst, src, tc.batch); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.batch), "ns/sample")
 		})
