@@ -48,6 +48,31 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 	}
 }
 
+// TestTrainAllocs checks that Train allocates its workspace once per call:
+// the count depends on the layers, not on samples × epochs.
+func TestTrainAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(303))
+	ds := SyntheticClusters(rng, 300, 16, 4, 0.08)
+	m, err := NewMLP(rng, []int{16, 48, 48, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n, epochs int) float64 {
+		sub := Dataset{X: ds.X[:n], Y: ds.Y[:n], Classes: ds.Classes}
+		return testing.AllocsPerRun(5, func() {
+			m.Train(rng, sub, TrainOptions{Epochs: epochs})
+		})
+	}
+	small, large := allocs(30, 1), allocs(300, 10)
+	if small != large {
+		t.Errorf("Train allocs grow with the work: %v for 30 samples × 1 epoch, %v for 300 × 10", small, large)
+	}
+	// The permutation, the workspace and its slices, two per layer.
+	if limit := float64(6 + 2*m.Layers()); large > limit {
+		t.Errorf("Train allocs = %v, want ≤ %v", large, limit)
+	}
+}
+
 func TestForwardReLU(t *testing.T) {
 	m := &MLP{Dims: []int{2, 2}, W: [][][]float64{{{1, -1}, {1, -1}}}}
 	acts := m.Forward([]float64{1, 1})
