@@ -24,12 +24,11 @@ type engineConfig struct {
 	Mode ExecMode
 	// Chips is the deployment's compiled chip count (Deployment.Chips;
 	// never an option). At ≥ 2 the network is served as a sharded
-	// deployment: the program's stages are partitioned across that many
-	// pipelined chips (clamped to what the program supports) and all
-	// borrowers feed the one shared pipeline, so consecutive micro-batches
-	// overlap chip-by-chip. Outputs are bit-identical to the single-chip
-	// engine in every mode; in ModeSpikingNoisy the sharded deployment is
-	// one physical set of chips with a single variation draw.
+	// deployment: every executor's stages are partitioned across that many
+	// chips (clamped to what the program supports) and a request walks
+	// them in order on its own goroutine. Outputs are bit-identical to the
+	// single-chip engine in every mode; in ModeSpikingNoisy each executor
+	// draws its own variation, as on one chip.
 	Chips int
 }
 

@@ -102,9 +102,8 @@ func ExampleCompile_sharded() {
 }
 
 // A deployment compiled across chips serves through the same handle:
-// the engine derived from it inherits the chip partition and pipelines
-// the stages, with classifications bit-identical to a single-chip
-// engine.
+// the engine derived from it inherits the chip partition, with
+// classifications bit-identical to a single-chip engine.
 func ExampleDeployment_NewEngine() {
 	ctx := context.Background()
 	m, err := fpsa.NewModelBuilder("two-stage", 4, 1, 1).

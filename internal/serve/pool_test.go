@@ -374,6 +374,29 @@ func deepProgram(b *testing.B) *synth.Program {
 	return compileMLP(b, net)
 }
 
+// BenchmarkNewEngineSharded: building a 2-chip engine over the 16-48-48-4
+// MLP that fleet_mixed shards, with 1 and 4 executors. B/op is what the
+// engine's programmed crossbars cost in host memory.
+func BenchmarkNewEngineSharded(b *testing.B) {
+	net, err := trainer.NewMLP(rand.New(rand.NewSource(41)), []int{16, 48, 48, 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := compileMLP(b, net)
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng, err := New(prog, Options{Workers: workers, Chips: 2, Mode: synth.ModeSpiking})
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkEngineLoneInfer: one request in flight at a time on an idle
 // engine — what borrowing an executor costs over running the kernel.
 func BenchmarkEngineLoneInfer(b *testing.B) {

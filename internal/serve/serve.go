@@ -9,16 +9,12 @@
 // the pool empty waits for the next executor to come back. It is the
 // serving substrate behind the public fpsa.Engine API and cmd/fpsa-serve.
 //
-// How many executors there are follows from the realized chip count. On
-// one chip the pool holds Workers privately programmed executors —
-// cycle-level simulation state is never shared across goroutines, exactly
-// as each replica chip carries its own programmed crossbars. With
-// Options.Chips ≥ 2 the engine serves a sharded deployment: one executor
-// whose program is partitioned across that many simulated chips, lent out
-// Workers times at once. Its borrowers are concurrent feeders keeping the
-// chip pipeline full — micro-batch N+1 enters chip 0 while micro-batch N
-// is still on a later chip — which is where a model too big for one fabric
-// gets its throughput back.
+// The pool holds Workers privately programmed executors at every chip
+// count — cycle-level simulation state is never shared across goroutines,
+// exactly as each replica carries its own programmed crossbars. With
+// Options.Chips ≥ 2 each executor's program is partitioned across that
+// many simulated chips, and a request walks them in order on its own
+// goroutine.
 package serve
 
 import (
@@ -38,9 +34,9 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is how many requests can hold an executor at once: the
-	// number of privately programmed executors on one chip, of concurrent
-	// feeders of the shared pipeline when sharded. 0 means 1.
+	// Workers is how many privately programmed executors the pool holds,
+	// and so how many requests can hold one at once, at every chip count.
+	// 0 means 1.
 	Workers int
 	// MaxBatch is the size InferBatch cuts a call into, and so the most
 	// samples one batched kernel pass carries. 0 means 8.
@@ -49,20 +45,16 @@ type Options struct {
 	Mode synth.ExecMode
 	// Seed derives each executor's programming-variation RNG in
 	// ModeSpikingNoisy; each executor draws an independent sub-seed from
-	// one stream seeded here. A sharded engine (Chips ≥ 2) is one
-	// physical set of chips and draws a single variation stream.
+	// one stream seeded here, the first executor taking the first draw.
 	Seed int64
-	// Chips, when ≥ 2, serves the program as a sharded deployment: the
-	// stage list is partitioned across that many pipelined chips
-	// (clamped to what the program supports) and every borrower feeds
-	// the one shared pipeline. 0 or 1 keeps the classic private
-	// single-chip executors.
+	// Chips, when ≥ 2, serves the program as a sharded deployment: every
+	// executor's stage list is partitioned across that many chips
+	// (clamped to what the program supports). 0 or 1 is a single chip.
 	Chips int
 	// Faults, when active, injects the deployment's device fault
-	// scenario into every executor (and the shared pipeline of a sharded
-	// engine). Fault maps are a deterministic function of the model and
-	// each weight group's global ID, so every replica sees identical
-	// faults at any executor count.
+	// scenario into every executor. Fault maps are a deterministic
+	// function of the model and each weight group's global ID, so every
+	// replica sees identical faults at any executor or chip count.
 	Faults *device.FaultModel
 }
 
@@ -85,14 +77,12 @@ var ErrClosed = fmt.Errorf("serve: engine closed")
 type Engine struct {
 	opts  Options
 	stats tracker
-	// execs is every programmed executor: Workers of them on a single
-	// chip, one when sharded. Stats and Close visit each exactly once
-	// (kernel counters are atomic, so reads race nothing).
+	// execs is every programmed executor, Workers of them. Stats visits
+	// each exactly once (kernel counters are atomic, so reads race
+	// nothing).
 	execs []*synth.Executor
-	// idle holds Workers tokens, each naming the executor its holder may
-	// drive. A one-chip executor is named by exactly one token, so it is
-	// used by one goroutine at a time by possession; the shared pipeline
-	// is named by every token and takes concurrent callers.
+	// idle holds the executors no request holds right now: each is used by
+	// one goroutine at a time, by possession.
 	idle    chan *synth.Executor
 	waiting atomic.Int64 // callers blocked on an empty pool
 	procs   int          // GOMAXPROCS when the engine was built
@@ -102,12 +92,10 @@ type Engine struct {
 	calls  sync.WaitGroup // calls that entered and have not returned
 }
 
-// New builds the engine: it programs the execution state over prog
-// (surfacing programming errors synchronously) and fills the pool. The
-// program is partitioned across opts.Chips chips (clamped to what it
-// supports); when that realizes a single chip the pool holds opts.Workers
-// private executors, otherwise one pipelined multi-chip executor is
-// programmed and lent to opts.Workers callers at a time.
+// New builds the engine: it partitions prog across opts.Chips chips
+// (clamped to what it supports), programs opts.Workers private executors
+// over that plan (surfacing programming errors synchronously) and fills
+// the pool with them.
 func New(prog *synth.Program, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts, procs: runtime.GOMAXPROCS(0)}
@@ -121,11 +109,8 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("serve: partitioning across %d chips: %w", opts.Chips, err)
 		}
 	}
-	execs := opts.Workers
-	if plan != nil && plan.Chips() >= 2 {
-		execs = 1
-	}
-	e.execs = make([]*synth.Executor, execs)
+	e.execs = make([]*synth.Executor, opts.Workers)
+	e.idle = make(chan *synth.Executor, opts.Workers)
 	// Executor seeds come from one stream rather than Seed+w so engines
 	// with adjacent seeds never share replica programming variation.
 	seeds := rand.New(rand.NewSource(opts.Seed))
@@ -139,10 +124,7 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("serve: executor %d: %w", i, err)
 		}
 		e.execs[i] = ex
-	}
-	e.idle = make(chan *synth.Executor, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		e.idle <- e.execs[w%len(e.execs)]
+		e.idle <- ex
 	}
 	e.stats.start = time.Now()
 	return e, nil
@@ -151,8 +133,8 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 // Workers returns how many requests can hold an executor at once.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Chips returns the realized pipeline depth: 1 for the private
-// single-chip layout, the sharded chip count otherwise.
+// Chips returns the realized chip count: 1 on a single chip, the sharded
+// chip count otherwise.
 func (e *Engine) Chips() int { return e.execs[0].Chips() }
 
 // enter admits one call unless the engine is closed; the caller owes
@@ -343,10 +325,9 @@ take:
 	return c.outs, nil
 }
 
-// Close stops admitting calls, waits for every call already inside —
-// running or still waiting for an executor — to return, then releases the
-// executors (a sharded engine's chip pipeline). Subsequent calls return
-// ErrClosed. Close is idempotent.
+// Close stops admitting calls and waits for every call already inside —
+// running or still waiting for an executor — to return. Subsequent calls
+// return ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -356,9 +337,6 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.mu.Unlock()
 	e.calls.Wait()
-	for _, ex := range e.execs {
-		ex.Close() // a pipeline's chip goroutines; never fails
-	}
 	return nil
 }
 
@@ -367,9 +345,8 @@ func (e *Engine) Close() error {
 func (e *Engine) QueueDepth() int { return int(e.waiting.Load()) }
 
 // Stats snapshots the engine's counters and latency percentiles,
-// including the spiking-kernel call counters summed over every
-// executor — each private one on a single chip, the one shared pipeline
-// (counted once, not per borrower) when sharded. FaultedCells is one
+// including the spiking-kernel call counters summed over every executor,
+// each counted once at any chip count. FaultedCells is one
 // executor's count: every replica programs identical fault maps (they key
 // on the model and the global group IDs, not the replica), so it IS the
 // deployment's — summing replicas would overcount chip state that exists

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"fpsa/internal/device"
+	"fpsa/internal/shard"
 	"fpsa/internal/synth"
 	"fpsa/internal/trainer"
 )
@@ -373,9 +376,8 @@ func TestAutoPathKernelStats(t *testing.T) {
 	}
 }
 
-// TestStatsCountEachExecutorOnce: however the pool is made up — private
-// executors on a single chip, one pipeline lent out several times when
-// sharded — Stats counts every kernel call exactly once (one per stage per
+// TestStatsCountEachExecutorOnce: with Workers executors at any chip
+// count, Stats counts every kernel call exactly once (one per stage per
 // executed batch) and reports the deployment's stuck cells once, not per
 // executor.
 func TestStatsCountEachExecutorOnce(t *testing.T) {
@@ -476,11 +478,16 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 // TestShardedEngineMatchesSingleChip: an engine serving a sharded
 // deployment (Chips ≥ 2) must reproduce the single-chip engine bit for
 // bit under concurrent load, in spiking and noisy modes. Run under -race
-// in CI: all borrowers share one chip pipeline.
+// in CI. Noisy mode runs one executor: each draws its own programming
+// variation, and only the first draws what the single-chip engine's does.
 func TestShardedEngineMatchesSingleChip(t *testing.T) {
 	prog := buildProgram(t, 21, []int{14, 12, 8, 3})
 	inputs := randomInputs(prog, 22, 12)
 	for _, mode := range []synth.ExecMode{synth.ModeSpiking, synth.ModeSpikingNoisy} {
+		workers := 3
+		if mode == synth.ModeSpikingNoisy {
+			workers = 1
+		}
 		single, err := New(prog, Options{Workers: 1, MaxBatch: 4, Mode: mode, Seed: 33})
 		if err != nil {
 			t.Fatal(err)
@@ -493,7 +500,7 @@ func TestShardedEngineMatchesSingleChip(t *testing.T) {
 		}
 		single.Close()
 
-		sharded, err := New(prog, Options{Workers: 3, MaxBatch: 4, Mode: mode, Seed: 33, Chips: 2})
+		sharded, err := New(prog, Options{Workers: workers, MaxBatch: 4, Mode: mode, Seed: 33, Chips: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,6 +548,63 @@ func TestShardedEngineMatchesSingleChip(t *testing.T) {
 	}
 }
 
+// TestShardedNoisyEnginePinned pins, as one FNV-64a digest, the outputs of
+// a noisy 2-chip engine with one executor and of sharded executors at 2 and
+// 4 chips in every mode. The digest was recorded while each chip of a
+// sharded executor ran on a goroutine of its own, so it also holds that
+// walking the chips on the caller's goroutine changed no output and no
+// variation draw.
+func TestShardedNoisyEnginePinned(t *testing.T) {
+	const want = 0x38c772047106a6a4
+	prog := buildProgram(t, 51, []int{14, 12, 10, 8, 3})
+	inputs := randomInputs(prog, 52, 32)
+	h := fnv.New64a()
+	put := func(outs [][]int) {
+		for _, out := range outs {
+			for _, v := range out {
+				binary.Write(h, binary.LittleEndian, int64(v))
+			}
+		}
+	}
+	eng, err := New(prog, Options{Workers: 1, MaxBatch: 4, Chips: 2, Mode: synth.ModeSpikingNoisy, Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := eng.InferBatch(context.Background(), inputs)
+	eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(outs)
+	for _, chips := range []int{2, 4} {
+		plan, err := prog.PartitionStages(chips, shard.PolicyBalanced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Chips() != chips {
+			t.Fatalf("plan has %d chips, want %d", plan.Chips(), chips)
+		}
+		for _, mode := range []synth.ExecMode{synth.ModeReference, synth.ModeSpiking, synth.ModeSpikingNoisy} {
+			ropts := synth.RunOptions{Mode: mode}
+			if mode == synth.ModeSpikingNoisy {
+				ropts.Rng = rand.New(rand.NewSource(54))
+			}
+			ex, err := synth.NewPipelineExecutor(prog, plan, ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, err := ex.RunBatch(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(outs)
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("sharded outputs digest %#x, want %#x", got, want)
+	}
+}
+
 // TestShardedEngineClampsChips: asking for more chips than the program
 // has stages degrades to the feasible depth instead of failing, and the
 // engine still serves.
@@ -559,8 +623,8 @@ func TestShardedEngineClampsChips(t *testing.T) {
 	}
 }
 
-// TestShardedEngineBadInput: a bad request fails alone on the shared
-// pipeline too, and the engine keeps serving.
+// TestShardedEngineBadInput: a bad request fails alone on a sharded
+// engine too, and the engine keeps serving.
 func TestShardedEngineBadInput(t *testing.T) {
 	prog := buildProgram(t, 25, []int{8, 5, 2})
 	eng, err := New(prog, Options{Workers: 2, MaxBatch: 4, Chips: 2, Mode: synth.ModeReference})

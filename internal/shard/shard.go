@@ -20,7 +20,8 @@
 // Contiguity is not a restriction in practice: both chains this package
 // partitions are topologically ordered, so a contiguous segmentation
 // always yields a feed-forward chip pipeline (signals only ever flow from
-// earlier chips to later ones), the shape the pipelined executor needs.
+// earlier chips to later ones), the shape the hardware's chip pipeline
+// needs.
 package shard
 
 import "fmt"

@@ -91,7 +91,7 @@ type RunOptions struct {
 	// Faults, when active, injects the device fault scenario into every
 	// crossbar the program runs on: each weight group's stuck-cell map is
 	// a deterministic function of (Faults, group ID), so every worker
-	// replica and every chip of a pipelined deployment sees identical
+	// replica and every chip of a sharded deployment sees identical
 	// faults — unlike programming variation, which is per-replica. With
 	// Faults.Remap the logical weight region is steered around known-bad
 	// cells using the crossbar's spare rows and columns. An inactive (or

@@ -22,26 +22,22 @@ import (
 // of re-walking all stages per item. Run is the batch-of-one special
 // case.
 //
-// Each chip owns a contiguous stage range (see PartitionStages), the
-// crossbars of the groups those stages use and its gather scratch. How
-// many chips there are decides how a batch runs and who may call:
+// A plan from PartitionStages gives each chip a contiguous stage range and
+// the crossbars of the groups those stages use. A batch walks the stages
+// in order on the caller's goroutine, chip after chip: the hardware's
+// chip-to-chip pipelining is modelled by internal/perf's link terms, not
+// by host threads, so the chip count changes neither how a batch runs nor
+// who may call. Programming and the stage walk are the same code at every
+// chip count, so outputs are bit-identical across chip counts in all three
+// modes.
 //
-//   - Chips() == 1 (NewExecutor, or a nil or one-chip plan) walks the
-//     stages inline on the caller's goroutine and reuses the per-stage
-//     output tables between runs, so it is single-caller: concurrent
-//     callers hold one Executor each (see internal/serve), which also
-//     matches the hardware — each replica chip carries its own
-//     programming variation. Close is a no-op and RunBatch keeps working
-//     after it.
-//   - Chips() ≥ 2 runs one goroutine per chip: while chip 1 evaluates
-//     micro-batch N, chip 0 is already evaluating micro-batch N+1. RunBatch
-//     is safe for concurrent use — jobs enqueue and the chips process them
-//     in order, each job carrying its own output tables — and concurrent
-//     calls are where the pipeline's throughput comes from. Close releases
-//     the chip goroutines; RunBatch afterwards returns ErrPipelineClosed.
-//
-// Programming and the stage walk are the same code at every chip count,
-// so outputs are bit-identical across chip counts in all three modes.
+// RunBatch is safe for concurrent use: calls on one Executor run one at a
+// time, since the per-stage scratch is the executor's own. Concurrent
+// callers that want to run in parallel hold one Executor each (see
+// internal/serve), which also matches the hardware — each replica carries
+// its own programming variation. A panic under the kernel reaches the
+// caller and leaves the Executor usable. Close is a no-op and RunBatch
+// keeps working after it.
 type Executor struct {
 	prog *Program
 	opts RunOptions
@@ -49,34 +45,21 @@ type Executor struct {
 	// every executor built outside this package's tests (see
 	// RunOptions.spikeKernel).
 	kernel func(c *xbar.Crossbar, dst, src []int, batch int) error
-	chips  []chip
+	// chips is how many chips the plan spread the stages over.
+	chips int
+	// units[gid] is weight group gid's programmed crossbar; nil for a group
+	// no stage uses.
+	units []*xbar.Crossbar
 	// stages[si] is stage si's output width and gather plan, fixed at
-	// construction and only read afterwards, so every chip of a pipeline
-	// reads it without a lock.
+	// construction and only read afterwards.
 	stages []stagePlan
-	// outs[si] is stage si's flat batch×cols output on a one-chip
-	// executor, grown on demand and reused across runs. (A pipeline's
-	// tables travel with each job instead.)
-	outs [][]int
 
-	// Pipeline lifecycle (Chips() ≥ 2 only).
-	mu     sync.RWMutex
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// chip is one simulated chip: the contiguous stage range [lo, hi) and the
-// crossbars programmed for the groups those stages own. On a pipeline its
-// goroutine consumes jobs in FIFO order, so the gather scratch and the
-// crossbars' own scratch are single-threaded even while different chips
-// work on different jobs concurrently.
-type chip struct {
-	lo, hi int
-	units  map[int]*xbar.Crossbar
-	// ins[si-lo] is stage si's flat batch×rows input buffer, grown on
-	// demand and reused across runs.
-	ins [][]int
-	in  chan *pipeJob // nil on a one-chip executor
+	// mu is held across a batch's stage walk and output gather: ins and
+	// outs are reused across runs.
+	mu sync.Mutex
+	// ins[si] and outs[si] are stage si's flat batch×rows input and
+	// batch×cols output, grown on demand.
+	ins, outs [][]int
 }
 
 // stagePlan is what runStages needs to know about one stage besides its
@@ -141,10 +124,9 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 }
 
 // NewPipelineExecutor programs p's weight groups under opts and
-// distributes them over the plan's chips; with two or more it also starts
-// one goroutine per chip. A nil plan is a single chip. The plan must come
-// from p.PartitionStages: segment boundaries may not split a shared weight
-// group — a physical crossbar lives on exactly one die.
+// distributes them over the plan's chips. A nil plan is a single chip. The
+// plan must come from p.PartitionStages: segment boundaries may not split
+// a shared weight group — a physical crossbar lives on exactly one die.
 //
 // Every group is programmed once, in global first-use stage order,
 // whatever the plan. In ModeSpikingNoisy the supplied Rng draws each
@@ -189,34 +171,34 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		prog:   p,
 		opts:   opts,
 		kernel: (*xbar.Crossbar).SimulateCountsBatch,
-		chips:  make([]chip, len(bounds)-1),
+		chips:  len(bounds) - 1,
+		units:  make([]*xbar.Crossbar, len(p.Graph.Groups)),
 		stages: stages,
+		ins:    make([][]int, n),
+		outs:   make([][]int, n),
 	}
 	if opts.spikeKernel != nil {
 		e.kernel = opts.spikeKernel
 	}
-	for k := range e.chips {
-		lo, hi := bounds[k], bounds[k+1]
-		e.chips[k] = chip{lo: lo, hi: hi, units: make(map[int]*xbar.Crossbar), ins: make([][]int, hi-lo)}
-	}
 	// Weight groups are shared across stages (conv positions): program
 	// each group's crossbar once, at its first use, on the chip whose
 	// range holds that stage — exactly as the chip holds one physical
-	// crossbar per group copy.
+	// crossbar per group copy — and reject a plan that puts a later use
+	// on another chip.
+	chipOf := make([]int, len(p.Graph.Groups))
 	k := 0
 	for si, st := range p.Stages {
-		for si >= e.chips[k].hi {
+		for si >= bounds[k+1] {
 			k++
 		}
 		grp := p.Graph.Groups[st.GroupID]
-		if _, ok := e.chips[k].units[st.GroupID]; ok {
-			continue
-		}
-		for _, prev := range e.chips[:k] {
-			if _, ok := prev.units[st.GroupID]; ok {
+		if e.units[st.GroupID] != nil {
+			if chipOf[st.GroupID] != k {
 				return nil, fmt.Errorf("synth: plan splits weight group %q across chips (stage %d)", grp.Name, si)
 			}
+			continue
 		}
+		chipOf[st.GroupID] = k
 		c := cfg
 		c.Eta = grp.Eta
 		// The model derives a group's mask once and shares it read-only:
@@ -226,28 +208,17 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		if err != nil {
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, grp.Name, err)
 		}
-		e.chips[k].units[st.GroupID] = u
-	}
-	if len(e.chips) == 1 {
-		e.outs = make([][]int, n)
-		return e, nil
-	}
-	for k := range e.chips {
-		e.chips[k].in = make(chan *pipeJob, 1)
-	}
-	e.wg.Add(len(e.chips))
-	for k := range e.chips {
-		var next chan *pipeJob
-		if k+1 < len(e.chips) {
-			next = e.chips[k+1].in
-		}
-		go e.runChip(&e.chips[k], next)
+		e.units[st.GroupID] = u
 	}
 	return e, nil
 }
 
 // Chips returns the number of chips the program is spread over.
-func (e *Executor) Chips() int { return len(e.chips) }
+func (e *Executor) Chips() int { return e.chips }
+
+// Close is a no-op: an Executor holds no goroutine or other resource to
+// release, and RunBatch keeps working after it.
+func (e *Executor) Close() error { return nil }
 
 // Mode returns the execution mode the Executor was programmed for.
 func (e *Executor) Mode() ExecMode { return e.opts.Mode }
@@ -257,8 +228,8 @@ func (e *Executor) Mode() ExecMode { return e.opts.Mode }
 // after any remapping, and the same count at every chip count.
 func (e *Executor) FaultedCells() int {
 	n := 0
-	for _, c := range e.chips {
-		for _, u := range c.units { //fpsa:nondet summing int counters; order-free
+	for _, u := range e.units {
+		if u != nil {
 			n += u.FaultedCells()
 		}
 	}
@@ -269,12 +240,12 @@ func (e *Executor) FaultedCells() int {
 // Executor programmed: how many micro-batch kernel calls ran and the
 // aggregate observed input spike density (DenseBatches stays 0 unless a
 // test swapped the oracle in). The counters are atomics, so reading them
-// while chip goroutines are mid-batch is safe (each count lands before the
-// batch's results are delivered).
+// while a batch runs on another goroutine is safe (each count lands before
+// the batch's results are delivered).
 func (e *Executor) KernelStats() xbar.KernelStats {
 	var st xbar.KernelStats
-	for _, c := range e.chips {
-		for _, u := range c.units { //fpsa:nondet summing uint64 counters; order-free
+	for _, u := range e.units {
+		if u != nil {
 			st = st.Add(u.KernelStats())
 		}
 	}
@@ -323,52 +294,35 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// runBatch is the validated batch execution path: inline over the one
-// chip's stages and the executor's own output tables, or as a job handed
-// to the first chip of the pipeline.
+// runBatch is the validated batch execution path: the stage walk and the
+// output gather, under the lock that keeps the scratch one caller's. The
+// deferred unlock also runs when the kernel panics.
 func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	if len(inputs) == 0 {
 		return nil, nil
 	}
-	if len(e.chips) == 1 {
-		if err := e.runStages(&e.chips[0], inputs, e.outs); err != nil {
-			return nil, err
-		}
-		return gatherOutputs(e.prog, inputs, e.outs, e.stages), nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.runStages(inputs); err != nil {
+		return nil, err
 	}
-	job := &pipeJob{
-		inputs: inputs,
-		outs:   make([][]int, len(e.prog.Stages)),
-		done:   make(chan struct{}),
-	}
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, ErrPipelineClosed
-	}
-	e.chips[0].in <- job
-	e.mu.RUnlock()
-	<-job.done
-	return job.results, job.err
+	return gatherOutputs(e.prog, inputs, e.outs, e.stages), nil
 }
 
-// runStages evaluates a batch over c's stage range — the one stage walk
-// every chip count shares. outs is the per-stage output table (batch×cols
-// flat, indexed by global stage): stages before c.lo are read, c's own are
-// written, reusing whatever capacity an entry already has (a one-chip
-// executor's tables persist; a pipeline job's start empty).
-func (e *Executor) runStages(c *chip, inputs, outs [][]int) error {
+// runStages evaluates a batch over every stage in order — the one stage
+// walk every chip count shares — reusing whatever capacity the per-stage
+// tables already have.
+func (e *Executor) runStages(inputs [][]int) error {
 	p := e.prog
 	B := len(inputs)
-	for si := c.lo; si < c.hi; si++ {
-		st := p.Stages[si]
+	for si, st := range p.Stages {
 		n := len(st.InRefs)
-		x := growInts(c.ins[si-c.lo], B*n)
-		c.ins[si-c.lo] = x
-		e.gather(x, n, e.stages[si].runs, inputs, outs)
-		out := growInts(outs[si], B*e.stages[si].cols)
-		outs[si] = out
-		unit := c.units[st.GroupID]
+		x := growInts(e.ins[si], B*n)
+		e.ins[si] = x
+		e.gather(x, n, e.stages[si].runs, inputs, e.outs)
+		out := growInts(e.outs[si], B*e.stages[si].cols)
+		e.outs[si] = out
+		unit := e.units[st.GroupID]
 		var err error
 		switch e.opts.Mode {
 		case ModeReference:

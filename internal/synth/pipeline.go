@@ -6,10 +6,6 @@ import (
 	"fpsa/internal/shard"
 )
 
-// ErrPipelineClosed is returned by a multi-chip Executor's RunBatch after
-// Close.
-var ErrPipelineClosed = fmt.Errorf("synth: pipeline executor closed")
-
 // PartitionStages cuts the program's stage list into up to maxChips
 // per-chip segments using internal/shard: per-chip load is the number of
 // distinct programmed crossbars (weight groups) the segment owns, cut
@@ -104,60 +100,5 @@ func (p *Program) PartitionStages(maxChips int, policy shard.Policy) (*shard.Pla
 		if chips == 1 {
 			return nil, fmt.Errorf("synth: partition failed even at one chip: %w", err)
 		}
-	}
-}
-
-// pipeJob is one micro-batch in flight through the chip pipeline. outs is
-// the per-stage output table (batch×cols flat, indexed by global stage);
-// each chip fills its own stage range, so exactly one goroutine writes
-// any entry and the channel hand-off orders the accesses.
-type pipeJob struct {
-	inputs  [][]int
-	outs    [][]int
-	results [][]int
-	err     error
-	done    chan struct{}
-}
-
-// Close stops the chip goroutines of a pipeline: in-flight jobs complete
-// and later RunBatch calls return ErrPipelineClosed. A one-chip executor
-// has nothing to stop. Close is idempotent.
-func (e *Executor) Close() error {
-	if len(e.chips) == 1 {
-		return nil
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	close(e.chips[0].in)
-	e.mu.Unlock()
-	e.wg.Wait()
-	return nil
-}
-
-// runChip is one pipeline chip's execution loop: evaluate the job's batch
-// over the chip's stage range, then hand the job downstream (or finish
-// it). Closing the first chip's channel cascades a shutdown through the
-// pipeline.
-func (e *Executor) runChip(c *chip, next chan *pipeJob) {
-	defer e.wg.Done()
-	if next != nil {
-		defer close(next)
-	}
-	for job := range c.in {
-		if job.err == nil {
-			job.err = e.runStages(c, job.inputs, job.outs)
-		}
-		if next != nil {
-			next <- job
-			continue
-		}
-		if job.err == nil {
-			job.results = gatherOutputs(e.prog, job.inputs, job.outs, e.stages)
-		}
-		close(job.done)
 	}
 }

@@ -2,10 +2,12 @@ package synth
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"fpsa/internal/shard"
+	"fpsa/internal/xbar"
 )
 
 // pipelineAt builds a pipeline executor over prog cut into (up to) chips
@@ -183,10 +185,11 @@ func TestPartitionStagesClampsToFeasible(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrentRunBatch is the race test for the pipelined
-// executor: many goroutines stream batches through one pipeline
-// concurrently, and every result must still be bit-identical to the
-// single-chip executor. Run under -race in CI.
+// TestPipelineConcurrentRunBatch is the race test for the executor's one
+// concurrency contract: many goroutines stream batches through one
+// executor at once, at 1 and 3 chips, and every result must still be
+// bit-identical to a serially driven single-chip executor. Run under -race
+// in CI.
 func TestPipelineConcurrentRunBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(507))
 	g, ws := buildTestMLP(rng, []int{16, 12, 8, 4})
@@ -213,44 +216,108 @@ func TestPipelineConcurrentRunBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pe := pipelineAt(t, prog, 3, RunOptions{Mode: ModeReference})
-	defer pe.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, feeders)
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for j := 0; j < jobsPerFeeder; j++ {
-				idx := f*jobsPerFeeder + j
-				got, err := pe.RunBatch(batches[idx])
-				if err != nil {
-					errs[f] = err
-					return
-				}
-				for b := range want[idx] {
-					for k := range want[idx][b] {
-						if got[b][k] != want[idx][b][k] {
-							t.Errorf("feeder %d job %d item %d out[%d]: %d, want %d",
-								f, j, b, k, got[b][k], want[idx][b][k])
-							return
+	for _, chips := range []int{1, 3} {
+		pe := pipelineAt(t, prog, chips, RunOptions{Mode: ModeReference})
+		if pe.Chips() != chips {
+			t.Fatalf("realized %d chips, want %d", pe.Chips(), chips)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, feeders)
+		for f := 0; f < feeders; f++ {
+			wg.Add(1)
+			go func(f int) {
+				defer wg.Done()
+				for j := 0; j < jobsPerFeeder; j++ {
+					idx := f*jobsPerFeeder + j
+					got, err := pe.RunBatch(batches[idx])
+					if err != nil {
+						errs[f] = err
+						return
+					}
+					for b := range want[idx] {
+						for k := range want[idx][b] {
+							if got[b][k] != want[idx][b][k] {
+								t.Errorf("%d chips: feeder %d job %d item %d out[%d]: %d, want %d",
+									chips, f, j, b, k, got[b][k], want[idx][b][k])
+								return
+							}
 						}
 					}
 				}
+			}(f)
+		}
+		wg.Wait()
+		for f, err := range errs {
+			if err != nil {
+				t.Fatalf("%d chips: feeder %d: %v", chips, f, err)
 			}
-		}(f)
-	}
-	wg.Wait()
-	for f, err := range errs {
-		if err != nil {
-			t.Fatalf("feeder %d: %v", f, err)
 		}
 	}
 }
 
+// TestShardedPanicReachesCaller: a panic under the kernel on a stage chip 1
+// owns reaches the goroutine that called RunBatch, and the executor is
+// left usable — the next call succeeds and matches the one-chip executor.
+func TestShardedPanicReachesCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(509))
+	g, ws := buildTestMLP(rng, []int{12, 10, 8, 4})
+	opts := DefaultOptions()
+	opts.Weights = ws
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := batchInputs(rng, 3, 12, opts.Params.SamplingWindow())
+	single, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := single.RunBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := prog.PartitionStages(2, shard.PolicyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Chips() != 2 {
+		t.Fatalf("plan has %d chips, want 2", plan.Chips())
+	}
+	last := len(prog.Stages) - 1
+	if plan.ShardOf(last) != 1 {
+		t.Fatalf("last stage on chip %d, want 1", plan.ShardOf(last))
+	}
+	// Stages run in order, one kernel call each: the first batch's last
+	// call is the last stage's, and it panics.
+	calls := 0
+	ropts := RunOptions{Mode: ModeSpiking}
+	ropts.spikeKernel = func(c *xbar.Crossbar, dst, src []int, batch int) error {
+		if calls++; calls == last+1 {
+			panic("chip 1 kernel")
+		}
+		return c.SimulateCountsBatch(dst, src, batch)
+	}
+	ex, err := NewPipelineExecutor(prog, plan, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "chip 1 kernel" {
+				t.Errorf("recovered %v, want the chip 1 kernel's panic", r)
+			}
+		}()
+		ex.RunBatch(inputs)
+	}()
+	got, err := ex.RunBatch(inputs)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("RunBatch after the panic = %v, %v; want %v", got, err, want)
+	}
+}
+
 // TestPipelineValidationAndClose: bad inputs fail by index before
-// touching the pipeline, Close is idempotent, and RunBatch after Close
-// reports ErrPipelineClosed.
+// touching the executor, Close is idempotent, and RunBatch after Close
+// still works.
 func TestPipelineValidationAndClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(508))
 	g, ws := buildTestMLP(rng, []int{8, 6, 4})
@@ -283,8 +350,8 @@ func TestPipelineValidationAndClose(t *testing.T) {
 	if err := pe.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := pe.RunBatch([][]int{good}); err != ErrPipelineClosed {
-		t.Errorf("RunBatch after Close = %v, want ErrPipelineClosed", err)
+	if _, err := pe.RunBatch([][]int{good}); err != nil {
+		t.Errorf("RunBatch after Close = %v, want it to keep working", err)
 	}
 	// NewPipelineExecutor with a nil plan runs single-chip.
 	pe2, err := NewPipelineExecutor(prog, nil, RunOptions{Mode: ModeReference})

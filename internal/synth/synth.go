@@ -20,8 +20,8 @@
 // For fully connected networks with supplied trained weights, synthesis
 // additionally produces an executable Program whose stages run on actual
 // PE models (integer reference or cycle-level spiking simulation). One
-// type runs it: an Executor over one or more simulated chips, inline on
-// one chip and as a goroutine-per-chip pipeline on several, with the same
+// type runs it: an Executor over one or more simulated chips, walking
+// every stage in order on the caller's goroutine, with the same
 // programming loop and stage walk at every chip count.
 package synth
 

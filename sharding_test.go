@@ -228,8 +228,7 @@ func TestShardedPerformance(t *testing.T) {
 
 // TestShardedEngineServes is the public serving path of the acceptance
 // criterion: a network compiled across two chips and served by three
-// workers feeding the one pipeline returns the same classes as the
-// single-chip engine.
+// executors returns the same classes as the single-chip engine.
 func TestShardedEngineServes(t *testing.T) {
 	ds := SyntheticDataset(5, 300, 12, 3, 0.08)
 	train, test := ds.Split(0.7)
