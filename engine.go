@@ -19,16 +19,16 @@ type engineConfig struct {
 	// most one kernel pass carries (0 = 8).
 	MaxBatch int
 	// Mode selects the execution semantics (default ModeSpiking). In
-	// ModeSpikingNoisy each executor is programmed with its own
-	// deterministic variation derived from the SpikingNet seed.
+	// ModeSpikingNoisy every executor is programmed with the same
+	// deterministic variation, derived from the SpikingNet seed, so an
+	// answer does not depend on which executor ran it.
 	Mode ExecMode
 	// Chips is the deployment's compiled chip count (Deployment.Chips;
 	// never an option). At ≥ 2 the network is served as a sharded
 	// deployment: every executor's stages are partitioned across that many
 	// chips (clamped to what the program supports) and a request walks
 	// them in order on its own goroutine. Outputs are bit-identical to the
-	// single-chip engine in every mode; in ModeSpikingNoisy each executor
-	// draws its own variation, as on one chip.
+	// single-chip engine in every mode, ModeSpikingNoisy included.
 	Chips int
 }
 

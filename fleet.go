@@ -108,16 +108,16 @@ func WithModelReplicaRange(min, max int) FleetModelOption {
 // WithModelQueueDepth sets the model's per-replica admission depth
 // (default 64): the fleet admits up to replicas × depth requests in
 // flight, scaled by the caller's QoS share, and sheds past that. The
-// replica engines themselves have no queue to size — an admitted request
-// waits in its replica only for the executor.
+// model's engine itself has no queue to size — an admitted request waits
+// in it only for an executor.
 func WithModelQueueDepth(n int) FleetModelOption {
 	return func(s *fleetModelSettings) { s.queueDepth = n }
 }
 
-// WithModelEngine shapes each replica's serving engine with the usual
-// engine options (WithMode, WithMaxBatch, …). A fleet
-// replica is always a one-executor engine — the pool, not the engine, is
-// the parallelism — so WithWorkers is overridden; use WithModelReplicas.
+// WithModelEngine shapes the model's serving engine with the usual engine
+// options (WithMode, WithMaxBatch, …). A fleet replica is one executor of
+// that engine, and the fleet sets the executor count to the replica count,
+// so WithWorkers is overridden; use WithModelReplicas.
 func WithModelEngine(opts ...EngineOption) FleetModelOption {
 	return func(s *fleetModelSettings) {
 		for _, o := range opts {
@@ -183,11 +183,11 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 func (f *Fleet) Cache() *CompileCache { return f.cache }
 
 // replicaSource lowers a deployment to the internal fleet's replica
-// source: a factory minting one-executor engines over the deployment's
-// memoized net, plus the input quantization window those engines expect.
-// Every replica of one version programs identical state (in
-// ModeSpikingNoisy each factory call re-derives the same variation
-// stream from the deployment seed), which is what makes fleet outputs
+// source: a factory building an engine over the deployment's memoized net
+// with one executor per replica, plus the input quantization window that
+// engine expects. Every executor programs identical state (in
+// ModeSpikingNoisy all draw the one variation stream the deployment seed
+// gives an engine's first executor), which is what makes fleet outputs
 // bit-identical to a fresh single-engine serve of the same deployment.
 func replicaSource(d *Deployment, cfg engineConfig) (fleet.Source, error) {
 	sn, err := d.NewNet(nil)
@@ -196,7 +196,9 @@ func replicaSource(d *Deployment, cfg engineConfig) (fleet.Source, error) {
 	}
 	return fleet.Source{
 		Window: sn.Window(),
-		New: func() (fleet.Replica, error) {
+		New: func(replicas int) (fleet.Replica, error) {
+			cfg := cfg
+			cfg.Workers = replicas
 			e, err := newEngine(sn, cfg)
 			if err != nil {
 				return nil, err
@@ -253,12 +255,11 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 	if set.queueDepth < 0 {
 		return fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
 	}
-	// The model's engine template becomes the per-replica config: like
-	// Deployment.NewEngine a replica serves the compiled chip count, and
-	// the pool, not the engine, is the parallelism.
+	// The model's engine template becomes its engine's config: like
+	// Deployment.NewEngine it serves the compiled chip count, and the
+	// replica count, set by the fleet, is its executor count.
 	cfg := set.eng
 	cfg.Chips = d.Chips()
-	cfg.Workers = 1
 	if err := realizeBitstream(ctx, d); err != nil {
 		return err
 	}
@@ -305,14 +306,14 @@ func (f *Fleet) Outputs(ctx context.Context, model, tenant string, features []fl
 }
 
 // Swap hot-swaps the named model's bitstream to deployment d with zero
-// downtime: it builds a replacement replica pool against d (same pool
-// size, engine shape inherited from AddModel), atomically re-points the
-// route, waits for every request pinned to the old version and tears it
-// down. In-flight requests are never dropped or mixed across versions —
-// each completes on the version it pinned, stamped with that version's
+// downtime: it builds a replacement engine against d (same replica
+// count, engine shape inherited from AddModel), atomically re-points the
+// route and closes the old engine, which waits for every request inside
+// it. In-flight requests are never dropped or mixed across versions —
+// each completes on the version it reached, stamped with that version's
 // id. The replacement must keep the model's chip footprint: a
 // deployment compiled across a different chip count is ErrChipConflict,
-// and a fleet without transient headroom for both pools is ErrCapacity.
+// and a fleet without transient headroom for both engines is ErrCapacity.
 func (f *Fleet) Swap(ctx context.Context, model string, d *Deployment) (FleetSwapEvent, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -357,8 +358,8 @@ func (f *Fleet) CompileAndSwap(ctx context.Context, model string, m Model, opts 
 	return d, ev, nil
 }
 
-// Close retires every model, drains pinned requests and releases all
-// replicas. Idempotent; requests afterwards return ErrClosed.
+// Close closes every model's engine, waiting for the requests inside, and
+// releases all replicas. Idempotent; requests afterwards return ErrClosed.
 func (f *Fleet) Close() error { return wrapFleetErr(f.fl.Close()) }
 
 // The fleet's snapshot types are declared where they are filled

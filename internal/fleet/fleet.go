@@ -1,30 +1,27 @@
 // Package fleet schedules many compiled deployments onto a bounded pool
-// of simulated chips and serves them concurrently — the layer above one
-// serve.Engine that a production FPSA installation would run: per-model
-// replica pools (each replica a programmed execution engine occupying
-// chips), admission control with per-tenant QoS classes, backlog-driven
+// of simulated chips and serves them concurrently — the layer above
+// serve.Engine that a production FPSA installation would run: one engine
+// per model whose executors are its replicas (each occupying chips),
+// admission control with per-tenant QoS classes, backlog-driven
 // autoscaling, and zero-downtime bitstream hot-swap.
 //
-// The swap protocol is the heart of the package. Every model points at a
-// version — an immutable bitstream generation carrying its replica pool
-// and input quantization window — through an atomic pointer. A request
-// pins the version it will run on (acquire/release with a pending count)
-// and is dispatched to the replica with the fewest pinned requests — what
-// a replica actually has outstanding, waiting or executing, so nothing
-// waits behind a busy replica while a sibling sits idle. Because of the
-// pin, Swap can atomically re-point the route to a freshly built pool and
-// then wait for the old version to drain: no in-flight request is ever
-// dropped, every response is attributable to exactly one version, and a
-// request never sees the new version's window with the old version's
-// replicas (torn reads are structurally impossible — window and pool
-// live on the one pinned version).
+// Every model points at a version — an immutable bitstream generation: its
+// engine and input quantization window — through an atomic pointer. The
+// engine is the replica pool: a request borrows whichever executor is idle
+// and waits only when all are busy. Swap, scale-up, scale-down and Close
+// all change a model the same way (repoint): build the replacement engine,
+// store it as the route, Close the old engine — which returns once every
+// call inside it has — and settle the chips. No in-flight request is ever
+// dropped: one that reaches an engine already closed retries on the
+// current route. Every response is attributable to exactly one version,
+// and a request never sees one version's window with another's engine —
+// both live on the one version it loaded.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,25 +51,25 @@ var (
 	ErrClosed = fmt.Errorf("fleet: closed: %w", serve.ErrClosed)
 )
 
-// Replica is one serving replica of a model version: a programmed
-// execution engine. *serve.Engine satisfies it. QueueDepth is the
-// replica's backlog — requests dispatched to it that are waiting for its
-// executor right now, not counting the one running — and is what the
-// autoscaler reads. Routing balances on pinned counts instead, which
-// include the running request.
+// Replica is the engine serving one model version: a pool of programmed
+// executors, one per replica. *serve.Engine satisfies it. QueueDepth is
+// its backlog — requests waiting for an executor right now, not counting
+// the ones running — and is what the autoscaler reads. Close must wait
+// for every call already inside, and Infer after it must return an error
+// wrapping serve.ErrClosed.
 type Replica interface {
 	Infer(ctx context.Context, input []int) ([]int, error)
 	QueueDepth() int
 	Close() error
 }
 
-// Source describes one deployment version: a factory minting replicas
-// programmed with its bitstream, and the input quantization window its
-// requests are encoded with. The factory is called once per replica —
-// at registration, on scale-up, and when a swap builds the replacement
-// pool.
+// Source describes one deployment version: a factory building an engine
+// of the given number of replicas programmed with its bitstream, and the
+// input quantization window its requests are encoded with. The factory is
+// called at registration, on every resize and when a swap builds the
+// replacement.
 type Source struct {
-	New    func() (Replica, error)
+	New    func(replicas int) (Replica, error)
 	Window int
 }
 
@@ -146,18 +143,9 @@ type Options struct {
 	// tenants are admitted at ClassBatch with no quota.
 	Tenants map[string]Tenant
 	// ScaleInterval is the autoscaler tick (0 = 50ms). Scale decisions
-	// are made per tick from sustained observations, so the thresholds
-	// below are counted in ticks.
+	// are made per tick from sustained observations, so their thresholds
+	// (scaleUpBacklog, scaleUpTicks, scaleDownTicks) are counted in ticks.
 	ScaleInterval time.Duration
-	// ScaleUpBacklog is the per-replica waiting count that counts as
-	// backlog (0 = 4); sustained for ScaleUpTicks consecutive ticks
-	// (0 = 2), the model gains a replica (chips permitting, up to its
-	// MaxReplicas).
-	ScaleUpBacklog int
-	ScaleUpTicks   int
-	// IdleTicks is how many consecutive ticks with nothing waiting and no
-	// in-flight requests drop one replica (0 = 40), down to MinReplicas.
-	IdleTicks int
 }
 
 func (o Options) withDefaults() Options {
@@ -166,15 +154,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScaleInterval <= 0 {
 		o.ScaleInterval = 50 * time.Millisecond
-	}
-	if o.ScaleUpBacklog <= 0 {
-		o.ScaleUpBacklog = 4
-	}
-	if o.ScaleUpTicks <= 0 {
-		o.ScaleUpTicks = 2
-	}
-	if o.IdleTicks <= 0 {
-		o.IdleTicks = 40
 	}
 	return o
 }
@@ -192,8 +171,8 @@ type ModelConfig struct {
 	ChipsPerReplica int
 	// QueueDepth is the per-replica admission depth: a model's in-flight
 	// capacity is replicas × QueueDepth, scaled by each class's share
-	// (0 = 64). It is the only bound on how many requests wait in a
-	// replica: the engines themselves hold any number of waiters.
+	// (0 = 64). It is the only bound on how many requests wait in the
+	// model's engine: the engine itself holds any number of waiters.
 	QueueDepth int
 }
 
@@ -225,129 +204,18 @@ func (c ModelConfig) withDefaults() ModelConfig {
 	return c
 }
 
-// version is one immutable bitstream generation of a model: a replica
-// pool plus the quantization window requests to it are encoded with.
-// Requests pin it (acquire/release) so a swap can re-point the route and
-// then wait for the pending count to drain before tearing replicas down.
+// version is one immutable bitstream generation of a model: the engine
+// serving it, whose executors are the model's replicas, and the
+// quantization window requests to it are encoded with. A swap or a resize
+// replaces the whole version; nothing in one ever changes.
 type version struct {
 	id     int
 	window int
-
-	mu       sync.Mutex
-	pending  int
-	retired  bool
-	drained  chan struct{}
-	replicas []*slot
-}
-
-// slot is one replica of a version's pool and the number of requests
-// currently pinned to it (under version.mu).
-type slot struct {
-	Replica
-	pinned int
-}
-
-func newVersion(id, window int) *version {
-	return &version{id: id, window: window, drained: make(chan struct{})}
-}
-
-// acquire pins the version and its replica with the fewest pinned
-// requests (the first such, so an idle pool fills from replica 0). It
-// fails once the version is retired (a swap has re-pointed the route) or
-// its pool is empty; the caller retries on the model's current version.
-func (v *version) acquire() (*slot, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.retired || len(v.replicas) == 0 {
-		return nil, false
-	}
-	best := v.replicas[0]
-	for _, s := range v.replicas[1:] {
-		if s.pinned < best.pinned {
-			best = s
-		}
-	}
-	best.pinned++
-	v.pending++
-	return best, true
-}
-
-// release unpins the version and the replica acquire returned; the last
-// release of a retired version signals the drain.
-func (v *version) release(s *slot) {
-	v.mu.Lock()
-	s.pinned--
-	v.pending--
-	if v.retired && v.pending == 0 {
-		close(v.drained)
-	}
-	v.mu.Unlock()
-}
-
-// retire marks the version dead to new acquires and returns the channel
-// that closes when the last pinned request releases. Idempotent.
-func (v *version) retire() <-chan struct{} {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.retired {
-		v.retired = true
-		if v.pending == 0 {
-			close(v.drained)
-		}
-	}
-	return v.drained
-}
-
-// takeReplicas empties the pool (after drain) so the caller can close
-// the replicas outside the lock.
-func (v *version) takeReplicas() []*slot {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	rs := v.replicas
-	v.replicas = nil
-	return rs
-}
-
-// addReplica grows the pool; it refuses on a retired version (the caller
-// closes the orphan replica itself).
-func (v *version) addReplica(r Replica) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.retired {
-		return false
-	}
-	v.replicas = append(v.replicas, &slot{Replica: r})
-	return true
-}
-
-// removeReplica pops one replica when the pool is above min. The caller
-// closes it: requests that pinned it before removal drain through the
-// engine's own close path, and any that lose the race retry on a live
-// replica (see Fleet.Infer).
-func (v *version) removeReplica(min int) Replica {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.retired || len(v.replicas) <= min {
-		return nil
-	}
-	r := v.replicas[len(v.replicas)-1]
-	v.replicas = v.replicas[:len(v.replicas)-1]
-	return r.Replica
-}
-
-// count reports the pool size and the summed replica backlog (requests
-// waiting for an executor — what the autoscaler and the stats read).
-func (v *version) count() (replicas, depth int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, r := range v.replicas {
-		depth += r.QueueDepth()
-	}
-	return len(v.replicas), depth
+	eng    Replica
 }
 
 // model is one served model: its current version (atomic route pointer),
-// the source that mints replicas for scale-up, and its serving counters.
+// the source that builds its engine on a resize, and its serving counters.
 type model struct {
 	name  string
 	cfg   ModelConfig
@@ -358,14 +226,11 @@ type model struct {
 	// swapMu serializes swaps, scaling and close against each other;
 	// requests never take it.
 	swapMu sync.Mutex
-	src    Source // current version's source, for scale-up (under swapMu)
+	src    Source // current version's source, for a resize (under swapMu)
 	closed atomic.Bool
 
-	// replicas is the live pool size of the current version, written
-	// under swapMu by registration and the autoscaler (a swap rebuilds
-	// the pool at the same size). Admission reads it instead of the
-	// route's pool, which a swap may be tearing down under a request that
-	// loaded the route just before it was re-pointed.
+	// replicas is the current engine's executor count, written by repoint
+	// under swapMu; admission, the autoscaler and the stats read it.
 	replicas atomic.Int64
 
 	inflight   atomic.Int64
@@ -432,52 +297,57 @@ func New(opts Options) *Fleet {
 	return f
 }
 
-// Chips reports the pool size and how many chips replicas currently
-// occupy.
-func (f *Fleet) Chips() (total, used int) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.opts.Chips, f.chipsUsed
-}
-
-// AddModel registers a model under name and builds its initial replica
-// pool from src. The pool's chips are reserved from the fleet;
-// registration fails with ErrNoChips when the pool cannot fit.
+// AddModel registers a model under name and builds its engine of
+// cfg.Replicas replicas from src. The engine's chips are reserved from the
+// fleet first — registration fails with ErrNoChips when they cannot fit —
+// and the engine is built outside the fleet's lock, so requests to other
+// models are served meanwhile.
 func (f *Fleet) AddModel(name string, src Source, cfg ModelConfig) error {
 	if name == "" {
 		return fmt.Errorf("fleet: empty model name")
 	}
 	if src.New == nil || src.Window <= 0 {
-		return fmt.Errorf("fleet: model %q: source needs a replica factory and a positive window", name)
+		return fmt.Errorf("fleet: model %q: source needs an engine factory and a positive window", name)
 	}
 	cfg = cfg.withDefaults()
+	need := cfg.Replicas * cfg.ChipsPerReplica
+	f.mu.RLock()
+	err := f.vacant(name)
+	f.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	if err := f.reserveChips(need); err != nil {
+		return fmt.Errorf("fleet: model %q: %w", name, err)
+	}
+	eng, err := src.New(cfg.Replicas)
+	if err != nil {
+		f.releaseChips(need)
+		return fmt.Errorf("fleet: model %q: building %d replicas: %w", name, cfg.Replicas, err)
+	}
+	m := &model{name: name, cfg: cfg, src: src, start: time.Now()}
+	m.replicas.Store(int64(cfg.Replicas))
+	m.cur.Store(&version{id: 1, window: src.Window, eng: eng})
 	f.mu.Lock()
-	defer f.mu.Unlock()
+	if err := f.vacant(name); err != nil { // closed, or registered meanwhile
+		f.chipsUsed -= need
+		f.mu.Unlock()
+		_ = eng.Close()
+		return err
+	}
+	f.models[name] = m
+	f.mu.Unlock()
+	return nil
+}
+
+// vacant reports why name cannot be registered, if it cannot. Under f.mu.
+func (f *Fleet) vacant(name string) error {
 	if f.closed {
 		return ErrClosed
 	}
 	if _, dup := f.models[name]; dup {
 		return fmt.Errorf("fleet: model %q already registered", name)
 	}
-	need := cfg.Replicas * cfg.ChipsPerReplica
-	if f.chipsUsed+need > f.opts.Chips {
-		return fmt.Errorf("%w: model %q needs %d chips, %d of %d free",
-			ErrNoChips, name, need, f.opts.Chips-f.chipsUsed, f.opts.Chips)
-	}
-	v := newVersion(1, src.Window)
-	for i := 0; i < cfg.Replicas; i++ {
-		r, err := src.New()
-		if err != nil {
-			closeAll(v.takeReplicas())
-			return fmt.Errorf("fleet: model %q: building replica %d: %w", name, i, err)
-		}
-		v.replicas = append(v.replicas, &slot{Replica: r})
-	}
-	f.chipsUsed += need
-	m := &model{name: name, cfg: cfg, src: src, start: time.Now()}
-	m.replicas.Store(int64(cfg.Replicas))
-	m.cur.Store(v)
-	f.models[name] = m
 	return nil
 }
 
@@ -519,11 +389,10 @@ func (m *model) admit(c Class) (limit int64, ok bool) {
 }
 
 // Infer serves one request for (model, tenant): admission (tenant quota,
-// then class-weighted model capacity), then version pinning and replica
-// dispatch. The response carries the id of the exact version that ran
-// the request. Features are quantized against the pinned version's
-// window, so a mid-flight swap can never mix one version's encoding
-// with another's replicas.
+// then class-weighted model capacity), then the current version's engine.
+// The response carries the id of the exact version that ran the request.
+// Features are quantized against that version's window, so a mid-flight
+// swap can never mix one version's encoding with another's engine.
 func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -555,28 +424,14 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 	start := time.Now()
 	for {
 		v := m.cur.Load()
-		rep, ok := v.acquire()
-		if !ok {
-			// The route re-pointed under us (swap) — retry on the current
-			// version — unless the model or fleet is shutting down.
+		out, err := v.eng.Infer(ctx, synth.QuantizeInput(features, v.window))
+		if errors.Is(err, serve.ErrClosed) {
 			if m.closed.Load() {
 				return Result{}, ErrClosed
 			}
-			runtime.Gosched()
-			continue
-		}
-		// The pin comes off by defer: a request that panics under its
-		// replica must not leave Swap waiting on it for ever.
-		out, err := func() ([]int, error) {
-			defer v.release(rep)
-			return rep.Infer(ctx, synth.QuantizeInput(features, v.window))
-		}()
-		if err != nil && errors.Is(err, serve.ErrClosed) {
-			if m.closed.Load() {
-				return Result{}, ErrClosed
-			}
-			// The replica was scaled away between acquire and dispatch;
-			// the request is intact — retry it on a live replica.
+			// The route moved on — a swap or a resize — between loading v and
+			// the call. repoint stores the new version before it closes the
+			// old engine, so the retry finds it; the request is intact.
 			continue
 		}
 		m.requests.Add(1)
@@ -590,19 +445,18 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 }
 
 // Swap replaces name's bitstream with src, zero-downtime: it builds the
-// replacement pool (same replica count as the current version), atomically
-// re-points the route, waits for every request pinned to the old version
-// to complete, then tears the old pool down and returns its chips. While
-// the swap is in flight both pools hold chips, so a fleet needs one
-// model's worth of headroom to swap (ErrNoChips otherwise). In-flight
+// replacement engine (same replica count as the current one), re-points
+// the route at it and closes the old engine, which waits for every call
+// already inside. Until then both engines hold chips, so a fleet needs
+// one model's worth of headroom to swap (ErrNoChips otherwise). In-flight
 // requests are never dropped: each runs to completion on the version it
-// pinned, stamped with that version's id.
+// reached, stamped with that version's id.
 func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if src.New == nil || src.Window <= 0 {
-		return SwapEvent{}, fmt.Errorf("fleet: swap %q: source needs a replica factory and a positive window", name)
+		return SwapEvent{}, fmt.Errorf("fleet: swap %q: source needs an engine factory and a positive window", name)
 	}
 	m, err := f.lookup(name)
 	if err != nil {
@@ -617,41 +471,58 @@ func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, e
 		return SwapEvent{}, err
 	}
 	start := time.Now()
-	old := m.cur.Load()
-	count, _ := old.count()
-	need := count * m.cfg.ChipsPerReplica
-	if err := f.reserveChips(need); err != nil {
+	from, n := m.cur.Load().id, int(m.replicas.Load())
+	// The old engine's drain is bounded — every call inside is a finite
+	// simulation — so a cancelled ctx does not abandon it.
+	if err := f.repoint(m, from+1, src, n); err != nil {
 		return SwapEvent{}, fmt.Errorf("swapping %q: %w", name, err)
 	}
-	next := newVersion(old.id+1, src.Window)
-	for i := 0; i < count; i++ {
-		r, err := src.New()
-		if err != nil {
-			closeAll(next.takeReplicas())
-			f.releaseChips(need)
-			return SwapEvent{}, fmt.Errorf("fleet: swap %q: building replica %d: %w", name, i, err)
-		}
-		next.replicas = append(next.replicas, &slot{Replica: r})
-	}
-	m.src = src
-	m.cur.Store(next)
-	// No new request can pin the old version now; wait out the ones that
-	// already did. The wait is bounded — every pinned request is a finite
-	// simulation — so a cancelled ctx does not abandon the teardown.
-	<-old.retire()
-	olds := old.takeReplicas()
-	closeAll(olds)
-	f.releaseChips(len(olds) * m.cfg.ChipsPerReplica)
 	ev := SwapEvent{
 		Model:       name,
-		FromVersion: old.id,
-		ToVersion:   next.id,
-		Replicas:    count,
+		FromVersion: from,
+		ToVersion:   from + 1,
+		Replicas:    n,
 		At:          start,
 		DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	f.recordSwap(ev)
 	return ev, nil
+}
+
+// repoint is the one way a model's engine changes — Swap, a resize and
+// Close alike. It builds an engine of n replicas from src and stores it,
+// as version id, for requests to find (n = 0, closing, builds none); then
+// it closes the old engine, which returns once every call inside it has —
+// one that arrives after retries on the new route. A new bitstream (id
+// other than the current version's) holds chips for all n replicas until
+// the old engine is closed; a resize claims only its growth. Either way
+// the model ends holding n replicas' chips. Under m.swapMu.
+func (f *Fleet) repoint(m *model, id int, src Source, n int) error {
+	old, was, c := m.cur.Load(), int(m.replicas.Load()), m.cfg.ChipsPerReplica
+	hold := max(n-was, 0) * c
+	if id != old.id {
+		hold = n * c
+	}
+	if hold > 0 { // a shrink or Close claims nothing, so Close cannot fail here
+		if err := f.reserveChips(hold); err != nil {
+			return err
+		}
+	}
+	if n > 0 {
+		eng, err := src.New(n)
+		if err != nil {
+			f.releaseChips(hold)
+			return fmt.Errorf("fleet: model %q: building %d replicas: %w", m.name, n, err)
+		}
+		m.src = src
+		m.replicas.Store(int64(n))
+		m.cur.Store(&version{id: id, window: src.Window, eng: eng})
+	}
+	// The route has moved on, and a simulated chip's teardown has nothing
+	// actionable to report.
+	_ = old.eng.Close()
+	f.releaseChips(hold - (n-was)*c)
+	return nil
 }
 
 // reserveChips claims n chips from the pool.
@@ -668,12 +539,6 @@ func (f *Fleet) reserveChips(n int) error {
 	return nil
 }
 
-// tryReserveChips is reserveChips for the autoscaler: no error detail,
-// just whether the chips were claimed.
-func (f *Fleet) tryReserveChips(n int) bool {
-	return f.reserveChips(n) == nil
-}
-
 func (f *Fleet) releaseChips(n int) {
 	f.mu.Lock()
 	f.chipsUsed -= n
@@ -686,9 +551,9 @@ func (f *Fleet) recordSwap(ev SwapEvent) {
 	f.mu.Unlock()
 }
 
-// Close stops the autoscaler, retires every model's current version,
-// waits for pinned requests to drain and closes every replica.
-// Idempotent; Infer afterwards returns ErrClosed.
+// Close stops the autoscaler, then closes every model's engine, which
+// waits for the calls inside it, and returns its chips. Idempotent; Infer
+// afterwards returns ErrClosed.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -706,21 +571,8 @@ func (f *Fleet) Close() error {
 	for _, m := range models {
 		m.swapMu.Lock()
 		m.closed.Store(true)
-		v := m.cur.Load()
-		<-v.retire()
-		closeAll(v.takeReplicas())
+		_ = f.repoint(m, m.cur.Load().id, Source{}, 0) // builds and claims nothing: cannot fail
 		m.swapMu.Unlock()
 	}
-	f.mu.Lock()
-	f.chipsUsed = 0
-	f.mu.Unlock()
 	return nil
-}
-
-// closeAll closes replicas, dropping errors: the route has already moved
-// on, and a simulated chip's teardown has nothing actionable to report.
-func closeAll(rs []*slot) {
-	for _, r := range rs {
-		_ = r.Close()
-	}
 }

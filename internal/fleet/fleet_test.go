@@ -11,26 +11,33 @@ import (
 	"fpsa/internal/serve"
 )
 
-// fakeReplica is a controllable Replica: outputs carry its source's
-// marker (so tests can attribute responses to versions), Infer can be
-// made to block on a gate or to panic once, and QueueDepth can be faked to
-// steer the autoscaler.
+// fakeReplica is a controllable Replica, standing for a whole engine:
+// outputs carry its source's marker (so tests can attribute responses to
+// versions), Infer can be made to block on a gate or to panic once, and
+// QueueDepth can be faked to steer the autoscaler. Like serve.Engine, Close
+// waits for every call inside and Infer after it returns serve.ErrClosed.
 type fakeReplica struct {
-	marker  int
-	gate    chan struct{} // when non-nil, Infer blocks until closed
-	start   chan struct{} // when non-nil, Infer signals entry (buffered)
-	depth   atomic.Int64  // fake queue depth
-	poison  atomic.Bool   // when set, the next Infer panics (and clears it)
-	closed  atomic.Bool
-	entered atomic.Uint64 // Infer calls that reached this replica
-	served  atomic.Uint64
+	marker   int
+	replicas int           // the count the fleet asked the source for
+	gate     chan struct{} // when non-nil, Infer blocks until closed
+	start    chan struct{} // when non-nil, Infer signals entry (buffered)
+	depth    atomic.Int64  // fake queue depth
+	poison   atomic.Bool   // when set, the next Infer panics (and clears it)
+
+	mu     sync.RWMutex
+	closed bool
+	calls  sync.WaitGroup
 }
 
 func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
-	if r.closed.Load() {
+	r.mu.RLock()
+	if r.closed {
+		r.mu.RUnlock()
 		return nil, serve.ErrClosed
 	}
-	r.entered.Add(1)
+	r.calls.Add(1)
+	r.mu.RUnlock()
+	defer r.calls.Done()
 	if r.poison.CompareAndSwap(true, false) {
 		panic("fakeReplica: poisoned request")
 	}
@@ -44,18 +51,23 @@ func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
 			return nil, ctx.Err()
 		}
 	}
-	if r.closed.Load() {
-		return nil, serve.ErrClosed
-	}
-	r.served.Add(1)
 	return []int{r.marker, len(input)}, nil
 }
 
 func (r *fakeReplica) QueueDepth() int { return int(r.depth.Load()) }
 
 func (r *fakeReplica) Close() error {
-	r.closed.Store(true)
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.calls.Wait()
 	return nil
+}
+
+func (r *fakeReplica) isClosed() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.closed
 }
 
 // fakeSource mints fakeReplicas stamped with marker, recording them so
@@ -74,13 +86,13 @@ type fakeSource struct {
 func (s *fakeSource) Source() Source {
 	return Source{
 		Window: s.window,
-		New: func() (Replica, error) {
+		New: func(replicas int) (Replica, error) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if s.fail != nil {
 				return nil, s.fail
 			}
-			r := &fakeReplica{marker: s.marker, gate: s.gate, start: s.start}
+			r := &fakeReplica{marker: s.marker, replicas: replicas, gate: s.gate, start: s.start}
 			s.made = append(s.made, r)
 			return r, nil
 		},
@@ -120,6 +132,9 @@ func TestInferRoutesAndStamps(t *testing.T) {
 	if st.Requests != 1 || st.Replicas != 2 || st.Version != 1 || st.Window != 16 {
 		t.Fatalf("stats = %+v", st)
 	}
+	if rs := src.replicas(); len(rs) != 1 || rs[0].replicas != 2 {
+		t.Fatalf("built %d engines, want one of 2 replicas", len(rs))
+	}
 }
 
 func TestUnknownModelAndEmptyRegistration(t *testing.T) {
@@ -155,20 +170,20 @@ func TestChipAccounting(t *testing.T) {
 	if err := f.AddModel("b", src.Source(), ModelConfig{Replicas: 2}); !errors.Is(err, ErrNoChips) {
 		t.Fatalf("err = %v, want ErrNoChips", err)
 	}
-	if total, used := f.Chips(); total != 4 || used != 3 {
-		t.Fatalf("chips = %d/%d, want 3/4", used, total)
+	if st := f.Stats(); st.Chips != 4 || st.ChipsUsed != 3 {
+		t.Fatalf("chips = %d/%d, want 3/4", st.ChipsUsed, st.Chips)
 	}
-	// A swap needs headroom for both pools: 3 old + 3 new > 4.
+	// A swap needs headroom for both engines: 3 old + 3 new > 4.
 	if _, err := f.Swap(context.Background(), "a", src.Source()); !errors.Is(err, ErrNoChips) {
 		t.Fatalf("swap err = %v, want ErrNoChips", err)
 	}
 	// The failed swap must not leak chips.
-	if _, used := f.Chips(); used != 3 {
+	if used := f.Stats().ChipsUsed; used != 3 {
 		t.Fatalf("chips used after failed swap = %d, want 3", used)
 	}
 }
 
-// fillInflight starts n requests that are all inside replica Infer
+// fillInflight starts n requests that are all inside the engine's Infer
 // (blocked on the source's gate) and returns their error channel.
 func fillInflight(t *testing.T, f *Fleet, model, tenant string, src *fakeSource, n int) chan error {
 	t.Helper()
@@ -228,48 +243,11 @@ func TestClassWeightedAdmission(t *testing.T) {
 	}
 }
 
-// TestDispatchSkipsBusyReplica: routing follows what a replica has
-// outstanding, not its waiting queue — a replica that drains its queue
-// eagerly reads depth 0 while it is busy (as these fakes always do), and
-// the next request must still go to its idle sibling.
-func TestDispatchSkipsBusyReplica(t *testing.T) {
-	f := New(slowTestOptions())
-	defer f.Close()
-	gate := make(chan struct{})
-	src := &fakeSource{window: 4, gate: gate, start: make(chan struct{}, 64)}
-	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 2, QueueDepth: 8}); err != nil {
-		t.Fatal(err)
-	}
-	// fillInflight waits for each request to be inside a replica before
-	// sending the next: replica 0 is held busy when the second arrives.
-	errs := fillInflight(t, f, "m", "t", src, 2)
-	reps := src.replicas()
-	if a, b := reps[0].entered.Load(), reps[1].entered.Load(); a != 1 || b != 1 {
-		t.Errorf("requests per replica = %d/%d, want 1/1 (second request queued behind the busy replica)", a, b)
-	}
-	// A third has nowhere idle to go and lands behind one of them; once
-	// everything drains the pool is even again and fills from replica 0.
-	errs3 := fillInflight(t, f, "m", "t", src, 1)
-	close(gate)
-	for _, c := range []chan error{errs, errs, errs3} {
-		if err := <-c; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.Infer(context.Background(), "m", "t", []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := reps[0].entered.Load(), reps[1].entered.Load(); a != 3 || b != 1 {
-		t.Errorf("requests per replica after drain = %d/%d, want 3/1", a, b)
-	}
-}
-
-// TestAdmissionSurvivesRetiredRoute is the regression test for the shed
-// during hot-swap: a request that loaded the route just before Swap
-// re-pointed it used to size its admission limit from that version's
-// pool — which the swap empties — and shed at "limit 1" on a model with
-// three live replicas. Admission now reads the model's live replica
-// count; the stale route only ever costs a retry.
+// TestAdmissionSurvivesRetiredRoute: a request that loaded the route just
+// before Swap re-pointed it reaches an engine the swap has closed. It
+// retries on the current engine instead of failing, and admission sizes
+// its limit from the live replica count — three replicas × depth 4 at
+// batch class admit 6 — not from anything the stale route carries.
 func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 	f := New(slowTestOptions())
 	defer f.Close()
@@ -286,18 +264,14 @@ func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 	if _, err := f.Swap(context.Background(), "m", next.Source()); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := stale.count(); n != 0 {
-		t.Fatalf("retired version still holds %d replicas", n)
+	if _, err := stale.eng.Infer(context.Background(), nil); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("retired engine still serves: %v", err)
 	}
-	if _, ok := stale.acquire(); ok {
-		t.Fatal("retired version still pins requests")
-	}
-	// Two requests in flight: the limit of 1 an emptied pool yields would
-	// shed the next one; three replicas × depth 4 at batch class admit 6.
+	// Two requests in flight on the new engine; a third is still admitted.
 	errs := fillInflight(t, f, "m", "t", next, 2)
 	limit, ok := m.admit(ClassBatch)
 	if !ok || limit != 6 {
-		t.Errorf("admit with a retired route in hand = limit %d, ok %v; want 6, true", limit, ok)
+		t.Errorf("admit after a swap = limit %d, ok %v; want 6, true", limit, ok)
 	}
 	if ok {
 		m.inflight.Add(-1)
@@ -310,6 +284,53 @@ func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 	}
 	if st := f.Stats().Models["m"]; st.ShedOverload != 0 || st.Replicas != 3 {
 		t.Errorf("overload sheds/replicas = %d/%d, want 0/3", st.ShedOverload, st.Replicas)
+	}
+}
+
+// TestAddModelDoesNotStallTraffic: registering a model programs its
+// engine outside the fleet's lock, so while model b's factory is still
+// building, requests to model a complete and Stats answers.
+func TestAddModelDoesNotStallTraffic(t *testing.T) {
+	f := New(slowTestOptions())
+	defer f.Close()
+	if err := f.AddModel("a", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	building, gate := make(chan struct{}), make(chan struct{})
+	slow := (&fakeSource{marker: 2, window: 4}).Source()
+	build := slow.New
+	slow.New = func(replicas int) (Replica, error) {
+		close(building)
+		<-gate
+		return build(replicas)
+	}
+	added := make(chan error, 1)
+	go func() { added <- f.AddModel("b", slow, ModelConfig{}) }()
+	<-building
+	served := make(chan error, 1)
+	go func() {
+		_, err := f.Infer(context.Background(), "a", "t", []float64{1})
+		served <- err
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(gate) // let AddModel, and so the deferred Close, finish
+		<-added
+		t.Fatal("a request to model a waited for model b's engine to be built")
+	}
+	if used := f.Stats().ChipsUsed; used != 2 {
+		t.Errorf("chips used while b builds = %d, want 2 (b's reserved first)", used)
+	}
+	close(gate)
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	if res, err := f.Infer(context.Background(), "b", "t", []float64{1}); err != nil || res.Output[0] != 2 {
+		t.Fatalf("request to b = %+v, %v", res, err)
 	}
 }
 
@@ -350,10 +371,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	errs := fillInflight(t, f, "m", "t", src, 2)
 	closed := make(chan error, 1)
 	go func() { closed <- f.Close() }()
-	// Close must wait for the pinned requests, not strand them.
+	// Close must wait for the requests inside the engine, not strand them.
 	select {
 	case <-closed:
-		t.Fatal("Close returned while requests were pinned")
+		t.Fatal("Close returned while requests were inside the engine")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(gate)
@@ -375,8 +396,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	for _, r := range src.replicas() {
-		if !r.closed.Load() {
-			t.Fatal("replica left open after Close")
+		if !r.isClosed() {
+			t.Fatal("engine left open after Close")
 		}
 	}
 }

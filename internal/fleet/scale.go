@@ -5,9 +5,21 @@ import (
 	"time"
 )
 
+// The autoscaler's thresholds, in ticks of Options.ScaleInterval.
+const (
+	// scaleUpBacklog is the waiting count per replica that counts as
+	// backlog; sustained for scaleUpTicks consecutive ticks, the model
+	// gains a replica (chips permitting, up to its MaxReplicas).
+	scaleUpBacklog = 4
+	scaleUpTicks   = 2
+	// scaleDownTicks is how many consecutive ticks with nothing waiting and
+	// nothing in flight drop one replica, down to MinReplicas.
+	scaleDownTicks = 40
+)
+
 // autoscale is the fleet's scaling loop: every ScaleInterval it walks
 // the models (in name order, so chip contention resolves
-// deterministically) and moves each pool toward its observed load —
+// deterministically) and moves each engine toward its observed load —
 // sustained backlog grows it, sustained idleness shrinks it.
 func (f *Fleet) autoscale() {
 	defer f.scaleWG.Done()
@@ -36,9 +48,11 @@ func (f *Fleet) scaleTick() {
 	}
 }
 
-// scaleModel applies one tick's decision to one model. It yields to an
-// in-flight swap (TryLock) rather than queueing behind it: the swap will
-// rebuild the pool anyway, so this tick's observation is stale.
+// scaleModel applies one tick's decision to one model: a resize re-points
+// it to an engine one replica larger or smaller, as a swap does, keeping
+// its version. It yields to an in-flight swap (TryLock) rather than
+// queueing behind it: the swap replaces the engine anyway, so this tick's
+// observation is stale.
 func (f *Fleet) scaleModel(m *model) {
 	if !m.swapMu.TryLock() {
 		return
@@ -47,49 +61,30 @@ func (f *Fleet) scaleModel(m *model) {
 	if m.closed.Load() {
 		return
 	}
-	v := m.cur.Load()
-	n, depth := v.count()
+	v, n := m.cur.Load(), int(m.replicas.Load())
+	depth := v.eng.QueueDepth()
 	switch {
-	case n > 0 && depth >= n*f.opts.ScaleUpBacklog:
+	case depth >= n*scaleUpBacklog:
 		m.idleTicks = 0
 		m.backlogTicks++
-		if m.backlogTicks < f.opts.ScaleUpTicks || n >= m.cfg.MaxReplicas {
+		if m.backlogTicks < scaleUpTicks || n >= m.cfg.MaxReplicas {
 			return
 		}
 		m.backlogTicks = 0
-		if !f.tryReserveChips(m.cfg.ChipsPerReplica) {
-			return // pool exhausted; retry when chips free up
+		// Out of chips or a failed build: the next sustained backlog retries.
+		if f.repoint(m, v.id, m.src, n+1) == nil {
+			m.scaleUps.Add(1)
 		}
-		r, err := m.src.New()
-		if err != nil {
-			f.releaseChips(m.cfg.ChipsPerReplica)
-			return
-		}
-		if !v.addReplica(r) {
-			// Retired between count and add (close racing in); drop the
-			// orphan.
-			_ = r.Close()
-			f.releaseChips(m.cfg.ChipsPerReplica)
-			return
-		}
-		m.replicas.Add(1)
-		m.scaleUps.Add(1)
 	case depth == 0 && m.inflight.Load() == 0:
 		m.backlogTicks = 0
 		m.idleTicks++
-		if m.idleTicks < f.opts.IdleTicks || n <= m.cfg.MinReplicas {
+		if m.idleTicks < scaleDownTicks || n <= m.cfg.MinReplicas {
 			return
 		}
-		// One replica per idle period, so a shrinking pool re-earns each
+		// One replica per idle period, so a shrinking engine re-earns each
 		// step down.
 		m.idleTicks = 0
-		if r := v.removeReplica(m.cfg.MinReplicas); r != nil {
-			// Close waits for the requests already inside the replica; one
-			// that pinned it but arrives after Close began retries on a live
-			// replica (see Infer).
-			m.replicas.Add(-1)
-			_ = r.Close()
-			f.releaseChips(m.cfg.ChipsPerReplica)
+		if f.repoint(m, v.id, m.src, n-1) == nil {
 			m.scaleDowns.Add(1)
 		}
 	default:

@@ -13,10 +13,9 @@ type ModelStats struct {
 	// model capacity versus per-tenant in-flight quota.
 	ShedOverload uint64 `json:"shed_overload"`
 	ShedQuota    uint64 `json:"shed_quota"`
-	// Replicas and QueueDepth describe the current pool: its size and
-	// how many requests are waiting for a replica's executor right now,
-	// summed over it; InFlight is the model's admitted-but-uncompleted
-	// count.
+	// Replicas and QueueDepth describe the current engine: its executor
+	// count and how many requests are waiting for one right now; InFlight
+	// is the model's admitted-but-uncompleted count.
 	Replicas   int `json:"replicas"`
 	QueueDepth int `json:"queue_depth"`
 	InFlight   int `json:"in_flight"`
@@ -24,7 +23,7 @@ type ModelStats struct {
 	// +1 per swap); Window its input quantization window.
 	Version int `json:"version"`
 	Window  int `json:"window"`
-	// ScaleUps and ScaleDowns count autoscaler pool moves.
+	// ScaleUps and ScaleDowns count autoscaler resizes.
 	ScaleUps   uint64 `json:"scale_ups"`
 	ScaleDowns uint64 `json:"scale_downs"`
 	// QPS is completed requests per second since the model was
@@ -37,8 +36,8 @@ type ModelStats struct {
 }
 
 // SwapEvent records one completed hot-swap: the version ids it moved
-// between, the size of the replacement pool, when it started and how long
-// it took from there to the old pool's teardown.
+// between, the replica count of the replacement engine, when it started
+// and how long it took from there to the old engine's close.
 type SwapEvent struct {
 	Model       string    `json:"model"`
 	FromVersion int       `json:"from_version"`
@@ -80,14 +79,13 @@ func (f *Fleet) Stats() Stats {
 
 func (m *model) snapshot() ModelStats {
 	v := m.cur.Load()
-	replicas, depth := v.count()
 	st := ModelStats{
 		Requests:     m.requests.Load(),
 		Errors:       m.errors.Load(),
 		ShedOverload: m.overload.Load(),
 		ShedQuota:    m.quotaShed.Load(),
-		Replicas:     replicas,
-		QueueDepth:   depth,
+		Replicas:     int(m.replicas.Load()),
+		QueueDepth:   v.eng.QueueDepth(),
 		InFlight:     int(m.inflight.Load()),
 		Version:      v.id,
 		Window:       v.window,

@@ -87,14 +87,14 @@ func TestSwapZeroLoss(t *testing.T) {
 		t.Fatalf("swap history has %d events, want %d", len(st.Swaps), swaps)
 	}
 	// Chips must balance: the 3 swap-transient chips went back.
-	if _, used := f.Chips(); used != 3 {
+	if used := f.Stats().ChipsUsed; used != 3 {
 		t.Fatalf("chips used after swaps = %d, want 3", used)
 	}
 }
 
-// TestSwapDrainsOldVersion pins a request on the old version, swaps, and
-// checks the swap waits for the pinned request and the request still
-// completes on — and is stamped with — the version it pinned.
+// TestSwapDrainsOldVersion holds a request inside the old engine, swaps,
+// and checks the swap waits for it and the request still completes on —
+// and is stamped with — the version it reached.
 func TestSwapDrainsOldVersion(t *testing.T) {
 	f := New(slowTestOptions())
 	defer f.Close()
@@ -121,7 +121,7 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	}()
 	select {
 	case <-swapped:
-		t.Fatal("swap returned while a request was pinned to the old version")
+		t.Fatal("swap returned while a request was inside the old engine")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(gate)
@@ -130,24 +130,24 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	}
 	got := <-pinned
 	if got.err != nil {
-		t.Fatalf("pinned request dropped by swap: %v", got.err)
+		t.Fatalf("held request dropped by swap: %v", got.err)
 	}
 	if got.res.Version != 1 || got.res.Output[0] != 101 {
-		t.Fatalf("pinned request got version %d output %v, want the v1 it pinned", got.res.Version, got.res.Output)
+		t.Fatalf("held request got version %d output %v, want the v1 it reached", got.res.Version, got.res.Output)
 	}
 	// And new traffic lands on v2.
 	res, err := f.Infer(context.Background(), "m", "t", []float64{1})
 	if err != nil || res.Version != 2 || res.Output[0] != 102 {
 		t.Fatalf("post-swap request = %+v, %v; want v2/102", res, err)
 	}
-	// The old replica was torn down after the drain.
-	if rs := old.replicas(); len(rs) != 1 || !rs[0].closed.Load() {
-		t.Fatal("old replica not closed after swap drain")
+	// The old engine was closed by the swap.
+	if rs := old.replicas(); len(rs) != 1 || !rs[0].isClosed() {
+		t.Fatal("old engine not closed after swap drain")
 	}
 }
 
 // TestSwapWindowFollowsVersion pins that the quantization window is read
-// from the pinned version, not from model-level state: after a swap to a
+// from the version a request loaded, not from model-level state: after a swap to a
 // source with a different window, outputs reflect the new window.
 func TestSwapWindowFollowsVersion(t *testing.T) {
 	f := New(slowTestOptions())
@@ -156,7 +156,7 @@ func TestSwapWindowFollowsVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// fakeReplica echoes len(input); QuantizeInput preserves feature count,
-	// so this is a proxy for "encoded with the pinned version's window".
+	// so this is a proxy for "encoded with its version's window".
 	res, err := f.Infer(context.Background(), "m", "t", []float64{0.1, 0.2, 0.3})
 	if err != nil || res.Output[1] != 3 {
 		t.Fatalf("pre-swap = %+v, %v", res, err)
@@ -182,7 +182,7 @@ func TestSwapReplicaFactoryFailure(t *testing.T) {
 	if _, err := f.Swap(context.Background(), "m", bad.Source()); err == nil {
 		t.Fatal("swap with failing factory succeeded")
 	}
-	if _, used := f.Chips(); used != 2 {
+	if used := f.Stats().ChipsUsed; used != 2 {
 		t.Fatalf("chips used after aborted swap = %d, want 2", used)
 	}
 	res, err := f.Infer(context.Background(), "m", "t", []float64{1})
@@ -191,10 +191,10 @@ func TestSwapReplicaFactoryFailure(t *testing.T) {
 	}
 }
 
-// TestSwapAfterPanickingRequest: a request that panics under its replica
-// gives back everything it held on the way out — its pin on the version
-// above all — so a later Swap, which waits for every request pinned to the
-// old version, still completes, and the model keeps serving.
+// TestSwapAfterPanickingRequest: a request that panics under its engine
+// gives back everything it held on the way out — its place inside the
+// engine above all — so a later Swap, whose close of the old engine waits
+// for every call inside, still completes, and the model keeps serving.
 func TestSwapAfterPanickingRequest(t *testing.T) {
 	f := New(Options{Chips: 16, ScaleInterval: time.Hour, Tenants: map[string]Tenant{"t": {Quota: 1}}})
 	defer f.Close()
@@ -215,15 +215,10 @@ func TestSwapAfterPanickingRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := m.cur.Load()
-	v.mu.Lock()
-	pending, pinned := v.pending, v.replicas[0].pinned
-	v.mu.Unlock()
-	if pending != 0 || pinned != 0 || m.inflight.Load() != 0 {
-		t.Fatalf("after the panic: version pending %d, replica pinned %d, model in flight %d; want all 0",
-			pending, pinned, m.inflight.Load())
+	if n := m.inflight.Load(); n != 0 {
+		t.Fatalf("after the panic: model in flight %d, want 0", n)
 	}
-	// With a leaked pin this Swap would wait for ever.
+	// With a call left inside the old engine this Swap would wait for ever.
 	ev, err := f.Swap(context.Background(), "m", (&fakeSource{marker: 2, window: 4}).Source())
 	if err != nil || ev.ToVersion != 2 {
 		t.Fatalf("Swap after a panicking request = %+v, %v", ev, err)

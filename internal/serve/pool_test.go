@@ -53,21 +53,19 @@ func checkPool(t *testing.T, eng *Engine) {
 // -race): for call sizes on every side of MaxBatch, InferBatch ≡ n serial
 // Infer ≡ synth.Executor.RunBatch, in every mode, at 1 and 4 executors,
 // single-chip and sharded — while concurrent single-Infer callers compete
-// with the call's pieces for the pool. Noisy mode runs one executor: each
-// draws its own programming variation, so only then is there one
-// reference executor to compare with. (The name predates the pool: what
-// it pins is the engine ≡ executor equivalence, whatever sits between.)
+// with the call's pieces for the pool. In noisy mode every executor is
+// programmed like the one reference executor, so which executor a request
+// borrows never shows in its reply. (The name predates the pool: what it
+// pins is the engine ≡ executor equivalence, whatever sits between.)
 func TestQueueMatchesExecutor(t *testing.T) {
 	const maxBatch = 4
 	prog := buildProgram(t, 31, []int{10, 8, 6, 3})
 	inputs := randomInputs(prog, 32, 3*maxBatch+2)
 	for _, mode := range []synth.ExecMode{synth.ModeReference, synth.ModeSpiking, synth.ModeSpikingNoisy} {
 		ropts := synth.RunOptions{Mode: mode}
-		workerCounts := []int{1, 4}
 		if mode == synth.ModeSpikingNoisy {
-			// The engine seeds worker 0 from the first draw of its seed stream.
+			// The engine seeds its executors from the first draw of its seed stream.
 			ropts.Rng = rand.New(rand.NewSource(rand.New(rand.NewSource(33)).Int63()))
-			workerCounts = []int{1}
 		}
 		ex, err := synth.NewExecutor(prog, ropts)
 		if err != nil {
@@ -77,7 +75,7 @@ func TestQueueMatchesExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range workerCounts {
+		for _, workers := range []int{1, 4} {
 			for _, chips := range []int{1, 2} {
 				for _, n := range []int{1, maxBatch - 1, maxBatch, maxBatch + 1, 3*maxBatch + 2} {
 					name := fmt.Sprintf("mode%d/workers%d/chips%d/n%d", mode, workers, chips, n)
@@ -244,6 +242,28 @@ func TestCloseWaitsForWaiters(t *testing.T) {
 	if s := eng.Stats(); s.Requests != 1 || s.Errors != 0 || s.Shed != 0 {
 		t.Errorf("requests/errors/shed = %d/%d/%d, want 1/0/0", s.Requests, s.Errors, s.Shed)
 	}
+}
+
+// TestIdleExecutorBesideBusyOne: a request takes whichever executor is
+// idle — it never waits behind a busy one while another sits free — and
+// waits only once every executor is out.
+func TestIdleExecutorBesideBusyOne(t *testing.T) {
+	prog := buildProgram(t, 47, []int{8, 6, 2})
+	in := randomInputs(prog, 48, 1)[0]
+	eng, err := New(prog, Options{Workers: 2, Mode: synth.ModeReference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	busy := park(eng, 1)
+	if _, err := eng.Infer(context.Background(), in); err != nil { // would block for ever behind busy
+		t.Fatal(err)
+	}
+	if s := eng.Stats(); s.Requests != 1 || s.QueueDepth != 0 {
+		t.Errorf("requests/waiting = %d/%d beside a busy executor, want 1/0", s.Requests, s.QueueDepth)
+	}
+	unpark(eng, busy)
+	checkPool(t, eng)
 }
 
 // TestLoneCallerFansOut: a lone call of two chunks on an idle two-executor

@@ -11,7 +11,8 @@
 //
 // The pool holds Workers privately programmed executors at every chip
 // count — cycle-level simulation state is never shared across goroutines,
-// exactly as each replica carries its own programmed crossbars. With
+// exactly as each replica carries its own programmed crossbars — and all
+// are programmed identically, so any one answers as any other. With
 // Options.Chips ≥ 2 each executor's program is partitioned across that
 // many simulated chips, and a request walks them in order on its own
 // goroutine.
@@ -43,9 +44,10 @@ type Options struct {
 	MaxBatch int
 	// Mode selects the execution semantics for every executor.
 	Mode synth.ExecMode
-	// Seed derives each executor's programming-variation RNG in
-	// ModeSpikingNoisy; each executor draws an independent sub-seed from
-	// one stream seeded here, the first executor taking the first draw.
+	// Seed derives the programming-variation RNG in ModeSpikingNoisy: the
+	// first draw of a stream seeded here is the sub-seed every executor is
+	// programmed from, so all carry identical variation and a reply does
+	// not depend on which executor a request borrowed.
 	Seed int64
 	// Chips, when ≥ 2, serves the program as a sharded deployment: every
 	// executor's stage list is partitioned across that many chips
@@ -111,13 +113,13 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 	}
 	e.execs = make([]*synth.Executor, opts.Workers)
 	e.idle = make(chan *synth.Executor, opts.Workers)
-	// Executor seeds come from one stream rather than Seed+w so engines
-	// with adjacent seeds never share replica programming variation.
-	seeds := rand.New(rand.NewSource(opts.Seed))
+	// The sub-seed is a draw from Seed's stream rather than Seed itself so
+	// engines with adjacent seeds never share programming variation.
+	sub := rand.New(rand.NewSource(opts.Seed)).Int63()
 	for i := range e.execs {
 		ropts := synth.RunOptions{Mode: opts.Mode, Faults: opts.Faults}
 		if opts.Mode == synth.ModeSpikingNoisy {
-			ropts.Rng = rand.New(rand.NewSource(seeds.Int63()))
+			ropts.Rng = rand.New(rand.NewSource(sub))
 		}
 		ex, err := synth.NewPipelineExecutor(prog, plan, ropts)
 		if err != nil {

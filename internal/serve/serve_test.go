@@ -279,9 +279,9 @@ func TestInferHonorsContext(t *testing.T) {
 	}
 }
 
-// TestNoisyWorkersDeterministic: the engine programs each executor's
-// variation from one stream seeded by Seed, so a one-executor noisy engine
-// is a deterministic function of its seed.
+// TestNoisyWorkersDeterministic: the engine programs its executors'
+// variation from one sub-seed drawn from Seed, so a noisy engine is a
+// deterministic function of its seed.
 func TestNoisyWorkersDeterministic(t *testing.T) {
 	prog := buildProgram(t, 15, []int{8, 6, 2})
 	in := randomInputs(prog, 16, 1)[0]
@@ -477,17 +477,14 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 
 // TestShardedEngineMatchesSingleChip: an engine serving a sharded
 // deployment (Chips ≥ 2) must reproduce the single-chip engine bit for
-// bit under concurrent load, in spiking and noisy modes. Run under -race
-// in CI. Noisy mode runs one executor: each draws its own programming
-// variation, and only the first draws what the single-chip engine's does.
+// bit under concurrent load, in spiking and noisy modes: three executors
+// against one, every executor programmed with the single-chip engine's
+// variation. Run under -race in CI.
 func TestShardedEngineMatchesSingleChip(t *testing.T) {
 	prog := buildProgram(t, 21, []int{14, 12, 8, 3})
 	inputs := randomInputs(prog, 22, 12)
 	for _, mode := range []synth.ExecMode{synth.ModeSpiking, synth.ModeSpikingNoisy} {
-		workers := 3
-		if mode == synth.ModeSpikingNoisy {
-			workers = 1
-		}
+		const workers = 3
 		single, err := New(prog, Options{Workers: 1, MaxBatch: 4, Mode: mode, Seed: 33})
 		if err != nil {
 			t.Fatal(err)

@@ -106,14 +106,6 @@ func (r *LatencyRing) Record(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// Count returns the total number of recorded latencies (not capped by
-// the window).
-func (r *LatencyRing) Count() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // Sorted returns the window's samples sorted ascending, ready for
 // Percentile. Empty when nothing has been recorded.
 func (r *LatencyRing) Sorted() []float64 {
