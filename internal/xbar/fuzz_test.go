@@ -17,7 +17,8 @@ import (
 // pairwise-max diff crossbar and the mixed crossbar when ideal, a two-row
 // crossbar (small support survives noisy zero cells) when noisy. Those all
 // saturate; the ideal list also holds a dense 18×8 and a mixed crossbar at
-// the synthesizer's η, whose walked columns take the integer-lane walk.
+// the synthesizer's η, whose walked columns take the integer-lane walk —
+// under each lane body the CPU has.
 func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	rng := rand.New(rand.NewSource(76))
 	lrng := rand.New(rand.NewSource(77)) // its own stream: the older crossbars keep their weights
@@ -71,12 +72,17 @@ func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 			if err := xb.SimulateCountsBatchDense(dense, src, batch); err != nil {
 				t.Fatal(err)
 			}
-			if err := xb.SimulateCountsBatch(packed, src, batch); err != nil {
-				t.Fatal(err)
-			}
-			for k := range dense {
-				if dense[k] != packed[k] {
-					t.Fatalf("noisy=%v crossbar %d out[%d]: dense %d packed %d", useNoisy, xi, k, dense[k], packed[k])
+			for _, body := range laneBodies() {
+				restore := useLaneBody(body.avx2)
+				err := xb.SimulateCountsBatch(packed, src, batch)
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range dense {
+					if dense[k] != packed[k] {
+						t.Fatalf("noisy=%v crossbar %d %s out[%d]: dense %d packed %d", useNoisy, xi, body.name, k, dense[k], packed[k])
+					}
 				}
 			}
 		}

@@ -1,0 +1,38 @@
+package xbar
+
+// hasAVX2 reports whether the lane walk can run its AVX2 body: the CPU has
+// AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX bit 5) and the OS saves the
+// XMM and YMM registers across context switches (CPUID.1:ECX.OSXSAVE, then
+// XCR0 bits 1 and 2).
+var hasAVX2 = detectAVX2()
+
+func detectAVX2() bool {
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads XCR0.
+func xgetbv() (eax, edx uint32)
+
+// lanesAVX2 runs fill, accumulate and walk (see walkLanes) for one item on
+// blocks 256-bit blocks of lanes per polarity. rows is countG with the
+// item's groups in place and present its count set; trains and silent are
+// the window's uniformTrains and silentTrains; drv is window lane rows of
+// scratch; fired receives one output count per lane, 16·blocks of them.
+// Lane rows are 64·blocks bytes apart, and rows and drv are 32-byte
+// aligned.
+//
+//go:noescape
+func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64)

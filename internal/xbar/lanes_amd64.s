@@ -1,0 +1,280 @@
+#include "textflag.h"
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64)
+//
+// R11 holds the lane row stride in bytes, 64·blocks, throughout; Y12 is
+// zero. A stride is a whole number of 64-byte chunks: two 256-bit blocks.
+TEXT ·lanesAVX2(SB), NOSPLIT, $0-72
+	MOVQ  drv+0(FP), DI
+	MOVQ  rows+8(FP), SI
+	MOVQ  blocks+56(FP), R11
+	SHLQ  $6, R11
+	VPXOR Y12, Y12, Y12
+
+	// Fill: every cycle's drives start as the dense row, rows[window];
+	// then the dense row is zeroed.
+	MOVQ  window+48(FP), DX
+	MOVQ  DX, R8
+	IMULQ R11, R8
+	ADDQ  SI, R8
+	MOVQ  DI, AX
+
+fillrow:
+	XORQ CX, CX
+
+fillchunk:
+	VMOVDQU (R8)(CX*1), Y0
+	VMOVDQU 32(R8)(CX*1), Y1
+	VMOVDQU Y0, (AX)(CX*1)
+	VMOVDQU Y1, 32(AX)(CX*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R11
+	JB      fillchunk
+	ADDQ    R11, AX
+	DECQ    DX
+	JNZ     fillrow
+	XORQ    CX, CX
+
+zerodense:
+	VMOVDQU Y12, (R8)(CX*1)
+	VMOVDQU Y12, 32(R8)(CX*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R11
+	JB      zerodense
+
+	// Accumulate, in passes over slices of the lane rows up to three
+	// blocks per polarity wide: R14 = the slice's width in bytes (64, 128
+	// or 192), DI and SI = the slice in drv's and rows' first row. R13
+	// walks the present words and DX holds the counts left in the current
+	// one. Count k+1's slice of rows[k] is read into Y1–Y6 and zeroed; the
+	// count adds it on the cycles its train fires in, or (k ≥ Γ/2) adds it
+	// negated on the cycles its train is silent in. R10 walks that train's
+	// words, R12 counts them down and R9 is the drive row of the current
+	// word's first cycle; BX holds the word's cycles left.
+pass:
+	MOVQ rows+8(FP), R14
+	ADDQ R11, R14
+	SUBQ SI, R14
+	CMPQ R14, $192
+	JBE  passwidth
+	MOVQ $192, R14
+
+passwidth:
+	MOVQ present+16(FP), R13
+
+presword:
+	MOVQ  (R13), DX
+	TESTQ DX, DX
+	JZ    presnext
+
+count:
+	BSFQ    DX, AX
+	LEAQ    -1(DX), CX
+	ANDQ    CX, DX
+	MOVQ    R13, CX
+	SUBQ    present+16(FP), CX
+	SHLQ    $3, CX
+	ADDQ    CX, AX
+	MOVQ    AX, R8
+	IMULQ   R11, R8
+	ADDQ    SI, R8
+	VMOVDQU (R8), Y1
+	VMOVDQU 32(R8), Y2
+	VMOVDQU Y12, (R8)
+	VMOVDQU Y12, 32(R8)
+	CMPQ    R14, $64
+	JEQ     loaded
+	VMOVDQU 64(R8), Y3
+	VMOVDQU 96(R8), Y4
+	VMOVDQU Y12, 64(R8)
+	VMOVDQU Y12, 96(R8)
+	CMPQ    R14, $128
+	JEQ     loaded
+	VMOVDQU 128(R8), Y5
+	VMOVDQU 160(R8), Y6
+	VMOVDQU Y12, 128(R8)
+	VMOVDQU Y12, 160(R8)
+
+loaded:
+	MOVQ   trains+24(FP), R10
+	MOVQ   window+48(FP), CX
+	SHRQ   $1, CX
+	CMPQ   AX, CX
+	JLT    sparse
+	MOVQ   silent+32(FP), R10
+	VPSUBW Y1, Y12, Y1
+	VPSUBW Y2, Y12, Y2
+	VPSUBW Y3, Y12, Y3
+	VPSUBW Y4, Y12, Y4
+	VPSUBW Y5, Y12, Y5
+	VPSUBW Y6, Y12, Y6
+
+sparse:
+	MOVQ  window+48(FP), R12
+	ADDQ  $63, R12
+	SHRQ  $6, R12
+	INCQ  AX
+	IMULQ R12, AX
+	LEAQ  (R10)(AX*8), R10
+	MOVQ  DI, R9
+
+trainword:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    nextword
+	CMPQ  R14, $128
+	JEQ   event128
+	JA    event192
+
+event64:
+	BSFQ    BX, AX
+	LEAQ    -1(BX), CX
+	ANDQ    CX, BX
+	IMULQ   R11, AX
+	VPADDW  (R9)(AX*1), Y1, Y0
+	VPADDW  32(R9)(AX*1), Y2, Y7
+	VMOVDQU Y0, (R9)(AX*1)
+	VMOVDQU Y7, 32(R9)(AX*1)
+	TESTQ   BX, BX
+	JNZ     event64
+	JMP     nextword
+
+event128:
+	BSFQ    BX, AX
+	LEAQ    -1(BX), CX
+	ANDQ    CX, BX
+	IMULQ   R11, AX
+	VPADDW  (R9)(AX*1), Y1, Y0
+	VPADDW  32(R9)(AX*1), Y2, Y7
+	VMOVDQU Y0, (R9)(AX*1)
+	VMOVDQU Y7, 32(R9)(AX*1)
+	VPADDW  64(R9)(AX*1), Y3, Y0
+	VPADDW  96(R9)(AX*1), Y4, Y7
+	VMOVDQU Y0, 64(R9)(AX*1)
+	VMOVDQU Y7, 96(R9)(AX*1)
+	TESTQ   BX, BX
+	JNZ     event128
+	JMP     nextword
+
+event192:
+	BSFQ    BX, AX
+	LEAQ    -1(BX), CX
+	ANDQ    CX, BX
+	IMULQ   R11, AX
+	VPADDW  (R9)(AX*1), Y1, Y0
+	VPADDW  32(R9)(AX*1), Y2, Y7
+	VMOVDQU Y0, (R9)(AX*1)
+	VMOVDQU Y7, 32(R9)(AX*1)
+	VPADDW  64(R9)(AX*1), Y3, Y0
+	VPADDW  96(R9)(AX*1), Y4, Y7
+	VMOVDQU Y0, 64(R9)(AX*1)
+	VMOVDQU Y7, 96(R9)(AX*1)
+	VPADDW  128(R9)(AX*1), Y5, Y0
+	VPADDW  160(R9)(AX*1), Y6, Y7
+	VMOVDQU Y0, 128(R9)(AX*1)
+	VMOVDQU Y7, 160(R9)(AX*1)
+	TESTQ   BX, BX
+	JNZ     event192
+
+nextword:
+	ADDQ  $8, R10
+	MOVQ  R11, CX
+	SHLQ  $6, CX
+	ADDQ  CX, R9
+	DECQ  R12
+	JNZ   trainword
+	TESTQ DX, DX
+	JNZ   count
+
+presnext:
+	ADDQ $8, R13
+	MOVQ window+48(FP), CX
+	ADDQ $63, CX
+	SHRQ $6, CX
+	SHLQ $3, CX
+	ADDQ present+16(FP), CX
+	CMPQ R13, CX
+	JB   presword
+
+	ADDQ R14, DI
+	ADDQ R14, SI
+	MOVQ rows+8(FP), CX
+	ADDQ R11, CX
+	CMPQ SI, CX
+	JB   pass
+
+	// Walk, one block of sixteen columns at a time through every cycle.
+	// Y0/Y1 = positive/negative membranes, kept biased by Y4 = 2^15 − η:
+	// a lane's bit 15 is set exactly when its membrane is ≥ η, so an
+	// arithmetic shift by 15 is the neuron's fire mask and the mask AND
+	// Y5 = η is what it subtracts. Y2 = debt, Y3 = fired, Y10 = sp as 0/1:
+	// the subtracter's cancel, sp where debt > 0, is min(sp, debt). AX
+	// walks the block's positive drives down the cycles, R12 is the offset
+	// of the negative ones, R8 the block's first positive drive and R10
+	// its fired lanes.
+	MOVQ         eta+64(FP), AX
+	VMOVQ        AX, X5
+	VPBROADCASTW X5, Y5
+	MOVQ         $0x8000, CX
+	SUBQ         AX, CX
+	VMOVQ        CX, X4
+	VPBROADCASTW X4, Y4
+	MOVQ         fired+40(FP), R10
+	MOVQ         blocks+56(FP), R9
+	MOVQ         R11, R12
+	SHRQ         $1, R12
+	MOVQ         drv+0(FP), R8
+
+block:
+	VMOVDQU Y4, Y0
+	VMOVDQU Y4, Y1
+	VPXOR   Y2, Y2, Y2
+	VPXOR   Y3, Y3, Y3
+	MOVQ    R8, AX
+	MOVQ    window+48(FP), CX
+
+cycle:
+	VPADDW  (AX), Y0, Y0
+	VPSRAW  $15, Y0, Y7
+	VPSRLW  $15, Y0, Y10
+	VPAND   Y5, Y7, Y7
+	VPSUBW  Y7, Y0, Y0
+	VPADDW  (AX)(R12*1), Y1, Y1
+	VPSRAW  $15, Y1, Y8
+	VPAND   Y5, Y8, Y9
+	VPSUBW  Y9, Y1, Y1
+	VPSUBW  Y8, Y2, Y2
+	VPMINUW Y10, Y2, Y9
+	VPSUBW  Y9, Y2, Y2
+	VPSUBW  Y9, Y10, Y10
+	VPADDW  Y10, Y3, Y3
+	ADDQ    R11, AX
+	DECQ    CX
+	JNZ     cycle
+	VMOVDQU Y3, (R10)
+	ADDQ    $32, R10
+	ADDQ    $32, R8
+	DECQ    R9
+	JNZ     block
+
+	VZEROUPPER
+	RET

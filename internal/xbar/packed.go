@@ -235,165 +235,6 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 	}
 }
 
-// The integer-lane walk keeps four columns per uint64, 16 bits each.
-const (
-	laneBits = 16
-	laneOnes = 0x0001_0001_0001_0001 // 1 in every lane
-	laneTops = 0x8000_8000_8000_8000 // bit 15 of every lane
-	// maxLaneEta bounds η so that membrane + drive < 2η stays below bit 15.
-	maxLaneEta = 1 << 14
-)
-
-// lanePair is the positive- and negative-polarity lane words of the same
-// four walked columns.
-type lanePair [2]uint64
-
-// laneEligible reports whether the walked columns can take walkLanes under
-// the current η: every conductance is a non-negative integer (maxDrive is
-// finite), η is an integer in [1, 2^14), and no walked column can be driven
-// past η in one cycle — so a membrane below η before a cycle is below 2η
-// after the drive and below η again after one subtraction. The window bound
-// keeps the debt and output lanes, which count up to Γ, within 15 bits.
-// Everything else — noisy or drifted conductances, a stuck-high cell lifting
-// a column over η, a fractional or saturating η from SetEta — keeps the
-// float walk.
-func (c *Crossbar) laneEligible() bool {
-	eta := c.eta
-	return eta >= 1 && eta < maxLaneEta && eta == math.Trunc(eta) && c.maxDrive <= eta && c.window <= 1<<15
-}
-
-// packLanes builds laneG, once per crossbar, and sizes walkLanes' scratch:
-// row i's walk-column conductances as 16-bit lanes, lane l of pair w holding
-// column walkCols[4w+l] (unused lanes of the last pair stay zero).
-func (c *Crossbar) packLanes() {
-	if c.laneG != nil {
-		return
-	}
-	nw := (len(c.walkCols) + 3) / 4
-	c.laneG = make([]lanePair, c.rows*nw)
-	c.present = make([]uint64, spike.Lanes(c.window))
-	c.countG = make([]lanePair, nw*c.window)
-	c.denseG = make([]lanePair, nw)
-	c.laneDrv = make([]lanePair, nw*c.window)
-	for i := 0; i < c.rows; i++ {
-		for n, j := range c.walkCols {
-			pair := &c.laneG[i*nw+n/4]
-			shift := uint(n%4) * laneBits
-			pair[0] |= uint64(c.posG[i*c.cols+j]) << shift
-			pair[1] |= uint64(c.negG[i*c.cols+j]) << shift
-		}
-	}
-}
-
-// walkLanes runs one item over the walked columns of a laneEligible
-// crossbar, four columns per step and entirely in integers. On such a
-// crossbar every value the float walk computes is an integer below 2^15, so
-// the same arithmetic in 16-bit lanes yields the same numbers; and because no
-// neuron ends a cycle at or above η (see laneEligible), a zero-drive cycle
-// changes nothing and is skipped without looking at the membranes — there
-// is no hot drain. docs/INVARIANTS.md has the argument in full, including
-// why no lane operation below can carry or borrow across lanes.
-//
-//  1. Rows are summed by firing count into countG: equal counts fire on
-//     identical cycles, and a lane sum is at most the column's total ≤ η.
-//  2. The per-cycle drives are accumulated unit-major into laneDrv. A count
-//     of at most Γ/2 adds its row on the cycles its train fires in. A count
-//     above Γ/2 is silent on fewer cycles than it fires in, so it is
-//     added to every cycle at once — the rows start from denseG, the sum of
-//     all such counts — and subtracted from its silent cycles: a lane holds
-//     denseG minus some of its own summands plus other rows, never less
-//     than what is subtracted from it, so adding the two's complement is
-//     that subtraction.
-//  3. Each group of four columns steps through the cycles with its state in
-//     registers: both neurons, then the subtracter, in colNeuron.step's
-//     statement order.
-func (c *Crossbar) walkLanes(out, counts []int) {
-	window := c.window
-	present, denseG := c.present, c.denseG
-	nw, tl := len(denseG), len(present)
-	clear(present)
-	clear(denseG)
-	for i, cnt := range counts {
-		k := spike.Clamp(cnt, window) - 1
-		if k < 0 {
-			continue
-		}
-		bit := uint64(1) << uint(k&63)
-		seen := present[k>>6]&bit != 0
-		present[k>>6] |= bit
-		for w, g := range c.laneG[i*nw : (i+1)*nw] {
-			if k >= window/2 {
-				denseG[w][0] += g[0]
-				denseG[w][1] += g[1]
-			}
-			sum := &c.countG[w*window+k]
-			if seen {
-				g[0] += sum[0]
-				g[1] += sum[1]
-			}
-			*sum = g
-		}
-	}
-	for w, g := range denseG {
-		drv := c.laneDrv[w*window : (w+1)*window]
-		for t := range drv {
-			drv[t] = g
-		}
-	}
-	tail := ^uint64(0) >> uint(-window&63) // the cycles of a train's last word
-	for l, p := range present {
-		for ; p != 0; p &= p - 1 {
-			k := l<<6 + bits.TrailingZeros64(p)
-			train := c.trainTab[(k+1)*tl : (k+2)*tl]
-			dense := k >= window/2
-			for w := 0; w < nw; w++ {
-				g := c.countG[w*window+k]
-				if dense {
-					g[0], g[1] = -g[0], -g[1]
-				}
-				drv := c.laneDrv[w*window : (w+1)*window]
-				for tw, cycles := range train {
-					if dense {
-						cycles = ^cycles
-						if tw == tl-1 {
-							cycles &= tail
-						}
-					}
-					for ; cycles != 0; cycles &= cycles - 1 {
-						d := &drv[tw<<6+bits.TrailingZeros64(cycles)]
-						d[0] += g[0]
-						d[1] += g[1]
-					}
-				}
-			}
-		}
-	}
-	eta := uint64(c.eta)
-	// A lane holding v < 2η has bit 15 set after adding bias exactly when v ≥ η.
-	bias := (1<<15 - eta) * laneOnes
-	for w := 0; w < nw; w++ {
-		var memP, memN, debt, fired uint64
-		for _, d := range c.laneDrv[w*window : (w+1)*window] {
-			if d[0]|d[1] == 0 {
-				continue
-			}
-			memP += d[0]
-			sp := (memP + bias) & laneTops >> 15
-			memP -= sp * eta
-			memN += d[1]
-			sn := (memN + bias) & laneTops >> 15
-			memN -= sn * eta
-			debt += sn
-			cancel := sp & ((debt + (1<<15-1)*laneOnes) & laneTops >> 15) // sp where debt > 0
-			debt -= cancel
-			fired += sp ^ cancel
-		}
-		for l, j := range c.walkCols[4*w : min(4*w+4, len(c.walkCols))] {
-			out[j] = int(fired >> (uint(l) * laneBits) & (1<<laneBits - 1))
-		}
-	}
-}
-
 // tabulated answers one tabulated column for one item: the key is the
 // clamped counts on the column's support rows, and a miss runs the real
 // walk once and remembers it.

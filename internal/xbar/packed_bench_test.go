@@ -98,17 +98,22 @@ func synthEta(weights [][]int) float64 {
 // reads two rows — tabulated) and a dense 18×8 conv crossbar, once at
 // η = 4·maxW, where columns saturate and the float walk runs (its
 // regression guard), and once at the synthesizer's η, the integer-lane walk
-// the workload actually takes. Every item is a fresh
-// random count vector drawn inside the loop (an inline xorshift, a few ns
-// per item), so no input vector ever repeats: whatever the kernel gains
-// here it gains from the crossbar's structure, not from input reuse. It
-// uses only Program and SimulateCountsBatch, so the same file runs on
-// older commits for comparison.
+// the workload actually takes; then fleet_mixed's spiking MLP crossbars,
+// 16×24, 16×48 and 48×48, at the synthesizer's η (integer lanes). Every
+// shape runs once under each lane body the CPU has (portable, avx2), so one
+// binary gives both bodies' ns/item. Every item is a fresh random count
+// vector drawn inside the loop (an inline xorshift, a few ns per item), so
+// no input vector ever repeats: whatever the kernel gains here it gains
+// from the crossbar's structure, not from input reuse.
 func BenchmarkSimulateCountsStructured(b *testing.B) {
 	const batch = 16
 	cfg := testConfig(0)
 	maxW := cfg.Rep.MaxWeight()
-	conv := randomWeights(rand.New(rand.NewSource(83)), 18, 8, maxW)
+	rng := rand.New(rand.NewSource(83))
+	conv := randomWeights(rng, 18, 8, maxW)
+	mlp16x24 := randomWeights(rng, 16, 24, maxW)
+	mlp16x48 := randomWeights(rng, 16, 48, maxW)
+	mlp48x48 := randomWeights(rng, 48, 48, maxW)
 	shapes := []struct {
 		name    string
 		weights [][]int
@@ -117,32 +122,43 @@ func BenchmarkSimulateCountsStructured(b *testing.B) {
 		{"pmax16x8", pairwiseWeights(8, -maxW, maxW), float64(maxW)},
 		{"conv18x8", conv, float64(4 * maxW)},
 		{"conv18x8-syntheta", conv, synthEta(conv)},
+		{"mlp16x24", mlp16x24, synthEta(mlp16x24)},
+		{"mlp16x48", mlp16x48, synthEta(mlp16x48)},
+		{"mlp48x48", mlp48x48, synthEta(mlp48x48)},
 	}
 	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			c := cfg
-			c.Eta = sh.eta
-			xb, err := Program(c, sh.weights, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows, window := xb.Rows(), uint64(xb.Window())
-			src := make([]int, batch*rows)
-			dst := make([]int, batch*xb.Cols())
-			state := uint64(0x9e3779b97f4a7c15)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := range src {
-					state ^= state << 13
-					state ^= state >> 7
-					state ^= state << 17
-					src[k] = int(state % (window + 1))
-				}
-				if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/item")
-		})
+		for _, body := range laneBodies() {
+			b.Run(sh.name+"/"+body.name, func(b *testing.B) {
+				defer useLaneBody(body.avx2)()
+				benchStructured(b, cfg, sh.weights, sh.eta, batch)
+			})
+		}
 	}
+}
+
+// benchStructured programs one crossbar at η and times SimulateCountsBatch
+// per item on never-repeating count vectors.
+func benchStructured(b *testing.B, cfg Config, weights [][]int, eta float64, batch int) {
+	cfg.Eta = eta
+	xb, err := Program(cfg, weights, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, window := xb.Rows(), uint64(xb.Window())
+	src := make([]int, batch*rows)
+	dst := make([]int, batch*xb.Cols())
+	state := uint64(0x9e3779b97f4a7c15)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range src {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			src[k] = int(state % (window + 1))
+		}
+		if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/item")
 }

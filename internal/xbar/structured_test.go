@@ -192,17 +192,28 @@ func TestStructuredPackedMatchesDense(t *testing.T) {
 }
 
 // TestLaneWalkMatchesDense drives the integer-lane walk where the other
-// suites do not reach: dense ideal crossbars at the synthesizer's η, at
-// Γ = 16, 64 and 128 (two-word present set and trains), with column counts
-// that leave the last lane word full, partial and single. Column 0 is all
-// negative, so with every row at Γ its debt climbs to Γ and the output is 0;
-// the heaviest column is then driven by exactly η on every cycle. Counts
-// above Γ are clamped, and the all-zero item must leave every output 0.
+// suites do not reach, under each lane body the CPU has: dense ideal
+// crossbars at the synthesizer's η, at Γ = 16, 64 and 128 (two-word present
+// set and trains), with column counts that leave the last lane word full,
+// partial and single, and that fill, just miss and just overrun a 16-column
+// block, up to eight blocks. Column 0 is all negative, so with every row at
+// Γ its debt climbs to Γ and the output is 0; the heaviest column is then
+// driven by exactly η on every cycle. Counts above Γ are clamped, and the
+// all-zero item must leave every output 0.
 func TestLaneWalkMatchesDense(t *testing.T) {
+	for _, body := range laneBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useLaneBody(body.avx2)()
+			testLaneWalkMatchesDense(t)
+		})
+	}
+}
+
+func testLaneWalkMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	const rows = 18
 	for _, ioBits := range []int{4, 6, 7} {
-		for _, cols := range []int{1, 4, 5, 9, 30} {
+		for _, cols := range []int{1, 4, 5, 9, 15, 16, 17, 30, 33, 48, 64, 128} {
 			cfg := structuredConfig(ioBits, false)
 			maxW := cfg.Rep.MaxWeight()
 			weights := randomWeights(rng, rows, cols, maxW)
@@ -324,8 +335,17 @@ func assertMatchesTrains(t *testing.T, label string, xb *Crossbar, src []int, ba
 // reads η live) and the train-level path, for SetEta before the first run
 // and between runs — for the tabulated columns' tables, and for the choice
 // between the integer-lane walk and the float walk, which is re-made from
-// the current η on every call.
+// the current η on every call. It runs under each lane body the CPU has.
 func TestSetEtaInvalidatesTables(t *testing.T) {
+	for _, body := range laneBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useLaneBody(body.avx2)()
+			testSetEtaInvalidatesTables(t)
+		})
+	}
+}
+
+func testSetEtaInvalidatesTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	cfg := testConfig(0)
 	maxW := cfg.Rep.MaxWeight()

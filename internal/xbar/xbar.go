@@ -179,14 +179,15 @@ type Crossbar struct {
 
 	// What the spiking kernel does is decided by the structural facts
 	// classifyProgramming derives from the conductances (see packed.go).
-	// trainTab, rowG and laneG are fetched/built when the kernel first
-	// needs them.
-	maxDrive float64    // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
-	tabCols  []tabCol   // columns answered from a table over their support counts
-	walkCols []int      // columns the cycle walk must step, ascending
-	trainTab []uint64   // shared (window+1)×Lanes(window) uniform trains
-	rowG     []float64  // rows×2·cols conductances, posG row then negG row per row
-	laneG    []lanePair // rows×⌈walkCols/4⌉ walk-column conductances in 16-bit lanes
+	// trainTab, silentTab, rowG and laneG are fetched/built when the kernel
+	// first needs them.
+	maxDrive  float64   // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
+	tabCols   []tabCol  // columns answered from a table over their support counts
+	walkCols  []int     // columns the cycle walk must step, ascending
+	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
+	silentTab []uint64  // shared complements of trainTab within the window (lane walk)
+	rowG      []float64 // rows×2·cols conductances, posG row then negG row per row
+	laneG     []uint64  // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
@@ -199,11 +200,14 @@ type Crossbar struct {
 
 	// Scratch reused across batch calls (not concurrency-safe).
 	//
-	// Integer-lane walk scratch, sized with laneG (see walkLanes).
-	present []uint64   // Lanes(window): bit k set when some row fires k+1 times
-	countG  []lanePair // ⌈walkCols/4⌉×window: lane rows summed per firing count
-	denseG  []lanePair // ⌈walkCols/4⌉: sum of countG over the counts above Γ/2
-	laneDrv []lanePair // ⌈walkCols/4⌉×window: per-cycle drives
+	// Integer-lane walk scratch (see walkLanes): shared by both bodies,
+	// sized with laneG, then each body's own per-cycle drives, sized on its
+	// first call.
+	present     []uint64   // Lanes(window): bit k set when some row fires k+1 times
+	countG      []uint64   // Γ+1 lane rows: row k sums the rows firing k+1 times, row Γ those above Γ/2
+	laneDrv     []lanePair // portable: ⌈walkCols/4⌉×window per-cycle drives
+	laneDrvAVX2 []uint64   // AVX2: window lane rows of per-cycle drives
+	firedAVX2   []uint16   // AVX2: output counts, one lane per walked column
 
 	// Float-walk scratch (see simulateCountsPacked).
 	unitG     [][]float64 // per-unit conductance rows, 2·cols wide
@@ -419,11 +423,13 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // One kernel backs it, the structure-aware simulateCountsPacked, and what
 // that kernel does is a function of the programmed crossbar alone — never of
 // the batch's density or of an option: small-support columns are answered
-// from tables; the rest are stepped four to a word in integer lanes when the
+// from tables; the rest are stepped in 16-bit integer lanes when the
 // conductances are ideal and η is one no column can saturate (as the
-// synthesizer's always is), or else by the float walk over one drive unit
-// per firing row. Its output is bit-identical to the paper's PE run item by
-// item (SimulateCountsBatchDense), which the test suites keep as its oracle.
+// synthesizer's always is) — sixteen columns per instruction on an amd64
+// CPU with AVX2, four per uint64 word elsewhere, with the same numbers —
+// or else by the float walk over one drive unit per firing row. Its output
+// is bit-identical to the paper's PE run item by item
+// (SimulateCountsBatchDense), which the test suites keep as its oracle.
 // Call counts and the observed input density are exposed through
 // KernelStats.
 func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
