@@ -268,7 +268,9 @@ func BenchmarkEngineNoisyDense(b *testing.B) {
 // A make per weight would cost (16·24 + 24·4)·4 ≈ 2,000 allocations a call
 // and a fault-map derivation per call a few dozen more, so either creeping
 // in fails here — on a count that repeats exactly — rather than in a noisy
-// wall-clock gate. A call makes 85 today.
+// wall-clock gate. A call makes 41 today on an AVX2 CPU, where the float
+// walk's scratch is four slices per crossbar; the portable body's grows
+// per item and makes about 81.
 func TestClassifyBatchNoisyFaultedAllocs(t *testing.T) {
 	d, batch := deployNoisyFaulted(t)
 	sn := mustNet(t, d)

@@ -17,8 +17,12 @@ import (
 // pairwise-max diff crossbar and the mixed crossbar when ideal, a two-row
 // crossbar (small support survives noisy zero cells) when noisy. Those all
 // saturate; the ideal list also holds a dense 18×8 and a mixed crossbar at
-// the synthesizer's η, whose walked columns take the integer-lane walk —
-// under each lane body the CPU has.
+// the synthesizer's η, whose walked columns take the integer-lane walk. The
+// noisy list also holds offline_mlp_noisy_sparse's own shape: a noisy 16×24
+// crossbar at the synthesizer's η with 1 % of its cells stuck, plus drift
+// and read-σ, where noisy drives can exceed η and the hot drain runs (its
+// corpus has low-count seeds near the workload's density of 0.03). Every
+// crossbar runs under each body the CPU has, of both walks.
 func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	rng := rand.New(rand.NewSource(76))
 	lrng := rand.New(rand.NewSource(77)) // its own stream: the older crossbars keep their weights
@@ -26,9 +30,9 @@ func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	noisy, _ := newFuzzCrossbar(rng, true)
 	cfg := testConfig(0)
 	maxW := cfg.Rep.MaxWeight()
-	programmed := func(weights [][]int, eta float64, prng *rand.Rand) *Crossbar {
+	programmed := func(weights [][]int, eta float64, prng *rand.Rand, faults *device.FaultMask) *Crossbar {
 		c := cfg
-		c.Eta = eta
+		c.Eta, c.Faults = eta, faults
 		if prng != nil {
 			c.Spec = device.Cell4BitMeasured
 		}
@@ -39,16 +43,32 @@ func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 		return xb
 	}
 	lanes := func(weights [][]int) *Crossbar {
-		xb := programmed(weights, synthEta(weights), nil)
+		xb := programmed(weights, synthEta(weights), nil, nil)
 		if len(xb.walkCols) == 0 || !xb.laneEligible() {
 			f.Fatalf("synth-η crossbar walks %v, lane eligible %v", xb.walkCols, xb.laneEligible())
 		}
 		return xb
 	}
+	// The workload-shaped crossbar's own stream, whose stuck-high cells lift
+	// a column's noisy sum to 1.12 η.
+	wrng := rand.New(rand.NewSource(83))
+	mlp := randomWeights(wrng, 16, 24, maxW)
+	fm := device.FaultMap{Rows: 16, Cols: 24, Drift: 0.02, ReadSigma: 0.05, ReadSeed: 79}
+	for k := 0; k < 16*24; k++ { // row-major: the canonical order
+		if wrng.Intn(100) == 0 {
+			kind := []device.FaultKind{device.FaultStuckLow, device.FaultStuckHigh}[wrng.Intn(2)]
+			fm.Cells = append(fm.Cells, device.FaultCell{Row: k / 24, Col: k % 24, Kind: kind})
+		}
+	}
+	if err := fm.Validate(); err != nil {
+		f.Fatal(err)
+	}
+	mask := fm.MaskFor(16, 24, false)
 	xbars := map[bool][]*Crossbar{
-		false: {ideal, programmed(pairwiseWeights(8, -maxW, maxW), float64(maxW), nil), programmed(mixedWeights(rng, maxW), float64(maxW), nil),
+		false: {ideal, programmed(pairwiseWeights(8, -maxW, maxW), float64(maxW), nil, nil), programmed(mixedWeights(rng, maxW), float64(maxW), nil, nil),
 			lanes(randomWeights(lrng, 18, 8, maxW)), lanes(mixedWeights(lrng, maxW))},
-		true: {noisy, programmed([][]int{{maxW, -3, 1}, {-2, maxW, -maxW}}, float64(maxW), rand.New(rand.NewSource(98)))},
+		true: {noisy, programmed([][]int{{maxW, -3, 1}, {-2, maxW, -maxW}}, float64(maxW), rand.New(rand.NewSource(98)), nil),
+			programmed(mlp, synthEta(mlp), rand.New(rand.NewSource(80)), &mask)},
 	}
 	f.Add([]byte{}, false)
 	f.Add([]byte{0, 0, 0, 0}, true)

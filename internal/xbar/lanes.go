@@ -21,9 +21,10 @@ const (
 	blockWords = 4
 )
 
-// laneAVX2 selects the AVX2 body of the lane walk. It is hasAVX2, fixed for
-// the process; only this package's tests change it, to run the lane tests
-// under each body the CPU has.
+// laneAVX2 selects the AVX2 bodies of both walks: the integer-lane walk here
+// and the float walk (walkFloatAVX2). It is hasAVX2, fixed for the process;
+// only this package's tests change it, to run the walk tests under each body
+// the CPU has.
 var laneAVX2 = hasAVX2
 
 // lanePair is the positive- and negative-polarity lane words of the same
@@ -90,7 +91,7 @@ func (c *Crossbar) packLanes() {
 	half := c.laneHalf()
 	c.laneG = make([]uint64, c.rows*2*half)
 	c.present = make([]uint64, spike.Lanes(c.window))
-	c.countG = alignedWords((c.window + 1) * 2 * half)
+	c.countG = alignedWords[uint64]((c.window + 1) * 2 * half)
 	for i := 0; i < c.rows; i++ {
 		row := c.laneG[i*2*half : (i+1)*2*half]
 		for n, j := range c.walkCols {
@@ -101,11 +102,11 @@ func (c *Crossbar) packLanes() {
 	}
 }
 
-// alignedWords returns n zero words starting on a 64-byte boundary, so no
-// 256-bit lane block straddles a cache line. The Go heap does not move
+// alignedWords returns n zero 8-byte words starting on a 64-byte boundary,
+// so no 256-bit lane block straddles a cache line. The Go heap does not move
 // objects, so the alignment holds for the slice's life.
-func alignedWords(n int) []uint64 {
-	buf := make([]uint64, n+7)
+func alignedWords[T uint64 | float64](n int) []T {
+	buf := make([]T, n+7)
 	skip := int(-uintptr(unsafe.Pointer(&buf[0])) & 63 / 8)
 	return buf[skip : skip+n : skip+n]
 }
@@ -244,7 +245,7 @@ func (c *Crossbar) walkLanesPortable(out []int) {
 func (c *Crossbar) walkLanesAVX2(out []int) {
 	half := c.laneHalf()
 	if c.laneDrvAVX2 == nil {
-		c.laneDrvAVX2 = alignedWords(c.window * 2 * half)
+		c.laneDrvAVX2 = alignedWords[uint64](c.window * 2 * half)
 		c.firedAVX2 = make([]uint16, 4*half)
 	}
 	lanesAVX2(&c.laneDrvAVX2[0], &c.countG[0], &c.present[0], &c.trainTab[0], &c.silentTab[0], &c.firedAVX2[0],

@@ -1,6 +1,6 @@
 package xbar
 
-// hasAVX2 reports whether the lane walk can run its AVX2 body: the CPU has
+// hasAVX2 reports whether the walks can run their AVX2 bodies: the CPU has
 // AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX bit 5) and the OS saves the
 // XMM and YMM registers across context switches (CPUID.1:ECX.OSXSAVE, then
 // XCR0 bits 1 and 2).
@@ -36,3 +36,14 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64)
+
+// floatWalkAVX2 runs accumulate and walk (see walkFloatAVX2) for one item
+// on blocks 4-column blocks per polarity. rows is floatG and counts the
+// item's nrows input counts; trains is the window's uniformTrains; drv is
+// window float lane rows and live Lanes(window) words of scratch, both zero
+// on entry and left zero on return; fired receives one output count per
+// lane, 4·blocks of them. Lane rows are 64·blocks bytes apart, and rows and
+// drv are 32-byte aligned.
+//
+//go:noescape
+func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)

@@ -278,3 +278,235 @@ cycle:
 
 	VZEROUPPER
 	RET
+
+// FSTEP steps four float-walk columns one cycle with drives DP and DN (YMM
+// registers or memory): colNeuron.step as masks, on positive and negative
+// membranes MP and MN, debt DEBT and output FIRED (int64 lanes). Y4 = η in
+// every lane and Y5 = zero. Predicate 0x1D is GE_OQ: false on NaN, as Go's
+// >=. Y6–Y9 are clobbered.
+#define FSTEP(DP, DN, MP, MN, DEBT, FIRED) \
+	VADDPD   DP, MP, MP;        \
+	VCMPPD   $0x1d, Y4, MP, Y6; \
+	VANDPD   Y4, Y6, Y8;        \
+	VSUBPD   Y8, MP, MP;        \
+	VADDPD   DN, MN, MN;        \
+	VCMPPD   $0x1d, Y4, MN, Y7; \
+	VANDPD   Y4, Y7, Y9;        \
+	VSUBPD   Y9, MN, MN;        \
+	VPSUBQ   Y7, DEBT, DEBT;    \
+	VPCMPGTQ Y5, DEBT, Y8;      \
+	VPAND    Y6, Y8, Y8;        \
+	VPADDQ   Y8, DEBT, DEBT;    \
+	VPXOR    Y6, Y8, Y8;        \
+	VPSUBQ   Y8, FIRED, FIRED
+
+// func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
+//
+// R10 holds live, R11 the lane row stride in bytes (64·blocks: a whole
+// number of 64-byte chunks) and R13 the words per train throughout.
+TEXT ·floatWalkAVX2(SB), NOSPLIT, $0-80
+	MOVQ drv+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ counts+16(FP), R8
+	MOVQ nrows+48(FP), R9
+	MOVQ live+32(FP), R10
+	MOVQ blocks+64(FP), R11
+	SHLQ $6, R11
+	MOVQ window+56(FP), R13
+	ADDQ $63, R13
+	SHRQ $6, R13
+
+	// Accumulate, one unit per firing row in ascending row order: SI is the
+	// row's lane row and R8 its count. A count clamped to [1, Γ] picks its
+	// train (R12), whose words — BX numbers them — are OR-ed into live, and
+	// on every cycle t the train fires in the lane row is added into drive
+	// row t, drive first.
+unit:
+	MOVQ    (R8), AX
+	TESTQ   AX, AX
+	JLE     nextunit
+	MOVQ    window+56(FP), CX
+	CMPQ    AX, CX
+	CMOVQGT CX, AX
+	IMULQ   R13, AX
+	MOVQ    trains+24(FP), R12
+	LEAQ    (R12)(AX*8), R12
+	XORQ    BX, BX
+
+unitword:
+	MOVQ  (R12)(BX*8), DX
+	ORQ   DX, (R10)(BX*8)
+	TESTQ DX, DX
+	JZ    nextunitword
+
+event:
+	BSFQ  DX, AX
+	LEAQ  -1(DX), CX
+	ANDQ  CX, DX
+	MOVQ  BX, CX
+	SHLQ  $6, CX
+	ADDQ  CX, AX
+	IMULQ R11, AX
+	ADDQ  DI, AX
+	XORQ  CX, CX
+
+addchunk:
+	VMOVUPD (AX)(CX*1), Y0
+	VMOVUPD 32(AX)(CX*1), Y1
+	VADDPD  (SI)(CX*1), Y0, Y0
+	VADDPD  32(SI)(CX*1), Y1, Y1
+	VMOVUPD Y0, (AX)(CX*1)
+	VMOVUPD Y1, 32(AX)(CX*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R11
+	JB      addchunk
+	TESTQ   DX, DX
+	JNZ     event
+
+nextunitword:
+	INCQ BX
+	CMPQ BX, R13
+	JB   unitword
+
+nextunit:
+	ADDQ $8, R8
+	ADDQ R11, SI
+	DECQ R9
+	JNZ  unit
+
+	// Walk, two blocks of four columns at a time, so that two independent
+	// membrane chains are in flight: block A in Y0–Y3 and block B in
+	// Y10–Y13 (membranes, debt, fired, as FSTEP). DI is A's positive drive
+	// in drive row 0, R14 B's offset from it (32, or 0 when one block is
+	// left: B then repeats A's computation and stores the same counts), SI
+	// the offset of a block's negative drive; R12 counts the blocks left
+	// and R9 walks fired. Per pass, BX numbers the live words and DX holds
+	// the current word's cycles left; AX is the next live cycle, or Γ once
+	// there is none, R8 the last one stepped (−1 before the first), and CX
+	// counts the zero-drive cycles between them, stepped only while some
+	// lane of the pass is hot.
+	VBROADCASTSD eta+72(FP), Y4
+	VXORPD       Y5, Y5, Y5
+	MOVQ         R11, SI
+	SHRQ         $1, SI
+	MOVQ         blocks+64(FP), R12
+	MOVQ         fired+40(FP), R9
+
+fblock:
+	MOVQ   $32, R14
+	CMPQ   R12, $1
+	JNE    fpair
+	XORQ   R14, R14
+
+fpair:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VPXOR  Y2, Y2, Y2
+	VPXOR  Y3, Y3, Y3
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VPXOR  Y12, Y12, Y12
+	VPXOR  Y13, Y13, Y13
+	MOVQ   $-1, R8
+	XORQ   BX, BX
+	MOVQ   (R10), DX
+
+nextlive:
+	TESTQ DX, DX
+	JNZ   livecycle
+	INCQ  BX
+	CMPQ  BX, R13
+	JAE   windowend
+	MOVQ  (R10)(BX*8), DX
+	JMP   nextlive
+
+livecycle:
+	BSFQ DX, AX
+	LEAQ -1(DX), CX
+	ANDQ CX, DX
+	MOVQ BX, CX
+	SHLQ $6, CX
+	ADDQ CX, AX
+	JMP  gap
+
+windowend:
+	MOVQ window+56(FP), AX
+
+gap:
+	MOVQ AX, CX
+	SUBQ R8, CX
+	MOVQ AX, R8
+	DECQ CX
+	JZ   drive
+
+drain:
+	VCMPPD $0x1d, Y4, Y0, Y6
+	VCMPPD $0x1d, Y4, Y1, Y7
+	VCMPPD $0x1d, Y4, Y10, Y8
+	VCMPPD $0x1d, Y4, Y11, Y9
+	VORPD  Y6, Y7, Y6
+	VORPD  Y8, Y9, Y8
+	VORPD  Y6, Y8, Y6
+	VPTEST Y6, Y6
+	JZ     drive
+	FSTEP(Y5, Y5, Y0, Y1, Y2, Y3)
+	FSTEP(Y5, Y5, Y10, Y11, Y12, Y13)
+	DECQ   CX
+	JNZ    drain
+
+drive:
+	CMPQ  AX, window+56(FP)
+	JEQ   fblockdone
+	IMULQ R11, AX
+	ADDQ  DI, AX
+	LEAQ  (AX)(R14*1), CX
+	FSTEP((AX), (AX)(SI*1), Y0, Y1, Y2, Y3)
+	FSTEP((CX), (CX)(SI*1), Y10, Y11, Y12, Y13)
+	JMP   nextlive
+
+fblockdone:
+	VMOVDQU Y3, (R9)
+	VMOVDQU Y13, (R9)(R14*1)
+	ADDQ    $64, R9
+	ADDQ    $64, DI
+	SUBQ    $2, R12
+	JGT     fblock
+
+	// Leave drv and live zero for the next item: clear each live word, and
+	// the drive row of each of its cycles.
+	MOVQ drv+0(FP), DI
+	XORQ BX, BX
+
+zeroword:
+	MOVQ  (R10)(BX*8), DX
+	MOVQ  $0, (R10)(BX*8)
+	TESTQ DX, DX
+	JZ    nextzeroword
+
+zerocycle:
+	BSFQ  DX, AX
+	LEAQ  -1(DX), CX
+	ANDQ  CX, DX
+	MOVQ  BX, CX
+	SHLQ  $6, CX
+	ADDQ  CX, AX
+	IMULQ R11, AX
+	ADDQ  DI, AX
+	XORQ  CX, CX
+
+zerochunk:
+	VMOVUPD Y5, (AX)(CX*1)
+	VMOVUPD Y5, 32(AX)(CX*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R11
+	JB      zerochunk
+	TESTQ   DX, DX
+	JNZ     zerocycle
+
+nextzeroword:
+	INCQ BX
+	CMPQ BX, R13
+	JB   zeroword
+
+	VZEROUPPER
+	RET

@@ -2,9 +2,13 @@
 
 package xbar
 
-// hasAVX2 is false off amd64: the lane walk runs its portable body.
+// hasAVX2 is false off amd64: both walks run their portable bodies.
 const hasAVX2 = false
 
 func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64) {
 	panic("xbar: the AVX2 lane walk runs on amd64 only")
+}
+
+func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64) {
+	panic("xbar: the AVX2 float walk runs on amd64 only")
 }

@@ -5,18 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"fpsa/internal/device"
 	"fpsa/internal/spike"
 )
 
-// laneBody names one body of the lane walk: avx2 is the value of laneAVX2
-// that selects it.
+// laneBody names one body of the integer-lane and float walks: avx2 is the
+// value of laneAVX2 that selects it.
 type laneBody struct {
 	name string
 	avx2 bool
 }
 
-// laneBodies lists the lane-walk bodies this CPU runs: the portable one
-// always, the AVX2 one when the CPU has it.
+// laneBodies lists the walk bodies this CPU runs: the portable ones always,
+// the AVX2 ones when the CPU has it.
 func laneBodies() []laneBody {
 	bodies := []laneBody{{"portable", false}}
 	if hasAVX2 {
@@ -25,7 +26,7 @@ func laneBodies() []laneBody {
 	return bodies
 }
 
-// useLaneBody selects a lane-walk body until the returned func restores the
+// useLaneBody selects a walk body until the returned func restores the
 // previous one. No test in this package runs in parallel, so nothing else
 // reads laneAVX2 meanwhile.
 func useLaneBody(avx2 bool) (restore func()) {
@@ -99,19 +100,87 @@ func FuzzLaneBodiesAgree(f *testing.F) {
 				src[k] = int(countBytes[k%len(countBytes)]) % (window + 3)
 			}
 		}
-		outs := make(map[bool][]int)
-		for _, body := range laneBodies() {
-			restore := useLaneBody(body.avx2)
-			dst := make([]int, batch*cols)
-			err := xb.SimulateCountsBatch(dst, src, batch)
-			restore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs[body.avx2] = dst
-		}
-		if got, want := outs[true], outs[false]; fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := bodyOutputs(t, xb, src, batch); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%dx%d Γ %d η %g, %d walked: avx2 %v, portable %v", rows, cols, window, cfg.Eta, len(xb.walkCols), got, want)
+		}
+	})
+}
+
+// bodyOutputs runs one batch through SimulateCountsBatch under the AVX2 and
+// the portable walk bodies and returns both outputs.
+func bodyOutputs(t *testing.T, xb *Crossbar, src []int, batch int) (avx2, portable []int) {
+	t.Helper()
+	outs := make(map[bool][]int)
+	for _, body := range laneBodies() {
+		restore := useLaneBody(body.avx2)
+		dst := make([]int, batch*xb.Cols())
+		err := xb.SimulateCountsBatch(dst, src, batch)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[body.avx2] = dst
+	}
+	return outs[true], outs[false]
+}
+
+// FuzzFloatBodiesAgree holds the AVX2 float walk to the portable one: a
+// random crossbar of up to 128 rows and 1–64 columns (either side of every
+// 4-column block) with fractional conductances, which keep it off the
+// integer lanes — noisy programming, ideal programming with drift and
+// read-σ, or noisy programming with stuck cells (kind%3) — at Γ = 16, 64 or
+// 128 and η = etaScale × the synthesizer's η, where any float64 scale is
+// allowed (NaN, ±Inf, ±0, negative, tiny), fed a batch of counts from the
+// input bytes, some below 0 and some above Γ, must give identical outputs
+// under both bodies. Seed corpus under testdata/fuzz/FuzzFloatBodiesAgree,
+// with the block-edge widths; CI runs a short -fuzztime smoke pass.
+func FuzzFloatBodiesAgree(f *testing.F) {
+	if !hasAVX2 {
+		f.Skip("the CPU has no AVX2: the portable body is the only one")
+	}
+	f.Add(int64(1), uint8(15), uint8(23), uint8(1), uint8(0), 1.0, []byte{0, 6, 0, 0, 9, 5, 0, 7})
+	f.Add(int64(2), uint8(40), uint8(4), uint8(2), uint8(2), 0.25, []byte{130, 64, 63, 1, 255})
+	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, io8, kind uint8, etaScale float64, countBytes []byte) {
+		rows, cols := int(rows8)%128+1, int(cols8)%64+1
+		noisy := kind%3 != 1
+		cfg := structuredConfig([]int{4, 6, 7}[io8%3], noisy)
+		rng := rand.New(rand.NewSource(seed))
+		weights := randomWeights(rng, rows, cols, cfg.Rep.MaxWeight())
+		fm := device.FaultMap{Rows: rows, Cols: cols}
+		switch kind % 3 {
+		case 1:
+			fm.Drift, fm.ReadSigma, fm.ReadSeed = 0.1, 0.05, seed
+		case 2:
+			for k := 0; k < rows*cols; k++ { // row-major: the canonical order
+				if fk := device.FaultKind(rng.Intn(32)); fk == device.FaultStuckLow || fk == device.FaultStuckHigh {
+					fm.Cells = append(fm.Cells, device.FaultCell{Row: k / cols, Col: k % cols, Kind: fk})
+				}
+			}
+		}
+		if err := fm.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		mask := fm.MaskFor(rows, cols, false)
+		cfg.Faults = &mask
+		var prng *rand.Rand
+		if noisy {
+			prng = rand.New(rand.NewSource(seed + 1))
+		}
+		xb, err := Program(cfg, weights, prng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xb.SetEta(etaScale * synthEta(weights))
+		window := xb.Window()
+		batch := min(len(countBytes)/rows+1, 4)
+		src := make([]int, batch*rows)
+		for k := range src {
+			if len(countBytes) > 0 {
+				src[k] = int(countBytes[k%len(countBytes)])%(window+9) - 4
+			}
+		}
+		if got, want := bodyOutputs(t, xb, src, batch); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%dx%d kind %d Γ %d η %g, %d walked: avx2 %v, portable %v", rows, cols, kind%3, window, xb.Eta(), len(xb.walkCols), got, want)
 		}
 	})
 }

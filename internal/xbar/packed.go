@@ -170,7 +170,7 @@ func uniformTrains(window int) []uint64 {
 // column drive exceeds (laneEligible — every crossbar the synthesizer emits,
 // until noise, drift, a fault or SetEta says otherwise) step all walked
 // columns at once in integer lanes (walkLanes). Anything else takes the
-// float walk, which per batch item
+// float walk. Its portable body, below, per batch item
 //
 //  1. collapses the input rows into drive units: every row with a zero
 //     count drops out, and every firing row is one unit, in ascending row
@@ -191,6 +191,9 @@ func uniformTrains(window int) []uint64 {
 //     drive of 0.0 to a membrane is bit-exactly a no-op, so skipping cold
 //     cycles changes nothing.
 //
+// On an amd64 CPU with AVX2 (laneAVX2) the float walk runs walkFloatAVX2
+// instead: the same units, sums and steps, four columns per instruction.
+//
 // Every floating-point operation the dense kernel performs on a value that
 // could differ is performed here, per column, in the same order; every
 // skipped operation is provably a no-op. That is the kernel ≡ dense-oracle
@@ -203,9 +206,13 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 		c.trainTab = uniformTrains(window)
 	}
 	lanes := len(c.walkCols) > 0 && c.laneEligible()
-	if lanes {
+	switch {
+	case len(c.walkCols) == 0:
+	case lanes:
 		c.packLanes()
-	} else if c.rowG == nil && len(c.walkCols) > 0 {
+	case laneAVX2:
+		c.packFloatLanes()
+	case c.rowG == nil:
 		// The walk adds whole conductance rows, both polarities at once.
 		c.rowG = make([]float64, 0, 2*len(c.posG))
 		for i := 0; i < c.rows; i++ {
@@ -220,17 +227,18 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 			tc := &c.tabCols[i]
 			out[tc.col] = c.tabulated(tc, counts)
 		}
-		if len(c.walkCols) == 0 {
-			continue
-		}
-		if lanes {
+		switch {
+		case len(c.walkCols) == 0:
+		case lanes:
 			c.walkLanes(out, counts)
-			continue
-		}
-		c.buildUnits(counts)
-		c.accumulateDrives()
-		for _, j := range c.walkCols {
-			out[j] = c.runColumnPacked(j, window, cols, c.eta)
+		case laneAVX2:
+			c.walkFloatAVX2(out, counts)
+		default:
+			c.buildUnits(counts)
+			c.accumulateDrives()
+			for _, j := range c.walkCols {
+				out[j] = c.runColumnPacked(j, window, cols, c.eta)
+			}
 		}
 	}
 }
@@ -384,6 +392,53 @@ func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
 		n.step(0, 0)
 	}
 	return n.out
+}
+
+// A float lane row is one row's walk-column conductances as float64: the
+// positive polarity's, then the negative polarity's, each half padded with
+// +0.0 to whole 4-column (256-bit) blocks. Entry n of either half holds
+// column walkCols[n]; floatHalf is the padded half.
+func (c *Crossbar) floatHalf() int { return (len(c.walkCols) + 3) &^ 3 }
+
+// packFloatLanes builds floatG once per crossbar, with walkFloatAVX2's
+// scratch. On the noisy path, which programs a crossbar per call, that is
+// once per call, so it replaces rowG rather than adding to it.
+func (c *Crossbar) packFloatLanes() {
+	if c.floatG != nil {
+		return
+	}
+	half := c.floatHalf()
+	stride := 2 * half
+	c.floatG = alignedWords[float64](c.rows * stride)
+	for i := 0; i < c.rows; i++ {
+		row := c.floatG[i*stride : (i+1)*stride]
+		for n, j := range c.walkCols {
+			row[n] = c.posG[i*c.cols+j]
+			row[half+n] = c.negG[i*c.cols+j]
+		}
+	}
+	c.floatDrv = alignedWords[float64](c.window * stride)
+	c.floatLive = make([]uint64, spike.Lanes(c.window))
+	c.floatFired = make([]int64, half)
+}
+
+// walkFloatAVX2 is the float walk's AVX2 body (floatWalkAVX2): one assembly
+// call per item runs the portable body's steps on float lane rows, four
+// columns per instruction. Every firing row, in ascending row order, adds
+// its lane row into the drive row of each cycle it fires in, on top of
+// +0.0 — the dense kernel's per-column order; nothing is subtracted. The
+// walk then steps two blocks per pass: every live cycle, and the zero-drive
+// cycles between them only while some lane of the pass is hot, with
+// colNeuron.step written as masks (a not-firing lane subtracts +0.0, which
+// is exact). The extra steps this takes over the portable body all fall on
+// lanes that are not hot, where a zero-drive step changes nothing;
+// docs/INVARIANTS.md ("Float lanes") has the argument.
+func (c *Crossbar) walkFloatAVX2(out, counts []int) {
+	floatWalkAVX2(&c.floatDrv[0], &c.floatG[0], &counts[0], &c.trainTab[0], &c.floatLive[0], &c.floatFired[0],
+		c.rows, c.window, c.floatHalf()/4, c.eta)
+	for n, j := range c.walkCols {
+		out[j] = int(c.floatFired[n])
+	}
 }
 
 // buildUnits collapses one item's input counts into drive units (see

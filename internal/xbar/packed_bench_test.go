@@ -99,12 +99,15 @@ func synthEta(weights [][]int) float64 {
 // η = 4·maxW, where columns saturate and the float walk runs (its
 // regression guard), and once at the synthesizer's η, the integer-lane walk
 // the workload actually takes; then fleet_mixed's spiking MLP crossbars,
-// 16×24, 16×48 and 48×48, at the synthesizer's η (integer lanes). Every
-// shape runs once under each lane body the CPU has (portable, avx2), so one
-// binary gives both bodies' ns/item. Every item is a fresh random count
-// vector drawn inside the loop (an inline xorshift, a few ns per item), so
-// no input vector ever repeats: whatever the kernel gains here it gains
-// from the crossbar's structure, not from input reuse.
+// 16×24, 16×48 and 48×48, at the synthesizer's η (integer lanes); and last
+// offline_mlp_noisy_sparse's kernel traffic, the 16×24 crossbar programmed
+// with Cell4BitMeasured variation at the synthesizer's η (the float walk)
+// and fed counts at density 0.03. Every shape runs once under each body
+// the CPU has (portable, avx2), so one binary gives both bodies' ns/item.
+// Every item is a fresh random count vector drawn inside the loop (an
+// inline xorshift, a few ns per item), so no input vector ever repeats:
+// whatever the kernel gains here it gains from the crossbar's structure,
+// not from input reuse.
 func BenchmarkSimulateCountsStructured(b *testing.B) {
 	const batch = 16
 	cfg := testConfig(0)
@@ -118,33 +121,49 @@ func BenchmarkSimulateCountsStructured(b *testing.B) {
 		name    string
 		weights [][]int
 		eta     float64
+		noisy   bool
+		density float64 // 0: counts uniform over [0, Γ]
 	}{
-		{"pmax16x8", pairwiseWeights(8, -maxW, maxW), float64(maxW)},
-		{"conv18x8", conv, float64(4 * maxW)},
-		{"conv18x8-syntheta", conv, synthEta(conv)},
-		{"mlp16x24", mlp16x24, synthEta(mlp16x24)},
-		{"mlp16x48", mlp16x48, synthEta(mlp16x48)},
-		{"mlp48x48", mlp48x48, synthEta(mlp48x48)},
+		{"pmax16x8", pairwiseWeights(8, -maxW, maxW), float64(maxW), false, 0},
+		{"conv18x8", conv, float64(4 * maxW), false, 0},
+		{"conv18x8-syntheta", conv, synthEta(conv), false, 0},
+		{"mlp16x24", mlp16x24, synthEta(mlp16x24), false, 0},
+		{"mlp16x48", mlp16x48, synthEta(mlp16x48), false, 0},
+		{"mlp48x48", mlp48x48, synthEta(mlp48x48), false, 0},
+		{"mlp16x24-noisy", mlp16x24, synthEta(mlp16x24), true, 0.03},
 	}
 	for _, sh := range shapes {
 		for _, body := range laneBodies() {
 			b.Run(sh.name+"/"+body.name, func(b *testing.B) {
 				defer useLaneBody(body.avx2)()
-				benchStructured(b, cfg, sh.weights, sh.eta, batch)
+				c := cfg
+				var prng *rand.Rand
+				if sh.noisy {
+					c.Spec = device.Cell4BitMeasured
+					prng = rand.New(rand.NewSource(84))
+				}
+				benchStructured(b, c, sh.weights, sh.eta, prng, sh.density, batch)
 			})
 		}
 	}
 }
 
-// benchStructured programs one crossbar at η and times SimulateCountsBatch
-// per item on never-repeating count vectors.
-func benchStructured(b *testing.B, cfg Config, weights [][]int, eta float64, batch int) {
+// benchStructured programs one crossbar at η (from prng, nil for ideal
+// programming) and times SimulateCountsBatch per item on never-repeating
+// count vectors: uniform over [0, Γ] at density 0, else drawn the way
+// countsAtDensity draws them — half the rows silent, the rest uniform over
+// [0, 4·density·Γ].
+func benchStructured(b *testing.B, cfg Config, weights [][]int, eta float64, prng *rand.Rand, density float64, batch int) {
 	cfg.Eta = eta
-	xb, err := Program(cfg, weights, nil)
+	xb, err := Program(cfg, weights, prng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rows, window := xb.Rows(), uint64(xb.Window())
+	top, silent := window, uint64(0)
+	if density > 0 {
+		top, silent = uint64(4*density*float64(window)), 1
+	}
 	src := make([]int, batch*rows)
 	dst := make([]int, batch*xb.Cols())
 	state := uint64(0x9e3779b97f4a7c15)
@@ -154,7 +173,10 @@ func benchStructured(b *testing.B, cfg Config, weights [][]int, eta float64, bat
 			state ^= state << 13
 			state ^= state >> 7
 			state ^= state << 17
-			src[k] = int(state % (window + 1))
+			src[k] = 0
+			if state&silent == 0 {
+				src[k] = int(state >> silent % (top + 1))
+			}
 		}
 		if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
 			b.Fatal(err)

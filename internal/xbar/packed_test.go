@@ -84,8 +84,18 @@ func repeatedCounts(rows, window int) []int {
 // column 0 stuck high, which lifts that column's drive over the
 // synthesizer's η: exact sums, but no longer lane-eligible — the float walk
 // on integer conductances, which used to merge equal-count rows into one
-// unit. Besides the density sweep every crossbar is fed repeatedCounts.
+// unit. Besides the density sweep every crossbar is fed repeatedCounts. It
+// runs under each body the CPU has, of both walks.
 func TestPackedMatchesDenseProperty(t *testing.T) {
+	for _, body := range laneBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useLaneBody(body.avx2)()
+			testPackedMatchesDenseProperty(t)
+		})
+	}
+}
+
+func testPackedMatchesDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cases := []struct {
 		rows, cols, batch, zeroCols int

@@ -139,8 +139,17 @@ func structuredCounts(rng *rand.Rand, batch, rows, window int) []int {
 // shape's own η, a tiny η, η ≤ 0 and the never-saturating synthEta — under
 // which the ideal unfaulted crossbars step their walked columns in integer
 // lanes (avgpool, pmax-diff at Γ = 128, and mixed beside its tabulated
-// columns).
+// columns). It runs under each body the CPU has, of both walks.
 func TestStructuredPackedMatchesDense(t *testing.T) {
+	for _, body := range laneBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useLaneBody(body.avx2)()
+			testStructuredPackedMatchesDense(t)
+		})
+	}
+}
+
+func testStructuredPackedMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, ioBits := range []int{4, 6, 7} {
 		for _, noisy := range []bool{false, true} {
@@ -335,7 +344,10 @@ func assertMatchesTrains(t *testing.T, label string, xb *Crossbar, src []int, ba
 // reads η live) and the train-level path, for SetEta before the first run
 // and between runs — for the tabulated columns' tables, and for the choice
 // between the integer-lane walk and the float walk, which is re-made from
-// the current η on every call. It runs under each lane body the CPU has.
+// the current η on every call. The float-walk steps include the edge
+// thresholds: NaN (never fires), +Inf (never fires), 0, −0.0 and −1 (fire
+// every cycle, so every gap cycle is stepped). It runs under each body the
+// CPU has, of both walks.
 func TestSetEtaInvalidatesTables(t *testing.T) {
 	for _, body := range laneBodies() {
 		t.Run(body.name, func(t *testing.T) {
@@ -379,6 +391,7 @@ func testSetEtaInvalidatesTables(t *testing.T) {
 	}{
 		{se, true}, {se / 4, false}, {se + 0.5, false}, {0, false}, {-1, false},
 		{se, true}, {se + 1, true}, {se - 1, false}, {math.NaN(), false}, {se, true},
+		{math.Inf(1), false}, {math.Copysign(0, -1), false}, {se, true},
 	} {
 		xb.SetEta(step.eta)
 		if got := xb.laneEligible(); got != step.lanes {
@@ -386,8 +399,13 @@ func testSetEtaInvalidatesTables(t *testing.T) {
 		}
 		assertMatchesTrains(t, fmt.Sprintf("dense η=%g", step.eta), xb, src, batch)
 	}
-	if xb.laneG == nil || xb.rowG == nil {
-		t.Fatalf("after both kinds of η: lanes packed %v, float rows built %v, want both", xb.laneG != nil, xb.rowG != nil)
+	// Each float-walk body builds its own rows, and only those.
+	floatRows, otherRows := xb.rowG != nil, xb.floatG != nil
+	if laneAVX2 {
+		floatRows, otherRows = otherRows, floatRows
+	}
+	if xb.laneG == nil || !floatRows || otherRows {
+		t.Fatalf("after both kinds of η: lanes packed %v, float rows built %v (the other body's %v), want both and not the other's", xb.laneG != nil, floatRows, otherRows)
 	}
 
 	// η = 2^14 − 1 is the last threshold the 16-bit lanes hold.

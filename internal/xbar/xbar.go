@@ -179,14 +179,15 @@ type Crossbar struct {
 
 	// What the spiking kernel does is decided by the structural facts
 	// classifyProgramming derives from the conductances (see packed.go).
-	// trainTab, silentTab, rowG and laneG are fetched/built when the kernel
-	// first needs them.
+	// trainTab, silentTab, rowG, floatG and laneG are fetched/built when the
+	// kernel first needs them.
 	maxDrive  float64   // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
 	tabCols   []tabCol  // columns answered from a table over their support counts
 	walkCols  []int     // columns the cycle walk must step, ascending
 	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
 	silentTab []uint64  // shared complements of trainTab within the window (lane walk)
-	rowG      []float64 // rows×2·cols conductances, posG row then negG row per row
+	rowG      []float64 // portable float walk: rows×2·cols conductances, posG row then negG row per row
+	floatG    []float64 // AVX2 float walk: rows float lane rows (see floatHalf)
 	laneG     []uint64  // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
 
 	// faulted is the number of stuck logical cells Program masked into
@@ -209,13 +210,19 @@ type Crossbar struct {
 	laneDrvAVX2 []uint64   // AVX2: window lane rows of per-cycle drives
 	firedAVX2   []uint16   // AVX2: output counts, one lane per walked column
 
-	// Float-walk scratch (see simulateCountsPacked).
+	// Portable float-walk scratch (see simulateCountsPacked).
 	unitG     [][]float64 // per-unit conductance rows, 2·cols wide
 	unitCount []int       // per-unit firing counts
 	live      []uint64    // Lanes(window) union of the current item's unit trains
 	evCycles  []int       // live cycles of the current item, ascending
 	rank      []int       // window: live cycle t → its index in evCycles
 	drvAll    []float64   // live×2·cols accumulated drives (P then N per cycle)
+
+	// AVX2 float-walk scratch (see walkFloatAVX2), sized with floatG; the
+	// assembly leaves floatDrv and floatLive zero between items.
+	floatDrv   []float64 // window float lane rows of per-cycle drives
+	floatLive  []uint64  // Lanes(window) union of the current item's unit trains
+	floatFired []int64   // output counts, one lane per walked column
 }
 
 // Program writes a logical weight matrix weights[i][j] (row-major,
@@ -427,9 +434,11 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // conductances are ideal and η is one no column can saturate (as the
 // synthesizer's always is) — sixteen columns per instruction on an amd64
 // CPU with AVX2, four per uint64 word elsewhere, with the same numbers —
-// or else by the float walk over one drive unit per firing row. Its output
-// is bit-identical to the paper's PE run item by item
-// (SimulateCountsBatchDense), which the test suites keep as its oracle.
+// or else by the float walk over one drive unit per firing row, four
+// float64 columns per instruction with AVX2 and one at a time elsewhere,
+// again with the same numbers. Its output is bit-identical to the paper's
+// PE run item by item (SimulateCountsBatchDense), which the test suites
+// keep as its oracle.
 // Call counts and the observed input density are exposed through
 // KernelStats.
 func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
