@@ -197,17 +197,95 @@ func FuzzReferenceBatchVsNaive(f *testing.F) {
 				src[k] = int(b)%(window+9) - 4 // up to 4 either side of [0, Γ]
 			}
 		}
-		dst := make([]int, batch*cols)
-		if err := xb.ReferenceBatch(dst, src, batch); err != nil {
+		clamped := clampedCopy(src, window)
+		for _, body := range laneBodies() {
+			restore := useLaneBody(body.avx2)
+			dst := make([]int, batch*cols)
+			err := xb.ReferenceBatch(dst, src, batch)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < batch; b++ {
+				want := referenceNaive(masked, clamped[b*rows:(b+1)*rows], xb.Eta(), window)
+				for j, w := range want {
+					if got := dst[b*cols+j]; got != w {
+						t.Fatalf("%s %dx%d batch %d Γ %d η %g: out[%d,%d] = %d, naive %d", body.name, rows, cols, batch, window, xb.Eta(), b, j, got, w)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzReferenceBodiesAgree holds the AVX2 reference kernel to the portable
+// one, packed sum for packed sum: a random crossbar of 1–256 rows (either
+// side of every row panel) and 1–256 columns, up to LogicalColumns (either
+// side of every quad, of the 8-wide register block and of the 32-column
+// pass), weights anywhere in ±maxW with stuck-low and stuck-high cells, at
+// Γ = 16, 64, 128 or 2^17 (where a full-height column's drive comes within
+// 7 % of 2^32), fed a batch of 1–64 items whose counts come from the input
+// bytes — up to 4 either side of [0, Γ], and 253, 254 and 255 meaning Γ,
+// −2^40 and 2^40 — must leave identical referenceVMM sums under both
+// bodies. Seed corpus under testdata/fuzz/FuzzReferenceBodiesAgree, with
+// the edge widths; CI runs a short -fuzztime smoke pass.
+func FuzzReferenceBodiesAgree(f *testing.F) {
+	if !hasAVX2 {
+		f.Skip("the CPU has no AVX2: the portable body is the only one")
+	}
+	f.Add(int64(1), uint8(15), uint8(23), uint8(7), uint8(1), []byte{}, []byte{0, 64, 255, 254})
+	f.Add(int64(2), uint8(255), uint8(35), uint8(63), uint8(3), []byte{0, 1, 2}, []byte{253, 3, 200})
+	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, batch8, io8 uint8, faultBytes, countBytes []byte) {
+		rows, cols, batch := int(rows8)+1, int(cols8)+1, int(batch8)%64+1
+		cfg := structuredConfig([]int{4, 6, 7, 17}[io8%4], false)
+		maxW := cfg.Rep.MaxWeight()
+		weights := randomWeights(rand.New(rand.NewSource(seed)), rows, cols, maxW)
+		fm := device.FaultMap{Rows: rows, Cols: cols}
+		for k := 0; k < rows*cols && len(faultBytes) > 0; k++ { // row-major: the canonical order
+			switch faultBytes[k%len(faultBytes)] % 5 {
+			case 1:
+				fm.Cells = append(fm.Cells, device.FaultCell{Row: k / cols, Col: k % cols, Kind: device.FaultStuckLow})
+			case 2:
+				fm.Cells = append(fm.Cells, device.FaultCell{Row: k / cols, Col: k % cols, Kind: device.FaultStuckHigh})
+			}
+		}
+		if err := fm.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		clamped := clampedCopy(src, window)
-		for b := 0; b < batch; b++ {
-			want := referenceNaive(masked, clamped[b*rows:(b+1)*rows], xb.Eta(), window)
-			for j, w := range want {
-				if got := dst[b*cols+j]; got != w {
-					t.Fatalf("%dx%d batch %d Γ %d η %g: out[%d,%d] = %d, naive %d", rows, cols, batch, window, xb.Eta(), b, j, got, w)
-				}
+		mask := fm.MaskFor(rows, cols, false)
+		cfg.Faults = &mask
+		xb, err := Program(cfg, weights, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := xb.Window()
+		src := make([]int, batch*rows)
+		for k := range src {
+			if len(countBytes) == 0 {
+				break
+			}
+			switch b := countBytes[k%len(countBytes)]; b {
+			case 253:
+				src[k] = window
+			case 254:
+				src[k] = -1 << 40
+			case 255:
+				src[k] = 1 << 40
+			default:
+				src[k] = int(b)%(window+9) - 4
+			}
+		}
+		sums := make(map[bool][]int)
+		for _, body := range laneBodies() {
+			restore := useLaneBody(body.avx2)
+			dst := make([]int, batch*cols)
+			referenceVMM(dst, xb.packW, src, batch, rows, cols, window)
+			restore()
+			sums[body.avx2] = dst
+		}
+		for k, want := range sums[false] {
+			if got := sums[true][k]; got != want {
+				t.Fatalf("%dx%d batch %d Γ %d: sum[%d,%d] avx2 %#x, portable %#x", rows, cols, batch, window, k/cols, k%cols, got, want)
 			}
 		}
 	})

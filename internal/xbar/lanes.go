@@ -21,10 +21,10 @@ const (
 	blockWords = 4
 )
 
-// laneAVX2 selects the AVX2 bodies of both walks: the integer-lane walk here
-// and the float walk (walkFloatAVX2). It is hasAVX2, fixed for the process;
-// only this package's tests change it, to run the walk tests under each body
-// the CPU has.
+// laneAVX2 selects the AVX2 bodies of three kernels: the integer-lane walk
+// here, the float walk (walkFloatAVX2) and the reference kernel
+// (referenceVMM). It is hasAVX2, fixed for the process; only this package's
+// tests change it, to run the kernel tests under each body the CPU has.
 var laneAVX2 = hasAVX2
 
 // lanePair is the positive- and negative-polarity lane words of the same

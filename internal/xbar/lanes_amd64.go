@@ -1,9 +1,9 @@
 package xbar
 
-// hasAVX2 reports whether the walks can run their AVX2 bodies: the CPU has
-// AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX bit 5) and the OS saves the
-// XMM and YMM registers across context switches (CPUID.1:ECX.OSXSAVE, then
-// XCR0 bits 1 and 2).
+// hasAVX2 reports whether the walks and the reference kernel can run their
+// AVX2 bodies: the CPU has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX
+// bit 5) and the OS saves the XMM and YMM registers across context switches
+// (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1 and 2).
 var hasAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -47,3 +47,12 @@ func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window
 //
 //go:noescape
 func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
+
+// referenceAVX2 is referenceVMM's column loop for one item and one row
+// panel, four columns per quad: for j < 4·quads it adds
+// Σ_r x[r]·w[r·cols+j] into dst[j], each 64-bit word as two 32-bit lanes
+// (N, then P). x holds rows clamped counts; w is the panel's first weight
+// row, rows·cols words.
+//
+//go:noescape
+func referenceAVX2(dst *int, w, x *uint64, rows, cols, quads int)

@@ -510,3 +510,151 @@ nextzeroword:
 
 	VZEROUPPER
 	RET
+
+// RMUL adds the product of Y15 (one count in every dword) and the weight
+// quad at off(AX) into the packed sums ACC: VPMULLD multiplies each cell's
+// N and P halves as two 32-bit lanes, and neither lane can wrap (see
+// referenceAVX2). Y14 is clobbered.
+#define RMUL(off, ACC) \
+	VPMULLD off(AX), Y15, Y14; \
+	VPADDD  Y14, ACC, ACC
+
+// func referenceAVX2(dst *int, w, x *uint64, rows, cols, quads int)
+//
+// A word of dst or w is two little-endian dword lanes, N then P, so four
+// packed sums or cells fill one YMM register. The sums are carried in
+// registers down the panel's rows in passes of 8, 4, 2 and 1 quads (four
+// columns each): a pass of 8 repeats while 8 quads are left, then each
+// narrower width runs at most once, so any width takes at most one pass of
+// each. DI walks dst and SI the panel's first weight row, a pass at a time;
+// DX is x, CX rows, R8 the weight row stride in bytes (8·cols) and BX the
+// quads left. In a pass AX walks the rows' weights, R9 their counts (the
+// low dword of each x word: a count is at most Γ < 2^32) and R10 counts the
+// rows down; each row's count is broadcast into Y15.
+TEXT ·referenceAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ rows+24(FP), CX
+	MOVQ cols+32(FP), R8
+	SHLQ $3, R8
+	MOVQ quads+40(FP), BX
+
+ref8:
+	CMPQ    BX, $8
+	JB      ref4
+	VMOVDQU (DI), Y0
+	VMOVDQU 32(DI), Y1
+	VMOVDQU 64(DI), Y2
+	VMOVDQU 96(DI), Y3
+	VMOVDQU 128(DI), Y4
+	VMOVDQU 160(DI), Y5
+	VMOVDQU 192(DI), Y6
+	VMOVDQU 224(DI), Y7
+	MOVQ    SI, AX
+	MOVQ    DX, R9
+	MOVQ    CX, R10
+	PCALIGN $64
+
+row8:
+	VPBROADCASTD (R9), Y15
+	RMUL(0, Y0)
+	RMUL(32, Y1)
+	RMUL(64, Y2)
+	RMUL(96, Y3)
+	RMUL(128, Y4)
+	RMUL(160, Y5)
+	RMUL(192, Y6)
+	RMUL(224, Y7)
+	ADDQ         R8, AX
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          row8
+	VMOVDQU      Y0, (DI)
+	VMOVDQU      Y1, 32(DI)
+	VMOVDQU      Y2, 64(DI)
+	VMOVDQU      Y3, 96(DI)
+	VMOVDQU      Y4, 128(DI)
+	VMOVDQU      Y5, 160(DI)
+	VMOVDQU      Y6, 192(DI)
+	VMOVDQU      Y7, 224(DI)
+	ADDQ         $256, DI
+	ADDQ         $256, SI
+	SUBQ         $8, BX
+	JMP          ref8
+
+ref4:
+	CMPQ    BX, $4
+	JB      ref2
+	VMOVDQU (DI), Y0
+	VMOVDQU 32(DI), Y1
+	VMOVDQU 64(DI), Y2
+	VMOVDQU 96(DI), Y3
+	MOVQ    SI, AX
+	MOVQ    DX, R9
+	MOVQ    CX, R10
+	PCALIGN $64
+
+row4:
+	VPBROADCASTD (R9), Y15
+	RMUL(0, Y0)
+	RMUL(32, Y1)
+	RMUL(64, Y2)
+	RMUL(96, Y3)
+	ADDQ         R8, AX
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          row4
+	VMOVDQU      Y0, (DI)
+	VMOVDQU      Y1, 32(DI)
+	VMOVDQU      Y2, 64(DI)
+	VMOVDQU      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	SUBQ         $4, BX
+
+ref2:
+	CMPQ    BX, $2
+	JB      ref1
+	VMOVDQU (DI), Y0
+	VMOVDQU 32(DI), Y1
+	MOVQ    SI, AX
+	MOVQ    DX, R9
+	MOVQ    CX, R10
+	PCALIGN $64
+
+row2:
+	VPBROADCASTD (R9), Y15
+	RMUL(0, Y0)
+	RMUL(32, Y1)
+	ADDQ         R8, AX
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          row2
+	VMOVDQU      Y0, (DI)
+	VMOVDQU      Y1, 32(DI)
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	SUBQ         $2, BX
+
+ref1:
+	TESTQ   BX, BX
+	JZ      refdone
+	VMOVDQU (DI), Y0
+	MOVQ    SI, AX
+	MOVQ    DX, R9
+	MOVQ    CX, R10
+	PCALIGN $64
+
+row1:
+	VPBROADCASTD (R9), Y15
+	RMUL(0, Y0)
+	ADDQ         R8, AX
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          row1
+	VMOVDQU      Y0, (DI)
+
+refdone:
+	VZEROUPPER
+	RET

@@ -2,7 +2,8 @@
 
 package xbar
 
-// hasAVX2 is false off amd64: both walks run their portable bodies.
+// hasAVX2 is false off amd64: both walks and the reference kernel run
+// their portable bodies.
 const hasAVX2 = false
 
 func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64) {
@@ -11,4 +12,8 @@ func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window
 
 func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64) {
 	panic("xbar: the AVX2 float walk runs on amd64 only")
+}
+
+func referenceAVX2(dst *int, w, x *uint64, rows, cols, quads int) {
+	panic("xbar: the AVX2 reference kernel runs on amd64 only")
 }

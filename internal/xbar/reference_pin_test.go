@@ -19,8 +19,18 @@ import (
 // nothing but the reference semantics. It was recorded on the float kernel
 // that ran two float64 products per crossbar; whatever the kernel is built
 // from must answer the same counts. Never re-record it to make a kernel
-// change pass.
+// change pass. It runs under each body of the reference kernel the CPU
+// has, and both must give the same digest.
 func TestReferenceOutputsPinned(t *testing.T) {
+	for _, body := range laneBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useLaneBody(body.avx2)()
+			testReferenceOutputsPinned(t)
+		})
+	}
+}
+
+func testReferenceOutputsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(2601))
 	h := fnv.New64a()
 	var buf [8]byte

@@ -19,7 +19,8 @@
 //     read the way the PE reads it — a positive and a negative column in
 //     one shot: each cell's two ideal magnitudes share one 64-bit word, so
 //     one integer multiply-add per cell accumulates P in the high half and
-//     N in the low half of the same sum.
+//     N in the low half of the same sum — on an amd64 CPU with AVX2, four
+//     cells' eight 32-bit halves per instruction, with the same numbers.
 //  2. Crossbar.SimulateCountsBatch: the cycle-level spiking simulation
 //     (ideal accumulate-and-fire neurons and spike subtracters) by the
 //     structure-aware kernel. Its oracle, SimulateCountsBatchDense, is
@@ -36,6 +37,7 @@ package xbar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -74,12 +76,22 @@ const (
 // through memory that once made the kernel's speed depend on where the
 // linker placed it (docs/ARCHITECTURE.md, "The reference kernel and code
 // alignment"). Each item's panel counts are clamped once, into a stack
-// array, before the column blocks read them.
+// array, before the column blocks read them; a count already in [0, Γ] —
+// every count one stage feeds the next — costs one predicted compare.
+//
+// With AVX2 (laneAVX2) the column blocks of four are referenceAVX2's
+// instead: eight polarity halves per VPMULLD, as 32-bit lanes, which
+// cannot wrap for the same reason the low half cannot carry. The columns
+// past the last multiple of four take the single-column loop either way.
 func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, window int) {
 	_ = dst[batch*cols-1]
 	_ = src[batch*rows-1]
 	_ = packW[rows*cols-1]
 	clear(dst[:batch*cols])
+	quads := 0
+	if laneAVX2 {
+		quads = cols / 4
+	}
 	var xs [rowBlock]uint64
 	for i0 := 0; i0 < rows; i0 += rowBlock {
 		i1 := min(i0+rowBlock, rows)
@@ -87,10 +99,17 @@ func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, windo
 			in := src[b*rows+i0 : b*rows+i1]
 			x := xs[:len(in)]
 			for i, v := range in {
-				x[i] = uint64(min(max(v, 0), window))
+				if uint(v) > uint(window) {
+					v = min(max(v, 0), window)
+				}
+				x[i] = uint64(v)
 			}
 			o := dst[b*cols : (b+1)*cols]
 			j := 0
+			if quads > 0 {
+				referenceAVX2(&o[0], &packW[i0*cols], &x[0], len(x), cols, quads)
+				j = 4 * quads
+			}
 			for ; j+8 <= cols; j += 8 {
 				acc := o[j : j+8 : j+8]
 				a0, a1, a2, a3 := uint64(acc[0]), uint64(acc[1]), uint64(acc[2]), uint64(acc[3])
@@ -401,6 +420,12 @@ func (c *Crossbar) checkBatch(dst, src []int, batch int) error {
 // on counts in [0, Γ] the per-element semantics equal the historical
 // one-vector reference path bit for bit at every η, fractional ones
 // included.
+//
+// P and N are below 2^32, so at a finite η ≥ 2^−31 both quotients are
+// below 2^63 and int() truncates them exactly. At any other η — zero, tiny,
+// negative, infinite or NaN — a quotient may be NaN or out of int's range,
+// where Go leaves the conversion to the architecture; the epilogue then
+// converts with saturatingInt, so every GOARCH answers alike.
 func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
@@ -409,12 +434,35 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 		return err
 	}
 	referenceVMM(dst, c.packW, src, batch, c.rows, c.cols, c.window)
+	if c.eta >= 0x1p-31 && c.eta <= math.MaxFloat64 {
+		for k, a := range dst {
+			p, n := uint64(a)>>polarityShift, uint64(a)&lowHalf
+			y := int(float64(p)/c.eta) - int(float64(n)/c.eta)
+			dst[k] = spike.Clamp(y, c.window)
+		}
+		return nil
+	}
 	for k, a := range dst {
 		p, n := uint64(a)>>polarityShift, uint64(a)&lowHalf
-		y := int(float64(p)/c.eta) - int(float64(n)/c.eta)
+		y := saturatingInt(float64(p)/c.eta) - saturatingInt(float64(n)/c.eta)
 		dst[k] = spike.Clamp(y, c.window)
 	}
 	return nil
+}
+
+// saturatingInt is int(f) with the cases Go leaves to the architecture
+// defined: NaN converts to 0, and a value past int's range to math.MaxInt
+// or math.MinInt (what arm64's conversion does in hardware).
+func saturatingInt(f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= -math.MinInt:
+		return math.MaxInt
+	case f < math.MinInt:
+		return math.MinInt
+	}
+	return int(f)
 }
 
 // SimulateCountsBatch runs the cycle-level spiking simulation with ideal

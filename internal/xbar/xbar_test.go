@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,7 +41,8 @@ func randomCounts(rng *rand.Rand, n, window int) []int {
 }
 
 // referenceNaive replicates the historical per-item integer reference
-// semantics with plain int arithmetic.
+// semantics with plain int arithmetic. It converts each quotient with
+// saturatingInt at every η, which is int() wherever int() is defined.
 func referenceNaive(weights [][]int, x []int, eta float64, window int) []int {
 	cols := len(weights[0])
 	out := make([]int, cols)
@@ -54,7 +56,7 @@ func referenceNaive(weights [][]int, x []int, eta float64, window int) []int {
 				neg += -w * x[i]
 			}
 		}
-		y := int(float64(pos)/eta) - int(float64(neg)/eta)
+		y := saturatingInt(float64(pos)/eta) - saturatingInt(float64(neg)/eta)
 		if y < 0 {
 			y = 0
 		}
@@ -64,7 +66,8 @@ func referenceNaive(weights [][]int, x []int, eta float64, window int) []int {
 }
 
 // TestReferenceBatchMatchesNaive pins the batched reference path to the
-// historical integer semantics element by element.
+// historical integer semantics element by element, under each body of the
+// reference kernel.
 func TestReferenceBatchMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := testConfig(0)
@@ -84,16 +87,85 @@ func TestReferenceBatchMatchesNaive(t *testing.T) {
 		for b := 0; b < tc.batch; b++ {
 			src = append(src, randomCounts(rng, tc.rows, xb.Window())...)
 		}
-		dst := make([]int, tc.batch*tc.cols)
-		if err := xb.ReferenceBatch(dst, src, tc.batch); err != nil {
-			t.Fatal(err)
-		}
-		for b := 0; b < tc.batch; b++ {
-			want := referenceNaive(weights, src[b*tc.rows:(b+1)*tc.rows], xb.Eta(), xb.Window())
-			for j := range want {
-				if dst[b*tc.cols+j] != want[j] {
-					t.Fatalf("%+v: out[%d,%d] = %d, want %d", tc, b, j, dst[b*tc.cols+j], want[j])
+		for _, body := range laneBodies() {
+			restore := useLaneBody(body.avx2)
+			dst := make([]int, tc.batch*tc.cols)
+			err := xb.ReferenceBatch(dst, src, tc.batch)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < tc.batch; b++ {
+				want := referenceNaive(weights, src[b*tc.rows:(b+1)*tc.rows], xb.Eta(), xb.Window())
+				for j := range want {
+					if dst[b*tc.cols+j] != want[j] {
+						t.Fatalf("%s %+v: out[%d,%d] = %d, want %d", body.name, tc, b, j, dst[b*tc.cols+j], want[j])
+					}
 				}
+			}
+		}
+	}
+}
+
+// TestReferenceDegenerateEta pins ReferenceBatch where int() of a quotient
+// is left to the architecture: at η = 0 and 1e-300 a column with positive
+// drive divides to +Inf or past 2^63 and one without to NaN or 0, at η NaN
+// everything is NaN — set with SetEta or passed as Config.Eta, which
+// Program keeps. NaN converts to 0 and an overflow saturates, so a column
+// with positive and no negative drive answers Γ and every other column 0,
+// and at NaN every column 0, on every GOARCH (amd64's conversion alone
+// would give minInt for both).
+func TestReferenceDegenerateEta(t *testing.T) {
+	cfg := testConfig(0)
+	maxW := cfg.Rep.MaxWeight()
+	// Columns: positive drive only, both, negative only, none.
+	weights := [][]int{{maxW, 3, -1, 0}, {2, -maxW, -maxW, 0}, {1, 0, 0, 0}}
+	src := []int{5, 7, 1, 0, 0, 0}
+	for _, tc := range []struct {
+		name string
+		eta  float64
+		want []int // the first item's outputs, in units of Γ
+	}{
+		{"eta=0", 0, []int{1, 0, 0, 0}},
+		{"eta=1e-300", 1e-300, []int{1, 0, 0, 0}},
+		{"eta=NaN", math.NaN(), []int{0, 0, 0, 0}},
+	} {
+		for _, viaConfig := range []bool{false, true} {
+			if viaConfig && tc.eta == 0 {
+				continue // Config.Eta 0 means maxW
+			}
+			c := cfg
+			if viaConfig {
+				c.Eta = tc.eta
+			}
+			xb, err := Program(c, weights, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !viaConfig {
+				xb.SetEta(tc.eta)
+			}
+			window := xb.Window()
+			want := make([]int, 0, 2*len(tc.want))
+			for _, v := range tc.want {
+				want = append(want, v*window)
+			}
+			want = append(want, 0, 0, 0, 0) // the all-zero item: every quotient NaN or 0
+			for _, body := range laneBodies() {
+				restore := useLaneBody(body.avx2)
+				got := make([]int, 2*len(tc.want))
+				err := xb.ReferenceBatch(got, src, 2)
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s config=%v %s: got %v, want %v", tc.name, viaConfig, body.name, got, want)
+				}
+			}
+			naive := append(referenceNaive(weights, src[:3], xb.Eta(), window), referenceNaive(weights, src[3:], xb.Eta(), window)...)
+			if fmt.Sprint(naive) != fmt.Sprint(want) {
+				t.Errorf("%s config=%v: referenceNaive %v, want %v", tc.name, viaConfig, naive, want)
 			}
 		}
 	}
@@ -173,8 +245,11 @@ func TestKernelsClampOutOfRangeCounts(t *testing.T) {
 // TestReferenceDriveBound pins the packed kernel's no-carry argument at
 // its edge: at Γ = 2^17 a 256-row crossbar's largest drive, 256·Γ·120, is
 // just below 2^32, and every count at Γ against columns of ±maxW must
-// still split into the exact P and N sums; one more I/O bit and Program
-// refuses the crossbar.
+// still split into the exact P and N sums — under the portable body, where
+// that means the low half never carries, and under the AVX2 one, where it
+// means no 32-bit lane wraps (columns 0–3 run in its lanes, with both
+// full-drive polarities; 4–6 in the single-column loop, with both again).
+// One more I/O bit and Program refuses the crossbar.
 func TestReferenceDriveBound(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.Params.IOBits = 17
@@ -182,7 +257,7 @@ func TestReferenceDriveBound(t *testing.T) {
 	rows := cfg.Params.CrossbarRows
 	weights := make([][]int, rows)
 	for i := range weights {
-		weights[i] = []int{maxW, -maxW, maxW - 2*(i%2)*maxW, 0, i%(2*maxW+1) - maxW}
+		weights[i] = []int{maxW, -maxW, maxW - 2*(i%2)*maxW, 0, i%(2*maxW+1) - maxW, maxW, -maxW}
 	}
 	xb, err := Program(cfg, weights, nil)
 	if err != nil {
@@ -194,22 +269,26 @@ func TestReferenceDriveBound(t *testing.T) {
 		src[i] = window
 	}
 	src[3] = window + 9 // clamped to Γ before it multiplies
-	dst := make([]int, xb.Cols())
-	referenceVMM(dst, xb.packW, src, 1, rows, xb.Cols(), window)
-	for j := range dst {
-		var p, n uint64
-		for i := range weights {
-			if w := weights[i][j]; w >= 0 {
-				p += uint64(w) * uint64(window)
-			} else {
-				n += uint64(-w) * uint64(window)
+	for _, body := range laneBodies() {
+		restore := useLaneBody(body.avx2)
+		dst := make([]int, xb.Cols())
+		referenceVMM(dst, xb.packW, src, 1, rows, xb.Cols(), window)
+		restore()
+		for j := range dst {
+			var p, n uint64
+			for i := range weights {
+				if w := weights[i][j]; w >= 0 {
+					p += uint64(w) * uint64(window)
+				} else {
+					n += uint64(-w) * uint64(window)
+				}
 			}
-		}
-		if n >= 1<<32 || p >= 1<<32 {
-			t.Fatalf("col %d: P %d / N %d not below 2^32", j, p, n)
-		}
-		if got := uint64(dst[j]); got>>polarityShift != p || got&lowHalf != n {
-			t.Fatalf("col %d: packed sum splits into P %d N %d, want %d %d", j, got>>polarityShift, got&lowHalf, p, n)
+			if n >= 1<<32 || p >= 1<<32 {
+				t.Fatalf("col %d: P %d / N %d not below 2^32", j, p, n)
+			}
+			if got := uint64(dst[j]); got>>polarityShift != p || got&lowHalf != n {
+				t.Fatalf("%s col %d: packed sum splits into P %d N %d, want %d %d", body.name, j, got>>polarityShift, got&lowHalf, p, n)
+			}
 		}
 	}
 	cfg.Params.IOBits = 18
@@ -336,32 +415,36 @@ func TestProgramValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkReferenceBatch times the reference kernel through Program on
-// the shapes that matter: the two layers of the serve_mlp_reference MLP
-// (16×24 and 24×4 at batch 8 — rows short enough that per-row overhead
-// dominates), a mid-size panel, and a full-height crossbar that spans
-// eight row panels at a serving batch.
+// BenchmarkReferenceBatch times ReferenceBatch through Program on the
+// shapes that matter: the two layers of the serve_mlp_reference MLP (16×24
+// and 24×4) at batch 8 — rows short enough that per-row overhead dominates
+// — and at the workload's own batch of 64, a mid-size panel, and a
+// full-height crossbar that spans eight row panels at a serving batch.
+// Every shape runs once under each body the CPU has (portable, avx2).
 func BenchmarkReferenceBatch(b *testing.B) {
 	for _, tc := range []struct{ batch, rows, cols int }{
-		{8, 16, 24}, {8, 24, 4}, {8, 128, 64}, {64, 256, 100},
+		{8, 16, 24}, {8, 24, 4}, {64, 16, 24}, {64, 24, 4}, {8, 128, 64}, {64, 256, 100},
 	} {
-		b.Run(fmt.Sprintf("%dx%dx%d", tc.batch, tc.rows, tc.cols), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			cfg := testConfig(0)
-			weights := randomWeights(rng, tc.rows, tc.cols, cfg.Rep.MaxWeight())
-			xb, err := Program(cfg, weights, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			xb.SetEta(synthEta(weights))
-			src := randomCounts(rng, tc.batch*tc.rows, xb.Window()) // a few are zero
-			dst := make([]int, tc.batch*tc.cols)
-			for b.Loop() {
-				if err := xb.ReferenceBatch(dst, src, tc.batch); err != nil {
+		for _, body := range laneBodies() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", tc.batch, tc.rows, tc.cols, body.name), func(b *testing.B) {
+				defer useLaneBody(body.avx2)()
+				rng := rand.New(rand.NewSource(3))
+				cfg := testConfig(0)
+				weights := randomWeights(rng, tc.rows, tc.cols, cfg.Rep.MaxWeight())
+				xb, err := Program(cfg, weights, nil)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.batch), "ns/sample")
-		})
+				xb.SetEta(synthEta(weights))
+				src := randomCounts(rng, tc.batch*tc.rows, xb.Window()) // a few are zero
+				dst := make([]int, tc.batch*tc.cols)
+				for b.Loop() {
+					if err := xb.ReferenceBatch(dst, src, tc.batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.batch), "ns/sample")
+			})
+		}
 	}
 }
