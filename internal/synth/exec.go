@@ -8,7 +8,6 @@ import (
 	"fpsa/internal/cgraph"
 	"fpsa/internal/coreop"
 	"fpsa/internal/device"
-	"fpsa/internal/spike"
 	"fpsa/internal/xbar"
 )
 
@@ -276,10 +275,22 @@ func QuantizeBatch(batch [][]float64, window int) [][]int {
 	return rows
 }
 
+// quantizeInto writes each feature's count: round(f·Γ) clamped to [0, Γ].
+// It clamps in float64 before converting: Go leaves converting ±Inf, NaN or
+// a value at or past 2^63 to int to the platform (amd64 yields the minimum
+// int, which would clamp to 0 where arm64 saturates to Γ), so a huge or
+// infinite feature gives Γ on every platform, and NaN gives 0.
 func quantizeInto(counts []int, features []float64, window int) []int {
+	top := float64(window)
 	for i, f := range features {
-		c := int(math.Round(f * float64(window)))
-		counts[i] = spike.Clamp(c, window)
+		switch x := f * top; {
+		case x >= top:
+			counts[i] = window
+		case x > 0:
+			counts[i] = int(math.Round(x))
+		default: // x ≤ 0 or NaN
+			counts[i] = 0
+		}
 	}
 	return counts
 }

@@ -203,6 +203,25 @@ func TestQuantizeInput(t *testing.T) {
 	}
 }
 
+// TestQuantizeInputExtremes: a feature whose f·Γ is at or past 2^63, or
+// infinite, quantizes to Γ — converting it to int first gives the minimum
+// int on amd64, which clamped to 0 — and NaN and the negative extremes
+// quantize to 0, on every platform.
+func TestQuantizeInputExtremes(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		want int
+	}{
+		{0.5, 32}, {1, 64}, {2, 64},
+		{1e17, 64}, {1.5e17, 64}, {1e300, 64}, {math.Inf(1), 64},
+		{math.NaN(), 0}, {-1e300, 0}, {math.Inf(-1), 0},
+	} {
+		if got := QuantizeInput([]float64{tc.f}, 64)[0]; got != tc.want {
+			t.Errorf("QuantizeInput(%g) = %d, want %d", tc.f, got, tc.want)
+		}
+	}
+}
+
 // TestQuantizeBatch: each row of the slab equals QuantizeInput of its
 // sample (ragged rows included), and rows are capacity-capped so an
 // append through one cannot write into the next.

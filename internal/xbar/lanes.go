@@ -46,12 +46,17 @@ func (c *Crossbar) laneEligible() bool {
 }
 
 // A lane row is one row's walk-column conductances in 16-bit lanes: the
-// positive polarity's words, then the negative polarity's, each padded with
-// zero words to whole 256-bit blocks. Lane l of word w of either half holds
-// column walkCols[4w+l]. laneWords is the number of words that hold a column
-// (the portable body steps only those), laneHalf the padded half.
+// positive polarity's words, then the negative polarity's. Lane l of word w
+// of either half holds column walkCols[4w+l]. laneWords is the number of
+// words that hold a column (the portable body steps only those), laneHalf
+// the padded half: at most eight walked columns pad it to two words, so a
+// lane row is one 256-bit block with the positive lanes in its low 128 bits
+// (a half-block row); more pad each half to whole 256-bit blocks.
 func (c *Crossbar) laneWords() int { return (len(c.walkCols) + 3) / 4 }
 func (c *Crossbar) laneHalf() int {
+	if len(c.walkCols) <= 8 {
+		return 2
+	}
 	return (len(c.walkCols) + 4*blockWords - 1) / (4 * blockWords) * blockWords
 }
 
@@ -82,14 +87,15 @@ func silentTrains(window int) []uint64 {
 
 // packLanes builds laneG once per crossbar, with the scratch every body
 // shares: laneG holds one lane row per crossbar row, countG Γ+1 lane rows
-// (see walkLanes).
+// (see walkLanes). Both are 64-byte aligned, so no lane row straddles a
+// cache line.
 func (c *Crossbar) packLanes() {
 	if c.laneG != nil {
 		return
 	}
 	c.silentTab = silentTrains(c.window)
 	half := c.laneHalf()
-	c.laneG = make([]uint64, c.rows*2*half)
+	c.laneG = alignedWords[uint64](c.rows * 2 * half)
 	c.present = make([]uint64, spike.Lanes(c.window))
 	c.countG = alignedWords[uint64]((c.window + 1) * 2 * half)
 	for i := 0; i < c.rows; i++ {
@@ -119,12 +125,12 @@ func alignedWords[T uint64 | float64](n int) []T {
 // no hot drain. docs/INVARIANTS.md has the argument in full, including why
 // no lane operation can carry or borrow across lanes.
 //
-// Rows are grouped here, once for both bodies: summed by firing count into
+// Each body first groups the item's rows: it sums them by firing count into
 // lane row k−1 of countG (equal counts fire on identical cycles, and a lane
 // sum is at most the column's total ≤ η), and the rows firing more than Γ/2
-// times summed again into its last row, the dense row. countG is all zero
-// between items — each body zeroes the rows it reads — so grouping only
-// adds. Then a body
+// times again into the dense row. countG and present are all zero between
+// items — each body zeroes the rows and words it reads — so grouping only
+// adds and sets bits. Then it
 //
 //  1. fills every cycle's drives with the dense row: a count above Γ/2 is
 //     silent on fewer cycles than it fires in, so it is added to every
@@ -139,13 +145,22 @@ func alignedWords[T uint64 | float64](n int) []T {
 //     neurons, then the subtracter, in colNeuron.step's statement order.
 //
 // The portable body does this four columns per uint64 operation, the AVX2
-// body (amd64, chosen from CPUID: laneAVX2) sixteen per 256-bit one, over
-// the same lane rows and with the same 16-bit lane arithmetic; each owns its
-// per-cycle drive scratch.
+// body (amd64, chosen from CPUID: laneAVX2) sixteen per 256-bit one — both
+// polarities of a half-block row in one — over the same lane rows and with
+// the same 16-bit lane arithmetic; each owns its per-cycle drive scratch.
 func (c *Crossbar) walkLanes(out, counts []int) {
+	if laneAVX2 {
+		c.walkLanesAVX2(out, counts)
+	} else {
+		c.walkLanesPortable(out, counts)
+	}
+}
+
+// groupLanes is the portable body's grouping, into countG's first Γ rows
+// and its last, the dense row.
+func (c *Crossbar) groupLanes(counts []int) {
 	window, nw, half := c.window, c.laneWords(), c.laneHalf()
 	present, stride := c.present, 2*half
-	clear(present)
 	dense := c.countG[window*stride : (window+1)*stride]
 	for i, cnt := range counts {
 		k := spike.Clamp(cnt, window) - 1
@@ -163,16 +178,12 @@ func (c *Crossbar) walkLanes(out, counts []int) {
 			dense[half+w] += g[half+w] & dm
 		}
 	}
-	if laneAVX2 {
-		c.walkLanesAVX2(out)
-	} else {
-		c.walkLanesPortable(out)
-	}
 }
 
 // walkLanesPortable is walkLanes' body in plain Go: four columns per uint64
 // word, stepping only the words that hold a column.
-func (c *Crossbar) walkLanesPortable(out []int) {
+func (c *Crossbar) walkLanesPortable(out, counts []int) {
+	c.groupLanes(counts)
 	window, nw, half := c.window, c.laneWords(), c.laneHalf()
 	stride, tl := 2*half, len(c.present)
 	if c.laneDrv == nil {
@@ -188,6 +199,7 @@ func (c *Crossbar) walkLanesPortable(out []int) {
 		}
 	}
 	for l, p := range c.present {
+		c.present[l] = 0
 		for ; p != 0; p &= p - 1 {
 			k := l<<6 + bits.TrailingZeros64(p)
 			tab, isDense := c.trainTab, k >= window/2
@@ -239,17 +251,19 @@ func (c *Crossbar) walkLanesPortable(out []int) {
 	}
 }
 
-// walkLanesAVX2 is walkLanes' body in AVX2 (lanesAVX2): sixteen columns per
-// instruction, one assembly call per item, every step of it bounded by
-// Γ·⌈walked columns/16⌉.
-func (c *Crossbar) walkLanesAVX2(out []int) {
+// walkLanesAVX2 is walkLanes' body in AVX2 (lanesAVX2): sixteen lanes per
+// instruction, grouping included, one assembly call per item, every step of
+// it bounded by rows·⌈walked columns/16⌉ or Γ·⌈walked columns/16⌉. A
+// half-block row never reads or writes countG's dense row: the body keeps
+// that sum in a register.
+func (c *Crossbar) walkLanesAVX2(out, counts []int) {
 	half := c.laneHalf()
 	if c.laneDrvAVX2 == nil {
 		c.laneDrvAVX2 = alignedWords[uint64](c.window * 2 * half)
 		c.firedAVX2 = make([]uint16, 4*half)
 	}
-	lanesAVX2(&c.laneDrvAVX2[0], &c.countG[0], &c.present[0], &c.trainTab[0], &c.silentTab[0], &c.firedAVX2[0],
-		c.window, half/blockWords, uint64(c.eta))
+	lanesAVX2(&c.laneDrvAVX2[0], &c.countG[0], &c.laneG[0], &counts[0], &c.present[0], &c.trainTab[0], &c.silentTab[0], &c.firedAVX2[0],
+		len(counts), c.window, half, uint64(c.eta))
 	for n, j := range c.walkCols {
 		out[j] = int(c.firedAVX2[n])
 	}

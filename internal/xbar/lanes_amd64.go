@@ -26,16 +26,18 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0.
 func xgetbv() (eax, edx uint32)
 
-// lanesAVX2 runs fill, accumulate and walk (see walkLanes) for one item on
-// blocks 256-bit blocks of lanes per polarity. rows is countG with the
-// item's groups in place and present its count set; trains and silent are
-// the window's uniformTrains and silentTrains; drv is window lane rows of
-// scratch; fired receives one output count per lane, 16·blocks of them.
-// Lane rows are 64·blocks bytes apart, and rows and drv are 32-byte
-// aligned.
+// lanesAVX2 runs grouping, fill, accumulate and walk (see walkLanes) for
+// one item on lane rows of half words per polarity: 2 (a half-block row,
+// both polarities in one 256-bit block) or 4·blocks. lanes is laneG and
+// counts the item's nrows input counts; rows is countG and present its
+// count set, both zero on entry and left zero on return; trains and silent
+// are the window's uniformTrains and silentTrains; drv is window lane rows
+// of scratch; fired receives one output count per positive lane, 4·half of
+// them. Lane rows are 16·half bytes apart, and lanes, rows and drv are
+// 32-byte aligned.
 //
 //go:noescape
-func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64)
+func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)
 
 // floatWalkAVX2 runs accumulate and walk (see walkFloatAVX2) for one item
 // on blocks 4-column blocks per polarity. rows is floatG and counts the

@@ -19,24 +19,92 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64)
+// GROUPROW reads the count at (R9), clamps it to [0, Γ] without a branch
+// (DX = Γ) and jumps to skip when that is 0: a silent row. Otherwise it
+// leaves k = count − 1 in AX with bit k of present (R14) set, rows[k]'s
+// address in BX (SI = rows, R11 = the lane row stride in bytes) and, in
+// every lane of Y14, all ones when k ≥ Γ/2 (R12 = Γ/2 − 1) and zero
+// otherwise: the mask of the dense row's summands. CX is clobbered.
+#define GROUPROW(skip) \
+	MOVQ         (R9), AX;        \
+	XORQ         CX, CX;          \
+	TESTQ        AX, AX;          \
+	CMOVQLT      CX, AX;          \
+	CMPQ         AX, DX;          \
+	CMOVQGT      DX, AX;          \
+	DECQ         AX;              \
+	JS           skip;            \
+	MOVQ         AX, CX;          \
+	SHRQ         $6, CX;          \
+	MOVQ         (R14)(CX*8), BX; \
+	BTSQ         AX, BX;          \
+	MOVQ         BX, (R14)(CX*8); \
+	MOVQ         R12, BX;         \
+	SUBQ         AX, BX;          \
+	SARQ         $63, BX;         \
+	VMOVQ        BX, X14;         \
+	VPBROADCASTQ X14, Y14;        \
+	MOVQ         AX, BX;          \
+	IMULQ        R11, BX;         \
+	ADDQ         SI, BX
+
+// func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)
 //
-// R11 holds the lane row stride in bytes, 64·blocks, throughout; Y12 is
-// zero. A stride is a whole number of 64-byte chunks: two 256-bit blocks.
-TEXT ·lanesAVX2(SB), NOSPLIT, $0-72
+// R11 holds the lane row stride in bytes, 16·half; Y12 is zero. A
+// half-block row (half = 2) is one 32-byte block and takes its own path,
+// halfgroup below; any other stride is a whole number of 64-byte chunks:
+// two 256-bit blocks, one per polarity.
+TEXT ·lanesAVX2(SB), NOSPLIT, $0-96
 	MOVQ  drv+0(FP), DI
 	MOVQ  rows+8(FP), SI
-	MOVQ  blocks+56(FP), R11
-	SHLQ  $6, R11
+	MOVQ  half+80(FP), R11
+	SHLQ  $4, R11
 	VPXOR Y12, Y12, Y12
 
-	// Fill: every cycle's drives start as the dense row, rows[window];
-	// then the dense row is zeroed.
-	MOVQ  window+48(FP), DX
-	MOVQ  DX, R8
-	IMULQ R11, R8
-	ADDQ  SI, R8
-	MOVQ  DI, AX
+	// Group, one row at a time: R8 walks the lane rows, R9 the counts and
+	// R10 counts the rows down (DX, R12 and R14 as GROUPROW reads them).
+	MOVQ lanes+16(FP), R8
+	MOVQ counts+24(FP), R9
+	MOVQ nrows+64(FP), R10
+	MOVQ window+72(FP), DX
+	MOVQ DX, R12
+	SHRQ $1, R12
+	DECQ R12
+	MOVQ present+32(FP), R14
+	CMPQ R11, $32
+	JEQ  halfgroup
+
+	// Each 256-bit block of a firing row's lane row is added into rows[k]
+	// and, masked, into the dense row rows[window] (R13).
+	MOVQ  DX, R13
+	IMULQ R11, R13
+	ADDQ  SI, R13
+
+group:
+	GROUPROW(nextrow)
+	XORQ CX, CX
+
+groupblock:
+	VMOVDQU (R8)(CX*1), Y0
+	VPADDW  (BX)(CX*1), Y0, Y1
+	VMOVDQU Y1, (BX)(CX*1)
+	VPAND   Y14, Y0, Y0
+	VPADDW  (R13)(CX*1), Y0, Y0
+	VMOVDQU Y0, (R13)(CX*1)
+	ADDQ    $32, CX
+	CMPQ    CX, R11
+	JB      groupblock
+
+nextrow:
+	ADDQ R11, R8
+	ADDQ $8, R9
+	DECQ R10
+	JNZ  group
+
+	// Fill: every cycle's drives start as the dense row; then the dense
+	// row is zeroed.
+	MOVQ R13, R8
+	MOVQ DI, AX
 
 fillrow:
 	XORQ CX, CX
@@ -79,7 +147,7 @@ pass:
 	MOVQ $192, R14
 
 passwidth:
-	MOVQ present+16(FP), R13
+	MOVQ present+32(FP), R13
 
 presword:
 	MOVQ  (R13), DX
@@ -91,7 +159,7 @@ count:
 	LEAQ    -1(DX), CX
 	ANDQ    CX, DX
 	MOVQ    R13, CX
-	SUBQ    present+16(FP), CX
+	SUBQ    present+32(FP), CX
 	SHLQ    $3, CX
 	ADDQ    CX, AX
 	MOVQ    AX, R8
@@ -115,12 +183,12 @@ count:
 	VMOVDQU Y12, 160(R8)
 
 loaded:
-	MOVQ   trains+24(FP), R10
-	MOVQ   window+48(FP), CX
+	MOVQ   trains+40(FP), R10
+	MOVQ   window+72(FP), CX
 	SHRQ   $1, CX
 	CMPQ   AX, CX
 	JLT    sparse
-	MOVQ   silent+32(FP), R10
+	MOVQ   silent+48(FP), R10
 	VPSUBW Y1, Y12, Y1
 	VPSUBW Y2, Y12, Y2
 	VPSUBW Y3, Y12, Y3
@@ -129,7 +197,7 @@ loaded:
 	VPSUBW Y6, Y12, Y6
 
 sparse:
-	MOVQ  window+48(FP), R12
+	MOVQ  window+72(FP), R12
 	ADDQ  $63, R12
 	SHRQ  $6, R12
 	INCQ  AX
@@ -207,11 +275,11 @@ nextword:
 
 presnext:
 	ADDQ $8, R13
-	MOVQ window+48(FP), CX
+	MOVQ window+72(FP), CX
 	ADDQ $63, CX
 	SHRQ $6, CX
 	SHLQ $3, CX
-	ADDQ present+16(FP), CX
+	ADDQ present+32(FP), CX
 	CMPQ R13, CX
 	JB   presword
 
@@ -222,6 +290,18 @@ presnext:
 	CMPQ SI, CX
 	JB   pass
 
+	// Every pass has read present: leave it zero for the next item.
+	MOVQ present+32(FP), R13
+	MOVQ window+72(FP), CX
+	ADDQ $63, CX
+	SHRQ $6, CX
+
+zeropresent:
+	MOVQ $0, (R13)
+	ADDQ $8, R13
+	DECQ CX
+	JNZ  zeropresent
+
 	// Walk, one block of sixteen columns at a time through every cycle.
 	// Y0/Y1 = positive/negative membranes, kept biased by Y4 = 2^15 − η:
 	// a lane's bit 15 is set exactly when its membrane is ≥ η, so an
@@ -231,15 +311,16 @@ presnext:
 	// walks the block's positive drives down the cycles, R12 is the offset
 	// of the negative ones, R8 the block's first positive drive and R10
 	// its fired lanes.
-	MOVQ         eta+64(FP), AX
+	MOVQ         eta+88(FP), AX
 	VMOVQ        AX, X5
 	VPBROADCASTW X5, Y5
 	MOVQ         $0x8000, CX
 	SUBQ         AX, CX
 	VMOVQ        CX, X4
 	VPBROADCASTW X4, Y4
-	MOVQ         fired+40(FP), R10
-	MOVQ         blocks+56(FP), R9
+	MOVQ         fired+56(FP), R10
+	MOVQ         half+80(FP), R9
+	SHRQ         $2, R9
 	MOVQ         R11, R12
 	SHRQ         $1, R12
 	MOVQ         drv+0(FP), R8
@@ -250,7 +331,7 @@ block:
 	VPXOR   Y2, Y2, Y2
 	VPXOR   Y3, Y3, Y3
 	MOVQ    R8, AX
-	MOVQ    window+48(FP), CX
+	MOVQ    window+72(FP), CX
 
 cycle:
 	VPADDW  (AX), Y0, Y0
@@ -276,6 +357,149 @@ cycle:
 	DECQ    R9
 	JNZ     block
 
+	VZEROUPPER
+	RET
+
+	// Half-block rows: a lane row is one block, the positive lanes in its
+	// low 128 bits and the negative ones in its high 128 bits. Group as
+	// above, but sum the dense row in Y13: rows[window] is never touched.
+halfgroup:
+	VPXOR Y13, Y13, Y13
+
+hgroup:
+	GROUPROW(hnextrow)
+	VMOVDQU (R8), Y0
+	VPADDW  (BX), Y0, Y1
+	VMOVDQU Y1, (BX)
+	VPAND   Y14, Y0, Y0
+	VPADDW  Y0, Y13, Y13
+
+hnextrow:
+	ADDQ $32, R8
+	ADDQ $8, R9
+	DECQ R10
+	JNZ  hgroup
+
+	// Fill: every cycle's drives start as the dense row.
+	MOVQ DI, AX
+	MOVQ DX, CX
+
+hfill:
+	VMOVDQU Y13, (AX)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     hfill
+
+	// Accumulate, in one pass: count k+1's row rows[k] is read into Y1 and
+	// zeroed, and (k ≥ Γ/2) negated and added on the cycles its train is
+	// silent in, else added on those it fires in: one VPADDW and one store
+	// per spike event. R11 = words per train; R13 walks the present words,
+	// zeroing each, up to R14; DX holds the counts left in the current
+	// word. R10 walks the count's train, R12 counts its words down and R9
+	// is the drive row of the current word's first cycle (rows of 64
+	// cycles are 2,048 bytes apart); BX holds the word's cycles left.
+	MOVQ DX, R11
+	ADDQ $63, R11
+	SHRQ $6, R11
+	MOVQ R14, R13
+	LEAQ (R14)(R11*8), R14
+
+hpresword:
+	MOVQ  (R13), DX
+	MOVQ  $0, (R13)
+	TESTQ DX, DX
+	JZ    hpresnext
+
+hcount:
+	BSFQ    DX, AX
+	LEAQ    -1(DX), CX
+	ANDQ    CX, DX
+	MOVQ    R13, CX
+	SUBQ    present+32(FP), CX
+	SHLQ    $3, CX
+	ADDQ    CX, AX
+	MOVQ    AX, R8
+	SHLQ    $5, R8
+	ADDQ    SI, R8
+	VMOVDQU (R8), Y1
+	VMOVDQU Y12, (R8)
+	MOVQ    trains+40(FP), R10
+	MOVQ    window+72(FP), CX
+	SHRQ    $1, CX
+	CMPQ    AX, CX
+	JLT     hsparse
+	MOVQ    silent+48(FP), R10
+	VPSUBW  Y1, Y12, Y1
+
+hsparse:
+	INCQ  AX
+	IMULQ R11, AX
+	LEAQ  (R10)(AX*8), R10
+	MOVQ  R11, R12
+	MOVQ  DI, R9
+
+htrainword:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    hnextword
+
+hevent:
+	BSFQ    BX, AX
+	LEAQ    -1(BX), CX
+	ANDQ    CX, BX
+	SHLQ    $5, AX
+	VPADDW  (R9)(AX*1), Y1, Y0
+	VMOVDQU Y0, (R9)(AX*1)
+	TESTQ   BX, BX
+	JNZ     hevent
+
+hnextword:
+	ADDQ  $8, R10
+	ADDQ  $2048, R9
+	DECQ  R12
+	JNZ   htrainword
+	TESTQ DX, DX
+	JNZ   hcount
+
+hpresnext:
+	ADDQ $8, R13
+	CMPQ R13, R14
+	JB   hpresword
+
+	// Walk: Y0 holds both membranes of the eight columns, biased as in the
+	// blocks' walk, so one VPADDW, VPSRAW, VPAND and VPSUBW step both
+	// neurons. The subtracter runs in the low 128 bits, off the membranes'
+	// recurrence: X10 = sp as 0/1, X9 = the negative fire mask moved down
+	// by VEXTRACTI128, X2 = debt, X3 = fired. AX walks the drive rows.
+	MOVQ         eta+88(FP), AX
+	VMOVQ        AX, X5
+	VPBROADCASTW X5, Y5
+	MOVQ         $0x8000, CX
+	SUBQ         AX, CX
+	VMOVQ        CX, X0
+	VPBROADCASTW X0, Y0
+	VPXOR        X2, X2, X2
+	VPXOR        X3, X3, X3
+	MOVQ         DI, AX
+	MOVQ         window+72(FP), CX
+
+hcycle:
+	VPADDW       (AX), Y0, Y0
+	VPSRAW       $15, Y0, Y7
+	VPSRLW       $15, X0, X10
+	VPAND        Y5, Y7, Y8
+	VPSUBW       Y8, Y0, Y0
+	VEXTRACTI128 $1, Y7, X9
+	VPSUBW       X9, X2, X2
+	VPMINUW      X10, X2, X11
+	VPSUBW       X11, X2, X2
+	VPSUBW       X11, X10, X10
+	VPADDW       X10, X3, X3
+	ADDQ         $32, AX
+	DECQ         CX
+	JNZ          hcycle
+	MOVQ         fired+56(FP), R10
+	VMOVDQU      X3, (R10)
 	VZEROUPPER
 	RET
 

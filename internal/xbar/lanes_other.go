@@ -6,7 +6,7 @@ package xbar
 // their portable bodies.
 const hasAVX2 = false
 
-func lanesAVX2(drv, rows, present, trains, silent *uint64, fired *uint16, window, blocks int, eta uint64) {
+func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64) {
 	panic("xbar: the AVX2 lane walk runs on amd64 only")
 }
 

@@ -59,13 +59,15 @@ func TestSilentTrains(t *testing.T) {
 }
 
 // FuzzLaneBodiesAgree holds the AVX2 lane walk to the portable one: a random
-// lane-eligible crossbar — ideal programming, up to 128 rows and 1–256
-// columns (widths either side of every 16-column block), a share of zero
-// cells so some columns are tabulated beside the walked ones, Γ = 16, 64 or
-// 128 and an integer η from the synthesizer's up to 2^14 − 1 — fed a batch
-// of counts from the input bytes, some above Γ, must give identical outputs
-// under both bodies. Seed corpus under testdata/fuzz/FuzzLaneBodiesAgree,
-// with the block-edge widths; CI runs a short -fuzztime smoke pass.
+// lane-eligible crossbar — ideal programming, 1–256 rows (the conv
+// workload's pool crossbar has 200) and 1–256 columns (widths either side of
+// the eight-column half-block row and of every 16-column block), a share of
+// zero cells so some columns are tabulated beside the walked ones, Γ = 16,
+// 64 or 128 and an integer η from the synthesizer's up to 2^14 − 1 — fed a
+// batch of counts from the input bytes, some above Γ, must give identical
+// outputs under both bodies. Seed corpus under
+// testdata/fuzz/FuzzLaneBodiesAgree, with the edge widths and 200 and 256
+// rows; CI runs a short -fuzztime smoke pass.
 func FuzzLaneBodiesAgree(f *testing.F) {
 	if !hasAVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
@@ -73,7 +75,7 @@ func FuzzLaneBodiesAgree(f *testing.F) {
 	f.Add(int64(1), uint8(17), uint8(15), uint8(1), uint16(0), uint8(0), []byte{0, 64, 65, 200, 32, 33, 1})
 	f.Add(int64(2), uint8(127), uint8(32), uint8(2), uint16(9), uint8(128), []byte{128, 127, 3})
 	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, io8 uint8, slack uint16, zeros uint8, countBytes []byte) {
-		rows, cols := int(rows8)%128+1, int(cols8)+1
+		rows, cols := int(rows8)+1, int(cols8)+1
 		cfg := structuredConfig([]int{4, 6, 7}[io8%3], false)
 		rng := rand.New(rand.NewSource(seed))
 		weights := randomWeights(rng, rows, cols, cfg.Rep.MaxWeight())

@@ -98,8 +98,11 @@ func synthEta(weights [][]int) float64 {
 // reads two rows — tabulated) and a dense 18×8 conv crossbar, once at
 // η = 4·maxW, where columns saturate and the float walk runs (its
 // regression guard), and once at the synthesizer's η, the integer-lane walk
-// the workload actually takes; then fleet_mixed's spiking MLP crossbars,
-// 16×24, 16×48 and 48×48, at the synthesizer's η (integer lanes); and last
+// the workload actually takes, then its 200×8 global-average pool (25 rows
+// per column) and 8×4 FC crossbars at theirs; then fleet_mixed's spiking
+// MLP crossbars, 16×24, 16×48, 48×48 and 24×4, at the synthesizer's η
+// (integer lanes; every shape of at most eight columns takes half-block
+// lane rows); and last
 // offline_mlp_noisy_sparse's kernel traffic, the 16×24 crossbar programmed
 // with Cell4BitMeasured variation at the synthesizer's η (the float walk)
 // and fed counts at density 0.03. Every shape runs once under each body
@@ -117,6 +120,9 @@ func BenchmarkSimulateCountsStructured(b *testing.B) {
 	mlp16x24 := randomWeights(rng, 16, 24, maxW)
 	mlp16x48 := randomWeights(rng, 16, 48, maxW)
 	mlp48x48 := randomWeights(rng, 48, 48, maxW)
+	gap := avgPoolWeights(25, 8, maxW/25)
+	fc := randomWeights(rng, 8, 4, maxW)
+	mlp24x4 := randomWeights(rng, 24, 4, maxW)
 	shapes := []struct {
 		name    string
 		weights [][]int
@@ -127,9 +133,12 @@ func BenchmarkSimulateCountsStructured(b *testing.B) {
 		{"pmax16x8", pairwiseWeights(8, -maxW, maxW), float64(maxW), false, 0},
 		{"conv18x8", conv, float64(4 * maxW), false, 0},
 		{"conv18x8-syntheta", conv, synthEta(conv), false, 0},
+		{"gap200x8", gap, synthEta(gap), false, 0},
+		{"fc8x4", fc, synthEta(fc), false, 0},
 		{"mlp16x24", mlp16x24, synthEta(mlp16x24), false, 0},
 		{"mlp16x48", mlp16x48, synthEta(mlp16x48), false, 0},
 		{"mlp48x48", mlp48x48, synthEta(mlp48x48), false, 0},
+		{"mlp24x4", mlp24x4, synthEta(mlp24x4), false, 0},
 		{"mlp16x24-noisy", mlp16x24, synthEta(mlp16x24), true, 0.03},
 	}
 	for _, sh := range shapes {
