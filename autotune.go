@@ -79,8 +79,9 @@ func (o Objective) value(p PerfSummary) float64 {
 }
 
 // AutotuneReport records what one Autotune search did and found. Every
-// field is deterministic for a fixed seed at any worker count; wall-clock
-// is measured by fpsa-bench -exp autotune, not here.
+// field is deterministic for a fixed seed at any worker count, which is
+// what lets TestFidelity pin the LeNet sweep's reports in
+// docs/FIDELITY.md; wall-clock is not recorded.
 type AutotuneReport struct {
 	Objective Objective
 	// PEBudget is the resolved PE envelope the search spent within.

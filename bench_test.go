@@ -11,10 +11,9 @@ import (
 	"fpsa/internal/synth"
 )
 
-// One benchmark per paper artifact: running `go test -bench=.` regenerates
-// every table and figure of the evaluation. The rendered outputs come from
-// cmd/fpsa-bench; these measure the regeneration cost and pin the drivers
-// into the benchmark harness as the task requires.
+// One benchmark per paper artifact: `go test -bench=.` times each driver
+// behind the evaluation's tables and figures. Their numbers against the
+// paper's are TestFidelity's rows in docs/FIDELITY.md.
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -68,16 +68,6 @@ func ExampleDeployment_NewNet() {
 	// Output: class 0
 }
 
-// Experiment drivers regenerate the paper's artifacts as text.
-func ExampleRunExperiment() {
-	out, err := fpsa.RunExperiment(context.Background(), "table2")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(out[:38])
-	// Output: Table 2: PE comparison (256x256 VMM, 8
-}
-
 // A model that exceeds one chip's capacity compiles as a sharded
 // deployment: the core-op graph is cut across chips (min-cut on the
 // inter-chip traffic), each chip gets its own netlist, and the perf

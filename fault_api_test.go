@@ -2,7 +2,6 @@ package fpsa
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
@@ -137,56 +136,5 @@ func TestFaultModelCacheKeySeparation(t *testing.T) {
 	norm, _, _ := trainedDeployment(t, WithFaultMap(FaultMap{Rate: 0.02, Seed: 5, NoRemap: true}))
 	if norm.cacheKey(0) == faulted.cacheKey(0) {
 		t.Fatal("remap and no-remap deployments share a cache key")
-	}
-}
-
-// TestFaultStudyPinned pins the deterministic sweep behind fpsa-bench
-// -exp faults to the values it prints: the rate-0 row reproduces the
-// fault-free baseline, remapping leaves no residual stuck cell and full
-// accuracy at every rate, and the no-remap arm degrades exactly as
-// recorded.
-func TestFaultStudyPinned(t *testing.T) {
-	r, err := faultStudy(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Samples != 300 || r.BaselineAcc != 1 {
-		t.Fatalf("baseline: %d samples at accuracy %v, want 300 at 1", r.Samples, r.BaselineAcc)
-	}
-	want := []struct {
-		rate                          float64
-		cellsNone, accNone, recovered string
-	}{
-		{0, "0.0", "1.0000", "+0.0000"},
-		{0.002, "0.8", "1.0000", "+0.0000"},
-		{0.005, "1.8", "1.0000", "+0.0000"},
-		{0.01, "5.2", "0.9993", "+0.0007"},
-		{0.02, "9.6", "0.9393", "+0.0607"},
-		{0.05, "25.8", "0.7793", "+0.2207"},
-	}
-	if len(r.Rows) != len(want) {
-		t.Fatalf("%d rows, want %d", len(r.Rows), len(want))
-	}
-	for i, w := range want {
-		row := r.Rows[i]
-		if row.Rate != w.rate {
-			t.Fatalf("row %d sweeps rate %v, want %v", i, row.Rate, w.rate)
-		}
-		if row.CellsRemap != 0 || row.AccRemap != r.BaselineAcc {
-			t.Errorf("rate %v with remap: %v residual cells at accuracy %v, want 0 at the baseline's %v",
-				w.rate, row.CellsRemap, row.AccRemap, r.BaselineAcc)
-		}
-		if got := fmt.Sprintf("%.1f", row.CellsNoRemap); got != w.cellsNone {
-			t.Errorf("rate %v without remap: %s residual cells, want %s", w.rate, got, w.cellsNone)
-		}
-		if got := fmt.Sprintf("%.4f", row.AccNoRemap); got != w.accNone {
-			t.Errorf("rate %v without remap: accuracy %s, want %s", w.rate, got, w.accNone)
-		}
-		if got := fmt.Sprintf("%+.4f", row.AccRemap-row.AccNoRemap); got != w.recovered {
-			t.Errorf("rate %v: recovered %s, want %s", w.rate, got, w.recovered)
-		}
-	}
-	if zero := r.Rows[0]; zero.CellsNoRemap != 0 || zero.AccNoRemap != r.BaselineAcc {
-		t.Errorf("rate-0 row %+v differs from the fault-free baseline", zero)
 	}
 }

@@ -2,7 +2,6 @@ package fpsa
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -289,49 +288,6 @@ func TestDeployCustomCNN(t *testing.T) {
 	}
 	if _, err := bare.NewNet(nil); err == nil {
 		t.Error("NewNet without weights accepted")
-	}
-}
-
-func TestRunExperimentDispatch(t *testing.T) {
-	out, err := RunExperiment(context.Background(), "table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Table 1") {
-		t.Errorf("table1 output: %s", out)
-	}
-	out, err = RunExperiment(context.Background(), "table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "30.9") {
-		t.Errorf("table2 output: %s", out)
-	}
-	if _, err := RunExperiment(context.Background(), "figure99"); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if got := len(ExperimentIDs()); got != 13 {
-		t.Errorf("ExperimentIDs = %d entries", got)
-	}
-	// Host wall-clock measurements live in the repo benchmark (bench/),
-	// not behind RunExperiment.
-	for _, id := range []string{"serving", "sharding", "sparsity", "fleet"} {
-		if _, err := RunExperiment(context.Background(), id); !errors.Is(err, ErrInvalidArgument) {
-			t.Errorf("RunExperiment(%q) = %v, want ErrInvalidArgument", id, err)
-		}
-	}
-	// The cheaper figure/ablation dispatch paths.
-	out, err = RunExperiment(context.Background(), "figure7")
-	if err != nil || !strings.Contains(out, "FP-PRIME") {
-		t.Errorf("figure7: %v / %q", err, out)
-	}
-	out, err = RunExperiment(context.Background(), "ablation-transmission")
-	if err != nil || !strings.Contains(out, "NBD fill") {
-		t.Errorf("ablation-transmission: %v", err)
-	}
-	out, err = RunExperiment(context.Background(), "figure2")
-	if err != nil || !strings.Contains(out, "communication gap") {
-		t.Errorf("figure2: %v", err)
 	}
 }
 

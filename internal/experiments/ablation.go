@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"strings"
 
 	"fpsa/internal/device"
 	"fpsa/internal/fabric"
@@ -102,20 +100,6 @@ func AblationTransmission() (TransmissionResult, error) {
 	return res, nil
 }
 
-// RenderAblationTransmission renders the comparison.
-func RenderAblationTransmission(r TransmissionResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation (§7.1): spike-train vs spike-count transmission, %s @%dx\n", r.Model, r.Dup)
-	fmt.Fprintf(&b, "%-22s %14s %14s\n", "", "trains (FPSA)", "counts")
-	fmt.Fprintf(&b, "%-22s %14d %14d\n", "NBD fill cycles", r.TrainFillCycles, r.CountFillCycles)
-	fmt.Fprintf(&b, "%-22s %14d %14d\n", "buffer bits/signal", r.TrainBufferBits, r.CountBufferBits)
-	fmt.Fprintf(&b, "%-22s %14d %14d\n", "wire bits/signal", r.TrainWireBits, r.CountWireBits)
-	fmt.Fprintf(&b, "%-22s %14.1f %14.1f\n", "comm ns/VMM", r.TrainCommNSPerOp, r.CountCommNSPerOp)
-	fmt.Fprintf(&b, "%-22s %14.4g %14.4g\n", "latency us", r.TrainLatencyUS, r.CountLatencyUS)
-	fmt.Fprintf(&b, "(paper: trains gain up to 2^n x NBD latency and n x buffer, cost 2^n/n x traffic)\n")
-	return b.String()
-}
-
 // ChannelWidthPoint is one track-count sample of the routability sweep.
 type ChannelWidthPoint struct {
 	Tracks        int
@@ -185,16 +169,4 @@ func AblationChannelWidth(ctx context.Context, widths []int) (ChannelWidthResult
 		}
 	}
 	return res, nil
-}
-
-// RenderAblationChannelWidth renders the sweep.
-func RenderAblationChannelWidth(r ChannelWidthResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: channel-width routability, %s netlist (%d blocks)\n", r.Model, r.Blocks)
-	fmt.Fprintf(&b, "%8s %10s %12s %16s\n", "tracks", "routed", "maxOcc", "routingArea/um2")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8d %10v %12d %16.0f\n", p.Tracks, p.Converged, p.MaxOccupancy, p.RoutingAreaUM)
-	}
-	fmt.Fprintf(&b, "minimum feasible channel width in sweep: %d tracks\n", r.MinWidth)
-	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"fpsa/internal/device"
@@ -20,25 +19,11 @@ func TestTable1MatchesPublished(t *testing.T) {
 	if rows[0].LatencyNS != 2.443 {
 		t.Errorf("PE latency = %v, want 2.443", rows[0].LatencyNS)
 	}
-	out := RenderTable1(rows)
-	for _, want := range []string{"PE (256x256)", "SMB (16Kb)", "5998.272"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
 }
 
+// The three headline numbers themselves are TestFidelity rows.
 func TestTable2HeadlineNumbers(t *testing.T) {
 	r := Table2(device.Params45nm)
-	if math.Abs(r.AreaReductionPct-(-36.63)) > 0.05 {
-		t.Errorf("area reduction = %.2f%%, paper −36.63%%", r.AreaReductionPct)
-	}
-	if math.Abs(r.LatencyReductPct-(-94.90)) > 0.05 {
-		t.Errorf("latency reduction = %.2f%%, paper −94.90%%", r.LatencyReductPct)
-	}
-	if math.Abs(r.DensityGain-30.92) > 0.1 {
-		t.Errorf("density gain = %.2fx, paper 30.92x", r.DensityGain)
-	}
 	if r.FPSADensity < r.PipeLayerDensity || r.FPSADensity < r.ISAACDensity {
 		t.Error("FPSA density not above PipeLayer/ISAAC")
 	}
@@ -56,16 +41,8 @@ func TestTable3ShapesMatchPaper(t *testing.T) {
 	for _, r := range rows {
 		byModel[r.Model] = r
 	}
-	// VGG16 anchors (paper: 2.4K samples/s, 671.8 µs, 68.09 mm²): hold
-	// within ~2× — the shape contract.
-	vgg := byModel["VGG16"]
-	checkWithin(t, "VGG16 throughput", vgg.ThroughputSPS, 2400, 2)
-	checkWithin(t, "VGG16 latency", vgg.LatencyUS, 671.8, 2)
-	checkWithin(t, "VGG16 area", vgg.AreaMM2, 68.09, 2)
-	// MLP anchors (paper: 129.7M samples/s, 28.23 mm²): within 3×.
-	mlp := byModel["MLP-500-100"]
-	checkWithin(t, "MLP throughput", mlp.ThroughputSPS, 129.7e6, 3)
-	checkWithin(t, "MLP area", mlp.AreaMM2, 28.23, 3)
+	// The VGG16 and MLP cells against the paper are TestFidelity rows.
+	vgg, mlp := byModel["VGG16"], byModel["MLP-500-100"]
 	// Ordering: MLP is the fastest; VGG16 the slowest (throughput).
 	for _, r := range rows {
 		if r.Model != "MLP-500-100" && r.ThroughputSPS > mlp.ThroughputSPS {
@@ -74,13 +51,6 @@ func TestTable3ShapesMatchPaper(t *testing.T) {
 		if r.Model != "VGG16" && r.ThroughputSPS < vgg.ThroughputSPS {
 			t.Errorf("%s throughput %v below VGG16 %v", r.Model, r.ThroughputSPS, vgg.ThroughputSPS)
 		}
-	}
-}
-
-func checkWithin(t *testing.T, what string, got, want, factor float64) {
-	t.Helper()
-	if got > want*factor || got < want/factor {
-		t.Errorf("%s = %.4g, paper %.4g (outside %gx band)", what, got, want, factor)
 	}
 }
 
@@ -115,19 +85,15 @@ func TestFigure6SpeedupClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper: up to 1000×. Hold the order of magnitude: [300, 5000].
-	if r.SpeedupAtMatchedArea < 300 || r.SpeedupAtMatchedArea > 5000 {
-		t.Errorf("matched-area speedup = %.0fx, want ~1000x", r.SpeedupAtMatchedArea)
-	}
-	// FP-PRIME must sit close to its ideal curve (communication bound
-	// broken by the routing architecture alone).
+	// The matched-area speedup is a TestFidelity row. FP-PRIME must sit
+	// close to its ideal curve (communication bound broken by the routing
+	// architecture alone).
 	for i := range r.FPPRIME.Real {
 		if r.FPPRIME.Real[i].OPS < 0.8*r.FPPRIME.Ideal[i].OPS {
 			t.Errorf("FP-PRIME point %d: real %.3g far from ideal %.3g",
 				i, r.FPPRIME.Real[i].OPS, r.FPPRIME.Ideal[i].OPS)
 		}
 	}
-	t.Logf("max FPSA/PRIME speedup at matched area: %.0fx", r.SpeedupAtMatchedArea)
 }
 
 func TestFigure7Bars(t *testing.T) {
@@ -144,15 +110,15 @@ func TestFigure7Bars(t *testing.T) {
 	}
 	// PRIME communication dominates computation; FPSA communication is
 	// within an order of magnitude of computation; FP-PRIME negligible.
+	// FPSA's two bars against the paper's are TestFidelity rows.
 	if p := byTarget[perf.TargetPRIME]; p.CommNS < p.CompNS {
 		t.Errorf("PRIME comm %v not dominating comp %v", p.CommNS, p.CompNS)
 	}
+	if f := byTarget[perf.TargetFPSA]; f.CommNS > 10*f.CompNS {
+		t.Errorf("FPSA comm %v not within an order of magnitude of comp %v", f.CommNS, f.CompNS)
+	}
 	if f := byTarget[perf.TargetFPPRIME]; f.CommNS > 0.05*f.CompNS {
 		t.Errorf("FP-PRIME comm %v not negligible vs comp %v", f.CommNS, f.CompNS)
-	}
-	fpsa := byTarget[perf.TargetFPSA]
-	if math.Abs(fpsa.CompNS-156.4) > 1 || math.Abs(fpsa.CommNS-633.9) > 10 {
-		t.Errorf("FPSA bars = (%.1f, %.1f), paper (156.4, 633.9)", fpsa.CompNS, fpsa.CommNS)
 	}
 }
 
@@ -162,19 +128,12 @@ func TestFigure8GeomeanShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	perfGain, areaGain := Figure8Geomeans(rows, Figure8Dups)
-	// Paper: perf 3.06/10.88/38.65×, area 1.25/1.85/3.73× at 4/16/64×.
-	// Hold the super-linear shape: perf gain well above area gain, and
-	// within a 2× band of the published geomeans.
-	wantPerf := map[int]float64{4: 3.06, 16: 10.88, 64: 38.65}
-	wantArea := map[int]float64{4: 1.25, 16: 1.85, 64: 3.73}
+	// Hold the super-linear shape: perf gain above area gain (the
+	// geomeans against the paper's are TestFidelity rows).
 	for _, d := range []int{4, 16, 64} {
 		if perfGain[d] < areaGain[d] {
 			t.Errorf("@%dx: perf gain %.2f below area gain %.2f (not super-linear)", d, perfGain[d], areaGain[d])
 		}
-		checkWithin(t, "perf geomean", perfGain[d], wantPerf[d], 2)
-		checkWithin(t, "area geomean", areaGain[d], wantArea[d], 2)
-		t.Logf("@%dx: perf %.2fx (paper %.2f), area %.2fx (paper %.2f)",
-			d, perfGain[d], wantPerf[d], areaGain[d], wantArea[d])
 	}
 	// Bounds behaviour (Figure 8c): for CNNs the temporal bound rises
 	// with duplication while the spatial bound stays put.
@@ -199,12 +158,6 @@ func TestFigure9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PRIMEConfig.SpliceAcc < 0.5 || r.PRIMEConfig.SpliceAcc > 0.85 {
-		t.Errorf("PRIME config = %.3f, want ~0.7", r.PRIMEConfig.SpliceAcc)
-	}
-	if r.FPSAConfig.AddAcc < 0.95 {
-		t.Errorf("FPSA config = %.3f, want ~1.0", r.FPSAConfig.AddAcc)
-	}
 	// Add accuracy is monotone-ish in cells: 16 cells ≥ 1 cell.
 	var one, sixteen float64
 	for _, p := range r.Points {
@@ -223,22 +176,5 @@ func TestFigure9Shape(t *testing.T) {
 		if p.AddLevels != 15*p.Cells+1 {
 			t.Errorf("cells %d: levels = %d, want %d", p.Cells, p.AddLevels, 15*p.Cells+1)
 		}
-	}
-	out := RenderFigure9(r)
-	if !strings.Contains(out, "PRIME config") {
-		t.Error("render missing PRIME config line")
-	}
-}
-
-func TestRenderersNonEmpty(t *testing.T) {
-	if s := RenderTable2(Table2(device.Params45nm)); !strings.Contains(s, "30.9") {
-		t.Errorf("Table2 render missing density gain: %s", s)
-	}
-	rows, err := Table3(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := RenderTable3(rows, 4); !strings.Contains(s, "VGG16") {
-		t.Error("Table3 render missing VGG16")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"fpsa/internal/device"
 	"fpsa/internal/trainer"
@@ -108,26 +107,4 @@ func Figure9(opts Figure9Options) (Figure9Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// RenderFigure9 renders the study.
-func RenderFigure9(r Figure9Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 9: normalized accuracy vs #cells (4-bit cells, sigma=%.2f levels)\n", r.Spec.Sigma)
-	fmt.Fprintf(&b, "substitute network full-precision accuracy: %.3f\n", r.FullAccuracy)
-	fmt.Fprintf(&b, "%6s %10s %10s %12s %10s %12s %12s\n",
-		"cells", "splice", "add", "add(quant)", "levels", "spliceDev", "addDev")
-	for _, p := range r.Points {
-		splice := "-"
-		spliceDev := "-"
-		if p.SpliceAcc >= 0 {
-			splice = fmt.Sprintf("%.3f", p.SpliceAcc)
-			spliceDev = fmt.Sprintf("%.4f", p.SpliceDev)
-		}
-		fmt.Fprintf(&b, "%6d %10s %10.3f %12.3f %10d %12s %12.4f\n",
-			p.Cells, splice, p.AddAcc, p.AddQuantAcc, p.AddLevels, spliceDev, p.AddDev)
-	}
-	fmt.Fprintf(&b, "PRIME config (splice, 2 cells): %.3f (paper ~0.70, calibration point)\n", r.PRIMEConfig.SpliceAcc)
-	fmt.Fprintf(&b, "FPSA config (add, 16 cells):    %.3f (paper ~1.00, predicted)\n", r.FPSAConfig.AddAcc)
-	return b.String()
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"fpsa/internal/cgraph"
 	"fpsa/internal/coreop"
@@ -76,22 +74,6 @@ func Figure2(dups []int) (Figure2Result, error) {
 	return Figure2Result{Model: models.NameVGG16, PRIME: s}, nil
 }
 
-// RenderFigure2 renders the series.
-func RenderFigure2(r Figure2Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: PRIME performance vs area, %s\n", r.Model)
-	fmt.Fprintf(&b, "%6s %12s %14s %14s %14s\n", "dup", "Area/mm2", "Peak/OPS", "Ideal/OPS", "Real/OPS")
-	for i := range r.PRIME.Peak {
-		fmt.Fprintf(&b, "%6d %12.2f %14.4g %14.4g %14.4g\n",
-			r.PRIME.Peak[i].Dup, r.PRIME.Peak[i].AreaMM2,
-			r.PRIME.Peak[i].OPS, r.PRIME.Ideal[i].OPS, r.PRIME.Real[i].OPS)
-	}
-	last := len(r.PRIME.Real) - 1
-	fmt.Fprintf(&b, "communication gap at largest area: ideal/real = %.1fx\n",
-		r.PRIME.Ideal[last].OPS/r.PRIME.Real[last].OPS)
-	return b.String()
-}
-
 // Figure6Result compares PRIME, FP-PRIME and FPSA for VGG16.
 type Figure6Result struct {
 	Model   string
@@ -155,24 +137,6 @@ func matchedAreaSpeedup(fpsa, prim []CurvePoint) float64 {
 	return best
 }
 
-// RenderFigure6 renders the series.
-func RenderFigure6(r Figure6Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 6: PRIME vs FP-PRIME vs FPSA, %s\n", r.Model)
-	fmt.Fprintf(&b, "%6s | %10s %12s | %10s %12s | %10s %12s\n", "dup",
-		"PRIME/mm2", "real/OPS", "FPP/mm2", "real/OPS", "FPSA/mm2", "real/OPS")
-	for i := range r.PRIME.Real {
-		fmt.Fprintf(&b, "%6d | %10.1f %12.4g | %10.1f %12.4g | %10.1f %12.4g\n",
-			r.PRIME.Real[i].Dup,
-			r.PRIME.Real[i].AreaMM2, r.PRIME.Real[i].OPS,
-			r.FPPRIME.Real[i].AreaMM2, r.FPPRIME.Real[i].OPS,
-			r.FPSA.Real[i].AreaMM2, r.FPSA.Real[i].OPS)
-	}
-	fmt.Fprintf(&b, "max FPSA speedup over PRIME at matched area: %.0fx (paper: up to 1000x)\n",
-		r.SpeedupAtMatchedArea)
-	return b.String()
-}
-
 // Figure7Row is one architecture's per-PE latency breakdown for VGG16.
 type Figure7Row struct {
 	Target perf.Target
@@ -202,17 +166,6 @@ func Figure7() ([]Figure7Row, error) {
 		rows = append(rows, Figure7Row{Target: target, CompNS: r.CompNSPerVMM, CommNS: r.CommNSPerVMM})
 	}
 	return rows, nil
-}
-
-// RenderFigure7 renders the bars.
-func RenderFigure7(rows []Figure7Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: per-PE latency breakdown, VGG16\n")
-	fmt.Fprintf(&b, "%-10s %16s %16s\n", "", "Computation/ns", "Communication/ns")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %16.1f %16.1f\n", r.Target, r.CompNS, r.CommNS)
-	}
-	return b.String()
 }
 
 // Figure8Row is one (model, duplication) sample of the scalability study.
@@ -299,28 +252,6 @@ func Figure8Geomeans(rows []Figure8Row, dups []int) (perfGain, areaGain map[int]
 		}
 	}
 	return perfGain, areaGain
-}
-
-// RenderFigure8 renders the study.
-func RenderFigure8(rows []Figure8Row, dups []int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8: scalability and utilization bounds (FPSA)\n")
-	fmt.Fprintf(&b, "%-14s %5s %12s %10s %13s %13s %13s %13s\n",
-		"Model", "dup", "Perf/OPS", "Area/mm2", "Dens", "Peak", "SpatialBnd", "TemporalBnd")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %5d %12.4g %10.2f %13.4g %13.4g %13.4g %13.4g\n",
-			r.Model, r.Dup, r.PerfOPS, r.AreaMM2, r.DensityOPSmm2,
-			r.PeakDensity, r.SpatialBoundDensity, r.TemporalBoundDensity)
-	}
-	perfGain, areaGain := Figure8Geomeans(rows, dups)
-	for _, d := range dups {
-		if d == 1 {
-			continue
-		}
-		fmt.Fprintf(&b, "geomean @%dx: perf %.2fx, area %.2fx\n", d, perfGain[d], areaGain[d])
-	}
-	fmt.Fprintf(&b, "(paper geomeans: perf 3.06/10.88/38.65x, area 1.25/1.85/3.73x at 4/16/64x)\n")
-	return b.String()
 }
 
 func pow(x, e float64) float64 {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"fpsa/internal/coreop"
 	"fpsa/internal/device"
 	"fpsa/internal/mapper"
@@ -100,20 +97,4 @@ func AblationHeteroPEs(dup int) ([]HeteroPERow, error) {
 // fitsSmall reports whether a group fits the 128×128 PE.
 func fitsSmall(grp *coreop.Group) bool {
 	return grp.Rows <= smallPESide && grp.Cols <= smallPESide
-}
-
-// RenderAblationHeteroPEs renders the comparison.
-func RenderAblationHeteroPEs(rows []HeteroPERow, dup int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation (§7.3 future work): heterogeneous PE sizes (256² + 128²), %dx duplication\n", dup)
-	fmt.Fprintf(&b, "%-14s %8s %8s %8s %12s %12s %12s %10s\n",
-		"Model", "basePEs", "small", "large", "baseArea", "mixedArea", "spatialGain", "areaSave")
-	for _, r := range rows {
-		gain := r.MixedSpatial / r.BaseSpatial
-		fmt.Fprintf(&b, "%-14s %8d %8d %8d %10.2fmm2 %10.2fmm2 %11.2fx %9.1f%%\n",
-			r.Model, r.BasePEs, r.SmallPEs, r.LargePEs,
-			r.BaseAreaMM2, r.MixedAreaMM2, gain, r.AreaSavingPc)
-	}
-	b.WriteString("(PE-array accounting only; §7.3 predicts the gain concentrates in pooling-heavy models)\n")
-	return b.String()
 }

@@ -1,12 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6): each driver returns typed results plus a text rendering
-// with the same rows/series the paper reports, so `cmd/fpsa-bench` and the
-// benchmark harness can print paper-vs-measured side by side.
+// evaluation (§6): each driver returns typed results with the same
+// rows/series the paper reports. The root package's TestFidelity sets
+// their numbers beside the published ones in docs/FIDELITY.md.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"fpsa/internal/device"
 	"fpsa/internal/models"
@@ -34,17 +33,6 @@ func Table1(p device.Params) []Table1Row {
 		{"CLB (128x LUT)", p.CLB.EnergyPJ, p.CLB.AreaUM2, p.CLB.LatencyNS},
 		{"SMB (16Kb)", p.SMB.EnergyPJ, p.SMB.AreaUM2, p.SMB.LatencyNS},
 	}
-}
-
-// RenderTable1 renders the table.
-func RenderTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: function-block parameters (45 nm)\n")
-	fmt.Fprintf(&b, "%-22s %10s %12s %10s\n", "Block", "Energy/pJ", "Area/um2", "Latency/ns")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %10.3f %12.3f %10.3f\n", r.Block, r.EnergyPJ, r.AreaUM2, r.LatencyNS)
-	}
-	return b.String()
 }
 
 // Table2Result compares one PE of PRIME and FPSA for a 256×256 VMM with
@@ -79,18 +67,6 @@ func Table2(p device.Params) Table2Result {
 	r.LatencyReductPct = 100 * (r.FPSALatencyNS - r.PRIMELatencyNS) / r.PRIMELatencyNS
 	r.DensityGain = r.FPSADensity / r.PRIMEDensity
 	return r
-}
-
-// RenderTable2 renders the comparison.
-func RenderTable2(r Table2Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: PE comparison (256x256 VMM, 8-bit weight, 6-bit I/O)\n")
-	fmt.Fprintf(&b, "%-8s %12s %12s %22s\n", "", "Area/um2", "Latency/ns", "Density/(OPS/mm2)")
-	fmt.Fprintf(&b, "%-8s %12.3f %12.1f %22.4g\n", "PRIME", r.PRIMEAreaUM2, r.PRIMELatencyNS, r.PRIMEDensity)
-	fmt.Fprintf(&b, "%-8s %12.3f %12.1f %22.4g\n", "FPSA", r.FPSAAreaUM2, r.FPSALatencyNS, r.FPSADensity)
-	fmt.Fprintf(&b, "%-8s %11.2f%% %11.2f%% %21.2fx\n", "Improve", r.AreaReductionPct, r.LatencyReductPct, r.DensityGain)
-	fmt.Fprintf(&b, "(context: PipeLayer %.4g, ISAAC %.4g OPS/mm2)\n", r.PipeLayerDensity, r.ISAACDensity)
-	return b.String()
 }
 
 // Table3Row is one model column of Table 3.
@@ -133,17 +109,4 @@ func Table3(dup int) ([]Table3Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderTable3 renders the overall-performance table.
-func RenderTable3(rows []Table3Row, dup int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 3: overall FPSA performance (%dx duplication)\n", dup)
-	fmt.Fprintf(&b, "%-14s %12s %12s %16s %12s %10s\n",
-		"Model", "# weights", "# ops", "Thrpt/(smp/s)", "Latency/us", "Area/mm2")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %12.4g %12.4g %16.4g %12.4g %10.2f\n",
-			r.Model, float64(r.Weights), float64(r.Ops), r.ThroughputSPS, r.LatencyUS, r.AreaMM2)
-	}
-	return b.String()
 }

@@ -19,12 +19,15 @@ var flagDecl = regexp.MustCompile(`\b(?:flag|fs)\.([A-Za-z0-9]+)\((?:&[A-Za-z0-9
 // flagRow matches a flag-table row: | `-name` | meaning |.
 var flagRow = regexp.MustCompile("^\\|\\s*`-([^`]+)`\\s*\\|")
 
-// CheckFlagDocs is docscheck's flag-table pass, migrated into the suite:
-// every CLI flag declared by a binary under cmd/ must have a row in the
-// README's flag tables, attributed to that binary (the table documents
-// the binary named most recently above it). It returns one message per
-// undocumented flag; a broken precondition (no binaries, no rows — the
-// vacuous-pass cases) is an error.
+// CheckFlagDocs is docscheck's flag-table pass, migrated into the suite,
+// and it checks both directions: every CLI flag declared by a binary under
+// cmd/ must have a row in the README's flag tables, attributed to that
+// binary, and every row must document a flag its binary declares. A table
+// documents the binary named most recently above it; a Markdown heading
+// ends that attribution, so the rows of a section whose binary was
+// deleted belong to none. It returns one message per undocumented flag and
+// per row without a declaration; a broken precondition (no binaries, no
+// rows — the vacuous-pass cases) is an error.
 func CheckFlagDocs(repoRoot string) ([]string, error) {
 	cmdDir := filepath.Join(repoRoot, "cmd")
 	readmePath := filepath.Join(repoRoot, "README.md")
@@ -46,21 +49,28 @@ func CheckFlagDocs(repoRoot string) ([]string, error) {
 		return nil, err
 	}
 	// Attribute each flag row to the binary named most recently before
-	// it: prose like "go run ./cmd/fpsa-serve …" or a "## fpsa-bench"
+	// it: prose like "go run ./cmd/fpsa-serve …" or a "## fpsa-compile"
 	// heading switches the current binary, and its flag table follows.
+	type row struct {
+		binary, flag string
+		line         int
+	}
+	var rows []row
 	documented := make(map[string]map[string]bool, len(binaries))
 	for _, b := range binaries {
 		documented[b] = make(map[string]bool)
 	}
 	current := ""
-	rows := 0
-	for _, line := range strings.Split(string(readme), "\n") {
+	for i, line := range strings.Split(string(readme), "\n") {
 		if m := flagRow.FindStringSubmatch(line); m != nil {
-			rows++
+			rows = append(rows, row{current, m[1], i + 1})
 			if current != "" {
 				documented[current][m[1]] = true
 			}
 			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			current = ""
 		}
 		for _, b := range binaries {
 			if idx := strings.LastIndex(line, b); idx >= 0 {
@@ -70,22 +80,25 @@ func CheckFlagDocs(repoRoot string) ([]string, error) {
 			}
 		}
 	}
-	if rows == 0 {
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("%s contains no flag-table rows (| `-flag` | …); refusing to pass vacuously", readmePath)
 	}
 
 	var problems []string
+	declared := make(map[string]map[string]bool, len(binaries))
 	total := 0
 	for i, path := range mains {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
+		declared[binaries[i]] = make(map[string]bool)
 		for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
 			if m[1] == "NewFlagSet" {
 				continue
 			}
 			total++
+			declared[binaries[i]][m[2]] = true
 			if !documented[binaries[i]][m[2]] {
 				problems = append(problems,
 					fmt.Sprintf("%s: flag -%s of %s has no row in README.md's flag tables", path, m[2], binaries[i]))
@@ -94,6 +107,16 @@ func CheckFlagDocs(repoRoot string) ([]string, error) {
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("no flag declarations found under %s; the matcher may be stale", cmdDir)
+	}
+	for _, r := range rows {
+		switch {
+		case r.binary == "":
+			problems = append(problems,
+				fmt.Sprintf("%s:%d: row -%s documents a flag of no binary under cmd/", readmePath, r.line, r.flag))
+		case !declared[r.binary][r.flag]:
+			problems = append(problems,
+				fmt.Sprintf("%s:%d: row -%s documents a flag %s does not declare", readmePath, r.line, r.flag, r.binary))
+		}
 	}
 	return problems, nil
 }
