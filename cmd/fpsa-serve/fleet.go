@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"time"
 
 	"fpsa"
 )
+
+// defaultFleetConfig is the fleet fpsa-serve builds without -fleet: one
+// spiking 16-24-4 MLP held at 4 replicas (min_replicas pins the
+// autoscaler there), on the default chip pool with no tenants declared.
+const defaultFleetConfig = `{"models": [{"name": "mlp-16-24-4", "seed": 7, "layers": [16, 24, 4],
+	"epochs": 40, "mode": "spiking", "replicas": 4, "min_replicas": 4}]}`
 
 // fleetConfig is the -fleet JSON file: the chip pool, the tenant table,
 // and one entry per served model. Zero fields fall back to the fleet
@@ -44,12 +48,14 @@ type fleetModelConfig struct {
 	Epochs int   `json:"epochs"`
 	// Replicas / MinReplicas / MaxReplicas bound the autoscaled engine
 	// pool; QueueDepth is the per-replica admission depth; Mode is the
-	// exec mode (empty = spiking).
+	// exec mode (empty = spiking); Chips is how many chips each replica's
+	// deployment is pipelined across (0 or 1 = a single chip).
 	Replicas    int    `json:"replicas"`
 	MinReplicas int    `json:"min_replicas"`
 	MaxReplicas int    `json:"max_replicas"`
 	QueueDepth  int    `json:"queue_depth"`
 	Mode        string `json:"mode"`
+	Chips       int    `json:"chips"`
 }
 
 // fleetModel is one served model's swap state: everything needed to
@@ -123,8 +129,8 @@ func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fl
 		return nil, err
 	}
 	log.Printf("model %q: trained MLP %v, float accuracy %.3f", mc.Name, mc.Layers, net.Accuracy(test))
-	d, err := fpsa.Compile(ctx, net.Model(),
-		fpsa.WithWeightSource(net.WeightSource()), fpsa.WithSeed(mc.Seed), fpsa.WithCache(f.Cache()))
+	d, err := fpsa.Compile(ctx, net.Model(), fpsa.WithWeightSource(net.WeightSource()),
+		fpsa.WithSeed(mc.Seed), fpsa.WithChips(mc.Chips), fpsa.WithCache(f.Cache()))
 	if err != nil {
 		return nil, err
 	}
@@ -145,14 +151,16 @@ func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fl
 	return &fleetModel{layers: mc.Layers, epochs: mc.Epochs, train: train}, nil
 }
 
-// fleetClassifyRequest is the body of fleet mode's POST /v1/classify.
+// fleetClassifyRequest is the body of POST /v1/classify: one feature
+// vector, or a batch of at most maxBatchItems.
 type fleetClassifyRequest struct {
-	Model    string    `json:"model"`
-	Tenant   string    `json:"tenant"`
-	Features []float64 `json:"features"`
+	Model    string      `json:"model"`
+	Tenant   string      `json:"tenant"`
+	Features []float64   `json:"features"`
+	Batch    [][]float64 `json:"batch"`
 }
 
-// fleetMux is fleet mode's handler set: /healthz, the /fleetz stats
+// fleetMux is the server's handler set: /healthz, the /fleetz stats
 // endpoint, /v1/classify with tenant-aware admission, and /v1/swap, which
 // retrains a model with a caller-supplied seed, recompiles it through the
 // fleet's cache and hot-swaps it with zero downtime. models is read-only
@@ -170,16 +178,27 @@ func fleetMux(f *fpsa.Fleet, models map[string]*fleetModel) *http.ServeMux {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		if req.Features == nil {
-			http.Error(w, `want "features"`, http.StatusBadRequest)
-			return
+		switch {
+		case len(req.Batch) > maxBatchItems:
+			http.Error(w, fmt.Sprintf("batch of %d samples exceeds the limit of %d", len(req.Batch), maxBatchItems),
+				http.StatusRequestEntityTooLarge)
+		case req.Batch != nil:
+			classes, version, err := f.ClassifyBatch(r.Context(), req.Model, req.Tenant, req.Batch)
+			if err != nil {
+				http.Error(w, err.Error(), fleetStatus(err))
+				return
+			}
+			writeJSON(w, map[string]any{"classes": classes, "version": version})
+		case req.Features != nil:
+			class, version, err := f.Classify(r.Context(), req.Model, req.Tenant, req.Features)
+			if err != nil {
+				http.Error(w, err.Error(), fleetStatus(err))
+				return
+			}
+			writeJSON(w, map[string]any{"class": class, "version": version})
+		default:
+			http.Error(w, `want "features" or "batch"`, http.StatusBadRequest)
 		}
-		class, version, err := f.Classify(r.Context(), req.Model, req.Tenant, req.Features)
-		if err != nil {
-			http.Error(w, err.Error(), fleetStatus(err))
-			return
-		}
-		writeJSON(w, map[string]any{"class": class, "version": version})
 	})
 	mux.HandleFunc("POST /v1/swap", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -211,33 +230,15 @@ func fleetMux(f *fpsa.Fleet, models map[string]*fleetModel) *http.ServeMux {
 	return mux
 }
 
-// runFleet serves the multi-model fleet described by the -fleet config
-// file until SIGINT/SIGTERM (see serveUntilSignal).
-func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) error {
-	raw, err := os.ReadFile(cfgPath)
-	if err != nil {
-		return err
-	}
-	f, models, err := buildFleet(ctx, raw)
-	if err != nil {
-		return fmt.Errorf("fleet config %s: %w", cfgPath, err)
-	}
-	defer f.Close()
-	log.Printf("fleet serving %d models on %s", len(models), addr)
-	return serveUntilSignal(&http.Server{Addr: addr, Handler: fleetMux(f, models)}, drain, f.Close)
-}
-
-// fleetStatus maps serving errors onto HTTP, in both modes: sheds are 429
-// (retryable), a draining server or a request whose context ended while it
-// waited for an executor is 503, an exhausted chip pool 507, and anything
-// else — unknown model, wrong length, bad values — the client's 400. A
-// single engine never sheds or runs out of chips: for it this is 503 or
-// 400.
+// fleetStatus maps serving errors onto HTTP: sheds are 429 (retryable), a
+// draining server or a request whose context ended while it waited for an
+// executor is 503, an exhausted chip pool 507, and anything else — unknown
+// model, wrong length, bad values — the client's 400.
 func fleetStatus(err error) int {
 	switch {
 	case errors.Is(err, fpsa.ErrOverloaded), errors.Is(err, fpsa.ErrTenantQuota):
 		return http.StatusTooManyRequests
-	case errors.Is(err, fpsa.ErrClosed), isContextErr(err):
+	case errors.Is(err, fpsa.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, fpsa.ErrCapacity):
 		return http.StatusInsufficientStorage

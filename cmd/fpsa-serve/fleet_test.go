@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,7 +23,7 @@ const testFleetConfig = `{
 	"models": [{"name": "mlp-a", "seed": 3, "layers": [16, 8, 4], "epochs": 2, "mode": "reference"}]
 }`
 
-// TestFleetMux drives fleet mode's handlers in-process, in the order a
+// TestFleetMux drives the server's handlers in-process, in the order a
 // deployment lives: classify, swap, classify on the new version, stats,
 // drain. Sheds (429) are asserted on fleetStatus in TestStatusMapping, not
 // by racing a parked request over HTTP.
@@ -86,6 +89,125 @@ func TestFleetMux(t *testing.T) {
 	f.Close()
 	if w := do("POST", "/v1/classify", classify); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("classify after Close: %d %q, want 503", w.Code, w.Body.String())
+	}
+}
+
+// TestFleetClassify drives POST /v1/classify: a vector and a batch
+// classify, each stamped with the version that served it; a batch longer
+// than maxBatchItems is 413 without reaching the fleet, however few bytes
+// it takes; a request whose context has ended is 503, not the client's 400.
+func TestFleetClassify(t *testing.T) {
+	ctx := context.Background()
+	f, models, err := buildFleet(ctx, []byte(testFleetConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mux := fleetMux(f, models)
+
+	vec := "[" + strings.Repeat("0.5,", 15) + "0.5]"
+	body := func(field string) string { return `{"model":"mlp-a","tenant":"acme",` + field + `}` }
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		name, body string
+		ctx        context.Context
+		status     int
+		reply      string
+	}{
+		{"vector", body(`"features":` + vec), ctx, http.StatusOK, `"class"`},
+		{"batch", body(`"batch":[` + vec + `,` + vec + `]`), ctx, http.StatusOK, `"classes"`},
+		{"batch at the limit", body(`"batch":[` + strings.Repeat(vec+",", maxBatchItems-1) + vec + `]`), ctx, http.StatusOK, `"version":1`},
+		{"batch over the limit", body(`"batch":[` + strings.Repeat("[],", maxBatchItems) + `[]]`), ctx, http.StatusRequestEntityTooLarge, "exceeds the limit"},
+		{"neither", body(`"features":null`), ctx, http.StatusBadRequest, `want "features" or "batch"`},
+		{"wrong length", body(`"features":[0.5]`), ctx, http.StatusBadRequest, "input length"},
+		{"cancelled vector", body(`"features":` + vec), cancelled, http.StatusServiceUnavailable, "context canceled"},
+		{"cancelled batch", body(`"batch":[` + vec + `]`), cancelled, http.StatusServiceUnavailable, "context canceled"},
+	} {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest("POST", "/v1/classify", strings.NewReader(tc.body)).WithContext(tc.ctx))
+		if w.Code != tc.status || !strings.Contains(w.Body.String(), tc.reply) {
+			t.Errorf("%s: %d %q, want %d with %q", tc.name, w.Code, w.Body.String(), tc.status, tc.reply)
+		}
+	}
+	if st := f.Stats().Models["mlp-a"]; st.Requests != 1+2+maxBatchItems+1+1+1 || st.Errors != 3 {
+		t.Errorf("fleet saw %d samples / %d errors, want %d / 3: the over-length batch must not reach it",
+			st.Requests, st.Errors, 1+2+maxBatchItems+1+1+1)
+	}
+}
+
+// TestDefaultFleetPinned: the fleet fpsa-serve builds without -fleet
+// answers 256 fixed feature vectors, sent one at a time and as one batch,
+// with the labels the single-engine server it replaced gave (seed 7, a
+// 16-24-4 MLP trained 40 epochs, spiking, 4 executors, chunks of 8).
+func TestDefaultFleetPinned(t *testing.T) {
+	const wantDigest = "0d4a54a363bee30e"
+	f, models, err := buildFleet(context.Background(), []byte(defaultFleetConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mux := fleetMux(f, models)
+	post := func(req map[string]any, reply any) {
+		t.Helper()
+		req["model"] = "mlp-16-24-4"
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest("POST", "/v1/classify", bytes.NewReader(raw)))
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), reply) != nil {
+			t.Fatalf("classify: %d %q", w.Code, w.Body.String())
+		}
+	}
+	r := rand.New(rand.NewSource(35))
+	vecs := make([][]float64, 256)
+	for i := range vecs {
+		vecs[i] = make([]float64, 16)
+		for j := range vecs[i] {
+			vecs[i][j] = r.Float64()
+		}
+	}
+	single := make([]int, len(vecs))
+	for i, v := range vecs {
+		var reply struct{ Class int }
+		post(map[string]any{"features": v}, &reply)
+		single[i] = reply.Class
+	}
+	var batch struct{ Classes []int }
+	post(map[string]any{"batch": vecs}, &batch)
+	for name, labels := range map[string][]int{"single": single, "batch": batch.Classes} {
+		if got := labelDigest(labels); got != wantDigest {
+			t.Errorf("%s labels digest %s, want %s", name, got, wantDigest)
+		}
+	}
+	if st := f.Stats().Models["mlp-16-24-4"]; st.Replicas != 4 || st.Version != 1 {
+		t.Errorf("default model at %d replicas, version %d; want 4 and 1", st.Replicas, st.Version)
+	}
+}
+
+// labelDigest is the first 16 hex digits of the SHA-256 of the labels
+// written as "l0,l1,…,".
+func labelDigest(labels []int) string {
+	h := sha256.New()
+	for _, l := range labels {
+		fmt.Fprintf(h, "%d,", l)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestFleetConfigChips: a model's "chips" key compiles it across that many
+// chips, and each of its replicas then occupies that many of the pool's.
+func TestFleetConfigChips(t *testing.T) {
+	f, _, err := buildFleet(context.Background(), []byte(`{"chips": 8, "models": [{"name": "m", "seed": 3,
+		"layers": [16, 8, 8, 4], "epochs": 2, "mode": "reference", "replicas": 2, "chips": 2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if st := f.Stats(); st.ChipsUsed != 2*2 {
+		t.Errorf("2 replicas of a 2-chip model hold %d chips, want 4", st.ChipsUsed)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,8 +40,7 @@ func TestParseMode(t *testing.T) {
 // TestStatusMapping: sheds are 429, a draining server 503, a request whose
 // context ended before it got an executor 503, an exhausted chip pool 507,
 // and anything else is the client's 400 — also when the sentinel arrives
-// wrapped. One map serves both modes; an engine returns only the 503 and
-// 400 rows.
+// wrapped.
 func TestStatusMapping(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("model %q: %w", "m", err) }
 	for _, tc := range []struct {
@@ -100,53 +101,27 @@ func TestDecodeJSON(t *testing.T) {
 	}
 }
 
-// TestClassifyHandler drives POST /v1/classify against a real engine: a
-// vector and a batch classify; a batch longer than maxBatchItems is 413
-// without reaching the engine, however few bytes it takes; a request whose
-// context has ended is 503, not the client's 400.
-func TestClassifyHandler(t *testing.T) {
-	ctx := context.Background()
-	train, _ := fpsa.SyntheticDataset(7, 120, 16, 4, 0.08).Split(2.0 / 3)
-	net, err := fpsa.TrainMLP(7, []int{16, 8, 4}, train, 2)
-	if err != nil {
+// TestRunRejectsBadFlags: a command line or config the server cannot start
+// from comes back from run as an error — before any model is trained or
+// any port is bound — instead of ending the process.
+func TestRunRejectsBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	malformed := filepath.Join(dir, "malformed.json")
+	if err := os.WriteFile(malformed, []byte(`{"models":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := fpsa.Compile(ctx, net.Model(), fpsa.WithWeightSource(net.WeightSource()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := d.NewEngine(ctx, fpsa.WithMode(fpsa.ModeReference))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	h := classifyHandler(eng)
-
-	vec := "[" + strings.Repeat("0.5,", 15) + "0.5]"
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
 	for _, tc := range []struct {
-		name, body string
-		ctx        context.Context
-		status     int
-		reply      string
+		name string
+		args []string
+		want string
 	}{
-		{"vector", `{"features":` + vec + `}`, ctx, http.StatusOK, `"class"`},
-		{"batch", `{"batch":[` + vec + `,` + vec + `]}`, ctx, http.StatusOK, `"classes"`},
-		{"batch at the limit", `{"batch":[` + strings.Repeat(vec+",", maxBatchItems-1) + vec + `]}`, ctx, http.StatusOK, `"classes"`},
-		{"batch over the limit", `{"batch":[` + strings.Repeat("[],", maxBatchItems) + `[]]}`, ctx, http.StatusRequestEntityTooLarge, "exceeds the limit"},
-		{"wrong length", `{"features":[0.5]}`, ctx, http.StatusBadRequest, "input length"},
-		{"cancelled vector", `{"features":` + vec + `}`, cancelled, http.StatusServiceUnavailable, "context canceled"},
-		{"cancelled batch", `{"batch":[` + vec + `]}`, cancelled, http.StatusServiceUnavailable, "context canceled"},
+		{"unknown flag", []string{"-workers", "4"}, "flag provided but not defined"},
+		{"bad duration", []string{"-drain", "x"}, "invalid value"},
+		{"missing config", []string{"-fleet", filepath.Join(dir, "absent.json")}, "no such file"},
+		{"malformed config", []string{"-fleet", malformed}, "unexpected end"},
 	} {
-		w := httptest.NewRecorder()
-		r := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(tc.body)).WithContext(tc.ctx)
-		h(w, r)
-		if w.Code != tc.status || !strings.Contains(w.Body.String(), tc.reply) {
-			t.Errorf("%s: %d %q, want %d with %q", tc.name, w.Code, w.Body.String(), tc.status, tc.reply)
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run(%q) = %v, want an error mentioning %q", tc.name, tc.args, err, tc.want)
 		}
-	}
-	if st := eng.Stats(); st.Requests != 1+2+maxBatchItems+1 || st.Shed != 2 {
-		t.Errorf("engine saw %d samples / %d shed, want %d / 2: the over-length batch must not reach it", st.Requests, st.Shed, 1+2+maxBatchItems+1)
 	}
 }

@@ -131,11 +131,7 @@ func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, e
 	if err != nil {
 		return nil, wrapServeErr(err)
 	}
-	labels := make([]int, len(outs))
-	for i, out := range outs {
-		labels[i] = synth.Argmax(out)
-	}
-	return labels, nil
+	return argmaxes(outs), nil
 }
 
 // EngineStats is a snapshot of an engine's serving counters — the

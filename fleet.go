@@ -305,6 +305,18 @@ func (f *Fleet) Outputs(ctx context.Context, model, tenant string, features []fl
 	return res.Output, res.Version, nil
 }
 
+// ClassifyBatch is Classify over a batch: the batch takes one tenant
+// quota place and one admission place, runs on one deployment version —
+// every class is that version's, and its id is returned — and is cut into
+// the engine's MaxBatch-sized chunks as Engine.ClassifyBatch cuts it.
+func (f *Fleet) ClassifyBatch(ctx context.Context, model, tenant string, batch [][]float64) (classes []int, version int, err error) {
+	outs, version, err := f.fl.InferBatch(ctx, model, tenant, batch)
+	if err != nil {
+		return nil, 0, wrapFleetErr(err)
+	}
+	return argmaxes(outs), version, nil
+}
+
 // Swap hot-swaps the named model's bitstream to deployment d with zero
 // downtime: it builds a replacement engine against d (same replica
 // count, engine shape inherited from AddModel), atomically re-points the

@@ -40,7 +40,10 @@ func fleetTestPair(t testing.TB) (d1, d2 *Deployment, test Dataset) {
 // response is bit-identical to a fresh single-engine serve of the
 // deployment its stamp names — so post-swap traffic exactly matches a
 // fresh engine over the new deployment, and no request ever mixes the
-// two bitstreams.
+// two bitstreams. Batch callers ride beside the single ones, through the
+// fleet's InferBatch (whose outputs ClassifyBatch takes the argmax of):
+// every output of a batch reply is bit-identical to the fresh engine's for
+// the one version the reply is stamped with.
 func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 	d1, d2, test := fleetTestPair(t)
 	for _, mode := range []ExecMode{ModeReference, ModeSpiking, ModeSpikingNoisy} {
@@ -103,6 +106,32 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 					}
 				}(l)
 			}
+			const batchLoaders = 2
+			const batchLen = 12
+			var batches atomic.Uint64
+			for l := 0; l < batchLoaders; l++ {
+				wg.Add(1)
+				go func(l int) {
+					defer wg.Done()
+					for i := 0; i < perLoad/batchLen; i++ {
+						lo := (l*perLoad + i*batchLen) % (len(test.X) - batchLen)
+						outs, version, err := f.fl.InferBatch(context.Background(), "m", "tenant", test.X[lo:lo+batchLen])
+						if err != nil {
+							firstErr.CompareAndSwap(nil, fmt.Errorf("batch loader %d batch %d: %w", l, i, err))
+							return
+						}
+						batches.Add(1)
+						exp, ok := want[version]
+						if !ok {
+							badVersion.Add(1)
+							continue
+						}
+						if !reflect.DeepEqual(outs, exp[lo:lo+batchLen]) {
+							badOutput.Add(1)
+						}
+					}
+				}(l)
+			}
 			time.Sleep(5 * time.Millisecond)
 			ev, err := f.Swap(context.Background(), "m", d2)
 			if err != nil {
@@ -117,6 +146,9 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 			}
 			if got := completed.Load(); got != loaders*perLoad {
 				t.Fatalf("completed %d of %d requests — swap lost requests", got, loaders*perLoad)
+			}
+			if got := batches.Load(); got != batchLoaders*(perLoad/batchLen) {
+				t.Fatalf("completed %d of %d batches — swap lost batches", got, batchLoaders*(perLoad/batchLen))
 			}
 			if badVersion.Load() != 0 {
 				t.Fatalf("%d responses stamped with an unknown version", badVersion.Load())
@@ -139,8 +171,78 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 			if ms.Version != 2 || ms.Errors != 0 || len(st.Swaps) != 1 {
 				t.Fatalf("fleet stats after swap = %+v / swaps %d", ms, len(st.Swaps))
 			}
-			if ms.Requests < loaders*perLoad {
-				t.Fatalf("stats requests = %d, want ≥ %d", ms.Requests, loaders*perLoad)
+			if total := loaders*perLoad + batchLoaders*(perLoad/batchLen)*batchLen; ms.Requests < uint64(total) {
+				t.Fatalf("stats requests = %d, want ≥ %d", ms.Requests, total)
+			}
+		})
+	}
+}
+
+// TestFleetClassifyBatchMatchesEngine: a fleet model's ClassifyBatch is
+// Engine.ClassifyBatch on the same deployment, in every exec mode and on a
+// 2-chip deployment, for a batch the engine cuts into many chunks: the
+// classes agree, and so, bit for bit, do the raw outputs beneath them.
+func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
+	d1, _, test := fleetTestPair(t)
+	train, _ := SyntheticDataset(5, 300, 12, 3, 0.08).Split(0.7)
+	net, err := TrainMLP(5, []int{12, 10, 8, 3}, train, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2chip, err := Compile(context.Background(), net.Model(), WithWeightSource(net.WeightSource()), WithSeed(5), WithChips(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2chip.Chips() != 2 {
+		t.Fatalf("2-chip deployment compiled onto %d chips", d2chip.Chips())
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Deployment
+		mode ExecMode
+	}{
+		{"reference", d1, ModeReference},
+		{"spiking", d1, ModeSpiking},
+		{"noisy", d1, ModeSpikingNoisy},
+		{"spiking-2chip", d2chip, ModeSpiking},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := tc.d.NewEngine(context.Background(), WithWorkers(2), WithMode(tc.mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.ClassifyBatch(context.Background(), test.X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOuts := make([][]int, len(test.X))
+			for i, x := range test.X {
+				if wantOuts[i], err = eng.Outputs(context.Background(), x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Close()
+			f, err := NewFleet(WithFleetChips(8), WithScaleInterval(time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := f.AddModel(context.Background(), "m", tc.d, WithModelReplicas(2), WithModelEngine(WithMode(tc.mode))); err != nil {
+				t.Fatal(err)
+			}
+			got, version, err := f.ClassifyBatch(context.Background(), "m", "t", test.X)
+			if err != nil || version != 1 {
+				t.Fatalf("ClassifyBatch: version %d, %v", version, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("fleet batch %v\nengine batch %v", got, want)
+			}
+			outs, _, err := f.fl.InferBatch(context.Background(), "m", "t", test.X)
+			if err != nil || !reflect.DeepEqual(outs, wantOuts) {
+				t.Fatalf("fleet batch outputs differ from the engine's (%v)", err)
+			}
+			if st := f.Stats().Models["m"]; st.Requests != 2*uint64(len(test.X)) {
+				t.Errorf("stats requests = %d, want %d (one per sample)", st.Requests, 2*len(test.X))
 			}
 		})
 	}

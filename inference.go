@@ -191,11 +191,16 @@ func (s *SpikingNet) ClassifyBatch(features [][]float64, mode ExecMode) ([]int, 
 	if err != nil {
 		return nil, err
 	}
+	return argmaxes(outs), nil
+}
+
+// argmaxes is each output's argmax class, positionally.
+func argmaxes(outs [][]int) []int {
 	labels := make([]int, len(outs))
 	for i, out := range outs {
 		labels[i] = synth.Argmax(out)
 	}
-	return labels, nil
+	return labels
 }
 
 // OutputsBatch returns the raw output spike counts for a micro-batch of

@@ -55,10 +55,11 @@ var (
 // executors, one per replica. *serve.Engine satisfies it. QueueDepth is
 // its backlog — requests waiting for an executor right now, not counting
 // the ones running — and is what the autoscaler reads. Close must wait
-// for every call already inside, and Infer after it must return an error
-// wrapping serve.ErrClosed.
+// for every call already inside, and Infer or InferBatch after it must
+// return an error wrapping serve.ErrClosed.
 type Replica interface {
 	Infer(ctx context.Context, input []int) ([]int, error)
+	InferBatch(ctx context.Context, inputs [][]int) ([][]int, error)
 	QueueDepth() int
 	Close() error
 }
@@ -388,6 +389,56 @@ func (m *model) admit(c Class) (limit int64, ok bool) {
 	return limit, true
 }
 
+// enter is the admission prologue Infer and InferBatch share: it resolves
+// the model, then claims one of the tenant's quota places and one of the
+// model's class-weighted in-flight places — one of each per call, however
+// many samples it carries. The caller gives both back with m.leave(ts).
+func (f *Fleet) enter(name, tenant string) (m *model, ts *tenantState, err error) {
+	if m, err = f.lookup(name); err != nil {
+		return nil, nil, err
+	}
+	cls := ClassBatch
+	if t := f.tenants[tenant]; t != nil {
+		cls = t.class
+		if t.quota > 0 {
+			if t.inflight.Add(1) > t.quota {
+				t.inflight.Add(-1)
+				m.quotaShed.Add(1)
+				return nil, nil, fmt.Errorf("%w: tenant %q at in-flight quota %d (model %q)",
+					ErrTenantQuota, tenant, t.quota, name)
+			}
+			ts = t
+		}
+	}
+	if limit, ok := m.admit(cls); !ok {
+		if ts != nil {
+			ts.inflight.Add(-1)
+		}
+		m.overload.Add(1)
+		return nil, nil, fmt.Errorf("%w: model %q at %s-class admission limit %d",
+			ErrOverloaded, name, cls, limit)
+	}
+	return m, ts, nil
+}
+
+// leave gives back the places enter claimed.
+func (m *model) leave(ts *tenantState) {
+	m.inflight.Add(-1)
+	if ts != nil {
+		ts.inflight.Add(-1)
+	}
+}
+
+// record counts a call of n samples that ran on an engine: n requests
+// (and n errors if it failed) and one latency since start.
+func (m *model) record(n int, start time.Time, err error) {
+	m.requests.Add(uint64(n))
+	m.lat.Record(time.Since(start))
+	if err != nil {
+		m.errors.Add(uint64(n))
+	}
+}
+
 // Infer serves one request for (model, tenant): admission (tenant quota,
 // then class-weighted model capacity), then the current version's engine.
 // The response carries the id of the exact version that ran the request.
@@ -397,30 +448,11 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m, err := f.lookup(name)
+	m, ts, err := f.enter(name, tenant)
 	if err != nil {
 		return Result{}, err
 	}
-	cls := ClassBatch
-	if ts := f.tenants[tenant]; ts != nil {
-		cls = ts.class
-		if ts.quota > 0 {
-			if ts.inflight.Add(1) > ts.quota {
-				ts.inflight.Add(-1)
-				m.quotaShed.Add(1)
-				return Result{}, fmt.Errorf("%w: tenant %q at in-flight quota %d (model %q)",
-					ErrTenantQuota, tenant, ts.quota, name)
-			}
-			defer ts.inflight.Add(-1)
-		}
-	}
-	if limit, ok := m.admit(cls); !ok {
-		m.overload.Add(1)
-		return Result{}, fmt.Errorf("%w: model %q at %s-class admission limit %d",
-			ErrOverloaded, name, cls, limit)
-	}
-	defer m.inflight.Add(-1)
-
+	defer m.leave(ts)
 	start := time.Now()
 	for {
 		v := m.cur.Load()
@@ -434,13 +466,43 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			// old engine, so the retry finds it; the request is intact.
 			continue
 		}
-		m.requests.Add(1)
-		m.lat.Record(time.Since(start))
+		m.record(1, start, err)
 		if err != nil {
-			m.errors.Add(1)
 			return Result{}, err
 		}
 		return Result{Output: out, Version: v.id}, nil
+	}
+}
+
+// InferBatch is Infer over a batch: one admission (a single tenant quota
+// place and a single model place), one version for every sample — each
+// output is that version's, quantized against its window — and one
+// InferBatch call on its engine, which cuts the batch into chunks. It
+// counts len(batch) requests and one latency.
+func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]float64) (outs [][]int, version int, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	m, ts, err := f.enter(name, tenant)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer m.leave(ts)
+	start := time.Now()
+	for {
+		v := m.cur.Load()
+		outs, err := v.eng.InferBatch(ctx, synth.QuantizeBatch(batch, v.window))
+		if errors.Is(err, serve.ErrClosed) {
+			if m.closed.Load() {
+				return nil, 0, ErrClosed
+			}
+			continue // the route moved on, as in Infer
+		}
+		m.record(len(batch), start, err)
+		if err != nil {
+			return nil, 0, err
+		}
+		return outs, v.id, nil
 	}
 }
 

@@ -13,16 +13,17 @@ import (
 
 // fakeReplica is a controllable Replica, standing for a whole engine:
 // outputs carry its source's marker (so tests can attribute responses to
-// versions), Infer can be made to block on a gate or to panic once, and
+// versions), a call can be made to block on a gate or to panic once, and
 // QueueDepth can be faked to steer the autoscaler. Like serve.Engine, Close
-// waits for every call inside and Infer after it returns serve.ErrClosed.
+// waits for every call inside and a call after it returns serve.ErrClosed.
 type fakeReplica struct {
 	marker   int
 	replicas int           // the count the fleet asked the source for
-	gate     chan struct{} // when non-nil, Infer blocks until closed
-	start    chan struct{} // when non-nil, Infer signals entry (buffered)
+	gate     chan struct{} // when non-nil, a call blocks until closed
+	start    chan struct{} // when non-nil, a call signals entry (buffered)
 	depth    atomic.Int64  // fake queue depth
-	poison   atomic.Bool   // when set, the next Infer panics (and clears it)
+	poison   atomic.Bool   // when set, the next call panics (and clears it)
+	retired  atomic.Bool   // when set, the next call answers serve.ErrClosed (and clears it)
 
 	mu     sync.RWMutex
 	closed bool
@@ -30,6 +31,16 @@ type fakeReplica struct {
 }
 
 func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
+	outs, err := r.InferBatch(ctx, [][]int{input})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// InferBatch is Infer for a whole batch at once: one entry signal, one
+// wait on the gate, and each output echoes its own input's length.
+func (r *fakeReplica) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
 	r.mu.RLock()
 	if r.closed {
 		r.mu.RUnlock()
@@ -41,6 +52,9 @@ func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
 	if r.poison.CompareAndSwap(true, false) {
 		panic("fakeReplica: poisoned request")
 	}
+	if r.retired.CompareAndSwap(true, false) {
+		return nil, serve.ErrClosed
+	}
 	if r.start != nil {
 		r.start <- struct{}{}
 	}
@@ -51,7 +65,11 @@ func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
 			return nil, ctx.Err()
 		}
 	}
-	return []int{r.marker, len(input)}, nil
+	outs := make([][]int, len(inputs))
+	for i, in := range inputs {
+		outs[i] = []int{r.marker, len(in)}
+	}
+	return outs, nil
 }
 
 func (r *fakeReplica) QueueDepth() int { return int(r.depth.Load()) }
@@ -287,6 +305,31 @@ func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 	}
 }
 
+// TestRetryOnRetiredEngine: a call that meets serve.ErrClosed from an
+// engine the route has moved past — closed between the call loading its
+// version and reaching the engine — retries on the current route instead
+// of failing, single and batch calls alike, and is counted once.
+func TestRetryOnRetiredEngine(t *testing.T) {
+	f := New(slowTestOptions())
+	defer f.Close()
+	src := &fakeSource{marker: 7, window: 4}
+	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r := src.replicas()[0]
+	r.retired.Store(true)
+	if res, err := f.Infer(context.Background(), "m", "t", []float64{1}); err != nil || res.Output[0] != 7 {
+		t.Fatalf("single call = %+v, %v; want it retried onto the route", res, err)
+	}
+	r.retired.Store(true)
+	if outs, v, err := f.InferBatch(context.Background(), "m", "t", [][]float64{{1}, {1}}); err != nil || v != 1 || len(outs) != 2 {
+		t.Fatalf("batch call = %v version %d, %v; want it retried onto the route", outs, v, err)
+	}
+	if st := f.Stats().Models["m"]; st.Requests != 1+2 || st.Errors != 0 {
+		t.Errorf("stats = %+v, want 3 requests and no errors", st)
+	}
+}
+
 // TestAddModelDoesNotStallTraffic: registering a model programs its
 // engine outside the fleet's lock, so while model b's factory is still
 // building, requests to model a complete and Stats answers.
@@ -361,6 +404,62 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
+// TestInferBatchOneAdmission: a batch takes one tenant quota place and one
+// model place whatever its length. While a quota-1 tenant's batch holds
+// its place, the tenant's next call — single or batch — sheds with
+// ErrTenantQuota; the batch itself then completes on one version, every
+// output that version's, and counts one request per sample.
+func TestInferBatchOneAdmission(t *testing.T) {
+	f := New(Options{
+		Chips:         16,
+		ScaleInterval: time.Hour,
+		Tenants:       map[string]Tenant{"capped": {Class: ClassGold, Quota: 1}},
+	})
+	defer f.Close()
+	gate := make(chan struct{})
+	src := &fakeSource{marker: 7, window: 4, gate: gate, start: make(chan struct{}, 64)}
+	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 1, QueueDepth: 64}); err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		outs    [][]int
+		version int
+		err     error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		outs, v, err := f.InferBatch(context.Background(), "m", "capped", [][]float64{{1}, {1, 0}, {0, 0, 1}})
+		done <- reply{outs, v, err}
+	}()
+	select {
+	case <-src.start:
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch never reached a replica")
+	}
+	if st := f.Stats().Models["m"]; st.InFlight != 1 {
+		t.Errorf("a 3-sample batch holds %d model places, want 1", st.InFlight)
+	}
+	if _, err := f.Infer(context.Background(), "m", "capped", []float64{1}); !errors.Is(err, ErrTenantQuota) {
+		t.Errorf("single call beside the batch = %v, want ErrTenantQuota", err)
+	}
+	if _, _, err := f.InferBatch(context.Background(), "m", "capped", [][]float64{{1}}); !errors.Is(err, ErrTenantQuota) {
+		t.Errorf("batch call beside the batch = %v, want ErrTenantQuota", err)
+	}
+	close(gate)
+	r := <-done
+	if r.err != nil || r.version != 1 || len(r.outs) != 3 {
+		t.Fatalf("batch = %v version %d, %v; want 3 outputs from version 1", r.outs, r.version, r.err)
+	}
+	for i, out := range r.outs {
+		if out[0] != 7 || out[1] != i+1 {
+			t.Errorf("output %d = %v, want [7 %d]", i, out, i+1)
+		}
+	}
+	if st := f.Stats().Models["m"]; st.Requests != 3 || st.ShedQuota != 2 || st.InFlight != 0 {
+		t.Errorf("stats = %+v, want 3 requests, 2 quota sheds, nothing in flight", st)
+	}
+}
+
 func TestCloseDrainsAndRejects(t *testing.T) {
 	f := New(slowTestOptions())
 	gate := make(chan struct{})
@@ -388,6 +487,9 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	if _, err := f.Infer(context.Background(), "m", "t", []float64{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if _, _, err := f.InferBatch(context.Background(), "m", "t", [][]float64{{1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("batch err = %v, want ErrClosed", err)
 	}
 	if !errors.Is(ErrClosed, serve.ErrClosed) {
 		t.Fatal("fleet.ErrClosed must wrap serve.ErrClosed")

@@ -6,7 +6,8 @@ import "time"
 // endpoint.
 type ModelStats struct {
 	// Requests counts completed inferences (successes and errors, not
-	// sheds); Errors the subset that failed.
+	// sheds); Errors the subset that failed. Both count samples: a batch
+	// call of n counts n.
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
 	// ShedOverload and ShedQuota count sheds by cause: class-weighted

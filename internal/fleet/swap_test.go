@@ -38,20 +38,33 @@ func TestSwapZeroLoss(t *testing.T) {
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
+	// Odd loaders send batches of two: a batch is retried whole, and every
+	// output in it carries the one version it is stamped with.
 	var wg sync.WaitGroup
 	for l := 0; l < loaders; l++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perLoad; i++ {
-				res, err := f.Infer(ctx, "m", "t", []float64{0.5})
+				var outs [][]int
+				var version int
+				var err error
+				if l%2 == 0 {
+					var res Result
+					res, err = f.Infer(ctx, "m", "t", []float64{0.5})
+					outs, version = [][]int{res.Output}, res.Version
+				} else {
+					outs, version, err = f.InferBatch(ctx, "m", "t", [][]float64{{0.5}, {0.5, 0.5}})
+				}
 				if err != nil {
 					failed.Add(1)
 					continue
 				}
 				completed.Add(1)
-				if len(res.Output) == 0 || res.Output[0] != marker(res.Version) {
-					mismatch.Add(1)
+				for _, out := range outs {
+					if len(out) == 0 || out[0] != marker(version) {
+						mismatch.Add(1)
+					}
 				}
 			}
 		}()
@@ -77,7 +90,7 @@ func TestSwapZeroLoss(t *testing.T) {
 	}
 	st := f.Stats()
 	ms := st.Models["m"]
-	if ms.Requests != loaders*perLoad || ms.Errors != 0 || ms.ShedOverload != 0 || ms.ShedQuota != 0 {
+	if ms.Requests != loaders/2*perLoad*(1+2) || ms.Errors != 0 || ms.ShedOverload != 0 || ms.ShedQuota != 0 {
 		t.Fatalf("model stats = %+v", ms)
 	}
 	if ms.Version != swaps+1 {
