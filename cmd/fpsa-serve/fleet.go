@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,14 +13,14 @@ import (
 )
 
 // defaultFleetConfig is the fleet fpsa-serve builds without -fleet: one
-// spiking 16-24-4 MLP held at 4 replicas (min_replicas pins the
-// autoscaler there), on the default chip pool with no tenants declared.
+// spiking 16-24-4 MLP on 4 replicas, on the default chip pool with no
+// tenants declared.
 const defaultFleetConfig = `{"models": [{"name": "mlp-16-24-4", "seed": 7, "layers": [16, 24, 4],
-	"epochs": 40, "mode": "spiking", "replicas": 4, "min_replicas": 4}]}`
+	"epochs": 40, "mode": "spiking", "replicas": 4}]}`
 
 // fleetConfig is the -fleet JSON file: the chip pool, the tenant table,
 // and one entry per served model. Zero fields fall back to the fleet
-// library's defaults.
+// library's defaults; a key this type does not declare is an error.
 type fleetConfig struct {
 	// Chips is the simulated chip pool shared by every model (0 = 64).
 	Chips int `json:"chips"`
@@ -46,16 +47,14 @@ type fleetModelConfig struct {
 	Seed   int64 `json:"seed"`
 	Layers []int `json:"layers"`
 	Epochs int   `json:"epochs"`
-	// Replicas / MinReplicas / MaxReplicas bound the autoscaled engine
-	// pool; QueueDepth is the per-replica admission depth; Mode is the
-	// exec mode (empty = spiking); Chips is how many chips each replica's
-	// deployment is pipelined across (0 or 1 = a single chip).
-	Replicas    int    `json:"replicas"`
-	MinReplicas int    `json:"min_replicas"`
-	MaxReplicas int    `json:"max_replicas"`
-	QueueDepth  int    `json:"queue_depth"`
-	Mode        string `json:"mode"`
-	Chips       int    `json:"chips"`
+	// Replicas is the engine pool's fixed size (0 = 4); QueueDepth is the
+	// per-replica admission depth; Mode is the exec mode (empty =
+	// spiking); Chips is how many chips each replica's deployment is
+	// pipelined across (0 or 1 = a single chip).
+	Replicas   int    `json:"replicas"`
+	QueueDepth int    `json:"queue_depth"`
+	Mode       string `json:"mode"`
+	Chips      int    `json:"chips"`
 }
 
 // fleetModel is one served model's swap state: everything needed to
@@ -68,12 +67,19 @@ type fleetModel struct {
 
 // buildFleet decodes a -fleet config, then trains, compiles and registers
 // every model in it, returning the fleet with each model's swap state. A
-// config no fleet can be built from — no models, an unknown class, an MLP
-// without input and output dims, an unknown mode — fails before its model
-// is trained. The caller closes the fleet.
+// config no fleet can be built from — an unknown key, no models, an
+// unknown class, an MLP without input and output dims, an unknown mode —
+// fails before its model is trained. The caller closes the fleet.
 func buildFleet(ctx context.Context, raw []byte) (*fpsa.Fleet, map[string]*fleetModel, error) {
 	var cfg fleetConfig
 	if err := json.Unmarshal(raw, &cfg); err != nil {
+		return nil, nil, err
+	}
+	// Unmarshal skips keys fleetConfig does not declare; a strict second
+	// pass names the first one.
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	if err := strict.Decode(new(fleetConfig)); err != nil {
 		return nil, nil, err
 	}
 	if len(cfg.Models) == 0 {
@@ -137,9 +143,6 @@ func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fl
 	var modelOpts []fpsa.FleetModelOption
 	if mc.Replicas > 0 {
 		modelOpts = append(modelOpts, fpsa.WithModelReplicas(mc.Replicas))
-	}
-	if mc.MinReplicas > 0 || mc.MaxReplicas > 0 {
-		modelOpts = append(modelOpts, fpsa.WithModelReplicaRange(mc.MinReplicas, mc.MaxReplicas))
 	}
 	if mc.QueueDepth > 0 {
 		modelOpts = append(modelOpts, fpsa.WithModelQueueDepth(mc.QueueDepth))

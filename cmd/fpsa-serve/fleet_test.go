@@ -222,6 +222,7 @@ func TestBuildFleetRejectsBadConfig(t *testing.T) {
 		{"short layers", `{"models":[{"name":"m","layers":[16]}]}`, `model "m": layers`},
 		{"unknown class", `{"tenants":[{"name":"t","class":"platinum"}],"models":[{"name":"m","layers":[16,4]}]}`, `tenant "t"`},
 		{"unknown mode", `{"models":[{"name":"m","layers":[16,4],"mode":"dense"}]}`, `model "m": unknown mode`},
+		{"unknown key", `{"models":[{"name":"m","layers":[16,4],"replica":2}]}`, `unknown field "replica"`},
 	} {
 		f, _, err := buildFleet(context.Background(), []byte(tc.cfg))
 		if err == nil {

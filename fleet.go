@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"fpsa/internal/fleet"
 	"fpsa/internal/serve"
@@ -48,9 +47,9 @@ type fleetSettings struct {
 type FleetOption func(*fleetSettings)
 
 // WithFleetChips sets the fleet's simulated chip pool (default 64).
-// Replicas allocate from it: model registration, autoscaling and swaps
-// all stop at the pool boundary, and a swap transiently needs chips for
-// both the old and the new pool.
+// Replicas allocate from it: model registration and swaps stop at the
+// pool boundary, and a swap transiently needs chips for both the old and
+// the new pool.
 func WithFleetChips(n int) FleetOption {
 	return func(s *fleetSettings) { s.opts.Chips = n }
 }
@@ -75,34 +74,28 @@ func WithFleetCache(c *CompileCache) FleetOption {
 	return func(s *fleetSettings) { s.cache = c }
 }
 
-// WithScaleInterval sets the autoscaler tick (default 50ms).
-func WithScaleInterval(d time.Duration) FleetOption {
-	return func(s *fleetSettings) { s.opts.ScaleInterval = d }
-}
-
 // fleetModelSettings is what the FleetModelOptions assemble.
 type fleetModelSettings struct {
-	replicas    int
-	minReplicas int
-	maxReplicas int
-	queueDepth  int
-	eng         engineConfig
+	replicas   int
+	queueDepth int
+	eng        engineConfig
 }
 
 // FleetModelOption configures Fleet.AddModel. Options are applied in
 // order; a nil FleetModelOption is ignored.
 type FleetModelOption func(*fleetModelSettings)
 
-// WithModelReplicas sets the model's initial replica pool size
-// (default 1).
+// WithModelReplicas sets the model's replica pool size (default 4). The
+// pool keeps that size for the model's life, swaps included.
 func WithModelReplicas(n int) FleetModelOption {
 	return func(s *fleetModelSettings) { s.replicas = n }
 }
 
-// WithModelReplicaRange bounds the autoscaler's pool moves (defaults:
-// min 1, max the larger of 4 and the initial size).
+// WithModelReplicaRange has no effect: a model's pool has the fixed size
+// WithModelReplicas gives it. It is kept only because the benchmark
+// harness still passes it.
 func WithModelReplicaRange(min, max int) FleetModelOption {
-	return func(s *fleetModelSettings) { s.minReplicas, s.maxReplicas = min, max }
+	return func(*fleetModelSettings) {}
 }
 
 // WithModelQueueDepth sets the model's per-replica admission depth
@@ -130,7 +123,7 @@ func WithModelEngine(opts ...EngineOption) FleetModelOption {
 
 // Fleet serves many compiled Deployments onto a bounded pool of
 // simulated chips, concurrently and multi-tenant: per-model replica
-// pools with backlog-driven autoscaling, class-weighted admission with
+// pools of a fixed size, class-weighted admission with
 // typed shed errors (ErrOverloaded, ErrTenantQuota), and zero-downtime
 // bitstream hot-swap (Swap, CompileAndSwap). Construct with NewFleet,
 // register models with AddModel, and Close when done. All methods are
@@ -146,7 +139,7 @@ type Fleet struct {
 	models map[string]engineConfig
 }
 
-// NewFleet builds an empty fleet and starts its autoscaler.
+// NewFleet builds an empty fleet.
 func NewFleet(opts ...FleetOption) (*Fleet, error) {
 	var set fleetSettings
 	for _, o := range opts {
@@ -156,9 +149,6 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 	}
 	if set.opts.Chips < 0 {
 		return nil, fmt.Errorf("%w: WithFleetChips(%d): chip pool must be ≥ 0 (0 = default)", ErrInvalidArgument, set.opts.Chips)
-	}
-	if set.opts.ScaleInterval < 0 {
-		return nil, fmt.Errorf("%w: WithScaleInterval(%v): tick must be ≥ 0 (0 = default)", ErrInvalidArgument, set.opts.ScaleInterval)
 	}
 	for name, t := range set.opts.Tenants {
 		if t.Quota < 0 {
@@ -225,7 +215,7 @@ func realizeBitstream(ctx context.Context, d *Deployment) error {
 }
 
 // AddModel registers a compiled deployment under name and builds its
-// initial replica pool; requests route to it by name via Classify and
+// replica pool; requests route to it by name via Classify and
 // Outputs. The pool's chips are reserved from the fleet (each replica
 // occupies the deployment's compiled chip count), so registration fails
 // with ErrCapacity when the pool cannot fit.
@@ -245,12 +235,8 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 			o(&set)
 		}
 	}
-	if set.replicas < 0 || set.minReplicas < 0 || set.maxReplicas < 0 {
-		return fmt.Errorf("%w: AddModel(%q): replica counts must be ≥ 0 (0 = default)", ErrInvalidArgument, name)
-	}
-	if set.maxReplicas > 0 && set.minReplicas > set.maxReplicas {
-		return fmt.Errorf("%w: AddModel(%q): WithModelReplicaRange(%d, %d): min exceeds max",
-			ErrInvalidArgument, name, set.minReplicas, set.maxReplicas)
+	if set.replicas < 0 {
+		return fmt.Errorf("%w: AddModel(%q): WithModelReplicas(%d): count must be ≥ 0 (0 = default)", ErrInvalidArgument, name, set.replicas)
 	}
 	if set.queueDepth < 0 {
 		return fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
@@ -271,8 +257,6 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 	defer f.mu.Unlock()
 	if err := f.fl.AddModel(name, src, fleet.ModelConfig{
 		Replicas:        set.replicas,
-		MinReplicas:     set.minReplicas,
-		MaxReplicas:     set.maxReplicas,
 		ChipsPerReplica: cfg.Chips,
 		QueueDepth:      set.queueDepth,
 	}); err != nil {
@@ -382,8 +366,8 @@ type (
 	// payload of fpsa-serve's /fleetz endpoint.
 	FleetStats = fleet.Stats
 	// FleetModelStats is one fleet model's serving snapshot: requests,
-	// sheds by cause (ShedOverload, ShedQuota), pool shape, version,
-	// autoscaler moves, QPS and latency percentiles.
+	// sheds by cause (ShedOverload, ShedQuota), pool shape, version, QPS
+	// and latency percentiles.
 	FleetModelStats = fleet.ModelStats
 	// FleetSwapEvent records one completed hot-swap.
 	FleetSwapEvent = fleet.SwapEvent

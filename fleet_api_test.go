@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,7 +68,7 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 				want[v] = outs
 			}
 
-			f, err := NewFleet(WithFleetChips(16), WithScaleInterval(time.Hour))
+			f, err := NewFleet(WithFleetChips(16))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +223,7 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 				}
 			}
 			eng.Close()
-			f, err := NewFleet(WithFleetChips(8), WithScaleInterval(time.Hour))
+			f, err := NewFleet(WithFleetChips(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +263,6 @@ func TestFleetShedErrorsJoinTaxonomy(t *testing.T) {
 	d1, _, test := fleetTestPair(t)
 	f, err := NewFleet(
 		WithFleetChips(4),
-		WithScaleInterval(time.Hour),
 		WithTenant("capped", QoSGold, 1),
 	)
 	if err != nil {
@@ -339,7 +339,7 @@ func TestFleetCompileAndSwapReusesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCompileCache(0)
-	f, err := NewFleet(WithFleetChips(8), WithFleetCache(cache), WithScaleInterval(time.Hour))
+	f, err := NewFleet(WithFleetChips(8), WithFleetCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,4 +383,56 @@ func TestFleetQoSClassParsing(t *testing.T) {
 	if QoSGold.String() != "gold" || QoSBatch.String() != "batch" {
 		t.Fatal("QoSClass.String names wrong")
 	}
+}
+
+// benchmarkOutputsParallel serves test's samples one request at a time
+// from 4 concurrent callers at GOMAXPROCS 2 (RunParallel, parallelism
+// scaled so the caller count stays near 4 elsewhere).
+func benchmarkOutputsParallel(b *testing.B, test Dataset, outputs func(x []float64) error) {
+	b.SetParallelism(max(1, 4/runtime.GOMAXPROCS(0)))
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if err := outputs(test.X[i%len(test.X)]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkEngineOutputsParallel is the single-request path below the
+// fleet: Engine.Outputs on fleetTestPair's first deployment in reference
+// mode, 2 executors.
+func BenchmarkEngineOutputsParallel(b *testing.B) {
+	d, _, test := fleetTestPair(b)
+	eng, err := d.NewEngine(context.Background(), WithWorkers(2), WithMode(ModeReference))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	benchmarkOutputsParallel(b, test, func(x []float64) error {
+		_, err := eng.Outputs(context.Background(), x)
+		return err
+	})
+}
+
+// BenchmarkFleetOutputsParallel is BenchmarkEngineOutputsParallel's
+// deployment and engine behind a fleet: Fleet.Outputs on a model of 2
+// replicas, so the difference between the two is the fleet's admission,
+// routing and accounting.
+func BenchmarkFleetOutputsParallel(b *testing.B) {
+	d, _, test := fleetTestPair(b)
+	f, err := NewFleet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.AddModel(context.Background(), "m", d, WithModelReplicas(2), WithModelEngine(WithMode(ModeReference))); err != nil {
+		b.Fatal(err)
+	}
+	benchmarkOutputsParallel(b, test, func(x []float64) error {
+		_, _, err := f.Outputs(context.Background(), "m", "", x)
+		return err
+	})
 }

@@ -2,16 +2,17 @@
 // of simulated chips and serves them concurrently — the layer above
 // serve.Engine that a production FPSA installation would run: one engine
 // per model whose executors are its replicas (each occupying chips),
-// admission control with per-tenant QoS classes, backlog-driven
-// autoscaling, and zero-downtime bitstream hot-swap.
+// admission control with per-tenant QoS classes, and zero-downtime
+// bitstream hot-swap. A model's replica count is fixed when it is
+// registered and kept across swaps.
 //
 // Every model points at a version — an immutable bitstream generation: its
 // engine and input quantization window — through an atomic pointer. The
 // engine is the replica pool: a request borrows whichever executor is idle
-// and waits only when all are busy. Swap, scale-up, scale-down and Close
-// all change a model the same way (repoint): build the replacement engine,
-// store it as the route, Close the old engine — which returns once every
-// call inside it has — and settle the chips. No in-flight request is ever
+// and waits only when all are busy. Swap and Close change a model the
+// same way (repoint): build the replacement engine, store it as the
+// route, Close the old engine — which returns once every call inside it
+// has — and settle the chips. No in-flight request is ever
 // dropped: one that reaches an engine already closed retries on the
 // current route. Every response is attributable to exactly one version,
 // and a request never sees one version's window with another's engine —
@@ -54,9 +55,9 @@ var (
 // Replica is the engine serving one model version: a pool of programmed
 // executors, one per replica. *serve.Engine satisfies it. QueueDepth is
 // its backlog — requests waiting for an executor right now, not counting
-// the ones running — and is what the autoscaler reads. Close must wait
-// for every call already inside, and Infer or InferBatch after it must
-// return an error wrapping serve.ErrClosed.
+// the ones running — and is what Stats reports. Close must wait for every
+// call already inside, and Infer or InferBatch after it must return an
+// error wrapping serve.ErrClosed.
 type Replica interface {
 	Infer(ctx context.Context, input []int) ([]int, error)
 	InferBatch(ctx context.Context, inputs [][]int) ([][]int, error)
@@ -67,8 +68,7 @@ type Replica interface {
 // Source describes one deployment version: a factory building an engine
 // of the given number of replicas programmed with its bitstream, and the
 // input quantization window its requests are encoded with. The factory is
-// called at registration, on every resize and when a swap builds the
-// replacement.
+// called at registration and when a swap builds the replacement.
 type Source struct {
 	New    func(replicas int) (Replica, error)
 	Window int
@@ -138,34 +138,25 @@ type Tenant struct {
 // Options configures a Fleet.
 type Options struct {
 	// Chips is the fleet's simulated chip pool; replicas allocate from it
-	// and registration/scale-up fail when it is exhausted. 0 means 64.
+	// and registration and swaps fail when it is exhausted. 0 means 64.
 	Chips int
 	// Tenants maps tenant names to their admission config. Unknown
 	// tenants are admitted at ClassBatch with no quota.
 	Tenants map[string]Tenant
-	// ScaleInterval is the autoscaler tick (0 = 50ms). Scale decisions
-	// are made per tick from sustained observations, so their thresholds
-	// (scaleUpBacklog, scaleUpTicks, scaleDownTicks) are counted in ticks.
-	ScaleInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.Chips <= 0 {
 		o.Chips = 64
 	}
-	if o.ScaleInterval <= 0 {
-		o.ScaleInterval = 50 * time.Millisecond
-	}
 	return o
 }
 
 // ModelConfig shapes one model's replica pool.
 type ModelConfig struct {
-	// Replicas is the initial pool size (0 = 1); the autoscaler moves it
-	// within [MinReplicas, MaxReplicas] (0 = 1 and max(4, Replicas)).
-	Replicas    int
-	MinReplicas int
-	MaxReplicas int
+	// Replicas is the pool size, fixed for the model's life and kept
+	// across swaps (0 = 4).
+	Replicas int
 	// ChipsPerReplica is how many fleet chips one replica occupies
 	// (0 = 1; a sharded deployment's replica occupies its compiled chip
 	// count).
@@ -179,22 +170,7 @@ type ModelConfig struct {
 
 func (c ModelConfig) withDefaults() ModelConfig {
 	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	if c.MinReplicas <= 0 {
-		c.MinReplicas = 1
-	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = c.Replicas
-		if c.MaxReplicas < 4 {
-			c.MaxReplicas = 4
-		}
-	}
-	if c.Replicas < c.MinReplicas {
-		c.Replicas = c.MinReplicas
-	}
-	if c.MaxReplicas < c.Replicas {
-		c.MaxReplicas = c.Replicas
+		c.Replicas = 4
 	}
 	if c.ChipsPerReplica <= 0 {
 		c.ChipsPerReplica = 1
@@ -207,8 +183,8 @@ func (c ModelConfig) withDefaults() ModelConfig {
 
 // version is one immutable bitstream generation of a model: the engine
 // serving it, whose executors are the model's replicas, and the
-// quantization window requests to it are encoded with. A swap or a resize
-// replaces the whole version; nothing in one ever changes.
+// quantization window requests to it are encoded with. A swap replaces
+// the whole version; nothing in one ever changes.
 type version struct {
 	id     int
 	window int
@@ -216,37 +192,25 @@ type version struct {
 }
 
 // model is one served model: its current version (atomic route pointer),
-// the source that builds its engine on a resize, and its serving counters.
+// its pool shape and its serving counters.
 type model struct {
 	name  string
-	cfg   ModelConfig
+	cfg   ModelConfig // immutable: cfg.Replicas is every version's executor count
 	start time.Time
 
 	cur atomic.Pointer[version]
 
-	// swapMu serializes swaps, scaling and close against each other;
-	// requests never take it.
+	// swapMu serializes swaps and close against each other; requests
+	// never take it.
 	swapMu sync.Mutex
-	src    Source // current version's source, for a resize (under swapMu)
 	closed atomic.Bool
 
-	// replicas is the current engine's executor count, written by repoint
-	// under swapMu; admission, the autoscaler and the stats read it.
-	replicas atomic.Int64
-
-	inflight   atomic.Int64
-	requests   atomic.Uint64
-	errors     atomic.Uint64
-	overload   atomic.Uint64
-	quotaShed  atomic.Uint64
-	scaleUps   atomic.Uint64
-	scaleDowns atomic.Uint64
-	lat        serve.LatencyRing
-
-	// autoscaler-local tick counters (only the scale goroutine touches
-	// them).
-	backlogTicks int
-	idleTicks    int
+	inflight  atomic.Int64
+	requests  atomic.Uint64
+	errors    atomic.Uint64
+	overload  atomic.Uint64
+	quotaShed atomic.Uint64
+	lat       serve.LatencyRing
 }
 
 // tenantState tracks one configured tenant's class and in-flight count.
@@ -276,25 +240,19 @@ type Fleet struct {
 	models    map[string]*model
 	chipsUsed int
 	swaps     []SwapEvent
-
-	stopScale chan struct{}
-	scaleWG   sync.WaitGroup
 }
 
-// New builds an empty fleet and starts its autoscaler.
+// New builds an empty fleet.
 func New(opts Options) *Fleet {
 	opts = opts.withDefaults()
 	f := &Fleet{
-		opts:      opts,
-		tenants:   make(map[string]*tenantState, len(opts.Tenants)),
-		models:    make(map[string]*model),
-		stopScale: make(chan struct{}),
+		opts:    opts,
+		tenants: make(map[string]*tenantState, len(opts.Tenants)),
+		models:  make(map[string]*model),
 	}
 	for name, t := range opts.Tenants {
 		f.tenants[name] = &tenantState{class: t.Class, quota: int64(t.Quota)}
 	}
-	f.scaleWG.Add(1)
-	go f.autoscale()
 	return f
 }
 
@@ -326,8 +284,7 @@ func (f *Fleet) AddModel(name string, src Source, cfg ModelConfig) error {
 		f.releaseChips(need)
 		return fmt.Errorf("fleet: model %q: building %d replicas: %w", name, cfg.Replicas, err)
 	}
-	m := &model{name: name, cfg: cfg, src: src, start: time.Now()}
-	m.replicas.Store(int64(cfg.Replicas))
+	m := &model{name: name, cfg: cfg, start: time.Now()}
 	m.cur.Store(&version{id: 1, window: src.Window, eng: eng})
 	f.mu.Lock()
 	if err := f.vacant(name); err != nil { // closed, or registered meanwhile
@@ -378,10 +335,10 @@ func admitLimit(c Class, replicas, queueDepth int) int64 {
 }
 
 // admit claims one of the model's in-flight places for a request of
-// class c, against the limit the live replica count allows; the caller
-// gives the place back with m.inflight.Add(-1).
+// class c, against the limit the model's replica count allows; the
+// caller gives the place back with m.inflight.Add(-1).
 func (m *model) admit(c Class) (limit int64, ok bool) {
-	limit = admitLimit(c, int(m.replicas.Load()), m.cfg.QueueDepth)
+	limit = admitLimit(c, m.cfg.Replicas, m.cfg.QueueDepth)
 	if m.inflight.Add(1) > limit {
 		m.inflight.Add(-1)
 		return limit, false
@@ -461,9 +418,9 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			if m.closed.Load() {
 				return Result{}, ErrClosed
 			}
-			// The route moved on — a swap or a resize — between loading v and
-			// the call. repoint stores the new version before it closes the
-			// old engine, so the retry finds it; the request is intact.
+			// A swap moved the route on between loading v and the call.
+			// repoint stores the new version before it closes the old
+			// engine, so the retry finds it; the request is intact.
 			continue
 		}
 		m.record(1, start, err)
@@ -533,17 +490,17 @@ func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, e
 		return SwapEvent{}, err
 	}
 	start := time.Now()
-	from, n := m.cur.Load().id, int(m.replicas.Load())
+	from := m.cur.Load().id
 	// The old engine's drain is bounded — every call inside is a finite
 	// simulation — so a cancelled ctx does not abandon it.
-	if err := f.repoint(m, from+1, src, n); err != nil {
+	if err := f.repoint(m, from+1, src); err != nil {
 		return SwapEvent{}, fmt.Errorf("swapping %q: %w", name, err)
 	}
 	ev := SwapEvent{
 		Model:       name,
 		FromVersion: from,
 		ToVersion:   from + 1,
-		Replicas:    n,
+		Replicas:    m.cfg.Replicas,
 		At:          start,
 		DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
 	}
@@ -551,39 +508,30 @@ func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, e
 	return ev, nil
 }
 
-// repoint is the one way a model's engine changes — Swap, a resize and
-// Close alike. It builds an engine of n replicas from src and stores it,
-// as version id, for requests to find (n = 0, closing, builds none); then
-// it closes the old engine, which returns once every call inside it has —
-// one that arrives after retries on the new route. A new bitstream (id
-// other than the current version's) holds chips for all n replicas until
-// the old engine is closed; a resize claims only its growth. Either way
-// the model ends holding n replicas' chips. Under m.swapMu.
-func (f *Fleet) repoint(m *model, id int, src Source, n int) error {
-	old, was, c := m.cur.Load(), int(m.replicas.Load()), m.cfg.ChipsPerReplica
-	hold := max(n-was, 0) * c
-	if id != old.id {
-		hold = n * c
-	}
-	if hold > 0 { // a shrink or Close claims nothing, so Close cannot fail here
-		if err := f.reserveChips(hold); err != nil {
+// repoint is the one way a model's engine changes — Swap and Close alike.
+// It builds an engine of the model's replicas from src and stores it, as
+// version id, for requests to find (a zero src, closing, builds none);
+// then it closes the old engine, which returns once every call inside it
+// has — one that arrives after retries on the new route — and returns one
+// engine's chips. The new engine's chips are claimed first, so during a
+// swap the model holds both engines' worth. Under m.swapMu.
+func (f *Fleet) repoint(m *model, id int, src Source) error {
+	old, chips := m.cur.Load(), m.cfg.Replicas*m.cfg.ChipsPerReplica
+	if src.New != nil {
+		if err := f.reserveChips(chips); err != nil {
 			return err
 		}
-	}
-	if n > 0 {
-		eng, err := src.New(n)
+		eng, err := src.New(m.cfg.Replicas)
 		if err != nil {
-			f.releaseChips(hold)
-			return fmt.Errorf("fleet: model %q: building %d replicas: %w", m.name, n, err)
+			f.releaseChips(chips)
+			return fmt.Errorf("fleet: model %q: building %d replicas: %w", m.name, m.cfg.Replicas, err)
 		}
-		m.src = src
-		m.replicas.Store(int64(n))
 		m.cur.Store(&version{id: id, window: src.Window, eng: eng})
 	}
 	// The route has moved on, and a simulated chip's teardown has nothing
 	// actionable to report.
 	_ = old.eng.Close()
-	f.releaseChips(hold - (n-was)*c)
+	f.releaseChips(chips)
 	return nil
 }
 
@@ -613,8 +561,8 @@ func (f *Fleet) recordSwap(ev SwapEvent) {
 	f.mu.Unlock()
 }
 
-// Close stops the autoscaler, then closes every model's engine, which
-// waits for the calls inside it, and returns its chips. Idempotent; Infer
+// Close closes every model's engine, which waits for the calls inside it,
+// and returns its chips. Idempotent; Infer
 // afterwards returns ErrClosed.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
@@ -628,12 +576,10 @@ func (f *Fleet) Close() error {
 		models = append(models, m)
 	}
 	f.mu.Unlock()
-	close(f.stopScale)
-	f.scaleWG.Wait()
 	for _, m := range models {
 		m.swapMu.Lock()
 		m.closed.Store(true)
-		_ = f.repoint(m, m.cur.Load().id, Source{}, 0) // builds and claims nothing: cannot fail
+		_ = f.repoint(m, m.cur.Load().id, Source{}) // builds and claims nothing: cannot fail
 		m.swapMu.Unlock()
 	}
 	return nil

@@ -13,15 +13,14 @@ import (
 
 // fakeReplica is a controllable Replica, standing for a whole engine:
 // outputs carry its source's marker (so tests can attribute responses to
-// versions), a call can be made to block on a gate or to panic once, and
-// QueueDepth can be faked to steer the autoscaler. Like serve.Engine, Close
-// waits for every call inside and a call after it returns serve.ErrClosed.
+// versions), and a call can be made to block on a gate or to panic once.
+// Like serve.Engine, Close waits for every call inside and a call after it
+// returns serve.ErrClosed.
 type fakeReplica struct {
 	marker   int
 	replicas int           // the count the fleet asked the source for
 	gate     chan struct{} // when non-nil, a call blocks until closed
 	start    chan struct{} // when non-nil, a call signals entry (buffered)
-	depth    atomic.Int64  // fake queue depth
 	poison   atomic.Bool   // when set, the next call panics (and clears it)
 	retired  atomic.Bool   // when set, the next call answers serve.ErrClosed (and clears it)
 
@@ -72,7 +71,7 @@ func (r *fakeReplica) InferBatch(ctx context.Context, inputs [][]int) ([][]int, 
 	return outs, nil
 }
 
-func (r *fakeReplica) QueueDepth() int { return int(r.depth.Load()) }
+func (r *fakeReplica) QueueDepth() int { return 0 }
 
 func (r *fakeReplica) Close() error {
 	r.mu.Lock()
@@ -123,14 +122,8 @@ func (s *fakeSource) replicas() []*fakeReplica {
 	return append([]*fakeReplica(nil), s.made...)
 }
 
-// slowTestOptions disables the autoscaler for tests that drive admission
-// and swap directly (a long interval means it never ticks).
-func slowTestOptions() Options {
-	return Options{Chips: 16, ScaleInterval: time.Hour}
-}
-
 func TestInferRoutesAndStamps(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	src := &fakeSource{marker: 7, window: 16}
 	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 2}); err != nil {
@@ -156,7 +149,7 @@ func TestInferRoutesAndStamps(t *testing.T) {
 }
 
 func TestUnknownModelAndEmptyRegistration(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	if _, err := f.Infer(context.Background(), "ghost", "t", []float64{1}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v, want ErrUnknownModel", err)
@@ -177,7 +170,7 @@ func TestUnknownModelAndEmptyRegistration(t *testing.T) {
 }
 
 func TestChipAccounting(t *testing.T) {
-	f := New(Options{Chips: 4, ScaleInterval: time.Hour})
+	f := New(Options{Chips: 4})
 	defer f.Close()
 	src := &fakeSource{window: 4}
 	// 3 replicas × 1 chip.
@@ -222,8 +215,7 @@ func fillInflight(t *testing.T, f *Fleet, model, tenant string, src *fakeSource,
 
 func TestClassWeightedAdmission(t *testing.T) {
 	f := New(Options{
-		Chips:         16,
-		ScaleInterval: time.Hour,
+		Chips: 16,
 		Tenants: map[string]Tenant{
 			"gold": {Class: ClassGold},
 			// unknown tenants are admitted at ClassBatch
@@ -267,7 +259,7 @@ func TestClassWeightedAdmission(t *testing.T) {
 // its limit from the live replica count — three replicas × depth 4 at
 // batch class admit 6 — not from anything the stale route carries.
 func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	if err := f.AddModel("m", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{Replicas: 3, QueueDepth: 4}); err != nil {
 		t.Fatal(err)
@@ -310,7 +302,7 @@ func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 // version and reaching the engine — retries on the current route instead
 // of failing, single and batch calls alike, and is counted once.
 func TestRetryOnRetiredEngine(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	src := &fakeSource{marker: 7, window: 4}
 	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 1}); err != nil {
@@ -334,9 +326,9 @@ func TestRetryOnRetiredEngine(t *testing.T) {
 // engine outside the fleet's lock, so while model b's factory is still
 // building, requests to model a complete and Stats answers.
 func TestAddModelDoesNotStallTraffic(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
-	if err := f.AddModel("a", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{}); err != nil {
+	if err := f.AddModel("a", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{Replicas: 1}); err != nil {
 		t.Fatal(err)
 	}
 	building, gate := make(chan struct{}), make(chan struct{})
@@ -348,7 +340,7 @@ func TestAddModelDoesNotStallTraffic(t *testing.T) {
 		return build(replicas)
 	}
 	added := make(chan error, 1)
-	go func() { added <- f.AddModel("b", slow, ModelConfig{}) }()
+	go func() { added <- f.AddModel("b", slow, ModelConfig{Replicas: 1}) }()
 	<-building
 	served := make(chan error, 1)
 	go func() {
@@ -379,9 +371,8 @@ func TestAddModelDoesNotStallTraffic(t *testing.T) {
 
 func TestTenantQuota(t *testing.T) {
 	f := New(Options{
-		Chips:         16,
-		ScaleInterval: time.Hour,
-		Tenants:       map[string]Tenant{"capped": {Class: ClassGold, Quota: 2}},
+		Chips:   16,
+		Tenants: map[string]Tenant{"capped": {Class: ClassGold, Quota: 2}},
 	})
 	defer f.Close()
 	gate := make(chan struct{})
@@ -411,9 +402,8 @@ func TestTenantQuota(t *testing.T) {
 // output that version's, and counts one request per sample.
 func TestInferBatchOneAdmission(t *testing.T) {
 	f := New(Options{
-		Chips:         16,
-		ScaleInterval: time.Hour,
-		Tenants:       map[string]Tenant{"capped": {Class: ClassGold, Quota: 1}},
+		Chips:   16,
+		Tenants: map[string]Tenant{"capped": {Class: ClassGold, Quota: 1}},
 	})
 	defer f.Close()
 	gate := make(chan struct{})
@@ -461,7 +451,7 @@ func TestInferBatchOneAdmission(t *testing.T) {
 }
 
 func TestCloseDrainsAndRejects(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	gate := make(chan struct{})
 	src := &fakeSource{window: 4, gate: gate, start: make(chan struct{}, 64)}
 	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 1, QueueDepth: 8}); err != nil {

@@ -15,8 +15,9 @@ type ModelStats struct {
 	ShedOverload uint64 `json:"shed_overload"`
 	ShedQuota    uint64 `json:"shed_quota"`
 	// Replicas and QueueDepth describe the current engine: its executor
-	// count and how many requests are waiting for one right now; InFlight
-	// is the model's admitted-but-uncompleted count.
+	// count (the model's fixed pool size) and how many requests are
+	// waiting for one right now; InFlight is the model's
+	// admitted-but-uncompleted count.
 	Replicas   int `json:"replicas"`
 	QueueDepth int `json:"queue_depth"`
 	InFlight   int `json:"in_flight"`
@@ -24,9 +25,10 @@ type ModelStats struct {
 	// +1 per swap); Window its input quantization window.
 	Version int `json:"version"`
 	Window  int `json:"window"`
-	// ScaleUps and ScaleDowns count autoscaler resizes.
-	ScaleUps   uint64 `json:"scale_ups"`
-	ScaleDowns uint64 `json:"scale_downs"`
+	// ScaleUps and ScaleDowns are always 0: a model's pool never resizes.
+	// They are not on the wire, and stay only for the benchmark's counters.
+	ScaleUps   uint64 `json:"-"`
+	ScaleDowns uint64 `json:"-"`
 	// QPS is completed requests per second since the model was
 	// registered; the latency percentiles are over a sliding window of
 	// recent requests (the same serve.LatencyRing the engine stats use).
@@ -85,13 +87,11 @@ func (m *model) snapshot() ModelStats {
 		Errors:       m.errors.Load(),
 		ShedOverload: m.overload.Load(),
 		ShedQuota:    m.quotaShed.Load(),
-		Replicas:     int(m.replicas.Load()),
+		Replicas:     m.cfg.Replicas,
 		QueueDepth:   v.eng.QueueDepth(),
 		InFlight:     int(m.inflight.Load()),
 		Version:      v.id,
 		Window:       v.window,
-		ScaleUps:     m.scaleUps.Load(),
-		ScaleDowns:   m.scaleDowns.Load(),
 	}
 	if up := time.Since(m.start).Seconds(); up > 0 {
 		st.QPS = float64(st.Requests) / up

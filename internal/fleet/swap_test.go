@@ -2,10 +2,16 @@ package fleet
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fpsa/internal/serve"
+	"fpsa/internal/synth"
+	"fpsa/internal/trainer"
 )
 
 // TestSwapZeroLoss is the hot-swap property test at the fleet layer:
@@ -15,7 +21,7 @@ import (
 // output marker matches the version that stamped it, so no request ever
 // crosses version boundaries mid-flight.
 func TestSwapZeroLoss(t *testing.T) {
-	f := New(Options{Chips: 64, ScaleInterval: time.Hour})
+	f := New(Options{Chips: 64})
 	defer f.Close()
 
 	// marker[v] is the output stamp of version v's replicas.
@@ -109,7 +115,7 @@ func TestSwapZeroLoss(t *testing.T) {
 // and checks the swap waits for it and the request still completes on —
 // and is stamped with — the version it reached.
 func TestSwapDrainsOldVersion(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	gate := make(chan struct{})
 	old := &fakeSource{marker: 101, window: 4, gate: gate, start: make(chan struct{}, 1)}
@@ -163,7 +169,7 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 // from the version a request loaded, not from model-level state: after a swap to a
 // source with a different window, outputs reflect the new window.
 func TestSwapWindowFollowsVersion(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	if err := f.AddModel("m", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{}); err != nil {
 		t.Fatal(err)
@@ -177,15 +183,16 @@ func TestSwapWindowFollowsVersion(t *testing.T) {
 	if _, err := f.Swap(context.Background(), "m", (&fakeSource{marker: 2, window: 9}).Source()); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Stats().Models["m"]; st.Window != 9 {
-		t.Fatalf("post-swap window = %d, want 9", st.Window)
+	// The model was registered at the default pool size, and the swap kept it.
+	if st := f.Stats().Models["m"]; st.Window != 9 || st.Replicas != 4 {
+		t.Fatalf("post-swap window = %d, replicas = %d; want 9 and 4", st.Window, st.Replicas)
 	}
 }
 
 // TestSwapReplicaFactoryFailure pins that a failed replica build aborts
 // the swap, returns its chips, and leaves the old version serving.
 func TestSwapReplicaFactoryFailure(t *testing.T) {
-	f := New(slowTestOptions())
+	f := New(Options{Chips: 16})
 	defer f.Close()
 	if err := f.AddModel("m", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{Replicas: 2}); err != nil {
 		t.Fatal(err)
@@ -209,7 +216,7 @@ func TestSwapReplicaFactoryFailure(t *testing.T) {
 // engine above all — so a later Swap, whose close of the old engine waits
 // for every call inside, still completes, and the model keeps serving.
 func TestSwapAfterPanickingRequest(t *testing.T) {
-	f := New(Options{Chips: 16, ScaleInterval: time.Hour, Tenants: map[string]Tenant{"t": {Quota: 1}}})
+	f := New(Options{Chips: 16, Tenants: map[string]Tenant{"t": {Quota: 1}}})
 	defer f.Close()
 	old := &fakeSource{marker: 1, window: 4}
 	if err := f.AddModel("m", old.Source(), ModelConfig{Replicas: 1, QueueDepth: 1}); err != nil {
@@ -239,5 +246,99 @@ func TestSwapAfterPanickingRequest(t *testing.T) {
 	// Quota 1 and admission depth 1: a leaked place would shed this one.
 	if res, err := f.Infer(context.Background(), "m", "t", []float64{0.5}); err != nil || res.Version != 2 {
 		t.Fatalf("request after the swap = %+v, %v", res, err)
+	}
+}
+
+// TestNoisyResizeBitIdentical: every executor of a noisy engine is
+// programmed with the same variation, so a model's replies do not depend
+// on its pool size or on which replica served them. A one-replica and a
+// four-replica model of the same bitstream and seed — the second swapped,
+// under load, onto a fresh engine of that source — reply to every input
+// exactly as a fresh one-executor engine does.
+func TestNoisyResizeBitIdentical(t *testing.T) {
+	// Trained, so that outputs are not all zero and noise shows in them.
+	rng := rand.New(rand.NewSource(5))
+	net, err := trainer.NewMLP(rng, []int{8, 6, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Train(rng, trainer.SyntheticClusters(rng, 200, 8, 2, 0.08), trainer.TrainOptions{Epochs: 10})
+	copts := synth.DefaultOptions()
+	copts.Weights = net.WeightSource()
+	_, prog, err := synth.Compile(net.Graph("fleet-test"), copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := serve.Options{MaxBatch: 4, Mode: synth.ModeSpikingNoisy, Seed: 61}
+	window := prog.Params.SamplingWindow()
+	src := Source{Window: window, New: func(replicas int) (Replica, error) {
+		o := opts
+		o.Workers = replicas
+		return serve.New(prog, o)
+	}}
+
+	xs := make([][]float64, 8)
+	for i := range xs {
+		xs[i] = make([]float64, prog.InputSize)
+		for j := range xs[i] {
+			xs[i][j] = rng.Float64()
+		}
+	}
+	fresh, err := serve.New(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]int, len(xs))
+	for i, x := range xs {
+		if want[i], err = fresh.Infer(context.Background(), synth.QuantizeInput(x, window)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh.Close()
+
+	f := New(Options{Chips: 16})
+	defer f.Close()
+	for name, n := range map[string]int{"one": 1, "four": 4} {
+		if err := f.AddModel(name, src, ModelConfig{Replicas: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// serveAll sends every input from 8 concurrent callers, so a
+	// four-replica model answers from more than one executor.
+	serveAll := func(model, phase string) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, x := range xs {
+					res, err := f.Infer(context.Background(), model, "t", x)
+					if err != nil {
+						t.Errorf("%s %s: %v", model, phase, err)
+						return
+					}
+					if !reflect.DeepEqual(res.Output, want[i]) {
+						t.Errorf("%s %s: input %d = %v, a fresh one-executor engine gives %v", model, phase, i, res.Output, want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	serveAll("one", "on one replica")
+	serveAll("four", "on four replicas")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serveAll("four", "during the swap")
+	}()
+	if _, err := f.Swap(context.Background(), "four", src); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	serveAll("four", "after the swap")
+	if st := f.Stats().Models["four"]; st.Replicas != 4 || st.Version != 2 {
+		t.Fatalf("after the swap: %d replicas at version %d, want 4 at version 2", st.Replicas, st.Version)
 	}
 }

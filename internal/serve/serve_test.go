@@ -280,27 +280,41 @@ func TestInferHonorsContext(t *testing.T) {
 }
 
 // TestNoisyWorkersDeterministic: the engine programs its executors'
-// variation from one sub-seed drawn from Seed, so a noisy engine is a
-// deterministic function of its seed.
+// variation from one sub-seed drawn from Seed, and every executor draws
+// the same, so a noisy engine is a deterministic function of its seed —
+// whichever executor serves a call, and however many the engine holds.
 func TestNoisyWorkersDeterministic(t *testing.T) {
 	prog := buildProgram(t, 15, []int{8, 6, 2})
 	in := randomInputs(prog, 16, 1)[0]
-	run := func(seed int64) []int {
-		eng, err := New(prog, Options{Workers: 1, Mode: synth.ModeSpikingNoisy, Seed: seed})
+	// run serves in from 2×workers concurrent callers, so a many-executor
+	// engine answers from more than one executor.
+	run := func(seed int64, workers int) [][]int {
+		eng, err := New(prog, Options{Workers: workers, Mode: synth.ModeSpikingNoisy, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		out, err := eng.Infer(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
+		outs := make([][]int, 2*workers)
+		var wg sync.WaitGroup
+		for i := range outs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var err error
+				if outs[i], err = eng.Infer(context.Background(), in); err != nil {
+					t.Error(err)
+				}
+			}(i)
 		}
-		return out
+		wg.Wait()
+		return outs
 	}
-	a, b := run(42), run(42)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
+	want := run(42, 1)[0]
+	for _, workers := range []int{1, 4} {
+		for i, out := range run(42, workers) {
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("seed 42, %d workers, call %d: %v, want %v", workers, i, out, want)
+			}
 		}
 	}
 }

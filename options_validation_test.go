@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 )
 
 // TestCompileOptionValidation: every compile knob rejects nonsensical
@@ -105,15 +104,13 @@ func TestEngineOptionValidation(t *testing.T) {
 }
 
 // TestFleetOptionValidation: fleet knobs with nonsensical values are
-// ErrInvalidArgument from NewFleet, not silently the default — a negative
-// autoscaler tick included (it used to become 50ms).
+// ErrInvalidArgument from NewFleet, not silently the default.
 func TestFleetOptionValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opt  FleetOption
 	}{
 		{"negative chips", WithFleetChips(-1)},
-		{"negative scale interval", WithScaleInterval(-time.Second)},
 		{"negative quota", WithTenant("t", QoSGold, -1)},
 		{"unknown class", WithTenant("t", QoSClass(7), 0)},
 	} {

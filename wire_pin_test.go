@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 )
 
 // jsonKeys marshals v and returns the sorted key set of the JSON object it
@@ -58,7 +57,7 @@ func TestStatsWireKeysPinned(t *testing.T) {
 		t.Errorf("/v1/stats keys\n got %q\nwant %q", engineKeys, wantEngine)
 	}
 
-	f, err := NewFleet(WithFleetChips(8), WithScaleInterval(time.Hour))
+	f, err := NewFleet(WithFleetChips(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestStatsWireKeysPinned(t *testing.T) {
 		{"/fleetz", st, []string{"chips", "chips_used", "models", "swaps"}},
 		{"/fleetz models.*", st.Models["m"], []string{
 			"errors", "in_flight", "p50_latency_us", "p999_latency_us", "p99_latency_us", "qps", "queue_depth",
-			"replicas", "requests", "scale_downs", "scale_ups", "shed_overload", "shed_quota", "version", "window",
+			"replicas", "requests", "shed_overload", "shed_quota", "version", "window",
 		}},
 		{"/fleetz swaps[]", st.Swaps[0], []string{"at", "duration_ms", "from_version", "model", "replicas", "to_version"}},
 	} {
