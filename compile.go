@@ -451,7 +451,7 @@ func (d *Deployment) buildShards(bounds []int) error {
 			sh.co, sh.alloc = d.subGraph(k, sh.lo, sh.hi)
 		}
 		var err error
-		if sh.pes, sh.smbs, sh.clbs, err = mapper.CountBlocks(sh.co, sh.alloc, d.params, nil); err != nil {
+		if sh.pes, sh.smbs, sh.clbs, err = mapper.CountBlocks(sh.co, sh.alloc, d.params); err != nil {
 			return d.shardErr(k, err)
 		}
 		d.shards[k] = sh

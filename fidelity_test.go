@@ -356,6 +356,9 @@ The paper's evaluation numbers next to ours, and the studies' values, one
 row each. ` + "`TestFidelity`" + ` (fidelity_test.go) computes every row, checks it
 and fails when this file differs from what it computed;
 ` + "`go test -run TestFidelity -update .`" + ` rewrites it. Do not edit by hand.
+The simulated-clock rows come from the analytic model and are checked by
+no cycle simulator; ARCHITECTURE.md, "Decision recorded: the chip simulator
+goes", says why.
 
 - **Band:** the two-sided interval ours/paper must stay in, at most ±10 %
   around the recorded ratio.

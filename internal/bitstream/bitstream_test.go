@@ -235,7 +235,7 @@ func BenchmarkBitstreamVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nl, err := mapper.BuildNetlist(co, alloc, device.Params45nm, nil)
+	nl, err := mapper.BuildNetlist(co, alloc, device.Params45nm)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -70,21 +70,6 @@ func (l *LUT) Eval(in []bool) (bool, error) {
 	return l.table[idx], nil
 }
 
-// CLB is one configurable logic block: a fixed budget of LUTs and FFs.
-type CLB struct {
-	params device.Params
-}
-
-// New returns a CLB with the published 45 nm parameters (128 six-input
-// LUTs, sized so one CLB matches one PE in area and pin count).
-func New(params device.Params) *CLB { return &CLB{params: params} }
-
-// LUTBudget returns how many LUTs the block provides.
-func (c *CLB) LUTBudget() int { return c.params.CLBLUTs }
-
-// Cost returns the published CLB cost triple.
-func (c *CLB) Cost() device.BlockCost { return c.params.CLB }
-
 // BlocksNeeded returns how many CLBs a controller consuming the given
 // number of LUTs occupies.
 func BlocksNeeded(params device.Params, luts int) int {

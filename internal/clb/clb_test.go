@@ -83,12 +83,14 @@ func TestBlocksNeeded(t *testing.T) {
 	}
 }
 
+// TestCLBBudget: the published 45 nm CLB the mapper packs controllers into
+// holds 128 LUTs in 5998.272 µm².
 func TestCLBBudget(t *testing.T) {
-	c := New(device.Params45nm)
-	if got := c.LUTBudget(); got != 128 {
-		t.Errorf("LUTBudget = %d, want 128", got)
+	p := device.Params45nm
+	if p.CLBLUTs != 128 {
+		t.Errorf("CLB budget = %d LUTs, want 128", p.CLBLUTs)
 	}
-	if got := c.Cost().AreaUM2; got != 5998.272 {
-		t.Errorf("Cost area = %v, want 5998.272", got)
+	if got := p.CLB.AreaUM2; got != 5998.272 {
+		t.Errorf("CLB area = %v, want 5998.272", got)
 	}
 }

@@ -137,7 +137,7 @@ func AblationChannelWidth(ctx context.Context, widths []int) (ChannelWidthResult
 	if err != nil {
 		return ChannelWidthResult{}, err
 	}
-	nl, err := mapper.BuildNetlist(co, alloc, device.Params45nm, nil)
+	nl, err := mapper.BuildNetlist(co, alloc, device.Params45nm)
 	if err != nil {
 		return ChannelWidthResult{}, err
 	}

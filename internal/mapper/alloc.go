@@ -1,8 +1,9 @@
 // Package mapper implements FPSA's spatial-to-temporal mapper (paper §5.2):
-// it allocates PE copies to weight groups (duplication degrees), schedules
-// core-op execution under the paper's five constraints (Algorithm 1),
-// decides where SMB buffers are required, and emits the function-block
-// netlist for placement & routing.
+// it allocates PE copies to weight groups (duplication degrees), decides
+// where SMB buffers are required, and emits the function-block netlist for
+// placement & routing. Algorithm 1's op-level scheduler is not
+// implemented: the steady-state pipeline rule (Allocation.Buffered) stands
+// in for its buffering decisions.
 package mapper
 
 import (

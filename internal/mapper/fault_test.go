@@ -22,7 +22,7 @@ func TestBuildNetlistFaultedNilIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := BuildNetlist(co, a, device.Params45nm, nil)
+	plain, err := BuildNetlist(co, a, device.Params45nm)
 	if err != nil {
 		t.Fatal(err)
 	}

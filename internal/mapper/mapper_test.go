@@ -1,7 +1,6 @@
 package mapper
 
 import (
-	"math/rand"
 	"testing"
 
 	"fpsa/internal/coreop"
@@ -72,180 +71,6 @@ func TestAllocateValidation(t *testing.T) {
 	}
 }
 
-func TestExpandRateMatchedDeps(t *testing.T) {
-	g := chainGraph(8, 4)
-	og, err := Expand(g, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(og.Ops) != 12 {
-		t.Fatalf("ops = %d, want 12", len(og.Ops))
-	}
-	// Consumer op i (group 1) depends on producer op 2i.
-	for i := 0; i < 4; i++ {
-		op := og.Ops[8+i]
-		if len(op.Deps) != 1 || op.Deps[0] != 2*i {
-			t.Errorf("consumer %d deps = %v, want [%d]", i, op.Deps, 2*i)
-		}
-	}
-}
-
-func TestExpandRefusesHugeGraphs(t *testing.T) {
-	g := chainGraph(1 << 20)
-	if _, err := Expand(g, 1000); err == nil {
-		t.Error("huge graph expanded")
-	}
-}
-
-func TestScheduleMLPChainIsBufferless(t *testing.T) {
-	// Reuse-1 chains (MLPs) satisfy NBD everywhere: consumers start one
-	// cycle after producers, no buffers.
-	g := chainGraph(1, 1, 1)
-	a, err := Allocate(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	og, err := Expand(g, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const gamma = 64
-	s, err := ScheduleOps(og, a, gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(og, a, gamma); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Buffered) != 0 {
-		t.Errorf("buffered edges = %v, want none", s.Buffered)
-	}
-	// Pipeline fill: op i starts at cycle i.
-	for i := 0; i < 3; i++ {
-		if s.Start[i] != i {
-			t.Errorf("op %d start = %d, want %d (1-cycle NBD chaining)", i, s.Start[i], i)
-		}
-	}
-	if s.Makespan != 2+gamma {
-		t.Errorf("makespan = %d, want %d", s.Makespan, 2+gamma)
-	}
-}
-
-func TestScheduleWeightReuseForcesBuffers(t *testing.T) {
-	// One producer position feeding four consumer iterations on a single
-	// PE: only the first consumer can NBD-chain; RC pushes the rest past
-	// the producer's end, forcing buffered (BD) edges with BC-serialized
-	// reads.
-	g := chainGraph(1, 4)
-	a, err := Allocate(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	og, err := Expand(g, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const gamma = 64
-	s, err := ScheduleOps(og, a, gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(og, a, gamma); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Buffered) != 3 {
-		t.Errorf("buffered edges = %d, want 3 (all but the NBD-chained first read)", len(s.Buffered))
-	}
-}
-
-func TestScheduleMultiDepSkewBuffersEarlyEdge(t *testing.T) {
-	// A node consuming both ends of a chain cannot cover both producers:
-	// the edge from the earlier producer must buffer (its spike train is
-	// long gone by the time the later producer streams).
-	g := &coreop.Graph{Name: "diamond"}
-	g.AddGroup(&coreop.Group{Layer: "l", Name: "a", Rows: 4, Cols: 4, UsefulWeights: 16, Reuse: 1})
-	g.AddGroup(&coreop.Group{Layer: "l", Name: "b", Rows: 4, Cols: 4, UsefulWeights: 16, Reuse: 1, Deps: []int{0}})
-	g.AddGroup(&coreop.Group{Layer: "l", Name: "c", Rows: 4, Cols: 4, UsefulWeights: 16, Reuse: 1, Deps: []int{0, 1}})
-	a, err := Allocate(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	og, err := Expand(g, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const gamma = 16
-	s, err := ScheduleOps(og, a, gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(og, a, gamma); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Buffered[Edge{From: 0, To: 2}] {
-		t.Error("skewed edge a→c not buffered")
-	}
-	// Our monotonic scheduler never re-times placed ops, so it may also
-	// buffer b→c (the paper's ripple variant would delay b instead);
-	// either way the validator must accept the result — minimality is a
-	// non-goal, constraint satisfaction is the contract.
-}
-
-func TestScheduleRandomDAGsSatisfyConstraints(t *testing.T) {
-	// Property test: random layered DAGs with random reuse degrees and
-	// duplication always produce schedules the independent validator
-	// accepts, for several window sizes.
-	rng := rand.New(rand.NewSource(201))
-	for trial := 0; trial < 30; trial++ {
-		g := &coreop.Graph{Name: "rand"}
-		layers := 2 + rng.Intn(4)
-		var prev []int
-		id := 0
-		for l := 0; l < layers; l++ {
-			width := 1 + rng.Intn(3)
-			var cur []int
-			for w := 0; w < width; w++ {
-				grp := &coreop.Group{
-					Layer: "l", Name: "g" + string(rune('a'+id)),
-					Rows: 8, Cols: 8, UsefulWeights: 64,
-					Reuse: 1 + rng.Intn(20),
-				}
-				// Depend on a random nonempty subset of the previous
-				// layer.
-				for _, p := range prev {
-					if rng.Intn(2) == 0 {
-						grp.Deps = append(grp.Deps, p)
-					}
-				}
-				if len(grp.Deps) == 0 && len(prev) > 0 {
-					grp.Deps = []int{prev[rng.Intn(len(prev))]}
-				}
-				g.AddGroup(grp)
-				cur = append(cur, grp.ID)
-				id++
-			}
-			prev = cur
-		}
-		dup := 1 + rng.Intn(8)
-		a, err := Allocate(g, dup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		og, err := Expand(g, 10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gamma := []int{4, 16, 64}[rng.Intn(3)]
-		s, err := ScheduleOps(og, a, gamma)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := s.Validate(og, a, gamma); err != nil {
-			t.Fatalf("trial %d (dup=%d, Γ=%d): %v", trial, dup, gamma, err)
-		}
-	}
-}
-
 func TestBuildNetlistMLP(t *testing.T) {
 	co, err := synth.Synthesize(models.MLP500_100(), synth.DefaultOptions())
 	if err != nil {
@@ -255,7 +80,7 @@ func TestBuildNetlistMLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := BuildNetlist(co, a, device.Params45nm, nil)
+	nl, err := BuildNetlist(co, a, device.Params45nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +109,7 @@ func TestBuildNetlistCNNHasBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := BuildNetlist(co, a, device.Params45nm, nil)
+	nl, err := BuildNetlist(co, a, device.Params45nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,20 +122,22 @@ func TestBuildNetlistCNNHasBuffers(t *testing.T) {
 	}
 }
 
-func TestBuildNetlistUsesScheduleDecisions(t *testing.T) {
+// TestBuildNetlistFaultedRejectsBufferedEdges: the buffered-edge argument
+// is nil-only. A forced buffer on an edge the pipeline rule chains
+// directly is an error, not an SMB.
+func TestBuildNetlistFaultedRejectsBufferedEdges(t *testing.T) {
 	g := chainGraph(1, 1)
 	a, err := Allocate(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced := map[Edge]bool{{From: 0, To: 1}: true}
-	nl, err := BuildNetlist(g, a, device.Params45nm, forced)
-	if err != nil {
-		t.Fatal(err)
+	for _, edges := range []map[Edge]bool{{{From: 0, To: 1}: true}, {}} {
+		if _, err := BuildNetlistFaulted(g, a, device.Params45nm, edges, nil, 0); err == nil {
+			t.Errorf("BuildNetlistFaulted accepted buffered edges %v", edges)
+		}
 	}
-	_, smbs, _ := nl.Counts()
-	if smbs == 0 {
-		t.Error("forced buffer edge produced no SMB")
+	if _, err := BuildNetlistFaulted(g, a, device.Params45nm, nil, nil, 0); err != nil {
+		t.Errorf("nil buffered edges: %v", err)
 	}
 }
 

@@ -12,29 +12,20 @@ import (
 )
 
 // BuildNetlist emits the function-block netlist for a core-op graph under
-// an allocation: one PE per group copy, SMB buffers on buffered edges, and
-// CLB control logic sized by actually synthesizing the schedule
-// controllers — one synthesis per distinct iteration count, which is all a
-// group's controller depends on. Block and net order, IDs and names are a
-// pure function of the arguments: they feed the netlist fingerprint and
-// the placement trajectory.
-//
-// bufferedEdges may carry op-scheduler decisions lifted to group pairs
-// (Schedule.BufferedGroupEdges); if nil, the steady-state pipeline rule
-// Allocation.Buffered applies.
-func BuildNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool) (*netlist.Netlist, error) {
-	return BuildNetlistFaulted(g, a, params, bufferedEdges, nil, 0)
+// an allocation: one PE per group copy, SMB buffers on the edges the
+// steady-state pipeline rule (Allocation.Buffered) buffers, and CLB control
+// logic sized by actually synthesizing the schedule controllers — one
+// synthesis per distinct iteration count, which is all a group's
+// controller depends on. Block and net order, IDs and names are a pure
+// function of the arguments: they feed the netlist fingerprint and the
+// placement trajectory.
+func BuildNetlist(g *coreop.Graph, a Allocation, params device.Params) (*netlist.Netlist, error) {
+	return BuildNetlistFaulted(g, a, params, nil, nil, 0)
 }
 
-// edgeBuffered reports whether the edge u→v goes through an SMB bank: the
-// op scheduler's decision when bufferedEdges carries one, the steady-state
-// pipeline rule (Allocation.Buffered) otherwise.
-func edgeBuffered(a Allocation, bufferedEdges map[Edge]bool, u, v int) bool {
-	if bufferedEdges != nil {
-		return bufferedEdges[Edge{From: u, To: v}]
-	}
-	return a.Buffered(u, v)
-}
+// Edge identifies a producer→consumer group pair: the key of
+// BuildNetlistFaulted's nil-only bufferedEdges argument.
+type Edge struct{ From, To int }
 
 // netlistSize is what BuildNetlistFaulted will emit, counted without
 // emitting it: blocks per type, nets, and sinks summed over every net.
@@ -46,11 +37,11 @@ type netlistSize struct {
 	groupLUTs       []int
 }
 
-// sizeNetlist counts the netlist of (g, a, params, bufferedEdges) from the
-// inputs that decide which blocks and nets exist: Σ a.Dup PEs; one SMB bank
-// of smb.BlocksNeeded(2·cols, Γ) blocks per producer with at least one
+// sizeNetlist counts the netlist of (g, a, params) from the inputs that
+// decide which blocks and nets exist: Σ a.Dup PEs; one SMB bank of
+// smb.BlocksNeeded(2·cols, Γ) blocks per producer with at least one
 // buffered edge; clb.BlocksNeeded of the synthesized controllers' LUTs.
-func sizeNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool) (netlistSize, error) {
+func sizeNetlist(g *coreop.Graph, a Allocation, params device.Params) (netlistSize, error) {
 	if len(a.Dup) != len(g.Groups) {
 		return netlistSize{}, fmt.Errorf("mapper: allocation covers %d groups, graph has %d", len(a.Dup), len(g.Groups))
 	}
@@ -67,7 +58,7 @@ func sizeNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEd
 	for vi, grp := range g.Groups {
 		for _, ui := range grp.Deps {
 			du, dv := a.Dup[ui], a.Dup[vi]
-			if !edgeBuffered(a, bufferedEdges, ui, vi) {
+			if !a.Buffered(ui, vi) {
 				// One net per producer copy, one sink per copy pair.
 				sz.nets += du
 				sz.sinks += max(du, dv)
@@ -115,8 +106,8 @@ func controllerCLBs(params device.Params, groupLUTs []int) int {
 // graph, or a schedule controller that cannot be synthesized.
 // BuildNetlistFaulted checks what it emitted against this count, so the
 // two cannot drift apart.
-func CountBlocks(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool) (pes, smbs, clbs int, err error) {
-	sz, err := sizeNetlist(g, a, params, bufferedEdges)
+func CountBlocks(g *coreop.Graph, a Allocation, params device.Params) (pes, smbs, clbs int, err error) {
+	sz, err := sizeNetlist(g, a, params)
 	return sz.pes, sz.smbs, sz.clbs, err
 }
 
@@ -133,18 +124,25 @@ func CountBlocks(g *coreop.Graph, a Allocation, params device.Params, bufferedEd
 // sub-graph renumbers its groups from 0, so the caller passes the
 // chip's global group offset to keep the netlist keyed on the same
 // units the executor programs.
+//
+// bufferedEdges must be nil: which edges are buffered is the pipeline
+// rule's decision alone. The parameter stays only because the benchmark
+// harness compiles against this signature.
 func BuildNetlistFaulted(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool, faults *device.FaultModel, unitBase int) (*netlist.Netlist, error) {
-	want, err := sizeNetlist(g, a, params, bufferedEdges)
+	if bufferedEdges != nil {
+		return nil, fmt.Errorf("mapper: buffered edges are decided by the pipeline rule; pass nil, not %d edges", len(bufferedEdges))
+	}
+	want, err := sizeNetlist(g, a, params)
 	if err != nil {
 		return nil, err
 	}
-	return emitNetlist(g, a, params, bufferedEdges, faults, unitBase, want)
+	return emitNetlist(g, a, params, faults, unitBase, want)
 }
 
 // emitNetlist builds the netlist into tables sized by want — the block and
 // net tables exactly, every net's sinks carved out of one backing array —
 // and fails if what it emitted is not what want counted.
-func emitNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEdges map[Edge]bool, faults *device.FaultModel, unitBase int, want netlistSize) (*netlist.Netlist, error) {
+func emitNetlist(g *coreop.Graph, a Allocation, params device.Params, faults *device.FaultModel, unitBase int, want netlistSize) (*netlist.Netlist, error) {
 	nl := &netlist.Netlist{
 		Name:   g.Name,
 		Blocks: make([]netlist.Block, 0, want.pes+want.smbs+want.clbs),
@@ -210,7 +208,7 @@ func emitNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEd
 		for _, ui := range grp.Deps {
 			signals := g.Groups[ui].Cols
 			du, dv := a.Dup[ui], a.Dup[vi]
-			if edgeBuffered(a, bufferedEdges, ui, vi) {
+			if a.Buffered(ui, vi) {
 				if bankBase[ui] < 0 {
 					addBank(ui)
 				}
@@ -265,7 +263,7 @@ func emitNetlist(g *coreop.Graph, a Allocation, params device.Params, bufferedEd
 				arena = append(arena, peBase[gi]+c)
 			}
 			for _, ui := range g.Groups[gi].Deps {
-				if edgeBuffered(a, bufferedEdges, ui, gi) {
+				if a.Buffered(ui, gi) {
 					appendBank(ui)
 				}
 			}

@@ -43,7 +43,7 @@ func TestBuildNetlistDirectChainMatchesReference(t *testing.T) {
 		for dv := 1; dv <= 8; dv++ {
 			g := chainGraph(du, dv)
 			a := Allocation{ModelDup: 8, Dup: []int{du, dv}, Iterations: []int{1, 1}, TotalPEs: du + dv}
-			nl, err := BuildNetlist(g, a, device.Params45nm, nil)
+			nl, err := BuildNetlist(g, a, device.Params45nm)
 			if err != nil {
 				t.Fatalf("du=%d dv=%d: %v", du, dv, err)
 			}
@@ -131,33 +131,30 @@ func subChain(g *coreop.Graph, a Allocation, lo, hi int) (*coreop.Graph, Allocat
 
 // TestCountBlocksMatchesNetlist: CountBlocks is the inventory of the
 // netlist BuildNetlist emits — on every zoo model under uniform and
-// per-layer duplication, under the pipeline rule, an explicit buffered-edge
-// set and an empty one, and on the sub-graphs of a 2- and a 3-chip split.
+// per-layer duplication, and on the sub-graphs of a 2- and a 3-chip split.
+// The convolutional models time-multiplex their weights, so the pipeline
+// rule buffers some of their edges and the SMB banks are counted too.
 func TestCountBlocksMatchesNetlist(t *testing.T) {
 	p := device.Params45nm
-	check := func(label string, g *coreop.Graph, a Allocation, edges map[Edge]bool) {
+	smbsSeen := 0
+	check := func(label string, g *coreop.Graph, a Allocation) {
 		t.Helper()
-		pes, smbs, clbs, err := CountBlocks(g, a, p, edges)
+		pes, smbs, clbs, err := CountBlocks(g, a, p)
 		if err != nil {
 			t.Fatalf("%s: CountBlocks: %v", label, err)
 		}
-		nl, err := BuildNetlist(g, a, p, edges)
+		nl, err := BuildNetlist(g, a, p)
 		if err != nil {
 			t.Fatalf("%s: BuildNetlist: %v", label, err)
 		}
 		if wp, ws, wc := nl.Counts(); pes != wp || smbs != ws || clbs != wc {
 			t.Errorf("%s: counted %d PEs, %d SMBs, %d CLBs; netlist has %d, %d, %d", label, pes, smbs, clbs, wp, ws, wc)
 		}
+		smbsSeen += smbs
 	}
 	for _, co := range zooCoreOps(t) {
 		n := len(co.Groups)
-		// Every other edge buffered, whatever the iteration counts say.
-		alternate := make(map[Edge]bool)
-		for vi, grp := range co.Groups {
-			for _, ui := range grp.Deps {
-				alternate[Edge{From: ui, To: vi}] = (ui+vi)%2 == 0
-			}
-		}
+		smbsSeen = 0
 		layerDup := make(map[string]int)
 		for gi, grp := range co.Groups {
 			if gi%3 == 0 {
@@ -180,18 +177,19 @@ func TestCountBlocksMatchesNetlist(t *testing.T) {
 		}
 		for ai, a := range allocs {
 			label := fmt.Sprintf("%s alloc %d (dup %d)", co.Name, ai, a.ModelDup)
-			check(label, co, a, nil)
-			check(label+" alternate edges buffered", co, a, alternate)
-			check(label+" no edge buffered", co, a, map[Edge]bool{})
+			check(label, co, a)
 			for _, chips := range []int{2, 3} {
 				if n < chips {
 					continue
 				}
 				for k := 0; k < chips; k++ {
 					sub, sa := subChain(co, a, k*n/chips, (k+1)*n/chips)
-					check(fmt.Sprintf("%s chip %d of %d", label, k, chips), sub, sa, nil)
+					check(fmt.Sprintf("%s chip %d of %d", label, k, chips), sub, sa)
 				}
 			}
+		}
+		if co.MaxReuse() > 1 && smbsSeen == 0 {
+			t.Errorf("%s time-multiplexes its weights but no allocation buffered an edge", co.Name)
 		}
 	}
 }
@@ -209,11 +207,11 @@ func TestBuildNetlistRejectsWrongCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sizeNetlist(co, a, p, nil)
+	want, err := sizeNetlist(co, a, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := emitNetlist(co, a, p, nil, nil, 0, want); err != nil {
+	if _, err := emitNetlist(co, a, p, nil, 0, want); err != nil {
 		t.Fatalf("true count rejected: %v", err)
 	}
 	for name, doctor := range map[string]func(*netlistSize){
@@ -225,11 +223,11 @@ func TestBuildNetlistRejectsWrongCount(t *testing.T) {
 	} {
 		doctored := want
 		doctor(&doctored)
-		if _, err := emitNetlist(co, a, p, nil, nil, 0, doctored); err == nil {
+		if _, err := emitNetlist(co, a, p, nil, 0, doctored); err == nil {
 			t.Errorf("%s: build accepted a count it did not emit", name)
 		}
 	}
-	if _, _, _, err := CountBlocks(co, Allocation{Dup: a.Dup[1:], Iterations: a.Iterations[1:]}, p, nil); err == nil {
+	if _, _, _, err := CountBlocks(co, Allocation{Dup: a.Dup[1:], Iterations: a.Iterations[1:]}, p); err == nil {
 		t.Error("CountBlocks accepted an allocation shorter than the graph")
 	}
 }
@@ -249,7 +247,7 @@ func BenchmarkBuildNetlistZoo(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		for i, co := range zoo {
-			if _, err := BuildNetlist(co, allocs[i], device.Params45nm, nil); err != nil {
+			if _, err := BuildNetlist(co, allocs[i], device.Params45nm); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,9 +1,11 @@
 package perf
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"fpsa/internal/cgraph"
 	"fpsa/internal/device"
 	"fpsa/internal/models"
 	"fpsa/internal/prime"
@@ -174,5 +176,49 @@ func TestEvaluateBuildsNoNetlist(t *testing.T) {
 	})
 	if allocs > 2000 {
 		t.Errorf("Evaluate(VGG16@16) allocates %v times, want ≤ 2000: is it building the netlist?", allocs)
+	}
+}
+
+// TestFCChainLatencyClosedForm: a chain of reuse-1 fully connected layers
+// at duplication 1 streams spike trains stage to stage with no buffer, so
+// its latency is the critical path's depth in pipeline cycles plus one
+// sampling window: (depth + Γ) · stageNS/Γ. An op-level schedule of such a
+// chain ends at cycle depth + Γ − 1, so this is its makespan + 1
+// (docs/ARCHITECTURE.md, "Decision recorded: the chip simulator goes").
+func TestFCChainLatencyClosedForm(t *testing.T) {
+	p := device.Params45nm
+	gamma := float64(p.SamplingWindow())
+	_, _, stageNS := FPSAStageNS(p, p.TypicalRouteHops)
+	for _, dims := range [][]int{{8, 4}, {16, 24, 4}, {16, 48, 48, 4}, {600, 10}, {784, 500, 100, 10}} {
+		g := cgraph.New(fmt.Sprint(dims))
+		x := g.MustAdd("input", cgraph.Input{Shape: cgraph.Vec(dims[0])})
+		for i, out := range dims[1:] {
+			x = g.MustAdd(fmt.Sprintf("fc%d", i), cgraph.FC{Out: out}, x)
+			x = g.MustAdd(fmt.Sprintf("relu%d", i), cgraph.ReLU{}, x)
+		}
+		co, err := synth.Synthesize(g, synth.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := co.MaxReuse(); r != 1 {
+			t.Fatalf("%v: max reuse %d, want 1", dims, r)
+		}
+		depth := make([]int, len(co.Groups))
+		maxDepth := 0
+		for gi, grp := range co.Groups {
+			for _, u := range grp.Deps {
+				depth[gi] = max(depth[gi], depth[u])
+			}
+			depth[gi]++
+			maxDepth = max(maxDepth, depth[gi])
+		}
+		r, err := Evaluate(Input{Model: g, CoreOps: co, Params: p, Dup: 1}, TargetFPSA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64(maxDepth) + gamma
+		if got := r.LatencyUS * 1e3 / (stageNS / gamma); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%v: latency %.15g pipeline cycles, want depth %d + Γ %g", dims, got, maxDepth, gamma)
+		}
 	}
 }

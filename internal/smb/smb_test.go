@@ -2,122 +2,9 @@ package smb
 
 import (
 	"testing"
-	"testing/quick"
 
 	"fpsa/internal/device"
-	"fpsa/internal/spike"
 )
-
-func newSMB(t *testing.T, window int) *SMB {
-	t.Helper()
-	s, err := New(device.Params45nm, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestNewRejectsNonPow2(t *testing.T) {
-	if _, err := New(device.Params45nm, 60); err == nil {
-		t.Error("window 60 accepted")
-	}
-	if _, err := New(device.Params45nm, 0); err == nil {
-		t.Error("window 0 accepted")
-	}
-}
-
-func TestCountBitsAndSlots(t *testing.T) {
-	s := newSMB(t, 64)
-	if got := s.CountBits(); got != 6 {
-		t.Errorf("CountBits = %d, want 6", got)
-	}
-	// 16 Kb / 6 bits = 2730 counts: enough for more than ten 256-wide PE
-	// output vectors.
-	if got := s.Slots(); got != 16*1024/6 {
-		t.Errorf("Slots = %d, want %d", got, 16*1024/6)
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	s := newSMB(t, 64)
-	for c := 0; c < 64; c++ {
-		if err := s.WriteCount(c, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for c := 0; c < 64; c++ {
-		got, err := s.ReadCount(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c {
-			t.Errorf("slot %d: read %d", c, got)
-		}
-	}
-}
-
-func TestWriteCountClampsToWindowMinusOne(t *testing.T) {
-	s := newSMB(t, 64)
-	if err := s.WriteCount(0, 64); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadCount(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 63 {
-		t.Errorf("full-scale count stored as %d, want 63 (n-bit saturation)", got)
-	}
-}
-
-func TestSlotBounds(t *testing.T) {
-	s := newSMB(t, 64)
-	if err := s.WriteCount(-1, 0); err == nil {
-		t.Error("negative slot accepted")
-	}
-	if err := s.WriteCount(s.Slots(), 0); err == nil {
-		t.Error("out-of-range slot accepted")
-	}
-	if _, err := s.ReadCount(s.Slots()); err == nil {
-		t.Error("out-of-range read accepted")
-	}
-}
-
-func TestTrainRoundTrip(t *testing.T) {
-	s := newSMB(t, 64)
-	for count := 0; count < 64; count++ {
-		in := spike.UniformTrain(count, 64)
-		if err := s.ReceiveTrain(5, in); err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.EmitTrain(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Count() != count {
-			t.Errorf("count %d round-tripped to %d", count, out.Count())
-		}
-	}
-}
-
-func TestReceiveTrainWindowMismatch(t *testing.T) {
-	s := newSMB(t, 64)
-	if err := s.ReceiveTrain(0, spike.NewTrain(32)); err == nil {
-		t.Error("mismatched window accepted")
-	}
-}
-
-func TestWritesCounter(t *testing.T) {
-	s := newSMB(t, 64)
-	for i := 0; i < 10; i++ {
-		if err := s.WriteCount(0, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Writes(); got != 10 {
-		t.Errorf("Writes = %d, want 10", got)
-	}
-}
 
 func TestBlocksNeeded(t *testing.T) {
 	p := device.Params45nm
@@ -136,47 +23,5 @@ func TestBlocksNeeded(t *testing.T) {
 		if got := BlocksNeeded(p, tc.signals, tc.window); got != tc.want {
 			t.Errorf("BlocksNeeded(%d,%d) = %d, want %d", tc.signals, tc.window, got, tc.want)
 		}
-	}
-}
-
-func TestQuickRoundTripArbitraryWindows(t *testing.T) {
-	f := func(raw uint16, wsel uint8) bool {
-		window := 1 << (2 + wsel%7) // 4..256
-		s, err := New(device.Params45nm, window)
-		if err != nil {
-			return false
-		}
-		count := int(raw) % window // storable range is [0, Γ−1]
-		slot := int(raw) % s.Slots()
-		if err := s.WriteCount(slot, count); err != nil {
-			return false
-		}
-		got, err := s.ReadCount(slot)
-		return err == nil && got == count
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAdjacentSlotsDoNotInterfere(t *testing.T) {
-	s := newSMB(t, 64)
-	if err := s.WriteCount(0, 63); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteCount(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteCount(2, 42); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := s.ReadCount(0); got != 63 {
-		t.Errorf("slot 0 = %d, want 63", got)
-	}
-	if got, _ := s.ReadCount(1); got != 0 {
-		t.Errorf("slot 1 = %d, want 0", got)
-	}
-	if got, _ := s.ReadCount(2); got != 42 {
-		t.Errorf("slot 2 = %d, want 42", got)
 	}
 }

@@ -6,8 +6,6 @@
 // circuit-faithful RC voltage-domain neuron used to validate the derivation.
 package spike
 
-import "fmt"
-
 // Train is a binary spike train over a sampling window; Train[t] reports
 // whether a spike occurs in cycle t.
 type Train []bool
@@ -68,16 +66,3 @@ func Clamp(v, window int) int {
 	}
 	return v
 }
-
-// ValidateWindow reports whether a window length is usable (the SMB stores
-// counts bit-indexed, so windows are powers of two in the paper; we only
-// require positivity here and let callers impose the power-of-two rule).
-func ValidateWindow(window int) error {
-	if window <= 0 {
-		return fmt.Errorf("spike: sampling window must be positive, got %d", window)
-	}
-	return nil
-}
-
-// IsPow2 reports whether w is a power of two (SMB bit-indexing, §4.3).
-func IsPow2(w int) bool { return w > 0 && w&(w-1) == 0 }

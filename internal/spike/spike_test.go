@@ -56,28 +56,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestIsPow2(t *testing.T) {
-	for _, w := range []int{1, 2, 4, 64, 256} {
-		if !IsPow2(w) {
-			t.Errorf("IsPow2(%d) = false", w)
-		}
-	}
-	for _, w := range []int{0, -4, 3, 6, 65} {
-		if IsPow2(w) {
-			t.Errorf("IsPow2(%d) = true", w)
-		}
-	}
-}
-
-func TestValidateWindow(t *testing.T) {
-	if err := ValidateWindow(64); err != nil {
-		t.Errorf("ValidateWindow(64) = %v", err)
-	}
-	if err := ValidateWindow(0); err == nil {
-		t.Error("ValidateWindow(0) = nil, want error")
-	}
-}
-
 func TestQuickUniformTrainRoundTrip(t *testing.T) {
 	f := func(count uint8) bool {
 		c := int(count) % 65

@@ -313,7 +313,8 @@ func TestClassifyProgrammingSupport(t *testing.T) {
 }
 
 // assertMatchesTrains requires SimulateCountsBatch to equal the dense kernel
-// and the train-level path chipsim's PE takes, item by item.
+// and the paper's PE simulated train by train (SimulateTrains), item by
+// item.
 func assertMatchesTrains(t *testing.T, label string, xb *Crossbar, src []int, batch int) {
 	t.Helper()
 	assertPackedMatchesDense(t, label, xb, src, batch)

@@ -1,14 +1,13 @@
 // Package xbar is the shared batched crossbar kernel behind the
-// functional execution stack (internal/synth, internal/serve,
-// internal/chipsim). It models one programmed ReRAM crossbar — with the
-// neurons of internal/spike on its columns, the paper's PE (§4.2) — as
-// flat row-major buffers and evaluates whole micro-batches of
-// input vectors per call: the programming cost of a weight matrix — and
-// of everything derived from it once, such as the packed kernel's column
-// supports, tables and lane-packed conductances — is amortized across
-// every vector that streams through it. Per-item cost in the spiking
-// kernel does not fall with batch size; what a batch saves is the
-// per-call overhead above the kernel.
+// functional execution stack (internal/synth, internal/serve). It models
+// one programmed ReRAM crossbar — with the neurons of internal/spike on
+// its columns, the paper's PE (§4.2) — as flat row-major buffers and
+// evaluates whole micro-batches of input vectors per call: the programming
+// cost of a weight matrix — and of everything derived from it once, such
+// as the packed kernel's column supports, tables and lane-packed
+// conductances — is amortized across every vector that streams through
+// it. Per-item cost in the spiking kernel does not fall with batch size;
+// what a batch saves is the per-call overhead above the kernel.
 //
 // Two views of the same computation are provided, from fastest to most
 // circuit-faithful, and the callers' test suites prove they agree with the
@@ -507,9 +506,8 @@ func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 // returning the output spike trains of the subtracters: the paper's PE
 // (§4.2) composed from internal/spike's parts. Each cycle sums the firing
 // rows' conductances per column in ascending row order — the order the
-// kernel's float walk keeps. internal/chipsim runs each PE on it, and with
-// ideal neurons and uniform trains it is SimulateCountsBatchDense, the
-// kernel's oracle.
+// kernel's float walk keeps. With ideal neurons and uniform trains it is
+// SimulateCountsBatchDense, the kernel's oracle.
 func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float64) spike.Stepper) ([]spike.Train, error) {
 	if len(inputs) != c.rows {
 		return nil, fmt.Errorf("xbar: %d input trains, want %d", len(inputs), c.rows)

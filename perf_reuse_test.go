@@ -43,7 +43,7 @@ func TestPerformanceReusesNetlist(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			whole, err := mapper.BuildNetlist(d.coreop, d.alloc, d.params, nil)
+			whole, err := mapper.BuildNetlist(d.coreop, d.alloc, d.params)
 			if err != nil {
 				t.Fatal(err)
 			}
