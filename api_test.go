@@ -144,8 +144,8 @@ func TestEngineInheritsDeploymentChips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Chips() != 2 {
-		t.Errorf("engine inherited %d chips, want 2", eng.Chips())
+	if eng.Stats().Chips != 2 {
+		t.Errorf("engine inherited %d chips, want 2", eng.Stats().Chips)
 	}
 	if _, err := eng.Classify(ctx, test.X[0]); err != nil {
 		t.Fatal(err)
@@ -158,8 +158,8 @@ func TestEngineInheritsDeploymentChips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng1.Close()
-	if eng1.Chips() != 1 || eng1.Stats().Chips != 1 {
-		t.Errorf("single-chip deployment served on %d chips (stats %d), want 1", eng1.Chips(), eng1.Stats().Chips)
+	if eng1.Stats().Chips != 1 {
+		t.Errorf("single-chip deployment served on %d chips, want 1", eng1.Stats().Chips)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 	}
 	batch := test.X[:12]
 	for _, mode := range []ExecMode{ModeReference, ModeSpiking, ModeSpikingNoisy} {
-		eng, err := d.NewEngine(ctx, WithWorkers(1), WithMaxBatch(4), WithMode(mode))
+		eng, err := d.NewEngine(ctx, WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 
 		// The oracle: the same network on one chip, nothing sharded at
 		// compile or at serve time.
-		single, err := compileMLP(t, net).NewEngine(ctx, WithWorkers(1), WithMaxBatch(4), WithMode(mode))
+		single, err := compileMLP(t, net).NewEngine(ctx, WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestShardPolicyFlowsToEngine(t *testing.T) {
 		if d.Chips() != 2 {
 			t.Fatalf("policy %v: deployment chips = %d, want 2", policy, d.Chips())
 		}
-		eng, err := d.NewEngine(ctx, WithWorkers(1), WithMode(ModeReference))
+		eng, err := d.NewEngine(ctx, WithMode(ModeReference))
 		if err != nil {
 			t.Fatalf("policy %v: %v", policy, err)
 		}

@@ -224,9 +224,6 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 	if err := set.cfg.validate(); err != nil {
 		return nil, rep, err
 	}
-	if len(set.cfg.LayerDup) > 0 || len(set.cfg.ShardCuts) > 0 {
-		return nil, rep, fmt.Errorf("%w: Autotune searches the per-layer assignment and cuts itself; WithLayerDuplication/WithShardCuts pin them", ErrInvalidArgument)
-	}
 	params := device.Params45nm
 	co, err := synth.Synthesize(m.graph, synth.Options{Params: params})
 	if err != nil {
@@ -762,15 +759,12 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 }
 
 // compileCandidate realizes one candidate as a Deployment, replaying its
-// assignment and cuts through the regular compile path (so equivalence
-// with a hand-written WithLayerDuplication/WithShardCuts compile is by
-// construction, and per-shard artifacts land in the cache under
-// content addresses other candidates can hit).
+// assignment and cuts through the regular compile path (so per-shard
+// artifacts land in the cache under content addresses other candidates
+// can hit). It is the only writer of config.LayerDup and config.ShardCuts.
 func compileCandidate(ctx context.Context, m Model, set compileSettings, c *tuneCandidate, cache *CompileCache) (*Deployment, error) {
 	cs := set
 	cs.cfg.Cache = cache
-	cs.cfg.LayerDup = nil
-	cs.cfg.ShardCuts = nil
 	if c.uniformD > 0 {
 		cs.cfg.Duplication = c.uniformD
 	} else {

@@ -132,8 +132,6 @@ func TestAutotuneValidation(t *testing.T) {
 		{"unknown objective", Objective(9), nil, ErrInvalidArgument},
 		{"negative budget", MinLatency, []Option{WithPEBudget(-1)}, ErrInvalidArgument},
 		{"negative refine", MinLatency, []Option{WithAutotuneRefine(-1)}, ErrInvalidArgument},
-		{"pinned layer dup", MinLatency, []Option{WithLayerDuplication(map[string]int{"conv1": 2})}, ErrInvalidArgument},
-		{"pinned cuts", MinLatency, []Option{WithShardCuts(3)}, ErrInvalidArgument},
 		{"infeasible budget", MinLatency, []Option{WithPEBudget(5)}, ErrCapacity},
 	}
 	for _, tc := range cases {
@@ -184,9 +182,9 @@ func TestAutotuneRefineSharesCache(t *testing.T) {
 	}
 }
 
-// TestLayerDupUniformEquivalence: a WithLayerDuplication map that spells
-// out exactly what the global WithDuplication knob would allocate is
-// bit-exact with it — same allocation, netlist, perf model, placement
+// TestLayerDupUniformEquivalence: a per-layer duplication map (compiled
+// as the autotuner compiles its candidates) that spells out exactly what
+// the global WithDuplication knob would allocate is bit-exact with it — same allocation, netlist, perf model, placement
 // cost, and classification outputs in all three execution modes.
 func TestLayerDupUniformEquivalence(t *testing.T) {
 	m, weights := stripesCNN(t)
@@ -203,7 +201,10 @@ func TestLayerDupUniformEquivalence(t *testing.T) {
 			}
 			layerDup[grp.Layer] = d1.alloc.Dup[gi]
 		}
-		d2, err := Compile(context.Background(), m, WithLayerDuplication(layerDup), WithWeights(weights), WithSeed(3))
+		d2, err := compile(context.Background(), m, compileSettings{
+			cfg:     config{LayerDup: layerDup, Seed: 3},
+			weights: func(layer string) [][]float64 { return weights[layer] },
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

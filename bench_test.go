@@ -249,10 +249,7 @@ func BenchmarkClassifyBatchNoisyFaulted(b *testing.B) {
 func BenchmarkEngineNoisyDense(b *testing.B) {
 	d, batch := deployNoisyFaulted(b)
 	ctx := context.Background()
-	eng, err := d.NewEngine(ctx, WithWorkers(1), WithMode(ModeSpikingNoisy))
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := engineWith(b, d, 1, ModeSpikingNoisy)
 	defer eng.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -394,39 +391,3 @@ func BenchmarkRunBatch(b *testing.B) {
 		}
 	}
 }
-
-// benchmarkEngine drives the batched engine from GOMAXPROCS submitter
-// goroutines — the concurrent-serving counterpart of the serial
-// BenchmarkSpikingInference loop above.
-func benchmarkEngine(b *testing.B, workers, maxBatch int) {
-	d, train := deployBenchNet(b)
-	eng, err := d.NewEngine(context.Background(), WithWorkers(workers), WithMaxBatch(maxBatch), WithMode(ModeSpiking))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	// Serving benchmarks need real concurrent load: enough in-flight
-	// clients that requests pile up behind busy workers and micro-batches
-	// actually form (workers never wait for one to fill).
-	b.SetParallelism(32)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := eng.Classify(context.Background(), train.X[i%len(train.X)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
-
-func BenchmarkEngineClassify1(b *testing.B) { benchmarkEngine(b, 1, 8) }
-func BenchmarkEngineClassify4(b *testing.B) { benchmarkEngine(b, 4, 8) }
-func BenchmarkEngineClassify8(b *testing.B) { benchmarkEngine(b, 8, 8) }
-
-// BenchmarkEngineClassify4Batch16 is the headline batched-serving
-// configuration: 4 workers consuming micro-batches of 16 through
-// Executor.RunBatch.
-func BenchmarkEngineClassify4Batch16(b *testing.B) { benchmarkEngine(b, 4, 16) }

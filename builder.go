@@ -6,123 +6,54 @@ import (
 	"fpsa/internal/cgraph"
 )
 
-// ModelBuilder constructs custom networks for compilation onto FPSA. Calls
-// chain; the first error sticks and is reported by Build. Mark/Use manage
-// named taps for residual and inception topologies.
+// ModelBuilder constructs custom feed-forward networks for compilation
+// onto FPSA: convolutions, fully connected layers, ReLU and pooling. Calls
+// chain; the first error sticks and is reported by Build. Residual and
+// inception topologies come from LoadBenchmark.
 type ModelBuilder struct {
-	g     *cgraph.Graph
-	cur   *cgraph.Node
-	marks map[string]*cgraph.Node
-	err   error
-	n     int
+	g   *cgraph.Graph
+	cur *cgraph.Node
+	err error
+	n   int
 }
 
 // NewModelBuilder starts a model with a C×H×W input (use H = W = 1 for
 // flat feature vectors).
 func NewModelBuilder(name string, c, h, w int) *ModelBuilder {
-	b := &ModelBuilder{g: cgraph.New(name), marks: make(map[string]*cgraph.Node)}
+	b := &ModelBuilder{g: cgraph.New(name)}
 	b.cur, b.err = b.g.Input("input", cgraph.Shape{C: c, H: h, W: w})
 	return b
 }
 
 // add appends an op consuming the current node.
-func (b *ModelBuilder) add(name string, op cgraph.Op, inputs ...*cgraph.Node) *ModelBuilder {
+func (b *ModelBuilder) add(op cgraph.Op) *ModelBuilder {
 	if b.err != nil {
 		return b
 	}
-	if len(inputs) == 0 {
-		inputs = []*cgraph.Node{b.cur}
-	}
 	b.n++
-	if name == "" {
-		name = fmt.Sprintf("%s%d", op.Kind(), b.n)
-	}
-	b.cur, b.err = b.g.Add(name, op, inputs...)
+	b.cur, b.err = b.g.Add(fmt.Sprintf("%s%d", op.Kind(), b.n), op, b.cur)
 	return b
 }
 
 // Conv2D appends a square convolution.
 func (b *ModelBuilder) Conv2D(outC, kernel, stride, pad int) *ModelBuilder {
-	return b.add("", cgraph.Conv2D{OutC: outC, Kernel: kernel, Stride: stride, Pad: pad})
+	return b.add(cgraph.Conv2D{OutC: outC, Kernel: kernel, Stride: stride, Pad: pad})
 }
 
-// GroupedConv2D appends a grouped convolution (AlexNet-style).
-func (b *ModelBuilder) GroupedConv2D(outC, kernel, stride, pad, groups int) *ModelBuilder {
-	return b.add("", cgraph.Conv2D{OutC: outC, Kernel: kernel, Stride: stride, Pad: pad, Groups: groups})
-}
-
-// FC appends a fully connected layer (input must be flat; see Flatten).
-func (b *ModelBuilder) FC(out int) *ModelBuilder { return b.add("", cgraph.FC{Out: out}) }
+// FC appends a fully connected layer. Its input must be flat (H = W = 1):
+// the model input, or the output of GlobalAvgPool or another FC.
+func (b *ModelBuilder) FC(out int) *ModelBuilder { return b.add(cgraph.FC{Out: out}) }
 
 // ReLU appends a rectifier.
-func (b *ModelBuilder) ReLU() *ModelBuilder { return b.add("", cgraph.ReLU{}) }
+func (b *ModelBuilder) ReLU() *ModelBuilder { return b.add(cgraph.ReLU{}) }
 
 // MaxPool appends a max-pooling window.
 func (b *ModelBuilder) MaxPool(kernel, stride int) *ModelBuilder {
-	return b.add("", cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: kernel, Stride: stride})
-}
-
-// AvgPool appends an average-pooling window.
-func (b *ModelBuilder) AvgPool(kernel, stride int) *ModelBuilder {
-	return b.add("", cgraph.Pool{PoolKind: cgraph.AvgPoolKind, Kernel: kernel, Stride: stride})
+	return b.add(cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: kernel, Stride: stride})
 }
 
 // GlobalAvgPool appends a global average pool.
-func (b *ModelBuilder) GlobalAvgPool() *ModelBuilder { return b.add("", cgraph.GlobalAvgPool{}) }
-
-// LRN appends local response normalization.
-func (b *ModelBuilder) LRN() *ModelBuilder { return b.add("", cgraph.LRN{}) }
-
-// BatchNorm appends inference-mode batch normalization.
-func (b *ModelBuilder) BatchNorm() *ModelBuilder { return b.add("", cgraph.BatchNorm{}) }
-
-// Flatten reshapes to a vector.
-func (b *ModelBuilder) Flatten() *ModelBuilder { return b.add("", cgraph.Flatten{}) }
-
-// Softmax appends the output normalization.
-func (b *ModelBuilder) Softmax() *ModelBuilder { return b.add("", cgraph.Softmax{}) }
-
-// Dropout appends an inference no-op dropout.
-func (b *ModelBuilder) Dropout() *ModelBuilder { return b.add("", cgraph.Dropout{}) }
-
-// Mark names the current node so a later Residual or Concat can tap it.
-func (b *ModelBuilder) Mark(label string) *ModelBuilder {
-	if b.err == nil {
-		b.marks[label] = b.cur
-	}
-	return b
-}
-
-// Residual adds the marked node to the current one (elementwise).
-func (b *ModelBuilder) Residual(label string) *ModelBuilder {
-	if b.err != nil {
-		return b
-	}
-	tap, ok := b.marks[label]
-	if !ok {
-		b.err = fmt.Errorf("%w: no mark %q", ErrModelInvalid, label)
-		return b
-	}
-	return b.add("", cgraph.Add{}, b.cur, tap)
-}
-
-// Concat concatenates the current node with the marked nodes along
-// channels.
-func (b *ModelBuilder) Concat(labels ...string) *ModelBuilder {
-	if b.err != nil {
-		return b
-	}
-	inputs := []*cgraph.Node{b.cur}
-	for _, l := range labels {
-		tap, ok := b.marks[l]
-		if !ok {
-			b.err = fmt.Errorf("%w: no mark %q", ErrModelInvalid, l)
-			return b
-		}
-		inputs = append(inputs, tap)
-	}
-	return b.add("", cgraph.Concat{}, inputs...)
-}
+func (b *ModelBuilder) GlobalAvgPool() *ModelBuilder { return b.add(cgraph.GlobalAvgPool{}) }
 
 // Build finalizes the model.
 func (b *ModelBuilder) Build() (Model, error) {

@@ -117,10 +117,6 @@ func TestCompileCacheInvalidation(t *testing.T) {
 	if s := warm(cacheTestModel(t, 32)); s.FromCache {
 		t.Error("model with different weights hit the cache")
 	}
-	// Changed channel width must miss.
-	if s := warm(cacheTestModel(t, 24), WithTracks(1024)); s.FromCache {
-		t.Error("different Tracks hit the cache")
-	}
 	// Changed portfolio size must miss (it changes the winning placement).
 	if s := warm(cacheTestModel(t, 24), WithPlacementSeeds(3)); s.FromCache {
 		t.Error("different PlacementSeeds hit the cache")

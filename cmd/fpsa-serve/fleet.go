@@ -68,8 +68,9 @@ type fleetModel struct {
 // buildFleet decodes a -fleet config, then trains, compiles and registers
 // every model in it, returning the fleet with each model's swap state. A
 // config no fleet can be built from — an unknown key, no models, an
-// unknown class, an MLP without input and output dims, an unknown mode —
-// fails before its model is trained. The caller closes the fleet.
+// unknown class, a negative count, an MLP without input and output dims
+// or with a dim below 1, an unknown mode — fails before any model is
+// trained. The caller closes the fleet.
 func buildFleet(ctx context.Context, raw []byte) (*fpsa.Fleet, map[string]*fleetModel, error) {
 	var cfg fleetConfig
 	if err := json.Unmarshal(raw, &cfg); err != nil {
@@ -85,10 +86,15 @@ func buildFleet(ctx context.Context, raw []byte) (*fpsa.Fleet, map[string]*fleet
 	if len(cfg.Models) == 0 {
 		return nil, nil, errors.New("no models declared")
 	}
-	opts := []fpsa.FleetOption{fpsa.WithFleetCache(fpsa.NewCompileCache(0))}
-	if cfg.Chips > 0 {
-		opts = append(opts, fpsa.WithFleetChips(cfg.Chips))
+	if cfg.Chips < 0 {
+		return nil, nil, fmt.Errorf(`"chips" = %d: must be ≥ 0 (0 = 64)`, cfg.Chips)
 	}
+	for _, mc := range cfg.Models {
+		if err := mc.check(); err != nil {
+			return nil, nil, fmt.Errorf("model %q: %w", mc.Name, err)
+		}
+	}
+	opts := []fpsa.FleetOption{fpsa.WithFleetCache(fpsa.NewCompileCache(0)), fpsa.WithFleetChips(cfg.Chips)}
 	for _, t := range cfg.Tenants {
 		class, err := fpsa.ParseQoSClass(t.Class)
 		if err != nil {
@@ -112,20 +118,40 @@ func buildFleet(ctx context.Context, raw []byte) (*fpsa.Fleet, map[string]*fleet
 	return f, models, nil
 }
 
-// addFleetModel trains one configured MLP, compiles it through the
-// fleet's cache and registers it.
-func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fleetModel, error) {
+// check rejects a model entry no model can be built from, naming the key.
+func (mc fleetModelConfig) check() error {
 	if len(mc.Layers) < 2 {
-		return nil, errors.New("layers must name at least input and output dims")
+		return errors.New("layers must name at least input and output dims")
 	}
-	mode := fpsa.ModeSpiking
-	if mc.Mode != "" {
-		var err error
-		if mode, err = parseMode(mc.Mode); err != nil {
-			return nil, err
+	for i, n := range mc.Layers {
+		if n < 1 {
+			return fmt.Errorf(`"layers"[%d] = %d: every dim must be ≥ 1`, i, n)
 		}
 	}
-	if mc.Epochs <= 0 {
+	for _, k := range []struct {
+		key string
+		v   int
+	}{{"epochs", mc.Epochs}, {"replicas", mc.Replicas}, {"queue_depth", mc.QueueDepth}, {"chips", mc.Chips}} {
+		if k.v < 0 {
+			return fmt.Errorf("%q = %d: must be ≥ 0 (0 = default)", k.key, k.v)
+		}
+	}
+	if mc.Mode != "" {
+		if _, err := parseMode(mc.Mode); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addFleetModel trains one configured MLP, which check has accepted,
+// compiles it through the fleet's cache and registers it.
+func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fleetModel, error) {
+	mode := fpsa.ModeSpiking
+	if mc.Mode != "" {
+		mode, _ = parseMode(mc.Mode)
+	}
+	if mc.Epochs == 0 {
 		mc.Epochs = 40
 	}
 	in, classes := mc.Layers[0], mc.Layers[len(mc.Layers)-1]
@@ -140,15 +166,8 @@ func addFleetModel(ctx context.Context, f *fpsa.Fleet, mc fleetModelConfig) (*fl
 	if err != nil {
 		return nil, err
 	}
-	var modelOpts []fpsa.FleetModelOption
-	if mc.Replicas > 0 {
-		modelOpts = append(modelOpts, fpsa.WithModelReplicas(mc.Replicas))
-	}
-	if mc.QueueDepth > 0 {
-		modelOpts = append(modelOpts, fpsa.WithModelQueueDepth(mc.QueueDepth))
-	}
-	modelOpts = append(modelOpts, fpsa.WithModelEngine(fpsa.WithMode(mode)))
-	if err := f.AddModel(ctx, mc.Name, d, modelOpts...); err != nil {
+	if err := f.AddModel(ctx, mc.Name, d, fpsa.WithModelReplicas(mc.Replicas),
+		fpsa.WithModelQueueDepth(mc.QueueDepth), fpsa.WithModelEngine(fpsa.WithMode(mode))); err != nil {
 		return nil, err
 	}
 	return &fleetModel{layers: mc.Layers, epochs: mc.Epochs, train: train}, nil

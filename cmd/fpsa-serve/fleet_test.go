@@ -223,6 +223,12 @@ func TestBuildFleetRejectsBadConfig(t *testing.T) {
 		{"unknown class", `{"tenants":[{"name":"t","class":"platinum"}],"models":[{"name":"m","layers":[16,4]}]}`, `tenant "t"`},
 		{"unknown mode", `{"models":[{"name":"m","layers":[16,4],"mode":"dense"}]}`, `model "m": unknown mode`},
 		{"unknown key", `{"models":[{"name":"m","layers":[16,4],"replica":2}]}`, `unknown field "replica"`},
+		{"zero dim", `{"models":[{"name":"m","layers":[16,0]}]}`, `model "m": "layers"[1] = 0`},
+		{"negative dim", `{"models":[{"name":"m","layers":[16,-4]}]}`, `model "m": "layers"[1] = -4`},
+		{"negative chips", `{"chips":-1,"models":[{"name":"m","layers":[16,4]}]}`, `"chips" = -1`},
+		{"negative replicas", `{"models":[{"name":"m","layers":[16,4],"replicas":-2}]}`, `model "m": "replicas" = -2`},
+		{"negative queue depth", `{"models":[{"name":"m","layers":[16,4],"queue_depth":-1}]}`, `model "m": "queue_depth" = -1`},
+		{"negative epochs", `{"models":[{"name":"m","layers":[16,4],"epochs":-5}]}`, `model "m": "epochs" = -5`},
 	} {
 		f, _, err := buildFleet(context.Background(), []byte(tc.cfg))
 		if err == nil {

@@ -30,18 +30,15 @@ type config struct {
 	// Duplication is the model duplication degree (§5.2 of the paper);
 	// 0 means 1×.
 	Duplication int
-	// Tracks overrides the routing channel width (0 = default 2048).
-	Tracks int
 	// LayerDup maps model layer names to per-layer duplication degrees,
 	// overriding Duplication for those layers' weight groups (clamped to
-	// each group's reuse degree). The autotuner's output; nil keeps the
-	// uniform Duplication policy bit-exact. See WithLayerDuplication.
+	// each group's reuse degree). Only the autotuner sets it, from its
+	// candidates; nil keeps the uniform Duplication policy.
 	LayerDup map[string]int
 	// ShardCuts pins the multi-chip partition at exactly these group-chain
 	// cut positions (strictly increasing, each in (0, groups)), bypassing
-	// the partition search; len(ShardCuts)+1 chips result. The autotuner's
-	// shard candidates; empty keeps the searched partition. See
-	// WithShardCuts.
+	// the partition search; len(ShardCuts)+1 chips result. Only the
+	// autotuner sets it; empty keeps the searched partition.
 	ShardCuts []int
 	// Seed drives placement annealing.
 	Seed int64
@@ -91,8 +88,8 @@ type config struct {
 }
 
 // validate rejects option inputs that cannot mean anything — negative
-// knobs, non-positive per-layer assignments, non-increasing cut lists —
-// before they flow silently into allocation or partitioning. Zero stays
+// knobs, out-of-range fault parameters — before they flow silently into
+// allocation or partitioning. Zero stays
 // "use the default" everywhere, as the option docs promise. Every
 // rejection wraps ErrInvalidArgument.
 func (c config) validate() error {
@@ -101,7 +98,6 @@ func (c config) validate() error {
 		v    int
 	}{
 		{"WithDuplication", c.Duplication},
-		{"WithTracks", c.Tracks},
 		{"WithPlacementSeeds", c.PlacementSeeds},
 		{"WithParallelism", c.Parallelism},
 		{"WithChips", c.MaxChips},
@@ -111,23 +107,7 @@ func (c config) validate() error {
 			return fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
 		}
 	}
-	for layer, dup := range c.LayerDup {
-		if dup < 1 {
-			return fmt.Errorf("%w: WithLayerDuplication: layer %q degree %d must be ≥ 1", ErrInvalidArgument, layer, dup)
-		}
-	}
-	for i, cut := range c.ShardCuts {
-		if cut < 1 {
-			return fmt.Errorf("%w: WithShardCuts: cut %d must be ≥ 1", ErrInvalidArgument, cut)
-		}
-		if i > 0 && cut <= c.ShardCuts[i-1] {
-			return fmt.Errorf("%w: WithShardCuts: cuts %v must be strictly increasing", ErrInvalidArgument, c.ShardCuts)
-		}
-	}
-	if err := c.Faults.validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Faults.validate()
 }
 
 // validate rejects fault-scenario parameters outside their physical
@@ -198,27 +178,17 @@ func (f *FaultMap) cacheSegment() string {
 	return b.String()
 }
 
-// checkLayerNames rejects per-layer assignments naming layers the
-// synthesized model does not have — a silent no-op otherwise, which for
-// an autotuned assignment would mean silently compiling the wrong thing.
+// checkLayerNames rejects FaultMap.LayerSeeds entries naming layers the
+// synthesized model does not have — a silent no-op otherwise.
 func checkLayerNames(co *coreop.Graph, cfg config) error {
-	var layerSeeds map[string]int64
-	if cfg.Faults != nil {
-		layerSeeds = cfg.Faults.LayerSeeds
-	}
-	if len(cfg.LayerDup) == 0 && len(layerSeeds) == 0 {
+	if cfg.Faults == nil || len(cfg.Faults.LayerSeeds) == 0 {
 		return nil
 	}
 	layers := make(map[string]bool, len(co.Groups))
 	for _, grp := range co.Groups {
 		layers[grp.Layer] = true
 	}
-	for layer := range cfg.LayerDup {
-		if !layers[layer] {
-			return fmt.Errorf("%w: WithLayerDuplication: layer %q not in model", ErrInvalidArgument, layer)
-		}
-	}
-	for layer := range layerSeeds {
+	for layer := range cfg.Faults.LayerSeeds {
 		if !layers[layer] {
 			return fmt.Errorf("%w: WithFaultMap: layer %q not in model", ErrInvalidArgument, layer)
 		}
@@ -336,10 +306,6 @@ func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, er
 	if cfg.MaxChips <= 0 {
 		cfg.MaxChips = 1
 	}
-	if want := len(cfg.ShardCuts) + 1; want > 1 && cfg.MaxChips < want {
-		// Explicit cuts define the chip count; WithChips need not repeat it.
-		cfg.MaxChips = want
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -389,15 +355,12 @@ func (d *Deployment) partition() (*shard.Plan, error) {
 	n := len(d.coreop.Groups)
 	weights, signals := shardChain(d.coreop.Groups, d.alloc.Dup)
 	if cuts := d.cfg.ShardCuts; len(cuts) > 0 {
-		// Pinned partition: the caller (typically the autotuner) chose the
-		// cut positions; only validate and account them.
+		// Pinned partition: the autotuner chose the cut positions; only
+		// account them.
 		bounds := make([]int, 0, len(cuts)+2)
 		bounds = append(bounds, 0)
 		bounds = append(bounds, cuts...)
 		bounds = append(bounds, n)
-		if cuts[len(cuts)-1] >= n {
-			return nil, fmt.Errorf("%w: WithShardCuts: cut %d outside the %d-group chain", ErrInvalidArgument, cuts[len(cuts)-1], n)
-		}
 		plan, err := shard.PlanFromBounds(weights, signals, bounds, d.cfg.ChipCapacity)
 		if err != nil {
 			return nil, fmt.Errorf("%w: cannot shard %s at cuts %v: %w", ErrCapacity, d.model.Name(), cuts, err)
@@ -707,12 +670,6 @@ type BitstreamInfo struct {
 	TrackOccupancy int
 }
 
-// String renders the info.
-func (b BitstreamInfo) String() string {
-	return fmt.Sprintf("configuration: %d programmed cells (%d SB + %d CB), busiest channel %d tracks",
-		b.ProgrammedCells, b.SBCells, b.CBCells, b.TrackOccupancy)
-}
-
 // Bitstream generates and verifies the FPSA configuration — the final
 // artifact of the stack (Figure 5) — for the last PlaceAndRoute run. The
 // verification interprets only the programmed ReRAM cells and proves every
@@ -810,7 +767,7 @@ func (d *Deployment) PlaceAndRoute(ctx context.Context) (PRStats, error) {
 				if err != nil {
 					return nil, err
 				}
-				return d.placeAndRoute(ctx, nl, d.cfg.Tracks)
+				return d.placeAndRoute(ctx, nl)
 			}
 			if d.cfg.Cache != nil {
 				r.art, r.hit, r.err = getOrComputeCtx(ctx, d.cfg.Cache, d.cacheKey(k), compute)
@@ -876,11 +833,11 @@ func getOrComputeCtx(ctx context.Context, cache *CompileCache, key compilecache.
 }
 
 // placeAndRoute is the uncached compile back end for one chip's netlist:
-// portfolio placement then routing, packaged as cacheable artifacts.
-// tracks is the chip's routing channel width (0 = default). ctx aborts
-// either phase at its next checkpoint.
-func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist, tracks int) (*compilecache.Artifacts, error) {
-	chip, err := fabric.SizeFor(len(nl.Blocks), tracks, d.params)
+// portfolio placement then routing on a chip of the evaluated channel
+// width (fabric.DefaultTracks), packaged as cacheable artifacts. ctx
+// aborts either phase at its next checkpoint.
+func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist) (*compilecache.Artifacts, error) {
+	chip, err := fabric.SizeFor(len(nl.Blocks), fabric.DefaultTracks, d.params)
 	if err != nil {
 		return nil, err
 	}
@@ -909,14 +866,14 @@ func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist, tra
 }
 
 // cacheKey is one chip's content address: the model-structure
-// fingerprint, the per-group duplication sub-vector of that chip, the
-// channel width, and the annealing seed knobs. Parallelism is
+// fingerprint, the per-group duplication sub-vector of that chip, and the
+// annealing seed knobs (every chip has the same channel width). Parallelism is
 // deliberately absent — it never changes results — so one cache serves
 // machines of any size; so are the knobs that merely *selected* the
 // assignment (Duplication, LayerDup, MaxChips, ChipCapacity, ShardPolicy,
 // ShardCuts): the netlist is fully determined by the group range and its
 // duplication vector, so two compiles that land on the same per-chip
-// assignment — a uniform knob, an explicit per-layer map, or two
+// assignment — a uniform knob, an autotuned per-layer map, or two
 // autotuner candidates sharing a shard — hit the same entry.
 func (d *Deployment) cacheKey(shardIdx int) compilecache.Key {
 	lo, hi := d.shards[shardIdx].lo, d.shards[shardIdx].hi
@@ -928,7 +885,7 @@ func (d *Deployment) cacheKey(shardIdx int) compilecache.Key {
 		}
 		fmt.Fprintf(&b, "%d", v)
 	}
-	fmt.Fprintf(&b, "|tracks=%d|seed=%d|pseeds=%d|shardgroups=%d:%d", d.cfg.Tracks, d.cfg.Seed, d.cfg.PlacementSeeds, lo, hi)
+	fmt.Fprintf(&b, "|seed=%d|pseeds=%d|shardgroups=%d:%d", d.cfg.Seed, d.cfg.PlacementSeeds, lo, hi)
 	if seg := d.cfg.Faults.cacheSegment(); seg != "" {
 		// Fault penalties shift placement costs, so a faulted deployment's
 		// artifacts must never collide with the ideal-device entry.

@@ -163,7 +163,7 @@ func TestCacheJoinerRetriesOthersCancellation(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return d.placeAndRoute(context.Background(), nl, d.cfg.Tracks)
+		return d.placeAndRoute(context.Background(), nl)
 	})
 	if err != nil || art == nil {
 		t.Fatalf("joiner inherited a foreign cancellation: %v", err)

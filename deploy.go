@@ -61,8 +61,8 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 // stage boundaries themselves are re-derived on the program's stage list —
 // the serving-side twin of the compile's group chain — always balanced;
 // outputs are bit-identical under every cut.)
-// Defaults are the serving sweet spot (4 executors, batches of up to 8,
-// ModeSpiking); shape them with WithWorkers, WithMaxBatch and WithMode.
+// The engine has 4 executors and cuts batch calls into chunks of 8; its
+// mode is ModeSpiking unless WithMode says otherwise.
 // ctx is checked before and after the net is derived — a cancelled
 // context fails with ctx.Err() instead of programming executors
 // (synthesis itself is quick and runs to completion; only PlaceAndRoute

@@ -3,21 +3,18 @@ package fpsa
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"fpsa/internal/serve"
 	"fpsa/internal/synth"
 )
 
-// engineConfig is what Deployment.NewEngine's functional options
-// (WithWorkers, WithMaxBatch, WithMode, …) fill in.
+// engineConfig is an engine's shape: its mode, which WithMode sets, its
+// executor count and its compiled chip count.
 type engineConfig struct {
 	// Workers is the number of executors requests can borrow; each holds
-	// its own programmed simulation state (0 = 4).
+	// its own programmed simulation state. Deployment.NewEngine builds 4;
+	// a fleet model builds one per replica.
 	Workers int
-	// MaxBatch is the chunk size ClassifyBatch calls are cut into, the
-	// most one kernel pass carries (0 = 8).
-	MaxBatch int
 	// Mode selects the execution semantics (default ModeSpiking). In
 	// ModeSpikingNoisy every executor is programmed with the same
 	// deterministic variation, derived from the SpikingNet seed, so an
@@ -33,16 +30,16 @@ type engineConfig struct {
 }
 
 // defaultEngineConfig is the serving sweet spot every engine starts
-// from: 4 executors, micro-batches of 8, spiking mode.
+// from: 4 executors, spiking mode.
 func defaultEngineConfig() engineConfig {
-	return engineConfig{Workers: 4, MaxBatch: 8, Mode: ModeSpiking}
+	return engineConfig{Workers: 4, Mode: ModeSpiking}
 }
 
 // Engine serves a deployed SpikingNet concurrently: a pool of programmed
 // execution states that requests borrow. A request runs on the goroutine
 // that made it — no queue, no hand-off — and waits only when every
-// executor is lent out; a batch call is cut into MaxBatch-sized kernel
-// passes and spreads over whatever executors are idle. Construct with
+// executor is lent out; a batch call is cut into kernel passes of 8
+// samples and spreads over whatever executors are idle. Construct with
 // Deployment.NewEngine and Close when done. All methods are safe for
 // concurrent use.
 type Engine struct {
@@ -50,52 +47,25 @@ type Engine struct {
 	window int
 }
 
-// newEngine builds the serving engine over a deployed network. The
-// SpikingNet itself remains usable (and independent) afterwards.
+// newEngine builds the serving engine over a deployed network, with
+// cfg.Workers executors and serve's default chunk of 8. The SpikingNet
+// itself remains usable (and independent) afterwards.
 func newEngine(sn *SpikingNet, cfg engineConfig) (*Engine, error) {
-	// Negative serving knobs are caller bugs, not requests for the
-	// default: reject them here where the caller can still see which
-	// option was wrong. 0 remains "use the built-in default".
-	for _, k := range []struct {
-		name string
-		v    int
-	}{
-		{"WithWorkers", cfg.Workers},
-		{"WithMaxBatch", cfg.MaxBatch},
-	} {
-		if k.v < 0 {
-			return nil, fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
-		}
-	}
-	// The default is the one NewEngine starts from, not serve's own: an
-	// explicit WithWorkers(0) must build what no option at all builds.
-	def := defaultEngineConfig()
-	if cfg.Workers == 0 {
-		cfg.Workers = def.Workers
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = def.MaxBatch
-	}
 	if err := checkMode(cfg.Mode); err != nil {
 		return nil, err
 	}
 	eng, err := serve.New(sn.prog, serve.Options{
-		Workers:  cfg.Workers,
-		MaxBatch: cfg.MaxBatch,
-		Mode:     cfg.Mode,
-		Seed:     sn.currentSeed() + 7,
-		Chips:    cfg.Chips,
-		Faults:   sn.faults,
+		Workers: cfg.Workers,
+		Mode:    cfg.Mode,
+		Seed:    sn.currentSeed() + 7,
+		Chips:   cfg.Chips,
+		Faults:  sn.faults,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{eng: eng, window: sn.Window()}, nil
 }
-
-// Chips returns the engine's realized pipeline depth: the sharded chip
-// count, or 1 for a single-chip engine.
-func (e *Engine) Chips() int { return e.eng.Chips() }
 
 // Classify runs one feature vector (values in [0, 1]) on the calling
 // goroutine and returns its argmax class. ctx bounds only the wait for an
@@ -119,7 +89,7 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	return out, wrapServeErr(err)
 }
 
-// ClassifyBatch runs the call in chunks of MaxBatch samples spread over
+// ClassifyBatch runs the call in chunks of 8 samples spread over
 // the executors idle at that moment and returns the positional argmax
 // classes. When ctx ends it starts no further chunk, waits for the ones in
 // flight and returns ctx's error; batch is not read after it returns.

@@ -19,7 +19,7 @@ import (
 func TestEngineCloseVsInflight(t *testing.T) {
 	d, _, test := trainedDeployment(t)
 	// Ground truth for result integrity.
-	ref, err := d.NewEngine(context.Background(), WithWorkers(1))
+	ref, err := d.NewEngine(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEngineCloseVsInflight(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		eng, err := d.NewEngine(context.Background(), WithWorkers(2))
+		eng, err := d.NewEngine(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,22 @@ func deployTestNet(t testing.TB) (*Deployment, *SpikingNet, Dataset) {
 	return d, mustNet(t, d), test
 }
 
+// engineWith builds an engine over d with the given executor count through
+// newEngine, the constructor every fleet replica set goes through; a test
+// whose property depends on the executor count uses it.
+func engineWith(t testing.TB, d *Deployment, workers int, mode ExecMode) *Engine {
+	t.Helper()
+	sn, err := d.NewNet(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := newEngine(sn, engineConfig{Workers: workers, Mode: mode, Chips: d.Chips()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestEngineMatchesSerialClassify races N goroutines through one Engine
 // and requires every result to equal the serial Classify path.
 func TestEngineMatchesSerialClassify(t *testing.T) {
@@ -36,7 +52,7 @@ func TestEngineMatchesSerialClassify(t *testing.T) {
 		}
 		want[i] = label
 	}
-	eng, err := d.NewEngine(context.Background(), WithWorkers(4), WithMaxBatch(4), WithMode(ModeSpiking))
+	eng, err := d.NewEngine(context.Background(), WithMode(ModeSpiking))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +96,7 @@ func TestEngineMatchesSerialClassify(t *testing.T) {
 
 func TestEngineClassifyBatch(t *testing.T) {
 	d, sn, test := deployTestNet(t)
-	eng, err := d.NewEngine(context.Background(), WithWorkers(2), WithMaxBatch(4), WithMode(ModeReference))
+	eng, err := d.NewEngine(context.Background(), WithMode(ModeReference))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +118,10 @@ func TestEngineClassifyBatch(t *testing.T) {
 }
 
 // TestEngineLoneRequest: a lone request on an idle engine runs at once
-// as a batch of one; nothing waits for MaxBatch to fill.
+// as a batch of one; nothing waits for a chunk of 8 to fill.
 func TestEngineLoneRequest(t *testing.T) {
 	d, _, test := deployTestNet(t)
-	eng, err := d.NewEngine(context.Background(),
-		WithWorkers(1),
-		WithMaxBatch(128), // never reached by one request
-		WithMode(ModeReference),
-	)
+	eng, err := d.NewEngine(context.Background(), WithMode(ModeReference))
 	if err != nil {
 		t.Fatal(err)
 	}

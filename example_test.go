@@ -113,8 +113,7 @@ func ExampleDeployment_NewEngine() {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := d.NewEngine(ctx,
-		fpsa.WithWorkers(2), fpsa.WithMaxBatch(4), fpsa.WithMode(fpsa.ModeReference))
+	eng, err := d.NewEngine(ctx, fpsa.WithMode(fpsa.ModeReference))
 	if err != nil {
 		panic(err)
 	}
@@ -123,6 +122,6 @@ func ExampleDeployment_NewEngine() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("chips=%d class=%d\n", eng.Chips(), label)
+	fmt.Printf("chips=%d class=%d\n", eng.Stats().Chips, label)
 	// Output: chips=2 class=0
 }

@@ -6,16 +6,14 @@ import (
 )
 
 // faultedOutputs classifies the test split through an engine with the
-// given worker count and returns the labels plus the engine stats.
+// given executor count and returns the labels plus the engine stats.
 func faultedOutputs(t *testing.T, d *Deployment, workers int, test Dataset) ([]int, EngineStats) {
 	t.Helper()
-	eng, err := d.NewEngine(context.Background(), WithWorkers(workers), WithMode(ModeReference))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engineWith(t, d, workers, ModeReference)
 	defer eng.Close()
 	labels := make([]int, len(test.X))
 	for i, x := range test.X {
+		var err error
 		labels[i], err = eng.Classify(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)

@@ -107,10 +107,9 @@ func WithModelQueueDepth(n int) FleetModelOption {
 	return func(s *fleetModelSettings) { s.queueDepth = n }
 }
 
-// WithModelEngine shapes the model's serving engine with the usual engine
-// options (WithMode, WithMaxBatch, …). A fleet replica is one executor of
-// that engine, and the fleet sets the executor count to the replica count,
-// so WithWorkers is overridden; use WithModelReplicas.
+// WithModelEngine shapes the model's serving engine with the engine
+// options (WithMode). A fleet replica is one executor of that engine: its
+// executor count is the model's WithModelReplicas.
 func WithModelEngine(opts ...EngineOption) FleetModelOption {
 	return func(s *fleetModelSettings) {
 		for _, o := range opts {
@@ -239,7 +238,7 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 		return fmt.Errorf("%w: AddModel(%q): WithModelReplicas(%d): count must be ≥ 0 (0 = default)", ErrInvalidArgument, name, set.replicas)
 	}
 	if set.queueDepth < 0 {
-		return fmt.Errorf("%w: WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, set.queueDepth)
+		return fmt.Errorf("%w: AddModel(%q): WithModelQueueDepth(%d): depth must be ≥ 0 (0 = default)", ErrInvalidArgument, name, set.queueDepth)
 	}
 	// The model's engine template becomes its engine's config: like
 	// Deployment.NewEngine it serves the compiled chip count, and the
@@ -292,7 +291,7 @@ func (f *Fleet) Outputs(ctx context.Context, model, tenant string, features []fl
 // ClassifyBatch is Classify over a batch: the batch takes one tenant
 // quota place and one admission place, runs on one deployment version —
 // every class is that version's, and its id is returned — and is cut into
-// the engine's MaxBatch-sized chunks as Engine.ClassifyBatch cuts it.
+// the engine's 8-sample chunks as Engine.ClassifyBatch cuts it.
 func (f *Fleet) ClassifyBatch(ctx context.Context, model, tenant string, batch [][]float64) (classes []int, version int, err error) {
 	outs, version, err := f.fl.InferBatch(ctx, model, tenant, batch)
 	if err != nil {

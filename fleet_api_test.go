@@ -49,10 +49,10 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 	d1, d2, test := fleetTestPair(t)
 	for _, mode := range []ExecMode{ModeReference, ModeSpiking, ModeSpikingNoisy} {
 		t.Run(mode.String(), func(t *testing.T) {
-			// Ground truth: fresh one-worker engines over each deployment.
+			// Ground truth: fresh engines over each deployment.
 			want := make(map[int][][]int, 2) // version → per-sample outputs
 			for v, d := range map[int]*Deployment{1: d1, 2: d2} {
-				eng, err := d.NewEngine(context.Background(), WithWorkers(1), WithMode(mode))
+				eng, err := d.NewEngine(context.Background(), WithMode(mode))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +208,7 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 		{"spiking-2chip", d2chip, ModeSpiking},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, err := tc.d.NewEngine(context.Background(), WithWorkers(2), WithMode(tc.mode))
+			eng, err := tc.d.NewEngine(context.Background(), WithMode(tc.mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,10 +403,10 @@ func benchmarkOutputsParallel(b *testing.B, test Dataset, outputs func(x []float
 
 // BenchmarkEngineOutputsParallel is the single-request path below the
 // fleet: Engine.Outputs on fleetTestPair's first deployment in reference
-// mode, 2 executors.
+// mode, on the engine's 4 executors.
 func BenchmarkEngineOutputsParallel(b *testing.B) {
 	d, _, test := fleetTestPair(b)
-	eng, err := d.NewEngine(context.Background(), WithWorkers(2), WithMode(ModeReference))
+	eng, err := d.NewEngine(context.Background(), WithMode(ModeReference))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,8 +418,8 @@ func BenchmarkEngineOutputsParallel(b *testing.B) {
 }
 
 // BenchmarkFleetOutputsParallel is BenchmarkEngineOutputsParallel's
-// deployment and engine behind a fleet: Fleet.Outputs on a model of 2
-// replicas, so the difference between the two is the fleet's admission,
+// deployment and engine behind a fleet: Fleet.Outputs on a model of 4
+// replicas (4 executors, as the engine has), so the difference between the two is the fleet's admission,
 // routing and accounting.
 func BenchmarkFleetOutputsParallel(b *testing.B) {
 	d, _, test := fleetTestPair(b)
@@ -428,7 +428,7 @@ func BenchmarkFleetOutputsParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.AddModel(context.Background(), "m", d, WithModelReplicas(2), WithModelEngine(WithMode(ModeReference))); err != nil {
+	if err := f.AddModel(context.Background(), "m", d, WithModelReplicas(4), WithModelEngine(WithMode(ModeReference))); err != nil {
 		b.Fatal(err)
 	}
 	benchmarkOutputsParallel(b, test, func(x []float64) error {

@@ -71,11 +71,9 @@ func TestModelBuilderChain(t *testing.T) {
 	m, err := NewModelBuilder("custom", 3, 8, 8).
 		Conv2D(8, 3, 1, 1).ReLU().
 		MaxPool(2, 2).
-		Mark("trunk").
-		Conv2D(8, 3, 1, 1).BatchNorm().ReLU().
-		Residual("trunk").
+		Conv2D(8, 3, 1, 1).ReLU().
 		GlobalAvgPool().
-		FC(4).Softmax().
+		FC(4).
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +97,6 @@ func TestModelBuilderErrorsStick(t *testing.T) {
 		Build()
 	if err == nil {
 		t.Error("invalid chain built")
-	}
-	_, err = NewModelBuilder("bad2", 3, 8, 8).Residual("missing").Build()
-	if err == nil {
-		t.Error("missing mark accepted")
-	}
-	_, err = NewModelBuilder("bad3", 3, 8, 8).Concat("missing").Build()
-	if err == nil {
-		t.Error("missing concat mark accepted")
 	}
 }
 

@@ -40,7 +40,7 @@ type TrainedMLP struct {
 }
 
 // TrainMLP trains an MLP with the given layer dims ([input, hidden...,
-// classes]) for the given epochs.
+// classes], each ≥ 1, at least two) for the given epochs.
 func TrainMLP(seed int64, dims []int, train Dataset, epochs int) (*TrainedMLP, error) {
 	rng := rand.New(rand.NewSource(seed))
 	net, err := trainer.NewMLP(rng, dims)

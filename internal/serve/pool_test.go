@@ -487,3 +487,28 @@ func BenchmarkEngineInferBatch16Lone(b *testing.B) {
 	sort.Float64s(calls)
 	b.ReportMetric(Percentile(calls, 0.90), "p90-us/op")
 }
+
+// BenchmarkEngineShapes sweeps the executor count under real concurrent
+// load: 32 callers of single-sample Infer in spiking mode on a trained
+// 16-24-4 MLP, at 1, 4 and 8 executors. The public engine is fixed at 4;
+// this is where the other counts are still measured. (The chunk size cuts
+// only batch calls; BenchmarkEngineInferBatch64 covers those.)
+func BenchmarkEngineShapes(b *testing.B) {
+	prog := buildProgram(b, 5, []int{16, 24, 4})
+	for _, workers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			eng, inputs := benchEngine(b, prog, Options{Workers: workers, Mode: synth.ModeSpiking})
+			ctx := context.Background()
+			b.SetParallelism(32)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					if _, err := eng.Infer(ctx, inputs[i%len(inputs)]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}

@@ -80,10 +80,16 @@ type MLP struct {
 	W [][][]float64
 }
 
-// NewMLP initializes He-scaled random weights.
+// NewMLP initializes He-scaled random weights. dims needs at least two
+// entries, each ≥ 1.
 func NewMLP(rng *rand.Rand, dims []int) (*MLP, error) {
 	if len(dims) < 2 {
 		return nil, fmt.Errorf("trainer: need ≥2 dims, got %v", dims)
+	}
+	for _, n := range dims {
+		if n < 1 {
+			return nil, fmt.Errorf("trainer: every dim must be ≥ 1, got %v", dims)
+		}
 	}
 	m := &MLP{Dims: append([]int(nil), dims...)}
 	for l := 0; l+1 < len(dims); l++ {

@@ -28,6 +28,11 @@ func TestNewMLPValidation(t *testing.T) {
 	if _, err := NewMLP(rand.New(rand.NewSource(1)), []int{5}); err == nil {
 		t.Error("single-dim MLP accepted")
 	}
+	for _, dims := range [][]int{{16, 0}, {16, -4, 4}} {
+		if _, err := NewMLP(rand.New(rand.NewSource(1)), dims); err == nil {
+			t.Errorf("MLP %v accepted", dims)
+		}
+	}
 }
 
 func TestTrainingImprovesAccuracy(t *testing.T) {

@@ -38,7 +38,7 @@ func TestKernelChoiceOutputsPinned(t *testing.T) {
 	ctx := context.Background()
 	engineOutputs := func(d *Deployment, mode ExecMode, batch [][]float64) ([][]int, EngineStats) {
 		t.Helper()
-		eng, err := d.NewEngine(ctx, WithWorkers(1), WithMode(mode))
+		eng, err := d.NewEngine(ctx, WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,32 +44,6 @@ func WithDuplication(n int) Option {
 	return func(s *compileSettings) { s.cfg.Duplication = n }
 }
 
-// WithTracks overrides the routing channel width (default 2048).
-func WithTracks(n int) Option {
-	return func(s *compileSettings) { s.cfg.Tracks = n }
-}
-
-// WithLayerDuplication assigns per-layer duplication degrees, keyed by
-// model layer name (see Model.WeightLayers): every weight group of an
-// assigned layer receives that many PE copies (clamped to its reuse
-// degree), while unassigned layers follow WithDuplication. This is the
-// knob behind Autotune's output — a uniform map is bit-exact with the
-// equivalent global WithDuplication. Degrees must be ≥ 1 and name layers
-// the model has; Compile rejects anything else with ErrInvalidArgument.
-func WithLayerDuplication(layerDup map[string]int) Option {
-	return func(s *compileSettings) { s.cfg.LayerDup = copyIntMap(layerDup) }
-}
-
-// WithShardCuts pins the multi-chip partition at exactly these group-chain
-// cut positions (strictly increasing, each inside the group chain),
-// bypassing the partition search; len(cuts)+1 chips result and WithChips
-// need not be repeated. This is how Autotune replays a searched cut; most
-// callers want WithChips/WithChipCapacity instead. Compile rejects
-// non-increasing or out-of-range cuts with ErrInvalidArgument.
-func WithShardCuts(cuts ...int) Option {
-	return func(s *compileSettings) { s.cfg.ShardCuts = append([]int(nil), cuts...) }
-}
-
 // WithPEBudget sets the PE envelope Autotune may spend across the whole
 // deployment (all chips together). 0 — the default — derives the
 // envelope: WithChipCapacity × WithChips when a capacity is set,
@@ -88,8 +62,8 @@ func WithAutotuneRefine(k int) Option {
 	return func(s *compileSettings) { s.refine = k; s.refineSet = true }
 }
 
-// copyIntMap defensively copies an option's map so later caller mutation
-// cannot alias into the compiled deployment. nil and empty stay nil.
+// copyIntMap copies a layer-degree map, so a deployment or report never
+// aliases an autotuner candidate's map. nil and empty stay nil.
 func copyIntMap(m map[string]int) map[string]int {
 	if len(m) == 0 {
 		return nil
@@ -279,19 +253,6 @@ func WithWeightSource(src WeightSource) Option {
 // order; a nil EngineOption is ignored. How many chips the engine serves
 // is not an option: it is the deployment's compiled count (see WithChips).
 type EngineOption func(*engineConfig)
-
-// WithWorkers sets how many programmed executors requests can borrow at
-// once — each holds its own simulation state — and so how many requests
-// run in parallel (default 4).
-func WithWorkers(n int) EngineOption {
-	return func(c *engineConfig) { c.Workers = n }
-}
-
-// WithMaxBatch sets the chunk size a ClassifyBatch call is cut into, and
-// so the most samples one batched kernel pass carries (default 8).
-func WithMaxBatch(n int) EngineOption {
-	return func(c *engineConfig) { c.MaxBatch = n }
-}
 
 // WithMode selects the execution semantics (default ModeSpiking, the
 // serving default).

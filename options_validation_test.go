@@ -20,19 +20,10 @@ func TestCompileOptionValidation(t *testing.T) {
 		opts []Option
 	}{
 		{"negative duplication", []Option{WithDuplication(-1)}},
-		{"negative tracks", []Option{WithTracks(-4)}},
 		{"negative chips", []Option{WithChips(-2)}},
 		{"negative chip capacity", []Option{WithChipCapacity(-100)}},
 		{"negative placement seeds", []Option{WithPlacementSeeds(-1)}},
 		{"negative parallelism", []Option{WithParallelism(-8)}},
-		{"zero layer dup", []Option{WithLayerDuplication(map[string]int{"fc1": 0})}},
-		{"negative layer dup", []Option{WithLayerDuplication(map[string]int{"fc1": -3})}},
-		{"zero shard cut", []Option{WithShardCuts(0)}},
-		{"negative shard cut", []Option{WithShardCuts(-1, 2)}},
-		{"non-increasing cuts", []Option{WithShardCuts(3, 3)}},
-		{"decreasing cuts", []Option{WithShardCuts(4, 2)}},
-		{"unknown layer dup", []Option{WithLayerDuplication(map[string]int{"no-such-layer": 2})}},
-		{"cut beyond chain", []Option{WithShardCuts(9999), WithChips(2)}},
 		{"negative fault rate", []Option{WithFaultModel(-0.1, 1)}},
 		{"fault rate above 1", []Option{WithFaultModel(1.5, 1)}},
 		{"NaN fault rate", []Option{WithFaultModel(math.NaN(), 1)}},
@@ -56,51 +47,26 @@ func TestCompileOptionValidation(t *testing.T) {
 	}
 	// Zero stays "use the default" everywhere, as the option docs promise
 	// — including a zero-rate fault model, which is ideal devices.
-	if _, err := Compile(context.Background(), m, WithDuplication(0), WithTracks(0), WithChips(0), WithFaultModel(0, 3)); err != nil {
+	if _, err := Compile(context.Background(), m, WithDuplication(0), WithChips(0), WithFaultModel(0, 3)); err != nil {
 		t.Errorf("zero-valued knobs must compile with defaults, got %v", err)
 	}
 }
 
-// TestEngineOptionValidation: serving knobs with nonsensical values are
-// rejected with ErrInvalidArgument before any executor is programmed.
+// TestEngineOptionValidation pins the engine Deployment.NewEngine builds:
+// 4 executors and chunks of 8, a shape no option changes. (An unknown
+// WithMode is rejected in TestStatsWireKeysPinned.)
 func TestEngineOptionValidation(t *testing.T) {
 	d, _, _ := trainedDeployment(t)
-	ctx := context.Background()
-	cases := []struct {
-		name string
-		opts []EngineOption
-	}{
-		{"negative workers", []EngineOption{WithWorkers(-1)}},
-		{"negative batch", []EngineOption{WithMaxBatch(-2)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := d.NewEngine(ctx, tc.opts...); !errors.Is(err, ErrInvalidArgument) {
-				t.Errorf("NewEngine(%s) = %v, want ErrInvalidArgument", tc.name, err)
-			}
-		})
-	}
-	// Zero is "use the default", and the default is NewEngine's own: an
-	// explicit 0 builds the engine that no option at all builds.
-	for _, tc := range []struct {
-		name string
-		opts []EngineOption
-	}{
-		{"no options", nil},
-		{"zero workers", []EngineOption{WithWorkers(0)}},
-		{"zero batch", []EngineOption{WithMaxBatch(0)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, err := d.NewEngine(ctx, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if st := eng.Stats(); st.Workers != 4 || st.MaxBatch != 8 {
-				t.Errorf("NewEngine(%s): %d workers, batches of %d, want the defaults 4 and 8", tc.name, st.Workers, st.MaxBatch)
-			}
-		})
-	}
+	t.Run("no options", func(t *testing.T) {
+		eng, err := d.NewEngine(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if st := eng.Stats(); st.Workers != 4 || st.MaxBatch != 8 {
+			t.Errorf("NewEngine: %d workers, batches of %d, want 4 and 8", st.Workers, st.MaxBatch)
+		}
+	})
 }
 
 // TestFleetOptionValidation: fleet knobs with nonsensical values are

@@ -237,24 +237,15 @@ func TestShardedEngineServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := compileMLP(t, net)
-	single, err := d.NewEngine(context.Background(), WithWorkers(1), WithMaxBatch(4), WithMode(ModeSpiking))
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := engineWith(t, d, 1, ModeSpiking)
 	want, err := single.ClassifyBatch(context.Background(), test.X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single.Close()
 
-	sharded, err := compileMLP(t, net, WithChips(2)).NewEngine(context.Background(), WithWorkers(3), WithMaxBatch(4), WithMode(ModeSpiking))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := engineWith(t, compileMLP(t, net, WithChips(2)), 3, ModeSpiking)
 	defer sharded.Close()
-	if sharded.Chips() != 2 {
-		t.Fatalf("Engine.Chips() = %d, want 2", sharded.Chips())
-	}
 	got, err := sharded.ClassifyBatch(context.Background(), test.X)
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func TestStatsWireKeysPinned(t *testing.T) {
 	ctx := context.Background()
 	d1, _, test := fleetTestPair(t)
 
-	eng, err := d1.NewEngine(ctx, WithWorkers(1), WithMode(ModeReference))
+	eng, err := d1.NewEngine(ctx, WithMode(ModeReference))
 	if err != nil {
 		t.Fatal(err)
 	}
