@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"fpsa/internal/serve"
-	"fpsa/internal/synth"
 )
 
 // engineConfig is an engine's shape: its mode, which WithMode sets, its
@@ -43,8 +42,7 @@ func defaultEngineConfig() engineConfig {
 // Deployment.NewEngine and Close when done. All methods are safe for
 // concurrent use.
 type Engine struct {
-	eng    *serve.Engine
-	window int
+	eng *serve.Engine
 }
 
 // newEngine builds the serving engine over a deployed network, with
@@ -64,7 +62,7 @@ func newEngine(sn *SpikingNet, cfg engineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: eng, window: sn.Window()}, nil
+	return &Engine{eng: eng}, nil
 }
 
 // Classify runs one feature vector (values in [0, 1]) on the calling
@@ -72,11 +70,11 @@ func newEngine(sn *SpikingNet, cfg engineConfig) (*Engine, error) {
 // executor; once one is held the sample runs to completion. After Close it
 // returns ErrClosed.
 func (e *Engine) Classify(ctx context.Context, features []float64) (int, error) {
-	out, err := e.Outputs(ctx, features)
+	classes, err := e.ClassifyBatch(ctx, [][]float64{features})
 	if err != nil {
 		return 0, err
 	}
-	return synth.Argmax(out), nil
+	return classes[0], nil
 }
 
 // Outputs runs one feature vector and returns the raw output spike
@@ -85,7 +83,7 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out, err := e.eng.Infer(ctx, synth.QuantizeInput(features, e.window))
+	out, err := e.eng.Outputs(ctx, features)
 	return out, wrapServeErr(err)
 }
 
@@ -97,11 +95,8 @@ func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, e
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	outs, err := e.eng.InferBatch(ctx, synth.QuantizeBatch(batch, e.window))
-	if err != nil {
-		return nil, wrapServeErr(err)
-	}
-	return argmaxes(outs), nil
+	classes, err := e.eng.ClassifyBatch(ctx, batch)
+	return classes, wrapServeErr(err)
 }
 
 // EngineStats is a snapshot of an engine's serving counters — the

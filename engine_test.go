@@ -117,6 +117,35 @@ func TestEngineClassifyBatch(t *testing.T) {
 	}
 }
 
+// TestEngineClassifyBatchAllocs pins what a one-chunk ClassifyBatch
+// allocates: its classes and the call's shared state, nothing per sample.
+// Quantizing into a slab, a result row per sample and the classes slice
+// made it 7 at 1 and 8 samples (30 at 64) before the executors quantized
+// into their own scratch and read classes out of their output tables.
+func TestEngineClassifyBatchAllocs(t *testing.T) {
+	d, _, test := deployTestNet(t)
+	ctx := context.Background()
+	for _, mode := range []ExecMode{ModeReference, ModeSpiking} {
+		eng, err := d.NewEngine(ctx, WithMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 8} {
+			batch := test.X[:n]
+			// Sequential calls take the executors in turn: warm them all.
+			for i := 0; i < 2*eng.Stats().Workers; i++ {
+				if _, err := eng.ClassifyBatch(ctx, batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a := testing.AllocsPerRun(20, func() { _, _ = eng.ClassifyBatch(ctx, batch) }); a > 2 {
+				t.Errorf("%v: ClassifyBatch of %d: %v allocs, want ≤ 2", mode, n, a)
+			}
+		}
+		eng.Close()
+	}
+}
+
 // TestEngineLoneRequest: a lone request on an idle engine runs at once
 // as a batch of one; nothing waits for a chunk of 8 to fill.
 func TestEngineLoneRequest(t *testing.T) {

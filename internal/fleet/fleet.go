@@ -210,7 +210,7 @@ type model struct {
 	errors    atomic.Uint64
 	overload  atomic.Uint64
 	quotaShed atomic.Uint64
-	lat       serve.LatencyRing
+	lat       serve.LatencyHistogram
 }
 
 // tenantState tracks one configured tenant's class and in-flight count.
@@ -387,8 +387,13 @@ func (m *model) leave(ts *tenantState) {
 }
 
 // record counts a call of n samples that ran on an engine: n requests
-// (and n errors if it failed) and one latency since start.
+// (and n errors if it failed) and one latency since start. An empty batch
+// ran nothing and records nothing: its latency would only pull the
+// percentiles towards zero.
 func (m *model) record(n int, start time.Time, err error) {
+	if n == 0 {
+		return
+	}
 	m.requests.Add(uint64(n))
 	m.lat.Record(time.Since(start))
 	if err != nil {

@@ -450,6 +450,35 @@ func TestInferBatchOneAdmission(t *testing.T) {
 	}
 }
 
+// TestEmptyBatchRecordsNoLatency: an empty batch (HTTP "batch": []) runs
+// nothing, so it counts no request and records no latency, and the
+// percentiles stay those of the calls that ran.
+func TestEmptyBatchRecordsNoLatency(t *testing.T) {
+	f := New(Options{Chips: 16})
+	defer f.Close()
+	src := &fakeSource{marker: 7, window: 4}
+	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		outs, v, err := f.InferBatch(context.Background(), "m", "t", [][]float64{})
+		if err != nil || v != 1 || len(outs) != 0 {
+			t.Fatalf("empty batch = %v, version %d, %v; want no outputs from version 1", outs, v, err)
+		}
+	}
+	st := f.Stats().Models["m"]
+	if st.Requests != 0 || st.P50LatencyUS != 0 || st.P99LatencyUS != 0 || st.P999LatencyUS != 0 {
+		t.Errorf("after empty batches: %d requests, latency p50/p99/p999 %g/%g/%g µs; want all zero",
+			st.Requests, st.P50LatencyUS, st.P99LatencyUS, st.P999LatencyUS)
+	}
+	if _, _, err := f.InferBatch(context.Background(), "m", "t", [][]float64{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats().Models["m"]; st.Requests != 1 || st.P50LatencyUS <= 0 || st.P50LatencyUS != st.P999LatencyUS {
+		t.Errorf("after one 1-sample batch: %d requests, p50 %g µs, p999 %g µs; want 1 request and one latency", st.Requests, st.P50LatencyUS, st.P999LatencyUS)
+	}
+}
+
 func TestCloseDrainsAndRejects(t *testing.T) {
 	f := New(Options{Chips: 16})
 	gate := make(chan struct{})

@@ -30,8 +30,9 @@ type ModelStats struct {
 	ScaleUps   uint64 `json:"-"`
 	ScaleDowns uint64 `json:"-"`
 	// QPS is completed requests per second since the model was
-	// registered; the latency percentiles are over a sliding window of
-	// recent requests (the same serve.LatencyRing the engine stats use).
+	// registered; the latency percentiles are over every call since then,
+	// one per call whatever its batch size (the same
+	// serve.LatencyHistogram the engine stats use, within 1/64 of exact).
 	QPS           float64 `json:"qps"`
 	P50LatencyUS  float64 `json:"p50_latency_us"`
 	P99LatencyUS  float64 `json:"p99_latency_us"`

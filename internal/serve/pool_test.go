@@ -187,6 +187,9 @@ func TestCancelMidBatch(t *testing.T) {
 	}
 }
 
+// isClosed reports whether Close has begun on eng.
+func isClosed(eng *Engine) bool { return eng.state.Load()&closedBit != 0 }
+
 // TestCloseWaitsForWaiters: Close returns only after every call that
 // entered before it has returned — a call still waiting for an executor
 // when Close starts completes normally — and a call arriving after Close
@@ -219,10 +222,8 @@ func TestCloseWaitsForWaiters(t *testing.T) {
 	waitWaiting(eng, 1)
 	closed := make(chan error, 1)
 	go func() { closed <- eng.Close() }()
-	for isClosed := false; !isClosed; runtime.Gosched() {
-		eng.mu.RLock()
-		isClosed = eng.closed
-		eng.mu.RUnlock()
+	for !isClosed(eng) {
+		runtime.Gosched()
 	}
 	if _, err := eng.Infer(context.Background(), in); err != ErrClosed {
 		t.Errorf("Infer after Close began = %v, want ErrClosed", err)
@@ -485,7 +486,7 @@ func BenchmarkEngineInferBatch16Lone(b *testing.B) {
 	}
 	b.StopTimer()
 	sort.Float64s(calls)
-	b.ReportMetric(Percentile(calls, 0.90), "p90-us/op")
+	b.ReportMetric(nearestRank(calls, 0.90), "p90-us/op")
 }
 
 // BenchmarkEngineShapes sweeps the executor count under real concurrent

@@ -75,7 +75,8 @@ var ErrClosed = fmt.Errorf("serve: engine closed")
 
 // Engine is a concurrent inference engine: a pool of programmed executors
 // that requests borrow and drive from their own goroutine. Construct with
-// New, call Infer/InferBatch, and Close when done.
+// New, call Infer/InferBatch (spike counts) or ClassifyBatch/Outputs
+// (feature vectors), and Close when done.
 type Engine struct {
 	opts  Options
 	stats tracker
@@ -88,11 +89,18 @@ type Engine struct {
 	idle    chan *synth.Executor
 	waiting atomic.Int64 // callers blocked on an empty pool
 	procs   int          // GOMAXPROCS when the engine was built
+	outputs int          // output counts per sample
 
-	mu     sync.RWMutex
-	closed bool
-	calls  sync.WaitGroup // calls that entered and have not returned
+	// state counts the calls that entered and have not returned, with
+	// closedBit set once Close has begun; the last call to leave after
+	// that closes drained, once.
+	state     atomic.Int64
+	drained   chan struct{}
+	drainOnce sync.Once
 }
+
+// closedBit marks Engine.state closed: far above any count of calls.
+const closedBit = 1 << 62
 
 // New builds the engine: it partitions prog across opts.Chips chips
 // (clamped to what it supports), programs opts.Workers private executors
@@ -100,7 +108,7 @@ type Engine struct {
 // the pool with them.
 func New(prog *synth.Program, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	e := &Engine{opts: opts, procs: runtime.GOMAXPROCS(0)}
+	e := &Engine{opts: opts, procs: runtime.GOMAXPROCS(0), outputs: len(prog.OutputRefs), drained: make(chan struct{})}
 	// A nil plan is a single chip; only a sharded request pays for the
 	// partition search. The cut is always balanced: pipeline throughput is
 	// set by the slowest chip, and no cut can change an output.
@@ -140,15 +148,21 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 func (e *Engine) Chips() int { return e.execs[0].Chips() }
 
 // enter admits one call unless the engine is closed; the caller owes
-// e.calls.Done. The RLock keeps a call from slipping in behind Close's wait.
+// e.leave. A call counts itself in before it looks at the closed bit, so
+// either Close sees it and waits, or it sees Close and backs out.
 func (e *Engine) enter() error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
+	if e.state.Add(1)&closedBit != 0 {
+		e.leave()
 		return ErrClosed
 	}
-	e.calls.Add(1)
 	return nil
+}
+
+// leave counts a call out, waking Close when it was the last one inside.
+func (e *Engine) leave() {
+	if e.state.Add(-1) == closedBit {
+		e.drainOnce.Do(func() { close(e.drained) })
+	}
 }
 
 // borrow takes an executor out of the pool for a call of n samples: one
@@ -176,21 +190,29 @@ func (e *Engine) borrow(ctx context.Context, n int) (*synth.Executor, error) {
 	return nil, err
 }
 
-// runChunk is the engine's one kernel call: at most MaxBatch inputs as a
-// single RunBatch on a borrowed executor, results copied into outs
-// positionally. RunBatch validates every sample and a chunk never mixes
-// callers, so a malformed sample fails only its own call. start is when
-// the call arrived: the latency recorded is wait plus run.
+// runChunk is the engine's one kernel call for spike counts: at most
+// MaxBatch inputs as a single RunBatch on a borrowed executor, results
+// copied into outs positionally. RunBatch validates every sample and a
+// chunk never mixes callers, so a malformed sample fails only its own
+// call.
 func (e *Engine) runChunk(ex *synth.Executor, inputs, outs [][]int, start time.Time) error {
 	res, err := ex.RunBatch(inputs)
-	if err != nil {
-		e.stats.errors.Add(uint64(len(inputs)))
-	} else {
-		e.stats.recordExecBatch(len(inputs))
+	if err == nil {
 		copy(outs, res)
 	}
-	e.stats.recordDone(len(inputs), time.Since(start))
+	e.settle(len(inputs), start, err)
 	return err
+}
+
+// settle records one kernel call of n samples that ended with err. start
+// is when its call arrived: the latency recorded is wait plus run.
+func (e *Engine) settle(n int, start time.Time, err error) {
+	if err != nil {
+		e.stats.errors.Add(uint64(n))
+	} else {
+		e.stats.recordExecBatch(n)
+	}
+	e.stats.recordDone(n, time.Since(start))
 }
 
 // Infer runs one input vector of spike counts on the calling goroutine and
@@ -201,7 +223,7 @@ func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
 	if err := e.enter(); err != nil {
 		return nil, err
 	}
-	defer e.calls.Done()
+	defer e.leave()
 	start := time.Now()
 	ex, err := e.borrow(ctx, 1)
 	if err != nil {
@@ -213,12 +235,19 @@ func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
 	return out[0], err
 }
 
-// batchCall is what the pieces of one InferBatch call share; a piece is
-// one borrowed executor working through chunks of the call.
+// batchCall is what the pieces of one batch call share; a piece is one
+// borrowed executor working through chunks of the call. The call carries
+// either spike counts (InferBatch), whose outputs land in outs, or feature
+// vectors (ClassifyBatch, Outputs), which the executor quantizes itself
+// and whose classes or output counts it writes into dst.
 type batchCall struct {
 	e            *Engine
 	ctx          context.Context
+	n            int // samples
 	inputs, outs [][]int
+	features     [][]float64
+	dst          []int
+	classes      bool
 	start        time.Time
 	chunks       int
 	claimed      atomic.Int64 // chunks handed out so far
@@ -232,17 +261,18 @@ type batchCall struct {
 // run is one piece: chunk first, then whatever it can still claim, one
 // pass on ex each; ex goes back to the pool on every path, a panic under
 // the kernel included. Every chunk is claimed exactly once and either
-// runs or, once ctx has ended, is shed.
+// runs or, once ctx has ended, is shed. A failed chunk's error names its
+// samples, unless the call has only the one sample.
 func (c *batchCall) run(ex *synth.Executor, first int) {
 	e := c.e
 	defer func() { e.idle <- ex }()
 	step := e.opts.MaxBatch
 	for i := first; i < c.chunks; i = int(c.claimed.Add(1)) - 1 {
-		lo, hi := i*step, min((i+1)*step, len(c.inputs))
+		lo, hi := i*step, min((i+1)*step, c.n)
 		err := c.ctx.Err()
 		if err != nil {
 			e.stats.shed.Add(uint64(hi - lo))
-		} else if err = e.runChunk(ex, c.inputs[lo:hi], c.outs[lo:hi], c.start); err != nil {
+		} else if err = c.chunk(ex, lo, hi); err != nil && c.n > 1 {
 			err = fmt.Errorf("serve: batch samples %d to %d: %w", lo, hi-1, err)
 		}
 		if err != nil {
@@ -255,6 +285,20 @@ func (c *batchCall) run(ex *synth.Executor, first int) {
 	}
 }
 
+// chunk runs samples [lo, hi) as one kernel call on ex.
+func (c *batchCall) chunk(ex *synth.Executor, lo, hi int) error {
+	if c.features == nil {
+		return c.e.runChunk(ex, c.inputs[lo:hi], c.outs[lo:hi], c.start)
+	}
+	w := 1
+	if !c.classes {
+		w = c.e.outputs
+	}
+	err := ex.RunFeatures(c.dst[lo*w:hi*w], c.features[lo:hi], c.classes)
+	c.e.settle(hi-lo, c.start, err)
+	return err
+}
+
 // InferBatch runs inputs as ⌈n/MaxBatch⌉ chunks of at most MaxBatch
 // samples, one kernel pass each, and returns positional results once every
 // chunk has settled. It borrows one executor as Infer does, then takes —
@@ -264,18 +308,52 @@ func (c *batchCall) run(ex *synth.Executor, first int) {
 // otherwise it returns the error of the first chunk that failed, if any.
 // Nothing of the call runs, or reads inputs, after it returns.
 func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
+	outs := make([][]int, len(inputs))
+	if err := e.call(&batchCall{ctx: ctx, n: len(inputs), inputs: inputs, outs: outs}); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// ClassifyBatch is InferBatch for feature vectors in [0, 1], returning
+// each sample's argmax class: every chunk's executor quantizes its samples
+// into its own scratch and reads the classes straight out of its output
+// tables, so the call allocates its result and little else. Classes and
+// errors are those of InferBatch on synth.QuantizeBatch(batch, Γ) followed
+// by synth.Argmax.
+func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
+	classes := make([]int, len(batch))
+	if err := e.call(&batchCall{ctx: ctx, n: len(batch), features: batch, dst: classes, classes: true}); err != nil {
+		return nil, err
+	}
+	return classes, nil
+}
+
+// Outputs is ClassifyBatch for one feature vector, returning its output
+// counts instead of its class.
+func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error) {
+	out := make([]int, e.outputs)
+	if err := e.call(&batchCall{ctx: ctx, n: 1, features: [][]float64{features}, dst: out}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// call admits a batch call, cuts it into chunks and spreads them over the
+// executors it can borrow (see InferBatch).
+func (e *Engine) call(c *batchCall) error {
 	if err := e.enter(); err != nil {
-		return nil, err
+		return err
 	}
-	defer e.calls.Done()
-	n, step := len(inputs), e.opts.MaxBatch
-	if n == 0 {
-		return [][]int{}, nil
+	defer e.leave()
+	if c.n == 0 {
+		return nil
 	}
-	c := &batchCall{e: e, ctx: ctx, inputs: inputs, outs: make([][]int, n), start: time.Now(), chunks: (n + step - 1) / step}
-	own, err := e.borrow(ctx, n)
+	step := e.opts.MaxBatch
+	c.e, c.start, c.chunks = e, time.Now(), (c.n+step-1)/step
+	own, err := e.borrow(c.ctx, c.n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Fanning out pays only onto an idle processor: once as many executors
 	// are lent out as there are processors, another piece would share a
@@ -321,24 +399,20 @@ take:
 			panic(*r)
 		}
 	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.outs, nil
+	return c.err
 }
 
 // Close stops admitting calls and waits for every call already inside —
 // running or still waiting for an executor — to return. Subsequent calls
 // return ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	switch old := e.state.Or(closedBit); {
+	case old&closedBit != 0:
 		return nil
+	case old == 0:
+		e.drainOnce.Do(func() { close(e.drained) })
 	}
-	e.closed = true
-	e.mu.Unlock()
-	e.calls.Wait()
+	<-e.drained
 	return nil
 }
 

@@ -196,6 +196,72 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestClassifyBatchMatchesInferBatch: the features calls are InferBatch
+// on the quantized batch — ClassifyBatch its argmax classes, Outputs its
+// counts — at every executor count (a lone call fans out over the idle
+// ones), with the same error for a wrong-length sample, and the same
+// stats: one request and one latency per chunk.
+func TestClassifyBatchMatchesInferBatch(t *testing.T) {
+	const maxBatch = 4
+	prog := buildProgram(t, 17, []int{10, 8, 3})
+	window := prog.Params.SamplingWindow()
+	rng := rand.New(rand.NewSource(18))
+	batch := make([][]float64, 3*maxBatch+1)
+	for i := range batch {
+		batch[i] = make([]float64, prog.InputSize)
+		for j := range batch[i] {
+			batch[i][j] = rng.Float64()*1.2 - 0.1
+		}
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		eng, err := New(prog, Options{Workers: workers, MaxBatch: maxBatch, Mode: synth.ModeSpiking})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := eng.InferBatch(ctx, synth.QuantizeBatch(batch, window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes, err := eng.ClassifyBatch(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, out := range outs {
+			if classes[i] != synth.Argmax(out) {
+				t.Fatalf("workers=%d: sample %d: class %d, want %d", workers, i, classes[i], synth.Argmax(out))
+			}
+			if got, err := eng.Outputs(ctx, batch[i]); err != nil || !reflect.DeepEqual(got, out) {
+				t.Fatalf("workers=%d: Outputs(sample %d) = %v, %v; want %v", workers, i, got, err, out)
+			}
+		}
+		if s := eng.Stats(); s.Requests != uint64(3*len(batch)) || s.ExecBatches != 4+4+uint64(len(batch)) {
+			t.Errorf("workers=%d: requests/batches = %d/%d, want %d/%d", workers, s.Requests, s.ExecBatches, 3*len(batch), 8+len(batch))
+		}
+		bad := append([][]float64(nil), batch...)
+		bad[maxBatch+1] = bad[maxBatch+1][1:]
+		_, wantErr := eng.InferBatch(ctx, synth.QuantizeBatch(bad, window))
+		if _, err := eng.ClassifyBatch(ctx, bad); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("workers=%d: malformed ClassifyBatch error %v, want %v", workers, err, wantErr)
+		}
+		_, wantErr = eng.Infer(ctx, synth.QuantizeInput(bad[maxBatch+1], window))
+		if out, err := eng.Outputs(ctx, bad[maxBatch+1]); out != nil || wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("workers=%d: malformed Outputs = %v, %v; want the error %v", workers, out, err, wantErr)
+		}
+		if classes, err := eng.ClassifyBatch(ctx, nil); err != nil || classes == nil || len(classes) != 0 {
+			t.Errorf("workers=%d: empty ClassifyBatch = %v, %v; want an empty slice", workers, classes, err)
+		}
+		checkPool(t, eng)
+		eng.Close()
+		if _, err := eng.ClassifyBatch(ctx, batch); err != ErrClosed {
+			t.Errorf("workers=%d: ClassifyBatch after Close = %v, want ErrClosed", workers, err)
+		}
+		if _, err := eng.Outputs(ctx, batch[0]); err != ErrClosed {
+			t.Errorf("workers=%d: Outputs after Close = %v, want ErrClosed", workers, err)
+		}
+	}
+}
+
 func TestBadInputSurfacesError(t *testing.T) {
 	prog := buildProgram(t, 9, []int{8, 6, 2})
 	eng, err := New(prog, Options{Workers: 1, Mode: synth.ModeReference})

@@ -2,8 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -45,10 +44,11 @@ type Stats struct {
 	// ThroughputSPS is completed requests per second of engine uptime.
 	ThroughputSPS float64
 	// P50LatencyUS, P99LatencyUS and P999LatencyUS are arrival-to-completion
-	// latency percentiles — the wait for an executor plus the run — over a
-	// sliding window of recent observations, one per Infer call or
-	// InferBatch chunk (see LatencyRing — the one percentile implementation
-	// the fleet layer shares).
+	// latency percentiles — the wait for an executor plus the run — over
+	// every observation since the engine was built, one per Infer call or
+	// batch chunk, each within 1/64 of the exact nearest-rank value (see
+	// LatencyHistogram — the one percentile implementation the fleet layer
+	// shares).
 	P50LatencyUS  float64
 	P99LatencyUS  float64
 	P999LatencyUS float64
@@ -81,58 +81,86 @@ func (s Stats) String() string {
 	return out
 }
 
-// latencyWindow is the sliding sample window the percentiles are computed
-// over.
-const latencyWindow = 4096
-
-// LatencyRing is the sliding-window latency recorder behind every
-// percentile the serving stack reports: the engine's Stats, the fleet's
-// per-model stats and the load-generator benches all record into one of
-// these and read percentiles back through Percentile, so "p999" means
-// the same computation everywhere. The zero value is ready to use; all
-// methods are safe for concurrent use.
-type LatencyRing struct {
-	mu   sync.Mutex
-	ring [latencyWindow]float64 // microseconds
-	n    uint64                 // total recorded; ring index is n % latencyWindow
+// LatencyHistogram is the lock-free latency recorder behind every
+// percentile the serving stack reports: the engine's Stats and the fleet's
+// per-model stats both record into one and read percentiles back through
+// Percentiles, so "p999" means the same computation everywhere. It counts
+// every observation since it was made, in log-linear buckets: durations
+// below 64 ns exactly, longer ones in 32 buckets per power of two. A
+// percentile reads the nearest-rank observation's bucket and reports its
+// middle, which is within 1/64 (≈ 1.6 %) of that observation. The zero
+// value is ready to use; Record is one atomic add and all methods are safe
+// for concurrent use.
+type LatencyHistogram struct {
+	counts [histBuckets]atomic.Uint64
 }
 
-// Record adds one request latency to the window.
-func (r *LatencyRing) Record(d time.Duration) {
-	us := float64(d) / float64(time.Microsecond)
-	r.mu.Lock()
-	r.ring[r.n%latencyWindow] = us
-	r.n++
-	r.mu.Unlock()
-}
+// The bucket layout: subBits bits of mantissa below each power of two.
+const (
+	subBits     = 5
+	subBuckets  = 1 << subBits
+	histBuckets = (64 - subBits) * subBuckets // up to 2^63−1 ns
+)
 
-// Sorted returns the window's samples sorted ascending, ready for
-// Percentile. Empty when nothing has been recorded.
-func (r *LatencyRing) Sorted() []float64 {
-	r.mu.Lock()
-	n := r.n
-	if n > latencyWindow {
-		n = latencyWindow
+// histBucket is the bucket holding ns: the value itself below 2·subBuckets,
+// otherwise its power of two and the subBits bits below the leading one.
+func histBucket(ns uint64) int {
+	if ns < subBuckets {
+		return int(ns)
 	}
-	lat := append([]float64(nil), r.ring[:n]...)
-	r.mu.Unlock()
-	sort.Float64s(lat)
-	return lat
+	shift := bits.Len64(ns) - 1 - subBits
+	return shift*subBuckets + int(ns>>shift)
+}
+
+// histMiddle is the middle of bucket i in nanoseconds: the inverse of
+// histBucket, halfway across the bucket's whole nanoseconds.
+func histMiddle(i int) float64 {
+	if i < subBuckets {
+		return float64(i)
+	}
+	shift := i/subBuckets - 1
+	lo := uint64(i%subBuckets+subBuckets) << shift
+	return float64(lo) + float64(uint64(1)<<shift-1)/2
+}
+
+// Record adds one request latency. A negative duration counts as zero.
+func (h *LatencyHistogram) Record(d time.Duration) {
+	h.counts[histBucket(uint64(max(d, 0)))].Add(1)
 }
 
 // Percentiles reads the three serving percentiles (p50/p99/p999) the
-// stats surfaces report, in microseconds. All zero when nothing has been
-// recorded.
-func (r *LatencyRing) Percentiles() (p50, p99, p999 float64) {
-	lat := r.Sorted()
-	if len(lat) == 0 {
+// stats surfaces report, in microseconds, nearest-rank over every
+// observation. All zero when nothing has been recorded.
+func (h *LatencyHistogram) Percentiles() (p50, p99, p999 float64) {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	if n == 0 {
 		return 0, 0, 0
 	}
-	return Percentile(lat, 0.50), Percentile(lat, 0.99), Percentile(lat, 0.999)
+	// Counts only grow, so a second pass racing Record still reaches every
+	// rank below n.
+	ps := [3]float64{0.50, 0.99, 0.999}
+	var us [3]float64
+	k, seen := 0, uint64(0)
+	for i := range h.counts {
+		seen += h.counts[i].Load()
+		// The nearest-rank observation of p is the one at index
+		// ⌊p·(n−1)⌋ in ascending order.
+		for k < len(ps) && uint64(ps[k]*float64(n-1)) < seen {
+			us[k] = histMiddle(i) / float64(time.Microsecond)
+			k++
+		}
+		if k == len(ps) {
+			break
+		}
+	}
+	return us[0], us[1], us[2]
 }
 
-// tracker accumulates engine statistics. Counters are atomic; the latency
-// window is the shared LatencyRing.
+// tracker accumulates engine statistics. Counters are atomic, and so is
+// the shared LatencyHistogram.
 type tracker struct {
 	start       time.Time
 	done        atomic.Uint64
@@ -142,7 +170,7 @@ type tracker struct {
 	execItems   atomic.Uint64
 	execMax     atomic.Int64
 
-	lat LatencyRing
+	lat LatencyHistogram
 }
 
 // recordExecBatch records one executed batch of n samples.
@@ -157,8 +185,8 @@ func (t *tracker) recordExecBatch(n int) {
 	}
 }
 
-// recordDone records one settled chunk of n samples: the ring (and its
-// mutex) is touched once per chunk, not once per sample.
+// recordDone records one settled chunk of n samples: one latency per
+// chunk, not per sample.
 func (t *tracker) recordDone(n int, d time.Duration) {
 	t.done.Add(uint64(n))
 	t.lat.Record(d)
@@ -182,16 +210,4 @@ func (t *tracker) snapshot() Stats {
 	}
 	s.P50LatencyUS, s.P99LatencyUS, s.P999LatencyUS = t.lat.Percentiles()
 	return s
-}
-
-// Percentile reads the p-quantile from an ascending-sorted sample
-// (nearest-rank). It is the one quantile implementation behind every
-// latency percentile the serving stack reports — engine stats, fleet
-// stats and the benches all call it, so their numbers are comparable.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }

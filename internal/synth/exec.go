@@ -259,15 +259,25 @@ func QuantizeInput(features []float64, window int) []int {
 }
 
 // QuantizeBatch is QuantizeInput over a batch, into one flat slab: each
-// row is a capacity-capped view of it (as gatherOutputs' rows are), so an
+// row is a capacity-capped view of it (as RunBatch's results are), so an
 // append through one row can never spill into the next.
 func QuantizeBatch(batch [][]float64, window int) [][]int {
+	return quantizeRows(make([][]int, len(batch)), make([]int, featureCount(batch)), batch, window)
+}
+
+// featureCount sums the batch's row lengths.
+func featureCount(batch [][]float64) int {
 	total := 0
 	for _, f := range batch {
 		total += len(f)
 	}
-	slab := make([]int, total)
-	rows := make([][]int, len(batch))
+	return total
+}
+
+// quantizeRows quantizes the batch row after row into slab, which holds
+// featureCount(batch) counts, and points rows[i] at row i's capacity-capped
+// piece of it.
+func quantizeRows(rows [][]int, slab []int, batch [][]float64, window int) [][]int {
 	for i, f := range batch {
 		rows[i] = quantizeInto(slab[:len(f):len(f)], f, window)
 		slab = slab[len(f):]

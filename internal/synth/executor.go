@@ -54,12 +54,16 @@ type Executor struct {
 	// construction and only read afterwards.
 	stages []stagePlan
 
-	// mu is held across a batch's stage walk and output gather: ins and
-	// outs are reused across runs.
+	// mu is held across a batch's quantization, stage walk and output
+	// gather: the scratch below is reused across runs.
 	mu sync.Mutex
 	// ins[si] and outs[si] are stage si's flat batch×rows input and
 	// batch×cols output, grown on demand.
 	ins, outs [][]int
+	// rows and slab are RunFeatures' quantized input rows, capacity-capped
+	// views into slab, grown on demand.
+	rows [][]int
+	slab []int
 }
 
 // stagePlan is what runStages needs to know about one stage besides its
@@ -273,7 +277,7 @@ func (e *Executor) Run(input []int) ([]int, error) {
 
 // RunBatch executes the program on a micro-batch of input vectors and
 // returns one output-count slice per input, positionally; the slices are
-// freshly allocated views into one backing array (see gatherOutputs).
+// freshly allocated views into one backing array (see runBatch).
 // The whole batch advances through the stage list together: each stage's
 // crossbar evaluates every item (one batched kernel call) before the next
 // stage runs, so a weight group's programmed state is touched once per
@@ -286,6 +290,54 @@ func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
 	return e.runBatch(inputs)
 }
 
+// RunFeatures is RunBatch for real-valued features, writing its results
+// into dst instead of allocating them. It quantizes each row into the
+// executor's own scratch against the program's sampling window (as
+// QuantizeBatch does), validates and runs the rows as RunBatch does, and
+// reads the results straight out of the stage output tables: with classes
+// set, dst[b] is row b's argmax class (ties to the first maximum, as
+// Argmax); otherwise dst holds the rows' output counts back to back,
+// len(OutputRefs) per row. dst must be exactly that long. Results and
+// errors are those of RunBatch(QuantizeBatch(features, window)) followed
+// by Argmax, and a warm call allocates nothing.
+func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) error {
+	want := len(features)
+	if !classes {
+		want *= len(e.prog.OutputRefs)
+	}
+	if len(dst) != want {
+		return fmt.Errorf("synth: %d result slots for %d rows, want %d", len(dst), len(features), want)
+	}
+	if len(features) == 0 {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	inputs := e.quantize(features)
+	if err := e.prog.ValidateBatch(inputs); err != nil {
+		return err
+	}
+	if err := e.runStages(inputs); err != nil {
+		return err
+	}
+	if classes {
+		e.argmaxes(dst, inputs)
+	} else {
+		e.outputs(dst, inputs)
+	}
+	return nil
+}
+
+// quantize writes every feature row's counts into the executor's scratch
+// and returns the rows. Under e.mu.
+func (e *Executor) quantize(features [][]float64) [][]int {
+	if cap(e.rows) < len(features) {
+		e.rows = make([][]int, len(features))
+	}
+	e.slab = growInts(e.slab, featureCount(features))
+	return quantizeRows(e.rows[:len(features)], e.slab, features, e.prog.Params.SamplingWindow())
+}
+
 // growInts returns buf resized to n, reusing capacity.
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
@@ -296,7 +348,10 @@ func growInts(buf []int, n int) []int {
 
 // runBatch is the validated batch execution path: the stage walk and the
 // output gather, under the lock that keeps the scratch one caller's. The
-// deferred unlock also runs when the kernel panics.
+// results are capacity-capped views into one flat backing array, so a
+// batch costs two allocations however large it is, and appending to one
+// result cannot reach its neighbour. The deferred unlock also runs when
+// the kernel panics.
 func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	if len(inputs) == 0 {
 		return nil, nil
@@ -306,7 +361,14 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	if err := e.runStages(inputs); err != nil {
 		return nil, err
 	}
-	return gatherOutputs(e.prog, inputs, e.outs, e.stages), nil
+	n := len(e.prog.OutputRefs)
+	flat := make([]int, len(inputs)*n)
+	e.outputs(flat, inputs)
+	results := make([][]int, len(inputs))
+	for b := range results {
+		results[b] = flat[b*n : (b+1)*n : (b+1)*n]
+	}
+	return results, nil
 }
 
 // runStages evaluates a batch over every stage in order — the one stage
@@ -391,25 +453,37 @@ func copyRun(dst, src []int) {
 	}
 }
 
-// gatherOutputs reads the program's output refs out of the per-stage
-// output tables into one result slice per batch item. The slices are
-// capacity-capped views into a single flat backing array, so a batch costs
-// two allocations however large it is, and appending to one result cannot
-// reach its neighbour.
-func gatherOutputs(p *Program, inputs, outs [][]int, stages []stagePlan) [][]int {
-	n := len(p.OutputRefs)
-	flat := make([]int, len(inputs)*n)
-	results := make([][]int, len(inputs))
-	for b := range results {
-		res := flat[b*n : (b+1)*n : (b+1)*n]
-		for i, ref := range p.OutputRefs {
-			if ref.Stage == ExternalStage {
-				res[i] = inputs[b][ref.Col]
-				continue
-			}
-			res[i] = outs[ref.Stage][b*stages[ref.Stage].cols+ref.Col]
-		}
-		results[b] = res
+// output reads batch row b's value at one output ref: a column of a
+// stage's output table, or of the row's own input for an ExternalStage ref.
+func (e *Executor) output(ref ExecRef, b int, inputs [][]int) int {
+	if ref.Stage == ExternalStage {
+		return inputs[b][ref.Col]
 	}
-	return results
+	return e.outs[ref.Stage][b*e.stages[ref.Stage].cols+ref.Col]
+}
+
+// outputs writes every row's output counts into dst, len(OutputRefs) per
+// row, after runStages.
+func (e *Executor) outputs(dst []int, inputs [][]int) {
+	n := len(e.prog.OutputRefs)
+	for b := range inputs {
+		row := dst[b*n : (b+1)*n]
+		for i, ref := range e.prog.OutputRefs {
+			row[i] = e.output(ref, b, inputs)
+		}
+	}
+}
+
+// argmaxes writes every row's argmax class into dst, ties to the first
+// maximum as Argmax, after runStages.
+func (e *Executor) argmaxes(dst []int, inputs [][]int) {
+	for b := range inputs {
+		class, best := 0, 0
+		for i, ref := range e.prog.OutputRefs {
+			if v := e.output(ref, b, inputs); i == 0 || v > best {
+				class, best = i, v
+			}
+		}
+		dst[b] = class
+	}
 }
