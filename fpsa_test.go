@@ -2,6 +2,7 @@ package fpsa
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -394,6 +395,36 @@ func TestRejectedCallKeepsVariationStream(t *testing.T) {
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("a rejected %s advanced the variation stream: the calls after it differ from the clean replay", name)
+		}
+	}
+}
+
+// TestSpikingNetRejectsWrongLength: a sample of the wrong length is
+// ErrInvalidArgument from every SpikingNet run method, and a batch's
+// error names its first bad item.
+func TestSpikingNetRejectsWrongLength(t *testing.T) {
+	ds := SyntheticDataset(22, 60, 10, 3, 0.08)
+	net, err := TrainMLP(22, []int{10, 12, 3}, ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := deployMLP(t, net)
+	good, short, long := ds.X[0], ds.X[0][:4], append(append([]float64{}, ds.X[0]...), 0.5)
+	_, errOne := sn.Outputs(short, ModeReference)
+	_, errClass := sn.Classify(long, ModeSpiking)
+	_, errBatch := sn.OutputsBatch([][]float64{good, short, long}, ModeReference)
+	_, errClasses := sn.ClassifyBatch([][]float64{good, good, long}, ModeSpikingNoisy)
+	for _, tc := range []struct {
+		name, want string
+		err        error
+	}{
+		{"Outputs", "input length 4, want 10", errOne},
+		{"Classify", "input length 11, want 10", errClass},
+		{"OutputsBatch", "batch item 1: input length 4, want 10", errBatch},
+		{"ClassifyBatch", "batch item 2: input length 11, want 10", errClasses},
+	} {
+		if !errors.Is(tc.err, ErrInvalidArgument) || !strings.HasSuffix(tc.err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want ErrInvalidArgument ending %q", tc.name, tc.err, tc.want)
 		}
 	}
 }

@@ -166,12 +166,41 @@ func (s *SpikingNet) runOptions(mode ExecMode, invalid error) (synth.RunOptions,
 
 // Outputs returns the raw output spike counts.
 func (s *SpikingNet) Outputs(features []float64, mode ExecMode) ([]int, error) {
-	in := synth.QuantizeInput(features, s.prog.Params.SamplingWindow())
-	opts, err := s.runOptions(mode, s.prog.Validate(in))
-	if err != nil {
+	out := make([]int, len(s.prog.OutputRefs))
+	if err := s.run(out, [][]float64{features}, mode, true); err != nil {
 		return nil, err
 	}
-	return s.prog.Run(in, opts)
+	return out, nil
+}
+
+// run programs a fresh executor for one call and writes the features'
+// output counts into dst (synth.Executor.RunFeatures, which quantizes
+// them). The call's one input check, on the rows' lengths, comes before
+// the noisy draw: quantization puts every count in [0, Γ], so a length is
+// all that can be wrong. A wrong one is ErrInvalidArgument, naming the
+// batch item unless single.
+func (s *SpikingNet) run(dst []int, features [][]float64, mode ExecMode, single bool) error {
+	var invalid error
+	for b, f := range features {
+		if len(f) == s.prog.InputSize {
+			continue
+		}
+		if single {
+			invalid = fmt.Errorf("%w: input length %d, want %d", ErrInvalidArgument, len(f), s.prog.InputSize)
+		} else {
+			invalid = fmt.Errorf("%w: batch item %d: input length %d, want %d", ErrInvalidArgument, b, len(f), s.prog.InputSize)
+		}
+		break
+	}
+	opts, err := s.runOptions(mode, invalid)
+	if err != nil {
+		return err
+	}
+	ex, err := synth.NewExecutor(s.prog, opts)
+	if err != nil {
+		return err
+	}
+	return ex.RunFeatures(dst, features, false)
 }
 
 // ClassifyBatch quantizes a micro-batch of feature vectors and runs the
@@ -210,12 +239,16 @@ func (s *SpikingNet) OutputsBatch(features [][]float64, mode ExecMode) ([][]int,
 	if len(features) == 0 {
 		return nil, nil
 	}
-	ins := synth.QuantizeBatch(features, s.prog.Params.SamplingWindow())
-	opts, err := s.runOptions(mode, s.prog.ValidateBatch(ins))
-	if err != nil {
+	n := len(s.prog.OutputRefs)
+	flat := make([]int, len(features)*n)
+	if err := s.run(flat, features, mode, false); err != nil {
 		return nil, err
 	}
-	return s.prog.RunBatch(ins, opts)
+	outs := make([][]int, len(features))
+	for b := range outs {
+		outs[b] = flat[b*n : (b+1)*n : (b+1)*n]
+	}
+	return outs, nil
 }
 
 // Window returns the deployment's sampling window Γ.

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"fpsa/internal/cgraph"
@@ -152,10 +151,9 @@ func (p *Program) RunBatch(inputs [][]int, opts RunOptions) ([][]int, error) {
 
 // Validate checks one input vector's length and window range without
 // programming or executing anything — the pre-flight for callers that must
-// reject a bad input before spending anything on it (SpikingNet, so a
-// rejected call does not advance its variation stream).
+// reject a bad input before spending anything on it.
 func (p *Program) Validate(input []int) error {
-	if err := p.validateInput(input); err != nil {
+	if err := p.validateInput(input, p.Params.SamplingWindow()); err != nil {
 		return fmt.Errorf("synth: %w", err)
 	}
 	return nil
@@ -163,24 +161,35 @@ func (p *Program) Validate(input []int) error {
 
 // ValidateBatch is Validate over a micro-batch, naming the first bad item.
 func (p *Program) ValidateBatch(inputs [][]int) error {
+	window := p.Params.SamplingWindow()
 	for b, in := range inputs {
-		if err := p.validateInput(in); err != nil {
+		if err := p.validateInput(in, window); err != nil {
 			return fmt.Errorf("synth: batch item %d: %w", b, err)
 		}
 	}
 	return nil
 }
 
-// validateInput checks the input vector's length and window range.
-func (p *Program) validateInput(input []int) error {
-	if len(input) != p.InputSize {
-		return fmt.Errorf("input length %d, want %d", len(input), p.InputSize)
+// validateInput checks the input vector's length and range against the
+// program's sampling window, which the caller reads once per batch
+// (SamplingWindow copies the whole device.Params).
+func (p *Program) validateInput(input []int, window int) error {
+	if err := p.checkLength(len(input)); err != nil {
+		return err
 	}
-	window := p.Params.SamplingWindow()
 	for i, v := range input {
 		if v < 0 || v > window {
 			return fmt.Errorf("input[%d] = %d outside [0,%d]", i, v, window)
 		}
+	}
+	return nil
+}
+
+// checkLength is validateInput's length half: the whole check for rows
+// that quantization built, whose counts are in [0, Γ] by construction.
+func (p *Program) checkLength(n int) error {
+	if n != p.InputSize {
+		return fmt.Errorf("input length %d, want %d", n, p.InputSize)
 	}
 	return nil
 }
@@ -285,11 +294,15 @@ func quantizeRows(rows [][]int, slab []int, batch [][]float64, window int) [][]i
 	return rows
 }
 
-// quantizeInto writes each feature's count: round(f·Γ) clamped to [0, Γ].
-// It clamps in float64 before converting: Go leaves converting ±Inf, NaN or
-// a value at or past 2^63 to int to the platform (amd64 yields the minimum
-// int, which would clamp to 0 where arm64 saturates to Γ), so a huge or
-// infinite feature gives Γ on every platform, and NaN gives 0.
+// quantizeInto writes each feature's count: round(f·Γ) clamped to [0, Γ],
+// halves away from zero as math.Round rounds them. It clamps in float64
+// before converting: Go leaves converting ±Inf, NaN or a value at or past
+// 2^63 to int to the platform (amd64 yields the minimum int, which would
+// clamp to 0 where arm64 saturates to Γ), so a huge or infinite feature
+// gives Γ on every platform, and NaN gives 0. Between the clamps, 0 < x < Γ,
+// it rounds without math.Round (a software routine on amd64): t = int(x)
+// truncates, and x − t is exact — by Sterbenz's lemma when t ≥ 1, as x
+// itself when t = 0 — so comparing it with ½ rounds as math.Round does.
 func quantizeInto(counts []int, features []float64, window int) []int {
 	top := float64(window)
 	for i, f := range features {
@@ -297,7 +310,11 @@ func quantizeInto(counts []int, features []float64, window int) []int {
 		case x >= top:
 			counts[i] = window
 		case x > 0:
-			counts[i] = int(math.Round(x))
+			t := int(x)
+			if x-float64(t) >= 0.5 {
+				t++
+			}
+			counts[i] = t
 		default: // x ≤ 0 or NaN
 			counts[i] = 0
 		}

@@ -222,6 +222,48 @@ func TestQuantizeInputExtremes(t *testing.T) {
 	}
 }
 
+// quantizeMathRound is quantizeInto's formula before it stopped calling
+// math.Round: the oracle TestQuantizeRoundsLikeMathRound holds it to.
+func quantizeMathRound(f float64, window int) int {
+	top := float64(window)
+	switch x := f * top; {
+	case x >= top:
+		return window
+	case x > 0:
+		return int(math.Round(x))
+	default:
+		return 0
+	}
+}
+
+// TestQuantizeRoundsLikeMathRound holds quantizeInto's truncate-and-compare
+// rounding to math.Round: at every half step k+½ of Γ = 16, 64 and 128 and
+// one ulp either side of it (where a rounding subtraction would tip the
+// wrong way), at every whole step and its neighbours, and at −0, the
+// subnormals, 1 and one ulp either side, NaN and ±Inf.
+func TestQuantizeRoundsLikeMathRound(t *testing.T) {
+	for _, window := range []int{16, 64, 128} {
+		top := float64(window)
+		features := []float64{
+			math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+			0x1p-1074 * 3, 0x1p-1023, math.Nextafter(0x1p-1022, 0), 0x1p-1022,
+			1, math.Nextafter(1, 0), math.Nextafter(1, 2), math.NaN(), math.Inf(1), math.Inf(-1),
+		}
+		for k := 0; k <= window; k++ {
+			for _, x := range []float64{float64(k), float64(k) + 0.5} {
+				f := x / top // exact: Γ is a power of two
+				features = append(features, f, math.Nextafter(f, 0), math.Nextafter(f, 2))
+			}
+		}
+		got := QuantizeInput(features, window)
+		for i, f := range features {
+			if want := quantizeMathRound(f, window); got[i] != want {
+				t.Errorf("Γ %d: feature %g (%x) quantizes to %d, math.Round gives %d", window, f, math.Float64bits(f), got[i], want)
+			}
+		}
+	}
+}
+
 // TestQuantizeBatch: each row of the slab equals QuantizeInput of its
 // sample (ragged rows included), and rows are capacity-capped so an
 // append through one cannot write into the next.

@@ -293,13 +293,15 @@ func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
 // RunFeatures is RunBatch for real-valued features, writing its results
 // into dst instead of allocating them. It quantizes each row into the
 // executor's own scratch against the program's sampling window (as
-// QuantizeBatch does), validates and runs the rows as RunBatch does, and
-// reads the results straight out of the stage output tables: with classes
-// set, dst[b] is row b's argmax class (ties to the first maximum, as
-// Argmax); otherwise dst holds the rows' output counts back to back,
-// len(OutputRefs) per row. dst must be exactly that long. Results and
-// errors are those of RunBatch(QuantizeBatch(features, window)) followed
-// by Argmax, and a warm call allocates nothing.
+// QuantizeBatch does), runs the rows as RunBatch does, and reads the
+// results straight out of the stage output tables: with classes set, dst[b]
+// is row b's argmax class (ties to the first maximum, as Argmax); otherwise
+// dst holds the rows' output counts back to back, len(OutputRefs) per row.
+// dst must be exactly that long. Its one input check is each row's length:
+// quantization puts every count in [0, Γ], so the rest of ValidateBatch
+// could never fail here. Results and errors are those of
+// RunBatch(QuantizeBatch(features, window)) followed by Argmax, and a warm
+// call allocates nothing.
 func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) error {
 	want := len(features)
 	if !classes {
@@ -308,15 +310,17 @@ func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) er
 	if len(dst) != want {
 		return fmt.Errorf("synth: %d result slots for %d rows, want %d", len(dst), len(features), want)
 	}
+	for b, f := range features {
+		if err := e.prog.checkLength(len(f)); err != nil {
+			return fmt.Errorf("synth: batch item %d: %w", b, err)
+		}
+	}
 	if len(features) == 0 {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	inputs := e.quantize(features)
-	if err := e.prog.ValidateBatch(inputs); err != nil {
-		return err
-	}
 	if err := e.runStages(inputs); err != nil {
 		return err
 	}

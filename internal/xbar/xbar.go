@@ -37,6 +37,7 @@ package xbar
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -414,17 +415,23 @@ func (c *Crossbar) checkBatch(dst, src []int, batch int) error {
 // b's inputs against the ideal logical weights. src is flat batch×rows,
 // dst flat batch×cols. Each count is first clamped to [0, Γ], as
 // SimulateCountsBatch clamps it, so both kernels answer a batch exactly as
-// they answer its clamped copy. P and N are exact integers (see
-// referenceVMM), and the epilogue divides their float64 values by η, so
-// on counts in [0, Γ] the per-element semantics equal the historical
-// one-vector reference path bit for bit at every η, fractional ones
-// included.
+// they answer its clamped copy. P and N are exact integers below 2^32 (see
+// referenceVMM), and on counts in [0, Γ] the per-element semantics equal
+// the historical one-vector reference path, which divides their float64
+// values by η, bit for bit at every η, fractional ones included.
 //
-// P and N are below 2^32, so at a finite η ≥ 2^−31 both quotients are
-// below 2^63 and int() truncates them exactly. At any other η — zero, tiny,
-// negative, infinite or NaN — a quotient may be NaN or out of int's range,
-// where Go leaves the conversion to the architecture; the epilogue then
-// converts with saturatingInt, so every GOARCH answers alike.
+// The epilogue has three branches, picked once per call from η:
+//   - η integral in [1, 2^32) — every η the synthesizer emits: the
+//     quotients are integer ones, P−N at η = 1 and otherwise one
+//     multiply-high each (integerEpilogue). They equal the float
+//     quotients' truncations exactly (docs/INVARIANTS.md, "Integral-η
+//     reference epilogue ≡ float division").
+//   - any other finite η ≥ 2^−31: both float quotients are below 2^63 and
+//     int() truncates them exactly.
+//   - any other η — zero, tiny, negative, infinite or NaN: a quotient may
+//     be NaN or out of int's range, where Go leaves the conversion to the
+//     architecture; the epilogue then converts with saturatingInt, so
+//     every GOARCH answers alike.
 func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
@@ -433,6 +440,10 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 		return err
 	}
 	referenceVMM(dst, c.packW, src, batch, c.rows, c.cols, c.window)
+	if c.eta >= 1 && c.eta < 1<<polarityShift && c.eta == float64(uint64(c.eta)) {
+		integerEpilogue(dst, uint64(c.eta), c.window)
+		return nil
+	}
 	if c.eta >= 0x1p-31 && c.eta <= math.MaxFloat64 {
 		for k, a := range dst {
 			p, n := uint64(a)>>polarityShift, uint64(a)&lowHalf
@@ -447,6 +458,27 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 		dst[k] = spike.Clamp(y, c.window)
 	}
 	return nil
+}
+
+// integerEpilogue turns each packed drive word of dst into
+// clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) for an integral η in [1, 2^32). Each quotient
+// is the high word of P·m with m = ⌈2^64/η⌉ (Lemire, Kaser and Kurz 2019:
+// exact for every dividend below 2^32 and divisor below 2^32); η = 1,
+// whose m does not fit 64 bits, is P − N.
+func integerEpilogue(dst []int, eta uint64, window int) {
+	if eta == 1 {
+		for k, a := range dst {
+			y := int(uint64(a)>>polarityShift) - int(uint64(a)&lowHalf)
+			dst[k] = spike.Clamp(y, window)
+		}
+		return
+	}
+	m := math.MaxUint64/eta + 1
+	for k, a := range dst {
+		p, _ := bits.Mul64(uint64(a)>>polarityShift, m)
+		n, _ := bits.Mul64(uint64(a)&lowHalf, m)
+		dst[k] = spike.Clamp(int(p)-int(n), window)
+	}
 }
 
 // saturatingInt is int(f) with the cases Go leaves to the architecture
