@@ -21,8 +21,11 @@ import (
 // noisy list also holds offline_mlp_noisy_sparse's own shape: a noisy 16×24
 // crossbar at the synthesizer's η with 1 % of its cells stuck, plus drift
 // and read-σ, where noisy drives can exceed η and the hot drain runs (its
-// corpus has low-count seeds near the workload's density of 0.03). Every
-// crossbar runs under each body the CPU has, of both walks.
+// corpus has low-count seeds near the workload's density of 0.03). The
+// ideal list ends with the table-sharing crossbar (signatureWeights), whose
+// columns share tables by support signature beside a near-twin one
+// conductance apart. Every crossbar runs under each body the CPU has, of
+// both walks.
 func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	rng := rand.New(rand.NewSource(76))
 	lrng := rand.New(rand.NewSource(77)) // its own stream: the older crossbars keep their weights
@@ -64,9 +67,13 @@ func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 		f.Fatal(err)
 	}
 	mask := fm.MaskFor(16, 24, false)
+	shared := programmed(signatureWeights(maxW), float64(maxW), nil, nil)
+	if shared.nTabs != 3 {
+		f.Fatalf("signature crossbar: %d tables, want 3", shared.nTabs)
+	}
 	xbars := map[bool][]*Crossbar{
 		false: {ideal, programmed(pairwiseWeights(8, -maxW, maxW), float64(maxW), nil, nil), programmed(mixedWeights(rng, maxW), float64(maxW), nil, nil),
-			lanes(randomWeights(lrng, 18, 8, maxW)), lanes(mixedWeights(lrng, maxW))},
+			lanes(randomWeights(lrng, 18, 8, maxW)), lanes(mixedWeights(lrng, maxW)), shared},
 		true: {noisy, programmed([][]int{{maxW, -3, 1}, {-2, maxW, -maxW}}, float64(maxW), rand.New(rand.NewSource(98)), nil),
 			programmed(mlp, synthEta(mlp), rand.New(rand.NewSource(80)), &mask)},
 	}

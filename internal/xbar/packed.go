@@ -108,16 +108,15 @@ const (
 )
 
 // tabCol is one tabulated column: its support rows (the rows with a nonzero
-// conductance in either polarity, ascending) and the lazily filled table
-// over the clamped counts on those rows.
+// conductance in either polarity, ascending) and the index of the crossbar
+// table that answers it. Columns whose support conductances are
+// bit-identical position by position compute the same function of their
+// support counts, so they share one table (classifyProgramming).
 type tabCol struct {
 	col  int
 	k    int
 	rows [maxSupport]int
-	// table has (Γ+1)^k entries keyed by the support counts, most
-	// significant row first; 0 means not yet computed, otherwise output+1.
-	// It is nil until the packed kernel first runs and after SetEta.
-	table []int32
+	tab  int // index into Crossbar.tables
 }
 
 // trainTables memoizes uniformTrains per window. The content is a pure
@@ -158,11 +157,13 @@ func uniformTrains(window int) []uint64 {
 //
 //   - tabulated columns (support small enough for maxTabulated: the ±maxW
 //     columns of the pairwise-max and residual-add constructions, and
-//     all-zero columns) are answered from a per-column table over their
-//     entire key space, filled on first use by walkSupport — the real
-//     colNeuron.step walk with drives summed in ascending row order, i.e.
-//     the dense kernel restricted to the support. A crossbar whose columns
-//     are all tabulated never builds units or drives at all;
+//     all-zero columns) are answered from a table over their entire key
+//     space, one per distinct support signature (every tabulated column of
+//     a pairwise-max crossbar shares one), filled on first use by
+//     walkSupport — the real colNeuron.step walk with drives summed in
+//     ascending row order, i.e. the dense kernel restricted to the support.
+//     A crossbar whose columns are all tabulated never builds units or
+//     drives at all;
 //   - walked columns go through a cycle walk.
 //
 // Which walk is decided at entry from what the crossbar is, never by an
@@ -245,42 +246,58 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 
 // tabulated answers one tabulated column for one item: the key is the
 // clamped counts on the column's support rows, and a miss runs the real
-// walk once and remembers it.
+// walk once and remembers it in the column's (possibly shared) table. A
+// table has (Γ+1)^k entries keyed by the support counts, most significant
+// row first; 0 means not yet computed, otherwise output+1.
 func (c *Crossbar) tabulated(tc *tabCol, counts []int) int {
 	base := c.window + 1
+	var clamped [maxSupport]int
 	key := 0
-	for _, r := range tc.rows[:tc.k] {
-		key = key*base + spike.Clamp(counts[r], c.window)
+	for p, r := range tc.rows[:tc.k] {
+		clamped[p] = spike.Clamp(counts[r], c.window)
+		key = key*base + clamped[p]
 	}
-	if tc.table == nil {
+	if c.tables == nil {
+		c.tables = make([][]int32, c.nTabs)
+	}
+	table := c.tables[tc.tab]
+	if table == nil {
 		size := 1
 		for range tc.k {
 			size *= base
 		}
-		tc.table = make([]int32, size)
+		table = make([]int32, size)
+		c.tables[tc.tab] = table
 	}
-	if v := tc.table[key]; v != 0 {
+	if v := table[key]; v != 0 {
 		return int(v - 1)
 	}
-	out := c.walkSupport(tc, counts)
-	tc.table[key] = int32(out + 1)
+	out := c.walkSupport(tc, &clamped)
+	table[key] = int32(out + 1)
 	return out
 }
 
 // walkSupport is the dense kernel restricted to one column's support: every
 // cycle of the window sums the conductances of the firing support rows in
 // ascending row order on top of +0.0 and steps the column's neuron pair. It
-// never skips a cycle, so it is right for any η, ideal or noisy.
-func (c *Crossbar) walkSupport(tc *tabCol, counts []int) int {
+// never skips a cycle, so it is right for any η, ideal or noisy. counts
+// holds the clamped support counts, most significant row first; each
+// row's train and conductances are looked up once, before the cycle loop.
+func (c *Crossbar) walkSupport(tc *tabCol, counts *[maxSupport]int) int {
 	lanes := spike.Lanes(c.window)
+	var trains [maxSupport][]uint64
+	var pg, ng [maxSupport]float64
+	for p, r := range tc.rows[:tc.k] {
+		trains[p] = c.trainTab[counts[p]*lanes:][:lanes]
+		pg[p], ng[p] = c.posG[r*c.cols+tc.col], c.negG[r*c.cols+tc.col]
+	}
 	n := colNeuron{eta: c.eta}
 	for t := 0; t < c.window; t++ {
 		var dP, dN float64
-		for _, r := range tc.rows[:tc.k] {
-			count := spike.Clamp(counts[r], c.window)
-			if c.trainTab[count*lanes+t>>6]&(1<<uint(t&63)) != 0 {
-				dP += c.posG[r*c.cols+tc.col]
-				dN += c.negG[r*c.cols+tc.col]
+		for p := range tc.k {
+			if trains[p][t>>6]&(1<<uint(t&63)) != 0 {
+				dP += pg[p]
+				dN += ng[p]
 			}
 		}
 		n.step(dP, dN)
@@ -465,8 +482,10 @@ func (c *Crossbar) buildUnits(counts []int) {
 // the kernel's structural facts. Each column's support is the rows where it
 // carries a nonzero conductance in either polarity: columns whose support
 // fits a table (see maxTabulated; all-zero columns have the empty support
-// and a one-entry table) become tabCols, the rest walkCols. maxDrive is the
-// most one cycle can add to a walked column's membrane (see laneEligible),
+// and a one-entry table) become tabCols, the rest walkCols. Tabulated
+// columns with the same support signature (sameSupport) get the same table
+// index; nTabs counts the distinct ones, with no allocation. maxDrive is
+// the most one cycle can add to a walked column's membrane (see laneEligible),
 // finite only when conductance sums are exact in any order — every value a
 // non-negative integer and the worst-case window-long column accumulation
 // far below 2^53: true for ideal programming, where conductances are integer
@@ -520,6 +539,20 @@ func (c *Crossbar) classifyProgramming() {
 			c.walkCols = append(c.walkCols, j)
 		}
 	}
+	c.nTabs = 0
+	for i := range c.tabCols {
+		tc := &c.tabCols[i]
+		tc.tab = c.nTabs
+		for j := range c.tabCols[:i] {
+			if c.sameSupport(&c.tabCols[j], tc) {
+				tc.tab = c.tabCols[j].tab
+				break
+			}
+		}
+		if tc.tab == c.nTabs {
+			c.nTabs++
+		}
+	}
 	c.maxDrive = math.Inf(1)
 	if exactSums && nonneg {
 		c.maxDrive = 0
@@ -527,4 +560,24 @@ func (c *Crossbar) classifyProgramming() {
 			c.maxDrive = max(c.maxDrive, colSum[2*j], colSum[2*j+1])
 		}
 	}
+}
+
+// sameSupport reports whether two tabulated columns have the same support
+// signature: the same support size and, position by position, bit-identical
+// positive and negative conductances. Such columns compute the same
+// function of their support counts (docs/INVARIANTS.md, "Column
+// tabulation"), so one table answers both. Bits, not ==, are compared: ==
+// would equate +0.0 with −0.0 and never a NaN with itself.
+func (c *Crossbar) sameSupport(a, b *tabCol) bool {
+	if a.k != b.k {
+		return false
+	}
+	for p := range a.k {
+		ka, kb := a.rows[p]*c.cols+a.col, b.rows[p]*c.cols+b.col
+		if math.Float64bits(c.posG[ka]) != math.Float64bits(c.posG[kb]) ||
+			math.Float64bits(c.negG[ka]) != math.Float64bits(c.negG[kb]) {
+			return false
+		}
+	}
+	return true
 }

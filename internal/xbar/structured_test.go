@@ -267,7 +267,16 @@ func testLaneWalkMatchesDense(t *testing.T) {
 
 // TestClassifyProgrammingSupport pins which columns are tabulated: support
 // ≤ 2 rows at Γ ≤ 64 (65² keys fit maxTabulated), ≤ 1 row at Γ = 128,
-// and every column with noisy cells, whose zero weights read nonzero.
+// and every column with noisy cells, whose zero weights read nonzero. It
+// also pins how many distinct tables the tabulated columns share:
+//   - pmax-diff: every column reads −maxW then +maxW on its own two rows,
+//     so all 8 share 1 table;
+//   - mixed: its tabulated columns have 0, 1 and 2 support rows (all-zero,
+//     one maxW row, −maxW over maxW−1), so none shares: 3 tables at Γ = 64,
+//     2 at Γ = 128, where column 2 is walked;
+//   - two-rows-dense: every column's conductance pair differs from the
+//     others' in value or sign (maxW/−2, −3/maxW, 1/4, −maxW/maxW, 5/−5),
+//     so 5 columns take 5 tables.
 func TestClassifyProgrammingSupport(t *testing.T) {
 	cols := func(xb *Crossbar) (tab []int) {
 		for _, tc := range xb.tabCols {
@@ -279,14 +288,15 @@ func TestClassifyProgrammingSupport(t *testing.T) {
 		ioBits    int
 		shape     string
 		tab, walk []int
+		tables    int
 	}{
-		{4, "pmax-diff", []int{0, 1, 2, 3, 4, 5, 6, 7}, nil},
-		{6, "pmax-diff", []int{0, 1, 2, 3, 4, 5, 6, 7}, nil},
-		{7, "pmax-diff", nil, []int{0, 1, 2, 3, 4, 5, 6, 7}},
-		{6, "avgpool-k2=4", nil, []int{0, 1, 2, 3, 4, 5}},
-		{6, "mixed", []int{0, 1, 2}, []int{3, 4, 5, 6}},
-		{7, "mixed", []int{0, 1}, []int{2, 3, 4, 5, 6}},
-		{6, "two-rows-dense", []int{0, 1, 2, 3, 4}, nil},
+		{4, "pmax-diff", []int{0, 1, 2, 3, 4, 5, 6, 7}, nil, 1},
+		{6, "pmax-diff", []int{0, 1, 2, 3, 4, 5, 6, 7}, nil, 1},
+		{7, "pmax-diff", nil, []int{0, 1, 2, 3, 4, 5, 6, 7}, 0},
+		{6, "avgpool-k2=4", nil, []int{0, 1, 2, 3, 4, 5}, 0},
+		{6, "mixed", []int{0, 1, 2}, []int{3, 4, 5, 6}, 3},
+		{7, "mixed", []int{0, 1}, []int{2, 3, 4, 5, 6}, 2},
+		{6, "two-rows-dense", []int{0, 1, 2, 3, 4}, nil, 5},
 	} {
 		cfg := structuredConfig(tc.ioBits, false)
 		for _, sh := range structuredShapes(cfg.Rep.MaxWeight()) {
@@ -300,6 +310,9 @@ func TestClassifyProgrammingSupport(t *testing.T) {
 			if got := cols(xb); fmt.Sprint(got) != fmt.Sprint(tc.tab) || fmt.Sprint(xb.walkCols) != fmt.Sprint(tc.walk) {
 				t.Errorf("Γ=%d %s: tabulated %v walked %v, want %v and %v", xb.Window(), tc.shape, got, xb.walkCols, tc.tab, tc.walk)
 			}
+			if xb.nTabs != tc.tables {
+				t.Errorf("Γ=%d %s: %d distinct tables, want %d", xb.Window(), tc.shape, xb.nTabs, tc.tables)
+			}
 		}
 	}
 	noisy := structuredConfig(6, true)
@@ -309,6 +322,59 @@ func TestClassifyProgrammingSupport(t *testing.T) {
 	}
 	if len(xb.tabCols) != 0 {
 		t.Errorf("noisy pairwise crossbar tabulates %d columns; its zero-weight cells should give every column full support", len(xb.tabCols))
+	}
+}
+
+// signatureWeights is a 6×6 crossbar of two-row ±maxW columns for table
+// sharing: columns 0, 1, 2 and 5 read +maxW then −maxW on different row
+// pairs and share one table; column 3 is column 0 with its second
+// conductance one level lower, and column 4 reads −maxW then +maxW, so
+// each of those two takes a table of its own.
+func signatureWeights(maxW int) [][]int {
+	w := make([][]int, 6)
+	for i := range w {
+		w[i] = make([]int, 6)
+	}
+	w[0][0], w[1][0] = maxW, -maxW
+	w[2][1], w[3][1] = maxW, -maxW
+	w[4][2], w[5][2] = maxW, -maxW
+	w[0][3], w[1][3] = maxW, -(maxW - 1)
+	w[1][4], w[2][4] = -maxW, maxW
+	w[3][5], w[5][5] = maxW, -maxW
+	return w
+}
+
+// TestTabulatedColumnsShareBySignature pins which columns share a table:
+// those whose support conductances are bit-identical position by position,
+// whatever their support rows, and no others. Rows fire so that every
+// column sees the same key, where a wrongly shared table would answer
+// column 3 or 4 with column 0's count.
+func TestTabulatedColumnsShareBySignature(t *testing.T) {
+	cfg := testConfig(0)
+	maxW := cfg.Rep.MaxWeight()
+	c := cfg
+	c.Eta = float64(maxW)
+	xb, err := Program(c, signatureWeights(maxW), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tabs []int
+	for _, tc := range xb.tabCols {
+		tabs = append(tabs, tc.tab)
+	}
+	if want := []int{0, 0, 0, 1, 2, 0}; fmt.Sprint(tabs) != fmt.Sprint(want) || xb.nTabs != 3 {
+		t.Fatalf("table indices %v of %d tables, want %v of 3", tabs, xb.nTabs, want)
+	}
+	window := xb.Window()
+	var src []int
+	for _, pair := range [][2]int{{40, 5}, {5, 40}, {window, 1}, {1, window}, {33, 32}} {
+		src = append(src, pair[0], pair[1], pair[0], pair[1], pair[0], pair[1])
+	}
+	assertMatchesTrains(t, "signature", xb, src, len(src)/xb.Rows())
+	for i, table := range xb.tables {
+		if table == nil {
+			t.Errorf("table %d never filled", i)
+		}
 	}
 }
 
@@ -366,11 +432,26 @@ func testSetEtaInvalidatesTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// All 8 columns answer from one shared table, which SetEta must drop
+	// for every one of them.
+	if len(xb.tabCols) != 8 || xb.nTabs != 1 {
+		t.Fatalf("pairwise crossbar: %d tabulated columns in %d tables, want 8 in 1", len(xb.tabCols), xb.nTabs)
+	}
 	const batch = 32
 	src := structuredCounts(rng, batch, xb.Rows(), xb.Window())
 	for _, eta := range []float64{float64(maxW) / 2, float64(3 * maxW), float64(maxW)} {
 		xb.SetEta(eta)
 		assertMatchesTrains(t, fmt.Sprintf("η=%g", eta), xb, src, batch)
+	}
+	// The signature crossbar: shared and unshared tables side by side.
+	xb, err = Program(cfg, signatureWeights(maxW), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = structuredCounts(rng, batch, xb.Rows(), xb.Window())
+	for _, eta := range []float64{float64(maxW), float64(maxW) / 3, float64(maxW)} {
+		xb.SetEta(eta)
+		assertMatchesTrains(t, fmt.Sprintf("signature η=%g", eta), xb, src, batch)
 	}
 
 	// A dense crossbar: every column walked, in lanes exactly while η is an

@@ -202,6 +202,8 @@ type Crossbar struct {
 	// kernel first needs them.
 	maxDrive  float64   // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
 	tabCols   []tabCol  // columns answered from a table over their support counts
+	nTabs     int       // distinct tables the tabCols index (see sameSupport)
+	tables    [][]int32 // nTabs tables, each nil until first used (see tabulated); SetEta drops them
 	walkCols  []int     // columns the cycle walk must step, ascending
 	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
 	silentTab []uint64  // shared complements of trainTab within the window (lane walk)
@@ -385,9 +387,7 @@ func (c *Crossbar) Window() int { return c.window }
 // from the old one: the tabulated columns' tables are refilled on demand.
 func (c *Crossbar) SetEta(eta float64) {
 	c.eta = eta
-	for i := range c.tabCols {
-		c.tabCols[i].table = nil
-	}
+	clear(c.tables)
 }
 
 // grow returns buf resized to n, reusing capacity.
