@@ -3,7 +3,7 @@
 // executors that each request borrows and runs on from its own goroutine —
 // and fire classifications from many goroutines; then compare the engine's
 // answers and measured throughput against the serial Classify loop, which
-// re-programs its crossbars on every call.
+// runs one sample at a time on the net's one executor.
 package main
 
 import (

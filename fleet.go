@@ -300,6 +300,15 @@ func (f *Fleet) ClassifyBatch(ctx context.Context, model, tenant string, batch [
 	return argmaxes(outs), version, nil
 }
 
+// argmaxes is each output's argmax class, positionally.
+func argmaxes(outs [][]int) []int {
+	labels := make([]int, len(outs))
+	for i, out := range outs {
+		labels[i] = synth.Argmax(out)
+	}
+	return labels
+}
+
 // Swap hot-swaps the named model's bitstream to deployment d with zero
 // downtime: it builds a replacement engine against d (same replica
 // count, engine shape inherited from AddModel), atomically re-points the

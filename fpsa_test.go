@@ -331,8 +331,25 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if out, err := sn.ClassifyBatch(nil, ModeReference); err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v, %v", out, err)
+	// An empty batch in a known mode is a no-op that draws nothing; in an
+	// unknown mode it is rejected like any other batch.
+	sn.SetSeed(3)
+	for _, mode := range []ExecMode{ModeReference, ModeSpiking, ModeSpikingNoisy} {
+		if out, err := sn.ClassifyBatch(nil, mode); err != nil || len(out) != 0 {
+			t.Errorf("mode %v: empty ClassifyBatch: %v, %v", mode, out, err)
+		}
+		if out, err := sn.OutputsBatch([][]float64{}, mode); err != nil || len(out) != 0 {
+			t.Errorf("mode %v: empty OutputsBatch: %v, %v", mode, out, err)
+		}
+	}
+	if c, err := sn.OutputsBatch(batch, ModeSpikingNoisy); err != nil || !equalOutputs(c, a) {
+		t.Errorf("noisy batch after empty ones: %v, want the first draw after SetSeed", err)
+	}
+	if _, err := sn.ClassifyBatch(nil, ExecMode(9)); !errors.Is(err, ErrInvalidArgument) {
+		t.Errorf("empty ClassifyBatch in an unknown mode: %v, want ErrInvalidArgument", err)
+	}
+	if _, err := sn.OutputsBatch(nil, ExecMode(9)); !errors.Is(err, ErrInvalidArgument) {
+		t.Errorf("empty OutputsBatch in an unknown mode: %v, want ErrInvalidArgument", err)
 	}
 	if _, err := sn.ClassifyBatch(batch, ExecMode(9)); err == nil {
 		t.Error("unknown mode accepted")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"fpsa/internal/device"
 	"fpsa/internal/synth"
@@ -88,7 +89,12 @@ func checkMode(m ExecMode) error {
 }
 
 // SpikingNet is a network deployed onto simulated FPSA processing
-// elements.
+// elements. It is safe for concurrent use; between calls it keeps one
+// programmed executor per mode it has run (see run). That memory stays
+// with the net until the net is dropped: each kept executor is as large as
+// the one a call of its mode builds — every crossbar of the program with
+// its conductances, about 45 MB for MLP-500-100 in a noisy mode — plus
+// scratch sized to the largest batch the mode has run.
 type SpikingNet struct {
 	prog *synth.Program
 	// faults is the compiled fault scenario (WithFaultModel/WithFaultMap),
@@ -103,6 +109,11 @@ type SpikingNet struct {
 	// run, so consecutive runs see fresh variation while SetSeed
 	// reproduces the whole sequence.
 	rng *rand.Rand
+	// idle[m] is an executor programmed for mode m that no call holds, or
+	// nil. A call claims it by swapping nil in, builds one when it finds
+	// none, and stores it back when it returns normally; concurrent calls
+	// that find the slot empty build their own, and one of them is kept.
+	idle [ModeSpikingNoisy + 1]atomic.Pointer[synth.Executor]
 }
 
 // SetSeed fixes the programming-variation RNG for ModeSpikingNoisy and
@@ -122,114 +133,111 @@ func (s *SpikingNet) currentSeed() int64 {
 	return s.seed
 }
 
-// noisyRng returns a fresh variation RNG for one noisy run, deriving its
-// seed from the persistent stream so every call draws different
-// variation (a Monte-Carlo loop measures distinct trials) yet the
-// sequence is a deterministic function of SetSeed.
-func (s *SpikingNet) noisyRng() *rand.Rand {
+// noisySeed draws the seed of one noisy run's variation off the persistent
+// stream, so every call draws different variation (a Monte-Carlo loop
+// measures distinct trials) yet the sequence is a deterministic function
+// of SetSeed.
+func (s *SpikingNet) noisySeed() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(s.seed + 7))
 	}
-	return rand.New(rand.NewSource(s.rng.Int63()))
+	return s.rng.Int63()
 }
 
 // Classify quantizes features in [0,1] into the sampling window and runs
 // the deployed network, returning the argmax class.
 func (s *SpikingNet) Classify(features []float64, mode ExecMode) (int, error) {
-	out, err := s.Outputs(features, mode)
-	if err != nil {
+	var class [1]int
+	if err := s.run(class[:], [][]float64{features}, mode, true, true); err != nil {
 		return 0, err
 	}
-	return synth.Argmax(out), nil
-}
-
-// runOptions resolves one call's executor options. invalid is whatever
-// input validation found: with the mode it is everything that can reject
-// the call, and both are checked before the noisy draw, so a rejected
-// call leaves the SetSeed stream where it was.
-func (s *SpikingNet) runOptions(mode ExecMode, invalid error) (synth.RunOptions, error) {
-	err := checkMode(mode)
-	if err == nil {
-		err = invalid
-	}
-	if err != nil {
-		return synth.RunOptions{}, err
-	}
-	opts := synth.RunOptions{Mode: mode, Faults: s.faults}
-	if mode == ModeSpikingNoisy {
-		opts.Rng = s.noisyRng()
-	}
-	return opts, nil
+	return class[0], nil
 }
 
 // Outputs returns the raw output spike counts.
 func (s *SpikingNet) Outputs(features []float64, mode ExecMode) ([]int, error) {
 	out := make([]int, len(s.prog.OutputRefs))
-	if err := s.run(out, [][]float64{features}, mode, true); err != nil {
+	if err := s.run(out, [][]float64{features}, mode, true, false); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// run programs a fresh executor for one call and writes the features'
-// output counts into dst (synth.Executor.RunFeatures, which quantizes
-// them). The call's one input check, on the rows' lengths, comes before
-// the noisy draw: quantization puts every count in [0, Γ], so a length is
-// all that can be wrong. A wrong one is ErrInvalidArgument, naming the
-// batch item unless single.
-func (s *SpikingNet) run(dst []int, features [][]float64, mode ExecMode, single bool) error {
-	var invalid error
+// run executes one call on the net's executor for the mode and writes the
+// features' results into dst (synth.Executor.RunFeatures, which quantizes
+// them): argmax classes when classes is set, output counts otherwise. The
+// call's one input check, on the rows' lengths, comes before the noisy
+// draw: quantization puts every count in [0, Γ], so a length is all that
+// can be wrong. A wrong one is ErrInvalidArgument, naming the batch item
+// unless single; it and an unknown mode leave the SetSeed stream where it
+// was.
+//
+// The executor is the one the last call left idle, or a new one. In
+// ModeSpikingNoisy the call draws a seed off the SetSeed stream and
+// programs with it: a new executor from rand.New(rand.NewSource(seed)),
+// an idle one by Executor.Redraw(seed), which is the same conductances in
+// the same buffers. Ideal modes have nothing to draw and reuse the
+// executor as it is. The executor goes back to the slot only when the call
+// returns normally: one a kernel panic left mid-walk is dropped.
+func (s *SpikingNet) run(dst []int, features [][]float64, mode ExecMode, single, classes bool) error {
+	if err := checkMode(mode); err != nil {
+		return err
+	}
 	for b, f := range features {
 		if len(f) == s.prog.InputSize {
 			continue
 		}
 		if single {
-			invalid = fmt.Errorf("%w: input length %d, want %d", ErrInvalidArgument, len(f), s.prog.InputSize)
-		} else {
-			invalid = fmt.Errorf("%w: batch item %d: input length %d, want %d", ErrInvalidArgument, b, len(f), s.prog.InputSize)
+			return fmt.Errorf("%w: input length %d, want %d", ErrInvalidArgument, len(f), s.prog.InputSize)
 		}
-		break
+		return fmt.Errorf("%w: batch item %d: input length %d, want %d", ErrInvalidArgument, b, len(f), s.prog.InputSize)
 	}
-	opts, err := s.runOptions(mode, invalid)
-	if err != nil {
+	ex := s.idle[mode].Swap(nil)
+	if ex == nil {
+		opts := synth.RunOptions{Mode: mode, Faults: s.faults}
+		if mode == ModeSpikingNoisy {
+			opts.Rng = rand.New(rand.NewSource(s.noisySeed()))
+		}
+		var err error
+		if ex, err = synth.NewExecutor(s.prog, opts); err != nil {
+			return err
+		}
+	} else if mode == ModeSpikingNoisy {
+		ex.Redraw(s.noisySeed())
+	}
+	if err := ex.RunFeatures(dst, features, classes); err != nil {
 		return err
 	}
-	ex, err := synth.NewExecutor(s.prog, opts)
-	if err != nil {
-		return err
-	}
-	return ex.RunFeatures(dst, features, false)
+	s.idle[mode].Store(ex)
+	return nil
 }
 
 // ClassifyBatch quantizes a micro-batch of feature vectors and runs the
 // deployed network once over the whole batch, returning the positional
-// argmax classes. The network's crossbars are programmed once for the
-// batch and every stage evaluates all samples together (the batched
-// kernel path), so this is substantially faster than looping Classify.
-// In ModeSpikingNoisy the batch shares a single programming-variation
-// draw — one physical chip serving the batch — advancing the SetSeed
-// stream by one draw per batch rather than one per sample; a batch that
-// is rejected (wrong-length sample, unknown mode) advances it not at all.
-// Every call re-programs, and that costs one variation draw per cell and
-// the kernel: the deployment's fault masks are derived once, not per
-// call. An Engine programs once and is the way to serve.
+// argmax classes, read straight out of the executor's output tables. Every
+// stage evaluates all samples together (the batched kernel path), so this
+// is substantially faster than looping Classify. In ModeSpikingNoisy the
+// batch shares a single programming-variation draw — one physical chip
+// serving the batch — advancing the SetSeed stream by one draw per batch
+// rather than one per sample; a batch that is rejected (wrong-length
+// sample, unknown mode) advances it not at all, and an empty one in a
+// known mode is a no-op that draws nothing. A noisy call re-programs the
+// net's crossbars in place: it costs one variation draw per cell and the
+// kernel, not a new executor, and the deployment's fault masks are derived
+// once, not per call. The executor and its scratch, grown to this batch
+// if it is the largest so far, stay with the net after the call (see
+// SpikingNet). An Engine programs once and is the way to serve.
 func (s *SpikingNet) ClassifyBatch(features [][]float64, mode ExecMode) ([]int, error) {
-	outs, err := s.OutputsBatch(features, mode)
-	if err != nil {
+	if len(features) == 0 {
+		return nil, checkMode(mode)
+	}
+	labels := make([]int, len(features))
+	if err := s.run(labels, features, mode, false, true); err != nil {
 		return nil, err
 	}
-	return argmaxes(outs), nil
-}
-
-// argmaxes is each output's argmax class, positionally.
-func argmaxes(outs [][]int) []int {
-	labels := make([]int, len(outs))
-	for i, out := range outs {
-		labels[i] = synth.Argmax(out)
-	}
-	return labels
+	return labels, nil
 }
 
 // OutputsBatch returns the raw output spike counts for a micro-batch of
@@ -237,11 +245,11 @@ func argmaxes(outs [][]int) []int {
 // noisy-mode semantics.
 func (s *SpikingNet) OutputsBatch(features [][]float64, mode ExecMode) ([][]int, error) {
 	if len(features) == 0 {
-		return nil, nil
+		return nil, checkMode(mode)
 	}
 	n := len(s.prog.OutputRefs)
 	flat := make([]int, len(features)*n)
-	if err := s.run(flat, features, mode, false); err != nil {
+	if err := s.run(flat, features, mode, false, false); err != nil {
 		return nil, err
 	}
 	outs := make([][]int, len(features))

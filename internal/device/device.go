@@ -62,22 +62,24 @@ func (c CellSpec) Validate() error {
 // is clamped to the representable range, mirroring a real write-verify
 // loop that saturates at the extreme states.
 func (c CellSpec) Program(level int, rng *rand.Rand) float64 {
-	if level < 0 {
-		level = 0
+	var noise float64
+	if c.draws(rng) {
+		noise = rng.NormFloat64() * c.Sigma
 	}
-	if max := c.MaxLevel(); level > max {
-		level = max
-	}
-	g := float64(level)
-	if rng != nil && c.Sigma > 0 {
-		g += rng.NormFloat64() * c.Sigma
-	}
-	// Conductance cannot go negative; the device saturates at its
-	// highest-resistance state.
-	if g < 0 {
-		g = 0
-	}
-	return g
+	return c.conductance(level, noise)
+}
+
+// draws reports whether programming with rng draws variation.
+func (c CellSpec) draws(rng *rand.Rand) bool { return rng != nil && c.Sigma > 0 }
+
+// conductance is the cell's device model: level, clamped to the
+// representable range, moved by the drawn noise and floored at zero —
+// conductance cannot go negative; the device saturates at its
+// highest-resistance state. It is small enough to inline, so a loop over
+// many cells (ProgramWeight's add case) tests draws once and pays no call
+// per cell beyond the draw itself.
+func (c CellSpec) conductance(level int, noise float64) float64 {
+	return max(float64(min(max(level, 0), c.MaxLevel()))+noise, 0)
 }
 
 // NormalizedDeviation is the ratio between the conductance standard

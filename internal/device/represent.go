@@ -176,12 +176,18 @@ func ProgramWeight(rep Representation, spec CellSpec, w int, rng *rand.Rand) flo
 	case Add:
 		w = clampWeight(w, r.MaxWeight())
 		base, rem := w/r.NumCells, w%r.NumCells
+		draws := spec.draws(rng)
 		for i := 0; i < r.NumCells; i++ {
 			level := base
 			if i < rem {
 				level++
 			}
-			v += spec.Program(level, rng)
+			// spec.Program, with its draw test hoisted out of the loop.
+			var noise float64
+			if draws {
+				noise = rng.NormFloat64() * spec.Sigma
+			}
+			v += spec.conductance(level, noise)
 		}
 	case Splice:
 		w = clampWeight(w, r.MaxWeight())

@@ -10,11 +10,13 @@ import (
 )
 
 // Executor is a reusable execution context over a Program on one or more
-// simulated chips: every weight group's crossbar is programmed exactly
-// once, at construction, and reused across Run/RunBatch calls — the way
-// the physical chips program their crossbars once at deployment and then
-// stream samples through them. Program.Run re-programs on every call; for
-// a serving loop the Executor amortizes that away.
+// simulated chips: every weight group's crossbar is programmed once, at
+// construction, and reused across Run/RunBatch calls — the way the
+// physical chips program their crossbars once at deployment and then
+// stream samples through them. Program.Run programs a new executor on
+// every call; for a serving loop the Executor amortizes that away, and a
+// Monte-Carlo loop that wants a fresh chip per call redraws one executor's
+// conductances in place (Redraw).
 //
 // Execution is batched end to end: RunBatch walks the stage list once per
 // micro-batch, evaluating every batch item on a stage's crossbar before
@@ -48,8 +50,10 @@ type Executor struct {
 	// chips is how many chips the plan spread the stages over.
 	chips int
 	// units[gid] is weight group gid's programmed crossbar; nil for a group
-	// no stage uses.
+	// no stage uses. order lists the used groups in global first-use stage
+	// order, the order they are programmed and redrawn in.
 	units []*xbar.Crossbar
+	order []int
 	// stages[si] is stage si's output width and gather plan, fixed at
 	// construction and only read afterwards.
 	stages []stagePlan
@@ -137,12 +141,13 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 // cell's programming variation in that order — the same draw order
 // Program.Run uses — so a fresh Executor reproduces a single Run bit for
 // bit, and a sharded deployment carries identically noisy conductances to
-// the single-chip deployment it replaces. What construction costs is the
-// programming itself: fault masks come from opts.Faults' memo (derived
-// once per model, not per executor, and keyed on the global group ID, so
-// a group lands on the same stuck cells whichever chip owns it) and
-// programming a weight allocates nothing, so the per-call executors
-// Program.Run builds pay for their variation draws and little else.
+// the single-chip deployment it replaces. Fault masks come from
+// opts.Faults' memo (derived once per model, not per executor, and keyed
+// on the global group ID, so a group lands on the same stuck cells
+// whichever chip owns it) and programming a weight allocates nothing. A
+// caller that wants a fresh variation draw per call keeps one executor and
+// calls Redraw, which costs the draws alone; construction adds every
+// buffer to that.
 func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Executor, error) {
 	n := len(p.Stages)
 	bounds := []int{0, n}
@@ -177,6 +182,7 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		kernel: (*xbar.Crossbar).SimulateCountsBatch,
 		chips:  len(bounds) - 1,
 		units:  make([]*xbar.Crossbar, len(p.Graph.Groups)),
+		order:  make([]int, 0, len(p.Graph.Groups)),
 		stages: stages,
 		ins:    make([][]int, n),
 		outs:   make([][]int, n),
@@ -213,8 +219,30 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, grp.Name, err)
 		}
 		e.units[st.GroupID] = u
+		e.order = append(e.order, st.GroupID)
 	}
 	return e, nil
+}
+
+// Redraw re-programs every crossbar in place with a fresh programming-
+// variation draw: it reseeds the executor's own Rng with seed and redraws
+// each group in global first-use order, the order construction programs
+// them in, so afterwards the executor is bit-identical — outputs, chips
+// and all — to a new one built on the same plan with RunOptions.Rng =
+// rand.New(rand.NewSource(seed)) (*rand.Rand's Seed restarts exactly that
+// stream). It reuses every buffer (xbar.Crossbar.Redraw). Outside
+// ModeSpikingNoisy the conductances are ideal and there is nothing to draw:
+// Redraw does nothing.
+func (e *Executor) Redraw(seed int64) {
+	if e.opts.Mode != ModeSpikingNoisy {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.opts.Rng.Seed(seed)
+	for _, gid := range e.order {
+		e.units[gid].Redraw(e.opts.Rng)
+	}
 }
 
 // Chips returns the number of chips the program is spread over.

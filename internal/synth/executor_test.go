@@ -2,7 +2,10 @@ package synth
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"fpsa/internal/device"
 )
 
 // TestExecutorReuseMatchesRun proves the program-once/run-many executor
@@ -122,5 +125,69 @@ func TestExecutorPlansGatherRuns(t *testing.T) {
 		if _, err := NewExecutor(&bad, RunOptions{}); err == nil {
 			t.Errorf("%s: executor built over stage %d reading %+v", tc.name, tc.stage, tc.ref)
 		}
+	}
+}
+
+// TestExecutorRedrawMatchesNew: an executor redrawn with seed s is
+// bit-identical to a new one built on the same plan with
+// rand.New(rand.NewSource(s)) — on one chip and on three, for an MLP and
+// for a convolution whose weight groups serve many stages, with stuck
+// cells — redraw after redraw, each after the executor has run. Outside
+// the noisy mode Redraw changes nothing.
+func TestExecutorRedrawMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(307))
+	g, ws := buildTestMLP(rng, []int{20, 14, 10, 8, 6})
+	opts := DefaultOptions()
+	opts.Weights = ws
+	_, mlp, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, _ := convNet(t, 308, 2, 5, 5, 3, 3, 1, 1)
+	faults := &device.FaultModel{Rate: 0.02, Seed: 5, Remap: true}
+	noisy := func(seed int64) RunOptions {
+		return RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(seed)), Faults: faults}
+	}
+	for _, tc := range []struct {
+		name  string
+		prog  *Program
+		chips int
+	}{{"mlp", mlp, 1}, {"mlp", mlp, 3}, {"conv", conv, 1}} {
+		inputs := batchInputs(rng, 5, tc.prog.InputSize, tc.prog.Params.SamplingWindow())
+		ex := pipelineAt(t, tc.prog, tc.chips, noisy(1))
+		if ex.Chips() != tc.chips {
+			t.Fatalf("%s: %d chips, want %d", tc.name, ex.Chips(), tc.chips)
+		}
+		for _, seed := range []int64{2, 3, 3, -9} {
+			if _, err := ex.RunBatch(inputs); err != nil {
+				t.Fatal(err)
+			}
+			ex.Redraw(seed)
+			got, err := ex.RunBatch(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pipelineAt(t, tc.prog, tc.chips, noisy(seed)).RunBatch(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s on %d chips, seed %d: redrawn %v, new %v", tc.name, tc.chips, seed, got, want)
+			}
+		}
+	}
+
+	inputs := batchInputs(rng, 5, mlp.InputSize, mlp.Params.SamplingWindow())
+	ideal, err := NewExecutor(mlp, RunOptions{Mode: ModeSpiking, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ideal.RunBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ideal.Redraw(4)
+	if got, err := ideal.RunBatch(inputs); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("spiking executor after Redraw: %v, %v; want %v", got, err, want)
 	}
 }

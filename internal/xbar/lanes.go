@@ -85,7 +85,7 @@ func silentTrains(window int) []uint64 {
 	return t.([]uint64)
 }
 
-// packLanes builds laneG once per crossbar, with the scratch every body
+// packLanes builds laneG once per draw pass, with the scratch every body
 // shares: laneG holds one lane row per crossbar row, countG Γ+1 lane rows
 // (see walkLanes). Both are 64-byte aligned, so no lane row straddles a
 // cache line.
@@ -115,6 +115,16 @@ func alignedWords[T uint64 | float64](n int) []T {
 	buf := make([]T, n+7)
 	skip := int(-uintptr(unsafe.Pointer(&buf[0])) & 63 / 8)
 	return buf[skip : skip+n : skip+n]
+}
+
+// alignedGrow is grow for alignedWords buffers: buf resized to n when its
+// capacity holds n — the same aligned start — and new zero words
+// otherwise.
+func alignedGrow[T uint64 | float64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return alignedWords[T](n)
+	}
+	return buf[:n]
 }
 
 // walkLanes runs one item over the walked columns of a laneEligible

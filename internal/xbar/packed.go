@@ -128,8 +128,7 @@ var trainTables sync.Map // window → []uint64
 // for the window: words [count·lanes, (count+1)·lanes) hold
 // spike.UniformTrain(count, Γ), cycle t at bit t%64 of word t/64.
 // UniformTrain depends only on (count, Γ), so the table is built once per
-// window for the whole process — not per crossbar (noisy executors
-// re-program on every call) and not per item.
+// window for the whole process — not per crossbar and not per item.
 func uniformTrains(window int) []uint64 {
 	if t, ok := trainTables.Load(window); ok {
 		return t.([]uint64)
@@ -213,9 +212,9 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 		c.packLanes()
 	case laneAVX2:
 		c.packFloatLanes()
-	case c.rowG == nil:
+	case len(c.rowG) == 0:
 		// The walk adds whole conductance rows, both polarities at once.
-		c.rowG = make([]float64, 0, 2*len(c.posG))
+		c.rowG = grow(c.rowG, 2*len(c.posG))[:0]
 		for i := 0; i < c.rows; i++ {
 			c.rowG = append(c.rowG, c.posG[i*cols:(i+1)*cols]...)
 			c.rowG = append(c.rowG, c.negG[i*cols:(i+1)*cols]...)
@@ -248,7 +247,9 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 // clamped counts on the column's support rows, and a miss runs the real
 // walk once and remembers it in the column's (possibly shared) table. A
 // table has (Γ+1)^k entries keyed by the support counts, most significant
-// row first; 0 means not yet computed, otherwise output+1.
+// row first; 0 means not yet computed, otherwise output+1. An empty table
+// (never used, or dropped by SetEta or a draw pass) is sized and zeroed in
+// its own buffer on first use.
 func (c *Crossbar) tabulated(tc *tabCol, counts []int) int {
 	base := c.window + 1
 	var clamped [maxSupport]int
@@ -257,16 +258,16 @@ func (c *Crossbar) tabulated(tc *tabCol, counts []int) int {
 		clamped[p] = spike.Clamp(counts[r], c.window)
 		key = key*base + clamped[p]
 	}
-	if c.tables == nil {
-		c.tables = make([][]int32, c.nTabs)
+	if len(c.tables) != c.nTabs {
+		c.tables = grow(c.tables, c.nTabs)
 	}
 	table := c.tables[tc.tab]
-	if table == nil {
+	if len(table) == 0 {
 		size := 1
 		for range tc.k {
 			size *= base
 		}
-		table = make([]int32, size)
+		table = zeroed(table, size)
 		c.tables[tc.tab] = table
 	}
 	if v := table[key]; v != 0 {
@@ -417,16 +418,23 @@ func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
 // column walkCols[n]; floatHalf is the padded half.
 func (c *Crossbar) floatHalf() int { return (len(c.walkCols) + 3) &^ 3 }
 
-// packFloatLanes builds floatG once per crossbar, with walkFloatAVX2's
-// scratch. On the noisy path, which programs a crossbar per call, that is
-// once per call, so it replaces rowG rather than adding to it.
+// packFloatLanes builds floatG once per draw pass, with walkFloatAVX2's
+// scratch, all in the buffers of the pass before when they are big enough.
+// On the noisy path, which redraws a crossbar per call, that is once per
+// call, so it replaces rowG rather than adding to it. floatG is cleared
+// first: the walked columns may have changed with the draw, and a padding
+// lane must hold +0.0, not a conductance of a column walked before. The
+// assembly leaves floatDrv and floatLive zero across their whole length
+// after every item, so their capacity is zero between calls and needs no
+// clear.
 func (c *Crossbar) packFloatLanes() {
-	if c.floatG != nil {
+	if len(c.floatG) != 0 {
 		return
 	}
 	half := c.floatHalf()
 	stride := 2 * half
-	c.floatG = alignedWords[float64](c.rows * stride)
+	c.floatG = alignedGrow(c.floatG, c.rows*stride)
+	clear(c.floatG)
 	for i := 0; i < c.rows; i++ {
 		row := c.floatG[i*stride : (i+1)*stride]
 		for n, j := range c.walkCols {
@@ -434,9 +442,9 @@ func (c *Crossbar) packFloatLanes() {
 			row[half+n] = c.negG[i*c.cols+j]
 		}
 	}
-	c.floatDrv = alignedWords[float64](c.window * stride)
-	c.floatLive = make([]uint64, spike.Lanes(c.window))
-	c.floatFired = make([]int64, half)
+	c.floatDrv = alignedGrow(c.floatDrv, c.window*stride)
+	c.floatLive = grow(c.floatLive, spike.Lanes(c.window))
+	c.floatFired = grow(c.floatFired, half)
 }
 
 // walkFloatAVX2 is the float walk's AVX2 body (floatWalkAVX2): one assembly
@@ -490,13 +498,15 @@ func (c *Crossbar) buildUnits(counts []int) {
 // non-negative integer and the worst-case window-long column accumulation
 // far below 2^53: true for ideal programming, where conductances are integer
 // level counts; false as soon as programming noise produces fractional
-// values. Program runs this on every programming pass — one per call on the
-// SpikingNet noisy path, which builds an executor per call — so it allocates
-// nothing beyond its three slices (TestProgramAllocs).
+// values. Every draw pass runs this — one per call on the SpikingNet noisy
+// path, which redraws its executor per call — so it allocates nothing beyond
+// its three slices (TestProgramAllocs), and nothing at all when it reruns
+// on a crossbar whose slices it already made (TestRedrawAllocs).
 func (c *Crossbar) classifyProgramming() {
 	exact, nonneg := true, true
-	colSum := make([]float64, 2*c.cols) // column j: positive at 2j, negative at 2j+1
-	tabs := make([]tabCol, c.cols)
+	c.colSum = zeroed(c.colSum, 2*c.cols) // column j: positive at 2j, negative at 2j+1
+	colSum := c.colSum
+	tabs := zeroed(c.tabCols, c.cols)
 	for i := 0; i < c.rows; i++ {
 		for j := 0; j < c.cols; j++ {
 			k := i*c.cols + j
@@ -530,7 +540,7 @@ func (c *Crossbar) classifyProgramming() {
 		maxK++
 	}
 	// Filter tabs in place: tabCols never outruns the read position j.
-	c.tabCols, c.walkCols = tabs[:0], make([]int, 0, c.cols)
+	c.tabCols, c.walkCols = tabs[:0], grow(c.walkCols, c.cols)[:0]
 	for j := range tabs {
 		if tabs[j].k <= maxK {
 			tabs[j].col = j

@@ -199,17 +199,27 @@ type Crossbar struct {
 	// What the spiking kernel does is decided by the structural facts
 	// classifyProgramming derives from the conductances (see packed.go).
 	// trainTab, silentTab, rowG, floatG and laneG are fetched/built when the
-	// kernel first needs them.
+	// kernel first needs them; a draw pass empties rowG and floatG, which
+	// are rebuilt in their own capacity, and drops laneG.
 	maxDrive  float64   // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
 	tabCols   []tabCol  // columns answered from a table over their support counts
 	nTabs     int       // distinct tables the tabCols index (see sameSupport)
-	tables    [][]int32 // nTabs tables, each nil until first used (see tabulated); SetEta drops them
+	tables    [][]int32 // nTabs tables, each empty until first used (see tabulated); SetEta and Redraw empty them
 	walkCols  []int     // columns the cycle walk must step, ascending
+	colSum    []float64 // classifyProgramming's per-polarity column sums, kept for the next pass
 	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
 	silentTab []uint64  // shared complements of trainTab within the window (lane walk)
 	rowG      []float64 // portable float walk: rows×2·cols conductances, posG row then negG row per row
 	floatG    []float64 // AVX2 float walk: rows float lane rows (see floatHalf)
 	laneG     []uint64  // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
+
+	// What the draw pass programs with (see Redraw): the cell and weight
+	// representation from the Config, the active fault mask or nil, and
+	// the mask's read-offset stream, reseeded on every pass.
+	rep     device.Representation
+	spec    device.CellSpec
+	mask    *device.FaultMask
+	readRng *rand.Rand
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
@@ -224,7 +234,7 @@ type Crossbar struct {
 	//
 	// Integer-lane walk scratch (see walkLanes): shared by both bodies,
 	// sized with laneG, then each body's own per-cycle drives, sized on its
-	// first call.
+	// first call; a draw pass drops them with laneG.
 	present     []uint64   // Lanes(window): bit k set when some row fires k+1 times
 	countG      []uint64   // Γ+1 lane rows: row k sums the rows firing k+1 times, row Γ those above Γ/2
 	laneDrv     []lanePair // portable: ⌈walkCols/4⌉×window per-cycle drives
@@ -266,6 +276,10 @@ type Crossbar struct {
 // FuzzProgramFaultedVsMasked). Drift then relaxes every conductance by
 // (1−Drift)× and ReadSigma adds a static per-cell offset drawn from the
 // mask's own read stream, never touching rng.
+//
+// Programming is two steps: the buffers are allocated and packW filled
+// with the fault-masked magnitudes, then the draw pass (Redraw) turns
+// packW into conductances.
 func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 	rows := len(weights)
 	if rows == 0 || len(weights[0]) == 0 {
@@ -299,17 +313,18 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		cols:   cols,
 		eta:    eta,
 		window: window,
+		rep:    cfg.Rep,
+		spec:   cfg.Spec,
 		packW:  make([]uint64, rows*cols),
 		posG:   make([]float64, rows*cols),
 		negG:   make([]float64, rows*cols),
 	}
-	var mask *device.FaultMask
 	if cfg.Faults.Active() {
-		mask = cfg.Faults
-		if mask.Rows != rows || mask.Cols != cols {
-			return nil, fmt.Errorf("xbar: fault mask is %dx%d, weights are %dx%d", mask.Rows, mask.Cols, rows, cols)
+		c.mask = cfg.Faults
+		if c.mask.Rows != rows || c.mask.Cols != cols {
+			return nil, fmt.Errorf("xbar: fault mask is %dx%d, weights are %dx%d", c.mask.Rows, c.mask.Cols, rows, cols)
 		}
-		c.faulted = mask.Faulted
+		c.faulted = c.mask.Faulted
 	}
 	for j := 0; j < cols; j++ {
 		for i := 0; i < rows; i++ {
@@ -317,8 +332,8 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 			if w > maxW || w < -maxW {
 				return nil, fmt.Errorf("xbar: weight %d at (%d,%d) exceeds |%d|", w, i, j, maxW)
 			}
-			if mask != nil {
-				switch mask.Stuck(i, j) {
+			if c.mask != nil {
+				switch c.mask.Stuck(i, j) {
 				case device.FaultStuckLow:
 					w = 0
 				case device.FaultStuckHigh:
@@ -331,27 +346,54 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 			} else {
 				neg = -w
 			}
-			k := i*cols + j
-			c.packW[k] = uint64(pos)<<polarityShift | uint64(neg)
-			c.posG[k] = device.ProgramWeight(cfg.Rep, cfg.Spec, pos, rng)
-			c.negG[k] = device.ProgramWeight(cfg.Rep, cfg.Spec, neg, rng)
+			c.packW[i*cols+j] = uint64(pos)<<polarityShift | uint64(neg)
 		}
 	}
-	if mask != nil && (mask.Drift > 0 || mask.ReadSigma > 0) {
+	c.Redraw(rng)
+	return c, nil
+}
+
+// Redraw is the programming pass Program ends with, and re-programs a
+// programmed crossbar in place with fresh variation from rng: every cell's
+// positive then negative magnitude, read from packW, is programmed in
+// column-major order; drift and read offsets follow (see Program); then
+// classifyProgramming rederives the kernel's structural facts. Whatever the
+// kernel built from earlier conductances — tables, rowG, the float and
+// integer lane rows — is dropped here: the tables, rowG and the float lane
+// rows are rebuilt in their own buffers on first use, the integer lane
+// rows in new ones. So after a Redraw the crossbar equals a fresh Program of the
+// same Config and weights from rng's state (FuzzRedrawVsProgram), except
+// that an η set by SetEta is kept, and a crossbar that has already run its
+// kernel redraws without allocating (TestRedrawAllocs).
+func (c *Crossbar) Redraw(rng *rand.Rand) {
+	rows, cols := c.rows, c.cols
+	for j := 0; j < cols; j++ {
+		for k := j; k < rows*cols; k += cols {
+			pos, neg := int(c.packW[k]>>polarityShift), int(c.packW[k]&lowHalf)
+			c.posG[k] = device.ProgramWeight(c.rep, c.spec, pos, rng)
+			c.negG[k] = device.ProgramWeight(c.rep, c.spec, neg, rng)
+		}
+	}
+	if m := c.mask; m != nil && (m.Drift > 0 || m.ReadSigma > 0) {
 		// Analog aging, applied to the programmed conductances only (the
 		// ideal packW stays exact): multiplicative drift relaxation,
 		// then a static per-cell read offset from the mask's own seeded
 		// stream — row-major, positive before negative per cell — so the
 		// main programming-variation stream rng is never advanced.
-		scale := 1 - mask.Drift
+		scale := 1 - m.Drift
 		var rrng *rand.Rand
-		if mask.ReadSigma > 0 {
-			rrng = rand.New(rand.NewSource(mask.ReadSeed))
+		if m.ReadSigma > 0 {
+			if c.readRng == nil {
+				c.readRng = rand.New(rand.NewSource(m.ReadSeed))
+			} else {
+				c.readRng.Seed(m.ReadSeed)
+			}
+			rrng = c.readRng
 		}
 		perturb := func(g float64) float64 {
 			g *= scale
 			if rrng != nil {
-				g += rrng.NormFloat64() * mask.ReadSigma
+				g += rrng.NormFloat64() * m.ReadSigma
 			}
 			if g < 0 {
 				g = 0
@@ -363,8 +405,14 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 			c.negG[k] = perturb(c.negG[k])
 		}
 	}
+	c.rowG = c.rowG[:0]
+	c.floatG = c.floatG[:0]
+	// Only ideal conductances ride the integer lanes (laneEligible), and
+	// only noisy ones are ever redrawn per call, so the lane rows and their
+	// scratch are dropped rather than kept for reuse.
+	c.laneG, c.laneDrv, c.laneDrvAVX2, c.firedAVX2 = nil, nil, nil, nil
 	c.classifyProgramming()
-	return c, nil
+	c.dropTables()
 }
 
 // Rows reports the programmed logical row count.
@@ -387,15 +435,34 @@ func (c *Crossbar) Window() int { return c.window }
 // from the old one: the tabulated columns' tables are refilled on demand.
 func (c *Crossbar) SetEta(eta float64) {
 	c.eta = eta
-	clear(c.tables)
+	c.dropTables()
+}
+
+// dropTables empties the table list and every table in its capacity,
+// keeping each buffer: tabulated resizes the list to nTabs and refills a
+// table of length 0 on first use.
+func (c *Crossbar) dropTables() {
+	all := c.tables[:cap(c.tables)]
+	for i := range all {
+		all[i] = all[i][:0]
+	}
+	c.tables = c.tables[:0]
 }
 
 // grow returns buf resized to n, reusing capacity.
-func grow[T float64 | int | uint64](buf []T, n int) []T {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
 	return buf[:n]
+}
+
+// zeroed returns buf resized to n with every element zero, reusing
+// capacity.
+func zeroed[T any](buf []T, n int) []T {
+	buf = grow(buf, n)
+	clear(buf)
+	return buf
 }
 
 // checkBatch validates a flat batch buffer pair.
