@@ -62,7 +62,8 @@ type Executor struct {
 	// gather: the scratch below is reused across runs.
 	mu sync.Mutex
 	// ins[si] and outs[si] are stage si's flat batch×rows input and
-	// batch×cols output, grown on demand.
+	// batch×cols output, grown on demand; a stage whose plan is an alias
+	// reads its source's outs and never grows its ins.
 	ins, outs [][]int
 	// rows and slab are RunFeatures' quantized input rows, capacity-capped
 	// views into slab, grown on demand.
@@ -77,6 +78,10 @@ type stagePlan struct {
 	// runs cover the stage's InRefs in order, each the longest stretch of
 	// consecutive columns read from one source.
 	runs []gatherRun
+	// alias is set when runs is one run over all of an earlier stage's
+	// output columns, in order — every MLP stage after the first: the
+	// stage then reads that stage's output table in place, not a copy.
+	alias bool
 }
 
 // gatherRun fills row[at : at+n] of a stage's input with columns
@@ -120,7 +125,12 @@ func planStages(p *Program) ([]stagePlan, error) {
 			}
 			runs = append(runs, gatherRun{stage: ref.Stage, col: ref.Col, at: r, n: 1})
 		}
-		stages[si].runs = runs[lo:len(runs):len(runs)]
+		sp := &stages[si]
+		sp.runs = runs[lo:len(runs):len(runs)]
+		if len(sp.runs) == 1 {
+			r := sp.runs[0]
+			sp.alias = r.stage >= 0 && r.col == 0 && r.n == stages[r.stage].cols
+		}
 	}
 	return stages, nil
 }
@@ -411,10 +421,16 @@ func (e *Executor) runStages(inputs [][]int) error {
 	B := len(inputs)
 	for si, st := range p.Stages {
 		n := len(st.InRefs)
-		x := growInts(e.ins[si], B*n)
-		e.ins[si] = x
-		e.gather(x, n, e.stages[si].runs, inputs, e.outs)
-		out := growInts(e.outs[si], B*e.stages[si].cols)
+		sp := &e.stages[si]
+		var x []int
+		if sp.alias {
+			x = e.outs[sp.runs[0].stage][:B*n]
+		} else {
+			x = growInts(e.ins[si], B*n)
+			e.ins[si] = x
+			e.gather(x, n, sp.runs, inputs, e.outs)
+		}
+		out := growInts(e.outs[si], B*sp.cols)
 		e.outs[si] = out
 		unit := e.units[st.GroupID]
 		var err error

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fpsa/internal/device"
+	"fpsa/internal/xbar"
 )
 
 // TestExecutorReuseMatchesRun proves the program-once/run-many executor
@@ -124,6 +125,49 @@ func TestExecutorPlansGatherRuns(t *testing.T) {
 		st.InRefs[len(st.InRefs)-1] = tc.ref
 		if _, err := NewExecutor(&bad, RunOptions{}); err == nil {
 			t.Errorf("%s: executor built over stage %d reading %+v", tc.name, tc.stage, tc.ref)
+		}
+	}
+}
+
+// TestExecutorAliasesIdentityGathers: a stage whose input is all of an
+// earlier stage's output columns in order — every MLP stage after the
+// first — reads that stage's output table in place. The second and third
+// stages' kernel inputs share the first and second stages' output backing
+// arrays, while the first stage, which reads the external input, gets its
+// own gathered copy.
+func TestExecutorAliasesIdentityGathers(t *testing.T) {
+	rng := rand.New(rand.NewSource(309))
+	g, ws := buildTestMLP(rng, []int{16, 12, 8, 4})
+	opts := DefaultOptions()
+	opts.Weights = ws
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srcs [][]int
+	ropts := RunOptions{Mode: ModeSpiking}
+	ropts.spikeKernel = func(c *xbar.Crossbar, dst, src []int, batch int) error {
+		srcs = append(srcs, src)
+		return c.SimulateCountsBatch(dst, src, batch)
+	}
+	ex, err := NewExecutor(prog, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := opts.Params.SamplingWindow()
+	inputs := [][]int{randomInput(rng, 16, window), randomInput(rng, 16, window), randomInput(rng, 16, window)}
+	if _, err := ex.RunBatch(inputs); err != nil {
+		t.Fatal(err)
+	}
+	if len(srcs) != len(prog.Stages) || len(srcs) != 3 {
+		t.Fatalf("%d kernel calls over %d stages, want 3", len(srcs), len(prog.Stages))
+	}
+	if ex.stages[0].alias || &srcs[0][0] == &inputs[0][0] {
+		t.Error("stage 0 reads the external input in place; it needs a gathered copy")
+	}
+	for si := 1; si < len(srcs); si++ {
+		if !ex.stages[si].alias || &srcs[si][0] != &ex.outs[si-1][0] {
+			t.Errorf("stage %d's input is not stage %d's output table (alias %v)", si, si-1, ex.stages[si].alias)
 		}
 	}
 }

@@ -49,8 +49,10 @@ func epilogueDividends(rng *rand.Rand, eta uint64) []uint64 {
 // synthesized η takes, to the float division it replaces: at every η in
 // 1…4096 and at 2^20, 2^21, 2^31 and 2^32−1, on the dividends
 // epilogueDividends picks, as the positive half (negative half 0) and as
-// the negative half (positive half 2^32−1) of a drive word. The window is
-// math.MaxInt, so the clamp hides nothing.
+// the negative half (positive half 2^32−1) of a drive word, under each
+// body the CPU has (the AVX2 one answers the words in blocks of four and
+// the last one or three in its scalar tail). The window is math.MaxInt,
+// so the clamp hides nothing.
 func TestReferenceIntegerEpilogueExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4001))
 	etas := []uint64{1 << 20, 1 << 21, 1 << 31, 1<<32 - 1}
@@ -61,18 +63,22 @@ func TestReferenceIntegerEpilogueExact(t *testing.T) {
 	var dst []int
 	for _, eta := range etas {
 		ds := epilogueDividends(rng, eta)
-		dst = grow(dst, 2*len(ds))
-		for i, d := range ds {
-			dst[2*i] = int(d << polarityShift)
-			dst[2*i+1] = int(top<<polarityShift | d)
-		}
-		integerEpilogue(dst, eta, math.MaxInt)
-		for i, d := range ds {
-			if want := floatEpilogue(d, 0, float64(eta)); dst[2*i] != want {
-				t.Fatalf("η %d: P %d gives %d, float division %d", eta, d, dst[2*i], want)
+		for _, body := range laneBodies() {
+			dst = grow(dst, 2*len(ds))
+			for i, d := range ds {
+				dst[2*i] = int(d << polarityShift)
+				dst[2*i+1] = int(top<<polarityShift | d)
 			}
-			if want := floatEpilogue(top, d, float64(eta)); dst[2*i+1] != want {
-				t.Fatalf("η %d: P 2^32−1, N %d gives %d, float division %d", eta, d, dst[2*i+1], want)
+			restore := useLaneBody(body.avx2)
+			integerEpilogue(dst, eta, math.MaxInt)
+			restore()
+			for i, d := range ds {
+				if want := floatEpilogue(d, 0, float64(eta)); dst[2*i] != want {
+					t.Fatalf("%s η %d: P %d gives %d, float division %d", body.name, eta, d, dst[2*i], want)
+				}
+				if want := floatEpilogue(top, d, float64(eta)); dst[2*i+1] != want {
+					t.Fatalf("%s η %d: P 2^32−1, N %d gives %d, float division %d", body.name, eta, d, dst[2*i+1], want)
+				}
 			}
 		}
 	}
@@ -119,18 +125,32 @@ func TestReferenceSetEtaRoundTrip(t *testing.T) {
 }
 
 // FuzzReferenceEpilogue fuzzes integerEpilogue against float division on
-// one drive word: any 32-bit P and N at any η in [1, 2^32) (0 maps to 1).
-// Seed corpus under testdata/fuzz/FuzzReferenceEpilogue: η = 1, 2, 3, a
-// power of two, 2^31 and 2^32−1 with dividends at and beside a multiple;
-// CI runs a short -fuzztime smoke pass.
+// five drive words built from any 32-bit P and N at any η in [1, 2^32)
+// (0 maps to 1): (P, N), (N, P), (k, N) and (N, k) with k the largest
+// multiple of η not above P, then (P, N) again — under each body the CPU
+// has, so with AVX2 the first four take one vector block and the fifth the
+// scalar tail. Seed corpus under testdata/fuzz/FuzzReferenceEpilogue: η =
+// 1, 2, 3, a power of two, 2^31 and 2^32−1 with dividends at and beside a
+// multiple; CI runs a short -fuzztime smoke pass.
 func FuzzReferenceEpilogue(f *testing.F) {
 	f.Add(uint32(7), uint32(6), uint32(1))
 	f.Fuzz(func(t *testing.T, p, n, eta uint32) {
 		e := max(uint64(eta), 1)
-		dst := []int{int(uint64(p)<<polarityShift | uint64(n))}
-		integerEpilogue(dst, e, math.MaxInt)
-		if want := floatEpilogue(uint64(p), uint64(n), float64(e)); dst[0] != want {
-			t.Fatalf("P %d N %d η %d: %d, float division %d", p, n, e, dst[0], want)
+		k := uint64(p) / e * e
+		words := [5][2]uint64{{uint64(p), uint64(n)}, {uint64(n), uint64(p)}, {k, uint64(n)}, {uint64(n), k}, {uint64(p), uint64(n)}}
+		for _, body := range laneBodies() {
+			var dst [len(words)]int
+			for i, w := range words {
+				dst[i] = int(w[0]<<polarityShift | w[1])
+			}
+			restore := useLaneBody(body.avx2)
+			integerEpilogue(dst[:], e, math.MaxInt)
+			restore()
+			for i, w := range words {
+				if want := floatEpilogue(w[0], w[1], float64(e)); dst[i] != want {
+					t.Fatalf("%s word %d: P %d N %d η %d: %d, float division %d", body.name, i, w[0], w[1], e, dst[i], want)
+				}
+			}
 		}
 	})
 }

@@ -226,25 +226,40 @@ func FuzzReferenceBatchVsNaive(f *testing.F) {
 }
 
 // FuzzReferenceBodiesAgree holds the AVX2 reference kernel to the portable
-// one, packed sum for packed sum: a random crossbar of 1–256 rows (either
+// one, packed sum for packed sum, through referenceSums — what
+// ReferenceBatch dispatches to: a random crossbar of 1–256 rows (either
 // side of every row panel) and 1–256 columns, up to LogicalColumns (either
 // side of every quad, of the 8-wide register block and of the 32-column
-// pass), weights anywhere in ±maxW with stuck-low and stuck-high cells, at
-// Γ = 16, 64, 128 or 2^17 (where a full-height column's drive comes within
-// 7 % of 2^32), fed a batch of 1–64 items whose counts come from the input
-// bytes — up to 4 either side of [0, Γ], and 253, 254 and 255 meaning Γ,
-// −2^40 and 2^40 — must leave identical referenceVMM sums under both
-// bodies. Seed corpus under testdata/fuzz/FuzzReferenceBodiesAgree, with
-// the edge widths; CI runs a short -fuzztime smoke pass.
+// pass), weights anywhere in ±maxW with stuck-low and stuck-high cells, fed
+// a batch of 1–64 items whose counts come from the input bytes — up to 4
+// either side of [0, Γ], and 253, 254 and 255 meaning Γ, −2^40 and 2^40 —
+// must leave identical sums under both bodies. io8 picks the crossbar's Γ
+// and cells: Γ = 16, 64 or 128 with the default 8 cells (the pair kernel);
+// Γ = 2^17, where a full-height column's drive comes within 7 % of 2^32,
+// and Γ = 2^15 (both the portable body under either setting); Γ = 2^14
+// with 68 cells, maxW = 1020 (the pair kernel within 0.4 % of 2^32); and Γ
+// = 16 with 2184 and 2185 cells, maxW either side of 2^15 (pair kernel,
+// then portable), on at most 64×40 cells since each weight programs its
+// cells one by one. Seed corpus under
+// testdata/fuzz/FuzzReferenceBodiesAgree, with the edge widths and one
+// seed per selection edge; CI runs a short -fuzztime smoke pass.
 func FuzzReferenceBodiesAgree(f *testing.F) {
 	if !hasAVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	f.Add(int64(1), uint8(15), uint8(23), uint8(7), uint8(1), []byte{}, []byte{0, 64, 255, 254})
 	f.Add(int64(2), uint8(255), uint8(35), uint8(63), uint8(3), []byte{0, 1, 2}, []byte{253, 3, 200})
+	crossbars := []struct{ ioBits, cells int }{{4, 0}, {6, 0}, {7, 0}, {17, 0}, {14, 68}, {15, 0}, {4, 2184}, {4, 2185}}
 	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, batch8, io8 uint8, faultBytes, countBytes []byte) {
 		rows, cols, batch := int(rows8)+1, int(cols8)+1, int(batch8)%64+1
-		cfg := structuredConfig([]int{4, 6, 7, 17}[io8%4], false)
+		xc := crossbars[int(io8)%len(crossbars)]
+		cfg := structuredConfig(xc.ioBits, false)
+		if xc.cells > 0 {
+			cfg.Rep = device.NewAdd(cfg.Spec, xc.cells)
+		}
+		if xc.cells > 1000 {
+			rows, cols = min(rows, 64), min(cols, 40)
+		}
 		maxW := cfg.Rep.MaxWeight()
 		weights := randomWeights(rand.New(rand.NewSource(seed)), rows, cols, maxW)
 		fm := device.FaultMap{Rows: rows, Cols: cols}
@@ -286,7 +301,7 @@ func FuzzReferenceBodiesAgree(f *testing.F) {
 		for _, body := range laneBodies() {
 			restore := useLaneBody(body.avx2)
 			dst := make([]int, batch*cols)
-			referenceVMM(dst, xb.packW, src, batch, rows, cols, window)
+			xb.referenceSums(dst, src, batch)
 			restore()
 			sums[body.avx2] = dst
 		}

@@ -21,10 +21,11 @@ const (
 	blockWords = 4
 )
 
-// laneAVX2 selects the AVX2 bodies of three kernels: the integer-lane walk
-// here, the float walk (walkFloatAVX2) and the reference kernel
-// (referenceVMM). It is hasAVX2, fixed for the process; only this package's
-// tests change it, to run the kernel tests under each body the CPU has.
+// laneAVX2 selects the AVX2 bodies of the integer-lane walk here, the
+// float walk (walkFloatAVX2), the reference kernel (referenceSums) and its
+// integral-η epilogue (integerEpilogue). It is hasAVX2, fixed for the
+// process; only this package's tests change it, to run the kernel tests
+// under each body the CPU has.
 var laneAVX2 = hasAVX2
 
 // lanePair is the positive- and negative-polarity lane words of the same

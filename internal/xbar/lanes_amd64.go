@@ -50,11 +50,20 @@ func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *u
 //go:noescape
 func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
 
-// referenceAVX2 is referenceVMM's column loop for one item and one row
-// panel, four columns per quad: for j < 4·quads it adds
-// Σ_r x[r]·w[r·cols+j] into dst[j], each 64-bit word as two 32-bit lanes
-// (N, then P). x holds rows clamped counts; w is the panel's first weight
-// row, rows·cols words.
+// referenceAVX2 is the reference kernel's AVX2 body (referenceSums) for
+// one row panel of prows ≤ rowBlock rows and every item of a batch: for
+// b < batch and j < cols it adds Σ_r clamp(x[r], Γ)·w[r][j] into
+// dst[b·cols+j], each 64-bit word as two 32-bit lanes (N, then P), where x
+// is the item's counts src[b·stride :][:prows], clamped to [0, window]
+// in place, and w is the panel's pair rows from w, two rows per word as
+// 16-bit halves (see Crossbar.pairW), 8·cols bytes apart.
 //
 //go:noescape
-func referenceAVX2(dst *int, w, x *uint64, rows, cols, quads int)
+func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, window int)
+
+// epilogueAVX2 is integerEpilogue's AVX2 body on 4·quads words of dst,
+// four per instruction: m is ⌈2^64/η⌉, or 0 for η = 1, and window is Γ
+// capped at 2^32−1 (no difference of quotients reaches it).
+//
+//go:noescape
+func epilogueAVX2(dst *int, quads int, m, window uint64)

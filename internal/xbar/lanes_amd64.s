@@ -735,34 +735,114 @@ nextzeroword:
 	VZEROUPPER
 	RET
 
-// RMUL adds the product of Y15 (one count in every dword) and the weight
-// quad at off(AX) into the packed sums ACC: VPMULLD multiplies each cell's
-// N and P halves as two 32-bit lanes, and neither lane can wrap (see
+// RPAIR adds the products of Y15 (one count pair in every dword) and the
+// pair words at off(AX) into the packed sums ACC: VPMADDWD multiplies each
+// word's two 16-bit N halves by the two counts and adds them into the N
+// dword, and the same for P, and neither dword can wrap (see
 // referenceAVX2). Y14 is clobbered.
-#define RMUL(off, ACC) \
-	VPMULLD off(AX), Y15, Y14; \
-	VPADDD  Y14, ACC, ACC
+#define RPAIR(off, ACC) \
+	VPMADDWD off(AX), Y15, Y14; \
+	VPADDD   Y14, ACC, ACC
 
-// func referenceAVX2(dst *int, w, x *uint64, rows, cols, quads int)
+// CLAMPQ limits the four signed qwords of R to [0, Γ] (Y8 = Γ, Y9 = 0).
+// T is clobbered.
+#define CLAMPQ(R, T) \
+	VPCMPGTQ  Y8, R, T;    \
+	VPBLENDVB T, Y8, R, R; \
+	VPCMPGTQ  R, Y9, T;    \
+	VPANDN    R, T, R
+
+// refIdx holds 0…7 as qwords: the row index of each count lane in a group
+// of eight, against which the prologue masks the rows past the panel.
+DATA refIdx<>+0(SB)/8, $0
+DATA refIdx<>+8(SB)/8, $1
+DATA refIdx<>+16(SB)/8, $2
+DATA refIdx<>+24(SB)/8, $3
+DATA refIdx<>+32(SB)/8, $4
+DATA refIdx<>+40(SB)/8, $5
+DATA refIdx<>+48(SB)/8, $6
+DATA refIdx<>+56(SB)/8, $7
+GLOBL refIdx<>(SB), RODATA|NOPTR, $64
+
+// func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, window int)
 //
-// A word of dst or w is two little-endian dword lanes, N then P, so four
-// packed sums or cells fill one YMM register. The sums are carried in
-// registers down the panel's rows in passes of 8, 4, 2 and 1 quads (four
-// columns each): a pass of 8 repeats while 8 quads are left, then each
-// narrower width runs at most once, so any width takes at most one pass of
-// each. DI walks dst and SI the panel's first weight row, a pass at a time;
-// DX is x, CX rows, R8 the weight row stride in bytes (8·cols) and BX the
-// quads left. In a pass AX walks the rows' weights, R9 their counts (the
-// low dword of each x word: a count is at most Γ < 2^32) and R10 counts the
-// rows down; each row's count is broadcast into Y15.
-TEXT ·referenceAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ w+8(FP), SI
-	MOVQ x+16(FP), DX
-	MOVQ rows+24(FP), CX
-	MOVQ cols+32(FP), R8
+// One row panel of prows ≤ 32 rows for every item: the item's counts are
+// src[b·stride :][:prows] and its packed sums dst[b·cols :][:cols]. A word
+// of dst is two little-endian dword lanes, N then P, so four packed sums
+// fill one YMM register; a word of w is the same two dwords, each holding
+// a row pair's two 16-bit magnitudes, and pair row k of the panel starts
+// at w + 8·cols·k.
+//
+// Per item the prologue reads the panel's counts in groups of eight,
+// masking the rows past prows to 0 (VPMASKMOVQ loads nothing there),
+// clamps them to [0, Γ] and packs them to 16-bit words in the frame's
+// count buffer: the dword at 4k is pair k's count pair, the second count
+// of an odd last pair 0. The sums are then carried in registers down the
+// panel's pair rows in passes of 8, 4, 2 and 1 quads (four columns each):
+// a pass of 8 repeats while 8 quads are left, then each narrower width
+// runs at most once. The cols mod 4 columns left take one masked pass
+// (Y13 selects them): masked lanes are neither loaded nor stored.
+//
+// R11 walks the items' counts and R12 their sums; R13 counts the items
+// down, R14 is the count stride and R8 the sum and pair row stride, in
+// bytes; R15 is cols/4 and CX the pair rows. In a pass DI walks the item's
+// sums and SI the panel's first pair row, a pass at a time, with BX the
+// quads left; AX walks the pass's pair words, R9 the count pairs, and R10
+// counts the pair rows down.
+TEXT ·referenceAVX2(SB), NOSPLIT, $64-64
+	MOVQ dst+0(FP), R12
+	MOVQ src+16(FP), R11
+	MOVQ stride+32(FP), R14
+	SHLQ $3, R14
+	MOVQ cols+40(FP), R8
+	MOVQ R8, R15
+	SHRQ $2, R15
 	SHLQ $3, R8
-	MOVQ quads+40(FP), BX
+	MOVQ batch+48(FP), R13
+	MOVQ prows+24(FP), CX
+	INCQ CX
+	SHRQ $1, CX
+
+	MOVQ         window+56(FP), AX
+	VMOVQ        AX, X8
+	VPBROADCASTQ X8, Y8
+	VPXOR        Y9, Y9, Y9
+	VMOVDQU      refIdx<>+0(SB), Y11
+	VMOVDQU      refIdx<>+32(SB), Y12
+	MOVQ         cols+40(FP), AX
+	ANDQ         $3, AX
+	VMOVQ        AX, X13
+	VPBROADCASTQ X13, Y13
+	VPCMPGTQ     Y11, Y13, Y13
+
+item:
+	MOVQ R11, AX
+	MOVQ prows+24(FP), DX
+	LEAQ pairs-64(SP), R9
+
+group:
+	VMOVQ        DX, X6
+	VPBROADCASTQ X6, Y6
+	VPCMPGTQ     Y11, Y6, Y4
+	VPCMPGTQ     Y12, Y6, Y5
+	VPMASKMOVQ   (AX), Y4, Y0
+	VPMASKMOVQ   32(AX), Y5, Y1
+	CLAMPQ(Y0, Y2)
+	CLAMPQ(Y1, Y3)
+	VPSHUFD      $0x08, Y0, Y0
+	VPSHUFD      $0x08, Y1, Y1
+	VPERMQ       $0x08, Y0, Y0
+	VPERMQ       $0x08, Y1, Y1
+	VPACKUSDW    X1, X0, X0
+	VMOVDQU      X0, (R9)
+	ADDQ         $64, AX
+	ADDQ         $16, R9
+	SUBQ         $8, DX
+	JG           group
+
+	MOVQ R12, DI
+	MOVQ w+8(FP), SI
+	MOVQ R15, BX
 
 ref8:
 	CMPQ    BX, $8
@@ -776,22 +856,22 @@ ref8:
 	VMOVDQU 192(DI), Y6
 	VMOVDQU 224(DI), Y7
 	MOVQ    SI, AX
-	MOVQ    DX, R9
+	LEAQ    pairs-64(SP), R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
 row8:
 	VPBROADCASTD (R9), Y15
-	RMUL(0, Y0)
-	RMUL(32, Y1)
-	RMUL(64, Y2)
-	RMUL(96, Y3)
-	RMUL(128, Y4)
-	RMUL(160, Y5)
-	RMUL(192, Y6)
-	RMUL(224, Y7)
+	RPAIR(0, Y0)
+	RPAIR(32, Y1)
+	RPAIR(64, Y2)
+	RPAIR(96, Y3)
+	RPAIR(128, Y4)
+	RPAIR(160, Y5)
+	RPAIR(192, Y6)
+	RPAIR(224, Y7)
 	ADDQ         R8, AX
-	ADDQ         $8, R9
+	ADDQ         $4, R9
 	DECQ         R10
 	JNZ          row8
 	VMOVDQU      Y0, (DI)
@@ -815,18 +895,18 @@ ref4:
 	VMOVDQU 64(DI), Y2
 	VMOVDQU 96(DI), Y3
 	MOVQ    SI, AX
-	MOVQ    DX, R9
+	LEAQ    pairs-64(SP), R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
 row4:
 	VPBROADCASTD (R9), Y15
-	RMUL(0, Y0)
-	RMUL(32, Y1)
-	RMUL(64, Y2)
-	RMUL(96, Y3)
+	RPAIR(0, Y0)
+	RPAIR(32, Y1)
+	RPAIR(64, Y2)
+	RPAIR(96, Y3)
 	ADDQ         R8, AX
-	ADDQ         $8, R9
+	ADDQ         $4, R9
 	DECQ         R10
 	JNZ          row4
 	VMOVDQU      Y0, (DI)
@@ -843,16 +923,16 @@ ref2:
 	VMOVDQU (DI), Y0
 	VMOVDQU 32(DI), Y1
 	MOVQ    SI, AX
-	MOVQ    DX, R9
+	LEAQ    pairs-64(SP), R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
 row2:
 	VPBROADCASTD (R9), Y15
-	RMUL(0, Y0)
-	RMUL(32, Y1)
+	RPAIR(0, Y0)
+	RPAIR(32, Y1)
 	ADDQ         R8, AX
-	ADDQ         $8, R9
+	ADDQ         $4, R9
 	DECQ         R10
 	JNZ          row2
 	VMOVDQU      Y0, (DI)
@@ -863,22 +943,117 @@ row2:
 
 ref1:
 	TESTQ   BX, BX
-	JZ      refdone
+	JZ      reftail
 	VMOVDQU (DI), Y0
 	MOVQ    SI, AX
-	MOVQ    DX, R9
+	LEAQ    pairs-64(SP), R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
 row1:
 	VPBROADCASTD (R9), Y15
-	RMUL(0, Y0)
+	RPAIR(0, Y0)
 	ADDQ         R8, AX
-	ADDQ         $8, R9
+	ADDQ         $4, R9
 	DECQ         R10
 	JNZ          row1
 	VMOVDQU      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
 
-refdone:
+reftail:
+	MOVQ       cols+40(FP), DX
+	TESTQ      $3, DX
+	JZ         nextitem
+	VPMASKMOVQ (DI), Y13, Y0
+	MOVQ       SI, AX
+	LEAQ       pairs-64(SP), R9
+	MOVQ       CX, R10
+
+rowtail:
+	VPBROADCASTD (R9), Y15
+	VPMASKMOVQ   (AX), Y13, Y14
+	VPMADDWD     Y14, Y15, Y14
+	VPADDD       Y14, Y0, Y0
+	ADDQ         R8, AX
+	ADDQ         $4, R9
+	DECQ         R10
+	JNZ          rowtail
+	VPMASKMOVQ   Y0, Y13, (DI)
+
+nextitem:
+	ADDQ R14, R11
+	ADDQ R8, R12
+	DECQ R13
+	JNZ  item
+
+	VZEROUPPER
+	RET
+
+// func epilogueAVX2(dst *int, quads int, m, window uint64)
+//
+// The integral-η epilogue on 4·quads packed sums, four per pass: each word
+// becomes clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) as a qword. m = ⌈2^64/η⌉ is split into
+// 32-bit halves, Y10 = m_lo and Y11 = m_hi (VPMULUDQ reads each qword's
+// low dword alone, so N needs no masking before it multiplies), and for
+// x < 2^32 the quotient ⌊x·m/2^64⌋ is the high dword of
+// x·m_hi + ⌊x·m_lo/2^32⌋, which cannot wrap 64 bits. m = 0 stands for
+// η = 1, whose quotients are P and N themselves: N is shifted up to P's
+// dword. With both quotients in high dwords, below 2^32, the clamp is
+// unsigned dword arithmetic: max(0, qP − qN) = qP − min(qP, qN), then the
+// min with window (< 2^32) in Y8's high dwords, whose low dwords are 0 and
+// so zero the low dwords too; the shift down leaves the qword.
+TEXT ·epilogueAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         quads+8(FP), CX
+	MOVQ         m+16(FP), AX
+	MOVQ         window+24(FP), DX
+	SHLQ         $32, DX
+	VMOVQ        DX, X8
+	VPBROADCASTQ X8, Y8
+	TESTQ        CX, CX
+	JZ           epidone
+	TESTQ        AX, AX
+	JZ           epidiff
+	VMOVQ        AX, X10
+	VPBROADCASTQ X10, Y10
+	SHRQ         $32, AX
+	VMOVQ        AX, X11
+	VPBROADCASTQ X11, Y11
+
+epiquot:
+	VMOVDQU  (DI), Y0
+	VPSRLQ   $32, Y0, Y1
+	VPMULUDQ Y10, Y1, Y2
+	VPMULUDQ Y11, Y1, Y1
+	VPSRLQ   $32, Y2, Y2
+	VPADDQ   Y2, Y1, Y1
+	VPMULUDQ Y10, Y0, Y2
+	VPMULUDQ Y11, Y0, Y0
+	VPSRLQ   $32, Y2, Y2
+	VPADDQ   Y2, Y0, Y0
+	VPMINUD  Y0, Y1, Y0
+	VPSUBD   Y0, Y1, Y0
+	VPMINUD  Y8, Y0, Y0
+	VPSRLQ   $32, Y0, Y0
+	VMOVDQU  Y0, (DI)
+	ADDQ     $32, DI
+	DECQ     CX
+	JNZ      epiquot
+	JMP      epidone
+
+epidiff:
+	VMOVDQU (DI), Y1
+	VPSLLQ  $32, Y1, Y0
+	VPMINUD Y0, Y1, Y0
+	VPSUBD  Y0, Y1, Y0
+	VPMINUD Y8, Y0, Y0
+	VPSRLQ  $32, Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     epidiff
+
+epidone:
 	VZEROUPPER
 	RET

@@ -14,6 +14,10 @@ func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired 
 	panic("xbar: the AVX2 float walk runs on amd64 only")
 }
 
-func referenceAVX2(dst *int, w, x *uint64, rows, cols, quads int) {
+func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, window int) {
 	panic("xbar: the AVX2 reference kernel runs on amd64 only")
+}
+
+func epilogueAVX2(dst *int, quads int, m, window uint64) {
+	panic("xbar: the AVX2 reference epilogue runs on amd64 only")
 }

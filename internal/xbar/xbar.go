@@ -18,8 +18,9 @@
 //     read the way the PE reads it — a positive and a negative column in
 //     one shot: each cell's two ideal magnitudes share one 64-bit word, so
 //     one integer multiply-add per cell accumulates P in the high half and
-//     N in the low half of the same sum — on an amd64 CPU with AVX2, four
-//     cells' eight 32-bit halves per instruction, with the same numbers.
+//     N in the low half of the same sum — on an amd64 CPU with AVX2, two
+//     rows of four cells per instruction, their magnitudes and counts as
+//     16-bit halves, with the same numbers.
 //  2. Crossbar.SimulateCountsBatch: the cycle-level spiking simulation
 //     (ideal accumulate-and-fire neurons and spike subtracters) by the
 //     structure-aware kernel. Its oracle, SimulateCountsBatchDense, is
@@ -57,8 +58,8 @@ const (
 	lowHalf       = 1<<polarityShift - 1
 )
 
-// referenceVMM is the reference kernel: for every item b and column j it
-// leaves in dst[b*cols+j] the packed drive sum
+// referenceVMM is the reference kernel's portable body: for every item b
+// and column j it leaves in dst[b*cols+j] the packed drive sum
 //
 //	Σ_i clamp(src[b*rows+i], Γ) · packW[i*cols+j] = P<<32 | N
 //
@@ -79,19 +80,13 @@ const (
 // array, before the column blocks read them; a count already in [0, Γ] —
 // every count one stage feeds the next — costs one predicted compare.
 //
-// With AVX2 (laneAVX2) the column blocks of four are referenceAVX2's
-// instead: eight polarity halves per VPMULLD, as 32-bit lanes, which
-// cannot wrap for the same reason the low half cannot carry. The columns
-// past the last multiple of four take the single-column loop either way.
+// It runs off amd64, without AVX2, and on a crossbar with no pair rows
+// (Γ or maxW of 2^15 or more); referenceSums picks it.
 func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, window int) {
 	_ = dst[batch*cols-1]
 	_ = src[batch*rows-1]
 	_ = packW[rows*cols-1]
 	clear(dst[:batch*cols])
-	quads := 0
-	if laneAVX2 {
-		quads = cols / 4
-	}
 	var xs [rowBlock]uint64
 	for i0 := 0; i0 < rows; i0 += rowBlock {
 		i1 := min(i0+rowBlock, rows)
@@ -106,10 +101,6 @@ func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, windo
 			}
 			o := dst[b*cols : (b+1)*cols]
 			j := 0
-			if quads > 0 {
-				referenceAVX2(&o[0], &packW[i0*cols], &x[0], len(x), cols, quads)
-				j = 4 * quads
-			}
 			for ; j+8 <= cols; j += 8 {
 				acc := o[j : j+8 : j+8]
 				a0, a1, a2, a3 := uint64(acc[0]), uint64(acc[1]), uint64(acc[2]), uint64(acc[3])
@@ -157,6 +148,33 @@ func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, windo
 	}
 }
 
+// referenceSums leaves a batch's packed drive sums in dst, as
+// referenceVMM defines them: with AVX2 (laneAVX2) on a crossbar with pair
+// rows, through referenceAVX2, and through referenceVMM otherwise.
+//
+// The AVX2 kernel multiplies two weight rows by their two counts and adds
+// the products with one VPMADDWD — four cells' N and P dwords per
+// instruction, each dword the sum over a row pair. Its operands are
+// 16-bit: a clamped count is at most Γ < 2^15 and a magnitude at most
+// maxW < 2^15, so each product pair is below 2^31 and a column's sum below
+// 2^32 as in referenceVMM (docs/INVARIANTS.md, "Reference lanes"). One
+// call takes a whole row panel for every item of the batch: it clamps each
+// item's panel counts once, reading src in place, and carries the sums in
+// registers down the panel's pair rows.
+func (c *Crossbar) referenceSums(dst, src []int, batch int) {
+	rows, cols := c.rows, c.cols
+	if !laneAVX2 || c.pairW == nil {
+		referenceVMM(dst, c.packW, src, batch, rows, cols, c.window)
+		return
+	}
+	_ = dst[batch*cols-1]
+	_ = src[batch*rows-1]
+	clear(dst[:batch*cols])
+	for i0 := 0; i0 < rows; i0 += rowBlock {
+		referenceAVX2(&dst[0], &c.pairW[i0/2*cols], &src[i0], min(rowBlock, rows-i0), rows, cols, batch, c.window)
+	}
+}
+
 // Config parameterizes crossbar programming: the one description of a
 // PE's devices, shared by the executor and the chip-level simulation.
 type Config struct {
@@ -192,6 +210,13 @@ type Crossbar struct {
 	// word per cell: the positive polarity's above polarityShift, the
 	// negative one's below.
 	packW []uint64
+	// pairW holds the same magnitudes two rows to a word for the AVX2
+	// reference kernel (referenceSums), ⌈rows/2⌉×cols: the word of pair k
+	// and column j holds n_2k, n_2k+1, p_2k, p_2k+1 as 16-bit halves from
+	// the low end, with an odd last row paired with zeros. It shares
+	// packW's allocation, and is nil without AVX2 or when Γ or maxW
+	// reaches 2^15, past a signed 16-bit operand.
+	pairW []uint64
 	// posG/negG hold the programmed conductance sums (level units,
 	// possibly with variation), row-major rows×cols.
 	posG, negG []float64
@@ -308,6 +333,11 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 	if eta <= 0 {
 		eta = float64(maxW)
 	}
+	n, pairRows := rows*cols, 0
+	if hasAVX2 && window < 1<<15 && maxW < 1<<15 {
+		pairRows = (rows + 1) / 2
+	}
+	packW := make([]uint64, n+pairRows*cols)
 	c := &Crossbar{
 		rows:   rows,
 		cols:   cols,
@@ -315,9 +345,12 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		window: window,
 		rep:    cfg.Rep,
 		spec:   cfg.Spec,
-		packW:  make([]uint64, rows*cols),
-		posG:   make([]float64, rows*cols),
-		negG:   make([]float64, rows*cols),
+		packW:  packW[:n:n],
+		posG:   make([]float64, n),
+		negG:   make([]float64, n),
+	}
+	if pairRows > 0 {
+		c.pairW = packW[n:]
 	}
 	if cfg.Faults.Active() {
 		c.mask = cfg.Faults
@@ -347,6 +380,10 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 				neg = -w
 			}
 			c.packW[i*cols+j] = uint64(pos)<<polarityShift | uint64(neg)
+			if c.pairW != nil {
+				half := 16 * uint(i%2)
+				c.pairW[i/2*cols+j] |= uint64(pos)<<(polarityShift+half) | uint64(neg)<<half
+			}
 		}
 	}
 	c.Redraw(rng)
@@ -506,7 +543,7 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 	if err := c.checkBatch(dst, src, batch); err != nil {
 		return err
 	}
-	referenceVMM(dst, c.packW, src, batch, c.rows, c.cols, c.window)
+	c.referenceSums(dst, src, batch)
 	if c.eta >= 1 && c.eta < 1<<polarityShift && c.eta == float64(uint64(c.eta)) {
 		integerEpilogue(dst, uint64(c.eta), c.window)
 		return nil
@@ -531,8 +568,16 @@ func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
 // clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) for an integral η in [1, 2^32). Each quotient
 // is the high word of P·m with m = ⌈2^64/η⌉ (Lemire, Kaser and Kurz 2019:
 // exact for every dividend below 2^32 and divisor below 2^32); η = 1,
-// whose m does not fit 64 bits, is P − N.
+// whose m does not fit 64 bits (it wraps to 0), is P − N. With AVX2
+// (laneAVX2) epilogueAVX2 answers the words in blocks of four and the
+// scalar loop below the last few.
 func integerEpilogue(dst []int, eta uint64, window int) {
+	m := math.MaxUint64/eta + 1
+	if laneAVX2 && len(dst) >= 4 {
+		n := len(dst) &^ 3
+		epilogueAVX2(&dst[0], n/4, m, min(uint64(window), lowHalf))
+		dst = dst[n:]
+	}
 	if eta == 1 {
 		for k, a := range dst {
 			y := int(uint64(a)>>polarityShift) - int(uint64(a)&lowHalf)
@@ -540,7 +585,6 @@ func integerEpilogue(dst []int, eta uint64, window int) {
 		}
 		return
 	}
-	m := math.MaxUint64/eta + 1
 	for k, a := range dst {
 		p, _ := bits.Mul64(uint64(a)>>polarityShift, m)
 		n, _ := bits.Mul64(uint64(a)&lowHalf, m)

@@ -245,11 +245,11 @@ func TestKernelsClampOutOfRangeCounts(t *testing.T) {
 // TestReferenceDriveBound pins the packed kernel's no-carry argument at
 // its edge: at Γ = 2^17 a 256-row crossbar's largest drive, 256·Γ·120, is
 // just below 2^32, and every count at Γ against columns of ±maxW must
-// still split into the exact P and N sums — under the portable body, where
-// that means the low half never carries, and under the AVX2 one, where it
-// means no 32-bit lane wraps (columns 0–3 run in its lanes, with both
-// full-drive polarities; 4–6 in the single-column loop, with both again).
-// One more I/O bit and Program refuses the crossbar.
+// still split into the exact P and N sums — the low half never carries.
+// Γ ≥ 2^15 gives the crossbar no pair rows, so referenceVMM, the portable
+// body, runs under either setting of laneAVX2; the AVX2 kernel's own
+// full-drive edge is TestReferencePairDriveBound's. One more I/O bit and
+// Program refuses the crossbar.
 func TestReferenceDriveBound(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.Params.IOBits = 17
@@ -297,6 +297,99 @@ func TestReferenceDriveBound(t *testing.T) {
 	}
 	if _, err := Program(cfg, weights[:rows/2], nil); err != nil {
 		t.Fatalf("half the rows at Γ = 2^18 stay below 2^32, but Program refused: %v", err)
+	}
+}
+
+// TestReferencePairDriveBound pins the pair kernel at the largest drive
+// its 16-bit operands allow: Γ = 2^14 and 68-cell weights (maxW = 1020),
+// so a full-height column sums up to 256·2^14·1020 ≈ 0.996·2^32 and one
+// VPMADDWD dword up to 2·Γ·maxW < 2^31. On 1, 31, 32, 33, 255 and 256 rows
+// (either side of a row panel, odd ones ending in a zero-padded pair) and
+// 4, 7, 24 and 33 columns (whole quads, masked tails), with columns of
+// +maxW, of −maxW and of both alternating, a batch at full drive on both
+// polarities, at counts of 2^40 and Γ+7, at −2^40 and −1, and mixed must
+// leave the exact packed sums and answer as referenceNaive does on the
+// clamped copy at η = 1, 2, 3, maxW and 12345, under each body. A Γ = 2^15
+// crossbar and a maxW = 32775 one (2185 cells at Γ = 16) have no pair rows
+// and must still match.
+func TestReferencePairDriveBound(t *testing.T) {
+	type edge struct {
+		ioBits, cells int
+		pairs         bool
+	}
+	for _, e := range []edge{{14, 68, true}, {15, 8, false}, {4, 2185, false}} {
+		cfg := testConfig(0)
+		cfg.Params.IOBits = e.ioBits
+		cfg.Rep = device.NewAdd(cfg.Spec, e.cells)
+		maxW := cfg.Rep.MaxWeight()
+		window := cfg.Params.SamplingWindow()
+		for _, rows := range []int{1, 31, 32, 33, 255, 256} {
+			for _, cols := range []int{4, 7, 24, 33} {
+				if e.cells > 1000 && rows*cols > 33*33 {
+					continue // each weight programs its 2185 cells one by one
+				}
+				weights := make([][]int, rows)
+				for i := range weights {
+					weights[i] = make([]int, cols)
+					for j := range weights[i] {
+						weights[i][j] = []int{maxW, -maxW, maxW - 2*maxW*(i%2)}[j%3]
+					}
+				}
+				xb, err := Program(cfg, weights, nil)
+				if err != nil {
+					t.Fatalf("Γ %d maxW %d %dx%d: %v", window, maxW, rows, cols, err)
+				}
+				if got := xb.pairW != nil; got != (e.pairs && hasAVX2) {
+					t.Fatalf("Γ %d maxW %d: pair rows %v, want %v", window, maxW, got, e.pairs && hasAVX2)
+				}
+				items := [][]int{{window}, {1 << 40, window + 7}, {-1 << 40, -1}, {-1 << 40, -1, window + 7, 1 << 40, 3}}
+				src := make([]int, 0, len(items)*rows)
+				for _, vals := range items {
+					for i := range rows {
+						src = append(src, vals[i%len(vals)])
+					}
+				}
+				batch := len(items)
+				clamped := clampedCopy(src, window)
+				for _, body := range laneBodies() {
+					restore := useLaneBody(body.avx2)
+					sums := make([]int, batch*cols)
+					xb.referenceSums(sums, src, batch)
+					for b := range batch {
+						for j := range cols {
+							var p, n uint64
+							for i := range rows {
+								x := uint64(clamped[b*rows+i])
+								if w := weights[i][j]; w >= 0 {
+									p += uint64(w) * x
+								} else {
+									n += uint64(-w) * x
+								}
+							}
+							if got := uint64(sums[b*cols+j]); got != p<<polarityShift|n {
+								t.Fatalf("%s Γ %d maxW %d %dx%d: sum[%d,%d] P %d N %d, want %d %d", body.name, window, maxW, rows, cols, b, j, got>>polarityShift, got&lowHalf, p, n)
+							}
+						}
+					}
+					for _, eta := range []float64{1, 2, 3, float64(maxW), 12345} {
+						xb.SetEta(eta)
+						dst := make([]int, batch*cols)
+						if err := xb.ReferenceBatch(dst, src, batch); err != nil {
+							t.Fatal(err)
+						}
+						for b := range batch {
+							want := referenceNaive(weights, clamped[b*rows:(b+1)*rows], eta, window)
+							for j, w := range want {
+								if got := dst[b*cols+j]; got != w {
+									t.Fatalf("%s Γ %d maxW %d %dx%d η %g: out[%d,%d] = %d, want %d", body.name, window, maxW, rows, cols, eta, b, j, got, w)
+								}
+							}
+						}
+					}
+					restore()
+				}
+			}
+		}
 	}
 }
 
