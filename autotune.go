@@ -152,12 +152,10 @@ func (r AutotuneReport) String() string {
 // tuneCandidate is one point of the search space: a per-layer (or
 // uniform) duplication assignment plus a chip partition.
 type tuneCandidate struct {
-	layerDup  map[string]int // per-layer realization; nil for the uniform family
-	uniformD  int            // > 0 marks the uniform family (the baseline)
-	assign    []int          // per-group duplication vector
-	pes       int            // Σ assign × replicas
-	maxIter   int
-	cuts      []int // interior cut positions; nil = single chip
+	layerDup  map[string]int    // per-layer realization; nil for the uniform family
+	uniformD  int               // > 0 marks the uniform family (the baseline)
+	alloc     mapper.Allocation // one replica's per-group copies, and the replica count
+	cuts      []int             // interior cut positions; nil = single chip
 	cutWidths []int
 	chips     int
 
@@ -165,6 +163,9 @@ type tuneCandidate struct {
 	value float64
 	ok    bool
 }
+
+// pes is the candidate's whole spend, replicas included.
+func (c *tuneCandidate) pes() int { return c.alloc.TotalPEs * c.alloc.Replicas }
 
 // Autotune searches per-layer duplication assignments and shard cut
 // points for the configuration that optimizes the given perf-model
@@ -183,8 +184,9 @@ type tuneCandidate struct {
 // before the winner is chosen.
 //
 // The envelope comes from WithPEBudget, or WithChipCapacity × WithChips,
-// or — by default — the uniform WithDuplication spend. The uniform family
-// itself is searched as the baseline, so the report's Improvement is
+// or — by default — the uniform WithDuplication spend, whole-model
+// replicas included. The uniform family itself is searched as the
+// baseline, so the report's Improvement is
 // tuned-vs-best-uniform under identical constraints, and the tuned
 // deployment is never worse than uniform on the oracle's account.
 //
@@ -265,7 +267,7 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 	}
 	if bestUniform >= 0 {
 		rep.BaselineDup = cands[bestUniform].uniformD
-		rep.BaselinePEs = cands[bestUniform].pes
+		rep.BaselinePEs = cands[bestUniform].pes()
 		rep.BaselineValue = cands[bestUniform].value
 	}
 
@@ -328,7 +330,7 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 
 	win := cands[winner]
 	rep.TunedValue = win.value
-	rep.TunedPEs = win.pes
+	rep.TunedPEs = win.pes()
 	rep.Chips = win.chips
 	rep.Cuts = append([]int(nil), win.cuts...)
 	if win.uniformD == 0 {
@@ -351,7 +353,8 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 }
 
 // resolveBudget picks the PE envelope: explicit WithPEBudget, else the
-// chip fleet's capacity, else the uniform WithDuplication spend.
+// chip fleet's capacity, else the uniform WithDuplication spend,
+// whole-model replicas included.
 func resolveBudget(co *coreop.Graph, set compileSettings) (int, error) {
 	if set.peBudget > 0 {
 		return set.peBudget, nil
@@ -371,7 +374,7 @@ func resolveBudget(co *coreop.Graph, set compileSettings) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrCapacity, err)
 	}
-	return alloc.TotalPEs, nil
+	return alloc.TotalPEs * alloc.Replicas, nil
 }
 
 // layerRun is one model layer's contiguous group slice.
@@ -419,7 +422,7 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 	seen := map[string]bool{}
 
 	add := func(c *tuneCandidate) {
-		key := fmt.Sprintf("u%d|%v|%v", c.uniformD, c.assign, c.cuts)
+		key := fmt.Sprintf("u%d|%v|%v", c.uniformD, c.alloc.Dup, c.cuts)
 		if seen[key] {
 			return
 		}
@@ -432,15 +435,15 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 	// Chip variants of one assignment. Single chip only when it fits the
 	// capacity; cuts searched at every allowed chip count and policy.
 	expandChips := func(base *tuneCandidate) {
-		if capOK(base.pes) {
+		if capOK(base.pes()) {
 			add(base)
 		}
-		if cfg.MaxChips <= 1 || base.uniformD > maxReuse {
+		if cfg.MaxChips <= 1 || base.alloc.Replicas > 1 {
 			// Replicated pipelines stay single-chip: the partitioner
 			// models one copy of the chain.
 			return
 		}
-		weights, signals := shardChain(co.Groups, base.assign)
+		weights, signals := shardChain(co.Groups, base.alloc.Dup)
 		maxChips := cfg.MaxChips
 		if maxChips > len(co.Groups) {
 			maxChips = len(co.Groups)
@@ -487,64 +490,31 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 		if err != nil {
 			continue
 		}
-		replicas := 1
-		if d > maxReuse {
-			replicas = d / maxReuse
+		c := &tuneCandidate{uniformD: d, alloc: alloc, chips: 1}
+		if c.pes() <= budget {
+			expandChips(c)
 		}
-		pes := alloc.TotalPEs * replicas
-		if pes > budget {
-			continue
-		}
-		expandChips(&tuneCandidate{
-			uniformD: d,
-			assign:   alloc.Dup,
-			pes:      pes,
-			maxIter:  alloc.MaxIterations(),
-			chips:    1,
-		})
 	}
 
 	// Per-layer minimal assignments across iteration targets.
 	for t := 1; t <= maxReuse; t++ {
 		layerDup := make(map[string]int, len(runs))
-		assign := make([]int, len(co.Groups))
-		pes, maxIter := 0, 0
 		for _, run := range runs {
 			d := 1
 			for _, gi := range run.groups {
-				r := co.Groups[gi].Reuse
-				need := (r + t - 1) / t
-				if need > r {
-					need = r
-				}
-				if need > d {
-					d = need
-				}
+				d = max(d, (co.Groups[gi].Reuse+t-1)/t)
 			}
 			layerDup[run.name] = d
 		}
+		assign := make([]int, len(co.Groups))
 		for gi, grp := range co.Groups {
-			d := layerDup[grp.Layer]
-			if d > grp.Reuse {
-				d = grp.Reuse
-			}
-			assign[gi] = d
-			pes += d
-			if it := (grp.Reuse + d - 1) / d; it > maxIter {
-				maxIter = it
-			}
+			assign[gi] = layerDup[grp.Layer] // AllocateVector clamps to the reuse degree
 		}
-		if pes > budget {
+		alloc, err := mapper.AllocateVector(co, assign)
+		if err != nil || alloc.TotalPEs > budget {
 			continue
 		}
-		base := &tuneCandidate{
-			layerDup: layerDup,
-			assign:   assign,
-			pes:      pes,
-			maxIter:  maxIter,
-			chips:    1,
-		}
-		expandChips(base)
+		expandChips(&tuneCandidate{layerDup: layerDup, alloc: alloc, chips: 1})
 
 		// Saturation variant: spend the leftover envelope unbuffering the
 		// cheapest layers (iterations collapse to 1, dropping their SMB
@@ -557,7 +527,7 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 		for li, run := range runs {
 			cost := 0
 			for _, gi := range run.groups {
-				cost += co.Groups[gi].Reuse - assign[gi]
+				cost += co.Groups[gi].Reuse - alloc.Dup[gi]
 			}
 			if cost > 0 {
 				costs = append(costs, satCost{li, cost})
@@ -569,9 +539,9 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 			}
 			return costs[a].li < costs[b].li
 		})
-		satAssign := append([]int(nil), assign...)
+		satAssign := append([]int(nil), alloc.Dup...)
 		satDup := copyIntMap(layerDup)
-		satPEs := pes
+		satPEs := alloc.TotalPEs
 		applied := false
 		for _, sc := range costs {
 			if satPEs+sc.cost > budget {
@@ -592,19 +562,9 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 			applied = true
 		}
 		if applied {
-			satIter := 0
-			for gi, grp := range co.Groups {
-				if it := (grp.Reuse + satAssign[gi] - 1) / satAssign[gi]; it > satIter {
-					satIter = it
-				}
+			if sat, err := mapper.AllocateVector(co, satAssign); err == nil {
+				expandChips(&tuneCandidate{layerDup: satDup, alloc: sat, chips: 1})
 			}
-			expandChips(&tuneCandidate{
-				layerDup: satDup,
-				assign:   satAssign,
-				pes:      satPEs,
-				maxIter:  satIter,
-				chips:    1,
-			})
 		}
 	}
 
@@ -636,13 +596,13 @@ func pruneDominatedThroughput(cands []*tuneCandidate) []*tuneCandidate {
 	}
 	for _, c := range cands {
 		k := keyOf(c)
-		if it, ok := bestIter[k]; !ok || c.maxIter < it {
-			bestIter[k] = c.maxIter
+		if it, ok := bestIter[k]; !ok || c.alloc.MaxIterations() < it {
+			bestIter[k] = c.alloc.MaxIterations()
 		}
 	}
 	kept := cands[:0]
 	for _, c := range cands {
-		if c.maxIter > bestIter[keyOf(c)] {
+		if c.alloc.MaxIterations() > bestIter[keyOf(c)] {
 			continue
 		}
 		kept = append(kept, c)
@@ -674,7 +634,7 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 	_, _, stageNS := perf.FPSAStageNS(params, params.TypicalRouteHops)
 	link := shard.Link{SignalBits: params.IOBits}
 	bound := func(c *tuneCandidate) (float64, bool) {
-		bottleneck := float64(c.maxIter) * stageNS
+		bottleneck := float64(c.alloc.MaxIterations()) * stageNS
 		var linkSum float64
 		for _, w := range c.cutWidths {
 			t := link.TransferNS(w)
@@ -687,11 +647,7 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 		case MinLatency:
 			return (bottleneck + linkSum) * 1e-3, true
 		case MaxThroughputPerChip:
-			replicas := 1
-			if c.uniformD > co.MaxReuse() {
-				replicas = c.uniformD / co.MaxReuse()
-			}
-			return float64(replicas) / (bottleneck * 1e-9) / float64(c.chips), true
+			return float64(c.alloc.Replicas) / (bottleneck * 1e-9) / float64(c.chips), true
 		}
 		return 0, false
 	}
@@ -720,16 +676,12 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 		}
 		pool.Each(ids, func(i int) {
 			c := cands[i]
-			dup := 1
-			if c.uniformD > 0 {
-				dup = c.uniformD
-			}
 			r, err := perf.Evaluate(perf.Input{
 				Model:     m.graph,
 				CoreOps:   co,
 				Params:    params,
-				Dup:       dup,
-				Assign:    c.assign,
+				Dup:       max(c.uniformD, 1),
+				Assign:    c.alloc.Dup,
 				CutWidths: c.cutWidths,
 			}, perf.TargetFPSA)
 			if err != nil {
@@ -761,22 +713,15 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 // compileCandidate realizes one candidate as a Deployment, replaying its
 // assignment and cuts through the regular compile path (so per-shard
 // artifacts land in the cache under content addresses other candidates
-// can hit). It is the only writer of config.LayerDup and config.ShardCuts.
+// can hit). Duplication, layer map and cuts come from the candidate
+// alone, never from the caller's options. It is the only writer of
+// config.LayerDup and config.ShardCuts.
 func compileCandidate(ctx context.Context, m Model, set compileSettings, c *tuneCandidate, cache *CompileCache) (*Deployment, error) {
 	cs := set
 	cs.cfg.Cache = cache
-	if c.uniformD > 0 {
-		cs.cfg.Duplication = c.uniformD
-	} else {
-		cs.cfg.LayerDup = copyIntMap(c.layerDup)
-	}
-	if len(c.cuts) > 0 {
-		cs.cfg.ShardCuts = append([]int(nil), c.cuts...)
-		if cs.cfg.MaxChips < len(c.cuts)+1 {
-			cs.cfg.MaxChips = len(c.cuts) + 1
-		}
-	} else {
-		cs.cfg.MaxChips = 1
-	}
+	cs.cfg.Duplication = max(c.uniformD, 1)
+	cs.cfg.LayerDup = copyIntMap(c.layerDup)
+	cs.cfg.ShardCuts = append([]int(nil), c.cuts...)
+	cs.cfg.MaxChips = len(c.cuts) + 1
 	return compile(ctx, m, cs)
 }

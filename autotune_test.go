@@ -182,6 +182,40 @@ func TestAutotuneRefineSharesCache(t *testing.T) {
 	}
 }
 
+// TestAutotuneReturnsReportedDeployment: the deployment Autotune returns
+// is the one its report describes, at every objective and at duplications
+// past MLP-500-100's MaxReuse of 1, where every extra copy is a
+// whole-model replica. Its modeled objective is TunedValue, and its PE
+// spend, replicas included, is TunedPEs within PEBudget. The default
+// refine phase runs, because that is where a caller's WithDuplication
+// used to leak into a per-layer finalist.
+func TestAutotuneReturnsReportedDeployment(t *testing.T) {
+	for _, name := range []string{"MLP-500-100", "LeNet"} {
+		m, err := LoadBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dup := range []int{1, 2, 8, 64} {
+			for _, obj := range []Objective{MinLatency, MinEnergy, MaxThroughputPerChip} {
+				d, rep, err := Autotune(context.Background(), m, obj, WithDuplication(dup))
+				if err != nil {
+					t.Fatalf("%s dup %d %v: %v", name, dup, obj, err)
+				}
+				p, err := d.Performance()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := obj.value(p); got != rep.TunedValue {
+					t.Errorf("%s dup %d %v: returned deployment models %.4g, report says %.4g", name, dup, obj, got, rep.TunedValue)
+				}
+				if pes := d.alloc.TotalPEs * d.alloc.Replicas; pes != rep.TunedPEs || pes > rep.PEBudget {
+					t.Errorf("%s dup %d %v: returned deployment spends %d PEs, report says %d within %d", name, dup, obj, pes, rep.TunedPEs, rep.PEBudget)
+				}
+			}
+		}
+	}
+}
+
 // TestLayerDupUniformEquivalence: a per-layer duplication map (compiled
 // as the autotuner compiles its candidates) that spells out exactly what
 // the global WithDuplication knob would allocate is bit-exact with it — same allocation, netlist, perf model, placement

@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 	chipcap := fs.Int("chipcap", 0, "per-chip PE capacity (0 = unbounded; with -chips, shards onto the fewest chips that fit)")
 	policyName := fs.String("policy", "auto", "shard partitioning policy: auto, mincut, or balanced")
 	autotune := fs.String("autotune", "", "search per-layer duplication and shard cuts for this objective (latency, energy, or throughput) instead of compiling -dup as given")
-	pebudget := fs.Int("pebudget", 0, "PE envelope for -autotune (0 = derive from -chipcap x -chips, else the uniform -dup spend)")
+	pebudget := fs.Int("pebudget", 0, "PE envelope for -autotune (0 = derive from -chipcap x -chips, else the uniform -dup spend, whole-model replicas included)")
 	faultrate := fs.Float64("faultrate", 0, "stuck-cell fault rate per crossbar cell in [0,1] (0 = ideal devices); faults are drawn deterministically from -faultseed and remapped around spare rows/columns")
 	faultseed := fs.Int64("faultseed", 1, "fault-map seed for -faultrate")
 	if err := fs.Parse(args); err != nil {
@@ -126,20 +126,23 @@ func run(args []string, stdout io.Writer) error {
 		}
 		d = compiled
 	}
+	p, err := d.Performance()
+	if err != nil {
+		return err
+	}
 	groups, coreOps := d.CoreOps()
 	pes, smbs, clbs := d.Blocks()
 	fmt.Fprintf(stdout, "synthesized: %d weight groups, %d core-ops/sample\n", groups, coreOps)
-	fmt.Fprintf(stdout, "netlist: %d PEs, %d SMBs, %d CLBs; chip area %.2f mm2\n", pes, smbs, clbs, d.AreaMM2())
+	replicas := ""
+	if p.Replicas > 1 {
+		replicas = fmt.Sprintf(" per replica, %d whole-model replicas", p.Replicas)
+	}
+	fmt.Fprintf(stdout, "netlist: %d PEs, %d SMBs, %d CLBs; chip area %.2f mm2%s\n", pes, smbs, clbs, d.AreaMM2(), replicas)
 	if shards := d.Shards(); shards != nil {
 		fmt.Fprintf(stdout, "sharded across %d chips (%v policy):\n", d.Chips(), policy)
 		for _, sh := range shards {
 			fmt.Fprintf(stdout, "  %s\n", sh)
 		}
-	}
-
-	p, err := d.Performance()
-	if err != nil {
-		return err
 	}
 	fmt.Fprintf(stdout, "modeled: %s\n", p)
 

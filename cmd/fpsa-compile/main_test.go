@@ -34,6 +34,33 @@ with routed hops: throughput 1.643e+04 samples/s, latency 65.52 us, perf 7.535e+
 	}
 }
 
+// TestRunAutotuneReplicasPinned: what `fpsa-compile -model MLP-500-100
+// -dup 64 -autotune throughput` prints, search time masked. MLP-500-100's
+// maximum reuse degree is 1, so dup 64 is 64 whole-model replicas of one
+// 11-PE pipeline: the default budget counts all 704 PEs, and the modeled
+// line is the deployment the report describes. The netlist line is one
+// replica's inventory and says so.
+func TestRunAutotuneReplicasPinned(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-model", "MLP-500-100", "-dup", "64", "-autotune", "throughput"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const want = `model MLP-500-100: 443000 weights, 886000 ops/sample, 7 graph nodes
+autotune max-throughput-per-chip: budget 704 PEs, 65 candidates (1 pruned, 64 evaluated, 2 refined, cache 1 hit/1 miss)
+  uniform dup 64 (704 PEs): 1.009e+08
+  tuned uniform (no per-layer gain) (704 PEs, 1 chip(s)): 1.009e+08  (+0.0%)
+  routed winner rescored: 2.019e+08
+  (search #s)
+synthesized: 11 weight groups, 11 core-ops/sample
+netlist: 11 PEs, 0 SMBs, 2 CLBs; chip area 0.25 mm2 per replica, 64 whole-model replicas
+modeled: throughput 1.009e+08 samples/s, latency 0.6637 us, perf 8.944e+13 OPS (5.49e+12 OPS/mm2), energy 0.0006553 uJ/sample (66.15 mW), bounds peak 5.9e+14 / spatial 3.63e+14 / temporal 3.63e+14
+`
+	got := regexp.MustCompile(`\(search \d+\.\d+s\)`).ReplaceAllString(out.String(), "(search #s)")
+	if got != want {
+		t.Errorf("output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestRunRejectsBadFlags: a bad command line comes back as an error; every
 // one of these used to end the process from inside main.
 func TestRunRejectsBadFlags(t *testing.T) {

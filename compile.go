@@ -512,7 +512,9 @@ func shardChain(groups []*coreop.Group, dup []int) (weights []int, signals []sha
 }
 
 // Blocks returns the function-block inventory (summed over every chip of
-// a sharded deployment).
+// a sharded deployment) of one whole-model replica; a deployment
+// duplicated past its maximum reuse degree runs PerfSummary.Replicas of
+// them side by side.
 func (d *Deployment) Blocks() (pes, smbs, clbs int) {
 	for _, sh := range d.shards {
 		pes, smbs, clbs = pes+sh.pes, smbs+sh.smbs, clbs+sh.clbs
@@ -521,7 +523,8 @@ func (d *Deployment) Blocks() (pes, smbs, clbs int) {
 }
 
 // AreaMM2 returns the chip area (blocks; the mrFPGA routing fabric stacks
-// above them), summed over every chip of a sharded deployment.
+// above them), summed over every chip of a sharded deployment, of one
+// whole-model replica, as Blocks counts it.
 func (d *Deployment) AreaMM2() float64 {
 	total := 0.0
 	for _, sh := range d.shards {
@@ -556,6 +559,10 @@ type PerfSummary struct {
 	// trivial — 1 and 0 — for a single-chip deployment).
 	Chips           int
 	LinkNSPerSample float64
+	// Replicas is the number of whole-model copies the throughput counts:
+	// the duplication left once every group holds as many copies as its
+	// reuse degree can use (1 unless duplication exceeds it).
+	Replicas int
 }
 
 // String renders the summary.
@@ -614,6 +621,7 @@ func summarize(r perf.Report) PerfSummary {
 		PowerMW:          r.PowerMW,
 		Chips:            r.Chips,
 		LinkNSPerSample:  r.LinkNSPerSample,
+		Replicas:         r.Replicas,
 	}
 }
 

@@ -23,8 +23,13 @@ type Allocation struct {
 	// Iterations[g] = ceil(reuse/dup): how many time-division iterations
 	// group g needs per sample.
 	Iterations []int
-	// TotalPEs is Σ dup.
+	// TotalPEs is Σ dup: one replica's PEs.
 	TotalPEs int
+	// Replicas is the number of whole-model copies run side by side for
+	// sample parallelism (§5.2): the duplication left over once every
+	// group holds as many copies as its reuse degree can use. The whole
+	// deployment spends TotalPEs × Replicas.
+	Replicas int
 }
 
 // Allocate balances pipeline stages for the requested model duplication
@@ -67,16 +72,20 @@ func AllocateAssigned(g *coreop.Graph, modelDup int, layerDup map[string]int) (A
 			}
 		}
 	}
-	maxReuse := g.MaxReuse()
-	if modelDup > maxReuse {
-		modelDup = maxReuse // more copies than reuse degree cannot help
-	}
-	target := ceilDiv(maxReuse, modelDup)
 	a := Allocation{
-		ModelDup:   modelDup,
 		Dup:        make([]int, len(g.Groups)),
 		Iterations: make([]int, len(g.Groups)),
+		Replicas:   1,
 	}
+	maxReuse := g.MaxReuse()
+	if modelDup > maxReuse {
+		// More copies than the reuse degree cannot help one pipeline;
+		// they replicate the whole model instead.
+		a.Replicas = modelDup / maxReuse
+		modelDup = maxReuse
+	}
+	a.ModelDup = modelDup
+	target := ceilDiv(maxReuse, modelDup)
 	for i, grp := range g.Groups {
 		dup := ceilDiv(grp.Reuse, target)
 		if v, ok := layerDup[grp.Layer]; ok {
@@ -99,7 +108,8 @@ func AllocateAssigned(g *coreop.Graph, modelDup int, layerDup map[string]int) (A
 // duplication vector (clamped to each group's reuse degree). It is the
 // form the autotuner's cost oracle evaluates: candidates are per-group
 // assignments, not a single knob. ModelDup records the maximum assigned
-// degree so downstream consumers see a meaningful summary value.
+// degree so downstream consumers see a meaningful summary value; the
+// vector describes one replica, so Replicas is 1.
 func AllocateVector(g *coreop.Graph, dup []int) (Allocation, error) {
 	if len(g.Groups) == 0 {
 		return Allocation{}, fmt.Errorf("mapper: empty core-op graph")
@@ -110,6 +120,7 @@ func AllocateVector(g *coreop.Graph, dup []int) (Allocation, error) {
 	a := Allocation{
 		Dup:        make([]int, len(g.Groups)),
 		Iterations: make([]int, len(g.Groups)),
+		Replicas:   1,
 	}
 	for i, grp := range g.Groups {
 		d := dup[i]

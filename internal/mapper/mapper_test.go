@@ -60,6 +60,14 @@ func TestAllocateDupNeverExceedsReuse(t *testing.T) {
 	if a.MaxIterations() != 1 {
 		t.Errorf("MaxIterations = %d", a.MaxIterations())
 	}
+	// The 60 copies past the maximum reuse degree of 4 are whole-model
+	// replicas: 64/4 of them.
+	if a.ModelDup != 4 || a.Replicas != 16 {
+		t.Errorf("ModelDup = %d, Replicas = %d, want 4 and 16", a.ModelDup, a.Replicas)
+	}
+	if v, err := AllocateVector(g, a.Dup); err != nil || v.Replicas != 1 {
+		t.Errorf("AllocateVector: Replicas = %d (%v), want 1", v.Replicas, err)
+	}
 }
 
 func TestAllocateValidation(t *testing.T) {

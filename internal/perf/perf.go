@@ -68,8 +68,8 @@ type Input struct {
 	// (one entry per CoreOps group, each ≥ 1, clamped to that group's
 	// reuse degree). It overrides the uniform Dup-derived allocation and
 	// is how the autotuner scores per-layer candidates; Dup then only
-	// feeds the whole-model replication rule below. Empty keeps the
-	// classic uniform allocation bit-exact.
+	// sets the whole-model replica count (mapper.Allocation.Replicas).
+	// Empty keeps the classic uniform allocation bit-exact.
 	Assign []int
 	// Hops is the mean routed hop count for FPSA-fabric targets; 0 uses
 	// Params.TypicalRouteHops. The constant stands in for every chip size,
@@ -161,14 +161,7 @@ func Evaluate(in Input, target Target) (Report, error) {
 		return Report{}, fmt.Errorf("perf: unknown target %v", target)
 	}
 
-	// Whole-model replication when duplication exhausts reuse (§5.2's
-	// allocation cannot exceed a group's reuse degree; the remaining
-	// budget replicates the pipeline for sample parallelism).
-	replicas := 1
-	if maxReuse := in.CoreOps.MaxReuse(); in.Dup > maxReuse {
-		replicas = in.Dup / maxReuse
-	}
-
+	replicas := alloc.Replicas
 	rep := Report{
 		Name:         in.CoreOps.Name,
 		Target:       target,
@@ -319,10 +312,14 @@ func criticalFillNS(g *coreop.Graph, a mapper.Allocation, stageNS, fillCycleNS f
 }
 
 // allocFor resolves the evaluation's allocation: the explicit per-group
-// Assign vector when given, the uniform Dup-derived policy otherwise.
+// Assign vector when given, the uniform Dup-derived policy otherwise. The
+// whole-model replica count is the uniform policy's either way.
 func allocFor(in Input) (mapper.Allocation, error) {
-	if len(in.Assign) > 0 {
-		return mapper.AllocateVector(in.CoreOps, in.Assign)
+	uniform, err := mapper.Allocate(in.CoreOps, in.Dup)
+	if err != nil || len(in.Assign) == 0 {
+		return uniform, err
 	}
-	return mapper.Allocate(in.CoreOps, in.Dup)
+	a, err := mapper.AllocateVector(in.CoreOps, in.Assign)
+	a.Replicas = uniform.Replicas
+	return a, err
 }

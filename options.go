@@ -47,8 +47,9 @@ func WithDuplication(n int) Option {
 // WithPEBudget sets the PE envelope Autotune may spend across the whole
 // deployment (all chips together). 0 — the default — derives the
 // envelope: WithChipCapacity × WithChips when a capacity is set,
-// otherwise the uniform WithDuplication spend, so an un-budgeted search
-// answers "same spend, better assignment". Plain Compile ignores it.
+// otherwise the uniform WithDuplication spend, whole-model replicas
+// included, so an un-budgeted search answers "same spend, better
+// assignment". Plain Compile ignores it.
 func WithPEBudget(n int) Option {
 	return func(s *compileSettings) { s.peBudget = n }
 }
