@@ -3,8 +3,10 @@ package fpsa
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"fpsa/internal/serve"
+	"fpsa/internal/synth"
 )
 
 // engineConfig is an engine's shape: its mode, which WithMode sets, its
@@ -83,7 +85,7 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out, err := e.eng.Outputs(ctx, features)
+	out, err := e.eng.Outputs(ctx, [][]float64{features})
 	return out, wrapServeErr(err)
 }
 
@@ -114,11 +116,15 @@ func (e *Engine) Close() error { return wrapServeErr(e.eng.Close()) }
 
 // wrapServeErr lifts internal serving sentinels into the package's
 // taxonomy: a closed engine surfaces as ErrClosed (which itself wraps
-// the internal sentinel), so callers errors.Is against fpsa.ErrClosed
+// the internal sentinel) and a wrong-length feature vector as
+// ErrInvalidArgument, so callers errors.Is against the fpsa sentinels
 // without importing internals.
 func wrapServeErr(err error) error {
-	if errors.Is(err, serve.ErrClosed) {
+	switch {
+	case errors.Is(err, serve.ErrClosed):
 		return ErrClosed
+	case errors.Is(err, synth.ErrInputLength):
+		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
 	return err
 }

@@ -53,7 +53,9 @@ var (
 
 	// ErrInvalidArgument marks a request the API cannot interpret: an
 	// unknown exec mode, shard policy, weight representation, or
-	// experiment id.
+	// experiment id, an unknown fleet model, or a feature vector whose
+	// length is not the model's input size (SpikingNet, Engine and Fleet
+	// alike).
 	ErrInvalidArgument = errors.New("fpsa: invalid argument")
 
 	// ErrNotPlaced marks a Bitstream request on a deployment that has

@@ -223,14 +223,13 @@ func faultRows(ctx context.Context, t *testing.T) []fidelityRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		window := sn.Window()
+		classes := make([]int, len(test.X))
+		if err := ex.RunFeatures(classes, test.X, true); err != nil {
+			t.Fatal(err)
+		}
 		correct := 0
-		for i, x := range test.X {
-			out, err := ex.Run(synth.QuantizeInput(x, window))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if synth.Argmax(out) == test.Y[i] {
+		for i, c := range classes {
+			if c == test.Y[i] {
 				correct++
 			}
 		}

@@ -173,11 +173,12 @@ func (f *Fleet) Cache() *CompileCache { return f.cache }
 
 // replicaSource lowers a deployment to the internal fleet's replica
 // source: a factory building an engine over the deployment's memoized net
-// with one executor per replica, plus the input quantization window that
-// engine expects. Every executor programs identical state (in
-// ModeSpikingNoisy all draw the one variation stream the deployment seed
-// gives an engine's first executor), which is what makes fleet outputs
-// bit-identical to a fresh single-engine serve of the same deployment.
+// with one executor per replica, plus the sampling window that engine
+// quantizes with, which /fleetz reports. Every executor programs identical
+// state (in ModeSpikingNoisy all draw the one variation stream the
+// deployment seed gives an engine's first executor), which is what makes
+// fleet outputs bit-identical to a fresh single-engine serve of the same
+// deployment.
 func replicaSource(d *Deployment, cfg engineConfig) (fleet.Source, error) {
 	sn, err := d.NewNet(nil)
 	if err != nil {
@@ -386,8 +387,8 @@ func (f *Fleet) Stats() FleetStats { return f.fl.Stats() }
 
 // wrapFleetErr lifts internal fleet sentinels into the package taxonomy:
 // overload and quota sheds surface as their public sentinels, a closed
-// fleet as ErrClosed, an unknown model as ErrInvalidArgument, and chip
-// exhaustion as ErrCapacity.
+// fleet as ErrClosed, an unknown model or a wrong-length feature vector as
+// ErrInvalidArgument, and chip exhaustion as ErrCapacity.
 func wrapFleetErr(err error) error {
 	switch {
 	case err == nil:
@@ -398,7 +399,7 @@ func wrapFleetErr(err error) error {
 		return ErrTenantQuota
 	case errors.Is(err, serve.ErrClosed):
 		return ErrClosed
-	case errors.Is(err, fleet.ErrUnknownModel):
+	case errors.Is(err, fleet.ErrUnknownModel), errors.Is(err, synth.ErrInputLength):
 		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	case errors.Is(err, fleet.ErrNoChips):
 		return fmt.Errorf("%w: %w", ErrCapacity, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,6 +247,82 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 				t.Errorf("stats requests = %d, want %d (one per sample)", st.Requests, 2*len(test.X))
 			}
 		})
+	}
+}
+
+// TestFleetClassifyBatchAllocs pins what the fleet adds to the engine's
+// allocations (TestEngineClassifyBatchAllocs): a one-chunk ClassifyBatch
+// allocates the engine's flat output counts and the call's shared state,
+// then the row views of the counts and the classes; Outputs allocates the
+// one-row batch, the call's shared state and the counts. Quantizing each
+// request in the fleet, into a slab with a result row per sample, made
+// ClassifyBatch 7 at 1 and 8 samples (30 at 64).
+func TestFleetClassifyBatchAllocs(t *testing.T) {
+	d, _, test := deployTestNet(t)
+	ctx := context.Background()
+	for _, mode := range []ExecMode{ModeReference, ModeSpiking} {
+		f, err := NewFleet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddModel(ctx, "m", d, WithModelEngine(WithMode(mode))); err != nil {
+			t.Fatal(err)
+		}
+		replicas := f.Stats().Models["m"].Replicas
+		for _, n := range []int{1, 8} {
+			batch := test.X[:n]
+			// Sequential calls take the executors in turn: warm them all.
+			for i := 0; i < 2*replicas; i++ {
+				if _, _, err := f.ClassifyBatch(ctx, "m", "", batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a := testing.AllocsPerRun(20, func() { _, _, _ = f.ClassifyBatch(ctx, "m", "", batch) }); a > 4 {
+				t.Errorf("%v: ClassifyBatch of %d: %v allocs, want ≤ 4", mode, n, a)
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { _, _, _ = f.Outputs(ctx, "m", "", test.X[0]) }); a > 3 {
+			t.Errorf("%v: Outputs: %v allocs, want ≤ 3", mode, a)
+		}
+		f.Close()
+	}
+}
+
+// TestWrongLengthIsInvalidArgument: a feature vector of the wrong length
+// is ErrInvalidArgument at the Engine and the Fleet, as it is at
+// SpikingNet, and the message still names the length and, in a batch,
+// the item.
+func TestWrongLengthIsInvalidArgument(t *testing.T) {
+	d, _, test := deployTestNet(t)
+	ctx := context.Background()
+	eng, err := d.NewEngine(ctx, WithMode(ModeReference))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	f, err := NewFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.AddModel(ctx, "m", d, WithModelReplicas(1), WithModelEngine(WithMode(ModeReference))); err != nil {
+		t.Fatal(err)
+	}
+	short, batch := test.X[0][:4], [][]float64{test.X[0], test.X[0][:4]}
+	for _, tc := range []struct {
+		name, want string
+		call       func() error
+	}{
+		{"Engine.Classify", "input length 4, want 12", func() error { _, err := eng.Classify(ctx, short); return err }},
+		{"Engine.Outputs", "input length 4, want 12", func() error { _, err := eng.Outputs(ctx, short); return err }},
+		{"Engine.ClassifyBatch", "batch item 1: input length 4, want 12", func() error { _, err := eng.ClassifyBatch(ctx, batch); return err }},
+		{"Fleet.Classify", "input length 4, want 12", func() error { _, _, err := f.Classify(ctx, "m", "", short); return err }},
+		{"Fleet.Outputs", "input length 4, want 12", func() error { _, _, err := f.Outputs(ctx, "m", "", short); return err }},
+		{"Fleet.ClassifyBatch", "batch item 1: input length 4, want 12", func() error { _, _, err := f.ClassifyBatch(ctx, "m", "", batch); return err }},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrInvalidArgument) || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want ErrInvalidArgument ending %q", tc.name, err, tc.want)
+		}
 	}
 }
 

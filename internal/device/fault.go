@@ -182,9 +182,9 @@ func (m *FaultModel) deriveMask(layer string, unit, physRows, physCols, rows, co
 
 // MaskForUnit returns the mask xbar.Program applies to one weight group:
 // derived the first time the group is asked for and the same shared,
-// read-only mask ever after, so a path that re-programs its crossbars on
-// every call (synth.Program.Run) derives each group's faults once per
-// model rather than once per call. A nil or inactive model returns nil,
+// read-only mask ever after, so a path that programs a new executor on
+// every call derives each group's faults once per model rather than once
+// per call. A nil or inactive model returns nil,
 // which programs bit-identically to no fault model. Safe for concurrent
 // use.
 func (m *FaultModel) MaskForUnit(layer string, unit, physRows, physCols, rows, cols int) *FaultMask {

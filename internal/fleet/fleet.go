@@ -6,17 +6,19 @@
 // bitstream hot-swap. A model's replica count is fixed when it is
 // registered and kept across swaps.
 //
-// Every model points at a version — an immutable bitstream generation: its
-// engine and input quantization window — through an atomic pointer. The
-// engine is the replica pool: a request borrows whichever executor is idle
-// and waits only when all are busy. Swap and Close change a model the
-// same way (repoint): build the replacement engine, store it as the
-// route, Close the old engine — which returns once every call inside it
-// has — and settle the chips. No in-flight request is ever
-// dropped: one that reaches an engine already closed retries on the
-// current route. Every response is attributable to exactly one version,
-// and a request never sees one version's window with another's engine —
-// both live on the one version it loaded.
+// Every model points at a version — an immutable bitstream generation, its
+// engine — through an atomic pointer. The engine is the replica pool: a
+// request borrows whichever executor is idle and waits only when all are
+// busy. Swap and Close change a model the same way (repoint): build the
+// replacement engine, store it as the route, Close the old engine — which
+// returns once every call inside it has — and settle the chips. No
+// in-flight request is ever dropped: one that reaches an engine already
+// closed retries on the current route. Every response is attributable to
+// exactly one version.
+// The fleet hands its engines feature vectors and each engine quantizes
+// them against its own program's sampling window Γ, so a request never
+// sees one version's window with another's engine: by construction, not
+// by bookkeeping here.
 package fleet
 
 import (
@@ -28,7 +30,6 @@ import (
 	"time"
 
 	"fpsa/internal/serve"
-	"fpsa/internal/synth"
 )
 
 // The package's shed/routing sentinels. The public fpsa package lifts
@@ -53,22 +54,24 @@ var (
 )
 
 // Replica is the engine serving one model version: a pool of programmed
-// executors, one per replica. *serve.Engine satisfies it. QueueDepth is
-// its backlog — requests waiting for an executor right now, not counting
-// the ones running — and is what Stats reports. Close must wait for every
-// call already inside, and Infer or InferBatch after it must return an
-// error wrapping serve.ErrClosed.
+// executors, one per replica. *serve.Engine satisfies it. Outputs runs a
+// batch of feature vectors and returns every sample's output counts back
+// to back, the same number per sample. QueueDepth is its backlog —
+// requests waiting for an executor right now, not counting the ones
+// running — and is what Stats reports. Close must wait for every call
+// already inside, and Outputs after it must return an error wrapping
+// serve.ErrClosed.
 type Replica interface {
-	Infer(ctx context.Context, input []int) ([]int, error)
-	InferBatch(ctx context.Context, inputs [][]int) ([][]int, error)
+	Outputs(ctx context.Context, batch [][]float64) ([]int, error)
 	QueueDepth() int
 	Close() error
 }
 
 // Source describes one deployment version: a factory building an engine
 // of the given number of replicas programmed with its bitstream, and the
-// input quantization window its requests are encoded with. The factory is
-// called at registration and when a swap builds the replacement.
+// sampling window that engine quantizes with, which Stats reports and
+// nothing else reads. The factory is called at registration and when a
+// swap builds the replacement.
 type Source struct {
 	New    func(replicas int) (Replica, error)
 	Window int
@@ -182,9 +185,9 @@ func (c ModelConfig) withDefaults() ModelConfig {
 }
 
 // version is one immutable bitstream generation of a model: the engine
-// serving it, whose executors are the model's replicas, and the
-// quantization window requests to it are encoded with. A swap replaces
-// the whole version; nothing in one ever changes.
+// serving it, whose executors are the model's replicas, and the window
+// Stats reports for it. A swap replaces the whole version; nothing in one
+// ever changes.
 type version struct {
 	id     int
 	window int
@@ -404,8 +407,6 @@ func (m *model) record(n int, start time.Time, err error) {
 // Infer serves one request for (model, tenant): admission (tenant quota,
 // then class-weighted model capacity), then the current version's engine.
 // The response carries the id of the exact version that ran the request.
-// Features are quantized against that version's window, so a mid-flight
-// swap can never mix one version's encoding with another's engine.
 func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -418,7 +419,7 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 	start := time.Now()
 	for {
 		v := m.cur.Load()
-		out, err := v.eng.Infer(ctx, synth.QuantizeInput(features, v.window))
+		out, err := v.eng.Outputs(ctx, [][]float64{features})
 		if errors.Is(err, serve.ErrClosed) {
 			if m.closed.Load() {
 				return Result{}, ErrClosed
@@ -438,9 +439,10 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 
 // InferBatch is Infer over a batch: one admission (a single tenant quota
 // place and a single model place), one version for every sample — each
-// output is that version's, quantized against its window — and one
-// InferBatch call on its engine, which cuts the batch into chunks. It
-// counts len(batch) requests and one latency.
+// output is that version's — and one Outputs call on its engine, which
+// cuts the batch into chunks. The outputs are capacity-capped row views
+// of that call's flat result. It counts len(batch) requests and one
+// latency.
 func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]float64) (outs [][]int, version int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -453,7 +455,7 @@ func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]f
 	start := time.Now()
 	for {
 		v := m.cur.Load()
-		outs, err := v.eng.InferBatch(ctx, synth.QuantizeBatch(batch, v.window))
+		flat, err := v.eng.Outputs(ctx, batch)
 		if errors.Is(err, serve.ErrClosed) {
 			if m.closed.Load() {
 				return nil, 0, ErrClosed
@@ -463,6 +465,11 @@ func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]f
 		m.record(len(batch), start, err)
 		if err != nil {
 			return nil, 0, err
+		}
+		outs := make([][]int, len(batch))
+		for i := range outs {
+			w := len(flat) / len(outs)
+			outs[i] = flat[i*w : (i+1)*w : (i+1)*w]
 		}
 		return outs, v.id, nil
 	}

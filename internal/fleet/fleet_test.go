@@ -29,17 +29,9 @@ type fakeReplica struct {
 	calls  sync.WaitGroup
 }
 
-func (r *fakeReplica) Infer(ctx context.Context, input []int) ([]int, error) {
-	outs, err := r.InferBatch(ctx, [][]int{input})
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
-
-// InferBatch is Infer for a whole batch at once: one entry signal, one
-// wait on the gate, and each output echoes its own input's length.
-func (r *fakeReplica) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
+// Outputs is the whole batch at once: one entry signal, one wait on the
+// gate, and each sample's outputs are the marker and its own length.
+func (r *fakeReplica) Outputs(ctx context.Context, batch [][]float64) ([]int, error) {
 	r.mu.RLock()
 	if r.closed {
 		r.mu.RUnlock()
@@ -64,11 +56,11 @@ func (r *fakeReplica) InferBatch(ctx context.Context, inputs [][]int) ([][]int, 
 			return nil, ctx.Err()
 		}
 	}
-	outs := make([][]int, len(inputs))
-	for i, in := range inputs {
-		outs[i] = []int{r.marker, len(in)}
+	out := make([]int, 0, 2*len(batch))
+	for _, f := range batch {
+		out = append(out, r.marker, len(f))
 	}
-	return outs, nil
+	return out, nil
 }
 
 func (r *fakeReplica) QueueDepth() int { return 0 }
@@ -274,7 +266,7 @@ func TestAdmissionSurvivesRetiredRoute(t *testing.T) {
 	if _, err := f.Swap(context.Background(), "m", next.Source()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stale.eng.Infer(context.Background(), nil); !errors.Is(err, serve.ErrClosed) {
+	if _, err := stale.eng.Outputs(context.Background(), nil); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("retired engine still serves: %v", err)
 	}
 	// Two requests in flight on the new engine; a third is still admitted.

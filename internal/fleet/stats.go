@@ -22,7 +22,8 @@ type ModelStats struct {
 	QueueDepth int `json:"queue_depth"`
 	InFlight   int `json:"in_flight"`
 	// Version is the current bitstream generation (1 at registration,
-	// +1 per swap); Window its input quantization window.
+	// +1 per swap); Window the sampling window Γ its engine quantizes
+	// features against, reported only.
 	Version int `json:"version"`
 	Window  int `json:"window"`
 	// ScaleUps and ScaleDowns are always 0: a model's pool never resizes.

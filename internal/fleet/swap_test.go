@@ -165,17 +165,18 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	}
 }
 
-// TestSwapWindowFollowsVersion pins that the quantization window is read
-// from the version a request loaded, not from model-level state: after a swap to a
-// source with a different window, outputs reflect the new window.
+// TestSwapWindowFollowsVersion pins that the window Stats reports is the
+// current version's, not model-level state: after a swap to a source with
+// a different window, Stats reports the new one. Requests never read it —
+// each engine quantizes against its own program's window.
 func TestSwapWindowFollowsVersion(t *testing.T) {
 	f := New(Options{Chips: 16})
 	defer f.Close()
 	if err := f.AddModel("m", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	// fakeReplica echoes len(input); QuantizeInput preserves feature count,
-	// so this is a proxy for "encoded with its version's window".
+	// fakeReplica echoes each sample's length: the features reach the
+	// engine as sent, for it to quantize.
 	res, err := f.Infer(context.Background(), "m", "t", []float64{0.1, 0.2, 0.3})
 	if err != nil || res.Output[1] != 3 {
 		t.Fatalf("pre-swap = %+v, %v", res, err)
@@ -270,8 +271,7 @@ func TestNoisyResizeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := serve.Options{MaxBatch: 4, Mode: synth.ModeSpikingNoisy, Seed: 61}
-	window := prog.Params.SamplingWindow()
-	src := Source{Window: window, New: func(replicas int) (Replica, error) {
+	src := Source{Window: prog.Params.SamplingWindow(), New: func(replicas int) (Replica, error) {
 		o := opts
 		o.Workers = replicas
 		return serve.New(prog, o)
@@ -290,7 +290,7 @@ func TestNoisyResizeBitIdentical(t *testing.T) {
 	}
 	want := make([][]int, len(xs))
 	for i, x := range xs {
-		if want[i], err = fresh.Infer(context.Background(), synth.QuantizeInput(x, window)); err != nil {
+		if want[i], err = fresh.Outputs(context.Background(), [][]float64{x}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,8 +44,8 @@ func waitWaiting(eng *Engine, n int) {
 // checkPool fails the test unless every executor is back in the pool.
 func checkPool(t *testing.T, eng *Engine) {
 	t.Helper()
-	if got := len(eng.idle); got != eng.Workers() {
-		t.Errorf("%d of %d executors in the pool", got, eng.Workers())
+	if got := len(eng.idle); got != eng.opts.Workers {
+		t.Errorf("%d of %d executors in the pool", got, eng.opts.Workers)
 	}
 }
 
@@ -196,15 +196,17 @@ func isClosed(eng *Engine) bool { return eng.state.Load()&closedBit != 0 }
 // began gets ErrClosed at once.
 func TestCloseWaitsForWaiters(t *testing.T) {
 	prog := buildProgram(t, 35, []int{8, 6, 2})
-	in := randomInputs(prog, 36, 1)[0]
+	inputs := randomInputs(prog, 36, 1)
+	in := inputs[0]
 	ex, err := synth.NewExecutor(prog, synth.RunOptions{Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ex.Run(in)
+	outs, err := ex.RunBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := outs[0]
 	eng, err := New(prog, Options{Workers: 1, Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)

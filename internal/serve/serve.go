@@ -1,9 +1,10 @@
 // Package serve implements a concurrent inference engine over deployed
 // spiking-network programs (synth.Program): a pool of programmed
-// synth.Executors that callers borrow. A request runs where it arrives —
-// Infer takes an idle executor, runs the sample on the calling goroutine
-// and puts the executor back; there is no queue, no worker goroutine and
-// no hand-off between caller and kernel. A batch call is cut into
+// synth.Executors that callers borrow. A request of feature vectors runs
+// where it arrives — it takes an idle executor, which quantizes the
+// samples against its program's sampling window and runs them on the
+// calling goroutine, and puts the executor back; there is no queue, no
+// worker goroutine and no hand-off between caller and kernel. A batch call is cut into
 // MaxBatch-sized chunks and also takes other executors idle at that
 // moment, so a lone caller still spreads over the pool. A caller that finds
 // the pool empty waits for the next executor to come back. It is the
@@ -39,7 +40,7 @@ type Options struct {
 	// and so how many requests can hold one at once, at every chip count.
 	// 0 means 1.
 	Workers int
-	// MaxBatch is the size InferBatch cuts a call into, and so the most
+	// MaxBatch is the size a batch call is cut into, and so the most
 	// samples one batched kernel pass carries. 0 means 8.
 	MaxBatch int
 	// Mode selects the execution semantics for every executor.
@@ -70,13 +71,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrClosed is returned by Infer after Close.
+// ErrClosed is returned by every call after Close.
 var ErrClosed = fmt.Errorf("serve: engine closed")
 
 // Engine is a concurrent inference engine: a pool of programmed executors
 // that requests borrow and drive from their own goroutine. Construct with
-// New, call Infer/InferBatch (spike counts) or ClassifyBatch/Outputs
-// (feature vectors), and Close when done.
+// New, call ClassifyBatch or Outputs with feature vectors, and Close when
+// done.
 type Engine struct {
 	opts  Options
 	stats tracker
@@ -140,9 +141,6 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Workers returns how many requests can hold an executor at once.
-func (e *Engine) Workers() int { return e.opts.Workers }
-
 // Chips returns the realized chip count: 1 on a single chip, the sharded
 // chip count otherwise.
 func (e *Engine) Chips() int { return e.execs[0].Chips() }
@@ -194,7 +192,8 @@ func (e *Engine) borrow(ctx context.Context, n int) (*synth.Executor, error) {
 // MaxBatch inputs as a single RunBatch on a borrowed executor, results
 // copied into outs positionally. RunBatch validates every sample and a
 // chunk never mixes callers, so a malformed sample fails only its own
-// call.
+// call. It, Infer, InferBatch and batchCall's inputs and outs stay for
+// bench/ (ROADMAP item 1(f)).
 func (e *Engine) runChunk(ex *synth.Executor, inputs, outs [][]int, start time.Time) error {
 	res, err := ex.RunBatch(inputs)
 	if err == nil {
@@ -216,9 +215,8 @@ func (e *Engine) settle(n int, start time.Time, err error) {
 }
 
 // Infer runs one input vector of spike counts on the calling goroutine and
-// returns the program's raw output counts. It waits (for an executor, or
-// for ctx to end) only when every executor is lent out; once it holds one
-// the sample runs to completion whatever happens to ctx.
+// returns the program's raw output counts, as a one-row Outputs does for
+// features. It stays for bench/ (ROADMAP item 1(f)).
 func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
 	if err := e.enter(); err != nil {
 		return nil, err
@@ -237,9 +235,9 @@ func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
 
 // batchCall is what the pieces of one batch call share; a piece is one
 // borrowed executor working through chunks of the call. The call carries
-// either spike counts (InferBatch), whose outputs land in outs, or feature
-// vectors (ClassifyBatch, Outputs), which the executor quantizes itself
-// and whose classes or output counts it writes into dst.
+// feature vectors (Outputs, ClassifyBatch), which the executor quantizes
+// itself and whose output counts or classes it writes into dst, or spike
+// counts (InferBatch), whose outputs land in outs.
 type batchCall struct {
 	e            *Engine
 	ctx          context.Context
@@ -299,14 +297,8 @@ func (c *batchCall) chunk(ex *synth.Executor, lo, hi int) error {
 	return err
 }
 
-// InferBatch runs inputs as ⌈n/MaxBatch⌉ chunks of at most MaxBatch
-// samples, one kernel pass each, and returns positional results once every
-// chunk has settled. It borrows one executor as Infer does, then takes —
-// never waiting — one more per further chunk from those idle right now, so
-// a lone call still spreads over the pool. When ctx ends it starts no more
-// chunks, waits for the passes in flight and returns ctx's error;
-// otherwise it returns the error of the first chunk that failed, if any.
-// Nothing of the call runs, or reads inputs, after it returns.
+// InferBatch is Outputs for spike counts, returning positional rows. It
+// stays for bench/ (ROADMAP item 1(f)).
 func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error) {
 	outs := make([][]int, len(inputs))
 	if err := e.call(&batchCall{ctx: ctx, n: len(inputs), inputs: inputs, outs: outs}); err != nil {
@@ -315,12 +307,28 @@ func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error
 	return outs, nil
 }
 
-// ClassifyBatch is InferBatch for feature vectors in [0, 1], returning
-// each sample's argmax class: every chunk's executor quantizes its samples
-// into its own scratch and reads the classes straight out of its output
-// tables, so the call allocates its result and little else. Classes and
-// errors are those of InferBatch on synth.QuantizeBatch(batch, Γ) followed
-// by synth.Argmax.
+// Outputs runs a batch of feature vectors in [0, 1] and returns every
+// sample's output counts back to back, len(prog.OutputRefs) per sample;
+// each chunk's executor quantizes its samples against its program's
+// window Γ (synth.Executor.RunFeatures). The call runs as ⌈n/MaxBatch⌉
+// chunks, one kernel pass each: it borrows one executor — waiting only
+// when every one is lent out — then takes, never waiting, one more per
+// further chunk from those idle right now, so a lone call still spreads
+// over the pool. Once ctx ends it starts no more chunks, waits for the
+// passes in flight and returns ctx's error; otherwise the error of the
+// first chunk that failed, if any. Nothing of the call runs, or reads
+// batch, after it returns.
+func (e *Engine) Outputs(ctx context.Context, batch [][]float64) ([]int, error) {
+	out := make([]int, len(batch)*e.outputs)
+	if err := e.call(&batchCall{ctx: ctx, n: len(batch), features: batch, dst: out}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ClassifyBatch is Outputs returning each sample's argmax class (ties to
+// the first maximum, as synth.Argmax), read straight out of the executors'
+// output tables, so the call allocates its result and little else.
 func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
 	classes := make([]int, len(batch))
 	if err := e.call(&batchCall{ctx: ctx, n: len(batch), features: batch, dst: classes, classes: true}); err != nil {
@@ -329,18 +337,8 @@ func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, e
 	return classes, nil
 }
 
-// Outputs is ClassifyBatch for one feature vector, returning its output
-// counts instead of its class.
-func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error) {
-	out := make([]int, e.outputs)
-	if err := e.call(&batchCall{ctx: ctx, n: 1, features: [][]float64{features}, dst: out}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // call admits a batch call, cuts it into chunks and spreads them over the
-// executors it can borrow (see InferBatch).
+// executors it can borrow (see Outputs).
 func (e *Engine) call(c *batchCall) error {
 	if err := e.enter(); err != nil {
 		return err

@@ -69,10 +69,12 @@ func TestEngineMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([][]int, len(inputs))
-	for i, in := range inputs {
-		if want[i], err = ex.Run(in); err != nil {
+	for i := range inputs {
+		one, err := ex.RunBatch(inputs[i : i+1])
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[i] = one[0]
 	}
 
 	eng, err := New(prog, Options{Workers: 4, MaxBatch: 4, Mode: synth.ModeSpiking})
@@ -183,28 +185,34 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, in := range inputs {
-		want, err := ex.Run(in)
+	for i := range inputs {
+		want, err := ex.RunBatch(inputs[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if outs[i][j] != want[j] {
-				t.Fatalf("batch[%d][%d] = %d, want %d", i, j, outs[i][j], want[j])
-			}
+		if !reflect.DeepEqual(outs[i], want[0]) {
+			t.Fatalf("batch[%d] = %v, want %v", i, outs[i], want[0])
 		}
 	}
 }
 
 // TestClassifyBatchMatchesInferBatch: the features calls are InferBatch
 // on the quantized batch — ClassifyBatch its argmax classes, Outputs its
-// counts — at every executor count (a lone call fans out over the idle
-// ones), with the same error for a wrong-length sample, and the same
-// stats: one request and one latency per chunk.
+// counts back to back, of one sample or of all — at every executor count
+// (a lone call fans out over the idle ones), with the same error for a
+// wrong-length sample, and the same stats: one request and one latency
+// per chunk.
 func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 	const maxBatch = 4
 	prog := buildProgram(t, 17, []int{10, 8, 3})
 	window := prog.Params.SamplingWindow()
+	quantize := func(batch [][]float64) [][]int {
+		rows := make([][]int, len(batch))
+		for i, f := range batch {
+			rows[i] = synth.QuantizeInput(f, window)
+		}
+		return rows
+	}
 	rng := rand.New(rand.NewSource(18))
 	batch := make([][]float64, 3*maxBatch+1)
 	for i := range batch {
@@ -219,7 +227,7 @@ func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := eng.InferBatch(ctx, synth.QuantizeBatch(batch, window))
+		outs, err := eng.InferBatch(ctx, quantize(batch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,21 +239,30 @@ func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 			if classes[i] != synth.Argmax(out) {
 				t.Fatalf("workers=%d: sample %d: class %d, want %d", workers, i, classes[i], synth.Argmax(out))
 			}
-			if got, err := eng.Outputs(ctx, batch[i]); err != nil || !reflect.DeepEqual(got, out) {
+			if got, err := eng.Outputs(ctx, batch[i:i+1]); err != nil || !reflect.DeepEqual(got, out) {
 				t.Fatalf("workers=%d: Outputs(sample %d) = %v, %v; want %v", workers, i, got, err, out)
 			}
 		}
 		if s := eng.Stats(); s.Requests != uint64(3*len(batch)) || s.ExecBatches != 4+4+uint64(len(batch)) {
 			t.Errorf("workers=%d: requests/batches = %d/%d, want %d/%d", workers, s.Requests, s.ExecBatches, 3*len(batch), 8+len(batch))
 		}
+		flat, err := eng.Outputs(ctx, batch)
+		if err != nil || len(flat) != len(batch)*len(outs[0]) {
+			t.Fatalf("workers=%d: Outputs(batch) = %d counts, %v; want %d", workers, len(flat), err, len(batch)*len(outs[0]))
+		}
+		for i, out := range outs {
+			if got := flat[i*len(out) : (i+1)*len(out)]; !reflect.DeepEqual(got, out) {
+				t.Fatalf("workers=%d: Outputs(batch) sample %d = %v, want %v", workers, i, got, out)
+			}
+		}
 		bad := append([][]float64(nil), batch...)
 		bad[maxBatch+1] = bad[maxBatch+1][1:]
-		_, wantErr := eng.InferBatch(ctx, synth.QuantizeBatch(bad, window))
+		_, wantErr := eng.InferBatch(ctx, quantize(bad))
 		if _, err := eng.ClassifyBatch(ctx, bad); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("workers=%d: malformed ClassifyBatch error %v, want %v", workers, err, wantErr)
 		}
 		_, wantErr = eng.Infer(ctx, synth.QuantizeInput(bad[maxBatch+1], window))
-		if out, err := eng.Outputs(ctx, bad[maxBatch+1]); out != nil || wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+		if out, err := eng.Outputs(ctx, bad[maxBatch+1:maxBatch+2]); out != nil || wantErr == nil || err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("workers=%d: malformed Outputs = %v, %v; want the error %v", workers, out, err, wantErr)
 		}
 		if classes, err := eng.ClassifyBatch(ctx, nil); err != nil || classes == nil || len(classes) != 0 {
@@ -256,7 +273,7 @@ func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 		if _, err := eng.ClassifyBatch(ctx, batch); err != ErrClosed {
 			t.Errorf("workers=%d: ClassifyBatch after Close = %v, want ErrClosed", workers, err)
 		}
-		if _, err := eng.Outputs(ctx, batch[0]); err != ErrClosed {
+		if _, err := eng.Outputs(ctx, batch[:1]); err != ErrClosed {
 			t.Errorf("workers=%d: Outputs after Close = %v, want ErrClosed", workers, err)
 		}
 	}

@@ -20,7 +20,7 @@ type Stats struct {
 	Errors   uint64
 	Shed     uint64
 	// ExecBatches counts executor-level batched kernel invocations (one
-	// RunBatch per Infer call or InferBatch chunk that passed validation);
+	// per batch chunk that passed validation);
 	// MeanExecBatch and MaxExecBatch describe the executed batch sizes in
 	// samples — the degree of kernel-level batching actually achieved.
 	// MaxExecBatch ≤ MaxBatch.
@@ -45,8 +45,8 @@ type Stats struct {
 	ThroughputSPS float64
 	// P50LatencyUS, P99LatencyUS and P999LatencyUS are arrival-to-completion
 	// latency percentiles — the wait for an executor plus the run — over
-	// every observation since the engine was built, one per Infer call or
-	// batch chunk, each within 1/64 of the exact nearest-rank value (see
+	// every observation since the engine was built, one per batch chunk,
+	// each within 1/64 of the exact nearest-rank value (see
 	// LatencyHistogram — the one percentile implementation the fleet layer
 	// shares).
 	P50LatencyUS  float64

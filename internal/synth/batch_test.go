@@ -28,7 +28,7 @@ func assertBatchMatchesSerial(t *testing.T, label string, mkExec func() *Executo
 	serial := mkExec()
 	want := make([][]int, len(inputs))
 	for i, in := range inputs {
-		out, err := serial.Run(in)
+		out, err := runOne(serial, in)
 		if err != nil {
 			t.Fatalf("%s: serial run %d: %v", label, i, err)
 		}
@@ -52,7 +52,7 @@ func assertBatchMatchesSerial(t *testing.T, label string, mkExec func() *Executo
 	// The batch executor must stay serially usable afterwards (buffer
 	// reuse across differently-sized calls), and vice versa.
 	for _, b := range []int{0, len(inputs) / 2} {
-		out, err := batched.Run(inputs[b])
+		out, err := runOne(batched, inputs[b])
 		if err != nil {
 			t.Fatalf("%s: run-after-batch %d: %v", label, b, err)
 		}
@@ -167,9 +167,9 @@ func TestRunBatchMatchesRunPooling(t *testing.T) {
 	}
 }
 
-// TestProgramRunBatchNoisyFixedStream: Program.RunBatch programs one
-// executor from opts.Rng, so with a fixed seed it must equal serial Run
-// calls on an executor programmed from the same stream.
+// TestProgramRunBatchNoisyFixedStream: a fresh executor programmed from a
+// fixed seed runs a batch exactly as one-row calls on another executor
+// programmed from the same stream.
 func TestProgramRunBatchNoisyFixedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
 	g, ws := buildTestMLP(rng, []int{16, 10, 4})
@@ -180,16 +180,20 @@ func TestProgramRunBatchNoisyFixedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := batchInputs(rng, 5, 16, opts.Params.SamplingWindow())
-	got, err := prog.RunBatch(inputs, RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(55))})
+	noisy := func() *Executor {
+		ex, err := NewExecutor(prog, RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(55))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	got, err := noisy().RunBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewExecutor(prog, RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(55))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := noisy()
 	for b, in := range inputs {
-		want, err := ex.Run(in)
+		want, err := runOne(ex, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,17 +230,11 @@ func TestRunBatchValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "batch item 1") {
 		t.Errorf("error %q does not name the offending item", err)
 	}
-	if err := ex.Validate(good); err != nil {
-		t.Errorf("Validate(good) = %v", err)
+	if _, err := runOne(ex, bad); err == nil {
+		t.Error("mis-sized input accepted")
 	}
-	if err := ex.Validate(bad); err == nil {
-		t.Error("Validate(bad) accepted")
-	}
-	if _, err := ex.Run(good); err != nil {
+	if _, err := runOne(ex, good); err != nil {
 		t.Errorf("executor unusable after batch error: %v", err)
-	}
-	if _, err := prog.RunBatch(nil, RunOptions{Mode: ModeReference}); err != nil {
-		t.Errorf("Program.RunBatch(empty) = %v", err)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestConvExactMatchesDirectConvolution(t *testing.T) {
 	for i := range input {
 		input[i] = rng.Intn(window + 1)
 	}
-	got, err := prog.Run(input, RunOptions{Mode: ModeReference})
+	got, err := runFresh(prog, input, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestConvExactStrideAndPadding(t *testing.T) {
 	for i := range input {
 		input[i] = rng.Intn(window + 1)
 	}
-	got, err := prog.Run(input, RunOptions{Mode: ModeReference})
+	got, err := runFresh(prog, input, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMaxPoolExactComputesMax(t *testing.T) {
 	for i := range input {
 		input[i] = rng.Intn(window + 1)
 	}
-	got, err := prog.Run(input, RunOptions{Mode: ModeReference})
+	got, err := runFresh(prog, input, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGlobalAvgPoolExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []int{9, 9, 9, 9, 9, 9, 9, 9, 9, 0, 18, 0, 18, 0, 18, 0, 18, 0}
-	got, err := prog.Run(input, RunOptions{Mode: ModeReference})
+	got, err := runFresh(prog, input, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestResidualAddExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	got, err := prog.Run(input, RunOptions{Mode: ModeReference})
+	got, err := runFresh(prog, input, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestCNNEndToEndSpiking(t *testing.T) {
 	for i := range input {
 		input[i] = rng.Intn(window + 1)
 	}
-	ref, err := prog.Run(input, RunOptions{Mode: ModeReference})
+	ref, err := runFresh(prog, input, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spiked, err := prog.Run(input, RunOptions{Mode: ModeSpiking})
+	spiked, err := runFresh(prog, input, RunOptions{Mode: ModeSpiking})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -52,7 +53,7 @@ func Compile(g *cgraph.Graph, opts Options) (*coreop.Graph, *Program, error) {
 	return synthesize(g, opts)
 }
 
-// ExecMode selects how Program.Run evaluates each core-op.
+// ExecMode selects how an Executor evaluates each core-op.
 type ExecMode int
 
 // Execution modes.
@@ -103,63 +104,10 @@ type RunOptions struct {
 	spikeKernel func(c *xbar.Crossbar, dst, src []int, batch int) error
 }
 
-// Run executes the program on one input vector of spike counts in [0, Γ]
-// and returns the output counts at the network's output refs. Each call
-// programs a fresh set of crossbars (in ModeSpikingNoisy, drawing fresh
-// variation from opts.Rng) — which costs the variation draws and the
-// conductance buffers, nothing derived from the compile: fault masks are
-// remembered by opts.Faults. Serving loops that classify many samples
-// should still build one Executor and reuse its programmed state.
-func (p *Program) Run(input []int, opts RunOptions) ([]int, error) {
-	// Validate before programming so a bad input neither costs a full
-	// programming pass nor advances opts.Rng's variation stream. (A caller
-	// that derives opts.Rng from a stream of its own calls Validate
-	// before drawing, for the same reason.)
-	if err := p.Validate(input); err != nil {
-		return nil, err
-	}
-	ex, err := NewExecutor(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Run(input)
-}
-
-// RunBatch executes the program on a whole micro-batch of input vectors,
-// programming each weight group once for the batch (in ModeSpikingNoisy,
-// drawing one set of variation from opts.Rng that every item shares — one
-// physical chip serving the batch) and streaming all items through each
-// stage together. Results are positional and bit-identical to per-item
-// Run calls on an equally programmed Executor. Like Run, a call pays for
-// its programming pass but not for re-deriving fault masks, and a batch
-// with a bad item is rejected before anything is programmed or drawn.
-// Serving loops should build one Executor and call its RunBatch instead,
-// amortizing programming across batches as well.
-func (p *Program) RunBatch(inputs [][]int, opts RunOptions) ([][]int, error) {
-	if err := p.ValidateBatch(inputs); err != nil {
-		return nil, err
-	}
-	if len(inputs) == 0 {
-		return nil, nil
-	}
-	ex, err := NewExecutor(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ex.runBatch(inputs)
-}
-
-// Validate checks one input vector's length and window range without
-// programming or executing anything — the pre-flight for callers that must
-// reject a bad input before spending anything on it.
-func (p *Program) Validate(input []int) error {
-	if err := p.validateInput(input, p.Params.SamplingWindow()); err != nil {
-		return fmt.Errorf("synth: %w", err)
-	}
-	return nil
-}
-
-// ValidateBatch is Validate over a micro-batch, naming the first bad item.
+// ValidateBatch checks every input vector's length and window range
+// without programming or executing anything, naming the first bad item.
+// It is Executor.RunBatch's pre-flight, and stays with it for bench/
+// (ROADMAP item 1(f)).
 func (p *Program) ValidateBatch(inputs [][]int) error {
 	window := p.Params.SamplingWindow()
 	for b, in := range inputs {
@@ -185,21 +133,26 @@ func (p *Program) validateInput(input []int, window int) error {
 	return nil
 }
 
+// ErrInputLength is wrapped by every error for an input vector whose
+// length is not the program's InputSize, spike counts and features alike.
+var ErrInputLength = errors.New("input length")
+
 // checkLength is validateInput's length half: the whole check for rows
 // that quantization built, whose counts are in [0, Γ] by construction.
 func (p *Program) checkLength(n int) error {
 	if n != p.InputSize {
-		return fmt.Errorf("input length %d, want %d", n, p.InputSize)
+		return fmt.Errorf("%w %d, want %d", ErrInputLength, n, p.InputSize)
 	}
 	return nil
 }
 
 // FloatReference evaluates the same quantized pipeline in real arithmetic
 // (no floors, no window clamping) — the mathematical function the spiking
-// program approximates. Useful for quantifying spiking error in tests.
+// program approximates. Useful for quantifying spiking error in tests; it
+// stays exported for bench/ (ROADMAP item 1(f)).
 func (p *Program) FloatReference(input []int) ([]float64, error) {
-	if len(input) != p.InputSize {
-		return nil, fmt.Errorf("synth: input length %d, want %d", len(input), p.InputSize)
+	if err := p.checkLength(len(input)); err != nil {
+		return nil, fmt.Errorf("synth: %w", err)
 	}
 	outputs := make([][]float64, len(p.Stages))
 	for si, st := range p.Stages {
@@ -262,36 +215,11 @@ func ArgmaxFloat(v []float64) int {
 	return best
 }
 
-// QuantizeInput maps real-valued features in [0,1] to window counts.
+// QuantizeInput maps real-valued features in [0,1] to window counts, as
+// Executor.RunFeatures quantizes each row. It stays exported for bench/
+// (ROADMAP item 1(f)).
 func QuantizeInput(features []float64, window int) []int {
 	return quantizeInto(make([]int, len(features)), features, window)
-}
-
-// QuantizeBatch is QuantizeInput over a batch, into one flat slab: each
-// row is a capacity-capped view of it (as RunBatch's results are), so an
-// append through one row can never spill into the next.
-func QuantizeBatch(batch [][]float64, window int) [][]int {
-	return quantizeRows(make([][]int, len(batch)), make([]int, featureCount(batch)), batch, window)
-}
-
-// featureCount sums the batch's row lengths.
-func featureCount(batch [][]float64) int {
-	total := 0
-	for _, f := range batch {
-		total += len(f)
-	}
-	return total
-}
-
-// quantizeRows quantizes the batch row after row into slab, which holds
-// featureCount(batch) counts, and points rows[i] at row i's capacity-capped
-// piece of it.
-func quantizeRows(rows [][]int, slab []int, batch [][]float64, window int) [][]int {
-	for i, f := range batch {
-		rows[i] = quantizeInto(slab[:len(f):len(f)], f, window)
-		slab = slab[len(f):]
-	}
-	return rows
 }
 
 // quantizeInto writes each feature's count: round(f·Γ) clamped to [0, Γ],

@@ -33,6 +33,26 @@ func buildTestMLP(rng *rand.Rand, dims []int) (*cgraph.Graph, func(string) [][]f
 	return g, func(layer string) [][]float64 { return weights[layer] }
 }
 
+// runOne runs one input vector on ex as a batch of one.
+func runOne(ex *Executor, in []int) ([]int, error) {
+	outs, err := ex.RunBatch([][]int{in})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// runFresh runs one input vector on a freshly programmed executor — a new
+// chip for the one call, in ModeSpikingNoisy drawn from opts.Rng — the
+// oracle reused executors are held to.
+func runFresh(p *Program, in []int, opts RunOptions) ([]int, error) {
+	ex, err := NewExecutor(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return runOne(ex, in)
+}
+
 func randomInput(rng *rand.Rand, n, window int) []int {
 	in := make([]int, n)
 	for i := range in {
@@ -64,7 +84,7 @@ func TestProgramReferenceMatchesFloat(t *testing.T) {
 	window := opts.Params.SamplingWindow()
 	for trial := 0; trial < 20; trial++ {
 		in := randomInput(rng, 32, window)
-		got, err := prog.Run(in, RunOptions{Mode: ModeReference})
+		got, err := runFresh(prog, in, RunOptions{Mode: ModeReference})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +116,11 @@ func TestProgramSpikingMatchesReference(t *testing.T) {
 	window := opts.Params.SamplingWindow()
 	for trial := 0; trial < 5; trial++ {
 		in := randomInput(rng, 24, window)
-		ref, err := prog.Run(in, RunOptions{Mode: ModeReference})
+		ref, err := runFresh(prog, in, RunOptions{Mode: ModeReference})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spiked, err := prog.Run(in, RunOptions{Mode: ModeSpiking})
+		spiked, err := runFresh(prog, in, RunOptions{Mode: ModeSpiking})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +145,7 @@ func TestProgramRowSplitCorrectness(t *testing.T) {
 	}
 	window := opts.Params.SamplingWindow()
 	in := randomInput(rng, 600, window)
-	got, err := prog.Run(in, RunOptions{Mode: ModeReference})
+	got, err := runFresh(prog, in, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +174,11 @@ func TestProgramNoisyRunStaysUsable(t *testing.T) {
 	}
 	window := opts.Params.SamplingWindow()
 	in := randomInput(rng, 24, window)
-	ref, err := prog.Run(in, RunOptions{Mode: ModeReference})
+	ref, err := runFresh(prog, in, RunOptions{Mode: ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := prog.Run(in, RunOptions{Mode: ModeSpikingNoisy, Rng: rng})
+	noisy, err := runFresh(prog, in, RunOptions{Mode: ModeSpikingNoisy, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +189,13 @@ func TestProgramNoisyRunStaysUsable(t *testing.T) {
 	if dev/float64(len(ref)) > 8 {
 		t.Errorf("mean |noisy − ref| = %.2f counts, want ≤8", dev/float64(len(ref)))
 	}
-	if _, err := prog.Run(in, RunOptions{Mode: ModeSpikingNoisy}); err == nil {
+	if _, err := NewExecutor(prog, RunOptions{Mode: ModeSpikingNoisy}); err == nil {
 		t.Error("noisy mode without rng accepted")
 	}
 }
 
+// TestProgramInputValidation: a one-row RunBatch rejects a short input and
+// an out-of-window count.
 func TestProgramInputValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	g, ws := buildTestMLP(rng, []int{8, 4})
@@ -183,12 +205,12 @@ func TestProgramInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(make([]int, 7), RunOptions{}); err == nil {
+	if _, err := runFresh(prog, make([]int, 7), RunOptions{}); err == nil {
 		t.Error("short input accepted")
 	}
 	bad := make([]int, 8)
 	bad[0] = 1000
-	if _, err := prog.Run(bad, RunOptions{}); err == nil {
+	if _, err := runFresh(prog, bad, RunOptions{}); err == nil {
 		t.Error("out-of-window count accepted")
 	}
 }
@@ -261,32 +283,6 @@ func TestQuantizeRoundsLikeMathRound(t *testing.T) {
 				t.Errorf("Γ %d: feature %g (%x) quantizes to %d, math.Round gives %d", window, f, math.Float64bits(f), got[i], want)
 			}
 		}
-	}
-}
-
-// TestQuantizeBatch: each row of the slab equals QuantizeInput of its
-// sample (ragged rows included), and rows are capacity-capped so an
-// append through one cannot write into the next.
-func TestQuantizeBatch(t *testing.T) {
-	batch := [][]float64{{0, 0.5, 1}, {}, {1.5, -0.2}, {0.25}}
-	rows := QuantizeBatch(batch, 64)
-	if len(rows) != len(batch) {
-		t.Fatalf("%d rows, want %d", len(rows), len(batch))
-	}
-	for i, f := range batch {
-		want := QuantizeInput(f, 64)
-		if len(rows[i]) != len(want) || cap(rows[i]) != len(want) {
-			t.Fatalf("row %d: len/cap = %d/%d, want %d/%d", i, len(rows[i]), cap(rows[i]), len(want), len(want))
-		}
-		for j := range want {
-			if rows[i][j] != want[j] {
-				t.Errorf("row %d[%d] = %d, want %d", i, j, rows[i][j], want[j])
-			}
-		}
-	}
-	_ = append(rows[0], 99)
-	if rows[2][0] != 64 {
-		t.Errorf("append through row 0 spilled into row 2: %v", rows[2])
 	}
 }
 

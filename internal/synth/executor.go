@@ -11,18 +11,16 @@ import (
 
 // Executor is a reusable execution context over a Program on one or more
 // simulated chips: every weight group's crossbar is programmed once, at
-// construction, and reused across Run/RunBatch calls — the way the
-// physical chips program their crossbars once at deployment and then
-// stream samples through them. Program.Run programs a new executor on
-// every call; for a serving loop the Executor amortizes that away, and a
-// Monte-Carlo loop that wants a fresh chip per call redraws one executor's
-// conductances in place (Redraw).
+// construction, and reused across calls — the way the physical chips
+// program their crossbars once at deployment and then stream samples
+// through them. A Monte-Carlo loop that wants a fresh chip per call
+// redraws one executor's conductances in place (Redraw).
 //
-// Execution is batched end to end: RunBatch walks the stage list once per
-// micro-batch, evaluating every batch item on a stage's crossbar before
-// moving to the next stage (via the internal/xbar batch kernels), instead
-// of re-walking all stages per item. Run is the batch-of-one special
-// case.
+// Execution is batched end to end: RunFeatures walks the stage list once
+// per micro-batch, evaluating every batch item on a stage's crossbar
+// before moving to the next stage (via the internal/xbar batch kernels),
+// instead of re-walking all stages per item. A single sample is a batch
+// of one.
 //
 // A plan from PartitionStages gives each chip a contiguous stage range and
 // the crossbars of the groups those stages use. A batch walks the stages
@@ -33,13 +31,13 @@ import (
 // chip count, so outputs are bit-identical across chip counts in all three
 // modes.
 //
-// RunBatch is safe for concurrent use: calls on one Executor run one at a
+// A call is safe for concurrent use: calls on one Executor run one at a
 // time, since the per-stage scratch is the executor's own. Concurrent
 // callers that want to run in parallel hold one Executor each (see
 // internal/serve), which also matches the hardware — each replica carries
 // its own programming variation. A panic under the kernel reaches the
-// caller and leaves the Executor usable. Close is a no-op and RunBatch
-// keeps working after it.
+// caller and leaves the Executor usable. Close is a no-op and the
+// Executor keeps working after it.
 type Executor struct {
 	prog *Program
 	opts RunOptions
@@ -148,10 +146,10 @@ func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 //
 // Every group is programmed once, in global first-use stage order,
 // whatever the plan. In ModeSpikingNoisy the supplied Rng draws each
-// cell's programming variation in that order — the same draw order
-// Program.Run uses — so a fresh Executor reproduces a single Run bit for
-// bit, and a sharded deployment carries identically noisy conductances to
-// the single-chip deployment it replaces. Fault masks come from
+// cell's programming variation in that order, so two executors built from
+// identically seeded streams carry identical conductances, and a sharded
+// deployment carries identically noisy conductances to the single-chip
+// deployment it replaces. Fault masks come from
 // opts.Faults' memo (derived once per model, not per executor, and keyed
 // on the global group ID, so a group lands on the same stuck cells
 // whichever chip owns it) and programming a weight allocates nothing. A
@@ -259,11 +257,8 @@ func (e *Executor) Redraw(seed int64) {
 func (e *Executor) Chips() int { return e.chips }
 
 // Close is a no-op: an Executor holds no goroutine or other resource to
-// release, and RunBatch keeps working after it.
+// release, and it keeps working after it.
 func (e *Executor) Close() error { return nil }
-
-// Mode returns the execution mode the Executor was programmed for.
-func (e *Executor) Mode() ExecMode { return e.opts.Mode }
 
 // FaultedCells sums the stuck logical cells pinned across every crossbar
 // the Executor programmed — the residual faults execution actually sees
@@ -294,33 +289,15 @@ func (e *Executor) KernelStats() xbar.KernelStats {
 	return st
 }
 
-// Validate checks one input vector's length and window range without
-// executing anything.
-func (e *Executor) Validate(input []int) error { return e.prog.Validate(input) }
-
-// Run executes the program on one input vector of spike counts in [0, Γ]
-// and returns the output counts at the network's output refs. The
-// returned slice is freshly allocated. Run is RunBatch with a batch of
-// one.
-func (e *Executor) Run(input []int) ([]int, error) {
-	if err := e.Validate(input); err != nil {
-		return nil, err
-	}
-	outs, err := e.runBatch([][]int{input})
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
-
-// RunBatch executes the program on a micro-batch of input vectors and
-// returns one output-count slice per input, positionally; the slices are
-// freshly allocated views into one backing array (see runBatch).
-// The whole batch advances through the stage list together: each stage's
-// crossbar evaluates every item (one batched kernel call) before the next
-// stage runs, so a weight group's programmed state is touched once per
-// batch rather than once per item. Outputs are bit-identical to len(inputs)
-// independent Run calls in every execution mode and at every chip count.
+// RunBatch executes the program on a micro-batch of input vectors of
+// spike counts in [0, Γ] and returns one output-count slice per input,
+// positionally; the slices are freshly allocated views into one backing
+// array (see runBatch). The whole batch advances through the stage list
+// together: each stage's crossbar evaluates every item (one batched kernel
+// call) before the next stage runs. Outputs are bit-identical to
+// len(inputs) one-row calls in every execution mode and at every chip
+// count. Serving takes features (RunFeatures); RunBatch stays for bench/
+// (ROADMAP item 1(f)) and as the tests' oracle.
 func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
 	if err := e.prog.ValidateBatch(inputs); err != nil {
 		return nil, err
@@ -331,15 +308,15 @@ func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
 // RunFeatures is RunBatch for real-valued features, writing its results
 // into dst instead of allocating them. It quantizes each row into the
 // executor's own scratch against the program's sampling window (as
-// QuantizeBatch does), runs the rows as RunBatch does, and reads the
+// QuantizeInput does), runs the rows as RunBatch does, and reads the
 // results straight out of the stage output tables: with classes set, dst[b]
 // is row b's argmax class (ties to the first maximum, as Argmax); otherwise
 // dst holds the rows' output counts back to back, len(OutputRefs) per row.
-// dst must be exactly that long. Its one input check is each row's length:
-// quantization puts every count in [0, Γ], so the rest of ValidateBatch
-// could never fail here. Results and errors are those of
-// RunBatch(QuantizeBatch(features, window)) followed by Argmax, and a warm
-// call allocates nothing.
+// dst must be exactly that long. Its one input check is each row's length
+// (ErrInputLength): quantization puts every count in [0, Γ], so the rest
+// of ValidateBatch could never fail here. Results and errors are those of
+// RunBatch over each row's QuantizeInput(row, Γ) followed by Argmax, and a
+// warm call allocates nothing.
 func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) error {
 	want := len(features)
 	if !classes {
@@ -370,14 +347,21 @@ func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) er
 	return nil
 }
 
-// quantize writes every feature row's counts into the executor's scratch
-// and returns the rows. Under e.mu.
+// quantize writes every feature row's counts into the executor's scratch,
+// row after row, and returns the rows: capacity-capped views into the
+// slab. Under e.mu.
 func (e *Executor) quantize(features [][]float64) [][]int {
 	if cap(e.rows) < len(features) {
 		e.rows = make([][]int, len(features))
 	}
-	e.slab = growInts(e.slab, featureCount(features))
-	return quantizeRows(e.rows[:len(features)], e.slab, features, e.prog.Params.SamplingWindow())
+	rows := e.rows[:len(features)]
+	e.slab = growInts(e.slab, len(features)*e.prog.InputSize) // checkLength passed
+	slab, window := e.slab, e.prog.Params.SamplingWindow()
+	for i, f := range features {
+		rows[i] = quantizeInto(slab[:len(f):len(f)], f, window)
+		slab = slab[len(f):]
+	}
+	return rows
 }
 
 // growInts returns buf resized to n, reusing capacity.

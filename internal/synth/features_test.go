@@ -108,12 +108,16 @@ func errText(err error) string {
 }
 
 // checkFeatures requires RunFeatures on features — classes and output
-// counts both — to equal Argmax over RunBatch(QuantizeBatch(features, Γ))
-// on the same executor, error text for error text.
+// counts both — to equal Argmax over RunBatch of every row's
+// QuantizeInput(row, Γ) on the same executor, error text for error text.
 func checkFeatures(t *testing.T, fx featureFixture, features [][]float64) {
 	t.Helper()
 	prog := fx.ex.prog
-	want, wantErr := fx.ex.RunBatch(QuantizeBatch(features, prog.Params.SamplingWindow()))
+	inputs := make([][]int, len(features))
+	for b, f := range features {
+		inputs[b] = QuantizeInput(f, prog.Params.SamplingWindow())
+	}
+	want, wantErr := fx.ex.RunBatch(inputs)
 	classes := make([]int, len(features))
 	err := fx.ex.RunFeatures(classes, features, true)
 	if errText(err) != errText(wantErr) {

@@ -27,7 +27,7 @@ func pipelineAt(t *testing.T, prog *Program, chips int, opts RunOptions) *Execut
 
 // assertPipelineMatchesExecutor requires the pipelined executor at every
 // requested chip count to reproduce a single-chip Executor bit for bit,
-// for both one-shot RunBatch and per-item Run.
+// for both a whole batch and a batch of one.
 func assertPipelineMatchesExecutor(t *testing.T, label string, prog *Program,
 	mkOpts func() RunOptions, chipCounts []int, inputs [][]int) {
 	t.Helper()
@@ -53,9 +53,9 @@ func assertPipelineMatchesExecutor(t *testing.T, label string, prog *Program,
 				}
 			}
 		}
-		// Per-item Run through the same pipeline must agree too (buffer
+		// A batch of one through the same pipeline must agree too (buffer
 		// reuse across differently sized jobs).
-		out, err := pe.Run(inputs[0])
+		out, err := runOne(pe, inputs[0])
 		if err != nil {
 			t.Fatalf("%s/%d-chip: Run: %v", label, chips, err)
 		}
@@ -335,13 +335,7 @@ func TestPipelineValidationAndClose(t *testing.T) {
 	if _, err := pe.RunBatch([][]int{good, make([]int, 3)}); err == nil {
 		t.Error("mis-sized batch item accepted")
 	}
-	if err := pe.Validate(good); err != nil {
-		t.Errorf("Validate(good) = %v", err)
-	}
-	if err := pe.Validate(make([]int, 3)); err == nil {
-		t.Error("Validate(bad) accepted")
-	}
-	if _, err := pe.Run(good); err != nil {
+	if _, err := runOne(pe, good); err != nil {
 		t.Errorf("Run after batch error: %v", err)
 	}
 	if err := pe.Close(); err != nil {
@@ -362,7 +356,7 @@ func TestPipelineValidationAndClose(t *testing.T) {
 	if pe2.Chips() != 1 {
 		t.Errorf("nil-plan pipeline has %d chips, want 1", pe2.Chips())
 	}
-	if _, err := pe2.Run(good); err != nil {
+	if _, err := runOne(pe2, good); err != nil {
 		t.Errorf("nil-plan Run: %v", err)
 	}
 	if _, err := NewPipelineExecutor(prog, nil, RunOptions{Mode: ModeSpikingNoisy}); err == nil {

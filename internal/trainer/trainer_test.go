@@ -111,15 +111,17 @@ func TestGraphAndWeightSourceCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := opts.Params.SamplingWindow()
+	ex, err := synth.NewExecutor(prog, synth.RunOptions{Mode: synth.ModeReference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := make([]int, 60)
+	if err := ex.RunFeatures(classes, test.X[:60], true); err != nil {
+		t.Fatal(err)
+	}
 	agree, n := 0, 0
-	for i := 0; i < 60; i++ {
-		in := synth.QuantizeInput(test.X[i], window)
-		out, err := prog.Run(in, synth.RunOptions{Mode: synth.ModeReference})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if synth.Argmax(out) == m.Predict(test.X[i]) {
+	for i, c := range classes {
+		if c == m.Predict(test.X[i]) {
 			agree++
 		}
 		n++
