@@ -288,6 +288,46 @@ func TestFleetClassifyBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestLoneOutputsAllocs pins the one-row path: Engine.Outputs and
+// Fleet.Outputs each allocate the one-row batch and the returned counts,
+// nothing else, in reference and spiking mode. The call runs on the
+// caller's stack; a heap call object made it 3.
+func TestLoneOutputsAllocs(t *testing.T) {
+	d, _, test := deployTestNet(t)
+	ctx := context.Background()
+	for _, mode := range []ExecMode{ModeReference, ModeSpiking} {
+		eng, err := d.NewEngine(ctx, WithMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFleet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddModel(ctx, "m", d, WithModelEngine(WithMode(mode))); err != nil {
+			t.Fatal(err)
+		}
+		x := test.X[0]
+		// Warm every executor: which one a sequential call takes is the pool's business.
+		for i := 0; i < 8; i++ {
+			if _, err := eng.Outputs(ctx, x); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := f.Outputs(ctx, "m", "", x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(50, func() { _, _ = eng.Outputs(ctx, x) }); a > 2 {
+			t.Errorf("%v: Engine.Outputs: %v allocs, want ≤ 2", mode, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { _, _, _ = f.Outputs(ctx, "m", "", x) }); a > 2 {
+			t.Errorf("%v: Fleet.Outputs: %v allocs, want ≤ 2", mode, a)
+		}
+		eng.Close()
+		f.Close()
+	}
+}
+
 // TestWrongLengthIsInvalidArgument: a feature vector of the wrong length
 // is ErrInvalidArgument at the Engine and the Fleet, as it is at
 // SpikingNet, and the message still names the length and, in a batch,

@@ -58,11 +58,15 @@ var (
 // batch of feature vectors and returns every sample's output counts back
 // to back, the same number per sample. QueueDepth is its backlog —
 // requests waiting for an executor right now, not counting the ones
-// running — and is what Stats reports. Close must wait for every call
-// already inside, and Outputs after it must return an error wrapping
-// serve.ErrClosed.
+// running — and is what Stats reports. MergeLatency adds the latencies
+// it has recorded, one per non-empty Outputs call from arrival to
+// completion, to h: they are the model's percentiles, the fleet keeps no
+// clock of its own. Close must wait for every call already inside, after
+// which MergeLatency reads a final histogram, and Outputs after it must
+// return an error wrapping serve.ErrClosed.
 type Replica interface {
 	Outputs(ctx context.Context, batch [][]float64) ([]int, error)
+	MergeLatency(h *serve.LatencyHistogram)
 	QueueDepth() int
 	Close() error
 }
@@ -195,7 +199,9 @@ type version struct {
 }
 
 // model is one served model: its current version (atomic route pointer),
-// its pool shape and its serving counters.
+// its pool shape and its serving counters. Its latencies live in its
+// engines: retired holds every replaced engine's, merged in once that
+// engine's Close returned, and Stats adds the live engine's.
 type model struct {
 	name  string
 	cfg   ModelConfig // immutable: cfg.Replicas is every version's executor count
@@ -205,15 +211,17 @@ type model struct {
 
 	// swapMu serializes swaps and close against each other; requests
 	// never take it.
-	swapMu sync.Mutex
-	closed atomic.Bool
+	swapMu  sync.Mutex
+	closed  atomic.Bool
+	retired serve.LatencyHistogram
 
+	// Written by every request: kept apart from the fields above, which
+	// every request reads, by the histogram's size.
 	inflight  atomic.Int64
 	requests  atomic.Uint64
 	errors    atomic.Uint64
 	overload  atomic.Uint64
 	quotaShed atomic.Uint64
-	lat       serve.LatencyHistogram
 }
 
 // tenantState tracks one configured tenant's class and in-flight count.
@@ -238,9 +246,13 @@ type Fleet struct {
 	opts    Options
 	tenants map[string]*tenantState // immutable after New
 
-	mu        sync.RWMutex
-	closed    bool
-	models    map[string]*model
+	// models is the route table, read without a lock: a map nobody
+	// mutates, which AddModel replaces with a grown copy under mu. closed
+	// is set under mu too, and read by requests without it.
+	models atomic.Pointer[map[string]*model]
+	closed atomic.Bool
+
+	mu        sync.Mutex
 	chipsUsed int
 	swaps     []SwapEvent
 }
@@ -251,11 +263,11 @@ func New(opts Options) *Fleet {
 	f := &Fleet{
 		opts:    opts,
 		tenants: make(map[string]*tenantState, len(opts.Tenants)),
-		models:  make(map[string]*model),
 	}
 	for name, t := range opts.Tenants {
 		f.tenants[name] = &tenantState{class: t.Class, quota: int64(t.Quota)}
 	}
+	f.models.Store(&map[string]*model{})
 	return f
 }
 
@@ -273,10 +285,7 @@ func (f *Fleet) AddModel(name string, src Source, cfg ModelConfig) error {
 	}
 	cfg = cfg.withDefaults()
 	need := cfg.Replicas * cfg.ChipsPerReplica
-	f.mu.RLock()
-	err := f.vacant(name)
-	f.mu.RUnlock()
-	if err != nil {
+	if err := f.vacant(name); err != nil {
 		return err
 	}
 	if err := f.reserveChips(need); err != nil {
@@ -296,30 +305,35 @@ func (f *Fleet) AddModel(name string, src Source, cfg ModelConfig) error {
 		_ = eng.Close()
 		return err
 	}
-	f.models[name] = m
+	old := *f.models.Load()
+	models := make(map[string]*model, len(old)+1)
+	for n, om := range old {
+		models[n] = om
+	}
+	models[name] = m
+	f.models.Store(&models)
 	f.mu.Unlock()
 	return nil
 }
 
-// vacant reports why name cannot be registered, if it cannot. Under f.mu.
+// vacant reports why name cannot be registered, if it cannot. Its answer
+// holds only as long as f.mu is held.
 func (f *Fleet) vacant(name string) error {
-	if f.closed {
+	if f.closed.Load() {
 		return ErrClosed
 	}
-	if _, dup := f.models[name]; dup {
+	if _, dup := (*f.models.Load())[name]; dup {
 		return fmt.Errorf("fleet: model %q already registered", name)
 	}
 	return nil
 }
 
-// lookup resolves a model name under the read lock.
+// lookup resolves a model name, taking no lock.
 func (f *Fleet) lookup(name string) (*model, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
+	if f.closed.Load() {
 		return nil, ErrClosed
 	}
-	m, ok := f.models[name]
+	m, ok := (*f.models.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
@@ -389,16 +403,10 @@ func (m *model) leave(ts *tenantState) {
 	}
 }
 
-// record counts a call of n samples that ran on an engine: n requests
-// (and n errors if it failed) and one latency since start. An empty batch
-// ran nothing and records nothing: its latency would only pull the
-// percentiles towards zero.
-func (m *model) record(n int, start time.Time, err error) {
-	if n == 0 {
-		return
-	}
+// record counts a call of n samples that ran on an engine: n requests,
+// and n errors if it failed. Its latency is the engine's to record.
+func (m *model) record(n int, err error) {
 	m.requests.Add(uint64(n))
-	m.lat.Record(time.Since(start))
 	if err != nil {
 		m.errors.Add(uint64(n))
 	}
@@ -416,7 +424,6 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 		return Result{}, err
 	}
 	defer m.leave(ts)
-	start := time.Now()
 	for {
 		v := m.cur.Load()
 		out, err := v.eng.Outputs(ctx, [][]float64{features})
@@ -429,7 +436,7 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			// engine, so the retry finds it; the request is intact.
 			continue
 		}
-		m.record(1, start, err)
+		m.record(1, err)
 		if err != nil {
 			return Result{}, err
 		}
@@ -441,8 +448,8 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 // place and a single model place), one version for every sample — each
 // output is that version's — and one Outputs call on its engine, which
 // cuts the batch into chunks. The outputs are capacity-capped row views
-// of that call's flat result. It counts len(batch) requests and one
-// latency.
+// of that call's flat result. It counts len(batch) requests; its engine
+// records one latency, unless the batch is empty.
 func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]float64) (outs [][]int, version int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -452,7 +459,6 @@ func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]f
 		return nil, 0, err
 	}
 	defer m.leave(ts)
-	start := time.Now()
 	for {
 		v := m.cur.Load()
 		flat, err := v.eng.Outputs(ctx, batch)
@@ -462,7 +468,7 @@ func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]f
 			}
 			continue // the route moved on, as in Infer
 		}
-		m.record(len(batch), start, err)
+		m.record(len(batch), err)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -525,8 +531,11 @@ func (f *Fleet) Swap(ctx context.Context, name string, src Source) (SwapEvent, e
 // version id, for requests to find (a zero src, closing, builds none);
 // then it closes the old engine, which returns once every call inside it
 // has — one that arrives after retries on the new route — and returns one
-// engine's chips. The new engine's chips are claimed first, so during a
-// swap the model holds both engines' worth. Under m.swapMu.
+// engine's chips. A replaced engine's latencies, final once its Close has
+// returned, are merged into m.retired; a closing model keeps its last
+// engine as the route, and Stats reads that one live. The new engine's
+// chips are claimed first, so during a swap the model holds both engines'
+// worth. Under m.swapMu.
 func (f *Fleet) repoint(m *model, id int, src Source) error {
 	old, chips := m.cur.Load(), m.cfg.Replicas*m.cfg.ChipsPerReplica
 	if src.New != nil {
@@ -543,6 +552,9 @@ func (f *Fleet) repoint(m *model, id int, src Source) error {
 	// The route has moved on, and a simulated chip's teardown has nothing
 	// actionable to report.
 	_ = old.eng.Close()
+	if src.New != nil {
+		old.eng.MergeLatency(&m.retired)
+	}
 	f.releaseChips(chips)
 	return nil
 }
@@ -551,7 +563,7 @@ func (f *Fleet) repoint(m *model, id int, src Source) error {
 func (f *Fleet) reserveChips(n int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
+	if f.closed.Load() {
 		return ErrClosed
 	}
 	if f.chipsUsed+n > f.opts.Chips {
@@ -578,17 +590,13 @@ func (f *Fleet) recordSwap(ev SwapEvent) {
 // afterwards returns ErrClosed.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
-	if f.closed {
+	if f.closed.Load() {
 		f.mu.Unlock()
 		return nil
 	}
-	f.closed = true
-	models := make([]*model, 0, len(f.models))
-	for _, m := range f.models {
-		models = append(models, m)
-	}
+	f.closed.Store(true)
 	f.mu.Unlock()
-	for _, m := range models {
+	for _, m := range *f.models.Load() {
 		m.swapMu.Lock()
 		m.closed.Store(true)
 		_ = f.repoint(m, m.cur.Load().id, Source{}) // builds and claims nothing: cannot fail

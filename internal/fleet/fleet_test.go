@@ -14,8 +14,9 @@ import (
 // fakeReplica is a controllable Replica, standing for a whole engine:
 // outputs carry its source's marker (so tests can attribute responses to
 // versions), and a call can be made to block on a gate or to panic once.
-// Like serve.Engine, Close waits for every call inside and a call after it
-// returns serve.ErrClosed.
+// Like serve.Engine, Close waits for every call inside, a call after it
+// returns serve.ErrClosed, and a non-empty call that ran records one
+// latency, arrival to completion.
 type fakeReplica struct {
 	marker   int
 	replicas int           // the count the fleet asked the source for
@@ -23,6 +24,7 @@ type fakeReplica struct {
 	start    chan struct{} // when non-nil, a call signals entry (buffered)
 	poison   atomic.Bool   // when set, the next call panics (and clears it)
 	retired  atomic.Bool   // when set, the next call answers serve.ErrClosed (and clears it)
+	lat      serve.LatencyHistogram
 
 	mu     sync.RWMutex
 	closed bool
@@ -40,6 +42,7 @@ func (r *fakeReplica) Outputs(ctx context.Context, batch [][]float64) ([]int, er
 	r.calls.Add(1)
 	r.mu.RUnlock()
 	defer r.calls.Done()
+	start := time.Now()
 	if r.poison.CompareAndSwap(true, false) {
 		panic("fakeReplica: poisoned request")
 	}
@@ -60,8 +63,13 @@ func (r *fakeReplica) Outputs(ctx context.Context, batch [][]float64) ([]int, er
 	for _, f := range batch {
 		out = append(out, r.marker, len(f))
 	}
+	if len(batch) > 0 {
+		r.lat.Record(time.Since(start))
+	}
 	return out, nil
 }
+
+func (r *fakeReplica) MergeLatency(h *serve.LatencyHistogram) { h.Merge(&r.lat) }
 
 func (r *fakeReplica) QueueDepth() int { return 0 }
 

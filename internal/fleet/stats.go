@@ -1,6 +1,10 @@
 package fleet
 
-import "time"
+import (
+	"time"
+
+	"fpsa/internal/serve"
+)
 
 // ModelStats is one model's serving snapshot, shaped for the /fleetz
 // endpoint.
@@ -32,8 +36,11 @@ type ModelStats struct {
 	ScaleDowns uint64 `json:"-"`
 	// QPS is completed requests per second since the model was
 	// registered; the latency percentiles are over every call since then,
-	// one per call whatever its batch size (the same
-	// serve.LatencyHistogram the engine stats use, within 1/64 of exact).
+	// one per call whatever its batch size, from its arrival at the engine
+	// that ran it to completion: fleet admission is not in it. They merge
+	// the retired engines' histograms and the live engine's (the one
+	// serve.LatencyHistogram the engine stats use, within 1/64 of exact),
+	// exact once a swap has returned.
 	QPS           float64 `json:"qps"`
 	P50LatencyUS  float64 `json:"p50_latency_us"`
 	P99LatencyUS  float64 `json:"p99_latency_us"`
@@ -64,18 +71,15 @@ type Stats struct {
 
 // Stats snapshots every model's counters and the swap history.
 func (f *Fleet) Stats() Stats {
-	f.mu.RLock()
+	models := *f.models.Load()
+	f.mu.Lock()
 	s := Stats{
 		Chips:     f.opts.Chips,
 		ChipsUsed: f.chipsUsed,
-		Models:    make(map[string]ModelStats, len(f.models)),
+		Models:    make(map[string]ModelStats, len(models)),
 		Swaps:     append(make([]SwapEvent, 0, len(f.swaps)), f.swaps...), // never nil: "swaps":[] on the wire
 	}
-	models := make(map[string]*model, len(f.models))
-	for name, m := range f.models {
-		models[name] = m
-	}
-	f.mu.RUnlock()
+	f.mu.Unlock()
 	for name, m := range models {
 		s.Models[name] = m.snapshot()
 	}
@@ -98,6 +102,9 @@ func (m *model) snapshot() ModelStats {
 	if up := time.Since(m.start).Seconds(); up > 0 {
 		st.QPS = float64(st.Requests) / up
 	}
-	st.P50LatencyUS, st.P99LatencyUS, st.P999LatencyUS = m.lat.Percentiles()
+	var lat serve.LatencyHistogram
+	lat.Merge(&m.retired)
+	v.eng.MergeLatency(&lat)
+	st.P50LatencyUS, st.P99LatencyUS, st.P999LatencyUS = lat.Percentiles()
 	return st
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -163,6 +164,63 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	if rs := old.replicas(); len(rs) != 1 || !rs[0].isClosed() {
 		t.Fatal("old engine not closed after swap drain")
 	}
+}
+
+// TestSwapKeepsLatencies: a model's percentiles are its engines' own
+// records, merged — after a swap, exactly the merged histogram of the
+// retired engine and the live one, and still exactly that after Close
+// (which retires nothing, so nothing counts twice). The retired engine
+// carries 1000 extra observations of 1 ms and the live one 800 of 1 s, so
+// the p50 is 1 ms, and reads 1 s if the fleet drops the retired record or
+// counts the live one twice.
+func TestSwapKeepsLatencies(t *testing.T) {
+	f := New(Options{Chips: 16})
+	old, next := &fakeSource{marker: 1, window: 4}, &fakeSource{marker: 2, window: 4}
+	if err := f.AddModel("m", old.Source(), ModelConfig{Replicas: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	serveSome := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := f.Infer(ctx, "m", "t", []float64{1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := f.InferBatch(ctx, "m", "t", [][]float64{{1}, {2}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serveSome(10)
+	for i := 0; i < 1000; i++ {
+		old.replicas()[0].lat.Record(time.Millisecond)
+	}
+	if _, err := f.Swap(ctx, "m", next.Source()); err != nil {
+		t.Fatal(err)
+	}
+	serveSome(10)
+	for i := 0; i < 800; i++ {
+		next.replicas()[0].lat.Record(time.Second)
+	}
+	check := func(when string) {
+		t.Helper()
+		var want serve.LatencyHistogram
+		old.replicas()[0].MergeLatency(&want)
+		next.replicas()[0].MergeLatency(&want)
+		w50, w99, w999 := want.Percentiles()
+		st := f.Stats().Models["m"]
+		if st.P50LatencyUS != w50 || st.P99LatencyUS != w99 || st.P999LatencyUS != w999 {
+			t.Errorf("%s: p50/p99/p999 = %g/%g/%g µs, both engines merged read %g/%g/%g",
+				when, st.P50LatencyUS, st.P99LatencyUS, st.P999LatencyUS, w50, w99, w999)
+		}
+		if math.Abs(st.P50LatencyUS-1000) > 1000.0/64 {
+			t.Errorf("%s: p50 = %g µs, want the retired engine's 1 ms within 1/64", when, st.P50LatencyUS)
+		}
+	}
+	check("after the swap")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close")
 }
 
 // TestSwapWindowFollowsVersion pins that the window Stats reports is the

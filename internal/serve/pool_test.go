@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,14 +23,16 @@ import (
 func park(eng *Engine, n int) []*synth.Executor {
 	held := make([]*synth.Executor, n)
 	for i := range held {
-		held[i] = <-eng.idle
+		if held[i] = eng.pool.take(); held[i] == nil {
+			panic("park: the pool has fewer idle executors than asked for")
+		}
 	}
 	return held
 }
 
 func unpark(eng *Engine, held []*synth.Executor) {
 	for _, ex := range held {
-		eng.idle <- ex
+		eng.pool.put(ex)
 	}
 }
 
@@ -44,7 +47,7 @@ func waitWaiting(eng *Engine, n int) {
 // checkPool fails the test unless every executor is back in the pool.
 func checkPool(t *testing.T, eng *Engine) {
 	t.Helper()
-	if got := len(eng.idle); got != eng.opts.Workers {
+	if got := eng.pool.idle(); got != eng.opts.Workers {
 		t.Errorf("%d of %d executors in the pool", got, eng.opts.Workers)
 	}
 }
@@ -136,17 +139,33 @@ func checkQueue(t *testing.T, eng *Engine, inputs, want [][]int, maxBatch int) {
 
 // cancelAfterFirstBatch is a context that ends once the engine has executed its
 // first batch: a call carrying it is cancelled mid-flight, between two of
-// its chunks, without a wall clock.
+// its chunks, without a wall clock. Done and Err agree, as a context's
+// must: the engine reads Err only once Done has fired.
 type cancelAfterFirstBatch struct {
 	context.Context
-	eng *Engine
+	eng  *Engine
+	done chan struct{}
+	once *sync.Once
+}
+
+func newCancelAfterFirstBatch(eng *Engine) cancelAfterFirstBatch {
+	return cancelAfterFirstBatch{context.Background(), eng, make(chan struct{}), new(sync.Once)}
+}
+
+func (c cancelAfterFirstBatch) Done() <-chan struct{} {
+	if c.eng.stats.execBatches.Load() > 0 {
+		c.once.Do(func() { close(c.done) })
+	}
+	return c.done
 }
 
 func (c cancelAfterFirstBatch) Err() error {
-	if c.eng.stats.execBatches.Load() > 0 {
+	select {
+	case <-c.Done():
 		return context.Canceled
+	default:
+		return nil
 	}
-	return nil
 }
 
 // TestCancelMidBatch: a batch call whose ctx ends while it runs starts no
@@ -164,7 +183,7 @@ func TestCancelMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := randomInputs(prog, 39, n)
-		outs, err := eng.InferBatch(cancelAfterFirstBatch{context.Background(), eng}, inputs)
+		outs, err := eng.InferBatch(newCancelAfterFirstBatch(eng), inputs)
 		for i := range inputs {
 			clear(inputs[i])
 			inputs[i] = nil
@@ -370,6 +389,146 @@ func TestPanicReturnsExecutor(t *testing.T) {
 	}
 }
 
+// randomFeatures is n feature vectors for prog, values in [0, 1].
+func randomFeatures(prog *synth.Program, seed int64, n int) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, prog.InputSize)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float64()
+		}
+	}
+	return rows
+}
+
+// TestPoolBarging: the pool hands nothing to a parked waiter. With one
+// waiter parked on a one-executor engine, a caller that returns its
+// executor and borrows again takes it back at once — it barges, as a
+// running goroutine does past a sync.Mutex's waiters — and the waiter is
+// served once that caller stops. GOMAXPROCS is 1, so the woken waiter
+// cannot run between the return and the borrow (where taking the
+// executor by its own scan would be legitimate): the outcome is fixed.
+// A pool that handed the executor to the waiter would serve it first.
+func TestPoolBarging(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prog := buildProgram(t, 49, []int{8, 6, 2})
+	eng, err := New(prog, Options{Workers: 1, Mode: synth.ModeReference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	ex, err := eng.borrow(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		_, err := eng.Outputs(ctx, randomFeatures(prog, 50, 1))
+		served <- err
+	}()
+	waitWaiting(eng, 1)
+	eng.pool.put(ex)
+	again, err := eng.borrow(ctx, 1)
+	if err != nil || again != ex {
+		t.Fatalf("borrow after a return with a waiter parked = %p, %v; want the returned executor %p", again, err, ex)
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("the waiter was served (%v) while the barging caller held the only executor", err)
+	default:
+	}
+	if d := eng.QueueDepth(); d != 1 {
+		t.Errorf("QueueDepth = %d while the barging caller runs, want the 1 waiter", d)
+	}
+	eng.pool.put(again)
+	if err := <-served; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	if d := eng.QueueDepth(); d != 0 {
+		t.Errorf("QueueDepth = %d after the waiter was served, want 0", d)
+	}
+	checkPool(t, eng)
+}
+
+// TestPoolLivenessStress: 16 callers on 2 executors, one-chunk and
+// fanned-out calls, a third of them carrying a ctx that another caller
+// cancels when its own call returns — while the victim waits, between its
+// chunks or after it is done. Every
+// call returns, with the engine's outputs or ctx's error; no wake-up is
+// lost (a lost one leaves a caller parked beside an idle executor, and
+// the test times out naming it); every sample offered is either run or
+// shed; and QueueDepth is back to 0 with every executor in the pool.
+func TestPoolLivenessStress(t *testing.T) {
+	const callers, calls, maxBatch = 16, 30, 4
+	prog := deepProgram(t)
+	eng, err := New(prog, Options{Workers: 2, MaxBatch: maxBatch, Mode: synth.ModeSpiking})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	batch := randomFeatures(prog, 56, 3*maxBatch)
+	want, err := eng.Outputs(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	w := len(want) / len(batch)
+	var offered atomic.Uint64
+	// A cancellable call posts its cancel here, and whichever caller
+	// returns next cancels it: while it waits, between its chunks or after
+	// it is done.
+	victims := make(chan context.CancelFunc, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for k := 0; k < calls; k++ {
+				n := 1 + rng.Intn(len(batch))
+				ctx, cancel := context.WithCancel(context.Background())
+				if rng.Intn(3) == 0 {
+					select {
+					case victims <- cancel:
+					default:
+					}
+				}
+				offered.Add(uint64(n))
+				out, err := eng.Outputs(ctx, batch[:n])
+				cancel()
+				select {
+				case v := <-victims:
+					v()
+				default:
+				}
+				if err != context.Canceled && (err != nil || !reflect.DeepEqual(out, want[:n*w])) {
+					t.Errorf("caller %d call %d of %d samples = %v, %v; want %v", c, k, n, out, err, want[:n*w])
+				}
+			}
+		}(c)
+	}
+	returned := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(time.Minute):
+		t.Fatalf("callers still blocked after a minute, %d counted as waiting", eng.QueueDepth())
+	}
+	s := eng.Stats()
+	if got := s.Requests - before.Requests + s.Shed; got != offered.Load() || s.Errors != 0 {
+		t.Errorf("run + shed = %d samples with %d errors, want the %d offered and none", got, s.Errors, offered.Load())
+	}
+	if s.QueueDepth != 0 {
+		t.Errorf("QueueDepth = %d after every call returned, want 0", s.QueueDepth)
+	}
+	checkPool(t, eng)
+}
+
 // benchEngine builds an engine over prog and 64 inputs for it.
 func benchEngine(b *testing.B, prog *synth.Program, opts Options) (*Engine, [][]int) {
 	b.Helper()
@@ -388,7 +547,7 @@ func mlpProgram(b *testing.B) *synth.Program { return buildProgram(b, 41, []int{
 // deepProgram is nine 64-wide layers with their initial weights: ≈ 50 µs a
 // sample in spiking mode, so a 16-sample call is the better part of a
 // millisecond of kernel, as the benchmark's conv net's is.
-func deepProgram(b *testing.B) *synth.Program {
+func deepProgram(b testing.TB) *synth.Program {
 	b.Helper()
 	net, err := trainer.NewMLP(rand.New(rand.NewSource(41)), []int{64, 64, 64, 64, 64, 64, 64, 64, 64, 8})
 	if err != nil {
@@ -489,6 +648,32 @@ func BenchmarkEngineInferBatch16Lone(b *testing.B) {
 	b.StopTimer()
 	sort.Float64s(calls)
 	b.ReportMetric(nearestRank(calls, 0.90), "p90-us/op")
+}
+
+// BenchmarkEngineOutputsConvoy: 32 callers of one-row Outputs on 2
+// executors at GOMAXPROCS 2, spiking mode on a trained 16-24-4 MLP —
+// fleet_mixed's shape, whose models run 2 replicas under 32 closed-loop
+// callers. Callers outnumber executors 16 to 1, so nearly every return
+// finds a waiter: a pool that hands the executor to a parked waiter makes
+// the returning caller's next borrow park too, and the calls convoy.
+func BenchmarkEngineOutputsConvoy(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	prog := buildProgram(b, 5, []int{16, 24, 4})
+	eng, _ := benchEngine(b, prog, Options{Workers: 2, Mode: synth.ModeSpiking})
+	rows := randomFeatures(prog, 6, 64)
+	ctx := context.Background()
+	b.SetParallelism(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			j := i % len(rows)
+			if _, err := eng.Outputs(ctx, rows[j:j+1]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkEngineShapes sweeps the executor count under real concurrent

@@ -4,10 +4,12 @@
 // where it arrives — it takes an idle executor, which quantizes the
 // samples against its program's sampling window and runs them on the
 // calling goroutine, and puts the executor back; there is no queue, no
-// worker goroutine and no hand-off between caller and kernel. A batch call is cut into
-// MaxBatch-sized chunks and also takes other executors idle at that
-// moment, so a lone caller still spreads over the pool. A caller that finds
-// the pool empty waits for the next executor to come back. It is the
+// worker goroutine and no hand-off between caller and kernel. A call longer
+// than MaxBatch is cut into MaxBatch-sized chunks and also takes other
+// executors idle at that moment, so a lone caller still spreads over the
+// pool. A caller that finds the pool empty waits until a returned executor
+// is there for it to take; nothing is handed to a waiting caller, so a
+// running one may take the executor first (see pool). It is the
 // serving substrate behind the public fpsa.Engine API and cmd/fpsa-serve.
 //
 // The pool holds Workers privately programmed executors at every chip
@@ -79,25 +81,27 @@ var ErrClosed = fmt.Errorf("serve: engine closed")
 // New, call ClassifyBatch or Outputs with feature vectors, and Close when
 // done.
 type Engine struct {
-	opts  Options
-	stats tracker
+	opts Options
 	// execs is every programmed executor, Workers of them. Stats visits
 	// each exactly once (kernel counters are atomic, so reads race
 	// nothing).
 	execs []*synth.Executor
-	// idle holds the executors no request holds right now: each is used by
+	// pool holds the executors no call holds right now: each is used by
 	// one goroutine at a time, by possession.
-	idle    chan *synth.Executor
-	waiting atomic.Int64 // callers blocked on an empty pool
-	procs   int          // GOMAXPROCS when the engine was built
-	outputs int          // output counts per sample
+	pool      pool
+	procs     int // GOMAXPROCS when the engine was built
+	outputs   int // output counts per sample
+	drained   chan struct{}
+	drainOnce sync.Once
 
+	// stats's counters and state are written by every call. The
+	// histogram at the head of stats keeps them off the cache lines of the
+	// fields above, which every call reads.
+	stats tracker
 	// state counts the calls that entered and have not returned, with
 	// closedBit set once Close has begun; the last call to leave after
 	// that closes drained, once.
-	state     atomic.Int64
-	drained   chan struct{}
-	drainOnce sync.Once
+	state atomic.Int64
 }
 
 // closedBit marks Engine.state closed: far above any count of calls.
@@ -121,7 +125,7 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 		}
 	}
 	e.execs = make([]*synth.Executor, opts.Workers)
-	e.idle = make(chan *synth.Executor, opts.Workers)
+	e.pool = newPool(opts.Workers)
 	// The sub-seed is a draw from Seed's stream rather than Seed itself so
 	// engines with adjacent seeds never share programming variation.
 	sub := rand.New(rand.NewSource(opts.Seed)).Int63()
@@ -135,7 +139,7 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("serve: executor %d: %w", i, err)
 		}
 		e.execs[i] = ex
-		e.idle <- ex
+		e.pool.put(ex)
 	}
 	e.stats.start = time.Now()
 	return e, nil
@@ -164,28 +168,43 @@ func (e *Engine) leave() {
 }
 
 // borrow takes an executor out of the pool for a call of n samples: one
-// that is idle right now, else the next to come back. A caller whose ctx
-// ends first leaves at once, its samples counted as shed. The caller owes
-// the executor back to e.idle.
+// that is idle right now, else the first it finds after a return wakes it
+// (see pool). A caller whose ctx ends first leaves at once, its samples
+// counted as shed. ctx is read without a lock — a receive on Done that
+// does not block — and Err only once Done has fired. The caller owes the
+// executor back to e.pool.
 func (e *Engine) borrow(ctx context.Context, n int) (*synth.Executor, error) {
-	err := ctx.Err()
-	if err == nil {
-		select {
-		case ex := <-e.idle:
+	done := ctx.Done()
+	select {
+	case <-done:
+	default:
+		if ex := e.pool.take(); ex != nil {
 			return ex, nil
-		default:
 		}
-		e.waiting.Add(1)
-		defer e.waiting.Add(-1)
-		select {
-		case ex := <-e.idle:
+		if ex := e.wait(done); ex != nil {
 			return ex, nil
-		case <-ctx.Done():
-			err = ctx.Err()
 		}
 	}
 	e.stats.shed.Add(uint64(n))
-	return nil, err
+	return nil, ctx.Err()
+}
+
+// wait parks until a scan of the pool finds an executor, or returns nil
+// once done is closed.
+func (e *Engine) wait(done <-chan struct{}) *synth.Executor {
+	p := &e.pool
+	p.waiting.Add(1)
+	defer p.waiting.Add(-1)
+	for {
+		if ex := p.take(); ex != nil {
+			return ex
+		}
+		select {
+		case <-p.wake:
+		case <-done:
+			return nil
+		}
+	}
 }
 
 // runChunk is the engine's one kernel call for spike counts: at most
@@ -194,24 +213,23 @@ func (e *Engine) borrow(ctx context.Context, n int) (*synth.Executor, error) {
 // chunk never mixes callers, so a malformed sample fails only its own
 // call. It, Infer, InferBatch and batchCall's inputs and outs stay for
 // bench/ (ROADMAP item 1(f)).
-func (e *Engine) runChunk(ex *synth.Executor, inputs, outs [][]int, start time.Time) error {
+func (e *Engine) runChunk(ex *synth.Executor, inputs, outs [][]int) error {
 	res, err := ex.RunBatch(inputs)
 	if err == nil {
 		copy(outs, res)
 	}
-	e.settle(len(inputs), start, err)
+	e.settle(len(inputs), err)
 	return err
 }
 
-// settle records one kernel call of n samples that ended with err. start
-// is when its call arrived: the latency recorded is wait plus run.
-func (e *Engine) settle(n int, start time.Time, err error) {
+// settle counts one kernel call of n samples that ended with err. The
+// call's latency is recorded once, by whoever made the call.
+func (e *Engine) settle(n int, err error) {
 	if err != nil {
 		e.stats.errors.Add(uint64(n))
 	} else {
 		e.stats.recordExecBatch(n)
 	}
-	e.stats.recordDone(n, time.Since(start))
 }
 
 // Infer runs one input vector of spike counts on the calling goroutine and
@@ -222,22 +240,25 @@ func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
 		return nil, err
 	}
 	defer e.leave()
-	start := time.Now()
+	arrival := e.stats.now()
 	ex, err := e.borrow(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { e.idle <- ex }() // also when the kernel panics
+	defer e.pool.put(ex) // also when the kernel panics
 	var out [1][]int
-	err = e.runChunk(ex, [][]int{input}, out[:], start)
+	err = e.runChunk(ex, [][]int{input}, out[:])
+	e.stats.recordSince(arrival)
 	return out[0], err
 }
 
-// batchCall is what the pieces of one batch call share; a piece is one
-// borrowed executor working through chunks of the call. The call carries
-// feature vectors (Outputs, ClassifyBatch), which the executor quantizes
-// itself and whose output counts or classes it writes into dst, or spike
-// counts (InferBatch), whose outputs land in outs.
+// batchCall is what the pieces of one call of more than MaxBatch samples
+// share (a call of at most MaxBatch runs on the caller's stack instead; see
+// Outputs); a piece is one borrowed executor working through chunks of the
+// call. The call carries feature vectors (Outputs, ClassifyBatch), which
+// the executor quantizes itself and whose output counts or classes it
+// writes into dst, or spike counts (InferBatch), whose outputs land in
+// outs.
 type batchCall struct {
 	e            *Engine
 	ctx          context.Context
@@ -246,9 +267,10 @@ type batchCall struct {
 	features     [][]float64
 	dst          []int
 	classes      bool
-	start        time.Time
+	arrival      time.Duration // tracker.now when the call arrived
 	chunks       int
 	claimed      atomic.Int64 // chunks handed out so far
+	ran          atomic.Bool  // some chunk reached the kernel
 
 	mu       sync.Mutex
 	err      error // of the lowest-numbered chunk that failed
@@ -259,19 +281,25 @@ type batchCall struct {
 // run is one piece: chunk first, then whatever it can still claim, one
 // pass on ex each; ex goes back to the pool on every path, a panic under
 // the kernel included. Every chunk is claimed exactly once and either
-// runs or, once ctx has ended, is shed. A failed chunk's error names its
-// samples, unless the call has only the one sample.
+// runs or, once ctx has ended, is shed; ctx is read as borrow reads it. A
+// failed chunk's error names its samples, unless the call has only the
+// one sample.
 func (c *batchCall) run(ex *synth.Executor, first int) {
 	e := c.e
-	defer func() { e.idle <- ex }()
+	defer e.pool.put(ex)
 	step := e.opts.MaxBatch
 	for i := first; i < c.chunks; i = int(c.claimed.Add(1)) - 1 {
 		lo, hi := i*step, min((i+1)*step, c.n)
-		err := c.ctx.Err()
-		if err != nil {
+		var err error
+		select {
+		case <-c.ctx.Done():
+			err = c.ctx.Err()
 			e.stats.shed.Add(uint64(hi - lo))
-		} else if err = c.chunk(ex, lo, hi); err != nil && c.n > 1 {
-			err = fmt.Errorf("serve: batch samples %d to %d: %w", lo, hi-1, err)
+		default:
+			c.ran.Store(true)
+			if err = c.chunk(ex, lo, hi); err != nil && c.n > 1 {
+				err = chunkError(lo, hi, err)
+			}
 		}
 		if err != nil {
 			c.mu.Lock()
@@ -283,17 +311,22 @@ func (c *batchCall) run(ex *synth.Executor, first int) {
 	}
 }
 
+// chunkError names the samples [lo, hi) of a batch call in err.
+func chunkError(lo, hi int, err error) error {
+	return fmt.Errorf("serve: batch samples %d to %d: %w", lo, hi-1, err)
+}
+
 // chunk runs samples [lo, hi) as one kernel call on ex.
 func (c *batchCall) chunk(ex *synth.Executor, lo, hi int) error {
 	if c.features == nil {
-		return c.e.runChunk(ex, c.inputs[lo:hi], c.outs[lo:hi], c.start)
+		return c.e.runChunk(ex, c.inputs[lo:hi], c.outs[lo:hi])
 	}
 	w := 1
 	if !c.classes {
 		w = c.e.outputs
 	}
 	err := ex.RunFeatures(c.dst[lo*w:hi*w], c.features[lo:hi], c.classes)
-	c.e.settle(hi-lo, c.start, err)
+	c.e.settle(hi-lo, err)
 	return err
 }
 
@@ -310,17 +343,18 @@ func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error
 // Outputs runs a batch of feature vectors in [0, 1] and returns every
 // sample's output counts back to back, len(prog.OutputRefs) per sample;
 // each chunk's executor quantizes its samples against its program's
-// window Γ (synth.Executor.RunFeatures). The call runs as ⌈n/MaxBatch⌉
-// chunks, one kernel pass each: it borrows one executor — waiting only
-// when every one is lent out — then takes, never waiting, one more per
-// further chunk from those idle right now, so a lone call still spreads
-// over the pool. Once ctx ends it starts no more chunks, waits for the
-// passes in flight and returns ctx's error; otherwise the error of the
-// first chunk that failed, if any. Nothing of the call runs, or reads
-// batch, after it returns.
+// window Γ (synth.Executor.RunFeatures). A call of at most MaxBatch samples
+// borrows one executor — waiting only when every one is lent out — and
+// runs as one kernel pass on the calling goroutine. A longer call runs as
+// ⌈n/MaxBatch⌉ chunks, one pass each: it borrows one executor as a short
+// call does, then takes, never waiting, one more per further chunk from
+// those idle right now, so a lone call still spreads over the pool. Once
+// ctx ends it starts no more chunks, waits for the passes in flight and
+// returns ctx's error; otherwise the error of the first chunk that failed,
+// if any. Nothing of the call runs, or reads batch, after it returns.
 func (e *Engine) Outputs(ctx context.Context, batch [][]float64) ([]int, error) {
 	out := make([]int, len(batch)*e.outputs)
-	if err := e.call(&batchCall{ctx: ctx, n: len(batch), features: batch, dst: out}); err != nil {
+	if err := e.features(ctx, batch, out, false); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -331,10 +365,41 @@ func (e *Engine) Outputs(ctx context.Context, batch [][]float64) ([]int, error) 
 // output tables, so the call allocates its result and little else.
 func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
 	classes := make([]int, len(batch))
-	if err := e.call(&batchCall{ctx: ctx, n: len(batch), features: batch, dst: classes, classes: true}); err != nil {
+	if err := e.features(ctx, batch, classes, true); err != nil {
 		return nil, err
 	}
 	return classes, nil
+}
+
+// features serves Outputs and ClassifyBatch: a call of at most MaxBatch
+// samples enters, borrows, runs one RunFeatures and settles on the
+// caller's goroutine, with nothing shared to allocate; a longer one goes
+// through call. Either records one latency, arrival to completion.
+func (e *Engine) features(ctx context.Context, batch [][]float64, dst []int, classes bool) error {
+	n := len(batch)
+	if n > e.opts.MaxBatch {
+		return e.call(&batchCall{ctx: ctx, n: n, features: batch, dst: dst, classes: classes})
+	}
+	if err := e.enter(); err != nil {
+		return err
+	}
+	defer e.leave()
+	if n == 0 {
+		return nil
+	}
+	arrival := e.stats.now()
+	ex, err := e.borrow(ctx, n)
+	if err != nil {
+		return err
+	}
+	defer e.pool.put(ex) // also when the kernel panics
+	err = ex.RunFeatures(dst, batch, classes)
+	e.settle(n, err)
+	e.stats.recordSince(arrival)
+	if err != nil && n > 1 {
+		err = chunkError(0, n, err)
+	}
+	return err
 }
 
 // call admits a batch call, cuts it into chunks and spreads them over the
@@ -348,7 +413,7 @@ func (e *Engine) call(c *batchCall) error {
 		return nil
 	}
 	step := e.opts.MaxBatch
-	c.e, c.start, c.chunks = e, time.Now(), (c.n+step-1)/step
+	c.e, c.arrival, c.chunks = e, e.stats.now(), (c.n+step-1)/step
 	own, err := e.borrow(c.ctx, c.n)
 	if err != nil {
 		return err
@@ -357,14 +422,12 @@ func (e *Engine) call(c *batchCall) error {
 	// are lent out as there are processors, another piece would share a
 	// core with this one while a later caller found the pool empty.
 	var extra []*synth.Executor
-take:
-	for len(extra) < c.chunks-1 && e.opts.Workers-len(e.idle) < e.procs {
-		select {
-		case ex := <-e.idle:
-			extra = append(extra, ex)
-		default:
-			break take
+	for len(extra) < c.chunks-1 && e.opts.Workers-e.pool.idle() < e.procs {
+		ex := e.pool.take()
+		if ex == nil {
+			break
 		}
+		extra = append(extra, ex)
 	}
 	// Piece k starts on chunk k, reserved before any piece runs so that
 	// every borrowed executor has work, and claims the rest one at a time.
@@ -397,8 +460,16 @@ take:
 			panic(*r)
 		}
 	}
+	if c.ran.Load() {
+		e.stats.recordSince(c.arrival)
+	}
 	return c.err
 }
+
+// MergeLatency adds every latency the engine has recorded to h (see
+// LatencyHistogram.Merge). Once Close has returned, the engine records no
+// more.
+func (e *Engine) MergeLatency(h *LatencyHistogram) { h.Merge(&e.stats.lat) }
 
 // Close stops admitting calls and waits for every call already inside —
 // running or still waiting for an executor — to return. Subsequent calls
@@ -416,7 +487,7 @@ func (e *Engine) Close() error {
 
 // QueueDepth reports how many calls are waiting for an executor right
 // now; calls that hold one are not counted.
-func (e *Engine) QueueDepth() int { return int(e.waiting.Load()) }
+func (e *Engine) QueueDepth() int { return int(e.pool.waiting.Load()) }
 
 // Stats snapshots the engine's counters and latency percentiles,
 // including the spiking-kernel call counters summed over every executor,

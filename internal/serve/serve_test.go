@@ -150,7 +150,8 @@ func TestLoneRequestRunsAlone(t *testing.T) {
 
 // TestInferBatchChunks proves InferBatch runs whole MaxBatch chunks and
 // never splits or merges them: 20 samples at MaxBatch 8 run as exactly
-// 8+8+4, whichever executors take them.
+// 8+8+4, whichever executors take them, and the call records one
+// latency, not one per chunk.
 func TestInferBatchChunks(t *testing.T) {
 	prog := buildProgram(t, 5, []int{8, 6, 2})
 	for _, workers := range []int{1, 2, 4} {
@@ -166,7 +167,20 @@ func TestInferBatchChunks(t *testing.T) {
 		if s.ExecBatches != 3 || s.MeanExecBatch != 20.0/3 || s.MaxExecBatch != 8 || s.Requests != 20 {
 			t.Errorf("workers=%d: stats = %+v, want batches of 8+8+4 / 20 requests", workers, s)
 		}
+		var lat LatencyHistogram
+		eng.MergeLatency(&lat)
+		if n := latencies(&lat); n != 1 {
+			t.Errorf("workers=%d: %d latencies recorded for one call, want 1", workers, n)
+		}
 	}
+}
+
+// latencies counts the observations h holds.
+func latencies(h *LatencyHistogram) (n uint64) {
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 func TestInferBatchMatchesSerial(t *testing.T) {
@@ -200,8 +214,8 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 // on the quantized batch — ClassifyBatch its argmax classes, Outputs its
 // counts back to back, of one sample or of all — at every executor count
 // (a lone call fans out over the idle ones), with the same error for a
-// wrong-length sample, and the same stats: one request and one latency
-// per chunk.
+// wrong-length sample, and the same stats: one request per sample and
+// one kernel pass per chunk.
 func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 	const maxBatch = 4
 	prog := buildProgram(t, 17, []int{10, 8, 3})

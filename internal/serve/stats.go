@@ -45,10 +45,10 @@ type Stats struct {
 	ThroughputSPS float64
 	// P50LatencyUS, P99LatencyUS and P999LatencyUS are arrival-to-completion
 	// latency percentiles — the wait for an executor plus the run — over
-	// every observation since the engine was built, one per batch chunk,
-	// each within 1/64 of the exact nearest-rank value (see
-	// LatencyHistogram — the one percentile implementation the fleet layer
-	// shares).
+	// every observation since the engine was built, one per call whatever
+	// its batch size (a call shed whole records none), each within 1/64 of
+	// the exact nearest-rank value (see LatencyHistogram, which the fleet
+	// layer merges these into).
 	P50LatencyUS  float64
 	P99LatencyUS  float64
 	P999LatencyUS float64
@@ -82,9 +82,10 @@ func (s Stats) String() string {
 }
 
 // LatencyHistogram is the lock-free latency recorder behind every
-// percentile the serving stack reports: the engine's Stats and the fleet's
-// per-model stats both record into one and read percentiles back through
-// Percentiles, so "p999" means the same computation everywhere. It counts
+// percentile the serving stack reports: the engine records into one, and
+// the fleet's per-model stats merge its engines' (Merge) and read
+// percentiles back through Percentiles, so "p999" means the same
+// computation everywhere. It counts
 // every observation since it was made, in log-linear buckets: durations
 // below 64 ns exactly, longer ones in 32 buckets per power of two. A
 // percentile reads the nearest-rank observation's bucket and reports its
@@ -128,6 +129,18 @@ func (h *LatencyHistogram) Record(d time.Duration) {
 	h.counts[histBucket(uint64(max(d, 0)))].Add(1)
 }
 
+// Merge adds every observation src has recorded to h, bucket by bucket:
+// both share one bucket layout, so h then holds exactly the counts of one
+// histogram that recorded both sets. An observation src records while
+// Merge runs may or may not be included.
+func (h *LatencyHistogram) Merge(src *LatencyHistogram) {
+	for i := range src.counts {
+		if n := src.counts[i].Load(); n != 0 {
+			h.counts[i].Add(n)
+		}
+	}
+}
+
 // Percentiles reads the three serving percentiles (p50/p99/p999) the
 // stats surfaces report, in microseconds, nearest-rank over every
 // observation. All zero when nothing has been recorded.
@@ -160,18 +173,27 @@ func (h *LatencyHistogram) Percentiles() (p50, p99, p999 float64) {
 }
 
 // tracker accumulates engine statistics. Counters are atomic, and so is
-// the shared LatencyHistogram.
+// the shared LatencyHistogram. Every sample a kernel call settles counts
+// in execItems or in errors, so their sum is the requests served.
 type tracker struct {
-	start       time.Time
-	done        atomic.Uint64
+	start time.Time
+	lat   LatencyHistogram
+
 	errors      atomic.Uint64
 	shed        atomic.Uint64
 	execBatches atomic.Uint64
 	execItems   atomic.Uint64
 	execMax     atomic.Int64
-
-	lat LatencyHistogram
 }
+
+// now is the time since the engine was built. It reads the monotonic
+// clock alone, which costs less than time.Now's wall clock and monotonic
+// pair.
+func (t *tracker) now() time.Duration { return time.Since(t.start) }
+
+// recordSince records the latency of one call that arrived at now() =
+// arrival.
+func (t *tracker) recordSince(arrival time.Duration) { t.lat.Record(t.now() - arrival) }
 
 // recordExecBatch records one executed batch of n samples.
 func (t *tracker) recordExecBatch(n int) {
@@ -185,19 +207,12 @@ func (t *tracker) recordExecBatch(n int) {
 	}
 }
 
-// recordDone records one settled chunk of n samples: one latency per
-// chunk, not per sample.
-func (t *tracker) recordDone(n int, d time.Duration) {
-	t.done.Add(uint64(n))
-	t.lat.Record(d)
-}
-
 func (t *tracker) snapshot() Stats {
 	s := Stats{
-		Requests: t.done.Load(),
-		Errors:   t.errors.Load(),
-		Shed:     t.shed.Load(),
+		Errors: t.errors.Load(),
+		Shed:   t.shed.Load(),
 	}
+	s.Requests = t.execItems.Load() + s.Errors
 	s.ExecBatches = t.execBatches.Load()
 	if s.ExecBatches > 0 {
 		s.MeanExecBatch = float64(t.execItems.Load()) / float64(s.ExecBatches)

@@ -132,15 +132,49 @@ func TestLatencyHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-read
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	if n != goroutines*each {
+	if n := latencies(&h); n != goroutines*each {
 		t.Fatalf("%d observations counted, want %d", n, goroutines*each)
 	}
 	// 0 µs … 7999 µs, once each: the exact nearest-rank p50 is 3999 µs.
 	if p50, _, _ := h.Percentiles(); math.Abs(p50-3999) > 3999*histError {
 		t.Errorf("p50 = %g µs, want 3999 within 1/64", p50)
+	}
+}
+
+// TestLatencyHistogramMergeExact is Merge's property test: for random
+// observation sets A and B (either may be empty), recording A into one
+// histogram and merging in one that recorded B leaves bucket counts
+// identical to one histogram that recorded A ∪ B, so the percentiles
+// agree exactly too; merging into an empty histogram copies.
+func TestLatencyHistogramMergeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 100; trial++ {
+		var a, b, union, copied LatencyHistogram
+		for k, h := range []*LatencyHistogram{&a, &b} {
+			n := rng.Intn(3000)
+			if trial == k { // trial 0 leaves A empty, trial 1 B
+				n = 0
+			}
+			mu, sigma := 3+rng.Float64()*14, rng.Float64()*3
+			for i := 0; i < n; i++ {
+				d := time.Duration(math.Exp(mu + sigma*rng.NormFloat64()))
+				h.Record(d)
+				union.Record(d)
+			}
+		}
+		copied.Merge(&a)
+		a.Merge(&b)
+		for i := range union.counts {
+			if got, want := a.counts[i].Load(), union.counts[i].Load(); got != want {
+				t.Fatalf("trial %d: bucket %d holds %d after Merge, %d recorded once", trial, i, got, want)
+			}
+			if got, want := copied.counts[i].Load(), a.counts[i].Load()-b.counts[i].Load(); got != want {
+				t.Fatalf("trial %d: bucket %d holds %d merged into an empty histogram, want %d", trial, i, got, want)
+			}
+		}
+		p50, p99, p999 := a.Percentiles()
+		if w50, w99, w999 := union.Percentiles(); p50 != w50 || p99 != w99 || p999 != w999 {
+			t.Fatalf("trial %d: merged percentiles %g/%g/%g, recorded once %g/%g/%g", trial, p50, p99, p999, w50, w99, w999)
+		}
 	}
 }
