@@ -94,7 +94,7 @@ func buildFleet(ctx context.Context, raw []byte) (*fpsa.Fleet, map[string]*fleet
 			return nil, nil, fmt.Errorf("model %q: %w", mc.Name, err)
 		}
 	}
-	opts := []fpsa.FleetOption{fpsa.WithFleetCache(fpsa.NewCompileCache(0)), fpsa.WithFleetChips(cfg.Chips)}
+	opts := []fpsa.FleetOption{fpsa.WithFleetChips(cfg.Chips)}
 	for _, t := range cfg.Tenants {
 		class, err := fpsa.ParseQoSClass(t.Class)
 		if err != nil {

@@ -2,11 +2,8 @@ package fpsa
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"fpsa/internal/serve"
-	"fpsa/internal/synth"
 )
 
 // engineConfig is an engine's shape: its mode, which WithMode sets, its
@@ -86,7 +83,7 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 		ctx = context.Background()
 	}
 	out, err := e.eng.Outputs(ctx, [][]float64{features})
-	return out, wrapServeErr(err)
+	return out, liftErr(err)
 }
 
 // ClassifyBatch runs the call in chunks of 8 samples spread over
@@ -98,7 +95,7 @@ func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, e
 		ctx = context.Background()
 	}
 	classes, err := e.eng.ClassifyBatch(ctx, batch)
-	return classes, wrapServeErr(err)
+	return classes, liftErr(err)
 }
 
 // EngineStats is a snapshot of an engine's serving counters — the
@@ -112,19 +109,4 @@ func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 // Close waits for every call already inside the engine — running or
 // waiting for an executor — and releases it. Idempotent; Classify
 // afterwards returns ErrClosed.
-func (e *Engine) Close() error { return wrapServeErr(e.eng.Close()) }
-
-// wrapServeErr lifts internal serving sentinels into the package's
-// taxonomy: a closed engine surfaces as ErrClosed (which itself wraps
-// the internal sentinel) and a wrong-length feature vector as
-// ErrInvalidArgument, so callers errors.Is against the fpsa sentinels
-// without importing internals.
-func wrapServeErr(err error) error {
-	switch {
-	case errors.Is(err, serve.ErrClosed):
-		return ErrClosed
-	case errors.Is(err, synth.ErrInputLength):
-		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
-	}
-	return err
-}
+func (e *Engine) Close() error { return liftErr(e.eng.Close()) }

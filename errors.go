@@ -6,6 +6,7 @@ import (
 
 	"fpsa/internal/fleet"
 	"fpsa/internal/serve"
+	"fpsa/internal/synth"
 )
 
 // The package's error taxonomy. Every sentinel is matched with errors.Is;
@@ -63,3 +64,29 @@ var (
 	// runs it) first.
 	ErrNotPlaced = errors.New("fpsa: deployment not placed-and-routed")
 )
+
+// liftErr lifts the serving stack's internal sentinels into the package
+// taxonomy, for Engine and Fleet alike: overload and quota sheds surface
+// as their public sentinels, a closed engine or fleet as ErrClosed (which
+// itself wraps the internal sentinel), an unknown fleet model or a
+// wrong-length feature vector as ErrInvalidArgument, and chip exhaustion
+// as ErrCapacity, so callers errors.Is against the fpsa sentinels without
+// importing internals. A serve error never matches a fleet sentinel, so
+// one switch serves both layers.
+func liftErr(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, fleet.ErrOverloaded):
+		return ErrOverloaded
+	case errors.Is(err, fleet.ErrTenantQuota):
+		return ErrTenantQuota
+	case errors.Is(err, serve.ErrClosed):
+		return ErrClosed
+	case errors.Is(err, fleet.ErrUnknownModel), errors.Is(err, synth.ErrInputLength):
+		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
+	case errors.Is(err, fleet.ErrNoChips):
+		return fmt.Errorf("%w: %w", ErrCapacity, err)
+	}
+	return err
+}

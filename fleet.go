@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"fpsa/internal/fleet"
-	"fpsa/internal/serve"
-	"fpsa/internal/synth"
 )
 
 // QoSClass is a tenant's admission class in a Fleet. Higher classes may
@@ -36,42 +34,28 @@ func ParseQoSClass(s string) (QoSClass, error) {
 	return c, nil
 }
 
-// fleetSettings is what the FleetOptions assemble.
-type fleetSettings struct {
-	opts  fleet.Options
-	cache *CompileCache
-}
-
 // FleetOption configures NewFleet. Options are applied in order; a nil
 // FleetOption is ignored.
-type FleetOption func(*fleetSettings)
+type FleetOption func(*fleet.Options)
 
 // WithFleetChips sets the fleet's simulated chip pool (default 64).
 // Replicas allocate from it: model registration and swaps stop at the
 // pool boundary, and a swap transiently needs chips for both the old and
 // the new pool.
 func WithFleetChips(n int) FleetOption {
-	return func(s *fleetSettings) { s.opts.Chips = n }
+	return func(o *fleet.Options) { o.Chips = n }
 }
 
 // WithTenant registers one tenant's admission config: its QoS class and
 // an optional in-flight quota (0 = unlimited). Unknown tenants are
 // admitted at QoSBatch with no quota.
 func WithTenant(name string, class QoSClass, quota int) FleetOption {
-	return func(s *fleetSettings) {
-		if s.opts.Tenants == nil {
-			s.opts.Tenants = make(map[string]fleet.Tenant)
+	return func(o *fleet.Options) {
+		if o.Tenants == nil {
+			o.Tenants = make(map[string]fleet.Tenant)
 		}
-		s.opts.Tenants[name] = fleet.Tenant{Class: class, Quota: quota}
+		o.Tenants[name] = fleet.Tenant{Class: class, Quota: quota}
 	}
-}
-
-// WithFleetCache shares a compile-artifact cache with the fleet:
-// Fleet.CompileAndSwap compiles replacements through it, so a swap whose
-// structure matches a previous compile skips place & route entirely.
-// The default is a fresh private cache.
-func WithFleetCache(c *CompileCache) FleetOption {
-	return func(s *fleetSettings) { s.cache = c }
 }
 
 // fleetModelSettings is what the FleetModelOptions assemble.
@@ -140,16 +124,16 @@ type Fleet struct {
 
 // NewFleet builds an empty fleet.
 func NewFleet(opts ...FleetOption) (*Fleet, error) {
-	var set fleetSettings
+	var set fleet.Options
 	for _, o := range opts {
 		if o != nil {
 			o(&set)
 		}
 	}
-	if set.opts.Chips < 0 {
-		return nil, fmt.Errorf("%w: WithFleetChips(%d): chip pool must be ≥ 0 (0 = default)", ErrInvalidArgument, set.opts.Chips)
+	if set.Chips < 0 {
+		return nil, fmt.Errorf("%w: WithFleetChips(%d): chip pool must be ≥ 0 (0 = default)", ErrInvalidArgument, set.Chips)
 	}
-	for name, t := range set.opts.Tenants {
+	for name, t := range set.Tenants {
 		if t.Quota < 0 {
 			return nil, fmt.Errorf("%w: WithTenant(%q): quota %d must be ≥ 0 (0 = unlimited)", ErrInvalidArgument, name, t.Quota)
 		}
@@ -157,18 +141,17 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 			return nil, fmt.Errorf("%w: WithTenant(%q): unknown QoS class %d", ErrInvalidArgument, name, t.Class)
 		}
 	}
-	if set.cache == nil {
-		set.cache = NewCompileCache(0)
-	}
 	return &Fleet{
-		fl:     fleet.New(set.opts),
-		cache:  set.cache,
+		fl:     fleet.New(set),
+		cache:  NewCompileCache(0),
 		models: make(map[string]engineConfig),
 	}, nil
 }
 
-// Cache returns the fleet's compile-artifact cache (see WithFleetCache
-// and CompileAndSwap).
+// Cache returns the fleet's own compile-artifact cache, which
+// CompileAndSwap compiles through: a replacement whose structure matches
+// an earlier compile skips place & route. Compile a model's first
+// deployment through it too, with WithCache(f.Cache()).
 func (f *Fleet) Cache() *CompileCache { return f.cache }
 
 // replicaSource lowers a deployment to the internal fleet's replica
@@ -260,7 +243,7 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 		ChipsPerReplica: cfg.Chips,
 		QueueDepth:      set.queueDepth,
 	}); err != nil {
-		return wrapFleetErr(err)
+		return liftErr(err)
 	}
 	f.models[name] = cfg
 	return nil
@@ -272,21 +255,18 @@ func (f *Fleet) AddModel(ctx context.Context, name string, d *Deployment, opts .
 // with ErrOverloaded (class share exhausted) or ErrTenantQuota; both are
 // matched with errors.Is.
 func (f *Fleet) Classify(ctx context.Context, model, tenant string, features []float64) (class, version int, err error) {
-	out, version, err := f.Outputs(ctx, model, tenant, features)
+	classes, version, err := f.fl.Run(ctx, model, tenant, [][]float64{features}, true)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, liftErr(err)
 	}
-	return synth.Argmax(out), version, nil
+	return classes[0], version, nil
 }
 
 // Outputs is Classify returning the raw output spike counts instead of
 // the argmax class.
 func (f *Fleet) Outputs(ctx context.Context, model, tenant string, features []float64) (out []int, version int, err error) {
-	res, err := f.fl.Infer(ctx, model, tenant, features)
-	if err != nil {
-		return nil, 0, wrapFleetErr(err)
-	}
-	return res.Output, res.Version, nil
+	out, version, err = f.fl.Run(ctx, model, tenant, [][]float64{features}, false)
+	return out, version, liftErr(err)
 }
 
 // ClassifyBatch is Classify over a batch: the batch takes one tenant
@@ -294,20 +274,8 @@ func (f *Fleet) Outputs(ctx context.Context, model, tenant string, features []fl
 // every class is that version's, and its id is returned — and is cut into
 // the engine's 8-sample chunks as Engine.ClassifyBatch cuts it.
 func (f *Fleet) ClassifyBatch(ctx context.Context, model, tenant string, batch [][]float64) (classes []int, version int, err error) {
-	outs, version, err := f.fl.InferBatch(ctx, model, tenant, batch)
-	if err != nil {
-		return nil, 0, wrapFleetErr(err)
-	}
-	return argmaxes(outs), version, nil
-}
-
-// argmaxes is each output's argmax class, positionally.
-func argmaxes(outs [][]int) []int {
-	labels := make([]int, len(outs))
-	for i, out := range outs {
-		labels[i] = synth.Argmax(out)
-	}
-	return labels
+	classes, version, err = f.fl.Run(ctx, model, tenant, batch, true)
+	return classes, version, liftErr(err)
 }
 
 // Swap hot-swaps the named model's bitstream to deployment d with zero
@@ -344,7 +312,7 @@ func (f *Fleet) Swap(ctx context.Context, model string, d *Deployment) (FleetSwa
 		return FleetSwapEvent{}, err
 	}
 	ev, err := f.fl.Swap(ctx, model, src)
-	return ev, wrapFleetErr(err)
+	return ev, liftErr(err)
 }
 
 // CompileAndSwap compiles a replacement for the named model through the
@@ -365,7 +333,7 @@ func (f *Fleet) CompileAndSwap(ctx context.Context, model string, m Model, opts 
 
 // Close closes every model's engine, waiting for the requests inside, and
 // releases all replicas. Idempotent; requests afterwards return ErrClosed.
-func (f *Fleet) Close() error { return wrapFleetErr(f.fl.Close()) }
+func (f *Fleet) Close() error { return liftErr(f.fl.Close()) }
 
 // The fleet's snapshot types are declared where they are filled
 // (internal/fleet, which carries the field docs and the /fleetz JSON tags).
@@ -384,25 +352,3 @@ type (
 
 // Stats snapshots the fleet.
 func (f *Fleet) Stats() FleetStats { return f.fl.Stats() }
-
-// wrapFleetErr lifts internal fleet sentinels into the package taxonomy:
-// overload and quota sheds surface as their public sentinels, a closed
-// fleet as ErrClosed, an unknown model or a wrong-length feature vector as
-// ErrInvalidArgument, and chip exhaustion as ErrCapacity.
-func wrapFleetErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, fleet.ErrOverloaded):
-		return ErrOverloaded
-	case errors.Is(err, fleet.ErrTenantQuota):
-		return ErrTenantQuota
-	case errors.Is(err, serve.ErrClosed):
-		return ErrClosed
-	case errors.Is(err, fleet.ErrUnknownModel), errors.Is(err, synth.ErrInputLength):
-		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
-	case errors.Is(err, fleet.ErrNoChips):
-		return fmt.Errorf("%w: %w", ErrCapacity, err)
-	}
-	return err
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"fpsa/internal/fleet"
+	"fpsa/internal/synth"
 )
 
 // fleetTestPair trains and compiles two same-shape, different-weight
@@ -43,9 +45,10 @@ func fleetTestPair(t testing.TB) (d1, d2 *Deployment, test Dataset) {
 // deployment its stamp names — so post-swap traffic exactly matches a
 // fresh engine over the new deployment, and no request ever mixes the
 // two bitstreams. Batch callers ride beside the single ones, through the
-// fleet's InferBatch (whose outputs ClassifyBatch takes the argmax of):
-// every output of a batch reply is bit-identical to the fresh engine's for
-// the one version the reply is stamped with.
+// internal fleet's Run for output counts (ClassifyBatch's path, with
+// counts in place of classes): every output of a batch reply is
+// bit-identical to the fresh engine's for the one version the reply is
+// stamped with.
 func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 	d1, d2, test := fleetTestPair(t)
 	for _, mode := range []ExecMode{ModeReference, ModeSpiking, ModeSpikingNoisy} {
@@ -117,7 +120,7 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < perLoad/batchLen; i++ {
 						lo := (l*perLoad + i*batchLen) % (len(test.X) - batchLen)
-						outs, version, err := f.fl.InferBatch(context.Background(), "m", "tenant", test.X[lo:lo+batchLen])
+						outs, version, err := f.fl.Run(context.Background(), "m", "tenant", test.X[lo:lo+batchLen], false)
 						if err != nil {
 							firstErr.CompareAndSwap(nil, fmt.Errorf("batch loader %d batch %d: %w", l, i, err))
 							return
@@ -128,7 +131,7 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 							badVersion.Add(1)
 							continue
 						}
-						if !reflect.DeepEqual(outs, exp[lo:lo+batchLen]) {
+						if !reflect.DeepEqual(outs, slices.Concat(exp[lo:lo+batchLen]...)) {
 							badOutput.Add(1)
 						}
 					}
@@ -184,6 +187,10 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 // Engine.ClassifyBatch on the same deployment, in every exec mode and on a
 // 2-chip deployment, for a batch the engine cuts into many chunks: the
 // classes agree, and so, bit for bit, do the raw outputs beneath them.
+// One sample at a time, Fleet.Classify, Engine.Classify and the argmax of
+// Fleet.Outputs give the same class for every test vector: both
+// Classifys read classes out of the executor's tables, so this pins
+// their tie rule — the first maximum — to synth.Argmax's.
 func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 	d1, _, test := fleetTestPair(t)
 	train, _ := SyntheticDataset(5, 300, 12, 3, 0.08).Split(0.7)
@@ -218,8 +225,12 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantOuts := make([][]int, len(test.X))
+			engClasses := make([]int, len(test.X))
 			for i, x := range test.X {
 				if wantOuts[i], err = eng.Outputs(context.Background(), x); err != nil {
+					t.Fatal(err)
+				}
+				if engClasses[i], err = eng.Classify(context.Background(), x); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -239,24 +250,42 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("fleet batch %v\nengine batch %v", got, want)
 			}
-			outs, _, err := f.fl.InferBatch(context.Background(), "m", "t", test.X)
-			if err != nil || !reflect.DeepEqual(outs, wantOuts) {
+			flat, _, err := f.fl.Run(context.Background(), "m", "t", test.X, false)
+			if err != nil || !reflect.DeepEqual(flat, slices.Concat(wantOuts...)) {
 				t.Fatalf("fleet batch outputs differ from the engine's (%v)", err)
 			}
-			if st := f.Stats().Models["m"]; st.Requests != 2*uint64(len(test.X)) {
-				t.Errorf("stats requests = %d, want %d (one per sample)", st.Requests, 2*len(test.X))
+			for i, x := range test.X {
+				class, _, err := f.Classify(context.Background(), "m", "t", x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, _, err := f.Outputs(context.Background(), "m", "t", x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(out, wantOuts[i]) {
+					t.Fatalf("sample %d: Fleet.Outputs %v, Engine.Outputs %v", i, out, wantOuts[i])
+				}
+				if argmax := synth.Argmax(out); class != engClasses[i] || class != argmax {
+					t.Fatalf("sample %d: Fleet.Classify %d, Engine.Classify %d, argmax of Fleet.Outputs %d (%v)",
+						i, class, engClasses[i], argmax, out)
+				}
+			}
+			if st := f.Stats().Models["m"]; st.Requests != 4*uint64(len(test.X)) {
+				t.Errorf("stats requests = %d, want %d (one per sample)", st.Requests, 4*len(test.X))
 			}
 		})
 	}
 }
 
 // TestFleetClassifyBatchAllocs pins what the fleet adds to the engine's
-// allocations (TestEngineClassifyBatchAllocs): a one-chunk ClassifyBatch
-// allocates the engine's flat output counts and the call's shared state,
-// then the row views of the counts and the classes; Outputs allocates the
-// one-row batch, the call's shared state and the counts. Quantizing each
-// request in the fleet, into a slab with a result row per sample, made
-// ClassifyBatch 7 at 1 and 8 samples (30 at 64).
+// allocations (TestEngineClassifyBatchAllocs): nothing. A one-chunk
+// ClassifyBatch allocates only the classes it returns, which the executor
+// reads out of its tables; Outputs allocates the one-row batch and the
+// counts. Taking the argmax of the counts in the fleet made ClassifyBatch
+// 3 (the counts, their row views, the classes); quantizing each request
+// in the fleet, into a slab with a result row per sample, made it 7 at 1
+// and 8 samples (30 at 64).
 func TestFleetClassifyBatchAllocs(t *testing.T) {
 	d, _, test := deployTestNet(t)
 	ctx := context.Background()
@@ -277,8 +306,8 @@ func TestFleetClassifyBatchAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if a := testing.AllocsPerRun(20, func() { _, _, _ = f.ClassifyBatch(ctx, "m", "", batch) }); a > 4 {
-				t.Errorf("%v: ClassifyBatch of %d: %v allocs, want ≤ 4", mode, n, a)
+			if a := testing.AllocsPerRun(20, func() { _, _, _ = f.ClassifyBatch(ctx, "m", "", batch) }); a > 1 {
+				t.Errorf("%v: ClassifyBatch of %d: %v allocs, want ≤ 1", mode, n, a)
 			}
 		}
 		if a := testing.AllocsPerRun(20, func() { _, _, _ = f.Outputs(ctx, "m", "", test.X[0]) }); a > 3 {
@@ -455,12 +484,12 @@ func TestFleetCompileAndSwapReusesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCompileCache(0)
-	f, err := NewFleet(WithFleetChips(8), WithFleetCache(cache))
+	f, err := NewFleet(WithFleetChips(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	cache := f.Cache()
 	d1, err := Compile(context.Background(), net1.Model(), WithWeightSource(net1.WeightSource()), WithCache(cache))
 	if err != nil {
 		t.Fatal(err)

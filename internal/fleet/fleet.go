@@ -56,16 +56,18 @@ var (
 // Replica is the engine serving one model version: a pool of programmed
 // executors, one per replica. *serve.Engine satisfies it. Outputs runs a
 // batch of feature vectors and returns every sample's output counts back
-// to back, the same number per sample. QueueDepth is its backlog —
+// to back, the same number per sample; ClassifyBatch runs one and returns
+// each sample's argmax class. QueueDepth is its backlog —
 // requests waiting for an executor right now, not counting the ones
 // running — and is what Stats reports. MergeLatency adds the latencies
-// it has recorded, one per non-empty Outputs call from arrival to
-// completion, to h: they are the model's percentiles, the fleet keeps no
-// clock of its own. Close must wait for every call already inside, after
-// which MergeLatency reads a final histogram, and Outputs after it must
-// return an error wrapping serve.ErrClosed.
+// it has recorded, one per non-empty call from arrival to completion, to
+// h: they are the model's percentiles, the fleet keeps no clock of its
+// own. Close must wait for every call already inside, after which
+// MergeLatency reads a final histogram, and a call after it must return an
+// error wrapping serve.ErrClosed.
 type Replica interface {
 	Outputs(ctx context.Context, batch [][]float64) ([]int, error)
+	ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error)
 	MergeLatency(h *serve.LatencyHistogram)
 	QueueDepth() int
 	Close() error
@@ -231,15 +233,8 @@ type tenantState struct {
 	inflight atomic.Int64
 }
 
-// Result is one completed inference, stamped with the version that
-// served it.
-type Result struct {
-	Output  []int
-	Version int
-}
-
 // Fleet serves many models on a bounded chip pool. Construct with New,
-// register models with AddModel, serve with Infer, replace bitstreams
+// register models with AddModel, serve with Run, replace bitstreams
 // with Swap, and Close when done. All methods are safe for concurrent
 // use.
 type Fleet struct {
@@ -363,10 +358,10 @@ func (m *model) admit(c Class) (limit int64, ok bool) {
 	return limit, true
 }
 
-// enter is the admission prologue Infer and InferBatch share: it resolves
-// the model, then claims one of the tenant's quota places and one of the
-// model's class-weighted in-flight places — one of each per call, however
-// many samples it carries. The caller gives both back with m.leave(ts).
+// enter is Run's admission prologue: it resolves the model, then claims
+// one of the tenant's quota places and one of the model's class-weighted
+// in-flight places — one of each per call, however many samples it
+// carries. The caller gives both back with m.leave(ts).
 func (f *Fleet) enter(name, tenant string) (m *model, ts *tenantState, err error) {
 	if m, err = f.lookup(name); err != nil {
 		return nil, nil, err
@@ -403,54 +398,15 @@ func (m *model) leave(ts *tenantState) {
 	}
 }
 
-// record counts a call of n samples that ran on an engine: n requests,
-// and n errors if it failed. Its latency is the engine's to record.
-func (m *model) record(n int, err error) {
-	m.requests.Add(uint64(n))
-	if err != nil {
-		m.errors.Add(uint64(n))
-	}
-}
-
-// Infer serves one request for (model, tenant): admission (tenant quota,
-// then class-weighted model capacity), then the current version's engine.
-// The response carries the id of the exact version that ran the request.
-func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float64) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m, ts, err := f.enter(name, tenant)
-	if err != nil {
-		return Result{}, err
-	}
-	defer m.leave(ts)
-	for {
-		v := m.cur.Load()
-		out, err := v.eng.Outputs(ctx, [][]float64{features})
-		if errors.Is(err, serve.ErrClosed) {
-			if m.closed.Load() {
-				return Result{}, ErrClosed
-			}
-			// A swap moved the route on between loading v and the call.
-			// repoint stores the new version before it closes the old
-			// engine, so the retry finds it; the request is intact.
-			continue
-		}
-		m.record(1, err)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Output: out, Version: v.id}, nil
-	}
-}
-
-// InferBatch is Infer over a batch: one admission (a single tenant quota
-// place and a single model place), one version for every sample — each
-// output is that version's — and one Outputs call on its engine, which
-// cuts the batch into chunks. The outputs are capacity-capped row views
-// of that call's flat result. It counts len(batch) requests; its engine
-// records one latency, unless the batch is empty.
-func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]float64) (outs [][]int, version int, err error) {
+// Run serves one call for (model, tenant): admission (tenant quota, then
+// class-weighted model capacity), then the current version's engine. The
+// call takes one tenant quota place and one model place whatever its
+// length, runs every sample on one version — whose id it returns — and
+// counts len(batch) requests; its engine records one latency, unless the
+// batch is empty. With classes set it returns each sample's argmax class
+// (the engine's ClassifyBatch), otherwise every sample's output counts
+// back to back (Outputs).
+func (f *Fleet) Run(ctx context.Context, name, tenant string, batch [][]float64, classes bool) (out []int, version int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -461,23 +417,26 @@ func (f *Fleet) InferBatch(ctx context.Context, name, tenant string, batch [][]f
 	defer m.leave(ts)
 	for {
 		v := m.cur.Load()
-		flat, err := v.eng.Outputs(ctx, batch)
+		if classes {
+			out, err = v.eng.ClassifyBatch(ctx, batch)
+		} else {
+			out, err = v.eng.Outputs(ctx, batch)
+		}
 		if errors.Is(err, serve.ErrClosed) {
 			if m.closed.Load() {
 				return nil, 0, ErrClosed
 			}
-			continue // the route moved on, as in Infer
+			// A swap moved the route on between loading v and the call.
+			// repoint stores the new version before it closes the old
+			// engine, so the retry finds it; the call is intact.
+			continue
 		}
-		m.record(len(batch), err)
+		m.requests.Add(uint64(len(batch)))
 		if err != nil {
+			m.errors.Add(uint64(len(batch)))
 			return nil, 0, err
 		}
-		outs := make([][]int, len(batch))
-		for i := range outs {
-			w := len(flat) / len(outs)
-			outs[i] = flat[i*w : (i+1)*w : (i+1)*w]
-		}
-		return outs, v.id, nil
+		return out, v.id, nil
 	}
 }
 
@@ -586,8 +545,7 @@ func (f *Fleet) recordSwap(ev SwapEvent) {
 }
 
 // Close closes every model's engine, which waits for the calls inside it,
-// and returns its chips. Idempotent; Infer
-// afterwards returns ErrClosed.
+// and returns its chips. Idempotent; Run afterwards returns ErrClosed.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed.Load() {

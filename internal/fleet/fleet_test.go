@@ -69,6 +69,19 @@ func (r *fakeReplica) Outputs(ctx context.Context, batch [][]float64) ([]int, er
 	return out, nil
 }
 
+// ClassifyBatch is Outputs answering each sample with its marker alone.
+func (r *fakeReplica) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
+	out, err := r.Outputs(ctx, batch)
+	if err != nil {
+		return nil, err
+	}
+	classes := make([]int, len(batch))
+	for i := range classes {
+		classes[i] = out[2*i]
+	}
+	return classes, nil
+}
+
 func (r *fakeReplica) MergeLatency(h *serve.LatencyHistogram) { h.Merge(&r.lat) }
 
 func (r *fakeReplica) QueueDepth() int { return 0 }
@@ -122,6 +135,27 @@ func (s *fakeSource) replicas() []*fakeReplica {
 	return append([]*fakeReplica(nil), s.made...)
 }
 
+// infer runs one sample through Run: its output counts and the version
+// that served them.
+func infer(ctx context.Context, f *Fleet, name, tenant string, features []float64) ([]int, int, error) {
+	return f.Run(ctx, name, tenant, [][]float64{features}, false)
+}
+
+// inferBatch runs a batch through Run and cuts its flat output counts
+// into one row per sample.
+func inferBatch(ctx context.Context, f *Fleet, name, tenant string, batch [][]float64) ([][]int, int, error) {
+	flat, version, err := f.Run(ctx, name, tenant, batch, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	outs := make([][]int, len(batch))
+	for i := range outs {
+		w := len(flat) / len(outs)
+		outs[i] = flat[i*w : (i+1)*w]
+	}
+	return outs, version, nil
+}
+
 func TestInferRoutesAndStamps(t *testing.T) {
 	f := New(Options{Chips: 16})
 	defer f.Close()
@@ -129,18 +163,23 @@ func TestInferRoutesAndStamps(t *testing.T) {
 	if err := f.AddModel("m", src.Source(), ModelConfig{Replicas: 2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Infer(context.Background(), "m", "anyone", []float64{0.5, 1})
+	out, version, err := infer(context.Background(), f, "m", "anyone", []float64{0.5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 1 {
-		t.Fatalf("version = %d, want 1", res.Version)
+	if version != 1 {
+		t.Fatalf("version = %d, want 1", version)
 	}
-	if len(res.Output) != 2 || res.Output[0] != 7 || res.Output[1] != 2 {
-		t.Fatalf("output = %v, want [7 2]", res.Output)
+	if len(out) != 2 || out[0] != 7 || out[1] != 2 {
+		t.Fatalf("output = %v, want [7 2]", out)
+	}
+	// With classes set, Run answers with the engine's ClassifyBatch.
+	classes, version, err := f.Run(context.Background(), "m", "anyone", [][]float64{{1}, {0, 1}}, true)
+	if err != nil || version != 1 || len(classes) != 2 || classes[0] != 7 || classes[1] != 7 {
+		t.Fatalf("classes = %v version %d, %v; want [7 7] from version 1", classes, version, err)
 	}
 	st := f.Stats().Models["m"]
-	if st.Requests != 1 || st.Replicas != 2 || st.Version != 1 || st.Window != 16 {
+	if st.Requests != 1+2 || st.Replicas != 2 || st.Version != 1 || st.Window != 16 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if rs := src.replicas(); len(rs) != 1 || rs[0].replicas != 2 {
@@ -151,7 +190,7 @@ func TestInferRoutesAndStamps(t *testing.T) {
 func TestUnknownModelAndEmptyRegistration(t *testing.T) {
 	f := New(Options{Chips: 16})
 	defer f.Close()
-	if _, err := f.Infer(context.Background(), "ghost", "t", []float64{1}); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := infer(context.Background(), f, "ghost", "t", []float64{1}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v, want ErrUnknownModel", err)
 	}
 	if err := f.AddModel("", (&fakeSource{window: 4}).Source(), ModelConfig{}); err == nil {
@@ -194,14 +233,14 @@ func TestChipAccounting(t *testing.T) {
 	}
 }
 
-// fillInflight starts n requests that are all inside the engine's Infer
+// fillInflight starts n requests that are all inside the engine
 // (blocked on the source's gate) and returns their error channel.
 func fillInflight(t *testing.T, f *Fleet, model, tenant string, src *fakeSource, n int) chan error {
 	t.Helper()
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := f.Infer(context.Background(), model, tenant, []float64{1})
+			_, _, err := infer(context.Background(), f, model, tenant, []float64{1})
 			errs <- err
 		}()
 		select {
@@ -230,12 +269,12 @@ func TestClassWeightedAdmission(t *testing.T) {
 	}
 
 	errs := fillInflight(t, f, "m", "nobody", src, 2)
-	if _, err := f.Infer(context.Background(), "m", "nobody", []float64{1}); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := infer(context.Background(), f, "m", "nobody", []float64{1}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch over limit: err = %v, want ErrOverloaded", err)
 	}
 	// Gold still has headroom above batch's 50% share.
 	goldErrs := fillInflight(t, f, "m", "gold", src, 2)
-	if _, err := f.Infer(context.Background(), "m", "gold", []float64{1}); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := infer(context.Background(), f, "m", "gold", []float64{1}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("gold over limit: err = %v, want ErrOverloaded", err)
 	}
 	close(gate)
@@ -310,11 +349,11 @@ func TestRetryOnRetiredEngine(t *testing.T) {
 	}
 	r := src.replicas()[0]
 	r.retired.Store(true)
-	if res, err := f.Infer(context.Background(), "m", "t", []float64{1}); err != nil || res.Output[0] != 7 {
-		t.Fatalf("single call = %+v, %v; want it retried onto the route", res, err)
+	if out, _, err := infer(context.Background(), f, "m", "t", []float64{1}); err != nil || out[0] != 7 {
+		t.Fatalf("single call = %v, %v; want it retried onto the route", out, err)
 	}
 	r.retired.Store(true)
-	if outs, v, err := f.InferBatch(context.Background(), "m", "t", [][]float64{{1}, {1}}); err != nil || v != 1 || len(outs) != 2 {
+	if outs, v, err := inferBatch(context.Background(), f, "m", "t", [][]float64{{1}, {1}}); err != nil || v != 1 || len(outs) != 2 {
 		t.Fatalf("batch call = %v version %d, %v; want it retried onto the route", outs, v, err)
 	}
 	if st := f.Stats().Models["m"]; st.Requests != 1+2 || st.Errors != 0 {
@@ -344,7 +383,7 @@ func TestAddModelDoesNotStallTraffic(t *testing.T) {
 	<-building
 	served := make(chan error, 1)
 	go func() {
-		_, err := f.Infer(context.Background(), "a", "t", []float64{1})
+		_, _, err := infer(context.Background(), f, "a", "t", []float64{1})
 		served <- err
 	}()
 	select {
@@ -364,8 +403,8 @@ func TestAddModelDoesNotStallTraffic(t *testing.T) {
 	if err := <-added; err != nil {
 		t.Fatal(err)
 	}
-	if res, err := f.Infer(context.Background(), "b", "t", []float64{1}); err != nil || res.Output[0] != 2 {
-		t.Fatalf("request to b = %+v, %v", res, err)
+	if out, _, err := infer(context.Background(), f, "b", "t", []float64{1}); err != nil || out[0] != 2 {
+		t.Fatalf("request to b = %v, %v", out, err)
 	}
 }
 
@@ -381,7 +420,7 @@ func TestTenantQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	errs := fillInflight(t, f, "m", "capped", src, 2)
-	if _, err := f.Infer(context.Background(), "m", "capped", []float64{1}); !errors.Is(err, ErrTenantQuota) {
+	if _, _, err := infer(context.Background(), f, "m", "capped", []float64{1}); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("err = %v, want ErrTenantQuota", err)
 	}
 	close(gate)
@@ -418,7 +457,7 @@ func TestInferBatchOneAdmission(t *testing.T) {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		outs, v, err := f.InferBatch(context.Background(), "m", "capped", [][]float64{{1}, {1, 0}, {0, 0, 1}})
+		outs, v, err := inferBatch(context.Background(), f, "m", "capped", [][]float64{{1}, {1, 0}, {0, 0, 1}})
 		done <- reply{outs, v, err}
 	}()
 	select {
@@ -429,10 +468,10 @@ func TestInferBatchOneAdmission(t *testing.T) {
 	if st := f.Stats().Models["m"]; st.InFlight != 1 {
 		t.Errorf("a 3-sample batch holds %d model places, want 1", st.InFlight)
 	}
-	if _, err := f.Infer(context.Background(), "m", "capped", []float64{1}); !errors.Is(err, ErrTenantQuota) {
+	if _, _, err := infer(context.Background(), f, "m", "capped", []float64{1}); !errors.Is(err, ErrTenantQuota) {
 		t.Errorf("single call beside the batch = %v, want ErrTenantQuota", err)
 	}
-	if _, _, err := f.InferBatch(context.Background(), "m", "capped", [][]float64{{1}}); !errors.Is(err, ErrTenantQuota) {
+	if _, _, err := inferBatch(context.Background(), f, "m", "capped", [][]float64{{1}}); !errors.Is(err, ErrTenantQuota) {
 		t.Errorf("batch call beside the batch = %v, want ErrTenantQuota", err)
 	}
 	close(gate)
@@ -461,7 +500,7 @@ func TestEmptyBatchRecordsNoLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		outs, v, err := f.InferBatch(context.Background(), "m", "t", [][]float64{})
+		outs, v, err := inferBatch(context.Background(), f, "m", "t", [][]float64{})
 		if err != nil || v != 1 || len(outs) != 0 {
 			t.Fatalf("empty batch = %v, version %d, %v; want no outputs from version 1", outs, v, err)
 		}
@@ -471,7 +510,7 @@ func TestEmptyBatchRecordsNoLatency(t *testing.T) {
 		t.Errorf("after empty batches: %d requests, latency p50/p99/p999 %g/%g/%g µs; want all zero",
 			st.Requests, st.P50LatencyUS, st.P99LatencyUS, st.P999LatencyUS)
 	}
-	if _, _, err := f.InferBatch(context.Background(), "m", "t", [][]float64{{1}}); err != nil {
+	if _, _, err := inferBatch(context.Background(), f, "m", "t", [][]float64{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if st := f.Stats().Models["m"]; st.Requests != 1 || st.P50LatencyUS <= 0 || st.P50LatencyUS != st.P999LatencyUS {
@@ -504,10 +543,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Infer(context.Background(), "m", "t", []float64{1}); !errors.Is(err, ErrClosed) {
+	if _, _, err := infer(context.Background(), f, "m", "t", []float64{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-	if _, _, err := f.InferBatch(context.Background(), "m", "t", [][]float64{{1}}); !errors.Is(err, ErrClosed) {
+	if _, _, err := inferBatch(context.Background(), f, "m", "t", [][]float64{{1}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch err = %v, want ErrClosed", err)
 	}
 	if !errors.Is(ErrClosed, serve.ErrClosed) {

@@ -57,11 +57,11 @@ func TestSwapZeroLoss(t *testing.T) {
 				var version int
 				var err error
 				if l%2 == 0 {
-					var res Result
-					res, err = f.Infer(ctx, "m", "t", []float64{0.5})
-					outs, version = [][]int{res.Output}, res.Version
+					var out []int
+					out, version, err = infer(ctx, f, "m", "t", []float64{0.5})
+					outs = [][]int{out}
 				} else {
-					outs, version, err = f.InferBatch(ctx, "m", "t", [][]float64{{0.5}, {0.5, 0.5}})
+					outs, version, err = inferBatch(ctx, f, "m", "t", [][]float64{{0.5}, {0.5, 0.5}})
 				}
 				if err != nil {
 					failed.Add(1)
@@ -123,14 +123,15 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	if err := f.AddModel("m", old.Source(), ModelConfig{Replicas: 1, QueueDepth: 8}); err != nil {
 		t.Fatal(err)
 	}
-	type out struct {
-		res Result
-		err error
+	type reply struct {
+		out     []int
+		version int
+		err     error
 	}
-	pinned := make(chan out, 1)
+	pinned := make(chan reply, 1)
 	go func() {
-		res, err := f.Infer(context.Background(), "m", "t", []float64{1})
-		pinned <- out{res, err}
+		out, version, err := infer(context.Background(), f, "m", "t", []float64{1})
+		pinned <- reply{out, version, err}
 	}()
 	<-old.start // the request is inside the v1 replica
 
@@ -152,13 +153,13 @@ func TestSwapDrainsOldVersion(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("held request dropped by swap: %v", got.err)
 	}
-	if got.res.Version != 1 || got.res.Output[0] != 101 {
-		t.Fatalf("held request got version %d output %v, want the v1 it reached", got.res.Version, got.res.Output)
+	if got.version != 1 || got.out[0] != 101 {
+		t.Fatalf("held request got version %d output %v, want the v1 it reached", got.version, got.out)
 	}
 	// And new traffic lands on v2.
-	res, err := f.Infer(context.Background(), "m", "t", []float64{1})
-	if err != nil || res.Version != 2 || res.Output[0] != 102 {
-		t.Fatalf("post-swap request = %+v, %v; want v2/102", res, err)
+	out, version, err := infer(context.Background(), f, "m", "t", []float64{1})
+	if err != nil || version != 2 || out[0] != 102 {
+		t.Fatalf("post-swap request = %v version %d, %v; want v2/102", out, version, err)
 	}
 	// The old engine was closed by the swap.
 	if rs := old.replicas(); len(rs) != 1 || !rs[0].isClosed() {
@@ -182,10 +183,10 @@ func TestSwapKeepsLatencies(t *testing.T) {
 	ctx := context.Background()
 	serveSome := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := f.Infer(ctx, "m", "t", []float64{1}); err != nil {
+			if _, _, err := infer(ctx, f, "m", "t", []float64{1}); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := f.InferBatch(ctx, "m", "t", [][]float64{{1}, {2}}); err != nil {
+			if _, _, err := inferBatch(ctx, f, "m", "t", [][]float64{{1}, {2}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -235,9 +236,9 @@ func TestSwapWindowFollowsVersion(t *testing.T) {
 	}
 	// fakeReplica echoes each sample's length: the features reach the
 	// engine as sent, for it to quantize.
-	res, err := f.Infer(context.Background(), "m", "t", []float64{0.1, 0.2, 0.3})
-	if err != nil || res.Output[1] != 3 {
-		t.Fatalf("pre-swap = %+v, %v", res, err)
+	out, _, err := infer(context.Background(), f, "m", "t", []float64{0.1, 0.2, 0.3})
+	if err != nil || out[1] != 3 {
+		t.Fatalf("pre-swap = %v, %v", out, err)
 	}
 	if _, err := f.Swap(context.Background(), "m", (&fakeSource{marker: 2, window: 9}).Source()); err != nil {
 		t.Fatal(err)
@@ -264,9 +265,9 @@ func TestSwapReplicaFactoryFailure(t *testing.T) {
 	if used := f.Stats().ChipsUsed; used != 2 {
 		t.Fatalf("chips used after aborted swap = %d, want 2", used)
 	}
-	res, err := f.Infer(context.Background(), "m", "t", []float64{1})
-	if err != nil || res.Version != 1 {
-		t.Fatalf("old version not serving after aborted swap: %+v, %v", res, err)
+	out, version, err := infer(context.Background(), f, "m", "t", []float64{1})
+	if err != nil || version != 1 {
+		t.Fatalf("old version not serving after aborted swap: %v version %d, %v", out, version, err)
 	}
 }
 
@@ -288,7 +289,7 @@ func TestSwapAfterPanickingRequest(t *testing.T) {
 				t.Error("the replica's panic did not reach the caller")
 			}
 		}()
-		f.Infer(context.Background(), "m", "t", []float64{0.5})
+		infer(context.Background(), f, "m", "t", []float64{0.5})
 	}()
 	m, err := f.lookup("m")
 	if err != nil {
@@ -303,8 +304,8 @@ func TestSwapAfterPanickingRequest(t *testing.T) {
 		t.Fatalf("Swap after a panicking request = %+v, %v", ev, err)
 	}
 	// Quota 1 and admission depth 1: a leaked place would shed this one.
-	if res, err := f.Infer(context.Background(), "m", "t", []float64{0.5}); err != nil || res.Version != 2 {
-		t.Fatalf("request after the swap = %+v, %v", res, err)
+	if out, version, err := infer(context.Background(), f, "m", "t", []float64{0.5}); err != nil || version != 2 {
+		t.Fatalf("request after the swap = %v version %d, %v", out, version, err)
 	}
 }
 
@@ -371,13 +372,13 @@ func TestNoisyResizeBitIdentical(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i, x := range xs {
-					res, err := f.Infer(context.Background(), model, "t", x)
+					out, _, err := infer(context.Background(), f, model, "t", x)
 					if err != nil {
 						t.Errorf("%s %s: %v", model, phase, err)
 						return
 					}
-					if !reflect.DeepEqual(res.Output, want[i]) {
-						t.Errorf("%s %s: input %d = %v, a fresh one-executor engine gives %v", model, phase, i, res.Output, want[i])
+					if !reflect.DeepEqual(out, want[i]) {
+						t.Errorf("%s %s: input %d = %v, a fresh one-executor engine gives %v", model, phase, i, out, want[i])
 					}
 				}
 			}()
