@@ -3,6 +3,7 @@ package fpsa
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -128,6 +129,83 @@ func TestNewNetRequiresWeights(t *testing.T) {
 	}
 	if _, err := d.NewEngine(context.Background()); !errors.Is(err, ErrModelInvalid) {
 		t.Fatalf("NewEngine without weights: %v, want ErrModelInvalid", err)
+	}
+}
+
+// TestNewNetRejectsMalformedWeights: a caller-supplied weight matrix of
+// the wrong shape, or holding a NaN or an infinity, fails NewNet with
+// ErrModelInvalid — for an FC and a conv layer, passed to NewNet directly
+// or registered with WithWeights — instead of panicking or failing the
+// first inference.
+func TestNewNetRejectsMalformedWeights(t *testing.T) {
+	matrix := func(rows, cols int) [][]float64 {
+		w := make([][]float64, rows)
+		for r := range w {
+			w[r] = make([]float64, cols)
+			for c := range w[r] {
+				w[r][c] = float64((r+c)%3-1) / 4
+			}
+		}
+		return w
+	}
+	mlp, err := NewModelBuilder("mlp", 4, 1, 1).FC(3).ReLU().FC(2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnn, err := NewModelBuilder("cnn", 1, 4, 4).Conv2D(2, 3, 1, 1).ReLU().GlobalAvgPool().FC(2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(w [][]float64, r, c int, v float64) [][]float64 { w[r][c] = v; return w }
+	for _, layer := range []struct {
+		name   string
+		model  Model
+		shapes [][2]int // per weight layer: rows, cols
+	}{
+		{"fc", mlp, [][2]int{{4, 3}, {3, 2}}},
+		{"conv", cnn, [][2]int{{9, 2}, {2, 2}}},
+	} {
+		rows, cols := layer.shapes[0][0], layer.shapes[0][1]
+		for _, tc := range []struct {
+			name string
+			w    func() [][]float64
+		}{
+			{"short-row", func() [][]float64 { w := matrix(rows, cols); w[1] = w[1][:cols-1]; return w }},
+			{"long-row", func() [][]float64 { w := matrix(rows, cols); w[1] = append(w[1], 0.5); return w }},
+			{"nil-row", func() [][]float64 { w := matrix(rows, cols); w[1] = nil; return w }},
+			{"empty", func() [][]float64 { return [][]float64{} }},
+			{"too-few-rows", func() [][]float64 { return matrix(rows-1, cols) }},
+			{"nan", func() [][]float64 { return set(matrix(rows, cols), 1, 1, math.NaN()) }},
+			{"+inf", func() [][]float64 { return set(matrix(rows, cols), 1, 1, math.Inf(1)) }},
+			{"-inf", func() [][]float64 { return set(matrix(rows, cols), 1, 1, math.Inf(-1)) }},
+		} {
+			weights := map[string][][]float64{}
+			for i, l := range layer.model.WeightLayers() {
+				weights[l] = matrix(layer.shapes[i][0], layer.shapes[i][1])
+			}
+			weights[layer.model.WeightLayers()[0]] = tc.w()
+			t.Run(layer.name+"/"+tc.name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				d, err := Compile(context.Background(), layer.model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.NewNet(weights); !errors.Is(err, ErrModelInvalid) {
+					t.Errorf("NewNet(w): %v, want ErrModelInvalid", err)
+				}
+				d, err = Compile(context.Background(), layer.model, WithWeights(weights))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.NewNet(nil); !errors.Is(err, ErrModelInvalid) {
+					t.Errorf("WithWeights(w), NewNet(nil): %v, want ErrModelInvalid", err)
+				}
+			})
+		}
 	}
 }
 

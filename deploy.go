@@ -14,7 +14,8 @@ import (
 // program; explicit weights synthesize a fresh, independent net. The
 // net's programming-variation seed comes from WithSeed, so the whole
 // execution configuration flows from the compile. A deployment with no
-// weights anywhere returns ErrModelInvalid.
+// weights anywhere, or a weight matrix that is not exactly the layer's
+// rows × cols of finite values, returns ErrModelInvalid.
 func (d *Deployment) NewNet(weights map[string][][]float64) (*SpikingNet, error) {
 	if weights != nil {
 		return d.buildNet(func(layer string) [][]float64 { return weights[layer] })

@@ -146,7 +146,8 @@ func typed(err error) bool {
 //     Engine.Outputs agree.
 //
 // The corpus seeds are the test fixtures' shapes, MLP-500-100 and LeNet,
-// the last two scaled into the decoder's 2–64 range.
+// the last two scaled into the decoder's 2–64 range, and a conv whose 288
+// rows split into two row tiles and a reduction.
 func FuzzCompileStack(f *testing.F) {
 	for _, seed := range [][]byte{
 		{1, 0, 0, 0, 21, 11, 0, 0, 14, 4, 0, 1, 0},                 // deployTestNet: 12 → 16 → 3
@@ -155,6 +156,7 @@ func FuzzCompileStack(f *testing.F) {
 		{3, 1, 0, 1, 9, 1, 7, 1, 6, 5, 2, 0, 0, 3, 0, 0, 0, 2, 4},  // the conv benchmark net at 2×8×8, dup 2, faulted
 		{2, 0, 0, 0, 1, 63, 0, 0, 48, 4, 0, 8, 4, 0, 8, 0},         // MLP-500-100 at 1/10: 64 → 50 → 10 → 10
 		{3, 3, 2, 0, 2, 0, 7, 1, 4, 5, 2, 0, 0, 1, 14, 5, 0, 8, 0}, // LeNet: conv 6, pool, conv 16, FC 10; dup 4, 3 chips
+		{2, 0, 1, 0, 3, 31, 3, 1, 14, 5, 2, 0, 0, 0, 8, 0},         // row split: 3×3 conv 32 → 16 (288 rows), pool, FC 10; 2 chips
 	} {
 		f.Add(seed)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fpsa/internal/cgraph"
-	"fpsa/internal/coreop"
 )
 
 // This file implements the functional (executable) lowering of
@@ -15,159 +14,30 @@ import (
 // positions, like the mapped chip does.
 //
 // Tensor references follow CHW order: signal (c, y, x) lives at ref index
-// (c·H + y)·W + x. Convolution padding reads the constant-zero ref.
+// (c·H + y)·W + x. Padding reads the constant-zero ref.
 
 // chwIndex flattens a tensor coordinate.
 func chwIndex(shape cgraph.Shape, c, y, x int) int {
 	return (c*shape.H+y)*shape.W + x
 }
 
-// exactMatrix is a weight matrix lowered to shared crossbar groups that
-// can be invoked once per input vector (conv position or FC pass).
-type exactMatrix struct {
-	s          *synthesizer
-	rows, cols int
-	rowTiles   int
-	colCap     int // outputs per column tile
-	pack       int // outputs per reduction group (split case)
-	maxW       int
-	// unsplit: tiles[ct]; split: tiles[ct][rt] and reds[ct][ri].
-	flat      []int
-	tiles     [][]int
-	reds      [][]int
-	invocable bool
+// padded returns the ref of signal (c, y, x) of a shape-sized tensor, or
+// the constant zero when (y, x) falls in the padding.
+func padded(refs []ExecRef, shape cgraph.Shape, c, y, x int) ExecRef {
+	if y < 0 || y >= shape.H || x < 0 || x >= shape.W {
+		return ExecRef{Stage: ZeroStage}
+	}
+	return refs[chwIndex(shape, c, y, x)]
 }
 
-// buildExactMatrix creates the shared groups for a rows×cols signed float
-// matrix with the given reuse degree.
-func (s *synthesizer) buildExactMatrix(name, layer string, rows, cols, reuse int, deps []int, weights [][]float64) (*exactMatrix, error) {
-	if len(weights) != rows || len(weights[0]) != cols {
-		return nil, fmt.Errorf("matrix %q: weights %dx%d, want %dx%d", name, len(weights), len(weights[0]), rows, cols)
+// exactLayer builds the matrix of a weight layer from the layer's trained
+// weights.
+func (s *synthesizer) exactLayer(n *cgraph.Node, rows, cols, reuse int) (*exactMatrix, error) {
+	w := s.opts.Weights(n.Name)
+	if w == nil {
+		return nil, fmt.Errorf("functional synthesis missing weights for layer %q", n.Name)
 	}
-	m := &exactMatrix{s: s, rows: rows, cols: cols, maxW: s.peMaxWeight(), invocable: true}
-	m.rowTiles = (rows + s.maxRows - 1) / s.maxRows
-	q := s.quantize(weights)
-	eta := safeEta(q)
-	if m.rowTiles == 1 {
-		m.colCap = s.maxCols
-		colTiles := (cols + m.colCap - 1) / m.colCap
-		for ct := 0; ct < colTiles; ct++ {
-			c0, c1 := ct*m.colCap, min((ct+1)*m.colCap, cols)
-			grp := s.out.AddGroup(newGroup(layer, fmt.Sprintf("%s.x%d", name, ct),
-				coreop.KindCompute, rows, c1-c0, reuse, deps))
-			grp.UsefulWeights = int64(rows) * int64(c1-c0)
-			w := make([][]int, rows)
-			for r := 0; r < rows; r++ {
-				w[r] = append([]int(nil), q[r][c0:c1]...)
-			}
-			grp.Weights = w
-			grp.Eta = eta
-			m.flat = append(m.flat, grp.ID)
-		}
-		return m, nil
-	}
-	redRowsPerOut := 2 * m.rowTiles
-	m.pack = s.maxRows / redRowsPerOut
-	if m.pack == 0 {
-		return nil, fmt.Errorf("matrix %q: %d row tiles need hierarchical reduction (unsupported)", name, m.rowTiles)
-	}
-	m.colCap = s.maxCols / 2
-	colTiles := (cols + m.colCap - 1) / m.colCap
-	for ct := 0; ct < colTiles; ct++ {
-		c0, c1 := ct*m.colCap, min((ct+1)*m.colCap, cols)
-		width := c1 - c0
-		var tileIDs []int
-		for rt := 0; rt < m.rowTiles; rt++ {
-			r0, r1 := rt*s.maxRows, min((rt+1)*s.maxRows, rows)
-			grp := s.out.AddGroup(newGroup(layer, fmt.Sprintf("%s.x%d.%d", name, rt, ct),
-				coreop.KindCompute, r1-r0, 2*width, reuse, deps))
-			grp.UsefulWeights = int64(r1-r0) * int64(2*width)
-			w := make([][]int, r1-r0)
-			for r := r0; r < r1; r++ {
-				row := make([]int, 2*width)
-				for k := c0; k < c1; k++ {
-					row[2*(k-c0)] = q[r][k]
-					row[2*(k-c0)+1] = -q[r][k]
-				}
-				w[r-r0] = row
-			}
-			grp.Weights = w
-			grp.Eta = eta
-			tileIDs = append(tileIDs, grp.ID)
-		}
-		m.tiles = append(m.tiles, tileIDs)
-		var redIDs []int
-		for o0, ri := 0, 0; o0 < width; o0, ri = o0+m.pack, ri+1 {
-			o1 := min(o0+m.pack, width)
-			redW := o1 - o0
-			red := s.out.AddGroup(newGroup(layer, fmt.Sprintf("%s.r%d.%d", name, ct, ri),
-				coreop.KindReduce, redRowsPerOut*redW, redW, reuse, tileIDs))
-			red.UsefulWeights = int64(redRowsPerOut) * int64(redW)
-			w := make([][]int, redRowsPerOut*redW)
-			for i := range w {
-				w[i] = make([]int, redW)
-			}
-			for k := 0; k < redW; k++ {
-				for t := 0; t < m.rowTiles; t++ {
-					rowP := k*redRowsPerOut + 2*t
-					w[rowP][k] = m.maxW
-					w[rowP+1][k] = -m.maxW
-				}
-			}
-			red.Weights = w
-			red.Eta = safeEta(w)
-			redIDs = append(redIDs, red.ID)
-		}
-		m.reds = append(m.reds, redIDs)
-	}
-	return m, nil
-}
-
-// invoke records the execution stages for one input vector and returns the
-// refs of the matrix's cols outputs.
-func (m *exactMatrix) invoke(inRefs []ExecRef) ([]ExecRef, error) {
-	if len(inRefs) != m.rows {
-		return nil, fmt.Errorf("invoke: %d input refs, want %d", len(inRefs), m.rows)
-	}
-	s := m.s
-	out := make([]ExecRef, 0, m.cols)
-	if m.rowTiles == 1 {
-		for ct, gid := range m.flat {
-			c0, c1 := ct*m.colCap, min((ct+1)*m.colCap, m.cols)
-			stage := s.recordStage(gid, inRefs)
-			for k := 0; k < c1-c0; k++ {
-				out = append(out, ExecRef{Stage: stage, Col: k})
-			}
-		}
-		return out, nil
-	}
-	for ct := range m.tiles {
-		c0, c1 := ct*m.colCap, min((ct+1)*m.colCap, m.cols)
-		width := c1 - c0
-		tileStages := make([]int, m.rowTiles)
-		for rt, gid := range m.tiles[ct] {
-			r0, r1 := rt*s.maxRows, min((rt+1)*s.maxRows, m.rows)
-			tileStages[rt] = s.recordStage(gid, inRefs[r0:r1:r1])
-		}
-		for ri, gid := range m.reds[ct] {
-			o0 := ri * m.pack
-			o1 := min(o0+m.pack, width)
-			redW := o1 - o0
-			refs := make([]ExecRef, 0, 2*m.rowTiles*redW)
-			for k := 0; k < redW; k++ {
-				for t := 0; t < m.rowTiles; t++ {
-					refs = append(refs,
-						ExecRef{Stage: tileStages[t], Col: 2 * (o0 + k)},
-						ExecRef{Stage: tileStages[t], Col: 2*(o0+k) + 1})
-				}
-			}
-			stage := s.recordStage(gid, refs)
-			for k := 0; k < redW; k++ {
-				out = append(out, ExecRef{Stage: stage, Col: k})
-			}
-		}
-	}
-	return out, nil
+	return s.buildExactMatrix(n.Name, n.Name, rows, cols, reuse, s.depsOf(n), w)
 }
 
 // lowerConvExact lowers an ungrouped convolution with trained weights
@@ -178,19 +48,11 @@ func (s *synthesizer) lowerConvExact(n *cgraph.Node, op cgraph.Conv2D) error {
 	}
 	in := n.Inputs[0].OutShape
 	rows := op.Kernel * op.Kernel * in.C
-	w := s.opts.Weights(n.Name)
-	if w == nil {
-		return fmt.Errorf("functional synthesis missing weights for layer %q", n.Name)
-	}
-	reuse := n.OutShape.H * n.OutShape.W
-	mat, err := s.buildExactMatrix(n.Name, n.Name, rows, op.OutC, reuse, s.depsOf(n), w)
+	mat, err := s.exactLayer(n, rows, op.OutC, n.OutShape.H*n.OutShape.W)
 	if err != nil {
 		return err
 	}
 	inRefs := s.nodeRefs[n.Inputs[0].ID]
-	if len(inRefs) != in.Elems() {
-		return fmt.Errorf("layer %q: %d producer refs, want %d", n.Name, len(inRefs), in.Elems())
-	}
 	outRefs := make([]ExecRef, n.OutShape.Elems())
 	window := make([]ExecRef, rows)
 	for oy := 0; oy < n.OutShape.H; oy++ {
@@ -198,40 +60,16 @@ func (s *synthesizer) lowerConvExact(n *cgraph.Node, op cgraph.Conv2D) error {
 			for c := 0; c < in.C; c++ {
 				for ky := 0; ky < op.Kernel; ky++ {
 					for kx := 0; kx < op.Kernel; kx++ {
-						iy := oy*op.Stride - op.Pad + ky
-						ix := ox*op.Stride - op.Pad + kx
-						row := (c*op.Kernel+ky)*op.Kernel + kx
-						if iy < 0 || iy >= in.H || ix < 0 || ix >= in.W {
-							window[row] = ExecRef{Stage: ZeroStage}
-						} else {
-							window[row] = inRefs[chwIndex(in, c, iy, ix)]
-						}
+						window[(c*op.Kernel+ky)*op.Kernel+kx] = padded(inRefs, in, c,
+							oy*op.Stride-op.Pad+ky, ox*op.Stride-op.Pad+kx)
 					}
 				}
 			}
-			colRefs, err := mat.invoke(window)
-			if err != nil {
-				return fmt.Errorf("layer %q at (%d,%d): %w", n.Name, oy, ox, err)
-			}
-			for oc := 0; oc < op.OutC; oc++ {
-				outRefs[chwIndex(n.OutShape, oc, oy, ox)] = colRefs[oc]
+			for oc, ref := range mat.invoke(window) {
+				outRefs[chwIndex(n.OutShape, oc, oy, ox)] = ref
 			}
 		}
 	}
-	s.produced[n.ID] = execGroupIDs(mat)
 	s.nodeRefs[n.ID] = outRefs
 	return nil
-}
-
-// execGroupIDs lists the matrix's group IDs (for produced bookkeeping).
-func execGroupIDs(m *exactMatrix) []int {
-	var ids []int
-	ids = append(ids, m.flat...)
-	for _, ts := range m.tiles {
-		ids = append(ids, ts...)
-	}
-	for _, rs := range m.reds {
-		ids = append(ids, rs...)
-	}
-	return ids
 }

@@ -33,8 +33,8 @@ type ExecStage struct {
 	InRefs  []ExecRef
 }
 
-// Program is an executable synthesized network (FC graphs with supplied
-// weights). Stages are topologically ordered; outputs are read at
+// Program is an executable synthesized network (a graph synthesized with
+// trained weights). Stages are topologically ordered; outputs are read at
 // OutputRefs.
 type Program struct {
 	Graph      *coreop.Graph

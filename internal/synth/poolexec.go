@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"sort"
 
 	"fpsa/internal/cgraph"
 	"fpsa/internal/coreop"
@@ -11,60 +10,44 @@ import (
 // Functional lowering of the weight-free structural operations: max
 // pooling via the pairwise-max construction max(a,b) = a + ReLU(b−a)
 // (two core-ops per pair), exact average pooling via 1/K² columns, and
-// residual adds via two-row identity columns. The ±1 matrices are shared
+// residual adds via two-row identity columns. The matrices are shared
 // across every position, level and layer invocation — a single weight
-// group per structure width — mirroring how the chip would time-multiplex
-// one programmed crossbar.
+// group per structure and width — mirroring how the chip would
+// time-multiplex one programmed crossbar.
 
-// pairwiseGroups caches the shared diff/comb groups per channel width.
-type pairwiseGroups struct {
-	diff, comb int
+// sharedKey identifies one shared structural crossbar: its operation, the
+// rows each of its columns reads, and its width in columns.
+type sharedKey struct {
+	op       string
+	k, width int
 }
 
-// pairwiseFor returns (creating on demand) the shared pairwise-max groups
-// for the given width.
-func (s *synthesizer) pairwiseFor(width int, deps []int) pairwiseGroups {
-	if s.pairwise == nil {
-		s.pairwise = make(map[int]pairwiseGroups)
+// sharedGroup returns the group of key's crossbar: block-diagonal, output
+// column c reading rows c·k … c·k+k−1 with the weights of column. The
+// first use creates it; every later use counts one more invocation.
+func (s *synthesizer) sharedGroup(key sharedKey, layer string, kind coreop.Kind, column []int, eta float64, deps []int) int {
+	if gid, ok := s.shared[key]; ok {
+		s.out.Groups[gid].Reuse++
+		return gid
 	}
-	if g, ok := s.pairwise[width]; ok {
-		s.bumpReuse(g.diff)
-		s.bumpReuse(g.comb)
-		return g
+	k, width := len(column), key.width
+	grp := s.out.AddGroup(newGroup(layer, fmt.Sprintf("%s%dx%d", key.op, k, width),
+		kind, k*width, width, 1, deps))
+	grp.UsefulWeights = int64(k) * int64(width)
+	grp.Weights = make([][]int, k*width)
+	for i := range grp.Weights {
+		grp.Weights[i] = make([]int, width)
+		grp.Weights[i][i/k] = column[i%k]
 	}
-	maxW := s.peMaxWeight()
-	mk := func(kind string, a, b int) int {
-		grp := s.out.AddGroup(newGroup("pairwise-max", fmt.Sprintf("pmax.%s%d", kind, width),
-			coreop.KindPool, 2*width, width, 1, deps))
-		grp.UsefulWeights = 2 * int64(width)
-		w := make([][]int, 2*width)
-		for i := range w {
-			w[i] = make([]int, width)
-		}
-		for c := 0; c < width; c++ {
-			w[2*c][c] = a
-			w[2*c+1][c] = b
-		}
-		grp.Weights = w
-		grp.Eta = float64(maxW)
-		return grp.ID
-	}
-	g := pairwiseGroups{
-		diff: mk("d", -maxW, maxW), // ReLU(b − a)
-		comb: mk("c", maxW, maxW),  // ReLU(a + d) = max(a, b)
-	}
-	s.pairwise[width] = g
-	return g
+	grp.Eta = eta
+	s.shared[key] = grp.ID
+	return grp.ID
 }
-
-// bumpReuse increments a shared group's reuse degree for one more
-// invocation.
-func (s *synthesizer) bumpReuse(gid int) { s.out.Groups[gid].Reuse++ }
 
 // pairwiseMax records the two stages computing elementwise max(a, b).
 func (s *synthesizer) pairwiseMax(a, b []ExecRef, deps []int) []ExecRef {
 	width := len(a)
-	g := s.pairwiseFor(width, deps)
+	maxW := s.peMaxWeight()
 	interleave := func(x, y []ExecRef) []ExecRef {
 		refs := make([]ExecRef, 0, 2*width)
 		for c := 0; c < width; c++ {
@@ -72,48 +55,34 @@ func (s *synthesizer) pairwiseMax(a, b []ExecRef, deps []int) []ExecRef {
 		}
 		return refs
 	}
-	dStage := s.recordStage(g.diff, interleave(a, b))
-	d := make([]ExecRef, width)
-	for c := range d {
-		d[c] = ExecRef{Stage: dStage, Col: c}
-	}
-	mStage := s.recordStage(g.comb, interleave(a, d))
-	out := make([]ExecRef, width)
-	for c := range out {
-		out[c] = ExecRef{Stage: mStage, Col: c}
-	}
-	return out
+	// d = ReLU(b − a), then ReLU(a + d) = max(a, b).
+	diff := s.sharedGroup(sharedKey{"pmax.d", 2, width}, "pairwise-max", coreop.KindPool,
+		[]int{-maxW, maxW}, float64(maxW), deps)
+	d := appendCols(nil, s.recordStage(diff, interleave(a, b)), width)
+	comb := s.sharedGroup(sharedKey{"pmax.c", 2, width}, "pairwise-max", coreop.KindPool,
+		[]int{maxW, maxW}, float64(maxW), deps)
+	return appendCols(nil, s.recordStage(comb, interleave(a, d)), width)
 }
 
 // lowerMaxPoolExact lowers max pooling functionally.
 func (s *synthesizer) lowerMaxPoolExact(n *cgraph.Node, op cgraph.Pool) error {
 	in := n.Inputs[0].OutShape
 	inRefs := s.nodeRefs[n.Inputs[0].ID]
-	if len(inRefs) != in.Elems() {
-		return fmt.Errorf("layer %q: %d producer refs, want %d", n.Name, len(inRefs), in.Elems())
-	}
 	deps := s.depsOf(n)
 	pack := s.maxRows / 2
 	outRefs := make([]ExecRef, n.OutShape.Elems())
-	k2 := op.Kernel * op.Kernel
 	for oy := 0; oy < n.OutShape.H; oy++ {
 		for ox := 0; ox < n.OutShape.W; ox++ {
 			for c0 := 0; c0 < in.C; c0 += pack {
 				width := min(pack, in.C-c0)
 				// Gather the window's k² value vectors for this
 				// channel slice.
-				vals := make([][]ExecRef, 0, k2)
+				vals := make([][]ExecRef, 0, op.Kernel*op.Kernel)
 				for ky := 0; ky < op.Kernel; ky++ {
 					for kx := 0; kx < op.Kernel; kx++ {
-						iy := oy*op.Stride - op.Pad + ky
-						ix := ox*op.Stride - op.Pad + kx
 						v := make([]ExecRef, width)
-						for c := 0; c < width; c++ {
-							if iy < 0 || iy >= in.H || ix < 0 || ix >= in.W {
-								v[c] = ExecRef{Stage: ZeroStage}
-							} else {
-								v[c] = inRefs[chwIndex(in, c0+c, iy, ix)]
-							}
+						for c := range v {
+							v[c] = padded(inRefs, in, c0+c, oy*op.Stride-op.Pad+ky, ox*op.Stride-op.Pad+kx)
 						}
 						vals = append(vals, v)
 					}
@@ -135,36 +104,18 @@ func (s *synthesizer) lowerMaxPoolExact(n *cgraph.Node, op cgraph.Pool) error {
 			}
 		}
 	}
-	s.produced[n.ID] = s.pairwiseIDs()
 	s.nodeRefs[n.ID] = outRefs
 	return nil
 }
 
-// pairwiseIDs lists the shared pairwise groups (produced bookkeeping).
-// Sorted: the list flows through depsOf into group dependency order and
-// from there into the netlist fingerprint, so map order must not leak.
-func (s *synthesizer) pairwiseIDs() []int {
-	var ids []int
-	for _, g := range s.pairwise { //fpsa:nondet sorted below; set semantics
-		ids = append(ids, g.diff, g.comb)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// lowerAvgPoolExact lowers average pooling (window k²) functionally; GAP
-// passes k² = H·W with one output position.
-func (s *synthesizer) lowerAvgPoolExact(n *cgraph.Node, kernel, stride, pad, outH, outW int) error {
+// lowerAvgPoolExact lowers average pooling over a kh×kw window
+// functionally; global average pooling is the whole plane at one output
+// position.
+func (s *synthesizer) lowerAvgPoolExact(n *cgraph.Node, kh, kw, stride, pad int) error {
 	in := n.Inputs[0].OutShape
 	inRefs := s.nodeRefs[n.Inputs[0].ID]
-	if len(inRefs) != in.Elems() {
-		return fmt.Errorf("layer %q: %d producer refs, want %d", n.Name, len(inRefs), in.Elems())
-	}
 	deps := s.depsOf(n)
-	k2 := kernel * kernel
-	if kernel == 0 { // global: the full plane
-		k2 = in.H * in.W
-	}
+	k2 := kh * kw
 	maxW := s.peMaxWeight()
 	cellW := maxW / k2
 	if cellW == 0 {
@@ -174,82 +125,34 @@ func (s *synthesizer) lowerAvgPoolExact(n *cgraph.Node, kernel, stride, pad, out
 	if pack < 1 {
 		return fmt.Errorf("layer %q: window %d exceeds crossbar rows", n.Name, k2)
 	}
-	// Shared averaging groups per width.
-	if s.avgGroups == nil {
-		s.avgGroups = make(map[[2]int]int)
-	}
-	groupFor := func(width int) int {
-		key := [2]int{k2, width}
-		if gid, ok := s.avgGroups[key]; ok {
-			s.bumpReuse(gid)
-			return gid
-		}
-		grp := s.out.AddGroup(newGroup(n.Name, fmt.Sprintf("%s.avg%dx%d", n.Name, k2, width),
-			coreop.KindPool, k2*width, width, 1, deps))
-		grp.UsefulWeights = int64(k2) * int64(width)
-		w := make([][]int, k2*width)
-		for i := range w {
-			w[i] = make([]int, width)
-		}
-		for c := 0; c < width; c++ {
-			for i := 0; i < k2; i++ {
-				w[c*k2+i][c] = cellW
-			}
-		}
-		grp.Weights = w
-		grp.Eta = float64(cellW * k2)
-		s.avgGroups[key] = grp.ID
-		return grp.ID
+	column := make([]int, k2)
+	for i := range column {
+		column[i] = cellW
 	}
 	outRefs := make([]ExecRef, n.OutShape.Elems())
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
+	for oy := 0; oy < n.OutShape.H; oy++ {
+		for ox := 0; ox < n.OutShape.W; ox++ {
 			for c0 := 0; c0 < in.C; c0 += pack {
 				width := min(pack, in.C-c0)
 				refs := make([]ExecRef, 0, k2*width)
-				for c := 0; c < width; c++ {
-					if kernel == 0 {
-						for iy := 0; iy < in.H; iy++ {
-							for ix := 0; ix < in.W; ix++ {
-								refs = append(refs, inRefs[chwIndex(in, c0+c, iy, ix)])
-							}
-						}
-						continue
-					}
-					for ky := 0; ky < kernel; ky++ {
-						for kx := 0; kx < kernel; kx++ {
-							iy := oy*stride - pad + ky
-							ix := ox*stride - pad + kx
-							if iy < 0 || iy >= in.H || ix < 0 || ix >= in.W {
-								refs = append(refs, ExecRef{Stage: ZeroStage})
-							} else {
-								refs = append(refs, inRefs[chwIndex(in, c0+c, iy, ix)])
-							}
+				for c := c0; c < c0+width; c++ {
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							refs = append(refs, padded(inRefs, in, c, oy*stride-pad+ky, ox*stride-pad+kx))
 						}
 					}
 				}
-				stage := s.recordStage(groupFor(width), refs)
+				gid := s.sharedGroup(sharedKey{"avg", k2, width}, n.Name, coreop.KindPool,
+					column, float64(cellW*k2), deps)
+				stage := s.recordStage(gid, refs)
 				for c := 0; c < width; c++ {
 					outRefs[chwIndex(n.OutShape, c0+c, oy, ox)] = ExecRef{Stage: stage, Col: c}
 				}
 			}
 		}
 	}
-	s.produced[n.ID] = avgIDs(s)
 	s.nodeRefs[n.ID] = outRefs
 	return nil
-}
-
-// avgIDs lists the shared average-pool groups (produced bookkeeping).
-// Sorted for the same reason as pairwiseIDs: dependency order feeds the
-// netlist fingerprint.
-func avgIDs(s *synthesizer) []int {
-	var ids []int
-	for _, gid := range s.avgGroups { //fpsa:nondet sorted below; set semantics
-		ids = append(ids, gid)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // lowerAddExact lowers the elementwise residual add functionally:
@@ -260,65 +163,20 @@ func (s *synthesizer) lowerAddExact(n *cgraph.Node) error {
 	}
 	a := s.nodeRefs[n.Inputs[0].ID]
 	b := s.nodeRefs[n.Inputs[1].ID]
-	elems := n.OutShape.Elems()
-	if len(a) != elems || len(b) != elems {
-		return fmt.Errorf("layer %q: operand refs %d/%d, want %d", n.Name, len(a), len(b), elems)
-	}
 	deps := s.depsOf(n)
 	maxW := s.peMaxWeight()
 	pack := s.maxRows / 2
-	if s.addGroups == nil {
-		s.addGroups = make(map[int]int)
-	}
-	groupFor := func(width int) int {
-		if gid, ok := s.addGroups[width]; ok {
-			s.bumpReuse(gid)
-			return gid
-		}
-		grp := s.out.AddGroup(newGroup(n.Name, fmt.Sprintf("addx%d", width),
-			coreop.KindElementwise, 2*width, width, 1, deps))
-		grp.UsefulWeights = 2 * int64(width)
-		w := make([][]int, 2*width)
-		for i := range w {
-			w[i] = make([]int, width)
-		}
-		for c := 0; c < width; c++ {
-			w[2*c][c] = maxW
-			w[2*c+1][c] = maxW
-		}
-		grp.Weights = w
-		grp.Eta = float64(maxW)
-		s.addGroups[width] = grp.ID
-		return grp.ID
-	}
-	outRefs := make([]ExecRef, elems)
-	var ids []int
-	for e0 := 0; e0 < elems; e0 += pack {
-		width := min(pack, elems-e0)
+	var outRefs []ExecRef
+	for e0 := 0; e0 < len(a); e0 += pack {
+		width := min(pack, len(a)-e0)
 		refs := make([]ExecRef, 0, 2*width)
-		for c := 0; c < width; c++ {
-			refs = append(refs, a[e0+c], b[e0+c])
+		for e := e0; e < e0+width; e++ {
+			refs = append(refs, a[e], b[e])
 		}
-		gid := groupFor(width)
-		ids = append(ids, gid)
-		stage := s.recordStage(gid, refs)
-		for c := 0; c < width; c++ {
-			outRefs[e0+c] = ExecRef{Stage: stage, Col: c}
-		}
+		gid := s.sharedGroup(sharedKey{"add", 2, width}, n.Name, coreop.KindElementwise,
+			[]int{maxW, maxW}, float64(maxW), deps)
+		outRefs = appendCols(outRefs, s.recordStage(gid, refs), width)
 	}
-	s.produced[n.ID] = dedupeInts(ids)
 	s.nodeRefs[n.ID] = outRefs
 	return nil
-}
-
-func dedupeInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -17,16 +17,20 @@
 //     block-diagonally packed across channels, which is exactly why
 //     synthesized pooling dominates PE counts in GoogLeNet (§7.3).
 //
-// For fully connected networks with supplied trained weights, synthesis
-// additionally produces an executable Program whose stages run on actual
-// PE models (integer reference or cycle-level spiking simulation). One
-// type runs it: an Executor over one or more simulated chips, walking
-// every stage in order on the caller's goroutine, with the same
-// programming loop and stage walk at every chip count.
+// With supplied trained weights, synthesis additionally produces an
+// executable Program for FC and ungrouped conv layers, pooling, global
+// average pooling and residual adds, whose stages run on actual PE models
+// (integer reference or cycle-level spiking simulation). Every weight
+// layer goes through one exact matrix lowering (exactMatrix), invoked once
+// per FC pass or conv position. One type runs the program: an Executor
+// over one or more simulated chips, walking every stage in order on the
+// caller's goroutine, with the same programming loop and stage walk at
+// every chip count.
 package synth
 
 import (
 	"fmt"
+	"slices"
 
 	"fpsa/internal/cgraph"
 	"fpsa/internal/coreop"
@@ -38,8 +42,9 @@ type Options struct {
 	// Params supplies the PE's logical crossbar dimensions.
 	Params device.Params
 	// Weights optionally supplies trained float weights per layer name
-	// ([in][out]) for functional synthesis of FC networks; shape-only
-	// synthesis leaves it nil.
+	// (FC [in][out], conv [K²·Cin][OutC]) for functional synthesis; a
+	// matrix of the wrong shape or holding a NaN or an infinity fails it.
+	// Shape-only synthesis leaves Weights nil.
 	Weights func(layer string) [][]float64
 }
 
@@ -64,10 +69,18 @@ func synthesize(g *cgraph.Graph, opts Options) (*coreop.Graph, *Program, error) 
 		out:      &coreop.Graph{Name: g.Name},
 		produced: make(map[int][]int),
 		nodeRefs: make(map[int][]ExecRef),
+		shared:   make(map[sharedKey]int),
 	}
 	for _, n := range g.Nodes() {
 		if err := s.lower(n); err != nil {
 			return nil, nil, fmt.Errorf("synth: node %q: %w", n.Name, err)
+		}
+		if opts.Weights != nil {
+			refs := s.nodeRefs[n.ID]
+			if len(refs) != n.OutShape.Elems() {
+				return nil, nil, fmt.Errorf("synth: node %q: %d output refs, want %d", n.Name, len(refs), n.OutShape.Elems())
+			}
+			s.produced[n.ID] = s.producers(refs)
 		}
 	}
 	if err := s.out.Validate(s.maxRows, s.maxCols); err != nil {
@@ -79,15 +92,11 @@ func synthesize(g *cgraph.Graph, opts Options) (*coreop.Graph, *Program, error) 
 		if len(outs) != 1 {
 			return nil, nil, fmt.Errorf("synth: functional synthesis needs one output, got %d", len(outs))
 		}
-		refs := s.nodeRefs[outs[0].ID]
-		if len(refs) == 0 {
-			return nil, nil, fmt.Errorf("synth: functional synthesis produced no output refs (missing layer weights?)")
-		}
 		prog = &Program{
 			Graph:      s.out,
 			Params:     opts.Params,
 			Stages:     s.ExecStages,
-			OutputRefs: refs,
+			OutputRefs: s.nodeRefs[outs[0].ID],
 			InputSize:  s.inputSize,
 		}
 	}
@@ -105,11 +114,9 @@ type synthesizer struct {
 	nodeRefs   map[int][]ExecRef // CG node ID → refs of its logical outputs
 	ExecStages []ExecStage
 	inputSize  int
-	// Shared structural groups (pairwise max, averaging, residual add),
-	// keyed by width so one programmed crossbar serves every invocation.
-	pairwise  map[int]pairwiseGroups
-	avgGroups map[[2]int]int
-	addGroups map[int]int
+	// shared holds the structural groups (pairwise max, averaging,
+	// residual add), so one programmed crossbar serves every invocation.
+	shared map[sharedKey]int
 }
 
 // recordStage appends an executable stage and returns its index.
@@ -131,6 +138,21 @@ func (s *synthesizer) depsOf(n *cgraph.Node) []int {
 		}
 	}
 	return deps
+}
+
+// producers lists, in order of first use, the groups whose stages carry
+// refs: a functional node's produced groups.
+func (s *synthesizer) producers(refs []ExecRef) []int {
+	var ids []int
+	for _, r := range refs {
+		if r.Stage < 0 {
+			continue
+		}
+		if gid := s.ExecStages[r.Stage].GroupID; !slices.Contains(ids, gid) {
+			ids = append(ids, gid)
+		}
+	}
+	return ids
 }
 
 // refsOf concatenates the operand refs of a node in operand order.
@@ -167,14 +189,15 @@ func (s *synthesizer) lower(n *cgraph.Node) error {
 	case cgraph.Pool:
 		if s.opts.Weights != nil {
 			if op.PoolKind == cgraph.AvgPoolKind {
-				return s.lowerAvgPoolExact(n, op.Kernel, op.Stride, op.Pad, n.OutShape.H, n.OutShape.W)
+				return s.lowerAvgPoolExact(n, op.Kernel, op.Kernel, op.Stride, op.Pad)
 			}
 			return s.lowerMaxPoolExact(n, op)
 		}
 		return s.lowerPool(n, op)
 	case cgraph.GlobalAvgPool:
 		if s.opts.Weights != nil {
-			return s.lowerAvgPoolExact(n, 0, 0, 0, 1, 1)
+			in := n.Inputs[0].OutShape
+			return s.lowerAvgPoolExact(n, in.H, in.W, 1, 0)
 		}
 		return s.lowerGlobalAvgPool(n)
 	case cgraph.LRN:
@@ -200,8 +223,8 @@ func (s *synthesizer) lower(n *cgraph.Node) error {
 	}
 }
 
-// lowerConv tiles an im2col'd convolution (shape-only: conv layers are not
-// part of the executable-FC path).
+// lowerConv tiles an im2col'd convolution for shape-only synthesis
+// (lowerConvExact is the functional lowering).
 func (s *synthesizer) lowerConv(n *cgraph.Node, op cgraph.Conv2D) error {
 	groups := 1
 	if op.Groups > 1 {
@@ -218,7 +241,7 @@ func (s *synthesizer) lowerConv(n *cgraph.Node, op cgraph.Conv2D) error {
 		if groups > 1 {
 			name = fmt.Sprintf("%s.g%d", n.Name, gi)
 		}
-		ids, _, err := s.tileMatrix(name, n.Name, rows, cols, reuse, deps, nil, nil)
+		ids, err := s.tileMatrix(name, n.Name, rows, cols, reuse, deps)
 		if err != nil {
 			return err
 		}
@@ -228,31 +251,19 @@ func (s *synthesizer) lowerConv(n *cgraph.Node, op cgraph.Conv2D) error {
 	return nil
 }
 
-// lowerFC tiles a fully connected layer (reuse degree 1), attaching real
-// weights when the option supplies them.
+// lowerFC lowers a fully connected layer (reuse degree 1): tiled for
+// shape-only synthesis, one exact matrix invoked once with trained weights.
 func (s *synthesizer) lowerFC(n *cgraph.Node, op cgraph.FC) error {
 	rows := n.Inputs[0].OutShape.Elems()
-	var weights [][]float64
-	var inRefs []ExecRef
-	if s.opts.Weights != nil {
-		weights = s.opts.Weights(n.Name)
-		if weights == nil {
-			return fmt.Errorf("functional synthesis missing weights for layer %q", n.Name)
-		}
-		if len(weights) != rows || len(weights[0]) != op.Out {
-			return fmt.Errorf("weight source for %q is %dx%d, want %dx%d",
-				n.Name, len(weights), len(weights[0]), rows, op.Out)
-		}
-		inRefs = s.nodeRefs[n.Inputs[0].ID]
-		if len(inRefs) != rows {
-			return fmt.Errorf("layer %q: %d producer refs, want %d", n.Name, len(inRefs), rows)
-		}
+	if s.opts.Weights == nil {
+		ids, err := s.tileMatrix(n.Name, n.Name, rows, op.Out, 1, s.depsOf(n))
+		s.produced[n.ID] = ids
+		return err
 	}
-	ids, outRefs, err := s.tileMatrix(n.Name, n.Name, rows, op.Out, 1, s.depsOf(n), weights, inRefs)
+	mat, err := s.exactLayer(n, rows, op.Out, 1)
 	if err != nil {
 		return err
 	}
-	s.produced[n.ID] = ids
-	s.nodeRefs[n.ID] = outRefs
+	s.nodeRefs[n.ID] = mat.invoke(s.nodeRefs[n.Inputs[0].ID])
 	return nil
 }

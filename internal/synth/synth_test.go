@@ -1,6 +1,10 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -250,5 +254,89 @@ func TestSynthesizeErrorsOnMissingWeights(t *testing.T) {
 	_, err := Synthesize(g, opts)
 	if err == nil || !strings.Contains(err.Error(), "missing weights") {
 		t.Errorf("err = %v, want missing-weights", err)
+	}
+}
+
+// pinnedConvNet is TestProgramPinned's conv fixture: a row-split 3×3 conv
+// on 32 channels, ReLU, a 2×2 max pool, then a 2×2 average pool and a
+// second 2×2 max pool joined by a residual add, global average pooling
+// and an FC layer.
+func pinnedConvNet(rng *rand.Rand) (*cgraph.Graph, func(string) [][]float64) {
+	g := cgraph.New("pinned-conv")
+	in := g.MustAdd("input", cgraph.Input{Shape: cgraph.Shape{C: 32, H: 8, W: 8}})
+	c := g.MustAdd("conv", cgraph.Conv2D{OutC: 16, Kernel: 3, Stride: 1, Pad: 1}, in)
+	r := g.MustAdd("relu", cgraph.ReLU{}, c)
+	p := g.MustAdd("max1", cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: 2, Stride: 2}, r)
+	a := g.MustAdd("avg", cgraph.Pool{PoolKind: cgraph.AvgPoolKind, Kernel: 2, Stride: 2}, p)
+	m := g.MustAdd("max2", cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: 2, Stride: 2}, p)
+	sum := g.MustAdd("add", cgraph.Add{}, a, m)
+	gap := g.MustAdd("gap", cgraph.GlobalAvgPool{}, sum)
+	g.MustAdd("fc", cgraph.FC{Out: 10}, gap)
+	mk := func(rows, cols int) [][]float64 {
+		w := make([][]float64, rows)
+		for i := range w {
+			w[i] = make([]float64, cols)
+			for j := range w[i] {
+				w[i][j] = (rng.Float64()*2 - 1) / float64(rows)
+			}
+		}
+		return w
+	}
+	weights := map[string][][]float64{"conv": mk(288, 16), "fc": mk(16, 10)}
+	return g, func(layer string) [][]float64 { return weights[layer] }
+}
+
+// TestProgramPinned pins functional synthesis: every stage's group and
+// input refs, the output refs and input size, and every group's layer,
+// kind, footprint, reuse, useful weights, weights and η. FC-only programs
+// pin their groups' Deps too. Group names are not pinned, nor the conv
+// program's Deps: the executor, PartitionStages and the bench walker read
+// neither. The digests are never re-recorded to make a change pass; a
+// refactor of the synthesizer must keep them.
+func TestProgramPinned(t *testing.T) {
+	mlp := func(seed int64, dims ...int) func() (*cgraph.Graph, func(string) [][]float64) {
+		return func() (*cgraph.Graph, func(string) [][]float64) {
+			return buildTestMLP(rand.New(rand.NewSource(seed)), dims)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*cgraph.Graph, func(string) [][]float64)
+		deps  bool
+		want  string
+	}{
+		{"mlp-16-8-4", mlp(801, 16, 8, 4), true, "2d959bfaa8ad58d85fd1a683d6af0d6a6fd88cdc19544e30aba1038b67e6815b"},
+		{"row-split-600-300", mlp(802, 600, 300), true, "844506c4155ad1905d8af4cd490fb445ce5f830f410d3e8d03ab4bef6c39030a"},
+		{"col-split-20-700", mlp(803, 20, 700), true, "53dfa1f70fb51b6c81cbdbbe7c38772103e1ce34a6d4c867cf59a542ab7560aa"},
+		{"mlp-784-500-100-10", mlp(804, 784, 500, 100, 10), true, "5dd52592e61042b6c5fc7ee705818978300ddf6033cb86feac5161f387495050"},
+		{"conv-pool-add-gap-fc", func() (*cgraph.Graph, func(string) [][]float64) {
+			return pinnedConvNet(rand.New(rand.NewSource(805)))
+		}, false, "6f9f4ab2fb7faaf62e3b1f21bd8545284ee5d97c692a2b2970da20c53d301e6e"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ws := tc.build()
+			opts := DefaultOptions()
+			opts.Weights = ws
+			_, prog, err := Compile(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, st := range prog.Stages {
+				fmt.Fprintln(h, "stage", st.GroupID, st.InRefs)
+			}
+			fmt.Fprintln(h, "out", prog.OutputRefs, prog.InputSize)
+			for _, grp := range prog.Graph.Groups {
+				fmt.Fprintln(h, "group", grp.ID, grp.Layer, grp.Kind, grp.Rows, grp.Cols,
+					grp.Reuse, grp.UsefulWeights, grp.Weights, grp.Eta)
+				if tc.deps {
+					fmt.Fprintln(h, "deps", grp.Deps)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("program digest %s, want %s (%d stages, %d groups)",
+					got, tc.want, len(prog.Stages), len(prog.Graph.Groups))
+			}
+		})
 	}
 }

@@ -10,7 +10,9 @@ import (
 // return for a layer means no weights for it. Pooling, residual adds,
 // flatten and ReLU need no weights; grouped convolutions and LRN are not
 // supported functionally. Tensors flatten CHW: signal (c, y, x) is input
-// index (c·H + y)·W + x.
+// index (c·H + y)·W + x. A matrix that is not exactly rows × cols, or that
+// holds a NaN or an infinity, makes Deployment.NewNet fail with
+// ErrModelInvalid.
 type WeightSource func(layer string) [][]float64
 
 // compileSettings is what the compile Options assemble: the config plus
@@ -236,7 +238,9 @@ func WithShardPolicy(p ShardPolicy) Option {
 
 // WithWeights registers trained weights with the deployment, keyed by
 // MAC layer name, so Deployment.NewNet and Deployment.NewEngine can
-// derive a runnable SpikingNet without re-supplying them.
+// derive a runnable SpikingNet without re-supplying them. Compile does not
+// read them: a malformed matrix (see WeightSource) fails NewNet and
+// NewEngine with ErrModelInvalid.
 func WithWeights(weights map[string][][]float64) Option {
 	if weights == nil {
 		return func(*compileSettings) {}
