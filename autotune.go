@@ -7,12 +7,10 @@ import (
 	"strings"
 
 	"fpsa/internal/coreop"
-	"fpsa/internal/device"
 	"fpsa/internal/mapper"
 	"fpsa/internal/perf"
 	"fpsa/internal/place"
 	"fpsa/internal/shard"
-	"fpsa/internal/synth"
 )
 
 // Objective selects what Autotune optimizes.
@@ -169,7 +167,7 @@ func (c *tuneCandidate) pes() int { return c.alloc.TotalPEs * c.alloc.Replicas }
 
 // Autotune searches per-layer duplication assignments and shard cut
 // points for the configuration that optimizes the given perf-model
-// objective within a PE envelope, then compiles it. The uniform
+// objective within a PE envelope, and returns it deployed. The uniform
 // WithDuplication policy quantizes spend coarsely — between its sweet
 // spots a per-layer assignment buys strictly more parallelism from the
 // same PEs — and the search exploits exactly that: candidates are the
@@ -181,7 +179,9 @@ func (c *tuneCandidate) pes() int { return c.alloc.TotalPEs * c.alloc.Replicas }
 // finalists are then placed & routed through the compile cache
 // (WithAutotuneRefine; memoized per-shard sub-compiles keep full P&R runs
 // far below candidates evaluated) and rescored with measured hop counts
-// before the winner is chosen.
+// before the winner is chosen. Compile's checks and defaults apply, and
+// the returned deployment is built from the winning candidate's own
+// allocation and cut, so its Performance is the report's TunedValue.
 //
 // The envelope comes from WithPEBudget, or WithChipCapacity × WithChips,
 // or — by default — the uniform WithDuplication spend, whole-model
@@ -199,12 +199,7 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var set compileSettings
-	for _, o := range opts {
-		if o != nil {
-			o(&set)
-		}
-	}
+	set := applyOptions(opts)
 	rep := AutotuneReport{Objective: objective}
 	switch objective {
 	case MinLatency, MinEnergy, MaxThroughputPerChip:
@@ -214,37 +209,27 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 	if set.peBudget < 0 {
 		return nil, rep, fmt.Errorf("%w: WithPEBudget(%d): value must be ≥ 0 (0 = derive from chips or duplication)", ErrInvalidArgument, set.peBudget)
 	}
-	if set.refineSet && set.refine < 0 {
+	if set.refine < 0 {
 		return nil, rep, fmt.Errorf("%w: WithAutotuneRefine(%d): value must be ≥ 0 (0 = oracle only)", ErrInvalidArgument, set.refine)
 	}
-	if !set.refineSet {
-		set.refine = 2
-	}
-	if err := m.valid(); err != nil {
-		return nil, rep, err
-	}
-	if err := set.cfg.validate(); err != nil {
-		return nil, rep, err
-	}
-	params := device.Params45nm
-	co, err := synth.Synthesize(m.graph, synth.Options{Params: params})
+	fe, err := newFrontEnd(ctx, m, set)
 	if err != nil {
-		return nil, rep, fmt.Errorf("%w: %w", ErrModelInvalid, err)
+		return nil, rep, err
 	}
 
-	budget, err := resolveBudget(co, set)
+	budget, err := resolveBudget(fe, set.peBudget)
 	if err != nil {
 		return nil, rep, err
 	}
 	rep.PEBudget = budget
 
-	cands := generateCandidates(co, set.cfg, objective, budget)
+	cands := generateCandidates(fe.co, fe.cfg, objective, budget)
 	rep.Candidates = len(cands)
 	if len(cands) == 0 {
 		return nil, rep, fmt.Errorf("%w: no feasible assignment of %s within %d PEs", ErrCapacity, m.Name(), budget)
 	}
 
-	if err := evaluateCandidates(ctx, m, co, params, objective, cands, set.cfg.Parallelism, &rep); err != nil {
+	if err := evaluateCandidates(ctx, fe, objective, cands, &rep); err != nil {
 		return nil, rep, err
 	}
 
@@ -286,7 +271,7 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 	winner := best
 	var winnerDep *Deployment
 	if set.refine > 0 {
-		cache := set.cfg.Cache
+		cache := fe.cfg.Cache
 		if cache == nil {
 			// The finalists still share per-shard sub-compiles with each
 			// other through a search-local cache.
@@ -303,7 +288,7 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 				return nil, rep, err
 			}
 			i := order[fi]
-			d, err := compileCandidate(ctx, m, set, cands[i], cache)
+			d, err := fe.deployCandidate(cands[i], cache)
 			if err != nil {
 				return nil, rep, fmt.Errorf("fpsa: autotune: refining candidate %d: %w", i, err)
 			}
@@ -344,9 +329,9 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 		}
 	}
 	if winnerDep == nil {
-		winnerDep, err = compileCandidate(ctx, m, set, win, set.cfg.Cache)
+		winnerDep, err = fe.deployCandidate(win, fe.cfg.Cache)
 		if err != nil {
-			return nil, rep, fmt.Errorf("fpsa: autotune: compiling winner: %w", err)
+			return nil, rep, fmt.Errorf("fpsa: autotune: building winner: %w", err)
 		}
 	}
 	return winnerDep, rep, nil
@@ -355,22 +340,14 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 // resolveBudget picks the PE envelope: explicit WithPEBudget, else the
 // chip fleet's capacity, else the uniform WithDuplication spend,
 // whole-model replicas included.
-func resolveBudget(co *coreop.Graph, set compileSettings) (int, error) {
-	if set.peBudget > 0 {
-		return set.peBudget, nil
+func resolveBudget(fe *frontEnd, peBudget int) (int, error) {
+	if peBudget > 0 {
+		return peBudget, nil
 	}
-	if cap := set.cfg.ChipCapacity; cap > 0 {
-		chips := set.cfg.MaxChips
-		if chips < 1 {
-			chips = 1
-		}
-		return cap * chips, nil
+	if cap := fe.cfg.ChipCapacity; cap > 0 {
+		return cap * fe.cfg.MaxChips, nil
 	}
-	dup := set.cfg.Duplication
-	if dup < 1 {
-		dup = 1
-	}
-	alloc, err := mapper.Allocate(co, dup)
+	alloc, err := mapper.Allocate(fe.co, fe.cfg.Duplication)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrCapacity, err)
 	}
@@ -432,38 +409,14 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 
 	capOK := func(pes int) bool { return cfg.ChipCapacity <= 0 || pes <= cfg.ChipCapacity }
 
-	// Chip variants of one assignment. Single chip only when it fits the
-	// capacity; cuts searched at every allowed chip count and policy.
+	// Chip variants of one assignment: single chip only when it fits the
+	// capacity, then its cuts.
 	expandChips := func(base *tuneCandidate) {
 		if capOK(base.pes()) {
 			add(base)
 		}
-		if cfg.MaxChips <= 1 || base.alloc.Replicas > 1 {
-			// Replicated pipelines stay single-chip: the partitioner
-			// models one copy of the chain.
-			return
-		}
-		weights, signals := shardChain(co.Groups, base.alloc.Dup)
-		maxChips := cfg.MaxChips
-		if maxChips > len(co.Groups) {
-			maxChips = len(co.Groups)
-		}
-		for k := 2; k <= maxChips; k++ {
-			for _, policy := range []shard.Policy{shard.PolicyMinCut, shard.PolicyBalanced} {
-				plan, err := shard.Partition(weights, signals, nil, shard.Options{
-					Chips:    k,
-					Capacity: cfg.ChipCapacity,
-					Policy:   policy,
-				})
-				if err != nil {
-					continue
-				}
-				c := *base
-				c.cuts = append([]int(nil), plan.Bounds[1:k]...)
-				c.cutWidths = append([]int(nil), plan.CutTraffic...)
-				c.chips = k
-				add(&c)
-			}
+		for _, c := range cutVariants(co, cfg, base) {
+			add(c)
 		}
 	}
 
@@ -574,6 +527,36 @@ func generateCandidates(co *coreop.Graph, cfg config, objective Objective, budge
 	return cands
 }
 
+// cutVariants are base's multi-chip variants under cfg: its searched cut
+// at every chip count WithChips allows and both cut policies, with the cut
+// traffic the partitioner accounts for it. A replicated pipeline has none:
+// the partitioner models one copy of the chain.
+func cutVariants(co *coreop.Graph, cfg config, base *tuneCandidate) []*tuneCandidate {
+	if cfg.MaxChips <= 1 || base.alloc.Replicas > 1 {
+		return nil
+	}
+	weights, signals := shardChain(co.Groups, base.alloc.Dup)
+	var out []*tuneCandidate
+	for k := 2; k <= min(cfg.MaxChips, len(co.Groups)); k++ {
+		for _, policy := range []shard.Policy{shard.PolicyMinCut, shard.PolicyBalanced} {
+			plan, err := shard.Partition(weights, signals, nil, shard.Options{
+				Chips:    k,
+				Capacity: cfg.ChipCapacity,
+				Policy:   policy,
+			})
+			if err != nil {
+				continue
+			}
+			c := *base
+			c.cuts = plan.Bounds[1:k]
+			c.cutWidths = plan.CutTraffic
+			c.chips = k
+			out = append(out, &c)
+		}
+	}
+	return out
+}
+
 // pruneDominatedThroughput drops candidates another candidate dominates
 // for the throughput objective: identical cut positions (so identical
 // link stages and chip count), an iteration bound no better, and no
@@ -624,15 +607,15 @@ func betterValue(o Objective, a, b float64) bool {
 // them: pruning compares a candidate's optimistic bound against the best
 // value among *completed* waves only, so the outcome is identical at any
 // worker count. ctx cancellation aborts between waves.
-func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params device.Params, objective Objective, cands []*tuneCandidate, workers int, rep *AutotuneReport) error {
+func evaluateCandidates(ctx context.Context, fe *frontEnd, objective Objective, cands []*tuneCandidate, rep *AutotuneReport) error {
 	// The FPSA stage time is assignment-independent (comp and the
 	// calibrated comm are both fixed), so maxIter×stage plus the known
 	// link stages is a sound optimistic bound for latency and throughput.
 	// Energy has no useful cheap bound (the PE term is
 	// assignment-independent and the rest needs the netlist) — those
 	// candidates always evaluate.
-	_, _, stageNS := perf.FPSAStageNS(params, params.TypicalRouteHops)
-	link := shard.Link{SignalBits: params.IOBits}
+	_, _, stageNS := perf.FPSAStageNS(fe.params, fe.params.TypicalRouteHops)
+	link := shard.Link{SignalBits: fe.params.IOBits}
 	bound := func(c *tuneCandidate) (float64, bool) {
 		bottleneck := float64(c.alloc.MaxIterations()) * stageNS
 		var linkSum float64
@@ -652,7 +635,7 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 		return 0, false
 	}
 
-	pool := place.NewPool(workers)
+	pool := place.NewPool(fe.cfg.Parallelism)
 	const wave = 32
 	hasBest := false
 	var bestVal float64
@@ -676,23 +659,11 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 		}
 		pool.Each(ids, func(i int) {
 			c := cands[i]
-			r, err := perf.Evaluate(perf.Input{
-				Model:     m.graph,
-				CoreOps:   co,
-				Params:    params,
-				Dup:       max(c.uniformD, 1),
-				Assign:    c.alloc.Dup,
-				CutWidths: c.cutWidths,
-			}, perf.TargetFPSA)
+			p, err := evaluatePerf(fe.model, fe.co, fe.params, max(c.uniformD, 1), c.alloc.Dup, c.cutWidths, 0)
 			if err != nil {
 				return
 			}
-			c.perf = PerfSummary{
-				ThroughputSPS: r.ThroughputSPS,
-				LatencyUS:     r.LatencyUS,
-				EnergyUJ:      r.Energy.TotalUJ(),
-				Chips:         r.Chips,
-			}
+			c.perf = p
 			c.value = objective.value(c.perf)
 			c.ok = true
 		})
@@ -710,18 +681,14 @@ func evaluateCandidates(ctx context.Context, m Model, co *coreop.Graph, params d
 	return nil
 }
 
-// compileCandidate realizes one candidate as a Deployment, replaying its
-// assignment and cuts through the regular compile path (so per-shard
-// artifacts land in the cache under content addresses other candidates
-// can hit). Duplication, layer map and cuts come from the candidate
-// alone, never from the caller's options. It is the only writer of
-// config.LayerDup and config.ShardCuts.
-func compileCandidate(ctx context.Context, m Model, set compileSettings, c *tuneCandidate, cache *CompileCache) (*Deployment, error) {
-	cs := set
-	cs.cfg.Cache = cache
-	cs.cfg.Duplication = max(c.uniformD, 1)
-	cs.cfg.LayerDup = copyIntMap(c.layerDup)
-	cs.cfg.ShardCuts = append([]int(nil), c.cuts...)
-	cs.cfg.MaxChips = len(c.cuts) + 1
-	return compile(ctx, m, cs)
+// deployCandidate builds a scored candidate's deployment: its allocation,
+// cuts and cut traffic, at the duplication its value was evaluated at, so
+// the deployment's Performance is the candidate's. Artifacts go to cache,
+// where other candidates sharing a shard find them.
+func (fe *frontEnd) deployCandidate(c *tuneCandidate, cache *CompileCache) (*Deployment, error) {
+	cfg := fe.cfg
+	cfg.Duplication = max(c.uniformD, 1)
+	cfg.Cache = cache
+	bounds := append(append([]int{0}, c.cuts...), len(fe.co.Groups))
+	return fe.deploy(cfg, c.alloc, bounds, c.cutWidths)
 }

@@ -3,8 +3,11 @@ package fpsa
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"fpsa/internal/mapper"
 )
 
 // TestParseObjectiveRoundTrip: every objective parses from its String
@@ -216,18 +219,27 @@ func TestAutotuneReturnsReportedDeployment(t *testing.T) {
 	}
 }
 
-// TestLayerDupUniformEquivalence: a per-layer duplication map (compiled
-// as the autotuner compiles its candidates) that spells out exactly what
-// the global WithDuplication knob would allocate is bit-exact with it — same allocation, netlist, perf model, placement
-// cost, and classification outputs in all three execution modes.
+// TestLayerDupUniformEquivalence: a per-group assignment that spells out
+// exactly what the global WithDuplication knob would allocate, built into
+// a deployment the way Autotune builds its candidates, is bit-exact with
+// the compiled one — same allocation, netlist, perf model, placement cost,
+// and classification outputs in all three execution modes. On 2 chips,
+// the candidate holding Compile(WithChips(2))'s cut has that compile's
+// shard bounds, cut traffic, blocks, per-shard cache keys and performance.
 func TestLayerDupUniformEquivalence(t *testing.T) {
 	m, weights := stripesCNN(t)
+	ctx := context.Background()
+	fe, err := newFrontEnd(ctx, m, applyOptions([]Option{WithWeights(weights), WithSeed(3), WithChips(2)}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, dup := range []int{2, 5} {
-		d1, err := Compile(context.Background(), m, WithDuplication(dup), WithWeights(weights), WithSeed(3))
+		d1, err := Compile(ctx, m, WithDuplication(dup), WithWeights(weights), WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Spell the global knob's realized allocation as a per-layer map.
+		// Spell the global knob's realized allocation as a per-layer map,
+		// and that as the per-group vector a candidate is allocated from.
 		layerDup := map[string]int{}
 		for gi, grp := range d1.coreop.Groups {
 			if have, ok := layerDup[grp.Layer]; ok && have != d1.alloc.Dup[gi] {
@@ -235,14 +247,20 @@ func TestLayerDupUniformEquivalence(t *testing.T) {
 			}
 			layerDup[grp.Layer] = d1.alloc.Dup[gi]
 		}
-		d2, err := compile(context.Background(), m, compileSettings{
-			cfg:     config{LayerDup: layerDup, Seed: 3},
-			weights: func(layer string) [][]float64 { return weights[layer] },
-		})
+		assign := make([]int, len(fe.co.Groups))
+		for gi, grp := range fe.co.Groups {
+			assign[gi] = layerDup[grp.Layer]
+		}
+		alloc, err := mapper.AllocateVector(fe.co, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(d1.alloc.Dup, d2.alloc.Dup) || !reflect.DeepEqual(d1.alloc.Iterations, d2.alloc.Iterations) {
+		cand := &tuneCandidate{layerDup: layerDup, alloc: alloc, chips: 1}
+		d2, err := fe.deployCandidate(cand, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d1.alloc, d2.alloc) {
 			t.Fatalf("dup %d: allocations differ: %v vs %v", dup, d1.alloc, d2.alloc)
 		}
 		nl1, err := d1.shardNetlist(d1.shards[0])
@@ -256,22 +274,12 @@ func TestLayerDupUniformEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(nl1, nl2) {
 			t.Fatalf("dup %d: netlists differ", dup)
 		}
-		p1, err := d1.Performance()
+		samePerf(t, fmt.Sprintf("dup %d", dup), d1, d2)
+		s1, err := d1.PlaceAndRoute(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := d2.Performance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p1 != p2 {
-			t.Errorf("dup %d: perf summaries differ:\nglobal    %+v\nper-layer %+v", dup, p1, p2)
-		}
-		s1, err := d1.PlaceAndRoute(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := d2.PlaceAndRoute(context.Background())
+		s2, err := d2.PlaceAndRoute(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,6 +287,60 @@ func TestLayerDupUniformEquivalence(t *testing.T) {
 			t.Errorf("dup %d: place & route differs: %+v vs %+v", dup, s1, s2)
 		}
 		classifyAll(t, d1, d2, dup)
+
+		// The 2-chip compile's cut, as one of the candidate's cut variants.
+		d3, err := Compile(ctx, m, WithDuplication(dup), WithWeights(weights), WithSeed(3), WithChips(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d3.Chips() != 2 {
+			t.Fatalf("dup %d: WithChips(2) compiled %d chips", dup, d3.Chips())
+		}
+		var d4 *Deployment
+		for _, v := range cutVariants(fe.co, fe.cfg, cand) {
+			if reflect.DeepEqual(v.cuts, []int{d3.shards[1].lo}) {
+				if d4, err = fe.deployCandidate(v, nil); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		if d4 == nil {
+			t.Fatalf("dup %d: no candidate cuts at the compile's bound %d", dup, d3.shards[1].lo)
+		}
+		label := fmt.Sprintf("dup %d, 2 chips", dup)
+		for k, sh := range d3.shards {
+			if got := d4.shards[k]; got.lo != sh.lo || got.hi != sh.hi {
+				t.Errorf("%s: shard %d covers [%d, %d), compiled [%d, %d)", label, k, got.lo, got.hi, sh.lo, sh.hi)
+			}
+			if got, want := d4.cacheKey(k), d3.cacheKey(k); got != want {
+				t.Errorf("%s: shard %d cache key %v, compiled %v", label, k, got, want)
+			}
+		}
+		if !reflect.DeepEqual(d3.cutTraffic, d4.cutTraffic) {
+			t.Errorf("%s: cut traffic %v, compiled %v", label, d4.cutTraffic, d3.cutTraffic)
+		}
+		p3, s3, c3 := d3.Blocks()
+		if p4, s4, c4 := d4.Blocks(); p3 != p4 || s3 != s4 || c3 != c4 {
+			t.Errorf("%s: blocks %d/%d/%d, compiled %d/%d/%d", label, p4, s4, c4, p3, s3, c3)
+		}
+		samePerf(t, label, d3, d4)
+	}
+}
+
+// samePerf asserts that two deployments model identically.
+func samePerf(t *testing.T, label string, d1, d2 *Deployment) {
+	t.Helper()
+	p1, err := d1.Performance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := d2.Performance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Errorf("%s: perf summaries differ:\ncompiled  %+v\ncandidate %+v", label, p1, p2)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,16 +31,6 @@ type config struct {
 	// Duplication is the model duplication degree (§5.2 of the paper);
 	// 0 means 1×.
 	Duplication int
-	// LayerDup maps model layer names to per-layer duplication degrees,
-	// overriding Duplication for those layers' weight groups (clamped to
-	// each group's reuse degree). Only the autotuner sets it, from its
-	// candidates; nil keeps the uniform Duplication policy.
-	LayerDup map[string]int
-	// ShardCuts pins the multi-chip partition at exactly these group-chain
-	// cut positions (strictly increasing, each in (0, groups)), bypassing
-	// the partition search; len(ShardCuts)+1 chips result. Only the
-	// autotuner sets it; empty keeps the searched partition.
-	ShardCuts []int
 	// Seed drives placement annealing.
 	Seed int64
 	// PlacementSeeds is the size of the multi-seed annealing portfolio
@@ -88,11 +79,11 @@ type config struct {
 }
 
 // validate rejects option inputs that cannot mean anything — negative
-// knobs, out-of-range fault parameters — before they flow silently into
-// allocation or partitioning. Zero stays
-// "use the default" everywhere, as the option docs promise. Every
-// rejection wraps ErrInvalidArgument.
-func (c config) validate() error {
+// knobs, out-of-range fault parameters, fault seeds for layers that are
+// not m's weight layers — before they flow silently into allocation or
+// partitioning. Zero stays "use the default" everywhere, as the option
+// docs promise. Every rejection wraps ErrInvalidArgument.
+func (c config) validate(m Model) error {
 	for _, k := range []struct {
 		name string
 		v    int
@@ -107,13 +98,16 @@ func (c config) validate() error {
 			return fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
 		}
 	}
-	return c.Faults.validate()
+	return c.Faults.validate(m.WeightLayers())
 }
 
 // validate rejects fault-scenario parameters outside their physical
 // domains. NaN is rejected everywhere: a NaN rate or drift would
-// silently disable comparisons and corrupt the deterministic draws.
-func (f *FaultMap) validate() error {
+// silently disable comparisons and corrupt the deterministic draws. A
+// LayerSeeds entry must name one of weightLayers: only a weight layer's
+// crossbars carry its name when they run (pooling crossbars are shared
+// across layers), so any other entry would be a silent no-op.
+func (f *FaultMap) validate(weightLayers []string) error {
 	if f == nil {
 		return nil
 	}
@@ -142,6 +136,9 @@ func (f *FaultMap) validate() error {
 	for _, layer := range layers {
 		if s := f.LayerSeeds[layer]; s < 0 {
 			return fmt.Errorf("%w: WithFaultMap: layer %q seed %d must be ≥ 0", ErrInvalidArgument, layer, s)
+		}
+		if !slices.Contains(weightLayers, layer) {
+			return fmt.Errorf("%w: WithFaultMap: layer %q is not a weight layer of the model", ErrInvalidArgument, layer)
 		}
 	}
 	return nil
@@ -176,24 +173,6 @@ func (f *FaultMap) cacheSegment() string {
 		}
 	}
 	return b.String()
-}
-
-// checkLayerNames rejects FaultMap.LayerSeeds entries naming layers the
-// synthesized model does not have — a silent no-op otherwise.
-func checkLayerNames(co *coreop.Graph, cfg config) error {
-	if cfg.Faults == nil || len(cfg.Faults.LayerSeeds) == 0 {
-		return nil
-	}
-	layers := make(map[string]bool, len(co.Groups))
-	for _, grp := range co.Groups {
-		layers[grp.Layer] = true
-	}
-	for layer := range cfg.Faults.LayerSeeds {
-		if !layers[layer] {
-			return fmt.Errorf("%w: WithFaultMap: layer %q not in model", ErrInvalidArgument, layer)
-		}
-	}
-	return nil
 }
 
 // Deployment is a model mapped onto the FPSA fabric.
@@ -273,39 +252,65 @@ type deployShard struct {
 // ErrModelInvalid for a model the stack rejects, ErrCapacity when the
 // model does not fit the requested chips.
 func Compile(ctx context.Context, m Model, opts ...Option) (*Deployment, error) {
-	var set compileSettings
-	for _, o := range opts {
-		if o != nil {
-			o(&set)
-		}
-	}
-	return compile(ctx, m, set)
-}
-
-// compile is the shared back end of Compile and Autotune.
-func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	fe, err := newFrontEnd(ctx, m, applyOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	cfg := fe.cfg
+	alloc, err := mapper.Allocate(fe.co, cfg.Duplication)
+	if err != nil {
+		// Allocation rejects resource requests the model cannot sustain
+		// (duplication beyond the maximum reuse degree).
+		return nil, fmt.Errorf("%w: %w", ErrCapacity, err)
+	}
+	if cfg.ChipCapacity > 0 && alloc.TotalPEs > cfg.ChipCapacity && cfg.MaxChips <= 1 {
+		return nil, fmt.Errorf("%w: model %s needs %d PEs, exceeding one chip's capacity of %d; compile with WithChips(n ≥ 2) to shard it",
+			ErrCapacity, m.Name(), alloc.TotalPEs, cfg.ChipCapacity)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	bounds, cutTraffic := []int{0, len(fe.co.Groups)}, []int(nil)
+	if cfg.MaxChips > 1 {
+		plan, err := fe.partition(alloc)
+		if err != nil {
+			return nil, err
+		}
+		bounds, cutTraffic = plan.Bounds, plan.CutTraffic
+	}
+	return fe.deploy(cfg, alloc, bounds, cutTraffic)
+}
+
+// frontEnd is what Compile and Autotune share before either decides an
+// allocation: the checked model and options, the options' defaults
+// filled in, and the synthesized core-op graph.
+type frontEnd struct {
+	model   Model
+	cfg     config
+	weights WeightSource
+	co      *coreop.Graph
+	params  device.Params
+}
+
+// newFrontEnd checks the model and options, fills in the defaults and
+// synthesizes the model.
+func newFrontEnd(ctx context.Context, m Model, set compileSettings) (*frontEnd, error) {
 	if err := m.valid(); err != nil {
 		return nil, err
 	}
 	if set.faultModelSet && set.faultMapSet {
 		return nil, fmt.Errorf("%w: WithFaultModel and WithFaultMap both given; pass one fault scenario", ErrInvalidArgument)
 	}
-	if err := set.cfg.validate(); err != nil {
+	if err := set.cfg.validate(m); err != nil {
 		return nil, err
 	}
 	cfg := set.cfg
-	if cfg.Duplication <= 0 {
-		cfg.Duplication = 1
-	}
-	if cfg.PlacementSeeds <= 0 {
-		cfg.PlacementSeeds = 1
-	}
-	if cfg.MaxChips <= 0 {
-		cfg.MaxChips = 1
-	}
+	cfg.Duplication = max(cfg.Duplication, 1)
+	cfg.PlacementSeeds = max(cfg.PlacementSeeds, 1)
+	cfg.MaxChips = max(cfg.MaxChips, 1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -314,31 +319,15 @@ func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrModelInvalid, err)
 	}
-	if err := checkLayerNames(co, cfg); err != nil {
-		return nil, err
-	}
-	alloc, err := mapper.AllocateAssigned(co, cfg.Duplication, cfg.LayerDup)
-	if err != nil {
-		// Allocation rejects resource requests the model cannot sustain
-		// (duplication beyond the maximum reuse degree).
-		return nil, fmt.Errorf("%w: %w", ErrCapacity, err)
-	}
-	d := &Deployment{model: m, cfg: cfg, faults: cfg.Faults.deviceModel(), coreop: co, alloc: alloc, params: params, weights: set.weights}
-	if cfg.ChipCapacity > 0 && alloc.TotalPEs > cfg.ChipCapacity && cfg.MaxChips <= 1 {
-		return nil, fmt.Errorf("%w: model %s needs %d PEs, exceeding one chip's capacity of %d; compile with WithChips(n ≥ 2) to shard it",
-			ErrCapacity, m.Name(), alloc.TotalPEs, cfg.ChipCapacity)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bounds := []int{0, len(co.Groups)}
-	if cfg.MaxChips > 1 {
-		plan, err := d.partition()
-		if err != nil {
-			return nil, err
-		}
-		bounds, d.cutTraffic = plan.Bounds, plan.CutTraffic
-	}
+	return &frontEnd{model: m, cfg: cfg, weights: set.weights, co: co, params: params}, nil
+}
+
+// deploy builds the deployment of alloc under cfg, cut into one chip per
+// segment [bounds[k], bounds[k+1]) of the group chain, with cutTraffic[k]
+// the per-sample traffic on the link from chip k to k+1.
+func (fe *frontEnd) deploy(cfg config, alloc mapper.Allocation, bounds, cutTraffic []int) (*Deployment, error) {
+	d := &Deployment{model: fe.model, cfg: cfg, faults: cfg.Faults.deviceModel(), coreop: fe.co, alloc: alloc,
+		params: fe.params, weights: fe.weights, cutTraffic: cutTraffic}
 	if err := d.buildShards(bounds); err != nil {
 		return nil, err
 	}
@@ -351,36 +340,20 @@ func compile(ctx context.Context, m Model, set compileSettings) (*Deployment, er
 // feed-forward chip pipeline; per-group load is its allocated PE copies
 // and a producer's per-sample output traffic (reuse × columns) is charged
 // on every link it crosses.
-func (d *Deployment) partition() (*shard.Plan, error) {
-	n := len(d.coreop.Groups)
-	weights, signals := shardChain(d.coreop.Groups, d.alloc.Dup)
-	if cuts := d.cfg.ShardCuts; len(cuts) > 0 {
-		// Pinned partition: the autotuner chose the cut positions; only
-		// account them.
-		bounds := make([]int, 0, len(cuts)+2)
-		bounds = append(bounds, 0)
-		bounds = append(bounds, cuts...)
-		bounds = append(bounds, n)
-		plan, err := shard.PlanFromBounds(weights, signals, bounds, d.cfg.ChipCapacity)
-		if err != nil {
-			return nil, fmt.Errorf("%w: cannot shard %s at cuts %v: %w", ErrCapacity, d.model.Name(), cuts, err)
-		}
-		return plan, nil
-	}
-	policy, err := d.cfg.ShardPolicy.compilePolicy()
+func (fe *frontEnd) partition(alloc mapper.Allocation) (*shard.Plan, error) {
+	cfg := fe.cfg
+	weights, signals := shardChain(fe.co.Groups, alloc.Dup)
+	policy, err := cfg.ShardPolicy.compilePolicy()
 	if err != nil {
 		return nil, err
 	}
-	maxChips := d.cfg.MaxChips
-	if maxChips > n {
-		maxChips = n
-	}
+	maxChips := min(cfg.MaxChips, len(fe.co.Groups))
 	minChips := 1
-	if cap := d.cfg.ChipCapacity; cap > 0 {
-		minChips = (d.alloc.TotalPEs + cap - 1) / cap
+	if cap := cfg.ChipCapacity; cap > 0 {
+		minChips = (alloc.TotalPEs + cap - 1) / cap
 		if minChips > maxChips {
 			return nil, fmt.Errorf("%w: model %s needs %d PEs — at least %d chips of capacity %d — but WithChips allows %d",
-				ErrCapacity, d.model.Name(), d.alloc.TotalPEs, minChips, d.cfg.ChipCapacity, d.cfg.MaxChips)
+				ErrCapacity, fe.model.Name(), alloc.TotalPEs, minChips, cfg.ChipCapacity, cfg.MaxChips)
 		}
 	} else {
 		// No capacity bound: the user asked for this many chips.
@@ -390,7 +363,7 @@ func (d *Deployment) partition() (*shard.Plan, error) {
 	for k := minChips; k <= maxChips; k++ {
 		plan, err = shard.Partition(weights, signals, nil, shard.Options{
 			Chips:    k,
-			Capacity: d.cfg.ChipCapacity,
+			Capacity: cfg.ChipCapacity,
 			Policy:   policy,
 		})
 		if err == nil {
@@ -398,7 +371,7 @@ func (d *Deployment) partition() (*shard.Plan, error) {
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: cannot shard %s across ≤ %d chips: %w", ErrCapacity, d.model.Name(), maxChips, err)
+		return nil, fmt.Errorf("%w: cannot shard %s across ≤ %d chips: %w", ErrCapacity, fe.model.Name(), maxChips, err)
 	}
 	return plan, nil
 }
@@ -455,7 +428,6 @@ func (d *Deployment) subGraph(k, lo, hi int) (*coreop.Graph, mapper.Allocation) 
 		pes += dup
 	}
 	return sub, mapper.Allocation{
-		ModelDup:   d.alloc.ModelDup,
 		Dup:        d.alloc.Dup[lo:hi],
 		Iterations: d.alloc.Iterations[lo:hi],
 		TotalPEs:   pes,
@@ -589,16 +561,24 @@ func (d *Deployment) Performance() (PerfSummary, error) { return d.PerformanceWi
 // sharded deployment, each inter-chip link's per-sample transfer (see
 // PerfSummary.LinkNSPerSample).
 func (d *Deployment) PerformanceWithHops(hops int) (PerfSummary, error) {
-	in := perf.Input{
-		Model:     d.model.graph,
-		CoreOps:   d.coreop,
-		Params:    d.params,
-		Dup:       d.cfg.Duplication,
-		Assign:    d.alloc.Dup,
+	return evaluatePerf(d.model, d.coreop, d.params, d.cfg.Duplication, d.alloc.Dup, d.cutTraffic, hops)
+}
+
+// evaluatePerf models the per-group assignment of co at duplication dup,
+// with cutWidths the traffic on each inter-chip link and hops the mean
+// routed hop count (0 = the calibrated default). Deployments and the
+// autotuner's oracle both evaluate through it, so a deployment built from
+// a scored candidate models exactly the candidate's value.
+func evaluatePerf(m Model, co *coreop.Graph, params device.Params, dup int, assign, cutWidths []int, hops int) (PerfSummary, error) {
+	r, err := perf.Evaluate(perf.Input{
+		Model:     m.graph,
+		CoreOps:   co,
+		Params:    params,
+		Dup:       dup,
+		Assign:    assign,
 		Hops:      hops,
-		CutWidths: d.cutTraffic,
-	}
-	r, err := perf.Evaluate(in, perf.TargetFPSA)
+		CutWidths: cutWidths,
+	}, perf.TargetFPSA)
 	if err != nil {
 		return PerfSummary{}, err
 	}
@@ -878,11 +858,12 @@ func (d *Deployment) placeAndRoute(ctx context.Context, nl *netlist.Netlist) (*c
 // annealing seed knobs (every chip has the same channel width). Parallelism is
 // deliberately absent — it never changes results — so one cache serves
 // machines of any size; so are the knobs that merely *selected* the
-// assignment (Duplication, LayerDup, MaxChips, ChipCapacity, ShardPolicy,
-// ShardCuts): the netlist is fully determined by the group range and its
-// duplication vector, so two compiles that land on the same per-chip
-// assignment — a uniform knob, an autotuned per-layer map, or two
-// autotuner candidates sharing a shard — hit the same entry.
+// assignment (Duplication, MaxChips, ChipCapacity, ShardPolicy, the
+// autotuner's candidate): the netlist is fully determined by the group
+// range and its duplication vector, so two deployments that land on the
+// same per-chip assignment — a uniform knob, an autotuned per-layer
+// assignment, or two autotuner candidates sharing a shard — hit the same
+// entry.
 func (d *Deployment) cacheKey(shardIdx int) compilecache.Key {
 	lo, hi := d.shards[shardIdx].lo, d.shards[shardIdx].hi
 	var b strings.Builder

@@ -18,16 +18,20 @@ type stackCase struct {
 	inputs [][]float64
 	opts   []Option // every option but WithChips
 	chips  int
+	// objective is what the input's Autotune run optimizes.
+	objective Objective
 }
 
 // decodeStack reads a stackCase from data, one byte per field and zero
 // past the end:
 //
 //	layers-1, dup-1, chips-1, faulty, seed, C-1, H-1,
-//	then per layer: kind, size-2, flags
+//	then per layer: kind, size-2, flags,
+//	then the Autotune objective
 //
 // giving 1–4 layers, duplication 1–4, 1–3 chips, a stuck-cell rate of 0
-// or 0.01, and a C×H×H input with C in 1–64 and H in 1–8. A layer's kind
+// or 0.01, a C×H×H input with C in 1–64 and H in 1–8, and one of the
+// three objectives. A layer's kind
 // is FC, conv, max pool or global average pool; its size (2–64) is an FC
 // width or a conv's output channels; flags bit 0 makes a conv 3×3 (pad 1)
 // rather than 1×1, bit 1 gives it stride 2, and bit 2 appends a ReLU. An
@@ -89,7 +93,7 @@ func decodeStack(data []byte) (stackCase, error) {
 	if err != nil {
 		return stackCase{}, err
 	}
-	sc := stackCase{model: m, chips: chips}
+	sc := stackCase{model: m, chips: chips, objective: Objective(next(3))}
 	weights := make(map[string][][]float64)
 	for i, layer := range m.WeightLayers() {
 		rows, cols := shapes[i][0], shapes[i][1]
@@ -143,7 +147,11 @@ func typed(err error) bool {
 //   - in every exec mode, a sharded deployment's engine answers as the
 //     single-chip one does, ClassifyBatch is n Classify calls, and
 //     Engine.Classify, SpikingNet.Classify and the argmax of
-//     Engine.Outputs agree.
+//     Engine.Outputs agree;
+//   - Autotune under the same options, oracle only, returns what it
+//     reports: the deployment's modeled objective is TunedValue, its
+//     spend, replicas included, is TunedPEs within PEBudget, its chip
+//     count is Chips, and Blocks equals its netlists' counts.
 //
 // The corpus seeds are the test fixtures' shapes, MLP-500-100 and LeNet,
 // the last two scaled into the decoder's 2–64 range, and a conv whose 288
@@ -184,7 +192,36 @@ func FuzzCompileStack(f *testing.F) {
 		for _, mode := range []ExecMode{ModeReference, ModeSpiking, ModeSpikingNoisy} {
 			checkServing(t, d, single, mode, sc.inputs)
 		}
+		checkAutotune(t, sc)
 	})
+}
+
+// checkAutotune: an oracle-only Autotune under the case's options fails
+// with a package sentinel or returns the deployment its report describes.
+func checkAutotune(t *testing.T, sc stackCase) {
+	t.Helper()
+	obj := sc.objective
+	d, rep, err := Autotune(context.Background(), sc.model, obj, append(sc.opts, WithChips(sc.chips), WithAutotuneRefine(0))...)
+	if err != nil {
+		if !typed(err) {
+			t.Fatalf("Autotune %v: untyped error %v", obj, err)
+		}
+		return
+	}
+	p, err := d.Performance()
+	if err != nil {
+		t.Fatalf("Autotune %v: the winner scored, its deployment's Performance failed: %v", obj, err)
+	}
+	if got := obj.value(p); got != rep.TunedValue {
+		t.Fatalf("Autotune %v: deployment models %v, report says %v", obj, got, rep.TunedValue)
+	}
+	if pes := d.alloc.TotalPEs * d.alloc.Replicas; pes != rep.TunedPEs || pes > rep.PEBudget {
+		t.Fatalf("Autotune %v: deployment spends %d PEs, report says %d within %d", obj, pes, rep.TunedPEs, rep.PEBudget)
+	}
+	if d.Chips() != rep.Chips {
+		t.Fatalf("Autotune %v: deployment has %d chips, report says %d", obj, d.Chips(), rep.Chips)
+	}
+	checkBlocks(t, d)
 }
 
 // checkBlocks: the deployment's block inventory is its netlists'.

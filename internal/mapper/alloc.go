@@ -15,9 +15,6 @@ import (
 
 // Allocation assigns PE copies to weight groups.
 type Allocation struct {
-	// ModelDup is the model's duplication degree: the duplication of the
-	// group with the maximum reuse degree (§5.2).
-	ModelDup int
 	// Dup[g] is group g's duplication degree (≥1).
 	Dup []int
 	// Iterations[g] = ceil(reuse/dup): how many time-division iterations
@@ -84,7 +81,6 @@ func AllocateAssigned(g *coreop.Graph, modelDup int, layerDup map[string]int) (A
 		a.Replicas = modelDup / maxReuse
 		modelDup = maxReuse
 	}
-	a.ModelDup = modelDup
 	target := ceilDiv(maxReuse, modelDup)
 	for i, grp := range g.Groups {
 		dup := ceilDiv(grp.Reuse, target)
@@ -107,9 +103,8 @@ func AllocateAssigned(g *coreop.Graph, modelDup int, layerDup map[string]int) (A
 // AllocateVector builds an Allocation from an explicit per-group
 // duplication vector (clamped to each group's reuse degree). It is the
 // form the autotuner's cost oracle evaluates: candidates are per-group
-// assignments, not a single knob. ModelDup records the maximum assigned
-// degree so downstream consumers see a meaningful summary value; the
-// vector describes one replica, so Replicas is 1.
+// assignments, not a single knob. The vector describes one replica, so
+// Replicas is 1.
 func AllocateVector(g *coreop.Graph, dup []int) (Allocation, error) {
 	if len(g.Groups) == 0 {
 		return Allocation{}, fmt.Errorf("mapper: empty core-op graph")
@@ -133,9 +128,6 @@ func AllocateVector(g *coreop.Graph, dup []int) (Allocation, error) {
 		a.Dup[i] = d
 		a.Iterations[i] = ceilDiv(grp.Reuse, d)
 		a.TotalPEs += d
-		if d > a.ModelDup {
-			a.ModelDup = d
-		}
 	}
 	return a, nil
 }

@@ -65,7 +65,7 @@ func TestAllocateAssignedValidation(t *testing.T) {
 }
 
 // TestAllocateVector: the per-group form the autotuner scores with —
-// exact degrees, clamped to reuse, ModelDup reported as the max.
+// exact degrees, clamped to reuse.
 func TestAllocateVector(t *testing.T) {
 	g := chainGraph(100, 10, 1)
 	a, err := AllocateVector(g, []int{50, 99, 1})
@@ -74,9 +74,6 @@ func TestAllocateVector(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Dup, []int{50, 10, 1}) {
 		t.Errorf("Dup = %v, want [50 10 1] (clamped to reuse)", a.Dup)
-	}
-	if a.ModelDup != 50 {
-		t.Errorf("ModelDup = %d, want 50 (max over groups)", a.ModelDup)
 	}
 	if a.Iterations[0] != 2 {
 		t.Errorf("Iterations[0] = %d, want ceil(100/50) = 2", a.Iterations[0])

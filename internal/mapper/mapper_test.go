@@ -32,9 +32,6 @@ func TestAllocateBalancesIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ModelDup != 10 {
-		t.Errorf("ModelDup = %d", a.ModelDup)
-	}
 	// Target iterations = 100/10 = 10: group0 gets 10 copies, group1 1,
 	// group2 1.
 	if a.Dup[0] != 10 || a.Dup[1] != 1 || a.Dup[2] != 1 {
@@ -62,8 +59,8 @@ func TestAllocateDupNeverExceedsReuse(t *testing.T) {
 	}
 	// The 60 copies past the maximum reuse degree of 4 are whole-model
 	// replicas: 64/4 of them.
-	if a.ModelDup != 4 || a.Replicas != 16 {
-		t.Errorf("ModelDup = %d, Replicas = %d, want 4 and 16", a.ModelDup, a.Replicas)
+	if a.Replicas != 16 {
+		t.Errorf("Replicas = %d, want 16", a.Replicas)
 	}
 	if v, err := AllocateVector(g, a.Dup); err != nil || v.Replicas != 1 {
 		t.Errorf("AllocateVector: Replicas = %d (%v), want 1", v.Replicas, err)

@@ -42,7 +42,7 @@ func TestBuildNetlistDirectChainMatchesReference(t *testing.T) {
 	for du := 1; du <= 8; du++ {
 		for dv := 1; dv <= 8; dv++ {
 			g := chainGraph(du, dv)
-			a := Allocation{ModelDup: 8, Dup: []int{du, dv}, Iterations: []int{1, 1}, TotalPEs: du + dv}
+			a := Allocation{Dup: []int{du, dv}, Iterations: []int{1, 1}, TotalPEs: du + dv}
 			nl, err := BuildNetlist(g, a, device.Params45nm)
 			if err != nil {
 				t.Fatalf("du=%d dv=%d: %v", du, dv, err)
@@ -126,7 +126,7 @@ func subChain(g *coreop.Graph, a Allocation, lo, hi int) (*coreop.Graph, Allocat
 	for _, dup := range a.Dup[lo:hi] {
 		pes += dup
 	}
-	return sub, Allocation{ModelDup: a.ModelDup, Dup: a.Dup[lo:hi], Iterations: a.Iterations[lo:hi], TotalPEs: pes}
+	return sub, Allocation{Dup: a.Dup[lo:hi], Iterations: a.Iterations[lo:hi], TotalPEs: pes}
 }
 
 // TestCountBlocksMatchesNetlist: CountBlocks is the inventory of the
@@ -176,7 +176,7 @@ func TestCountBlocksMatchesNetlist(t *testing.T) {
 			t.Fatalf("%s: the mapper rejected every uniform duplication", co.Name)
 		}
 		for ai, a := range allocs {
-			label := fmt.Sprintf("%s alloc %d (dup %d)", co.Name, ai, a.ModelDup)
+			label := fmt.Sprintf("%s alloc %d", co.Name, ai)
 			check(label, co, a)
 			for _, chips := range []int{2, 3} {
 				if n < chips {

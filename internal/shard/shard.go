@@ -264,62 +264,6 @@ func Partition(weights []int, signals []Signal, illegal []bool, opts Options) (*
 	return plan, nil
 }
 
-// PlanFromBounds builds the Plan for an explicitly chosen segmentation —
-// bounds[0] = 0, bounds[len-1] = len(weights), strictly increasing — with
-// the same load and cut-traffic accounting Partition uses, so a pinned
-// cut (the autotuner's shard candidates, a replayed plan) is
-// interchangeable with a searched one. capacity > 0 rejects segments
-// whose load exceeds it.
-func PlanFromBounds(weights []int, signals []Signal, bounds []int, capacity int) (*Plan, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, fmt.Errorf("shard: empty chain")
-	}
-	k := len(bounds) - 1
-	if k < 1 || bounds[0] != 0 || bounds[k] != n {
-		return nil, fmt.Errorf("shard: bounds %v must run 0..%d", bounds, n)
-	}
-	for s := 0; s < k; s++ {
-		if bounds[s+1] <= bounds[s] {
-			return nil, fmt.Errorf("shard: bounds %v not strictly increasing", bounds)
-		}
-	}
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("shard: item %d has negative weight %d", i, w)
-		}
-	}
-	prefW := make([]int, n+1)
-	for i, w := range weights {
-		prefW[i+1] = prefW[i] + w
-	}
-	diff := make([]int, n+2)
-	for _, s := range signals {
-		if s.Width < 0 || s.Prod < -1 || s.Prod >= n || s.Last < s.Prod || s.Last >= n {
-			return nil, fmt.Errorf("shard: signal %+v outside chain of %d items", s, n)
-		}
-		diff[s.Prod+1] += s.Width
-		diff[s.Last+1] -= s.Width
-	}
-	traffic := make([]int, n+1)
-	run := 0
-	for c := 0; c <= n; c++ {
-		run += diff[c]
-		traffic[c] = run
-	}
-	plan := &Plan{Bounds: append([]int(nil), bounds...), Loads: make([]int, k), CutTraffic: make([]int, k-1)}
-	for s := 0; s < k; s++ {
-		plan.Loads[s] = prefW[bounds[s+1]] - prefW[bounds[s]]
-		if capacity > 0 && plan.Loads[s] > capacity {
-			return nil, fmt.Errorf("shard: segment %d load %d exceeds capacity %d", s, plan.Loads[s], capacity)
-		}
-		if s > 0 {
-			plan.CutTraffic[s-1] = traffic[bounds[s]]
-		}
-	}
-	return plan, nil
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

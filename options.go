@@ -24,9 +24,8 @@ type compileSettings struct {
 
 	// Autotune-only knobs (ignored by a plain Compile): the PE envelope
 	// the search may spend, and how many finalists it places & routes.
-	peBudget  int
-	refine    int
-	refineSet bool
+	peBudget int
+	refine   int
 
 	// faultModelSet/faultMapSet record which fault option populated
 	// cfg.Faults, so Compile can reject the conflicting combination of
@@ -39,6 +38,18 @@ type compileSettings struct {
 // Option configures Compile. Options are applied in order, so a later
 // option overrides an earlier one; a nil Option is ignored.
 type Option func(*compileSettings)
+
+// applyOptions assembles the settings opts describe, starting from the
+// defaults no config zero value spells (Autotune refines 2 finalists).
+func applyOptions(opts []Option) compileSettings {
+	set := compileSettings{refine: 2}
+	for _, o := range opts {
+		if o != nil {
+			o(&set)
+		}
+	}
+	return set
+}
 
 // WithDuplication sets the model duplication degree (§5.2 of the paper);
 // the default is 1×.
@@ -62,7 +73,7 @@ func WithPEBudget(n int) Option {
 // the oracle ranking and skips place & route entirely; the default is 2.
 // Plain Compile ignores it.
 func WithAutotuneRefine(k int) Option {
-	return func(s *compileSettings) { s.refine = k; s.refineSet = true }
+	return func(s *compileSettings) { s.refine = k }
 }
 
 // copyIntMap copies a layer-degree map, so a deployment or report never
@@ -97,9 +108,12 @@ type FaultMap struct {
 	// ReadSigma adds a static Gaussian read-variation offset (stddev in
 	// conductance units) to each programmed conductance; must be ≥ 0.
 	ReadSigma float64
-	// LayerSeeds overrides Seed for named model layers, letting an
-	// experiment re-roll one layer's faults while the rest stay fixed.
-	// Seeds must be ≥ 0 and name layers the model has.
+	// LayerSeeds overrides Seed for named weight layers (see
+	// Model.WeightLayers), letting an experiment re-roll one layer's
+	// faults while the rest stay fixed. Seeds must be ≥ 0. Any other name
+	// is ErrInvalidArgument, a pooling layer's included: pooling crossbars
+	// are shared across layers and run under no one layer's name, so its
+	// seed would reach no crossbar.
 	LayerSeeds map[string]int64
 	// NoRemap disables the compiler's spare-row/column remapping, so
 	// stuck cells land on live weights — the "without remapping" arm of
@@ -155,7 +169,7 @@ func WithFaultModel(rate float64, seed int64) Option {
 }
 
 // WithFaultMap injects the full non-ideal device scenario — stuck cells,
-// drift, read variation, per-layer seeds, optional remap opt-out. The
+// drift, read variation, per-weight-layer seeds, optional remap opt-out. The
 // compiler steers known-bad rows/columns around spare ones (unless
 // m.NoRemap), penalizes placement of heavily-faulted PEs, and keys the
 // compile cache on the scenario so faulted and ideal artifacts never

@@ -45,6 +45,27 @@ func TestCompileOptionValidation(t *testing.T) {
 			}
 		})
 	}
+	// A fault seed must name a weight layer: LeNet's max pools run on
+	// shared crossbars labelled for no one layer, so their seeds would be
+	// silent no-ops. Autotune shares Compile's checks.
+	lenet, err := LoadBenchmark("LeNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layer := range []string{"pool1", "pool2"} {
+		t.Run("LeNet "+layer+" fault seed", func(t *testing.T) {
+			opt := WithFaultMap(FaultMap{Rate: 0.01, LayerSeeds: map[string]int64{layer: 3}})
+			if _, err := Compile(context.Background(), lenet, opt); !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("Compile = %v, want ErrInvalidArgument", err)
+			}
+			if _, _, err := Autotune(context.Background(), lenet, MinLatency, opt, WithAutotuneRefine(0)); !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("Autotune = %v, want ErrInvalidArgument", err)
+			}
+		})
+	}
+	if _, err := Compile(context.Background(), lenet, WithFaultMap(FaultMap{Rate: 0.01, LayerSeeds: map[string]int64{"conv1": 3, "fc2": 4}})); err != nil {
+		t.Errorf("weight-layer fault seeds must compile, got %v", err)
+	}
 	// Zero stays "use the default" everywhere, as the option docs promise
 	// — including a zero-rate fault model, which is ideal devices.
 	if _, err := Compile(context.Background(), m, WithDuplication(0), WithChips(0), WithFaultModel(0, 3)); err != nil {
