@@ -139,7 +139,7 @@ func TestFleetClassify(t *testing.T) {
 // TestDefaultFleetPinned: the fleet fpsa-serve builds without -fleet
 // answers 256 fixed feature vectors, sent one at a time and as one batch,
 // with the labels the single-engine server it replaced gave (seed 7, a
-// 16-24-4 MLP trained 40 epochs, spiking, 4 executors, chunks of 8).
+// 16-24-4 MLP trained 40 epochs, spiking, 4 executors, MaxBatch 8).
 func TestDefaultFleetPinned(t *testing.T) {
 	const wantDigest = "0d4a54a363bee30e"
 	f, models, err := buildFleet(context.Background(), []byte(defaultFleetConfig))

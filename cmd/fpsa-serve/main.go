@@ -126,7 +126,7 @@ func parseMode(name string) (fpsa.ExecMode, error) {
 // maxBodyBytes bounds a POST body: the largest legitimate request is a
 // classify batch of a few hundred 16-feature vectors, far below it.
 // maxBatchItems bounds the batch by length as well: a batch request holds
-// executors until its last chunk has run, and 1 MiB of short vectors is
+// executors until its last pass has run, and 1 MiB of short vectors is
 // tens of thousands of samples.
 const (
 	maxBodyBytes  = 1 << 20

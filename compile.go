@@ -266,9 +266,11 @@ func Compile(ctx context.Context, m Model, opts ...Option) (*Deployment, error) 
 		// (duplication beyond the maximum reuse degree).
 		return nil, fmt.Errorf("%w: %w", ErrCapacity, err)
 	}
-	if cfg.ChipCapacity > 0 && alloc.TotalPEs > cfg.ChipCapacity && cfg.MaxChips <= 1 {
-		return nil, fmt.Errorf("%w: model %s needs %d PEs, exceeding one chip's capacity of %d; compile with WithChips(n ≥ 2) to shard it",
-			ErrCapacity, m.Name(), alloc.TotalPEs, cfg.ChipCapacity)
+	// One chip holds every replica: the whole spend is what must fit, as
+	// Autotune's PEBudget counts it.
+	if pes := alloc.TotalPEs * alloc.Replicas; cfg.ChipCapacity > 0 && pes > cfg.ChipCapacity && cfg.MaxChips <= 1 {
+		return nil, fmt.Errorf("%w: model %s needs %d PEs (%d replicas of %d), exceeding one chip's capacity of %d; compile with WithChips(n ≥ 2) to shard it",
+			ErrCapacity, m.Name(), pes, alloc.Replicas, alloc.TotalPEs, cfg.ChipCapacity)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -36,16 +36,16 @@ func defaultEngineConfig() engineConfig {
 // Engine serves a deployed SpikingNet concurrently: a pool of programmed
 // execution states that requests borrow. A request runs on the goroutine
 // that made it — no queue, no hand-off — and waits only when every
-// executor is lent out; a batch call is cut into kernel passes of 8
-// samples and spreads over whatever executors are idle. Construct with
-// Deployment.NewEngine and Close when done. All methods are safe for
-// concurrent use.
+// executor is lent out; a batch call spreads over whatever executors are
+// idle, up to one per 8 samples, and each runs its even share as one
+// kernel pass. Construct with Deployment.NewEngine and Close when done.
+// All methods are safe for concurrent use.
 type Engine struct {
 	eng *serve.Engine
 }
 
 // newEngine builds the serving engine over a deployed network, with
-// cfg.Workers executors and serve's default chunk of 8. The SpikingNet
+// cfg.Workers executors and serve's default MaxBatch of 8. The SpikingNet
 // itself remains usable (and independent) afterwards.
 func newEngine(sn *SpikingNet, cfg engineConfig) (*Engine, error) {
 	if err := checkMode(cfg.Mode); err != nil {
@@ -86,10 +86,11 @@ func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error)
 	return out, liftErr(err)
 }
 
-// ClassifyBatch runs the call in chunks of 8 samples spread over
-// the executors idle at that moment and returns the positional argmax
-// classes. When ctx ends it starts no further chunk, waits for the ones in
-// flight and returns ctx's error; batch is not read after it returns.
+// ClassifyBatch spreads the call over the executors idle at that moment,
+// up to one per 8 samples, runs each one's even share as one kernel pass
+// (passes of at most 64) and returns the positional argmax classes. When
+// ctx ends it starts no further pass, waits for the ones in flight and
+// returns ctx's error; batch is not read after it returns.
 func (e *Engine) ClassifyBatch(ctx context.Context, batch [][]float64) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -117,7 +117,7 @@ func TestEngineClassifyBatch(t *testing.T) {
 	}
 }
 
-// TestEngineClassifyBatchAllocs pins what a one-chunk ClassifyBatch
+// TestEngineClassifyBatchAllocs pins what a one-pass ClassifyBatch
 // allocates: its classes and the call's shared state, nothing per sample.
 // Quantizing into a slab, a result row per sample and the classes slice
 // made it 7 at 1 and 8 samples (30 at 64) before the executors quantized
@@ -147,7 +147,7 @@ func TestEngineClassifyBatchAllocs(t *testing.T) {
 }
 
 // TestEngineLoneRequest: a lone request on an idle engine runs at once
-// as a batch of one; nothing waits for a chunk of 8 to fill.
+// as a batch of one; nothing waits for a batch of 8 to fill.
 func TestEngineLoneRequest(t *testing.T) {
 	d, _, test := deployTestNet(t)
 	eng, err := d.NewEngine(context.Background(), WithMode(ModeReference))

@@ -271,8 +271,8 @@ func (f *Fleet) Outputs(ctx context.Context, model, tenant string, features []fl
 
 // ClassifyBatch is Classify over a batch: the batch takes one tenant
 // quota place and one admission place, runs on one deployment version —
-// every class is that version's, and its id is returned — and is cut into
-// the engine's 8-sample chunks as Engine.ClassifyBatch cuts it.
+// every class is that version's, and its id is returned — and runs on
+// that version's engine as Engine.ClassifyBatch runs it.
 func (f *Fleet) ClassifyBatch(ctx context.Context, model, tenant string, batch [][]float64) (classes []int, version int, err error) {
 	classes, version, err = f.fl.Run(ctx, model, tenant, batch, true)
 	return classes, version, liftErr(err)

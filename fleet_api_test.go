@@ -185,7 +185,7 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 
 // TestFleetClassifyBatchMatchesEngine: a fleet model's ClassifyBatch is
 // Engine.ClassifyBatch on the same deployment, in every exec mode and on a
-// 2-chip deployment, for a batch the engine cuts into many chunks: the
+// 2-chip deployment, for a batch the engine splits over its executors: the
 // classes agree, and so, bit for bit, do the raw outputs beneath them.
 // One sample at a time, Fleet.Classify, Engine.Classify and the argmax of
 // Fleet.Outputs give the same class for every test vector: both
@@ -279,7 +279,7 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 }
 
 // TestFleetClassifyBatchAllocs pins what the fleet adds to the engine's
-// allocations (TestEngineClassifyBatchAllocs): nothing. A one-chunk
+// allocations (TestEngineClassifyBatchAllocs): nothing. A one-pass
 // ClassifyBatch allocates only the classes it returns, which the executor
 // reads out of its tables; Outputs allocates the one-row batch and the
 // counts. Taking the argmax of the counts in the fleet made ClassifyBatch

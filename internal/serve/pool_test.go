@@ -132,14 +132,14 @@ func checkQueue(t *testing.T, eng *Engine, inputs, want [][]int, maxBatch int) {
 	if samples := uint64(callers*perCaller + 2*len(inputs)); s.Requests != samples || s.Errors != 0 || s.Shed != 0 {
 		t.Errorf("requests/errors/shed = %d/%d/%d, want %d/0/0", s.Requests, s.Errors, s.Shed, samples)
 	}
-	if s.MaxExecBatch > maxBatch {
-		t.Errorf("MaxExecBatch = %d exceeds MaxBatch %d", s.MaxExecBatch, maxBatch)
+	if s.MaxExecBatch > max(maxBatch, maxPass) {
+		t.Errorf("MaxExecBatch = %d exceeds max(MaxBatch, maxPass) = %d", s.MaxExecBatch, max(maxBatch, maxPass))
 	}
 }
 
 // cancelAfterFirstBatch is a context that ends once the engine has executed its
 // first batch: a call carrying it is cancelled mid-flight, between two of
-// its chunks, without a wall clock. Done and Err agree, as a context's
+// its passes, without a wall clock. Done and Err agree, as a context's
 // must: the engine reads Err only once Done has fired.
 type cancelAfterFirstBatch struct {
 	context.Context
@@ -169,13 +169,14 @@ func (c cancelAfterFirstBatch) Err() error {
 }
 
 // TestCancelMidBatch: a batch call whose ctx ends while it runs starts no
-// further chunk, waits for the passes in flight and only then returns
+// further pass, waits for the passes in flight and only then returns
 // ctx's error — so nothing still reads the caller's slices (the test
 // scribbles over them at once; -race would see a straggler) and every
-// executor is back. Chunks it never started count as shed. Inline on one
-// executor and fanned out over two.
+// executor is back. Passes it never started count as shed, whole. Inline
+// on one executor, whose 136 samples are passes of 64+64+8, and fanned out
+// over two, each 68 samples as 64+4.
 func TestCancelMidBatch(t *testing.T) {
-	const maxBatch, n = 4, 12
+	const maxBatch, n = 4, 2*maxPass + 8
 	prog := buildProgram(t, 37, []int{8, 6, 2})
 	for _, workers := range []int{1, 2} {
 		eng, err := New(prog, Options{Workers: workers, MaxBatch: maxBatch, Mode: synth.ModeReference})
@@ -192,18 +193,60 @@ func TestCancelMidBatch(t *testing.T) {
 			t.Errorf("workers=%d: InferBatch = %v, %v; want nil, context.Canceled", workers, outs, err)
 		}
 		checkPool(t, eng)
-		// One chunk ran for sure; a second piece may have started its own
-		// before the first finished.
+		// Each executor the call held ran at most its first pass: one ran for
+		// sure, and a second may have started its own before the first
+		// finished. Everything else was shed.
+		pieces := uint64(min(workers, eng.procs))
 		s := eng.Stats()
-		if s.Requests+s.Shed != n || s.Shed < maxBatch || s.Requests != s.ExecBatches*maxBatch || s.ExecBatches < 1 || s.Errors != 0 {
-			t.Errorf("workers=%d: requests/shed/batches/errors = %d/%d/%d/%d, want requests+shed = %d with whole chunks run",
-				workers, s.Requests, s.Shed, s.ExecBatches, s.Errors, n)
+		if s.Requests+s.Shed != n || s.Requests != s.ExecBatches*maxPass || s.ExecBatches < 1 || s.ExecBatches > pieces || s.Errors != 0 {
+			t.Errorf("workers=%d: requests/shed/batches/errors = %d/%d/%d/%d, want requests+shed = %d with 1 to %d whole passes of %d run",
+				workers, s.Requests, s.Shed, s.ExecBatches, s.Errors, n, pieces, maxPass)
 		}
 		if _, err := eng.InferBatch(context.Background(), randomInputs(prog, 40, n)); err != nil {
 			t.Errorf("workers=%d: call after a cancelled one: %v", workers, err)
 		}
 		eng.Close()
 	}
+}
+
+// TestLentOutEngineRunsOnePass: a 64-sample call on an engine whose other
+// executors are all lent out runs on the one it borrows as a single kernel
+// pass, not as ⌈64/MaxBatch⌉ passes, and matches the serial executor.
+func TestLentOutEngineRunsOnePass(t *testing.T) {
+	const workers, n = 4, 64
+	prog := buildProgram(t, 57, []int{10, 8, 3})
+	inputs := randomInputs(prog, 58, n)
+	ex, err := synth.NewExecutor(prog, synth.RunOptions{Mode: synth.ModeReference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ex.RunBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(prog, Options{Workers: workers, Mode: synth.ModeReference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	held := park(eng, workers-1)
+	ctx := context.Background()
+	outs, err := eng.InferBatch(ctx, inputs)
+	if err != nil || !reflect.DeepEqual(outs, want) {
+		t.Errorf("InferBatch = %v, %v; want %v", outs, err, want)
+	}
+	s := eng.Stats()
+	if s.ExecBatches != 1 || s.MaxExecBatch != n {
+		t.Errorf("InferBatch of %d: %d passes of at most %d, want 1 of %d", n, s.ExecBatches, s.MaxExecBatch, n)
+	}
+	if _, err := eng.ClassifyBatch(ctx, randomFeatures(prog, 59, n)); err != nil {
+		t.Fatal(err)
+	}
+	if added := eng.Stats().ExecBatches - s.ExecBatches; added != 1 {
+		t.Errorf("ClassifyBatch of %d added %d passes, want 1", n, added)
+	}
+	unpark(eng, held)
+	checkPool(t, eng)
 }
 
 // isClosed reports whether Close has begun on eng.
@@ -288,10 +331,10 @@ func TestIdleExecutorBesideBusyOne(t *testing.T) {
 	checkPool(t, eng)
 }
 
-// TestLoneCallerFansOut: a lone call of two chunks on an idle two-executor
-// engine takes both executors and each runs a chunk (every piece starts
-// with a chunk of its own), while a call of one chunk — or any call with
-// no second processor to fan out onto — stays on one.
+// TestLoneCallerFansOut: a lone call of 2×MaxBatch samples on an idle
+// two-executor engine takes both executors and each runs half as one pass,
+// while a call of at most MaxBatch — or any call with no second processor
+// to fan out onto — stays on one.
 func TestLoneCallerFansOut(t *testing.T) {
 	const maxBatch = 4
 	prog := buildProgram(t, 43, []int{8, 6, 2})
@@ -320,7 +363,7 @@ func TestLoneCallerFansOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if k := kernels(); (k[0] == 0) == (k[1] == 0) {
-		t.Errorf("one-chunk call: kernel calls per executor = %v, want exactly one executor used", k)
+		t.Errorf("one-pass call: kernel calls per executor = %v, want exactly one executor used", k)
 	}
 	before := kernels()
 	outs, err := eng.InferBatch(context.Background(), inputs)
@@ -331,10 +374,10 @@ func TestLoneCallerFansOut(t *testing.T) {
 	k := kernels()
 	k[0], k[1] = k[0]-before[0], k[1]-before[1]
 	if want := [2]uint64{stages, stages}; eng.procs >= 2 && k != want {
-		t.Errorf("two-chunk call: kernel calls per executor = %v, want one chunk (%d stages) on each", k, stages)
+		t.Errorf("two-piece call: kernel calls per executor = %v, want one pass (%d stages) on each", k, stages)
 	}
 	if eng.procs == 1 && (k[0] == 0) == (k[1] == 0) {
-		t.Errorf("two-chunk call on one processor: kernel calls per executor = %v, want one executor used", k)
+		t.Errorf("two-piece call on one processor: kernel calls per executor = %v, want one executor used", k)
 	}
 	checkPool(t, eng)
 }
@@ -452,10 +495,10 @@ func TestPoolBarging(t *testing.T) {
 	checkPool(t, eng)
 }
 
-// TestPoolLivenessStress: 16 callers on 2 executors, one-chunk and
+// TestPoolLivenessStress: 16 callers on 2 executors, one-pass and
 // fanned-out calls, a third of them carrying a ctx that another caller
 // cancels when its own call returns — while the victim waits, between its
-// chunks or after it is done. Every
+// passes or after it is done. Every
 // call returns, with the engine's outputs or ctx's error; no wake-up is
 // lost (a lost one leaves a caller parked beside an idle executor, and
 // the test times out naming it); every sample offered is either run or
@@ -477,7 +520,7 @@ func TestPoolLivenessStress(t *testing.T) {
 	w := len(want) / len(batch)
 	var offered atomic.Uint64
 	// A cancellable call posts its cancel here, and whichever caller
-	// returns next cancels it: while it waits, between its chunks or after
+	// returns next cancels it: while it waits, between its passes or after
 	// it is done.
 	victims := make(chan context.CancelFunc, callers)
 	var wg sync.WaitGroup
@@ -594,7 +637,9 @@ func BenchmarkEngineLoneInfer(b *testing.B) {
 }
 
 // BenchmarkEngineInferBatch64: a lone 64-sample call on the default engine
-// shape (4 executors × MaxBatch 8): 8 chunks fanned out over the pool.
+// shape (4 executors × MaxBatch 8): it fans out over one executor per
+// processor, up to 8, and each runs its share as one pass. passes/op is
+// the kernel passes per call.
 func BenchmarkEngineInferBatch64(b *testing.B) {
 	eng, inputs := benchEngine(b, mlpProgram(b), Options{Workers: 4, MaxBatch: 8, Mode: synth.ModeReference})
 	ctx := context.Background()
@@ -605,12 +650,14 @@ func BenchmarkEngineInferBatch64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPasses(b, eng)
 }
 
 // BenchmarkEngineInferBatch64Callers: the same call from GOMAXPROCS
 // callers at once — the shape of the serve_mlp_reference workload, where
 // callers outnumber neither cores nor executors and the kernel is cheap,
-// so whatever the engine adds per call is what is measured.
+// so whatever the engine adds per call is what is measured. A call that
+// finds no idle processor to fan out onto runs as one pass of 64.
 func BenchmarkEngineInferBatch64Callers(b *testing.B) {
 	eng, inputs := benchEngine(b, mlpProgram(b), Options{Workers: 4, MaxBatch: 8, Mode: synth.ModeReference})
 	ctx := context.Background()
@@ -624,11 +671,18 @@ func BenchmarkEngineInferBatch64Callers(b *testing.B) {
 			}
 		}
 	})
+	reportPasses(b, eng)
+}
+
+// reportPasses reports eng's kernel passes per call of b as passes/op. The
+// engine is new to b's run, so every pass it counted was one of b.N calls'.
+func reportPasses(b *testing.B, eng *Engine) {
+	b.ReportMetric(float64(eng.Stats().ExecBatches)/float64(b.N), "passes/op")
 }
 
 // BenchmarkEngineInferBatch16Lone: one caller, 16-sample calls in spiking
-// mode on the deep program — two chunks of real work each, the shape
-// offline_conv_spiking has. If the second chunk's goroutine is left where
+// mode on the deep program — two 8-sample pieces of real work each, the
+// shape offline_conv_spiking has. If the second piece's goroutine is left where
 // only a timer-driven steal finds it (see InferBatch), the call's tail
 // shows it before its mean does, so each call is timed and the p90
 // reported beside ns/op.
@@ -679,7 +733,7 @@ func BenchmarkEngineOutputsConvoy(b *testing.B) {
 // BenchmarkEngineShapes sweeps the executor count under real concurrent
 // load: 32 callers of single-sample Infer in spiking mode on a trained
 // 16-24-4 MLP, at 1, 4 and 8 executors. The public engine is fixed at 4;
-// this is where the other counts are still measured. (The chunk size cuts
+// this is where the other counts are still measured. (MaxBatch splits
 // only batch calls; BenchmarkEngineInferBatch64 covers those.)
 func BenchmarkEngineShapes(b *testing.B) {
 	prog := buildProgram(b, 5, []int{16, 24, 4})

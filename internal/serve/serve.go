@@ -5,12 +5,12 @@
 // samples against its program's sampling window and runs them on the
 // calling goroutine, and puts the executor back; there is no queue, no
 // worker goroutine and no hand-off between caller and kernel. A call longer
-// than MaxBatch is cut into MaxBatch-sized chunks and also takes other
-// executors idle at that moment, so a lone caller still spreads over the
-// pool. A caller that finds the pool empty waits until a returned executor
-// is there for it to take; nothing is handed to a waiting caller, so a
-// running one may take the executor first (see pool). It is the
-// serving substrate behind the public fpsa.Engine API and cmd/fpsa-serve.
+// than MaxBatch also takes up to one more idle executor per further
+// MaxBatch samples and gives each an even share, so a lone caller still
+// spreads over the pool. A caller that finds the pool empty waits until a
+// returned executor is there for it to take; nothing is handed to a
+// waiting caller, so a running one may take the executor first (see
+// pool). It is the substrate behind fpsa.Engine and cmd/fpsa-serve.
 //
 // The pool holds Workers privately programmed executors at every chip
 // count — cycle-level simulation state is never shared across goroutines,
@@ -42,8 +42,9 @@ type Options struct {
 	// and so how many requests can hold one at once, at every chip count.
 	// 0 means 1.
 	Workers int
-	// MaxBatch is the size a batch call is cut into, and so the most
-	// samples one batched kernel pass carries. 0 means 8.
+	// MaxBatch is the samples per executor a call needs before it takes
+	// another: a call of n spreads over at most ⌈n/MaxBatch⌉, and a kernel
+	// pass carries up to max(MaxBatch, maxPass). 0 means 8.
 	MaxBatch int
 	// Mode selects the execution semantics for every executor.
 	Mode synth.ExecMode
@@ -207,13 +208,13 @@ func (e *Engine) wait(done <-chan struct{}) *synth.Executor {
 	}
 }
 
-// runChunk is the engine's one kernel call for spike counts: at most
-// MaxBatch inputs as a single RunBatch on a borrowed executor, results
-// copied into outs positionally. RunBatch validates every sample and a
-// chunk never mixes callers, so a malformed sample fails only its own
-// call. It, Infer, InferBatch and batchCall's inputs and outs stay for
-// bench/ (ROADMAP item 1(f)).
-func (e *Engine) runChunk(ex *synth.Executor, inputs, outs [][]int) error {
+// runPass is the engine's one kernel call for spike counts: one pass of
+// inputs as a single RunBatch on a borrowed executor, results copied into
+// outs positionally. RunBatch validates every sample and a pass never
+// mixes callers, so a malformed sample fails only its own call. It, Infer,
+// InferBatch and batchCall's inputs and outs stay for bench/ (ROADMAP item
+// 1(f)).
+func (e *Engine) runPass(ex *synth.Executor, inputs, outs [][]int) error {
 	res, err := ex.RunBatch(inputs)
 	if err == nil {
 		copy(outs, res)
@@ -247,16 +248,20 @@ func (e *Engine) Infer(ctx context.Context, input []int) ([]int, error) {
 	}
 	defer e.pool.put(ex) // also when the kernel panics
 	var out [1][]int
-	err = e.runChunk(ex, [][]int{input}, out[:])
+	err = e.runPass(ex, [][]int{input}, out[:])
 	e.stats.recordSince(arrival)
 	return out[0], err
 }
 
+// maxPass is the most samples a kernel pass carries when MaxBatch is
+// smaller: it bounds an executor's scratch and a cancelled call's wait.
+const maxPass = 64
+
 // batchCall is what the pieces of one call of more than MaxBatch samples
 // share (a call of at most MaxBatch runs on the caller's stack instead; see
-// Outputs); a piece is one borrowed executor working through chunks of the
-// call. The call carries feature vectors (Outputs, ClassifyBatch), which
-// the executor quantizes itself and whose output counts or classes it
+// Outputs); a piece is one borrowed executor working through its share of
+// the call. The call carries feature vectors (Outputs, ClassifyBatch),
+// which the executor quantizes itself and whose output counts or classes it
 // writes into dst, or spike counts (InferBatch), whose outputs land in
 // outs.
 type batchCall struct {
@@ -268,58 +273,58 @@ type batchCall struct {
 	dst          []int
 	classes      bool
 	arrival      time.Duration // tracker.now when the call arrived
-	chunks       int
-	claimed      atomic.Int64 // chunks handed out so far
-	ran          atomic.Bool  // some chunk reached the kernel
+	pieces       int
+	ran          atomic.Bool // some pass reached the kernel
 
 	mu       sync.Mutex
-	err      error // of the lowest-numbered chunk that failed
-	errChunk int
+	err      error               // of the lowest-numbered pass that failed
+	errAt    int                 // that pass's first sample
 	panicked atomic.Pointer[any] // a panic under a spawned piece
 }
 
-// run is one piece: chunk first, then whatever it can still claim, one
-// pass on ex each; ex goes back to the pool on every path, a panic under
-// the kernel included. Every chunk is claimed exactly once and either
-// runs or, once ctx has ended, is shed; ctx is read as borrow reads it. A
-// failed chunk's error names its samples, unless the call has only the
-// one sample.
-func (c *batchCall) run(ex *synth.Executor, first int) {
+// run is piece k: the samples [k·n/pieces, (k+1)·n/pieces), in passes of
+// at most max(MaxBatch, maxPass) on ex; ex goes back to the pool on every
+// path, a panic under the kernel included. ctx is read before each pass,
+// as borrow reads it; once it has ended, the passes not yet started are
+// shed. A failed pass's error names its samples, unless the call has only
+// the one sample.
+func (c *batchCall) run(ex *synth.Executor, k int) {
 	e := c.e
 	defer e.pool.put(ex)
-	step := e.opts.MaxBatch
-	for i := first; i < c.chunks; i = int(c.claimed.Add(1)) - 1 {
-		lo, hi := i*step, min((i+1)*step, c.n)
+	step := max(e.opts.MaxBatch, maxPass)
+	for lo, end := k*c.n/c.pieces, (k+1)*c.n/c.pieces; lo < end; {
+		hi := min(lo+step, end)
 		var err error
 		select {
 		case <-c.ctx.Done():
-			err = c.ctx.Err()
-			e.stats.shed.Add(uint64(hi - lo))
+			hi, err = end, c.ctx.Err()
+			e.stats.shed.Add(uint64(end - lo))
 		default:
 			c.ran.Store(true)
-			if err = c.chunk(ex, lo, hi); err != nil && c.n > 1 {
-				err = chunkError(lo, hi, err)
+			if err = c.pass(ex, lo, hi); err != nil && c.n > 1 {
+				err = passError(lo, hi, err)
 			}
 		}
 		if err != nil {
 			c.mu.Lock()
-			if c.err == nil || i < c.errChunk {
-				c.err, c.errChunk = err, i
+			if c.err == nil || lo < c.errAt {
+				c.err, c.errAt = err, lo
 			}
 			c.mu.Unlock()
 		}
+		lo = hi
 	}
 }
 
-// chunkError names the samples [lo, hi) of a batch call in err.
-func chunkError(lo, hi int, err error) error {
+// passError names the samples [lo, hi) of a batch call in err.
+func passError(lo, hi int, err error) error {
 	return fmt.Errorf("serve: batch samples %d to %d: %w", lo, hi-1, err)
 }
 
-// chunk runs samples [lo, hi) as one kernel call on ex.
-func (c *batchCall) chunk(ex *synth.Executor, lo, hi int) error {
+// pass runs samples [lo, hi) as one kernel call on ex.
+func (c *batchCall) pass(ex *synth.Executor, lo, hi int) error {
 	if c.features == nil {
-		return c.e.runChunk(ex, c.inputs[lo:hi], c.outs[lo:hi])
+		return c.e.runPass(ex, c.inputs[lo:hi], c.outs[lo:hi])
 	}
 	w := 1
 	if !c.classes {
@@ -342,16 +347,16 @@ func (e *Engine) InferBatch(ctx context.Context, inputs [][]int) ([][]int, error
 
 // Outputs runs a batch of feature vectors in [0, 1] and returns every
 // sample's output counts back to back, len(prog.OutputRefs) per sample;
-// each chunk's executor quantizes its samples against its program's
+// each pass's executor quantizes its samples against its program's
 // window Γ (synth.Executor.RunFeatures). A call of at most MaxBatch samples
 // borrows one executor — waiting only when every one is lent out — and
-// runs as one kernel pass on the calling goroutine. A longer call runs as
-// ⌈n/MaxBatch⌉ chunks, one pass each: it borrows one executor as a short
-// call does, then takes, never waiting, one more per further chunk from
-// those idle right now, so a lone call still spreads over the pool. Once
-// ctx ends it starts no more chunks, waits for the passes in flight and
-// returns ctx's error; otherwise the error of the first chunk that failed,
-// if any. Nothing of the call runs, or reads batch, after it returns.
+// runs as one kernel pass on the calling goroutine. A longer call borrows
+// one executor as a short call does, then takes, never waiting, up to
+// ⌈n/MaxBatch⌉−1 more from those idle right now; each runs an even,
+// contiguous share in passes of at most max(MaxBatch, maxPass). Once ctx
+// ends it starts no more passes, waits for those in flight and returns
+// ctx's error; otherwise the error of the first pass that failed, naming
+// its samples. Nothing of the call runs, or reads batch, after it returns.
 func (e *Engine) Outputs(ctx context.Context, batch [][]float64) ([]int, error) {
 	out := make([]int, len(batch)*e.outputs)
 	if err := e.features(ctx, batch, out, false); err != nil {
@@ -397,13 +402,12 @@ func (e *Engine) features(ctx context.Context, batch [][]float64, dst []int, cla
 	e.settle(n, err)
 	e.stats.recordSince(arrival)
 	if err != nil && n > 1 {
-		err = chunkError(0, n, err)
+		err = passError(0, n, err)
 	}
 	return err
 }
 
-// call admits a batch call, cuts it into chunks and spreads them over the
-// executors it can borrow (see Outputs).
+// call runs a batch call over the executors it can borrow (see Outputs).
 func (e *Engine) call(c *batchCall) error {
 	if err := e.enter(); err != nil {
 		return err
@@ -412,8 +416,7 @@ func (e *Engine) call(c *batchCall) error {
 	if c.n == 0 {
 		return nil
 	}
-	step := e.opts.MaxBatch
-	c.e, c.arrival, c.chunks = e, e.stats.now(), (c.n+step-1)/step
+	c.e, c.arrival = e, e.stats.now()
 	own, err := e.borrow(c.ctx, c.n)
 	if err != nil {
 		return err
@@ -422,23 +425,20 @@ func (e *Engine) call(c *batchCall) error {
 	// are lent out as there are processors, another piece would share a
 	// core with this one while a later caller found the pool empty.
 	var extra []*synth.Executor
-	for len(extra) < c.chunks-1 && e.opts.Workers-e.pool.idle() < e.procs {
+	for len(extra) < (c.n-1)/e.opts.MaxBatch && e.opts.Workers-e.pool.idle() < e.procs {
 		ex := e.pool.take()
 		if ex == nil {
 			break
 		}
 		extra = append(extra, ex)
 	}
-	// Piece k starts on chunk k, reserved before any piece runs so that
-	// every borrowed executor has work, and claims the rest one at a time.
-	c.claimed.Store(int64(1 + len(extra)))
-	if len(extra) == 0 {
+	if c.pieces = 1 + len(extra); c.pieces == 1 {
 		c.run(own, 0)
 	} else {
 		// A call that fans out runs every piece — its own executor's too —
 		// on a spawned goroutine and blocks. Running one inline leaves the
 		// helper in this P's runnext slot, which another P steals only
-		// after a timer-driven back-off: a lone caller's second chunk then
+		// after a timer-driven back-off: a lone caller's second piece then
 		// starts most of a millisecond late (numbers in ARCHITECTURE.md).
 		var wg sync.WaitGroup
 		for k, ex := range append(extra, own) {

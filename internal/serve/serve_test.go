@@ -7,6 +7,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -148,24 +150,27 @@ func TestLoneRequestRunsAlone(t *testing.T) {
 	}
 }
 
-// TestInferBatchChunks proves InferBatch runs whole MaxBatch chunks and
-// never splits or merges them: 20 samples at MaxBatch 8 run as exactly
-// 8+8+4, whichever executors take them, and the call records one
-// latency, not one per chunk.
+// TestInferBatchChunks proves a batch call on an idle engine runs one
+// kernel pass per executor it holds: 20 samples at MaxBatch 8 take
+// min(workers, ⌈20/8⌉, GOMAXPROCS) executors, each an even share of the
+// samples in one pass (20, 10+10 or 6+7+7), and the call records one
+// latency, not one per pass.
 func TestInferBatchChunks(t *testing.T) {
+	const n = 20
 	prog := buildProgram(t, 5, []int{8, 6, 2})
 	for _, workers := range []int{1, 2, 4} {
 		eng, err := New(prog, Options{Workers: workers, MaxBatch: 8, Mode: synth.ModeReference})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.InferBatch(context.Background(), randomInputs(prog, 6, 20)); err != nil {
+		if _, err := eng.InferBatch(context.Background(), randomInputs(prog, 6, n)); err != nil {
 			t.Fatal(err)
 		}
 		s := eng.Stats()
 		eng.Close()
-		if s.ExecBatches != 3 || s.MeanExecBatch != 20.0/3 || s.MaxExecBatch != 8 || s.Requests != 20 {
-			t.Errorf("workers=%d: stats = %+v, want batches of 8+8+4 / 20 requests", workers, s)
+		p := min(workers, (n+7)/8, eng.procs)
+		if s.ExecBatches != uint64(p) || s.MeanExecBatch != float64(n)/float64(p) || s.MaxExecBatch != (n+p-1)/p || s.Requests != n {
+			t.Errorf("workers=%d: stats = %+v, want %d even passes / %d requests", workers, s, p, n)
 		}
 		var lat LatencyHistogram
 		eng.MergeLatency(&lat)
@@ -215,7 +220,7 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 // counts back to back, of one sample or of all — at every executor count
 // (a lone call fans out over the idle ones), with the same error for a
 // wrong-length sample, and the same stats: one request per sample and
-// one kernel pass per chunk.
+// one kernel pass per executor a call holds.
 func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 	const maxBatch = 4
 	prog := buildProgram(t, 17, []int{10, 8, 3})
@@ -257,8 +262,9 @@ func TestClassifyBatchMatchesInferBatch(t *testing.T) {
 				t.Fatalf("workers=%d: Outputs(sample %d) = %v, %v; want %v", workers, i, got, err, out)
 			}
 		}
-		if s := eng.Stats(); s.Requests != uint64(3*len(batch)) || s.ExecBatches != 4+4+uint64(len(batch)) {
-			t.Errorf("workers=%d: requests/batches = %d/%d, want %d/%d", workers, s.Requests, s.ExecBatches, 3*len(batch), 8+len(batch))
+		pieces := min(workers, (len(batch)+maxBatch-1)/maxBatch, eng.procs)
+		if s := eng.Stats(); s.Requests != uint64(3*len(batch)) || s.ExecBatches != uint64(2*pieces+len(batch)) {
+			t.Errorf("workers=%d: requests/batches = %d/%d, want %d/%d", workers, s.Requests, s.ExecBatches, 3*len(batch), 2*pieces+len(batch))
 		}
 		flat, err := eng.Outputs(ctx, batch)
 		if err != nil || len(flat) != len(batch)*len(outs[0]) {
@@ -425,11 +431,14 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestExecBatchStats: every chunk runs as a single RunBatch call, and the
-// Stats surface reports the executed batch sizes.
+// TestExecBatchStats: one executor runs its share of a call in passes of
+// max(MaxBatch, maxPass) samples, each a single RunBatch call, and the
+// Stats surface reports the executed batch sizes: 150 samples at MaxBatch
+// 4 are 64+64+22.
 func TestExecBatchStats(t *testing.T) {
+	const n = 2*maxPass + 22
 	prog := buildProgram(t, 13, []int{10, 8, 3})
-	inputs := randomInputs(prog, 14, 12)
+	inputs := randomInputs(prog, 14, n)
 	eng, err := New(prog, Options{Workers: 1, MaxBatch: 4, Mode: synth.ModeReference})
 	if err != nil {
 		t.Fatal(err)
@@ -439,17 +448,9 @@ func TestExecBatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := eng.Stats()
-	if s.Requests != 12 {
-		t.Errorf("Requests = %d, want 12", s.Requests)
-	}
-	if s.ExecBatches == 0 || s.ExecBatches > 12 {
-		t.Errorf("ExecBatches = %d, want in [1,12]", s.ExecBatches)
-	}
-	if s.MeanExecBatch < 1 || s.MeanExecBatch > 4 {
-		t.Errorf("MeanExecBatch = %g, want in [1,4]", s.MeanExecBatch)
-	}
-	if s.MaxExecBatch < 1 || s.MaxExecBatch > 4 {
-		t.Errorf("MaxExecBatch = %d, want in [1,4]", s.MaxExecBatch)
+	if s.Requests != n || s.ExecBatches != 3 || s.MeanExecBatch != n/3.0 || s.MaxExecBatch != maxPass {
+		t.Errorf("requests/batches/mean/max = %d/%d/%g/%d, want %d/3/%g/%d",
+			s.Requests, s.ExecBatches, s.MeanExecBatch, s.MaxExecBatch, n, n/3.0, maxPass)
 	}
 	for _, want := range []string{"exec mean", "max"} {
 		if !strings.Contains(s.String(), want) {
@@ -528,10 +529,11 @@ func TestStatsCountEachExecutorOnce(t *testing.T) {
 	}
 }
 
-// TestInvalidItemDoesNotPoisonBatch: a chunk never mixes callers, so a
-// malformed sample fails only the call that brought it — named by its
-// position in that call — while a concurrent caller's batches keep
-// matching the serial path.
+// TestInvalidItemDoesNotPoisonBatch: a pass never mixes callers, so a
+// malformed sample fails only the call that brought it — its error names
+// the failing pass's samples within the call, and so the sample's own
+// position — while a concurrent caller's batches keep matching the serial
+// path.
 func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 	const maxBatch, rounds = 4, 20
 	prog := buildProgram(t, 15, []int{10, 8, 3})
@@ -549,18 +551,33 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// The malformed sample sits in the second chunk.
+	// The malformed sample sits in the second half: in the one pass of a
+	// call that holds one executor, in the second of one that holds two.
 	bad := append([][]int(nil), good...)
 	bad[maxBatch+1] = make([]int, prog.InputSize+2)
+	named := regexp.MustCompile(`^serve: batch samples (\d+) to (\d+): synth: batch item (\d+): `)
+	failed := 0 // samples in the malformed calls' failed passes
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			outs, err := eng.InferBatch(context.Background(), bad)
-			if err == nil || outs != nil || !strings.Contains(err.Error(), "samples 4 to 7: synth: batch item 1") {
-				t.Errorf("malformed call = %v, %v; want an error naming sample 5", outs, err)
+			var m []string
+			if err != nil {
+				m = named.FindStringSubmatch(err.Error())
 			}
+			if m == nil || outs != nil {
+				t.Errorf("malformed call = %v, %v; want an error naming a pass and item", outs, err)
+				continue
+			}
+			lo, _ := strconv.Atoi(m[1])
+			hi, _ := strconv.Atoi(m[2])
+			item, _ := strconv.Atoi(m[3])
+			if lo+item != maxBatch+1 {
+				t.Errorf("malformed call = %v; want it to name sample %d", err, maxBatch+1)
+			}
+			failed += hi - lo + 1
 			if _, err := eng.Infer(context.Background(), bad[maxBatch+1]); err == nil {
 				t.Error("malformed request accepted")
 			}
@@ -577,12 +594,12 @@ func TestInvalidItemDoesNotPoisonBatch(t *testing.T) {
 	}()
 	wg.Wait()
 	checkPool(t, eng)
-	// A malformed call's healthy chunk still runs; its bad chunk and the
-	// lone bad request complete with an error and never reach the kernel.
+	// A malformed call's healthy pass, if it has one, still runs; its bad
+	// pass and the lone bad request complete with an error and never reach
+	// the kernel.
 	s := eng.Stats()
-	if s.Errors != rounds*(maxBatch+1) || s.Requests != rounds*(4*maxBatch+1) || s.ExecBatches != rounds*3 {
-		t.Errorf("errors/requests/batches = %d/%d/%d, want %d/%d/%d", s.Errors, s.Requests, s.ExecBatches,
-			rounds*(maxBatch+1), rounds*(4*maxBatch+1), rounds*3)
+	if s.Errors != uint64(rounds+failed) || s.Requests != rounds*(4*maxBatch+1) {
+		t.Errorf("errors/requests = %d/%d, want %d/%d", s.Errors, s.Requests, rounds+failed, rounds*(4*maxBatch+1))
 	}
 }
 

@@ -20,10 +20,10 @@ type Stats struct {
 	Errors   uint64
 	Shed     uint64
 	// ExecBatches counts executor-level batched kernel invocations (one
-	// per batch chunk that passed validation);
+	// per pass that passed validation: a call's share on one executor);
 	// MeanExecBatch and MaxExecBatch describe the executed batch sizes in
 	// samples — the degree of kernel-level batching actually achieved.
-	// MaxExecBatch ≤ MaxBatch.
+	// MaxExecBatch ≤ max(MaxBatch, 64).
 	ExecBatches   uint64
 	MeanExecBatch float64
 	MaxExecBatch  int

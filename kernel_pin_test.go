@@ -49,8 +49,8 @@ func TestKernelChoiceOutputsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The same samples again as one call, cut into MaxBatch chunks:
-		// whole-chunk densities are what a batch kernel call sees.
+		// The same samples again as one call, split over the idle
+		// executors: whole-pass densities are what a batch kernel call sees.
 		labels, err := eng.ClassifyBatch(ctx, batch)
 		if err != nil {
 			t.Fatal(err)

@@ -234,8 +234,10 @@ func WithChips(n int) Option {
 	return func(s *compileSettings) { s.cfg.MaxChips = n }
 }
 
-// WithChipCapacity bounds one chip's PE count (0 = unbounded); with
-// WithChips the model shards onto the fewest chips that fit.
+// WithChipCapacity bounds one chip's PE count (0 = unbounded); on one
+// chip it bounds the whole spend, every replica included
+// (Performance().PEs). With WithChips the model shards onto the fewest
+// chips that fit.
 func WithChipCapacity(n int) Option {
 	return func(s *compileSettings) { s.cfg.ChipCapacity = n }
 }

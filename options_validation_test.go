@@ -45,6 +45,13 @@ func TestCompileOptionValidation(t *testing.T) {
 			}
 		})
 	}
+	// One chip holds every replica, so the capacity bounds their whole
+	// spend: 64 replicas of MLP-500-100's 11 PEs are 704 PEs, not 11.
+	t.Run("replicas beyond chip capacity", func(t *testing.T) {
+		if _, err := Compile(context.Background(), m, WithDuplication(64), WithChipCapacity(100)); !errors.Is(err, ErrCapacity) {
+			t.Errorf("Compile = %v, want ErrCapacity", err)
+		}
+	})
 	// A fault seed must name a weight layer: LeNet's max pools run on
 	// shared crossbars labelled for no one layer, so their seeds would be
 	// silent no-ops. Autotune shares Compile's checks.
@@ -74,7 +81,7 @@ func TestCompileOptionValidation(t *testing.T) {
 }
 
 // TestEngineOptionValidation pins the engine Deployment.NewEngine builds:
-// 4 executors and chunks of 8, a shape no option changes. (An unknown
+// 4 executors and MaxBatch 8, a shape no option changes. (An unknown
 // WithMode is rejected in TestStatsWireKeysPinned.)
 func TestEngineOptionValidation(t *testing.T) {
 	d, _, _ := trainedDeployment(t)
