@@ -135,7 +135,7 @@ func BenchmarkCompileFrontEndZoo(b *testing.B) {
 
 // BenchmarkPlaceAndRoute compares the classic single-seed annealer with
 // the multi-seed portfolio on the CNN example deployment (LeNet at 4×
-// duplication, as in examples/cnn_compile). The four portfolio runs
+// duplication, as in ExampleDeployment_PlaceAndRoute). The four portfolio runs
 // anneal concurrently on four workers, so with four free cores the
 // portfolio returns a lower-cost placement (compare the wirelength-cost
 // metric across the sub-benchmarks) in roughly one serial run's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"fpsa"
 )
@@ -210,4 +211,215 @@ func ExampleDeployment_NewEngine() {
 	}
 	fmt.Printf("chips=%d class=%d\n", eng.Stats().Chips, label)
 	// Output: chips=2 class=0
+}
+
+// Compiling VGG16 at the paper's 64× duplication gives the Table 3
+// deployment: its block inventory, area and the modeled throughput and
+// latency, printed next to the published numbers.
+func ExampleDeployment_Performance() {
+	m, err := fpsa.LoadBenchmark("VGG16")
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%s: %.1fM weights, %.1fG ops/sample\n",
+		m.Name(), float64(m.Weights())/1e6, float64(m.Ops())/1e9)
+	d, err := fpsa.Compile(context.Background(), m, fpsa.WithDuplication(64))
+	if err != nil {
+		panic(err)
+	}
+	pes, smbs, clbs := d.Blocks()
+	fmt.Printf("deployment: %d PEs, %d SMBs, %d CLBs on %.2f mm2\n", pes, smbs, clbs, d.AreaMM2())
+	p, err := d.Performance()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("modeled: %.4g samples/s, %.4g us latency\n", p.ThroughputSPS, p.LatencyUS)
+	fmt.Println("paper:   2.4e+03 samples/s, 671.8 us latency, 68.09 mm2 (Table 3)")
+	// Output:
+	// VGG16: 138.3M weights, 30.9G ops/sample
+	// deployment: 2994 PEs, 431 SMBs, 309 CLBs on 70.21 mm2
+	// modeled: 2012 samples/s, 518.6 us latency
+	// paper:   2.4e+03 samples/s, 671.8 us latency, 68.09 mm2 (Table 3)
+}
+
+// LeNet goes through the whole back end — synthesis, allocation at three
+// duplication degrees, netlist, simulated-annealing placement and
+// PathFinder routing — and the routed mean hop count feeds the
+// performance model in place of the typical-route constant.
+func ExampleDeployment_PlaceAndRoute() {
+	ctx := context.Background()
+	m, err := fpsa.LoadBenchmark("LeNet")
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%s: %d weights, %d ops/sample\n", m.Name(), m.Weights(), m.Ops())
+	for _, dup := range []int{1, 4, 16} {
+		d, err := fpsa.Compile(ctx, m, fpsa.WithDuplication(dup), fpsa.WithSeed(9))
+		if err != nil {
+			panic(err)
+		}
+		pes, smbs, clbs := d.Blocks()
+		stats, err := d.PlaceAndRoute(ctx)
+		if err != nil {
+			panic(err)
+		}
+		p, err := d.PerformanceWithHops(int(stats.MeanHops + 0.5))
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("dup %2dx: %3d PE %2d SMB %2d CLB | %s\n", dup, pes, smbs, clbs, stats)
+		fmt.Printf("         %.4g samples/s at %.2f mm2 (routed-hops comm %.0f ns/VMM)\n",
+			p.ThroughputSPS, d.AreaMM2(), p.CommNSPerVMM)
+	}
+	// Output:
+	// LeNet: 430500 weights, 4586000 ops/sample
+	// dup  1x:  31 PE 21 SMB  6 CLB | chip 9x9, routed converged=true in 1 iters, hops mean 3.8 max 12, channels needed 1840
+	//          4108 samples/s at 0.83 mm2 (routed-hops comm 423 ns/VMM)
+	// dup  4x:  34 PE 21 SMB  6 CLB | chip 9x9, routed converged=true in 1 iters, hops mean 3.9 max 11, channels needed 1990
+	//          1.643e+04 samples/s at 0.90 mm2 (routed-hops comm 423 ns/VMM)
+	// dup 16x:  66 PE 21 SMB  5 CLB | chip 11x11, routed converged=true in 1 iters, hops mean 4.4 max 15, channels needed 1810
+	//          6.572e+04 samples/s at 1.60 mm2 (routed-hops comm 423 ns/VMM)
+}
+
+// A trained MLP, deployed with its weights registered at compile time,
+// classifies held-out samples by the cycle-level spike simulation — the
+// functional path of the stack (synthesizer → core-ops → PEs) — and
+// agrees with the float model it came from.
+func ExampleTrainMLP() {
+	ds := fpsa.SyntheticDataset(42, 900, 16, 4, 0.08)
+	train, test := ds.Split(2.0 / 3)
+	net, err := fpsa.TrainMLP(42, []int{16, 24, 4}, train, 40)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("float model accuracy: %.3f\n", net.Accuracy(test))
+	d, err := fpsa.Compile(context.Background(), net.Model(), fpsa.WithWeightSource(net.WeightSource()))
+	if err != nil {
+		panic(err)
+	}
+	sn, err := d.NewNet(nil)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("deployed onto %d core-op stages (window Γ=%d)\n", sn.Stages(), sn.Window())
+	correct, agree := 0, 0
+	const n = 60
+	for i := 0; i < n; i++ {
+		label, err := sn.Classify(test.X[i], fpsa.ModeSpiking)
+		if err != nil {
+			panic(err)
+		}
+		if label == test.Y[i] {
+			correct++
+		}
+		if label == net.Predict(test.X[i]) {
+			agree++
+		}
+	}
+	fmt.Printf("spiking inference over %d samples: accuracy %.3f, agreement with float %.3f\n",
+		n, float64(correct)/n, float64(agree)/n)
+	out, err := sn.Outputs(test.X[0], fpsa.ModeSpiking)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("sample 0: true class %d, output spike counts %v\n", test.Y[0], out)
+	// Output:
+	// float model accuracy: 1.000
+	// deployed onto 2 core-op stages (window Γ=64)
+	// spiking inference over 60 samples: accuracy 1.000, agreement with float 1.000
+	// sample 0: true class 0, output spike counts [10 0 0 0]
+}
+
+// The engine serves a trained network from many goroutines at once, each
+// request borrowing one of its programmed executors, and answers exactly
+// what the serial SpikingNet.Classify loop answers.
+func ExampleEngine_Classify() {
+	ctx := context.Background()
+	ds := fpsa.SyntheticDataset(7, 900, 16, 4, 0.08)
+	train, test := ds.Split(2.0 / 3)
+	net, err := fpsa.TrainMLP(7, []int{16, 24, 4}, train, 40)
+	if err != nil {
+		panic(err)
+	}
+	d, err := fpsa.Compile(ctx, net.Model(), fpsa.WithWeightSource(net.WeightSource()))
+	if err != nil {
+		panic(err)
+	}
+	sn, err := d.NewNet(nil)
+	if err != nil {
+		panic(err)
+	}
+	const samples, clients = 48, 8
+	serial := make([]int, samples)
+	for i := range serial {
+		if serial[i], err = sn.Classify(test.X[i], fpsa.ModeSpiking); err != nil {
+			panic(err)
+		}
+	}
+	eng, err := d.NewEngine(ctx)
+	if err != nil {
+		panic(err)
+	}
+	defer eng.Close()
+	var wg sync.WaitGroup
+	mismatches := make([]int, clients)
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range samples {
+				label, err := eng.Classify(ctx, test.X[i])
+				if err != nil {
+					panic(err)
+				}
+				if label != serial[i] {
+					mismatches[c]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, m := range mismatches {
+		total += m
+	}
+	st := eng.Stats()
+	fmt.Printf("engine: %d clients x %d samples, %d mismatches with the serial loop\n", clients, samples, total)
+	fmt.Printf("served %d requests, %d errors, %d shed\n", st.Requests, st.Errors, st.Shed)
+	// Output:
+	// engine: 8 clients x 48 samples, 0 mismatches with the serial loop
+	// served 384 requests, 0 errors, 0 shed
+}
+
+// Figure 9 on the public API: under ReRAM programming variation, splicing
+// 2-bit cells into a weight loses accuracy, while adding cells of the same
+// weight recovers it as the cell count grows. Splice is defined at 2 cells
+// only, so it is computed once.
+func ExampleTrainedMLP_VariationAccuracy() {
+	ds := fpsa.SyntheticDataset(301, 1800, 24, 8, 0.13)
+	train, test := ds.Split(2.0 / 3)
+	net, err := fpsa.TrainMLP(301, []int{24, 48, 40, 32, 8}, train, 60)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("full-precision accuracy: %.3f\n", net.Accuracy(test))
+	splice, err := net.VariationAccuracy(test, "splice", 2, 6, 1)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("splice, 2 cells (normalized): %.3f\n", splice)
+	for _, cells := range []int{2, 4, 8, 16} {
+		add, err := net.VariationAccuracy(test, "add", cells, 6, 1)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("add, %2d cells (normalized): %.3f\n", cells, add)
+	}
+	// Output:
+	// full-precision accuracy: 0.978
+	// splice, 2 cells (normalized): 0.789
+	// add,  2 cells (normalized): 0.917
+	// add,  4 cells (normalized): 0.966
+	// add,  8 cells (normalized): 0.976
+	// add, 16 cells (normalized): 0.988
 }

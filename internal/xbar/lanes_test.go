@@ -76,23 +76,10 @@ func FuzzLaneBodiesAgree(f *testing.F) {
 	f.Add(int64(2), uint8(127), uint8(32), uint8(2), uint16(9), uint8(128), []byte{128, 127, 3})
 	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, io8 uint8, slack uint16, zeros uint8, countBytes []byte) {
 		rows, cols := int(rows8)+1, int(cols8)+1
-		cfg := structuredConfig([]int{4, 6, 7}[io8%3], false)
 		rng := rand.New(rand.NewSource(seed))
-		weights := randomWeights(rng, rows, cols, cfg.Rep.MaxWeight())
-		for i := range weights {
-			for j := range weights[i] {
-				if rng.Intn(256) < int(zeros) {
-					weights[i][j] = 0
-				}
-			}
-		}
-		cfg.Eta = min(synthEta(weights)+float64(slack), maxLaneEta-1)
-		xb, err := Program(cfg, weights, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		xb := laneEligibleCrossbar(t, rng, rows, cols, []int{4, 6, 7}[io8%3], int(slack), int(zeros))
 		if !xb.laneEligible() {
-			t.Fatalf("%dx%d at η %g: not lane-eligible", rows, cols, cfg.Eta)
+			t.Fatalf("%dx%d at η %g: not lane-eligible", rows, cols, xb.Eta())
 		}
 		window := xb.Window()
 		batch := min(len(countBytes)/rows+1, 4)
@@ -103,7 +90,7 @@ func FuzzLaneBodiesAgree(f *testing.F) {
 			}
 		}
 		if got, want := bodyOutputs(t, xb, src, batch); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%dx%d Γ %d η %g, %d walked: avx2 %v, portable %v", rows, cols, window, cfg.Eta, len(xb.walkCols), got, want)
+			t.Fatalf("%dx%d Γ %d η %g, %d walked: avx2 %v, portable %v", rows, cols, window, xb.Eta(), len(xb.walkCols), got, want)
 		}
 	})
 }

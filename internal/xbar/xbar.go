@@ -58,6 +58,14 @@ const (
 	lowHalf       = 1<<polarityShift - 1
 )
 
+// The code is 64-bit only: the reference kernel keeps each packed
+// P<<32|N sum in an int, which on a 32-bit target drops the P half.
+// packedSumsNeed64BitInt is negative there, so this array length fails
+// the build with an error naming it instead of computing wrong counts.
+const packedSumsNeed64BitInt = bits.UintSize - 64
+
+var _ [packedSumsNeed64BitInt]struct{}
+
 // referenceVMM is the reference kernel's portable body: for every item b
 // and column j it leaves in dst[b*cols+j] the packed drive sum
 //
