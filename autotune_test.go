@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -135,6 +136,7 @@ func TestAutotuneValidation(t *testing.T) {
 		{"unknown objective", Objective(9), nil, ErrInvalidArgument},
 		{"negative budget", MinLatency, []Option{WithPEBudget(-1)}, ErrInvalidArgument},
 		{"negative refine", MinLatency, []Option{WithAutotuneRefine(-1)}, ErrInvalidArgument},
+		{"NaN fault rate", MinLatency, []Option{WithFaultModel(math.NaN(), 1)}, ErrInvalidArgument},
 		{"infeasible budget", MinLatency, []Option{WithPEBudget(5)}, ErrCapacity},
 	}
 	for _, tc := range cases {

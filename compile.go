@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,21 +67,19 @@ type config struct {
 	// ShardPolicy selects the multi-chip partitioning objective
 	// (ShardAuto = minimal inter-chip traffic for compilation).
 	ShardPolicy ShardPolicy
-	// Faults is the deployment's non-ideal device scenario: deterministic
-	// stuck cells, drift and read variation applied when crossbars are
-	// programmed, steered around by the mapper's spare-row/column
-	// remapping and keyed into the compile cache. nil (or an all-zero
-	// map) is bit-identical to ideal devices. See WithFaultModel and
-	// WithFaultMap.
-	Faults *FaultMap
+	// Faults is the deployment's stuck-cell scenario (WithFaultModel):
+	// deterministic stuck cells applied when crossbars are programmed,
+	// steered around by the mapper's spare-row/column remapping and keyed
+	// into the compile cache. A zero rate is bit-identical to ideal
+	// devices.
+	Faults faultScenario
 }
 
 // validate rejects option inputs that cannot mean anything — negative
-// knobs, out-of-range fault parameters, fault seeds for layers that are
-// not m's weight layers — before they flow silently into allocation or
-// partitioning. Zero stays "use the default" everywhere, as the option
-// docs promise. Every rejection wraps ErrInvalidArgument.
-func (c config) validate(m Model) error {
+// knobs, an out-of-range fault rate — before they flow silently into
+// allocation or partitioning. Zero stays "use the default" everywhere, as
+// the option docs promise. Every rejection wraps ErrInvalidArgument.
+func (c config) validate() error {
 	for _, k := range []struct {
 		name string
 		v    int
@@ -98,81 +94,28 @@ func (c config) validate(m Model) error {
 			return fmt.Errorf("%w: %s(%d): value must be ≥ 0 (0 = default)", ErrInvalidArgument, k.name, k.v)
 		}
 	}
-	return c.Faults.validate(m.WeightLayers())
+	return c.Faults.validate()
 }
 
-// validate rejects fault-scenario parameters outside their physical
-// domains. NaN is rejected everywhere: a NaN rate or drift would
-// silently disable comparisons and corrupt the deterministic draws. A
-// LayerSeeds entry must name one of weightLayers: only a weight layer's
-// crossbars carry its name when they run (pooling crossbars are shared
-// across layers), so any other entry would be a silent no-op.
-func (f *FaultMap) validate(weightLayers []string) error {
-	if f == nil {
-		return nil
-	}
-	for _, k := range []struct {
-		name     string
-		v        float64
-		lo, hi   float64
-		openHigh bool
-	}{
-		{"fault rate", f.Rate, 0, 1, false},
-		{"stuck-high fraction", f.StuckHighFrac, 0, 1, false},
-		{"drift", f.Drift, 0, 1, true},
-		{"read sigma", f.ReadSigma, 0, math.Inf(1), false},
-	} {
-		if math.IsNaN(k.v) || k.v < k.lo || k.v > k.hi || (k.openHigh && k.v == k.hi) {
-			return fmt.Errorf("%w: WithFaultMap: %s %v outside its valid range", ErrInvalidArgument, k.name, k.v)
-		}
-	}
-	// Sorted iteration: with several bad entries the reported one must
-	// not depend on map order.
-	layers := make([]string, 0, len(f.LayerSeeds))
-	for layer := range f.LayerSeeds {
-		layers = append(layers, layer)
-	}
-	sort.Strings(layers)
-	for _, layer := range layers {
-		if s := f.LayerSeeds[layer]; s < 0 {
-			return fmt.Errorf("%w: WithFaultMap: layer %q seed %d must be ≥ 0", ErrInvalidArgument, layer, s)
-		}
-		if !slices.Contains(weightLayers, layer) {
-			return fmt.Errorf("%w: WithFaultMap: layer %q is not a weight layer of the model", ErrInvalidArgument, layer)
-		}
+// validate rejects a stuck-cell rate outside [0, 1]. NaN is rejected
+// too: it would silently disable comparisons and corrupt the
+// deterministic draws.
+func (f faultScenario) validate() error {
+	if math.IsNaN(f.rate) || f.rate < 0 || f.rate > 1 {
+		return fmt.Errorf("%w: WithFaultModel: fault rate %v outside [0, 1]", ErrInvalidArgument, f.rate)
 	}
 	return nil
 }
 
 // cacheSegment renders the scenario canonically for the compile-cache
 // key, so faulted and ideal artifacts (or two different scenarios) never
-// collide. Inactive maps render empty — bit-identical hardware must hit
-// the same cache entry as no map at all.
-func (f *FaultMap) cacheSegment() string {
+// collide. An inactive scenario renders empty — bit-identical hardware
+// must hit the same cache entry as no fault model at all.
+func (f faultScenario) cacheSegment() string {
 	if !f.active() {
 		return ""
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "rate=%s,seed=%d,high=%s,drift=%s,rsig=%s,remap=%t",
-		strconv.FormatFloat(f.Rate, 'g', -1, 64), f.Seed,
-		strconv.FormatFloat(f.StuckHighFrac, 'g', -1, 64),
-		strconv.FormatFloat(f.Drift, 'g', -1, 64),
-		strconv.FormatFloat(f.ReadSigma, 'g', -1, 64), !f.NoRemap)
-	if len(f.LayerSeeds) > 0 {
-		layers := make([]string, 0, len(f.LayerSeeds))
-		for layer := range f.LayerSeeds {
-			layers = append(layers, layer)
-		}
-		sort.Strings(layers)
-		b.WriteString(",layers=")
-		for i, layer := range layers {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			fmt.Fprintf(&b, "%s:%d", layer, f.LayerSeeds[layer])
-		}
-	}
-	return b.String()
+	return fmt.Sprintf("rate=%s,seed=%d,remap=%t", strconv.FormatFloat(f.rate, 'g', -1, 64), f.seed, !f.noRemap)
 }
 
 // Deployment is a model mapped onto the FPSA fabric.
@@ -303,10 +246,7 @@ func newFrontEnd(ctx context.Context, m Model, set compileSettings) (*frontEnd, 
 	if err := m.valid(); err != nil {
 		return nil, err
 	}
-	if set.faultModelSet && set.faultMapSet {
-		return nil, fmt.Errorf("%w: WithFaultModel and WithFaultMap both given; pass one fault scenario", ErrInvalidArgument)
-	}
-	if err := set.cfg.validate(m); err != nil {
+	if err := set.cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg := set.cfg

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// withFaultModelNoRemap is WithFaultModel with the mapper's spare-row/
+// column remapping off, so stuck cells land on live weights.
+func withFaultModelNoRemap(rate float64, seed int64) Option {
+	return func(s *compileSettings) { s.cfg.Faults = faultScenario{rate: rate, seed: seed, noRemap: true} }
+}
+
 // faultedOutputs classifies the test split through an engine with the
 // given executor count and returns the labels plus the engine stats.
 func faultedOutputs(t *testing.T, d *Deployment, workers int, test Dataset) ([]int, EngineStats) {
@@ -27,7 +33,7 @@ func faultedOutputs(t *testing.T, d *Deployment, workers int, test Dataset) ([]i
 // identically at any worker count and every replica reports the same
 // per-deployment residual stuck-cell count.
 func TestFaultModelWorkerCountInvariant(t *testing.T) {
-	d, _, test := trainedDeployment(t, WithFaultMap(FaultMap{Rate: 0.03, Seed: 17, NoRemap: true}))
+	d, _, test := trainedDeployment(t, withFaultModelNoRemap(0.03, 17))
 	test.X = test.X[:40]
 	want, stats1 := faultedOutputs(t, d, 1, test)
 	if stats1.FaultedCells == 0 {
@@ -52,8 +58,8 @@ func TestFaultModelWorkerCountInvariant(t *testing.T) {
 // faults in the engine stats and the stats string; the same scenario
 // with remapping carries strictly fewer.
 func TestFaultModelEndToEnd(t *testing.T) {
-	noRemap, _, _ := trainedDeployment(t, WithFaultMap(FaultMap{Rate: 0.05, Seed: 3, NoRemap: true}))
-	remap, _, test := trainedDeployment(t, WithFaultMap(FaultMap{Rate: 0.05, Seed: 3}))
+	noRemap, _, _ := trainedDeployment(t, withFaultModelNoRemap(0.05, 3))
+	remap, _, test := trainedDeployment(t, WithFaultModel(0.05, 3))
 	_, statsN := faultedOutputs(t, noRemap, 1, Dataset{X: test.X[:4], Y: test.Y[:4], Classes: test.Classes})
 	_, statsR := faultedOutputs(t, remap, 1, Dataset{X: test.X[:4], Y: test.Y[:4], Classes: test.Classes})
 	if statsN.FaultedCells == 0 {
@@ -131,7 +137,7 @@ func TestFaultModelCacheKeySeparation(t *testing.T) {
 	if reseed.cacheKey(0) == faulted.cacheKey(0) {
 		t.Fatal("different fault seeds share a cache key")
 	}
-	norm, _, _ := trainedDeployment(t, WithFaultMap(FaultMap{Rate: 0.02, Seed: 5, NoRemap: true}))
+	norm, _, _ := trainedDeployment(t, withFaultModelNoRemap(0.02, 5))
 	if norm.cacheKey(0) == faulted.cacheKey(0) {
 		t.Fatal("remap and no-remap deployments share a cache key")
 	}

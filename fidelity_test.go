@@ -202,15 +202,12 @@ func faultRows(ctx context.Context, t *testing.T) []fidelityRow {
 		t.Fatal(err)
 	}
 
-	// One trial: compile the model under the given fault scenario and
-	// classify the held-out split, returning accuracy and the residual
+	// One trial: compile the model under the given fault option, if any,
+	// and classify the held-out split, returning accuracy and the residual
 	// stuck-cell count the programmed crossbars carry.
-	trial := func(fm *FaultMap) (acc, cells float64) {
+	trial := func(faults ...Option) (acc, cells float64) {
 		t.Helper()
-		compileOpts := []Option{WithWeightSource(net.WeightSource()), WithSeed(faultSeed)}
-		if fm != nil {
-			compileOpts = append(compileOpts, WithFaultMap(*fm))
-		}
+		compileOpts := append([]Option{WithWeightSource(net.WeightSource()), WithSeed(faultSeed)}, faults...)
 		d, err := Compile(ctx, net.Model(), compileOpts...)
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +234,7 @@ func faultRows(ctx context.Context, t *testing.T) []fidelityRow {
 	}
 
 	const study = "fault sweep"
-	baseline, _ := trial(nil)
+	baseline, _ := trial()
 	rows := []fidelityRow{
 		studyRow(study, "held-out samples (MLP 16-24-4, mode reference)", "%.0f", float64(len(test.X)), "none"),
 		studyRow(study, "baseline accuracy (ideal devices)", "%.4f", baseline, "none"),
@@ -246,9 +243,9 @@ func faultRows(ctx context.Context, t *testing.T) []fidelityRow {
 		var accR, accN, cellsR, cellsN float64
 		for trialN := range faultTrials {
 			seed := faultSeed + int64(trialN)*1009 + 1
-			a, c := trial(&FaultMap{Rate: rate, Seed: seed})
+			a, c := trial(WithFaultModel(rate, seed))
 			accR, cellsR = accR+a, cellsR+c
-			a, c = trial(&FaultMap{Rate: rate, Seed: seed, NoRemap: true})
+			a, c = trial(withFaultModelNoRemap(rate, seed))
 			accN, cellsN = accN+a, cellsN+c
 		}
 		accR, accN, cellsR, cellsN = accR/faultTrials, accN/faultTrials, cellsR/faultTrials, cellsN/faultTrials

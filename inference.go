@@ -97,7 +97,7 @@ func checkMode(m ExecMode) error {
 // scratch sized to the largest batch the mode has run.
 type SpikingNet struct {
 	prog *synth.Program
-	// faults is the compiled fault scenario (WithFaultModel/WithFaultMap),
+	// faults is the compiled fault scenario (WithFaultModel),
 	// applied deterministically whenever the net programs its crossbars —
 	// identical in every execution mode and at every replica count. nil
 	// for ideal devices.

@@ -1,10 +1,8 @@
-// Fault modeling: deterministic, seedable stuck-cell maps plus the analog
-// aging effects (conductance drift, static read variation) a deployed
-// ReRAM fleet accumulates. The paper's evaluation models programming
-// noise only; this file adds the non-ideal device effects the compiler
-// steers around (spare-row/column remapping in internal/mapper) and the
-// executor applies at xbar.Program time, so every execution mode sees the
-// same faulted conductances.
+// Fault modeling: deterministic, seedable stuck-cell maps. The paper's
+// evaluation models programming noise only; this file adds the stuck
+// ReRAM cells the compiler steers around (spare-row/column remapping in
+// internal/mapper) and the executor applies at xbar.Program time, so every
+// execution mode sees the same faulted conductances.
 //
 // Everything here is a pure deterministic function of (seed, unit):
 // FaultModel.MapForUnit builds each crossbar's FaultMap from its own
@@ -35,7 +33,7 @@ const (
 	FaultStuckHigh
 )
 
-// String renders the kind the way FaultMap.Encode spells it.
+// String renders the kind as one letter: "L" stuck-low, "H" stuck-high.
 func (k FaultKind) String() string {
 	switch k {
 	case FaultStuckLow:
@@ -53,9 +51,8 @@ type FaultCell struct {
 }
 
 // FaultModel is a whole deployment's fault scenario: the stuck-cell rate
-// and seed, the analog aging knobs, optional per-layer seed overrides
-// (chip binning: different dies age differently), and whether the mapper
-// remaps logical regions around known-bad cells.
+// and seed, and whether the mapper remaps logical regions around
+// known-bad cells.
 //
 // A model is immutable after first use: MaskForUnit remembers every mask
 // it derives, so changing a field afterwards would leave stale masks
@@ -68,18 +65,6 @@ type FaultModel struct {
 	// stream from (Seed, unit), so maps are reproducible and
 	// worker-count independent.
 	Seed int64
-	// HighFrac is the fraction of stuck cells that are stuck-high
-	// (0 = the default 0.5 split).
-	HighFrac float64
-	// Drift is the multiplicative conductance relaxation in [0, 1): every
-	// programmed conductance decays to (1−Drift)·g.
-	Drift float64
-	// ReadSigma is the standard deviation of a static per-cell read
-	// offset in level units (a fixed miscalibration, drawn once per cell
-	// from the unit's read stream — not fresh noise per read).
-	ReadSigma float64
-	// Seeds overrides Seed for the named layers' units.
-	Seeds map[string]int64
 	// Remap steers logical regions around known-bad cells using the
 	// crossbar's spare rows and columns (see FaultMap.Remap).
 	Remap bool
@@ -93,28 +78,23 @@ type FaultModel struct {
 }
 
 // maskKey is everything besides the model's own fields that a unit's
-// projected mask depends on. The layer enters through its resolved seed.
+// projected mask depends on.
 type maskKey struct {
-	seed               int64
 	unit               int
 	physRows, physCols int
 	rows, cols         int
 }
 
-// Active reports whether the model perturbs anything at all: an inactive
+// Active reports whether the model sticks any cell at all: an inactive
 // model is structurally a no-op and executors skip fault plumbing
 // entirely, which is what pins zero-rate bit-exactness.
 func (m *FaultModel) Active() bool {
-	return m != nil && (m.Rate > 0 || m.Drift > 0 || m.ReadSigma > 0)
+	return m != nil && m.Rate > 0
 }
 
-// seedFor resolves the generation seed for one layer.
-func (m *FaultModel) seedFor(layer string) int64 {
-	if s, ok := m.Seeds[layer]; ok {
-		return s
-	}
-	return m.Seed
-}
+// stuckHighShare is the share of stuck cells that are stuck-high; the rest
+// are stuck-low.
+const stuckHighShare = 0.5
 
 // mixSeed derives one unit's rand seed from the model seed — a splitmix64
 // finalizer, so adjacent units land on uncorrelated streams.
@@ -134,28 +114,16 @@ func mixSeed(seed int64, unit int) int64 {
 // needs them). The same (model, unit, geometry) always yields the same
 // map, regardless of which worker or chip asks. Every call redraws the
 // whole map (two draws per stuck cell, one per healthy one); code that
-// programs crossbars wants MaskForUnit, which derives a unit once.
+// programs crossbars wants MaskForUnit, which derives a unit once. The map
+// does not depend on layer: the argument stays only so that callers
+// written against this signature keep compiling.
 func (m *FaultModel) MapForUnit(layer string, unit, rows, cols int) FaultMap {
 	fm := FaultMap{Rows: rows, Cols: cols}
-	if m == nil {
+	if !m.Active() {
 		return fm
 	}
-	fm.Drift = m.Drift
-	fm.ReadSigma = m.ReadSigma
-	seed := m.seedFor(layer)
-	fm.ReadSeed = mixSeed(seed+1, unit)
-	rate := m.Rate
-	if rate <= 0 {
-		return fm
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	highFrac := m.HighFrac
-	if highFrac == 0 {
-		highFrac = 0.5
-	}
-	rng := rand.New(rand.NewSource(mixSeed(seed, unit)))
+	rate := min(m.Rate, 1)
+	rng := rand.New(rand.NewSource(mixSeed(m.Seed, unit)))
 	// Row-major generation keeps Cells in canonical order by construction.
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -163,7 +131,7 @@ func (m *FaultModel) MapForUnit(layer string, unit, rows, cols int) FaultMap {
 				continue
 			}
 			kind := FaultStuckLow
-			if rng.Float64() < highFrac {
+			if rng.Float64() < stuckHighShare {
 				kind = FaultStuckHigh
 			}
 			fm.Cells = append(fm.Cells, FaultCell{Row: r, Col: c, Kind: kind})
@@ -176,8 +144,8 @@ func (m *FaultModel) MapForUnit(layer string, unit, rows, cols int) FaultMap {
 // executors' programmed faults both come from: the unit's map at physical
 // geometry physRows×physCols, projected onto the rows×cols logical region
 // under the model's remap policy.
-func (m *FaultModel) deriveMask(layer string, unit, physRows, physCols, rows, cols int) FaultMask {
-	return m.MapForUnit(layer, unit, physRows, physCols).MaskFor(rows, cols, m.Remap)
+func (m *FaultModel) deriveMask(unit, physRows, physCols, rows, cols int) FaultMask {
+	return m.MapForUnit("", unit, physRows, physCols).MaskFor(rows, cols, m.Remap)
 }
 
 // MaskForUnit returns the mask xbar.Program applies to one weight group:
@@ -187,18 +155,18 @@ func (m *FaultModel) deriveMask(layer string, unit, physRows, physCols, rows, co
 // per call. A nil or inactive model returns nil,
 // which programs bit-identically to no fault model. Safe for concurrent
 // use.
-func (m *FaultModel) MaskForUnit(layer string, unit, physRows, physCols, rows, cols int) *FaultMask {
+func (m *FaultModel) MaskForUnit(unit, physRows, physCols, rows, cols int) *FaultMask {
 	if !m.Active() {
 		return nil
 	}
-	key := maskKey{m.seedFor(layer), unit, physRows, physCols, rows, cols}
+	key := maskKey{unit, physRows, physCols, rows, cols}
 	// Derived under the lock: workers starting together ask for the same
 	// groups, and the first derives each while the rest wait for it.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mask := m.masks[key]
 	if mask == nil {
-		derived := m.deriveMask(layer, unit, physRows, physCols, rows, cols)
+		derived := m.deriveMask(unit, physRows, physCols, rows, cols)
 		mask = &derived
 		if m.masks == nil {
 			m.masks = make(map[maskKey]*FaultMask)
@@ -212,43 +180,27 @@ func (m *FaultModel) MaskForUnit(layer string, unit, physRows, physCols, rows, c
 // inside the logical region after any remapping — without remembering the
 // mask: place-and-route needs each group's count once, and a compile-only
 // flow over a large model must not keep a byte per weight alive for it.
-func (m *FaultModel) ResidualForUnit(layer string, unit, physRows, physCols, rows, cols int) int {
+func (m *FaultModel) ResidualForUnit(unit, physRows, physCols, rows, cols int) int {
 	if !m.Active() {
 		return 0
 	}
-	return m.deriveMask(layer, unit, physRows, physCols, rows, cols).Faulted
+	return m.deriveMask(unit, physRows, physCols, rows, cols).Faulted
 }
 
 // FaultMap is one physical crossbar's fault state: its stuck cells in
-// canonical row-major order, plus the unit's analog aging parameters.
+// canonical row-major order.
 type FaultMap struct {
 	// Rows and Cols are the physical crossbar geometry the map covers.
 	Rows, Cols int
-	// Cells lists the stuck cells in strictly ascending row-major order
-	// (the canonical order Encode/Decode enforce).
+	// Cells lists the stuck cells in strictly ascending row-major order,
+	// the order MapForUnit draws them in and Validate checks.
 	Cells []FaultCell
-	// Drift and ReadSigma mirror FaultModel; ReadSeed seeds the unit's
-	// static read-offset stream.
-	Drift     float64
-	ReadSigma float64
-	ReadSeed  int64
-}
-
-// Empty reports a map with no stuck cells and no analog effects.
-func (m FaultMap) Empty() bool {
-	return len(m.Cells) == 0 && m.Drift == 0 && m.ReadSigma == 0
 }
 
 // Validate checks geometry, cell ranges and canonical ordering.
 func (m FaultMap) Validate() error {
 	if m.Rows <= 0 || m.Cols <= 0 {
 		return fmt.Errorf("device: fault map geometry %dx%d", m.Rows, m.Cols)
-	}
-	if m.Drift < 0 || m.Drift >= 1 || m.Drift != m.Drift {
-		return fmt.Errorf("device: fault map drift %v outside [0, 1)", m.Drift)
-	}
-	if m.ReadSigma < 0 || m.ReadSigma != m.ReadSigma {
-		return fmt.Errorf("device: fault map read sigma %v negative", m.ReadSigma)
 	}
 	prev := -1
 	for i, c := range m.Cells {
@@ -325,15 +277,8 @@ func pickLeast(counts []int, n int) []int {
 // the mask xbar.Program consumes. With remap false the region sits at the
 // crossbar's origin (logical (i,j) is physical (i,j)); with remap true
 // the Remap spare-row/column assignment steers it around stuck cells.
-// The analog parameters ride along unchanged.
 func (m FaultMap) MaskFor(rows, cols int, remap bool) FaultMask {
-	mask := FaultMask{
-		Rows:      rows,
-		Cols:      cols,
-		Drift:     m.Drift,
-		ReadSigma: m.ReadSigma,
-		ReadSeed:  m.ReadSeed,
-	}
+	mask := FaultMask{Rows: rows, Cols: cols}
 	if len(m.Cells) == 0 {
 		return mask
 	}
@@ -380,18 +325,14 @@ type FaultMask struct {
 	// Faulted counts the stuck logical cells inside the region (after
 	// any remapping) — the residual the serving stats surface.
 	Faulted int
-	// Drift, ReadSigma and ReadSeed are the unit's analog parameters.
-	Drift     float64
-	ReadSigma float64
-	ReadSeed  int64
 
 	stuck []FaultKind // row-major rows×cols; 0 = healthy
 }
 
 // Active reports whether programming under this mask can differ from
-// unfaulted programming at all.
+// unfaulted programming at all: whether it sticks any cell.
 func (m *FaultMask) Active() bool {
-	return m != nil && (m.Faulted > 0 || m.Drift > 0 || m.ReadSigma > 0)
+	return m != nil && m.Faulted > 0
 }
 
 // Stuck returns the fault kind at logical cell (i, j), or 0 when healthy.

@@ -1,49 +1,36 @@
 package device
 
 import (
-	"math"
 	"reflect"
 	"sync"
 	"testing"
 )
 
 // TestFaultMapDeterministic: MapForUnit is a pure function of (model,
-// layer, unit, geometry) — two calls agree cell for cell, and distinct
-// units land on distinct draws.
+// unit, geometry) — two calls agree cell for cell, the layer name changes
+// nothing (the mask memo's key leaves it out), and distinct units land on
+// distinct draws.
 func TestFaultMapDeterministic(t *testing.T) {
-	fm := &FaultModel{Rate: 0.05, Seed: 42, Drift: 0.1, ReadSigma: 1e-6}
+	fm := &FaultModel{Rate: 0.05, Seed: 42}
 	a := fm.MapForUnit("fc1", 3, 64, 32)
 	b := fm.MapForUnit("fc1", 3, 64, 32)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same (model, layer, unit, geometry) produced different maps")
+		t.Fatal("same (model, unit, geometry) produced different maps")
 	}
 	if len(a.Cells) == 0 {
 		t.Fatal("5% rate over 2048 cells produced no faults")
+	}
+	if c := fm.MapForUnit("fc2", 3, 64, 32); !reflect.DeepEqual(a, c) {
+		t.Fatal("the layer name changed the map")
 	}
 	other := fm.MapForUnit("fc1", 4, 64, 32)
 	if reflect.DeepEqual(a.Cells, other.Cells) {
 		t.Fatal("distinct units drew identical fault populations")
 	}
-	if a.ReadSeed == other.ReadSeed {
-		t.Fatal("distinct units share a read-offset seed")
-	}
 }
 
-// TestFaultMapLayerSeeds: a per-layer seed override re-rolls that layer's
-// units and leaves the others on the model seed.
-func TestFaultMapLayerSeeds(t *testing.T) {
-	base := &FaultModel{Rate: 0.05, Seed: 1}
-	binned := &FaultModel{Rate: 0.05, Seed: 1, Seeds: map[string]int64{"fc2": 99}}
-	if a, b := base.MapForUnit("fc1", 0, 64, 32), binned.MapForUnit("fc1", 0, 64, 32); !reflect.DeepEqual(a, b) {
-		t.Fatal("unlisted layer shifted under a LayerSeeds override")
-	}
-	if a, b := base.MapForUnit("fc2", 1, 64, 32), binned.MapForUnit("fc2", 1, 64, 32); reflect.DeepEqual(a.Cells, b.Cells) {
-		t.Fatal("overridden layer kept the model seed's faults")
-	}
-}
-
-// TestFaultMapInactive: nil and all-zero models report inactive and
-// generate empty maps; any nonzero knob flips Active.
+// TestFaultMapInactive: nil and zero-rate models report inactive and
+// generate empty maps; a nonzero rate flips Active.
 func TestFaultMapInactive(t *testing.T) {
 	var nilModel *FaultModel
 	if nilModel.Active() {
@@ -52,17 +39,11 @@ func TestFaultMapInactive(t *testing.T) {
 	if (&FaultModel{Seed: 5, Remap: true}).Active() {
 		t.Fatal("zero-rate model active")
 	}
-	for name, fm := range map[string]*FaultModel{
-		"rate":  {Rate: 0.1},
-		"drift": {Drift: 0.1},
-		"sigma": {ReadSigma: 0.1},
-	} {
-		if !fm.Active() {
-			t.Fatalf("%s-only model inactive", name)
-		}
+	if !(&FaultModel{Rate: 0.1}).Active() {
+		t.Fatal("rate-only model inactive")
 	}
 	m := (&FaultModel{Seed: 5}).MapForUnit("l", 0, 8, 8)
-	if !m.Empty() {
+	if len(m.Cells) != 0 {
 		t.Fatal("zero-rate map not empty")
 	}
 	mask := m.MaskFor(4, 4, true)
@@ -111,14 +92,11 @@ func TestFaultMapRemapSteersAroundFaults(t *testing.T) {
 }
 
 // TestFaultMapValidateRejects covers the malformed maps Validate rejects:
-// bad geometry or analog parameters, out-of-range or unknown-kind cells,
-// and cells out of canonical row-major order or duplicated.
+// bad geometry, out-of-range or unknown-kind cells, and cells out of
+// canonical row-major order or duplicated.
 func TestFaultMapValidateRejects(t *testing.T) {
 	for name, m := range map[string]FaultMap{
 		"zero-geometry": {},
-		"nan-drift":     {Rows: 2, Cols: 2, Drift: math.NaN()},
-		"big-drift":     {Rows: 2, Cols: 2, Drift: 1},
-		"neg-sigma":     {Rows: 2, Cols: 2, ReadSigma: -1},
 		"cell-range":    {Rows: 2, Cols: 2, Cells: []FaultCell{{Row: 2, Col: 0, Kind: FaultStuckLow}}},
 		"cell-kind":     {Rows: 2, Cols: 2, Cells: []FaultCell{{Row: 0, Col: 0, Kind: 9}}},
 		"cell-order":    {Rows: 2, Cols: 2, Cells: []FaultCell{{Row: 1, Col: 0, Kind: FaultStuckLow}, {Row: 0, Col: 1, Kind: FaultStuckLow}}},
@@ -133,22 +111,16 @@ func TestFaultMapValidateRejects(t *testing.T) {
 // FuzzFaultMapRoundTrip fuzzes the generator: for any fault model and
 // geometry, MapForUnit's map passes Validate — canonical row-major cells,
 // in range, of a known kind — and generating it again yields the same map.
-// The trailing string argument is unused; it keeps the signature of the
-// committed seed corpus under testdata/fuzz/FuzzFaultMapRoundTrip, which
-// dates from a wire format nothing wrote or read. CI runs a short smoke
-// pass.
+// CI runs a short smoke pass.
 func FuzzFaultMapRoundTrip(f *testing.F) {
-	f.Add(0.1, int64(7), 3, 16, 8, 0.05, 1e-7, "")
-	f.Add(1.0, int64(-3), 0, 4, 4, 0.0, 0.0, "")
-	f.Add(0.0, int64(0), 11, 64, 1, 0.999, 5.5, "")
-	f.Fuzz(func(t *testing.T, rate float64, seed int64, unit, rows, cols int, drift, sigma float64, _ string) {
-		if rows < 1 || cols < 1 || rows*cols < 1 || rows*cols > 4096 ||
-			math.IsNaN(rate) ||
-			drift < 0 || drift >= 1 || math.IsNaN(drift) ||
-			sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+	f.Add(0.1, int64(7), 3, 16, 8)
+	f.Add(1.0, int64(-3), 0, 4, 4)
+	f.Add(0.0, int64(0), 11, 64, 1)
+	f.Fuzz(func(t *testing.T, rate float64, seed int64, unit, rows, cols int) {
+		if rows < 1 || cols < 1 || rows*cols < 1 || rows*cols > 4096 {
 			t.Skip()
 		}
-		fm := &FaultModel{Rate: rate, Seed: seed, Drift: drift, ReadSigma: sigma}
+		fm := &FaultModel{Rate: rate, Seed: seed}
 		m := fm.MapForUnit("fuzz", unit, rows, cols)
 		if err := m.Validate(); err != nil {
 			t.Fatalf("generated map invalid: %v", err)
@@ -160,17 +132,12 @@ func FuzzFaultMapRoundTrip(f *testing.F) {
 }
 
 // memoModels are the scenarios the MaskForUnit memo is pinned on: stuck
-// cells at moderate, heavy and saturated rates, both stuck-kind splits,
-// per-layer seeds, and the analog-only models that carry no cells at all.
+// cells at moderate, heavy and saturated rates.
 func memoModels(remap bool) map[string]*FaultModel {
 	return map[string]*FaultModel{
 		"rate":        {Rate: 0.05, Seed: 11, Remap: remap},
-		"layer-seeds": {Rate: 0.05, Seed: 11, Seeds: map[string]int64{"fc2": 99}, Remap: remap},
-		"high-frac":   {Rate: 0.05, Seed: 12, HighFrac: 0.9, Remap: remap},
-		"rate-half":   {Rate: 0.5, Seed: 13, Drift: 0.1, Remap: remap},
+		"rate-half":   {Rate: 0.5, Seed: 13, Remap: remap},
 		"rate-over-1": {Rate: 1.5, Seed: 14, Remap: remap},
-		"drift-only":  {Drift: 0.2, Seed: 15, Remap: remap},
-		"sigma-only":  {ReadSigma: 0.3, Seed: 16, Remap: remap},
 	}
 }
 
@@ -180,48 +147,44 @@ func memoModels(remap bool) map[string]*FaultModel {
 func TestMaskForUnitMatchesDerivation(t *testing.T) {
 	for _, remap := range []bool{false, true} {
 		for name, fm := range memoModels(remap) {
-			for _, layer := range []string{"fc1", "fc2"} {
-				for unit := 0; unit < 3; unit++ {
-					want := fm.MapForUnit(layer, unit, 32, 24).MaskFor(20, 16, remap)
-					got := fm.MaskForUnit(layer, unit, 32, 24, 20, 16)
-					if !reflect.DeepEqual(*got, want) {
-						t.Fatalf("%s remap=%v %s/%d: memoised mask differs from MapForUnit→MaskFor", name, remap, layer, unit)
-					}
-					if again := fm.MaskForUnit(layer, unit, 32, 24, 20, 16); again != got {
-						t.Fatalf("%s remap=%v %s/%d: second call derived a new mask", name, remap, layer, unit)
-					}
-					if res := fm.ResidualForUnit(layer, unit, 32, 24, 20, 16); res != want.Faulted {
-						t.Fatalf("%s remap=%v %s/%d: residual %d, mask has %d faulted", name, remap, layer, unit, res, want.Faulted)
-					}
+			for unit := 0; unit < 6; unit++ {
+				want := fm.MapForUnit("l", unit, 32, 24).MaskFor(20, 16, remap)
+				got := fm.MaskForUnit(unit, 32, 24, 20, 16)
+				if !reflect.DeepEqual(*got, want) {
+					t.Fatalf("%s remap=%v unit %d: memoised mask differs from MapForUnit→MaskFor", name, remap, unit)
+				}
+				if again := fm.MaskForUnit(unit, 32, 24, 20, 16); again != got {
+					t.Fatalf("%s remap=%v unit %d: second call derived a new mask", name, remap, unit)
+				}
+				if res := fm.ResidualForUnit(unit, 32, 24, 20, 16); res != want.Faulted {
+					t.Fatalf("%s remap=%v unit %d: residual %d, mask has %d faulted", name, remap, unit, res, want.Faulted)
 				}
 			}
 		}
 	}
 }
 
-// TestMaskForUnitKeys: every component of the key — unit, layer seed,
-// physical geometry, logical region — selects its own mask, each equal to
-// its own fresh derivation however the asks interleave.
+// TestMaskForUnitKeys: every component of the key — unit, physical
+// geometry, logical region — selects its own mask, each equal to its own
+// fresh derivation however the asks interleave.
 func TestMaskForUnitKeys(t *testing.T) {
-	fm := &FaultModel{Rate: 0.2, Seed: 5, Seeds: map[string]int64{"b": 9}}
+	fm := &FaultModel{Rate: 0.2, Seed: 5}
 	type ask struct {
-		layer                                string
 		unit, physRows, physCols, rows, cols int
 	}
 	asks := []ask{
-		{"a", 0, 32, 24, 20, 16},
-		{"a", 1, 32, 24, 20, 16}, // unit
-		{"b", 0, 32, 24, 20, 16}, // layer seed
-		{"a", 0, 40, 24, 20, 16}, // physical rows
-		{"a", 0, 32, 30, 20, 16}, // physical cols
-		{"a", 0, 32, 24, 16, 16}, // logical rows
-		{"a", 0, 32, 24, 20, 20}, // logical cols
+		{0, 32, 24, 20, 16},
+		{1, 32, 24, 20, 16}, // unit
+		{0, 40, 24, 20, 16}, // physical rows
+		{0, 32, 30, 20, 16}, // physical cols
+		{0, 32, 24, 16, 16}, // logical rows
+		{0, 32, 24, 20, 20}, // logical cols
 	}
 	seen := make(map[*FaultMask]int)
 	for round := 0; round < 2; round++ {
 		for i, a := range asks {
-			got := fm.MaskForUnit(a.layer, a.unit, a.physRows, a.physCols, a.rows, a.cols)
-			want := fm.MapForUnit(a.layer, a.unit, a.physRows, a.physCols).MaskFor(a.rows, a.cols, false)
+			got := fm.MaskForUnit(a.unit, a.physRows, a.physCols, a.rows, a.cols)
+			want := fm.MapForUnit("l", a.unit, a.physRows, a.physCols).MaskFor(a.rows, a.cols, false)
 			if !reflect.DeepEqual(*got, want) {
 				t.Fatalf("round %d ask %d (%+v): mask differs from its own derivation", round, i, a)
 			}
@@ -240,17 +203,17 @@ func TestMaskForUnitKeys(t *testing.T) {
 // touch the memo, so the unfaulted path stays lock- and allocation-free.
 func TestMaskForUnitInactive(t *testing.T) {
 	var nilModel *FaultModel
-	if nilModel.MaskForUnit("l", 0, 8, 8, 4, 4) != nil || nilModel.ResidualForUnit("l", 0, 8, 8, 4, 4) != 0 {
+	if nilModel.MaskForUnit(0, 8, 8, 4, 4) != nil || nilModel.ResidualForUnit(0, 8, 8, 4, 4) != 0 {
 		t.Fatal("nil model produced a mask")
 	}
 	zero := &FaultModel{Seed: 5, Remap: true}
-	if zero.MaskForUnit("l", 0, 8, 8, 4, 4) != nil || zero.ResidualForUnit("l", 0, 8, 8, 4, 4) != 0 {
+	if zero.MaskForUnit(0, 8, 8, 4, 4) != nil || zero.ResidualForUnit(0, 8, 8, 4, 4) != 0 {
 		t.Fatal("inactive model produced a mask")
 	}
 	if zero.masks != nil {
 		t.Fatal("inactive model populated its memo")
 	}
-	if n := testing.AllocsPerRun(10, func() { zero.MaskForUnit("l", 0, 8, 8, 4, 4) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { zero.MaskForUnit(0, 8, 8, 4, 4) }); n != 0 {
 		t.Fatalf("inactive MaskForUnit allocates %v times", n)
 	}
 }
@@ -267,7 +230,7 @@ func TestMaskForUnitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for u := 0; u < units; u++ {
-				got[w][u] = fm.MaskForUnit("l", u, 32, 24, 20, 16)
+				got[w][u] = fm.MaskForUnit(u, 32, 24, 20, 16)
 			}
 		}(w)
 	}

@@ -165,7 +165,7 @@ func TestBuildNetlistFaultedMatchesExecutor(t *testing.T) {
 		return ex.FaultedCells()
 	}
 	for _, remap := range []bool{false, true} {
-		fm := &device.FaultModel{Rate: 0.03, Seed: 29, Seeds: map[string]int64{"fc2": 4}, Remap: remap}
+		fm := &device.FaultModel{Rate: 0.03, Seed: 29, Remap: remap}
 		before := stamped(fm)
 		cells := programmed(fm)
 		after := stamped(fm)

@@ -165,7 +165,7 @@ func emitNetlist(g *coreop.Graph, a Allocation, params device.Params, faults *de
 		// conductances agree by construction — but only the count is
 		// kept. Every copy of a group shares it: the copies are one
 		// logical unit's duplicated programming.
-		residual := faults.ResidualForUnit(grp.Layer, unitBase+grp.ID, params.CrossbarRows, params.LogicalColumns(), grp.Rows, grp.Cols)
+		residual := faults.ResidualForUnit(unitBase+grp.ID, params.CrossbarRows, params.LogicalColumns(), grp.Rows, grp.Cols)
 		peBase[gi] = len(nl.Blocks)
 		for c := 0; c < a.Dup[gi]; c++ {
 			id := nl.AddBlock(netlist.BlockPE, grp.Name+"#"+strconv.Itoa(c), gi, c)

@@ -221,7 +221,7 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		c.Eta = grp.Eta
 		// The model derives a group's mask once and shares it read-only:
 		// nil when inactive, keeping the unfaulted path untouched.
-		c.Faults = opts.Faults.MaskForUnit(grp.Layer, st.GroupID, p.Params.CrossbarRows, p.Params.LogicalColumns(), grp.Rows, grp.Cols)
+		c.Faults = opts.Faults.MaskForUnit(st.GroupID, p.Params.CrossbarRows, p.Params.LogicalColumns(), grp.Rows, grp.Cols)
 		u, err := xbar.Program(c, grp.Weights, opts.Rng)
 		if err != nil {
 			return nil, fmt.Errorf("synth: stage %d (%s): %w", si, grp.Name, err)

@@ -68,7 +68,7 @@ func TestFaultsZeroRateBitIdentical(t *testing.T) {
 func TestFaultsDeterministicSameSeed(t *testing.T) {
 	prog, inputs := faultTestProgram(t)
 	fm := func() *device.FaultModel {
-		return &device.FaultModel{Rate: 0.03, Seed: 11, Drift: 0.05, ReadSigma: 1e-7, Remap: true}
+		return &device.FaultModel{Rate: 0.03, Seed: 11, Remap: false}
 	}
 	for mode, mkOpts := range pipelineModes() {
 		a := mkOpts()
@@ -77,6 +77,9 @@ func TestFaultsDeterministicSameSeed(t *testing.T) {
 		b.Faults = fm()
 		outA, cellsA := runFaulted(t, prog, a, inputs)
 		outB, cellsB := runFaulted(t, prog, b, inputs)
+		if cellsA == 0 {
+			t.Fatalf("%s: unremapped 3%% fault rate left no faulted cells", mode)
+		}
 		if cellsA != cellsB {
 			t.Fatalf("%s: faulted cells %d vs %d from the same seed", mode, cellsA, cellsB)
 		}
@@ -84,13 +87,13 @@ func TestFaultsDeterministicSameSeed(t *testing.T) {
 	}
 }
 
-// TestFaultsDenseVsPackedBitIdentical: with an active fault model — stuck
-// cells, drift and read variation together — the kernel still agrees with
-// its dense oracle bit for bit. Drift makes column sums non-integer, so
-// this exercises the float walk under faults.
+// TestFaultsDenseVsPackedBitIdentical: with stuck cells on live weights
+// the kernel still agrees with its dense oracle bit for bit. The noisy
+// mode's programming variation makes column sums non-integer, so this
+// exercises the float walk under faults.
 func TestFaultsDenseVsPackedBitIdentical(t *testing.T) {
 	prog, inputs := faultTestProgram(t)
-	fm := &device.FaultModel{Rate: 0.05, Seed: 5, Drift: 0.08, ReadSigma: 2e-7, Remap: false}
+	fm := &device.FaultModel{Rate: 0.05, Seed: 5, Remap: false}
 	for mode, mkOpts := range pipelineModes() {
 		dense := denseOracle(mkOpts())
 		dense.Faults = fm
@@ -117,7 +120,7 @@ func TestFaultsPipelineMatchesExecutor(t *testing.T) {
 	for mode, mkOpts := range pipelineModes() {
 		for name, fm := range map[string]*device.FaultModel{
 			"remap":   {Rate: 0.04, Seed: 23, Remap: true},
-			"noremap": {Rate: 0.04, Seed: 23, Drift: 0.03, Remap: false},
+			"noremap": {Rate: 0.04, Seed: 23, Remap: false},
 		} {
 			mk := func() RunOptions {
 				o := mkOpts()
@@ -188,9 +191,12 @@ func TestFaultsSharedModelConcurrent(t *testing.T) {
 		return RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(23)), Faults: fm}
 	}
 	model := func() *device.FaultModel {
-		return &device.FaultModel{Rate: 0.04, Seed: 17, Drift: 0.03, ReadSigma: 0.05, Remap: true}
+		return &device.FaultModel{Rate: 0.04, Seed: 17, Remap: false}
 	}
 	want, wantCells := runFaulted(t, prog, noisy(model()), inputs)
+	if wantCells == 0 {
+		t.Fatal("unremapped 4% fault rate left no faulted cells")
+	}
 
 	shared := model()
 	const workers = 8

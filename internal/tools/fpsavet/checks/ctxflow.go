@@ -12,8 +12,7 @@ import (
 //
 //  1. Library code never synthesizes a context: context.Background() and
 //     context.TODO() belong to program entry points (package main under
-//     cmd/ and examples/) and tests, not to packages whose callers
-//     already hold a ctx.
+//     cmd/) and tests, not to packages whose callers already hold a ctx.
 //  2. A function that receives a context.Context passes it on: calling
 //     context.Background()/TODO() while a ctx parameter is in scope
 //     detaches the callee from the caller's cancellation.
@@ -31,7 +30,7 @@ var Ctxflow = &analysis.Analyzer{
 func runCtxflow(pass *analysis.Pass) error {
 	path := pass.Pkg.Path()
 	entrypointPkg := pass.Pkg.Name() == "main" ||
-		underPath(path, RootPath+"/cmd") || underPath(path, RootPath+"/examples")
+		underPath(path, RootPath+"/cmd")
 
 	for _, f := range pass.Files {
 		// Pre-pass: collect nil-guard defaults — `ctx = context.Background()`

@@ -19,13 +19,12 @@ import (
 // saturate; the ideal list also holds a dense 18×8 and a mixed crossbar at
 // the synthesizer's η, whose walked columns take the integer-lane walk. The
 // noisy list also holds offline_mlp_noisy_sparse's own shape: a noisy 16×24
-// crossbar at the synthesizer's η with 1 % of its cells stuck, plus drift
-// and read-σ, where noisy drives can exceed η and the hot drain runs (its
-// corpus has low-count seeds near the workload's density of 0.03). The
-// ideal list ends with the table-sharing crossbar (signatureWeights), whose
-// columns share tables by support signature beside a near-twin one
-// conductance apart. Every crossbar runs under each body the CPU has, of
-// both walks.
+// crossbar at the synthesizer's η with 1 % of its cells stuck, where noisy
+// drives can exceed η and the hot drain runs (its corpus has low-count
+// seeds near the workload's density of 0.03). The ideal list ends with
+// the table-sharing crossbar (signatureWeights), whose columns share
+// tables by support signature beside a near-twin one conductance apart.
+// Every crossbar runs under each body the CPU has, of both walks.
 func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 	rng := rand.New(rand.NewSource(76))
 	lrng := rand.New(rand.NewSource(77)) // its own stream: the older crossbars keep their weights
@@ -53,10 +52,10 @@ func FuzzSimulateCountsPackedVsDense(f *testing.F) {
 		return xb
 	}
 	// The workload-shaped crossbar's own stream, whose stuck-high cells lift
-	// a column's noisy sum to 1.12 η.
+	// a column's noisy sum to 1.14 η.
 	wrng := rand.New(rand.NewSource(83))
 	mlp := randomWeights(wrng, 16, 24, maxW)
-	fm := device.FaultMap{Rows: 16, Cols: 24, Drift: 0.02, ReadSigma: 0.05, ReadSeed: 79}
+	fm := device.FaultMap{Rows: 16, Cols: 24}
 	for k := 0; k < 16*24; k++ { // row-major: the canonical order
 		if wrng.Intn(100) == 0 {
 			kind := []device.FaultKind{device.FaultStuckLow, device.FaultStuckHigh}[wrng.Intn(2)]
@@ -141,8 +140,8 @@ func newFuzzCrossbar(rng *rand.Rand, noisy bool) (*Crossbar, [][]int) {
 // int sums, run on the clamped input: shapes up to the full 256 rows
 // (either side of every row panel and register block), weights anywhere in
 // ±maxW, stuck-low and stuck-high cells folded into the naive side's
-// weights by hand, ideal or noisy drifting programming (neither may reach
-// the ideal weights), Γ = 16, 64 or 128, any η set with SetEta (0 keeps
+// weights by hand, ideal or noisy programming (noise may not reach the
+// ideal weights), Γ = 16, 64 or 128, any η set with SetEta (0 keeps
 // the programmed maxW), and counts below 0 and above Γ. Seed corpus under
 // testdata/fuzz/FuzzReferenceBatchVsNaive; CI runs a short -fuzztime smoke
 // pass.
@@ -157,9 +156,6 @@ func FuzzReferenceBatchVsNaive(f *testing.F) {
 		weights := randomWeights(rand.New(rand.NewSource(seed)), rows, cols, maxW)
 		masked := make([][]int, rows)
 		fm := device.FaultMap{Rows: rows, Cols: cols}
-		if noisy {
-			fm.Drift, fm.ReadSigma, fm.ReadSeed = 0.1, 0.05, seed
-		}
 		for i := range masked {
 			masked[i] = append([]int(nil), weights[i]...)
 			for j := 0; j < cols && len(faultBytes) > 0; j++ {

@@ -38,7 +38,7 @@ type lanePair [2]uint64
 // past η in one cycle — so a membrane below η before a cycle is below 2η
 // after the drive and below η again after one subtraction. The window bound
 // keeps the debt and output lanes, which count up to Γ, within 15 bits.
-// Everything else — noisy or drifted conductances, a stuck-high cell lifting
+// Everything else — noisy conductances, a stuck-high cell lifting
 // a column over η, a fractional or saturating η from SetEta — keeps the
 // float walk.
 func (c *Crossbar) laneEligible() bool {

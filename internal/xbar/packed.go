@@ -168,7 +168,7 @@ func uniformTrains(window int) []uint64 {
 // Which walk is decided at entry from what the crossbar is, never by an
 // option: ideally programmed conductances under an integer η that no
 // column drive exceeds (laneEligible — every crossbar the synthesizer emits,
-// until noise, drift, a fault or SetEta says otherwise) step all walked
+// until noise, a fault or SetEta says otherwise) step all walked
 // columns at once in integer lanes (walkLanes). Anything else takes the
 // float walk. Its portable body, below, per batch item
 //

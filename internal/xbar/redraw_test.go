@@ -27,8 +27,8 @@ type redrawCase struct {
 // conductance bit, the spiking kernel (cold and warm, under each body the
 // CPU has) and the reference kernel on the same counts, and then
 // everything the kernels derived. kind%4 picks
-// the programming: noisy; noisy with drift and read-σ; noisy with stuck
-// cells; ideal with stuck cells (the integer lanes, rebuilt).
+// the programming: noisy (0 and 1); noisy with stuck cells; ideal with
+// stuck cells (the integer lanes, rebuilt).
 // kind&4 zeroes about half the weights. It returns the walked-column count
 // of every draw, the first program's included.
 func checkRedrawVsProgram(t *testing.T, rc redrawCase) []int {
@@ -50,10 +50,7 @@ func checkRedrawVsProgram(t *testing.T, rc redrawCase) []int {
 	}
 	cfg.Eta = synthEta(weights)
 	fm := device.FaultMap{Rows: rows, Cols: cols}
-	switch rc.kind % 4 {
-	case 1:
-		fm.Drift, fm.ReadSigma, fm.ReadSeed = 0.1, 0.05, rc.seed
-	case 2, 3:
+	if rc.kind%4 >= 2 {
 		for k := 0; k < rows*cols; k++ { // row-major: the canonical order
 			if fk := device.FaultKind(rng.Intn(32)); fk == device.FaultStuckLow || fk == device.FaultStuckHigh {
 				fm.Cells = append(fm.Cells, device.FaultCell{Row: k / cols, Col: k % cols, Kind: fk})
@@ -145,8 +142,8 @@ func derived(c *Crossbar) string {
 
 // FuzzRedrawVsProgram fuzzes Redraw against a fresh Program from the same
 // rng state (checkRedrawVsProgram): 1–64 rows and columns, Γ 16/64/128,
-// noisy programming with and without stuck cells, drift and read-σ, and
-// ideal programming with stuck cells. The corpus's first two seeds change
+// noisy programming with and without stuck cells, and ideal programming
+// with stuck cells. The corpus's first two seeds change
 // the walked/tabulated split between draws, once across a 4-column float
 // lane block and once within one (TestRedrawSplitChanges pins both), so a
 // redraw that kept a structure derived from the old conductances — the
@@ -204,8 +201,7 @@ func TestRedrawSplitChanges(t *testing.T) {
 // TestRedrawAllocs pins that redrawing a crossbar that has run its kernel
 // allocates nothing — the noisy call redraws every crossbar of its
 // executor — on offline_mlp_noisy_sparse's two shapes, noisy, with stuck
-// cells, drift and read-σ, whose read-offset stream is reseeded rather than
-// rebuilt. Redraw followed by a kernel call under the CPU's own body
+// cells. Redraw followed by a kernel call under the CPU's own body
 // allocates nothing either, once the buffers have grown to the largest
 // split the warm-up draws produced.
 func TestRedrawAllocs(t *testing.T) {
@@ -215,7 +211,7 @@ func TestRedrawAllocs(t *testing.T) {
 		rows, cols := shape[0], shape[1]
 		rng := rand.New(rand.NewSource(81))
 		weights := randomWeights(rng, rows, cols, cfg.Rep.MaxWeight())
-		fm := device.FaultMap{Rows: rows, Cols: cols, Drift: 0.02, ReadSigma: 0.05, ReadSeed: 82,
+		fm := device.FaultMap{Rows: rows, Cols: cols,
 			Cells: []device.FaultCell{{Row: 1, Col: 2, Kind: device.FaultStuckHigh}, {Row: 3, Col: 0, Kind: device.FaultStuckLow}}}
 		mask := fm.MaskFor(rows, cols, false)
 		c := cfg

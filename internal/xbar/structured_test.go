@@ -135,7 +135,7 @@ func structuredCounts(rng *rand.Rand, batch, rows, window int) []int {
 // whose columns stay tabulated under noisy programming — at Γ = 16, 64 and
 // 128 (two lanes, where two-row supports no longer fit a table), ideal and
 // noisy, with and without an active fault mask (stuck cells change a
-// column's support; drift makes ideal conductances fractional), at the
+// column's support), at the
 // shape's own η, a tiny η, η ≤ 0 and the never-saturating synthEta — under
 // which the ideal unfaulted crossbars step their walked columns in integer
 // lanes (avgpool, pmax-diff at Γ = 128, and mixed beside its tabulated
@@ -161,7 +161,7 @@ func testStructuredPackedMatchesDense(t *testing.T) {
 					c := cfg
 					c.Eta = sh.eta
 					if faulted {
-						fm := device.FaultMap{Rows: rows, Cols: cols, Drift: 0.1, Cells: []device.FaultCell{
+						fm := device.FaultMap{Rows: rows, Cols: cols, Cells: []device.FaultCell{
 							{Row: 0, Col: 0, Kind: device.FaultStuckLow},
 							{Row: 1, Col: cols - 1, Kind: device.FaultStuckHigh},
 							{Row: rows - 1, Col: 0, Kind: device.FaultStuckHigh},

@@ -201,7 +201,6 @@ type Config struct {
 	// the ideal weights and the programmed conductances both see the same
 	// faults — which is what keeps the reference, spiking and noisy modes,
 	// and the spiking kernel and its dense oracle, on identical faulted state.
-	// Drift and static read offsets then perturb the conductances alone.
 	// An inactive mask is bit-identical to no mask at all.
 	Faults *device.FaultMask
 }
@@ -247,12 +246,9 @@ type Crossbar struct {
 	laneG     []uint64  // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
 
 	// What the draw pass programs with (see Redraw): the cell and weight
-	// representation from the Config, the active fault mask or nil, and
-	// the mask's read-offset stream, reseeded on every pass.
-	rep     device.Representation
-	spec    device.CellSpec
-	mask    *device.FaultMask
-	readRng *rand.Rand
+	// representation from the Config.
+	rep  device.Representation
+	spec device.CellSpec
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
@@ -306,9 +302,7 @@ type Crossbar struct {
 // is bit-identical to programming the manually masked weight matrix,
 // including the noisy draw stream (each cell draws exactly one variation
 // sample regardless of its weight value; fuzz-pinned by
-// FuzzProgramFaultedVsMasked). Drift then relaxes every conductance by
-// (1−Drift)× and ReadSigma adds a static per-cell offset drawn from the
-// mask's own read stream, never touching rng.
+// FuzzProgramFaultedVsMasked).
 //
 // Programming is two steps: the buffers are allocated and packW filled
 // with the fault-masked magnitudes, then the draw pass (Redraw) turns
@@ -360,12 +354,13 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 	if pairRows > 0 {
 		c.pairW = packW[n:]
 	}
+	var mask *device.FaultMask
 	if cfg.Faults.Active() {
-		c.mask = cfg.Faults
-		if c.mask.Rows != rows || c.mask.Cols != cols {
-			return nil, fmt.Errorf("xbar: fault mask is %dx%d, weights are %dx%d", c.mask.Rows, c.mask.Cols, rows, cols)
+		mask = cfg.Faults
+		if mask.Rows != rows || mask.Cols != cols {
+			return nil, fmt.Errorf("xbar: fault mask is %dx%d, weights are %dx%d", mask.Rows, mask.Cols, rows, cols)
 		}
-		c.faulted = c.mask.Faulted
+		c.faulted = mask.Faulted
 	}
 	for j := 0; j < cols; j++ {
 		for i := 0; i < rows; i++ {
@@ -373,8 +368,8 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 			if w > maxW || w < -maxW {
 				return nil, fmt.Errorf("xbar: weight %d at (%d,%d) exceeds |%d|", w, i, j, maxW)
 			}
-			if c.mask != nil {
-				switch c.mask.Stuck(i, j) {
+			if mask != nil {
+				switch mask.Stuck(i, j) {
 				case device.FaultStuckLow:
 					w = 0
 				case device.FaultStuckHigh:
@@ -401,15 +396,15 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 // Redraw is the programming pass Program ends with, and re-programs a
 // programmed crossbar in place with fresh variation from rng: every cell's
 // positive then negative magnitude, read from packW, is programmed in
-// column-major order; drift and read offsets follow (see Program); then
-// classifyProgramming rederives the kernel's structural facts. Whatever the
-// kernel built from earlier conductances — tables, rowG, the float and
-// integer lane rows — is dropped here: the tables, rowG and the float lane
-// rows are rebuilt in their own buffers on first use, the integer lane
-// rows in new ones. So after a Redraw the crossbar equals a fresh Program of the
-// same Config and weights from rng's state (FuzzRedrawVsProgram), except
-// that an η set by SetEta is kept, and a crossbar that has already run its
-// kernel redraws without allocating (TestRedrawAllocs).
+// column-major order; then classifyProgramming rederives the kernel's
+// structural facts. Whatever the kernel built from earlier conductances —
+// tables, rowG, the float and integer lane rows — is dropped here: the
+// tables, rowG and the float lane rows are rebuilt in their own buffers on
+// first use, the integer lane rows in new ones. So after a Redraw the
+// crossbar equals a fresh Program of the same Config and weights from
+// rng's state (FuzzRedrawVsProgram), except that an η set by SetEta is
+// kept, and a crossbar that has already run its kernel redraws without
+// allocating (TestRedrawAllocs).
 func (c *Crossbar) Redraw(rng *rand.Rand) {
 	rows, cols := c.rows, c.cols
 	for j := 0; j < cols; j++ {
@@ -417,37 +412,6 @@ func (c *Crossbar) Redraw(rng *rand.Rand) {
 			pos, neg := int(c.packW[k]>>polarityShift), int(c.packW[k]&lowHalf)
 			c.posG[k] = device.ProgramWeight(c.rep, c.spec, pos, rng)
 			c.negG[k] = device.ProgramWeight(c.rep, c.spec, neg, rng)
-		}
-	}
-	if m := c.mask; m != nil && (m.Drift > 0 || m.ReadSigma > 0) {
-		// Analog aging, applied to the programmed conductances only (the
-		// ideal packW stays exact): multiplicative drift relaxation,
-		// then a static per-cell read offset from the mask's own seeded
-		// stream — row-major, positive before negative per cell — so the
-		// main programming-variation stream rng is never advanced.
-		scale := 1 - m.Drift
-		var rrng *rand.Rand
-		if m.ReadSigma > 0 {
-			if c.readRng == nil {
-				c.readRng = rand.New(rand.NewSource(m.ReadSeed))
-			} else {
-				c.readRng.Seed(m.ReadSeed)
-			}
-			rrng = c.readRng
-		}
-		perturb := func(g float64) float64 {
-			g *= scale
-			if rrng != nil {
-				g += rrng.NormFloat64() * m.ReadSigma
-			}
-			if g < 0 {
-				g = 0
-			}
-			return g
-		}
-		for k := range c.posG {
-			c.posG[k] = perturb(c.posG[k])
-			c.negG[k] = perturb(c.negG[k])
 		}
 	}
 	c.rowG = c.rowG[:0]

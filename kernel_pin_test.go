@@ -97,7 +97,7 @@ func TestKernelChoiceOutputsPinned(t *testing.T) {
 		// lifts a walked column's drive over η, so both are exact-sum but
 		// not lane-eligible and take the float walk; the inputs repeat
 		// counts across rows, which is what grouping merged.
-		fd, _ := deployBenchNet(t, WithFaultMap(FaultMap{Rate: 0.05, Seed: 1, NoRemap: true}))
+		fd, _ := deployBenchNet(t, withFaultModelNoRemap(0.05, 1))
 		dim := len(batch[0])
 		fill := func(even, odd float64) []float64 {
 			x := make([]float64, dim)

@@ -26,13 +26,6 @@ type compileSettings struct {
 	// the search may spend, and how many finalists it places & routes.
 	peBudget int
 	refine   int
-
-	// faultModelSet/faultMapSet record which fault option populated
-	// cfg.Faults, so Compile can reject the conflicting combination of
-	// WithFaultModel and WithFaultMap instead of silently letting the
-	// later option win.
-	faultModelSet bool
-	faultMapSet   bool
 }
 
 // Option configures Compile. Options are applied in order, so a later
@@ -89,108 +82,41 @@ func copyIntMap(m map[string]int) map[string]int {
 	return out
 }
 
-// FaultMap describes a deployment's non-ideal device scenario: a
-// deterministic population of stuck ReRAM cells plus optional analog
-// degradations, all derived from the seed so the same FaultMap always
-// yields the same faulted hardware (any worker count, any chip count).
-type FaultMap struct {
-	// Rate is the stuck-cell probability per crossbar cell, in [0, 1].
-	Rate float64
-	// Seed drives the per-crossbar fault draws. Two deployments with the
-	// same FaultMap see bit-identical fault populations.
-	Seed int64
-	// StuckHighFrac is the fraction of stuck cells pinned at maximum
-	// conductance rather than zero (0 = the default, an even 0.5 split).
-	StuckHighFrac float64
-	// Drift scales every programmed conductance by (1 − Drift), modeling
-	// time-dependent conductance decay; must be in [0, 1).
-	Drift float64
-	// ReadSigma adds a static Gaussian read-variation offset (stddev in
-	// conductance units) to each programmed conductance; must be ≥ 0.
-	ReadSigma float64
-	// LayerSeeds overrides Seed for named weight layers (see
-	// Model.WeightLayers), letting an experiment re-roll one layer's
-	// faults while the rest stay fixed. Seeds must be ≥ 0. Any other name
-	// is ErrInvalidArgument, a pooling layer's included: pooling crossbars
-	// are shared across layers and run under no one layer's name, so its
-	// seed would reach no crossbar.
-	LayerSeeds map[string]int64
-	// NoRemap disables the compiler's spare-row/column remapping, so
-	// stuck cells land on live weights — the "without remapping" arm of
-	// the reliability experiment.
-	NoRemap bool
+// faultScenario is the stuck-cell scenario WithFaultModel describes: a
+// per-cell stuck rate and the seed the stuck cells are drawn from. Any
+// zero rate, the zero value's included, is ideal devices.
+type faultScenario struct {
+	rate float64
+	seed int64
+	// noRemap turns the mapper's spare-row/column remapping off, so stuck
+	// cells land on live weights. No option sets it; in-package tests do.
+	noRemap bool
 }
 
-// active reports whether the map perturbs anything at all. An inactive
-// (or nil) FaultMap compiles and executes bit-identically to no map.
-func (f *FaultMap) active() bool {
-	return f != nil && (f.Rate > 0 || f.Drift > 0 || f.ReadSigma > 0)
-}
+// active reports whether the scenario sticks any cell. An inactive one
+// compiles and executes bit-identically to no fault model.
+func (f faultScenario) active() bool { return f.rate > 0 }
 
-// deviceModel lowers the public FaultMap to the internal fault model the
-// mapper and executors share. Inactive maps lower to nil. Compile calls it
-// once per Deployment: the model remembers the masks it derives, so a
+// deviceModel lowers the scenario to the internal fault model the mapper
+// and executors share. An inactive scenario lowers to nil. Compile calls
+// it once per Deployment: the model remembers the masks it derives, so a
 // second lowering would be a second memo.
-func (f *FaultMap) deviceModel() *device.FaultModel {
+func (f faultScenario) deviceModel() *device.FaultModel {
 	if !f.active() {
 		return nil
 	}
-	return &device.FaultModel{
-		Rate:      f.Rate,
-		Seed:      f.Seed,
-		HighFrac:  f.StuckHighFrac,
-		Drift:     f.Drift,
-		ReadSigma: f.ReadSigma,
-		Seeds:     copyInt64Map(f.LayerSeeds),
-		Remap:     !f.NoRemap,
-	}
+	return &device.FaultModel{Rate: f.rate, Seed: f.seed, Remap: !f.noRemap}
 }
 
-// clone deep-copies the map so later caller mutation cannot alias into
-// the compiled deployment.
-func (f *FaultMap) clone() *FaultMap {
-	if f == nil {
-		return nil
-	}
-	c := *f
-	c.LayerSeeds = copyInt64Map(f.LayerSeeds)
-	return &c
-}
-
-// WithFaultModel injects stuck-at cell faults at the given per-cell rate,
-// drawn deterministically from seed, with spare-row/column remapping
-// enabled — the simple form of WithFaultMap. Rate 0 is bit-identical to
-// no fault model. Conflicts with WithFaultMap (ErrInvalidArgument).
+// WithFaultModel injects stuck-at cell faults at the given per-cell rate
+// in [0, 1], drawn deterministically from seed, half stuck-low and half
+// stuck-high. The compiler steers each crossbar's weights around its
+// stuck cells with the spare rows and columns, penalizes placement of
+// heavily-faulted PEs, and keys the compile cache on the scenario so
+// faulted and ideal artifacts never collide. Rate 0 is bit-identical to
+// no fault model; a rate outside [0, 1], or NaN, is ErrInvalidArgument.
 func WithFaultModel(rate float64, seed int64) Option {
-	return func(s *compileSettings) {
-		s.cfg.Faults = &FaultMap{Rate: rate, Seed: seed}
-		s.faultModelSet = true
-	}
-}
-
-// WithFaultMap injects the full non-ideal device scenario — stuck cells,
-// drift, read variation, per-weight-layer seeds, optional remap opt-out. The
-// compiler steers known-bad rows/columns around spare ones (unless
-// m.NoRemap), penalizes placement of heavily-faulted PEs, and keys the
-// compile cache on the scenario so faulted and ideal artifacts never
-// collide. Conflicts with WithFaultModel (ErrInvalidArgument).
-func WithFaultMap(m FaultMap) Option {
-	return func(s *compileSettings) {
-		s.cfg.Faults = m.clone()
-		s.faultMapSet = true
-	}
-}
-
-// copyInt64Map is copyIntMap for int64-valued maps (layer seed overrides).
-func copyInt64Map(m map[string]int64) map[string]int64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return func(s *compileSettings) { s.cfg.Faults = faultScenario{rate: rate, seed: seed} }
 }
 
 // WithSeed fixes the deployment's seed: it drives placement annealing

@@ -27,16 +27,6 @@ func TestCompileOptionValidation(t *testing.T) {
 		{"negative fault rate", []Option{WithFaultModel(-0.1, 1)}},
 		{"fault rate above 1", []Option{WithFaultModel(1.5, 1)}},
 		{"NaN fault rate", []Option{WithFaultModel(math.NaN(), 1)}},
-		{"NaN drift", []Option{WithFaultMap(FaultMap{Rate: 0.01, Drift: math.NaN()})}},
-		{"drift of 1", []Option{WithFaultMap(FaultMap{Rate: 0.01, Drift: 1})}},
-		{"negative drift", []Option{WithFaultMap(FaultMap{Rate: 0.01, Drift: -0.2})}},
-		{"negative read sigma", []Option{WithFaultMap(FaultMap{ReadSigma: -1e-6})}},
-		{"NaN read sigma", []Option{WithFaultMap(FaultMap{ReadSigma: math.NaN()})}},
-		{"stuck-high fraction above 1", []Option{WithFaultMap(FaultMap{Rate: 0.01, StuckHighFrac: 2})}},
-		{"negative layer seed", []Option{WithFaultMap(FaultMap{Rate: 0.01, LayerSeeds: map[string]int64{"fc1": -5}})}},
-		{"unknown fault layer", []Option{WithFaultMap(FaultMap{Rate: 0.01, LayerSeeds: map[string]int64{"no-such-layer": 3}})}},
-		{"fault model and map together", []Option{WithFaultModel(0.01, 1), WithFaultMap(FaultMap{Rate: 0.01})}},
-		{"fault map and model together", []Option{WithFaultMap(FaultMap{Rate: 0.01}), WithFaultModel(0.01, 1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,27 +42,6 @@ func TestCompileOptionValidation(t *testing.T) {
 			t.Errorf("Compile = %v, want ErrCapacity", err)
 		}
 	})
-	// A fault seed must name a weight layer: LeNet's max pools run on
-	// shared crossbars labelled for no one layer, so their seeds would be
-	// silent no-ops. Autotune shares Compile's checks.
-	lenet, err := LoadBenchmark("LeNet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, layer := range []string{"pool1", "pool2"} {
-		t.Run("LeNet "+layer+" fault seed", func(t *testing.T) {
-			opt := WithFaultMap(FaultMap{Rate: 0.01, LayerSeeds: map[string]int64{layer: 3}})
-			if _, err := Compile(context.Background(), lenet, opt); !errors.Is(err, ErrInvalidArgument) {
-				t.Errorf("Compile = %v, want ErrInvalidArgument", err)
-			}
-			if _, _, err := Autotune(context.Background(), lenet, MinLatency, opt, WithAutotuneRefine(0)); !errors.Is(err, ErrInvalidArgument) {
-				t.Errorf("Autotune = %v, want ErrInvalidArgument", err)
-			}
-		})
-	}
-	if _, err := Compile(context.Background(), lenet, WithFaultMap(FaultMap{Rate: 0.01, LayerSeeds: map[string]int64{"conv1": 3, "fc2": 4}})); err != nil {
-		t.Errorf("weight-layer fault seeds must compile, got %v", err)
-	}
 	// Zero stays "use the default" everywhere, as the option docs promise
 	// — including a zero-rate fault model, which is ideal devices.
 	if _, err := Compile(context.Background(), m, WithDuplication(0), WithChips(0), WithFaultModel(0, 3)); err != nil {

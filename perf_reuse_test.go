@@ -29,7 +29,7 @@ func TestPerformanceReusesNetlist(t *testing.T) {
 			tcase{name + "@16", name, []Option{WithDuplication(16)}})
 	}
 	cases = append(cases,
-		tcase{"LeNet@4 faulted", "LeNet", []Option{WithDuplication(4), WithFaultMap(FaultMap{Rate: 0.03, Seed: 17, NoRemap: true})}},
+		tcase{"LeNet@4 faulted", "LeNet", []Option{WithDuplication(4), withFaultModelNoRemap(0.03, 17)}},
 		// Sharded, the per-chip netlists sum to different SMB and CLB counts
 		// than the whole-model netlist the performance model charges.
 		tcase{"LeNet@4 on 2 chips", "LeNet", []Option{WithDuplication(4), WithChips(2)}})
