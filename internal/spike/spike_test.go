@@ -45,6 +45,21 @@ func TestUniformTrainEvenSpacing(t *testing.T) {
 	}
 }
 
+// TestUniformTrainFiresLastCycle pins the layout xbar's packed float walk
+// relies on to end an item at its last live cycle: every train with at
+// least one spike fires at cycle Γ−1, since the Bresenham accumulator
+// reaches count·Γ, a multiple of Γ, there. So the last live cycle of any
+// item with a firing row is Γ−1 and no zero-drive cycle follows it.
+func TestUniformTrainFiresLastCycle(t *testing.T) {
+	for window := 1; window <= 256; window++ {
+		for count := 1; count <= window; count++ {
+			if tr := UniformTrain(count, window); !tr[window-1] {
+				t.Fatalf("UniformTrain(%d, %d) is silent at cycle %d", count, window, window-1)
+			}
+		}
+	}
+}
+
 func TestClamp(t *testing.T) {
 	cases := []struct{ v, window, want int }{
 		{-1, 64, 0}, {0, 64, 0}, {30, 64, 30}, {64, 64, 64}, {65, 64, 64},

@@ -216,36 +216,10 @@ func ArgmaxFloat(v []float64) int {
 }
 
 // QuantizeInput maps real-valued features in [0,1] to window counts, as
-// Executor.RunFeatures quantizes each row. It stays exported for bench/
-// (ROADMAP item 1(f)).
+// Executor.RunFeatures quantizes each row (xbar.Quantize). It stays
+// exported for bench/ (ROADMAP item 1(f)).
 func QuantizeInput(features []float64, window int) []int {
-	return quantizeInto(make([]int, len(features)), features, window)
-}
-
-// quantizeInto writes each feature's count: round(f·Γ) clamped to [0, Γ],
-// halves away from zero as math.Round rounds them. It clamps in float64
-// before converting: Go leaves converting ±Inf, NaN or a value at or past
-// 2^63 to int to the platform (amd64 yields the minimum int, which would
-// clamp to 0 where arm64 saturates to Γ), so a huge or infinite feature
-// gives Γ on every platform, and NaN gives 0. Between the clamps, 0 < x < Γ,
-// it rounds without math.Round (a software routine on amd64): t = int(x)
-// truncates, and x − t is exact — by Sterbenz's lemma when t ≥ 1, as x
-// itself when t = 0 — so comparing it with ½ rounds as math.Round does.
-func quantizeInto(counts []int, features []float64, window int) []int {
-	top := float64(window)
-	for i, f := range features {
-		switch x := f * top; {
-		case x >= top:
-			counts[i] = window
-		case x > 0:
-			t := int(x)
-			if x-float64(t) >= 0.5 {
-				t++
-			}
-			counts[i] = t
-		default: // x ≤ 0 or NaN
-			counts[i] = 0
-		}
-	}
+	counts := make([]int, len(features))
+	xbar.Quantize(counts, features, window)
 	return counts
 }

@@ -247,7 +247,7 @@ func TestQuantizeInputExtremes(t *testing.T) {
 	}
 }
 
-// quantizeMathRound is quantizeInto's formula before it stopped calling
+// quantizeMathRound is xbar.Quantize's formula before it stopped calling
 // math.Round: the oracle TestQuantizeRoundsLikeMathRound holds it to.
 func quantizeMathRound(f float64, window int) int {
 	top := float64(window)
@@ -261,7 +261,7 @@ func quantizeMathRound(f float64, window int) int {
 	}
 }
 
-// TestQuantizeRoundsLikeMathRound holds quantizeInto's truncate-and-compare
+// TestQuantizeRoundsLikeMathRound holds xbar.Quantize's truncate-and-compare
 // rounding to math.Round: at every half step k+½ of Γ = 16, 64 and 128 and
 // one ulp either side of it (where a rounding subtraction would tip the
 // wrong way), at every whole step and its neighbours, and at −0, the

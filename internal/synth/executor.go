@@ -52,21 +52,24 @@ type Executor struct {
 	// order, the order they are programmed and redrawn in.
 	units []*xbar.Crossbar
 	order []int
-	// stages[si] is stage si's output width and gather plan, fixed at
-	// construction and only read afterwards.
-	stages []stagePlan
+	// stages[si] is stage si's output width and gather plan, and outRuns
+	// the OutputRefs compiled into gather runs as a stage's InRefs are:
+	// fixed at construction and only read afterwards.
+	stages  []stagePlan
+	outRuns []gatherRun
 
 	// mu is held across a batch's quantization, stage walk and output
 	// gather: the scratch below is reused across runs.
 	mu sync.Mutex
-	// ins[si] and outs[si] are stage si's flat batch×rows input and
-	// batch×cols output, grown on demand; a stage whose plan is an alias
-	// reads its source's outs and never grows its ins.
+	// in is the batch's flat batch×InputSize input counts: RunFeatures
+	// quantizes into it and RunBatch copies its rows in. ins[si] and
+	// outs[si] are stage si's flat batch×rows input and batch×cols output.
+	// A stage whose plan is an alias reads its source's table (in or an
+	// earlier outs) in place and never grows its ins. res holds the output
+	// rows argmaxes gathers when the outputs are not one run. All grow on
+	// demand.
+	in, res   []int
 	ins, outs [][]int
-	// rows and slab are RunFeatures' quantized input rows, capacity-capped
-	// views into slab, grown on demand.
-	rows [][]int
-	slab []int
 }
 
 // stagePlan is what runStages needs to know about one stage besides its
@@ -76,17 +79,19 @@ type stagePlan struct {
 	// runs cover the stage's InRefs in order, each the longest stretch of
 	// consecutive columns read from one source.
 	runs []gatherRun
-	// alias is set when runs is one run over all of an earlier stage's
-	// output columns, in order — every MLP stage after the first: the
-	// stage then reads that stage's output table in place, not a copy.
+	// alias is set when runs is one run over all of one source's columns,
+	// in order — the external input for every MLP's first stage, the
+	// previous stage's output for every later one: the stage then reads
+	// that table in place, not a copy.
 	alias bool
 }
 
-// gatherRun fills row[at : at+n] of a stage's input with columns
-// [col, col+n) of one source: the external input (stage ExternalStage), an
-// earlier stage's output, or zeros (ZeroStage, col unused).
+// gatherRun fills row[at : at+n] of a stage's input (or of a row of
+// outputs) with columns [col, col+n) of one source, w columns wide: the
+// external input (stage ExternalStage), an earlier stage's output, or
+// zeros (ZeroStage, col and w unused).
 type gatherRun struct {
-	stage, col, at, n int
+	stage, col, at, n, w int
 }
 
 // extends reports whether ref continues a run whose last ref is prev.
@@ -94,43 +99,63 @@ func extends(prev, ref ExecRef) bool {
 	return ref.Stage == prev.Stage && (ref.Stage == ZeroStage || ref.Col == prev.Col+1)
 }
 
-// planStages records every stage's output width and compiles its InRefs
-// into maximal gather runs, all in one backing array (sized for the worst
-// case, a run per ref). A ref to a stage at or after its reader, or to a
-// column its source does not have, is an error here rather than in the
-// middle of a batch.
-func planStages(p *Program) ([]stagePlan, error) {
+// planStages records every stage's output width and compiles its InRefs,
+// and then the OutputRefs, into maximal gather runs, all in one backing
+// array (sized for the worst case, a run per ref). A ref to a stage at or
+// after its reader, or to a column its source does not have, is an error
+// here rather than in the middle of a batch.
+func planStages(p *Program) ([]stagePlan, []gatherRun, error) {
 	stages := make([]stagePlan, len(p.Stages))
-	refs := 0
+	refs := len(p.OutputRefs)
 	for si, st := range p.Stages {
 		stages[si].cols = p.Graph.Groups[st.GroupID].Cols
 		refs += len(st.InRefs)
 	}
 	runs := make([]gatherRun, 0, refs)
-	for si, st := range p.Stages {
+	// compile appends refs' runs, reading stages before the given one, and
+	// returns them, or the index of the first ref it cannot satisfy.
+	compile := func(refs []ExecRef, before int) ([]gatherRun, int) {
 		lo := len(runs)
-		for r, ref := range st.InRefs {
+		for r, ref := range refs {
+			w := 0
 			switch {
 			case ref.Stage == ZeroStage:
-			case ref.Stage == ExternalStage && ref.Col >= 0 && ref.Col < p.InputSize:
-			case ref.Stage >= 0 && ref.Stage < si && ref.Col >= 0 && ref.Col < stages[ref.Stage].cols:
+			case ref.Stage == ExternalStage:
+				w = p.InputSize
+			case ref.Stage >= 0 && ref.Stage < before:
+				w = stages[ref.Stage].cols
 			default:
-				return nil, fmt.Errorf("synth: stage %d row %d references stage %d column %d", si, r, ref.Stage, ref.Col)
+				return nil, r
 			}
-			if r > 0 && extends(st.InRefs[r-1], ref) {
+			if ref.Stage != ZeroStage && (ref.Col < 0 || ref.Col >= w) {
+				return nil, r
+			}
+			if r > 0 && extends(refs[r-1], ref) {
 				runs[len(runs)-1].n++
 				continue
 			}
-			runs = append(runs, gatherRun{stage: ref.Stage, col: ref.Col, at: r, n: 1})
+			runs = append(runs, gatherRun{stage: ref.Stage, col: ref.Col, at: r, n: 1, w: w})
 		}
+		return runs[lo:len(runs):len(runs)], -1
+	}
+	for si, st := range p.Stages {
 		sp := &stages[si]
-		sp.runs = runs[lo:len(runs):len(runs)]
+		var bad int
+		if sp.runs, bad = compile(st.InRefs, si); bad >= 0 {
+			ref := st.InRefs[bad]
+			return nil, nil, fmt.Errorf("synth: stage %d row %d references stage %d column %d", si, bad, ref.Stage, ref.Col)
+		}
 		if len(sp.runs) == 1 {
 			r := sp.runs[0]
-			sp.alias = r.stage >= 0 && r.col == 0 && r.n == stages[r.stage].cols
+			sp.alias = r.stage != ZeroStage && r.col == 0 && r.n == r.w
 		}
 	}
-	return stages, nil
+	out, bad := compile(p.OutputRefs, len(stages))
+	if bad >= 0 {
+		ref := p.OutputRefs[bad]
+		return nil, nil, fmt.Errorf("synth: output %d references stage %d column %d", bad, ref.Stage, ref.Col)
+	}
+	return stages, out, nil
 }
 
 // NewExecutor programs every weight group of p under opts onto a single
@@ -175,7 +200,7 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		return nil, fmt.Errorf("synth: ModeSpikingNoisy requires RunOptions.Rng")
 	}
 	opts.Spec = spec
-	stages, err := planStages(p)
+	stages, outRuns, err := planStages(p)
 	if err != nil {
 		return nil, err
 	}
@@ -185,15 +210,16 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
 	}
 	e := &Executor{
-		prog:   p,
-		opts:   opts,
-		kernel: (*xbar.Crossbar).SimulateCountsBatch,
-		chips:  len(bounds) - 1,
-		units:  make([]*xbar.Crossbar, len(p.Graph.Groups)),
-		order:  make([]int, 0, len(p.Graph.Groups)),
-		stages: stages,
-		ins:    make([][]int, n),
-		outs:   make([][]int, n),
+		prog:    p,
+		opts:    opts,
+		kernel:  (*xbar.Crossbar).SimulateCountsBatch,
+		chips:   len(bounds) - 1,
+		units:   make([]*xbar.Crossbar, len(p.Graph.Groups)),
+		order:   make([]int, 0, len(p.Graph.Groups)),
+		stages:  stages,
+		outRuns: outRuns,
+		ins:     make([][]int, n),
+		outs:    make([][]int, n),
 	}
 	if opts.spikeKernel != nil {
 		e.kernel = opts.spikeKernel
@@ -307,9 +333,9 @@ func (e *Executor) RunBatch(inputs [][]int) ([][]int, error) {
 
 // RunFeatures is RunBatch for real-valued features, writing its results
 // into dst instead of allocating them. It quantizes each row into the
-// executor's own scratch against the program's sampling window (as
+// executor's input slab against the program's sampling window (as
 // QuantizeInput does), runs the rows as RunBatch does, and reads the
-// results straight out of the stage output tables: with classes set, dst[b]
+// results out of the stage output tables: with classes set, dst[b]
 // is row b's argmax class (ties to the first maximum, as Argmax); otherwise
 // dst holds the rows' output counts back to back, len(OutputRefs) per row.
 // dst must be exactly that long. Its one input check is each row's length
@@ -335,33 +361,27 @@ func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) er
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	inputs := e.quantize(features)
-	if err := e.runStages(inputs); err != nil {
+	e.quantize(features)
+	if err := e.runStages(len(features)); err != nil {
 		return err
 	}
 	if classes {
-		e.argmaxes(dst, inputs)
+		e.argmaxes(dst)
 	} else {
-		e.outputs(dst, inputs)
+		e.outputs(dst, len(features))
 	}
 	return nil
 }
 
-// quantize writes every feature row's counts into the executor's scratch,
-// row after row, and returns the rows: capacity-capped views into the
-// slab. Under e.mu.
-func (e *Executor) quantize(features [][]float64) [][]int {
-	if cap(e.rows) < len(features) {
-		e.rows = make([][]int, len(features))
+// quantize writes every feature row's counts into the executor's input
+// slab, row after row. Under e.mu.
+func (e *Executor) quantize(features [][]float64) {
+	size := e.prog.InputSize // checkLength passed: every row is this long
+	e.in = growInts(e.in, len(features)*size)
+	window := e.prog.Params.SamplingWindow()
+	for b, f := range features {
+		xbar.Quantize(e.in[b*size:(b+1)*size], f, window)
 	}
-	rows := e.rows[:len(features)]
-	e.slab = growInts(e.slab, len(features)*e.prog.InputSize) // checkLength passed
-	slab, window := e.slab, e.prog.Params.SamplingWindow()
-	for i, f := range features {
-		rows[i] = quantizeInto(slab[:len(f):len(f)], f, window)
-		slab = slab[len(f):]
-	}
-	return rows
 }
 
 // growInts returns buf resized to n, reusing capacity.
@@ -372,24 +392,29 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// runBatch is the validated batch execution path: the stage walk and the
-// output gather, under the lock that keeps the scratch one caller's. The
-// results are capacity-capped views into one flat backing array, so a
-// batch costs two allocations however large it is, and appending to one
-// result cannot reach its neighbour. The deferred unlock also runs when
-// the kernel panics.
+// runBatch is the validated batch execution path: the rows' copy into the
+// input slab, the stage walk and the output gather, under the lock that
+// keeps the scratch one caller's. The results are capacity-capped views
+// into one flat backing array, so a batch costs two allocations however
+// large it is, and appending to one result cannot reach its neighbour.
+// The deferred unlock also runs when the kernel panics.
 func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	if len(inputs) == 0 {
 		return nil, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.runStages(inputs); err != nil {
+	size := e.prog.InputSize
+	e.in = growInts(e.in, len(inputs)*size)
+	for b, in := range inputs {
+		copy(e.in[b*size:(b+1)*size], in)
+	}
+	if err := e.runStages(len(inputs)); err != nil {
 		return nil, err
 	}
 	n := len(e.prog.OutputRefs)
 	flat := make([]int, len(inputs)*n)
-	e.outputs(flat, inputs)
+	e.outputs(flat, len(inputs))
 	results := make([][]int, len(inputs))
 	for b := range results {
 		results[b] = flat[b*n : (b+1)*n : (b+1)*n]
@@ -397,22 +422,21 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	return results, nil
 }
 
-// runStages evaluates a batch over every stage in order — the one stage
-// walk every chip count shares — reusing whatever capacity the per-stage
-// tables already have.
-func (e *Executor) runStages(inputs [][]int) error {
+// runStages evaluates the batch of B rows in the input slab over every
+// stage in order — the one stage walk every chip count shares — reusing
+// whatever capacity the per-stage tables already have.
+func (e *Executor) runStages(B int) error {
 	p := e.prog
-	B := len(inputs)
 	for si, st := range p.Stages {
 		n := len(st.InRefs)
 		sp := &e.stages[si]
 		var x []int
 		if sp.alias {
-			x = e.outs[sp.runs[0].stage][:B*n]
+			x = e.table(sp.runs[0].stage)[:B*n]
 		} else {
 			x = growInts(e.ins[si], B*n)
 			e.ins[si] = x
-			e.gather(x, n, sp.runs, inputs, e.outs)
+			e.gather(x, n, sp.runs, B)
 		}
 		out := growInts(e.outs[si], B*sp.cols)
 		e.outs[si] = out
@@ -433,24 +457,28 @@ func (e *Executor) runStages(inputs [][]int) error {
 	return nil
 }
 
-// gather fills x, a stage's flat batch×n input rows, one run at a time:
-// each run is copied for every item before the next, so what it reads is
-// decided once per run and batch rather than once per element. (A gather
-// of its own keeps the hot loops' registers apart from runStages'.)
-func (e *Executor) gather(x []int, n int, runs []gatherRun, inputs, outs [][]int) {
+// table is a gather source's flat batch table: the input slab for
+// ExternalStage, otherwise that stage's output.
+func (e *Executor) table(stage int) []int {
+	if stage == ExternalStage {
+		return e.in
+	}
+	return e.outs[stage]
+}
+
+// gather fills x, B flat rows n wide, one run at a time: each run is
+// copied for every item before the next, so what it reads is decided once
+// per run and batch rather than once per element. (A gather of its own
+// keeps the hot loops' registers apart from runStages'.)
+func (e *Executor) gather(x []int, n int, runs []gatherRun, B int) {
 	for _, g := range runs {
-		switch g.stage {
-		case ExternalStage:
-			for b, in := range inputs {
-				copyRun(x[b*n+g.at:b*n+g.at+g.n], in[g.col:g.col+g.n])
-			}
-		case ZeroStage:
-			for b := range inputs {
+		if g.stage == ZeroStage {
+			for b := 0; b < B; b++ {
 				clear(x[b*n+g.at : b*n+g.at+g.n])
 			}
-		default:
-			copyStrided(x, n, g.at, outs[g.stage], e.stages[g.stage].cols, g.col, g.n, len(inputs))
+			continue
 		}
+		copyStrided(x, n, g.at, e.table(g.stage), g.w, g.col, g.n, B)
 	}
 }
 
@@ -485,37 +513,28 @@ func copyRun(dst, src []int) {
 	}
 }
 
-// output reads batch row b's value at one output ref: a column of a
-// stage's output table, or of the row's own input for an ExternalStage ref.
-func (e *Executor) output(ref ExecRef, b int, inputs [][]int) int {
-	if ref.Stage == ExternalStage {
-		return inputs[b][ref.Col]
-	}
-	return e.outs[ref.Stage][b*e.stages[ref.Stage].cols+ref.Col]
+// outputs writes the batch's B rows of output counts into dst,
+// len(OutputRefs) per row, after runStages.
+func (e *Executor) outputs(dst []int, B int) {
+	e.gather(dst, len(e.prog.OutputRefs), e.outRuns, B)
 }
 
-// outputs writes every row's output counts into dst, len(OutputRefs) per
-// row, after runStages.
-func (e *Executor) outputs(dst []int, inputs [][]int) {
+// argmaxes writes every row's argmax class into dst, one row per slot,
+// ties to the first maximum as Argmax, after runStages. Outputs that are
+// one run — every network whose last layer is its output — are read in
+// place from their source's table; others are gathered into res first.
+func (e *Executor) argmaxes(dst []int) {
 	n := len(e.prog.OutputRefs)
-	for b := range inputs {
-		row := dst[b*n : (b+1)*n]
-		for i, ref := range e.prog.OutputRefs {
-			row[i] = e.output(ref, b, inputs)
-		}
+	var tab []int
+	w, col := n, 0
+	if g := e.outRuns; len(g) == 1 && g[0].stage != ZeroStage {
+		tab, w, col = e.table(g[0].stage), g[0].w, g[0].col
+	} else {
+		e.res = growInts(e.res, len(dst)*n)
+		tab = e.res
+		e.outputs(tab, len(dst))
 	}
-}
-
-// argmaxes writes every row's argmax class into dst, ties to the first
-// maximum as Argmax, after runStages.
-func (e *Executor) argmaxes(dst []int, inputs [][]int) {
-	for b := range inputs {
-		class, best := 0, 0
-		for i, ref := range e.prog.OutputRefs {
-			if v := e.output(ref, b, inputs); i == 0 || v > best {
-				class, best = i, v
-			}
-		}
-		dst[b] = class
+	for b := range dst {
+		dst[b] = Argmax(tab[b*w+col : b*w+col+n])
 	}
 }

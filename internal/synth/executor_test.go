@@ -126,12 +126,12 @@ func TestExecutorPlansGatherRuns(t *testing.T) {
 	}
 }
 
-// TestExecutorAliasesIdentityGathers: a stage whose input is all of an
-// earlier stage's output columns in order — every MLP stage after the
-// first — reads that stage's output table in place. The second and third
-// stages' kernel inputs share the first and second stages' output backing
-// arrays, while the first stage, which reads the external input, gets its
-// own gathered copy.
+// TestExecutorAliasesIdentityGathers: a stage whose input is all of one
+// source's columns in order reads that source's table in place — every
+// MLP stage after the first its predecessor's output table, and the first
+// the executor's own input slab, into which RunBatch copied the caller's
+// rows (never the caller's rows themselves, which the reference kernel's
+// in-place clamp must not reach). No stage grows an input table of its own.
 func TestExecutorAliasesIdentityGathers(t *testing.T) {
 	rng := rand.New(rand.NewSource(309))
 	g, ws := buildTestMLP(rng, []int{16, 12, 8, 4})
@@ -159,8 +159,13 @@ func TestExecutorAliasesIdentityGathers(t *testing.T) {
 	if len(srcs) != len(prog.Stages) || len(srcs) != 3 {
 		t.Fatalf("%d kernel calls over %d stages, want 3", len(srcs), len(prog.Stages))
 	}
-	if ex.stages[0].alias || &srcs[0][0] == &inputs[0][0] {
-		t.Error("stage 0 reads the external input in place; it needs a gathered copy")
+	if !ex.stages[0].alias || &srcs[0][0] != &ex.in[0] || &srcs[0][0] == &inputs[0][0] {
+		t.Error("stage 0 does not read the executor's input slab in place")
+	}
+	for si, in := range ex.ins {
+		if in != nil {
+			t.Errorf("stage %d grew an input table of %d counts", si, len(in))
+		}
 	}
 	for si := 1; si < len(srcs); si++ {
 		if !ex.stages[si].alias || &srcs[si][0] != &ex.outs[si-1][0] {

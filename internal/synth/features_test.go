@@ -7,20 +7,29 @@ import (
 	"reflect"
 	"testing"
 
+	"fpsa/internal/cgraph"
 	"fpsa/internal/shard"
 )
 
-// featureFixture is one executor RunFeatures is checked on.
+// featureFixture is one executor RunFeatures is checked on. gathered is
+// set when its first stage gathers its input rather than reading the
+// input slab in place, and outputsGathered when its output refs are more
+// than one run.
 type featureFixture struct {
-	name string
-	ex   *Executor
+	name                      string
+	ex                        *Executor
+	gathered, outputsGathered bool
 }
 
 // featureFixtures builds the executors the features path is checked on:
 // reference and spiking mode on one chip, both on a 3-chip plan of a
-// deeper program, noisy spiking, and a program whose output refs include
+// deeper program, noisy spiking, a program whose output refs include
 // external input columns (read from the quantized row itself), first and
-// last, so an argmax can fall on either kind.
+// last, so an argmax can fall on either kind, and a small conv net in both
+// modes — a 2×5×5 input (50 features, two past the last block of four
+// quantized together) through a padded 3×3 convolution, whose stages
+// gather im2col windows and zero padding from the input, then global
+// average pooling and an FC layer whose outputs are read in place.
 func featureFixtures(t testing.TB) []featureFixture {
 	t.Helper()
 	compile := func(seed int64, dims []int) *Program {
@@ -35,6 +44,7 @@ func featureFixtures(t testing.TB) []featureFixture {
 	}
 	mlp := compile(601, []int{12, 10, 4})
 	deep := compile(602, []int{12, 10, 8, 6, 5})
+	conv := compileConvFixture(t)
 	ext := *mlp
 	ext.OutputRefs = append(append([]ExecRef{{Stage: ExternalStage, Col: 3}}, mlp.OutputRefs...), ExecRef{Stage: ExternalStage, Col: 0})
 	single := func(p *Program, opts RunOptions) *Executor {
@@ -59,13 +69,51 @@ func featureFixtures(t testing.TB) []featureFixture {
 		return ex
 	}
 	return []featureFixture{
-		{"reference", single(mlp, RunOptions{Mode: ModeReference})},
-		{"spiking", single(mlp, RunOptions{Mode: ModeSpiking})},
-		{"sharded-reference", sharded(RunOptions{Mode: ModeReference})},
-		{"sharded-spiking", sharded(RunOptions{Mode: ModeSpiking})},
-		{"noisy", single(mlp, RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(603))})},
-		{"external-outputs", single(&ext, RunOptions{Mode: ModeReference})},
+		{"reference", single(mlp, RunOptions{Mode: ModeReference}), false, false},
+		{"spiking", single(mlp, RunOptions{Mode: ModeSpiking}), false, false},
+		{"sharded-reference", sharded(RunOptions{Mode: ModeReference}), false, false},
+		{"sharded-spiking", sharded(RunOptions{Mode: ModeSpiking}), false, false},
+		{"noisy", single(mlp, RunOptions{Mode: ModeSpikingNoisy, Rng: rand.New(rand.NewSource(603))}), false, false},
+		{"external-outputs", single(&ext, RunOptions{Mode: ModeReference}), false, true},
+		{"conv-reference", single(conv, RunOptions{Mode: ModeReference}), true, false},
+		{"conv-spiking", single(conv, RunOptions{Mode: ModeSpiking}), true, false},
 	}
+}
+
+// compileConvFixture compiles input (2×5×5) → 3×3 conv, 3 channels, pad 1
+// → ReLU → global average pool → FC to 4 classes → ReLU, with seeded
+// random weights.
+func compileConvFixture(t testing.TB) *Program {
+	t.Helper()
+	rng := rand.New(rand.NewSource(605))
+	g := cgraph.New("conv-features")
+	in := g.MustAdd("input", cgraph.Input{Shape: cgraph.Shape{C: 2, H: 5, W: 5}})
+	c := g.MustAdd("conv", cgraph.Conv2D{OutC: 3, Kernel: 3, Stride: 1, Pad: 1}, in)
+	r := g.MustAdd("relu1", cgraph.ReLU{}, c)
+	gap := g.MustAdd("gap", cgraph.GlobalAvgPool{}, r)
+	fc := g.MustAdd("fc", cgraph.FC{Out: 4}, gap)
+	g.MustAdd("relu2", cgraph.ReLU{}, fc)
+	weights := map[string][][]float64{}
+	for _, l := range []struct {
+		name       string
+		rows, cols int
+	}{{"conv", 18, 3}, {"fc", 3, 4}} {
+		w := make([][]float64, l.rows)
+		for i := range w {
+			w[i] = make([]float64, l.cols)
+			for j := range w[i] {
+				w[i][j] = (rng.Float64()*2 - 0.8) / float64(l.rows)
+			}
+		}
+		weights[l.name] = w
+	}
+	opts := DefaultOptions()
+	opts.Weights = func(l string) [][]float64 { return weights[l] }
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 // specialFeatures are the values quantization has to clamp or round at an
@@ -233,6 +281,31 @@ func TestRunFeaturesAllocs(t *testing.T) {
 	}
 }
 
+// TestRunFeaturesReadsInPlace pins where the features path reads from: on
+// every MLP fixture stage 0 reads the quantized input slab in place and
+// never grows an input table of its own, while the conv fixtures' first
+// stage gathers its im2col window into one; and a classes call reads
+// outputs that are one run in place, gathering them only for the
+// external-outputs fixture.
+func TestRunFeaturesReadsInPlace(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	for _, fx := range featureFixtures(t) {
+		features := featureBatch(fx.ex.prog, 9, 255, all)
+		if err := fx.ex.RunFeatures(make([]int, len(features)), features, true); err != nil {
+			t.Fatal(err)
+		}
+		if grew := fx.ex.ins[0] != nil; grew != fx.gathered {
+			t.Errorf("%s: stage 0 grew an input table: %t, want %t", fx.name, grew, fx.gathered)
+		}
+		if grew := fx.ex.res != nil; grew != fx.outputsGathered {
+			t.Errorf("%s: classes gathered the output rows: %t, want %t", fx.name, grew, fx.outputsGathered)
+		}
+	}
+}
+
 // FuzzClassifyFeaturesVsRunBatch fuzzes the same equivalence: the fixture,
 // the row count, an optional wrong-length row and the feature bytes (see
 // featureOf) all come from the fuzzer.
@@ -241,6 +314,8 @@ func FuzzClassifyFeaturesVsRunBatch(f *testing.F) {
 	f.Add(byte(1), byte(7), byte(255), []byte{240, 241, 242, 243, 244, 245, 246, 247, 248, 249, 250, 251, 252, 253, 254, 255})
 	f.Add(byte(3), byte(16), byte(255), []byte{192, 193, 194, 230, 231, 232})
 	f.Add(byte(5), byte(4), byte(2), []byte{100, 200, 250})
+	f.Add(byte(6), byte(6), byte(255), []byte{0, 64, 128, 191, 192, 193, 194, 240, 241, 242})
+	f.Add(byte(7), byte(3), byte(1), []byte{10, 90, 170, 250})
 	fixtures := featureFixtures(f)
 	f.Fuzz(func(t *testing.T, setup, rows, bad byte, raw []byte) {
 		fx := fixtures[int(setup)%len(fixtures)]

@@ -22,9 +22,9 @@ const (
 )
 
 // laneAVX2 selects the AVX2 bodies of the integer-lane walk here, the
-// float walk (walkFloatAVX2), the reference kernel (referenceSums) and its
-// integral-η epilogue (integerEpilogue). It is hasAVX2, fixed for the
-// process; only this package's tests change it, to run the kernel tests
+// float walk (walkFloatAVX2), the reference kernel (referenceSums), its
+// integral-η epilogue (integerEpilogue) and Quantize. It is hasAVX2,
+// fixed for the process; only tests change it, to run the kernel tests
 // under each body the CPU has.
 var laneAVX2 = hasAVX2
 

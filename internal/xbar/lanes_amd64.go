@@ -1,7 +1,7 @@
 package xbar
 
-// hasAVX2 reports whether the walks and the reference kernel can run their
-// AVX2 bodies: the CPU has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX
+// hasAVX2 reports whether the walks, the reference kernel and Quantize can
+// run their AVX2 bodies: the CPU has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX
 // bit 5) and the OS saves the XMM and YMM registers across context switches
 // (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1 and 2).
 var hasAVX2 = detectAVX2()
@@ -67,3 +67,9 @@ func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, wi
 //
 //go:noescape
 func epilogueAVX2(dst *int, quads int, m, window uint64)
+
+// quantizeAVX2 is Quantize's AVX2 body on 4·quads features: dst[i] =
+// round(src[i]·top) clamped to [0, top], for 0 ≤ top < 2^31.
+//
+//go:noescape
+func quantizeAVX2(dst *int, src *float64, quads int, top float64)

@@ -1057,3 +1057,42 @@ epidiff:
 epidone:
 	VZEROUPPER
 	RET
+
+// func quantizeAVX2(dst *int, src *float64, quads int, top float64)
+//
+// Four features per pass, Y8 = Γ, Y9 = +0.0 and Y10 = ½: x = f·Γ; MAXPD
+// with x as the first operand returns its second, +0, when x is NaN or
+// either zero; MINPD with Γ clamps the top; t = trunc(x) as four dwords
+// (exact below 2^31); x − float64(t) ≥ ½ sets a qword to all ones, and
+// subtracting that from t widened to qwords adds the rounding 1.
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         quads+16(FP), CX
+	VBROADCASTSD top+24(FP), Y8
+	VXORPD       Y9, Y9, Y9
+	MOVQ         $0x3fe0000000000000, AX
+	VMOVQ        AX, X10
+	VBROADCASTSD X10, Y10
+	TESTQ        CX, CX
+	JZ           quantdone
+
+quantloop:
+	VMULPD      (SI), Y8, Y0
+	VMAXPD      Y9, Y0, Y0
+	VMINPD      Y8, Y0, Y0
+	VCVTTPD2DQY Y0, X1
+	VCVTDQ2PD   X1, Y2
+	VSUBPD      Y2, Y0, Y2
+	VCMPPD      $0x0d, Y10, Y2, Y2
+	VPMOVSXDQ   X1, Y1
+	VPSUBQ      Y2, Y1, Y1
+	VMOVDQU     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         quantloop
+
+quantdone:
+	VZEROUPPER
+	RET

@@ -2,8 +2,8 @@
 
 package xbar
 
-// hasAVX2 is false off amd64: both walks and the reference kernel run
-// their portable bodies.
+// hasAVX2 is false off amd64: both walks, the reference kernel and
+// Quantize run their portable bodies.
 const hasAVX2 = false
 
 func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64) {
@@ -20,4 +20,8 @@ func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, wi
 
 func epilogueAVX2(dst *int, quads int, m, window uint64) {
 	panic("xbar: the AVX2 reference epilogue runs on amd64 only")
+}
+
+func quantizeAVX2(dst *int, src *float64, quads int, top float64) {
+	panic("xbar: the AVX2 quantize runs on amd64 only")
 }

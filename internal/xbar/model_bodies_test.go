@@ -12,7 +12,7 @@ import (
 )
 
 // TestModelOutputsAgreeAcrossBodies runs whole models through the portable
-// kernel bodies: the trained 16-24-4 MLP and a small conv net, deployed
+// kernel and quantize bodies: the trained 16-24-4 MLP and a small conv net, deployed
 // through fpsa with ideal devices and with 5 % of cells stuck, give the
 // same outputs in every execution mode with every AVX2 body switched off
 // as with them on. Programming noise (ModeSpikingNoisy) and stuck-high

@@ -237,7 +237,7 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 			c.buildUnits(counts)
 			c.accumulateDrives()
 			for _, j := range c.walkCols {
-				out[j] = c.runColumnPacked(j, window, cols, c.eta)
+				out[j] = c.runColumnPacked(j, cols, c.eta)
 			}
 		}
 	}
@@ -392,7 +392,7 @@ func (n *colNeuron) step(dP, dN float64) {
 // matrix and returns its output spike count. Dead cycles are stepped only
 // while the column is hot; a live cycle whose drive happens to be zero for
 // this column is stepped only when hot, which is the same no-op argument.
-func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
+func (c *Crossbar) runColumnPacked(j, cols int, eta float64) int {
 	n := colNeuron{eta: eta}
 	prev := -1
 	for li, t := range c.evCycles {
@@ -406,9 +406,8 @@ func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
 		}
 		prev = t
 	}
-	for gap := window - 1 - prev; gap > 0 && n.hot(); gap-- {
-		n.step(0, 0)
-	}
+	// No zero-drive cycle follows the last live one: every uniform train
+	// with a spike fires at cycle Γ−1 (TestUniformTrainFiresLastCycle).
 	return n.out
 }
 
