@@ -151,7 +151,10 @@ func typed(err error) bool {
 //   - Autotune under the same options, oracle only, returns what it
 //     reports: the deployment's modeled objective is TunedValue, its
 //     spend, replicas included, is TunedPEs within PEBudget, its chip
-//     count is Chips, and Blocks equals its netlists' counts.
+//     count is Chips, and Blocks equals its netlists' counts;
+//   - on designs of at most maxCachedBlocks blocks, a second compile
+//     through the same CompileCache places and routes from the cache, with
+//     the first run's PRStats and Bitstream facts.
 //
 // The corpus seeds are the test fixtures' shapes, MLP-500-100 and LeNet,
 // the last two scaled into the decoder's 2–64 range, and a conv whose 288
@@ -193,7 +196,60 @@ func FuzzCompileStack(f *testing.F) {
 			checkServing(t, d, single, mode, sc.inputs)
 		}
 		checkAutotune(t, sc)
+		checkCachedPlaceAndRoute(t, sc)
 	})
+}
+
+// maxCachedBlocks bounds the designs checkCachedPlaceAndRoute places and
+// routes: small enough that a run takes milliseconds.
+const maxCachedBlocks = 64
+
+// checkCachedPlaceAndRoute: the case compiled twice through one
+// CompileCache places and routes the first time and hits the cache the
+// second, and both report the same PRStats (but for FromCache) and the
+// same Bitstream facts. A failure must wrap a package sentinel, and the
+// second run must fail as the first did.
+func checkCachedPlaceAndRoute(t *testing.T, sc stackCase) {
+	t.Helper()
+	ctx := context.Background()
+	cache := NewCompileCache(8)
+	opts := append(sc.opts, WithChips(sc.chips), WithCache(cache))
+	type run struct {
+		pr  PRStats
+		bit BitstreamInfo
+		err error
+	}
+	var runs [2]run
+	for i := range runs {
+		d, err := Compile(ctx, sc.model, opts...)
+		if err != nil {
+			return // the uncached compile has checked this error
+		}
+		if pes, smbs, clbs := d.Blocks(); pes+smbs+clbs > maxCachedBlocks {
+			return
+		}
+		r := &runs[i]
+		if r.pr, r.err = d.PlaceAndRoute(ctx); r.err == nil {
+			r.bit, r.err = d.Bitstream(ctx)
+		}
+		if r.err != nil && !typed(r.err) {
+			t.Fatalf("compile %d: PlaceAndRoute or Bitstream: untyped error %v", i+1, r.err)
+		}
+	}
+	first, second := runs[0], runs[1]
+	if (first.err == nil) != (second.err == nil) {
+		t.Fatalf("through the cache: first run error %v, second %v", first.err, second.err)
+	}
+	if first.err != nil {
+		return
+	}
+	if first.pr.FromCache || !second.pr.FromCache {
+		t.Fatalf("FromCache: first run %v, second %v; want false then true", first.pr.FromCache, second.pr.FromCache)
+	}
+	second.pr.FromCache = false
+	if first.pr != second.pr || first.bit != second.bit {
+		t.Fatalf("through the cache: PRStats %+v then %+v, Bitstream %+v then %+v", first.pr, second.pr, first.bit, second.bit)
+	}
 }
 
 // checkAutotune: an oracle-only Autotune under the case's options fails

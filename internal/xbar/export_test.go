@@ -10,3 +10,18 @@ var HasAVX2 = hasAVX2
 // Tests outside the package use it to run whole models through the
 // portable bodies; callers must not run kernels concurrently with a switch.
 func UseAVX2Bodies(on bool) (restore func()) { return useLaneBody(on) }
+
+// ShiftConductance adds by to the positive conductance of cell (i, j) and
+// rederives the kernel's structural facts from the result, as a draw pass
+// does, so white-box tests can move one cell off its ideal magnitude.
+func (c *Crossbar) ShiftConductance(i, j int, by float64) {
+	c.posG[i*c.cols+j] += by
+	c.rederive()
+}
+
+// NegativeFreeShortcut reports whether SimulateCountsBatch answers this
+// crossbar's walked columns through the reference kernel under the
+// current η.
+func (c *Crossbar) NegativeFreeShortcut() bool {
+	return c.negFree && c.laneEligible()
+}

@@ -23,9 +23,9 @@ const (
 
 // laneAVX2 selects the AVX2 bodies of the integer-lane walk here, the
 // float walk (walkFloatAVX2), the reference kernel (referenceSums), its
-// integral-η epilogue (integerEpilogue) and Quantize. It is hasAVX2,
-// fixed for the process; only tests change it, to run the kernel tests
-// under each body the CPU has.
+// integral-η epilogue (integerEpilogue) and Quantize. It is hasAVX2 (AVX,
+// AVX2, BMI1 and OS-saved YMM state), fixed for the process; only tests
+// change it, to run the kernel tests under each body the CPU has.
 var laneAVX2 = hasAVX2
 
 // lanePair is the positive- and negative-polarity lane words of the same
@@ -145,7 +145,9 @@ func alignedGrow[T uint64 | float64](buf []T, n int) []T {
 //
 //  1. fills every cycle's drives with the dense row: a count above Γ/2 is
 //     silent on fewer cycles than it fires in, so it is added to every
-//     cycle at once and later subtracted from its silent cycles;
+//     cycle at once and later subtracted from its silent cycles (the AVX2
+//     body on half-block rows adds the dense row in the walk instead, as
+//     it reads each cycle's drives);
 //  2. accumulates the drives unit-major, per count from the shared train
 //     tables: a count of at most Γ/2 adds its row on the cycles its train
 //     fires in (uniformTrains), a count above subtracts it from the cycles
@@ -153,12 +155,16 @@ func alignedGrow[T uint64 | float64](buf []T, n int) []T {
 //     some of its own summands plus other rows, never less than what is
 //     subtracted from it;
 //  3. walks the cycles with each block of columns' state in registers: both
-//     neurons, then the subtracter, in colNeuron.step's statement order.
+//     neurons, then the subtracter. The portable body keeps the subtracter's
+//     debt in colNeuron.step's statement order; the AVX2 body keeps the
+//     running maximum of the fire-count difference instead, which is the
+//     same output (docs/INVARIANTS.md, "Integer lanes", item 4).
 //
 // The portable body does this four columns per uint64 operation, the AVX2
 // body (amd64, chosen from CPUID: laneAVX2) sixteen per 256-bit one — both
 // polarities of a half-block row in one — over the same lane rows and with
-// the same 16-bit lane arithmetic; each owns its per-cycle drive scratch.
+// the same 16-bit lane adds and subtracts; each owns its per-cycle drive
+// scratch.
 func (c *Crossbar) walkLanes(out, counts []int) {
 	if laneAVX2 {
 		c.walkLanesAVX2(out, counts)
@@ -266,7 +272,7 @@ func (c *Crossbar) walkLanesPortable(out, counts []int) {
 // instruction, grouping included, one assembly call per item, every step of
 // it bounded by rows·⌈walked columns/16⌉ or Γ·⌈walked columns/16⌉. A
 // half-block row never reads or writes countG's dense row: the body keeps
-// that sum in a register.
+// that sum in a register, and keeps laneDrvAVX2 zero between items.
 func (c *Crossbar) walkLanesAVX2(out, counts []int) {
 	half := c.laneHalf()
 	if c.laneDrvAVX2 == nil {

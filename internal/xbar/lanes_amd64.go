@@ -1,9 +1,12 @@
 package xbar
 
 // hasAVX2 reports whether the walks, the reference kernel and Quantize can
-// run their AVX2 bodies: the CPU has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX
-// bit 5) and the OS saves the XMM and YMM registers across context switches
-// (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1 and 2).
+// run their AVX2 bodies: the CPU has AVX (CPUID.1:ECX bit 28), AVX2
+// (CPUID.7:EBX bit 5) and BMI1 (CPUID.7:EBX bit 3, for the lane walk's
+// BLSR), and the OS saves the XMM and YMM registers across context switches
+// (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1 and 2). The lane walk's TZCNT
+// needs no bit of its own: it only ever scans a nonzero word, where a CPU
+// without BMI1 runs it as BSF with the same result.
 var hasAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -17,8 +20,9 @@ func detectAVX2() bool {
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
 		return false
 	}
+	const bmi1, avx2 = 1 << 3, 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	return ebx&(bmi1|avx2) == bmi1|avx2
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -32,9 +36,10 @@ func xgetbv() (eax, edx uint32)
 // counts the item's nrows input counts; rows is countG and present its
 // count set, both zero on entry and left zero on return; trains and silent
 // are the window's uniformTrains and silentTrains; drv is window lane rows
-// of scratch; fired receives one output count per positive lane, 4·half of
-// them. Lane rows are 16·half bytes apart, and lanes, rows and drv are
-// 32-byte aligned.
+// of scratch, which a half-block row's walk needs zero on entry and leaves
+// zero on return (it adds the dense row as it reads each drive row); fired
+// receives one output count per positive lane, 4·half of them. Lane rows
+// are 16·half bytes apart, and lanes, rows and drv are 32-byte aligned.
 //
 //go:noescape
 func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)

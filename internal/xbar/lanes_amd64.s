@@ -155,9 +155,8 @@ presword:
 	JZ    presnext
 
 count:
-	BSFQ    DX, AX
-	LEAQ    -1(DX), CX
-	ANDQ    CX, DX
+	TZCNTQ  DX, AX
+	BLSRQ   DX, DX
 	MOVQ    R13, CX
 	SUBQ    present+32(FP), CX
 	SHLQ    $3, CX
@@ -214,9 +213,8 @@ trainword:
 	JA    event192
 
 event64:
-	BSFQ    BX, AX
-	LEAQ    -1(BX), CX
-	ANDQ    CX, BX
+	TZCNTQ  BX, AX
+	BLSRQ   BX, BX
 	IMULQ   R11, AX
 	VPADDW  (R9)(AX*1), Y1, Y0
 	VPADDW  32(R9)(AX*1), Y2, Y7
@@ -227,9 +225,8 @@ event64:
 	JMP     nextword
 
 event128:
-	BSFQ    BX, AX
-	LEAQ    -1(BX), CX
-	ANDQ    CX, BX
+	TZCNTQ  BX, AX
+	BLSRQ   BX, BX
 	IMULQ   R11, AX
 	VPADDW  (R9)(AX*1), Y1, Y0
 	VPADDW  32(R9)(AX*1), Y2, Y7
@@ -244,9 +241,8 @@ event128:
 	JMP     nextword
 
 event192:
-	BSFQ    BX, AX
-	LEAQ    -1(BX), CX
-	ANDQ    CX, BX
+	TZCNTQ  BX, AX
+	BLSRQ   BX, BX
 	IMULQ   R11, AX
 	VPADDW  (R9)(AX*1), Y1, Y0
 	VPADDW  32(R9)(AX*1), Y2, Y7
@@ -303,21 +299,16 @@ zeropresent:
 	JNZ  zeropresent
 
 	// Walk, one block of sixteen columns at a time through every cycle.
-	// Y0/Y1 = positive/negative membranes, kept biased by Y4 = 2^15 − η:
-	// a lane's bit 15 is set exactly when its membrane is ≥ η, so an
-	// arithmetic shift by 15 is the neuron's fire mask and the mask AND
-	// Y5 = η is what it subtracts. Y2 = debt, Y3 = fired, Y10 = sp as 0/1:
-	// the subtracter's cancel, sp where debt > 0, is min(sp, debt). AX
-	// walks the block's positive drives down the cycles, R12 is the offset
-	// of the negative ones, R8 the block's first positive drive and R10
-	// its fired lanes.
+	// Y0/Y1 = positive/negative membranes and Y5 = η in every lane; each
+	// steps as the half-block walk's does (m += d, t = m − η, m =
+	// min(m, t) unsigned, fire mask m = t). Y2/Y10 count the positive and
+	// negative fires and Y3 is the output, the running maximum of
+	// F⁺ − F⁻ saturated at 0. AX walks the block's positive drives down
+	// the cycles, R12 is the offset of the negative ones, R8 the block's
+	// first positive drive and R10 its fired lanes.
 	MOVQ         eta+88(FP), AX
 	VMOVQ        AX, X5
 	VPBROADCASTW X5, Y5
-	MOVQ         $0x8000, CX
-	SUBQ         AX, CX
-	VMOVQ        CX, X4
-	VPBROADCASTW X4, Y4
 	MOVQ         fired+56(FP), R10
 	MOVQ         half+80(FP), R9
 	SHRQ         $2, R9
@@ -326,36 +317,35 @@ zeropresent:
 	MOVQ         drv+0(FP), R8
 
 block:
-	VMOVDQU Y4, Y0
-	VMOVDQU Y4, Y1
-	VPXOR   Y2, Y2, Y2
-	VPXOR   Y3, Y3, Y3
-	MOVQ    R8, AX
-	MOVQ    window+72(FP), CX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y10, Y10, Y10
+	MOVQ  R8, AX
+	MOVQ  window+72(FP), CX
 
 cycle:
-	VPADDW  (AX), Y0, Y0
-	VPSRAW  $15, Y0, Y7
-	VPSRLW  $15, Y0, Y10
-	VPAND   Y5, Y7, Y7
-	VPSUBW  Y7, Y0, Y0
-	VPADDW  (AX)(R12*1), Y1, Y1
-	VPSRAW  $15, Y1, Y8
-	VPAND   Y5, Y8, Y9
-	VPSUBW  Y9, Y1, Y1
-	VPSUBW  Y8, Y2, Y2
-	VPMINUW Y10, Y2, Y9
-	VPSUBW  Y9, Y2, Y2
-	VPSUBW  Y9, Y10, Y10
-	VPADDW  Y10, Y3, Y3
-	ADDQ    R11, AX
-	DECQ    CX
-	JNZ     cycle
-	VMOVDQU Y3, (R10)
-	ADDQ    $32, R10
-	ADDQ    $32, R8
-	DECQ    R9
-	JNZ     block
+	VPADDW   (AX), Y0, Y0
+	VPSUBW   Y5, Y0, Y7
+	VPMINUW  Y7, Y0, Y0
+	VPCMPEQW Y7, Y0, Y7
+	VPADDW   (AX)(R12*1), Y1, Y1
+	VPSUBW   Y5, Y1, Y8
+	VPMINUW  Y8, Y1, Y1
+	VPCMPEQW Y8, Y1, Y8
+	VPSUBW   Y7, Y2, Y2
+	VPSUBW   Y8, Y10, Y10
+	VPSUBUSW Y10, Y2, Y9
+	VPMAXUW  Y9, Y3, Y3
+	ADDQ     R11, AX
+	DECQ     CX
+	JNZ      cycle
+	VMOVDQU  Y3, (R10)
+	ADDQ     $32, R10
+	ADDQ     $32, R8
+	DECQ     R9
+	JNZ      block
 
 	VZEROUPPER
 	RET
@@ -363,6 +353,9 @@ cycle:
 	// Half-block rows: a lane row is one block, the positive lanes in its
 	// low 128 bits and the negative ones in its high 128 bits. Group as
 	// above, but sum the dense row in Y13: rows[window] is never touched.
+	// There is no fill: drv is zero on entry, the accumulate adds and
+	// subtracts into it, and the walk adds Y13 to each drive row as it
+	// reads it and zeroes the row behind it.
 halfgroup:
 	VPXOR Y13, Y13, Y13
 
@@ -380,24 +373,16 @@ hnextrow:
 	DECQ R10
 	JNZ  hgroup
 
-	// Fill: every cycle's drives start as the dense row.
-	MOVQ DI, AX
-	MOVQ DX, CX
-
-hfill:
-	VMOVDQU Y13, (AX)
-	ADDQ    $32, AX
-	DECQ    CX
-	JNZ     hfill
-
 	// Accumulate, in one pass: count k+1's row rows[k] is read into Y1 and
 	// zeroed, and (k ≥ Γ/2) negated and added on the cycles its train is
 	// silent in, else added on those it fires in: one VPADDW and one store
-	// per spike event. R11 = words per train; R13 walks the present words,
-	// zeroing each, up to R14; DX holds the counts left in the current
-	// word. R10 walks the count's train, R12 counts its words down and R9
-	// is the drive row of the current word's first cycle (rows of 64
-	// cycles are 2,048 bytes apart); BX holds the word's cycles left.
+	// per spike event, two events per trip. R11 = words per train; R13
+	// walks the present words, zeroing each, up to R14; DX holds the counts
+	// left in the current word. R10 walks the count's train, R12 counts its
+	// words down and R9 is the drive row of the current word's first cycle
+	// (rows of 64 cycles are 2,048 bytes apart); BX holds the word's cycles
+	// left. Bits are taken with TZCNT and cleared with BLSR, so no scan
+	// waits on the address of the event before it.
 	MOVQ DX, R11
 	ADDQ $63, R11
 	SHRQ $6, R11
@@ -411,9 +396,8 @@ hpresword:
 	JZ    hpresnext
 
 hcount:
-	BSFQ    DX, AX
-	LEAQ    -1(DX), CX
-	ANDQ    CX, DX
+	TZCNTQ  DX, AX
+	BLSRQ   DX, DX
 	MOVQ    R13, CX
 	SUBQ    present+32(FP), CX
 	SHLQ    $3, CX
@@ -444,14 +428,24 @@ htrainword:
 	JZ    hnextword
 
 hevent:
-	BSFQ    BX, AX
-	LEAQ    -1(BX), CX
-	ANDQ    CX, BX
+	TZCNTQ  BX, AX
+	BLSRQ   BX, BX
+	JZ      hlastevent
+	TZCNTQ  BX, CX
+	SHLQ    $5, AX
+	SHLQ    $5, CX
+	VPADDW  (R9)(AX*1), Y1, Y0
+	VPADDW  (R9)(CX*1), Y1, Y2
+	VMOVDQU Y0, (R9)(AX*1)
+	VMOVDQU Y2, (R9)(CX*1)
+	BLSRQ   BX, BX
+	JNZ     hevent
+	JMP     hnextword
+
+hlastevent:
 	SHLQ    $5, AX
 	VPADDW  (R9)(AX*1), Y1, Y0
 	VMOVDQU Y0, (R9)(AX*1)
-	TESTQ   BX, BX
-	JNZ     hevent
 
 hnextword:
 	ADDQ  $8, R10
@@ -466,35 +460,36 @@ hpresnext:
 	CMPQ R13, R14
 	JB   hpresword
 
-	// Walk: Y0 holds both membranes of the eight columns, biased as in the
-	// blocks' walk, so one VPADDW, VPSRAW, VPAND and VPSUBW step both
-	// neurons. The subtracter runs in the low 128 bits, off the membranes'
-	// recurrence: X10 = sp as 0/1, X9 = the negative fire mask moved down
-	// by VEXTRACTI128, X2 = debt, X3 = fired. AX walks the drive rows.
+	// Walk: Y0 holds both membranes of the eight columns and Y5 = η in
+	// every lane. A step is m += d, then t = m − η and m = min(m, t) as
+	// unsigned words: t wraps above 2^15 where m < η, so the minimum
+	// subtracts η exactly where the neuron fires, and m = t there is its
+	// fire mask (all ones). Y2 counts the fires, the positive neurons' in
+	// lanes 0–7 and the negative ones' in lanes 8–15; the subtracter's
+	// output X3 is the running maximum of F⁺ − F⁻, saturated at 0, in the
+	// low 128 bits, off the membranes' recurrence (docs/INVARIANTS.md,
+	// "Integer lanes", item 4). AX walks the drive rows; a cycle's drives
+	// are its row plus the dense row, Y13, and Y12 zeroes the row.
 	MOVQ         eta+88(FP), AX
 	VMOVQ        AX, X5
 	VPBROADCASTW X5, Y5
-	MOVQ         $0x8000, CX
-	SUBQ         AX, CX
-	VMOVQ        CX, X0
-	VPBROADCASTW X0, Y0
-	VPXOR        X2, X2, X2
+	VPXOR        Y0, Y0, Y0
+	VPXOR        Y2, Y2, Y2
 	VPXOR        X3, X3, X3
 	MOVQ         DI, AX
 	MOVQ         window+72(FP), CX
 
 hcycle:
-	VPADDW       (AX), Y0, Y0
-	VPSRAW       $15, Y0, Y7
-	VPSRLW       $15, X0, X10
-	VPAND        Y5, Y7, Y8
-	VPSUBW       Y8, Y0, Y0
-	VEXTRACTI128 $1, Y7, X9
-	VPSUBW       X9, X2, X2
-	VPMINUW      X10, X2, X11
-	VPSUBW       X11, X2, X2
-	VPSUBW       X11, X10, X10
-	VPADDW       X10, X3, X3
+	VPADDW       (AX), Y13, Y6
+	VMOVDQU      Y12, (AX)
+	VPADDW       Y6, Y0, Y0
+	VPSUBW       Y5, Y0, Y7
+	VPMINUW      Y7, Y0, Y0
+	VPCMPEQW     Y7, Y0, Y7
+	VPSUBW       Y7, Y2, Y2
+	VEXTRACTI128 $1, Y2, X9
+	VPSUBUSW     X9, X2, X10
+	VPMAXUW      X10, X3, X3
 	ADDQ         $32, AX
 	DECQ         CX
 	JNZ          hcycle

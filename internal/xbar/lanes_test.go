@@ -178,3 +178,51 @@ func FuzzFloatBodiesAgree(f *testing.F) {
 		}
 	})
 }
+
+// TestHalfBlockDriveRowsStayZero: on half-block lane rows the AVX2 body has
+// no fill — the next item's accumulate adds into the drive rows as it finds
+// them — so after every call each drive row must be zero again. Half-block
+// crossbars at Γ = 16/64/128, fed all-zero, all-Γ, clamped and random items
+// in calls of one to three.
+func TestHalfBlockDriveRowsStayZero(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("the CPU has no AVX2: the portable body keeps no drive rows between items")
+	}
+	defer useLaneBody(true)()
+	rng := rand.New(rand.NewSource(5407))
+	for _, ioBits := range []int{4, 6, 7} {
+		for _, shape := range [][2]int{{18, 8}, {8, 4}, {24, 1}} {
+			cfg := structuredConfig(ioBits, false)
+			weights := randomWeights(rng, shape[0], shape[1], cfg.Rep.MaxWeight())
+			cfg.Eta = synthEta(weights)
+			xb, err := Program(cfg, weights, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !xb.laneEligible() || xb.negFree || xb.laneHalf() != 2 || len(xb.walkCols) == 0 {
+				t.Fatalf("Γ %d %v: want a half-block lane walk (eligible %v, negative-free %v, half %d)",
+					xb.Window(), shape, xb.laneEligible(), xb.negFree, xb.laneHalf())
+			}
+			rows, window := xb.Rows(), xb.Window()
+			const batch = 12
+			src := structuredCounts(rng, batch, rows, window)
+			for i := range rows {
+				src[i], src[rows+i], src[2*rows+i] = 0, window, -1+(window+2)*(i%2)
+			}
+			dst := make([]int, batch*xb.Cols())
+			for b := 0; b < batch; {
+				n := min(1+b%3, batch-b)
+				if err := xb.SimulateCountsBatch(dst[b*xb.Cols():(b+n)*xb.Cols()], src[b*rows:(b+n)*rows], n); err != nil {
+					t.Fatal(err)
+				}
+				for k, w := range xb.laneDrvAVX2 {
+					if w != 0 {
+						t.Fatalf("Γ %d %v: after items %d–%d laneDrvAVX2[%d] = %#x, want 0", window, shape, b, b+n-1, k, w)
+					}
+				}
+				b += n
+			}
+			assertPackedMatchesDense(t, fmt.Sprintf("Γ=%d %v", window, shape), xb, src, batch)
+		}
+	}
+}

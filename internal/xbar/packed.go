@@ -86,11 +86,13 @@ func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 }
 
 // probeDensity sums the clamped input spike counts of a micro-batch into
-// the stats counters, beside the capacity they were observed over.
+// the stats counters, beside the capacity they were observed over. The
+// clamp is min and max, which compile to conditional moves: counts are
+// mostly in range, but which ones are not is data.
 func (c *Crossbar) probeDensity(src []int, batch int) {
-	total := 0
+	total, window := 0, c.window
 	for _, v := range src {
-		total += spike.Clamp(v, c.window)
+		total += min(max(v, 0), window)
 	}
 	c.spikeN.Add(uint64(total))
 	c.slotN.Add(uint64(batch * c.rows * c.window))
@@ -98,10 +100,12 @@ func (c *Crossbar) probeDensity(src []int, batch int) {
 
 // A column is tabulated when its support is at most maxSupport rows — what
 // the synthesizer's pairwise-max and residual-add columns have — and its
-// key space (Γ+1)^k is at most maxTabulated entries: k ≤ 2 up to Γ = 64
-// (65² = 4225 keys), k ≤ 1 at Γ = 128. Both are constants, not knobs: the
-// key space must stay small enough to enumerate, so that a table's hit
-// rate is a property of the crossbar and not of the input stream.
+// key space (Γ+1)^k is at most maxTabulated entries: k ≤ 2 up to Γ = 89
+// (90² = 8100 keys), k ≤ 1 up to Γ = 8191. Both are constants, not knobs:
+// the key space must stay small enough to enumerate, so that a table's hit
+// rate is a property of the crossbar and not of the input stream. A table
+// entry is a count plus one, at most Γ+1 ≤ maxTabulated, so it fits a
+// uint16.
 const (
 	maxSupport   = 2
 	maxTabulated = 1 << 13
@@ -161,16 +165,21 @@ func uniformTrains(window int) []uint64 {
 //     a pairwise-max crossbar shares one), filled on first use by
 //     walkSupport — the real colNeuron.step walk with drives summed in
 //     ascending row order, i.e. the dense kernel restricted to the support.
-//     A crossbar whose columns are all tabulated never builds units or
-//     drives at all;
+//     They are answered after the walk, a column at a time over the whole
+//     batch (tabulate). A crossbar whose columns are all tabulated never
+//     builds units or drives at all;
 //   - walked columns go through a cycle walk.
 //
 // Which walk is decided at entry from what the crossbar is, never by an
 // option: ideally programmed conductances under an integer η that no
 // column drive exceeds (laneEligible — every crossbar the synthesizer emits,
 // until noise, a fault or SetEta says otherwise) step all walked
-// columns at once in integer lanes (walkLanes). Anything else takes the
-// float walk. Its portable body, below, per batch item
+// columns at once in integer lanes (walkLanes) — unless, in addition, no
+// walked column has a negative conductance and every walked cell holds its
+// ideal magnitude (negativeFree: the average and global-average pools),
+// where the count is the reference kernel's and ReferenceBatch's
+// arithmetic answers the whole batch. Anything else takes the float walk.
+// Its portable body, below, per batch item
 //
 //  1. collapses the input rows into drive units: every row with a zero
 //     count drops out, and every firing row is one unit, in ascending row
@@ -201,81 +210,98 @@ func uniformTrains(window int) []uint64 {
 // keyed on a whole input vector, stage or sample: the tables' hit rate
 // depends on the crossbar's structure, not on inputs repeating.
 func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
-	window, cols := c.window, c.cols
+	window, rows, cols := c.window, c.rows, c.cols
 	if c.trainTab == nil {
 		c.trainTab = uniformTrains(window)
 	}
 	lanes := len(c.walkCols) > 0 && c.laneEligible()
 	switch {
 	case len(c.walkCols) == 0:
+	case lanes && c.negFree:
+		// spiking = ⌊S⁺(Γ)/η⌋ = ReferenceBatch on every walked column
+		// (docs/INVARIANTS.md, "Integer lanes", item 6); the tabulated
+		// columns' reference answers are overwritten below.
+		c.referenceSums(dst, src, batch)
+		integerEpilogue(dst[:batch*cols], uint64(c.eta), window)
 	case lanes:
 		c.packLanes()
+		for b := range batch {
+			c.walkLanes(dst[b*cols:(b+1)*cols], src[b*rows:(b+1)*rows])
+		}
 	case laneAVX2:
 		c.packFloatLanes()
-	case len(c.rowG) == 0:
-		// The walk adds whole conductance rows, both polarities at once.
-		c.rowG = grow(c.rowG, 2*len(c.posG))[:0]
-		for i := 0; i < c.rows; i++ {
-			c.rowG = append(c.rowG, c.posG[i*cols:(i+1)*cols]...)
-			c.rowG = append(c.rowG, c.negG[i*cols:(i+1)*cols]...)
+		for b := range batch {
+			c.walkFloatAVX2(dst[b*cols:(b+1)*cols], src[b*rows:(b+1)*rows])
 		}
-	}
-	for b := 0; b < batch; b++ {
-		counts := src[b*c.rows : (b+1)*c.rows]
-		out := dst[b*cols : (b+1)*cols]
-		for i := range c.tabCols {
-			tc := &c.tabCols[i]
-			out[tc.col] = c.tabulated(tc, counts)
+	default:
+		if len(c.rowG) == 0 {
+			// The walk adds whole conductance rows, both polarities at once.
+			c.rowG = grow(c.rowG, 2*len(c.posG))[:0]
+			for i := 0; i < rows; i++ {
+				c.rowG = append(c.rowG, c.posG[i*cols:(i+1)*cols]...)
+				c.rowG = append(c.rowG, c.negG[i*cols:(i+1)*cols]...)
+			}
 		}
-		switch {
-		case len(c.walkCols) == 0:
-		case lanes:
-			c.walkLanes(out, counts)
-		case laneAVX2:
-			c.walkFloatAVX2(out, counts)
-		default:
-			c.buildUnits(counts)
+		for b := range batch {
+			c.buildUnits(src[b*rows : (b+1)*rows])
 			c.accumulateDrives()
 			for _, j := range c.walkCols {
-				out[j] = c.runColumnPacked(j, cols, c.eta)
+				dst[b*cols+j] = c.runColumnPacked(j, cols, c.eta)
 			}
 		}
 	}
+	c.tabulate(dst, src, batch)
 }
 
-// tabulated answers one tabulated column for one item: the key is the
-// clamped counts on the column's support rows, and a miss runs the real
-// walk once and remembers it in the column's (possibly shared) table. A
-// table has (Γ+1)^k entries keyed by the support counts, most significant
-// row first; 0 means not yet computed, otherwise output+1. An empty table
-// (never used, or dropped by SetEta or a draw pass) is sized and zeroed in
-// its own buffer on first use.
-func (c *Crossbar) tabulated(tc *tabCol, counts []int) int {
-	base := c.window + 1
-	var clamped [maxSupport]int
-	key := 0
-	for p, r := range tc.rows[:tc.k] {
-		clamped[p] = spike.Clamp(counts[r], c.window)
-		key = key*base + clamped[p]
+// tabulate answers the tabulated columns for a whole batch, one column at a
+// time: the key is the clamped counts on the column's support rows, and a
+// miss runs the real walk once and remembers it in the column's (possibly
+// shared) table. A table has (Γ+1)^k entries keyed by the support counts,
+// most significant row first; 0 means not yet computed, otherwise
+// output+1. An empty table (never used, or dropped by SetEta or a draw
+// pass) is sized and zeroed in its own buffer on first use. The table and
+// the key's fold are resolved once per column: key = m0·c(r0) + m1·c(r1),
+// with (m0, m1) = (Γ+1, 1) for two support rows, (1, 0) for one and
+// (0, 0) for none, where an absent row reads row 0 and counts nothing.
+func (c *Crossbar) tabulate(dst, src []int, batch int) {
+	if len(c.tabCols) == 0 {
+		return
 	}
 	if len(c.tables) != c.nTabs {
 		c.tables = grow(c.tables, c.nTabs)
 	}
-	table := c.tables[tc.tab]
-	if len(table) == 0 {
-		size := 1
-		for range tc.k {
-			size *= base
+	window, rows, cols := c.window, c.rows, c.cols
+	base := window + 1
+	for i := range c.tabCols {
+		tc := &c.tabCols[i]
+		table := c.tables[tc.tab]
+		if len(table) == 0 {
+			size := 1
+			for range tc.k {
+				size *= base
+			}
+			table = zeroed(table, size)
+			c.tables[tc.tab] = table
 		}
-		table = zeroed(table, size)
-		c.tables[tc.tab] = table
+		var r0, r1, m0, m1 int
+		switch tc.k {
+		case 1:
+			r0, m0 = tc.rows[0], 1
+		case 2:
+			r0, r1, m0, m1 = tc.rows[0], tc.rows[1], base, 1
+		}
+		for b := range batch {
+			counts := [maxSupport]int{min(max(src[r0], 0), window), min(max(src[r1], 0), window)}
+			key := m0*counts[0] + m1*counts[1]
+			v := table[key]
+			if v == 0 {
+				v = uint16(c.walkSupport(tc, &counts) + 1)
+				table[key] = v
+			}
+			dst[b*cols+tc.col] = int(v) - 1
+			r0, r1 = r0+rows, r1+rows
+		}
 	}
-	if v := table[key]; v != 0 {
-		return int(v - 1)
-	}
-	out := c.walkSupport(tc, &clamped)
-	table[key] = int32(out + 1)
-	return out
 }
 
 // walkSupport is the dense kernel restricted to one column's support: every
@@ -569,6 +595,37 @@ func (c *Crossbar) classifyProgramming() {
 			c.maxDrive = max(c.maxDrive, colSum[2*j], colSum[2*j+1])
 		}
 	}
+	c.negFree = c.negativeFree()
+}
+
+// negativeFree reports whether a lane walk over this crossbar may be
+// answered by the reference kernel: there are walked columns, their sums
+// are exact (maxDrive is finite), none has a nonzero negative conductance,
+// and each of their cells holds exactly packW's ideal magnitudes — the
+// reference kernel's operands. Integrality alone is not the test: a noisy
+// draw clamped to 0 is an integer too, and so is a conductance an integer
+// away from its ideal magnitude. The
+// cell-by-cell scan runs only on crossbars that pass the cheap tests, so a
+// noisy redraw (fractional sums) costs nothing extra.
+func (c *Crossbar) negativeFree() bool {
+	if len(c.walkCols) == 0 || math.IsInf(c.maxDrive, 1) {
+		return false
+	}
+	for _, j := range c.walkCols {
+		if c.colSum[2*j+1] != 0 {
+			return false
+		}
+	}
+	for i := 0; i < c.rows; i++ {
+		for _, j := range c.walkCols {
+			k := i*c.cols + j
+			p, n := c.packW[k]>>polarityShift, c.packW[k]&lowHalf
+			if n != 0 || c.negG[k] != 0 || c.posG[k] != float64(p) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sameSupport reports whether two tabulated columns have the same support

@@ -406,6 +406,65 @@ func assertMatchesTrains(t *testing.T, label string, xb *Crossbar, src []int, ba
 	}
 }
 
+// atWindow reprograms xb's sampling window to an arbitrary Γ and rederives
+// its column split: Program only makes windows that are powers of two, and
+// the tabulation bound is reached between them.
+func atWindow(xb *Crossbar, window int) {
+	xb.window = window
+	xb.trainTab, xb.silentTab = nil, nil
+	xb.rederive()
+}
+
+// TestTableEntriesAtTheKeySpaceBound pins the uint16 table entry at the
+// edge of the key-space rule, (Γ+1)^k ≤ maxTabulated: two one-row columns
+// at Γ = 8191, the largest window whose Γ+1 keys fit, one of which outputs
+// Γ and so stores the largest entry, Γ+1 = maxTabulated; and two two-row
+// columns at Γ = 89, the largest whose (Γ+1)^2 keys fit. Each is fed counts
+// at and near Γ, and past it (clamped), and must match the dense oracle;
+// one window further, no column is tabulated.
+func TestTableEntriesAtTheKeySpaceBound(t *testing.T) {
+	cfg := testConfig(0)
+	maxW := cfg.Rep.MaxWeight()
+	cfg.Eta = float64(maxW)
+	for _, tc := range []struct {
+		ioBits, window, k int
+		weights           [][]int
+	}{
+		{13, maxTabulated - 1, 1, [][]int{{maxW, 0}, {0, -maxW}}},
+		{7, 89, 2, [][]int{{maxW, maxW}, {-maxW, maxW}}},
+	} {
+		c := cfg
+		c.Params.IOBits = tc.ioBits
+		xb, err := Program(c, tc.weights, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atWindow(xb, tc.window)
+		if len(xb.tabCols) != 2 || xb.tabCols[0].k != tc.k || xb.tabCols[1].k != tc.k {
+			t.Fatalf("Γ %d: tabulated columns %+v, want both with %d support rows", tc.window, xb.tabCols, tc.k)
+		}
+		g := tc.window
+		var src []int
+		for _, pair := range [][2]int{{g, g}, {g, 0}, {0, g}, {g - 1, g}, {g, g - 1}, {g - 1, 1}, {g + 5, -3}, {1, g + 1}} {
+			src = append(src, pair[0], pair[1])
+		}
+		assertMatchesTrains(t, fmt.Sprintf("Γ=%d", g), xb, src, len(src)/2)
+		top := 0
+		for _, table := range xb.tables {
+			for _, v := range table {
+				top = max(top, int(v))
+			}
+		}
+		if tc.k == 1 && top != maxTabulated {
+			t.Errorf("Γ %d: largest table entry %d, want Γ+1 = %d", g, top, maxTabulated)
+		}
+		atWindow(xb, tc.window+1)
+		if len(xb.tabCols) != 0 {
+			t.Errorf("Γ %d: %d columns still tabulated past the key-space bound", tc.window+1, len(xb.tabCols))
+		}
+	}
+}
+
 // TestSetEtaInvalidatesTables: nothing derived under one η may answer under
 // another. Program → fill → SetEta → run must equal the dense kernel (which
 // reads η live) and the train-level path, for SetEta before the first run

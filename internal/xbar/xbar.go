@@ -233,17 +233,18 @@ type Crossbar struct {
 	// trainTab, silentTab, rowG, floatG and laneG are fetched/built when the
 	// kernel first needs them; a draw pass empties rowG and floatG, which
 	// are rebuilt in their own capacity, and drops laneG.
-	maxDrive  float64   // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
-	tabCols   []tabCol  // columns answered from a table over their support counts
-	nTabs     int       // distinct tables the tabCols index (see sameSupport)
-	tables    [][]int32 // nTabs tables, each empty until first used (see tabulated); SetEta and Redraw empty them
-	walkCols  []int     // columns the cycle walk must step, ascending
-	colSum    []float64 // classifyProgramming's per-polarity column sums, kept for the next pass
-	trainTab  []uint64  // shared (window+1)×Lanes(window) uniform trains
-	silentTab []uint64  // shared complements of trainTab within the window (lane walk)
-	rowG      []float64 // portable float walk: rows×2·cols conductances, posG row then negG row per row
-	floatG    []float64 // AVX2 float walk: rows float lane rows (see floatHalf)
-	laneG     []uint64  // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
+	maxDrive  float64    // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
+	negFree   bool       // every walked column ideal with an empty negative polarity (see negativeFree)
+	tabCols   []tabCol   // columns answered from a table over their support counts
+	nTabs     int        // distinct tables the tabCols index (see sameSupport)
+	tables    [][]uint16 // nTabs tables, each empty until first used (see tabulate); SetEta and Redraw empty them
+	walkCols  []int      // columns the cycle walk must step, ascending
+	colSum    []float64  // classifyProgramming's per-polarity column sums, kept for the next pass
+	trainTab  []uint64   // shared (window+1)×Lanes(window) uniform trains
+	silentTab []uint64   // shared complements of trainTab within the window (lane walk)
+	rowG      []float64  // portable float walk: rows×2·cols conductances, posG row then negG row per row
+	floatG    []float64  // AVX2 float walk: rows float lane rows (see floatHalf)
+	laneG     []uint64   // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
 
 	// What the draw pass programs with (see Redraw): the cell and weight
 	// representation from the Config.
@@ -414,6 +415,12 @@ func (c *Crossbar) Redraw(rng *rand.Rand) {
 			c.negG[k] = device.ProgramWeight(c.rep, c.spec, neg, rng)
 		}
 	}
+	c.rederive()
+}
+
+// rederive drops what the kernel built from earlier conductances and
+// rederives its structural facts from the current ones (see Redraw).
+func (c *Crossbar) rederive() {
 	c.rowG = c.rowG[:0]
 	c.floatG = c.floatG[:0]
 	// Only ideal conductances ride the integer lanes (laneEligible), and
@@ -595,7 +602,9 @@ func saturatingInt(f float64) int {
 // from tables; the rest are stepped in 16-bit integer lanes when the
 // conductances are ideal and η is one no column can saturate (as the
 // synthesizer's always is) — sixteen columns per instruction on an amd64
-// CPU with AVX2, four per uint64 word elsewhere, with the same numbers —
+// CPU with AVX2, four per uint64 word elsewhere, with the same numbers,
+// and by the reference kernel's arithmetic when, besides, no walked column
+// has a negative conductance, where the counts are the same —
 // or else by the float walk over one drive unit per firing row, four
 // float64 columns per instruction with AVX2 and one at a time elsewhere,
 // again with the same numbers. Its output is bit-identical to the paper's
