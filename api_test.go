@@ -45,6 +45,29 @@ func mustNet(t testing.TB, d *Deployment) *SpikingNet {
 	return sn
 }
 
+// outputsBatch runs a micro-batch through the net's run path, as
+// ClassifyBatch does, and returns each item's raw output spike counts,
+// positionally.
+func outputsBatch(sn *SpikingNet, features [][]float64, mode ExecMode) ([][]int, error) {
+	n := len(sn.prog.OutputRefs)
+	flat := make([]int, len(features)*n)
+	if err := sn.run(flat, features, mode, false, false); err != nil {
+		return nil, err
+	}
+	outs := make([][]int, len(features))
+	for b := range outs {
+		outs[b] = flat[b*n : (b+1)*n : (b+1)*n]
+	}
+	return outs, nil
+}
+
+// engineOutputs serves one feature vector through the engine's pool, as
+// Classify does, and returns its raw output spike counts.
+func engineOutputs(ctx context.Context, e *Engine, features []float64) ([]int, error) {
+	out, err := e.eng.Outputs(ctx, [][]float64{features})
+	return out, liftErr(err)
+}
+
 // deployMLP is compileMLP followed by NewNet(nil).
 func deployMLP(t testing.TB, net *TrainedMLP, opts ...Option) *SpikingNet {
 	t.Helper()
@@ -341,7 +364,7 @@ func TestEngineClosedTyped(t *testing.T) {
 	if _, err := eng.Classify(ctx, test.X[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Classify after Close: %v, want ErrClosed", err)
 	}
-	if _, err := eng.Outputs(ctx, test.X[0]); !errors.Is(err, ErrClosed) {
+	if _, err := engineOutputs(ctx, eng, test.X[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Outputs after Close: %v, want ErrClosed", err)
 	}
 }

@@ -76,16 +76,6 @@ func (e *Engine) Classify(ctx context.Context, features []float64) (int, error) 
 	return classes[0], nil
 }
 
-// Outputs runs one feature vector and returns the raw output spike
-// counts, bounded by ctx as in Classify.
-func (e *Engine) Outputs(ctx context.Context, features []float64) ([]int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out, err := e.eng.Outputs(ctx, [][]float64{features})
-	return out, liftErr(err)
-}
-
 // ClassifyBatch spreads the call over the executors idle at that moment,
 // up to one per 8 samples, runs each one's even share as one kernel pass
 // (passes of at most 64) and returns the positional argmax classes. When

@@ -25,7 +25,7 @@ func TestEngineCloseVsInflight(t *testing.T) {
 	}
 	want := make([][]int, len(test.X))
 	for i, x := range test.X {
-		if want[i], err = ref.Outputs(context.Background(), x); err != nil {
+		if want[i], err = engineOutputs(context.Background(), ref, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestEngineCloseVsInflight(t *testing.T) {
 				<-start
 				for i := 0; i < 50; i++ {
 					idx := (g*50 + i) % len(test.X)
-					out, err := eng.Outputs(context.Background(), test.X[idx])
+					out, err := engineOutputs(context.Background(), eng, test.X[idx])
 					switch {
 					case err == nil:
 						completed.Add(1)
@@ -93,7 +93,7 @@ func TestEngineCloseVsInflight(t *testing.T) {
 		if _, err := eng.Classify(context.Background(), test.X[0]); !errors.Is(err, ErrClosed) {
 			t.Fatalf("round %d: post-close Classify = %v, want ErrClosed", round, err)
 		}
-		if out, err := eng.Outputs(context.Background(), test.X[0]); !errors.Is(err, ErrClosed) || out != nil {
+		if out, err := engineOutputs(context.Background(), eng, test.X[0]); !errors.Is(err, ErrClosed) || out != nil {
 			t.Fatalf("round %d: post-close Outputs = %v, %v; want nil, ErrClosed", round, out, err)
 		}
 	}

@@ -62,7 +62,7 @@ func TestFleetSwapBitExactUnderLoad(t *testing.T) {
 				}
 				outs := make([][]int, len(test.X))
 				for i, x := range test.X {
-					if outs[i], err = eng.Outputs(context.Background(), x); err != nil {
+					if outs[i], err = engineOutputs(context.Background(), eng, x); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -227,7 +227,7 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 			wantOuts := make([][]int, len(test.X))
 			engClasses := make([]int, len(test.X))
 			for i, x := range test.X {
-				if wantOuts[i], err = eng.Outputs(context.Background(), x); err != nil {
+				if wantOuts[i], err = engineOutputs(context.Background(), eng, x); err != nil {
 					t.Fatal(err)
 				}
 				if engClasses[i], err = eng.Classify(context.Background(), x); err != nil {
@@ -264,7 +264,7 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(out, wantOuts[i]) {
-					t.Fatalf("sample %d: Fleet.Outputs %v, Engine.Outputs %v", i, out, wantOuts[i])
+					t.Fatalf("sample %d: Fleet.Outputs %v, engine outputs %v", i, out, wantOuts[i])
 				}
 				if argmax := synth.Argmax(out); class != engClasses[i] || class != argmax {
 					t.Fatalf("sample %d: Fleet.Classify %d, Engine.Classify %d, argmax of Fleet.Outputs %d (%v)",
@@ -317,8 +317,8 @@ func TestFleetClassifyBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestLoneOutputsAllocs pins the one-row path: Engine.Outputs and
-// Fleet.Outputs each allocate the one-row batch and the returned counts,
+// TestLoneOutputsAllocs pins the one-row path: the engine's (as
+// engineOutputs takes it) and Fleet.Outputs each allocate the one-row batch and the returned counts,
 // nothing else, in reference and spiking mode. The call runs on the
 // caller's stack; a heap call object made it 3.
 func TestLoneOutputsAllocs(t *testing.T) {
@@ -339,15 +339,15 @@ func TestLoneOutputsAllocs(t *testing.T) {
 		x := test.X[0]
 		// Warm every executor: which one a sequential call takes is the pool's business.
 		for i := 0; i < 8; i++ {
-			if _, err := eng.Outputs(ctx, x); err != nil {
+			if _, err := engineOutputs(ctx, eng, x); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := f.Outputs(ctx, "m", "", x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if a := testing.AllocsPerRun(50, func() { _, _ = eng.Outputs(ctx, x) }); a > 2 {
-			t.Errorf("%v: Engine.Outputs: %v allocs, want ≤ 2", mode, a)
+		if a := testing.AllocsPerRun(50, func() { _, _ = engineOutputs(ctx, eng, x) }); a > 2 {
+			t.Errorf("%v: engine outputs: %v allocs, want ≤ 2", mode, a)
 		}
 		if a := testing.AllocsPerRun(50, func() { _, _, _ = f.Outputs(ctx, "m", "", x) }); a > 2 {
 			t.Errorf("%v: Fleet.Outputs: %v allocs, want ≤ 2", mode, a)
@@ -383,7 +383,7 @@ func TestWrongLengthIsInvalidArgument(t *testing.T) {
 		call       func() error
 	}{
 		{"Engine.Classify", "input length 4, want 12", func() error { _, err := eng.Classify(ctx, short); return err }},
-		{"Engine.Outputs", "input length 4, want 12", func() error { _, err := eng.Outputs(ctx, short); return err }},
+		{"engine outputs", "input length 4, want 12", func() error { _, err := engineOutputs(ctx, eng, short); return err }},
 		{"Engine.ClassifyBatch", "batch item 1: input length 4, want 12", func() error { _, err := eng.ClassifyBatch(ctx, batch); return err }},
 		{"Fleet.Classify", "input length 4, want 12", func() error { _, _, err := f.Classify(ctx, "m", "", short); return err }},
 		{"Fleet.Outputs", "input length 4, want 12", func() error { _, _, err := f.Outputs(ctx, "m", "", short); return err }},
@@ -548,8 +548,8 @@ func benchmarkOutputsParallel(b *testing.B, test Dataset, outputs func(x []float
 }
 
 // BenchmarkEngineOutputsParallel is the single-request path below the
-// fleet: Engine.Outputs on fleetTestPair's first deployment in reference
-// mode, on the engine's 4 executors.
+// fleet: one-row engine calls (engineOutputs) on fleetTestPair's first
+// deployment in reference mode, on the engine's 4 executors.
 func BenchmarkEngineOutputsParallel(b *testing.B) {
 	d, _, test := fleetTestPair(b)
 	eng, err := d.NewEngine(context.Background(), WithMode(ModeReference))
@@ -558,7 +558,7 @@ func BenchmarkEngineOutputsParallel(b *testing.B) {
 	}
 	defer eng.Close()
 	benchmarkOutputsParallel(b, test, func(x []float64) error {
-		_, err := eng.Outputs(context.Background(), x)
+		_, err := engineOutputs(context.Background(), eng, x)
 		return err
 	})
 }

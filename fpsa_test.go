@@ -284,8 +284,8 @@ func TestDeployCustomCNN(t *testing.T) {
 
 // TestClassifyBatchMatchesSerial: the public batched classification path
 // returns the same labels as per-sample Classify in the deterministic
-// modes, and OutputsBatch replays deterministically per SetSeed in the
-// noisy mode (a batch shares one programming draw, so it is its own
+// modes, and a batch's raw outputs replay deterministically per SetSeed in
+// the noisy mode (a batch shares one programming draw, so it is its own
 // sequence, distinct from per-sample draws).
 func TestClassifyBatchMatchesSerial(t *testing.T) {
 	ds := SyntheticDataset(21, 300, 10, 3, 0.08)
@@ -315,12 +315,12 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 		}
 	}
 	sn.SetSeed(3)
-	a, err := sn.OutputsBatch(batch, ModeSpikingNoisy)
+	a, err := outputsBatch(sn, batch, ModeSpikingNoisy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sn.SetSeed(3)
-	b, err := sn.OutputsBatch(batch, ModeSpikingNoisy)
+	b, err := outputsBatch(sn, batch, ModeSpikingNoisy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,18 +338,12 @@ func TestClassifyBatchMatchesSerial(t *testing.T) {
 		if out, err := sn.ClassifyBatch(nil, mode); err != nil || len(out) != 0 {
 			t.Errorf("mode %v: empty ClassifyBatch: %v, %v", mode, out, err)
 		}
-		if out, err := sn.OutputsBatch([][]float64{}, mode); err != nil || len(out) != 0 {
-			t.Errorf("mode %v: empty OutputsBatch: %v, %v", mode, out, err)
-		}
 	}
-	if c, err := sn.OutputsBatch(batch, ModeSpikingNoisy); err != nil || !equalOutputs(c, a) {
+	if c, err := outputsBatch(sn, batch, ModeSpikingNoisy); err != nil || !equalOutputs(c, a) {
 		t.Errorf("noisy batch after empty ones: %v, want the first draw after SetSeed", err)
 	}
 	if _, err := sn.ClassifyBatch(nil, ExecMode(9)); !errors.Is(err, ErrInvalidArgument) {
 		t.Errorf("empty ClassifyBatch in an unknown mode: %v, want ErrInvalidArgument", err)
-	}
-	if _, err := sn.OutputsBatch(nil, ExecMode(9)); !errors.Is(err, ErrInvalidArgument) {
-		t.Errorf("empty OutputsBatch in an unknown mode: %v, want ErrInvalidArgument", err)
 	}
 	if _, err := sn.ClassifyBatch(batch, ExecMode(9)); err == nil {
 		t.Error("unknown mode accepted")
@@ -376,7 +370,7 @@ func TestRejectedCallKeepsVariationStream(t *testing.T) {
 		t.Helper()
 		sn.SetSeed(3)
 		reject()
-		outs, err := sn.OutputsBatch(batch, ModeSpikingNoisy)
+		outs, err := outputsBatch(sn, batch, ModeSpikingNoisy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +383,7 @@ func TestRejectedCallKeepsVariationStream(t *testing.T) {
 	want := trial(func() {})
 	for name, reject := range map[string]func() error{
 		"batch with a wrong-length sample": func() error {
-			_, err := sn.OutputsBatch([][]float64{batch[0], short}, ModeSpikingNoisy)
+			_, err := outputsBatch(sn, [][]float64{batch[0], short}, ModeSpikingNoisy)
 			return err
 		},
 		"wrong-length sample": func() error {
@@ -397,7 +391,7 @@ func TestRejectedCallKeepsVariationStream(t *testing.T) {
 			return err
 		},
 		"batch in an unknown mode": func() error {
-			_, err := sn.OutputsBatch(batch, ExecMode(9))
+			_, err := outputsBatch(sn, batch, ExecMode(9))
 			return err
 		},
 		"sample in an unknown mode": func() error {
@@ -429,7 +423,7 @@ func TestSpikingNetRejectsWrongLength(t *testing.T) {
 	good, short, long := ds.X[0], ds.X[0][:4], append(append([]float64{}, ds.X[0]...), 0.5)
 	_, errOne := sn.Outputs(short, ModeReference)
 	_, errClass := sn.Classify(long, ModeSpiking)
-	_, errBatch := sn.OutputsBatch([][]float64{good, short, long}, ModeReference)
+	_, errBatch := outputsBatch(sn, [][]float64{good, short, long}, ModeReference)
 	_, errClasses := sn.ClassifyBatch([][]float64{good, good, long}, ModeSpikingNoisy)
 	for _, tc := range []struct {
 		name, want string
@@ -437,7 +431,7 @@ func TestSpikingNetRejectsWrongLength(t *testing.T) {
 	}{
 		{"Outputs", "input length 4, want 10", errOne},
 		{"Classify", "input length 11, want 10", errClass},
-		{"OutputsBatch", "batch item 1: input length 4, want 10", errBatch},
+		{"outputsBatch", "batch item 1: input length 4, want 10", errBatch},
 		{"ClassifyBatch", "batch item 2: input length 11, want 10", errClasses},
 	} {
 		if !errors.Is(tc.err, ErrInvalidArgument) || !strings.HasSuffix(tc.err.Error(), tc.want) {

@@ -146,8 +146,8 @@ func typed(err error) bool {
 //     cycle, and the bottleneck stage drains for at least Γ;
 //   - in every exec mode, a sharded deployment's engine answers as the
 //     single-chip one does, ClassifyBatch is n Classify calls, and
-//     Engine.Classify, SpikingNet.Classify and the argmax of
-//     Engine.Outputs agree;
+//     Engine.Classify, SpikingNet.Classify and the argmax of the
+//     engine's raw outputs agree;
 //   - Autotune under the same options, oracle only, returns what it
 //     reports: the deployment's modeled objective is TunedValue, its
 //     spend, replicas included, is TunedPEs within PEBudget, its chip
@@ -351,7 +351,7 @@ func checkServing(t *testing.T, d, single *Deployment, mode ExecMode, inputs [][
 		if err != nil {
 			t.Fatalf("%v: Classify: %v", mode, err)
 		}
-		if outs[i], err = eng.Outputs(ctx, x); err != nil {
+		if outs[i], err = engineOutputs(ctx, eng, x); err != nil {
 			t.Fatalf("%v: Outputs: %v", mode, err)
 		}
 		// A noisy net draws fresh variation per call; reseeded, its next
@@ -363,7 +363,7 @@ func checkServing(t *testing.T, d, single *Deployment, mode ExecMode, inputs [][
 			t.Fatalf("%v: SpikingNet.Classify: %v", mode, err)
 		}
 		if argmax := synth.Argmax(outs[i]); class != batch[i] || class != netClass || class != argmax {
-			t.Fatalf("%v input %d: Engine.Classify %d, ClassifyBatch %d, SpikingNet.Classify %d, argmax of Engine.Outputs %d (%v)",
+			t.Fatalf("%v input %d: Engine.Classify %d, ClassifyBatch %d, SpikingNet.Classify %d, argmax of the engine outputs %d (%v)",
 				mode, i, class, batch[i], netClass, argmax, outs[i])
 		}
 	}
@@ -376,7 +376,7 @@ func checkServing(t *testing.T, d, single *Deployment, mode ExecMode, inputs [][
 	}
 	defer ref.Close()
 	for i, x := range inputs {
-		want, err := ref.Outputs(ctx, x)
+		want, err := engineOutputs(ctx, ref, x)
 		if err != nil {
 			t.Fatalf("%v: single-chip Outputs: %v", mode, err)
 		}

@@ -240,25 +240,6 @@ func (s *SpikingNet) ClassifyBatch(features [][]float64, mode ExecMode) ([]int, 
 	return labels, nil
 }
 
-// OutputsBatch returns the raw output spike counts for a micro-batch of
-// feature vectors, positionally. See ClassifyBatch for the batching and
-// noisy-mode semantics.
-func (s *SpikingNet) OutputsBatch(features [][]float64, mode ExecMode) ([][]int, error) {
-	if len(features) == 0 {
-		return nil, checkMode(mode)
-	}
-	n := len(s.prog.OutputRefs)
-	flat := make([]int, len(features)*n)
-	if err := s.run(flat, features, mode, false, false); err != nil {
-		return nil, err
-	}
-	outs := make([][]int, len(features))
-	for b := range outs {
-		outs[b] = flat[b*n : (b+1)*n : (b+1)*n]
-	}
-	return outs, nil
-}
-
 // Window returns the deployment's sampling window Γ.
 func (s *SpikingNet) Window() int { return s.prog.Params.SamplingWindow() }
 

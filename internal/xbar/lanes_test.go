@@ -226,3 +226,95 @@ func TestHalfBlockDriveRowsStayZero(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatScratchStaysZero: both float-walk bodies add into floatDrv and
+// OR into floatLive as they find them, so each must leave both zero, across
+// their whole capacity, after every item. Crossbars off the integer lanes
+// at Γ = 16/64/128 — ideal at a saturating η (the hot drain runs), noisy,
+// ideal with a stuck-high cell lifting a column over the synthesizer's η,
+// and one mixing tabulated and walked columns, so a walked column's lane is
+// not its column index — each fed all-zero, all-Γ, clamped and random items
+// one per call, then in calls of two and three; the counts are then held to
+// the dense oracle.
+func TestFloatScratchStaysZero(t *testing.T) {
+	for _, body := range laneBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useLaneBody(body.avx2)()
+			rng := rand.New(rand.NewSource(5501))
+			for _, ioBits := range []int{4, 6, 7} {
+				for _, kind := range []string{"saturating", "noisy", "stuck-high", "mixed"} {
+					xb := floatWalkCrossbar(t, rng, ioBits, kind)
+					label := fmt.Sprintf("%s Γ %d", kind, xb.Window())
+					if xb.laneEligible() || len(xb.walkCols) == 0 {
+						t.Fatalf("%s: want a float walk (lane-eligible %v, %d walked)", label, xb.laneEligible(), len(xb.walkCols))
+					}
+					rows, cols, window := xb.Rows(), xb.Cols(), xb.Window()
+					const batch = 12
+					src := structuredCounts(rng, batch, rows, window)
+					for i := range rows {
+						src[i], src[rows+i], src[2*rows+i] = 0, window, -1+(window+2)*(i%2)
+					}
+					dst := make([]int, batch*cols)
+					for _, per := range []int{1, 2, 3} {
+						for b := 0; b < batch; b += per {
+							n := min(per, batch-b)
+							if err := xb.SimulateCountsBatch(dst[b*cols:(b+n)*cols], src[b*rows:(b+n)*rows], n); err != nil {
+								t.Fatal(err)
+							}
+							for k, v := range xb.floatDrv[:cap(xb.floatDrv)] {
+								if v != 0 {
+									t.Fatalf("%s: after items %d–%d floatDrv[%d] = %g, want 0", label, b, b+n-1, k, v)
+								}
+							}
+							for k, w := range xb.floatLive[:cap(xb.floatLive)] {
+								if w != 0 {
+									t.Fatalf("%s: after items %d–%d floatLive[%d] = %#x, want 0", label, b, b+n-1, k, w)
+								}
+							}
+						}
+					}
+					assertPackedMatchesDense(t, label, xb, src, batch)
+				}
+			}
+		})
+	}
+}
+
+// floatWalkCrossbar programs one of TestFloatScratchStaysZero's crossbars at
+// Γ = 2^ioBits.
+func floatWalkCrossbar(t *testing.T, rng *rand.Rand, ioBits int, kind string) *Crossbar {
+	t.Helper()
+	cfg := structuredConfig(ioBits, kind == "noisy")
+	maxW := cfg.Rep.MaxWeight()
+	weights := randomWeights(rng, 18, 8, maxW)
+	var prng *rand.Rand
+	switch kind {
+	case "saturating":
+		cfg.Eta = synthEta(weights) / 4
+	case "noisy":
+		cfg.Eta = synthEta(weights)
+		prng = rand.New(rand.NewSource(rng.Int63()))
+	case "stuck-high":
+		for i := range weights {
+			weights[i][0] = maxW - 1
+		}
+		cfg.Eta = synthEta(weights)
+		fm := device.FaultMap{Rows: 18, Cols: 8, Cells: []device.FaultCell{{Row: 3, Col: 0, Kind: device.FaultStuckHigh}}}
+		if err := fm.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		mask := fm.MaskFor(18, 8, false)
+		cfg.Faults = &mask
+	case "mixed":
+		weights = mixedWeights(rng, maxW)
+		cfg.Eta = float64(2*maxW) / 3
+	}
+	xb, err := Program(cfg, weights, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind == "mixed" && xb.walkCols[0] == 0 {
+		t.Fatalf("Γ %d mixed: walked columns %v, want the first one past lane 0", xb.Window(), xb.walkCols)
+	}
+	return xb
+}

@@ -62,9 +62,12 @@ func TestModelOutputsAgreeAcrossBodies(t *testing.T) {
 				outputs := func(avx2 bool) [][]int {
 					defer xbar.UseAVX2Bodies(avx2)()
 					sn.SetSeed(5)
-					out, err := sn.OutputsBatch(mc.inputs, mode)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+					out := make([][]int, len(mc.inputs))
+					for i, x := range mc.inputs {
+						var err error
+						if out[i], err = sn.Outputs(x, mode); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
 					}
 					return out
 				}

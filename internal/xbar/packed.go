@@ -167,7 +167,7 @@ func uniformTrains(window int) []uint64 {
 //     ascending row order, i.e. the dense kernel restricted to the support.
 //     They are answered after the walk, a column at a time over the whole
 //     batch (tabulate). A crossbar whose columns are all tabulated never
-//     builds units or drives at all;
+//     builds lane rows or drives at all;
 //   - walked columns go through a cycle walk.
 //
 // Which walk is decided at entry from what the crossbar is, never by an
@@ -178,30 +178,27 @@ func uniformTrains(window int) []uint64 {
 // walked column has a negative conductance and every walked cell holds its
 // ideal magnitude (negativeFree: the average and global-average pools),
 // where the count is the reference kernel's and ReferenceBatch's
-// arithmetic answers the whole batch. Anything else takes the float walk.
-// Its portable body, below, per batch item
+// arithmetic answers the whole batch. Anything else takes the float walk
+// (walkFloat), which per batch item
 //
-//  1. collapses the input rows into drive units: every row with a zero
-//     count drops out, and every firing row is one unit, in ascending row
-//     order — the dense float accumulation order, preserved exactly;
-//  2. reads each unit's packed train from the shared uniformTrains table,
-//     OR-s them into the item's live-cycle mask, and accumulates unit-major
-//     — for each unit ascending, for each cycle t it fires in, add its
-//     conductance row into row rank(t) of a zeroed live×2·cols drive
-//     matrix. For any fixed (t, column) the adds still arrive in ascending
-//     unit order on top of +0.0, exactly the dense kernel's accumulation
-//     order per column;
-//  3. walks each column independently: live cycles step the
-//     membrane/threshold/subtracter statements with the pre-accumulated
-//     drive, and the dead cycles between them are skipped wholesale once
-//     the column's membranes are below threshold. While a membrane is still
-//     at or above η the column steps through the zero-drive cycles one by
-//     one, because each such cycle really fires (the "hot drain"); adding a
-//     drive of 0.0 to a membrane is bit-exactly a no-op, so skipping cold
-//     cycles changes nothing.
-//
-// On an amd64 CPU with AVX2 (laneAVX2) the float walk runs walkFloatAVX2
-// instead: the same units, sums and steps, four columns per instruction.
+//  1. drops every row with a clamped count of zero and keeps every firing
+//     row, in ascending row order — the dense float accumulation order,
+//     preserved exactly;
+//  2. reads each firing row's packed train from the shared uniformTrains
+//     table, OR-s it into the item's live-cycle mask, and adds the row's
+//     float lane row (floatG: walked-column conductances, both polarities)
+//     into the drive row of each cycle it fires in. For any fixed
+//     (t, column) the adds arrive in ascending row order on top of +0.0,
+//     exactly the dense kernel's accumulation order per column;
+//  3. walks the columns a block of four at a time: live cycles step the
+//     membrane/threshold/subtracter statements with the accumulated drive,
+//     and the zero-drive cycles between them are skipped wholesale once
+//     every membrane of the block is below threshold. While a membrane is
+//     still at or above η the block steps through the zero-drive cycles one
+//     by one, because each such cycle really fires (the "hot drain"); a
+//     zero-drive step of a column below threshold is bit-exactly a no-op,
+//     so skipping such cycles, or stepping them, changes nothing
+//     (docs/INVARIANTS.md, "Float lanes", item 3).
 //
 // Every floating-point operation the dense kernel performs on a value that
 // could differ is performed here, per column, in the same order; every
@@ -228,26 +225,10 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 		for b := range batch {
 			c.walkLanes(dst[b*cols:(b+1)*cols], src[b*rows:(b+1)*rows])
 		}
-	case laneAVX2:
+	default:
 		c.packFloatLanes()
 		for b := range batch {
-			c.walkFloatAVX2(dst[b*cols:(b+1)*cols], src[b*rows:(b+1)*rows])
-		}
-	default:
-		if len(c.rowG) == 0 {
-			// The walk adds whole conductance rows, both polarities at once.
-			c.rowG = grow(c.rowG, 2*len(c.posG))[:0]
-			for i := 0; i < rows; i++ {
-				c.rowG = append(c.rowG, c.posG[i*cols:(i+1)*cols]...)
-				c.rowG = append(c.rowG, c.negG[i*cols:(i+1)*cols]...)
-			}
-		}
-		for b := range batch {
-			c.buildUnits(src[b*rows : (b+1)*rows])
-			c.accumulateDrives()
-			for _, j := range c.walkCols {
-				dst[b*cols+j] = c.runColumnPacked(j, cols, c.eta)
-			}
+			c.walkFloat(dst[b*cols:(b+1)*cols], src[b*rows:(b+1)*rows])
 		}
 	}
 	c.tabulate(dst, src, batch)
@@ -332,63 +313,14 @@ func (c *Crossbar) walkSupport(tc *tabCol, counts *[maxSupport]int) int {
 	return n.out
 }
 
-// accumulateDrives turns the current units into the event list and drive
-// matrix runColumnPacked reads: evCycles holds the live cycles ascending
-// (the union of the units' trains), and row li of drvAll the drives of live
-// cycle li — positive at [li·2c, li·2c+c), negative at [li·2c+c, (li+1)·2c).
-// Accumulation is unit-major; see simulateCountsPacked for why that keeps
-// the dense per-column float order.
-func (c *Crossbar) accumulateDrives() {
-	window := c.window
-	lanes := spike.Lanes(window)
-	c.live = grow(c.live, lanes)
-	for l := range c.live {
-		c.live[l] = 0
-	}
-	for _, count := range c.unitCount {
-		for l, word := range c.trainTab[count*lanes : (count+1)*lanes] {
-			c.live[l] |= word
-		}
-	}
-	c.rank = grow(c.rank, window)
-	c.evCycles = c.evCycles[:0]
-	for l, word := range c.live {
-		for ; word != 0; word &= word - 1 {
-			t := l<<6 + bits.TrailingZeros64(word)
-			c.rank[t] = len(c.evCycles)
-			c.evCycles = append(c.evCycles, t)
-		}
-	}
-	c.drvAll = grow(c.drvAll, len(c.evCycles)*2*c.cols)
-	for k := range c.drvAll {
-		c.drvAll[k] = 0
-	}
-	for u, count := range c.unitCount {
-		g := c.unitG[u]
-		for l, word := range c.trainTab[count*lanes : (count+1)*lanes] {
-			for ; word != 0; word &= word - 1 {
-				li := c.rank[l<<6+bits.TrailingZeros64(word)]
-				row := c.drvAll[li*len(g):][:len(g)]
-				for j, gv := range g {
-					row[j] += gv
-				}
-			}
-		}
-	}
-}
-
 // colNeuron is one column's ideal neuron pair and subtracter state during
-// the packed walk. step is the exact statement sequence of the dense
-// kernel's per-column inner loop; step(0, 0) is the zero-drive cycle
-// (membranes never go negative, so += 0.0 is bitwise a no-op).
+// a table fill (walkSupport). step is the exact statement sequence of the
+// dense kernel's per-column inner loop.
 type colNeuron struct {
 	memP, memN float64
 	debt, out  int
 	eta        float64
 }
-
-// hot reports whether a zero-drive cycle could still fire this column.
-func (n *colNeuron) hot() bool { return n.memP >= n.eta || n.memN >= n.eta }
 
 // step advances one cycle with the given drives.
 func (n *colNeuron) step(dP, dN float64) {
@@ -414,27 +346,51 @@ func (n *colNeuron) step(dP, dN float64) {
 	}
 }
 
-// runColumnPacked runs one column over the current event list and drive
-// matrix and returns its output spike count. Dead cycles are stepped only
-// while the column is hot; a live cycle whose drive happens to be zero for
-// this column is stepped only when hot, which is the same no-op argument.
-func (c *Crossbar) runColumnPacked(j, cols int, eta float64) int {
-	n := colNeuron{eta: eta}
-	prev := -1
-	for li, t := range c.evCycles {
-		for gap := t - prev - 1; gap > 0 && n.hot(); gap-- {
-			n.step(0, 0)
-		}
-		dP := c.drvAll[li*2*cols+j]
-		dN := c.drvAll[li*2*cols+cols+j]
-		if dP != 0 || dN != 0 || n.hot() {
-			n.step(dP, dN)
-		}
-		prev = t
+// floatBlock is the portable float walk's state for one block of four
+// walked columns, a lane each: both membranes, the fire-count difference
+// F⁺ − F⁻ and the output count.
+type floatBlock struct {
+	memP, memN [4]float64
+	diff, out  [4]int
+}
+
+// hot reports whether a zero-drive cycle could still fire some lane.
+func (b *floatBlock) hot(eta float64) bool {
+	h := false
+	for l := range 4 {
+		h = h || b.memP[l] >= eta || b.memN[l] >= eta
 	}
-	// No zero-drive cycle follows the last live one: every uniform train
-	// with a spike fires at cycle Γ−1 (TestUniformTrainFiresLastCycle).
-	return n.out
+	return h
+}
+
+// step advances every lane one cycle with the given drives, with no
+// data-dependent branch: the neurons as the AVX2 body's masks — one that
+// does not fire subtracts +0.0, which leaves its membrane unchanged bit for
+// bit (docs/INVARIANTS.md, "Float lanes", item 2) — and the subtracter as
+// the running maximum of the fire-count difference, as the AVX2 lane walk
+// keeps it, which is colNeuron.step's count (docs/INVARIANTS.md, "Integer
+// lanes", item 4).
+func (b *floatBlock) step(dP, dN *[4]float64, eta float64) {
+	etaBits := math.Float64bits(eta)
+	for l := range 4 {
+		mp, mn := b.memP[l]+dP[l], b.memN[l]+dN[l]
+		sp, sn := b2i(mp >= eta), b2i(mn >= eta)
+		b.memP[l] = mp - math.Float64frombits(etaBits&-uint64(sp))
+		b.memN[l] = mn - math.Float64frombits(etaBits&-uint64(sn))
+		b.diff[l] += sp - sn
+		b.out[l] = max(b.out[l], b.diff[l])
+	}
+}
+
+// zeroDrive is a block's drives in a zero-drive cycle.
+var zeroDrive [4]float64
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // A float lane row is one row's walk-column conductances as float64: the
@@ -443,15 +399,14 @@ func (c *Crossbar) runColumnPacked(j, cols int, eta float64) int {
 // column walkCols[n]; floatHalf is the padded half.
 func (c *Crossbar) floatHalf() int { return (len(c.walkCols) + 3) &^ 3 }
 
-// packFloatLanes builds floatG once per draw pass, with walkFloatAVX2's
+// packFloatLanes builds floatG once per draw pass, with the float walk's
 // scratch, all in the buffers of the pass before when they are big enough.
 // On the noisy path, which redraws a crossbar per call, that is once per
-// call, so it replaces rowG rather than adding to it. floatG is cleared
-// first: the walked columns may have changed with the draw, and a padding
-// lane must hold +0.0, not a conductance of a column walked before. The
-// assembly leaves floatDrv and floatLive zero across their whole length
-// after every item, so their capacity is zero between calls and needs no
-// clear.
+// call. floatG is cleared first: the walked columns may have changed with
+// the draw, and a padding lane must hold +0.0, not a conductance of a
+// column walked before. Both bodies leave floatDrv and floatLive zero
+// across their whole length after every item, so their capacity is zero
+// between calls and needs no clear.
 func (c *Crossbar) packFloatLanes() {
 	if len(c.floatG) != 0 {
 		return
@@ -472,12 +427,81 @@ func (c *Crossbar) packFloatLanes() {
 	c.floatFired = grow(c.floatFired, half)
 }
 
-// walkFloatAVX2 is the float walk's AVX2 body (floatWalkAVX2): one assembly
-// call per item runs the portable body's steps on float lane rows, four
-// columns per instruction. Every firing row, in ascending row order, adds
-// its lane row into the drive row of each cycle it fires in, on top of
-// +0.0 — the dense kernel's per-column order; nothing is subtracted. The
-// walk then steps two blocks per pass: every live cycle, and the zero-drive
+// walkFloat runs one item's float walk (see simulateCountsPacked) over the
+// float lane rows: the AVX2 body with laneAVX2, the portable one otherwise.
+// Both leave floatDrv and floatLive zero.
+func (c *Crossbar) walkFloat(out, counts []int) {
+	if laneAVX2 {
+		c.walkFloatAVX2(out, counts)
+	} else {
+		c.walkFloatPortable(out, counts)
+	}
+}
+
+// walkFloatPortable is walkFloat's body in plain Go, with the AVX2 body's
+// steps over the same rows: every firing row, in ascending row order, adds
+// its lane row into the drive row of each cycle it fires in; then each
+// block of four walked columns (floatBlock) steps its live cycles, and the
+// zero-drive cycles between them only while some lane is hot; last, the
+// drive row of each live cycle and the live words are zeroed for the next
+// item. The add takes a block per trip (a lane row is whole blocks): one
+// lane per trip ran about a quarter slower on conv18x8 when the linker
+// moved the function by 32 bytes (docs/ARCHITECTURE.md, "The float walk on
+// AVX2").
+func (c *Crossbar) walkFloatPortable(out, counts []int) {
+	window, half := c.window, c.floatHalf()
+	stride, lanes, eta := 2*half, len(c.floatLive), c.eta
+	live, drv := c.floatLive, c.floatDrv
+	for i, cnt := range counts {
+		cnt = spike.Clamp(cnt, window)
+		if cnt == 0 {
+			continue
+		}
+		g := c.floatG[i*stride : (i+1)*stride]
+		for l, word := range c.trainTab[cnt*lanes : (cnt+1)*lanes] {
+			live[l] |= word
+			for ; word != 0; word &= word - 1 {
+				row := drv[(l<<6+bits.TrailingZeros64(word))*stride:][:stride]
+				for k := 0; k < stride; k += 4 {
+					d, v := row[k:k+4:k+4], g[k:k+4:k+4]
+					d[0] += v[0]
+					d[1] += v[1]
+					d[2] += v[2]
+					d[3] += v[3]
+				}
+			}
+		}
+	}
+	for n := 0; n < len(c.walkCols); n += 4 {
+		var b floatBlock
+		prev := -1
+		for l, word := range live {
+			for ; word != 0; word &= word - 1 {
+				t := l<<6 + bits.TrailingZeros64(word)
+				for gap := t - prev - 1; gap > 0 && b.hot(eta); gap-- {
+					b.step(&zeroDrive, &zeroDrive, eta)
+				}
+				b.step((*[4]float64)(drv[t*stride+n:]), (*[4]float64)(drv[t*stride+half+n:]), eta)
+				prev = t
+			}
+		}
+		// No zero-drive cycle follows the last live one: every uniform train
+		// with a spike fires at cycle Γ−1 (TestUniformTrainFiresLastCycle).
+		for l, j := range c.walkCols[n:min(n+4, len(c.walkCols))] {
+			out[j] = b.out[l]
+		}
+	}
+	for l, word := range live {
+		live[l] = 0
+		for ; word != 0; word &= word - 1 {
+			clear(drv[(l<<6+bits.TrailingZeros64(word))*stride:][:stride])
+		}
+	}
+}
+
+// walkFloatAVX2 is walkFloat's AVX2 body (floatWalkAVX2): one assembly call
+// per item takes the portable body's steps, four columns per instruction.
+// The walk steps two blocks per pass: every live cycle, and the zero-drive
 // cycles between them only while some lane of the pass is hot, with
 // colNeuron.step written as masks (a not-firing lane subtracts +0.0, which
 // is exact). The extra steps this takes over the portable body all fall on
@@ -488,26 +512,6 @@ func (c *Crossbar) walkFloatAVX2(out, counts []int) {
 		c.rows, c.window, c.floatHalf()/4, c.eta)
 	for n, j := range c.walkCols {
 		out[j] = int(c.floatFired[n])
-	}
-}
-
-// buildUnits collapses one item's input counts into drive units (see
-// simulateCountsPacked): one unit per firing row, in ascending row order —
-// the dense accumulation order, preserved bit for bit whether or not the
-// conductances would sum exactly in another. Unit conductance rows (positive
-// then negative polarity, 2·cols wide) land in c.unitG, firing counts in
-// c.unitCount.
-func (c *Crossbar) buildUnits(counts []int) {
-	window, w := c.window, 2*c.cols
-	c.unitG = c.unitG[:0]
-	c.unitCount = c.unitCount[:0]
-	for i, cnt := range counts {
-		cnt = spike.Clamp(cnt, window)
-		if cnt == 0 {
-			continue
-		}
-		c.unitG = append(c.unitG, c.rowG[i*w:(i+1)*w])
-		c.unitCount = append(c.unitCount, cnt)
 	}
 }
 

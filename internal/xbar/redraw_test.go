@@ -134,10 +134,10 @@ func checkRedrawVsProgram(t *testing.T, rc redrawCase) []int {
 }
 
 // derived prints what the kernel derives from a crossbar's conductances:
-// the column split, the tables, the float lane rows, the integer lane rows
-// and the portable walk's rows.
+// the column split, the tables, the float lane rows both float-walk bodies
+// read and the integer lane rows.
 func derived(c *Crossbar) string {
-	return fmt.Sprint(c.walkCols, c.tabCols, c.nTabs, c.maxDrive, c.tables, c.floatG, c.laneG, c.rowG)
+	return fmt.Sprint(c.walkCols, c.tabCols, c.nTabs, c.maxDrive, c.tables, c.floatG, c.laneG)
 }
 
 // FuzzRedrawVsProgram fuzzes Redraw against a fresh Program from the same

@@ -540,13 +540,11 @@ func testSetEtaInvalidatesTables(t *testing.T) {
 		}
 		assertMatchesTrains(t, fmt.Sprintf("dense η=%g", step.eta), xb, src, batch)
 	}
-	// Each float-walk body builds its own rows, and only those.
-	floatRows, otherRows := xb.rowG != nil, xb.floatG != nil
-	if laneAVX2 {
-		floatRows, otherRows = otherRows, floatRows
-	}
-	if xb.laneG == nil || !floatRows || otherRows {
-		t.Fatalf("after both kinds of η: lanes packed %v, float rows built %v (the other body's %v), want both and not the other's", xb.laneG != nil, floatRows, otherRows)
+	// Both walks have run, so both kinds of lane rows are built: one float
+	// lane row per crossbar row, which either float-walk body reads.
+	if half := xb.floatHalf(); xb.laneG == nil || len(xb.floatG) != xb.Rows()*2*half || len(xb.floatDrv) != xb.Window()*2*half {
+		t.Fatalf("after both kinds of η: lanes packed %v, %d float lane words and %d drive words, want %d and %d",
+			xb.laneG != nil, len(xb.floatG), len(xb.floatDrv), xb.Rows()*2*half, xb.Window()*2*half)
 	}
 
 	// η = 2^14 − 1 is the last threshold the 16-bit lanes hold.

@@ -230,9 +230,9 @@ type Crossbar struct {
 
 	// What the spiking kernel does is decided by the structural facts
 	// classifyProgramming derives from the conductances (see packed.go).
-	// trainTab, silentTab, rowG, floatG and laneG are fetched/built when the
-	// kernel first needs them; a draw pass empties rowG and floatG, which
-	// are rebuilt in their own capacity, and drops laneG.
+	// trainTab, silentTab, floatG and laneG are fetched/built when the
+	// kernel first needs them; a draw pass empties floatG, which is rebuilt
+	// in its own capacity, and drops laneG.
 	maxDrive  float64    // largest per-polarity walk-column sum; +Inf unless sums are exact and no value < 0
 	negFree   bool       // every walked column ideal with an empty negative polarity (see negativeFree)
 	tabCols   []tabCol   // columns answered from a table over their support counts
@@ -242,8 +242,7 @@ type Crossbar struct {
 	colSum    []float64  // classifyProgramming's per-polarity column sums, kept for the next pass
 	trainTab  []uint64   // shared (window+1)×Lanes(window) uniform trains
 	silentTab []uint64   // shared complements of trainTab within the window (lane walk)
-	rowG      []float64  // portable float walk: rows×2·cols conductances, posG row then negG row per row
-	floatG    []float64  // AVX2 float walk: rows float lane rows (see floatHalf)
+	floatG    []float64  // float walk, both bodies: rows float lane rows (see floatHalf)
 	laneG     []uint64   // rows lane rows: walk-column conductances in 16-bit lanes (see laneHalf)
 
 	// What the draw pass programs with (see Redraw): the cell and weight
@@ -271,19 +270,12 @@ type Crossbar struct {
 	laneDrvAVX2 []uint64   // AVX2: window lane rows of per-cycle drives
 	firedAVX2   []uint16   // AVX2: output counts, one lane per walked column
 
-	// Portable float-walk scratch (see simulateCountsPacked).
-	unitG     [][]float64 // per-unit conductance rows, 2·cols wide
-	unitCount []int       // per-unit firing counts
-	live      []uint64    // Lanes(window) union of the current item's unit trains
-	evCycles  []int       // live cycles of the current item, ascending
-	rank      []int       // window: live cycle t → its index in evCycles
-	drvAll    []float64   // live×2·cols accumulated drives (P then N per cycle)
-
-	// AVX2 float-walk scratch (see walkFloatAVX2), sized with floatG; the
-	// assembly leaves floatDrv and floatLive zero between items.
+	// Float-walk scratch (see walkFloat), sized with floatG: both bodies
+	// share floatDrv and floatLive and leave them zero between items;
+	// floatFired is the AVX2 body's output.
 	floatDrv   []float64 // window float lane rows of per-cycle drives
-	floatLive  []uint64  // Lanes(window) union of the current item's unit trains
-	floatFired []int64   // output counts, one lane per walked column
+	floatLive  []uint64  // Lanes(window) union of the current item's firing rows' trains
+	floatFired []int64   // AVX2: output counts, one lane per walked column
 }
 
 // Program writes a logical weight matrix weights[i][j] (row-major,
@@ -399,9 +391,9 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 // positive then negative magnitude, read from packW, is programmed in
 // column-major order; then classifyProgramming rederives the kernel's
 // structural facts. Whatever the kernel built from earlier conductances —
-// tables, rowG, the float and integer lane rows — is dropped here: the
-// tables, rowG and the float lane rows are rebuilt in their own buffers on
-// first use, the integer lane rows in new ones. So after a Redraw the
+// tables, the float and integer lane rows — is dropped here: the tables and
+// the float lane rows are rebuilt in their own buffers on first use, the
+// integer lane rows in new ones. So after a Redraw the
 // crossbar equals a fresh Program of the same Config and weights from
 // rng's state (FuzzRedrawVsProgram), except that an η set by SetEta is
 // kept, and a crossbar that has already run its kernel redraws without
@@ -421,7 +413,6 @@ func (c *Crossbar) Redraw(rng *rand.Rand) {
 // rederive drops what the kernel built from earlier conductances and
 // rederives its structural facts from the current ones (see Redraw).
 func (c *Crossbar) rederive() {
-	c.rowG = c.rowG[:0]
 	c.floatG = c.floatG[:0]
 	// Only ideal conductances ride the integer lanes (laneEligible), and
 	// only noisy ones are ever redrawn per call, so the lane rows and their
@@ -605,8 +596,8 @@ func saturatingInt(f float64) int {
 // CPU with AVX2, four per uint64 word elsewhere, with the same numbers,
 // and by the reference kernel's arithmetic when, besides, no walked column
 // has a negative conductance, where the counts are the same —
-// or else by the float walk over one drive unit per firing row, four
-// float64 columns per instruction with AVX2 and one at a time elsewhere,
+// or else by the float walk over the firing rows' float lane rows, four
+// float64 columns per instruction with AVX2 and per block step elsewhere,
 // again with the same numbers. Its output is bit-identical to the paper's
 // PE run item by item (SimulateCountsBatchDense), which the test suites
 // keep as its oracle.

@@ -45,7 +45,7 @@ func TestKernelChoiceOutputsPinned(t *testing.T) {
 		defer eng.Close()
 		outs := make([][]int, len(batch))
 		for i, x := range batch {
-			if outs[i], err = eng.Outputs(ctx, x); err != nil {
+			if outs[i], err = engineOutputs(ctx, eng, x); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -64,16 +64,16 @@ func TestKernelChoiceOutputsPinned(t *testing.T) {
 	t.Run("net noisy dense-input", func(t *testing.T) {
 		sn := mustNet(t, d)
 		sn.SetSeed(3)
-		noisy, err := sn.OutputsBatch(batch, ModeSpikingNoisy)
+		noisy, err := outputsBatch(sn, batch, ModeSpikingNoisy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := countsDigest(noisy), uint64(0x3ae4d32a44a2e767); got != want {
-			t.Errorf("OutputsBatch digest = %#x, want %#x", got, want)
+			t.Errorf("noisy batch digest = %#x, want %#x", got, want)
 		}
 		// A SpikingNet keeps no kernel counters; that the variation draw
 		// reached the outputs is what shows the noisy kernel ran.
-		ref, err := sn.OutputsBatch(batch, ModeReference)
+		ref, err := outputsBatch(sn, batch, ModeReference)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,19 +35,19 @@ func TestSpikingNetNoisySequencePinned(t *testing.T) {
 		var err error
 		switch call {
 		case 10:
-			if _, err := sn.OutputsBatch(short, ModeSpikingNoisy); !errors.Is(err, ErrInvalidArgument) {
+			if _, err := outputsBatch(sn, short, ModeSpikingNoisy); !errors.Is(err, ErrInvalidArgument) {
 				t.Fatalf("call %d: short item gave %v, want ErrInvalidArgument", call, err)
 			}
 			continue
 		case 3, 13:
 			var outs [][]int
-			outs, err = sn.OutputsBatch(items, ModeSpiking)
+			outs, err = outputsBatch(sn, items, ModeSpiking)
 			for _, out := range outs {
 				put(out...)
 			}
 		case 7, 17:
 			var outs [][]int
-			outs, err = sn.OutputsBatch(items, ModeReference)
+			outs, err = outputsBatch(sn, items, ModeReference)
 			for _, out := range outs {
 				put(out...)
 			}
@@ -65,7 +65,7 @@ func TestSpikingNetNoisySequencePinned(t *testing.T) {
 			put(classes...)
 		default:
 			var outs [][]int
-			outs, err = sn.OutputsBatch(items, ModeSpikingNoisy)
+			outs, err = outputsBatch(sn, items, ModeSpikingNoisy)
 			for _, out := range outs {
 				put(out...)
 			}
@@ -92,7 +92,7 @@ func TestSpikingNetConcurrentReuse(t *testing.T) {
 	const noisyCalls = goroutines * rounds
 	ideal := map[ExecMode][][]int{}
 	for _, mode := range []ExecMode{ModeReference, ModeSpiking} {
-		outs, err := sn.OutputsBatch(items, mode)
+		outs, err := outputsBatch(sn, items, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestSpikingNetConcurrentReuse(t *testing.T) {
 	sn.SetSeed(23)
 	serial := make([][][]int, noisyCalls)
 	for i := range serial {
-		outs, err := sn.OutputsBatch(items, ModeSpikingNoisy)
+		outs, err := outputsBatch(sn, items, ModeSpikingNoisy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSpikingNetConcurrentReuse(t *testing.T) {
 			defer wg.Done()
 			for r := range rounds {
 				for _, mode := range []ExecMode{ModeSpiking, ModeReference} {
-					outs, err := sn.OutputsBatch(items, mode)
+					outs, err := outputsBatch(sn, items, mode)
 					if err != nil {
 						errs <- err
 						return
@@ -128,7 +128,7 @@ func TestSpikingNetConcurrentReuse(t *testing.T) {
 						return
 					}
 				}
-				outs, err := sn.OutputsBatch(items, ModeSpikingNoisy)
+				outs, err := outputsBatch(sn, items, ModeSpikingNoisy)
 				if err != nil {
 					errs <- err
 					return
