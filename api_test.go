@@ -248,7 +248,7 @@ func TestEngineInheritsDeploymentChips(t *testing.T) {
 	if eng.Stats().Chips != 2 {
 		t.Errorf("engine inherited %d chips, want 2", eng.Stats().Chips)
 	}
-	if _, err := eng.Classify(ctx, test.X[0]); err != nil {
+	if _, err := eng.ClassifyBatch(ctx, test.X[:1]); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
@@ -361,8 +361,8 @@ func TestEngineClosedTyped(t *testing.T) {
 	if !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("ErrClosed does not wrap the internal sentinel: %v", err)
 	}
-	if _, err := eng.Classify(ctx, test.X[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Classify after Close: %v, want ErrClosed", err)
+	if _, err := eng.ClassifyBatch(ctx, test.X[:1]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ClassifyBatch after Close: %v, want ErrClosed", err)
 	}
 	if _, err := engineOutputs(ctx, eng, test.X[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Outputs after Close: %v, want ErrClosed", err)

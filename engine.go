@@ -64,18 +64,6 @@ func newEngine(sn *SpikingNet, cfg engineConfig) (*Engine, error) {
 	return &Engine{eng: eng}, nil
 }
 
-// Classify runs one feature vector (values in [0, 1]) on the calling
-// goroutine and returns its argmax class. ctx bounds only the wait for an
-// executor; once one is held the sample runs to completion. After Close it
-// returns ErrClosed.
-func (e *Engine) Classify(ctx context.Context, features []float64) (int, error) {
-	classes, err := e.ClassifyBatch(ctx, [][]float64{features})
-	if err != nil {
-		return 0, err
-	}
-	return classes[0], nil
-}
-
 // ClassifyBatch spreads the call over the executors idle at that moment,
 // up to one per 8 samples, runs each one's even share as one kernel pass
 // (passes of at most 64) and returns the positional argmax classes. When
@@ -98,6 +86,6 @@ type EngineStats = serve.Stats
 func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 
 // Close waits for every call already inside the engine — running or
-// waiting for an executor — and releases it. Idempotent; Classify
+// waiting for an executor — and releases it. Idempotent; ClassifyBatch
 // afterwards returns ErrClosed.
 func (e *Engine) Close() error { return liftErr(e.eng.Close()) }

@@ -90,8 +90,8 @@ func TestEngineCloseVsInflight(t *testing.T) {
 		}
 		// Late requests on a fully closed engine are always ErrClosed, on
 		// both public entry points.
-		if _, err := eng.Classify(context.Background(), test.X[0]); !errors.Is(err, ErrClosed) {
-			t.Fatalf("round %d: post-close Classify = %v, want ErrClosed", round, err)
+		if _, err := eng.ClassifyBatch(context.Background(), test.X[:1]); !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: post-close ClassifyBatch = %v, want ErrClosed", round, err)
 		}
 		if out, err := engineOutputs(context.Background(), eng, test.X[0]); !errors.Is(err, ErrClosed) || out != nil {
 			t.Fatalf("round %d: post-close Outputs = %v, %v; want nil, ErrClosed", round, out, err)

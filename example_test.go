@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"fpsa"
 )
@@ -205,11 +204,11 @@ func ExampleDeployment_NewEngine() {
 		panic(err)
 	}
 	defer eng.Close()
-	label, err := eng.Classify(ctx, []float64{0.9, 0.1, 0.0, 0.2})
+	labels, err := eng.ClassifyBatch(ctx, [][]float64{{0.9, 0.1, 0.0, 0.2}})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("chips=%d class=%d\n", eng.Stats().Chips, label)
+	fmt.Printf("chips=%d class=%d\n", eng.Stats().Chips, labels[0])
 	// Output: chips=2 class=0
 }
 
@@ -328,98 +327,4 @@ func ExampleTrainMLP() {
 	// deployed onto 2 core-op stages (window Γ=64)
 	// spiking inference over 60 samples: accuracy 1.000, agreement with float 1.000
 	// sample 0: true class 0, output spike counts [10 0 0 0]
-}
-
-// The engine serves a trained network from many goroutines at once, each
-// request borrowing one of its programmed executors, and answers exactly
-// what the serial SpikingNet.Classify loop answers.
-func ExampleEngine_Classify() {
-	ctx := context.Background()
-	ds := fpsa.SyntheticDataset(7, 900, 16, 4, 0.08)
-	train, test := ds.Split(2.0 / 3)
-	net, err := fpsa.TrainMLP(7, []int{16, 24, 4}, train, 40)
-	if err != nil {
-		panic(err)
-	}
-	d, err := fpsa.Compile(ctx, net.Model(), fpsa.WithWeightSource(net.WeightSource()))
-	if err != nil {
-		panic(err)
-	}
-	sn, err := d.NewNet(nil)
-	if err != nil {
-		panic(err)
-	}
-	const samples, clients = 48, 8
-	serial := make([]int, samples)
-	for i := range serial {
-		if serial[i], err = sn.Classify(test.X[i], fpsa.ModeSpiking); err != nil {
-			panic(err)
-		}
-	}
-	eng, err := d.NewEngine(ctx)
-	if err != nil {
-		panic(err)
-	}
-	defer eng.Close()
-	var wg sync.WaitGroup
-	mismatches := make([]int, clients)
-	for c := range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range samples {
-				label, err := eng.Classify(ctx, test.X[i])
-				if err != nil {
-					panic(err)
-				}
-				if label != serial[i] {
-					mismatches[c]++
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for _, m := range mismatches {
-		total += m
-	}
-	st := eng.Stats()
-	fmt.Printf("engine: %d clients x %d samples, %d mismatches with the serial loop\n", clients, samples, total)
-	fmt.Printf("served %d requests, %d errors, %d shed\n", st.Requests, st.Errors, st.Shed)
-	// Output:
-	// engine: 8 clients x 48 samples, 0 mismatches with the serial loop
-	// served 384 requests, 0 errors, 0 shed
-}
-
-// Figure 9 on the public API: under ReRAM programming variation, splicing
-// 2-bit cells into a weight loses accuracy, while adding cells of the same
-// weight recovers it as the cell count grows. Splice is defined at 2 cells
-// only, so it is computed once.
-func ExampleTrainedMLP_VariationAccuracy() {
-	ds := fpsa.SyntheticDataset(301, 1800, 24, 8, 0.13)
-	train, test := ds.Split(2.0 / 3)
-	net, err := fpsa.TrainMLP(301, []int{24, 48, 40, 32, 8}, train, 60)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("full-precision accuracy: %.3f\n", net.Accuracy(test))
-	splice, err := net.VariationAccuracy(test, "splice", 2, 6, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("splice, 2 cells (normalized): %.3f\n", splice)
-	for _, cells := range []int{2, 4, 8, 16} {
-		add, err := net.VariationAccuracy(test, "add", cells, 6, 1)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("add, %2d cells (normalized): %.3f\n", cells, add)
-	}
-	// Output:
-	// full-precision accuracy: 0.978
-	// splice, 2 cells (normalized): 0.789
-	// add,  2 cells (normalized): 0.917
-	// add,  4 cells (normalized): 0.966
-	// add,  8 cells (normalized): 0.976
-	// add, 16 cells (normalized): 0.988
 }

@@ -14,7 +14,7 @@ import (
 	"fpsa/internal/synth"
 )
 
-var update = flag.Bool("update", false, "rewrite docs/FIDELITY.md from TestFidelity's rows")
+var update = flag.Bool("update", false, "rewrite docs/FIDELITY.md from TestFidelity's rows and docs/ARCHITECTURE.md's reachability block from TestUnreachedFunctions")
 
 const fidelityPath = "docs/FIDELITY.md"
 

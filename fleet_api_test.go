@@ -230,9 +230,11 @@ func TestFleetClassifyBatchMatchesEngine(t *testing.T) {
 				if wantOuts[i], err = engineOutputs(context.Background(), eng, x); err != nil {
 					t.Fatal(err)
 				}
-				if engClasses[i], err = eng.Classify(context.Background(), x); err != nil {
+				got, err := eng.ClassifyBatch(context.Background(), [][]float64{x})
+				if err != nil {
 					t.Fatal(err)
 				}
+				engClasses[i] = got[0]
 			}
 			eng.Close()
 			f, err := NewFleet(WithFleetChips(8))
@@ -382,7 +384,6 @@ func TestWrongLengthIsInvalidArgument(t *testing.T) {
 		name, want string
 		call       func() error
 	}{
-		{"Engine.Classify", "input length 4, want 12", func() error { _, err := eng.Classify(ctx, short); return err }},
 		{"engine outputs", "input length 4, want 12", func() error { _, err := engineOutputs(ctx, eng, short); return err }},
 		{"Engine.ClassifyBatch", "batch item 1: input length 4, want 12", func() error { _, err := eng.ClassifyBatch(ctx, batch); return err }},
 		{"Fleet.Classify", "input length 4, want 12", func() error { _, _, err := f.Classify(ctx, "m", "", short); return err }},

@@ -29,8 +29,8 @@
 //
 //	eng, _ := d.NewEngine(ctx)
 //	defer eng.Close()
-//	label, _ = eng.Classify(ctx, x) // safe from any number of goroutines
-//	fmt.Println(eng.Stats())
+//	labels, _ := eng.ClassifyBatch(ctx, xs) // safe from any number of goroutines
+//	st := eng.Stats()
 //
 // The context is live throughout: cancelling it aborts placement
 // annealing and routing at their next checkpoint with ctx.Err(), and an

@@ -196,25 +196,6 @@ func TestTrainDeployClassify(t *testing.T) {
 	}
 }
 
-func TestVariationAccuracyAPI(t *testing.T) {
-	ds := SyntheticDataset(13, 400, 10, 3, 0.06)
-	train, test := ds.Split(0.7)
-	net, err := TrainMLP(13, []int{10, 12, 3}, train, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add, err := net.VariationAccuracy(test, "add", 8, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if add <= 0 || add > 1.2 {
-		t.Errorf("add accuracy = %v", add)
-	}
-	if _, err := net.VariationAccuracy(test, "bogus", 2, 1, 1); err == nil {
-		t.Error("bogus method accepted")
-	}
-}
-
 func TestDeployCustomCNN(t *testing.T) {
 	m, err := NewModelBuilder("stripes", 1, 8, 8).
 		Conv2D(2, 3, 1, 1).ReLU().

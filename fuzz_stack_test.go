@@ -145,16 +145,17 @@ func typed(err error) bool {
 //     every group on the longest dependency chain fills for at least one
 //     cycle, and the bottleneck stage drains for at least Γ;
 //   - in every exec mode, a sharded deployment's engine answers as the
-//     single-chip one does, ClassifyBatch is n Classify calls, and
-//     Engine.Classify, SpikingNet.Classify and the argmax of the
-//     engine's raw outputs agree;
+//     single-chip one does, ClassifyBatch is n Classify calls, and the
+//     engine's one-row ClassifyBatch, SpikingNet.Classify and the argmax
+//     of the engine's raw outputs agree;
 //   - Autotune under the same options, oracle only, returns what it
 //     reports: the deployment's modeled objective is TunedValue, its
 //     spend, replicas included, is TunedPEs within PEBudget, its chip
 //     count is Chips, and Blocks equals its netlists' counts;
-//   - on designs of at most maxCachedBlocks blocks, a second compile
-//     through the same CompileCache places and routes from the cache, with
-//     the first run's PRStats and Bitstream facts.
+//   - a design of at most maxCachedBlocks blocks places, routes and
+//     verifies, and a second compile through the same CompileCache places
+//     and routes from the cache, with the first run's PRStats and
+//     Bitstream facts.
 //
 // The corpus seeds are the test fixtures' shapes, MLP-500-100 and LeNet,
 // the last two scaled into the decoder's 2–64 range, and a conv whose 288
@@ -204,11 +205,10 @@ func FuzzCompileStack(f *testing.F) {
 // routes: small enough that a run takes milliseconds.
 const maxCachedBlocks = 64
 
-// checkCachedPlaceAndRoute: the case compiled twice through one
-// CompileCache places and routes the first time and hits the cache the
-// second, and both report the same PRStats (but for FromCache) and the
-// same Bitstream facts. A failure must wrap a package sentinel, and the
-// second run must fail as the first did.
+// checkCachedPlaceAndRoute: a design of at most maxCachedBlocks blocks
+// places, routes and verifies, and compiled a second time through the
+// same CompileCache it hits the cache, with the same PRStats (but for
+// FromCache) and the same Bitstream facts.
 func checkCachedPlaceAndRoute(t *testing.T, sc stackCase) {
 	t.Helper()
 	ctx := context.Background()
@@ -217,7 +217,6 @@ func checkCachedPlaceAndRoute(t *testing.T, sc stackCase) {
 	type run struct {
 		pr  PRStats
 		bit BitstreamInfo
-		err error
 	}
 	var runs [2]run
 	for i := range runs {
@@ -225,24 +224,19 @@ func checkCachedPlaceAndRoute(t *testing.T, sc stackCase) {
 		if err != nil {
 			return // the uncached compile has checked this error
 		}
-		if pes, smbs, clbs := d.Blocks(); pes+smbs+clbs > maxCachedBlocks {
+		pes, smbs, clbs := d.Blocks()
+		if pes+smbs+clbs > maxCachedBlocks {
 			return
 		}
 		r := &runs[i]
-		if r.pr, r.err = d.PlaceAndRoute(ctx); r.err == nil {
-			r.bit, r.err = d.Bitstream(ctx)
+		if r.pr, err = d.PlaceAndRoute(ctx); err != nil {
+			t.Fatalf("compile %d: PlaceAndRoute of %d blocks: %v", i+1, pes+smbs+clbs, err)
 		}
-		if r.err != nil && !typed(r.err) {
-			t.Fatalf("compile %d: PlaceAndRoute or Bitstream: untyped error %v", i+1, r.err)
+		if r.bit, err = d.Bitstream(ctx); err != nil {
+			t.Fatalf("compile %d: Bitstream: %v", i+1, err)
 		}
 	}
 	first, second := runs[0], runs[1]
-	if (first.err == nil) != (second.err == nil) {
-		t.Fatalf("through the cache: first run error %v, second %v", first.err, second.err)
-	}
-	if first.err != nil {
-		return
-	}
 	if first.pr.FromCache || !second.pr.FromCache {
 		t.Fatalf("FromCache: first run %v, second %v; want false then true", first.pr.FromCache, second.pr.FromCache)
 	}
@@ -347,10 +341,11 @@ func checkServing(t *testing.T, d, single *Deployment, mode ExecMode, inputs [][
 	}
 	outs := make([][]int, len(inputs))
 	for i, x := range inputs {
-		class, err := eng.Classify(ctx, x)
+		classes, err := eng.ClassifyBatch(ctx, [][]float64{x})
 		if err != nil {
-			t.Fatalf("%v: Classify: %v", mode, err)
+			t.Fatalf("%v: ClassifyBatch: %v", mode, err)
 		}
+		class := classes[0]
 		if outs[i], err = engineOutputs(ctx, eng, x); err != nil {
 			t.Fatalf("%v: Outputs: %v", mode, err)
 		}

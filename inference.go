@@ -245,22 +245,3 @@ func (s *SpikingNet) Window() int { return s.prog.Params.SamplingWindow() }
 
 // Stages returns the number of core-op stages the network executes.
 func (s *SpikingNet) Stages() int { return len(s.prog.Stages) }
-
-// VariationAccuracy runs the Figure 9 Monte-Carlo study on this trained
-// network: normalized accuracy of a weight representation under
-// programming variation. Method is "splice" or "add".
-func (t *TrainedMLP) VariationAccuracy(ds Dataset, method string, cells, trials int, seed int64) (float64, error) {
-	spec := device.Cell4BitMeasured
-	var rep device.Representation
-	switch method {
-	case "splice":
-		rep = device.NewSplice(spec, cells)
-	case "add":
-		rep = device.NewAdd(spec, cells)
-	default:
-		return 0, fmt.Errorf("%w: unknown representation %q (want splice or add)", ErrInvalidArgument, method)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	res := trainer.VariationStudy(t.net, ds.internal(), rep, spec, rng, trials)
-	return res.NormalizedAccuracy, nil
-}

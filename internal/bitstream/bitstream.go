@@ -286,10 +286,3 @@ func (c *Config) Verify(nl *netlist.Netlist) error {
 	}
 	return nil
 }
-
-// CorruptSBCell clears one programmed switch cell (fault-injection tests).
-func (c *Config) CorruptSBCell(i int) {
-	if i >= 0 && i < len(c.SBCells) {
-		c.SBCells = append(c.SBCells[:i], c.SBCells[i+1:]...)
-	}
-}

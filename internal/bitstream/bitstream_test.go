@@ -93,7 +93,8 @@ func TestVerifyDetectsCorruptedSwitch(t *testing.T) {
 	}
 	// Clearing any switch cell must break a signal path (fault
 	// injection: a stuck-high-resistance ReRAM switch).
-	cfg.CorruptSBCell(len(cfg.SBCells) / 2)
+	i := len(cfg.SBCells) / 2
+	cfg.SBCells = append(cfg.SBCells[:i], cfg.SBCells[i+1:]...)
 	err = cfg.Verify(nl)
 	if err == nil {
 		t.Fatal("corrupted configuration verified clean")

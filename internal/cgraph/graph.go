@@ -92,9 +92,6 @@ func (g *Graph) Outputs() []*Node {
 	return outs
 }
 
-// Consumers returns how many nodes consume n's output.
-func (g *Graph) Consumers(n *Node) int { return g.users[n.ID] }
-
 // inputShapes gathers a node's operand shapes.
 func inputShapes(n *Node) []Shape {
 	shapes := make([]Shape, len(n.Inputs))

@@ -69,6 +69,8 @@ func TestGraphAddPropagatesShapeErrors(t *testing.T) {
 	}
 }
 
+// TestConsumersCount checks the consumer counts Outputs reads: an input
+// used twice by one node counts twice.
 func TestConsumersCount(t *testing.T) {
 	g := New("g")
 	in, _ := g.Input("in", Vec(8))
@@ -79,11 +81,11 @@ func TestConsumersCount(t *testing.T) {
 	if _, err := g.Add("sum", Add{}, a, a); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Consumers(in); got != 2 {
-		t.Errorf("Consumers(in) = %d, want 2", got)
+	if got := g.users[in.ID]; got != 2 {
+		t.Errorf("consumers of in = %d, want 2", got)
 	}
-	if got := g.Consumers(a); got != 2 {
-		t.Errorf("Consumers(a) = %d, want 2 (used twice by add)", got)
+	if got := g.users[a.ID]; got != 2 {
+		t.Errorf("consumers of a = %d, want 2 (used twice by add)", got)
 	}
 }
 

@@ -9,10 +9,7 @@
 // conductance ratios appear in the spiking-PE equations (Eq. 1-6).
 package device
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // CellSpec describes one multi-level ReRAM cell.
 type CellSpec struct {
@@ -44,17 +41,6 @@ func (c CellSpec) Levels() int { return 1 << c.Bits }
 
 // MaxLevel returns the highest programmable level (Levels-1).
 func (c CellSpec) MaxLevel() int { return c.Levels() - 1 }
-
-// Validate reports whether the spec is physically meaningful.
-func (c CellSpec) Validate() error {
-	if c.Bits <= 0 || c.Bits > 8 {
-		return fmt.Errorf("device: cell bits %d out of range [1,8]", c.Bits)
-	}
-	if c.Sigma < 0 {
-		return fmt.Errorf("device: negative sigma %v", c.Sigma)
-	}
-	return nil
-}
 
 // Program returns the conductance (in level units) that results from
 // programming the cell to the given level, including Gaussian programming

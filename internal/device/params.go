@@ -134,12 +134,6 @@ func (p Params) PEAreaUM2() float64 {
 		p.NeuronUnitsTotal.AreaUM2 + p.SubtractersTotal.AreaUM2
 }
 
-// PEEnergyPJ returns the component-sum PE energy per VMM cycle set.
-func (p Params) PEEnergyPJ() float64 {
-	return p.ChargingUnitsTotal.EnergyPJ + p.ReRAMArraysTotal.EnergyPJ +
-		p.NeuronUnitsTotal.EnergyPJ + p.SubtractersTotal.EnergyPJ
-}
-
 // ComputationalDensityOPSmm2 returns OPS per mm² for one PE running
 // back-to-back VMMs: OpsPerVMM / (VMMLatency × PEArea). The paper's Table 2
 // value is 38.004 TOPS/mm².
@@ -147,10 +141,4 @@ func (p Params) ComputationalDensityOPSmm2() float64 {
 	areaMM2 := p.PEAreaUM2() * 1e-6
 	latencyS := p.VMMLatencyNS() * 1e-9
 	return float64(p.OpsPerVMM()) / latencyS / areaMM2
-}
-
-// WireDelayNS returns the signal-transition delay across a routed path of
-// the given hop count.
-func (p Params) WireDelayNS(hops int) float64 {
-	return float64(hops) * p.WireDelayPerHopNS
 }

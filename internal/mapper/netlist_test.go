@@ -71,7 +71,11 @@ func TestBuildNetlistDirectChainMatchesReference(t *testing.T) {
 func zooCoreOps(t testing.TB) []*coreop.Graph {
 	t.Helper()
 	var out []*coreop.Graph
-	for _, m := range models.All() {
+	for _, name := range models.Names() {
+		m, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		co, err := synth.Synthesize(m, synth.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

@@ -58,15 +58,6 @@ func ByName(name string) (*cgraph.Graph, error) {
 	return b(), nil
 }
 
-// All builds every benchmark model in Table 3 order.
-func All() []*cgraph.Graph {
-	gs := make([]*cgraph.Graph, len(tableOrder))
-	for i, name := range tableOrder {
-		gs[i] = builders[name]()
-	}
-	return gs
-}
-
 // MLP500_100 is the paper's MLP with two hidden layers of 500 and 100
 // neurons on 28×28 MNIST inputs: 443.0K weights, 886.0K ops.
 func MLP500_100() *cgraph.Graph {

@@ -48,7 +48,11 @@ func TestTable3WeightAndOpCounts(t *testing.T) {
 }
 
 func TestAllGraphsValidate(t *testing.T) {
-	for _, g := range All() {
+	for _, name := range Names() {
+		g, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := g.Validate(); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}

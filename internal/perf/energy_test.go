@@ -3,9 +3,10 @@ package perf
 import (
 	"testing"
 
+	"fpsa/internal/coreop"
 	"fpsa/internal/device"
+	"fpsa/internal/mapper"
 	"fpsa/internal/models"
-	"fpsa/internal/synth"
 )
 
 func TestEnergyScalesWithModelSize(t *testing.T) {
@@ -56,19 +57,12 @@ func TestPRIMEEnergyZero(t *testing.T) {
 func TestFullCrossbarVMMEnergyMatchesTable1(t *testing.T) {
 	// A single full 256×256 group at reuse 1 must charge exactly the
 	// Table 1 component-sum PE energy.
-	g, err := models.ByName(models.NameMLP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := synth.Synthesize(g, synth.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = co
 	p := device.Params45nm
+	g := &coreop.Graph{Groups: []*coreop.Group{{Rows: p.CrossbarRows, Cols: p.LogicalColumns(), Reuse: 1}}}
+	a := mapper.Allocation{Dup: []int{1}, Iterations: []int{1}, TotalPEs: 1, Replicas: 1}
 	full := p.ChargingUnitsTotal.EnergyPJ + p.ReRAMArraysTotal.EnergyPJ +
 		p.NeuronUnitsTotal.EnergyPJ + p.SubtractersTotal.EnergyPJ
-	if got := p.PEEnergyPJ(); got != full {
-		t.Errorf("PEEnergyPJ = %v, want %v", got, full)
+	if got := energyPerSample(g, a, 0, p); got.PEuJ != full*1e-6 || got.SMBuJ != 0 || got.CLBuJ != 0 {
+		t.Errorf("energy of one full VMM = %+v, want PE %v µJ and nothing else", got, full*1e-6)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -364,7 +363,7 @@ func TestAbandonedRequestShed(t *testing.T) {
 	checkPool(t, eng)
 	s := eng.Stats()
 	if s.Shed != 4 || s.Requests != 0 || s.ExecBatches != 0 || s.QueueDepth != 0 {
-		t.Errorf("shed/requests/batches/waiting = %d/%d/%d/%d, want 4/0/0/0: %s", s.Shed, s.Requests, s.ExecBatches, s.QueueDepth, s)
+		t.Errorf("shed/requests/batches/waiting = %d/%d/%d/%d, want 4/0/0/0: %+v", s.Shed, s.Requests, s.ExecBatches, s.QueueDepth, s)
 	}
 }
 
@@ -422,15 +421,6 @@ func TestNoisyWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func TestStatsString(t *testing.T) {
-	s := Stats{Requests: 10, ExecBatches: 2, MeanExecBatch: 5, Workers: 4}
-	for _, want := range []string{"served 10 requests", "2 batches", "4 workers"} {
-		if !strings.Contains(s.String(), want) {
-			t.Errorf("Stats.String() = %q missing %q", s.String(), want)
-		}
-	}
-}
-
 // TestExecBatchStats: one executor runs its share of a call in passes of
 // max(MaxBatch, maxPass) samples, each a single RunBatch call, and the
 // Stats surface reports the executed batch sizes: 150 samples at MaxBatch
@@ -451,11 +441,6 @@ func TestExecBatchStats(t *testing.T) {
 	if s.Requests != n || s.ExecBatches != 3 || s.MeanExecBatch != n/3.0 || s.MaxExecBatch != maxPass {
 		t.Errorf("requests/batches/mean/max = %d/%d/%g/%d, want %d/3/%g/%d",
 			s.Requests, s.ExecBatches, s.MeanExecBatch, s.MaxExecBatch, n, n/3.0, maxPass)
-	}
-	for _, want := range []string{"exec mean", "max"} {
-		if !strings.Contains(s.String(), want) {
-			t.Errorf("Stats.String() = %q missing %q", s.String(), want)
-		}
 	}
 }
 
@@ -481,9 +466,6 @@ func TestAutoPathKernelStats(t *testing.T) {
 		}
 		if st.SpikeDensity <= 0 || st.SpikeDensity > 1 {
 			t.Errorf("chips=%d SpikeDensity = %g, want in (0,1]", chips, st.SpikeDensity)
-		}
-		if !strings.Contains(st.String(), "spiking-kernel calls") {
-			t.Errorf("Stats.String() = %q missing kernel counters", st.String())
 		}
 	}
 }
@@ -663,9 +645,6 @@ func TestShardedEngineMatchesSingleChip(t *testing.T) {
 		s := sharded.Stats()
 		if s.Chips != 2 {
 			t.Errorf("stats.Chips = %d, want 2", s.Chips)
-		}
-		if !strings.Contains(s.String(), "2 pipelined chips") {
-			t.Errorf("Stats.String() missing chip count: %q", s.String())
 		}
 		if err := sharded.Close(); err != nil {
 			t.Errorf("Close: %v", err)

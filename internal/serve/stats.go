@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -62,23 +61,6 @@ type Stats struct {
 	MaxBatch   int
 	Chips      int
 	UptimeS    float64
-}
-
-// String renders the snapshot.
-func (s Stats) String() string {
-	out := fmt.Sprintf("served %d requests (%d errors, %d shed) in %d batches (exec mean %.1f / max %d), throughput %.4g samples/s, latency p50 %.4g us / p99 %.4g us / p999 %.4g us, %d waiting, %d workers",
-		s.Requests, s.Errors, s.Shed, s.ExecBatches, s.MeanExecBatch, s.MaxExecBatch,
-		s.ThroughputSPS, s.P50LatencyUS, s.P99LatencyUS, s.P999LatencyUS, s.QueueDepth, s.Workers)
-	if s.Chips > 1 {
-		out += fmt.Sprintf(", %d pipelined chips", s.Chips)
-	}
-	if s.SparseKernels > 0 {
-		out += fmt.Sprintf(", %d spiking-kernel calls (density %.3f)", s.SparseKernels, s.SpikeDensity)
-	}
-	if s.FaultedCells > 0 {
-		out += fmt.Sprintf(", %d faulted cells", s.FaultedCells)
-	}
-	return out
 }
 
 // LatencyHistogram is the lock-free latency recorder behind every

@@ -41,17 +41,6 @@ const (
 	PolicyBalanced
 )
 
-// String renders the policy the way the CLIs spell it.
-func (p Policy) String() string {
-	switch p {
-	case PolicyMinCut:
-		return "mincut"
-	case PolicyBalanced:
-		return "balanced"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
 // Signal is one producer→consumers data dependency along the chain: a bus
 // of Width logical signals produced by item Prod (or the external input,
 // Prod = -1) and last consumed by item Last. The signal crosses — and is
@@ -98,38 +87,6 @@ func (p *Plan) ShardOf(i int) int {
 		}
 	}
 	return p.Chips() - 1
-}
-
-// TotalCutTraffic sums the traffic over every inter-chip link.
-func (p *Plan) TotalCutTraffic() int {
-	total := 0
-	for _, t := range p.CutTraffic {
-		total += t
-	}
-	return total
-}
-
-// MaxCutTraffic returns the busiest link's signal width (0 for a single
-// segment).
-func (p *Plan) MaxCutTraffic() int {
-	max := 0
-	for _, t := range p.CutTraffic {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// MaxLoad returns the heaviest segment's weight.
-func (p *Plan) MaxLoad() int {
-	max := 0
-	for _, l := range p.Loads {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // cost is the lexicographic DP objective: primary then secondary,

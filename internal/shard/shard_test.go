@@ -3,6 +3,7 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,11 +19,11 @@ func TestPartitionSingleChip(t *testing.T) {
 	if !reflect.DeepEqual(p.Bounds, []int{0, 3}) {
 		t.Fatalf("Bounds = %v", p.Bounds)
 	}
-	if p.TotalCutTraffic() != 0 || p.MaxCutTraffic() != 0 {
+	if totalCut(p) != 0 {
 		t.Fatalf("single chip reports cut traffic %v", p.CutTraffic)
 	}
-	if p.MaxLoad() != 6 {
-		t.Fatalf("MaxLoad = %d, want 6", p.MaxLoad())
+	if slices.Max(p.Loads) != 6 {
+		t.Fatalf("max load = %d, want 6", slices.Max(p.Loads))
 	}
 }
 
@@ -56,8 +57,8 @@ func TestPartitionSignalChargedPerLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.TotalCutTraffic(); got != 10 {
-		t.Fatalf("TotalCutTraffic = %d, want 10 (5 over each of 2 links)", got)
+	if got := totalCut(p); got != 10 {
+		t.Fatalf("total cut traffic = %d, want 10 (5 over each of 2 links)", got)
 	}
 }
 
@@ -72,15 +73,15 @@ func TestPartitionBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if minp.MaxLoad() != 12 {
-		t.Fatalf("mincut MaxLoad = %d, want 12 (lopsided)", minp.MaxLoad())
+	if slices.Max(minp.Loads) != 12 {
+		t.Fatalf("mincut max load = %d, want 12 (lopsided)", slices.Max(minp.Loads))
 	}
 	balp, err := Partition(weights, signals, nil, Options{Chips: 2, Policy: PolicyBalanced})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if balp.MaxLoad() != 8 {
-		t.Fatalf("balanced MaxLoad = %d, want 8", balp.MaxLoad())
+	if slices.Max(balp.Loads) != 8 {
+		t.Fatalf("balanced max load = %d, want 8", slices.Max(balp.Loads))
 	}
 	if !reflect.DeepEqual(balp.Bounds, []int{0, 2, 4}) {
 		t.Fatalf("balanced Bounds = %v", balp.Bounds)
@@ -162,7 +163,7 @@ func TestPartitionDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(first, again) {
-				t.Fatalf("%v: plans differ: %+v vs %+v", pol, first, again)
+				t.Fatalf("policy %d: plans differ: %+v vs %+v", pol, first, again)
 			}
 		}
 	}
@@ -206,7 +207,7 @@ func TestPartitionMinCutOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.TotalCutTraffic(); got != best {
+	if got := totalCut(p); got != best {
 		t.Fatalf("DP traffic %d, brute-force optimum %d", got, best)
 	}
 }
@@ -251,4 +252,13 @@ func TestLinkTransfer(t *testing.T) {
 	if zero.TransferNS(1) <= DefaultLink().LatencyNS {
 		t.Error("default transfer should exceed fixed latency")
 	}
+}
+
+// totalCut sums the traffic over every inter-chip link of p.
+func totalCut(p *Plan) int {
+	total := 0
+	for _, t := range p.CutTraffic {
+		total += t
+	}
+	return total
 }

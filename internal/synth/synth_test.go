@@ -72,7 +72,11 @@ func TestSynthesizeGoogLeNetPoolingDominates(t *testing.T) {
 }
 
 func TestSynthesizeAllZooModels(t *testing.T) {
-	for _, g := range models.All() {
+	for _, name := range models.Names() {
+		g, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		co, err := Synthesize(g, DefaultOptions())
 		if err != nil {
 			t.Errorf("%s: %v", g.Name, err)

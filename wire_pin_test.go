@@ -43,7 +43,7 @@ func TestStatsWireKeysPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Classify(ctx, test.X[0]); err != nil {
+	if _, err := eng.ClassifyBatch(ctx, test.X[:1]); err != nil {
 		t.Fatal(err)
 	}
 	engineKeys := jsonKeys(t, eng.Stats())
