@@ -1,9 +1,12 @@
 package trainer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"fpsa/internal/hostcpu"
 )
 
 // naiveForward is the trainer's forward pass written plainly: one
@@ -82,13 +85,13 @@ func naiveStep(m *MLP, x []float64, label int, lr, target float64) {
 }
 
 // sameBits reports the first weight where a and b differ in their bits.
-func sameBits(t *testing.T, a, b *MLP) {
+func sameBits(t *testing.T, what string, a, b *MLP) {
 	t.Helper()
 	for l := range a.W {
 		for i := range a.W[l] {
 			for j, v := range a.W[l][i] {
 				if u := b.W[l][i][j]; math.Float64bits(u) != math.Float64bits(v) {
-					t.Fatalf("W[%d][%d][%d] = %v (%#x), naive %v (%#x)", l, i, j, v, math.Float64bits(v), u, math.Float64bits(u))
+					t.Fatalf("%s: W[%d][%d][%d] = %v (%#x), naive %v (%#x)", what, l, i, j, v, math.Float64bits(v), u, math.Float64bits(u))
 				}
 			}
 		}
@@ -134,12 +137,37 @@ func fuzzNet(seed int64, layers int) (*MLP, [][]float64, []int) {
 	return m, xs, labels
 }
 
+// trainBody is one body of the trainer's kernels: portable Go, or AVX2.
+type trainBody struct {
+	name string
+	avx2 bool
+}
+
+// trainBodies lists the bodies this CPU can run: the portable one always,
+// the AVX2 one where hostcpu.AVX2 holds.
+func trainBodies() []trainBody {
+	bodies := []trainBody{{"portable", false}}
+	if hostcpu.AVX2 {
+		bodies = append(bodies, trainBody{"avx2", true})
+	}
+	return bodies
+}
+
+// useTrainBody selects a body until the returned func restores the
+// previous one. No test in this package runs in parallel, so nothing else
+// reads trainAVX2 meanwhile.
+func useTrainBody(avx2 bool) (restore func()) {
+	old := trainAVX2
+	trainAVX2 = avx2
+	return func() { trainAVX2 = old }
+}
+
 // FuzzTrainStepVsNaive runs a few SGD steps through Train's step and
 // through naiveStep on copies of one network and compares every weight,
-// and every Forward activation against naiveForward, bit for bit. The
-// learning rate and target are the fuzzer's, so huge, negative, infinite
-// and NaN rates reach the step too (the paths where a zero input must
-// not skip its row).
+// and every Forward activation against naiveForward, bit for bit, under
+// each body the CPU has. The learning rate and target are the fuzzer's, so
+// huge, negative, infinite and NaN rates reach the step too (the paths
+// where a zero input must not skip its row).
 func FuzzTrainStepVsNaive(f *testing.F) {
 	f.Add(int64(1), uint8(1), 0.05, 1.0)
 	f.Add(int64(2), uint8(2), 0.03, 1.0)
@@ -147,49 +175,74 @@ func FuzzTrainStepVsNaive(f *testing.F) {
 	f.Add(int64(4), uint8(2), 1e300, 1.0)
 	f.Add(int64(5), uint8(1), math.Inf(1), 1.0)
 	f.Add(int64(6), uint8(2), -0.1, 0.0)
+	f.Add(int64(7), uint8(3), 5.0, 1.0)
 	f.Fuzz(func(t *testing.T, seed int64, layers uint8, lr, target float64) {
-		m, xs, labels := fuzzNet(seed, 1+int(layers%3))
-		naive := m.Clone()
-		ws := newWorkspace(m)
-		for s, x := range xs {
-			m.step(ws, x, labels[s], lr, target)
-			naiveStep(naive, x, labels[s], lr, target)
-			sameBits(t, m, naive)
-		}
-		for _, x := range xs {
-			got, want := m.Forward(x), naiveForward(naive, x)
-			for l := 1; l < len(got); l++ {
-				for j, v := range got[l] {
-					if math.Float64bits(v) != math.Float64bits(want[l][j]) {
-						t.Fatalf("Forward layer %d output %d = %v, naive %v", l, j, v, want[l][j])
+		for _, body := range trainBodies() {
+			func() {
+				defer useTrainBody(body.avx2)()
+				m, xs, labels := fuzzNet(seed, 1+int(layers%3))
+				naive := m.Clone()
+				ws := newWorkspace(m)
+				for s, x := range xs {
+					ws.step(x, labels[s], lr, target)
+					naiveStep(naive, x, labels[s], lr, target)
+					ws.unpack(m)
+					sameBits(t, body.name, m, naive)
+				}
+				for _, x := range xs {
+					got, want := m.Forward(x), naiveForward(naive, x)
+					for l := 1; l < len(got); l++ {
+						for j, v := range got[l] {
+							if math.Float64bits(v) != math.Float64bits(want[l][j]) {
+								t.Fatalf("%s: Forward layer %d output %d = %v, naive %v", body.name, l, j, v, want[l][j])
+							}
+						}
 					}
 				}
-			}
+			}()
 		}
 	})
 }
 
-// TestTrainMatchesNaive trains three shapes for several epochs at several
-// seeds through Train and through naiveStep in the same sample order and
-// compares the weights bit for bit.
+// TestTrainMatchesNaive trains several shapes for several epochs at
+// several seeds through Train and through naiveStep in the same sample
+// order, under each body the CPU has, and compares the weights bit for
+// bit. The shapes leave row and column tails after blocks of four; the
+// rates past 1 leave every weight NaN after the five epochs.
 func TestTrainMatchesNaive(t *testing.T) {
-	for _, dims := range [][]int{{16, 24, 4}, {16, 48, 48, 4}, {20, 7, 3}} {
-		for seed := int64(1); seed <= 5; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			ds := SyntheticClusters(rng, 120, dims[0], dims[len(dims)-1], 0.1)
-			m, err := NewMLP(rng, dims)
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive := m.Clone()
-			m.Train(rand.New(rand.NewSource(seed)), ds, TrainOptions{Epochs: 5})
-			order := rand.New(rand.NewSource(seed)).Perm(ds.Len())
-			for e := 0; e < 5; e++ {
-				for _, idx := range order {
-					naiveStep(naive, ds.X[idx], ds.Y[idx], 0.05, 1)
+	type run struct {
+		dims []int
+		lr   float64
+	}
+	var runs []run
+	for _, dims := range [][]int{{16, 24, 4}, {16, 48, 48, 4}, {20, 7, 3}, {20, 8, 4}, {16, 60, 36, 12}} {
+		runs = append(runs, run{dims, 0.05})
+	}
+	for _, lr := range []float64{math.Inf(1), 1e300, 5} {
+		runs = append(runs, run{[]int{16, 60, 36, 12}, lr})
+	}
+	for _, body := range trainBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			defer useTrainBody(body.avx2)()
+			for _, r := range runs {
+				for seed := int64(1); seed <= 5; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					ds := SyntheticClusters(rng, 120, r.dims[0], r.dims[len(r.dims)-1], 0.1)
+					m, err := NewMLP(rng, r.dims)
+					if err != nil {
+						t.Fatal(err)
+					}
+					naive := m.Clone()
+					m.Train(rand.New(rand.NewSource(seed)), ds, TrainOptions{Epochs: 5, LR: r.lr})
+					order := rand.New(rand.NewSource(seed)).Perm(ds.Len())
+					for e := 0; e < 5; e++ {
+						for _, idx := range order {
+							naiveStep(naive, ds.X[idx], ds.Y[idx], r.lr, 1)
+						}
+					}
+					sameBits(t, fmt.Sprintf("%v at rate %v, seed %d", r.dims, r.lr, seed), m, naive)
 				}
 			}
-			sameBits(t, m, naive)
-		}
+		})
 	}
 }

@@ -14,8 +14,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"unsafe"
 
 	"fpsa/internal/cgraph"
+	"fpsa/internal/hostcpu"
 )
 
 // Dataset is a labeled feature set with features in [0, 1].
@@ -113,71 +116,139 @@ func (m *MLP) Layers() int { return len(m.W) }
 // (acts[0] is the input).
 func (m *MLP) Forward(x []float64) [][]float64 {
 	ws := newWorkspace(m)
-	m.forward(ws, x)
+	ws.forward(x)
 	return ws.acts
 }
 
-// workspace holds everything one forward pass and SGD step write, sized
-// for one network, so Train and Accuracy allocate it once per call rather
-// than per sample.
+// trainAVX2 selects the AVX2 bodies of the forward pass, the hidden
+// layers' backward pass and the first layer's update (step_amd64.s). It is
+// hostcpu.AVX2, fixed for the process; only tests change it, to run the
+// trainer's tests under each body the CPU has.
+var trainAVX2 = hostcpu.AVX2
+
+// workspace holds everything one forward pass and SGD step read and write,
+// sized for one network, so Train and Accuracy allocate it once per call
+// rather than per sample: one float slab for the weights, activations and
+// gradients, and the slices that view it.
 type workspace struct {
+	// w[l] is a copy of layer l's weights, flat and row-major: input i's
+	// row is w[l][i·Dims[l+1]:][:Dims[l+1]]. Train runs every epoch here and
+	// copies the weights back to the MLP (unpack).
+	w [][]float64
 	// acts[l] is layer l's input; acts[0] aliases the sample.
 	acts [][]float64
-	// grads[l] is dL/d(acts[l]) for l ≥ 1; grads[len(W)] is the output's.
+	// grads[l] is dL/d(acts[l]) for l ≥ 1; grads[len(w)] is the output's.
 	grads [][]float64
 	// lg is the current layer's lr·grad row.
 	lg []float64
-	// rows and xs are one layer's rows with a non-zero input, and those
-	// inputs, in ascending row order.
-	rows [][]float64
-	xs   []float64
+	// rows[l] and xs[l] are layer l's rows whose input is non-zero in the
+	// last forward pass, as offsets into its flat weights, and those
+	// inputs, in ascending row order. The first layer's update reads them
+	// again.
+	rows [][]int
+	xs   [][]float64
 }
 
-func newWorkspace(m *MLP) *workspace {
+func newWorkspace(m *MLP) workspace {
 	n := len(m.W)
-	ws := &workspace{acts: make([][]float64, n+1), grads: make([][]float64, n+1)}
-	widest := 0
-	for l, d := range m.Dims {
-		if l > 0 {
-			ws.acts[l] = make([]float64, d)
-			ws.grads[l] = make([]float64, d)
-		}
-		widest = max(widest, d)
+	// Every part of the slab starts on a 32-byte boundary, and the slab on
+	// a 64-byte one, so a flat layer whose width is a multiple of four has
+	// no 256-bit block straddling a cache line.
+	up := func(k int) int { return (k + 3) &^ 3 }
+	size, ins := 0, 0
+	for l := 0; l < n; l++ {
+		in, out := m.Dims[l], m.Dims[l+1]
+		size += up(in*out) + 2*up(out) + up(in)
+		ins += in
 	}
-	ws.lg = make([]float64, widest)
-	ws.rows = make([][]float64, widest)
-	ws.xs = make([]float64, widest)
+	size += up(slices.Max(m.Dims))
+	slab := make([]float64, size+7)
+	slab = slab[int(-uintptr(unsafe.Pointer(&slab[0]))&63/8):]
+	take := func(k int) []float64 {
+		s := slab[:k:k]
+		slab = slab[up(k):]
+		return s
+	}
+	offsets := make([]int, ins)
+	ws := workspace{
+		w:     make([][]float64, n),
+		acts:  make([][]float64, n+1),
+		grads: make([][]float64, n+1),
+		rows:  make([][]int, n),
+		xs:    make([][]float64, n),
+	}
+	for l, w := range m.W {
+		in, out := m.Dims[l], m.Dims[l+1]
+		flat := take(in * out)
+		for i, row := range w {
+			copy(flat[i*out:(i+1)*out], row)
+		}
+		ws.w[l] = flat
+		ws.acts[l+1] = take(out)
+		ws.grads[l+1] = take(out)
+		ws.xs[l] = take(in)
+		ws.rows[l], offsets = offsets[:in:in], offsets[in:]
+	}
+	ws.lg = take(slices.Max(m.Dims))
 	return ws
 }
 
-// forward fills ws.acts for input x.
-func (m *MLP) forward(ws *workspace, x []float64) {
-	ws.acts[0] = x
+// unpack copies the workspace's weights back into m.W.
+func (ws *workspace) unpack(m *MLP) {
 	for l, w := range m.W {
-		layerForward(ws, ws.acts[l+1], ws.acts[l], w)
+		cols := m.Dims[l+1]
+		for i, row := range w {
+			copy(row, ws.w[l][i*cols:(i+1)*cols])
+		}
 	}
 }
 
-// layerForward sets out = ReLU(in·w). Rows whose input is zero are left
-// out, and each output's sum is carried in a register down the remaining
-// rows in ascending order from +0 — the adds, and their order, of
-// accumulating out[j] += w[i][j]·in[i] in memory row by row.
-func layerForward(ws *workspace, out, in []float64, w [][]float64) {
-	rows, xs := ws.rows[:0], ws.xs[:0]
-	for i, wi := range w {
-		if xi := in[i]; xi != 0 {
-			rows = append(rows, wi)
-			xs = append(xs, xi)
+// forward fills ws.acts for input x, and ws.rows and ws.xs.
+func (ws *workspace) forward(x []float64) {
+	ws.acts[0] = x
+	for l, w := range ws.w {
+		in, out := ws.acts[l], ws.acts[l+1]
+		k := nonZero(ws.rows[l][:len(in)], ws.xs[l][:len(in)], in, len(out))
+		ws.rows[l], ws.xs[l] = ws.rows[l][:k], ws.xs[l][:k]
+		layerForward(out, w, ws.rows[l], ws.xs[l])
+	}
+}
+
+// nonZero writes the offsets i·cols of the rows whose input in[i] is
+// non-zero to rows, and those inputs to xs, in ascending order, and
+// returns how many there are. Each row is written and kept by advancing
+// the count, without a branch: a hidden layer's inputs are zero or not at
+// random, and a branch here would mispredict often.
+func nonZero(rows []int, xs, in []float64, cols int) int {
+	rows, xs = rows[:len(in)], xs[:len(in)]
+	k := 0
+	for i, xi := range in {
+		rows[k], xs[k] = i*cols, xi
+		if xi != 0 {
+			k++
 		}
 	}
-	xs = xs[:len(rows)]
+	return k
+}
+
+// layerForward sets out = ReLU(in·w) from the rows with a non-zero input
+// (ws.rows). Each output's sum is carried in a register down those rows
+// in ascending order from +0 — the adds, and their order, of accumulating
+// out[j] += w[i][j]·in[i] in memory row by row. The AVX2 body takes the
+// columns in blocks of four; the portable one takes them 8, 4, then 1 at
+// a time, and finishes the AVX2 body's last len(out) mod 4.
+func layerForward(out, w []float64, rows []int, xs []float64) {
 	n := len(out)
 	j := 0
+	if trainAVX2 && n >= 4 {
+		j = n &^ 3
+		forwardAVX2(&out[0], &w[0], unsafe.SliceData(rows), unsafe.SliceData(xs), len(rows), j/4)
+	}
 	for ; j+8 <= n; j += 8 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for k, wi := range rows {
+		for k, o := range rows {
 			xi := xs[k]
-			r := wi[j : j+8 : j+8]
+			r := w[o+j : o+j+8 : o+j+8]
 			s0 += r[0] * xi
 			s1 += r[1] * xi
 			s2 += r[2] * xi
@@ -193,9 +264,9 @@ func layerForward(ws *workspace, out, in []float64, w [][]float64) {
 	}
 	for ; j+4 <= n; j += 4 {
 		var s0, s1, s2, s3 float64
-		for k, wi := range rows {
+		for k, o := range rows {
 			xi := xs[k]
-			r := wi[j : j+4 : j+4]
+			r := w[o+j : o+j+4 : o+j+4]
 			s0 += r[0] * xi
 			s1 += r[1] * xi
 			s2 += r[2] * xi
@@ -206,8 +277,8 @@ func layerForward(ws *workspace, out, in []float64, w [][]float64) {
 	}
 	for ; j < n; j++ {
 		var s float64
-		for k, wi := range rows {
-			s += wi[j] * xs[k]
+		for k, o := range rows {
+			s += w[o+j] * xs[k]
 		}
 		out[j] = relu(s)
 	}
@@ -244,7 +315,7 @@ func (m *MLP) Accuracy(ds Dataset) float64 {
 	ws := newWorkspace(m)
 	correct := 0
 	for i, x := range ds.X {
-		m.forward(ws, x)
+		ws.forward(x)
 		if argmax(ws.acts[len(m.W)]) == ds.Y[i] {
 			correct++
 		}
@@ -263,7 +334,9 @@ type TrainOptions struct {
 
 // Train runs plain SGD with squared loss on the ReLU outputs. The final
 // ReLU means wrong-class outputs are pushed to 0 and the true class toward
-// Target — a hardware-friendly objective that needs no softmax.
+// Target — a hardware-friendly objective that needs no softmax. The epochs
+// run on the workspace's flat copy of the weights, which is copied back
+// once at the end.
 func (m *MLP) Train(rng *rand.Rand, ds Dataset, opts TrainOptions) {
 	if opts.Epochs <= 0 {
 		opts.Epochs = 30
@@ -278,22 +351,21 @@ func (m *MLP) Train(rng *rand.Rand, ds Dataset, opts TrainOptions) {
 	ws := newWorkspace(m)
 	for e := 0; e < opts.Epochs; e++ {
 		for _, idx := range order {
-			m.step(ws, ds.X[idx], ds.Y[idx], opts.LR, opts.Target)
+			ws.step(ds.X[idx], ds.Y[idx], opts.LR, opts.Target)
 		}
 	}
+	ws.unpack(m)
 }
 
-// step backpropagates one sample through ws. Every weight ends bit-identical
-// to plain per-sample SGD (docs/INVARIANTS.md, "Trained weights ≡ naive
-// SGD"). A hidden layer runs four rows at once in one pass: four
-// independent gradient add chains, each in ascending output order over the
-// weights as they were before this step, and each weight updated right
-// after it is read. The first layer has no gradient to pass down, so a row
-// whose input is zero is left alone when every lr·grad is finite: then
-// w − lr·grad·0 = w − (±0) = w, since no weight is ever −0.
-func (m *MLP) step(ws *workspace, x []float64, label int, lr, target float64) {
-	m.forward(ws, x)
-	top := len(m.W)
+// step backpropagates one sample through the workspace's weights. Every
+// weight ends bit-identical to plain per-sample SGD (docs/INVARIANTS.md,
+// "Trained weights ≡ naive SGD"). A hidden layer runs four rows at once in
+// one pass (backward). The first layer has no gradient to pass down, so a
+// row whose input is zero is left alone when every lr·grad is finite:
+// then w − lr·grad·0 = w − (±0) = w, since no weight is ever −0.
+func (ws *workspace) step(x []float64, label int, lr, target float64) {
+	ws.forward(x)
+	top := len(ws.w)
 	out, grad := ws.acts[top], ws.grads[top]
 	// dL/dout with L = Σ (out − t)².
 	for j := range out {
@@ -307,65 +379,127 @@ func (m *MLP) step(ws *workspace, x []float64, label int, lr, target float64) {
 		}
 	}
 	for l := top - 1; l >= 0; l-- {
-		in, w := ws.acts[l], m.W[l]
+		in, w := ws.acts[l], ws.w[l]
 		// lr·grad[j]·x evaluates left to right, so hoisting lr·grad[j]
 		// leaves every product unchanged.
 		lg := ws.lg[:len(grad)]
-		finite := true
+		// v − v is +0 for a finite v and NaN otherwise, so the sum is 0
+		// exactly when every lr·grad is finite.
+		var nonfinite float64
 		for j, g := range grad {
 			v := lr * g
 			lg[j] = v
-			finite = finite && v-v == 0
+			nonfinite += v - v
 		}
+		finite := nonfinite == 0
 		if l == 0 {
-			for i, wi := range w {
-				if xi := in[i]; xi != 0 || !finite {
-					update(wi, lg, xi)
+			if finite {
+				update(w, lg, ws.rows[0], ws.xs[0])
+			} else {
+				// lr·grad·0 is NaN somewhere in every row.
+				for i, xi := range in {
+					updateRow(w[i*len(lg):(i+1)*len(lg)], lg, xi)
 				}
 			}
 			break
 		}
 		next := ws.grads[l]
-		i := 0
-		for ; i+4 <= len(w); i += 4 {
-			w0, w1, w2, w3 := w[i][:len(grad)], w[i+1][:len(grad)], w[i+2][:len(grad)], w[i+3][:len(grad)]
-			x := in[i : i+4 : i+4]
-			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-			var g0, g1, g2, g3 float64
-			for j, gj := range grad {
-				v := lg[j]
-				a0, a1, a2, a3 := w0[j], w1[j], w2[j], w3[j]
-				g0 += a0 * gj
-				g1 += a1 * gj
-				g2 += a2 * gj
-				g3 += a3 * gj
-				w0[j] = a0 - v*x0
-				w1[j] = a1 - v*x1
-				w2[j] = a2 - v*x2
-				w3[j] = a3 - v*x3
-			}
-			n := next[i : i+4 : i+4]
-			n[0], n[1], n[2], n[3] = gate(g0, x0), gate(g1, x1), gate(g2, x2), gate(g3, x3)
-		}
-		for ; i < len(w); i++ {
-			wi := w[i][:len(grad)]
-			xi := in[i]
-			var g float64
-			for j, gj := range grad {
-				a := wi[j]
-				g += a * gj
-				wi[j] = a - lg[j]*xi
-			}
-			next[i] = gate(g, xi)
-		}
+		backward(w, lg, grad, in, next)
 		grad = next
 	}
 }
 
-// update applies w[j] −= lg[j]·x four columns per iteration: the loop's
+// backward updates a hidden layer, w[i][j] −= lg[j]·in[i], and sets next
+// to the gradient at its input: next[i] = Σⱼ w[i][j]·grad[j] over the
+// weights as they were before this step, one add chain per row in
+// ascending j from +0, then the ReLU gate. Rows run four at a time, each
+// weight updated right after it is read. The AVX2 body takes the whole
+// groups of four rows over the columns in blocks of four and leaves each
+// row's partial sum in next; the portable body (backward4) carries those
+// chains on over the last len(grad) mod 4 columns, or runs the groups
+// whole, and then the last len(in) mod 4 rows one at a time.
+func backward(w, lg, grad, in, next []float64) {
+	cols := len(grad)
+	grouped := len(in) &^ 3 // rows in whole groups of four
+	j0 := 0                 // next[:grouped] holds their sums up to column j0
+	if trainAVX2 && cols >= 4 && grouped > 0 {
+		j0 = cols &^ 3
+		backwardAVX2(&w[0], &lg[0], &grad[0], &in[0], &next[0], grouped/4, j0/4, cols)
+	} else {
+		clear(next[:grouped])
+	}
+	if j0 < cols {
+		for i := 0; i < grouped; i += 4 {
+			backward4(w, lg, grad, in, next, i, j0)
+		}
+	}
+	for i := grouped; i < len(in); i++ {
+		wi := w[i*cols : (i+1)*cols]
+		xi := in[i]
+		var g float64
+		for j, gj := range grad {
+			a := wi[j]
+			g += a * gj
+			wi[j] = a - lg[j]*xi
+		}
+		next[i] = g
+	}
+	for i, xi := range in {
+		next[i] = gate(next[i], xi)
+	}
+}
+
+// backward4 runs rows i…i+3 of a hidden layer from column j0 on: four
+// independent gradient add chains, carried on from next[i:i+4], each
+// weight updated right after it is read.
+func backward4(w, lg, grad, in, next []float64, i, j0 int) {
+	cols := len(grad)
+	grad, lg = grad[j0:], lg[j0:cols]
+	w0 := w[i*cols+j0 : (i+1)*cols][:len(grad)]
+	w1 := w[(i+1)*cols+j0 : (i+2)*cols][:len(grad)]
+	w2 := w[(i+2)*cols+j0 : (i+3)*cols][:len(grad)]
+	w3 := w[(i+3)*cols+j0 : (i+4)*cols][:len(grad)]
+	x := in[i : i+4 : i+4]
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	n := next[i : i+4 : i+4]
+	g0, g1, g2, g3 := n[0], n[1], n[2], n[3]
+	for j, gj := range grad {
+		v := lg[j]
+		a0, a1, a2, a3 := w0[j], w1[j], w2[j], w3[j]
+		g0 += a0 * gj
+		g1 += a1 * gj
+		g2 += a2 * gj
+		g3 += a3 * gj
+		w0[j] = a0 - v*x0
+		w1[j] = a1 - v*x1
+		w2[j] = a2 - v*x2
+		w3[j] = a3 - v*x3
+	}
+	n[0], n[1], n[2], n[3] = g0, g1, g2, g3
+}
+
+// update applies w[o+j] −= lg[j]·x to the first layer's rows with a
+// non-zero input (ws.rows[0] and ws.xs[0]). The AVX2 body takes the columns in blocks of four and the
+// portable one (updateRow) the last len(lg) mod 4, or every column.
+func update(w, lg []float64, rows []int, xs []float64) {
+	cols := len(lg)
+	j0 := 0
+	if trainAVX2 && cols >= 4 {
+		j0 = cols &^ 3
+		updateAVX2(&w[0], &lg[0], unsafe.SliceData(rows), unsafe.SliceData(xs), len(rows), j0/4)
+		if j0 == cols {
+			return
+		}
+	}
+	for k, o := range rows {
+		updateRow(w[o+j0:o+cols], lg[j0:], xs[k])
+	}
+}
+
+// updateRow applies w[j] −= lg[j]·x four columns per iteration: the loop's
 // back-branch is taken once per four products, which keeps this short
 // loop's speed independent of where the linker puts it.
-func update(w, lg []float64, x float64) {
+func updateRow(w, lg []float64, x float64) {
 	w = w[:len(lg)]
 	j := 0
 	for ; j+4 <= len(lg); j += 4 {
@@ -383,7 +517,7 @@ func update(w, lg []float64, x float64) {
 // gate is the ReLU gate on a hidden activation's gradient.
 func gate(g, x float64) float64 {
 	if x == 0 && g > 0 {
-		return 0
+		g = 0
 	}
 	return g
 }

@@ -1,7 +1,9 @@
 package xbar
 
+import "fpsa/internal/hostcpu"
+
 // HasAVX2 reports whether this CPU runs the AVX2 bodies at all.
-var HasAVX2 = hasAVX2
+var HasAVX2 = hostcpu.AVX2
 
 // UseAVX2Bodies switches every AVX2 body — the integer-lane walk, the float
 // walk, the reference kernel, its epilogue and Quantize — on or off for

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fpsa/internal/device"
+	"fpsa/internal/hostcpu"
 )
 
 // FuzzSimulateCountsPackedVsDense fuzzes the spiking kernel against its
@@ -240,7 +241,7 @@ func FuzzReferenceBatchVsNaive(f *testing.F) {
 // testdata/fuzz/FuzzReferenceBodiesAgree, with the edge widths and one
 // seed per selection edge; CI runs a short -fuzztime smoke pass.
 func FuzzReferenceBodiesAgree(f *testing.F) {
-	if !hasAVX2 {
+	if !hostcpu.AVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	f.Add(int64(1), uint8(15), uint8(23), uint8(7), uint8(1), []byte{}, []byte{0, 64, 255, 254})

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"fpsa/internal/hostcpu"
 	"fpsa/internal/spike"
 )
 
@@ -23,10 +24,10 @@ const (
 
 // laneAVX2 selects the AVX2 bodies of the integer-lane walk here, the
 // float walk (walkFloatAVX2), the reference kernel (referenceSums), its
-// integral-η epilogue (integerEpilogue) and Quantize. It is hasAVX2 (AVX,
-// AVX2, BMI1 and OS-saved YMM state), fixed for the process; only tests
-// change it, to run the kernel tests under each body the CPU has.
-var laneAVX2 = hasAVX2
+// integral-η epilogue (integerEpilogue) and Quantize. It is hostcpu.AVX2
+// (AVX, AVX2, BMI1 and OS-saved YMM state), fixed for the process; only
+// tests change it, to run the kernel tests under each body the CPU has.
+var laneAVX2 = hostcpu.AVX2
 
 // lanePair is the positive- and negative-polarity lane words of the same
 // four walked columns.

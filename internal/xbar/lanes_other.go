@@ -2,10 +2,6 @@
 
 package xbar
 
-// hasAVX2 is false off amd64: both walks, the reference kernel and
-// Quantize run their portable bodies.
-const hasAVX2 = false
-
 func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64) {
 	panic("xbar: the AVX2 lane walk runs on amd64 only")
 }

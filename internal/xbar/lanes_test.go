@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fpsa/internal/device"
+	"fpsa/internal/hostcpu"
 	"fpsa/internal/spike"
 )
 
@@ -20,7 +21,7 @@ type laneBody struct {
 // the AVX2 ones when the CPU has it.
 func laneBodies() []laneBody {
 	bodies := []laneBody{{"portable", false}}
-	if hasAVX2 {
+	if hostcpu.AVX2 {
 		bodies = append(bodies, laneBody{"avx2", true})
 	}
 	return bodies
@@ -69,7 +70,7 @@ func TestSilentTrains(t *testing.T) {
 // testdata/fuzz/FuzzLaneBodiesAgree, with the edge widths and 200 and 256
 // rows; CI runs a short -fuzztime smoke pass.
 func FuzzLaneBodiesAgree(f *testing.F) {
-	if !hasAVX2 {
+	if !hostcpu.AVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	f.Add(int64(1), uint8(17), uint8(15), uint8(1), uint16(0), uint8(0), []byte{0, 64, 65, 200, 32, 33, 1})
@@ -125,7 +126,7 @@ func bodyOutputs(t *testing.T, xb *Crossbar, src []int, batch int) (avx2, portab
 // under both bodies. Seed corpus under testdata/fuzz/FuzzFloatBodiesAgree,
 // with the block-edge widths; CI runs a short -fuzztime smoke pass.
 func FuzzFloatBodiesAgree(f *testing.F) {
-	if !hasAVX2 {
+	if !hostcpu.AVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	f.Add(int64(1), uint8(15), uint8(23), uint8(1), uint8(0), 1.0, []byte{0, 6, 0, 0, 9, 5, 0, 7})
@@ -185,7 +186,7 @@ func FuzzFloatBodiesAgree(f *testing.F) {
 // crossbars at Γ = 16/64/128, fed all-zero, all-Γ, clamped and random items
 // in calls of one to three.
 func TestHalfBlockDriveRowsStayZero(t *testing.T) {
-	if !hasAVX2 {
+	if !hostcpu.AVX2 {
 		t.Skip("the CPU has no AVX2: the portable body keeps no drive rows between items")
 	}
 	defer useLaneBody(true)()

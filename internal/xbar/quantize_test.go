@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"fpsa/internal/hostcpu"
 )
 
 // quantizeBodies runs Quantize on features under each body and returns
@@ -65,7 +67,7 @@ func halfSteps(window int) []float64 {
 // the four-feature blocks against the scalar tail, and on 20,000 random
 // arrays of random bit patterns, edge features and half steps.
 func TestQuantizeBodiesAgree(t *testing.T) {
-	if !hasAVX2 {
+	if !hostcpu.AVX2 {
 		t.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	windows := []int{0, 1, 2, 15, 16, 64, 100, 128, 255, 1 << 20, 1<<31 - 1, 1 << 31, 1 << 40, -1, -64}
@@ -106,7 +108,7 @@ func TestQuantizeBodiesAgree(t *testing.T) {
 // past 2^31 and negative too (where Quantize keeps the portable body).
 // Seeds: the edge features and every half step with its neighbours.
 func FuzzQuantizeBodiesAgree(f *testing.F) {
-	if !hasAVX2 {
+	if !hostcpu.AVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	bits := func(fs []float64) []byte {

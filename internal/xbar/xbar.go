@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 
 	"fpsa/internal/device"
+	"fpsa/internal/hostcpu"
 	"fpsa/internal/spike"
 )
 
@@ -329,7 +330,7 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		eta = float64(maxW)
 	}
 	n, pairRows := rows*cols, 0
-	if hasAVX2 && window < 1<<15 && maxW < 1<<15 {
+	if hostcpu.AVX2 && window < 1<<15 && maxW < 1<<15 {
 		pairRows = (rows + 1) / 2
 	}
 	packW := make([]uint64, n+pairRows*cols)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fpsa/internal/device"
+	"fpsa/internal/hostcpu"
 	"fpsa/internal/spike"
 )
 
@@ -339,8 +340,8 @@ func TestReferencePairDriveBound(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Γ %d maxW %d %dx%d: %v", window, maxW, rows, cols, err)
 				}
-				if got := xb.pairW != nil; got != (e.pairs && hasAVX2) {
-					t.Fatalf("Γ %d maxW %d: pair rows %v, want %v", window, maxW, got, e.pairs && hasAVX2)
+				if got := xb.pairW != nil; got != (e.pairs && hostcpu.AVX2) {
+					t.Fatalf("Γ %d maxW %d: pair rows %v, want %v", window, maxW, got, e.pairs && hostcpu.AVX2)
 				}
 				items := [][]int{{window}, {1 << 40, window + 7}, {-1 << 40, -1}, {-1 << 40, -1, window + 7, 1 << 40, 3}}
 				src := make([]int, 0, len(items)*rows)

@@ -58,8 +58,8 @@ var reachReasons = []reachReason{
 	{"an option the tests need, its cost measured: with `WithAutotuneRefine` fixed at 2, `go test -run Autotune .` takes 17 s, not 2.4 s, and `TestAutotuneRefineSharesCache` fails", []string{
 		"fpsa.WithAutotuneRefine",
 	}},
-	{"a portable stub of an AVX2 body (`xbar/lanes_other.go`, outside the amd64 build)", []string{
-		"internal/xbar/lanes_other.go",
+	{"a portable stub of an AVX2 body (`xbar/lanes_other.go`, `trainer/step_other.go`, outside the amd64 build)", []string{
+		"internal/xbar/lanes_other.go", "internal/trainer/step_other.go",
 	}},
 	{"the analyzer test harness (`fpsavet/analysis/testutil.go`), which `checks`' tests load their fixtures through", []string{
 		"internal/tools/fpsavet/analysis/testutil.go",
