@@ -96,12 +96,12 @@ type RunOptions struct {
 	// cells using the crossbar's spare rows and columns. An inactive (or
 	// nil) model is bit-identical to no faults at all.
 	Faults *device.FaultModel
-	// spikeKernel, when set, stands in for (*xbar.Crossbar).SimulateCountsBatch
-	// at runStages' one spiking call site (through Executor.kernel). Only
-	// this package's tests can set it: they pass SimulateCountsBatchDense,
-	// the kernel's oracle, to get an oracle executor to compare the
-	// production one against.
-	spikeKernel func(c *xbar.Crossbar, dst, src []int, batch int) error
+	// spikeKernel, when set, stands in for (*xbar.Crossbar).Simulate at
+	// runStages' one spiking call site (through Executor.kernel). Only this
+	// package's tests can set it: they pass SimulateCountsBatchDense, the
+	// kernel's oracle, to get an oracle executor to compare the production
+	// one against.
+	spikeKernel func(c *xbar.Crossbar, dst, src []uint16, batch int) error
 }
 
 // ValidateBatch checks every input vector's length and window range
@@ -193,12 +193,22 @@ func (p *Program) FloatReference(input []int) ([]float64, error) {
 	return result, nil
 }
 
-// Argmax returns the index of the largest count (ties to the lowest index).
-func Argmax(v []int) int {
-	best := 0
+// Argmax returns the index of the largest count (ties to the lowest
+// index). It stays exported for bench/ (ROADMAP item 1(f)); the executor
+// reads its uint16 tables with argmax.
+func Argmax(v []int) int { return argmax(v) }
+
+// argmax is Argmax over either count type. The running maximum stays in
+// a register, and its updates compile to conditional moves: which count
+// wins is data, and a branch on it mispredicts.
+func argmax[T int | uint16](v []T) int {
+	if len(v) == 0 {
+		return 0
+	}
+	best, top := 0, v[0]
 	for i, x := range v {
-		if x > v[best] {
-			best = i
+		if x > top {
+			best, top = i, x
 		}
 	}
 	return best
@@ -216,10 +226,14 @@ func ArgmaxFloat(v []float64) int {
 }
 
 // QuantizeInput maps real-valued features in [0,1] to window counts, as
-// Executor.RunFeatures quantizes each row (xbar.Quantize). It stays
-// exported for bench/ (ROADMAP item 1(f)).
+// Executor.RunFeatures quantizes each row (xbar.Quantize, so 0 ≤ Γ ≤
+// xbar.MaxWindow). It stays exported for bench/ (ROADMAP item 1(f)).
 func QuantizeInput(features []float64, window int) []int {
+	narrow := make([]uint16, len(features))
+	xbar.Quantize(narrow, [][]float64{features}, window)
 	counts := make([]int, len(features))
-	xbar.Quantize(counts, features, window)
+	for i, v := range narrow {
+		counts[i] = int(v)
+	}
 	return counts
 }

@@ -41,10 +41,10 @@ import (
 type Executor struct {
 	prog *Program
 	opts RunOptions
-	// kernel runs one spiking stage: (*xbar.Crossbar).SimulateCountsBatch on
-	// every executor built outside this package's tests (see
+	// kernel runs one spiking stage: (*xbar.Crossbar).Simulate on every
+	// executor built outside this package's tests (see
 	// RunOptions.spikeKernel).
-	kernel func(c *xbar.Crossbar, dst, src []int, batch int) error
+	kernel func(c *xbar.Crossbar, dst, src []uint16, batch int) error
 	// chips is how many chips the plan spread the stages over.
 	chips int
 	// units[gid] is weight group gid's programmed crossbar; nil for a group
@@ -61,15 +61,18 @@ type Executor struct {
 	// mu is held across a batch's quantization, stage walk and output
 	// gather: the scratch below is reused across runs.
 	mu sync.Mutex
-	// in is the batch's flat batch×InputSize input counts: RunFeatures
+	// The tables hold counts in [0, Γ], as uint16 (Γ ≤ xbar.MaxWindow). in
+	// is the batch's flat batch×InputSize input counts: RunFeatures
 	// quantizes into it and RunBatch copies its rows in. ins[si] and
 	// outs[si] are stage si's flat batch×rows input and batch×cols output.
 	// A stage whose plan is an alias reads its source's table (in or an
-	// earlier outs) in place and never grows its ins. res holds the output
+	// earlier outs) in place and never grows its ins. Each of these tables
+	// ends in one slack element past its batch's counts, which the kernels
+	// take with their input (xbar.Crossbar.Reference). res holds the output
 	// rows argmaxes gathers when the outputs are not one run. All grow on
 	// demand.
-	in, res   []int
-	ins, outs [][]int
+	in, res   []uint16
+	ins, outs [][]uint16
 }
 
 // stagePlan is what runStages needs to know about one stage besides its
@@ -212,14 +215,14 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 	e := &Executor{
 		prog:    p,
 		opts:    opts,
-		kernel:  (*xbar.Crossbar).SimulateCountsBatch,
+		kernel:  (*xbar.Crossbar).Simulate,
 		chips:   len(bounds) - 1,
 		units:   make([]*xbar.Crossbar, len(p.Graph.Groups)),
 		order:   make([]int, 0, len(p.Graph.Groups)),
 		stages:  stages,
 		outRuns: outRuns,
-		ins:     make([][]int, n),
-		outs:    make([][]int, n),
+		ins:     make([][]uint16, n),
+		outs:    make([][]uint16, n),
 	}
 	if opts.spikeKernel != nil {
 		e.kernel = opts.spikeKernel
@@ -374,20 +377,17 @@ func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) er
 }
 
 // quantize writes every feature row's counts into the executor's input
-// slab, row after row. Under e.mu.
+// slab, row after row, in one xbar.Quantize call. Under e.mu.
 func (e *Executor) quantize(features [][]float64) {
 	size := e.prog.InputSize // checkLength passed: every row is this long
-	e.in = growInts(e.in, len(features)*size)
-	window := e.prog.Params.SamplingWindow()
-	for b, f := range features {
-		xbar.Quantize(e.in[b*size:(b+1)*size], f, window)
-	}
+	e.in = grow(e.in, len(features)*size+1)
+	xbar.Quantize(e.in[:len(features)*size], features, e.prog.Params.SamplingWindow())
 }
 
-// growInts returns buf resized to n, reusing capacity.
-func growInts(buf []int, n int) []int {
+// grow returns buf resized to n, reusing capacity.
+func grow(buf []uint16, n int) []uint16 {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]uint16, n)
 	}
 	return buf[:n]
 }
@@ -405,9 +405,12 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	size := e.prog.InputSize
-	e.in = growInts(e.in, len(inputs)*size)
+	e.in = grow(e.in, len(inputs)*size+1)
 	for b, in := range inputs {
-		copy(e.in[b*size:(b+1)*size], in)
+		row := e.in[b*size : (b+1)*size]
+		for k, v := range in { // validated: in [0, Γ]
+			row[k] = uint16(v)
+		}
 	}
 	if err := e.runStages(len(inputs)); err != nil {
 		return nil, err
@@ -424,27 +427,29 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 
 // runStages evaluates the batch of B rows in the input slab over every
 // stage in order — the one stage walk every chip count shares — reusing
-// whatever capacity the per-stage tables already have.
+// whatever capacity the per-stage tables already have. Every stage's
+// input, x, is its B rows and the slack element after them.
 func (e *Executor) runStages(B int) error {
 	p := e.prog
 	for si, st := range p.Stages {
 		n := len(st.InRefs)
 		sp := &e.stages[si]
-		var x []int
+		var x []uint16
 		if sp.alias {
-			x = e.table(sp.runs[0].stage)[:B*n]
+			x = e.table(sp.runs[0].stage)[:B*n+1]
 		} else {
-			x = growInts(e.ins[si], B*n)
+			x = grow(e.ins[si], B*n+1)
 			e.ins[si] = x
 			e.gather(x, n, sp.runs, B)
 		}
-		out := growInts(e.outs[si], B*sp.cols)
+		out := grow(e.outs[si], B*sp.cols+1)
 		e.outs[si] = out
+		out = out[:B*sp.cols]
 		unit := e.units[st.GroupID]
 		var err error
 		switch e.opts.Mode {
 		case ModeReference:
-			err = unit.ReferenceBatch(out, x, B)
+			err = unit.Reference(out, x, B)
 		case ModeSpiking, ModeSpikingNoisy:
 			err = e.kernel(unit, out, x, B)
 		default:
@@ -459,7 +464,7 @@ func (e *Executor) runStages(B int) error {
 
 // table is a gather source's flat batch table: the input slab for
 // ExternalStage, otherwise that stage's output.
-func (e *Executor) table(stage int) []int {
+func (e *Executor) table(stage int) []uint16 {
 	if stage == ExternalStage {
 		return e.in
 	}
@@ -470,7 +475,7 @@ func (e *Executor) table(stage int) []int {
 // copied for every item before the next, so what it reads is decided once
 // per run and batch rather than once per element. (A gather of its own
 // keeps the hot loops' registers apart from runStages'.)
-func (e *Executor) gather(x []int, n int, runs []gatherRun, B int) {
+func (e *Executor) gather(x []uint16, n int, runs []gatherRun, B int) {
 	for _, g := range runs {
 		if g.stage == ZeroStage {
 			for b := 0; b < B; b++ {
@@ -486,7 +491,7 @@ func (e *Executor) gather(x []int, n int, runs []gatherRun, B int) {
 // src (w wide) to columns [at, at+cnt) of the same row of dst (n wide). A
 // one-column run — a convolution reading an earlier layer's per-position
 // stages channel by channel — is a plain strided loop.
-func copyStrided(dst []int, n, at int, src []int, w, col, cnt, batch int) {
+func copyStrided(dst []uint16, n, at int, src []uint16, w, col, cnt, batch int) {
 	if cnt == 1 {
 		for b := 0; b < batch; b++ {
 			dst[b*n+at] = src[b*w+col]
@@ -503,7 +508,7 @@ func copyStrided(dst []int, n, at int, src []int, w, col, cnt, batch int) {
 const shortRun = 4
 
 // copyRun copies src into dst, which has its length.
-func copyRun(dst, src []int) {
+func copyRun(dst, src []uint16) {
 	if len(dst) > shortRun {
 		copy(dst, src)
 		return
@@ -514,9 +519,22 @@ func copyRun(dst, src []int) {
 }
 
 // outputs writes the batch's B rows of output counts into dst,
-// len(OutputRefs) per row, after runStages.
+// len(OutputRefs) per row, after runStages: gather's runs, each count
+// widened to an int.
 func (e *Executor) outputs(dst []int, B int) {
-	e.gather(dst, len(e.prog.OutputRefs), e.outRuns, B)
+	n := len(e.prog.OutputRefs)
+	for _, g := range e.outRuns {
+		for b := 0; b < B; b++ {
+			row := dst[b*n+g.at : b*n+g.at+g.n]
+			if g.stage == ZeroStage {
+				clear(row)
+				continue
+			}
+			for k, v := range e.table(g.stage)[b*g.w+g.col:][:g.n] {
+				row[k] = int(v)
+			}
+		}
+	}
 }
 
 // argmaxes writes every row's argmax class into dst, one row per slot,
@@ -525,16 +543,16 @@ func (e *Executor) outputs(dst []int, B int) {
 // place from their source's table; others are gathered into res first.
 func (e *Executor) argmaxes(dst []int) {
 	n := len(e.prog.OutputRefs)
-	var tab []int
+	var tab []uint16
 	w, col := n, 0
 	if g := e.outRuns; len(g) == 1 && g[0].stage != ZeroStage {
 		tab, w, col = e.table(g[0].stage), g[0].w, g[0].col
 	} else {
-		e.res = growInts(e.res, len(dst)*n)
+		e.res = grow(e.res, len(dst)*n)
 		tab = e.res
-		e.outputs(tab, len(dst))
+		e.gather(tab, n, e.outRuns, len(dst))
 	}
 	for b := range dst {
-		dst[b] = Argmax(tab[b*w+col : b*w+col+n])
+		dst[b] = argmax(tab[b*w+col : b*w+col+n])
 	}
 }

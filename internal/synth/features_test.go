@@ -322,3 +322,44 @@ func FuzzClassifyFeaturesVsRunBatch(f *testing.F) {
 		checkFeatures(t, fx, featureBatch(fx.ex.prog, 1+int(rows)%17, bad, raw))
 	})
 }
+
+// BenchmarkRunFeatures times the executor alone on the shape
+// serve_mlp_reference serves — a 16-24-4 MLP in reference mode, here with
+// seeded random weights — at the workload's batch of 64 and at one row:
+// quantize, both stages' kernels and epilogues, and argmax, with no
+// serving layer above. It is the executor-only baseline beside the root
+// package's BenchmarkEngineOutputsParallel and
+// BenchmarkFleetOutputsParallel.
+func BenchmarkRunFeatures(b *testing.B) {
+	g, ws := buildTestMLP(rand.New(rand.NewSource(611)), []int{16, 24, 4})
+	opts := DefaultOptions()
+	opts.Weights = ws
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex, err := NewExecutor(prog, RunOptions{Mode: ModeReference})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(612))
+	for _, rows := range []int{64, 1} {
+		b.Run(fmt.Sprintf("batch%d", rows), func(b *testing.B) {
+			features := make([][]float64, rows)
+			for r := range features {
+				features[r] = make([]float64, prog.InputSize)
+				for i := range features[r] {
+					features[r][i] = rng.Float64()
+				}
+			}
+			dst := make([]int, rows)
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := ex.RunFeatures(dst, features, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/sample")
+		})
+	}
+}

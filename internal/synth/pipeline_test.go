@@ -291,11 +291,11 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 	// call is the last stage's, and it panics.
 	calls := 0
 	ropts := RunOptions{Mode: ModeSpiking}
-	ropts.spikeKernel = func(c *xbar.Crossbar, dst, src []int, batch int) error {
+	ropts.spikeKernel = func(c *xbar.Crossbar, dst, src []uint16, batch int) error {
 		if calls++; calls == last+1 {
 			panic("chip 1 kernel")
 		}
-		return c.SimulateCountsBatch(dst, src, batch)
+		return c.Simulate(dst, src, batch)
 	}
 	ex, err := NewPipelineExecutor(prog, plan, ropts)
 	if err != nil {

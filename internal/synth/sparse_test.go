@@ -52,10 +52,24 @@ func sparseModes() map[string]func() RunOptions {
 
 // denseOracle returns opts for the oracle executor: the same programming,
 // with every spiking stage run by the paper's PE item by item
-// (xbar.SimulateCountsBatchDense) instead of the kernel. The field is
-// unexported, so nothing outside this package's tests can build one.
+// (xbar.SimulateCountsBatchDense, on the stage's counts widened to int)
+// instead of the kernel. The field is unexported, so nothing outside this
+// package's tests can build one.
 func denseOracle(opts RunOptions) RunOptions {
-	opts.spikeKernel = (*xbar.Crossbar).SimulateCountsBatchDense
+	opts.spikeKernel = func(c *xbar.Crossbar, dst, src []uint16, batch int) error {
+		wide := make([]int, len(dst)+len(src)-1)
+		out, in := wide[:len(dst)], wide[len(dst):]
+		for k, v := range src[:len(in)] {
+			in[k] = int(v)
+		}
+		if err := c.SimulateCountsBatchDense(out, in, batch); err != nil {
+			return err
+		}
+		for k, v := range out {
+			dst[k] = uint16(v)
+		}
+		return nil
+	}
 	return opts
 }
 

@@ -1,7 +1,6 @@
 package xbar
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -45,39 +44,57 @@ func epilogueDividends(rng *rand.Rand, eta uint64) []uint64 {
 	return ds
 }
 
+// epilogueSpan is the window the epilogue tests pass: the largest count a
+// uint16 holds, so that the clamp hides no difference of quotients the
+// tests' words make.
+const epilogueSpan = 1<<16 - 1
+
+// nearWords returns, for a dividend d < 2^32 at η, the drive words (d, lo)
+// and (hi, d): lo is d less min(⌊d/η⌋, epilogueSpan) multiples of η, and
+// hi is d plus epilogueSpan of them, capped at 2^32−1, so both words'
+// differences of quotients lie in [0, epilogueSpan] while d is read as the
+// positive half of one and the negative half of the other.
+func nearWords(d, eta uint64) (low, high [2]uint64) {
+	const top = 1<<polarityShift - 1
+	lo := d - min(d/eta, epilogueSpan)*eta
+	hi := min(d+epilogueSpan*eta, top)
+	return [2]uint64{d, lo}, [2]uint64{hi, d}
+}
+
 // TestReferenceIntegerEpilogueExact holds integerEpilogue, the branch every
 // synthesized η takes, to the float division it replaces: at every η in
 // 1…4096 and at 2^20, 2^21, 2^31 and 2^32−1, on the dividends
-// epilogueDividends picks, as the positive half (negative half 0) and as
-// the negative half (positive half 2^32−1) of a drive word, under each
-// body the CPU has (the AVX2 one answers the words in blocks of four and
-// the last one or three in its scalar tail). The window is math.MaxInt,
-// so the clamp hides nothing.
+// epilogueDividends picks, as the positive half and as the negative half
+// of a drive word whose other half is within epilogueSpan quotients
+// (nearWords), under each body the CPU has (the AVX2 one answers the words
+// in blocks of four and the last one or three in its scalar tail). The
+// window is epilogueSpan, so the clamp hides nothing.
 func TestReferenceIntegerEpilogueExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4001))
 	etas := []uint64{1 << 20, 1 << 21, 1 << 31, 1<<32 - 1}
 	for e := uint64(1); e <= 4096; e++ {
 		etas = append(etas, e)
 	}
-	const top = 1<<polarityShift - 1
-	var dst []int
+	var words [][2]uint64
+	var sums []uint64
+	var dst []uint16
 	for _, eta := range etas {
-		ds := epilogueDividends(rng, eta)
+		words = words[:0]
+		for _, d := range epilogueDividends(rng, eta) {
+			low, high := nearWords(d, eta)
+			words = append(words, low, high)
+		}
+		sums, dst = grow(sums, len(words)), grow(dst, len(words))
 		for _, body := range laneBodies() {
-			dst = grow(dst, 2*len(ds))
-			for i, d := range ds {
-				dst[2*i] = int(d << polarityShift)
-				dst[2*i+1] = int(top<<polarityShift | d)
+			for i, w := range words {
+				sums[i] = w[0]<<polarityShift | w[1]
 			}
 			restore := useLaneBody(body.avx2)
-			integerEpilogue(dst, eta, math.MaxInt)
+			integerEpilogue(dst, sums, eta, epilogueSpan)
 			restore()
-			for i, d := range ds {
-				if want := floatEpilogue(d, 0, float64(eta)); dst[2*i] != want {
-					t.Fatalf("%s η %d: P %d gives %d, float division %d", body.name, eta, d, dst[2*i], want)
-				}
-				if want := floatEpilogue(top, d, float64(eta)); dst[2*i+1] != want {
-					t.Fatalf("%s η %d: P 2^32−1, N %d gives %d, float division %d", body.name, eta, d, dst[2*i+1], want)
+			for i, w := range words {
+				if want := floatEpilogue(w[0], w[1], float64(eta)); int(dst[i]) != want {
+					t.Fatalf("%s η %d: P %d N %d gives %d, float division %d", body.name, eta, w[0], w[1], dst[i], want)
 				}
 			}
 		}
@@ -125,29 +142,36 @@ func TestReferenceSetEtaRoundTrip(t *testing.T) {
 }
 
 // FuzzReferenceEpilogue fuzzes integerEpilogue against float division on
-// five drive words built from any 32-bit P and N at any η in [1, 2^32)
+// nine drive words built from any 32-bit P and N at any η in [1, 2^32)
 // (0 maps to 1): (P, N), (N, P), (k, N) and (N, k) with k the largest
-// multiple of η not above P, then (P, N) again — under each body the CPU
-// has, so with AVX2 the first four take one vector block and the fifth the
-// scalar tail. Seed corpus under testdata/fuzz/FuzzReferenceEpilogue: η =
-// 1, 2, 3, a power of two, 2^31 and 2^32−1 with dividends at and beside a
-// multiple; CI runs a short -fuzztime smoke pass.
+// multiple of η not above P, then nearWords of P and of N, whose
+// differences of quotients stay below the window, then (P, N) again. The
+// window is epilogueSpan, and the answer float division's clamped to it.
+// Under each body the CPU has, so with AVX2 the first eight take two
+// vector blocks and the ninth the scalar tail. Seed corpus under
+// testdata/fuzz/FuzzReferenceEpilogue: η = 1, 2, 3, a power of two, 2^31
+// and 2^32−1 with dividends at and beside a multiple; CI runs a short
+// -fuzztime smoke pass.
 func FuzzReferenceEpilogue(f *testing.F) {
 	f.Add(uint32(7), uint32(6), uint32(1))
 	f.Fuzz(func(t *testing.T, p, n, eta uint32) {
 		e := max(uint64(eta), 1)
 		k := uint64(p) / e * e
-		words := [5][2]uint64{{uint64(p), uint64(n)}, {uint64(n), uint64(p)}, {k, uint64(n)}, {uint64(n), k}, {uint64(p), uint64(n)}}
+		pLow, pHigh := nearWords(uint64(p), e)
+		nLow, nHigh := nearWords(uint64(n), e)
+		words := [...][2]uint64{{uint64(p), uint64(n)}, {uint64(n), uint64(p)}, {k, uint64(n)}, {uint64(n), k},
+			pLow, pHigh, nLow, nHigh, {uint64(p), uint64(n)}}
 		for _, body := range laneBodies() {
-			var dst [len(words)]int
+			var sums [len(words)]uint64
+			var dst [len(words)]uint16
 			for i, w := range words {
-				dst[i] = int(w[0]<<polarityShift | w[1])
+				sums[i] = w[0]<<polarityShift | w[1]
 			}
 			restore := useLaneBody(body.avx2)
-			integerEpilogue(dst[:], e, math.MaxInt)
+			integerEpilogue(dst[:], sums[:], e, epilogueSpan)
 			restore()
 			for i, w := range words {
-				if want := floatEpilogue(w[0], w[1], float64(e)); dst[i] != want {
+				if want := min(floatEpilogue(w[0], w[1], float64(e)), epilogueSpan); int(dst[i]) != want {
 					t.Fatalf("%s word %d: P %d N %d η %d: %d, float division %d", body.name, i, w[0], w[1], e, dst[i], want)
 				}
 			}

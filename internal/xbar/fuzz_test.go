@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -223,29 +224,36 @@ func FuzzReferenceBatchVsNaive(f *testing.F) {
 }
 
 // FuzzReferenceBodiesAgree holds the AVX2 reference kernel to the portable
-// one, packed sum for packed sum, through referenceSums — what
-// ReferenceBatch dispatches to: a random crossbar of 1–256 rows (either
-// side of every row panel) and 1–256 columns, up to LogicalColumns (either
-// side of every quad, of the 8-wide register block and of the 32-column
-// pass), weights anywhere in ±maxW with stuck-low and stuck-high cells, fed
-// a batch of 1–64 items whose counts come from the input bytes — up to 4
-// either side of [0, Γ], and 253, 254 and 255 meaning Γ, −2^40 and 2^40 —
-// must leave identical sums under both bodies. io8 picks the crossbar's Γ
-// and cells: Γ = 16, 64 or 128 with the default 8 cells (the pair kernel);
-// Γ = 2^17, where a full-height column's drive comes within 7 % of 2^32,
-// and Γ = 2^15 (both the portable body under either setting); Γ = 2^14
-// with 68 cells, maxW = 1020 (the pair kernel within 0.4 % of 2^32); and Γ
-// = 16 with 2184 and 2185 cells, maxW either side of 2^15 (pair kernel,
-// then portable), on at most 64×40 cells since each weight programs its
-// cells one by one. Seed corpus under
-// testdata/fuzz/FuzzReferenceBodiesAgree, with the edge widths and one
-// seed per selection edge; CI runs a short -fuzztime smoke pass.
+// one, packed sum for packed sum, through referenceSums — what Reference
+// dispatches to: a random crossbar of 1–256 rows (either side of every row
+// panel, odd counts ending in a pair read past the item's row) and 1–256
+// columns, up to LogicalColumns (either side of every quad, of the 8-wide
+// register block and of the 32-column pass), weights anywhere in ±maxW
+// with stuck-low and stuck-high cells, fed a batch of 1–64 items whose
+// counts in [0, Γ] come from the input bytes (253 meaning Γ) and whose
+// slack element, which the last item's odd last row reads, holds a 16-bit
+// value from the seed, must leave identical sums under both bodies; and
+// ReferenceBatch on the same counts widened to int must answer as
+// Reference. io8 picks the crossbar's Γ and cells: Γ = 16, 64 or 128 with
+// the default 8 cells (the pair kernel); Γ = 2^14 with 68 cells, maxW =
+// 1020 (the pair kernel within 0.4 % of 2^32); Γ = 16 with 2184 and 2185
+// cells, maxW either side of 2^15 (pair kernel, then portable), on at most
+// 64×40 cells since each weight programs its cells one by one; and Γ =
+// 2^17 and 2^15, past MaxWindow, which Program must refuse with ErrWindow.
+// Seed corpus under testdata/fuzz/FuzzReferenceBodiesAgree, with the edge
+// widths and one seed per selection edge; CI runs a short -fuzztime smoke
+// pass.
 func FuzzReferenceBodiesAgree(f *testing.F) {
 	if !hostcpu.AVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
 	f.Add(int64(1), uint8(15), uint8(23), uint8(7), uint8(1), []byte{}, []byte{0, 64, 255, 254})
 	f.Add(int64(2), uint8(255), uint8(35), uint8(63), uint8(3), []byte{0, 1, 2}, []byte{253, 3, 200})
+	// Odd row counts either side of a panel, with a nonzero slack element
+	// under the last item's pair read.
+	for _, rows8 := range []uint8{0, 2, 30, 32, 62, 254} {
+		f.Add(int64(0x7fff00+int(rows8)), rows8, uint8(9), uint8(4), uint8(1), []byte{}, []byte{253, 1, 7, 63})
+	}
 	crossbars := []struct{ ioBits, cells int }{{4, 0}, {6, 0}, {7, 0}, {17, 0}, {14, 68}, {15, 0}, {4, 2184}, {4, 2185}}
 	f.Fuzz(func(t *testing.T, seed int64, rows8, cols8, batch8, io8 uint8, faultBytes, countBytes []byte) {
 		rows, cols, batch := int(rows8)+1, int(cols8)+1, int(batch8)%64+1
@@ -274,30 +282,32 @@ func FuzzReferenceBodiesAgree(f *testing.F) {
 		mask := fm.MaskFor(rows, cols, false)
 		cfg.Faults = &mask
 		xb, err := Program(cfg, weights, nil)
+		if window := cfg.Params.SamplingWindow(); window > MaxWindow {
+			if !errors.Is(err, ErrWindow) {
+				t.Fatalf("Γ %d past MaxWindow: Program returned %v, want ErrWindow", window, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		window := xb.Window()
-		src := make([]int, batch*rows)
-		for k := range src {
+		src := make([]uint16, batch*rows+1)
+		for k := range src[:batch*rows] {
 			if len(countBytes) == 0 {
 				break
 			}
-			switch b := countBytes[k%len(countBytes)]; b {
-			case 253:
-				src[k] = window
-			case 254:
-				src[k] = -1 << 40
-			case 255:
-				src[k] = 1 << 40
-			default:
-				src[k] = int(b)%(window+9) - 4
+			if b := countBytes[k%len(countBytes)]; b == 253 {
+				src[k] = uint16(window)
+			} else {
+				src[k] = uint16(int(b) % (window + 1))
 			}
 		}
-		sums := make(map[bool][]int)
+		src[batch*rows] = uint16(seed >> 8)
+		sums := make(map[bool][]uint64)
 		for _, body := range laneBodies() {
 			restore := useLaneBody(body.avx2)
-			dst := make([]int, batch*cols)
+			dst := make([]uint64, batch*cols)
 			xb.referenceSums(dst, src, batch)
 			restore()
 			sums[body.avx2] = dst
@@ -305,6 +315,22 @@ func FuzzReferenceBodiesAgree(f *testing.F) {
 		for k, want := range sums[false] {
 			if got := sums[true][k]; got != want {
 				t.Fatalf("%dx%d batch %d Γ %d: sum[%d,%d] avx2 %#x, portable %#x", rows, cols, batch, window, k/cols, k%cols, got, want)
+			}
+		}
+		wide := make([]int, batch*rows)
+		for k, v := range src[:batch*rows] {
+			wide[k] = int(v)
+		}
+		core, adapted := make([]uint16, batch*cols), make([]int, batch*cols)
+		if err := xb.Reference(core, src, batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := xb.ReferenceBatch(adapted, wide, batch); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range core {
+			if adapted[k] != int(v) {
+				t.Fatalf("%dx%d batch %d Γ %d: out[%d,%d] ReferenceBatch %d, Reference %d", rows, cols, batch, window, k/cols, k%cols, adapted[k], v)
 			}
 		}
 	})

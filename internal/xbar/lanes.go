@@ -37,14 +37,14 @@ type lanePair [2]uint64
 // the current η: every conductance is a non-negative integer (maxDrive is
 // finite), η is an integer in [1, 2^14), and no walked column can be driven
 // past η in one cycle — so a membrane below η before a cycle is below 2η
-// after the drive and below η again after one subtraction. The window bound
-// keeps the debt and output lanes, which count up to Γ, within 15 bits.
+// after the drive and below η again after one subtraction. The debt and
+// output lanes count up to Γ ≤ MaxWindow, within 15 bits.
 // Everything else — noisy conductances, a stuck-high cell lifting
 // a column over η, a fractional or saturating η from SetEta — keeps the
 // float walk.
 func (c *Crossbar) laneEligible() bool {
 	eta := c.eta
-	return eta >= 1 && eta < maxLaneEta && eta == math.Trunc(eta) && c.maxDrive <= eta && c.window <= 1<<15
+	return eta >= 1 && eta < maxLaneEta && eta == math.Trunc(eta) && c.maxDrive <= eta
 }
 
 // A lane row is one row's walk-column conductances in 16-bit lanes: the
@@ -166,7 +166,7 @@ func alignedGrow[T uint64 | float64](buf []T, n int) []T {
 // polarities of a half-block row in one — over the same lane rows and with
 // the same 16-bit lane adds and subtracts; each owns its per-cycle drive
 // scratch.
-func (c *Crossbar) walkLanes(out, counts []int) {
+func (c *Crossbar) walkLanes(out, counts []uint16) {
 	if laneAVX2 {
 		c.walkLanesAVX2(out, counts)
 	} else {
@@ -176,12 +176,12 @@ func (c *Crossbar) walkLanes(out, counts []int) {
 
 // groupLanes is the portable body's grouping, into countG's first Γ rows
 // and its last, the dense row.
-func (c *Crossbar) groupLanes(counts []int) {
+func (c *Crossbar) groupLanes(counts []uint16) {
 	window, nw, half := c.window, c.laneWords(), c.laneHalf()
 	present, stride := c.present, 2*half
 	dense := c.countG[window*stride : (window+1)*stride]
 	for i, cnt := range counts {
-		k := spike.Clamp(cnt, window) - 1
+		k := min(int(cnt), window) - 1
 		if k < 0 {
 			continue
 		}
@@ -200,7 +200,7 @@ func (c *Crossbar) groupLanes(counts []int) {
 
 // walkLanesPortable is walkLanes' body in plain Go: four columns per uint64
 // word, stepping only the words that hold a column.
-func (c *Crossbar) walkLanesPortable(out, counts []int) {
+func (c *Crossbar) walkLanesPortable(out, counts []uint16) {
 	c.groupLanes(counts)
 	window, nw, half := c.window, c.laneWords(), c.laneHalf()
 	stride, tl := 2*half, len(c.present)
@@ -264,7 +264,7 @@ func (c *Crossbar) walkLanesPortable(out, counts []int) {
 			fired += sp ^ cancel
 		}
 		for l, j := range c.walkCols[4*w : min(4*w+4, len(c.walkCols))] {
-			out[j] = int(fired >> (uint(l) * laneBits) & (1<<laneBits - 1))
+			out[j] = uint16(fired >> (uint(l) * laneBits))
 		}
 	}
 }
@@ -274,7 +274,7 @@ func (c *Crossbar) walkLanesPortable(out, counts []int) {
 // it bounded by rows·⌈walked columns/16⌉ or Γ·⌈walked columns/16⌉. A
 // half-block row never reads or writes countG's dense row: the body keeps
 // that sum in a register, and keeps laneDrvAVX2 zero between items.
-func (c *Crossbar) walkLanesAVX2(out, counts []int) {
+func (c *Crossbar) walkLanesAVX2(out, counts []uint16) {
 	half := c.laneHalf()
 	if c.laneDrvAVX2 == nil {
 		c.laneDrvAVX2 = alignedWords[uint64](c.window * 2 * half)
@@ -283,6 +283,6 @@ func (c *Crossbar) walkLanesAVX2(out, counts []int) {
 	lanesAVX2(&c.laneDrvAVX2[0], &c.countG[0], &c.laneG[0], &counts[0], &c.present[0], &c.trainTab[0], &c.silentTab[0], &c.firedAVX2[0],
 		len(counts), c.window, half, uint64(c.eta))
 	for n, j := range c.walkCols {
-		out[j] = int(c.firedAVX2[n])
+		out[j] = c.firedAVX2[n]
 	}
 }

@@ -12,7 +12,7 @@ package xbar
 // are 16·half bytes apart, and lanes, rows and drv are 32-byte aligned.
 //
 //go:noescape
-func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)
+func lanesAVX2(drv, rows, lanes *uint64, counts *uint16, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)
 
 // floatWalkAVX2 runs accumulate and walk (see walkFloatAVX2) for one item
 // on blocks 4-column blocks per polarity. rows is floatG and counts the
@@ -23,28 +23,31 @@ func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *u
 // drv are 32-byte aligned.
 //
 //go:noescape
-func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
+func floatWalkAVX2(drv, rows *float64, counts *uint16, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
 
 // referenceAVX2 is the reference kernel's AVX2 body (referenceSums) for
 // one row panel of prows ≤ rowBlock rows and every item of a batch: for
-// b < batch and j < cols it adds Σ_r clamp(x[r], Γ)·w[r][j] into
-// dst[b·cols+j], each 64-bit word as two 32-bit lanes (N, then P), where x
-// is the item's counts src[b·stride :][:prows], clamped to [0, window]
-// in place, and w is the panel's pair rows from w, two rows per word as
-// 16-bit halves (see Crossbar.pairW), 8·cols bytes apart.
+// b < batch and j < cols it leaves dst[b·cols+j]&keep + Σ_r x[r]·w[r][j]
+// in dst[b·cols+j] (keep is 0 for a batch's first panel and all ones
+// after it), each 64-bit word as two 32-bit lanes (N, then P), where x is the item's
+// counts src[b·stride :][:prows], read in pairs in place (an odd prows
+// reads one count past them), and w is the panel's pair rows from w, two
+// rows per word as 16-bit halves (see Crossbar.pairW), 8·cols bytes apart.
 //
 //go:noescape
-func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, window int)
+func referenceAVX2(dst, w *uint64, src *uint16, prows, stride, cols, batch int, keep uint64)
 
-// epilogueAVX2 is integerEpilogue's AVX2 body on 4·quads words of dst,
-// four per instruction: m is ⌈2^64/η⌉, or 0 for η = 1, and window is Γ
-// capped at 2^32−1 (no difference of quotients reaches it).
+// epilogueAVX2 is integerEpilogue's AVX2 body on 4·quads words of src,
+// four per instruction, into as many counts of dst: m is ⌈2^64/η⌉, or 0
+// for η = 1, and window is Γ, below 2^16.
 //
 //go:noescape
-func epilogueAVX2(dst *int, quads int, m, window uint64)
+func epilogueAVX2(dst *uint16, src *uint64, quads int, m, window uint64)
 
-// quantizeAVX2 is Quantize's AVX2 body on 4·quads features: dst[i] =
-// round(src[i]·top) clamped to [0, top], for 0 ≤ top < 2^31.
+// quantizeAVX2 is Quantize's AVX2 body on the first 4·quads features of
+// each of nrows rows (rows points at their slice headers), into counts
+// stride bytes apart: round(f·top) clamped to [0, top], for 0 ≤ top ≤
+// MaxWindow.
 //
 //go:noescape
-func quantizeAVX2(dst *int, src *float64, quads int, top float64)
+func quantizeAVX2(dst *uint16, rows *[]float64, nrows, quads, stride int, top float64)

@@ -1,16 +1,15 @@
 #include "textflag.h"
 
-// GROUPROW reads the count at (R9), clamps it to [0, Γ] without a branch
-// (DX = Γ) and jumps to skip when that is 0: a silent row. Otherwise it
-// leaves k = count − 1 in AX with bit k of present (R14) set, rows[k]'s
-// address in BX (SI = rows, R11 = the lane row stride in bytes) and, in
-// every lane of Y14, all ones when k ≥ Γ/2 (R12 = Γ/2 − 1) and zero
-// otherwise: the mask of the dense row's summands. CX is clobbered.
+// GROUPROW reads the 16-bit count at (R9), caps it at Γ without a branch
+// (DX = Γ; a count is at most Γ, and the cap keeps a larger one from
+// indexing past rows) and jumps to skip when it is 0: a silent row.
+// Otherwise it leaves k = count − 1 in AX with bit k of present (R14)
+// set, rows[k]'s address in BX (SI = rows, R11 = the lane row stride in
+// bytes) and, in every lane of Y14, all ones when k ≥ Γ/2 (R12 =
+// Γ/2 − 1) and zero otherwise: the mask of the dense row's summands. CX
+// is clobbered.
 #define GROUPROW(skip) \
-	MOVQ         (R9), AX;        \
-	XORQ         CX, CX;          \
-	TESTQ        AX, AX;          \
-	CMOVQLT      CX, AX;          \
+	MOVWQZX      (R9), AX;        \
 	CMPQ         AX, DX;          \
 	CMOVQGT      DX, AX;          \
 	DECQ         AX;              \
@@ -29,7 +28,7 @@
 	IMULQ        R11, BX;         \
 	ADDQ         SI, BX
 
-// func lanesAVX2(drv, rows, lanes *uint64, counts *int, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)
+// func lanesAVX2(drv, rows, lanes *uint64, counts *uint16, present, trains, silent *uint64, fired *uint16, nrows, window, half int, eta uint64)
 //
 // R11 holds the lane row stride in bytes, 16·half; Y12 is zero. A
 // half-block row (half = 2) is one 32-byte block and takes its own path,
@@ -78,7 +77,7 @@ groupblock:
 
 nextrow:
 	ADDQ R11, R8
-	ADDQ $8, R9
+	ADDQ $2, R9
 	DECQ R10
 	JNZ  group
 
@@ -350,7 +349,7 @@ hgroup:
 
 hnextrow:
 	ADDQ $32, R8
-	ADDQ $8, R9
+	ADDQ $2, R9
 	DECQ R10
 	JNZ  hgroup
 
@@ -500,7 +499,7 @@ hcycle:
 	VPXOR    Y6, Y8, Y8;        \
 	VPSUBQ   Y8, FIRED, FIRED
 
-// func floatWalkAVX2(drv, rows *float64, counts *int, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
+// func floatWalkAVX2(drv, rows *float64, counts *uint16, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
 //
 // R10 holds live, R11 the lane row stride in bytes (64·blocks: a whole
 // number of 64-byte chunks) and R13 the words per train throughout.
@@ -517,14 +516,15 @@ TEXT ·floatWalkAVX2(SB), NOSPLIT, $0-80
 	SHRQ $6, R13
 
 	// Accumulate, one unit per firing row in ascending row order: SI is the
-	// row's lane row and R8 its count. A count clamped to [1, Γ] picks its
-	// train (R12), whose words — BX numbers them — are OR-ed into live, and
-	// on every cycle t the train fires in the lane row is added into drive
+	// row's lane row and R8 its 16-bit count. A count in [1, Γ] (capped at
+	// Γ, so a larger one cannot index past the trains) picks its train
+	// (R12), whose words — BX numbers them — are OR-ed into live, and on
+	// every cycle t the train fires in the lane row is added into drive
 	// row t, drive first.
 unit:
-	MOVQ    (R8), AX
+	MOVWQZX (R8), AX
 	TESTQ   AX, AX
-	JLE     nextunit
+	JZ      nextunit
 	MOVQ    window+56(FP), CX
 	CMPQ    AX, CX
 	CMOVQGT CX, AX
@@ -569,7 +569,7 @@ nextunitword:
 	JB   unitword
 
 nextunit:
-	ADDQ $8, R8
+	ADDQ $2, R8
 	ADDQ R11, SI
 	DECQ R9
 	JNZ  unit
@@ -720,27 +720,15 @@ nextzeroword:
 	VPMADDWD off(AX), Y15, Y14; \
 	VPADDD   Y14, ACC, ACC
 
-// CLAMPQ limits the four signed qwords of R to [0, Γ] (Y8 = Γ, Y9 = 0).
-// T is clobbered.
-#define CLAMPQ(R, T) \
-	VPCMPGTQ  Y8, R, T;    \
-	VPBLENDVB T, Y8, R, R; \
-	VPCMPGTQ  R, Y9, T;    \
-	VPANDN    R, T, R
-
-// refIdx holds 0…7 as qwords: the row index of each count lane in a group
-// of eight, against which the prologue masks the rows past the panel.
+// refIdx holds 0…3 as qwords: the column index of each lane of a quad,
+// against which the tail mask selects the cols mod 4 columns left.
 DATA refIdx<>+0(SB)/8, $0
 DATA refIdx<>+8(SB)/8, $1
 DATA refIdx<>+16(SB)/8, $2
 DATA refIdx<>+24(SB)/8, $3
-DATA refIdx<>+32(SB)/8, $4
-DATA refIdx<>+40(SB)/8, $5
-DATA refIdx<>+48(SB)/8, $6
-DATA refIdx<>+56(SB)/8, $7
-GLOBL refIdx<>(SB), RODATA|NOPTR, $64
+GLOBL refIdx<>(SB), RODATA|NOPTR, $32
 
-// func referenceAVX2(dst *int, w *uint64, src *int, prows, stride, cols, batch, window int)
+// func referenceAVX2(dst, w *uint64, src *uint16, prows, stride, cols, batch int, keep uint64)
 //
 // One row panel of prows ≤ 32 rows for every item: the item's counts are
 // src[b·stride :][:prows] and its packed sums dst[b·cols :][:cols]. A word
@@ -749,15 +737,16 @@ GLOBL refIdx<>(SB), RODATA|NOPTR, $64
 // a row pair's two 16-bit magnitudes, and pair row k of the panel starts
 // at w + 8·cols·k.
 //
-// Per item the prologue reads the panel's counts in groups of eight,
-// masking the rows past prows to 0 (VPMASKMOVQ loads nothing there),
-// clamps them to [0, Γ] and packs them to 16-bit words in the frame's
-// count buffer: the dword at 4k is pair k's count pair, the second count
-// of an odd last pair 0. The sums are then carried in registers down the
-// panel's pair rows in passes of 8, 4, 2 and 1 quads (four columns each):
-// a pass of 8 repeats while 8 quads are left, then each narrower width
-// runs at most once. The cols mod 4 columns left take one masked pass
-// (Y13 selects them): masked lanes are neither loaded nor stored.
+// The count pair of pair row k is the dword at 4k of the item's counts,
+// which VPBROADCASTD reads in place: an odd prows' last pair reads the
+// count after the panel, which meets pair row k's zero padding. The sums
+// are carried in registers down the panel's pair rows in passes of 8, 4,
+// 2 and 1 quads (four columns each): a pass of 8 repeats while 8 quads
+// are left, then each narrower width runs at most once. Each pass starts
+// from the sums in dst AND keep (Y12): zero for a batch's first panel,
+// whose dst holds whatever it held, so nothing needs clearing first. The
+// cols mod 4 columns left take one masked pass (Y13 selects them): masked
+// lanes are neither loaded nor stored.
 //
 // R11 walks the items' counts and R12 their sums; R13 counts the items
 // down, R14 is the count stride and R8 the sum and pair row stride, in
@@ -765,11 +754,11 @@ GLOBL refIdx<>(SB), RODATA|NOPTR, $64
 // sums and SI the panel's first pair row, a pass at a time, with BX the
 // quads left; AX walks the pass's pair words, R9 the count pairs, and R10
 // counts the pair rows down.
-TEXT ·referenceAVX2(SB), NOSPLIT, $64-64
+TEXT ·referenceAVX2(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), R12
 	MOVQ src+16(FP), R11
 	MOVQ stride+32(FP), R14
-	SHLQ $3, R14
+	SHLQ $1, R14
 	MOVQ cols+40(FP), R8
 	MOVQ R8, R15
 	SHRQ $2, R15
@@ -779,12 +768,8 @@ TEXT ·referenceAVX2(SB), NOSPLIT, $64-64
 	INCQ CX
 	SHRQ $1, CX
 
-	MOVQ         window+56(FP), AX
-	VMOVQ        AX, X8
-	VPBROADCASTQ X8, Y8
-	VPXOR        Y9, Y9, Y9
+	VPBROADCASTQ keep+56(FP), Y12
 	VMOVDQU      refIdx<>+0(SB), Y11
-	VMOVDQU      refIdx<>+32(SB), Y12
 	MOVQ         cols+40(FP), AX
 	ANDQ         $3, AX
 	VMOVQ        AX, X13
@@ -792,30 +777,6 @@ TEXT ·referenceAVX2(SB), NOSPLIT, $64-64
 	VPCMPGTQ     Y11, Y13, Y13
 
 item:
-	MOVQ R11, AX
-	MOVQ prows+24(FP), DX
-	LEAQ pairs-64(SP), R9
-
-group:
-	VMOVQ        DX, X6
-	VPBROADCASTQ X6, Y6
-	VPCMPGTQ     Y11, Y6, Y4
-	VPCMPGTQ     Y12, Y6, Y5
-	VPMASKMOVQ   (AX), Y4, Y0
-	VPMASKMOVQ   32(AX), Y5, Y1
-	CLAMPQ(Y0, Y2)
-	CLAMPQ(Y1, Y3)
-	VPSHUFD      $0x08, Y0, Y0
-	VPSHUFD      $0x08, Y1, Y1
-	VPERMQ       $0x08, Y0, Y0
-	VPERMQ       $0x08, Y1, Y1
-	VPACKUSDW    X1, X0, X0
-	VMOVDQU      X0, (R9)
-	ADDQ         $64, AX
-	ADDQ         $16, R9
-	SUBQ         $8, DX
-	JG           group
-
 	MOVQ R12, DI
 	MOVQ w+8(FP), SI
 	MOVQ R15, BX
@@ -823,16 +784,16 @@ group:
 ref8:
 	CMPQ    BX, $8
 	JB      ref4
-	VMOVDQU (DI), Y0
-	VMOVDQU 32(DI), Y1
-	VMOVDQU 64(DI), Y2
-	VMOVDQU 96(DI), Y3
-	VMOVDQU 128(DI), Y4
-	VMOVDQU 160(DI), Y5
-	VMOVDQU 192(DI), Y6
-	VMOVDQU 224(DI), Y7
+	VPAND   (DI), Y12, Y0
+	VPAND   32(DI), Y12, Y1
+	VPAND   64(DI), Y12, Y2
+	VPAND   96(DI), Y12, Y3
+	VPAND   128(DI), Y12, Y4
+	VPAND   160(DI), Y12, Y5
+	VPAND   192(DI), Y12, Y6
+	VPAND   224(DI), Y12, Y7
 	MOVQ    SI, AX
-	LEAQ    pairs-64(SP), R9
+	MOVQ    R11, R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
@@ -866,12 +827,12 @@ row8:
 ref4:
 	CMPQ    BX, $4
 	JB      ref2
-	VMOVDQU (DI), Y0
-	VMOVDQU 32(DI), Y1
-	VMOVDQU 64(DI), Y2
-	VMOVDQU 96(DI), Y3
+	VPAND   (DI), Y12, Y0
+	VPAND   32(DI), Y12, Y1
+	VPAND   64(DI), Y12, Y2
+	VPAND   96(DI), Y12, Y3
 	MOVQ    SI, AX
-	LEAQ    pairs-64(SP), R9
+	MOVQ    R11, R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
@@ -896,10 +857,10 @@ row4:
 ref2:
 	CMPQ    BX, $2
 	JB      ref1
-	VMOVDQU (DI), Y0
-	VMOVDQU 32(DI), Y1
+	VPAND   (DI), Y12, Y0
+	VPAND   32(DI), Y12, Y1
 	MOVQ    SI, AX
-	LEAQ    pairs-64(SP), R9
+	MOVQ    R11, R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
@@ -920,9 +881,9 @@ row2:
 ref1:
 	TESTQ   BX, BX
 	JZ      reftail
-	VMOVDQU (DI), Y0
+	VPAND   (DI), Y12, Y0
 	MOVQ    SI, AX
-	LEAQ    pairs-64(SP), R9
+	MOVQ    R11, R9
 	MOVQ    CX, R10
 	PCALIGN $64
 
@@ -942,8 +903,9 @@ reftail:
 	TESTQ      $3, DX
 	JZ         nextitem
 	VPMASKMOVQ (DI), Y13, Y0
+	VPAND      Y12, Y0, Y0
 	MOVQ       SI, AX
-	LEAQ       pairs-64(SP), R9
+	MOVQ       R11, R9
 	MOVQ       CX, R10
 
 rowtail:
@@ -966,24 +928,31 @@ nextitem:
 	VZEROUPPER
 	RET
 
-// func epilogueAVX2(dst *int, quads int, m, window uint64)
+// func epilogueAVX2(dst *uint16, src *uint64, quads int, m, window uint64)
 //
 // The integral-η epilogue on 4·quads packed sums, four per pass: each word
-// becomes clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) as a qword. m = ⌈2^64/η⌉ is split into
-// 32-bit halves, Y10 = m_lo and Y11 = m_hi (VPMULUDQ reads each qword's
-// low dword alone, so N needs no masking before it multiplies), and for
-// x < 2^32 the quotient ⌊x·m/2^64⌋ is the high dword of
+// becomes clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) as a 16-bit count. m = ⌈2^64/η⌉ is
+// split into 32-bit halves, Y10 = m_lo and Y11 = m_hi (VPMULUDQ reads each
+// qword's low dword alone, so N needs no masking before it multiplies),
+// and for x < 2^32 the quotient ⌊x·m/2^64⌋ is the high dword of
 // x·m_hi + ⌊x·m_lo/2^32⌋, which cannot wrap 64 bits. m = 0 stands for
 // η = 1, whose quotients are P and N themselves: N is shifted up to P's
 // dword. With both quotients in high dwords, below 2^32, the clamp is
 // unsigned dword arithmetic: max(0, qP − qN) = qP − min(qP, qN), then the
-// min with window (< 2^32) in Y8's high dwords, whose low dwords are 0 and
-// so zero the low dwords too; the shift down leaves the qword.
-TEXT ·epilogueAVX2(SB), NOSPLIT, $0-32
+// min with window (< 2^16) in Y8's high dwords. STORE4 narrows the four
+// high dwords to words and stores them.
+#define STORE4 \
+	VPSHUFD   $0x0d, Y0, Y0; \
+	VPERMQ    $0x08, Y0, Y0; \
+	VPACKUSDW X0, X0, X0;    \
+	VMOVQ     X0, (DI)
+
+TEXT ·epilogueAVX2(SB), NOSPLIT, $0-40
 	MOVQ         dst+0(FP), DI
-	MOVQ         quads+8(FP), CX
-	MOVQ         m+16(FP), AX
-	MOVQ         window+24(FP), DX
+	MOVQ         src+8(FP), SI
+	MOVQ         quads+16(FP), CX
+	MOVQ         m+24(FP), AX
+	MOVQ         window+32(FP), DX
 	SHLQ         $32, DX
 	VMOVQ        DX, X8
 	VPBROADCASTQ X8, Y8
@@ -998,7 +967,7 @@ TEXT ·epilogueAVX2(SB), NOSPLIT, $0-32
 	VPBROADCASTQ X11, Y11
 
 epiquot:
-	VMOVDQU  (DI), Y0
+	VMOVDQU  (SI), Y0
 	VPSRLQ   $32, Y0, Y1
 	VPMULUDQ Y10, Y1, Y2
 	VPMULUDQ Y11, Y1, Y1
@@ -1011,22 +980,22 @@ epiquot:
 	VPMINUD  Y0, Y1, Y0
 	VPSUBD   Y0, Y1, Y0
 	VPMINUD  Y8, Y0, Y0
-	VPSRLQ   $32, Y0, Y0
-	VMOVDQU  Y0, (DI)
-	ADDQ     $32, DI
+	STORE4
+	ADDQ     $32, SI
+	ADDQ     $8, DI
 	DECQ     CX
 	JNZ      epiquot
 	JMP      epidone
 
 epidiff:
-	VMOVDQU (DI), Y1
+	VMOVDQU (SI), Y1
 	VPSLLQ  $32, Y1, Y0
 	VPMINUD Y0, Y1, Y0
 	VPSUBD  Y0, Y1, Y0
 	VPMINUD Y8, Y0, Y0
-	VPSRLQ  $32, Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, DI
+	STORE4
+	ADDQ    $32, SI
+	ADDQ    $8, DI
 	DECQ    CX
 	JNZ     epidiff
 
@@ -1034,24 +1003,40 @@ epidone:
 	VZEROUPPER
 	RET
 
-// func quantizeAVX2(dst *int, src *float64, quads int, top float64)
+// func quantizeAVX2(dst *uint16, rows *[]float64, nrows, quads, stride int, top float64)
 //
-// Four features per pass, Y8 = Γ, Y9 = +0.0 and Y10 = ½: x = f·Γ; MAXPD
-// with x as the first operand returns its second, +0, when x is NaN or
-// either zero; MINPD with Γ clamps the top; t = trunc(x) as four dwords
-// (exact below 2^31); x − float64(t) ≥ ½ sets a qword to all ones, and
-// subtracting that from t widened to qwords adds the rounding 1.
-TEXT ·quantizeAVX2(SB), NOSPLIT, $0-32
+// Quantize's AVX2 body over nrows rows: R8 walks the rows' slice headers
+// (24 bytes apart), SI a row's features and DX its counts, each row's
+// stride bytes after the last's (DI). Four features per pass, Y8 = Γ,
+// Y9 = +0.0, Y10 = ½ and Y11 = 1.0: x = f·Γ; MAXPD with x as the first
+// operand returns its second, +0, when x is NaN or either zero; MINPD with
+// Γ clamps the top; t = trunc(x) as four dwords (exact below 2^31) and
+// back as doubles; x − t ≥ ½ sets a qword to all ones, whose AND with 1.0
+// added to t rounds it (exactly: t + 1 ≤ 2^14 + 1); the sum truncated
+// again is narrowed to four words and stored.
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-48
 	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	MOVQ         quads+16(FP), CX
-	VBROADCASTSD top+24(FP), Y8
+	MOVQ         rows+8(FP), R8
+	MOVQ         nrows+16(FP), R9
+	MOVQ         quads+24(FP), R11
+	MOVQ         stride+32(FP), R10
+	VBROADCASTSD top+40(FP), Y8
 	VXORPD       Y9, Y9, Y9
 	MOVQ         $0x3fe0000000000000, AX
 	VMOVQ        AX, X10
 	VBROADCASTSD X10, Y10
-	TESTQ        CX, CX
+	MOVQ         $0x3ff0000000000000, AX
+	VMOVQ        AX, X11
+	VBROADCASTSD X11, Y11
+	TESTQ        R9, R9
 	JZ           quantdone
+	TESTQ        R11, R11
+	JZ           quantdone
+
+quantrow:
+	MOVQ (R8), SI
+	MOVQ DI, DX
+	MOVQ R11, CX
 
 quantloop:
 	VMULPD      (SI), Y8, Y0
@@ -1059,15 +1044,21 @@ quantloop:
 	VMINPD      Y8, Y0, Y0
 	VCVTTPD2DQY Y0, X1
 	VCVTDQ2PD   X1, Y2
-	VSUBPD      Y2, Y0, Y2
-	VCMPPD      $0x0d, Y10, Y2, Y2
-	VPMOVSXDQ   X1, Y1
-	VPSUBQ      Y2, Y1, Y1
-	VMOVDQU     Y1, (DI)
+	VSUBPD      Y2, Y0, Y3
+	VCMPPD      $0x0d, Y10, Y3, Y3
+	VANDPD      Y11, Y3, Y3
+	VADDPD      Y3, Y2, Y2
+	VCVTTPD2DQY Y2, X1
+	VPACKUSDW   X1, X1, X1
+	VMOVQ       X1, (DX)
 	ADDQ        $32, SI
-	ADDQ        $32, DI
+	ADDQ        $8, DX
 	DECQ        CX
 	JNZ         quantloop
+	ADDQ        $24, R8
+	ADDQ        R10, DI
+	DECQ        R9
+	JNZ         quantrow
 
 quantdone:
 	VZEROUPPER

@@ -64,7 +64,7 @@ func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 	if batch == 0 {
 		return nil
 	}
-	if err := c.checkBatch(dst, src, batch); err != nil {
+	if err := c.checkBatch(len(dst), len(src), batch, 0); err != nil {
 		return err
 	}
 	c.denseN.Add(1)
@@ -85,14 +85,13 @@ func (c *Crossbar) SimulateCountsBatchDense(dst, src []int, batch int) error {
 	return nil
 }
 
-// probeDensity sums the clamped input spike counts of a micro-batch into
-// the stats counters, beside the capacity they were observed over. The
-// clamp is min and max, which compile to conditional moves: counts are
-// mostly in range, but which ones are not is data.
-func (c *Crossbar) probeDensity(src []int, batch int) {
-	total, window := 0, c.window
+// probeDensity sums the input spike counts of a micro-batch, each in
+// [0, Γ], into the stats counters, beside the capacity they were observed
+// over.
+func (c *Crossbar) probeDensity(src []uint16, batch int) {
+	total := 0
 	for _, v := range src {
-		total += min(max(v, 0), window)
+		total += int(v)
 	}
 	c.spikeN.Add(uint64(total))
 	c.slotN.Add(uint64(batch * c.rows * c.window))
@@ -206,7 +205,7 @@ func uniformTrains(window int) []uint64 {
 // bit-exactness invariant the property and fuzz suites pin. Nothing is
 // keyed on a whole input vector, stage or sample: the tables' hit rate
 // depends on the crossbar's structure, not on inputs repeating.
-func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
+func (c *Crossbar) simulateCountsPacked(dst, src []uint16, batch int) {
 	window, rows, cols := c.window, c.rows, c.cols
 	if c.trainTab == nil {
 		c.trainTab = uniformTrains(window)
@@ -218,8 +217,9 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 		// spiking = ⌊S⁺(Γ)/η⌋ = ReferenceBatch on every walked column
 		// (docs/INVARIANTS.md, "Integer lanes", item 6); the tabulated
 		// columns' reference answers are overwritten below.
-		c.referenceSums(dst, src, batch)
-		integerEpilogue(dst[:batch*cols], uint64(c.eta), window)
+		c.sums = grow(c.sums, batch*cols)
+		c.referenceSums(c.sums, src, batch)
+		integerEpilogue(dst, c.sums, uint64(c.eta), window)
 	case lanes:
 		c.packLanes()
 		for b := range batch {
@@ -235,7 +235,7 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 }
 
 // tabulate answers the tabulated columns for a whole batch, one column at a
-// time: the key is the clamped counts on the column's support rows, and a
+// time: the key is the counts on the column's support rows, and a
 // miss runs the real walk once and remembers it in the column's (possibly
 // shared) table. A table has (Γ+1)^k entries keyed by the support counts,
 // most significant row first; 0 means not yet computed, otherwise
@@ -244,7 +244,7 @@ func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
 // the key's fold are resolved once per column: key = m0·c(r0) + m1·c(r1),
 // with (m0, m1) = (Γ+1, 1) for two support rows, (1, 0) for one and
 // (0, 0) for none, where an absent row reads row 0 and counts nothing.
-func (c *Crossbar) tabulate(dst, src []int, batch int) {
+func (c *Crossbar) tabulate(dst, src []uint16, batch int) {
 	if len(c.tabCols) == 0 {
 		return
 	}
@@ -272,14 +272,14 @@ func (c *Crossbar) tabulate(dst, src []int, batch int) {
 			r0, r1, m0, m1 = tc.rows[0], tc.rows[1], base, 1
 		}
 		for b := range batch {
-			counts := [maxSupport]int{min(max(src[r0], 0), window), min(max(src[r1], 0), window)}
+			counts := [maxSupport]int{min(int(src[r0]), window), min(int(src[r1]), window)}
 			key := m0*counts[0] + m1*counts[1]
 			v := table[key]
 			if v == 0 {
 				v = uint16(c.walkSupport(tc, &counts) + 1)
 				table[key] = v
 			}
-			dst[b*cols+tc.col] = int(v) - 1
+			dst[b*cols+tc.col] = v - 1
 			r0, r1 = r0+rows, r1+rows
 		}
 	}
@@ -430,7 +430,7 @@ func (c *Crossbar) packFloatLanes() {
 // walkFloat runs one item's float walk (see simulateCountsPacked) over the
 // float lane rows: the AVX2 body with laneAVX2, the portable one otherwise.
 // Both leave floatDrv and floatLive zero.
-func (c *Crossbar) walkFloat(out, counts []int) {
+func (c *Crossbar) walkFloat(out, counts []uint16) {
 	if laneAVX2 {
 		c.walkFloatAVX2(out, counts)
 	} else {
@@ -448,12 +448,12 @@ func (c *Crossbar) walkFloat(out, counts []int) {
 // lane per trip ran about a quarter slower on conv18x8 when the linker
 // moved the function by 32 bytes (docs/ARCHITECTURE.md, "The float walk on
 // AVX2").
-func (c *Crossbar) walkFloatPortable(out, counts []int) {
+func (c *Crossbar) walkFloatPortable(out, counts []uint16) {
 	window, half := c.window, c.floatHalf()
 	stride, lanes, eta := 2*half, len(c.floatLive), c.eta
 	live, drv := c.floatLive, c.floatDrv
-	for i, cnt := range counts {
-		cnt = spike.Clamp(cnt, window)
+	for i, v := range counts {
+		cnt := min(int(v), window)
 		if cnt == 0 {
 			continue
 		}
@@ -488,7 +488,7 @@ func (c *Crossbar) walkFloatPortable(out, counts []int) {
 		// No zero-drive cycle follows the last live one: every uniform train
 		// with a spike fires at cycle Γ−1 (TestUniformTrainFiresLastCycle).
 		for l, j := range c.walkCols[n:min(n+4, len(c.walkCols))] {
-			out[j] = b.out[l]
+			out[j] = uint16(b.out[l])
 		}
 	}
 	for l, word := range live {
@@ -507,11 +507,11 @@ func (c *Crossbar) walkFloatPortable(out, counts []int) {
 // is exact). The extra steps this takes over the portable body all fall on
 // lanes that are not hot, where a zero-drive step changes nothing;
 // docs/INVARIANTS.md ("Float lanes") has the argument.
-func (c *Crossbar) walkFloatAVX2(out, counts []int) {
+func (c *Crossbar) walkFloatAVX2(out, counts []uint16) {
 	floatWalkAVX2(&c.floatDrv[0], &c.floatG[0], &counts[0], &c.trainTab[0], &c.floatLive[0], &c.floatFired[0],
 		c.rows, c.window, c.floatHalf()/4, c.eta)
 	for n, j := range c.walkCols {
-		out[j] = int(c.floatFired[n])
+		out[j] = uint16(c.floatFired[n])
 	}
 }
 

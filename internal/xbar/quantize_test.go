@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,35 +10,48 @@ import (
 	"fpsa/internal/hostcpu"
 )
 
-// quantizeBodies runs Quantize on features under each body and returns
-// the portable body's counts and the AVX2 body's. Each starts from a slice
-// of −7s one longer than the features, so an element either body leaves
-// unwritten, or one it writes past the end, shows as a difference.
-func quantizeBodies(features []float64, window int) (portable, avx2 []int) {
-	run := func(on bool) []int {
+// quantizeBodies runs Quantize on rows, each n features long, under each
+// body and returns the portable body's counts and the AVX2 body's. Each
+// starts from a slice of 0xfff9s — no count in [0, MaxWindow] — one longer
+// than the features, so an element either body leaves unwritten, or one
+// it writes past the end, shows as a difference.
+func quantizeBodies(rows [][]float64, n, window int) (portable, avx2 []uint16) {
+	run := func(on bool) []uint16 {
 		defer useLaneBody(on)()
-		counts := make([]int, len(features)+1)
+		counts := make([]uint16, len(rows)*n+1)
 		for i := range counts {
-			counts[i] = -7
+			counts[i] = 0xfff9
 		}
-		Quantize(counts[:len(features)], features, window)
+		Quantize(counts[:len(rows)*n], rows, window)
 		return counts
 	}
 	return run(false), run(true)
 }
 
-// checkQuantizeBodies fails t at the first count the bodies disagree on.
+// checkQuantizeBodies fails t at the first count the bodies disagree on,
+// quantizing the features as one row and, cut into two and into three
+// equal rows (the last few dropped), as a batch.
 func checkQuantizeBodies(t *testing.T, features []float64, window int) {
 	t.Helper()
-	portable, avx2 := quantizeBodies(features, window)
-	for i := range portable {
-		if portable[i] != avx2[i] {
-			f := math.NaN()
-			if i < len(features) {
-				f = features[i]
+	for nrows := 1; nrows <= 3; nrows++ {
+		n := len(features) / nrows
+		if nrows > 1 && n == 0 {
+			return
+		}
+		rows := make([][]float64, nrows)
+		for r := range rows {
+			rows[r] = features[r*n : (r+1)*n]
+		}
+		portable, avx2 := quantizeBodies(rows, n, window)
+		for i := range portable {
+			if portable[i] != avx2[i] {
+				f := math.NaN()
+				if i < nrows*n {
+					f = features[i]
+				}
+				t.Fatalf("Γ %d, %d rows of %d features: count %d (feature %g, bits %#x): portable %d, AVX2 %d",
+					window, nrows, n, i, f, math.Float64bits(f), portable[i], avx2[i])
 			}
-			t.Fatalf("Γ %d, %d features: count %d (feature %g, bits %#x): portable %d, AVX2 %d",
-				window, len(features), i, f, math.Float64bits(f), portable[i], avx2[i])
 		}
 	}
 }
@@ -63,14 +77,21 @@ func halfSteps(window int) []float64 {
 }
 
 // TestQuantizeBodiesAgree holds the AVX2 quantize to the portable one on
-// every edge feature and half step at several Γ, in every alignment of
-// the four-feature blocks against the scalar tail, and on 20,000 random
-// arrays of random bit patterns, edge features and half steps.
+// every edge feature and half step at several Γ up to MaxWindow, in every
+// alignment of the four-feature blocks against the scalar tail, and on
+// 20,000 random arrays of random bit patterns, edge features and half
+// steps. The windows past MaxWindow, or negative, that Quantize once took
+// are ones Program refuses (ErrWindow), so no count is quantized at them.
 func TestQuantizeBodiesAgree(t *testing.T) {
 	if !hostcpu.AVX2 {
 		t.Skip("the CPU has no AVX2: the portable body is the only one")
 	}
-	windows := []int{0, 1, 2, 15, 16, 64, 100, 128, 255, 1 << 20, 1<<31 - 1, 1 << 31, 1 << 40, -1, -64}
+	for _, window := range []int{MaxWindow + 1, 1 << 20, 1<<31 - 1, 1 << 31, 1 << 40, -1, -64} {
+		if err := checkWindow(window); !errors.Is(err, ErrWindow) {
+			t.Fatalf("Γ %d: Program's window check returned %v, want ErrWindow", window, err)
+		}
+	}
+	windows := []int{0, 1, 2, 15, 16, 64, 100, 128, 255, MaxWindow - 1, MaxWindow}
 	for _, window := range windows {
 		fs := append(append([]float64(nil), quantizeEdges...), halfSteps(min(max(window, 1), 256))...)
 		for skip := 0; skip < 4; skip++ {
@@ -104,9 +125,10 @@ func TestQuantizeBodiesAgree(t *testing.T) {
 // FuzzQuantizeBodiesAgree requires the AVX2 and portable quantize bodies
 // to agree bit for bit: the features are the raw float64 bit patterns of
 // the fuzzer's bytes, eight little-endian bytes each, 0 to 17 of them
-// (either side of the four-feature blocks), and Γ is the fuzzer's, at and
-// past 2^31 and negative too (where Quantize keeps the portable body).
-// Seeds: the edge features and every half step with its neighbours.
+// (either side of the four-feature blocks), and Γ is the fuzzer's in
+// [0, MaxWindow]; past it, or negative, Program's window check must
+// refuse Γ (ErrWindow). Seeds: the edge features and every half step with
+// its neighbours.
 func FuzzQuantizeBodiesAgree(f *testing.F) {
 	if !hostcpu.AVX2 {
 		f.Skip("the CPU has no AVX2: the portable body is the only one")
@@ -118,7 +140,7 @@ func FuzzQuantizeBodiesAgree(f *testing.F) {
 		}
 		return raw
 	}
-	for _, window := range []int64{1, 16, 64, 255, 1<<31 - 1, 1 << 31, 1 << 62, 0, -5} {
+	for _, window := range []int64{1, 16, 64, 255, MaxWindow, MaxWindow + 1, 1 << 31, 1 << 62, 0, -5} {
 		f.Add(bits(quantizeEdges[:8]), window)
 		f.Add(bits(quantizeEdges[8:]), window)
 	}
@@ -132,6 +154,12 @@ func FuzzQuantizeBodiesAgree(f *testing.F) {
 		fs := make([]float64, min(len(raw)/8, 17))
 		for i := range fs {
 			fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if window < 0 || window > MaxWindow {
+			if err := checkWindow(int(window)); !errors.Is(err, ErrWindow) {
+				t.Fatalf("Γ %d: Program's window check returned %v, want ErrWindow", window, err)
+			}
+			return
 		}
 		checkQuantizeBodies(t, fs, int(window))
 	})

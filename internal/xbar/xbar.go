@@ -11,9 +11,11 @@
 //
 // Two views of the same computation are provided, from fastest to most
 // circuit-faithful, and the callers' test suites prove they agree with the
-// historical per-item paths bit for bit:
+// historical per-item paths bit for bit. Both take and return spike counts
+// as uint16 in [0, Γ] (Γ ≤ MaxWindow); ReferenceBatch and
+// SimulateCountsBatch are their []int adapters for bench/.
 //
-//  1. Crossbar.ReferenceBatch: the integer reference semantics
+//  1. Crossbar.Reference: the integer reference semantics
 //     Y_j = clamp(max(0, floor(P_j/η) − floor(N_j/η)), Γ) over a batch,
 //     read the way the PE reads it — a positive and a negative column in
 //     one shot: each cell's two ideal magnitudes share one 64-bit word, so
@@ -21,7 +23,7 @@
 //     N in the low half of the same sum — on an amd64 CPU with AVX2, two
 //     rows of four cells per instruction, their magnitudes and counts as
 //     16-bit halves, with the same numbers.
-//  2. Crossbar.SimulateCountsBatch: the cycle-level spiking simulation
+//  2. Crossbar.Simulate: the cycle-level spiking simulation
 //     (ideal accumulate-and-fire neurons and spike subtracters) by the
 //     structure-aware kernel. Its oracle, SimulateCountsBatchDense, is
 //     SimulateTrains — the paper's PE built from internal/spike's
@@ -36,6 +38,7 @@
 package xbar
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -59,63 +62,73 @@ const (
 	lowHalf       = 1<<polarityShift - 1
 )
 
-// The code is 64-bit only: the reference kernel keeps each packed
-// P<<32|N sum in an int, which on a 32-bit target drops the P half.
+// The code is 64-bit only: the reference epilogue reads each packed sum's
+// P and N halves, up to 2^32−1 each, as ints, which on a 32-bit target
+// wrap.
 // packedSumsNeed64BitInt is negative there, so this array length fails
 // the build with an error naming it instead of computing wrong counts.
 const packedSumsNeed64BitInt = bits.UintSize - 64
 
 var _ [packedSumsNeed64BitInt]struct{}
 
+// MaxWindow is the widest sampling window Γ a crossbar runs, 2^14
+// (IOBits 14): every count is a uint16 in [0, Γ], and the AVX2 reference
+// kernel multiplies two of them at a time as signed 16-bit operands, so Γ
+// must stay below 2^15. Program refuses a wider window (ErrWindow).
+const MaxWindow = 1 << 14
+
+// ErrWindow is wrapped by Program's error for a sampling window outside
+// [1, MaxWindow].
+var ErrWindow = errors.New("xbar: sampling window outside [1, 2^14]")
+
+// checkWindow is Program's window check.
+func checkWindow(window int) error {
+	if window < 1 || window > MaxWindow {
+		return fmt.Errorf("%w: Γ = %d, the bound is %d (IOBits ≤ 14)", ErrWindow, window, MaxWindow)
+	}
+	return nil
+}
+
 // referenceVMM is the reference kernel's portable body: for every item b
-// and column j it leaves in dst[b*cols+j] the packed drive sum
+// and column j it leaves in sums[b*cols+j] the packed drive sum
 //
-//	Σ_i clamp(src[b*rows+i], Γ) · packW[i*cols+j] = P<<32 | N
+//	Σ_i src[b*rows+i] · packW[i*cols+j] = P<<32 | N
 //
-// over flat row-major buffers — src is batch×rows, packW rows×cols, dst
-// batch×cols (overwritten; the int holds the uint64's bits). One integer
-// multiply-add per cell computes both polarities: a clamped count is at
-// most Γ and a magnitude at most maxW, so N ≤ rows·Γ·maxW < 2^32 (Program
-// refuses anything larger) and the low half never carries into the high
-// one. Integer sums are exact in any order, so the result does not depend
-// on the blocking and a zero count needs no branch.
+// over flat row-major buffers — src is batch×rows counts in [0, Γ], packW
+// rows×cols, sums batch×cols (overwritten). One integer multiply-add per
+// cell computes both polarities: a count is at most Γ and a magnitude at
+// most maxW, so N ≤ rows·Γ·maxW < 2^32 (Program refuses anything larger)
+// and the low half never carries into the high one. Integer sums are exact
+// in any order, so the result does not depend on the blocking and a zero
+// count needs no branch.
 //
 // The loop is blocked over weight rows; within a panel eight (then four,
 // then single) output columns at a time are carried in registers down the
 // panel's rows, so no sum is stored and reloaded between rows — a chain
 // through memory that once made the kernel's speed depend on where the
 // linker placed it (docs/ARCHITECTURE.md, "The reference kernel and code
-// alignment"). Each item's panel counts are clamped once, into a stack
-// array, before the column blocks read them; a count already in [0, Γ] —
-// every count one stage feeds the next — costs one predicted compare.
+// alignment").
 //
 // It runs off amd64, without AVX2, and on a crossbar with no pair rows
-// (Γ or maxW of 2^15 or more); referenceSums picks it.
-func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, window int) {
-	_ = dst[batch*cols-1]
+// (maxW of 2^15 or more); referenceSums picks it.
+func referenceVMM(sums, packW []uint64, src []uint16, batch, rows, cols int) {
+	_ = sums[batch*cols-1]
 	_ = src[batch*rows-1]
 	_ = packW[rows*cols-1]
-	clear(dst[:batch*cols])
-	var xs [rowBlock]uint64
+	clear(sums[:batch*cols])
 	for i0 := 0; i0 < rows; i0 += rowBlock {
 		i1 := min(i0+rowBlock, rows)
 		for b := 0; b < batch; b++ {
-			in := src[b*rows+i0 : b*rows+i1]
-			x := xs[:len(in)]
-			for i, v := range in {
-				if uint(v) > uint(window) {
-					v = min(max(v, 0), window)
-				}
-				x[i] = uint64(v)
-			}
-			o := dst[b*cols : (b+1)*cols]
+			x := src[b*rows+i0 : b*rows+i1]
+			o := sums[b*cols : (b+1)*cols]
 			j := 0
 			for ; j+8 <= cols; j += 8 {
 				acc := o[j : j+8 : j+8]
-				a0, a1, a2, a3 := uint64(acc[0]), uint64(acc[1]), uint64(acc[2]), uint64(acc[3])
-				a4, a5, a6, a7 := uint64(acc[4]), uint64(acc[5]), uint64(acc[6]), uint64(acc[7])
+				a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+				a4, a5, a6, a7 := acc[4], acc[5], acc[6], acc[7]
 				at := i0*cols + j
-				for _, xv := range x {
+				for _, v := range x {
+					xv := uint64(v)
 					w := packW[at : at+8 : at+8]
 					a0 += xv * w[0]
 					a1 += xv * w[1]
@@ -127,14 +140,15 @@ func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, windo
 					a7 += xv * w[7]
 					at += cols
 				}
-				acc[0], acc[1], acc[2], acc[3] = int(a0), int(a1), int(a2), int(a3)
-				acc[4], acc[5], acc[6], acc[7] = int(a4), int(a5), int(a6), int(a7)
+				acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+				acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
 			}
 			for ; j+4 <= cols; j += 4 {
 				acc := o[j : j+4 : j+4]
-				a0, a1, a2, a3 := uint64(acc[0]), uint64(acc[1]), uint64(acc[2]), uint64(acc[3])
+				a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
 				at := i0*cols + j
-				for _, xv := range x {
+				for _, v := range x {
+					xv := uint64(v)
 					w := packW[at : at+4 : at+4]
 					a0 += xv * w[0]
 					a1 += xv * w[1]
@@ -142,45 +156,51 @@ func referenceVMM(dst []int, packW []uint64, src []int, batch, rows, cols, windo
 					a3 += xv * w[3]
 					at += cols
 				}
-				acc[0], acc[1], acc[2], acc[3] = int(a0), int(a1), int(a2), int(a3)
+				acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 			}
 			for ; j < cols; j++ {
-				a := uint64(o[j])
+				a := o[j]
 				at := i0*cols + j
-				for _, xv := range x {
-					a += xv * packW[at]
+				for _, v := range x {
+					a += uint64(v) * packW[at]
 					at += cols
 				}
-				o[j] = int(a)
+				o[j] = a
 			}
 		}
 	}
 }
 
-// referenceSums leaves a batch's packed drive sums in dst, as
+// referenceSums leaves a batch's packed drive sums in sums, as
 // referenceVMM defines them: with AVX2 (laneAVX2) on a crossbar with pair
 // rows, through referenceAVX2, and through referenceVMM otherwise.
 //
 // The AVX2 kernel multiplies two weight rows by their two counts and adds
 // the products with one VPMADDWD — four cells' N and P dwords per
 // instruction, each dword the sum over a row pair. Its operands are
-// 16-bit: a clamped count is at most Γ < 2^15 and a magnitude at most
-// maxW < 2^15, so each product pair is below 2^31 and a column's sum below
-// 2^32 as in referenceVMM (docs/INVARIANTS.md, "Reference lanes"). One
-// call takes a whole row panel for every item of the batch: it clamps each
-// item's panel counts once, reading src in place, and carries the sums in
-// registers down the panel's pair rows.
-func (c *Crossbar) referenceSums(dst, src []int, batch int) {
+// 16-bit: a count is at most Γ ≤ 2^14 and a magnitude at most maxW < 2^15,
+// so each product pair is below 2^31 and a column's sum below 2^32 as in
+// referenceVMM (docs/INVARIANTS.md, "Reference lanes"). One call takes a
+// whole row panel for every item of the batch and carries the sums in
+// registers down the panel's pair rows, reading each pair's two counts
+// straight from the item's row of src. An odd last row pairs with the
+// count after it — the next item's first, or src's slack element after
+// the last item — against pairW's zero padding, so that count adds
+// nothing whatever it holds.
+func (c *Crossbar) referenceSums(sums []uint64, src []uint16, batch int) {
 	rows, cols := c.rows, c.cols
 	if !laneAVX2 || c.pairW == nil {
-		referenceVMM(dst, c.packW, src, batch, rows, cols, c.window)
+		referenceVMM(sums, c.packW, src, batch, rows, cols)
 		return
 	}
-	_ = dst[batch*cols-1]
-	_ = src[batch*rows-1]
-	clear(dst[:batch*cols])
+	_ = sums[batch*cols-1]
+	_ = src[batch*rows] // the slack element an odd last row's pair read reaches
 	for i0 := 0; i0 < rows; i0 += rowBlock {
-		referenceAVX2(&dst[0], &c.pairW[i0/2*cols], &src[i0], min(rowBlock, rows-i0), rows, cols, batch, c.window)
+		keep := ^uint64(0)
+		if i0 == 0 {
+			keep = 0 // the first panel's sums start from zero, not from sums
+		}
+		referenceAVX2(&sums[0], &c.pairW[i0/2*cols], &src[i0], min(rowBlock, rows-i0), rows, cols, batch, keep)
 	}
 }
 
@@ -222,8 +242,8 @@ type Crossbar struct {
 	// reference kernel (referenceSums), ⌈rows/2⌉×cols: the word of pair k
 	// and column j holds n_2k, n_2k+1, p_2k, p_2k+1 as 16-bit halves from
 	// the low end, with an odd last row paired with zeros. It shares
-	// packW's allocation, and is nil without AVX2 or when Γ or maxW
-	// reaches 2^15, past a signed 16-bit operand.
+	// packW's allocation, and is nil without AVX2 or when maxW reaches
+	// 2^15, past a signed 16-bit operand.
 	pairW []uint64
 	// posG/negG hold the programmed conductance sums (level units,
 	// possibly with variation), row-major rows×cols.
@@ -277,12 +297,20 @@ type Crossbar struct {
 	floatDrv   []float64 // window float lane rows of per-cycle drives
 	floatLive  []uint64  // Lanes(window) union of the current item's firing rows' trains
 	floatFired []int64   // AVX2: output counts, one lane per walked column
+
+	// sums holds a batch's packed drive sums between the reference kernel
+	// and its epilogue (Reference, and Simulate on a negative-free
+	// crossbar); in16 and out16 are the []int adapters' uint16 copies of
+	// their counts (ReferenceBatch, SimulateCountsBatch).
+	sums        []uint64
+	in16, out16 []uint16
 }
 
 // Program writes a logical weight matrix weights[i][j] (row-major,
 // rows × cols, integers in [−Rep.MaxWeight(), Rep.MaxWeight()]) into a
 // fresh crossbar. Positive parts go to the positive polarity, negative
-// magnitudes to the negative one. The reference kernel sums both
+// magnitudes to the negative one. The sampling window must be at most
+// MaxWindow (ErrWindow otherwise). The reference kernel sums both
 // polarities in one 64-bit word, which is exact only while a column's
 // largest drive, rows·Γ·MaxWeight, stays below 2^32; Program refuses a
 // crossbar whose bound reaches it. A nil rng programs ideal conductances;
@@ -315,6 +343,9 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 	}
 	maxW := cfg.Rep.MaxWeight()
 	window := cfg.Params.SamplingWindow()
+	if err := checkWindow(window); err != nil {
+		return nil, err
+	}
 	// The largest drive one polarity can sum; Γ is a power of two, so the
 	// float64 product is exact.
 	if drive := float64(rows) * float64(window) * float64(maxW); drive >= 1<<polarityShift {
@@ -330,7 +361,7 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		eta = float64(maxW)
 	}
 	n, pairRows := rows*cols, 0
-	if hostcpu.AVX2 && window < 1<<15 && maxW < 1<<15 {
+	if hostcpu.AVX2 && maxW < 1<<15 {
 		pairRows = (rows + 1) / 2
 	}
 	packW := make([]uint64, n+pairRows*cols)
@@ -473,27 +504,28 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// checkBatch validates a flat batch buffer pair.
-func (c *Crossbar) checkBatch(dst, src []int, batch int) error {
-	if len(src) != batch*c.rows {
-		return fmt.Errorf("xbar: input length %d, want %d (batch %d × %d rows)", len(src), batch*c.rows, batch, c.rows)
+// checkBatch validates a flat batch buffer pair by its lengths: nsrc must
+// be batch×rows counts and slack more, ndst batch×cols.
+func (c *Crossbar) checkBatch(ndst, nsrc, batch, slack int) error {
+	if nsrc != batch*c.rows+slack {
+		return fmt.Errorf("xbar: input length %d, want %d (batch %d × %d rows + %d slack)", nsrc, batch*c.rows+slack, batch, c.rows, slack)
 	}
-	if len(dst) != batch*c.cols {
-		return fmt.Errorf("xbar: output length %d, want %d (batch %d × %d cols)", len(dst), batch*c.cols, batch, c.cols)
+	if ndst != batch*c.cols {
+		return fmt.Errorf("xbar: output length %d, want %d (batch %d × %d cols)", ndst, batch*c.cols, batch, c.cols)
 	}
 	return nil
 }
 
-// ReferenceBatch computes the integer reference output for a batch of
-// spike-count vectors: dst[b*cols+j] = clamp(max(0, floor(P/η) −
-// floor(N/η)), Γ), with P/N the positive and negative drive sums of item
-// b's inputs against the ideal logical weights. src is flat batch×rows,
-// dst flat batch×cols. Each count is first clamped to [0, Γ], as
-// SimulateCountsBatch clamps it, so both kernels answer a batch exactly as
-// they answer its clamped copy. P and N are exact integers below 2^32 (see
-// referenceVMM), and on counts in [0, Γ] the per-element semantics equal
-// the historical one-vector reference path, which divides their float64
-// values by η, bit for bit at every η, fractional ones included.
+// Reference computes the integer reference output for a batch of spike
+// counts: dst[b*cols+j] = clamp(max(0, floor(P/η) − floor(N/η)), Γ), with
+// P/N the positive and negative drive sums of item b's counts against the
+// ideal logical weights. src is flat batch×rows counts, each in [0, Γ],
+// followed by one slack element whose value is never used (the AVX2
+// kernel's pair read of an odd last row reaches it); dst is flat
+// batch×cols. P and N are exact integers below 2^32 (see referenceVMM),
+// and the per-element semantics equal the historical one-vector reference
+// path, which divides their float64 values by η, bit for bit at every η,
+// fractional ones included.
 //
 // The epilogue has three branches, picked once per call from η:
 //   - η integral in [1, 2^32) — every η the synthesizer emits: the
@@ -507,59 +539,91 @@ func (c *Crossbar) checkBatch(dst, src []int, batch int) error {
 //     be NaN or out of int's range, where Go leaves the conversion to the
 //     architecture; the epilogue then converts with saturatingInt, so
 //     every GOARCH answers alike.
-func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
+func (c *Crossbar) Reference(dst, src []uint16, batch int) error {
 	if batch == 0 {
 		return nil
 	}
-	if err := c.checkBatch(dst, src, batch); err != nil {
+	if err := c.checkBatch(len(dst), len(src), batch, 1); err != nil {
 		return err
 	}
-	c.referenceSums(dst, src, batch)
+	c.sums = grow(c.sums, batch*c.cols)
+	c.referenceSums(c.sums, src, batch)
 	if c.eta >= 1 && c.eta < 1<<polarityShift && c.eta == float64(uint64(c.eta)) {
-		integerEpilogue(dst, uint64(c.eta), c.window)
+		integerEpilogue(dst, c.sums, uint64(c.eta), c.window)
 		return nil
 	}
 	if c.eta >= 0x1p-31 && c.eta <= math.MaxFloat64 {
-		for k, a := range dst {
-			p, n := uint64(a)>>polarityShift, uint64(a)&lowHalf
-			y := int(float64(p)/c.eta) - int(float64(n)/c.eta)
-			dst[k] = spike.Clamp(y, c.window)
+		for k, a := range c.sums {
+			y := int(float64(a>>polarityShift)/c.eta) - int(float64(a&lowHalf)/c.eta)
+			dst[k] = uint16(spike.Clamp(y, c.window))
 		}
 		return nil
 	}
-	for k, a := range dst {
-		p, n := uint64(a)>>polarityShift, uint64(a)&lowHalf
-		y := saturatingInt(float64(p)/c.eta) - saturatingInt(float64(n)/c.eta)
-		dst[k] = spike.Clamp(y, c.window)
+	for k, a := range c.sums {
+		y := saturatingInt(float64(a>>polarityShift)/c.eta) - saturatingInt(float64(a&lowHalf)/c.eta)
+		dst[k] = uint16(spike.Clamp(y, c.window))
 	}
 	return nil
 }
 
-// integerEpilogue turns each packed drive word of dst into
-// clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) for an integral η in [1, 2^32). Each quotient
-// is the high word of P·m with m = ⌈2^64/η⌉ (Lemire, Kaser and Kurz 2019:
-// exact for every dividend below 2^32 and divisor below 2^32); η = 1,
-// whose m does not fit 64 bits (it wraps to 0), is P − N. With AVX2
-// (laneAVX2) epilogueAVX2 answers the words in blocks of four and the
-// scalar loop below the last few.
-func integerEpilogue(dst []int, eta uint64, window int) {
+// ReferenceBatch is Reference on []int counts, for bench/ (ROADMAP item
+// 1(f)): src is flat batch×rows with no slack element, and each count is
+// first clamped to [0, Γ], as SimulateCountsBatch clamps it, so both
+// kernels answer a batch exactly as they answer its clamped copy.
+func (c *Crossbar) ReferenceBatch(dst, src []int, batch int) error {
+	return c.adapt(dst, src, batch, c.Reference)
+}
+
+// adapt runs a uint16 entry point on []int counts: it clamps src to
+// [0, Γ] into in16, with a zero slack element, runs core into out16 and
+// widens that into dst.
+func (c *Crossbar) adapt(dst, src []int, batch int, core func(dst, src []uint16, batch int) error) error {
+	if batch == 0 {
+		return nil
+	}
+	if err := c.checkBatch(len(dst), len(src), batch, 0); err != nil {
+		return err
+	}
+	c.in16, c.out16 = grow(c.in16, len(src)+1), grow(c.out16, len(dst))
+	for k, v := range src {
+		c.in16[k] = uint16(spike.Clamp(v, c.window))
+	}
+	c.in16[len(src)] = 0
+	if err := core(c.out16, c.in16, batch); err != nil {
+		return err
+	}
+	for k, v := range c.out16 {
+		dst[k] = int(v)
+	}
+	return nil
+}
+
+// integerEpilogue turns each packed drive word of sums into dst's
+// clamp(⌊P/η⌋ − ⌊N/η⌋, Γ) for an integral η in [1, 2^32) and a window
+// below 2^16. Each quotient is the high word of P·m with m = ⌈2^64/η⌉
+// (Lemire, Kaser and Kurz 2019: exact for every dividend below 2^32 and
+// divisor below 2^32); η = 1, whose m does not fit 64 bits (it wraps to
+// 0), is P − N. With AVX2 (laneAVX2) epilogueAVX2 answers the words in
+// blocks of four and the scalar loop below the last few.
+func integerEpilogue(dst []uint16, sums []uint64, eta uint64, window int) {
+	dst = dst[:len(sums)]
 	m := math.MaxUint64/eta + 1
-	if laneAVX2 && len(dst) >= 4 {
-		n := len(dst) &^ 3
-		epilogueAVX2(&dst[0], n/4, m, min(uint64(window), lowHalf))
-		dst = dst[n:]
+	if laneAVX2 && len(sums) >= 4 {
+		n := len(sums) &^ 3
+		epilogueAVX2(&dst[0], &sums[0], n/4, m, uint64(window))
+		dst, sums = dst[n:], sums[n:]
 	}
 	if eta == 1 {
-		for k, a := range dst {
-			y := int(uint64(a)>>polarityShift) - int(uint64(a)&lowHalf)
-			dst[k] = spike.Clamp(y, window)
+		for k, a := range sums {
+			y := int(a>>polarityShift) - int(a&lowHalf)
+			dst[k] = uint16(spike.Clamp(y, window))
 		}
 		return
 	}
-	for k, a := range dst {
-		p, _ := bits.Mul64(uint64(a)>>polarityShift, m)
-		n, _ := bits.Mul64(uint64(a)&lowHalf, m)
-		dst[k] = spike.Clamp(int(p)-int(n), window)
+	for k, a := range sums {
+		p, _ := bits.Mul64(a>>polarityShift, m)
+		n, _ := bits.Mul64(a&lowHalf, m)
+		dst[k] = uint16(spike.Clamp(int(p)-int(n), window))
 	}
 }
 
@@ -578,15 +642,16 @@ func saturatingInt(f float64) int {
 	return int(f)
 }
 
-// SimulateCountsBatch runs the cycle-level spiking simulation with ideal
-// accumulate-and-fire neurons for a batch of spike-count vectors: each
-// input count becomes a uniform train (the SMB spike-generator pattern),
-// the programmed — possibly noisy — conductances drive the column
-// neurons cycle by cycle, and dst receives the subtracter output counts.
-// src is flat batch×rows, dst flat batch×cols. Per item it reproduces
-// UniformTrain → Simulate → Count on the historical PE bit for bit. Items
-// are independent and cost the same at any batch size; one call per
-// micro-batch saves only the call overhead.
+// Simulate runs the cycle-level spiking simulation with ideal
+// accumulate-and-fire neurons for a batch of spike counts: each input
+// count becomes a uniform train (the SMB spike-generator pattern), the
+// programmed — possibly noisy — conductances drive the column neurons
+// cycle by cycle, and dst receives the subtracter output counts. src and
+// dst are laid out as Reference's: batch×rows counts in [0, Γ] and one
+// slack element, batch×cols outputs. Per item it reproduces UniformTrain →
+// Simulate → Count on the historical PE bit for bit. Items are independent
+// and cost the same at any batch size; one call per micro-batch saves only
+// the call overhead.
 //
 // One kernel backs it, the structure-aware simulateCountsPacked, and what
 // that kernel does is a function of the programmed crossbar alone — never of
@@ -604,17 +669,24 @@ func saturatingInt(f float64) int {
 // keep as its oracle.
 // Call counts and the observed input density are exposed through
 // KernelStats.
-func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
+func (c *Crossbar) Simulate(dst, src []uint16, batch int) error {
 	if batch == 0 {
 		return nil
 	}
-	if err := c.checkBatch(dst, src, batch); err != nil {
+	if err := c.checkBatch(len(dst), len(src), batch, 1); err != nil {
 		return err
 	}
-	c.probeDensity(src, batch)
+	c.probeDensity(src[:batch*c.rows], batch)
 	c.sparseN.Add(1)
 	c.simulateCountsPacked(dst, src, batch)
 	return nil
+}
+
+// SimulateCountsBatch is Simulate on []int counts, for bench/ (ROADMAP
+// item 1(f)): src is flat batch×rows with no slack element, and each count
+// is first clamped to [0, Γ].
+func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
+	return c.adapt(dst, src, batch, c.Simulate)
 }
 
 // SimulateTrains runs the cycle-level simulation over one sampling window

@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -181,6 +182,17 @@ func clampedCopy(src []int, window int) []int {
 	return out
 }
 
+// narrowCounts is the uint16 entry points' input for src: its clamped
+// copy, followed by the slack element.
+func narrowCounts(src []int, window int, slack uint16) []uint16 {
+	out := make([]uint16, len(src)+1)
+	for k, v := range src {
+		out[k] = uint16(spike.Clamp(v, window))
+	}
+	out[len(src)] = slack
+	return out
+}
+
 // TestKernelsClampOutOfRangeCounts: both kernels — and the spiking
 // kernel's oracle — answer a batch holding counts below 0 and above Γ
 // exactly as they answer its clamped copy, on an ideal crossbar at the
@@ -243,41 +255,124 @@ func TestKernelsClampOutOfRangeCounts(t *testing.T) {
 	}
 }
 
+// TestAdaptersMatchCore: ReferenceBatch and SimulateCountsBatch, the
+// []int adapters, answer a batch holding counts below 0 and above Γ as
+// Reference and Simulate answer its clamped uint16 copy, whatever that
+// copy's slack element holds — on 1, 33, 41 and 255 rows (odd ones ending
+// in a pair read that reaches the next item's first count or, after the
+// last item, the slack), at Γ = 16 and 64, on an ideal crossbar at the
+// synthesizer's η, at a saturating η and on a noisy one, under each body.
+func TestAdaptersMatchCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(2603))
+	const cols, batch = 9, 5
+	for _, ioBits := range []int{4, 6} {
+		for _, rows := range []int{1, 33, 41, 255} {
+			cfg := structuredConfig(ioBits, false)
+			maxW := cfg.Rep.MaxWeight()
+			weights := randomWeights(rng, rows, cols, maxW)
+			ideal, err := Program(cfg, weights, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noisyCfg := cfg
+			noisyCfg.Spec = device.Cell4BitMeasured
+			noisy, err := Program(noisyCfg, weights, rand.New(rand.NewSource(6)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			window := ideal.Window()
+			wild := []int{-3, -1, -1 << 40, window + 1, window + 5, 1 << 40}
+			src := randomCounts(rng, batch*rows, window)
+			for k := range src {
+				if k%3 == 0 {
+					src[k] = wild[rng.Intn(len(wild))]
+				}
+			}
+			for _, run := range []struct {
+				name string
+				xb   *Crossbar
+				eta  float64
+			}{
+				{"ideal synth-η", ideal, synthEta(weights)},
+				{"ideal saturating η", ideal, float64(maxW) * 4},
+				{"noisy", noisy, float64(maxW) * 4},
+			} {
+				run.xb.SetEta(run.eta)
+				for _, body := range laneBodies() {
+					restore := useLaneBody(body.avx2)
+					for _, k := range []struct {
+						name    string
+						adapter func(dst, src []int, batch int) error
+						core    func(dst, src []uint16, batch int) error
+					}{
+						{"Reference", run.xb.ReferenceBatch, run.xb.Reference},
+						{"Simulate", run.xb.SimulateCountsBatch, run.xb.Simulate},
+					} {
+						got := make([]int, batch*cols)
+						if err := k.adapter(got, src, batch); err != nil {
+							t.Fatal(err)
+						}
+						for _, slack := range []uint16{0, 1, uint16(window), 0x7fff, 0xffff} {
+							want := make([]uint16, batch*cols)
+							if err := k.core(want, narrowCounts(src, window, slack), batch); err != nil {
+								t.Fatal(err)
+							}
+							for i, w := range want {
+								if got[i] != int(w) {
+									t.Fatalf("Γ %d %d rows %s %s/%s slack %d: out[%d,%d] adapter %d, core %d",
+										window, rows, run.name, k.name, body.name, slack, i/cols, i%cols, got[i], w)
+								}
+							}
+						}
+					}
+					restore()
+				}
+			}
+		}
+	}
+}
+
 // TestReferenceDriveBound pins the packed kernel's no-carry argument at
-// its edge: at Γ = 2^17 a 256-row crossbar's largest drive, 256·Γ·120, is
-// just below 2^32, and every count at Γ against columns of ±maxW must
-// still split into the exact P and N sums — the low half never carries.
-// Γ ≥ 2^15 gives the crossbar no pair rows, so referenceVMM, the portable
-// body, runs under either setting of laneAVX2; the AVX2 kernel's own
-// full-drive edge is TestReferencePairDriveBound's. One more I/O bit and
-// Program refuses the crossbar.
+// its edge on the portable body: at Γ = 2^9 with 2185-cell weights (maxW =
+// 32775, past a 16-bit operand, so the crossbar has no pair rows and
+// referenceVMM runs under either setting of laneAVX2) a 255-row crossbar's
+// largest drive, 255·2^9·32775, is 99.6 % of 2^32, and every count at Γ
+// against columns of ±maxW must still split into the exact P and N sums —
+// the low half never carries. The AVX2 kernel's own full-drive edge is
+// TestReferencePairDriveBound's. One more row and Program refuses the
+// crossbar for its drive; at Γ = 2^15 to 2^18 (IOBits 15 to 18), past
+// MaxWindow, it refuses any crossbar with ErrWindow, and at Γ = 2^14 it
+// accepts a small one.
 func TestReferenceDriveBound(t *testing.T) {
 	cfg := testConfig(0)
-	cfg.Params.IOBits = 17
+	cfg.Params.IOBits = 9
+	cfg.Rep = device.NewAdd(cfg.Spec, 2185)
 	maxW := cfg.Rep.MaxWeight()
-	rows := cfg.Params.CrossbarRows
-	weights := make([][]int, rows)
+	const rows = 255
+	weights := make([][]int, rows+1)
 	for i := range weights {
 		weights[i] = []int{maxW, -maxW, maxW - 2*(i%2)*maxW, 0, i%(2*maxW+1) - maxW, maxW, -maxW}
 	}
-	xb, err := Program(cfg, weights, nil)
+	xb, err := Program(cfg, weights[:rows], nil)
 	if err != nil {
-		t.Fatalf("drive %d·2^17·%d < 2^32 refused: %v", rows, maxW, err)
+		t.Fatalf("drive %d·2^9·%d < 2^32 refused: %v", rows, maxW, err)
+	}
+	if xb.pairW != nil {
+		t.Fatal("a maxW = 32775 crossbar has pair rows")
 	}
 	window := xb.Window()
-	src := make([]int, rows)
+	src := make([]uint16, rows+1)
 	for i := range src {
-		src[i] = window
+		src[i] = uint16(window)
 	}
-	src[3] = window + 9 // clamped to Γ before it multiplies
 	for _, body := range laneBodies() {
 		restore := useLaneBody(body.avx2)
-		dst := make([]int, xb.Cols())
-		referenceVMM(dst, xb.packW, src, 1, rows, xb.Cols(), window)
+		sums := make([]uint64, xb.Cols())
+		xb.referenceSums(sums, src, 1)
 		restore()
-		for j := range dst {
+		for j, got := range sums {
 			var p, n uint64
-			for i := range weights {
+			for i := range weights[:rows] {
 				if w := weights[i][j]; w >= 0 {
 					p += uint64(w) * uint64(window)
 				} else {
@@ -287,17 +382,24 @@ func TestReferenceDriveBound(t *testing.T) {
 			if n >= 1<<32 || p >= 1<<32 {
 				t.Fatalf("col %d: P %d / N %d not below 2^32", j, p, n)
 			}
-			if got := uint64(dst[j]); got>>polarityShift != p || got&lowHalf != n {
+			if got>>polarityShift != p || got&lowHalf != n {
 				t.Fatalf("%s col %d: packed sum splits into P %d N %d, want %d %d", body.name, j, got>>polarityShift, got&lowHalf, p, n)
 			}
 		}
 	}
-	cfg.Params.IOBits = 18
-	if _, err := Program(cfg, weights, nil); err == nil {
-		t.Fatal("Program accepted a crossbar whose drive reaches 2^32")
+	if _, err := Program(cfg, weights, nil); err == nil || errors.Is(err, ErrWindow) {
+		t.Fatalf("Program on a crossbar whose drive reaches 2^32 returned %v, want the drive bound's error", err)
 	}
-	if _, err := Program(cfg, weights[:rows/2], nil); err != nil {
-		t.Fatalf("half the rows at Γ = 2^18 stay below 2^32, but Program refused: %v", err)
+	small := testConfig(0)
+	for ioBits := 15; ioBits <= 18; ioBits++ {
+		small.Params.IOBits = ioBits
+		if _, err := Program(small, [][]int{{1, -1}}, nil); !errors.Is(err, ErrWindow) {
+			t.Fatalf("IOBits %d: Program returned %v, want ErrWindow", ioBits, err)
+		}
+	}
+	small.Params.IOBits = 14
+	if _, err := Program(small, [][]int{{1, -1}}, nil); err != nil {
+		t.Fatalf("IOBits 14 (Γ = MaxWindow) refused: %v", err)
 	}
 }
 
@@ -305,20 +407,22 @@ func TestReferenceDriveBound(t *testing.T) {
 // its 16-bit operands allow: Γ = 2^14 and 68-cell weights (maxW = 1020),
 // so a full-height column sums up to 256·2^14·1020 ≈ 0.996·2^32 and one
 // VPMADDWD dword up to 2·Γ·maxW < 2^31. On 1, 31, 32, 33, 255 and 256 rows
-// (either side of a row panel, odd ones ending in a zero-padded pair) and
-// 4, 7, 24 and 33 columns (whole quads, masked tails), with columns of
-// +maxW, of −maxW and of both alternating, a batch at full drive on both
-// polarities, at counts of 2^40 and Γ+7, at −2^40 and −1, and mixed must
-// leave the exact packed sums and answer as referenceNaive does on the
-// clamped copy at η = 1, 2, 3, maxW and 12345, under each body. A Γ = 2^15
-// crossbar and a maxW = 32775 one (2185 cells at Γ = 16) have no pair rows
-// and must still match.
+// (either side of a row panel, odd ones ending in a zero-padded pair whose
+// second count is the next item's first, or the slack element — here
+// 0xffff, which a signed operand reads as −1) and 4, 7, 24 and 33 columns
+// (whole quads, masked tails), with columns of +maxW, of −maxW and of both
+// alternating, a batch at full drive on both polarities, at counts of
+// 2^40 and Γ+7, at −2^40 and −1, and mixed must leave the exact packed
+// sums and answer as referenceNaive does on the clamped copy at η = 1, 2,
+// 3, maxW and 12345, under each body. A maxW = 32775 crossbar (2185 cells
+// at Γ = 16) has no pair rows and must still match; Γ = 2^15 is past
+// MaxWindow, and Program refuses it with ErrWindow.
 func TestReferencePairDriveBound(t *testing.T) {
 	type edge struct {
 		ioBits, cells int
 		pairs         bool
 	}
-	for _, e := range []edge{{14, 68, true}, {15, 8, false}, {4, 2185, false}} {
+	for _, e := range []edge{{14, 68, true}, {4, 2185, false}} {
 		cfg := testConfig(0)
 		cfg.Params.IOBits = e.ioBits
 		cfg.Rep = device.NewAdd(cfg.Spec, e.cells)
@@ -354,8 +458,8 @@ func TestReferencePairDriveBound(t *testing.T) {
 				clamped := clampedCopy(src, window)
 				for _, body := range laneBodies() {
 					restore := useLaneBody(body.avx2)
-					sums := make([]int, batch*cols)
-					xb.referenceSums(sums, src, batch)
+					sums := make([]uint64, batch*cols)
+					xb.referenceSums(sums, narrowCounts(src, window, 0xffff), batch)
 					for b := range batch {
 						for j := range cols {
 							var p, n uint64
@@ -367,7 +471,7 @@ func TestReferencePairDriveBound(t *testing.T) {
 									n += uint64(-w) * x
 								}
 							}
-							if got := uint64(sums[b*cols+j]); got != p<<polarityShift|n {
+							if got := sums[b*cols+j]; got != p<<polarityShift|n {
 								t.Fatalf("%s Γ %d maxW %d %dx%d: sum[%d,%d] P %d N %d, want %d %d", body.name, window, maxW, rows, cols, b, j, got>>polarityShift, got&lowHalf, p, n)
 							}
 						}
@@ -391,6 +495,11 @@ func TestReferencePairDriveBound(t *testing.T) {
 				}
 			}
 		}
+	}
+	cfg := testConfig(0)
+	cfg.Params.IOBits = 15
+	if _, err := Program(cfg, [][]int{{1}}, nil); !errors.Is(err, ErrWindow) {
+		t.Fatalf("Γ = 2^15: Program returned %v, want ErrWindow", err)
 	}
 }
 
@@ -504,17 +613,27 @@ func TestProgramValidation(t *testing.T) {
 	if err := xb.SimulateCountsBatch(make([]int, 3), make([]int, 2), 2); err == nil {
 		t.Error("mis-sized batch output accepted")
 	}
+	if err := xb.Reference(make([]uint16, 4), make([]uint16, 2), 2); err == nil {
+		t.Error("batch input without its slack element accepted")
+	}
+	if err := xb.Simulate(make([]uint16, 4), make([]uint16, 2), 2); err == nil {
+		t.Error("batch input without its slack element accepted")
+	}
+	if err := xb.Simulate(make([]uint16, 4), make([]uint16, 3), 2); err != nil {
+		t.Errorf("a well-sized batch refused: %v", err)
+	}
 	if _, err := xb.SimulateTrains(make([]spike.Train, 2), nil); err == nil {
 		t.Error("wrong train count accepted")
 	}
 }
 
-// BenchmarkReferenceBatch times ReferenceBatch through Program on the
-// shapes that matter: the two layers of the serve_mlp_reference MLP (16×24
-// and 24×4) at batch 8 — rows short enough that per-row overhead dominates
-// — and at the workload's own batch of 64, a mid-size panel, and a
-// full-height crossbar that spans eight row panels at a serving batch.
-// Every shape runs once under each body the CPU has (portable, avx2).
+// BenchmarkReferenceBatch times Reference — the uint16 entry point the
+// executor calls — through Program on the shapes that matter: the two
+// layers of the serve_mlp_reference MLP (16×24 and 24×4) at batch 8 —
+// rows short enough that per-row overhead dominates — and at the
+// workload's own batch of 64, a mid-size panel, and a full-height
+// crossbar that spans eight row panels at a serving batch. Every shape
+// runs once under each body the CPU has (portable, avx2).
 func BenchmarkReferenceBatch(b *testing.B) {
 	for _, tc := range []struct{ batch, rows, cols int }{
 		{8, 16, 24}, {8, 24, 4}, {64, 16, 24}, {64, 24, 4}, {8, 128, 64}, {64, 256, 100},
@@ -530,10 +649,10 @@ func BenchmarkReferenceBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				xb.SetEta(synthEta(weights))
-				src := randomCounts(rng, tc.batch*tc.rows, xb.Window()) // a few are zero
-				dst := make([]int, tc.batch*tc.cols)
+				src := narrowCounts(randomCounts(rng, tc.batch*tc.rows, xb.Window()), xb.Window(), 0) // a few are zero
+				dst := make([]uint16, tc.batch*tc.cols)
 				for b.Loop() {
-					if err := xb.ReferenceBatch(dst, src, tc.batch); err != nil {
+					if err := xb.Reference(dst, src, tc.batch); err != nil {
 						b.Fatal(err)
 					}
 				}
