@@ -32,7 +32,7 @@ import (
 // modes.
 //
 // A call is safe for concurrent use: calls on one Executor run one at a
-// time, since the per-stage scratch is the executor's own. Concurrent
+// time, since the tables and scratch are the executor's own. Concurrent
 // callers that want to run in parallel hold one Executor each (see
 // internal/serve), which also matches the hardware — each replica carries
 // its own programming variation. A panic under the kernel reaches the
@@ -52,77 +52,88 @@ type Executor struct {
 	// order, the order they are programmed and redrawn in.
 	units []*xbar.Crossbar
 	order []int
-	// stages[si] is stage si's output width and gather plan, and outRuns
-	// the OutputRefs compiled into gather runs as a stage's InRefs are:
-	// fixed at construction and only read afterwards.
-	stages  []stagePlan
-	outRuns []gatherRun
+	// stages[si] is stage si's output width and input sources, out the
+	// OutputRefs' sources, and outRun whether those are one run: fixed at
+	// construction and only read afterwards.
+	stages []stagePlan
+	out    []source
+	outRun bool
 
 	// mu is held across a batch's quantization, stage walk and output
-	// gather: the scratch below is reused across runs.
+	// fill: the scratch below is reused across runs.
 	mu sync.Mutex
 	// The tables hold counts in [0, Γ], as uint16 (Γ ≤ xbar.MaxWindow). in
 	// is the batch's flat batch×InputSize input counts: RunFeatures
-	// quantizes into it and RunBatch copies its rows in. ins[si] and
-	// outs[si] are stage si's flat batch×rows input and batch×cols output.
-	// A stage whose plan is an alias reads its source's table (in or an
-	// earlier outs) in place and never grows its ins. Each of these tables
-	// ends in one slack element past its batch's counts, which the kernels
-	// take with their input (xbar.Crossbar.Reference). res holds the output
-	// rows argmaxes gathers when the outputs are not one run. All grow on
-	// demand.
-	in, res   []uint16
-	ins, outs [][]uint16
+	// quantizes into it and RunBatch copies its rows in. outs[si] is stage
+	// si's flat batch×cols output. x is the one scratch every stage that
+	// does not alias fills its batch×rows input into, and argmaxes its
+	// output rows when they are not one run: stages run one after another
+	// and each kernel consumes its input before the next fill. Every kernel
+	// input ends in one slack element past its batch's counts, whose value
+	// the kernels never use (xbar.Crossbar.Reference). All grow on demand.
+	in, x []uint16
+	outs  [][]uint16
 }
 
 // stagePlan is what runStages needs to know about one stage besides its
-// crossbar: the width of its output and how to gather its input row.
+// crossbar: the width of its output and where each input row comes from.
 type stagePlan struct {
 	cols int
-	// runs cover the stage's InRefs in order, each the longest stretch of
-	// consecutive columns read from one source.
-	runs []gatherRun
-	// alias is set when runs is one run over all of one source's columns,
-	// in order — the external input for every MLP's first stage, the
-	// previous stage's output for every later one: the stage then reads
-	// that table in place, not a copy.
+	src  []source
+	// alias is set when src is all of one table's columns in order — the
+	// external input for every MLP's first stage, the previous stage's
+	// output for every later one: the stage then reads that table in
+	// place, not a copy.
 	alias bool
 }
 
-// gatherRun fills row[at : at+n] of a stage's input (or of a row of
-// outputs) with columns [col, col+n) of one source, w columns wide: the
-// external input (stage ExternalStage), an earlier stage's output, or
-// zeros (ZeroStage, col and w unused).
-type gatherRun struct {
-	stage, col, at, n, w int
+// source is the producer of one stage input row (or one output): column
+// col of a table w columns wide — the input slab (stage ExternalStage), an
+// earlier stage's output, or the one-element zero slot (ZeroStage, col and
+// w 0), so that row b of any table is read at b·w + col.
+type source struct {
+	stage, col, w int32
 }
 
-// extends reports whether ref continues a run whose last ref is prev.
-func extends(prev, ref ExecRef) bool {
-	return ref.Stage == prev.Stage && (ref.Stage == ZeroStage || ref.Col == prev.Col+1)
+// zeroSlot is the table a ZeroStage source reads: one zero, at width 0.
+var zeroSlot = []uint16{0}
+
+// oneRun reports whether src reads consecutive columns of one table, not
+// the zero slot.
+func oneRun(src []source) bool {
+	for r, s := range src {
+		if s.stage == ZeroStage || s.stage != src[0].stage || s.col != src[0].col+int32(r) {
+			return false
+		}
+	}
+	return len(src) > 0
 }
 
 // planStages records every stage's output width and compiles its InRefs,
-// and then the OutputRefs, into maximal gather runs, all in one backing
-// array (sized for the worst case, a run per ref). A ref to a stage at or
-// after its reader, or to a column its source does not have, is an error
-// here rather than in the middle of a batch.
-func planStages(p *Program) ([]stagePlan, []gatherRun, error) {
+// and then the OutputRefs, into source lists, one source per row, all in
+// one backing array. A ref to a stage at or after its reader, or to a
+// column its source does not have, is an error here rather than in the
+// middle of a batch.
+func planStages(p *Program) ([]stagePlan, []source, error) {
 	stages := make([]stagePlan, len(p.Stages))
 	refs := len(p.OutputRefs)
 	for si, st := range p.Stages {
 		stages[si].cols = p.Graph.Groups[st.GroupID].Cols
 		refs += len(st.InRefs)
 	}
-	runs := make([]gatherRun, 0, refs)
-	// compile appends refs' runs, reading stages before the given one, and
-	// returns them, or the index of the first ref it cannot satisfy.
-	compile := func(refs []ExecRef, before int) ([]gatherRun, int) {
-		lo := len(runs)
+	all := make([]source, refs)
+	// compile turns refs into the next len(refs) sources, reading stages
+	// before the given one, or returns the index of the first ref it
+	// cannot satisfy.
+	compile := func(refs []ExecRef, before int) ([]source, int) {
+		src := all[:len(refs):len(refs)]
+		all = all[len(refs):]
 		for r, ref := range refs {
 			w := 0
 			switch {
 			case ref.Stage == ZeroStage:
+				src[r] = source{stage: ZeroStage}
+				continue
 			case ref.Stage == ExternalStage:
 				w = p.InputSize
 			case ref.Stage >= 0 && ref.Stage < before:
@@ -130,28 +141,22 @@ func planStages(p *Program) ([]stagePlan, []gatherRun, error) {
 			default:
 				return nil, r
 			}
-			if ref.Stage != ZeroStage && (ref.Col < 0 || ref.Col >= w) {
+			if ref.Col < 0 || ref.Col >= w {
 				return nil, r
 			}
-			if r > 0 && extends(refs[r-1], ref) {
-				runs[len(runs)-1].n++
-				continue
-			}
-			runs = append(runs, gatherRun{stage: ref.Stage, col: ref.Col, at: r, n: 1, w: w})
+			src[r] = source{stage: int32(ref.Stage), col: int32(ref.Col), w: int32(w)}
 		}
-		return runs[lo:len(runs):len(runs)], -1
+		return src, -1
 	}
 	for si, st := range p.Stages {
 		sp := &stages[si]
 		var bad int
-		if sp.runs, bad = compile(st.InRefs, si); bad >= 0 {
+		if sp.src, bad = compile(st.InRefs, si); bad >= 0 {
 			ref := st.InRefs[bad]
 			return nil, nil, fmt.Errorf("synth: stage %d row %d references stage %d column %d", si, bad, ref.Stage, ref.Col)
 		}
-		if len(sp.runs) == 1 {
-			r := sp.runs[0]
-			sp.alias = r.stage != ZeroStage && r.col == 0 && r.n == r.w
-		}
+		// A run as wide as its table starts at column 0.
+		sp.alias = oneRun(sp.src) && len(sp.src) == int(sp.src[0].w)
 	}
 	out, bad := compile(p.OutputRefs, len(stages))
 	if bad >= 0 {
@@ -203,7 +208,7 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		return nil, fmt.Errorf("synth: ModeSpikingNoisy requires RunOptions.Rng")
 	}
 	opts.Spec = spec
-	stages, outRuns, err := planStages(p)
+	stages, out, err := planStages(p)
 	if err != nil {
 		return nil, err
 	}
@@ -213,16 +218,16 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		Rep:    device.NewAdd(spec, p.Params.CellsPerWeight),
 	}
 	e := &Executor{
-		prog:    p,
-		opts:    opts,
-		kernel:  (*xbar.Crossbar).Simulate,
-		chips:   len(bounds) - 1,
-		units:   make([]*xbar.Crossbar, len(p.Graph.Groups)),
-		order:   make([]int, 0, len(p.Graph.Groups)),
-		stages:  stages,
-		outRuns: outRuns,
-		ins:     make([][]uint16, n),
-		outs:    make([][]uint16, n),
+		prog:   p,
+		opts:   opts,
+		kernel: (*xbar.Crossbar).Simulate,
+		chips:  len(bounds) - 1,
+		units:  make([]*xbar.Crossbar, len(p.Graph.Groups)),
+		order:  make([]int, 0, len(p.Graph.Groups)),
+		stages: stages,
+		out:    out,
+		outRun: oneRun(out),
+		outs:   make([][]uint16, n),
 	}
 	if opts.spikeKernel != nil {
 		e.kernel = opts.spikeKernel
@@ -371,7 +376,7 @@ func (e *Executor) RunFeatures(dst []int, features [][]float64, classes bool) er
 	if classes {
 		e.argmaxes(dst)
 	} else {
-		e.outputs(dst, len(features))
+		fill(e, dst, e.out, len(features))
 	}
 	return nil
 }
@@ -393,7 +398,7 @@ func grow(buf []uint16, n int) []uint16 {
 }
 
 // runBatch is the validated batch execution path: the rows' copy into the
-// input slab, the stage walk and the output gather, under the lock that
+// input slab, the stage walk and the output fill, under the lock that
 // keeps the scratch one caller's. The results are capacity-capped views
 // into one flat backing array, so a batch costs two allocations however
 // large it is, and appending to one result cannot reach its neighbour.
@@ -417,7 +422,7 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 	}
 	n := len(e.prog.OutputRefs)
 	flat := make([]int, len(inputs)*n)
-	e.outputs(flat, len(inputs))
+	fill(e, flat, e.out, len(inputs))
 	results := make([][]int, len(inputs))
 	for b := range results {
 		results[b] = flat[b*n : (b+1)*n : (b+1)*n]
@@ -427,20 +432,20 @@ func (e *Executor) runBatch(inputs [][]int) ([][]int, error) {
 
 // runStages evaluates the batch of B rows in the input slab over every
 // stage in order — the one stage walk every chip count shares — reusing
-// whatever capacity the per-stage tables already have. Every stage's
-// input, x, is its B rows and the slack element after them.
+// whatever capacity the tables already have. Every stage's input, x, is
+// its B rows and the slack element after them.
 func (e *Executor) runStages(B int) error {
 	p := e.prog
 	for si, st := range p.Stages {
-		n := len(st.InRefs)
 		sp := &e.stages[si]
+		n := len(sp.src)
 		var x []uint16
 		if sp.alias {
-			x = e.table(sp.runs[0].stage)[:B*n+1]
+			x = e.table(sp.src[0].stage)[:B*n+1]
 		} else {
-			x = grow(e.ins[si], B*n+1)
-			e.ins[si] = x
-			e.gather(x, n, sp.runs, B)
+			e.x = grow(e.x, B*n+1)
+			x = e.x
+			fill(e, x, sp.src, B)
 		}
 		out := grow(e.outs[si], B*sp.cols+1)
 		e.outs[si] = out
@@ -462,77 +467,27 @@ func (e *Executor) runStages(B int) error {
 	return nil
 }
 
-// table is a gather source's flat batch table: the input slab for
-// ExternalStage, otherwise that stage's output.
-func (e *Executor) table(stage int) []uint16 {
-	if stage == ExternalStage {
+// table is a source's flat batch table: the input slab for ExternalStage,
+// the zero slot for ZeroStage, otherwise that stage's output.
+func (e *Executor) table(stage int32) []uint16 {
+	switch stage {
+	case ExternalStage:
 		return e.in
+	case ZeroStage:
+		return zeroSlot
 	}
 	return e.outs[stage]
 }
 
-// gather fills x, B flat rows n wide, one run at a time: each run is
-// copied for every item before the next, so what it reads is decided once
-// per run and batch rather than once per element. (A gather of its own
-// keeps the hot loops' registers apart from runStages'.)
-func (e *Executor) gather(x []uint16, n int, runs []gatherRun, B int) {
-	for _, g := range runs {
-		if g.stage == ZeroStage {
-			for b := 0; b < B; b++ {
-				clear(x[b*n+g.at : b*n+g.at+g.n])
-			}
-			continue
-		}
-		copyStrided(x, n, g.at, e.table(g.stage), g.w, g.col, g.n, B)
-	}
-}
-
-// copyStrided copies columns [col, col+cnt) of each of the batch's rows of
-// src (w wide) to columns [at, at+cnt) of the same row of dst (n wide). A
-// one-column run — a convolution reading an earlier layer's per-position
-// stages channel by channel — is a plain strided loop.
-func copyStrided(dst []uint16, n, at int, src []uint16, w, col, cnt, batch int) {
-	if cnt == 1 {
-		for b := 0; b < batch; b++ {
-			dst[b*n+at] = src[b*w+col]
-		}
-		return
-	}
-	for b := 0; b < batch; b++ {
-		copyRun(dst[b*n+at:b*n+at+cnt], src[b*w+col:b*w+col+cnt])
-	}
-}
-
-// shortRun is the longest run copied element by element: an im2col run is
-// a kernel width long (3), where a loop beats a call into memmove.
-const shortRun = 4
-
-// copyRun copies src into dst, which has its length.
-func copyRun(dst, src []uint16) {
-	if len(dst) > shortRun {
-		copy(dst, src)
-		return
-	}
-	for k := range dst {
-		dst[k] = src[k]
-	}
-}
-
-// outputs writes the batch's B rows of output counts into dst,
-// len(OutputRefs) per row, after runStages: gather's runs, each count
-// widened to an int.
-func (e *Executor) outputs(dst []int, B int) {
-	n := len(e.prog.OutputRefs)
-	for _, g := range e.outRuns {
+// fill writes B flat rows of len(src) counts into dst, row r of item b
+// from src[r]'s table at b·w + col: one indexed loop, row by row and over
+// the batch within each row, for a stage's input and for the output rows.
+func fill[T int | uint16](e *Executor, dst []T, src []source, B int) {
+	n := len(src)
+	for r, s := range src {
+		tab, w := e.table(s.stage)[s.col:], int(s.w)
 		for b := 0; b < B; b++ {
-			row := dst[b*n+g.at : b*n+g.at+g.n]
-			if g.stage == ZeroStage {
-				clear(row)
-				continue
-			}
-			for k, v := range e.table(g.stage)[b*g.w+g.col:][:g.n] {
-				row[k] = int(v)
-			}
+			dst[b*n+r] = T(tab[b*w])
 		}
 	}
 }
@@ -540,17 +495,18 @@ func (e *Executor) outputs(dst []int, B int) {
 // argmaxes writes every row's argmax class into dst, one row per slot,
 // ties to the first maximum as Argmax, after runStages. Outputs that are
 // one run — every network whose last layer is its output — are read in
-// place from their source's table; others are gathered into res first.
+// place from their source's table; others are filled into x first.
 func (e *Executor) argmaxes(dst []int) {
-	n := len(e.prog.OutputRefs)
+	n := len(e.out)
 	var tab []uint16
 	w, col := n, 0
-	if g := e.outRuns; len(g) == 1 && g[0].stage != ZeroStage {
-		tab, w, col = e.table(g[0].stage), g[0].w, g[0].col
+	if e.outRun {
+		s := e.out[0]
+		tab, w, col = e.table(s.stage), int(s.w), int(s.col)
 	} else {
-		e.res = grow(e.res, len(dst)*n)
-		tab = e.res
-		e.gather(tab, n, e.outRuns, len(dst))
+		e.x = grow(e.x, len(dst)*n)
+		tab = e.x
+		fill(e, tab, e.out, len(dst))
 	}
 	for b := range dst {
 		dst[b] = argmax(tab[b*w+col : b*w+col+n])

@@ -9,12 +9,13 @@ import (
 
 	"fpsa/internal/cgraph"
 	"fpsa/internal/shard"
+	"fpsa/internal/xbar"
 )
 
 // featureFixture is one executor RunFeatures is checked on. gathered is
-// set when its first stage gathers its input rather than reading the
-// input slab in place, and outputsGathered when its output refs are more
-// than one run.
+// set when its first stage fills its input into the scratch rather than
+// reading the input slab in place, and outputsGathered when its output
+// refs are not one run.
 type featureFixture struct {
 	name                      string
 	ex                        *Executor
@@ -44,7 +45,7 @@ func featureFixtures(t testing.TB) []featureFixture {
 	}
 	mlp := compile(601, []int{12, 10, 4})
 	deep := compile(602, []int{12, 10, 8, 6, 5})
-	conv := compileConvFixture(t)
+	conv := compileConvFixture(t, 605, 5, 3, false)
 	ext := *mlp
 	ext.OutputRefs = append(append([]ExecRef{{Stage: ExternalStage, Col: 3}}, mlp.OutputRefs...), ExecRef{Stage: ExternalStage, Col: 0})
 	single := func(p *Program, opts RunOptions) *Executor {
@@ -80,24 +81,27 @@ func featureFixtures(t testing.TB) []featureFixture {
 	}
 }
 
-// compileConvFixture compiles input (2×5×5) → 3×3 conv, 3 channels, pad 1
-// → ReLU → global average pool → FC to 4 classes → ReLU, with seeded
-// random weights.
-func compileConvFixture(t testing.TB) *Program {
+// compileConvFixture compiles input (2×hw×hw) → 3×3 conv, outC channels,
+// pad 1 → ReLU → (with pool, 2×2 max pool) → global average pool → FC to
+// 4 classes → ReLU, with random weights seeded by seed.
+func compileConvFixture(t testing.TB, seed int64, hw, outC int, pool bool) *Program {
 	t.Helper()
-	rng := rand.New(rand.NewSource(605))
+	rng := rand.New(rand.NewSource(seed))
 	g := cgraph.New("conv-features")
-	in := g.MustAdd("input", cgraph.Input{Shape: cgraph.Shape{C: 2, H: 5, W: 5}})
-	c := g.MustAdd("conv", cgraph.Conv2D{OutC: 3, Kernel: 3, Stride: 1, Pad: 1}, in)
-	r := g.MustAdd("relu1", cgraph.ReLU{}, c)
-	gap := g.MustAdd("gap", cgraph.GlobalAvgPool{}, r)
-	fc := g.MustAdd("fc", cgraph.FC{Out: 4}, gap)
-	g.MustAdd("relu2", cgraph.ReLU{}, fc)
+	x := g.MustAdd("input", cgraph.Input{Shape: cgraph.Shape{C: 2, H: hw, W: hw}})
+	x = g.MustAdd("conv", cgraph.Conv2D{OutC: outC, Kernel: 3, Stride: 1, Pad: 1}, x)
+	x = g.MustAdd("relu1", cgraph.ReLU{}, x)
+	if pool {
+		x = g.MustAdd("pool", cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: 2, Stride: 2}, x)
+	}
+	x = g.MustAdd("gap", cgraph.GlobalAvgPool{}, x)
+	x = g.MustAdd("fc", cgraph.FC{Out: 4}, x)
+	g.MustAdd("relu2", cgraph.ReLU{}, x)
 	weights := map[string][][]float64{}
 	for _, l := range []struct {
 		name       string
 		rows, cols int
-	}{{"conv", 18, 3}, {"fc", 3, 4}} {
+	}{{"conv", 18, outC}, {"fc", outC, 4}} {
 		w := make([][]float64, l.rows)
 		for i := range w {
 			w[i] = make([]float64, l.cols)
@@ -281,27 +285,52 @@ func TestRunFeaturesAllocs(t *testing.T) {
 	}
 }
 
-// TestRunFeaturesReadsInPlace pins where the features path reads from: on
-// every MLP fixture stage 0 reads the quantized input slab in place and
-// never grows an input table of its own, while the conv fixtures' first
-// stage gathers its im2col window into one; and a classes call reads
-// outputs that are one run in place, gathering them only for the
-// external-outputs fixture.
+// TestRunFeaturesReadsInPlace pins where the features path reads from:
+// on every MLP fixture each stage reads its source's table in place (stage
+// 0 the quantized input slab) and nothing fills the scratch, while the
+// conv fixtures' first stage fills its im2col window into the scratch and
+// reads it there; a spiking kernel's input is the table the plan names.
+// A classes call reads outputs that are one run in place, filling the
+// scratch with them only for the external-outputs fixture.
 func TestRunFeaturesReadsInPlace(t *testing.T) {
 	all := make([]byte, 256)
 	for i := range all {
 		all[i] = byte(i)
 	}
 	for _, fx := range featureFixtures(t) {
-		features := featureBatch(fx.ex.prog, 9, 255, all)
-		if err := fx.ex.RunFeatures(make([]int, len(features)), features, true); err != nil {
+		ex := fx.ex
+		calls := 0
+		kernel := ex.kernel
+		ex.kernel = func(c *xbar.Crossbar, dst, src []uint16, batch int) error {
+			sp := &ex.stages[calls%len(ex.stages)]
+			want, from := ex.x, "the scratch"
+			if sp.alias {
+				want, from = ex.table(sp.src[0].stage), fmt.Sprintf("table %d", sp.src[0].stage)
+			}
+			if &src[0] != &want[0] {
+				t.Errorf("%s: stage %d's kernel input is not %s", fx.name, calls%len(ex.stages), from)
+			}
+			calls++
+			return kernel(c, dst, src, batch)
+		}
+		if ex.stages[0].alias == fx.gathered {
+			t.Errorf("%s: stage 0 reads a table in place: %t, want %t", fx.name, ex.stages[0].alias, !fx.gathered)
+		}
+		features := featureBatch(ex.prog, 9, 255, all)
+		if err := ex.RunFeatures(make([]int, len(features)*len(ex.prog.OutputRefs)), features, false); err != nil {
 			t.Fatal(err)
 		}
-		if grew := fx.ex.ins[0] != nil; grew != fx.gathered {
-			t.Errorf("%s: stage 0 grew an input table: %t, want %t", fx.name, grew, fx.gathered)
+		if filled := ex.x != nil; filled != fx.gathered {
+			t.Errorf("%s: a stage filled the scratch: %t, want %t", fx.name, filled, fx.gathered)
 		}
-		if grew := fx.ex.res != nil; grew != fx.outputsGathered {
-			t.Errorf("%s: classes gathered the output rows: %t, want %t", fx.name, grew, fx.outputsGathered)
+		if err := ex.RunFeatures(make([]int, len(features)), features, true); err != nil {
+			t.Fatal(err)
+		}
+		if filled := ex.x != nil; filled != (fx.gathered || fx.outputsGathered) {
+			t.Errorf("%s: the scratch was filled after classes: %t, want %t", fx.name, filled, fx.gathered || fx.outputsGathered)
+		}
+		if spiking := ex.opts.Mode != ModeReference; spiking != (calls > 0) {
+			t.Errorf("%s: %d spiking kernel calls", fx.name, calls)
 		}
 	}
 }
@@ -323,43 +352,57 @@ func FuzzClassifyFeaturesVsRunBatch(f *testing.F) {
 	})
 }
 
-// BenchmarkRunFeatures times the executor alone on the shape
-// serve_mlp_reference serves — a 16-24-4 MLP in reference mode, here with
-// seeded random weights — at the workload's batch of 64 and at one row:
-// quantize, both stages' kernels and epilogues, and argmax, with no
-// serving layer above. It is the executor-only baseline beside the root
-// package's BenchmarkEngineOutputsParallel and
-// BenchmarkFleetOutputsParallel.
+// BenchmarkRunFeatures times the executor alone: quantize, every stage's
+// fill and kernel, and argmax, with no serving layer above, on two shapes
+// with seeded random weights. The MLP cases are serve_mlp_reference's — a
+// 16-24-4 MLP in reference mode, at the workload's batch of 64 and at one
+// row — whose stages all read their source in place: the executor-only
+// baseline beside the root package's BenchmarkEngineOutputsParallel and
+// BenchmarkFleetOutputsParallel. The conv cases are offline_conv_spiking's
+// network (2×10×10 → 3×3 conv, 8 channels, pad 1 → ReLU → 2×2 max pool →
+// global average pool → FC 4 → ReLU) in spiking mode at its batch of 16
+// and at one row, where nearly every stage fills its input.
 func BenchmarkRunFeatures(b *testing.B) {
 	g, ws := buildTestMLP(rand.New(rand.NewSource(611)), []int{16, 24, 4})
 	opts := DefaultOptions()
 	opts.Weights = ws
-	_, prog, err := Compile(g, opts)
+	_, mlp, err := Compile(g, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := NewExecutor(prog, RunOptions{Mode: ModeReference})
-	if err != nil {
-		b.Fatal(err)
-	}
+	conv := compileConvFixture(b, 613, 10, 8, true)
 	rng := rand.New(rand.NewSource(612))
-	for _, rows := range []int{64, 1} {
-		b.Run(fmt.Sprintf("batch%d", rows), func(b *testing.B) {
-			features := make([][]float64, rows)
+	for _, bc := range []struct {
+		name string
+		prog *Program
+		mode ExecMode
+		rows int
+	}{
+		{"batch64", mlp, ModeReference, 64},
+		{"batch1", mlp, ModeReference, 1},
+		{"conv-batch16", conv, ModeSpiking, 16},
+		{"conv-batch1", conv, ModeSpiking, 1},
+	} {
+		ex, err := NewExecutor(bc.prog, RunOptions{Mode: bc.mode})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			features := make([][]float64, bc.rows)
 			for r := range features {
-				features[r] = make([]float64, prog.InputSize)
+				features[r] = make([]float64, bc.prog.InputSize)
 				for i := range features[r] {
 					features[r][i] = rng.Float64()
 				}
 			}
-			dst := make([]int, rows)
+			dst := make([]int, bc.rows)
 			b.ReportAllocs()
 			for b.Loop() {
 				if err := ex.RunFeatures(dst, features, true); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/sample")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.rows), "ns/sample")
 		})
 	}
 }
