@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,6 +63,7 @@ func TestFidelity(t *testing.T) {
 	rows = append(rows, faultRows(ctx, t)...)
 	rows = append(rows, autotuneRows(ctx, t)...)
 	rows = append(rows, ablationRows(ctx, t)...)
+	rows = append(rows, routedHopRows(ctx, t)...)
 
 	got := renderFidelity(rows)
 	if *update {
@@ -344,6 +346,92 @@ func ablationRows(ctx context.Context, t *testing.T) []fidelityRow {
 		rows = append(rows, studyRow("hetero PEs (§7.3)", r.Model+" area saving at 64× (%)", "%.1f", r.AreaSavingPc, "none"))
 	}
 	return rows
+}
+
+// routedHopRows places and routes five designs at seed 1 and records what
+// routing measures of them: the chip side, the mean and max routed hops,
+// and the hops of the bottleneck stage's critical net — the longest routed
+// net with a block of a bottleneck group (one at the allocation's most
+// iterations) at either end. Last comes the least-squares line of mean hops
+// against chip side over the five designs, with its RMS residual and the
+// range of sides it was fitted on. These are the measured values the
+// calibrated TypicalRouteHops stands in for.
+func routedHopRows(ctx context.Context, t *testing.T) []fidelityRow {
+	t.Helper()
+	const study = "routed hops (seed 1)"
+	var rows []fidelityRow
+	var sides, means []float64
+	for _, c := range []struct {
+		model string
+		dup   int
+	}{{"MLP-500-100", 1}, {"LeNet", 1}, {"LeNet", 16}, {"CIFAR-VGG17", 1}, {"CIFAR-VGG17", 4}} {
+		m, err := LoadBenchmark(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Compile(ctx, m, WithDuplication(c.dup), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := d.PlaceAndRoute(ctx)
+		if err != nil {
+			t.Fatalf("%s@%d: %v", c.model, c.dup, err)
+		}
+		at := fmt.Sprintf("%s@%d: ", c.model, c.dup)
+		rows = append(rows,
+			studyRow(study, at+"chip side", "%.0f", float64(stats.ChipSide), "none"),
+			studyRow(study, at+"mean hops", "%.3f", stats.MeanHops, "none"),
+			studyRow(study, at+"max hops", "%.0f", float64(stats.MaxHops), "none"),
+			studyRow(study, at+"bottleneck stage's critical net hops", "%.0f", float64(bottleneckNetHops(t, d)), "none"),
+		)
+		sides = append(sides, float64(stats.ChipSide))
+		means = append(means, stats.MeanHops)
+	}
+	n := float64(len(sides))
+	var sx, sy, sxx, sxy float64
+	for i, x := range sides {
+		sx, sy, sxx, sxy = sx+x, sy+means[i], sxx+x*x, sxy+x*means[i]
+	}
+	slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
+	icept := (sy - slope*sx) / n
+	var ss float64
+	for i, x := range sides {
+		r := means[i] - (icept + slope*x)
+		ss += r * r
+	}
+	fit := fmt.Sprintf("least squares of mean hops on chip side over sides %.0f–%.0f: ", slices.Min(sides), slices.Max(sides))
+	return append(rows,
+		studyRow(study, fit+"slope (hops per side)", "%.4f", slope, "none"),
+		studyRow(study, fit+"intercept (hops)", "%.3f", icept, "none"),
+		studyRow(study, fit+"RMS residual (hops)", "%.3f", math.Sqrt(ss/n), "none"),
+	)
+}
+
+// bottleneckNetHops returns the routed hops of the longest net with a
+// block of a bottleneck group at either end, on a one-chip deployment
+// that has been placed and routed.
+func bottleneckNetHops(t *testing.T, d *Deployment) int {
+	t.Helper()
+	if len(d.shards) != 1 {
+		t.Fatalf("%d chips, want 1", len(d.shards))
+	}
+	sh := d.shards[0]
+	nl, err := d.shardNetlist(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := sh.alloc.MaxIterations()
+	inBottleneck := func(block int) bool {
+		g := nl.Blocks[block].GroupID
+		return g >= 0 && sh.alloc.Iterations[g] == top
+	}
+	hops := 0
+	for i, net := range nl.Nets {
+		if inBottleneck(net.Src) || slices.ContainsFunc(net.Sinks, inBottleneck) {
+			hops = max(hops, sh.artifacts.Route.NetHops[i])
+		}
+	}
+	return hops
 }
 
 const fidelityHeader = `# Fidelity scoreboard

@@ -156,10 +156,11 @@ func alignedGrow[T uint64 | float64](buf []T, n int) []T {
 //     some of its own summands plus other rows, never less than what is
 //     subtracted from it;
 //  3. walks the cycles with each block of columns' state in registers: both
-//     neurons, then the subtracter. The portable body keeps the subtracter's
-//     debt in colNeuron.step's statement order; the AVX2 body keeps the
-//     running maximum of the fire-count difference instead, which is the
-//     same output (docs/INVARIANTS.md, "Integer lanes", item 4).
+//     neurons, then the subtracter. The portable body keeps the
+//     subtracter's debt in spike.Subtracter.Step's statement order; the
+//     AVX2 body keeps the running maximum of the fire-count difference
+//     instead, which is the same output (docs/INVARIANTS.md, "Integer
+//     lanes", item 4).
 //
 // The portable body does this four columns per uint64 operation, the AVX2
 // body (amd64, chosen from CPUID: laneAVX2) sixteen per 256-bit one — both

@@ -33,8 +33,11 @@
 // R11 holds the lane row stride in bytes, 16·half; Y12 is zero. A
 // half-block row (half = 2) is one 32-byte block and takes its own path,
 // halfgroup below; any other stride is a whole number of 64-byte chunks:
-// two 256-bit blocks, one per polarity.
+// two 256-bit blocks, one per polarity. The PCALIGN at offset 0 pads
+// nothing and makes the entry 64-byte aligned, so the loops keep their
+// alignment whatever the linker places before the function.
 TEXT ·lanesAVX2(SB), NOSPLIT, $0-96
+	PCALIGN $64
 	MOVQ  drv+0(FP), DI
 	MOVQ  rows+8(FP), SI
 	MOVQ  half+80(FP), R11
@@ -502,8 +505,10 @@ hcycle:
 // func floatWalkAVX2(drv, rows *float64, counts *uint16, trains, live *uint64, fired *int64, nrows, window, blocks int, eta float64)
 //
 // R10 holds live, R11 the lane row stride in bytes (64·blocks: a whole
-// number of 64-byte chunks) and R13 the words per train throughout.
+// number of 64-byte chunks) and R13 the words per train throughout. The
+// entry is 64-byte aligned, as lanesAVX2's is.
 TEXT ·floatWalkAVX2(SB), NOSPLIT, $0-80
+	PCALIGN $64
 	MOVQ drv+0(FP), DI
 	MOVQ rows+8(FP), SI
 	MOVQ counts+16(FP), R8

@@ -162,11 +162,11 @@ func uniformTrains(window int) []uint64 {
 //     all-zero columns) are answered from a table over their entire key
 //     space, one per distinct support signature (every tabulated column of
 //     a pairwise-max crossbar shares one), filled on first use by
-//     walkSupport — the real colNeuron.step walk with drives summed in
-//     ascending row order, i.e. the dense kernel restricted to the support.
-//     They are answered after the walk, a column at a time over the whole
-//     batch (tabulate). A crossbar whose columns are all tabulated never
-//     builds lane rows or drives at all;
+//     walkSupport — spike.Neuron.Step and spike.Subtracter.Step on drives
+//     summed in ascending row order, i.e. the dense kernel restricted to the
+//     support. They are answered after the walk, a column at a time over
+//     the whole batch (tabulate). A crossbar whose columns are all
+//     tabulated never builds lane rows or drives at all;
 //   - walked columns go through a cycle walk.
 //
 // Which walk is decided at entry from what the crossbar is, never by an
@@ -287,7 +287,8 @@ func (c *Crossbar) tabulate(dst, src []uint16, batch int) {
 
 // walkSupport is the dense kernel restricted to one column's support: every
 // cycle of the window sums the conductances of the firing support rows in
-// ascending row order on top of +0.0 and steps the column's neuron pair. It
+// ascending row order on top of +0.0 and steps the oracle's own PE parts
+// with them — a spike.Neuron per polarity, then the spike.Subtracter. It
 // never skips a cycle, so it is right for any η, ideal or noisy. counts
 // holds the clamped support counts, most significant row first; each
 // row's train and conductances are looked up once, before the cycle loop.
@@ -299,51 +300,24 @@ func (c *Crossbar) walkSupport(tc *tabCol, counts *[maxSupport]int) int {
 		trains[p] = c.trainTab[counts[p]*lanes:][:lanes]
 		pg[p], ng[p] = c.posG[r*c.cols+tc.col], c.negG[r*c.cols+tc.col]
 	}
-	n := colNeuron{eta: c.eta}
-	for t := 0; t < c.window; t++ {
+	pos, neg := spike.Neuron{Eta: c.eta}, spike.Neuron{Eta: c.eta}
+	var sub spike.Subtracter
+	out := 0
+	for t := range c.window {
 		var dP, dN float64
-		for p := range tc.k {
-			if trains[p][t>>6]&(1<<uint(t&63)) != 0 {
+		for p, train := range trains[:tc.k] {
+			if train[t>>6]&(1<<uint(t&63)) != 0 {
 				dP += pg[p]
 				dN += ng[p]
 			}
 		}
-		n.step(dP, dN)
-	}
-	return n.out
-}
-
-// colNeuron is one column's ideal neuron pair and subtracter state during
-// a table fill (walkSupport). step is the exact statement sequence of the
-// dense kernel's per-column inner loop.
-type colNeuron struct {
-	memP, memN float64
-	debt, out  int
-	eta        float64
-}
-
-// step advances one cycle with the given drives.
-func (n *colNeuron) step(dP, dN float64) {
-	sp := false
-	if n.memP += dP; n.memP >= n.eta {
-		n.memP -= n.eta
-		sp = true
-	}
-	sn := false
-	if n.memN += dN; n.memN >= n.eta {
-		n.memN -= n.eta
-		sn = true
-	}
-	if sn {
-		n.debt++
-	}
-	if sp {
-		if n.debt > 0 {
-			n.debt--
-		} else {
-			n.out++
+		sp := pos.Step(dP)
+		sn := neg.Step(dN)
+		if sub.Step(sp, sn) {
+			out++
 		}
 	}
+	return out
 }
 
 // floatBlock is the portable float walk's state for one block of four
@@ -368,8 +342,8 @@ func (b *floatBlock) hot(eta float64) bool {
 // does not fire subtracts +0.0, which leaves its membrane unchanged bit for
 // bit (docs/INVARIANTS.md, "Float lanes", item 2) — and the subtracter as
 // the running maximum of the fire-count difference, as the AVX2 lane walk
-// keeps it, which is colNeuron.step's count (docs/INVARIANTS.md, "Integer
-// lanes", item 4).
+// keeps it, which is spike.Subtracter.Step's count (docs/INVARIANTS.md,
+// "Integer lanes", item 4).
 func (b *floatBlock) step(dP, dN *[4]float64, eta float64) {
 	etaBits := math.Float64bits(eta)
 	for l := range 4 {
@@ -503,9 +477,9 @@ func (c *Crossbar) walkFloatPortable(out, counts []uint16) {
 // per item takes the portable body's steps, four columns per instruction.
 // The walk steps two blocks per pass: every live cycle, and the zero-drive
 // cycles between them only while some lane of the pass is hot, with
-// colNeuron.step written as masks (a not-firing lane subtracts +0.0, which
-// is exact). The extra steps this takes over the portable body all fall on
-// lanes that are not hot, where a zero-drive step changes nothing;
+// spike.Neuron.Step written as masks (a not-firing lane subtracts +0.0,
+// which is exact). The extra steps this takes over the portable body all
+// fall on lanes that are not hot, where a zero-drive step changes nothing;
 // docs/INVARIANTS.md ("Float lanes") has the argument.
 func (c *Crossbar) walkFloatAVX2(out, counts []uint16) {
 	floatWalkAVX2(&c.floatDrv[0], &c.floatG[0], &counts[0], &c.trainTab[0], &c.floatLive[0], &c.floatFired[0],

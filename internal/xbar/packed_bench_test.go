@@ -57,6 +57,31 @@ func BenchmarkSimulateCounts(b *testing.B) {
 	}
 }
 
+// BenchmarkTableFill times a cold table: one ideal pairwise-max diff
+// column at Γ = 64 and η = maxW, fed all (Γ+1)² keys of its two support
+// rows in one batch, so every call fills the whole table from empty
+// (walkSupport once per key). SetEta drops the table before each call.
+func BenchmarkTableFill(b *testing.B) {
+	cfg := testConfig(0)
+	cfg.Params.IOBits = 6
+	maxW := cfg.Rep.MaxWeight()
+	xb, err := Program(cfg, pairwiseWeights(1, -maxW, maxW), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := everyKeyPair(xb.Window())
+	batch := len(src) / 2
+	dst := make([]int, batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		xb.SetEta(float64(maxW))
+		if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/entry")
+}
+
 // pairwiseWeights builds the synthesizer's two-row block-diagonal
 // structure (internal/synth/poolexec.go): column c reads rows 2c and 2c+1
 // with weights a and b. (−maxW, maxW) is the pairwise-max diff crossbar,

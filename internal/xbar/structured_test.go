@@ -592,3 +592,69 @@ func testSetEtaInvalidatesTables(t *testing.T) {
 		assertMatchesTrains(t, fmt.Sprintf("stuck kind %v", tc.kind), xb, src, batch)
 	}
 }
+
+// TestTableFillMatchesOracleOnEveryKey feeds every key of every table in
+// one batch and holds the kernel to the dense oracle element for element:
+// a two-row crossbar whose ideally programmed columns have support 0, 1
+// and 2 (the pairwise-max diff and comb columns among them), at Γ = 1, 2,
+// 7 and 64, ideally programmed and under one noisy draw (fractional
+// conductances; every cell conducts, so every column has support 2), at
+// η = maxW, at a non-integer η and at η = 0, which fires every cycle.
+// After the cold pass every table must be full: no key went unfed.
+func TestTableFillMatchesOracleOnEveryKey(t *testing.T) {
+	for _, g := range []struct{ ioBits, window int }{{0, 1}, {1, 2}, {3, 7}, {6, 64}} {
+		for _, noisy := range []bool{false, true} {
+			cfg := structuredConfig(g.ioBits, noisy)
+			maxW := cfg.Rep.MaxWeight()
+			weights := [][]int{
+				{0, maxW, 0, -maxW, maxW, maxW},
+				{0, 0, -maxW, maxW, maxW, -maxW},
+			}
+			var prng *rand.Rand
+			if noisy {
+				prng = rand.New(rand.NewSource(95))
+			}
+			xb, err := Program(cfg, weights, prng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			atWindow(xb, g.window)
+			if len(xb.tabCols) != len(weights[0]) {
+				t.Fatalf("Γ=%d noisy=%v: %d of %d columns tabulated", g.window, noisy, len(xb.tabCols), len(weights[0]))
+			}
+			if !noisy {
+				for j, want := range []int{0, 1, 1, 2, 2, 2} {
+					if k := xb.tabCols[j].k; k != want {
+						t.Fatalf("Γ=%d: column %d has %d support rows, want %d", g.window, j, k, want)
+					}
+				}
+			}
+			src := everyKeyPair(g.window)
+			for _, eta := range []float64{float64(maxW), float64(maxW)*0.37 + 0.01, 0} {
+				xb.SetEta(eta)
+				label := fmt.Sprintf("Γ=%d noisy=%v η=%g", g.window, noisy, eta)
+				assertPackedMatchesDense(t, label, xb, src, len(src)/2)
+				for i, table := range xb.tables {
+					for key, v := range table {
+						if v == 0 {
+							t.Fatalf("%s: table %d key %d never filled", label, i, key)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// everyKeyPair is a two-row batch of every count pair in [0, Γ]², row 0
+// most significant: every key of a table over two support rows, in key
+// order.
+func everyKeyPair(window int) []int {
+	var src []int
+	for c0 := 0; c0 <= window; c0++ {
+		for c1 := 0; c1 <= window; c1++ {
+			src = append(src, c0, c1)
+		}
+	}
+	return src
+}
