@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -29,6 +30,45 @@ func compileMLP(t testing.TB, net *TrainedMLP, opts ...Option) *Deployment {
 	t.Helper()
 	opts = append([]Option{WithWeightSource(net.WeightSource())}, opts...)
 	d, err := Compile(context.Background(), net.Model(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// randomWeights registers, for m's weight layers in order, a rows×cols
+// matrix of each shape in ±1/rows, drawn from a stream seeded by seed.
+func randomWeights(m Model, seed int64, shapes ...[2]int) Option {
+	rng := rand.New(rand.NewSource(seed))
+	weights := make(map[string][][]float64)
+	for i, layer := range m.WeightLayers() {
+		w := make([][]float64, shapes[i][0])
+		for r := range w {
+			w[r] = make([]float64, shapes[i][1])
+			for c := range w[r] {
+				w[r][c] = (rng.Float64()*2 - 1) / float64(len(w))
+			}
+		}
+		weights[layer] = w
+	}
+	return WithWeights(weights)
+}
+
+// probeConvNet compiles 2×8×8 → conv 8 → ReLU → 2×2 max pool → conv 8 →
+// ReLU → 2×2 max pool → GAP → FC 6 → ReLU → FC 4 with seeded weights.
+// Both pools run on one shared pairwise-max group pair, so the program's
+// stage list has fewer legal cuts than the core-op group chain has.
+func probeConvNet(t testing.TB, opts ...Option) *Deployment {
+	t.Helper()
+	m, err := NewModelBuilder("probe", 2, 8, 8).
+		Conv2D(8, 3, 1, 1).ReLU().MaxPool(2, 2).
+		Conv2D(8, 3, 1, 1).ReLU().MaxPool(2, 2).
+		GlobalAvgPool().FC(6).ReLU().FC(4).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts = append([]Option{randomWeights(m, 64, [2]int{18, 8}, [2]int{72, 8}, [2]int{8, 6}, [2]int{6, 4})}, opts...)
+	d, err := Compile(context.Background(), m, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +273,11 @@ func TestNewNetRejectsMalformedWeights(t *testing.T) {
 }
 
 // TestEngineInheritsDeploymentChips: an engine serves exactly the chip
-// count its deployment was compiled across — two for a sharded
-// deployment, one otherwise; there is no serving-side way to change it.
+// count its deployment was compiled across — two for a sharded MLP, one
+// otherwise, and six to eight for the probe conv net, whose shared
+// pairwise-max groups leave its stage list no more than five legal
+// segments; there is no serving-side way to change it. A fleet replica of
+// the probe deployment reserves that count and serves.
 func TestEngineInheritsDeploymentChips(t *testing.T) {
 	ctx := context.Background()
 	d, _, test := trainedDeployment(t, WithChips(2))
@@ -261,6 +304,39 @@ func TestEngineInheritsDeploymentChips(t *testing.T) {
 	defer eng1.Close()
 	if eng1.Stats().Chips != 1 {
 		t.Errorf("single-chip deployment served on %d chips, want 1", eng1.Stats().Chips)
+	}
+
+	x := make([]float64, 2*8*8)
+	for i := range x {
+		x[i] = float64(i%7) / 6
+	}
+	for _, chips := range []int{6, 7, 8} {
+		d := probeConvNet(t, WithChips(chips))
+		if d.Chips() != chips {
+			t.Fatalf("probe net compiled onto %d chips, want %d", d.Chips(), chips)
+		}
+		eng, err := d.NewEngine(ctx, WithMode(ModeReference))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Stats().Chips; got != d.Chips() {
+			t.Errorf("WithChips(%d): engine serves %d chips, deployment %d", chips, got, d.Chips())
+		}
+		eng.Close()
+		f, err := NewFleet(WithFleetChips(chips))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddModel(ctx, "probe", d, WithModelReplicas(1), WithModelEngine(WithMode(ModeReference))); err != nil {
+			t.Fatalf("WithChips(%d): AddModel: %v", chips, err)
+		}
+		if used := f.Stats().ChipsUsed; used != d.Chips() {
+			t.Errorf("WithChips(%d): fleet reserved %d chips for one replica, want %d", chips, used, d.Chips())
+		}
+		if _, _, err := f.Classify(ctx, "probe", "t", x); err != nil {
+			t.Errorf("WithChips(%d): fleet Classify: %v", chips, err)
+		}
+		f.Close()
 	}
 }
 
@@ -311,9 +387,9 @@ func TestSingleHandleMatchesTwoStackPath(t *testing.T) {
 	}
 }
 
-// TestShardPolicyFlowsToEngine: the compiled WithShardPolicy governs
-// the engine's stage cut too; outputs are bit-identical under every
-// policy (the cut moves wall-clock, never results).
+// TestShardPolicyFlowsToEngine: a deployment compiled under each
+// WithShardPolicy serves, and its outputs are bit-identical under every
+// policy (the compile's cut moves simulated time, never results).
 func TestShardPolicyFlowsToEngine(t *testing.T) {
 	ctx := context.Background()
 	var want []int

@@ -57,11 +57,8 @@ func (d *Deployment) buildNet(src WeightSource) (*SpikingNet, error) {
 
 // NewEngine derives a serving engine from the compiled deployment: the
 // net comes from NewNet (compile-registered weights), and the chip
-// partition flows from the compile — the engine serves d.Chips() chips,
-// so Compile is the single source of truth for how many chips serve. (The
-// stage boundaries themselves are re-derived on the program's stage list —
-// the serving-side twin of the compile's group chain — always balanced;
-// outputs are bit-identical under every cut.)
+// partition is the compile's — the engine serves d.Chips() chips, so
+// Compile is the single source of truth for how many chips serve.
 // The engine has 4 executors and spreads a batch call over up to one per
 // 8 samples; its mode is ModeSpiking unless WithMode says otherwise.
 // ctx is checked before and after the net is derived — a cancelled

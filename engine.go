@@ -19,11 +19,10 @@ type engineConfig struct {
 	// answer does not depend on which executor ran it.
 	Mode ExecMode
 	// Chips is the deployment's compiled chip count (Deployment.Chips;
-	// never an option). At ≥ 2 the network is served as a sharded
-	// deployment: every executor's stages are partitioned across that many
-	// chips (clamped to what the program supports) and a request walks
-	// them in order on its own goroutine. Outputs are bit-identical to the
-	// single-chip engine in every mode, ModeSpikingNoisy included.
+	// never an option), which EngineStats.Chips reports. A sharded
+	// deployment runs on the same executors as a single-chip one, so its
+	// outputs are bit-identical to the single-chip engine's in every mode,
+	// ModeSpikingNoisy included.
 	Chips int
 }
 

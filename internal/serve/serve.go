@@ -12,13 +12,12 @@
 // waiting caller, so a running one may take the executor first (see
 // pool). It is the substrate behind fpsa.Engine and cmd/fpsa-serve.
 //
-// The pool holds Workers privately programmed executors at every chip
-// count — cycle-level simulation state is never shared across goroutines,
-// exactly as each replica carries its own programmed crossbars — and all
-// are programmed identically, so any one answers as any other. With
-// Options.Chips ≥ 2 each executor's program is partitioned across that
-// many simulated chips, and a request walks them in order on its own
-// goroutine.
+// The pool holds Workers privately programmed executors — cycle-level
+// simulation state is never shared across goroutines, exactly as each
+// replica carries its own programmed crossbars — and all are programmed
+// identically, so any one answers as any other. A sharded deployment is
+// served the same way: its chip count, Options.Chips, comes from the
+// compile and is reported, not re-derived.
 package serve
 
 import (
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"fpsa/internal/device"
-	"fpsa/internal/shard"
 	"fpsa/internal/synth"
 	"fpsa/internal/xbar"
 )
@@ -39,8 +37,7 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Workers is how many privately programmed executors the pool holds,
-	// and so how many requests can hold one at once, at every chip count.
-	// 0 means 1.
+	// and so how many requests can hold one at once. 0 means 1.
 	Workers int
 	// MaxBatch is the samples per executor a call needs before it takes
 	// another: a call of n spreads over at most ⌈n/MaxBatch⌉, and a kernel
@@ -53,9 +50,9 @@ type Options struct {
 	// programmed from, so all carry identical variation and a reply does
 	// not depend on which executor a request borrowed.
 	Seed int64
-	// Chips, when ≥ 2, serves the program as a sharded deployment: every
-	// executor's stage list is partitioned across that many chips
-	// (clamped to what the program supports). 0 or 1 is a single chip.
+	// Chips is the deployment's compiled chip count, reported as
+	// Stats.Chips; below 1 means 1. It changes nothing about how a call
+	// runs.
 	Chips int
 	// Faults, when active, injects the deployment's device fault
 	// scenario into every executor. Fault maps are a deterministic
@@ -108,23 +105,12 @@ type Engine struct {
 // closedBit marks Engine.state closed: far above any count of calls.
 const closedBit = 1 << 62
 
-// New builds the engine: it partitions prog across opts.Chips chips
-// (clamped to what it supports), programs opts.Workers private executors
-// over that plan (surfacing programming errors synchronously) and fills
-// the pool with them.
+// New builds the engine: it programs opts.Workers private executors
+// (surfacing programming errors synchronously) and fills the pool with
+// them.
 func New(prog *synth.Program, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts, procs: runtime.GOMAXPROCS(0), outputs: len(prog.OutputRefs), drained: make(chan struct{})}
-	// A nil plan is a single chip; only a sharded request pays for the
-	// partition search. The cut is always balanced: pipeline throughput is
-	// set by the slowest chip, and no cut can change an output.
-	var plan *shard.Plan
-	if opts.Chips >= 2 {
-		var err error
-		if plan, err = prog.PartitionStages(opts.Chips, shard.PolicyBalanced); err != nil {
-			return nil, fmt.Errorf("serve: partitioning across %d chips: %w", opts.Chips, err)
-		}
-	}
 	e.execs = make([]*synth.Executor, opts.Workers)
 	e.pool = newPool(opts.Workers)
 	// The sub-seed is a draw from Seed's stream rather than Seed itself so
@@ -135,7 +121,7 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 		if opts.Mode == synth.ModeSpikingNoisy {
 			ropts.Rng = rand.New(rand.NewSource(sub))
 		}
-		ex, err := synth.NewPipelineExecutor(prog, plan, ropts)
+		ex, err := synth.NewExecutor(prog, ropts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: executor %d: %w", i, err)
 		}
@@ -146,9 +132,8 @@ func New(prog *synth.Program, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Chips returns the realized chip count: 1 on a single chip, the sharded
-// chip count otherwise.
-func (e *Engine) Chips() int { return e.execs[0].Chips() }
+// Chips returns the deployment's chip count, Options.Chips (at least 1).
+func (e *Engine) Chips() int { return max(e.opts.Chips, 1) }
 
 // enter admits one call unless the engine is closed; the caller owes
 // e.leave. A call counts itself in before it looks at the closed bit, so

@@ -709,21 +709,23 @@ func TestShardedNoisyEnginePinned(t *testing.T) {
 	}
 }
 
-// TestShardedEngineClampsChips: asking for more chips than the program
-// has stages degrades to the feasible depth instead of failing, and the
-// engine still serves.
-func TestShardedEngineClampsChips(t *testing.T) {
+// TestShardedEngineReportsChips: the engine reports the chip count it
+// was given — the compile's, not a cut of its own, so even more chips
+// than the program has stages — or 1 when given none, and serves at each.
+func TestShardedEngineReportsChips(t *testing.T) {
 	prog := buildProgram(t, 23, []int{6, 3})
-	eng, err := New(prog, Options{Workers: 2, MaxBatch: 2, Chips: 16, Mode: synth.ModeReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Chips() > len(prog.Stages) {
-		t.Fatalf("Chips() = %d for a %d-stage program", eng.Chips(), len(prog.Stages))
-	}
-	if _, err := eng.Infer(context.Background(), randomInputs(prog, 24, 1)[0]); err != nil {
-		t.Fatalf("Infer: %v", err)
+	for _, tc := range []struct{ chips, want int }{{16, 16}, {0, 1}} {
+		eng, err := New(prog, Options{Workers: 2, MaxBatch: 2, Chips: tc.chips, Mode: synth.ModeReference})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Chips(); got != tc.want || eng.Stats().Chips != tc.want {
+			t.Errorf("Chips: %d: Chips() = %d, Stats().Chips = %d, want %d", tc.chips, got, eng.Stats().Chips, tc.want)
+		}
+		if _, err := eng.Infer(context.Background(), randomInputs(prog, 24, 1)[0]); err != nil {
+			t.Errorf("Chips: %d: Infer: %v", tc.chips, err)
+		}
+		eng.Close()
 	}
 }
 

@@ -53,9 +53,8 @@ type Stats struct {
 	P999LatencyUS float64
 	// QueueDepth, Workers, MaxBatch and Chips describe the engine's
 	// current shape. QueueDepth counts calls waiting for an executor right
-	// now; Workers is the pool size; Chips is the realized pipeline depth
-	// of a sharded engine (1 when the model runs whole on private
-	// executors).
+	// now; Workers is the pool size; Chips is the deployment's compiled
+	// chip count (1 when the model runs whole on one chip).
 	QueueDepth int
 	Workers    int
 	MaxBatch   int

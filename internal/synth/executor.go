@@ -5,16 +5,15 @@ import (
 	"sync"
 
 	"fpsa/internal/device"
-	"fpsa/internal/shard"
 	"fpsa/internal/xbar"
 )
 
-// Executor is a reusable execution context over a Program on one or more
-// simulated chips: every weight group's crossbar is programmed once, at
-// construction, and reused across calls — the way the physical chips
-// program their crossbars once at deployment and then stream samples
-// through them. A Monte-Carlo loop that wants a fresh chip per call
-// redraws one executor's conductances in place (Redraw).
+// Executor is a reusable execution context over a Program: every weight
+// group's crossbar is programmed once, at construction, and reused across
+// calls — the way the physical chips program their crossbars once at
+// deployment and then stream samples through them. A Monte-Carlo loop that
+// wants a fresh chip per call redraws one executor's conductances in place
+// (Redraw).
 //
 // Execution is batched end to end: RunFeatures walks the stage list once
 // per micro-batch, evaluating every batch item on a stage's crossbar
@@ -22,14 +21,11 @@ import (
 // instead of re-walking all stages per item. A single sample is a batch
 // of one.
 //
-// A plan from PartitionStages gives each chip a contiguous stage range and
-// the crossbars of the groups those stages use. A batch walks the stages
-// in order on the caller's goroutine, chip after chip: the hardware's
-// chip-to-chip pipelining is modelled by internal/perf's link terms, not
-// by host threads, so the chip count changes neither how a batch runs nor
-// who may call. Programming and the stage walk are the same code at every
-// chip count, so outputs are bit-identical across chip counts in all three
-// modes.
+// A batch walks the stages in order on the caller's goroutine. A sharded
+// deployment runs on the same executor: which chip holds which group is
+// the compile's partition, and the hardware's chip-to-chip pipelining is
+// modelled by internal/perf's link terms, not by host threads, so outputs
+// are bit-identical at every chip count in all three modes.
 //
 // A call is safe for concurrent use: calls on one Executor run one at a
 // time, since the tables and scratch are the executor's own. Concurrent
@@ -45,8 +41,6 @@ type Executor struct {
 	// executor built outside this package's tests (see
 	// RunOptions.spikeKernel).
 	kernel func(c *xbar.Crossbar, dst, src []uint16, batch int) error
-	// chips is how many chips the plan spread the stages over.
-	chips int
 	// units[gid] is weight group gid's programmed crossbar; nil for a group
 	// no stage uses. order lists the used groups in global first-use stage
 	// order, the order they are programmed and redrawn in.
@@ -166,38 +160,21 @@ func planStages(p *Program) ([]stagePlan, []source, error) {
 	return stages, out, nil
 }
 
-// NewExecutor programs every weight group of p under opts onto a single
-// chip and returns the reusable execution state.
-func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
-	return NewPipelineExecutor(p, nil, opts)
-}
-
-// NewPipelineExecutor programs p's weight groups under opts and
-// distributes them over the plan's chips. A nil plan is a single chip. The
-// plan must come from p.PartitionStages: segment boundaries may not split
-// a shared weight group — a physical crossbar lives on exactly one die.
+// NewExecutor programs every weight group of p under opts and returns the
+// reusable execution state.
 //
-// Every group is programmed once, in global first-use stage order,
-// whatever the plan. In ModeSpikingNoisy the supplied Rng draws each
-// cell's programming variation in that order, so two executors built from
-// identically seeded streams carry identical conductances, and a sharded
-// deployment carries identically noisy conductances to the single-chip
-// deployment it replaces. Fault masks come from
-// opts.Faults' memo (derived once per model, not per executor, and keyed
-// on the global group ID, so a group lands on the same stuck cells
-// whichever chip owns it) and programming a weight allocates nothing. A
-// caller that wants a fresh variation draw per call keeps one executor and
-// calls Redraw, which costs the draws alone; construction adds every
-// buffer to that.
-func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Executor, error) {
-	n := len(p.Stages)
-	bounds := []int{0, n}
-	if plan != nil {
-		bounds = plan.Bounds
-		if first, last := bounds[0], bounds[len(bounds)-1]; first != 0 || last != n {
-			return nil, fmt.Errorf("synth: plan covers stages %d to %d, program has %d", first, last, n)
-		}
-	}
+// Every group is programmed once, in global first-use stage order. In
+// ModeSpikingNoisy the supplied Rng draws each cell's programming
+// variation in that order, so two executors built from identically seeded
+// streams carry identical conductances, and a sharded deployment carries
+// identically noisy conductances to the single-chip deployment it
+// replaces. Fault masks come from opts.Faults' memo (derived once per
+// model, not per executor, and keyed on the global group ID, so a group
+// lands on the same stuck cells whichever chip owns it) and programming a
+// weight allocates nothing. A caller that wants a fresh variation draw per
+// call keeps one executor and calls Redraw, which costs the draws alone;
+// construction adds every buffer to that.
+func NewExecutor(p *Program, opts RunOptions) (*Executor, error) {
 	spec := opts.Spec
 	if spec.Bits == 0 {
 		spec = device.Cell4Bit
@@ -221,36 +198,24 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 		prog:   p,
 		opts:   opts,
 		kernel: (*xbar.Crossbar).Simulate,
-		chips:  len(bounds) - 1,
 		units:  make([]*xbar.Crossbar, len(p.Graph.Groups)),
 		order:  make([]int, 0, len(p.Graph.Groups)),
 		stages: stages,
 		out:    out,
 		outRun: oneRun(out),
-		outs:   make([][]uint16, n),
+		outs:   make([][]uint16, len(p.Stages)),
 	}
 	if opts.spikeKernel != nil {
 		e.kernel = opts.spikeKernel
 	}
 	// Weight groups are shared across stages (conv positions): program
-	// each group's crossbar once, at its first use, on the chip whose
-	// range holds that stage — exactly as the chip holds one physical
-	// crossbar per group copy — and reject a plan that puts a later use
-	// on another chip.
-	chipOf := make([]int, len(p.Graph.Groups))
-	k := 0
+	// each group's crossbar once, at its first use, exactly as the chip
+	// holds one physical crossbar per group copy.
 	for si, st := range p.Stages {
-		for si >= bounds[k+1] {
-			k++
-		}
-		grp := p.Graph.Groups[st.GroupID]
 		if e.units[st.GroupID] != nil {
-			if chipOf[st.GroupID] != k {
-				return nil, fmt.Errorf("synth: plan splits weight group %q across chips (stage %d)", grp.Name, si)
-			}
 			continue
 		}
-		chipOf[st.GroupID] = k
+		grp := p.Graph.Groups[st.GroupID]
 		c := cfg
 		c.Eta = grp.Eta
 		// The model derives a group's mask once and shares it read-only:
@@ -269,12 +234,11 @@ func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Execut
 // Redraw re-programs every crossbar in place with a fresh programming-
 // variation draw: it reseeds the executor's own Rng with seed and redraws
 // each group in global first-use order, the order construction programs
-// them in, so afterwards the executor is bit-identical — outputs, chips
-// and all — to a new one built on the same plan with RunOptions.Rng =
-// rand.New(rand.NewSource(seed)) (*rand.Rand's Seed restarts exactly that
-// stream). It reuses every buffer (xbar.Crossbar.Redraw). Outside
-// ModeSpikingNoisy the conductances are ideal and there is nothing to draw:
-// Redraw does nothing.
+// them in, so afterwards the executor is bit-identical — outputs and all —
+// to a new one built with RunOptions.Rng = rand.New(rand.NewSource(seed))
+// (*rand.Rand's Seed restarts exactly that stream). It reuses every buffer
+// (xbar.Crossbar.Redraw). Outside ModeSpikingNoisy the conductances are
+// ideal and there is nothing to draw: Redraw does nothing.
 func (e *Executor) Redraw(seed int64) {
 	if e.opts.Mode != ModeSpikingNoisy {
 		return
@@ -286,9 +250,6 @@ func (e *Executor) Redraw(seed int64) {
 		e.units[gid].Redraw(e.opts.Rng)
 	}
 }
-
-// Chips returns the number of chips the program is spread over.
-func (e *Executor) Chips() int { return e.chips }
 
 // Close is a no-op: an Executor holds no goroutine or other resource to
 // release, and it keeps working after it.

@@ -241,9 +241,6 @@ func TestExecutorRedrawMatchesNew(t *testing.T) {
 	}{{"mlp", mlp, 1}, {"mlp", mlp, 3}, {"conv", conv, 1}} {
 		inputs := batchInputs(rng, 5, tc.prog.InputSize, tc.prog.Params.SamplingWindow())
 		ex := pipelineAt(t, tc.prog, tc.chips, noisy(1))
-		if ex.Chips() != tc.chips {
-			t.Fatalf("%s: %d chips, want %d", tc.name, ex.Chips(), tc.chips)
-		}
 		for _, seed := range []int64{2, 3, 3, -9} {
 			if _, err := ex.RunBatch(inputs); err != nil {
 				t.Fatal(err)

@@ -64,8 +64,8 @@ func featureFixtures(t testing.TB) []featureFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ex.Chips() < 2 {
-			t.Fatalf("deep program cut into %d chips, want ≥ 2", ex.Chips())
+		if plan.Chips() < 2 {
+			t.Fatalf("deep program cut into %d chips, want ≥ 2", plan.Chips())
 		}
 		return ex
 	}

@@ -6,6 +6,14 @@ import (
 	"fpsa/internal/shard"
 )
 
+// NewPipelineExecutor is NewExecutor: it does not read plan. A deployment's
+// chips are the compile's partition, and the stage walk, programming order
+// and outputs are the same at every chip count. It stays for bench/
+// (ROADMAP item 1(f)).
+func NewPipelineExecutor(p *Program, plan *shard.Plan, opts RunOptions) (*Executor, error) {
+	return NewExecutor(p, opts)
+}
+
 // PartitionStages cuts the program's stage list into up to maxChips
 // per-chip segments using internal/shard: per-chip load is the number of
 // distinct programmed crossbars (weight groups) the segment owns, cut

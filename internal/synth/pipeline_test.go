@@ -48,8 +48,8 @@ func assertPipelineMatchesExecutor(t *testing.T, label string, prog *Program,
 		for b := range want {
 			for j := range want[b] {
 				if got[b][j] != want[b][j] {
-					t.Fatalf("%s/%d-chip (%d real): item %d out[%d]: pipeline %d, single-chip %d",
-						label, chips, pe.Chips(), b, j, got[b][j], want[b][j])
+					t.Fatalf("%s/%d-chip: item %d out[%d]: pipeline %d, single-chip %d",
+						label, chips, b, j, got[b][j], want[b][j])
 				}
 			}
 		}
@@ -218,9 +218,6 @@ func TestPipelineConcurrentRunBatch(t *testing.T) {
 	}
 	for _, chips := range []int{1, 3} {
 		pe := pipelineAt(t, prog, chips, RunOptions{Mode: ModeReference})
-		if pe.Chips() != chips {
-			t.Fatalf("realized %d chips, want %d", pe.Chips(), chips)
-		}
 		var wg sync.WaitGroup
 		errs := make([]error, feeders)
 		for f := 0; f < feeders; f++ {
@@ -353,9 +350,6 @@ func TestPipelineValidationAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pe2.Close()
-	if pe2.Chips() != 1 {
-		t.Errorf("nil-plan pipeline has %d chips, want 1", pe2.Chips())
-	}
 	if _, err := runOne(pe2, good); err != nil {
 		t.Errorf("nil-plan Run: %v", err)
 	}

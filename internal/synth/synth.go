@@ -22,10 +22,10 @@
 // average pooling and residual adds, whose stages run on actual PE models
 // (integer reference or cycle-level spiking simulation). Every weight
 // layer goes through one exact matrix lowering (exactMatrix), invoked once
-// per FC pass or conv position. One type runs the program: an Executor
-// over one or more simulated chips, walking every stage in order on the
-// caller's goroutine, with the same programming loop and stage walk at
-// every chip count.
+// per FC pass or conv position. One type runs the program: an Executor,
+// walking every stage in order on the caller's goroutine. It has no chip
+// count: a sharded deployment's chips are the compile's partition, and
+// they run on the same programming loop and stage walk.
 package synth
 
 import (
